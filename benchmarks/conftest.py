@@ -9,9 +9,22 @@ cluster, not the authors' V100 testbed (see EXPERIMENTS.md).
 Run with::
 
     pytest benchmarks/ --benchmark-only
+
+Results land in a temporary directory, so a test run leaves ``git status``
+clean; pass ``--update-results`` to refresh the tracked files under
+``benchmarks/results/`` instead.
 """
 
 import pytest
+
+
+@pytest.fixture(autouse=True)
+def _results_dir(request, monkeypatch, tmp_path_factory):
+    """Point ``save_result`` away from the tracked results unless asked."""
+    if not request.config.getoption("--update-results"):
+        monkeypatch.setenv(
+            "REPRO_RESULTS_DIR", str(tmp_path_factory.getbasetemp() / "results")
+        )
 
 
 @pytest.fixture(autouse=True)

@@ -6,9 +6,21 @@ normal test session and would double its runtime.  They run only when
 selected explicitly (the CI perf-smoke job uses ``-m perf``)::
 
     PYTHONPATH=src python -m pytest -m perf benchmarks/perf -q
+
+Also owns ``--update-results`` (pytest only accepts new options from the
+rootdir conftest); ``benchmarks/conftest.py`` is its one reader.
 """
 
 import pytest
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--update-results",
+        action="store_true",
+        help="let the paper benchmarks rewrite the tracked benchmarks/results/ "
+        "files (default: write to a temporary directory)",
+    )
 
 
 def pytest_configure(config):

@@ -688,8 +688,10 @@ class QuantizedHaloExchange(HaloExchange):
         coordinates.
     tracer:
         Optional object with ``observe(phase, layer, src, dst, rows)``;
-        the adaptive assigner registers one to see every transfer's input
-        statistics (paper Fig. 6, step 1).
+        the adaptive assigner registers one to see transfers' input
+        statistics (paper Fig. 6, step 1).  A tracer exposing a false
+        ``wants_traces`` (the assigner, on epochs whose traces no
+        re-assignment will read) is skipped for that epoch.
     """
 
     quantizes = True
@@ -713,6 +715,13 @@ class QuantizedHaloExchange(HaloExchange):
         # rounding's state is its stream position; the call is a no-op).
         self.rounding.set_epoch(epoch)
 
+    def _live_tracer(self) -> object | None:
+        """The tracer, when it will read this epoch's observations."""
+        tracer = self.tracer
+        if tracer is not None and getattr(tracer, "wants_traces", True):
+            return tracer
+        return None
+
     def state_dict(self) -> dict:
         """Rounding-stream position plus any stateful bit provider.
 
@@ -735,8 +744,9 @@ class QuantizedHaloExchange(HaloExchange):
 
     def _post(self, transport, layer, phase, src, dst, tag, rows) -> None:
         rows = np.ascontiguousarray(rows, dtype=np.float32)
-        if self.tracer is not None:
-            self.tracer.observe(phase, layer, src, dst, rows)
+        tracer = self._live_tracer()
+        if tracer is not None:
+            tracer.observe(phase, layer, src, dst, rows)
         bits = self.bit_provider.bits_for(layer, phase, src, dst, rows.shape[0])
         payload = self.encoder.encode(rows, bits, block=(phase, layer, src, dst))
         transport.post(src, dst, tag, payload, payload.wire_bytes)
@@ -975,8 +985,8 @@ class FusedQuantizedHaloExchange(QuantizedHaloExchange):
         if step is not None:
             step.plan = plan
         observe = None
-        if self.tracer is not None:
-            tracer = self.tracer
+        tracer = self._live_tracer()
+        if tracer is not None:
 
             def observe(src: int, dst: int, rows: np.ndarray) -> None:
                 tracer.observe(phase, layer, src, dst, rows)

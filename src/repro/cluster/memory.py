@@ -176,13 +176,17 @@ def _csr_bytes(m) -> int:
 def _quant_stage_bytes(cluster: Cluster) -> int:
     """Plan-resident staging of the fused quantized exchange.
 
-    Per (phase, layer) step the encoder keeps the staged source rows
-    (float32) and their quantized codes (uint8) — 5 bytes per element —
-    for every send row of the cluster (the kernel's own intermediates
-    are chunk-bounded and don't register at peak).  Send rows total the
-    halo rows (each halo row is sent exactly once); forward steps carry
-    every non-output width, backward the same minus layer 0 when
-    streaming (its gradient exchange is skipped).
+    Per (phase, layer) step the encoder keeps exactly two plan-wide
+    buffers: the staged source rows (float32, gather order) and their
+    quantized codes (uint8, payload order) — 5 bytes per element for
+    every send row of the cluster, whatever the bit-width mix (the
+    kernel permutes only its uint8 output, so mixed-width plans stage no
+    second float32 copy).  The kernel's own intermediates are bounded by
+    one ``_QUANT_CHUNK_ROWS`` chunk per encode worker and don't register
+    at peak.  Send rows total the halo rows (each halo row is sent
+    exactly once); forward steps carry every non-output width, backward
+    the same minus layer 0 when streaming (its gradient exchange is
+    skipped).
     """
     dims = cluster.dims
     streaming = cluster._stream_ops is not None

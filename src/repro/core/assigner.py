@@ -2,9 +2,12 @@
 
 Lifecycle per re-assignment period:
 
-1. **Trace** — every quantized transfer reports its input rows through
+1. **Trace** — quantized transfers report their input rows through
    :meth:`AdaptiveBitWidthAssigner.observe`; the assigner keeps the latest
-   per-message value ranges (step 1 of Fig. 6).
+   per-message value ranges (step 1 of Fig. 6).  Only the last epoch of a
+   period is ever read, so exchanges consult
+   :attr:`AdaptiveBitWidthAssigner.wants_traces` and skip the tracer on
+   every other epoch.
 2. **Gather + build** — at the period boundary the master assigner builds
    one :class:`~repro.core.bilp.BitWidthProblem` per (layer, direction):
    per-message β values (α²-weighted, Theorem 3) are computed, messages
@@ -105,6 +108,7 @@ class AdaptiveBitWidthAssigner:
 
         self.stopwatch = Stopwatch()
         self.num_reassignments = 0
+        self._epoch: int | None = None  # None until set_epoch is first called
         self._traces: dict[tuple[str, int, int, int], _TraceEntry] = {}
         self._assignments: dict[tuple[str, int, int, int], np.ndarray] = {}
         # Static α² weight of every message, keyed like traces.  Forward
@@ -119,6 +123,18 @@ class AdaptiveBitWidthAssigner:
     # ------------------------------------------------------------------
     # Tracer protocol (Fig. 6 step 1)
     # ------------------------------------------------------------------
+    @property
+    def wants_traces(self) -> bool:
+        """Whether a re-assignment will read this epoch's observations.
+
+        ``set_epoch(e)`` solves from the traces of epoch ``e - 1`` when
+        ``e`` is a period boundary, so only the last epoch of each period
+        needs tracing.  A function of the epoch number alone; always true
+        until :meth:`set_epoch` is first called, so clusters driven by
+        hand (no epoch hook) trace every step.
+        """
+        return self._epoch is None or (self._epoch + 1) % self.period == 0
+
     def observe(
         self, phase: str, layer: int, src: int, dst: int, rows: np.ndarray
     ) -> None:
@@ -144,6 +160,7 @@ class AdaptiveBitWidthAssigner:
         """Trainer hook: re-assign at every period boundary (after warmup)."""
         if epoch > 0 and epoch % self.period == 0 and self._traces:
             self.reassign()
+        self._epoch = int(epoch)
 
     # ------------------------------------------------------------------
     # Fig. 6 steps 2–4

@@ -10,9 +10,9 @@ This module fuses **all** boundary messages of one (layer, phase) step —
 across every source device and every peer — into batched kernels:
 
 * each device's outgoing rows are gathered with one fancy-index ``take``
-  into a contiguous segment of a step-wide buffer, directly in the legacy
-  RNG-consumption order (devices ascending, peers ascending within each
-  device, bit-widths ascending within each pair);
+  into a contiguous segment of a step-wide buffer in *cat* (gather)
+  order: devices ascending, peers ascending within each device, rows in
+  each pair's original order — the order keyed noise is defined in;
 * rounding noise comes from the encoder's rounding policy: under
   :class:`~repro.quant.stochastic.StreamRounding` one ``rng.random`` call
   covers the whole step (NumPy generators fill requests sequentially, so
@@ -21,9 +21,12 @@ across every source device and every peer — into batched kernels:
   under :class:`~repro.quant.stochastic.KeyedRounding` each (src, dst)
   pair's noise is one counter-based Philox draw keyed on the block's
   coordinates, making the emitted bytes independent of execution order;
-* stochastic quantization runs as **one** kernel per encode shard: the
-  only bit-width-dependent quantity is the level count ``2^b - 1``, which
-  becomes a per-row vector instead of a per-group scalar;
+* stochastic quantization runs as **one** kernel per encode shard, in
+  cat order: the only bit-width-dependent quantity is the level count
+  ``2^b - 1``, which becomes a per-row vector instead of a per-group
+  scalar, and every pass is row-wise, so only the finished uint8 codes
+  and the per-row zero points/scales are permuted into *legacy* order
+  (bit-widths ascending within each pair — the payload layout);
 * packing runs through :func:`~repro.quant.packing.pack_bits_batched`, one
   batch per distinct bit-width, producing the same per-(pair, group) byte
   streams the legacy encoder emits — wire-byte accounting is unchanged;
@@ -32,7 +35,7 @@ across every source device and every peer — into batched kernels:
   (de-quantization is row-elementwise, so it batches across pairs and
   receivers without changing a single value).
 
-**Encode shards.**  A step's pairs partition into contiguous legacy-order
+**Encode shards.**  A step's pairs partition into contiguous row
 spans (:meth:`FusedStepEncoder.shards_for`); each shard's quantize/pack is
 self-contained — it reads and writes only its row span of the plan
 scratch — so a multi-worker transport runs shards concurrently.  Keyed
@@ -44,16 +47,15 @@ order-dependent by definition and therefore always encodes as one shard.
 All index structures (gather orders, group slices, payload skeletons) are
 cached in a :class:`FusedStepPlan` and reused across epochs until the
 bit-width assignment for the step changes (i.e. at reassignment
-boundaries).  The staged-value and code buffers are preallocated
-alongside the plan; the quantization kernel itself runs over
-pair-aligned row *chunks* with scratch bounded by the chunk, so the
-noise/normalize/floor intermediates (17 bytes per element, the float64
-noise draw alone being 8 of them) never materialize for the whole step
+boundaries).  The staged-value and code buffers (5 bytes per element)
+are preallocated alongside the plan; the quantization kernel itself runs
+over pair-aligned row *chunks* with scratch bounded by the chunk, so the
+noise/normalize/floor intermediates never materialize for the whole step
 at once — at huge-graph scale that keeps hundreds of MB of per-step
 scratch out of the resident set.  Chunking is invisible in the output:
 keyed noise is one draw per pair (a chunk is a whole number of pairs)
-and stream noise fills its buffer sequentially, so successive chunk
-fills consume the generator exactly like one whole-step fill.
+and stream noise fills sequentially, so successive chunk fills consume
+the generator exactly like one whole-step fill.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ __all__ = [
 
 
 #: Row bound for one quantization-kernel chunk.  Scratch per chunk is
-#: ~25 bytes/element, so 4096 rows at a 256-wide layer-0 step is ~26 MB —
+#: ~18 bytes/element, so 4096 rows at a 256-wide layer-0 step is ~19 MB —
 #: a rounding error next to the plan-wide buffers it replaces, while the
 #: per-chunk Python overhead stays at a handful of iterations per step.
 #: A pair bigger than this bound widens the chunk (a pair is the keyed
@@ -141,15 +143,15 @@ class FusedStepPlan:
     dim: int
     perm_legacy: np.ndarray  # cat index of each legacy-order position
     identity: bool  # True when legacy order == cat order
-    gather_idx: np.ndarray  # local source row per legacy-order position
-    levels: np.ndarray  # (n_total, 1) float32, 2^bits - 1 per legacy row
+    levels: np.ndarray  # (n_total, 1) float32, 2^bits - 1 per cat row
+    pair_src: np.ndarray  # (n_pairs,) int64 — the pairs' key coordinates
+    pair_dst: np.ndarray
     pair_groups: dict[tuple[int, int], list[_PairGroup]]
-    # Scratch buffers (reused every epoch while the plan is valid).  The
+    # Staging buffers (reused every epoch while the plan is valid).  The
     # quantization intermediates (noise, normalized values, floors,
     # round-up mask) are deliberately NOT plan-resident: the kernel
     # allocates them per chunk in :meth:`FusedStepEncoder.quantize_pack_shard`.
-    cat_buf: np.ndarray  # (n_total, dim) float32, cat order
-    legacy_buf: np.ndarray  # (n_total, dim) float32, legacy order
+    cat_buf: np.ndarray  # (n_total, dim) float32 staged rows, cat order
     codes_buf: np.ndarray  # (n_total, dim) uint8, legacy order
     # Shard decompositions, cached per shard count (built on demand).
     shard_cache: dict[int, list[_EncodeShard]] = field(default_factory=dict)
@@ -195,8 +197,7 @@ def _build_plan(
             pos += local_rows.size
         pair_groups[pair] = groups
 
-    bits_legacy = bits_cat[perm_legacy]
-    legacy_buf = np.empty((n_total, dim), dtype=np.float32)
+    pair_arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     return FusedStepPlan(
         pairs=pairs,
         pair_counts=pair_counts,
@@ -207,13 +208,11 @@ def _build_plan(
         dim=dim,
         perm_legacy=perm_legacy,
         identity=identity,
-        gather_idx=cat_idx if identity else cat_idx[perm_legacy],
-        levels=((1 << bits_legacy.astype(np.int64)) - 1)[:, None].astype(np.float32),
+        levels=((1 << bits_cat.astype(np.int64)) - 1)[:, None].astype(np.float32),
+        pair_src=pair_arr[:, 0].copy(),
+        pair_dst=pair_arr[:, 1].copy(),
         pair_groups=pair_groups,
-        # When legacy order == cat order the stage buffers alias: the
-        # tracer path then needs only a single gather.
-        cat_buf=legacy_buf if identity else np.empty((n_total, dim), dtype=np.float32),
-        legacy_buf=legacy_buf,
+        cat_buf=np.empty((n_total, dim), dtype=np.float32),
         codes_buf=np.empty((n_total, dim), dtype=np.uint8),
     )
 
@@ -369,50 +368,28 @@ class FusedStepEncoder:
         return self.quantize_pack_step(plan, coords=coords)
 
     def gather_step(self, plan: FusedStepPlan, values_by_rank, observe=None) -> None:
-        """Stage the step's source rows into ``plan.legacy_buf`` (a snapshot)."""
-        n_total = plan.n_total
-        if n_total == 0:
+        """Stage the step's source rows into ``plan.cat_buf`` (a snapshot)."""
+        if plan.n_total == 0:
             return
-
-        if observe is None:
-            for rank, start, stop in plan.device_blocks:
-                vals = values_by_rank[rank]
-                if vals.dtype != np.float32:
-                    vals = np.asarray(vals, dtype=np.float32)
-                np.take(
-                    vals,
-                    plan.gather_idx[start:stop],
-                    axis=0,
-                    out=plan.legacy_buf[start:stop],
-                )
-        else:
-            # Tracers need pair blocks in original row order; gather those
-            # first, then permute into legacy order (a no-op when every
-            # pair's block has a single bit-width).
-            for rank, start, stop in plan.device_blocks:
-                vals = values_by_rank[rank]
-                if vals.dtype != np.float32:
-                    vals = np.asarray(vals, dtype=np.float32)
-                np.take(
-                    vals,
-                    plan.cat_idx[start:stop],
-                    axis=0,
-                    out=plan.cat_buf[start:stop],
-                )
-            start = 0
-            for pair, count in zip(plan.pairs, plan.pair_counts):
-                observe(pair[0], pair[1], plan.cat_buf[start : start + int(count)])
-                start += int(count)
-            if not plan.identity:
-                np.take(plan.cat_buf, plan.perm_legacy, axis=0, out=plan.legacy_buf)
-            # identity: cat_buf aliases legacy_buf, nothing to permute.
+        for rank, start, stop in plan.device_blocks:
+            vals = values_by_rank[rank]
+            if vals.dtype != np.float32:
+                vals = np.asarray(vals, dtype=np.float32)
+            np.take(
+                vals, plan.cat_idx[start:stop], axis=0, out=plan.cat_buf[start:stop]
+            )
+        if observe is not None:
+            # Cat order is each pair's original row order — what tracers read.
+            bounds = plan.cat_bounds
+            for i, (src, dst) in enumerate(plan.pairs):
+                observe(src, dst, plan.cat_buf[bounds[i] : bounds[i + 1]])
 
     def quantize_pack_step(
         self, plan: FusedStepPlan, *, coords=None
     ) -> dict[tuple[int, int], MixedPrecisionPayload]:
         """Quantize + pack the gathered step (worker-safe half).
 
-        Reads ``plan.legacy_buf`` (filled by :meth:`gather_step`) and
+        Reads ``plan.cat_buf`` (filled by :meth:`gather_step`) and
         touches only plan-owned scratch.  Under stream rounding, callers
         must keep step jobs serialized so stream consumption matches the
         legacy per-group draws; under keyed rounding the result is
@@ -452,75 +429,68 @@ class FusedStepEncoder:
         # Identical arithmetic to quantize_stochastic per group: the level
         # count is the only group-dependent quantity and enters as a
         # per-row vector.  The kernel walks the shard in pair-aligned row
-        # chunks so the intermediates (float64 noise, normalized values,
-        # floors, round-up mask — 17+ bytes/element) are bounded by the
-        # chunk rather than the step; only the per-row zero points and
-        # scales survive the loop (the payloads slice into them) and the
-        # codes land in the plan-resident uint8 buffer the packers read.
-        # Chunks don't change a bit: keyed noise is one draw per pair (a
-        # chunk is a whole number of pairs, and the legacy sort is
-        # pair-major, so each pair spans the same rows in both orders)
-        # and stream noise fills sequentially, so chunk fills in shard
-        # order consume the generator exactly like one whole-shard fill.
+        # chunks, in cat order — every pass is row-wise, so the row order
+        # cannot change a value — and permutes only its outputs (uint8
+        # codes, per-row zero points and scales) into the legacy order
+        # the packers and payloads slice.  Intermediates are bounded by
+        # the chunk rather than the step.  Chunks don't change a bit:
+        # keyed noise is one draw per pair (a chunk is a whole number of
+        # pairs, and the legacy sort is pair-major, so each pair spans
+        # the same rows in both orders) and stream noise fills
+        # sequentially, so chunk fills in shard order consume the
+        # generator exactly like one whole-shard fill.
         bounds = plan.cat_bounds
-        max_pair = 0
-        for i in range(shard.pair_lo, shard.pair_hi):
-            max_pair = max(max_pair, int(bounds[i + 1] - bounds[i]))
-        chunk_rows = max(_QUANT_CHUNK_ROWS, max_pair)
+        lo, hi = shard.pair_lo, shard.pair_hi
+        chunk_rows = max(_QUANT_CHUNK_ROWS, int(plan.pair_counts[lo:hi].max()))
         scratch = min(chunk_rows, n_rows)
+        permute = not plan.identity
         z_all = np.empty(n_rows, dtype=np.float32)
         s_all = np.empty(n_rows, dtype=np.float32)
-        noise_cat = np.empty((scratch, dim), dtype=np.float64)
-        noise_leg = (
-            noise_cat
-            if plan.identity or not keyed
-            else np.empty((scratch, dim), dtype=np.float64)
-        )
+        noise_buf = np.empty((scratch, dim), dtype=np.float64)
         norm_buf = np.empty((scratch, dim), dtype=np.float32)
         floor_buf = np.empty((scratch, dim), dtype=np.float32)
         round_buf = np.empty((scratch, dim), dtype=bool)
+        if permute:
+            z_cat = np.empty(scratch, dtype=np.float32)
+            s_cat = np.empty(scratch, dtype=np.float32)
+            codes_cat = np.empty((scratch, dim), dtype=np.uint8)
+        if keyed:
+            phase, layer = coords
+            keys = self.rounding.block_keys(
+                phase, layer, plan.pair_src[lo:hi], plan.pair_dst[lo:hi]
+            )
 
-        i = shard.pair_lo
-        while i < shard.pair_hi:
+        i = lo
+        while i < hi:
             a = int(bounds[i])
             j = i + 1
-            while j < shard.pair_hi and int(bounds[j + 1]) - a <= chunk_rows:
+            while j < hi and int(bounds[j + 1]) - a <= chunk_rows:
                 j += 1
             b = int(bounds[j])
             m = b - a
-            h = plan.legacy_buf[a:b]
+            h = plan.cat_buf[a:b]
+            order = plan.perm_legacy[a:b] - a if permute else None
 
-            # Rounding noise for the chunk's rows.
+            noise = noise_buf[:m]
             if keyed:
-                phase, layer = coords
                 # One keyed draw per pair, into the pair's cat-order block
                 # (pair-local row order — the coordinate system the noise
-                # is defined in), then permuted to legacy order alongside
-                # the staged values.  The buffers alias when the orders
-                # coincide.
+                # is defined in).
                 for p in range(i, j):
-                    block = noise_cat[bounds[p] - a : bounds[p + 1] - a]
+                    block = noise[bounds[p] - a : bounds[p + 1] - a]
                     if block.size:
-                        src, dst = plan.pairs[p]
-                        self.rounding.block_noise(phase, layer, src, dst, out=block)
-                if plan.identity:
-                    noise = noise_cat[:m]
-                else:
-                    np.take(
-                        noise_cat,
-                        plan.perm_legacy[a:b] - a,
-                        axis=0,
-                        out=noise_leg[:m],
-                    )
-                    noise = noise_leg[:m]
+                        self.rounding.fill_noise(keys[p - lo], block)
+            elif permute:
+                # Stream noise is defined in legacy order (shards_for
+                # pinned the decomposition to one whole-step shard, and
+                # the draws run sequentially like the per-group ones).
+                noise[order] = self.rounding.rng.random((m, dim))
             else:
-                # Stream rounding: sequential draws (shards_for pinned the
-                # decomposition to a single whole-step shard) — consumes
-                # the stream exactly like the legacy per-group draws.
-                noise = self.rounding.rng.random(out=noise_leg[:m])
+                self.rounding.rng.random(out=noise)
 
-            z32 = h.min(axis=1, out=z_all[a - start : b - start])
-            scale = h.max(axis=1, out=s_all[a - start : b - start])
+            span = slice(a - start, b - start)
+            z32 = h.min(axis=1, out=z_cat[:m] if permute else z_all[span])
+            scale = h.max(axis=1, out=s_cat[:m] if permute else s_all[span])
             scale -= z32
             scale /= plan.levels[a:b, 0]
             safe_scale = np.where(scale > 0, scale, np.float32(1.0))
@@ -536,7 +506,14 @@ class FusedStepEncoder:
                 np.minimum(codes, np.float32((1 << shard.single_bits) - 1), out=codes)
             else:
                 np.minimum(codes, plan.levels[a:b], out=codes)
-            plan.codes_buf[a:b] = codes  # exact small integers; cast == astype
+            # Codes are exact small integers, so the casts equal astype.
+            if permute:
+                codes_cat[:m] = codes
+                np.take(codes_cat[:m], order, axis=0, out=plan.codes_buf[a:b])
+                np.take(z32, order, out=z_all[span])
+                np.take(scale, order, out=s_all[span])
+            else:
+                plan.codes_buf[a:b] = codes
             i = j
 
         codes_buf = plan.codes_buf[start:stop]

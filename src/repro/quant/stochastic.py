@@ -30,6 +30,7 @@ choice, captured by two interchangeable policies:
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,7 @@ __all__ = [
     "quantize_with_noise",
     "dequantize",
     "block_key",
+    "block_keys",
     "StreamRounding",
     "KeyedRounding",
     "as_rounding",
@@ -181,6 +183,9 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15  # 2^64 / phi, the usual odd sequencing constant
 
 _PHASE_IDS = {"fwd": 0, "bwd": 1}
+# Finalization constants of the two Philox key words.
+_KEY_WORD_0 = 0xA5A5A5A5A5A5A5A5
+_KEY_WORD_1 = 0x3C3C3C3C3C3C3C3C
 
 
 def _mix64(z: int) -> int:
@@ -210,7 +215,41 @@ def block_key(
     h = _mix64(int(run_seed) ^ _GOLDEN)
     for coord in (epoch, _PHASE_IDS[phase], layer, src, dst):
         h = _mix64(h ^ _mix64((int(coord) + _GOLDEN) & _MASK64))
-    return _mix64(h ^ 0xA5A5A5A5A5A5A5A5), _mix64(h ^ 0x3C3C3C3C3C3C3C3C)
+    return _mix64(h ^ _KEY_WORD_0), _mix64(h ^ _KEY_WORD_1)
+
+
+def _mix64_vec(z: np.ndarray) -> np.ndarray:
+    """:func:`_mix64` over a uint64 array (array arithmetic wraps mod 2^64)."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def block_keys(
+    run_seed: int, epoch: int, phase: str, layer: int, src, dst
+) -> np.ndarray:
+    """:func:`block_key` for arrays of ``src``/``dst``: ``(n, 2)`` uint64.
+
+    The ``(run_seed, epoch, phase, layer)`` prefix is absorbed once in
+    Python integers, ``src`` and ``dst`` in one vectorised pass; row ``i``
+    equals ``block_key(run_seed, epoch, phase, layer, src[i], dst[i])``
+    word for word.
+    """
+    h = _mix64(int(run_seed) ^ _GOLDEN)
+    for coord in (epoch, _PHASE_IDS[phase], layer):
+        h = _mix64(h ^ _mix64((int(coord) + _GOLDEN) & _MASK64))
+    hv = np.uint64(h)
+    for coords in (src, dst):
+        # int64 -> uint64 wraps like the scalar path's ``& _MASK64``.
+        c = np.atleast_1d(np.asarray(coords, dtype=np.int64)).astype(np.uint64)
+        hv = _mix64_vec(hv ^ _mix64_vec(c + np.uint64(_GOLDEN)))
+    return np.stack(
+        [
+            _mix64_vec(hv ^ np.uint64(_KEY_WORD_0)),
+            _mix64_vec(hv ^ np.uint64(_KEY_WORD_1)),
+        ],
+        axis=1,
+    )
 
 
 class StreamRounding:
@@ -237,13 +276,17 @@ class StreamRounding:
 class KeyedRounding:
     """Counter-based rounding noise keyed on message-block coordinates.
 
-    Each block's noise is drawn from a fresh Philox generator keyed on
-    ``(run_seed, epoch, phase, layer, src, dst)`` — a pure function of
-    *what* is being quantized, never of *when* or *where* it runs.  The
-    per-epoch coordinate comes from :meth:`set_epoch`, which exchanges
-    call from their ``on_epoch_start`` hook; every (phase, layer, src,
-    dst) block is encoded exactly once per epoch, so blocks never share a
-    stream.
+    Each block's noise is a Philox stream keyed on ``(run_seed, epoch,
+    phase, layer, src, dst)`` and consumed from its origin — a pure
+    function of *what* is being quantized, never of *when* or *where* it
+    runs.  The per-epoch coordinate comes from :meth:`set_epoch`, which
+    exchanges call from their ``on_epoch_start`` hook; every (phase,
+    layer, src, dst) block is encoded exactly once per epoch, so blocks
+    never share a stream.
+
+    One generator per thread is re-keyed in place for every block
+    (assigning ``bit_generator.state`` — the same stream a freshly
+    constructed ``Philox(key=...)`` yields, at a tenth of the cost).
     """
 
     mode = "keyed"
@@ -251,6 +294,7 @@ class KeyedRounding:
     def __init__(self, run_seed: int) -> None:
         self.run_seed = int(run_seed)
         self.epoch = 0
+        self._local = threading.local()
 
     def set_epoch(self, epoch: int) -> None:
         self.epoch = int(epoch)
@@ -262,13 +306,27 @@ class KeyedRounding:
     def load_state_dict(self, state: dict) -> None:
         pass
 
-    def block_generator(
-        self, phase: str, layer: int, src: int, dst: int
-    ) -> np.random.Generator:
-        key = block_key(self.run_seed, self.epoch, phase, layer, src, dst)
-        return np.random.Generator(
-            np.random.Philox(key=np.asarray(key, dtype=np.uint64))
-        )
+    def block_keys(self, phase: str, layer: int, src, dst) -> np.ndarray:
+        """``(n, 2)`` Philox key words of the blocks ``(src[i], dst[i])``
+        of one (phase, layer) step at the current epoch."""
+        return block_keys(self.run_seed, self.epoch, phase, layer, src, dst)
+
+    def _rekeyed(self, key) -> np.random.Generator:
+        """This thread's generator, rewound to the origin of ``key``'s stream."""
+        local = self._local
+        gen = getattr(local, "gen", None)
+        if gen is None:
+            gen = local.gen = np.random.Generator(np.random.Philox(key=0))
+            local.origin = gen.bit_generator.state  # counter 0, empty buffer
+        local.origin["state"]["key"] = key
+        gen.bit_generator.state = local.origin
+        return gen
+
+    def fill_noise(self, key, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` (C-contiguous float64) with the uniform [0, 1)
+        noise of the block whose Philox key words are ``key``."""
+        self._rekeyed(key).random(out=out)
+        return out
 
     def block_noise(
         self,
@@ -286,11 +344,10 @@ class KeyedRounding:
         coordinates always produce the same values, whichever form is
         used — both consume the keyed stream from its origin.
         """
-        gen = self.block_generator(phase, layer, src, dst)
-        if out is not None:
-            gen.random(out=out)
-            return out
-        return gen.random(shape)
+        if out is None:
+            out = np.empty(shape, dtype=np.float64)
+        key = block_key(self.run_seed, self.epoch, phase, layer, src, dst)
+        return self.fill_noise(np.asarray(key, dtype=np.uint64), out)
 
 
 def as_rounding(source) -> StreamRounding | KeyedRounding:

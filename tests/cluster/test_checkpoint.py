@@ -154,6 +154,42 @@ def test_crash_mid_run_then_resume_is_bitwise_identical(
     _assert_states_bitwise_equal(_final_state(d_full), _final_state(d_crash))
 
 
+@pytest.mark.parametrize("crash_epoch", [3, 4])
+def test_kill_and_resume_across_period_boundary_is_bitwise(
+    tmp_path, tiny_dataset, tiny_book, crash_epoch
+):
+    """Traces exist only for the epoch before a boundary (period 3: epochs
+    2 and 5).  A crash at epoch 3 resumes from the checkpoint written
+    right after a traced epoch — the resumed run's first act is the solve,
+    from *restored* traces; a crash at epoch 4 resumes mid-period, carrying
+    traces no solve will read before they are overwritten."""
+    d_full, d_crash = tmp_path / "full", tmp_path / "crash"
+    period = dict(epochs=7, reassign_period=3)
+    full = train(
+        "adaqp", tiny_dataset, tiny_book, "2M-2D",
+        _cfg(checkpoint_dir=str(d_full), **period),
+    )
+    with pytest.raises(RuntimeError, match="injected transport job fault"):
+        train(
+            "adaqp", tiny_dataset, tiny_book, "2M-2D",
+            _cfg(checkpoint_dir=str(d_crash), transport="sync", **period),
+            fault_plan=FaultPlan.parse([f"error:fwd/L0@{crash_epoch}"]),
+        )
+    assert latest_checkpoint_epoch(d_crash) == crash_epoch
+    resumed = train(
+        "adaqp", tiny_dataset, tiny_book, "2M-2D",
+        _cfg(checkpoint_dir=str(d_crash), resume=True, **period),
+    )
+    assert resumed.start_epoch == crash_epoch
+    assert resumed.curve_loss == full.curve_loss[crash_epoch:]
+    assert resumed.bit_histogram == full.bit_histogram
+    state_full, state_crash = _final_state(d_full), _final_state(d_crash)
+    _assert_states_bitwise_equal(state_full, state_crash)
+    assert state_full.assigner["num_reassignments"] == 2
+    for key, bits in state_full.assigner["assignments"].items():
+        np.testing.assert_array_equal(bits, state_crash.assigner["assignments"][key])
+
+
 def test_double_restore_from_same_checkpoint_dir(
     tmp_path, tiny_dataset, tiny_book
 ):

@@ -37,8 +37,12 @@ def _encode_both(seed, **kw):
     return legacy_payloads, fused_payloads
 
 
+@pytest.mark.parametrize("chunk_rows", [4096, 40])
 @pytest.mark.parametrize("bit_choices", [(2, 4, 8), (8,), (2,), (1, 2, 4, 8)])
-def test_fused_encode_bitwise_identical_to_legacy(bit_choices):
+def test_fused_encode_bitwise_identical_to_legacy(monkeypatch, bit_choices, chunk_rows):
+    # chunk_rows=40 walks the 37-row pairs one kernel chunk each: stream
+    # noise must be consumed exactly as by one whole-step fill.
+    monkeypatch.setattr("repro.quant.fused._QUANT_CHUNK_ROWS", chunk_rows)
     legacy, fused = _encode_both(7, bit_choices=bit_choices)
     assert set(legacy) == set(fused)
     for pair in legacy:

@@ -13,7 +13,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.quant import fused as fused_module
 from repro.quant.fused import FusedStepEncoder
 from repro.quant.mixed import MixedPrecisionEncoder
 from repro.quant.stochastic import (
@@ -21,6 +24,7 @@ from repro.quant.stochastic import (
     StreamRounding,
     as_rounding,
     block_key,
+    block_keys,
 )
 
 
@@ -47,6 +51,52 @@ def test_block_key_deterministic_and_coordinate_sensitive():
 def test_block_key_rejects_unknown_phase():
     with pytest.raises(KeyError):
         block_key(0, 0, "sideways", 0, 0, 1)
+
+
+_COORD = st.integers(min_value=0, max_value=2**31 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    run_seed=st.integers(min_value=0, max_value=2**63 - 1),
+    epoch=_COORD,
+    phase=st.sampled_from(["fwd", "bwd"]),
+    layer=st.integers(min_value=0, max_value=64),
+    pairs=st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=8),
+)
+def test_vectorised_keys_equal_scalar_block_key(run_seed, epoch, phase, layer, pairs):
+    src, dst = (np.asarray(c, dtype=np.int64) for c in zip(*pairs))
+    keys = block_keys(run_seed, epoch, phase, layer, src, dst)
+    assert keys.shape == (len(pairs), 2) and keys.dtype == np.uint64
+    expected = [block_key(run_seed, epoch, phase, layer, s, d) for s, d in pairs]
+    assert [tuple(int(w) for w in row) for row in keys] == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    keys=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=2**64 - 1),
+            st.integers(min_value=0, max_value=2**64 - 1),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    n=st.integers(min_value=1, max_value=67),
+)
+def test_rekeyed_generator_equals_freshly_constructed(keys, n):
+    """Assigning ``bit_generator.state`` rewinds to the key's origin: the
+    reused generator yields the stream ``Philox(key=...)`` starts with,
+    whatever it drew before."""
+    rounding = KeyedRounding(0)
+    for key in keys:
+        key = np.asarray(key, dtype=np.uint64)
+        fresh = np.random.Philox(key=key)
+        reused = rounding._rekeyed(key).bit_generator
+        assert np.array_equal(reused.random_raw(n), fresh.random_raw(n))
+        assert np.array_equal(
+            np.random.Generator(reused).random(n), np.random.Generator(fresh).random(n)
+        )
 
 
 # ----------------------------------------------------------------------
@@ -182,6 +232,46 @@ def test_sharded_encode_is_bitwise_shard_and_order_invariant(n_shards):
             assert np.array_equal(a, b)
         for a, b in zip(reference[pair].zero_points, got[pair].zero_points):
             assert np.array_equal(a, b)
+
+
+def _pair_bytes(payloads):
+    return {
+        pair: (
+            [s.tobytes() for s in p.streams],
+            [z.tobytes() for z in p.zero_points],
+            [s.tobytes() for s in p.scales],
+        )
+        for pair, p in payloads.items()
+    }
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 7, 4096])
+@pytest.mark.parametrize("n_shards", [1, 2, 3, 7])
+def test_pair_bytes_independent_of_shards_and_chunk_size(
+    monkeypatch, n_shards, chunk_rows
+):
+    """A pair is the noise atom: however the step is cut into shards and
+    the shards into kernel chunks, every pair's bytes are those of the
+    per-pair encoder."""
+    pairs, counts, bounds, cat_idx, bits_cat, values, blocks, dim = _synthetic_step(4)
+    per_pair = MixedPrecisionEncoder(KeyedRounding(21))
+    reference = {
+        (src, dst): per_pair.encode(
+            values[src][cat_idx[bounds[i] : bounds[i + 1]]],
+            bits_cat[bounds[i] : bounds[i + 1]],
+            block=("fwd", 0, src, dst),
+        )
+        for i, (src, dst) in enumerate(pairs)
+    }
+
+    monkeypatch.setattr(fused_module, "_QUANT_CHUNK_ROWS", chunk_rows)
+    enc = FusedStepEncoder(KeyedRounding(21))
+    plan = enc.plan_for("k", pairs, counts, blocks, cat_idx, bits_cat, dim)
+    enc.gather_step(plan, values)
+    got = {}
+    for shard in enc.shards_for(plan, n_shards):
+        got.update(enc.quantize_pack_shard(plan, shard, coords=("fwd", 0)))
+    assert _pair_bytes(got) == _pair_bytes(reference)
 
 
 def test_stream_mode_pins_to_one_shard():
