@@ -181,9 +181,11 @@ def _quant_stage_bytes(cluster: Cluster) -> int:
     quantized codes (uint8, payload order) — 5 bytes per element for
     every send row of the cluster, whatever the bit-width mix (the
     kernel permutes only its uint8 output, so mixed-width plans stage no
-    second float32 copy).  The kernel's own intermediates are bounded by
-    one ``_QUANT_CHUNK_ROWS`` chunk per encode worker and don't register
-    at peak.  Send rows total the halo rows (each halo row is sent
+    second float32 copy).  The kernel's own intermediates (~16 bytes per
+    element: float32 noise drawn from uint16 lanes, normalized values,
+    floors, the round-up mask, cat-order codes) are bounded by one
+    ``_QUANT_CHUNK_ROWS`` chunk per encode worker and don't register at
+    peak.  Send rows total the halo rows (each halo row is sent
     exactly once); forward steps carry every non-output width, backward
     the same minus layer 0 when streaming (its gradient exchange is
     skipped).

@@ -81,11 +81,13 @@ __all__ = [
 
 
 #: Row bound for one quantization-kernel chunk.  Scratch per chunk is
-#: ~18 bytes/element, so 4096 rows at a 256-wide layer-0 step is ~19 MB —
-#: a rounding error next to the plan-wide buffers it replaces, while the
-#: per-chunk Python overhead stays at a handful of iterations per step.
-#: A pair bigger than this bound widens the chunk (a pair is the keyed
-#: noise atom and is never split).
+#: ~16 bytes/element (float32 noise and its uint16 lanes, normalized
+#: values, floors, the round-up mask, cat-order uint8 codes), so 4096
+#: rows at a 256-wide layer-0 step is ~17 MB — a rounding error next to
+#: the plan-wide buffers it replaces, while the per-chunk Python overhead
+#: stays at a handful of iterations per step.  A pair bigger than this
+#: bound widens the chunk (a pair is the keyed noise atom and is never
+#: split).
 _QUANT_CHUNK_ROWS = 4096
 
 
@@ -209,8 +211,8 @@ def _build_plan(
         perm_legacy=perm_legacy,
         identity=identity,
         levels=((1 << bits_cat.astype(np.int64)) - 1)[:, None].astype(np.float32),
-        pair_src=pair_arr[:, 0].copy(),
-        pair_dst=pair_arr[:, 1].copy(),
+        pair_src=pair_arr[:, 0],
+        pair_dst=pair_arr[:, 1],
         pair_groups=pair_groups,
         cat_buf=np.empty((n_total, dim), dtype=np.float32),
         codes_buf=np.empty((n_total, dim), dtype=np.uint8),
@@ -446,7 +448,7 @@ class FusedStepEncoder:
         permute = not plan.identity
         z_all = np.empty(n_rows, dtype=np.float32)
         s_all = np.empty(n_rows, dtype=np.float32)
-        noise_buf = np.empty((scratch, dim), dtype=np.float64)
+        noise_buf = np.empty((scratch, dim), dtype=self.rounding.noise_dtype)
         norm_buf = np.empty((scratch, dim), dtype=np.float32)
         floor_buf = np.empty((scratch, dim), dtype=np.float32)
         round_buf = np.empty((scratch, dim), dtype=bool)
@@ -476,10 +478,9 @@ class FusedStepEncoder:
                 # One keyed draw per pair, into the pair's cat-order block
                 # (pair-local row order — the coordinate system the noise
                 # is defined in).
-                for p in range(i, j):
-                    block = noise[bounds[p] - a : bounds[p + 1] - a]
-                    if block.size:
-                        self.rounding.fill_noise(keys[p - lo], block)
+                self.rounding.fill_noise(
+                    keys[i - lo : j - lo], plan.pair_counts[i:j] * dim, noise
+                )
             elif permute:
                 # Stream noise is defined in legacy order (shards_for
                 # pinned the decomposition to one whole-step shard, and

@@ -26,10 +26,21 @@ choice, captured by two interchangeable policies:
   them or in what order they retire — determinism becomes a property of
   data coordinates rather than schedule, and the transport may fan encode
   and decode work across any number of workers.
+
+**Keyed noise is 16-bit.**  A block of ``n`` elements takes the first
+``n`` little-endian 16-bit lanes ``k`` of its keyed stream
+(``random_raw(⌈n/4⌉)``) as ``u = (k + ½)·2⁻¹⁶`` in float32 — exact, and
+strictly inside (0, 1).  An element with fractional part ``f`` rounds up
+when ``u < f``, i.e. with probability ``⌈f·2¹⁶ − ½⌉·2⁻¹⁶``: within 2⁻¹⁷ of
+``f``, and zero-mean over ``f``.  Rounding is therefore unbiased to
+``|E[ĥ] − h| ≤ 2⁻¹⁷·S`` per element — more than four orders of magnitude
+below the ``S/√6`` rounding noise of Theorem 1 — for a fifth of the cost
+of a 53-bit float64 draw.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -252,12 +263,29 @@ def block_keys(
     )
 
 
+_LITTLE_ENDIAN = sys.byteorder == "little"
+_LANE_SCALE = np.float32(2.0**-16)
+_LANE_HALF = np.float32(2.0**-17)
+
+
+def _lanes16(words: np.ndarray, n: int) -> np.ndarray:
+    """The first ``n`` little-endian 16-bit lanes of native uint64 ``words``
+    (lane ``4·i + j`` is bits ``16·j .. 16·j + 15`` of word ``i``)."""
+    if _LITTLE_ENDIAN:
+        return words.view("<u2")[:n]  # the words' bytes already are '<u8'
+    lanes = np.empty((words.size, 4), dtype=np.uint16)
+    for j in range(4):
+        lanes[:, j] = (words >> np.uint64(16 * j)) & np.uint64(0xFFFF)
+    return lanes.reshape(-1)[:n]
+
+
 class StreamRounding:
     """Sequential rounding noise from one shared generator (the legacy
     contract): reproducible only when every encode consumes the stream in
     a fixed global order."""
 
     mode = "stream"
+    noise_dtype = np.float64
 
     def __init__(self, rng: np.random.Generator) -> None:
         self.rng = rng
@@ -276,20 +304,21 @@ class StreamRounding:
 class KeyedRounding:
     """Counter-based rounding noise keyed on message-block coordinates.
 
-    Each block's noise is a Philox stream keyed on ``(run_seed, epoch,
-    phase, layer, src, dst)`` and consumed from its origin — a pure
-    function of *what* is being quantized, never of *when* or *where* it
-    runs.  The per-epoch coordinate comes from :meth:`set_epoch`, which
-    exchanges call from their ``on_epoch_start`` hook; every (phase,
-    layer, src, dst) block is encoded exactly once per epoch, so blocks
-    never share a stream.
+    Each block's noise is the leading 16-bit lanes (see the module
+    docstring) of a Philox stream keyed on ``(run_seed, epoch, phase,
+    layer, src, dst)`` — a pure function of *what* is being quantized,
+    never of *when* or *where* it runs.  The per-epoch coordinate comes
+    from :meth:`set_epoch`, which exchanges call from their
+    ``on_epoch_start`` hook; every (phase, layer, src, dst) block is
+    encoded exactly once per epoch, so blocks never share a stream.
 
-    One generator per thread is re-keyed in place for every block
-    (assigning ``bit_generator.state`` — the same stream a freshly
-    constructed ``Philox(key=...)`` yields, at a tenth of the cost).
+    One bit generator per thread is re-keyed in place for every block
+    (assigning ``state`` — the same stream a freshly constructed
+    ``Philox(key=...)`` yields, at a tenth of the cost).
     """
 
     mode = "keyed"
+    noise_dtype = np.float32
 
     def __init__(self, run_seed: int) -> None:
         self.run_seed = int(run_seed)
@@ -311,21 +340,34 @@ class KeyedRounding:
         of one (phase, layer) step at the current epoch."""
         return block_keys(self.run_seed, self.epoch, phase, layer, src, dst)
 
-    def _rekeyed(self, key) -> np.random.Generator:
+    def _rekeyed(self, key) -> np.random.Philox:
         """This thread's generator, rewound to the origin of ``key``'s stream."""
         local = self._local
-        gen = getattr(local, "gen", None)
-        if gen is None:
-            gen = local.gen = np.random.Generator(np.random.Philox(key=0))
-            local.origin = gen.bit_generator.state  # counter 0, empty buffer
+        philox = getattr(local, "philox", None)
+        if philox is None:
+            philox = local.philox = np.random.Philox(key=0)
+            local.origin = philox.state  # counter 0, empty buffer
         local.origin["state"]["key"] = key
-        gen.bit_generator.state = local.origin
-        return gen
+        philox.state = local.origin
+        return philox
 
-    def fill_noise(self, key, out: np.ndarray) -> np.ndarray:
-        """Fill ``out`` (C-contiguous float64) with the uniform [0, 1)
-        noise of the block whose Philox key words are ``key``."""
-        self._rekeyed(key).random(out=out)
+    def fill_noise(self, keys, sizes, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` (C-contiguous float32) with the rounding noise of
+        consecutive blocks: block ``i`` has Philox key words ``keys[i]``
+        and covers the next ``sizes[i]`` elements of ``out`` in row-major
+        order (the sizes must sum to ``out.size``).
+
+        Every block draws whole words and drops the lanes past its size,
+        so a block never consumes — or leaks — a neighbour's lanes.
+        """
+        lanes = np.empty(out.size, dtype=np.uint16)
+        offset = 0
+        for key, n in zip(keys, sizes):
+            words = self._rekeyed(key).random_raw(-(-n // 4))
+            lanes[offset : offset + n] = _lanes16(words, n)
+            offset += n
+        np.multiply(lanes.reshape(out.shape), _LANE_SCALE, out=out)
+        out += _LANE_HALF  # (k + 1/2) * 2^-16, exact in float32
         return out
 
     def block_noise(
@@ -337,17 +379,17 @@ class KeyedRounding:
         shape: tuple[int, ...] | None = None,
         out: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Uniform [0, 1) rounding noise for one block, row-major.
+        """Rounding noise in (0, 1) for one block, row-major.
 
-        ``out`` (a C-contiguous float64 buffer) receives the draw in
+        ``out`` (a C-contiguous float32 buffer) receives the draw in
         place; otherwise a fresh ``shape`` array is returned.  The same
         coordinates always produce the same values, whichever form is
         used — both consume the keyed stream from its origin.
         """
         if out is None:
-            out = np.empty(shape, dtype=np.float64)
+            out = np.empty(shape, dtype=np.float32)
         key = block_key(self.run_seed, self.epoch, phase, layer, src, dst)
-        return self.fill_noise(np.asarray(key, dtype=np.uint64), out)
+        return self.fill_noise([np.asarray(key, dtype=np.uint64)], [out.size], out)
 
 
 def as_rounding(source) -> StreamRounding | KeyedRounding:

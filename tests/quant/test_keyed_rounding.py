@@ -26,6 +26,7 @@ from repro.quant.stochastic import (
     block_key,
     block_keys,
 )
+from repro.quant.theory import quantization_variance
 
 
 # ----------------------------------------------------------------------
@@ -85,18 +86,14 @@ def test_vectorised_keys_equal_scalar_block_key(run_seed, epoch, phase, layer, p
     n=st.integers(min_value=1, max_value=67),
 )
 def test_rekeyed_generator_equals_freshly_constructed(keys, n):
-    """Assigning ``bit_generator.state`` rewinds to the key's origin: the
-    reused generator yields the stream ``Philox(key=...)`` starts with,
-    whatever it drew before."""
+    """Assigning ``state`` rewinds to the key's origin: the reused bit
+    generator yields the stream ``Philox(key=...)`` starts with, whatever
+    it drew before."""
     rounding = KeyedRounding(0)
     for key in keys:
         key = np.asarray(key, dtype=np.uint64)
-        fresh = np.random.Philox(key=key)
-        reused = rounding._rekeyed(key).bit_generator
-        assert np.array_equal(reused.random_raw(n), fresh.random_raw(n))
-        assert np.array_equal(
-            np.random.Generator(reused).random(n), np.random.Generator(fresh).random(n)
-        )
+        reused = rounding._rekeyed(key)
+        assert np.array_equal(reused.random_raw(n), np.random.Philox(key=key).random_raw(n))
 
 
 # ----------------------------------------------------------------------
@@ -106,16 +103,116 @@ def test_keyed_noise_is_order_and_form_independent():
     rounding = KeyedRounding(11)
     rounding.set_epoch(5)
     a = rounding.block_noise("fwd", 0, 1, 2, shape=(6, 4))
-    out = np.empty((6, 4), dtype=np.float64)
+    out = np.empty((6, 4), dtype=np.float32)
     rounding.block_noise("fwd", 0, 1, 2, out=out)
-    assert np.array_equal(a, out)
+    assert a.dtype == np.float32 and np.array_equal(a, out)
     # Drawing other blocks in between must not perturb a block's stream.
     rounding.block_noise("bwd", 2, 0, 1, shape=(3, 3))
     assert np.array_equal(a, rounding.block_noise("fwd", 0, 1, 2, shape=(6, 4)))
     # The epoch is a coordinate.
     rounding.set_epoch(6)
     assert not np.array_equal(a, rounding.block_noise("fwd", 0, 1, 2, shape=(6, 4)))
-    assert (a >= 0).all() and (a < 1).all()
+
+
+def test_block_noise_is_the_leading_16_bit_lanes_of_the_keyed_stream():
+    """The definition, spelled out: lane ``4i + j`` is bits ``16j..16j+15``
+    of word ``i`` of ``Philox(key).random_raw``; ``u = (k + 1/2) * 2^-16``."""
+    rounding = KeyedRounding(3)
+    rounding.set_epoch(2)
+    key = np.asarray(block_key(3, 2, "bwd", 1, 4, 0), dtype=np.uint64)
+    words = [int(w) for w in np.random.Philox(key=key).random_raw(3)]
+    lanes = [(w >> (16 * j)) & 0xFFFF for w in words for j in range(4)]
+    noise = rounding.block_noise("bwd", 1, 4, 0, shape=(11,))
+    assert noise.tolist() == [(k + 0.5) / 65536.0 for k in lanes[:11]]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 63, 64, 65])
+def test_block_noise_forms_agree_and_odd_blocks_leak_no_lanes(n):
+    """``shape=`` == ``out=`` for every n mod 4, and a block is a prefix of
+    any longer draw under the same key — it consumes whole words and
+    drops the spare lanes rather than handing them to a neighbour."""
+    rounding = KeyedRounding(5)
+    by_shape = rounding.block_noise("fwd", 0, 2, 1, shape=(n,))
+    neighbours = np.full(n + 8, -1.0, dtype=np.float32)
+    rounding.block_noise("fwd", 0, 2, 1, out=neighbours[4 : 4 + n])
+    assert np.array_equal(by_shape, neighbours[4 : 4 + n])
+    assert (neighbours[:4] == -1).all() and (neighbours[4 + n :] == -1).all()
+    longer = rounding.block_noise("fwd", 0, 2, 1, shape=(n + 5,))
+    assert np.array_equal(longer[:n], by_shape)
+    # A different pair under the same step starts its own stream.
+    other = rounding.block_noise("fwd", 0, 2, 3, shape=(n + 5,))
+    assert not np.array_equal(other, longer)
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 17, 256, 1001])
+def test_big_endian_lane_extraction_matches_little_endian_view(monkeypatch, n):
+    """Lane order is part of the noise definition, not a host detail: the
+    shift-and-mask path a big-endian host takes must yield the lanes the
+    ``'<u2'`` view yields here (forced, the way ``test_packing.py`` forces
+    the big-endian ``pack_bits`` fallback)."""
+    import repro.quant.stochastic as stochastic
+
+    rounding = KeyedRounding(8)
+    view = rounding.block_noise("fwd", 1, 0, 1, shape=(n,))
+    monkeypatch.setattr(stochastic, "_LITTLE_ENDIAN", False)
+    shifts = rounding.block_noise("fwd", 1, 0, 1, shape=(n,))
+    assert np.array_equal(view, shifts)
+
+
+# ----------------------------------------------------------------------
+# Theorem 1 under 16-bit noise (ROADMAP 4a)
+# ----------------------------------------------------------------------
+_ALL_U = ((np.arange(65536, dtype=np.float64) + 0.5) / 65536.0).astype(np.float32)
+
+
+def test_noise_lies_strictly_inside_the_unit_interval():
+    assert _ALL_U[0] > 0.0 and _ALL_U[-1] < 1.0
+    noise = KeyedRounding(1).block_noise("fwd", 0, 0, 1, shape=(4096, 16))
+    assert (noise > 0.0).all() and (noise < 1.0).all()
+    assert np.isin(noise, _ALL_U).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(frac=st.floats(min_value=0.0, max_value=1.0, exclude_max=True, width=32))
+def test_round_up_probability_is_within_2_pow_minus_17_of_frac(frac):
+    """Exhaustive over the 2^16 equiprobable lanes: P(u < frac) is frac
+    quantised to a multiple of 2^-16, so |bias| <= 2^-17 code units — the
+    2^-17 * S bound of the ``stochastic.py`` docstring."""
+    p_up = np.count_nonzero(_ALL_U < np.float32(frac)) / 65536.0
+    assert abs(p_up - float(np.float32(frac))) <= 2.0**-17
+
+
+def _decoded_samples(h, bits, reps):
+    """``reps`` independent keyed encodes of ``h`` (the epoch is the key)."""
+    rounding = KeyedRounding(99)
+    encoder = MixedPrecisionEncoder(rounding)
+    bits_per_row = np.full(h.shape[0], bits)
+    out = np.empty((reps, *h.shape), dtype=np.float32)
+    for epoch in range(reps):
+        rounding.set_epoch(epoch)
+        out[epoch] = encoder.encode(h, bits_per_row, block=("fwd", 0, 0, 1)).decode()
+    return out
+
+
+@pytest.mark.parametrize("bits", [2, 4, 8])
+def test_keyed_rounding_is_unbiased_to_the_stated_bound(bits):
+    h = np.random.default_rng(42).normal(size=(4, 8)).astype(np.float32)
+    reps = 3000
+    bias = np.abs(_decoded_samples(h, bits, reps).mean(axis=0) - h)
+    scale = ((h.max(axis=1) - h.min(axis=1)) / (2**bits - 1))[:, None]
+    # Stated bias bound + 5 sigma of the mean's sampling error (per-element
+    # variance is at most S^2 / 4) + float32 round-off of the decode.
+    tol = 2.0**-17 * scale + 5 * scale / (2 * np.sqrt(reps)) + 1e-6
+    assert (bias <= tol).all()
+
+
+@pytest.mark.parametrize("bits", [2, 4, 8])
+def test_keyed_rounding_variance_bounded_by_theorem1(bits):
+    h = np.random.default_rng(7).normal(size=(3, 32)).astype(np.float32)
+    # Vector variance = sum over elements of per-element variance.
+    emp_var = _decoded_samples(h, bits, 2000).var(axis=0).sum(axis=1)
+    # D * S^2 / 6, with 20% slack for sampling noise.
+    assert (emp_var <= quantization_variance(h, bits) * 1.2).all()
 
 
 def test_as_rounding_coercion():
@@ -272,6 +369,33 @@ def test_pair_bytes_independent_of_shards_and_chunk_size(
     for shard in enc.shards_for(plan, n_shards):
         got.update(enc.quantize_pack_shard(plan, shard, coords=("fwd", 0)))
     assert _pair_bytes(got) == _pair_bytes(reference)
+
+
+def test_empty_pair_between_neighbours_is_invisible():
+    gen = np.random.default_rng(3)
+    dim = 7
+    counts = np.array([1, 13, 0, 64, 5], dtype=np.int64)
+    pairs = [(0, q + 1) for q in range(counts.size)]
+    n = int(counts.sum())
+    values = gen.normal(size=(128, dim)).astype(np.float32)
+    cat_idx = gen.integers(0, 128, n)
+    bits_cat = gen.choice([2, 4, 8], size=n)
+    fused = FusedStepEncoder(KeyedRounding(1))
+    plan = fused.plan_for("k", pairs, counts, [(0, 0, n)], cat_idx, bits_cat, dim)
+    got = fused.encode_step(plan, {0: values}, coords=("fwd", 0))
+
+    per_pair = MixedPrecisionEncoder(KeyedRounding(1))
+    bounds = np.concatenate([[0], np.cumsum(counts)])
+    reference = {
+        pair: per_pair.encode(
+            values[cat_idx[bounds[i] : bounds[i + 1]]],
+            bits_cat[bounds[i] : bounds[i + 1]],
+            block=("fwd", 0, *pair),
+        )
+        for i, pair in enumerate(pairs)
+    }
+    assert _pair_bytes(got) == _pair_bytes(reference)
+    assert got[(0, 3)].num_rows == 0
 
 
 def test_stream_mode_pins_to_one_shard():
