@@ -5,10 +5,14 @@ No training here — this isolates the optimization: given a synthetic
 communication round with imbalanced device pairs and a skewed β (variance
 weight) distribution, sweep λ from pure-throughput (0) to pure-variance (1)
 and show how the assignment trades straggler time against gradient
-variance, compared with the all-2-bit / all-8-bit / uniform baselines.
+variance, compared with the all-2-bit / all-8-bit / uniform baselines —
+once with the exact time sweep the assigner runs by default and once with
+the MILP oracle (HiGHS), which must land on the same objective.
 
 Run:  python examples/bitwidth_planner_demo.py
 """
+
+import time
 
 import numpy as np
 
@@ -16,6 +20,7 @@ from repro.core.bilp import (
     BitWidthProblem,
     GroupSpec,
     evaluate_assignment,
+    solve_exact,
     solve_milp,
 )
 from repro.utils.format import render_table
@@ -47,18 +52,23 @@ def main() -> None:
     rows = []
     for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
         problem = build_problem(lam, np.random.default_rng(7))
-        bits = solve_milp(problem)
-        stats = evaluate_assignment(problem, bits)
-        unique, counts = np.unique(bits, return_counts=True)
-        mix = ", ".join(f"{int(b)}b x{c}" for b, c in zip(unique, counts))
-        rows.append(
-            [
-                f"adaptive λ={lam}",
-                mix,
-                f"{1e3 * stats['worst_time']:.2f}",
-                f"{stats['variance']:.3f}",
-            ]
-        )
+        for name, solver in (("exact", solve_exact), ("milp", solve_milp)):
+            start = time.perf_counter()
+            bits = solver(problem)
+            solve_ms = 1e3 * (time.perf_counter() - start)
+            stats = evaluate_assignment(problem, bits)
+            unique, counts = np.unique(bits, return_counts=True)
+            mix = ", ".join(f"{int(b)}b x{c}" for b, c in zip(unique, counts))
+            rows.append(
+                [
+                    f"{name} λ={lam}",
+                    mix,
+                    f"{1e3 * stats['worst_time']:.2f}",
+                    f"{stats['variance']:.3f}",
+                    f"{stats['scalarized']:.6f}",
+                    f"{solve_ms:.1f}",
+                ]
+            )
 
     # Baselines on the λ=0.5 instance.
     problem = build_problem(0.5, np.random.default_rng(7))
@@ -69,12 +79,26 @@ def main() -> None:
     ]:
         stats = evaluate_assignment(problem, bits)
         rows.append(
-            [label, "-", f"{1e3 * stats['worst_time']:.2f}", f"{stats['variance']:.3f}"]
+            [
+                label,
+                "-",
+                f"{1e3 * stats['worst_time']:.2f}",
+                f"{stats['variance']:.3f}",
+                f"{stats['scalarized']:.6f}",
+                "-",
+            ]
         )
 
     print(
         render_table(
-            ["Scheme", "Bit mix", "Straggler time (ms)", "Gradient variance"],
+            [
+                "Scheme",
+                "Bit mix",
+                "Straggler time (ms)",
+                "Gradient variance",
+                "Eqn. 12 objective",
+                "Solve (ms)",
+            ],
             rows,
             title="Bi-objective bit-width assignment (Eqn. 12) on a synthetic round",
         )
@@ -82,7 +106,9 @@ def main() -> None:
     print(
         "\nReading: λ=0 matches all-2-bit time; λ=1 matches all-8-bit variance;\n"
         "intermediate λ keeps the straggler pair narrow while protecting\n"
-        "high-β messages — the trade-off Table 6 of the paper measures."
+        "high-β messages — the trade-off Table 6 of the paper measures.\n"
+        "The sweep and the MILP oracle reach the same objective; only the\n"
+        "sweep does it without a branch-and-bound."
     )
 
 

@@ -40,7 +40,9 @@ duplicate   :meth:`TransportAccounting.post` — the envelope is enqueued
             ``fault_stats["duplicates_rejected"]``), proving delivery
             is idempotent.
 stall       ``defer``/``submit`` — the job is wrapped in a sleep so the
-            tag blows its ``complete()`` deadline.
+            tag blows its ``complete()`` deadline; the worker
+            transport's ``close()`` wakes the sleep and abandons the
+            job.
 error       ``defer`` — the job raises ``RuntimeError("injected fault")``.
 kill_worker ``ProcessTransport.submit`` — one live worker process gets
             SIGKILL before the job is dispatched.

@@ -4,7 +4,7 @@ Real payload objects (quantized byte streams or float arrays) are routed
 through per-destination mailboxes; every ``post`` records its wire size in
 a per-tag byte matrix.  Those matrices are exactly what the schedule
 simulators consume — the simulated clock is driven by *measured* byte
-counts, not estimates (DESIGN.md §4.1).
+counts, not estimates.
 
 The transport API splits in two:
 
@@ -443,12 +443,20 @@ class TransportAccounting:
             raise ValueError(f"device {device} out of range [0, {self.num_devices})")
 
 
-def apply_job_faults(transport: TransportBackend, tag: str, job):
+def apply_job_faults(
+    transport: TransportBackend,
+    tag: str,
+    job,
+    closing: threading.Event | None = None,
+):
     """Wrap ``job`` per the transport's fault plan (stall/error kinds).
 
     Returns ``job`` unchanged when no plan is armed for the tag.  Shared
     by every in-process backend so the injection semantics are identical
-    whichever pool runs the job.
+    whichever pool runs the job.  A stall sleeps on ``closing`` when the
+    backend has one: ``close()`` sets it, which ends the stall at once and
+    abandons the stalled job instead of holding pool shutdown for the
+    rest of the delay.
     """
     plan = transport.fault_plan
     if plan is None:
@@ -466,7 +474,10 @@ def apply_job_faults(transport: TransportBackend, tag: str, job):
     delay = float(spec.delay_s)
 
     def stalled() -> None:
-        time.sleep(delay)
+        if closing is None:
+            time.sleep(delay)
+        elif closing.wait(delay):
+            return
         job()
 
     return stalled
@@ -547,11 +558,12 @@ class WorkerTransport(SyncTransport):
         self._jobs: dict[str, list[Future]] = {}
         self._jobs_lock = threading.Lock()
         self._closed = False
+        self._closing = threading.Event()  # wakes injected stalls at close()
 
     # ------------------------------------------------------------------
     def defer(self, tag: str, job) -> None:
         if self.fault_plan is not None:
-            job = apply_job_faults(self, tag, job)
+            job = apply_job_faults(self, tag, job, self._closing)
         with self._jobs_lock:
             if self._closed:
                 raise RuntimeError("transport is closed")
@@ -634,6 +646,7 @@ class WorkerTransport(SyncTransport):
         with self._jobs_lock:
             self._closed = True
             pool, self._pool = self._pool, None
+        self._closing.set()
         if pool is not None:
             pool.shutdown(wait=True)
         with self._jobs_lock:

@@ -3,7 +3,8 @@
 * :mod:`repro.core.decompose` — central/marginal graph decomposition
   (Sec. 3.1);
 * :mod:`repro.core.bilp` — the variance–time bi-objective bit-width
-  assignment problem (Eqns. 10–12) with exact MILP and greedy solvers;
+  assignment problem (Eqns. 10–12) with the exact time-sweep solver, the
+  MILP oracle and a greedy solver;
 * :mod:`repro.core.assigner` — the Adaptive Bit-width Assigner (Sec. 3.3,
   Fig. 6): traces layer inputs, periodically re-solves, scatters
   assignments;
@@ -21,6 +22,7 @@ from repro.core.bilp import (
     GroupSpec,
     evaluate_assignment,
     solve_bruteforce,
+    solve_exact,
     solve_greedy,
     solve_milp,
 )
@@ -41,6 +43,7 @@ __all__ = [
     "decompose_partition",
     "BitWidthProblem",
     "GroupSpec",
+    "solve_exact",
     "solve_milp",
     "solve_greedy",
     "solve_bruteforce",

@@ -14,9 +14,9 @@ Lifecycle per re-assignment period:
    are sorted by β within each device pair and chunked into groups of
    ``group_size`` (the paper's variable-count reduction), and the cost
    model supplies each pair's (θ, γ) (steps 2).
-3. **Solve** — problems are solved in a thread pool (step 3; mirrors the
-   paper's master-side parallelism), wall time is *measured* and reported
-   as assignment overhead.
+3. **Solve** — each problem is solved exactly by
+   :func:`~repro.core.bilp.solve_exact` (step 3), a pure function of the
+   traces; wall time is *measured* and reported as assignment overhead.
 4. **Scatter** — per-message bit-widths are written back; subsequent
    transfers pick them up via :meth:`bits_for` (step 4).
 
@@ -25,13 +25,13 @@ Until the first solve, all messages use ``default_bits``.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.comm.costmodel import LinkCostModel
-from repro.core.bilp import BitWidthProblem, GroupSpec, solve_greedy, solve_milp
+from repro.core.bilp import SOLVERS, BitWidthProblem, GroupSpec
 from repro.quant.theory import SUPPORTED_BITS, beta_values
 from repro.utils.logging import get_logger
 from repro.utils.timing import Stopwatch
@@ -40,9 +40,6 @@ from repro.utils.validation import check_in_set, check_probability
 __all__ = ["AdaptiveBitWidthAssigner"]
 
 logger = get_logger("core.assigner")
-
-_SOLVERS = {"milp": solve_milp, "greedy": solve_greedy}
-
 
 @dataclass
 class _TraceEntry:
@@ -67,11 +64,12 @@ class AdaptiveBitWidthAssigner:
         Variance-vs-time weight λ of Eqn. 12.
     group_size:
         Messages per group (paper Appendix B; smaller = finer control,
-        bigger solve).
+        more groups to solve for).
     period:
         Re-assignment period in epochs.
     solver:
-        ``"milp"`` (exact, default) or ``"greedy"``.
+        ``"exact"`` (the time sweep, default), ``"milp"`` (HiGHS, the
+        oracle: same optimum, subject to its time limit) or ``"greedy"``.
     default_bits:
         Bit-width used before the first solve (8 = most conservative).
     """
@@ -85,12 +83,11 @@ class AdaptiveBitWidthAssigner:
         group_size: int = 100,
         period: int = 50,
         bit_choices: tuple[int, ...] = SUPPORTED_BITS,
-        solver: str = "milp",
+        solver: str = "exact",
         default_bits: int = 8,
-        max_workers: int = 4,
     ) -> None:
         check_probability(lam, name="lam")
-        check_in_set(solver, tuple(_SOLVERS), name="solver")
+        check_in_set(solver, tuple(SOLVERS), name="solver")
         check_in_set(default_bits, SUPPORTED_BITS, name="default_bits")
         if group_size < 1:
             raise ValueError("group_size must be >= 1")
@@ -104,10 +101,10 @@ class AdaptiveBitWidthAssigner:
         self.bit_choices = tuple(sorted(int(b) for b in bit_choices))
         self.solver = solver
         self.default_bits = int(default_bits)
-        self.max_workers = int(max_workers)
 
         self.stopwatch = Stopwatch()
         self.num_reassignments = 0
+        self.num_groups = 0  # message groups the latest re-assignment solved for
         self._epoch: int | None = None  # None until set_epoch is first called
         self._traces: dict[tuple[str, int, int, int], _TraceEntry] = {}
         self._assignments: dict[tuple[str, int, int, int], np.ndarray] = {}
@@ -170,42 +167,41 @@ class AdaptiveBitWidthAssigner:
         """Measured wall time spent solving (the paper's 'Assign' bar)."""
         return self.stopwatch.total("assign")
 
+    def problems(
+        self,
+    ) -> Iterator[tuple[str, int, BitWidthProblem, list[np.ndarray]]]:
+        """``(phase, layer, problem, group_rows)`` per traced round, in solve
+        order: what :meth:`reassign` solves from the current traces."""
+        for phase, layer in sorted({key[:2] for key in self._traces}):
+            yield (phase, layer, *self._build_problem(phase, layer))
+
     def reassign(self) -> None:
         """Build and solve one problem per (phase, layer); scatter results."""
         with self.stopwatch.lap("assign"):
-            problem_keys = sorted({(phase, layer) for phase, layer, _, _ in self._traces})
-            built = [
-                (key, self._build_problem(*key))
-                for key in problem_keys
-            ]
-            built = [(key, prob) for key, prob in built if prob is not None]
-            solver = _SOLVERS[self.solver]
-
-            if len(built) > 1 and self.max_workers > 1:
-                with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-                    solutions = list(
-                        pool.map(lambda item: solver(item[1][0]), built)
-                    )
-            else:
-                solutions = [solver(prob[0]) for _, prob in built]
-
-            for (key, (problem, row_maps)), bits in zip(built, solutions):
-                phase, layer = key
-                self._scatter(phase, layer, problem, row_maps, bits)
+            solver = SOLVERS[self.solver]
+            self.num_groups = 0
+            for phase, layer, problem, group_rows in self.problems():
+                self._scatter(phase, layer, problem, group_rows, solver(problem))
+                self.num_groups += len(problem.groups)
             self.num_reassignments += 1
         logger.info(
-            "reassignment %d solved %d problems in %.3fs",
+            "reassignment %d solved %d groups in %.3fs",
             self.num_reassignments,
-            len(built),
+            self.num_groups,
             self.stopwatch.laps.get("assign", 0.0),
         )
 
     def _build_problem(
         self, phase: str, layer: int
-    ) -> tuple[BitWidthProblem, dict] | None:
-        """Group this round's messages by β (paper's grouping trick)."""
+    ) -> tuple[BitWidthProblem, list[np.ndarray]]:
+        """Group this round's messages by β (paper's grouping trick).
+
+        Returns the problem and, aligned with its groups, the message rows
+        each group covers.  Every traced block has at least one row
+        (:meth:`observe` drops empty ones), so there is always a group.
+        """
         groups: list[GroupSpec] = []
-        row_maps: dict[tuple[int, int], list[np.ndarray]] = {}
+        group_rows: list[np.ndarray] = []
         pair_theta: dict[tuple[int, int], float] = {}
         pair_gamma: dict[tuple[int, int], float] = {}
 
@@ -221,9 +217,7 @@ class AdaptiveBitWidthAssigner:
             order = np.argsort(-beta, kind="stable")
             pair = (src, dst)
             theta, gamma = self.cost_model.pair_parameters(src, dst)
-            pair_theta[pair] = theta
-            pair_gamma[pair] = gamma
-            row_maps[pair] = []
+            pair_theta[pair], pair_gamma[pair] = theta, gamma
             for start in range(0, order.size, self.group_size):
                 rows = order[start : start + self.group_size]
                 groups.append(
@@ -235,9 +229,7 @@ class AdaptiveBitWidthAssigner:
                         dim=entry.dim,
                     )
                 )
-                row_maps[pair].append(rows)
-        if not groups:
-            return None
+                group_rows.append(rows)
         problem = BitWidthProblem(
             groups=groups,
             pair_theta=pair_theta,
@@ -245,28 +237,25 @@ class AdaptiveBitWidthAssigner:
             lam=self.lam,
             bit_choices=self.bit_choices,
         )
-        return problem, row_maps
+        return problem, group_rows
 
     def _scatter(
         self,
         phase: str,
         layer: int,
         problem: BitWidthProblem,
-        row_maps: dict[tuple[int, int], list[np.ndarray]],
+        group_rows: list[np.ndarray],
         bits: np.ndarray,
     ) -> None:
         """Turn per-group solutions back into per-message assignments."""
-        cursor: dict[tuple[int, int], int] = {pair: 0 for pair in row_maps}
         per_key: dict[tuple[str, int, int, int], np.ndarray] = {}
-        for g_idx, group in enumerate(problem.groups):
-            pair = (group.src, group.dst)
-            rows = row_maps[pair][cursor[pair]]
-            cursor[pair] += 1
+        for group, rows, group_bits in zip(problem.groups, group_rows, bits):
             key = (phase, layer, group.src, group.dst)
             if key not in per_key:
-                n_total = sum(r.size for r in row_maps[pair])
-                per_key[key] = np.full(n_total, self.default_bits, dtype=np.int64)
-            per_key[key][rows] = int(bits[g_idx])
+                # A pair's groups partition its traced rows.
+                n_total = self._traces[key].value_range.size
+                per_key[key] = np.empty(n_total, dtype=np.int64)
+            per_key[key][rows] = group_bits
         self._assignments.update(per_key)
 
     # ------------------------------------------------------------------

@@ -36,7 +36,7 @@ class RunConfig:
     group_size: int = 100
     reassign_period: int = 20
     bit_choices: tuple[int, ...] = SUPPORTED_BITS
-    solver: str = "milp"
+    solver: str = "exact"  # or "milp" (the HiGHS oracle) / "greedy"
     default_bits: int = 8
     fixed_bits: int = 2  # for the fixed-bit-width systems
     uniform_period: int = 20  # resampling cadence of the uniform baseline

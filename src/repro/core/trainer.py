@@ -6,13 +6,14 @@
 topology; get back real accuracy curves, simulated throughput and the
 paper's time breakdowns.
 
-Division of labour (DESIGN.md §4):
+Division of labour:
 
 * the :class:`~repro.cluster.cluster.Cluster` executes real numerics and
   records bytes/FLOPs;
 * the system's schedule converts each epoch's record into simulated time;
-* the assigner's MILP solves are *measured* (they are real host work) and
-  reported separately, like the paper's "Assign" bars in Fig. 10(b).
+* the assigner's bit-width solves (``RunConfig.solver``) are *measured*
+  (they are real host work) and reported separately, like the paper's
+  "Assign" bars in Fig. 10(b).
 """
 
 from __future__ import annotations
@@ -108,6 +109,7 @@ class TrainResult:
     wire_bytes_total: int = 0
     # Host-side measured overhead (bit-width assignment)
     assign_seconds: float = 0.0
+    assign_groups: int = 0  # message groups in the last re-assignment's problems
     bit_histogram: dict[int, int] = field(default_factory=dict)
     # Measured overlap accounting (overlapped runs only).  The summary
     # covers every executed step of the run; recent_timelines keeps only
@@ -421,5 +423,6 @@ def train(
     result.final_test = result.curve_test[-1] if result.curve_test else float("nan")
     if setup.assigner is not None:
         result.assign_seconds = setup.assigner.assignment_seconds
+        result.assign_groups = setup.assigner.num_groups
         result.bit_histogram = setup.assigner.assignment_histogram()
     return result

@@ -1,6 +1,6 @@
 """Wall-clock measurement helpers.
 
-Only *host-side* work (e.g. the bit-width assignment MILP solve) is measured
+Only *host-side* work (e.g. the bit-width assignment solve) is measured
 with real wall clocks; simulated device time comes from
 :class:`repro.cluster.perfmodel.PerfModel` instead.
 """

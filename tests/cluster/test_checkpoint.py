@@ -162,9 +162,11 @@ def test_kill_and_resume_across_period_boundary_is_bitwise(
     2 and 5).  A crash at epoch 3 resumes from the checkpoint written
     right after a traced epoch — the resumed run's first act is the solve,
     from *restored* traces; a crash at epoch 4 resumes mid-period, carrying
-    traces no solve will read before they are overwritten."""
+    traces no solve will read before they are overwritten.  The default
+    solver is a pure function of the traces, so the re-solve is bitwise."""
     d_full, d_crash = tmp_path / "full", tmp_path / "crash"
     period = dict(epochs=7, reassign_period=3)
+    assert _cfg(**period).solver == "exact"
     full = train(
         "adaqp", tiny_dataset, tiny_book, "2M-2D",
         _cfg(checkpoint_dir=str(d_full), **period),

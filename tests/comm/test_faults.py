@@ -124,12 +124,17 @@ def test_worker_stall_blows_completion_deadline():
     t = WorkerTransport(2, workers=1)
     t.timeout_s = 0.2
     t.fault_plan = FaultPlan.parse(["stall:s:delay=30"])
+    ran = []
     try:
-        t.defer("s", lambda: None)
+        t.defer("s", lambda: ran.append(True))
         with pytest.raises(TransportError, match=r"tag 's' missed its 0.2s"):
             t.complete("s")
     finally:
+        start = time.perf_counter()
         t.close()
+    # close() wakes the stall and abandons its job instead of joining 30 s.
+    assert time.perf_counter() - start < 5.0
+    assert ran == []
 
 
 def test_worker_complete_timeout_names_tag_and_outstanding():
@@ -137,8 +142,9 @@ def test_worker_complete_timeout_names_tag_and_outstanding():
     and how many jobs were still outstanding."""
     t = WorkerTransport(2, workers=1)
     t.timeout_s = 0.1
+    t.fault_plan = FaultPlan.parse(["stall:fwd/L1:delay=5"])
     try:
-        t.defer("fwd/L1", lambda: time.sleep(5))
+        t.defer("fwd/L1", lambda: None)  # stalls; close() wakes it
         t.defer("fwd/L1", lambda: None)
         with pytest.raises(TransportError) as err:
             t.complete("fwd/L1")

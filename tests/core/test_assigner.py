@@ -7,6 +7,7 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.exchange import QuantizedHaloExchange
 from repro.comm.costmodel import LinkCostModel
 from repro.comm.topology import parse_topology
+from repro.core import bilp
 from repro.core.assigner import AdaptiveBitWidthAssigner
 from repro.graph.partition.api import partition_graph
 
@@ -27,6 +28,17 @@ def _assigner(setup, **kwargs):
     defaults = dict(lam=0.5, group_size=50, period=2, default_bits=8)
     defaults.update(kwargs)
     return AdaptiveBitWidthAssigner(cluster, cost, **defaults)
+
+
+def _traced(setup, **kwargs):
+    """An assigner holding one epoch's traces (period 2: epoch 1 is read)."""
+    cluster, _ = setup
+    assigner = _assigner(setup, **kwargs)
+    exchange = QuantizedHaloExchange(
+        assigner, np.random.default_rng(0), tracer=assigner
+    )
+    cluster.train_epoch(exchange, 1)
+    return assigner
 
 
 def test_default_bits_before_first_solve(setup):
@@ -52,11 +64,7 @@ def test_reassign_after_training_epochs(setup):
 
 def test_assignments_aligned_with_message_counts(setup):
     cluster, cost = setup
-    assigner = _assigner(setup)
-    exchange = QuantizedHaloExchange(
-        assigner, np.random.default_rng(0), tracer=assigner
-    )
-    cluster.train_epoch(exchange, 1)  # period 2: the epoch a solve reads
+    assigner = _traced(setup)
     assigner.reassign()
     assert assigner._assignments
     for dev in cluster.devices:
@@ -101,11 +109,7 @@ def test_lam_extremes_flow_through(setup):
     # λ=0 → pure time minimization → essentially everything at min bits.
     cluster, cost = setup
     for lam, expected, min_frac in ((1.0, 8, 0.95), (0.0, 2, 0.95)):
-        assigner = _assigner(setup, lam=lam)
-        exchange = QuantizedHaloExchange(
-            assigner, np.random.default_rng(0), tracer=assigner
-        )
-        cluster.train_epoch(exchange, 1)  # period 2: the traced epoch
+        assigner = _traced(setup, lam=lam)
         assigner.reassign()
         hist = assigner.assignment_histogram()
         total = sum(hist.values())
@@ -113,13 +117,56 @@ def test_lam_extremes_flow_through(setup):
         assert hist.get(expected, 0) >= min_frac * total
 
 
-def test_greedy_solver_option(setup):
-    cluster, cost = setup
-    assigner = _assigner(setup, solver="greedy", group_size=500)
-    exchange = QuantizedHaloExchange(
-        assigner, np.random.default_rng(0), tracer=assigner
-    )
-    cluster.train_epoch(exchange, 1)  # period 2: the traced epoch
+def _assert_same_assignments(a: dict, b: dict):
+    assert a.keys() == b.keys()
+    for key, bits in a.items():
+        np.testing.assert_array_equal(bits, b[key])
+
+
+def test_default_solver_is_exact_and_never_reaches_milp(setup, monkeypatch):
+    def no_milp(*args, **kwargs):
+        raise AssertionError("the default assigner must not call scipy.optimize.milp")
+
+    monkeypatch.setattr(bilp, "milp", no_milp)
+    assigner = _traced(setup)
+    assert assigner.solver == "exact"
+    assigner.reassign()
+    assert assigner._assignments
+    oracle = _traced(setup, solver="milp")
+    with pytest.raises(AssertionError, match="must not call"):
+        oracle.reassign()  # the patch does guard the MILP path
+
+
+def test_assignments_are_a_pure_function_of_the_traces(setup):
+    """Solving twice, and solving from a state_dict round trip, scatter the
+    same bits: no time limit, no fallback, no host speed in the result."""
+    assigner = _traced(setup)
+    state = assigner.state_dict()
+    assigner.reassign()
+    first = {key: bits.copy() for key, bits in assigner._assignments.items()}
+    assigner.reassign()
+    assert assigner.num_reassignments == 2
+    _assert_same_assignments(first, assigner._assignments)
+
+    restored = _assigner(setup)
+    restored.load_state_dict(state)
+    restored.reassign()
+    _assert_same_assignments(first, restored._assignments)
+
+
+def test_exact_matches_the_milp_oracle_on_traced_problems(setup):
+    """Same objective value per problem (the assignments may differ where
+    the optimum is not unique or HiGHS stops inside its gap)."""
+    assigner = _traced(setup)
+    for _, _, problem, _ in assigner.problems():
+        exact = problem.scalarized(bilp.solve_exact(problem))
+        oracle = problem.scalarized(bilp.solve_milp(problem))
+        assert exact == pytest.approx(oracle, abs=1e-5)
+
+
+@pytest.mark.parametrize("solver", ["milp", "greedy"])
+def test_other_solver_options(setup, solver):
+    assigner = _traced(setup, solver=solver, group_size=500)
     assigner.reassign()
     assert assigner.num_reassignments == 1
     assert assigner._assignments
