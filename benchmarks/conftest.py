@@ -1,10 +1,10 @@
 """Benchmark-suite configuration.
 
-Each benchmark regenerates one table or figure of the paper (see DESIGN.md
-§3), persists the structured result under ``benchmarks/results/`` and
-asserts the paper's qualitative *shape* (who wins, by roughly what factor).
-Absolute numbers are expected to differ — the substrate is a simulated
-cluster, not the authors' V100 testbed (see EXPERIMENTS.md).
+Each benchmark regenerates one table or figure of the paper, persists the
+structured result under ``benchmarks/results/`` and asserts the paper's
+qualitative *shape* (who wins, by roughly what factor).  Absolute numbers
+are expected to differ — the substrate is a simulated cluster, not the
+authors' V100 testbed.
 
 Run with::
 

@@ -1,5 +1,5 @@
 """Ablation: how much of AdaQP's speedup comes from quantization vs from
-central/marginal parallelization (DESIGN.md §3 ablation index)."""
+central/marginal parallelization."""
 
 from repro.harness import run_ablation_contributions, save_result
 

@@ -1,4 +1,4 @@
-"""Paper Table 3: the dataset catalog (synthetic stand-ins, see DESIGN.md)."""
+"""Paper Table 3: the dataset catalog (synthetic stand-ins)."""
 
 from repro.harness import run_table3_datasets, save_result
 

@@ -17,9 +17,9 @@ Quickstart
 >>> result.final_val > 0
 True
 
-See README.md for the architecture overview, DESIGN.md for the
-paper-to-repo substitution map, and EXPERIMENTS.md for the reproduced
-tables and figures.
+See README.md for the architecture overview; ``repro experiment NAME``
+regenerates the paper's tables and figures (tracked copies live under
+``benchmarks/results/``).
 """
 
 from repro.graph import (

@@ -26,6 +26,18 @@ with cluster-wide operators instead:
   exactly :func:`repro.comm.allreduce.allreduce_sum`'s reduction — so the
   K flat gradient vectors the legacy path materializes are never built.
 
+**Operand order** is the conv's, not the engine's: a GCN layer whose
+output is narrower than its input (:func:`repro.gnn.conv.transform_first`)
+runs ``T = X̃·W`` over owned *and* halo rows and then ``P·T`` — the spmv
+at width ``d_out`` instead of ``d_in`` — and its backward mirrors it
+(``dT = Pᵀ·dY``, per-device weight partial ``X_ownᵀ·dT_own`` then
+``+ X_haloᵀ·dT_halo``, ``dX̃ = dT·Wᵀ``).  Every shape below reads the
+same flag, the operators and their row/column splits are the same
+objects either way, and ``row_matmul`` is row-deterministic, so the
+shapes stay bitwise-equal to each other and to the per-device loop.  The
+exchange never sees the difference: the same ``d_in``-wide rows travel in
+both directions.
+
 Numerical contract (asserted by ``tests/cluster/test_fused_compute.py``):
 under the same seed the engine is **bit-identical** to the legacy
 per-device path — same losses, same reduced model gradients, same wire
@@ -73,9 +85,9 @@ window.  Bitwise equivalence needs no rounding-mode gate: a lookahead
 post fires only after the previous step's finalize has joined its tag,
 so posts stay strictly ordered and at most one tag ever has outstanding
 encode jobs — even the order-dependent stream-rounding contract is
-preserved.  Deferred partials read only per-layer buffers (``_z``/
-``_x``/``_x_hat``, LayerNorm's freshly-allocated input gradient, and
-the *previous* frontier buffer), none of which the interposed step
+preserved.  Deferred partials read only per-layer buffers (``_z`` or
+``_dt``, ``_x``, ``_x_hat``, LayerNorm's freshly-allocated input gradient,
+and the *previous* frontier buffer), none of which the interposed step
 touches, and per-accumulator addend order is unchanged because each
 closure owns its layer's parameters exclusively.
 """
@@ -107,8 +119,8 @@ __all__ = [
 #: Transport tag for streaming-mode page prefetch jobs.  On async backends
 #: the next device's operator/feature pages fault in on a worker while the
 #: main thread runs the current device's spmv/GEMM; synchronous backends
-#: run the touch inline (a strided one-read-per-page scan, cheap next to
-#: the kernels that follow it).
+#: skip it — inline, the touch is a second walk over pages the very next
+#: kernel faults in anyway, and it keeps two device windows resident.
 _PREFETCH_TAG = "stream/prefetch"
 
 try:  # pragma: no cover - import guard
@@ -292,13 +304,14 @@ class FusedClusterCompute:
         layer-0 input buffer shrinks to its halo block (owned features
         are read straight off the device's feature array), and layer 0's
         backward stops at the parameter partials — input features are not
-        trainable, so the input-gradient GEMM, its routing spmv and the
-        layer-0 gradient exchange are skipped (the only wire-byte
-        difference from the standard engine; losses are unchanged).
-        Each device's pages are released after use and the next device's
-        are prefetched under the current kernels, bounding the resident
-        window to roughly one partition.  ``None`` (default) selects the
-        standard in-RAM engine.
+        trainable, so the input-gradient GEMM and the layer-0 gradient
+        exchange are skipped (the only wire-byte difference from the
+        standard engine; losses are unchanged).  Each device's pages are
+        released after use (and, on an async transport, the next
+        device's are prefetched under the current kernels), bounding the
+        resident window to roughly one partition.  Everything else —
+        layer steps, operand order, parameter partials — is the in-RAM
+        engine's code.  ``None`` (default) selects the in-RAM engine.
     """
 
     def __init__(
@@ -342,106 +355,72 @@ class FusedClusterCompute:
         )
 
         L = self.num_layers
+        self._transform_first = [
+            mod.conv.transform_first for mod in devices[0].model.layers
+        ]
+
+        def rows(n: int, width: int) -> np.ndarray:
+            return np.zeros((n, width), dtype=np.float32)
+
         # Layer inputs: [all owned rows][all halo rows] per the operator's
         # column space.  X[0]'s owned region holds the (static) features.
         # Streaming mode keeps only X[0]'s halo block resident (the
         # exchange's landing zone); owned features are read off the
         # device arrays, so the feature-width buffers — the dominant
-        # allocations at huge-graph scale — are never duplicated in RAM.
-        if self.stream is None:
-            self._x0_halo = None
-            self._x = [
-                np.zeros((n_rows, dims[l]), dtype=np.float32) for l in range(L)
-            ]
+        # allocations at huge-graph scale — are never duplicated in RAM,
+        # and layer 0's input gradient is never needed at all (features
+        # are not trainable).
+        lo = 0 if self.stream is None else 1
+        self._x0_halo = rows(self.total_halo, dims[0]) if lo else None
+        self._x = [None] * lo + [rows(n_rows, dims[l]) for l in range(lo, L)]
+        self._dx = [None] * lo + [rows(n_rows, dims[l]) for l in range(lo, L)]
+        if not lo:
             for k, dev in enumerate(devices):
                 self._x[0][self.own_off[k] : self.own_off[k + 1]] = dev.features
-            self._z = [
-                np.zeros((self.total_own, dims[l]), dtype=np.float32)
-                for l in range(L)
-            ]
-            self._dz = [
-                np.zeros((self.total_own, dims[l]), dtype=np.float32)
-                for l in range(L)
-            ]
-            self._dx = [
-                np.zeros((n_rows, dims[l]), dtype=np.float32) for l in range(L)
-            ]
-        else:
-            self._x0_halo = np.zeros((self.total_halo, dims[0]), dtype=np.float32)
-            self._x = [None] + [
-                np.zeros((n_rows, dims[l]), dtype=np.float32) for l in range(1, L)
-            ]
-            # Layer 0's aggregated input lives in a reused (max_own, F)
-            # scratch (recomputed per device in backward); its gradient
-            # buffers are never needed — features are not trainable.
-            self._z = [None] + [
-                np.zeros((self.total_own, dims[l]), dtype=np.float32)
-                for l in range(1, L)
-            ]
-            self._dz = [None] + [
-                np.zeros((self.total_own, dims[l]), dtype=np.float32)
-                for l in range(1, L)
-            ]
-            self._dx = [None] + [
-                np.zeros((n_rows, dims[l]), dtype=np.float32) for l in range(1, L)
-            ]
-        self.logits = np.zeros((self.total_own, dims[-1]), dtype=np.float32)
+        # Aggregate-first layers keep the aggregated input ``z = P·X̃`` and
+        # its gradient over owned rows; transform-first layers keep
+        # ``T = X̃·W`` and ``dT = Pᵀ·dY`` over owned *and* halo rows, at
+        # the output width.  Streaming layer 0, when it aggregates first,
+        # computes ``z`` into a reused (max_own, F) scratch instead
+        # (recomputed per device in backward).
+        self._z, self._dz, self._t, self._dt = [], [], [], []
+        for l, transform in enumerate(self._transform_first):
+            aggregated = not transform and l >= lo
+            self._z.append(rows(self.total_own, dims[l]) if aggregated else None)
+            self._dz.append(rows(self.total_own, dims[l]) if aggregated else None)
+            self._t.append(rows(n_rows, dims[l + 1]) if transform else None)
+            self._dt.append(rows(n_rows, dims[l + 1]) if transform else None)
+        self.logits = rows(self.total_own, dims[-1])
         self._d_logits = np.zeros_like(self.logits)
         if model_kind == "sage":
-            self._neigh_out = [
-                np.zeros((self.total_own, dims[l + 1]), dtype=np.float32)
-                for l in range(L)
-            ]
-            d_own0 = (
-                [np.zeros((self.total_own, dims[0]), dtype=np.float32)]
-                if self.stream is None
-                else [None]
-            )
-            self._d_own = d_own0 + [
-                np.zeros((self.total_own, dims[l]), dtype=np.float32)
-                for l in range(1, L)
+            self._neigh_out = [rows(self.total_own, dims[l + 1]) for l in range(L)]
+            self._d_own = [None] * lo + [
+                rows(self.total_own, dims[l]) for l in range(lo, L)
             ]
         # Post-processing caches (all but the output layer).
-        self._x_hat = [
-            np.zeros((self.total_own, dims[l + 1]), dtype=np.float32)
-            for l in range(L - 1)
-        ]
+        self._x_hat = [rows(self.total_own, dims[l + 1]) for l in range(L - 1)]
         self._inv_std: list[np.ndarray | None] = [None] * (L - 1)
         self._relu_mask = [
             np.zeros((self.total_own, dims[l + 1]), dtype=bool) for l in range(L - 1)
         ]
-        self._drop_mask = [
-            np.zeros((self.total_own, dims[l + 1]), dtype=np.float32)
-            for l in range(L - 1)
-        ]
+        self._drop_mask = [rows(self.total_own, dims[l + 1]) for l in range(L - 1)]
         self._drop_active = [False] * (L - 1)
 
         # Per-layer, per-device views into the stacked buffers (static).
         # Streaming layer 0: own views alias the device feature arrays
         # (the exchange gathers send rows from them directly) and halo
         # views slice the dedicated halo block.
+        K = range(len(devices))
         self._own_views = [
             [dev.features for dev in devices]
             if x is None
-            else [
-                x[self.own_off[k] : self.own_off[k + 1]]
-                for k in range(len(devices))
-            ]
+            else [x[self._own_slice(k)] for k in K]
             for x in self._x
         ]
         self._halo_views = [
-            [
-                self._x0_halo[self.halo_off[k] : self.halo_off[k + 1]]
-                for k in range(len(devices))
-            ]
+            [self._x0_halo[self.halo_off[k] : self.halo_off[k + 1]] for k in K]
             if x is None
-            else [
-                x[
-                    self.total_own + self.halo_off[k] : self.total_own
-                    + self.halo_off[k + 1]
-                ]
-                for k in range(len(devices))
-            ]
+            else self._halo_blocks(x)
             for x in self._x
         ]
 
@@ -474,6 +453,22 @@ class FusedClusterCompute:
     def _own_slice(self, k: int) -> slice:
         return slice(int(self.own_off[k]), int(self.own_off[k + 1]))
 
+    def _halo_slice(self, k: int) -> slice:
+        """Device ``k``'s halo rows of a stacked ``[owned; halo]`` buffer."""
+        return slice(
+            self.total_own + int(self.halo_off[k]),
+            self.total_own + int(self.halo_off[k + 1]),
+        )
+
+    def _halo_blocks(self, buf: np.ndarray) -> list[np.ndarray]:
+        return [buf[self._halo_slice(k)] for k in range(len(self.devices))]
+
+    def _layer_output(self, layer: int) -> np.ndarray:
+        """Owned rows ``layer`` writes: the next layer's input, or the logits."""
+        if layer + 1 == self.num_layers:
+            return self.logits
+        return self._x[layer + 1][: self.total_own]
+
     def _acc_add(self, param, partial: np.ndarray) -> None:
         self._acc_by_id[id(param)] += partial
 
@@ -492,11 +487,12 @@ class FusedClusterCompute:
         self._deferred_partials = None
 
     def forward_layer(self, layer, exchange, transport, *, training: bool) -> None:
-        """Exchange halos, aggregate, and run layer ``layer``'s dense step."""
-        if self.stream is not None:
-            self._forward_layer_stream(layer, exchange, transport, training=training)
-            return
-        x = self._x[layer]
+        """Exchange halos, aggregate, and run layer ``layer``'s dense step.
+
+        The same code serves the in-RAM and the streaming engine: they
+        differ in how ``P`` is applied (:meth:`_aggregate`) and, at layer
+        0, in where the owned input rows live (:meth:`_forward_layer0_stream`).
+        """
         exchange.exchange_embeddings(
             layer,
             self.devices,
@@ -504,32 +500,72 @@ class FusedClusterCompute:
             self._own_views[layer],
             out=self._halo_views[layer],
         )
-        z = _spmv_into(self.matrix, x, self._z[layer])
-
         mod = self.devices[0].model.layers[layer]
-        out_own = (
-            self.logits if mod.is_output else self._x[layer + 1][: self.total_own]
-        )
-        conv = mod.conv
-        if self.model_kind == "gcn":
-            row_matmul(z, conv.linear.weight.data, out=out_own)
-            out_own += conv.linear.bias.data
+        out_own = self._layer_output(layer)
+        x = self._x[layer]
+        if x is None:
+            self._forward_layer0_stream(mod.conv, out_own, transport)
+        elif self._transform_first[layer]:
+            linear = mod.conv.linear
+            t = row_matmul(x, linear.weight.data, out=self._t[layer])
+            self._aggregate(t, out_own, transport)
+            out_own += linear.bias.data
         else:
-            row_matmul(x[: self.total_own], conv.root.weight.data, out=out_own)
-            out_own += conv.root.bias.data
-            neigh = row_matmul(z, conv.neigh.weight.data, out=self._neigh_out[layer])
-            out_own += neigh
-        if not mod.has_post_stage:
-            return
-        self._forward_post(layer, mod, out_own, training)
+            z = self._aggregate(x, self._z[layer], transport)
+            self._dense_update(
+                layer, x[: self.total_own], z, out_own, self._neigh_out_rows(layer)
+            )
+        if mod.has_post_stage:
+            self._forward_post(layer, mod, out_own, training)
+
+    def _neigh_out_rows(self, layer: int, rows: slice = slice(None)):
+        """SAGE's neighbour-term output buffer (``None`` for GCN)."""
+        return self._neigh_out[layer][rows] if self.model_kind == "sage" else None
+
+    def _dense_update(self, layer, x_own, z, out, neigh_out) -> None:
+        """Aggregate-first dense step: ``out = z·W + b`` (GCN) or
+        ``x_own·W_root + b + z·W_neigh`` (SAGE) for any contiguous row block.
+
+        ``row_matmul``'s row-determinism and the elementwise bias add make
+        per-device and gathered blocks bitwise equal to the stacked call.
+        """
+        conv = self.devices[0].model.layers[layer].conv
+        if self.model_kind == "gcn":
+            row_matmul(z, conv.linear.weight.data, out=out)
+            out += conv.linear.bias.data
+        else:
+            row_matmul(x_own, conv.root.weight.data, out=out)
+            out += conv.root.bias.data
+            out += row_matmul(z, conv.neigh.weight.data, out=neigh_out)
+
+    def _aggregate(self, src: np.ndarray, out: np.ndarray, transport) -> np.ndarray:
+        """``out = P @ src`` for a stacked ``[owned; halo]`` source.
+
+        In RAM this is one block-diagonal spmv.  Streaming runs it device
+        by device as a column-split spmv pair over the store's operators
+        (``own`` zero-fills, ``halo`` accumulates) — bit-identical, because
+        scipy accumulates each output row in stored column order and the
+        canonical local ordering puts every owned column before every halo
+        column — releasing each device's operator pages the moment its
+        rows are consumed.
+        """
+        if self.stream is None:
+            return _spmv_into(self.matrix, src, out)
+        for k, ops in enumerate(self.stream):
+            self._stream_prefetch(transport, k, features=False)
+            sl = self._own_slice(k)
+            _spmv_into(ops.own, src[sl], out[sl])
+            _spmv_accumulate(ops.halo, src[self._halo_slice(k)], out[sl])
+            ops.release_op_pages()
+        transport.complete(_PREFETCH_TAG)
+        return out
 
     def _forward_post(self, layer: int, mod, h: np.ndarray, training: bool) -> None:
         """LayerNorm → ReLU → dropout on the stacked owned rows.
 
-        Shared by the standard and streaming forward shapes — every
-        operation is row-local (or, for dropout, drawn per device in rank
-        order via the single ``_sample_dropout`` site), so stacked rows
-        match per-device rows bit for bit whichever shape produced ``h``.
+        Every operation is row-local (or, for dropout, drawn per device in
+        rank order via the single ``_sample_dropout`` site), so stacked
+        rows match per-device rows bit for bit.
         """
         # LayerNorm — the formula lives in LayerNorm.forward_into (single
         # source of truth with the legacy forward).
@@ -547,104 +583,72 @@ class FusedClusterCompute:
             h *= self._drop_mask[layer]
 
     # ------------------------------------------------------------------
-    # Streaming (out-of-core) execution
+    # Streaming (out-of-core) execution: paging, and layer 0's feature rows
     # ------------------------------------------------------------------
     def _stream_prefetch(self, transport, k: int, *, features: bool) -> None:
         """Queue a page-fault pass for device ``k+1`` under the current
-        device's kernels (no-op past the last device).
+        device's kernels (no-op past the last device, and on synchronous
+        transports — there is nothing to run it under).
 
-        ``features`` must be True only on the layer-0 loops (the only
-        steps that read the feature regions *and* release them after):
-        faulting features under a hidden-layer step would leave them
-        resident with no release to reclaim them.
+        ``features`` must be True only on loops that read the feature
+        regions *and* release them after: faulting features under any
+        other step would leave them resident with no release to reclaim
+        them.
         """
-        if k + 1 < len(self.devices):
+        if transport.is_async and k + 1 < len(self.devices):
             nxt = self.stream[k + 1]
             transport.defer(_PREFETCH_TAG, nxt.touch if features else nxt.touch_ops)
 
-    def _forward_layer_stream(
-        self, layer, exchange, transport, *, training: bool
-    ) -> None:
-        """One forward layer against the store: per-device split aggregation.
+    def _forward_layer0_stream(self, conv, out_own: np.ndarray, transport) -> None:
+        """Layer 0 against the store: owned rows come off the feature maps.
 
-        Aggregation runs device by device as a column-split spmv pair over
-        the store's operators (``own`` zero-fills, ``halo`` accumulates) —
-        bit-identical to the block-diagonal spmv because scipy accumulates
-        each output row in stored column order and the canonical local
-        ordering puts every owned column before every halo column.  Layer 0
-        reads features straight off the (typically memmapped) device arrays
-        and releases each device's operator + feature pages the moment its
-        rows are consumed, so the resident window stays near one
-        partition's working set; deeper layers release operator pages only
-        (their activations are hidden-width RAM buffers).
+        Features are read straight from the (typically memmapped) device
+        arrays, one device at a time, and each device's pages are released
+        the moment its rows are consumed, so the resident window stays near
+        one partition's working set.  Transform-first, that read is the
+        per-device ``T = features_k·W`` (the halo block transforms in one
+        stacked call) and the aggregation is the ordinary streamed
+        ``P·T``; aggregate-first, each device's ``z = P·X₀`` lands in a
+        reused feature-width scratch that the dense step consumes at once.
         """
-        devices = self.devices
-        mod = devices[0].model.layers[layer]
-        conv = mod.conv
-        exchange.exchange_embeddings(
-            layer,
-            devices,
-            transport,
-            self._own_views[layer],
-            out=self._halo_views[layer],
-        )
-        out_own = (
-            self.logits if mod.is_output else self._x[layer + 1][: self.total_own]
-        )
-        if layer == 0:
-            # The exchange's boundary-row gather faulted scattered
-            # feature pages across every device; drop them all before the
-            # aggregation loop re-faults one device window at a time.
-            for ops in self.stream:
-                ops.release_feature_pages()
-            zbuf = self._scratch("stream_z0", self._max_own, self.dims[0])
-            for k, dev in enumerate(devices):
-                ops = self.stream[k]
-                self._stream_prefetch(transport, k, features=True)
-                sl = self._own_slice(k)
-                z = zbuf[: dev.part.n_owned]
-                _spmv_into(ops.own, dev.features, z)
-                _spmv_accumulate(ops.halo, self._halo_views[0][k], z)
-                # Per-slice GEMM + bias: row_matmul's row-determinism and
-                # the elementwise bias add make the per-device blocks
-                # bitwise equal to the stacked full-buffer calls.
-                if self.model_kind == "gcn":
-                    row_matmul(z, conv.linear.weight.data, out=out_own[sl])
-                    out_own[sl] += conv.linear.bias.data
-                else:
-                    row_matmul(dev.features, conv.root.weight.data, out=out_own[sl])
-                    out_own[sl] += conv.root.bias.data
-                    neigh = row_matmul(
-                        z, conv.neigh.weight.data, out=self._neigh_out[0][sl]
-                    )
-                    out_own[sl] += neigh
-                ops.release_op_pages()
-                ops.release_feature_pages()
-            transport.complete(_PREFETCH_TAG)
-        else:
-            x = self._x[layer]
-            z = self._z[layer]
-            for k in range(len(devices)):
-                ops = self.stream[k]
-                self._stream_prefetch(transport, k, features=False)
-                sl = self._own_slice(k)
-                _spmv_into(ops.own, x[sl], z[sl])
-                _spmv_accumulate(ops.halo, self._halo_views[layer][k], z[sl])
-                ops.release_op_pages()
-            transport.complete(_PREFETCH_TAG)
-            if self.model_kind == "gcn":
-                row_matmul(z, conv.linear.weight.data, out=out_own)
-                out_own += conv.linear.bias.data
-            else:
-                row_matmul(x[: self.total_own], conv.root.weight.data, out=out_own)
-                out_own += conv.root.bias.data
-                neigh = row_matmul(
-                    z, conv.neigh.weight.data, out=self._neigh_out[layer]
-                )
-                out_own += neigh
-        if not mod.has_post_stage:
+        # The exchange's boundary-row gather faulted scattered feature
+        # pages across every device; drop them all before the loop
+        # re-faults one device window at a time.
+        for ops in self.stream:
+            ops.release_feature_pages()
+        if self._transform_first[0]:
+            weight, t = conv.linear.weight.data, self._t[0]
+            for k, dev in enumerate(self.devices):
+                row_matmul(dev.features, weight, out=t[self._own_slice(k)])
+                self.stream[k].release_feature_pages()
+            row_matmul(self._x0_halo, weight, out=t[self.total_own :])
+            self._aggregate(t, out_own, transport)
+            out_own += conv.linear.bias.data
             return
-        self._forward_post(layer, mod, out_own, training)
+        for k, dev in enumerate(self.devices):
+            self._stream_prefetch(transport, k, features=True)
+            sl = self._own_slice(k)
+            z = self._aggregate_layer0_stream(k)
+            self._dense_update(
+                0, dev.features, z, out_own[sl], self._neigh_out_rows(0, sl)
+            )
+            self.stream[k].release_op_pages()
+            self.stream[k].release_feature_pages()
+        transport.complete(_PREFETCH_TAG)
+
+    def _aggregate_layer0_stream(self, k: int) -> np.ndarray:
+        """Device ``k``'s ``z = P·X₀`` into the shared feature-width scratch.
+
+        Forward computes it and backward *re*computes it — bit-identical,
+        the same split spmv on unchanged inputs — instead of keeping an
+        (N, F) buffer resident.  Only aggregate-first layers come here.
+        """
+        dev, ops = self.devices[k], self.stream[k]
+        zbuf = self._scratch("stream_z0", self._max_own, self.dims[0])
+        z = zbuf[: dev.part.n_owned]
+        _spmv_into(ops.own, dev.features, z)
+        _spmv_accumulate(ops.halo, self._halo_views[0][k], z)
+        return z
 
     # ------------------------------------------------------------------
     # Split-phase pipelined execution
@@ -721,8 +725,8 @@ class FusedClusterCompute:
     ) -> None:
         """Dense half of layer ``layer`` for one row set (central or marginal).
 
-        Gathers the rows into a contiguous block, runs the same GEMM /
-        LayerNorm / ReLU / dropout pipeline as :meth:`forward_layer`, and
+        Gathers the rows into a contiguous block, runs the same dense
+        update / LayerNorm / ReLU / dropout pipeline as :meth:`forward_layer`, and
         scatters results (plus the backward caches) into the persistent
         buffers.  Every operation is row-local or row-deterministic, so
         the scattered rows are bit-identical to the full-step values.
@@ -739,24 +743,24 @@ class FusedClusterCompute:
                 after_out()
             return
         mod = self.devices[0].model.layers[layer]
-        conv = mod.conv
         d_in, d_out = self.dims[layer], self.dims[layer + 1]
-        out_own = self.logits if mod.is_output else self._x[layer + 1][: self.total_own]
+        out_own = self._layer_output(layer)
         n = int(rows.size)
         h = self._scratch("fwd_h", n, d_out)
-        zc = self._scratch("fwd_zin", n, d_in)
-        np.take(self._z[layer], rows, axis=0, out=zc)
-        if self.model_kind == "gcn":
-            row_matmul(zc, conv.linear.weight.data, out=h)
-            h += conv.linear.bias.data
+        if self._transform_first[layer]:
+            # ``out_own`` holds these rows of P·T already (the caller
+            # aggregates straight into it); only the bias is left.
+            np.take(out_own, rows, axis=0, out=h)
+            h += mod.conv.linear.bias.data
         else:
-            xc = self._scratch("fwd_xin", n, d_in)
-            np.take(self._x[layer][: self.total_own], rows, axis=0, out=xc)
-            row_matmul(xc, conv.root.weight.data, out=h)
-            h += conv.root.bias.data
-            neigh = self._scratch("fwd_nh", n, d_out)
-            row_matmul(zc, conv.neigh.weight.data, out=neigh)
-            h += neigh
+            zc = self._scratch("fwd_zin", n, d_in)
+            np.take(self._z[layer], rows, axis=0, out=zc)
+            xc = neigh = None
+            if self.model_kind == "sage":
+                xc = self._scratch("fwd_xin", n, d_in)
+                np.take(self._x[layer][: self.total_own], rows, axis=0, out=xc)
+                neigh = self._scratch("fwd_nh", n, d_out)
+            self._dense_update(layer, xc, zc, h, neigh)
         if not mod.has_post_stage:
             out_own[rows] = h
             if after_out is not None:
@@ -846,9 +850,18 @@ class FusedClusterCompute:
             post_s = t1 - t0
 
         # Central window: aggregation + dense update of central rows only.
-        z = self._z[layer]
-        z.fill(0.0)
-        _spmv_accumulate(plan.matrix_central, self._x[layer], z)
+        # Transform-first, the window opens with T's owned rows — one
+        # stacked GEMM that needs no halo — and P·T accumulates straight
+        # into the output rows (the sub-steps finish them in place).
+        x = self._x[layer]
+        if self._transform_first[layer]:
+            weight = mod.conv.linear.weight.data
+            src, agg = self._t[layer], self._layer_output(layer)
+            row_matmul(x[: self.total_own], weight, out=src[: self.total_own])
+        else:
+            src, agg = x, self._z[layer]
+        agg.fill(0.0)
+        _spmv_accumulate(plan.matrix_central, src, agg)
         if mod.has_post_stage:
             self._sample_dropout(layer, mod, training)
         self._forward_substep(layer, plan.rows_central)
@@ -878,7 +891,9 @@ class FusedClusterCompute:
                 )
                 self._pending_fwd = (nxt, step_next, time.perf_counter() - tp)
 
-        _spmv_accumulate(plan.matrix_marginal, self._x[layer], z)
+        if self._transform_first[layer]:
+            row_matmul(x[self.total_own :], weight, out=src[self.total_own :])
+        _spmv_accumulate(plan.matrix_marginal, src, agg)
         self._forward_substep(layer, plan.rows_marginal, after_out=after_out)
         t4 = time.perf_counter()
         # Overlapped bytes are read after finalize: under the async
@@ -929,7 +944,10 @@ class FusedClusterCompute:
         window finishes the GEMM's central rows, accumulates every
         parameter partial (same per-accumulator order as the
         non-overlapped engine) and routes owned-row gradients; finalize
-        then adds the received gradients in place.
+        then adds the received gradients in place.  A transform-first
+        layer has the two products the other way round — ``Pᵀ``'s halo
+        rows of ``dY``, one GEMM over them, post; ``Pᵀ``'s owned rows, the
+        partials and the owned-row GEMM in the window — and gathers nothing.
 
         With ``defer_partials=True`` (pipeline_depth=2) this layer's
         parameter-partial GEMMs are captured in a closure instead of
@@ -960,22 +978,24 @@ class FusedClusterCompute:
             d_out = mod.norm.input_grad(
                 d_out, self._x_hat[layer], self._inv_std[layer]
             )
+        transform = self._transform_first[layer]
         weight_t = (
             conv.linear.weight.data.T
             if self.model_kind == "gcn"
             else conv.neigh.weight.data.T
         )
-        dz = self._dz[layer]
         dx = self._dx[layer]
-        self._input_grad_rows(d_out, plan.rows_marginal, weight_t, dz)
-        _spmv_into(plan.matrix_t_halo, dz, dx[self.total_own :])
-        d_halo_views = [
-            dx[
-                self.total_own + self.halo_off[k] : self.total_own
-                + self.halo_off[k + 1]
-            ]
-            for k in range(len(self.devices))
-        ]
+        if transform:
+            # No row gathers: the outgoing halo gradients are Pᵀ's halo
+            # rows applied to dY, then one GEMM over just those rows.
+            dt = self._dt[layer]
+            _spmv_into(plan.matrix_t_halo, d_out, dt[self.total_own :])
+            row_matmul(dt[self.total_own :], weight_t, out=dx[self.total_own :])
+        else:
+            dz = self._dz[layer]
+            self._input_grad_rows(d_out, plan.rows_marginal, weight_t, dz)
+            _spmv_into(plan.matrix_t_halo, dz, dx[self.total_own :])
+        d_halo_views = self._halo_blocks(dx)
         t1 = time.perf_counter()
         # Window first, then post — see forward_layer_overlap.
         transport.note_overlap(step_tag("bwd", layer))
@@ -994,8 +1014,10 @@ class FusedClusterCompute:
 
         # Central window: remaining input-grad rows, parameter partials,
         # owned-row gradient routing.
-        self._input_grad_rows(d_out, plan.rows_central, weight_t, dz)
-        z = self._z[layer]
+        if transform:
+            _spmv_into(plan.matrix_t_own, d_out, dt[: self.total_own])
+        else:
+            self._input_grad_rows(d_out, plan.rows_central, weight_t, dz)
 
         def partials(d_out=d_out, d_out_pre=d_out_pre) -> None:
             if mod.has_post_stage:
@@ -1005,30 +1027,21 @@ class FusedClusterCompute:
                     sl = self._own_slice(k)
                     self._acc_add(mod.norm.gamma, prod[sl].sum(axis=0))
                     self._acc_add(mod.norm.beta, d_out_pre[sl].sum(axis=0))
-            if self.model_kind == "gcn":
-                for k in range(len(self.devices)):
-                    sl = self._own_slice(k)
-                    self._acc_add(conv.linear.weight, z[sl].T @ d_out[sl])
-                    self._acc_add(conv.linear.bias, d_out[sl].sum(axis=0))
-            else:
-                x_own = self._x[layer][: self.total_own]
-                for k in range(len(self.devices)):
-                    sl = self._own_slice(k)
-                    self._acc_add(conv.root.weight, x_own[sl].T @ d_out[sl])
-                    self._acc_add(conv.root.bias, d_out[sl].sum(axis=0))
-                    self._acc_add(conv.neigh.weight, z[sl].T @ d_out[sl])
+            for k in range(len(self.devices)):
+                self._conv_partials(layer, k, d_out)
 
         if defer_partials:
             self._deferred_partials = partials
         else:
             partials()
-        if self.model_kind == "gcn":
-            _spmv_into(plan.matrix_t_own, dz, dx[: self.total_own])
-            d_next = dx[: self.total_own]
+        own = slice(0, self.total_own)
+        if transform:
+            d_next = row_matmul(dt[own], weight_t, out=dx[own])
+        elif self.model_kind == "gcn":
+            d_next = _spmv_into(plan.matrix_t_own, dz, dx[own])
         else:
             d_next = row_matmul(d_out, conv.root.weight.data.T, out=self._d_own[layer])
-            _spmv_into(plan.matrix_t_own, dz, dx[: self.total_own])
-            d_next += dx[: self.total_own]
+            d_next += _spmv_into(plan.matrix_t_own, dz, dx[own])
         t3 = time.perf_counter()
 
         d_own_views = [d_next[self._own_slice(k)] for k in range(len(self.devices))]
@@ -1074,10 +1087,12 @@ class FusedClusterCompute:
     # Backward
     # ------------------------------------------------------------------
     def backward_layer(self, layer, exchange, transport) -> None:
-        """Backprop through layer ``layer`` and route halo gradients."""
-        if self.stream is not None:
-            self._backward_layer_stream(layer, exchange, transport)
-            return
+        """Backprop through layer ``layer`` and route halo gradients.
+
+        Shared by the in-RAM and the streaming engine, which differ in how
+        ``Pᵀ`` is applied (:meth:`_route_gradients`) and in layer 0
+        (:meth:`_backward_layer0_stream`).
+        """
         d_out = self._d
         if d_out is None:
             raise RuntimeError("backward_layer called before epoch_loss")
@@ -1097,157 +1112,115 @@ class FusedClusterCompute:
                 self._acc_add(mod.norm.beta, d_out[sl].sum(axis=0))
             d_out = mod.norm.input_grad(d_out, x_hat, self._inv_std[layer])
 
-        conv = mod.conv
-        z = self._z[layer]
         dx = self._dx[layer]
-        if self.model_kind == "gcn":
-            for k in range(len(self.devices)):
-                sl = self._own_slice(k)
-                self._acc_add(conv.linear.weight, z[sl].T @ d_out[sl])
-                self._acc_add(conv.linear.bias, d_out[sl].sum(axis=0))
-            d_z = row_matmul(d_out, conv.linear.weight.data.T, out=self._dz[layer])
-            _spmv_into(self.matrix_t, d_z, dx)
-            d_next = dx[: self.total_own]
-        else:
-            x_own = self._x[layer][: self.total_own]
-            for k in range(len(self.devices)):
-                sl = self._own_slice(k)
-                self._acc_add(conv.root.weight, x_own[sl].T @ d_out[sl])
-                self._acc_add(conv.root.bias, d_out[sl].sum(axis=0))
-                self._acc_add(conv.neigh.weight, z[sl].T @ d_out[sl])
-            d_next = row_matmul(d_out, conv.root.weight.data.T, out=self._d_own[layer])
-            d_z = row_matmul(d_out, conv.neigh.weight.data.T, out=self._dz[layer])
-            _spmv_into(self.matrix_t, d_z, dx)
-            d_next += dx[: self.total_own]
-
-        d_own_views = [d_next[self._own_slice(k)] for k in range(len(self.devices))]
-        d_halo_views = [
-            dx[
-                self.total_own + self.halo_off[k] : self.total_own
-                + self.halo_off[k + 1]
-            ]
-            for k in range(len(self.devices))
-        ]
-        exchange.exchange_gradients(
-            layer, self.devices, transport, d_halo_views, d_own_views
-        )
-        self._d = d_next
-
-    def _route_gradients_stream(self, d_z, dx, transport) -> None:
-        """``dx = Pᵀ d_z`` via per-device row-split store operators.
-
-        Each output row of the block transpose reads only its own device's
-        ``d_z`` slice (the operator is block-diagonal), and row splits of a
-        CSR spmv are trivially bitwise — so this equals the standard
-        engine's single ``matrix_t`` spmv row for row.
-        """
-        for k in range(len(self.devices)):
-            ops = self.stream[k]
-            self._stream_prefetch(transport, k, features=False)
-            sl = self._own_slice(k)
-            _spmv_into(ops.own_t, d_z[sl], dx[sl])
-            _spmv_into(
-                ops.halo_t,
-                d_z[sl],
-                dx[
-                    self.total_own + self.halo_off[k] : self.total_own
-                    + self.halo_off[k + 1]
-                ],
-            )
-            ops.release_op_pages()
-        transport.complete(_PREFETCH_TAG)
-
-    def _backward_layer_stream(self, layer, exchange, transport) -> None:
-        """Backprop one layer in streaming mode.
-
-        Layers ≥ 1 mirror the standard engine (same partial-accumulation
-        order per parameter) with the routing spmv replaced by
-        :meth:`_route_gradients_stream`.  Layer 0 stops at the parameter
-        partials: input features are not trainable, so the input-gradient
-        GEMM, its routing spmv and the layer-0 gradient exchange are
-        skipped entirely — the only wire-traffic difference from the
-        standard engine (losses and every other step's bytes are
-        unchanged, and keyed rounding makes each step's noise independent
-        of which steps run).  The aggregated layer-0 input ``z`` is
-        recomputed per device from the store — bit-identical to the
-        forward value, since it reruns the identical split spmv on
-        unchanged inputs — instead of keeping an (N, F) buffer resident.
-        """
-        d_out = self._d
-        if d_out is None:
-            raise RuntimeError("backward_layer called before epoch_loss")
-        devices = self.devices
-        mod = devices[0].model.layers[layer]
-
-        if mod.has_post_stage:
-            if self._drop_active[layer]:
-                d_out *= self._drop_mask[layer]
-            d_out *= self._relu_mask[layer]
-            x_hat = self._x_hat[layer]
-            prod = d_out * x_hat
-            for k in range(len(devices)):
-                sl = self._own_slice(k)
-                self._acc_add(mod.norm.gamma, prod[sl].sum(axis=0))
-                self._acc_add(mod.norm.beta, d_out[sl].sum(axis=0))
-            d_out = mod.norm.input_grad(d_out, x_hat, self._inv_std[layer])
-
-        conv = mod.conv
-        if layer == 0:
-            zbuf = self._scratch("stream_z0", self._max_own, self.dims[0])
-            for k, dev in enumerate(devices):
-                ops = self.stream[k]
-                self._stream_prefetch(transport, k, features=True)
-                sl = self._own_slice(k)
-                z = zbuf[: dev.part.n_owned]
-                _spmv_into(ops.own, dev.features, z)
-                _spmv_accumulate(ops.halo, self._halo_views[0][k], z)
-                if self.model_kind == "gcn":
-                    self._acc_add(conv.linear.weight, z.T @ d_out[sl])
-                    self._acc_add(conv.linear.bias, d_out[sl].sum(axis=0))
-                else:
-                    self._acc_add(conv.root.weight, dev.features.T @ d_out[sl])
-                    self._acc_add(conv.root.bias, d_out[sl].sum(axis=0))
-                    self._acc_add(conv.neigh.weight, z.T @ d_out[sl])
-                ops.release_op_pages()
-                ops.release_feature_pages()
-            transport.complete(_PREFETCH_TAG)
+        if dx is None:
+            self._backward_layer0_stream(d_out, transport)
             self._d = None
             return
-
-        z = self._z[layer]
-        dx = self._dx[layer]
-        if self.model_kind == "gcn":
-            for k in range(len(devices)):
-                sl = self._own_slice(k)
-                self._acc_add(conv.linear.weight, z[sl].T @ d_out[sl])
-                self._acc_add(conv.linear.bias, d_out[sl].sum(axis=0))
+        conv = mod.conv
+        own = slice(0, self.total_own)
+        transform = self._transform_first[layer]
+        if transform:
+            dt = self._route_gradients(d_out, self._dt[layer], transport)
+        for k in range(len(self.devices)):
+            self._conv_partials(layer, k, d_out)
+        if transform:
+            row_matmul(dt, conv.linear.weight.data.T, out=dx)
+            d_next = dx[own]
+        elif self.model_kind == "gcn":
             d_z = row_matmul(d_out, conv.linear.weight.data.T, out=self._dz[layer])
-            self._route_gradients_stream(d_z, dx, transport)
-            d_next = dx[: self.total_own]
+            d_next = self._route_gradients(d_z, dx, transport)[own]
         else:
-            x_own = self._x[layer][: self.total_own]
-            for k in range(len(devices)):
-                sl = self._own_slice(k)
-                self._acc_add(conv.root.weight, x_own[sl].T @ d_out[sl])
-                self._acc_add(conv.root.bias, d_out[sl].sum(axis=0))
-                self._acc_add(conv.neigh.weight, z[sl].T @ d_out[sl])
             d_next = row_matmul(d_out, conv.root.weight.data.T, out=self._d_own[layer])
             d_z = row_matmul(d_out, conv.neigh.weight.data.T, out=self._dz[layer])
-            self._route_gradients_stream(d_z, dx, transport)
-            d_next += dx[: self.total_own]
+            d_next += self._route_gradients(d_z, dx, transport)[own]
 
-        d_own_views = [d_next[self._own_slice(k)] for k in range(len(devices))]
-        d_halo_views = [
-            dx[
-                self.total_own + self.halo_off[k] : self.total_own
-                + self.halo_off[k + 1]
-            ]
-            for k in range(len(devices))
-        ]
+        d_own_views = [d_next[self._own_slice(k)] for k in range(len(self.devices))]
         exchange.exchange_gradients(
-            layer, devices, transport, d_halo_views, d_own_views
+            layer, self.devices, transport, self._halo_blocks(dx), d_own_views
         )
         self._d = d_next
+
+    def _conv_partials(
+        self, layer: int, k: int, d_out: np.ndarray, z: np.ndarray | None = None
+    ) -> None:
+        """Add device ``k``'s conv-parameter partials to the accumulators.
+
+        The one site every shape forms them at, so a parameter's addends
+        are the same float32 values in the same (rank) order everywhere.
+        A transform-first weight partial is the own-rows term plus the
+        halo-rows term — two GEMMs, because the two row blocks live in
+        different buffers (at streaming layer 0, in the feature map and
+        the halo landing zone).  ``z`` overrides the persistent aggregated
+        input (streaming layer 0's recomputed scratch).
+        """
+        conv = self.devices[0].model.layers[layer].conv
+        sl = self._own_slice(k)
+        d_k = d_out[sl]
+        x_own = self._own_views[layer][k]
+        if self._transform_first[layer]:
+            dt = self._dt[layer]
+            partial = x_own.T @ dt[sl]
+            partial += self._halo_views[layer][k].T @ dt[self._halo_slice(k)]
+            self._acc_add(conv.linear.weight, partial)
+            self._acc_add(conv.linear.bias, d_k.sum(axis=0))
+            return
+        if z is None:
+            z = self._z[layer][sl]
+        if self.model_kind == "gcn":
+            self._acc_add(conv.linear.weight, z.T @ d_k)
+            self._acc_add(conv.linear.bias, d_k.sum(axis=0))
+        else:
+            self._acc_add(conv.root.weight, x_own.T @ d_k)
+            self._acc_add(conv.root.bias, d_k.sum(axis=0))
+            self._acc_add(conv.neigh.weight, z.T @ d_k)
+
+    def _route_gradients(
+        self, src: np.ndarray, out: np.ndarray, transport
+    ) -> np.ndarray:
+        """``out = Pᵀ @ src`` onto a stacked ``[owned; halo]`` buffer.
+
+        One spmv in RAM.  Streaming applies the store's per-device
+        row-split transposes: each output row of the block transpose reads
+        only its own device's ``src`` slice (the operator is
+        block-diagonal), and row splits of a CSR spmv are trivially
+        bitwise — so it equals the single ``matrix_t`` spmv row for row.
+        """
+        if self.stream is None:
+            return _spmv_into(self.matrix_t, src, out)
+        for k, ops in enumerate(self.stream):
+            self._stream_prefetch(transport, k, features=False)
+            sl = self._own_slice(k)
+            _spmv_into(ops.own_t, src[sl], out[sl])
+            _spmv_into(ops.halo_t, src[sl], out[self._halo_slice(k)])
+            ops.release_op_pages()
+        transport.complete(_PREFETCH_TAG)
+        return out
+
+    def _backward_layer0_stream(self, d_out: np.ndarray, transport) -> None:
+        """Layer 0's backward against the store: parameter partials only.
+
+        Input features are not trainable, so the input-gradient GEMM and
+        the layer-0 gradient exchange are skipped entirely — the only
+        wire-traffic difference from the in-RAM engine (losses and every
+        other step's bytes are unchanged, and keyed rounding makes each
+        step's noise independent of which steps run).  Transform-first,
+        that leaves ``dT = Pᵀ·dY`` and the two-term weight partial read
+        off the feature map; aggregate-first, ``z = P·X₀`` is recomputed
+        per device (:meth:`_aggregate_layer0_stream`).
+        """
+        if self._transform_first[0]:
+            self._route_gradients(d_out, self._dt[0], transport)
+            for k, ops in enumerate(self.stream):
+                self._conv_partials(0, k, d_out)
+                ops.release_feature_pages()
+            return
+        for k, ops in enumerate(self.stream):
+            self._stream_prefetch(transport, k, features=True)
+            self._conv_partials(0, k, d_out, z=self._aggregate_layer0_stream(k))
+            ops.release_op_pages()
+            ops.release_feature_pages()
+        transport.complete(_PREFETCH_TAG)
 
     # ------------------------------------------------------------------
     # Gradient reduction

@@ -16,15 +16,19 @@ Beyond the footnote-1 data counts, the footprint also models the
 
 * the fused engine's stacked activation/gradient buffers (both the
   standard in-RAM shape and the streaming huge-graph shape, which drops
-  the layer-0 feature-width buffers);
+  the layer-0 feature-width buffers), following each layer's operand
+  order — a transform-first GCN layer keeps ``T``/``dT`` over owned and
+  halo rows at its output width where an aggregate-first one keeps
+  ``z``/``dz`` over owned rows at its input width;
 * the exchange's decode workspaces — an A/B pair per receiving rank
   since the two-deep pipeline (PR 8), so the halo-row scratch counts
   twice;
 * the process transport's shared-memory ring slabs (two step records per
   in-flight tag, sized here at the full-precision upper bound);
 * the memmap window a streaming device faults in (its operator blocks
-  plus feature/label regions) — of which only the current and prefetched
-  device's windows are resident at once.
+  plus feature/label regions) — of which only the current device's is
+  resident at once (plus the prefetched successor's on an async
+  transport).
 
 :func:`estimate_peak_resident` folds these into one cluster-wide
 peak-RSS prediction, cross-checked against measured ``ru_maxrss`` by the
@@ -80,8 +84,8 @@ class MemoryFootprint:
     stacked_buffer_bytes: int = 0
     #: bytes of store-backed memmap regions this device faults in while
     #: its kernels run (CSR operator blocks + features + labels).  Only
-    #: meaningful in streaming mode; pages are released after use, so at
-    #: most two devices' windows (current + prefetch) are resident.
+    #: meaningful in streaming mode; pages are released after use, so one
+    #: device's window is resident (two where the successor's is prefetched).
     memmap_window_bytes: int = 0
     #: True when the device reads a memmapped partition store (huge-graph
     #: mode): features/activations at layer 0 are not resident copies.
@@ -136,16 +140,24 @@ class MemoryFootprint:
 
 
 def _stacked_bytes(
-    n: int, h: int, dims: list[int], model_kind: str, *, streaming: bool
+    n: int,
+    h: int,
+    dims: list[int],
+    model_kind: str,
+    transform_first: list[bool],
+    *,
+    streaming: bool,
 ) -> int:
     """This device's rows of the fused engine's preallocated buffers.
 
     Mirrors ``FusedClusterCompute.__init__`` exactly: every buffer there
     is a concatenation of per-device row blocks, so per-device
     attribution is the same formula with that device's ``n_owned`` /
-    ``n_halo``.  Streaming mode drops the layer-0 members (``_x[0]``,
-    ``_z[0]``, ``_dz[0]``, ``_dx[0]``, sage's ``_d_own[0]``) and keeps
-    only the layer-0 halo landing zone.
+    ``n_halo``.  Per layer, an aggregate-first conv holds ``_z``/``_dz``
+    (owned rows × input width) and a transform-first one ``_t``/``_dt``
+    (owned + halo rows × output width).  Streaming mode drops the layer-0
+    members (``_x[0]``, ``_dx[0]``, ``_z[0]``, ``_dz[0]``, sage's
+    ``_d_own[0]``) and keeps only the layer-0 halo landing zone.
     """
     r = n + h
     L = len(dims) - 1
@@ -153,10 +165,13 @@ def _stacked_bytes(
     elems = 0
     if streaming:
         elems += h * dims[0]  # _x0_halo landing zone
-    for l in range(lo, L):
-        elems += r * dims[l]  # _x[l]
-        elems += 2 * n * dims[l]  # _z[l] + _dz[l]
-        elems += r * dims[l]  # _dx[l]
+    for l in range(L):
+        if l >= lo:
+            elems += 2 * r * dims[l]  # _x[l] + _dx[l]
+        if transform_first[l]:
+            elems += 2 * r * dims[l + 1]  # _t[l] + _dt[l]
+        elif l >= lo:
+            elems += 2 * n * dims[l]  # _z[l] + _dz[l]
     elems += 2 * n * dims[-1]  # logits + d_logits
     if model_kind == "sage":
         elems += sum(n * dims[l + 1] for l in range(L))  # _neigh_out
@@ -167,6 +182,11 @@ def _stacked_bytes(
     bytes_ += post  # _relu_mask (bool)
     bytes_ += post * _F32  # _drop_mask
     return bytes_
+
+
+def _transform_first(cluster: Cluster) -> list[bool]:
+    """Each layer's operand order, read off the (shared) replica's convs."""
+    return [mod.conv.transform_first for mod in cluster.devices[0].model.layers]
 
 
 def _csr_bytes(m) -> int:
@@ -216,6 +236,7 @@ def estimate_memory(cluster: Cluster) -> list[MemoryFootprint]:
     streaming = cluster._stream_ops is not None
     is_process = getattr(cluster.transport, "kind", "") == "process"
     max_width = max(dims[:-1])
+    transform_first = _transform_first(cluster)
     footprints = []
     for k, dev in enumerate(cluster.devices):
         n = dev.n_owned
@@ -246,7 +267,7 @@ def estimate_memory(cluster: Cluster) -> list[MemoryFootprint]:
         stacked = 0
         if cluster.fused_compute:
             stacked = _stacked_bytes(
-                n, h, dims, cluster.model_kind, streaming=streaming
+                n, h, dims, cluster.model_kind, transform_first, streaming=streaming
             )
         footprints.append(
             MemoryFootprint(
@@ -270,14 +291,17 @@ def estimate_peak_resident(cluster: Cluster) -> int:
     """Predicted peak resident bytes for training on ``cluster``.
 
     Sums every device's :attr:`MemoryFootprint.resident_bytes` — except
-    the streaming memmap windows, of which only two (the running device
-    and its prefetched successor) are resident at once thanks to the
-    engine's page release, so the widest adjacent pair stands in for the
-    sum.  The streaming layer-0 aggregation scratch (one ``(max_own, F)``
-    buffer reused across devices) and the quantized exchange's staging
-    buffers are added once each — the latter assumes an adaqp-family
-    system (the common case); a vanilla run is overestimated by that
-    term, which errs on the safe side for the RAM-fit warning.
+    the streaming memmap windows, of which only the running device's is
+    resident at once thanks to the engine's page release, so the widest
+    window stands in for the sum (the widest adjacent pair on an async
+    transport, which prefetches the successor's).  The streaming layer-0
+    aggregation scratch (one ``(max_own, F)`` buffer reused across
+    devices) exists only when layer 0 aggregates first — a transform-first
+    layer 0 reads the feature map straight into ``T``, which
+    :func:`_stacked_bytes` counts.  The quantized exchange's staging
+    buffers are added once — that assumes an adaqp-family system (the
+    common case); a vanilla run is overestimated by that term, which errs
+    on the safe side for the RAM-fit warning.
 
     This is the analytic half of ``bench_huge_graph``'s estimate-vs-
     measured check; it deliberately excludes the Python interpreter
@@ -289,14 +313,13 @@ def estimate_peak_resident(cluster: Cluster) -> int:
     total += _quant_stage_bytes(cluster)
     if cluster._stream_ops is not None:
         windows = [fp.memmap_window_bytes for fp in fps]
-        if len(windows) == 1:
-            total += windows[0]
-        elif windows:
-            total += max(
-                windows[k] + windows[k + 1] for k in range(len(windows) - 1)
-            )
-        max_own = max(dev.n_owned for dev in cluster.devices)
-        total += max_own * cluster.dims[0] * _F32  # stream_z0 scratch
+        if cluster.transport.is_async and len(windows) > 1:
+            total += max(a + b for a, b in zip(windows, windows[1:]))
+        else:
+            total += max(windows)
+        if not _transform_first(cluster)[0]:
+            max_own = max(dev.n_owned for dev in cluster.devices)
+            total += max_own * cluster.dims[0] * _F32  # stream_z0 scratch
     return int(total)
 
 

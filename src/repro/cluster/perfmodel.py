@@ -4,11 +4,10 @@ Compute durations are *modelled*, not measured: NumPy on a CPU bears no
 resemblance to the V100s the paper used, while the byte counts we feed the
 link cost model are exact.  Mixing measured CPU compute with modelled
 network time would distort every communication/computation ratio the paper
-reports, so both sides of the ratio come from calibrated models
-(DESIGN.md §4.1).
+reports, so both sides of the ratio come from calibrated models.
 
 Rates are a V100 *scaled down by the same ~500-3000x factor as the
-synthetic datasets* (see DESIGN.md), preserving the paper's regime:
+synthetic datasets*, preserving the paper's regime:
 
 * dense GEMM sustains far more throughput than sparse aggregation;
 * sparse aggregation (SpMM) is memory-bound (the V100 ratio

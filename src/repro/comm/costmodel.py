@@ -29,7 +29,7 @@ __all__ = ["LinkCostModel", "fit_linear_cost"]
 # ones, so effective bandwidths are scaled down by a similar factor to keep
 # the workload in the same bandwidth-dominated regime (theta*bytes >> gamma
 # for full-precision transfers, theta*bytes ~ gamma at 2-bit) and to keep
-# epoch times at a paper-like magnitude.  See DESIGN.md "Substitutions".
+# epoch times at a paper-like magnitude.
 INTRA_THETA = 1.0 / 10.0e6  # scaled intra-machine fabric
 INTER_THETA = 1.0 / 2.5e6  # scaled cross-machine Ethernet share
 INTRA_GAMMA = 3.0e-4

@@ -2,7 +2,7 @@
 
 This subpackage replaces DGL's graph storage and the real benchmark datasets
 (Reddit, Yelp, ogbn-products, AmazonProducts), which are not available
-offline.  See DESIGN.md §1 for the substitution rationale.
+offline.
 """
 
 from repro.graph.graph import Graph

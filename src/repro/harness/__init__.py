@@ -1,7 +1,7 @@
 """Experiment harness: regenerates every table and figure of the paper.
 
-One ``run_*`` function per experiment (see DESIGN.md §3 for the
-experiment-to-module index); each returns a :class:`ExperimentResult`
+One ``run_*`` function per experiment (``repro experiment --help`` lists
+them by table/figure id); each returns a :class:`ExperimentResult`
 holding structured rows plus a rendered ASCII table.  The benchmark suite
 under ``benchmarks/`` is a thin wrapper that calls these and records
 timings; the functions are equally usable from a REPL.

@@ -14,7 +14,7 @@ pages behind itself.  The claims this bench pins:
   *equal*, not close;
 * **throughput**: epoch edges/s of the streaming arm, and its ratio to
   the materialized arm (the cost of faulting the window under the
-  kernels; prefetch hides it only when a spare core exists, so the ratio
+  kernels, which nothing hides on a synchronous transport, so the ratio
   is multi-core-gated like the other fan-out benches);
 * **estimate accuracy**: :func:`~repro.cluster.memory.estimate_peak_resident`
   vs. the measured streaming delta, reported as a signed relative error.
@@ -261,8 +261,7 @@ def bench_huge_graph(
     headline metrics are ``rss_fraction`` (streaming high-water delta
     over materialized, gated unconditionally at ≤ 0.5) and
     ``throughput_ratio`` (multi-core-gated: without a spare core the
-    prefetch touch runs inline and the ratio measures the page-fault
-    tax, not the design).
+    ratio measures the page-fault tax, not the design).
     """
     from repro.comm.transport import detected_cores
 

@@ -164,10 +164,9 @@ _GATED_METRICS = (
     # pipeline, full epochs on the worker transport (multi-core only).
     ("pipeline_depth", "speedup"),
     # PR 10: streaming (memmap) epochs vs the materialized in-RAM arm.
-    # Multi-core only — without a spare core the page prefetch runs
-    # inline and the ratio measures the fault tax, not the overlap.  The
-    # section's RSS fraction and equivalence flags are gated
-    # unconditionally below.
+    # Multi-core only — without a spare core the ratio measures the
+    # page-fault tax, not the design.  The section's RSS fraction and
+    # equivalence flags are gated unconditionally below.
     ("huge_graph", "throughput_ratio"),
 )
 

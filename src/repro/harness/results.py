@@ -2,8 +2,7 @@
 
 Every harness function returns an :class:`ExperimentResult`; benchmarks
 persist them under ``benchmarks/results/`` (JSON for the structured data,
-``.txt`` for the rendered table) so EXPERIMENTS.md can be assembled from a
-complete benchmark run.
+``.txt`` for the rendered table), one pair per table or figure.
 """
 
 from __future__ import annotations

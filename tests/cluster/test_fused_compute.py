@@ -30,6 +30,14 @@ from repro.graph.partition.book import PartitionBook, build_local_partitions
 from repro.nn.losses import softmax_cross_entropy
 
 
+#: The layer-shape axis.  ``tiny_dataset`` is 48 features → 24 classes, so
+#: hidden 8 gives a narrowing first layer (transform-first; the other two
+#: aggregate first) and hidden 64 the reverse (only the 64 → 24 output
+#: layer transforms first) — both operand orders of the GCN rule run at
+#: every layer position.  SAGE always aggregates first.
+HIDDEN_SHAPES = [8, 64]
+
+
 def _book(dataset, parts):
     if parts == 1:
         return PartitionBook(
@@ -52,12 +60,14 @@ def _make_exchange(name):
     return FusedQuantizedHaloExchange(FixedBitProvider(4), np.random.default_rng(123))
 
 
-def _run_epochs(dataset, book, *, model_kind, fused, exchange_name, epochs=3):
+def _run_epochs(
+    dataset, book, *, model_kind, fused, exchange_name, epochs=3, hidden_dim=8
+):
     cluster = Cluster(
         dataset,
         book,
         model_kind=model_kind,
-        hidden_dim=8,
+        hidden_dim=hidden_dim,
         num_layers=3,
         dropout=0.5,
         seed=7,
@@ -77,16 +87,16 @@ def _run_epochs(dataset, book, *, model_kind, fused, exchange_name, epochs=3):
 @pytest.mark.parametrize("model_kind", ["gcn", "sage"])
 @pytest.mark.parametrize("parts", [1, 2, 4])
 @pytest.mark.parametrize("exchange_name", ["exact", "quantized"])
+@pytest.mark.parametrize("hidden", HIDDEN_SHAPES)
 def test_losses_gradients_metrics_identical(
-    tiny_dataset, model_kind, parts, exchange_name
+    tiny_dataset, model_kind, parts, exchange_name, hidden
 ):
     book = _book(tiny_dataset, parts)
-    fused = _run_epochs(
-        tiny_dataset, book, model_kind=model_kind, fused=True, exchange_name=exchange_name
+    kwargs = dict(
+        model_kind=model_kind, exchange_name=exchange_name, hidden_dim=hidden
     )
-    legacy = _run_epochs(
-        tiny_dataset, book, model_kind=model_kind, fused=False, exchange_name=exchange_name
-    )
+    fused = _run_epochs(tiny_dataset, book, fused=True, **kwargs)
+    legacy = _run_epochs(tiny_dataset, book, fused=False, **kwargs)
     assert fused[0] == legacy[0], "losses diverged"
     for gf, gl in zip(fused[1], legacy[1]):
         assert np.array_equal(gf, gl), "reduced gradients diverged"
@@ -96,18 +106,19 @@ def test_losses_gradients_metrics_identical(
 
 
 @pytest.mark.parametrize("exchange_name", ["stale", "broadcast"])
-def test_baseline_exchanges_identical(tiny_dataset, exchange_name):
+@pytest.mark.parametrize("hidden", HIDDEN_SHAPES)
+def test_baseline_exchanges_identical(tiny_dataset, exchange_name, hidden):
     """The stale/broadcast baselines cache posted payloads across epochs,
     so they are the exchanges most exposed to the engine's buffer reuse —
     their trajectories must match the legacy path exactly too."""
     book = _book(tiny_dataset, 4)
     fused = _run_epochs(
         tiny_dataset, book, model_kind="gcn", fused=True,
-        exchange_name=exchange_name, epochs=4,
+        exchange_name=exchange_name, epochs=4, hidden_dim=hidden,
     )
     legacy = _run_epochs(
         tiny_dataset, book, model_kind="gcn", fused=False,
-        exchange_name=exchange_name, epochs=4,
+        exchange_name=exchange_name, epochs=4, hidden_dim=hidden,
     )
     assert fused[0] == legacy[0]
     for gf, gl in zip(fused[1], legacy[1]):
@@ -116,8 +127,9 @@ def test_baseline_exchanges_identical(tiny_dataset, exchange_name):
     assert fused[3] == legacy[3]
 
 
-def test_accuracy_curves_identical_via_trainer(tiny_dataset, tiny_book):
-    cfg = RunConfig(epochs=8, hidden_dim=8, eval_every=2, reassign_period=4)
+@pytest.mark.parametrize("hidden", HIDDEN_SHAPES)
+def test_accuracy_curves_identical_via_trainer(tiny_dataset, tiny_book, hidden):
+    cfg = RunConfig(epochs=8, hidden_dim=hidden, eval_every=2, reassign_period=4)
     fused = train("adaqp-fixed", tiny_dataset, tiny_book, "2M-2D", cfg)
     legacy = train(
         "adaqp-fixed",
@@ -169,7 +181,8 @@ def test_fused_compute_is_default(tiny_dataset, tiny_book):
     assert legacy._engine is None
 
 
-def test_engine_buffers_do_not_leak_between_epochs(tiny_dataset):
+@pytest.mark.parametrize("hidden", HIDDEN_SHAPES)
+def test_engine_buffers_do_not_leak_between_epochs(tiny_dataset, hidden):
     """Eval passes share the engine's stacked buffers with training; the
     reuse must be invisible — training trajectories with and without
     interleaved evals are identical."""
@@ -177,8 +190,8 @@ def test_engine_buffers_do_not_leak_between_epochs(tiny_dataset):
 
     def losses(with_eval):
         cluster = Cluster(
-            tiny_dataset, book, hidden_dim=8, num_layers=2, dropout=0.0, seed=0,
-            fused_compute=True,
+            tiny_dataset, book, hidden_dim=hidden, num_layers=2, dropout=0.0,
+            seed=0, fused_compute=True,
         )
         exchange = ExactHaloExchange()
         out = []
@@ -189,6 +202,79 @@ def test_engine_buffers_do_not_leak_between_epochs(tiny_dataset):
         return out
 
     assert losses(True) == losses(False)
+
+
+# ----------------------------------------------------------------------
+# Sparse-product width: a count, not a timing
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def sage_store(tmp_path_factory):
+    """``huge_store``'s shape with the SAGE operator (stores bake it in)."""
+    from repro.graph.generators import HugeGraphConfig
+    from repro.graph.io import build_partition_store
+
+    cfg = HugeGraphConfig(
+        num_nodes=1500, avg_degree=6.0, num_features=24, num_classes=7,
+        num_communities=12, chunk_nodes=512, chunk_edges=4096,
+    )
+    path = tmp_path_factory.mktemp("sagestore") / "store"
+    return build_partition_store(cfg, 4, path, seed=11, agg_kind="sage")
+
+
+@pytest.mark.parametrize("model_kind", ["gcn", "sage"])
+@pytest.mark.parametrize(
+    "shape,hidden",
+    # Both operand orders at layer 0 and at the output layer, per shape:
+    # tiny_dataset is 48 → h → h → 24, the stores are 24 → h → h → 7.
+    [
+        ("standard", 8), ("standard", 64),
+        ("overlap", 8), ("overlap", 64),
+        ("stream", 16), ("stream", 32),
+    ],
+)
+def test_spmv_count_follows_operand_order(
+    monkeypatch, tiny_dataset, huge_store, sage_store, model_kind, shape, hidden
+):
+    """One training epoch's sparse multiply-adds, Σ nnz × n_vecs over every
+    ``csr_matvecs`` call, equal the first-principles count in all three
+    fused shapes: ``2·Σ_l nnz·min(d_l, d_{l+1})`` for GCN (each layer
+    aggregates at the narrower of its two widths, forward and backward)
+    and ``2·Σ_l nnz·d_l`` for SAGE (always the input width).  This is what
+    keeps a later refactor from silently widening a product again."""
+    from repro.cluster import compute
+
+    if shape == "stream":
+        store = huge_store if model_kind == "gcn" else sage_store
+        dataset, book = store.dataset(), store.book()
+    else:
+        dataset, book = tiny_dataset, _book(tiny_dataset, 4)
+    cluster = Cluster(
+        dataset, book, model_kind=model_kind, hidden_dim=hidden, num_layers=3,
+        dropout=0.5, seed=0, overlap=(shape == "overlap"), transport="sync",
+    )
+    assert cluster.overlap == (shape == "overlap")
+    engine = cluster._compute_engine()
+    if shape == "overlap":
+        engine.overlap_plan()
+    nnz = sum(dev.agg.nnz for dev in cluster.devices)
+
+    counted = []
+    kernel = compute._csr_matvecs
+
+    def spy(n_row, n_col, n_vecs, indptr, indices, data, x, y):
+        counted.append(data.shape[0] * n_vecs)
+        return kernel(n_row, n_col, n_vecs, indptr, indices, data, x, y)
+
+    monkeypatch.setattr(compute, "_csr_matvecs", spy)
+    cluster.train_epoch(ExactHaloExchange(), 0)
+    cluster.close()
+
+    dims = cluster.dims
+    if model_kind == "gcn":
+        widths = [min(a, b) for a, b in zip(dims, dims[1:])]
+    else:
+        widths = dims[:-1]
+    assert sum(counted) == 2 * nnz * sum(widths)
 
 
 # ----------------------------------------------------------------------

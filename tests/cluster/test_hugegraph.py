@@ -41,21 +41,35 @@ def _run_cfg(**overrides):
     return RunConfig(**base)
 
 
+@pytest.fixture(scope="module", params=[16, 32])
+def hidden(request):
+    """The layer-shape axis: ``huge_store`` is 24 features → 7 classes, so
+    hidden 16 streams layer 0 transform-first (``T = features_k·W`` off
+    the memmap, no ``stream_z0`` scratch, no backward recompute) and
+    hidden 32 aggregate-first (the scratch-and-recompute branch); the
+    output layer transforms first in both."""
+    return request.param
+
+
 @pytest.fixture(scope="module")
-def stream_run(huge_store):
+def stream_run(huge_store, hidden):
     """The reference arm: adaqp over the memmapped store, sync transport."""
     return train(
-        "adaqp", huge_store.dataset(), huge_store.book(), "2M-2D", _run_cfg()
+        "adaqp",
+        huge_store.dataset(),
+        huge_store.book(),
+        "2M-2D",
+        _run_cfg(hidden_dim=hidden),
     )
 
 
-def test_stream_matches_materialized_bitwise(huge_store, stream_run):
+def test_stream_matches_materialized_bitwise(huge_store, stream_run, hidden):
     inram = train(
         "adaqp",
         huge_store.dataset(materialize=True),
         huge_store.book(),
         "2M-2D",
-        _run_cfg(),
+        _run_cfg(hidden_dim=hidden),
     )
     assert stream_run.curve_loss == inram.curve_loss
     assert stream_run.wire_bytes_total == inram.wire_bytes_total
@@ -126,7 +140,7 @@ def _reconstruct_global_dataset(store):
 
 
 @pytest.mark.parametrize("system", ["vanilla", "adaqp-fixed"])
-def test_stream_matches_standard_engine(huge_store, system):
+def test_stream_matches_standard_engine(huge_store, system, hidden):
     """The streaming engine vs. the ordinary in-RAM path on the same graph.
 
     ``overlap=False`` pins both runs to the plain schedule; the streaming
@@ -135,7 +149,7 @@ def test_stream_matches_standard_engine(huge_store, system):
     system here: vanilla sends exact payloads both ways and adaqp-fixed's
     layer-0 gradients never feed a parameter update.
     """
-    cfg = _run_cfg(overlap=False)
+    cfg = _run_cfg(overlap=False, hidden_dim=hidden)
     streamed = train(
         system, huge_store.dataset(), huge_store.book(), "2M-2D", cfg
     )
@@ -147,16 +161,55 @@ def test_stream_matches_standard_engine(huge_store, system):
 
 
 @pytest.mark.parametrize("spec", ["worker:2", "process:2"])
-def test_stream_transports_bitwise(huge_store, stream_run, spec):
+def test_stream_transports_bitwise(huge_store, stream_run, spec, hidden):
     run = train(
         "adaqp",
         huge_store.dataset(),
         huge_store.book(),
         "2M-2D",
-        _run_cfg(transport=spec),
+        _run_cfg(transport=spec, hidden_dim=hidden),
     )
     assert run.curve_loss == stream_run.curve_loss
     assert run.wire_bytes_total == stream_run.wire_bytes_total
+
+
+def test_page_prefetch_runs_only_under_an_async_transport(
+    huge_store, hidden, monkeypatch
+):
+    """On a synchronous transport the next device's pages are not
+    pre-touched — inline, that is a second walk over pages the next kernel
+    faults in anyway, and two resident windows instead of one.  An async
+    transport still gets the jobs, and either way the losses are the same."""
+    from repro.cluster.cluster import Cluster
+    from repro.cluster.exchange import ExactHaloExchange
+    from repro.comm.transport import SyncTransport
+    from repro.graph.io import DeviceStreamOps
+
+    touched = []
+    for name in ("touch", "touch_ops"):
+        monkeypatch.setattr(
+            DeviceStreamOps, name, lambda self, name=name: touched.append(name)
+        )
+
+    class AsyncFlagged(SyncTransport):
+        is_async = True  # defer() still runs the job inline
+
+    def losses(transport_cls):
+        with Cluster(
+            huge_store.dataset(), huge_store.book(), hidden_dim=hidden,
+            num_layers=2, dropout=0.0, seed=0,
+        ) as cluster:
+            cluster.transport = transport_cls(cluster.num_devices)
+            exchange = ExactHaloExchange()
+            return [cluster.train_epoch(exchange, e).loss for e in range(2)]
+
+    plain = losses(SyncTransport)
+    assert touched == []
+    assert losses(AsyncFlagged) == plain
+    # Feature pages are pre-touched only where a loop reads *and* releases
+    # them: aggregate-first layer 0 (hidden 32 on this 24-feature store).
+    assert "touch_ops" in touched
+    assert ("touch" in touched) == (hidden == 32)
 
 
 def test_streaming_estimate_below_materialized(huge_store):
@@ -179,8 +232,8 @@ def test_streaming_estimate_below_materialized(huge_store):
         fps = estimate_memory(cluster)
         assert all(fp.streaming for fp in fps)
         assert all(fp.memmap_window_bytes > 0 for fp in fps)
-        # Only two windows are resident at once: the peak estimate must
-        # undercut the naive all-windows sum whenever there are > 2 parts.
+        # Only one window is resident at once: the peak estimate must
+        # undercut the naive all-windows sum whenever there are > 1 parts.
         naive = sum(fp.resident_bytes for fp in fps)
         assert estimate_peak_resident(cluster) < naive + huge_store.materialized_bytes()
     finally:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster.cluster import Cluster
+from repro.cluster.exchange import ExactHaloExchange
 from repro.cluster.memory import (
     estimate_memory,
     estimate_peak_resident,
@@ -74,6 +75,57 @@ def test_stacked_buffers_counted_for_fused_engine(cluster):
             + fp.decode_workspace_bytes + fp.shm_slab_bytes
             + fp.feature_bytes + fp.stacked_buffer_bytes
         )
+
+
+def _engine_buffer_bytes(engine):
+    """Bytes of every stacked buffer ``FusedClusterCompute.__init__`` holds."""
+    lists = [
+        engine._x, engine._dx, engine._z, engine._dz, engine._t, engine._dt,
+        engine._x_hat, engine._relu_mask, engine._drop_mask,
+        [engine.logits, engine._d_logits, engine._x0_halo],
+        getattr(engine, "_neigh_out", []), getattr(engine, "_d_own", []),
+    ]
+    return sum(buf.nbytes for bufs in lists for buf in bufs if buf is not None)
+
+
+@pytest.mark.parametrize("model_kind", ["gcn", "sage"])
+@pytest.mark.parametrize("hidden", [8, 64], ids=["transform-l0", "aggregate-l0"])
+def test_stacked_estimate_is_the_engines_allocation(tiny_dataset, model_kind, hidden):
+    """Both operand orders: a transform-first layer holds T/dT over owned +
+    halo rows at its output width, an aggregate-first one z/dz over owned
+    rows at its input width — the estimate follows the engine exactly."""
+    book = partition_graph(tiny_dataset.graph, 4, method="metis", seed=0)
+    with Cluster(tiny_dataset, book, model_kind=model_kind, hidden_dim=hidden,
+                 num_layers=3, dropout=0.0, seed=0) as c:
+        estimated = sum(fp.stacked_buffer_bytes for fp in estimate_memory(c))
+        assert estimated == _engine_buffer_bytes(c._compute_engine())
+
+
+@pytest.mark.parametrize("hidden", [16, 32], ids=["transform-l0", "aggregate-l0"])
+def test_streaming_estimate_follows_operand_order(huge_store, hidden):
+    """Streaming: same identity, and the feature-width ``stream_z0``
+    scratch is charged only when layer 0 still aggregates first; on the
+    synchronous transport one memmap window is resident, not a pair."""
+    with Cluster(huge_store.dataset(), huge_store.book(), model_kind="gcn",
+                 hidden_dim=hidden, num_layers=2, dropout=0.0, seed=0) as c:
+        fps = estimate_memory(c)
+        engine = c._compute_engine()
+        assert sum(fp.stacked_buffer_bytes for fp in fps) == _engine_buffer_bytes(engine)
+        send_rows = sum(dev.part.n_halo for dev in c.devices)
+        quant_stage = send_rows * (sum(c.dims[:-1]) + sum(c.dims[1:-1])) * 5
+        scratch = 0
+        if not engine._transform_first[0]:
+            scratch = max(dev.n_owned for dev in c.devices) * c.dims[0] * 4
+        assert not c.transport.is_async
+        assert estimate_peak_resident(c) == (
+            sum(fp.resident_bytes - fp.memmap_window_bytes for fp in fps)
+            + max(fp.memmap_window_bytes for fp in fps) + quant_stage + scratch
+        )
+        assert (scratch == 0) == (hidden == 16)
+        # ... and the engine really allocates it on that branch only.
+        c.train_epoch(ExactHaloExchange(), 0)
+        allocated = any(key[0] == "stream_z0" for key in engine._scratch_bufs)
+        assert allocated == (scratch > 0)
 
 
 def test_legacy_executor_resident_falls_back(tiny_dataset):

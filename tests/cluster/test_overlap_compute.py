@@ -28,6 +28,13 @@ from repro.graph.partition.api import partition_graph
 from repro.graph.partition.book import PartitionBook
 
 
+#: The layer-shape axis (see tests/cluster/test_fused_compute.py): on the
+#: 48-feature / 24-class ``tiny_dataset`` hidden 8 makes GCN's first layer
+#: transform first, hidden 64 its output layer — every matrix below runs
+#: both operand orders at every position of the pipeline.
+HIDDEN_SHAPES = [8, 64]
+
+
 def _book(dataset, parts):
     if parts == 1:
         return PartitionBook(
@@ -56,13 +63,13 @@ def _make_exchange(name, rng_mode="stream"):
 def _run_epochs(
     dataset, book, *, model_kind, overlap, exchange_name, epochs=3,
     transport="sync", pipeline_depth=2, timeline_keep=None,
-    rng_mode="stream", transport_cls=None,
+    rng_mode="stream", transport_cls=None, hidden_dim=8,
 ):
     cluster = Cluster(
         dataset,
         book,
         model_kind=model_kind,
-        hidden_dim=8,
+        hidden_dim=hidden_dim,
         num_layers=3,
         dropout=0.5,
         seed=7,
@@ -92,17 +99,18 @@ def _run_epochs(
 @pytest.mark.parametrize(
     "exchange_name", ["exact", "quantized", "stale", "broadcast"]
 )
+@pytest.mark.parametrize("hidden", HIDDEN_SHAPES)
 def test_overlap_bitwise_identical_to_fused(
-    tiny_dataset, model_kind, parts, exchange_name
+    tiny_dataset, model_kind, parts, exchange_name, hidden
 ):
     book = _book(tiny_dataset, parts)
     pipe = _run_epochs(
         tiny_dataset, book, model_kind=model_kind, overlap=True,
-        exchange_name=exchange_name,
+        exchange_name=exchange_name, hidden_dim=hidden,
     )
     fused = _run_epochs(
         tiny_dataset, book, model_kind=model_kind, overlap=False,
-        exchange_name=exchange_name,
+        exchange_name=exchange_name, hidden_dim=hidden,
     )
     assert pipe[0] == fused[0], "losses diverged"
     for gp, gf in zip(pipe[1], fused[1]):
@@ -116,8 +124,9 @@ def test_overlap_bitwise_identical_to_fused(
 @pytest.mark.parametrize(
     "exchange_name", ["exact", "quantized", "stale", "broadcast"]
 )
+@pytest.mark.parametrize("hidden", HIDDEN_SHAPES)
 def test_async_transport_bitwise_identical_to_sync(
-    tiny_dataset, model_kind, parts, exchange_name
+    tiny_dataset, model_kind, parts, exchange_name, hidden
 ):
     """ISSUE 4's contract: the worker-backed transport is an execution
     shape, not a numerics change — losses, reduced gradients, wire bytes
@@ -125,7 +134,10 @@ def test_async_transport_bitwise_identical_to_sync(
     (same reduction order: the worker produces, the main thread alone
     collects and accumulates in device order)."""
     book = _book(tiny_dataset, parts)
-    kwargs = dict(model_kind=model_kind, overlap=True, exchange_name=exchange_name)
+    kwargs = dict(
+        model_kind=model_kind, overlap=True, exchange_name=exchange_name,
+        hidden_dim=hidden,
+    )
     asy = _run_epochs(tiny_dataset, book, transport="worker", **kwargs)
     syn = _run_epochs(tiny_dataset, book, transport="sync", **kwargs)
     assert asy[0] == syn[0], "losses diverged"
@@ -178,8 +190,9 @@ class _ShuffledTransport(Transport):
     "exchange_name", ["exact", "quantized", "stale", "broadcast"]
 )
 @pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize("hidden", HIDDEN_SHAPES)
 def test_keyed_rng_order_independent_across_worker_counts(
-    tiny_dataset, exchange_name, workers
+    tiny_dataset, exchange_name, workers, hidden
 ):
     """ISSUE 5's acceptance property: with rng_mode="keyed", losses,
     reduced gradients, wire bytes and eval metrics are bitwise-identical
@@ -190,7 +203,7 @@ def test_keyed_rng_order_independent_across_worker_counts(
     book = _book(tiny_dataset, 4)
     kwargs = dict(
         model_kind="gcn", overlap=True, exchange_name=exchange_name,
-        rng_mode="keyed",
+        rng_mode="keyed", hidden_dim=hidden,
     )
     baseline = _run_epochs(tiny_dataset, book, transport="sync", **kwargs)
     arm = _run_epochs(
@@ -207,8 +220,9 @@ def test_keyed_rng_order_independent_across_worker_counts(
     "exchange_name", ["exact", "quantized", "stale", "broadcast"]
 )
 @pytest.mark.parametrize("spec", ["process:2", "process:4"])
+@pytest.mark.parametrize("hidden", HIDDEN_SHAPES)
 def test_keyed_rng_process_transport_matches_sync(
-    tiny_dataset, exchange_name, spec
+    tiny_dataset, exchange_name, spec, hidden
 ):
     """ISSUE 6's acceptance property: the process-backed transport — encode
     shards and per-receiver decodes in worker *processes*, payloads over
@@ -220,7 +234,7 @@ def test_keyed_rng_process_transport_matches_sync(
     book = _book(tiny_dataset, 4)
     kwargs = dict(
         model_kind="gcn", overlap=True, exchange_name=exchange_name,
-        rng_mode="keyed",
+        rng_mode="keyed", hidden_dim=hidden,
     )
     baseline = _run_epochs(tiny_dataset, book, transport="sync", **kwargs)
     arm = _run_epochs(tiny_dataset, book, transport=spec, **kwargs)
@@ -288,14 +302,17 @@ def test_legacy_transport_knobs_are_gone():
 
 
 @pytest.mark.parametrize("exchange_name", ["exact", "quantized"])
-def test_keyed_rng_survives_shuffled_job_retirement(tiny_dataset, exchange_name):
+@pytest.mark.parametrize("hidden", HIDDEN_SHAPES)
+def test_keyed_rng_survives_shuffled_job_retirement(
+    tiny_dataset, exchange_name, hidden
+):
     """Shuffled job-retirement order: running every deferred job (encode
     shards and decode followups) in reverse submission order must leave
     the training trajectory bitwise-unchanged under keyed rounding."""
     book = _book(tiny_dataset, 4)
     kwargs = dict(
         model_kind="gcn", overlap=True, exchange_name=exchange_name,
-        rng_mode="keyed",
+        rng_mode="keyed", hidden_dim=hidden,
     )
     plain = _run_epochs(tiny_dataset, book, transport="sync", **kwargs)
     shuffled = _run_epochs(
@@ -317,16 +334,17 @@ def test_keyed_rng_survives_shuffled_job_retirement(tiny_dataset, exchange_name)
 _DEPTH_BASELINES: dict = {}
 
 
-def _depth_baseline(tiny_dataset, exchange_name):
+def _depth_baseline(tiny_dataset, exchange_name, hidden):
     """Depth-1 sync run — the anchor every (depth, backend) arm must hit."""
-    if exchange_name not in _DEPTH_BASELINES:
+    key = (exchange_name, hidden)
+    if key not in _DEPTH_BASELINES:
         book = _book(tiny_dataset, 4)
-        _DEPTH_BASELINES[exchange_name] = _run_epochs(
+        _DEPTH_BASELINES[key] = _run_epochs(
             tiny_dataset, book, model_kind="gcn", overlap=True,
             exchange_name=exchange_name, rng_mode="keyed",
-            transport="sync", pipeline_depth=1,
+            transport="sync", pipeline_depth=1, hidden_dim=hidden,
         )
-    return _DEPTH_BASELINES[exchange_name]
+    return _DEPTH_BASELINES[key]
 
 
 @pytest.mark.parametrize(
@@ -334,8 +352,9 @@ def _depth_baseline(tiny_dataset, exchange_name):
 )
 @pytest.mark.parametrize("spec", ["sync", "worker:4", "process:2"])
 @pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("hidden", HIDDEN_SHAPES)
 def test_pipeline_depth_matrix_bitwise_identical(
-    tiny_dataset, exchange_name, spec, depth
+    tiny_dataset, exchange_name, spec, depth, hidden
 ):
     """PR 8's acceptance matrix: pipeline_depth in {1, 2} x {sync,
     worker:4, process:2} x every exchange policy is bitwise-identical —
@@ -346,11 +365,11 @@ def test_pipeline_depth_matrix_bitwise_identical(
     strictly ordered, so keyed rounding and collect's sort-by-source
     anchor pin the numerics."""
     book = _book(tiny_dataset, 4)
-    baseline = _depth_baseline(tiny_dataset, exchange_name)
+    baseline = _depth_baseline(tiny_dataset, exchange_name, hidden)
     arm = _run_epochs(
         tiny_dataset, book, model_kind="gcn", overlap=True,
         exchange_name=exchange_name, rng_mode="keyed",
-        transport=spec, pipeline_depth=depth,
+        transport=spec, pipeline_depth=depth, hidden_dim=hidden,
     )
     assert arm[0] == baseline[0], "losses diverged"
     for ga, gb in zip(arm[1], baseline[1]):
@@ -579,8 +598,9 @@ def test_non_overlap_record_has_no_timelines(tiny_dataset, tiny_book):
     assert record.hidden_byte_fraction() == 0.0
 
 
-def test_trainer_defaults_overlap_for_adaqp_variants(tiny_dataset, tiny_book):
-    cfg = RunConfig(epochs=6, hidden_dim=8, eval_every=2, reassign_period=4)
+@pytest.mark.parametrize("hidden", HIDDEN_SHAPES)
+def test_trainer_defaults_overlap_for_adaqp_variants(tiny_dataset, tiny_book, hidden):
+    cfg = RunConfig(epochs=6, hidden_dim=hidden, eval_every=2, reassign_period=4)
     pipe = train("adaqp-fixed", tiny_dataset, tiny_book, "2M-2D", cfg)
     plain = train(
         "adaqp-fixed", tiny_dataset, tiny_book, "2M-2D",
@@ -629,14 +649,17 @@ def test_overlap_requires_fused_compute(tiny_dataset, tiny_book):
     assert record.timelines == []
 
 
-def test_overlap_buffers_survive_interleaved_evals(tiny_dataset):
+@pytest.mark.parametrize("hidden", HIDDEN_SHAPES)
+def test_overlap_buffers_survive_interleaved_evals(tiny_dataset, hidden):
     """Eval passes run the non-overlapped forward on the same engine
-    buffers; the sharing must be invisible to training trajectories."""
+    buffers (a transform-first layer's ``T`` and its in-place ``P·T``
+    output rows included); the sharing must be invisible to training
+    trajectories."""
     book = _book(tiny_dataset, 4)
 
     def losses(with_eval):
         cluster = Cluster(
-            tiny_dataset, book, hidden_dim=8, num_layers=2, dropout=0.5, seed=0,
+            tiny_dataset, book, hidden_dim=hidden, num_layers=2, dropout=0.5, seed=0,
             fused_compute=True, overlap=True,
         )
         exchange = ExactHaloExchange()
