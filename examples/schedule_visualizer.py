@@ -10,14 +10,18 @@ the overlap structure visible: AdaQP's communication bar shrinks
 Run:  python examples/schedule_visualizer.py
 """
 
-import numpy as np
-
-from repro.cluster import Cluster, ExactHaloExchange, FixedBitProvider, QuantizedHaloExchange
+from repro.cluster import (
+    Cluster,
+    ExactHaloExchange,
+    FixedBitProvider,
+    FusedQuantizedHaloExchange,
+)
 from repro.cluster.perfmodel import PerfModel
 from repro.comm.costmodel import LinkCostModel
 from repro.comm.topology import parse_topology
 from repro.core.scheduler import SCHEDULES
 from repro.graph import load_dataset, partition_graph
+from repro.quant import KeyedRounding
 
 BAR_WIDTH = 64
 
@@ -43,7 +47,7 @@ def main() -> None:
 
     exact_record = one_epoch(ExactHaloExchange())
     quant_record = one_epoch(
-        QuantizedHaloExchange(FixedBitProvider(2), np.random.default_rng(0))
+        FusedQuantizedHaloExchange(FixedBitProvider(2), KeyedRounding(0))
     )
 
     results = {

@@ -17,11 +17,9 @@ Commands
     Run one of the harness's table/figure regenerations by id
     (``table1`` ... ``table8``, ``fig02`` ... ``fig11``, ``ablation-*``,
     ``footnote1``) and print the rendered table.
-``bench``
-    Run the fused-engine performance benchmarks (exchange encode/decode
-    throughput, compute spmv/GEMM throughput, end-to-end epoch speedups),
-    write ``BENCH_perf.json`` and optionally gate against a baseline (the
-    CI perf-smoke job).
+
+Performance is measured by ``python3 benchmarks/e2e/run.py`` (the
+benchmark ``BENCHMARK.json`` declares), not by a subcommand here.
 """
 
 from __future__ import annotations
@@ -105,15 +103,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--period", type=int, default=16)
     p_train.add_argument("--seed", type=int, default=0)
     p_train.add_argument(
-        "--no-fused-compute", action="store_true",
-        help="escape hatch: run the legacy per-device layer loop instead of "
-             "the cluster-fused compute engine (bit-identical, slower)")
-    p_train.add_argument(
         "--no-overlap", action="store_true",
-        help="escape hatch: disable the split-phase central/marginal "
-             "pipelined executor (adaqp variants overlap by default; "
-             "bit-identical, but epoch records then carry no measured "
-             "stage timelines)")
+        help="disable the split-phase central/marginal pipelined executor "
+             "(adaqp variants overlap by default; bit-identical, but epoch "
+             "records then carry no measured stage timelines)")
     p_train.add_argument(
         "--transport", default=None, metavar="SPEC",
         help="transport backend spec 'backend[:workers]': auto (default), "
@@ -125,22 +118,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--pipeline-depth", type=int, default=None, choices=(1, 2),
         metavar="D",
         help="split-phase pipeline depth: 2 (default) keeps two exchange "
-             "steps in flight via cross-step lookahead; 1 restores the "
+             "steps in flight via cross-step lookahead; 1 runs the "
              "one-tag-deep Fig. 7 pipeline (bit-identical, exposes the "
              "encode tail on multi-core hosts)")
     p_train.add_argument(
-        "--rng-mode", default="keyed", choices=("keyed", "stream"),
-        help="stochastic-rounding noise source: 'keyed' (default) derives "
-             "each message's noise from its (epoch, phase, layer, src, dst) "
-             "coordinates, so results are independent of execution order "
-             "and worker count; 'stream' restores the legacy shared "
-             "sequential generator (the pre-PR-5 bitwise contract)")
-    p_train.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",
         help="save an epoch-boundary checkpoint under DIR (model, "
-             "optimizer, RNG positions, exchange carry-over); with "
-             "--rng-mode keyed a killed-and-resumed run is bitwise "
-             "identical to the uninterrupted one")
+             "optimizer, RNG positions, exchange carry-over); a "
+             "killed-and-resumed run is bitwise identical to the "
+             "uninterrupted one")
     p_train.add_argument(
         "--resume", action="store_true",
         help="restore from the newest checkpoint in --checkpoint-dir "
@@ -199,23 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment", help="regenerate a paper table/figure")
     p_exp.add_argument("id", choices=sorted(_EXPERIMENTS))
-
-    p_bench = sub.add_parser(
-        "bench", help="benchmark the fused exchange + compute engines (wall-clock)"
-    )
-    p_bench.add_argument(
-        "--quick", action="store_true",
-        help="smaller reps/epochs for CI smoke runs")
-    p_bench.add_argument(
-        "--output", default="BENCH_perf.json",
-        help="where to write the JSON report (default: ./BENCH_perf.json)")
-    p_bench.add_argument(
-        "--baseline", default=None,
-        help="baseline BENCH_perf.json to gate speedup ratios against")
-    p_bench.add_argument(
-        "--max-regression", type=float, default=0.2,
-        help="allowed fractional speedup regression vs. baseline (default 0.2)")
-    p_bench.add_argument("--seed", type=int, default=0)
 
     return parser
 
@@ -282,10 +251,10 @@ def _cmd_info() -> int:
               "exceeds this)")
     print(f"backends: {', '.join(available_backends())} "
           "(select with --transport backend[:workers])")
-    print(f"defaults: rng_mode={cfg.rng_mode}; transport={cfg.transport} — "
+    print(f"defaults: transport={cfg.transport} — "
           f"overlapped runs resolve to '{resolved}', i.e. {async_default}")
     print("          (override: --transport sync|worker[:N]|process[:N], "
-          "--rng-mode, --no-overlap)")
+          "--no-overlap)")
 
     # Last-run transport health (written by `repro train`): worker exit
     # codes, pool respawns and fault-recovery counters.
@@ -317,13 +286,10 @@ def _cmd_info() -> int:
     return 0
 
 
-def _overlap_rows(result) -> list[list[str]]:
-    """Measured-overlap table rows, derived from the full-run summary.
-
-    The aggregate ``TimelineSummary`` covers every executed step, so the
-    numbers stay accurate even when ``timeline_history`` has capped the
-    retained ``recent_timelines`` list.
-    """
+def _overlap_rows(result, depth: int) -> list[list[str]]:
+    """Measured-overlap table rows, derived from the full-run summary
+    (which covers every executed step); ``depth`` is the configured
+    pipeline depth."""
     summary = result.timeline_summary
     if not summary.steps:
         return []
@@ -332,7 +298,6 @@ def _overlap_rows(result) -> list[list[str]]:
         + summary.dequantize_s + summary.marginal_s
     )
     wait_share = summary.worker_wait_s / max(stage_total, 1e-12)
-    depth = max((t.pipeline_depth for t in result.recent_timelines), default=1)
     return [
         [
             "measured overlap",
@@ -410,10 +375,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
         reassign_period=args.period,
         seed=args.seed,
         eval_every=max(1, args.epochs // 8),
-        fused_compute=not args.no_fused_compute,
         overlap=not args.no_overlap,
         transport=args.transport if args.transport is not None else "auto",
-        rng_mode=args.rng_mode,
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_every=max(1, args.checkpoint_every),
         resume=args.resume,
@@ -455,7 +418,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
                 ["wire bytes / epoch",
                  f"{result.wire_bytes_total / max(result.epochs, 1) / 1e6:.2f} MB"],
             ]
-            + _overlap_rows(result),
+            + _overlap_rows(result, cfg.pipeline_depth),
         )
     )
     if result.bit_histogram:
@@ -558,44 +521,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.harness.perfbench import (
-        compare_to_baseline,
-        load_report,
-        render_report,
-        run_bench,
-        save_report,
-    )
-
-    baseline = None
-    if args.baseline is not None:
-        try:
-            baseline = load_report(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read baseline {args.baseline}: {exc}")
-            return 2
-
-    mode = "quick" if args.quick else "full"
-    print(f"benchmarking the fused engines ({mode} mode)...")
-    report = run_bench(quick=args.quick, seed=args.seed)
-    print(render_report(report))
-    out = save_report(report, args.output)
-    print(f"\nwrote {out}")
-
-    if baseline is not None:
-        problems = compare_to_baseline(
-            report, baseline, max_regression=args.max_regression
-        )
-        if problems:
-            print(f"\nPERF REGRESSION vs {args.baseline}:")
-            for p in problems:
-                print(f"  - {p}")
-            return 1
-        print(f"\nno regression vs {args.baseline} "
-              f"(tolerance {args.max_regression:.0%})")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "info":
@@ -608,8 +533,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_partition(args)
     if args.command == "experiment":
         return _cmd_experiment(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     raise AssertionError("unreachable")
 
 

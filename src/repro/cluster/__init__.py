@@ -4,7 +4,7 @@ One :class:`DeviceRuntime` per simulated GPU holds that device's graph
 partition, aggregation operator, model replica and RNG streams.  The
 :class:`Cluster` drives all devices in lock-step through real forward and
 backward passes, routing *real* halo payloads through the
-:class:`~repro.comm.transport.Transport` (so every byte on the simulated
+:class:`~repro.comm.transport.TransportBackend` (so every byte on the simulated
 wire is a byte that was actually produced, quantized and packed), and
 records the per-layer byte matrices and FLOP counts that the schedule
 simulators turn into epoch times.
@@ -20,7 +20,6 @@ from repro.cluster.exchange import (
     FixedBitProvider,
     FusedQuantizedHaloExchange,
     HaloExchange,
-    QuantizedHaloExchange,
     UniformRandomBitProvider,
 )
 from repro.cluster.runtime import DeviceRuntime
@@ -38,7 +37,6 @@ __all__ = [
     "TimelineSummary",
     "HaloExchange",
     "ExactHaloExchange",
-    "QuantizedHaloExchange",
     "FusedQuantizedHaloExchange",
     "BitProvider",
     "FixedBitProvider",

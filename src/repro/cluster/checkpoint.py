@@ -1,13 +1,13 @@
 """Epoch-boundary checkpoint/restore for keyed-replay fault tolerance.
 
 A checkpoint captures everything a *bitwise* resume needs — model
-parameters, optimizer slots, every cross-epoch RNG position and exchange
-carry-over — at an epoch boundary, the one point in the run where no
-transport state is in flight.  Under keyed rounding (PR 5) quantization
-noise is a pure function of ``(run_seed, epoch, phase, layer, src, dst)``,
-so a run killed mid-training and resumed from its last checkpoint produces
-the *same* losses, gradients and wire bytes as the uninterrupted run —
-the equivalence tests assert it byte for byte.
+parameters, optimizer slots, every cross-epoch RNG position (dropout and
+sampled bit-widths) and exchange carry-over — at an epoch boundary, the
+one point in the run where no transport state is in flight.  Quantization
+noise is a pure function of ``(run_seed, epoch, phase, layer, src, dst)``
+and so has no position to save: a run killed mid-training and resumed from
+its last checkpoint produces the *same* losses, gradients and wire bytes
+as the uninterrupted run — the equivalence tests assert it byte for byte.
 
 Device-replica symmetry keeps checkpoints small and **elastic**: model
 replicas are bit-identical across devices (same weight stream, allreduced

@@ -6,13 +6,13 @@ at a time: per GNN layer, it exchanges halo messages through the transport
 stale), runs the layer's forward/backward, and finally allreduces model
 gradients exactly.
 
-Layer compute runs, by default, on the cluster-fused engine
+Layer compute runs on the cluster-fused engine
 (:class:`~repro.cluster.compute.FusedClusterCompute`): one block-diagonal
 spmv and one stacked GEMM per layer step for all devices together, with
-halo rows exchanged straight into the stacked buffers.
-``fused_compute=False`` selects the legacy per-device loop — both paths
-are bit-identical under the same seed (the equivalence suite asserts it),
-so the flag is purely an execution-shape escape hatch.
+halo rows exchanged straight into the stacked buffers.  What it must
+compute is stated independently by the per-device reference trainer under
+``tests/reference/``, which every execution shape is compared with
+bitwise.
 
 It simultaneously fills an :class:`EpochRecord` with the measured wire
 bytes and the analytic FLOP counts of every (layer, direction) step; the
@@ -31,18 +31,15 @@ import numpy as np
 from repro.cluster.compute import FusedClusterCompute
 from repro.cluster.exchange import ExactHaloExchange, HaloExchange
 from repro.cluster.records import EpochRecord, PhaseRecord
-from repro.cluster.runtime import DeviceRuntime
-from repro.comm.allreduce import allreduce_sum
+from repro.cluster.runtime import DeviceRuntime, build_devices
 from repro.comm.transport import SyncTransport, TransportBackend
 from repro.comm.transports import TransportSpec, create_transport, resolve_spec
-from repro.gnn.coefficients import build_aggregation
-from repro.gnn.model import MODEL_KINDS, DistGNN
+from repro.gnn.model import MODEL_KINDS
 from repro.graph.datasets import GraphDataset
 from repro.graph.io import StoreDataset
-from repro.graph.partition.book import PartitionBook, build_local_partitions
+from repro.graph.partition.book import PartitionBook
 from repro.nn.losses import bce_with_logits_loss, softmax_cross_entropy
 from repro.nn.metrics import metric_counts, metric_from_counts, task_metric
-from repro.utils.seed import RngPool
 from repro.utils.validation import check_in_set
 
 __all__ = ["Cluster"]
@@ -63,22 +60,19 @@ class Cluster:
         Model shape (paper defaults: 256 / 3 / 0.5 — scaled down in the
         benchmark configs).
     seed:
-        Root seed for weights (shared across replicas), dropout (per
-        device) and stochastic rounding (per device).
-    fused_compute:
-        Execute layer compute on the cluster-fused engine (default) or the
-        legacy per-device loop.  Both are bit-identical under the same
-        seed; the flag exists for the equivalence suite and benchmarks.
+        Root seed for weights (shared across replicas) and dropout (per
+        device).
     overlap:
         Execute training steps as the split-phase central/marginal
         pipeline (paper Fig. 7): post marginal messages, run the central
         sub-step while they are in flight, finalize, run the marginal
         sub-step — and emit measured per-stage
         :class:`~repro.cluster.records.StepTimeline` entries into each
-        epoch record.  Requires the fused engine (silently off with
-        ``fused_compute=False``); bit-identical to the non-overlapped
-        engines under the same seed.  The trainer turns it on for the
-        adaqp-variant systems.
+        epoch record.  A row permutation of the same math: bit-identical
+        to the non-overlapped execution under the same seed.  The trainer
+        turns it on for the adaqp-variant systems; store-backed datasets
+        run non-overlapped (the pipeline's row-split operators presuppose
+        the materialized block-diagonal matrix).
     transport:
         Transport backend selection — a spec string (``"auto"``,
         ``"sync"``, ``"worker:4"``, ``"process:2"``) or a parsed
@@ -91,8 +85,8 @@ class Cluster:
         spec, and a process pool spawns at construction (before epoch
         state exists to drag through a fork) and drains + unlinks its
         shared memory at :meth:`close`.  ``cluster.async_transport`` /
-        ``cluster.transport_workers`` remain as read-only mirrors derived
-        from the resolved spec.
+        ``cluster.transport_workers`` are read-only mirrors derived from
+        the resolved spec.
     pipeline_depth:
         How many (layer, phase) exchange steps the split-phase executor
         keeps in flight (1 or 2; default 2).  Depth 2 adds cross-step
@@ -103,18 +97,12 @@ class Cluster:
         to depth 1 — posts stay strictly ordered (each lookahead fires
         after the previous finalize) and deferred partials touch only
         per-layer accumulators.  Degrades to 1 when ``overlap`` is off.
-    timeline_keep:
-        Cap on the per-step :class:`~repro.cluster.records.StepTimeline`
-        entries retained in each epoch record (``None`` keeps all — one
-        per layer per direction); dropped steps stay counted in
-        ``record.timeline_summary``, so long-running jobs keep bounded
-        records without losing the measured overlap accounting.
     transport_timeout_s:
         Per-tag completion deadline applied to async transports: a tag
         whose jobs have not finished within this many seconds raises a
         :class:`~repro.comm.transport.TransportError` naming the tag and
         its outstanding shards instead of hanging.  ``None`` (default)
-        waits forever, matching the pre-deadline behaviour.
+        waits forever.
     fault_plan:
         A :class:`~repro.comm.faults.FaultPlan` of injected transport
         faults (drops, duplicates, stalls, worker kills, slab poison) for
@@ -131,11 +119,9 @@ class Cluster:
         num_layers: int = 3,
         dropout: float = 0.5,
         seed: int = 0,
-        fused_compute: bool = True,
         overlap: bool = False,
         transport: str | TransportSpec | None = None,
         pipeline_depth: int = 2,
-        timeline_keep: int | None = None,
         transport_timeout_s: float | None = None,
         fault_plan=None,
     ) -> None:
@@ -147,10 +133,6 @@ class Cluster:
         self.model_kind = model_kind
         self.num_devices = book.num_parts
         self.seed = int(seed)
-        self.pool = RngPool(seed).fork("cluster")
-        # Store-backed (huge-graph) datasets carry no global arrays — the
-        # partitions, operators and attribute slices come pre-built from
-        # the on-disk PartitionStore as (typically memmapped) regions.
         store_ds = dataset if isinstance(dataset, StoreDataset) else None
         self._store_dataset = store_ds
         if store_ds is not None:
@@ -165,11 +147,9 @@ class Cluster:
             num_layers=num_layers,
             dropout=dropout,
             seed=seed,
-            fused_compute=fused_compute,
             overlap=overlap,
             transport=transport,
             pipeline_depth=pipeline_depth,
-            timeline_keep=timeline_keep,
             transport_timeout_s=transport_timeout_s,
             fault_plan=fault_plan,
         )
@@ -179,75 +159,16 @@ class Cluster:
         ]
         self.dims = dims
 
-        agg_kind = "gcn" if model_kind == "gcn" else "sage"
-        if store_ds is not None:
-            store = store_ds.store
-            if book.num_parts != store.num_parts:
-                raise ValueError(
-                    f"partition book has {book.num_parts} parts but the store"
-                    f" was built for {store.num_parts}"
-                )
-            if store.agg_kind != agg_kind:
-                raise ValueError(
-                    f"store was prepared with agg_kind={store.agg_kind!r};"
-                    f" model_kind={model_kind!r} needs {agg_kind!r}"
-                )
-            store_parts = [
-                store.partition(p, materialize=store_ds.materialize)
-                for p in range(store.num_parts)
-            ]
-            device_data = [
-                (sp.part, sp.agg, sp.features, sp.labels,
-                 sp.train_mask, sp.val_mask, sp.test_mask)
-                for sp in store_parts
-            ]
-            self._stream_ops = [sp.ops for sp in store_parts]
-        else:
-            degrees = dataset.graph.degrees.astype(np.float64)
-            parts = build_local_partitions(dataset.graph, book)
-            device_data = []
-            for part in parts:
-                owned = part.owned_global
-                device_data.append(
-                    (
-                        part,
-                        build_aggregation(part, degrees, agg_kind),
-                        dataset.features[owned],
-                        dataset.labels[owned],
-                        dataset.train_mask[owned],
-                        dataset.val_mask[owned],
-                        dataset.test_mask[owned],
-                    )
-                )
-            self._stream_ops = None
-
-        self.devices: list[DeviceRuntime] = []
-        weight_seed_pool = self.pool.fork("weights")
-        for part, agg, features, labels, train_m, val_m, test_m in device_data:
-            # Every replica consumes the *same* weight stream so replicas
-            # start bit-identical without any broadcast.
-            weight_rng = weight_seed_pool.fork("shared").get("init")
-            model = DistGNN(
-                model_kind,
-                dims,
-                agg,
-                dropout=dropout,
-                weight_rng=weight_rng,
-                dropout_rng=self.pool.device(part.part_id, "dropout"),
-            )
-            self.devices.append(
-                DeviceRuntime(
-                    rank=part.part_id,
-                    part=part,
-                    agg=agg,
-                    model=model,
-                    features=features,
-                    labels=labels,
-                    train_mask=train_m,
-                    val_mask=val_m,
-                    test_mask=test_m,
-                )
-            )
+        # Store datasets stream each device's operators (``_stream_ops``)
+        # through the engine instead of a materialized block diagonal.
+        self.devices, self._stream_ops = build_devices(
+            dataset,
+            book,
+            model_kind=model_kind,
+            dims=dims,
+            dropout=dropout,
+            seed=seed,
+        )
 
         # Static per-device message-row counts (drive quant-time modelling).
         self._rows_out = np.array(
@@ -262,19 +183,10 @@ class Cluster:
         # poison later calls with stale undelivered envelopes).
         self._eval_exchange = ExactHaloExchange()
 
-        # The fused engine's step plan (operators, stacked buffers, views)
-        # is static across epochs, so it is built once and lazily; the
-        # per-phase FLOP-accounting arrays are likewise cached.  Store
-        # datasets always run the fused engine in streaming shape — the
-        # legacy per-device loop has no paging discipline.
-        self.fused_compute = bool(fused_compute) or store_ds is not None
-        # The split-phase pipeline is an execution shape of the fused
-        # engine; without it there is nothing to split, so the knob
-        # degrades to off rather than erroring (the legacy loop remains a
-        # pure escape hatch).  Streaming mode likewise degrades it: the
-        # pipeline's row-split operators presuppose the materialized
-        # block-diagonal matrix.
-        self.overlap = bool(overlap) and self.fused_compute and store_ds is None
+        # Streaming mode degrades the split-phase pipeline to off: its
+        # row-split operators presuppose the materialized block-diagonal
+        # matrix.
+        self.overlap = bool(overlap) and store_ds is None
         if pipeline_depth not in (1, 2):
             raise ValueError("pipeline_depth must be 1 or 2")
         # Cross-step lookahead is an execution shape of the split-phase
@@ -296,7 +208,9 @@ class Cluster:
         start = getattr(self.transport, "start", None)
         if start is not None:
             start()
-        self.timeline_keep = timeline_keep
+        # The engine's step plan (operators, stacked buffers, views) is
+        # static across epochs, so it is built once and lazily; the
+        # per-phase FLOP-accounting arrays are likewise cached.
         self._engine: FusedClusterCompute | None = None
         self._phase_static: dict[tuple[int, str, bool], tuple[np.ndarray, ...]] = {}
 
@@ -323,111 +237,57 @@ class Cluster:
             # Epoch-scoped fault specs (``kind:tag@epoch``) arm here.
             plan.set_epoch(epoch)
         for dev in devices:
+            # Replica grads need no zeroing: the engine never reads them
+            # mid-epoch and overwrites them wholesale at reduce time.
             if not dev.model.training:
                 dev.model.train()
-            if not self.fused_compute:
-                # The fused engine never reads replica grads mid-epoch and
-                # overwrites them wholesale at reduce time, so the legacy
-                # per-parameter zeroing walk is skipped there.
-                dev.model.zero_grad()
         self.transport.reset_accounting()
 
         record = EpochRecord(loss=0.0)
         num_layers = devices[0].model.num_layers
-
-        if self.fused_compute:
-            engine = self._compute_engine()
-            engine.begin_epoch()
-            depth2 = self.overlap and self.pipeline_depth >= 2
-            for layer in range(num_layers):
-                if self.overlap:
-                    # Depth 2: every layer but the last posts its successor's
-                    # boundary rows from inside its marginal sub-step, so the
-                    # next step's encode overlaps this step's epilogue.
-                    record.add_timeline(
-                        engine.forward_layer_overlap(
-                            layer,
-                            exchange,
-                            self.transport,
-                            training=True,
-                            lookahead=depth2 and layer + 1 < num_layers,
-                        ),
-                        keep_last=self.timeline_keep,
-                    )
-                else:
-                    engine.forward_layer(
-                        layer, exchange, self.transport, training=True
-                    )
-                record.phases.append(
-                    self._phase_record(layer, "fwd", exchange, f"fwd/L{layer}")
-                )
-            record.loss = engine.epoch_loss(self._loss)
-            for layer in reversed(range(num_layers)):
-                if self.overlap:
-                    # Depth 2 (backward mirror): defer this layer's
-                    # parameter-partial GEMMs into the next step's central
-                    # window, after its post dispatch — layer 0 has no next
-                    # step, so its partials stay inline.
-                    record.add_timeline(
-                        engine.backward_layer_overlap(
-                            layer,
-                            exchange,
-                            self.transport,
-                            defer_partials=depth2 and layer > 0,
-                        ),
-                        keep_last=self.timeline_keep,
-                    )
-                else:
-                    engine.backward_layer(layer, exchange, self.transport)
-                record.phases.append(
-                    self._phase_record(layer, "bwd", exchange, f"bwd/L{layer}")
-                )
-            record.grad_allreduce_bytes = engine.reduce_gradients()
-            return record
-
-        # ---- forward (legacy per-device path) ---------------------------
-        h_by_dev = [dev.features for dev in devices]
+        engine = self._compute_engine()
+        engine.begin_epoch()
+        depth2 = self.overlap and self.pipeline_depth >= 2
         for layer in range(num_layers):
-            halo = exchange.exchange_embeddings(layer, devices, self.transport, h_by_dev)
-            h_by_dev = [
-                dev.model.layers[layer].forward(h_by_dev[dev.rank], halo[dev.rank])
-                for dev in devices
-            ]
+            if self.overlap:
+                # Depth 2: every layer but the last posts its successor's
+                # boundary rows from inside its marginal sub-step, so the
+                # next step's encode overlaps this step's epilogue.
+                record.add_timeline(
+                    engine.forward_layer_overlap(
+                        layer,
+                        exchange,
+                        self.transport,
+                        training=True,
+                        lookahead=depth2 and layer + 1 < num_layers,
+                    )
+                )
+            else:
+                engine.forward_layer(layer, exchange, self.transport, training=True)
             record.phases.append(
                 self._phase_record(layer, "fwd", exchange, f"fwd/L{layer}")
             )
-
-        # ---- loss --------------------------------------------------------
-        d_h = []
-        total_loss = 0.0
-        for dev in devices:
-            loss, d_logits = self._loss(dev, h_by_dev[dev.rank])
-            total_loss += loss
-            d_h.append(d_logits)
-        record.loss = float(total_loss)
-
-        # ---- backward ------------------------------------------------------
+        record.loss = engine.epoch_loss(self._loss)
         for layer in reversed(range(num_layers)):
-            d_own_list: list[np.ndarray] = []
-            d_halo_list: list[np.ndarray] = []
-            for dev in devices:
-                d_own, d_halo = dev.model.layers[layer].backward(d_h[dev.rank])
-                d_own_list.append(d_own)
-                d_halo_list.append(d_halo)
-            exchange.exchange_gradients(
-                layer, devices, self.transport, d_halo_list, d_own_list
-            )
+            if self.overlap:
+                # Depth 2 (backward mirror): defer this layer's
+                # parameter-partial GEMMs into the next step's central
+                # window, after its post dispatch — layer 0 has no next
+                # step, so its partials stay inline.
+                record.add_timeline(
+                    engine.backward_layer_overlap(
+                        layer,
+                        exchange,
+                        self.transport,
+                        defer_partials=depth2 and layer > 0,
+                    )
+                )
+            else:
+                engine.backward_layer(layer, exchange, self.transport)
             record.phases.append(
                 self._phase_record(layer, "bwd", exchange, f"bwd/L{layer}")
             )
-            d_h = d_own_list
-
-        # ---- model-gradient allreduce -----------------------------------
-        vectors = [dev.model.grad_vector() for dev in devices]
-        reduced = allreduce_sum(vectors)
-        for dev in devices:
-            dev.model.set_grad_vector(reduced)
-        record.grad_allreduce_bytes = int(reduced.nbytes)
+        record.grad_allreduce_bytes = engine.reduce_gradients()
         return record
 
     def _loss(
@@ -460,21 +320,10 @@ class Cluster:
         logits = np.zeros(
             (self.dataset.num_nodes, self.dims[-1]), dtype=np.float32
         )
-        if self.fused_compute:
-            engine = self._compute_engine()
-            for layer in range(devices[0].model.num_layers):
-                engine.forward_layer(layer, exchange, transport, training=False)
-            engine.scatter_logits(logits)
-        else:
-            h_by_dev = [dev.features for dev in devices]
-            for layer in range(devices[0].model.num_layers):
-                halo = exchange.exchange_embeddings(layer, devices, transport, h_by_dev)
-                h_by_dev = [
-                    dev.model.layers[layer].forward(h_by_dev[dev.rank], halo[dev.rank])
-                    for dev in devices
-                ]
-            for dev in devices:
-                logits[dev.part.owned_global] = h_by_dev[dev.rank]
+        engine = self._compute_engine()
+        for layer in range(devices[0].model.num_layers):
+            engine.forward_layer(layer, exchange, transport, training=False)
+        engine.scatter_logits(logits)
         for dev in devices:
             dev.model.train()
         return logits

@@ -1,10 +1,11 @@
 """The cluster-fused compute engine: one kernel per layer step, all devices.
 
-The legacy executor dispatches K per-device Python loops per layer — K
-small spmv's, K ``np.vstack`` copies, K small GEMMs, K losses — although
-every replica holds bit-identical weights.  In the many-partition regime
-the paper's wall-clock results live in, those tiny dispatches dominate the
-epoch (the same thesis PR 1 applied to quantize/pack/exchange).
+Dispatching K per-device Python loops per layer — K small spmv's, K
+``np.vstack`` copies, K small GEMMs, K losses — is the plain statement of
+the math (the reference trainer under ``tests/reference/`` runs exactly
+that), but every replica holds bit-identical weights, and in the
+many-partition regime the paper's wall-clock results live in those tiny
+dispatches dominate the epoch.
 
 :class:`FusedClusterCompute` executes the whole cluster's forward/backward
 with cluster-wide operators instead:
@@ -16,15 +17,15 @@ with cluster-wide operators instead:
 * **stacked activations** live in preallocated ``(ΣN_own + ΣN_halo, d)``
   buffers; the halo exchange writes decoded rows straight into the halo
   region (the ``out=`` contract of
-  :meth:`~repro.cluster.exchange.HaloExchange.exchange_embeddings`), so
-  the per-layer ``np.vstack`` copies disappear entirely;
+  :meth:`~repro.cluster.exchange.HaloExchange.finalize_step`), so no
+  per-layer ``np.vstack`` copy is made;
 * **one stacked GEMM** per layer runs every device's dense transform using
   the shared replica weights (via :func:`repro.nn.blas.row_matmul`, which
-  keeps per-row results identical to the per-device GEMMs it replaces);
+  keeps per-row results identical to per-device GEMMs);
 * **weight gradients accumulate directly in reduced form**: per-device
   partial gradients are summed into float64 accumulators in rank order —
-  exactly :func:`repro.comm.allreduce.allreduce_sum`'s reduction — so the
-  K flat gradient vectors the legacy path materializes are never built.
+  exactly :func:`repro.comm.allreduce.allreduce_sum`'s reduction — so K
+  flat gradient vectors are never built.
 
 **Operand order** is the conv's, not the engine's: a GCN layer whose
 output is narrower than its input (:func:`repro.gnn.conv.transform_first`)
@@ -34,20 +35,20 @@ at width ``d_out`` instead of ``d_in`` — and its backward mirrors it
 ``+ X_haloᵀ·dT_halo``, ``dX̃ = dT·Wᵀ``).  Every shape below reads the
 same flag, the operators and their row/column splits are the same
 objects either way, and ``row_matmul`` is row-deterministic, so the
-shapes stay bitwise-equal to each other and to the per-device loop.  The
-exchange never sees the difference: the same ``d_in``-wide rows travel in
-both directions.
+shapes stay bitwise-equal to each other and to the per-device reference.
+The exchange never sees the difference: the same ``d_in``-wide rows travel
+in both directions.
 
-Numerical contract (asserted by ``tests/cluster/test_fused_compute.py``):
-under the same seed the engine is **bit-identical** to the legacy
-per-device path — same losses, same reduced model gradients, same wire
-bytes — for every exchange policy (exact, quantized, fused-quantized,
-stale, broadcast-skip).  Everything per-row is trivially identical; the
-three non-obvious cases are (a) GEMMs, handled by ``row_matmul``'s
-row-determinism, (b) spmv's, where the block-diagonal remap preserves
-per-row column order so scipy's row-major accumulation is unchanged, and
-(c) reductions (loss sums, gradient sums, ``sum(axis=0)`` of contiguous
-slices), which replicate the legacy operation order exactly.
+Numerical contract (asserted by the oracle matrix,
+``tests/cluster/test_oracle_matrix.py``): under the same seed the engine
+is **bit-identical** to the per-device reference trainer — same losses,
+same reduced model gradients, same wire bytes — for every exchange policy
+(exact, quantized, stale, broadcast-skip).  Everything per-row is
+trivially identical; the three non-obvious cases are (a) GEMMs, handled
+by ``row_matmul``'s row-determinism, (b) spmv's, where the block-diagonal
+remap preserves per-row column order so scipy's row-major accumulation is
+unchanged, and (c) reductions (loss sums, gradient sums, ``sum(axis=0)``
+of contiguous slices), which keep the per-device operation order exactly.
 
 **Split-phase pipelined execution** (paper Sec. 3.1 / Fig. 7): with
 ``overlap`` enabled the engine runs each layer step as the paper's
@@ -81,15 +82,14 @@ L's finalized gradient, so it cannot move earlier): each layer's
 parameter-partial GEMMs are deferred into a closure flushed at the
 start of the *next* step's central window, right after that step's
 post, so the post dispatches sooner and the partials fill its in-flight
-window.  Bitwise equivalence needs no rounding-mode gate: a lookahead
-post fires only after the previous step's finalize has joined its tag,
-so posts stay strictly ordered and at most one tag ever has outstanding
-encode jobs — even the order-dependent stream-rounding contract is
-preserved.  Deferred partials read only per-layer buffers (``_z`` or
-``_dt``, ``_x``, ``_x_hat``, LayerNorm's freshly-allocated input gradient,
-and the *previous* frontier buffer), none of which the interposed step
-touches, and per-accumulator addend order is unchanged because each
-closure owns its layer's parameters exclusively.
+window.  A lookahead post fires only after the previous step's finalize
+has joined its tag, so posts stay strictly ordered and at most one tag
+ever has outstanding encode jobs.  Deferred partials read only per-layer
+buffers (``_z`` or ``_dt``, ``_x``, ``_x_hat``, LayerNorm's
+freshly-allocated input gradient, and the *previous* frontier buffer),
+none of which the interposed step touches, and per-accumulator addend
+order is unchanged because each closure owns its layer's parameters
+exclusively.
 """
 
 from __future__ import annotations
@@ -282,9 +282,9 @@ class FusedClusterCompute:
     """Whole-cluster forward/backward on stacked buffers.
 
     Built once per :class:`~repro.cluster.cluster.Cluster` (the step plan —
-    operators, offsets, views, scratch — is static across epochs, in the
-    spirit of PR 1's ``FusedStepPlan``); the cluster drives it layer by
-    layer so phase records keep their legacy shape.
+    operators, offsets, views, scratch — is static across epochs, like the
+    exchange's ``FusedStepPlan``); the cluster drives it layer by layer,
+    one phase record per (layer, direction).
 
     Parameters
     ----------
@@ -493,13 +493,10 @@ class FusedClusterCompute:
         differ in how ``P`` is applied (:meth:`_aggregate`) and, at layer
         0, in where the owned input rows live (:meth:`_forward_layer0_stream`).
         """
-        exchange.exchange_embeddings(
-            layer,
-            self.devices,
-            transport,
-            self._own_views[layer],
-            out=self._halo_views[layer],
+        step = exchange.post_step(
+            layer, "fwd", self.devices, transport, self._own_views[layer]
         )
+        exchange.finalize_step(step, out=self._halo_views[layer])
         mod = self.devices[0].model.layers[layer]
         out_own = self._layer_output(layer)
         x = self._x[layer]
@@ -568,7 +565,7 @@ class FusedClusterCompute:
         rows match per-device rows bit for bit.
         """
         # LayerNorm — the formula lives in LayerNorm.forward_into (single
-        # source of truth with the legacy forward).
+        # source of truth with the per-device forward).
         self._inv_std[layer] = mod.norm.forward_into(h, self._x_hat[layer])
 
         # ReLU.
@@ -874,10 +871,10 @@ class FusedClusterCompute:
         after_out = None
         if lookahead and nxt < self.num_layers:
             # Fires inside the marginal sub-step, right after the next
-            # layer's owned input rows are complete.  Posting here is safe
-            # for stream rounding too: this step's finalize (above) joined
-            # every job of tag L, so the next tag's encode jobs are the
-            # only ones outstanding and posts stay strictly ordered.
+            # layer's owned input rows are complete.  This step's finalize
+            # (above) joined every job of tag L, so the next tag's encode
+            # jobs are the only ones outstanding and posts stay strictly
+            # ordered.
             def after_out() -> None:
                 tp = time.perf_counter()
                 transport.note_overlap(step_tag("fwd", nxt))
@@ -1073,7 +1070,7 @@ class FusedClusterCompute:
         ``loss_fn(dev, logits_slice, out=grad_slice)`` must return
         ``(loss, d_logits)`` — the cluster passes its ``_loss`` (which
         carries the global normalizer).  Device losses are summed in rank
-        order, reproducing the legacy Python-float accumulation exactly.
+        order as Python floats.
         """
         total = 0.0
         for k, dev in enumerate(self.devices):
@@ -1136,9 +1133,10 @@ class FusedClusterCompute:
             d_next += self._route_gradients(d_z, dx, transport)[own]
 
         d_own_views = [d_next[self._own_slice(k)] for k in range(len(self.devices))]
-        exchange.exchange_gradients(
-            layer, self.devices, transport, self._halo_blocks(dx), d_own_views
+        step = exchange.post_step(
+            layer, "bwd", self.devices, transport, self._halo_blocks(dx)
         )
+        exchange.finalize_step(step, out=d_own_views)
         self._d = d_next
 
     def _conv_partials(

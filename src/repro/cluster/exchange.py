@@ -19,51 +19,41 @@ messages and returns an :class:`InFlightStep` handle; the messages then
 stay pending in the transport until :meth:`HaloExchange.finalize_step`
 collects, decodes and scatters (forward) or accumulates (backward) them.
 The pipelined executor runs the central-graph sub-step between the two
-halves — the paper's Fig. 7 overlap — while the classic
-``exchange_embeddings``/``exchange_gradients`` entry points are just the
-back-to-back composition.  Payload values are frozen at post time (every
-policy's gather or encode copies), so callers may mutate the source
-buffers while a step is in flight.
+halves — the paper's Fig. 7 overlap — and the non-overlapped engine calls
+them back to back.  Payload values are frozen at post time (every policy's
+gather or encode copies), so callers may mutate the source buffers while
+a step is in flight.
 
 **Async post paths.**  Each ``post_step`` splits into a *snapshot* half
 (gathers the outgoing rows on the calling thread) and one or more
 *encode-and-post* jobs handed to :meth:`TransportBackend.defer` /
-:meth:`TransportBackend.defer_many`.  On the synchronous transport the jobs run
-inline, byte-for-byte the old behaviour; on a
-:class:`~repro.comm.transport.WorkerTransport` they run on the worker
-pool, overlapping the caller's subsequent compute.  Because the snapshot
-happens before ``post_step`` returns, the frozen-at-post contract holds
-under both transports; ``finalize_step`` joins the jobs (via
+:meth:`TransportBackend.defer_many`.  On the synchronous transport the jobs
+run inline; on a :class:`~repro.comm.transport.WorkerTransport` they run
+on the worker pool, overlapping the caller's subsequent compute.  Because
+the snapshot happens before ``post_step`` returns, the frozen-at-post
+contract holds under both transports; ``finalize_step`` joins the jobs (via
 :meth:`InFlightStep.mark_done`) before reading results, so receivers
 never observe a half-posted step.
 
-**Worker fan-out.**  How many jobs a step becomes depends on the
-exchange's determinism model.  Under keyed rounding
-(:class:`~repro.quant.stochastic.KeyedRounding`) every message block's
-noise is a pure function of its coordinates, so the fused engine shards
-one step's encode across all ``transport.workers`` and — on async
-transports — chases it with per-receiver collect/decode jobs, all free
-to retire in any order; the exact exchange (no noise at all) shards its
-batched posts per source device.  Under stream rounding the shared
-sequential RNG forces one job per step (the PR-4 contract, preserved
-bit for bit).  Thread placement of the per-pair engines' ``_post`` hook
-— bit lookup, tracer ``observe`` and the RNG draw — is *inside* the
-single deferred job, i.e. on a worker under an async transport.  That is
-safe only because exactly one such job runs at a time and finalize joins
-before any consumer reads the tracer or RNG; code adding mid-window
-readers of either must not rely on the main thread owning them.  The
-one-at-a-time property survives the two-deep pipeline (PR 8): a
-cross-step lookahead post fires only after the previous step's finalize
-has joined its tag, so even with two tags alive on the transport at
-once, at most one tag ever has outstanding encode jobs.
+**Worker fan-out.**  Every quantized message block's noise is a pure
+function of its coordinates (:class:`~repro.quant.stochastic.KeyedRounding`),
+so the quantized exchange shards one step's encode across all
+``transport.workers`` and — on async transports — chases it with
+per-receiver collect/decode jobs, all free to retire in any order; the
+exact exchange (no noise at all) shards its batched posts per source
+device.  Bit lookups and tracer ``observe`` calls stay on the calling
+thread (the snapshot half).  With the two-deep pipeline a cross-step
+lookahead post fires only after the previous step's finalize has joined
+its tag, so even with two tags alive on the transport at once, at most
+one tag ever has outstanding encode jobs.
 
 **Worker-side decode scatter.**  Forward callers that already know the
 destination halo buffers may pass them to ``post_step(..., out=...)``:
-on async thread-backed transports the fused engine's per-receiver decode
-jobs then scatter straight into them (each receiver's halo region is a
-disjoint, contiguous row range of the stacked buffer, so the writes are
-race-free shards), and ``finalize_step`` with the *same* ``out`` object
-becomes join-only.  Backward steps never take this path (their
+on async thread-backed transports the quantized exchange's per-receiver
+decode jobs then scatter straight into them (each receiver's halo region
+is a disjoint, contiguous row range of the stacked buffer, so the writes
+are race-free shards), and ``finalize_step`` with the *same* ``out``
+object becomes join-only.  Backward steps never take this path (their
 accumulate is float-order-sensitive), nor does the process transport
 (the halo buffer is not in shared memory); both keep the main-thread
 scatter/accumulate.
@@ -91,7 +81,8 @@ from repro.quant.fused import (
     pair_shard,
     shard_descriptor,
 )
-from repro.quant.mixed import MixedPrecisionEncoder, MixedPrecisionPayload
+from repro.quant.mixed import MixedPrecisionPayload
+from repro.quant.stochastic import as_rounding
 from repro.quant.theory import SUPPORTED_BITS
 from repro.utils.validation import check_in_set
 
@@ -102,7 +93,6 @@ __all__ = [
     "InFlightStep",
     "HaloExchange",
     "ExactHaloExchange",
-    "QuantizedHaloExchange",
     "FusedQuantizedHaloExchange",
     "step_tag",
 ]
@@ -280,13 +270,9 @@ class InFlightStep:
 
 
 class HaloExchange:
-    """Base class; subclasses override the payload encode/decode policy.
-
-    The generic implementation posts one envelope per (src, dst) pair
-    through the :meth:`_post` hook and decodes per payload via
-    :meth:`_decode`; subclasses either keep those hooks (per-pair
-    policies) or override the step halves wholesale (the fused engines).
-    """
+    """Base class of every exchange policy: the split-phase contract,
+    the delivery audit and checkpointing hooks.  Subclasses implement the
+    two step halves."""
 
     #: whether payloads pass through quantize/de-quantize kernels
     quantizes: bool = False
@@ -300,8 +286,8 @@ class HaloExchange:
 
         The base policies are stateless across epochs (plans and scratch
         are caches, rebuilt identically); policies with numeric carry-over
-        — stream-rounding positions, adaptive traces, staleness caches —
-        override both hooks.
+        — adaptive traces, sampled bit-widths, staleness caches — override
+        both hooks.
         """
         return {}
 
@@ -317,7 +303,7 @@ class HaloExchange:
         Every peer in the partition's recv map (forward) / send map
         (backward) posts exactly one envelope per step, so a shortfall
         means an envelope was lost in transit.  Policies with a recovery
-        path (the fused keyed engine's replay) handle the shortfall
+        path (the quantized exchange's keyed replay) handle the shortfall
         before scattering; everyone else must raise — zero-filled halo
         rows or missing gradient contributions are silent corruption.
         """
@@ -346,8 +332,8 @@ class HaloExchange:
         ``phase`` is ``"fwd"`` (boundary embeddings to halo holders) or
         ``"bwd"`` (halo gradients back to owners).  Returns the in-flight
         handle for :meth:`finalize_step`; payload values are copied out of
-        ``values_by_dev`` before returning (the gathers below), while the
-        per-pair encode/post loop runs as one deferred transport job.
+        ``values_by_dev`` before returning, while encode and post may run
+        as deferred transport jobs.
 
         ``out`` (forward only) optionally names the per-device halo
         destinations up front so a policy that can scatter on its workers
@@ -355,30 +341,7 @@ class HaloExchange:
         simply record it on the handle.  Finalize's own ``out`` argument
         stays authoritative either way.
         """
-        check_in_set(phase, ("fwd", "bwd"), name="phase")
-        tag = step_tag(phase, layer)
-        staged: list[tuple[int, int, np.ndarray]] = []
-        for dev in devices:
-            part = dev.part
-            maps = part.send_map if phase == "fwd" else part.recv_map
-            values = values_by_dev[dev.rank]
-            for q in sorted(maps.keys()):
-                # Fancy indexing copies: the snapshot happens here, on the
-                # calling thread, regardless of where the job runs.
-                staged.append((dev.rank, q, values[maps[q]]))
-        if staged:
-            # One job per step: the _post hook may consume a sequential
-            # RNG stream or feed a tracer, neither of which tolerates
-            # concurrent callers (see the module docstring).
-            def job() -> None:
-                for src, q, rows in staged:
-                    self._post(transport, layer, phase, src, q, tag, rows)
-
-            transport.defer(tag, job)
-        dim = int(values_by_dev[devices[0].rank].shape[1])
-        step = InFlightStep(layer, phase, tag, devices, transport, dim)
-        step.scatter_out = out if phase == "fwd" else None
-        return step
+        raise NotImplementedError
 
     def finalize_step(
         self, step: InFlightStep, out: list[np.ndarray] | None = None
@@ -386,71 +349,19 @@ class HaloExchange:
         """Stage 2: collect, decode and land this step's messages.
 
         Forward steps scatter into per-device ``(n_halo, d)`` buffers
-        (``out`` views or fresh arrays) and return them; backward steps
-        *accumulate* into the per-device ``out`` gradient buffers and
-        return ``None``.  See the class docstring for buffer ownership.
+        (``out`` views — the compute engine passes halo-region views of
+        its stacked layer buffer, so decoded rows land in place — or
+        fresh arrays) and return them; backward steps *accumulate* into
+        the per-device ``out`` gradient buffers and return ``None``.
         """
-        step.mark_done()
-        if step.phase == "fwd":
-            halo_by_dev: list[np.ndarray] = []
-            for dev in step.devices:
-                part = dev.part
-                halo = self._halo_out(out, dev.rank, part.n_halo, step.dim)
-                received = step.transport.collect(dev.rank, step.tag)
-                self._check_delivery(dev, step.phase, step.tag, received)
-                for p, payload in received.items():
-                    halo[part.recv_map[p]] = self._decode(payload)
-                halo_by_dev.append(halo)
-            return halo_by_dev
-        if out is None:
-            raise ValueError("backward finalize_step requires out= buffers")
-        for dev in step.devices:
-            part = dev.part
-            received = step.transport.collect(dev.rank, step.tag)
-            self._check_delivery(dev, step.phase, step.tag, received)
-            for p, payload in received.items():
-                out[dev.rank][part.send_map[p]] += self._decode(payload)
-        return None
-
-    # -- monolithic entry points (post + finalize back to back) -------------
-    def exchange_embeddings(
-        self,
-        layer: int,
-        devices: list,
-        transport: TransportBackend,
-        h_by_dev: list[np.ndarray],
-        out: list[np.ndarray] | None = None,
-    ) -> list[np.ndarray]:
-        """All-to-all halo fetch; returns per device an (n_halo, d) matrix.
-
-        ``out``, when given, supplies per-device ``(n_halo, d)`` destination
-        buffers (the fused compute engine passes halo-region views of its
-        stacked layer buffer, so decoded rows land in place).  Each buffer
-        is zeroed before scattering — reused buffers must be
-        indistinguishable from the fresh allocations of the default path.
-        """
-        step = self.post_step(layer, "fwd", devices, transport, h_by_dev)
-        halo_by_dev = self.finalize_step(step, out=out)
-        assert halo_by_dev is not None
-        return halo_by_dev
-
-    def exchange_gradients(
-        self,
-        layer: int,
-        devices: list,
-        transport: TransportBackend,
-        d_halo_by_dev: list[np.ndarray],
-        d_own_by_dev: list[np.ndarray],
-    ) -> None:
-        """Route halo gradients back to owners, accumulating in-place."""
-        step = self.post_step(layer, "bwd", devices, transport, d_halo_by_dev)
-        self.finalize_step(step, out=d_own_by_dev)
+        raise NotImplementedError
 
     @staticmethod
     def _halo_out(
         out: list[np.ndarray] | None, rank: int, n_halo: int, dim: int
     ) -> np.ndarray:
-        """Zeroed halo destination: caller-provided view or fresh array."""
+        """Zeroed halo destination: caller-provided view or fresh array
+        (a reused buffer must be indistinguishable from a fresh one)."""
         if out is None:
             return np.zeros((n_halo, dim), dtype=np.float32)
         buf = out[rank]
@@ -461,33 +372,15 @@ class HaloExchange:
         buf.fill(0.0)
         return buf
 
-    # -- policy hooks --------------------------------------------------------
-    def _post(
-        self,
-        transport: TransportBackend,
-        layer: int,
-        phase: str,
-        src: int,
-        dst: int,
-        tag: str,
-        rows: np.ndarray,
-    ) -> None:
-        raise NotImplementedError
-
-    def _decode(self, payload: object) -> np.ndarray:
-        raise NotImplementedError
-
 
 class ExactHaloExchange(HaloExchange):
     """Full-precision float32 transfers (Vanilla and evaluation passes).
 
-    Executed step-fused like the quantized engine: per device, one gather
+    Executed step-fused like the quantized exchange: per device, one gather
     over all outgoing boundary rows and one batched transport post; on the
     receive side, one permutation scatter per device instead of one
-    assignment per peer.  Wire bytes and every transferred value are
-    identical to the per-pair path (payloads are row slices of the same
-    gather), so Vanilla epochs and evaluation passes stop paying K·peers
-    Python dispatches per layer.
+    assignment per peer.  Payloads are row slices of that gather, so the
+    wire carries exactly ``rows × dim × 4`` bytes per (src, dst) pair.
 
     Step plans (gather indices, scatter permutations) are cached per
     cluster: the cache key is the identity of device 0's ``owned_global``
@@ -523,7 +416,7 @@ class ExactHaloExchange(HaloExchange):
             # whole region.  "bwd" accumulates into owned rows, which may
             # repeat across peers; a 0/1 selection operator reduces all
             # incoming rows per owner in one spmv (summation over peers in
-            # ascending-peer order, like the per-peer loop it replaces).
+            # ascending-peer order — the accumulation-order anchor).
             recv = part.recv_map if phase == "fwd" else part.send_map
             recv_peers = sorted(recv.keys())
             scatter = (
@@ -556,8 +449,7 @@ class ExactHaloExchange(HaloExchange):
     def _batch_posts(plan: tuple, block: np.ndarray) -> list[tuple[int, object, int]]:
         """One device's ``post_batch`` entries from its gathered block.
 
-        Payloads are row slices of a single fresh gather, so wire bytes
-        and transferred values are exactly the per-pair path's.
+        Payloads are row slices of a single fresh gather.
         """
         peers, bounds = plan[:2]
         row_bytes = block.shape[1] * 4
@@ -583,8 +475,7 @@ class ExactHaloExchange(HaloExchange):
         tag = step_tag(phase, layer)
         plans = self._plan_for(phase, devices)
         # Snapshot half: one gather per device, fresh memory; the float32
-        # coercion mirrors the per-pair _post hook (and keeps the byte
-        # accounting honest for non-float32 inputs).
+        # coercion keeps the byte accounting honest for non-float32 inputs.
         staged: list[tuple[int, tuple, np.ndarray]] = []
         for dev in devices:
             plan = plans[dev.rank]
@@ -662,30 +553,39 @@ class ExactHaloExchange(HaloExchange):
             out[dev.rank] += np.asarray(reduce_op @ cat)
         return None
 
-    # Per-pair hooks kept for subclasses/tests that drive the generic path.
-    def _post(self, transport, layer, phase, src, dst, tag, rows) -> None:
-        rows = np.ascontiguousarray(rows, dtype=np.float32)
-        transport.post(src, dst, tag, rows, rows.nbytes)
 
-    def _decode(self, payload: object) -> np.ndarray:
-        return payload  # type: ignore[return-value]
+class FusedQuantizedHaloExchange(HaloExchange):
+    """AdaQP's transfers: per-message stochastic quantization + packing,
+    executed as batched kernels over whole cluster steps.
 
+    Every (src, dst) message is quantized row by row at its assigned
+    bit-widths and bit-packed — the wire format
+    :class:`~repro.quant.mixed.MixedPrecisionEncoder` states one message
+    at a time — but a (layer, phase) step runs as a few large NumPy
+    kernels instead of thousands of per-pair, per-group dispatches:
 
-class QuantizedHaloExchange(HaloExchange):
-    """AdaQP's transfers: per-message stochastic quantization + packing.
+    * the boundary rows of **every** (src, dst) pair of the step are
+      gathered into one step-wide buffer (one ``take`` per source device);
+    * stochastic quantization for the whole step runs as one kernel per
+      encode shard, and packing as one batch per distinct bit-width
+      (:class:`~repro.quant.fused.FusedStepEncoder`);
+    * each device's payloads enter the transport through one batched post;
+    * all receivers' payloads are decoded together, batched per bit-width
+      (:func:`~repro.quant.fused.decode_cluster_step`).
+
+    Boundary index structures, permutation plans and scratch buffers are
+    cached across epochs and only rebuilt when the bit-width assignment of
+    a step changes (i.e. at reassignment boundaries).
 
     Parameters
     ----------
     bit_provider:
         Source of per-message bit-widths (fixed, uniform-random or the
         adaptive assigner).
-    rng:
-        Source of stochastic-rounding noise: a plain generator (shared
-        sequential stream — the legacy order-dependent contract) or a
-        rounding policy such as
-        :class:`~repro.quant.stochastic.KeyedRounding`, whose noise is a
-        pure function of each message's (epoch, phase, layer, src, dst)
-        coordinates.
+    rounding:
+        The :class:`~repro.quant.stochastic.KeyedRounding` noise policy:
+        each message's stochastic-rounding noise is a pure function of its
+        (epoch, phase, layer, src, dst) coordinates.
     tracer:
         Optional object with ``observe(phase, layer, src, dst, rows)``;
         the adaptive assigner registers one to see transfers' input
@@ -699,96 +599,12 @@ class QuantizedHaloExchange(HaloExchange):
     def __init__(
         self,
         bit_provider: BitProvider,
-        rng,
+        rounding,
         tracer: object | None = None,
     ) -> None:
         self.bit_provider = bit_provider
-        self.encoder = MixedPrecisionEncoder(rng)
-        self.rounding = self.encoder.rounding
+        self.rounding = as_rounding(rounding)
         self.tracer = tracer
-
-    def on_epoch_start(self, epoch: int) -> None:
-        set_epoch = getattr(self.bit_provider, "set_epoch", None)
-        if set_epoch is not None:
-            set_epoch(epoch)
-        # Keyed rounding takes the epoch as a noise coordinate (stream
-        # rounding's state is its stream position; the call is a no-op).
-        self.rounding.set_epoch(epoch)
-
-    def _live_tracer(self) -> object | None:
-        """The tracer, when it will read this epoch's observations."""
-        tracer = self.tracer
-        if tracer is not None and getattr(tracer, "wants_traces", True):
-            return tracer
-        return None
-
-    def state_dict(self) -> dict:
-        """Rounding-stream position plus any stateful bit provider.
-
-        The adaptive assigner is checkpointed separately by the trainer
-        (it is shared infrastructure, not exchange-owned); only providers
-        reachable solely through the exchange land here.
-        """
-        state: dict = {"rounding": self.rounding.state_dict()}
-        provider_state = getattr(self.bit_provider, "state_dict", None)
-        if provider_state is not None and not hasattr(
-            self.bit_provider, "reassign"
-        ):
-            state["bit_provider"] = provider_state()
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        self.rounding.load_state_dict(state["rounding"])
-        if "bit_provider" in state:
-            self.bit_provider.load_state_dict(state["bit_provider"])
-
-    def _post(self, transport, layer, phase, src, dst, tag, rows) -> None:
-        rows = np.ascontiguousarray(rows, dtype=np.float32)
-        tracer = self._live_tracer()
-        if tracer is not None:
-            tracer.observe(phase, layer, src, dst, rows)
-        bits = self.bit_provider.bits_for(layer, phase, src, dst, rows.shape[0])
-        payload = self.encoder.encode(rows, bits, block=(phase, layer, src, dst))
-        transport.post(src, dst, tag, payload, payload.wire_bytes)
-
-    def _decode(self, payload: object) -> np.ndarray:
-        return payload.decode()  # type: ignore[union-attr]
-
-
-class FusedQuantizedHaloExchange(QuantizedHaloExchange):
-    """The fused exchange engine: batched kernels over whole cluster steps.
-
-    Numerically *identical* to :class:`QuantizedHaloExchange` under the
-    same seed — same wire bytes, same dequantized tensors, same accuracy
-    curves (the equivalence suite asserts this) — but executed as a few
-    large NumPy kernels per (layer, phase) step instead of thousands of
-    per-pair, per-group dispatches:
-
-    * the boundary rows of **every** (src, dst) pair of the step are
-      gathered into one step-wide buffer (one ``take`` per source device);
-    * stochastic quantization for the whole step runs as one kernel, and
-      packing as one batch per distinct bit-width
-      (:class:`~repro.quant.fused.FusedStepEncoder`);
-    * each device's payloads enter the transport through one batched post;
-    * all receivers' payloads are decoded together, batched per bit-width
-      (:func:`~repro.quant.fused.decode_cluster_step`).
-
-    Boundary index structures, permutation plans and scratch buffers are
-    cached across epochs and only rebuilt when the bit-width assignment of
-    a step changes (i.e. at reassignment boundaries).
-    """
-
-    def __init__(
-        self,
-        bit_provider: BitProvider,
-        rng,
-        tracer: object | None = None,
-    ) -> None:
-        super().__init__(bit_provider, rng, tracer)
-        # Shares the rounding policy with the (now unused) per-pair
-        # encoder: under stream rounding the stream position matches the
-        # legacy path draw for draw; under keyed rounding both produce the
-        # same coordinate-determined noise by construction.
         self.fused_encoder = FusedStepEncoder(self.rounding)
         self._decode_ws = DecodeWorkspace()
         # Worker-side decode scratch, an A/B workspace pair per receiving
@@ -811,7 +627,42 @@ class FusedQuantizedHaloExchange(QuantizedHaloExchange):
         self._repair_segments: dict = {}
         self._repair_cache: dict = {}
 
-    # -- fused fast paths ---------------------------------------------------
+    def on_epoch_start(self, epoch: int) -> None:
+        set_epoch = getattr(self.bit_provider, "set_epoch", None)
+        if set_epoch is not None:
+            set_epoch(epoch)
+        # The epoch is a coordinate of every block's noise key.
+        self.rounding.set_epoch(epoch)
+
+    def _live_tracer(self) -> object | None:
+        """The tracer, when it will read this epoch's observations."""
+        tracer = self.tracer
+        if tracer is not None and getattr(tracer, "wants_traces", True):
+            return tracer
+        return None
+
+    def state_dict(self) -> dict:
+        """Rounding state (empty: keyed noise is stateless) plus any
+        stateful bit provider.
+
+        The adaptive assigner is checkpointed separately by the trainer
+        (it is shared infrastructure, not exchange-owned); only providers
+        reachable solely through the exchange land here.
+        """
+        state: dict = {"rounding": self.rounding.state_dict()}
+        provider_state = getattr(self.bit_provider, "state_dict", None)
+        if provider_state is not None and not hasattr(
+            self.bit_provider, "reassign"
+        ):
+            state["bit_provider"] = provider_state()
+        return state
+
+    def load_state_dict(self, state: dict) -> None:
+        self.rounding.load_state_dict(state["rounding"])
+        if "bit_provider" in state:
+            self.bit_provider.load_state_dict(state["bit_provider"])
+
+    # -- step halves --------------------------------------------------------
     def post_step(
         self,
         layer: int,
@@ -842,9 +693,7 @@ class FusedQuantizedHaloExchange(QuantizedHaloExchange):
                         f"expected {expected}"
                     )
             step.scatter_out = out
-        self._encode_and_post(
-            transport, layer, phase, devices, tag, values_by_dev, step=step
-        )
+        self._encode_and_post(transport, step, values_by_dev)
         return step
 
     def finalize_step(
@@ -901,8 +750,7 @@ class FusedQuantizedHaloExchange(QuantizedHaloExchange):
         for dev in step.devices:
             part = dev.part
             # Mailbox iteration order is the transport's collection order
-            # (src ascending), so float accumulation order matches the
-            # legacy per-peer loop exactly.
+            # (src ascending) — the float accumulation-order anchor.
             for p, mat in decoded[dev.rank].items():
                 out[dev.rank][part.send_map[p]] += mat
         return None
@@ -915,9 +763,9 @@ class FusedQuantizedHaloExchange(QuantizedHaloExchange):
 
         Every peer in the step plan posts exactly one envelope, so a
         shortfall means an envelope was dropped in transit.  When the
-        step is replayable (keyed rounding, plan scratch staged on this
-        side of any process boundary) the missing pair's payload is
-        regenerated *bitwise* — noise is a pure function of coordinates,
+        step is replayable (plan scratch staged on this side of any
+        process boundary) the missing pair's payload is regenerated
+        *bitwise* — noise is a pure function of coordinates,
         and payload bytes are independent of the shard decomposition —
         and the dict is re-sorted src-ascending so the backward float
         accumulation order is unchanged.  Otherwise a typed
@@ -959,19 +807,15 @@ class FusedQuantizedHaloExchange(QuantizedHaloExchange):
     def _encode_and_post(
         self,
         transport: TransportBackend,
-        layer: int,
-        phase: str,
-        devices: list,
-        tag: str,
+        step: InFlightStep,
         values_by_rank: list[np.ndarray],
-        step: InFlightStep | None = None,
     ) -> None:
+        layer, phase, tag, dim = step.layer, step.phase, step.tag, step.dim
         pairs, pair_counts, device_blocks, cat_idx = self._topology_for(
-            phase, devices
+            phase, step.devices
         )
         if not pairs:
             return
-        dim = int(values_by_rank[devices[0].rank].shape[1])
 
         bits_cat = np.concatenate(
             [
@@ -982,8 +826,7 @@ class FusedQuantizedHaloExchange(QuantizedHaloExchange):
         plan = self.fused_encoder.plan_for(
             (phase, layer), pairs, pair_counts, device_blocks, cat_idx, bits_cat, dim
         )
-        if step is not None:
-            step.plan = plan
+        step.plan = plan
         observe = None
         tracer = self._live_tracer()
         if tracer is not None:
@@ -991,16 +834,9 @@ class FusedQuantizedHaloExchange(QuantizedHaloExchange):
             def observe(src: int, dst: int, rows: np.ndarray) -> None:
                 tracer.observe(phase, layer, src, dst, rows)
 
-        if (
-            step is not None
-            and getattr(transport, "kind", None) == "process"
-            and self.rounding.mode == "keyed"
-        ):
-            # Process transport + keyed rounding: descriptor jobs over
-            # shared memory (closures cannot cross the process boundary).
-            # Stream rounding on a process transport falls through to the
-            # deferred-closure path below, which ProcessTransport runs
-            # inline — the bitwise sync behaviour.
+        if getattr(transport, "kind", None) == "process":
+            # Descriptor jobs over shared memory (closures cannot cross
+            # the process boundary).
             self._post_step_process(
                 transport, plan, layer, phase, tag, step, values_by_rank, observe
             )
@@ -1011,27 +847,23 @@ class FusedQuantizedHaloExchange(QuantizedHaloExchange):
         # here too — providers and tracers never see worker threads).
         encoder = self.fused_encoder
         encoder.gather_step(plan, values_by_rank, observe)
-        if step is not None and self.rounding.mode == "keyed":
-            # The step's source rows now sit in plan scratch on this side
-            # of any process boundary, and keyed noise is a pure function
-            # of coordinates: a dropped envelope can be regenerated
-            # bitwise via pair_shard + quantize_pack_shard.  (Stream
-            # rounding cannot replay — a re-encode would advance the
-            # shared stream; the process path never needs to — its data
-            # plane is the shm slab, not the mailbox.)
-            step.replayable = True
+        # The step's source rows now sit in plan scratch on this side of
+        # any process boundary, and keyed noise is a pure function of
+        # coordinates: a dropped envelope can be regenerated bitwise via
+        # pair_shard + quantize_pack_shard.  (The process path never needs
+        # to — its data plane is the shm slab, not the mailbox.)
+        step.replayable = True
 
         # Quantize/pack/post half: one deferred job per encode shard.
-        # Keyed rounding gives every pair coordinate-determined noise, so
-        # the step splits into transport.workers contiguous shards that
-        # may run concurrently and retire in any order; stream rounding
-        # yields exactly one shard (shards_for pins it), preserving the
-        # sequential-stream contract.  On async transports the last shard
-        # to finish defers one collect+decode job per receiver under the
-        # same tag — decode overlaps the central window too, and finalize
-        # is left with only the order-sensitive scatter/accumulate.
+        # Every pair has coordinate-determined noise, so the step splits
+        # into transport.workers contiguous shards that may run
+        # concurrently and retire in any order.  On async transports the
+        # last shard to finish defers one collect+decode job per receiver
+        # under the same tag — decode overlaps the central window too, and
+        # finalize is left with only the order-sensitive
+        # scatter/accumulate.
         shards = encoder.shards_for(plan, max(transport.workers, 1))
-        eager_decode = transport.is_async and step is not None
+        eager_decode = transport.is_async
         if eager_decode:
             step.decoded = {}
         remaining = [len(shards)]

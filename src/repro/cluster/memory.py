@@ -31,8 +31,8 @@ Beyond the footnote-1 data counts, the footprint also models the
   transport).
 
 :func:`estimate_peak_resident` folds these into one cluster-wide
-peak-RSS prediction, cross-checked against measured ``ru_maxrss`` by the
-``bench_huge_graph`` perf entry; :func:`host_memory` reads the host's
+peak-RSS prediction, cross-checked against measured peak RSS by
+``repro.harness.hugebench.bench_huge_graph``; :func:`host_memory` reads the host's
 total/available RAM so the CLI can warn before a job that cannot fit.
 """
 
@@ -80,7 +80,6 @@ class MemoryFootprint:
     shm_slab_bytes: int = 0
     #: the fused engine's stacked buffers attributable to this device's
     #: rows (activations, aggregation outputs, gradients, logits, masks).
-    #: Zero for the legacy per-device executor.
     stacked_buffer_bytes: int = 0
     #: bytes of store-backed memmap regions this device faults in while
     #: its kernels run (CSR operator blocks + features + labels).  Only
@@ -115,9 +114,9 @@ class MemoryFootprint:
 
         Streaming mode never materializes features or layer-0 buffers
         (they stay on the mapped store, counted by
-        :attr:`memmap_window_bytes`); the fused in-RAM engine holds the
-        device features *and* their copy inside the stacked layer-0
-        buffer; the legacy executor has no stacked buffers at all.
+        :attr:`memmap_window_bytes`); the in-RAM engine holds the device
+        features *and* their copy inside the stacked layer-0 buffer
+        (stacked buffers already include activations and halo regions).
         """
         shared = (
             self.model_param_bytes
@@ -127,16 +126,7 @@ class MemoryFootprint:
         )
         if self.streaming:
             return shared + self.stacked_buffer_bytes + self.memmap_window_bytes
-        if self.stacked_buffer_bytes:
-            # Stacked buffers already include activations and halo
-            # regions; device features exist alongside their layer-0 copy.
-            return shared + self.feature_bytes + self.stacked_buffer_bytes
-        return (
-            shared
-            + self.feature_bytes
-            + self.activation_bytes
-            + self.halo_buffer_bytes
-        )
+        return shared + self.feature_bytes + self.stacked_buffer_bytes
 
 
 def _stacked_bytes(
@@ -264,11 +254,9 @@ def estimate_memory(cluster: Cluster) -> list[MemoryFootprint]:
                 + int(dev.features.nbytes)
                 + int(dev.labels.nbytes)
             )
-        stacked = 0
-        if cluster.fused_compute:
-            stacked = _stacked_bytes(
-                n, h, dims, cluster.model_kind, transform_first, streaming=streaming
-            )
+        stacked = _stacked_bytes(
+            n, h, dims, cluster.model_kind, transform_first, streaming=streaming
+        )
         footprints.append(
             MemoryFootprint(
                 device=dev.rank,

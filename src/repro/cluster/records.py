@@ -234,10 +234,10 @@ class StepTimeline:
 class TimelineSummary:
     """Bounded-size aggregate of measured :class:`StepTimeline` entries.
 
-    Long runs cannot afford to retain one stage list per step forever —
-    this is the summarize half of the keep-last-N-or-summarize policy:
-    stage seconds and byte counters accumulate here while the per-step
-    objects themselves can be dropped.
+    Long runs cannot afford to retain one stage list per step forever:
+    stage seconds and byte counters accumulate here (per epoch record, and
+    merged into the run's :class:`~repro.core.trainer.TrainResult`) while
+    the per-step objects live only as long as their epoch record.
     """
 
     steps: int = 0
@@ -294,9 +294,9 @@ class EpochRecord:
     loss: float
     phases: list[PhaseRecord] = field(default_factory=list)
     # Measured per-step stage timelines, emitted only by the split-phase
-    # pipelined executor (empty under the non-overlapped engines).  Feed
-    # entries through :meth:`add_timeline` so ``timeline_summary`` stays
-    # authoritative even when old entries are dropped under a cap.
+    # pipelined executor (empty on non-overlapped runs): one entry per
+    # layer per direction.  Feed entries through :meth:`add_timeline` so
+    # ``timeline_summary`` — what a run keeps across epochs — absorbs them.
     timelines: list[StepTimeline] = field(default_factory=list)
     timeline_summary: TimelineSummary = field(default_factory=TimelineSummary)
     grad_allreduce_bytes: int = 0
@@ -304,16 +304,10 @@ class EpochRecord:
     # assignment solving); simulated device time never lands here.
     host_overhead_s: float = 0.0
 
-    def add_timeline(self, t: StepTimeline, keep_last: int | None = None) -> None:
-        """Record one measured step; caps the retained list at ``keep_last``.
-
-        The summary always absorbs the step, so byte/stage accounting
-        (:meth:`hidden_byte_fraction`) never loses dropped entries.
-        """
+    def add_timeline(self, t: StepTimeline) -> None:
+        """Record one measured step (and fold it into the summary)."""
         self.timeline_summary.add(t)
         self.timelines.append(t)
-        if keep_last is not None and len(self.timelines) > keep_last:
-            del self.timelines[: len(self.timelines) - keep_last]
 
     def total_wire_bytes(self) -> int:
         return int(sum(p.bytes_matrix.sum() for p in self.phases))

@@ -6,11 +6,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.gnn.coefficients import AggregationContext
+from repro.gnn.coefficients import AggregationContext, build_aggregation
 from repro.gnn.model import DistGNN
-from repro.graph.partition.book import LocalPartition
+from repro.graph.io import StoreDataset
+from repro.graph.partition.book import (
+    LocalPartition,
+    PartitionBook,
+    build_local_partitions,
+)
+from repro.utils.seed import RngPool
 
-__all__ = ["DeviceRuntime"]
+__all__ = ["DeviceRuntime", "build_devices"]
 
 
 @dataclass
@@ -59,3 +65,92 @@ class DeviceRuntime:
 
     def central_row_mask(self) -> np.ndarray:
         return self.part.central_mask
+
+
+def build_devices(
+    dataset,
+    book: PartitionBook,
+    *,
+    model_kind: str,
+    dims: list[int],
+    dropout: float,
+    seed: int,
+) -> tuple[list[DeviceRuntime], list | None]:
+    """One :class:`DeviceRuntime` per partition of ``book``, rank order.
+
+    Returns the devices and, for a store-backed dataset, each device's
+    :class:`~repro.graph.io.DeviceStreamOps` (``None`` for an in-RAM
+    dataset).  Store datasets carry no global arrays — partitions,
+    operators and attribute slices come pre-built from the on-disk
+    :class:`~repro.graph.io.PartitionStore` as (typically memmapped)
+    regions.  Every replica draws the *same* weight stream, so replicas
+    start bit-identical without any broadcast; dropout streams are per
+    device.
+    """
+    agg_kind = "gcn" if model_kind == "gcn" else "sage"
+    stream_ops = None
+    if isinstance(dataset, StoreDataset):
+        store = dataset.store
+        if book.num_parts != store.num_parts:
+            raise ValueError(
+                f"partition book has {book.num_parts} parts but the store"
+                f" was built for {store.num_parts}"
+            )
+        if store.agg_kind != agg_kind:
+            raise ValueError(
+                f"store was prepared with agg_kind={store.agg_kind!r};"
+                f" model_kind={model_kind!r} needs {agg_kind!r}"
+            )
+        store_parts = [
+            store.partition(p, materialize=dataset.materialize)
+            for p in range(store.num_parts)
+        ]
+        device_data = [
+            (sp.part, sp.agg, sp.features, sp.labels,
+             sp.train_mask, sp.val_mask, sp.test_mask)
+            for sp in store_parts
+        ]
+        stream_ops = [sp.ops for sp in store_parts]
+    else:
+        degrees = dataset.graph.degrees.astype(np.float64)
+        device_data = []
+        for part in build_local_partitions(dataset.graph, book):
+            owned = part.owned_global
+            device_data.append(
+                (
+                    part,
+                    build_aggregation(part, degrees, agg_kind),
+                    dataset.features[owned],
+                    dataset.labels[owned],
+                    dataset.train_mask[owned],
+                    dataset.val_mask[owned],
+                    dataset.test_mask[owned],
+                )
+            )
+
+    pool = RngPool(seed).fork("cluster")
+    weight_seed_pool = pool.fork("weights")
+    devices = []
+    for part, agg, features, labels, train_m, val_m, test_m in device_data:
+        model = DistGNN(
+            model_kind,
+            dims,
+            agg,
+            dropout=dropout,
+            weight_rng=weight_seed_pool.fork("shared").get("init"),
+            dropout_rng=pool.device(part.part_id, "dropout"),
+        )
+        devices.append(
+            DeviceRuntime(
+                rank=part.part_id,
+                part=part,
+                agg=agg,
+                model=model,
+                features=features,
+                labels=labels,
+                train_mask=train_m,
+                val_mask=val_m,
+                test_mask=test_m,
+            )
+        )
+    return devices, stream_ops

@@ -7,7 +7,7 @@ runs each encode shard — and each receiver's decode — in its own worker
 *process*; payloads travel through ``multiprocessing.shared_memory``
 ring-buffer slabs, never through pickles.
 
-The design leans entirely on PR 5's keyed RNG: a worker needs **no shared
+The design leans entirely on the keyed RNG: a worker needs **no shared
 state**.  It receives a picklable :class:`~repro.quant.fused.
 ShardDescriptor` — coordinates and row spans, not closures — plus shm
 offsets, rebuilds its shard plan locally and reproduces the payload bytes
@@ -358,8 +358,8 @@ class ProcessTransport(SyncTransport):
     Accounting, mailboxes and ``collect``'s source-ascending anchor are
     inherited; what changes is where jobs execute.  :meth:`defer` still
     runs closures inline — exchanges whose jobs are closures (exact,
-    stale, broadcast, stream-mode quantized) stay on the bitwise-identical
-    sync path automatically; only the fused keyed engine opts into
+    stale, broadcast) stay on the bitwise-identical sync path
+    automatically; only the quantized exchange opts into
     :meth:`submit`/:meth:`submit_followup` with picklable jobs.
 
     The main thread runs all ``on_done`` callbacks inside

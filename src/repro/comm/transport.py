@@ -36,10 +36,8 @@ Two backends live here:
 over shared memory, lives in :mod:`repro.comm.process`.)
 
 Worker counts are a *transport* property: exchanges consult
-``transport.workers`` to decide how many encode shards to emit.  Whether
-that is safe is the exchange's call — keyed rounding makes shards
-order-independent; stream rounding pins every exchange to one job per
-step regardless of the pool size.
+``transport.workers`` to decide how many encode shards to emit; keyed
+rounding makes shards order-independent, so any count is safe.
 """
 
 from __future__ import annotations
@@ -522,12 +520,10 @@ class WorkerTransport(SyncTransport):
       to run the central sub-step, whose BLAS/spmv kernels release the GIL
       — so the workers' NumPy quantize/pack kernels genuinely execute in
       parallel on spare cores;
-    * the pool size is the caller's choice.  At ``workers=1`` jobs retire
-      in submission order — the execution shape stream-rounding exchanges
-      rely on (their noise comes from a shared sequential RNG).  Keyed
-      rounding makes payload bytes a pure function of block coordinates,
-      so such exchanges shard one step across every worker and let shards
-      retire in any order;
+    * the pool size is the caller's choice.  Keyed rounding makes payload
+      bytes a pure function of block coordinates, so the quantized
+      exchange shards one step across every worker and lets shards retire
+      in any order;
     * a running job may itself :meth:`defer` followup work under its tag
       (the fused exchange's last encode shard defers per-receiver decode
       jobs); ``complete(tag)`` joins everything registered under the tag,

@@ -41,21 +41,15 @@ class RunConfig:
     fixed_bits: int = 2  # for the fixed-bit-width systems
     uniform_period: int = 20  # resampling cadence of the uniform baseline
 
-    # Simulator engines.  All three flags swap execution shape only —
-    # every path is numerically identical under the same seed; they exist
-    # for equivalence tests, benchmarks and as escape hatches.
-    # fused_exchange: batched (fused) quantized exchange vs. the legacy
-    # per-peer, per-group path.
-    fused_exchange: bool = True
-    # fused_compute: cluster-fused layer compute (block-diagonal
-    # aggregation + stacked GEMMs across all devices) vs. the legacy
-    # per-device layer loop.
-    fused_compute: bool = True
+    # Execution shape.  These three swap how an epoch is executed, never
+    # what it computes — every combination is bitwise-identical under the
+    # same seed (tests/cluster/test_oracle_matrix.py compares them all with
+    # the reference trainer).
     # overlap: split-phase central/marginal pipelined execution (post
     # marginal messages -> central sub-step while they fly -> finalize ->
     # marginal sub-step), with measured per-stage timelines.  Applied to
     # the systems whose schedule overlaps (the adaqp variants and
-    # vanilla-overlap); requires fused_compute.
+    # vanilla-overlap).
     overlap: bool = True
     # transport: which transport backend runs each step's quantize/pack/
     # post (and decode) jobs, as a spec string "backend[:workers]":
@@ -66,13 +60,11 @@ class RunConfig:
     #               GIL-releasing BLAS/spmv;
     #   "process:4" worker processes over shared memory — scales
     #               quantize-heavy steps past the thread pool's GIL
-    #               ceiling (requires rng_mode="keyed" for the sharded
-    #               path; stream-mode runs degrade to inline execution).
-    # Every backend is bit-identical to sync under the same seed.  With
-    # rng_mode="keyed" the fused engine shards each step's encode across
-    # the pool and decodes per receiver on it, so results are identical
-    # at ANY worker count; with rng_mode="stream" exchanges submit one
-    # job per step regardless (the stream contract is order-dependent).
+    #               ceiling.
+    # Stochastic-rounding noise is keyed on (run_seed, epoch, phase, layer,
+    # src, dst), so the quantized exchange shards each step's encode
+    # across the pool and decodes per receiver on it with results
+    # identical at ANY worker count.
     transport: str = "auto"
     # pipeline_depth: how many (layer, phase) exchange steps the split-
     # phase executor keeps in flight.  1 is the classic Fig. 7 pipeline
@@ -81,27 +73,10 @@ class RunConfig:
     # L+1's marginal messages from inside layer L's marginal sub-step (the
     # moment its owned outputs land, before the backward-cache scatters),
     # and the backward pass defers each layer's parameter-partial GEMMs to
-    # run after the next step's post is dispatched.  Both depths are
-    # bitwise-identical by construction — posts stay strictly ordered and
-    # every deferred block reads only per-layer buffers — so the knob
-    # trades nothing but execution shape.  Ignored (treated as 1) when
-    # overlap is off.
+    # run after the next step's post is dispatched.  Posts stay strictly
+    # ordered and every deferred block reads only per-layer buffers.
+    # Ignored (treated as 1) when overlap is off.
     pipeline_depth: int = 2
-    # rng_mode: where stochastic-rounding noise comes from.  "keyed" (the
-    # default) derives each message block's noise from a counter-based
-    # Philox generator keyed on (run_seed, epoch, phase, layer, src, dst)
-    # — a pure function of data coordinates, so training results are
-    # bitwise-reproducible regardless of execution order, thread
-    # placement or transport worker count.  "stream" restores the legacy
-    # shared sequential generator (the pre-PR-5 bitwise contract), which
-    # pins every encode to a fixed global order.
-    rng_mode: str = "keyed"
-    # timeline_history: how many measured per-step StepTimeline entries a
-    # TrainResult retains (most recent first to go: oldest dropped); the
-    # aggregate TimelineSummary always covers every step, so
-    # multi-hundred-epoch runs keep bounded memory without losing the
-    # overlap accounting.
-    timeline_history: int = 48
 
     # Fault tolerance
     # checkpoint_dir: where epoch-boundary checkpoints land (and, with
@@ -113,9 +88,9 @@ class RunConfig:
     # completed run can seed an elastic restart).
     checkpoint_every: int = 1
     # resume: restore from the newest checkpoint in checkpoint_dir before
-    # training.  Under rng_mode="keyed" the resumed run is bitwise
-    # identical to the uninterrupted one; an empty/missing directory
-    # falls through to a fresh start.
+    # training.  The resumed run is bitwise identical to the
+    # uninterrupted one; an empty/missing directory falls through to a
+    # fresh start.
     resume: bool = False
     # transport_timeout_s: per-tag completion deadline for async
     # transports — a stalled tag raises TransportError naming its
@@ -138,7 +113,6 @@ class RunConfig:
         for b in self.bit_choices:
             check_in_set(b, SUPPORTED_BITS, name="bit_choices entry")
         check_in_set(self.fixed_bits, SUPPORTED_BITS, name="fixed_bits")
-        check_in_set(self.rng_mode, ("keyed", "stream"), name="rng_mode")
         transport = self.transport
         if isinstance(transport, TransportSpec):
             transport = str(transport)
@@ -148,8 +122,6 @@ class RunConfig:
         object.__setattr__(self, "transport", transport)
         if self.pipeline_depth not in (1, 2):
             raise ValueError("pipeline_depth must be 1 or 2")
-        if self.timeline_history < 0:
-            raise ValueError("timeline_history must be >= 0")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
         if self.transport_timeout_s is not None and self.transport_timeout_s <= 0:

@@ -31,13 +31,12 @@ from repro.cluster.checkpoint import (
     save_checkpoint,
 )
 from repro.cluster.cluster import Cluster
-from repro.cluster.records import StepTimeline, TimelineSummary
+from repro.cluster.records import TimelineSummary
 from repro.cluster.exchange import (
     ExactHaloExchange,
     FixedBitProvider,
     FusedQuantizedHaloExchange,
     HaloExchange,
-    QuantizedHaloExchange,
     UniformRandomBitProvider,
 )
 from repro.cluster.perfmodel import PerfModel
@@ -111,12 +110,10 @@ class TrainResult:
     assign_seconds: float = 0.0
     assign_groups: int = 0  # message groups in the last re-assignment's problems
     bit_histogram: dict[int, int] = field(default_factory=dict)
-    # Measured overlap accounting (overlapped runs only).  The summary
-    # covers every executed step of the run; recent_timelines keeps only
-    # the last ``RunConfig.timeline_history`` per-step entries, so
-    # multi-hundred-epoch runs never accumulate unbounded stage lists.
+    # Measured overlap accounting (overlapped runs only): the aggregate
+    # over every executed step of the run.  Per-step entries live on each
+    # epoch's record only, so long runs keep bounded state.
     timeline_summary: TimelineSummary = field(default_factory=TimelineSummary)
-    recent_timelines: list[StepTimeline] = field(default_factory=list)
     # Fault tolerance: the first epoch this run actually executed (> 0
     # when resumed from a checkpoint) and the transport's post-close
     # health report (worker exit codes, respawns, fault counters).
@@ -203,20 +200,11 @@ def build_system(
 ) -> _SystemSetup:
     """Compose the exchange policy + schedule for one system name."""
     pool = RngPool(config.seed).fork(f"system/{name}")
-    # All adaqp variants run the fused engine by default; the legacy
-    # per-peer path remains available (fused_exchange=False) for the
-    # equivalence suite and the perf benchmarks' unfused baseline.
-    quantized_cls = (
-        FusedQuantizedHaloExchange if config.fused_exchange else QuantizedHaloExchange
-    )
 
     def rounding():
-        # Keyed mode: noise is a pure function of (run seed, block
-        # coordinates), derived per system from the same pool fork the
-        # stream generator would use — deterministic given config.seed.
-        if config.rng_mode == "keyed":
-            return KeyedRounding(pool.fork("rounding").seed)
-        return pool.get("rounding")
+        # Noise is a pure function of (run seed, block coordinates); the
+        # run seed derives per system from config.seed.
+        return KeyedRounding(pool.fork("rounding").seed)
 
     if name == "vanilla":
         return _SystemSetup(exchange=ExactHaloExchange(), schedule=schedule_vanilla)
@@ -231,7 +219,7 @@ def build_system(
             solver=config.solver,
             default_bits=config.default_bits,
         )
-        exchange = quantized_cls(assigner, rounding(), tracer=assigner)
+        exchange = FusedQuantizedHaloExchange(assigner, rounding(), tracer=assigner)
         return _SystemSetup(exchange=exchange, schedule=schedule_adaqp, assigner=assigner)
     if name == "adaqp-uniform":
         provider = UniformRandomBitProvider(
@@ -239,10 +227,10 @@ def build_system(
             choices=config.bit_choices,
             period=config.uniform_period,
         )
-        exchange = quantized_cls(provider, rounding())
+        exchange = FusedQuantizedHaloExchange(provider, rounding())
         return _SystemSetup(exchange=exchange, schedule=schedule_adaqp)
     if name == "adaqp-fixed":
-        exchange = quantized_cls(
+        exchange = FusedQuantizedHaloExchange(
             FixedBitProvider(config.fixed_bits), rounding()
         )
         return _SystemSetup(exchange=exchange, schedule=schedule_adaqp)
@@ -257,7 +245,7 @@ def build_system(
             solver=config.solver,
             default_bits=config.default_bits,
         )
-        exchange = quantized_cls(assigner, rounding(), tracer=assigner)
+        exchange = FusedQuantizedHaloExchange(assigner, rounding(), tracer=assigner)
         return _SystemSetup(
             exchange=exchange,
             schedule=schedule_quantized_no_overlap,
@@ -301,8 +289,8 @@ def train(
     ``fault_plan`` (a :class:`~repro.comm.faults.FaultPlan`) injects
     transport faults for the fault-tolerance suite; ``None`` disables
     injection.  ``config.checkpoint_dir``/``config.resume`` control
-    epoch-boundary checkpointing — under ``rng_mode="keyed"`` a resumed
-    run is bitwise identical to the uninterrupted one.
+    epoch-boundary checkpointing — a resumed run is bitwise identical to
+    the uninterrupted one.
 
     Examples
     --------
@@ -334,7 +322,6 @@ def train(
         num_layers=config.num_layers,
         dropout=config.dropout,
         seed=config.seed,
-        fused_compute=config.fused_compute,
         overlap=config.overlap and system in OVERLAP_SYSTEMS,
         transport=config.transport,
         pipeline_depth=config.pipeline_depth,
@@ -396,12 +383,7 @@ def train(
             result.quant_time_total += sched.quant_time
             result.wire_bytes_total += record.total_wire_bytes()
             result.curve_loss.append(record.loss)
-            if record.timeline_summary.steps:
-                result.timeline_summary.merge(record.timeline_summary)
-                result.recent_timelines.extend(record.timelines)
-                overflow = len(result.recent_timelines) - config.timeline_history
-                if overflow > 0:
-                    del result.recent_timelines[:overflow]
+            result.timeline_summary.merge(record.timeline_summary)
 
             if epoch % config.eval_every == 0 or epoch == config.epochs - 1:
                 metrics = cluster.evaluate()

@@ -56,8 +56,8 @@ class AggregationContext:
         work) per layer per epoch.  The cached CSR transpose is traversed
         row-major like the forward operator; per-output-row accumulation
         order (ascending source row) is identical to the CSC path, so
-        results are bit-identical.  Shared by the legacy per-device path
-        and the fused engine's block-diagonal builder.
+        results are bit-identical.  Shared by the per-device layers and
+        the fused engine's block-diagonal builder.
         """
         if self._matrix_t is None:
             t = self.matrix.T.tocsr()

@@ -48,9 +48,9 @@ def stack_conv_inputs(x_own: np.ndarray, x_halo: np.ndarray) -> np.ndarray:
     With an empty halo, ``x_own`` passes through untouched (contiguity is
     restored only if a caller handed us a strided view — the old
     unconditional path silently re-copied inside scipy on every spmv);
-    otherwise one ``np.vstack`` copy, exactly the legacy behaviour.  The
-    fused compute engine never stacks at all — its aggregation reads the
-    stacked layer buffer directly.
+    otherwise one ``np.vstack`` copy.  The fused compute engine never
+    stacks at all — its aggregation reads the stacked layer buffer
+    directly.
 
     Dtypes pass through untouched: the training path is float32 end to end
     (:class:`~repro.cluster.runtime.DeviceRuntime` normalizes features,

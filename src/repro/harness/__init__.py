@@ -14,11 +14,6 @@ from repro.harness.workloads import (
     standard_config,
 )
 from repro.harness.results import ExperimentResult, results_dir, save_result
-from repro.harness.perfbench import (
-    compare_to_baseline,
-    render_report,
-    run_bench,
-)
 from repro.harness.ablations import (
     run_ablation_contributions,
     run_ablation_partition_method,
@@ -68,7 +63,4 @@ __all__ = [
     "run_ablation_partition_method",
     "run_ablation_solver",
     "run_footnote1_sizes",
-    "run_bench",
-    "compare_to_baseline",
-    "render_report",
 ]

@@ -21,21 +21,21 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.exchange import ExactHaloExchange, FixedBitProvider, QuantizedHaloExchange
+from repro.cluster.exchange import (
+    ExactHaloExchange,
+    FixedBitProvider,
+    FusedQuantizedHaloExchange,
+)
 from repro.cluster.perfmodel import PerfModel
 from repro.comm.costmodel import LinkCostModel
 from repro.core.decompose import decompose_partition
-from repro.core.scheduler import (
-    device_comm_times,
-    device_compute_times,
-    schedule_vanilla,
-)
+from repro.core.scheduler import device_comm_times, device_compute_times
 from repro.core.trainer import TrainResult, train
 from repro.graph.datasets import DATASET_CATALOG, load_dataset
 from repro.graph.partition.quality import remote_neighbor_ratio
 from repro.harness.results import ExperimentResult
 from repro.harness.workloads import WORKLOADS, prepared_case, standard_config
-from repro.utils.seed import RngPool
+from repro.quant.stochastic import KeyedRounding
 
 __all__ = [
     "run_table1_comm_overhead",
@@ -181,7 +181,7 @@ def run_table2_overlap_headroom(
         ds, book, model_kind="gcn", hidden_dim=32, num_layers=3, dropout=0.0,
         seed=seed, overlap=overlap,
     )
-    exchange = QuantizedHaloExchange(FixedBitProvider(2), RngPool(seed).get("table2"))
+    exchange = FusedQuantizedHaloExchange(FixedBitProvider(2), KeyedRounding(seed))
     record = cluster.train_epoch(exchange, epoch=0)
     comm = device_comm_times(record, cost)
     comp = device_compute_times(record, perf, central_only=True)

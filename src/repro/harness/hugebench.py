@@ -1,9 +1,10 @@
 """Huge-graph bench: streaming store epochs vs. the materialized arm.
 
-The huge-graph execution mode (PR 10) trades RAM for page faults: the
-partition store stays on disk as aligned memmap regions and the fused
-engine streams one device's operator/feature window at a time, releasing
-pages behind itself.  The claims this bench pins:
+The huge-graph execution mode trades RAM for page faults: the partition
+store stays on disk as aligned memmap regions and the compute engine
+streams one device's operator/feature window at a time, releasing pages
+behind itself.  The claims this bench pins (gated by
+``tests/cluster/test_hugegraph_residency.py``, ``-m perf``):
 
 * **peak RSS**: the streaming arm's resident high-water mark is a
   fraction (gated at ≤ 0.5) of the materialized arm's, measured as the
@@ -14,8 +15,7 @@ pages behind itself.  The claims this bench pins:
   *equal*, not close;
 * **throughput**: epoch edges/s of the streaming arm, and its ratio to
   the materialized arm (the cost of faulting the window under the
-  kernels, which nothing hides on a synchronous transport, so the ratio
-  is multi-core-gated like the other fan-out benches);
+  kernels, which nothing hides on a synchronous transport);
 * **estimate accuracy**: :func:`~repro.cluster.memory.estimate_peak_resident`
   vs. the measured streaming delta, reported as a signed relative error.
 
@@ -64,8 +64,7 @@ HUGE_WORKLOAD = {
     "system": "adaqp",
 }
 
-#: CI-smoke scale: same shape, quarter the nodes (logged in the report —
-#: the curated baseline ratios come from the full workload).
+#: CI-smoke scale: same shape, quarter the nodes (logged in the report).
 HUGE_WORKLOAD_QUICK = dict(HUGE_WORKLOAD, num_nodes=250_000)
 
 
@@ -150,7 +149,6 @@ def run_arm(
         dropout=0.0,
         seed=seed,
         transport="sync",
-        rng_mode="keyed",
     )
     cluster = Cluster(
         ds,
@@ -160,7 +158,6 @@ def run_arm(
         num_layers=cfg.num_layers,
         dropout=0.0,
         seed=seed,
-        fused_compute=True,
         overlap=False,
         transport="sync",
     )
@@ -253,15 +250,11 @@ def bench_huge_graph(
     store_dir: str | Path | None = None,
     epochs: int | None = None,
 ) -> dict:
-    """The ``huge_graph`` perf section: stream vs. materialize arms.
+    """Stream vs. materialize arms, one fresh subprocess each.
 
-    ``unfused_ms``/``fused_ms`` follow the suite's naming convention —
-    "unfused" is the materialized in-RAM arm, "fused" the streaming
-    arm — so the shared rendering and gating machinery applies.  The
-    headline metrics are ``rss_fraction`` (streaming high-water delta
-    over materialized, gated unconditionally at ≤ 0.5) and
-    ``throughput_ratio`` (multi-core-gated: without a spare core the
-    ratio measures the page-fault tax, not the design).
+    The headline metrics are ``rss_fraction`` (streaming high-water delta
+    over materialized, gated at ≤ 0.5) and ``throughput_ratio`` (without
+    a spare core the ratio measures the page-fault tax, not the design).
     """
     from repro.comm.transport import detected_cores
 
@@ -297,8 +290,8 @@ def bench_huge_graph(
         "epochs": n_epochs,
         "cores": cores,
         "multi_core": cores >= 2,
-        "unfused_ms": inram["best_epoch_s"] * 1e3,  # materialized arm
-        "fused_ms": stream["best_epoch_s"] * 1e3,  # streaming arm
+        "materialized_ms": inram["best_epoch_s"] * 1e3,
+        "stream_ms": stream["best_epoch_s"] * 1e3,
         "throughput_ratio": inram["best_epoch_s"] / stream["best_epoch_s"],
         "edges": stream["edges"],
         "edges_per_s": stream["edges_per_s"],

@@ -15,12 +15,12 @@ dimension past the small-kernel threshold, forcing every call — a
 standard kernel, whose per-row results depend only on that row and the
 shared operand.  Padding costs at most ~2 MFLOP per call — free for the
 fused engine's stacked calls (which are big enough to never pad) but a
-real multiple of the raw BLAS time for tiny per-device batches on the
-legacy path (~30µs vs ~3µs for a 64×32 @ 32×32 call).  That overhead is
-the price of the fused/legacy bitwise-equality contract; perf-sensitive
+real multiple of the raw BLAS time for tiny per-device batches
+(~30µs vs ~3µs for a 64×32 @ 32×32 call).  That overhead is the price of
+the stacked ≡ per-device bitwise-equality contract; perf-sensitive
 callers that don't need cross-batch-size determinism should use ``@``.
 
-Both the legacy per-device path (:class:`repro.nn.layers.Linear`) and the
+Both the per-device layers (:class:`repro.nn.layers.Linear`) and the
 fused engine (:mod:`repro.cluster.compute`) route row-batched products
 through this helper; products whose shapes are identical on both paths
 (e.g. weight-gradient ``x.T @ d``) don't need it.

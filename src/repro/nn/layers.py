@@ -86,7 +86,7 @@ class LayerNorm(Module):
         normalized output, and returns ``inv_std`` (the caller caches both
         for :meth:`input_grad`).  Same operations as :meth:`forward`, so
         the values are bit-identical — keeping the normalization formula
-        in one place is what protects the engine's fused==legacy contract.
+        in one place is what protects the engine ≡ per-device contract.
         """
         mean, inv_std = self._stats(x)
         np.subtract(x, mean, out=x_hat_out)

@@ -19,7 +19,6 @@ Pipeline:
 from repro.quant.stochastic import (
     KeyedRounding,
     QuantizedTensor,
-    StreamRounding,
     as_rounding,
     block_key,
     dequantize,
@@ -54,7 +53,6 @@ __all__ = [
     "dequantize",
     "stochastic_round",
     "block_key",
-    "StreamRounding",
     "KeyedRounding",
     "as_rounding",
     "pack_bits",

@@ -1,35 +1,30 @@
 """Fused mixed-precision encoding for one whole exchange step.
 
-The legacy path (:class:`~repro.quant.mixed.MixedPrecisionEncoder`) encodes
-each (src, dst) message block independently: per pair, per bit-width group,
-one small quantize kernel, one RNG draw and one pack call.  On the
-simulator's hot path that dispatch overhead dominates — a 16-device,
-3-layer run issues thousands of tiny NumPy calls per epoch.
-
-This module fuses **all** boundary messages of one (layer, phase) step —
-across every source device and every peer — into batched kernels:
+:class:`~repro.quant.mixed.MixedPrecisionEncoder` states the wire format
+one (src, dst) message at a time: per bit-width group, one quantize
+kernel and one pack call.  Run that way a 16-device, 3-layer epoch issues
+thousands of tiny NumPy calls, so this module fuses **all** boundary
+messages of one (layer, phase) step — across every source device and every
+peer — into batched kernels that emit the same bytes:
 
 * each device's outgoing rows are gathered with one fancy-index ``take``
   into a contiguous segment of a step-wide buffer in *cat* (gather)
   order: devices ascending, peers ascending within each device, rows in
   each pair's original order — the order keyed noise is defined in;
-* rounding noise comes from the encoder's rounding policy: under
-  :class:`~repro.quant.stochastic.StreamRounding` one ``rng.random`` call
-  covers the whole step (NumPy generators fill requests sequentially, so
-  one big draw consumes the stream exactly like the legacy per-group
-  draws — bitwise-identical to the unfused path under the same seed);
-  under :class:`~repro.quant.stochastic.KeyedRounding` each (src, dst)
-  pair's noise is one counter-based Philox draw keyed on the block's
-  coordinates, making the emitted bytes independent of execution order;
+* rounding noise comes from :class:`~repro.quant.stochastic.KeyedRounding`:
+  each (src, dst) pair's noise is one counter-based Philox draw keyed on
+  the block's coordinates, so the emitted bytes are independent of
+  execution order;
 * stochastic quantization runs as **one** kernel per encode shard, in
   cat order: the only bit-width-dependent quantity is the level count
   ``2^b - 1``, which becomes a per-row vector instead of a per-group
   scalar, and every pass is row-wise, so only the finished uint8 codes
-  and the per-row zero points/scales are permuted into *legacy* order
-  (bit-widths ascending within each pair — the payload layout);
+  and the per-row zero points/scales are permuted into *payload* order
+  (bit-widths ascending within each pair);
 * packing runs through :func:`~repro.quant.packing.pack_bits_batched`, one
-  batch per distinct bit-width, producing the same per-(pair, group) byte
-  streams the legacy encoder emits — wire-byte accounting is unchanged;
+  batch per distinct bit-width, producing the per-(pair, group) byte
+  streams of the wire format — wire-byte accounting is the per-message
+  encoder's;
 * on the receive side, :func:`decode_cluster_step` unpacks and
   de-quantizes every payload of the step in one batch per bit-width
   (de-quantization is row-elementwise, so it batches across pairs and
@@ -38,11 +33,9 @@ across every source device and every peer — into batched kernels:
 **Encode shards.**  A step's pairs partition into contiguous row
 spans (:meth:`FusedStepEncoder.shards_for`); each shard's quantize/pack is
 self-contained — it reads and writes only its row span of the plan
-scratch — so a multi-worker transport runs shards concurrently.  Keyed
-rounding makes the shard decomposition invisible in the output: every
+scratch — so a multi-worker transport runs shards concurrently.  Every
 pair's noise is its own keyed draw, so any shard count (and any retirement
-order) emits byte-identical payloads.  Stream rounding is
-order-dependent by definition and therefore always encodes as one shard.
+order) emits byte-identical payloads.
 
 All index structures (gather orders, group slices, payload skeletons) are
 cached in a :class:`FusedStepPlan` and reused across epochs until the
@@ -53,9 +46,7 @@ over pair-aligned row *chunks* with scratch bounded by the chunk, so the
 noise/normalize/floor intermediates never materialize for the whole step
 at once — at huge-graph scale that keeps hundreds of MB of per-step
 scratch out of the resident set.  Chunking is invisible in the output:
-keyed noise is one draw per pair (a chunk is a whole number of pairs)
-and stream noise fills sequentially, so successive chunk fills consume
-the generator exactly like one whole-step fill.
+keyed noise is one draw per pair and a chunk is a whole number of pairs.
 """
 
 from __future__ import annotations
@@ -93,7 +84,7 @@ _QUANT_CHUNK_ROWS = 4096
 
 @dataclass
 class _PairGroup:
-    """One (pair, bit-width) group: its slice of the step's legacy order."""
+    """One (pair, bit-width) group: its slice of the step's payload order."""
 
     bits: int
     start: int
@@ -105,8 +96,8 @@ class _PairGroup:
 class _EncodeShard:
     """One contiguous run of a step's pairs, encodable independently.
 
-    ``start``/``stop`` span the shard's rows in *both* cat and legacy
-    order (the legacy sort is pair-major, so pair runs keep their cat
+    ``start``/``stop`` span the shard's rows in *both* cat and payload
+    order (the payload sort is pair-major, so pair runs keep their cat
     boundaries); all packing index structures are shard-local so
     concurrent shards never share mutable state.
     """
@@ -116,7 +107,7 @@ class _EncodeShard:
     start: int
     stop: int
     single_bits: int | None  # set when the shard's rows share one width
-    # Per distinct bit-width, in payload-emission order: the legacy-order
+    # Per distinct bit-width, in payload-emission order: the payload-order
     # slices of its groups and their element counts (packing batches).
     bit_slices: dict[int, list[slice]]
     bit_elems: dict[int, np.ndarray]
@@ -136,15 +127,15 @@ class FusedStepPlan:
     and rebuilds only at reassignment boundaries.
     """
 
-    pairs: list[tuple[int, int]]  # (src, dst), legacy iteration order
+    pairs: list[tuple[int, int]]  # (src, dst): sources, then peers, ascending
     pair_counts: np.ndarray  # rows per pair, same order
     cat_bounds: np.ndarray  # (n_pairs + 1,) row offsets per pair
     device_blocks: list[tuple[int, int, int]]  # (rank, start, stop) cat slices
     cat_idx: np.ndarray  # (n_total,) local source row per cat position
     bits_cat: np.ndarray  # (n_total,) per-row bits, cat order
     dim: int
-    perm_legacy: np.ndarray  # cat index of each legacy-order position
-    identity: bool  # True when legacy order == cat order
+    perm_payload: np.ndarray  # cat index of each payload-order position
+    identity: bool  # True when payload order == cat order
     levels: np.ndarray  # (n_total, 1) float32, 2^bits - 1 per cat row
     pair_src: np.ndarray  # (n_pairs,) int64 — the pairs' key coordinates
     pair_dst: np.ndarray
@@ -154,7 +145,7 @@ class FusedStepPlan:
     # round-up mask) are deliberately NOT plan-resident: the kernel
     # allocates them per chunk in :meth:`FusedStepEncoder.quantize_pack_shard`.
     cat_buf: np.ndarray  # (n_total, dim) float32 staged rows, cat order
-    codes_buf: np.ndarray  # (n_total, dim) uint8, legacy order
+    codes_buf: np.ndarray  # (n_total, dim) uint8, payload order
     # Shard decompositions, cached per shard count (built on demand).
     shard_cache: dict[int, list[_EncodeShard]] = field(default_factory=dict)
 
@@ -174,12 +165,12 @@ def _build_plan(
     n_total = int(bits_cat.size)
     pair_id = np.repeat(np.arange(len(pairs), dtype=np.int64), pair_counts)
 
-    # Legacy RNG order: pairs in iteration order, bits ascending within
-    # each pair (MixedPrecisionEncoder iterates sorted unique bits); the
-    # stable sort keeps each group's rows in ascending pair-row order,
-    # matching the legacy np.flatnonzero group indices.
-    perm_legacy = np.argsort(pair_id * 16 + bits_cat, kind="stable")
-    identity = bool((perm_legacy == np.arange(n_total)).all())
+    # Payload order: pairs in iteration order, bits ascending within each
+    # pair (MixedPrecisionEncoder iterates sorted unique bits); the stable
+    # sort keeps each group's rows in ascending pair-row order, matching
+    # its np.flatnonzero group indices.
+    perm_payload = np.argsort(pair_id * 16 + bits_cat, kind="stable")
+    identity = bool((perm_payload == np.arange(n_total)).all())
 
     bounds = np.zeros(len(pairs) + 1, dtype=np.int64)
     np.cumsum(pair_counts, out=bounds[1:])
@@ -208,7 +199,7 @@ def _build_plan(
         cat_idx=cat_idx,
         bits_cat=bits_cat.copy(),
         dim=dim,
-        perm_legacy=perm_legacy,
+        perm_payload=perm_payload,
         identity=identity,
         levels=((1 << bits_cat.astype(np.int64)) - 1)[:, None].astype(np.float32),
         pair_src=pair_arr[:, 0],
@@ -294,31 +285,18 @@ class FusedStepEncoder:
     """Encode a whole (layer, phase) exchange step in batched kernels.
 
     One instance per exchange; plans are cached per step key and
-    revalidated against the step's current bit assignment.  ``rng`` may be
-    a plain generator (stream rounding, the legacy contract) or a rounding
-    policy; keyed rounding additionally needs each step's ``(phase,
-    layer)`` coordinates (the ``coords`` arguments below) and unlocks
-    multi-shard encoding.
+    revalidated against the step's current bit assignment.  ``rounding``
+    is a :class:`~repro.quant.stochastic.KeyedRounding`; every encode
+    needs the step's ``(phase, layer)`` coordinates (the ``coords``
+    arguments below), which with each pair's ``(src, dst)`` key its noise.
     """
 
-    def __init__(self, rng) -> None:
-        self.rounding = as_rounding(rng)
+    def __init__(self, rounding) -> None:
+        self.rounding = as_rounding(rounding)
         self._plans: dict[object, FusedStepPlan] = {}
 
-    @property
-    def rng(self) -> np.random.Generator | None:
-        """The shared stream generator (``None`` under keyed rounding)."""
-        return getattr(self.rounding, "rng", None)
-
     def shards_for(self, plan: FusedStepPlan, n_shards: int) -> list[_EncodeShard]:
-        """The plan's shard decomposition for ``n_shards`` workers (cached).
-
-        Stream rounding always yields one shard — its noise is a shared
-        sequential draw, so the step cannot be split without changing the
-        stream consumption order.
-        """
-        if self.rounding.mode != "keyed":
-            n_shards = 1
+        """The plan's shard decomposition for ``n_shards`` workers (cached)."""
         cached = plan.shard_cache.get(n_shards)
         if cached is None:
             cached = plan.shard_cache[n_shards] = _build_shards(plan, n_shards)
@@ -348,7 +326,7 @@ class FusedStepEncoder:
         return plan
 
     def encode_step(
-        self, plan: FusedStepPlan, values_by_rank, observe=None, *, coords=None
+        self, plan: FusedStepPlan, values_by_rank, observe=None, *, coords
     ) -> dict[tuple[int, int], MixedPrecisionPayload]:
         """Quantize + pack the step's messages; returns per-pair payloads.
 
@@ -357,8 +335,7 @@ class FusedStepEncoder:
         indexed by rank works too.  ``observe``, when given, is called per
         pair with ``(src, dst, rows)`` where ``rows`` is the pair's block
         in original row order — the tracer hook.  ``coords`` is the step's
-        ``(phase, layer)`` — required under keyed rounding, ignored under
-        stream rounding.
+        ``(phase, layer)``.
 
         The two halves are also exposed separately for the async transport:
         :meth:`gather_step` snapshots the source rows (and feeds the
@@ -387,16 +364,13 @@ class FusedStepEncoder:
                 observe(src, dst, plan.cat_buf[bounds[i] : bounds[i + 1]])
 
     def quantize_pack_step(
-        self, plan: FusedStepPlan, *, coords=None
+        self, plan: FusedStepPlan, *, coords
     ) -> dict[tuple[int, int], MixedPrecisionPayload]:
         """Quantize + pack the gathered step (worker-safe half).
 
         Reads ``plan.cat_buf`` (filled by :meth:`gather_step`) and
-        touches only plan-owned scratch.  Under stream rounding, callers
-        must keep step jobs serialized so stream consumption matches the
-        legacy per-group draws; under keyed rounding the result is
-        order-independent and this call is just the one-shard composition
-        of :meth:`quantize_pack_shard`.
+        touches only plan-owned scratch: the one-shard composition of
+        :meth:`quantize_pack_shard`.
         """
         payloads: dict[tuple[int, int], MixedPrecisionPayload] = {}
         for shard in self.shards_for(plan, 1):
@@ -404,16 +378,14 @@ class FusedStepEncoder:
         return payloads
 
     def quantize_pack_shard(
-        self, plan: FusedStepPlan, shard: _EncodeShard, *, coords=None
+        self, plan: FusedStepPlan, shard: _EncodeShard, *, coords
     ) -> dict[tuple[int, int], MixedPrecisionPayload]:
         """Quantize + pack one contiguous shard of the gathered step.
 
         Reads and writes only the shard's ``[start, stop)`` row span of
         the plan scratch, so a multi-worker transport may run disjoint
         shards concurrently.  ``coords`` is the step's ``(phase, layer)``
-        — required for keyed rounding (each pair's noise is one keyed
-        Philox draw), ignored for stream rounding (one sequential draw
-        over the whole — necessarily single — shard).
+        (each pair's noise is one keyed Philox draw).
         """
         dim = plan.dim
         start, stop = shard.start, shard.stop
@@ -421,26 +393,18 @@ class FusedStepEncoder:
             return {}
         n_rows = stop - start
 
-        keyed = self.rounding.mode == "keyed"
-        if keyed and coords is None:
-            raise ValueError(
-                "keyed rounding needs the step's (phase, layer) coordinates"
-            )
-
         # --- chunked stochastic-quantization kernel ----------------------
         # Identical arithmetic to quantize_stochastic per group: the level
         # count is the only group-dependent quantity and enters as a
         # per-row vector.  The kernel walks the shard in pair-aligned row
         # chunks, in cat order — every pass is row-wise, so the row order
         # cannot change a value — and permutes only its outputs (uint8
-        # codes, per-row zero points and scales) into the legacy order
+        # codes, per-row zero points and scales) into the payload order
         # the packers and payloads slice.  Intermediates are bounded by
         # the chunk rather than the step.  Chunks don't change a bit:
         # keyed noise is one draw per pair (a chunk is a whole number of
-        # pairs, and the legacy sort is pair-major, so each pair spans
-        # the same rows in both orders) and stream noise fills
-        # sequentially, so chunk fills in shard order consume the
-        # generator exactly like one whole-shard fill.
+        # pairs, and the payload sort is pair-major, so each pair spans
+        # the same rows in both orders).
         bounds = plan.cat_bounds
         lo, hi = shard.pair_lo, shard.pair_hi
         chunk_rows = max(_QUANT_CHUNK_ROWS, int(plan.pair_counts[lo:hi].max()))
@@ -448,7 +412,7 @@ class FusedStepEncoder:
         permute = not plan.identity
         z_all = np.empty(n_rows, dtype=np.float32)
         s_all = np.empty(n_rows, dtype=np.float32)
-        noise_buf = np.empty((scratch, dim), dtype=self.rounding.noise_dtype)
+        noise_buf = np.empty((scratch, dim), dtype=np.float32)
         norm_buf = np.empty((scratch, dim), dtype=np.float32)
         floor_buf = np.empty((scratch, dim), dtype=np.float32)
         round_buf = np.empty((scratch, dim), dtype=bool)
@@ -456,11 +420,10 @@ class FusedStepEncoder:
             z_cat = np.empty(scratch, dtype=np.float32)
             s_cat = np.empty(scratch, dtype=np.float32)
             codes_cat = np.empty((scratch, dim), dtype=np.uint8)
-        if keyed:
-            phase, layer = coords
-            keys = self.rounding.block_keys(
-                phase, layer, plan.pair_src[lo:hi], plan.pair_dst[lo:hi]
-            )
+        phase, layer = coords
+        keys = self.rounding.block_keys(
+            phase, layer, plan.pair_src[lo:hi], plan.pair_dst[lo:hi]
+        )
 
         i = lo
         while i < hi:
@@ -471,23 +434,14 @@ class FusedStepEncoder:
             b = int(bounds[j])
             m = b - a
             h = plan.cat_buf[a:b]
-            order = plan.perm_legacy[a:b] - a if permute else None
+            order = plan.perm_payload[a:b] - a if permute else None
 
-            noise = noise_buf[:m]
-            if keyed:
-                # One keyed draw per pair, into the pair's cat-order block
-                # (pair-local row order — the coordinate system the noise
-                # is defined in).
-                self.rounding.fill_noise(
-                    keys[i - lo : j - lo], plan.pair_counts[i:j] * dim, noise
-                )
-            elif permute:
-                # Stream noise is defined in legacy order (shards_for
-                # pinned the decomposition to one whole-step shard, and
-                # the draws run sequentially like the per-group ones).
-                noise[order] = self.rounding.rng.random((m, dim))
-            else:
-                self.rounding.rng.random(out=noise)
+            # One keyed draw per pair, into the pair's cat-order block
+            # (pair-local row order — the coordinate system the noise is
+            # defined in).
+            noise = self.rounding.fill_noise(
+                keys[i - lo : j - lo], plan.pair_counts[i:j] * dim, noise_buf[:m]
+            )
 
             span = slice(a - start, b - start)
             z32 = h.min(axis=1, out=z_cat[:m] if permute else z_all[span])
@@ -501,8 +455,8 @@ class FusedStepEncoder:
             np.subtract(norm, floor, out=norm)  # fractional parts
             round_up = np.less(noise, norm, out=round_buf[:m])
             codes = np.add(floor, round_up, out=floor)
-            # Codes are >= 0 (normalized values are), so the legacy
-            # clip(0, top) reduces to an upper bound.
+            # Codes are >= 0 (normalized values are), so
+            # quantize_with_noise's clip(0, top) reduces to an upper bound.
             if shard.single_bits is not None:
                 np.minimum(codes, np.float32((1 << shard.single_bits) - 1), out=codes)
             else:
@@ -578,8 +532,8 @@ class ShardDescriptor:
     """Picklable coordinates of one encode shard: plain data, no closures.
 
     Enough for a worker *process* to rebuild the shard's plan locally and
-    reproduce its payload bytes bitwise — keyed rounding only, where noise
-    is a pure function of ``(run_seed, epoch, phase, layer, src, dst)``.
+    reproduce its payload bytes bitwise: noise is a pure function of
+    ``(run_seed, epoch, phase, layer, src, dst)``.
     The shard is re-planned as a standalone mini-step whose input rows
     arrive already in cat order (``cat_idx = arange``, one device block):
     quantization is row-wise, each pair's noise is its own keyed draw and
@@ -662,12 +616,10 @@ def shard_descriptor(
 ) -> ShardDescriptor:
     """The picklable coordinates of ``shard`` within ``plan``.
 
-    ``rounding`` must be a keyed policy (it supplies ``run_seed`` and the
-    current ``epoch``) — stream rounding's noise depends on global draw
-    order and cannot be reproduced from coordinates in another process.
+    ``rounding`` (a keyed policy) supplies ``run_seed`` and the current
+    ``epoch``.
     """
-    if rounding.mode != "keyed":
-        raise ValueError("shard descriptors require keyed rounding")
+    rounding = as_rounding(rounding)
     lo, hi = shard.pair_lo, shard.pair_hi
     return ShardDescriptor(
         run_seed=int(rounding.run_seed),
@@ -727,8 +679,7 @@ def decode_cluster_step(
     the de-quantize buffer.  Produces exactly the matrices
     ``payload.decode()`` would — de-quantization is row-elementwise, so
     batching cannot change any value — preserving each mailbox's iteration
-    order (gradient accumulation order stays the legacy src-ascending
-    order).
+    order (gradient accumulation order stays src-ascending).
 
     ``workspace``, when given, supplies scratch reused across calls; the
     returned matrices then stay valid only until the next decode (the

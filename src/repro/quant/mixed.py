@@ -20,7 +20,6 @@ from repro.quant.stochastic import (
     QuantizedTensor,
     as_rounding,
     dequantize,
-    quantize_stochastic,
     quantize_with_noise,
 )
 from repro.utils.validation import check_array
@@ -87,43 +86,39 @@ class MixedPrecisionPayload:
 
 
 class MixedPrecisionEncoder:
-    """Encode float32 message matrices with per-row bit-widths.
+    """Encode float32 message matrices with per-row bit-widths, one
+    message at a time — the plain statement of the wire format, which the
+    step-fused encoder (:mod:`repro.quant.fused`) reproduces byte for byte.
 
-    ``rng`` may be a plain :class:`numpy.random.Generator` (sequential
-    stream noise, the legacy contract) or a rounding policy from
-    :mod:`repro.quant.stochastic`.  Under :class:`~repro.quant.stochastic.
-    KeyedRounding` each message's noise is a pure function of its block
-    coordinates, which callers supply per encode via ``block``.
+    ``rounding`` is a :class:`~repro.quant.stochastic.KeyedRounding`: each
+    message's noise is a pure function of its block coordinates, which
+    callers supply per encode via ``block``.
     """
 
-    def __init__(self, rng) -> None:
-        self.rounding = as_rounding(rng)
-
-    @property
-    def rng(self) -> np.random.Generator | None:
-        """The shared stream generator (``None`` under keyed rounding)."""
-        return getattr(self.rounding, "rng", None)
+    def __init__(self, rounding) -> None:
+        self.rounding = as_rounding(rounding)
 
     def encode(
         self,
         h: np.ndarray,
         bits_per_row: np.ndarray,
-        block: tuple[str, int, int, int] | None = None,
+        block: tuple[str, int, int, int],
     ) -> MixedPrecisionPayload:
         """Quantize row ``i`` of ``h`` at ``bits_per_row[i]`` bits.
 
         Rows are grouped by bit-width; each group becomes one packed stream.
         ``block`` names the message's ``(phase, layer, src, dst)``
-        coordinates — required under keyed rounding (the noise for the
-        whole message is one keyed draw in row order, sliced per group),
-        ignored under stream rounding.
+        coordinates: the noise for the whole message is one keyed draw in
+        row order, sliced per group.
 
         Examples
         --------
         >>> import numpy as np
-        >>> enc = MixedPrecisionEncoder(np.random.default_rng(0))
+        >>> from repro.quant.stochastic import KeyedRounding
+        >>> enc = MixedPrecisionEncoder(KeyedRounding(0))
         >>> h = np.random.default_rng(1).normal(size=(6, 4)).astype(np.float32)
-        >>> payload = enc.encode(h, np.array([2, 8, 2, 4, 8, 2]))
+        >>> bits = np.array([2, 8, 2, 4, 8, 2])
+        >>> payload = enc.encode(h, bits, block=("fwd", 0, 0, 1))
         >>> payload.decode().shape
         (6, 4)
         """
@@ -136,14 +131,7 @@ class MixedPrecisionEncoder:
                 f"vs {h.shape[0]} rows"
             )
 
-        keyed = self.rounding.mode == "keyed"
-        if keyed:
-            if block is None:
-                raise ValueError(
-                    "keyed rounding needs the message's (phase, layer, src, "
-                    "dst) block coordinates"
-                )
-            noise_full = self.rounding.block_noise(*block, shape=h.shape)
+        noise_full = self.rounding.block_noise(*block, shape=h.shape)
 
         group_bits: list[int] = []
         group_rows: list[np.ndarray] = []
@@ -152,13 +140,10 @@ class MixedPrecisionEncoder:
         scales: list[np.ndarray] = []
         for bits in sorted(np.unique(bits_per_row).tolist()):
             rows = np.flatnonzero(bits_per_row == bits)
-            if keyed:
-                # Noise indexed by original row position: the same values
-                # the fused encoder's per-pair keyed draw assigns, however
-                # the rows are grouped.
-                q = quantize_with_noise(h[rows], int(bits), noise_full[rows])
-            else:
-                q = quantize_stochastic(h[rows], int(bits), self.rounding.rng)
+            # Noise indexed by original row position: the same values the
+            # fused encoder's per-pair keyed draw assigns, however the
+            # rows are grouped.
+            q = quantize_with_noise(h[rows], int(bits), noise_full[rows])
             group_bits.append(int(bits))
             group_rows.append(rows)
             streams.append(pack_bits(q.codes, int(bits)))

@@ -12,20 +12,17 @@ Stochastic rounding makes ``E[ĥ] = h`` (unbiased) with per-element variance
 at most ``S²/6`` under the uniform-fraction assumption, giving Theorem 1's
 vector variance ``D · S² / 6``.
 
-**Rounding-noise sources.**  Where the noise comes from is a systems
-choice, captured by two interchangeable policies:
-
-* :class:`StreamRounding` draws from one shared sequential
-  :class:`numpy.random.Generator` — the original contract, where bitwise
-  reproducibility requires every encode to consume the stream in a fixed
-  global order (which is why it pins the worker transport to one worker);
-* :class:`KeyedRounding` makes the noise for each quantized message block
-  a *pure function of its coordinates*: a counter-based Philox generator
-  keyed on ``(run_seed, epoch, phase, layer, src, dst)``.  Encode jobs
-  then produce bitwise-identical bytes regardless of which thread runs
-  them or in what order they retire — determinism becomes a property of
-  data coordinates rather than schedule, and the transport may fan encode
-  and decode work across any number of workers.
+**Rounding noise.**  :func:`quantize_stochastic` takes any
+:class:`numpy.random.Generator` — the function-level statement of
+Eqns. 4–5.  The encoders take their noise from :class:`KeyedRounding`,
+which makes the noise of each quantized message block a *pure function of
+its coordinates*: a counter-based Philox generator keyed on ``(run_seed,
+epoch, phase, layer, src, dst)``.  Encode jobs then produce
+bitwise-identical bytes regardless of which thread or process runs them or
+in what order they retire — determinism is a property of data coordinates
+rather than schedule, so the transport may fan encode and decode work
+across any number of workers, replay a dropped message and resume from a
+checkpoint without carrying a generator position.
 
 **Keyed noise is 16-bit.**  A block of ``n`` elements takes the first
 ``n`` little-endian 16-bit lanes ``k`` of its keyed stream
@@ -56,7 +53,6 @@ __all__ = [
     "dequantize",
     "block_key",
     "block_keys",
-    "StreamRounding",
     "KeyedRounding",
     "as_rounding",
 ]
@@ -150,11 +146,9 @@ def quantize_stochastic(
 def quantize_with_noise(h: np.ndarray, bits: int, noise: np.ndarray) -> QuantizedTensor:
     """Quantize with pre-drawn uniform rounding noise (the batched kernel).
 
-    Identical arithmetic to :func:`quantize_stochastic`; callers that fuse
-    many message groups into one step draw the noise for the whole step in
-    a single ``rng.random`` call (preserving the per-group RNG stream
-    exactly — NumPy generators fill requests sequentially) and slice it per
-    group.
+    Identical arithmetic to :func:`quantize_stochastic`; the per-message
+    encoder draws one keyed noise block per message and slices it per
+    bit-width group.
     """
     h = np.asarray(h, dtype=np.float32)
 
@@ -279,28 +273,6 @@ def _lanes16(words: np.ndarray, n: int) -> np.ndarray:
     return lanes.reshape(-1)[:n]
 
 
-class StreamRounding:
-    """Sequential rounding noise from one shared generator (the legacy
-    contract): reproducible only when every encode consumes the stream in
-    a fixed global order."""
-
-    mode = "stream"
-    noise_dtype = np.float64
-
-    def __init__(self, rng: np.random.Generator) -> None:
-        self.rng = rng
-
-    def set_epoch(self, epoch: int) -> None:
-        """No-op: the stream position, not the epoch, is the state."""
-
-    def state_dict(self) -> dict:
-        """The stream position (checkpointing): the generator's full state."""
-        return {"bit_generator": self.rng.bit_generator.state}
-
-    def load_state_dict(self, state: dict) -> None:
-        self.rng.bit_generator.state = state["bit_generator"]
-
-
 class KeyedRounding:
     """Counter-based rounding noise keyed on message-block coordinates.
 
@@ -317,9 +289,6 @@ class KeyedRounding:
     ``Philox(key=...)`` yields, at a tenth of the cost).
     """
 
-    mode = "keyed"
-    noise_dtype = np.float32
-
     def __init__(self, run_seed: int) -> None:
         self.run_seed = int(run_seed)
         self.epoch = 0
@@ -333,7 +302,13 @@ class KeyedRounding:
         return {}
 
     def load_state_dict(self, state: dict) -> None:
-        pass
+        if state:
+            raise ValueError(
+                f"checkpoint carries rounding state {sorted(state)}: it was "
+                'written under the removed "stream" rounding mode (a '
+                "sequential generator position), which keyed rounding "
+                "cannot resume"
+            )
 
     def block_keys(self, phase: str, layer: int, src, dst) -> np.ndarray:
         """``(n, 2)`` Philox key words of the blocks ``(src[i], dst[i])``
@@ -392,18 +367,13 @@ class KeyedRounding:
         return self.fill_noise([np.asarray(key, dtype=np.uint64)], [out.size], out)
 
 
-def as_rounding(source) -> StreamRounding | KeyedRounding:
-    """Coerce an encoder's noise source to a rounding policy.
-
-    Plain :class:`numpy.random.Generator` instances (every pre-keyed
-    caller) wrap into :class:`StreamRounding`; policy objects pass
-    through.
+def as_rounding(source) -> KeyedRounding:
+    """Check an encoder's noise source: a :class:`KeyedRounding`, or a
+    typed error (plain generators were the removed sequential-stream mode).
     """
-    if isinstance(source, (StreamRounding, KeyedRounding)):
+    if isinstance(source, KeyedRounding):
         return source
-    if isinstance(source, np.random.Generator):
-        return StreamRounding(source)
     raise TypeError(
-        "rounding source must be a numpy Generator, StreamRounding or "
-        f"KeyedRounding, got {type(source).__name__}"
+        "rounding source must be a KeyedRounding (sequential-stream noise "
+        f"from a numpy Generator was removed), got {type(source).__name__}"
     )

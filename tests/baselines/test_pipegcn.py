@@ -18,12 +18,24 @@ def cluster(tiny_dataset):
     )
 
 
+def _embeddings(exchange, cluster, transport, h):
+    """One forward exchange step, both halves back to back."""
+    step = exchange.post_step(0, "fwd", cluster.devices, transport, h)
+    return exchange.finalize_step(step)
+
+
+def _gradients(exchange, cluster, transport, d_halo, d_own):
+    """One backward exchange step, accumulating into ``d_own``."""
+    step = exchange.post_step(0, "bwd", cluster.devices, transport, d_halo)
+    exchange.finalize_step(step, out=d_own)
+
+
 def test_warmup_epoch_is_synchronous(cluster):
     exchange = StaleHaloExchange()
     transport = Transport(cluster.num_devices)
     h = [dev.features for dev in cluster.devices]
     exchange.on_epoch_start(0)
-    halos = exchange.exchange_embeddings(0, cluster.devices, transport, h)
+    halos = _embeddings(exchange, cluster, transport, h)
     for dev, halo in zip(cluster.devices, halos):
         expected = cluster.dataset.features[dev.part.halo_global]
         assert np.allclose(halo, expected)
@@ -34,18 +46,18 @@ def test_second_epoch_uses_previous_values(cluster):
     transport = Transport(cluster.num_devices)
     h0 = [dev.features for dev in cluster.devices]
     exchange.on_epoch_start(0)
-    exchange.exchange_embeddings(0, cluster.devices, transport, h0)
+    _embeddings(exchange, cluster, transport, h0)
     # Epoch 1 sends completely different values; receivers must still see
     # the epoch-0 values (one-epoch staleness).
     h1 = [f + 100.0 for f in h0]
     exchange.on_epoch_start(1)
-    halos = exchange.exchange_embeddings(0, cluster.devices, transport, h1)
+    halos = _embeddings(exchange, cluster, transport, h1)
     for dev, halo in zip(cluster.devices, halos):
         expected = cluster.dataset.features[dev.part.halo_global]
         assert np.allclose(halo, expected)  # NOT the +100 values
     # Epoch 2 sees epoch 1's values.
     exchange.on_epoch_start(2)
-    halos2 = exchange.exchange_embeddings(0, cluster.devices, transport, h1)
+    halos2 = _embeddings(exchange, cluster, transport, h1)
     for dev, halo in zip(cluster.devices, halos2):
         expected = cluster.dataset.features[dev.part.halo_global] + 100.0
         assert np.allclose(halo, expected)
@@ -57,9 +69,9 @@ def test_gradients_also_stale(cluster):
     ones = [np.ones((dev.part.n_halo, 4), dtype=np.float32) for dev in cluster.devices]
     twos = [2 * o for o in ones]
     d_own_a = [np.zeros((dev.part.n_owned, 4), dtype=np.float32) for dev in cluster.devices]
-    exchange.exchange_gradients(0, cluster.devices, transport, ones, d_own_a)
+    _gradients(exchange, cluster, transport, ones, d_own_a)
     d_own_b = [np.zeros((dev.part.n_owned, 4), dtype=np.float32) for dev in cluster.devices]
-    exchange.exchange_gradients(0, cluster.devices, transport, twos, d_own_b)
+    _gradients(exchange, cluster, transport, twos, d_own_b)
     # Warm-up delivered the "ones"; second call delivers stale "ones" again.
     for a, b in zip(d_own_a, d_own_b):
         assert np.allclose(a, b)
@@ -70,9 +82,9 @@ def test_bytes_still_flow_every_epoch(cluster):
     exchange = StaleHaloExchange()
     transport = Transport(cluster.num_devices)
     h = [dev.features for dev in cluster.devices]
-    exchange.exchange_embeddings(0, cluster.devices, transport, h)
+    _embeddings(exchange, cluster, transport, h)
     first = transport.total_bytes()
-    exchange.exchange_embeddings(0, cluster.devices, transport, h)
+    _embeddings(exchange, cluster, transport, h)
     assert transport.total_bytes() == 2 * first
 
 

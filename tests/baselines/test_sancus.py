@@ -18,6 +18,18 @@ def cluster(tiny_dataset):
     )
 
 
+def _embeddings(exchange, cluster, transport, h):
+    """One forward exchange step, both halves back to back."""
+    step = exchange.post_step(0, "fwd", cluster.devices, transport, h)
+    return exchange.finalize_step(step)
+
+
+def _gradients(exchange, cluster, transport, d_halo, d_own):
+    """One backward exchange step, accumulating into ``d_own``."""
+    step = exchange.post_step(0, "bwd", cluster.devices, transport, d_halo)
+    exchange.finalize_step(step, out=d_own)
+
+
 def test_broadcast_cadence(cluster):
     exchange = BroadcastSkipExchange(staleness_bound=3)
     transport = Transport(cluster.num_devices)
@@ -25,7 +37,7 @@ def test_broadcast_cadence(cluster):
     for epoch in range(6):
         exchange.on_epoch_start(epoch)
         before = transport.total_bytes()
-        exchange.exchange_embeddings(0, cluster.devices, transport, h)
+        _embeddings(exchange, cluster, transport, h)
         sent = transport.total_bytes() - before
         if epoch % 3 == 0:
             assert sent > 0
@@ -38,10 +50,10 @@ def test_historical_values_served_on_skip_epochs(cluster):
     transport = Transport(cluster.num_devices)
     h0 = [dev.features for dev in cluster.devices]
     exchange.on_epoch_start(0)
-    fresh = exchange.exchange_embeddings(0, cluster.devices, transport, h0)
+    fresh = _embeddings(exchange, cluster, transport, h0)
     h1 = [f + 42.0 for f in h0]
     exchange.on_epoch_start(1)
-    stale = exchange.exchange_embeddings(0, cluster.devices, transport, h1)
+    stale = _embeddings(exchange, cluster, transport, h1)
     for a, b in zip(fresh, stale):
         assert np.allclose(a, b)  # epoch-1 values not visible yet
 
@@ -52,7 +64,7 @@ def test_full_block_broadcast_bytes(cluster):
     transport = Transport(cluster.num_devices)
     h = [dev.features for dev in cluster.devices]
     exchange.on_epoch_start(0)
-    exchange.exchange_embeddings(0, cluster.devices, transport, h)
+    _embeddings(exchange, cluster, transport, h)
     expected = sum(
         dev.features.nbytes * len(dev.part.peers_out()) for dev in cluster.devices
     )
@@ -64,7 +76,7 @@ def test_gradients_dropped(cluster):
     transport = Transport(cluster.num_devices)
     d_halo = [np.ones((dev.part.n_halo, 4), dtype=np.float32) for dev in cluster.devices]
     d_own = [np.zeros((dev.part.n_owned, 4), dtype=np.float32) for dev in cluster.devices]
-    exchange.exchange_gradients(0, cluster.devices, transport, d_halo, d_own)
+    _gradients(exchange, cluster, transport, d_halo, d_own)
     assert transport.total_bytes() == 0
     assert all(np.all(d == 0) for d in d_own)
 
@@ -75,7 +87,7 @@ def test_skip_counters(cluster):
     h = [dev.features for dev in cluster.devices]
     for epoch in range(4):
         exchange.on_epoch_start(epoch)
-        exchange.exchange_embeddings(0, cluster.devices, transport, h)
+        _embeddings(exchange, cluster, transport, h)
     assert exchange.broadcasts_sent == 2 * cluster.num_devices
     assert exchange.broadcasts_skipped == 2 * cluster.num_devices
 

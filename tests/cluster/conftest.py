@@ -1,0 +1,168 @@
+"""The production arm of the oracle matrix, and the session's oracle cache.
+
+``matrix.check(...)`` trains one production configuration — a real
+:class:`~repro.cluster.cluster.Cluster` under some overlap / transport /
+depth / residency — and requires it to equal the reference trainer
+(``tests/reference/oracle.py``) bitwise on everything a run is compared on.
+Oracle runs depend only on (residency, policy, model, hidden, parts), so
+one session computes each once however many shapes are compared with it.
+"""
+
+import numpy as np
+import pytest
+from reference.oracle import (
+    EPOCHS,
+    FIXED_BITS,
+    GROUP_SIZE,
+    NOISE_SEED,
+    PERIOD,
+    SKIP,
+    ReferenceTrainer,
+    Run,
+    cost_model,
+)
+
+from repro.baselines.pipegcn import StaleHaloExchange
+from repro.baselines.sancus import BroadcastSkipExchange
+from repro.cluster.cluster import Cluster
+from repro.cluster.exchange import (
+    ExactHaloExchange,
+    FixedBitProvider,
+    FusedQuantizedHaloExchange,
+)
+from repro.comm.transport import SyncTransport
+from repro.core.assigner import AdaptiveBitWidthAssigner
+from repro.graph.partition.api import partition_graph
+from repro.graph.partition.book import PartitionBook
+from repro.nn.optim import Adam
+from repro.quant.stochastic import KeyedRounding
+
+
+class ShuffledTransport(SyncTransport):
+    """A deterministic stand-in for adversarial job scheduling: deferred
+    jobs accumulate and run in *reverse submission order* at join time
+    (followups deferred by running jobs are picked up too).  Any
+    retirement order a real pool could produce is a prefix-respecting
+    interleaving of this and submission order, so equality across the two
+    extremes is the order-independence property."""
+
+    is_async = True  # engage the sharded encode + worker-decode paths
+    workers = 4
+
+    def __init__(self, num_devices):
+        super().__init__(num_devices)
+        self._queue: dict[str, list] = {}
+
+    def defer(self, tag, job):
+        self._queue.setdefault(tag, []).append(job)
+
+    def complete(self, tag):
+        while self._queue.get(tag):
+            for job in reversed(self._queue.pop(tag)):
+                job()
+        return 0.0
+
+    def collect(self, dst, tag):
+        self.complete(tag)
+        return super().collect(dst, tag)
+
+    def reset_accounting(self):
+        for tag in list(self._queue):
+            self.complete(tag)
+        super().reset_accounting()
+
+
+def make_exchange(policy: str, cluster: Cluster):
+    """The production exchange of a policy name, and its assigner if any."""
+    if policy == "exact":
+        return ExactHaloExchange(), None
+    if policy == "stale":
+        return StaleHaloExchange(), None
+    if policy == "broadcast":
+        return BroadcastSkipExchange(SKIP), None
+    rounding = KeyedRounding(NOISE_SEED)
+    if policy == "quantized":
+        provider = FixedBitProvider(FIXED_BITS)
+        return FusedQuantizedHaloExchange(provider, rounding), None
+    assert policy == "adaptive", policy
+    assigner = AdaptiveBitWidthAssigner(
+        cluster, cost_model(cluster.num_devices), period=PERIOD, group_size=GROUP_SIZE
+    )
+    return FusedQuantizedHaloExchange(assigner, rounding, tracer=assigner), assigner
+
+
+class Matrix:
+    def __init__(self, tiny_dataset, huge_store) -> None:
+        self.tiny_dataset = tiny_dataset
+        self.huge_store = huge_store
+        self._books: dict = {}
+        self._oracles: dict = {}
+
+    def inputs(self, residency: str, parts: int):
+        """``(dataset, book)``: the tiny in-RAM dataset on ``parts``
+        partitions, or the 4-partition store streamed / materialized."""
+        if residency != "ram":
+            store = self.huge_store
+            assert parts == store.num_parts
+            return store.dataset(materialize=residency == "store-materialized"), store.book()
+        dataset = self.tiny_dataset
+        if parts not in self._books:
+            self._books[parts] = (
+                PartitionBook(
+                    part_of=np.zeros(dataset.num_nodes, dtype=np.int32), num_parts=1
+                )
+                if parts == 1
+                else partition_graph(dataset.graph, parts, method="metis", seed=0)
+            )
+        return dataset, self._books[parts]
+
+    def oracle(self, *, policy, model, hidden, parts, residency="ram") -> Run:
+        key = (residency != "ram", policy, model, hidden, parts)
+        if key not in self._oracles:
+            trainer = ReferenceTrainer(
+                *self.inputs(residency, parts), policy, model_kind=model, hidden_dim=hidden
+            )
+            self._oracles[key] = trainer.run()
+        return self._oracles[key]
+
+    def production(
+        self, *, policy, model, hidden, parts, residency="ram", overlap=True,
+        transport="sync", depth=2,
+    ):
+        """``(Run, last epoch's record)`` of one production configuration;
+        ``transport`` is a spec string or ``"shuffled"``."""
+        dataset, book = self.inputs(residency, parts)
+        shuffled = transport == "shuffled"
+        with Cluster(
+            dataset, book, model_kind=model, hidden_dim=hidden, num_layers=3,
+            dropout=0.5, seed=7, overlap=overlap, pipeline_depth=depth,
+            transport="sync" if shuffled else transport,
+        ) as cluster:
+            if shuffled:
+                cluster.transport = ShuffledTransport(cluster.num_devices)
+            exchange, assigner = make_exchange(policy, cluster)
+            optimizers = [Adam(dev.model.parameters(), lr=0.01) for dev in cluster.devices]
+            out = Run()
+            for epoch in range(EPOCHS):
+                record = cluster.train_epoch(exchange, epoch)
+                out.record(
+                    record.loss, record.total_wire_bytes(), cluster.devices[0].model, assigner
+                )
+                for opt in optimizers:
+                    opt.step()
+            out.metrics = cluster.evaluate()
+        return out, record
+
+    def check(self, *, policy, model, hidden, parts, residency="ram", **shape):
+        """Production under ``shape`` ≡ the oracle; returns the last record."""
+        what = dict(
+            policy=policy, model=model, hidden=hidden, parts=parts, residency=residency
+        )
+        run, record = self.production(**what, **shape)
+        assert run.mismatches(self.oracle(**what)) == [], (what, shape)
+        return record
+
+
+@pytest.fixture(scope="session")
+def matrix(tiny_dataset, huge_store):
+    return Matrix(tiny_dataset, huge_store)

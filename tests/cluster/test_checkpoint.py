@@ -1,7 +1,6 @@
 """Checkpoint/restore (ISSUE 9 tentpole): bitwise keyed-replay resume.
 
-The headline contract: under ``rng_mode="keyed"`` a run that is
-interrupted and resumed from its last epoch-boundary checkpoint produces
+The headline contract: a run that is interrupted and resumed from its last epoch-boundary checkpoint produces
 the **same** losses, wire bytes and final parameters as the uninterrupted
 run — not approximately, bitwise.  Everything else here pins the
 machinery that makes that true: the on-disk format's atomicity, the
@@ -254,6 +253,24 @@ def test_restore_rejects_mismatched_model(tmp_path, tiny_dataset, tiny_book):
 
         with pytest.raises(ValueError, match="dims"):
             restore_state(state, cluster, opts, ExactHaloExchange())
+
+
+def test_resume_rejects_a_stream_mode_checkpoint(tmp_path, tiny_dataset, tiny_book):
+    """A checkpoint written under the removed sequential-stream noise mode
+    carries a generator position; dropping it silently would resume on
+    different noise, so the restore refuses by name."""
+    cfg = _cfg(epochs=2, checkpoint_dir=str(tmp_path))
+    train("adaqp-fixed", tiny_dataset, tiny_book, "2M-2D", cfg)
+    state = _final_state(tmp_path)
+    assert state.exchange["rounding"] == {}  # keyed noise has no position
+    position = np.random.default_rng(0).bit_generator.state
+    state.exchange["rounding"] = {"bit_generator": position}
+    save_checkpoint(tmp_path, state)
+    with pytest.raises(ValueError, match='removed "stream" rounding mode'):
+        train(
+            "adaqp-fixed", tiny_dataset, tiny_book, "2M-2D",
+            cfg.with_overrides(epochs=4, resume=True),
+        )
 
 
 def test_capture_does_not_alias_live_state(tiny_dataset, tiny_book):

@@ -7,11 +7,12 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.exchange import (
     ExactHaloExchange,
     FixedBitProvider,
-    QuantizedHaloExchange,
+    FusedQuantizedHaloExchange,
 )
 from repro.graph.partition.api import partition_graph
 from repro.graph.partition.book import PartitionBook
 from repro.nn.optim import Adam
+from repro.quant.stochastic import KeyedRounding
 
 
 def _cluster(ds, k, kind="gcn", dropout=0.0, seed=7, hidden=16):
@@ -86,8 +87,8 @@ def test_quantized_training_converges_close_to_exact(tiny_single_label_dataset):
         return c.evaluate()["val"]
 
     exact = run(ExactHaloExchange)
-    rng = np.random.default_rng(0)
-    quant = run(lambda: QuantizedHaloExchange(FixedBitProvider(4), rng))
+    rounding = KeyedRounding(0)
+    quant = run(lambda: FusedQuantizedHaloExchange(FixedBitProvider(4), rounding))
     assert abs(exact - quant) < 0.05
 
 
@@ -112,8 +113,8 @@ def test_quant_bytes_recorded_only_when_quantizing(tiny_dataset):
     rec_exact = c.train_epoch(ExactHaloExchange(), 0)
     assert all(p.quant_float_bytes.sum() == 0 for p in rec_exact.phases)
     c2 = _cluster(tiny_dataset, 4)
-    rng = np.random.default_rng(0)
-    rec_q = c2.train_epoch(QuantizedHaloExchange(FixedBitProvider(2), rng), 0)
+    exchange = FusedQuantizedHaloExchange(FixedBitProvider(2), KeyedRounding(0))
+    rec_q = c2.train_epoch(exchange, 0)
     assert all(p.quant_float_bytes.sum() > 0 for p in rec_q.phases)
 
 
@@ -121,8 +122,8 @@ def test_quantized_wire_bytes_much_smaller(tiny_dataset):
     c = _cluster(tiny_dataset, 4)
     exact = c.train_epoch(ExactHaloExchange(), 0).total_wire_bytes()
     c2 = _cluster(tiny_dataset, 4)
-    rng = np.random.default_rng(0)
-    q2 = c2.train_epoch(QuantizedHaloExchange(FixedBitProvider(2), rng), 0).total_wire_bytes()
+    exchange = FusedQuantizedHaloExchange(FixedBitProvider(2), KeyedRounding(0))
+    q2 = c2.train_epoch(exchange, 0).total_wire_bytes()
     assert q2 < 0.25 * exact
 
 

@@ -7,11 +7,12 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.exchange import (
     ExactHaloExchange,
     FixedBitProvider,
-    QuantizedHaloExchange,
+    FusedQuantizedHaloExchange,
     UniformRandomBitProvider,
 )
 from repro.comm.transport import SyncTransport as Transport
 from repro.graph.partition.api import partition_graph
+from repro.quant.stochastic import KeyedRounding
 
 
 @pytest.fixture(scope="module")
@@ -27,10 +28,16 @@ def _features(cluster):
     return [dev.features for dev in cluster.devices]
 
 
+def _fetch_halos(exchange, cluster, transport, values):
+    """One forward step, both halves back to back."""
+    step = exchange.post_step(0, "fwd", cluster.devices, transport, values)
+    return exchange.finalize_step(step)
+
+
 def test_exact_exchange_delivers_true_values(cluster):
     transport = Transport(cluster.num_devices)
     h = _features(cluster)
-    halos = ExactHaloExchange().exchange_embeddings(0, cluster.devices, transport, h)
+    halos = _fetch_halos(ExactHaloExchange(), cluster, transport, h)
     ds = cluster.dataset
     for dev, halo in zip(cluster.devices, halos):
         expected = ds.features[dev.part.halo_global]
@@ -44,7 +51,9 @@ def test_exact_gradient_routing_accumulates(cluster):
         for dev in cluster.devices
     ]
     d_own = [np.zeros((dev.part.n_owned, 4), dtype=np.float32) for dev in cluster.devices]
-    ExactHaloExchange().exchange_gradients(0, cluster.devices, transport, d_halo, d_own)
+    exchange = ExactHaloExchange()
+    step = exchange.post_step(0, "bwd", cluster.devices, transport, d_halo)
+    exchange.finalize_step(step, out=d_own)
     for dev in cluster.devices:
         # Every boundary row got contributions from each peer whose halo
         # contains it: value = sum of (peer_rank + 1).
@@ -59,8 +68,8 @@ def test_exact_gradient_routing_accumulates(cluster):
 def test_quantized_exchange_approximates_exact(cluster):
     transport = Transport(cluster.num_devices)
     h = _features(cluster)
-    exchange = QuantizedHaloExchange(FixedBitProvider(8), np.random.default_rng(0))
-    halos = exchange.exchange_embeddings(0, cluster.devices, transport, h)
+    exchange = FusedQuantizedHaloExchange(FixedBitProvider(8), KeyedRounding(0))
+    halos = _fetch_halos(exchange, cluster, transport, h)
     ds = cluster.dataset
     for dev, halo in zip(cluster.devices, halos):
         expected = ds.features[dev.part.halo_global]
@@ -74,10 +83,9 @@ def test_quantized_exchange_approximates_exact(cluster):
 def test_quantized_exchange_wire_bytes_smaller(cluster):
     t_exact, t_quant = Transport(cluster.num_devices), Transport(cluster.num_devices)
     h = _features(cluster)
-    ExactHaloExchange().exchange_embeddings(0, cluster.devices, t_exact, h)
-    QuantizedHaloExchange(FixedBitProvider(2), np.random.default_rng(0)).exchange_embeddings(
-        0, cluster.devices, t_quant, h
-    )
+    _fetch_halos(ExactHaloExchange(), cluster, t_exact, h)
+    quantized = FusedQuantizedHaloExchange(FixedBitProvider(2), KeyedRounding(0))
+    _fetch_halos(quantized, cluster, t_quant, h)
     assert t_quant.total_bytes() < 0.3 * t_exact.total_bytes()
 
 
@@ -91,10 +99,10 @@ def test_tracer_sees_every_transfer(cluster):
 
     rec = Recorder()
     transport = Transport(cluster.num_devices)
-    exchange = QuantizedHaloExchange(
-        FixedBitProvider(4), np.random.default_rng(0), tracer=rec
+    exchange = FusedQuantizedHaloExchange(
+        FixedBitProvider(4), KeyedRounding(0), tracer=rec
     )
-    exchange.exchange_embeddings(0, cluster.devices, transport, _features(cluster))
+    _fetch_halos(exchange, cluster, transport, _features(cluster))
     expected_transfers = sum(len(d.part.send_map) for d in cluster.devices)
     assert len(rec.calls) == expected_transfers
     assert all(c[0] == "fwd" and c[1] == 0 for c in rec.calls)

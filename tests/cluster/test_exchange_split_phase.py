@@ -1,13 +1,14 @@
 """The split-phase exchange API: post_step → in-flight → finalize_step.
 
-Every policy must satisfy the same contract: the two halves compose to
-exactly the monolithic call (values *and* wire bytes), payloads are
-snapshotted at post time so sources may be mutated while in flight, and a
-handle finalizes exactly once.
+Every policy must satisfy the same contract: the two halves deliver exactly
+what the reference's one-shot exchange delivers (values *and* wire bytes),
+payloads are snapshotted at post time so sources may be mutated while in
+flight, and a handle finalizes exactly once.
 """
 
 import numpy as np
 import pytest
+from reference import oracle
 
 from repro.baselines.pipegcn import StaleHaloExchange
 from repro.baselines.sancus import BroadcastSkipExchange
@@ -15,46 +16,18 @@ from repro.cluster.exchange import (
     ExactHaloExchange,
     FixedBitProvider,
     FusedQuantizedHaloExchange,
-    HaloExchange,
-    QuantizedHaloExchange,
 )
-from repro.cluster.runtime import DeviceRuntime
+from repro.cluster.runtime import build_devices
 from repro.comm.transport import SyncTransport as Transport
-from repro.gnn.coefficients import build_aggregation
-from repro.gnn.model import DistGNN
-from repro.utils.seed import RngPool
+from repro.quant.stochastic import KeyedRounding
 
 
 @pytest.fixture(scope="module")
-def devices(tiny_dataset, tiny_parts):
-    degrees = tiny_dataset.graph.degrees.astype(np.float64)
-    pool = RngPool(0).fork("split-phase")
-    out = []
-    for part in tiny_parts:
-        agg = build_aggregation(part, degrees, "gcn")
-        model = DistGNN(
-            "gcn",
-            [tiny_dataset.num_features, 8, tiny_dataset.num_classes],
-            agg,
-            dropout=0.0,
-            weight_rng=pool.fork("shared").get("init"),
-            dropout_rng=pool.device(part.part_id, "dropout"),
-        )
-        owned = part.owned_global
-        out.append(
-            DeviceRuntime(
-                rank=part.part_id,
-                part=part,
-                agg=agg,
-                model=model,
-                features=tiny_dataset.features[owned],
-                labels=tiny_dataset.labels[owned],
-                train_mask=tiny_dataset.train_mask[owned],
-                val_mask=tiny_dataset.val_mask[owned],
-                test_mask=tiny_dataset.test_mask[owned],
-            )
-        )
-    return out
+def devices(tiny_dataset, tiny_book):
+    dims = [tiny_dataset.num_features, 8, tiny_dataset.num_classes]
+    return build_devices(
+        tiny_dataset, tiny_book, model_kind="gcn", dims=dims, dropout=0.0, seed=0
+    )[0]
 
 
 def _values(devices, dim, seed=0, halo=False):
@@ -67,73 +40,72 @@ def _values(devices, dim, seed=0, halo=False):
     ]
 
 
+class _MixedBits:
+    """Row ``i`` of every message at ``(2, 4, 8)[i % 3]`` bits: payloads
+    with three bit-width groups, the permuted (non-identity) plan layout."""
+
+    def bits_for(self, layer, phase, src, dst, n_rows):
+        return np.array([2, 4, 8])[np.arange(n_rows) % 3]
+
+
+#: name -> (production exchange, the reference policy stating what it delivers)
 EXCHANGES = {
-    "generic": lambda: _GenericExchange(),
-    "exact": ExactHaloExchange,
-    "quantized": lambda: QuantizedHaloExchange(
-        FixedBitProvider(4), np.random.default_rng(3)
+    "exact": (ExactHaloExchange, oracle.ExactPolicy),
+    "fused-quantized": (
+        lambda: FusedQuantizedHaloExchange(FixedBitProvider(4), KeyedRounding(3)),
+        lambda: oracle.QuantizedPolicy(oracle.FixedBits(4), KeyedRounding(3)),
     ),
-    "fused-quantized": lambda: FusedQuantizedHaloExchange(
-        FixedBitProvider(4), np.random.default_rng(3)
+    "quantized": (  # mixed widths within each message
+        lambda: FusedQuantizedHaloExchange(_MixedBits(), KeyedRounding(3)),
+        lambda: oracle.QuantizedPolicy(_MixedBits(), KeyedRounding(3)),
     ),
-    "stale": StaleHaloExchange,
-    "broadcast": lambda: BroadcastSkipExchange(2),
+    "stale": (StaleHaloExchange, oracle.StalePolicy),
+    "broadcast": (lambda: BroadcastSkipExchange(2), lambda: oracle.BroadcastPolicy(2)),
 }
-
-
-class _GenericExchange(HaloExchange):
-    """The base-class per-pair path with float32 passthrough payloads."""
-
-    def _post(self, transport, layer, phase, src, dst, tag, rows):
-        rows = np.ascontiguousarray(rows, dtype=np.float32)
-        transport.post(src, dst, tag, rows, rows.nbytes)
-
-    def _decode(self, payload):
-        return payload
 
 
 @pytest.mark.parametrize("name", sorted(EXCHANGES))
 def test_split_equals_monolithic_forward(devices, name):
     dim = 6
     h = _values(devices, dim)
-    mono = EXCHANGES[name]()
-    split = EXCHANGES[name]()
-    t_mono, t_split = Transport(len(devices)), Transport(len(devices))
+    exchange, policy = (make() for make in EXCHANGES[name])
+    transport = Transport(len(devices))
 
-    expected = mono.exchange_embeddings(0, devices, t_mono, h)
-    step = split.post_step(0, "fwd", devices, t_split, h)
+    mail, wire = policy.exchange("fwd", 0, devices, h)
+    step = exchange.post_step(0, "fwd", devices, transport, h)
     # Mutating the source after post must not change what was shipped.
     for arr in h:
         arr += 100.0
-    got = split.finalize_step(step)
-    for e, g in zip(expected, got):
-        assert np.array_equal(e, g)
-    for arr in h:
-        arr -= 100.0
-    assert t_mono.total_bytes() == t_split.total_bytes()
+    got = exchange.finalize_step(step)
+    for dev, halo in zip(devices, got):
+        assert sum(len(dev.part.recv_map[src]) for src in mail[dev.rank]) == len(halo)
+        for src, rows in mail[dev.rank].items():
+            assert np.array_equal(halo[dev.part.recv_map[src]], rows)
+    assert transport.total_bytes() == wire
 
 
 @pytest.mark.parametrize("name", sorted(EXCHANGES))
 def test_split_equals_monolithic_backward(devices, name):
     dim = 6
     d_halo = _values(devices, dim, seed=1, halo=True)
-    base = _values(devices, dim, seed=2)
-    mono = EXCHANGES[name]()
-    split = EXCHANGES[name]()
-    t_mono, t_split = Transport(len(devices)), Transport(len(devices))
+    exchange, policy = (make() for make in EXCHANGES[name])
+    transport = Transport(len(devices))
 
-    d_own_mono = [v.copy() for v in base]
-    mono.exchange_gradients(0, devices, t_mono, d_halo, d_own_mono)
-    d_own_split = [v.copy() for v in base]
-    step = split.post_step(0, "bwd", devices, t_split, d_halo)
+    mail, wire = policy.exchange("bwd", 0, devices, d_halo)
+    # Into zeroed rows, summing the sources first or adding them one by
+    # one is the same arithmetic: no policy's grouping shows here.
+    expected = [np.zeros((d.part.n_owned, dim), dtype=np.float32) for d in devices]
+    for dev in devices:
+        for src in sorted(mail[dev.rank]):
+            expected[dev.rank][dev.part.send_map[src]] += mail[dev.rank][src]
+    d_own = [np.zeros_like(v) for v in expected]
+    step = exchange.post_step(0, "bwd", devices, transport, d_halo)
     for arr in d_halo:
         arr += 100.0
-    split.finalize_step(step, out=d_own_split)
-    for arr in d_halo:
-        arr -= 100.0
-    for e, g in zip(d_own_mono, d_own_split):
+    exchange.finalize_step(step, out=d_own)
+    for e, g in zip(expected, d_own):
         assert np.array_equal(e, g)
-    assert t_mono.total_bytes() == t_split.total_bytes()
+    assert transport.total_bytes() == wire
 
 
 def test_forward_finalize_fills_out_buffers(devices):

@@ -1,25 +1,23 @@
-"""End-to-end equivalence: the fused compute engine is the legacy path, faster.
+"""The fused compute engine: per-device math, executed cluster-wide.
 
-The engine's contract (ISSUE 2): under the same seed,
-:class:`FusedClusterCompute` must produce *identical* losses, model
-gradients, accuracy curves and wire bytes to the legacy per-device layer
-loop — across model kinds, partition counts and exchange policies.  The
-fused path changes execution shape (block-diagonal aggregation, stacked
-GEMMs, in-place halo writes), never values.
+Under the same seed :class:`FusedClusterCompute` must produce *identical*
+losses, model gradients, accuracy and wire bytes to the per-device
+reference trainer (``tests/reference/oracle.py``) — across model kinds,
+partition counts and exchange policies.  The engine changes execution
+shape (block-diagonal aggregation, stacked GEMMs, in-place halo writes),
+never values.  The grids here run the non-overlapped engine; the
+split-phase pipeline's are in ``test_overlap_compute.py``.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference.oracle import ExactPolicy, ReferenceTrainer
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.compute import FusedClusterCompute, build_block_diagonal
-from repro.cluster.exchange import (
-    ExactHaloExchange,
-    FixedBitProvider,
-    FusedQuantizedHaloExchange,
-)
+from repro.cluster.exchange import ExactHaloExchange
 from repro.core.config import RunConfig
 from repro.core.trainer import train
 from repro.gnn.coefficients import build_aggregation
@@ -38,120 +36,55 @@ from repro.nn.losses import softmax_cross_entropy
 HIDDEN_SHAPES = [8, 64]
 
 
-def _book(dataset, parts):
-    if parts == 1:
-        return PartitionBook(
-            part_of=np.zeros(dataset.num_nodes, dtype=np.int32), num_parts=1
-        )
-    return partition_graph(dataset.graph, parts, method="metis", seed=0)
-
-
-def _make_exchange(name):
-    if name == "exact":
-        return ExactHaloExchange()
-    if name == "stale":
-        from repro.baselines.pipegcn import StaleHaloExchange
-
-        return StaleHaloExchange()
-    if name == "broadcast":
-        from repro.baselines.sancus import BroadcastSkipExchange
-
-        return BroadcastSkipExchange(2)
-    return FusedQuantizedHaloExchange(FixedBitProvider(4), np.random.default_rng(123))
-
-
-def _run_epochs(
-    dataset, book, *, model_kind, fused, exchange_name, epochs=3, hidden_dim=8
-):
-    cluster = Cluster(
-        dataset,
-        book,
-        model_kind=model_kind,
-        hidden_dim=hidden_dim,
-        num_layers=3,
-        dropout=0.5,
-        seed=7,
-        fused_compute=fused,
-    )
-    exchange = _make_exchange(exchange_name)
-    losses, grads, wire = [], [], 0
-    for epoch in range(epochs):
-        record = cluster.train_epoch(exchange, epoch)
-        losses.append(record.loss)
-        grads.append(cluster.devices[0].model.grad_vector().copy())
-        wire += record.total_wire_bytes()
-    metrics = cluster.evaluate()
-    return losses, grads, wire, metrics, record.grad_allreduce_bytes
-
-
 @pytest.mark.parametrize("model_kind", ["gcn", "sage"])
 @pytest.mark.parametrize("parts", [1, 2, 4])
 @pytest.mark.parametrize("exchange_name", ["exact", "quantized"])
 @pytest.mark.parametrize("hidden", HIDDEN_SHAPES)
 def test_losses_gradients_metrics_identical(
-    tiny_dataset, model_kind, parts, exchange_name, hidden
+    matrix, model_kind, parts, exchange_name, hidden
 ):
-    book = _book(tiny_dataset, parts)
-    kwargs = dict(
-        model_kind=model_kind, exchange_name=exchange_name, hidden_dim=hidden
+    matrix.check(
+        policy=exchange_name, model=model_kind, hidden=hidden, parts=parts,
+        overlap=False,
     )
-    fused = _run_epochs(tiny_dataset, book, fused=True, **kwargs)
-    legacy = _run_epochs(tiny_dataset, book, fused=False, **kwargs)
-    assert fused[0] == legacy[0], "losses diverged"
-    for gf, gl in zip(fused[1], legacy[1]):
-        assert np.array_equal(gf, gl), "reduced gradients diverged"
-    assert fused[2] == legacy[2], "wire bytes diverged"
-    assert fused[3] == legacy[3], "eval metrics diverged"
-    assert fused[4] == legacy[4], "allreduce byte accounting diverged"
 
 
 @pytest.mark.parametrize("exchange_name", ["stale", "broadcast"])
 @pytest.mark.parametrize("hidden", HIDDEN_SHAPES)
-def test_baseline_exchanges_identical(tiny_dataset, exchange_name, hidden):
+def test_baseline_exchanges_identical(matrix, exchange_name, hidden):
     """The stale/broadcast baselines cache posted payloads across epochs,
     so they are the exchanges most exposed to the engine's buffer reuse —
-    their trajectories must match the legacy path exactly too."""
-    book = _book(tiny_dataset, 4)
-    fused = _run_epochs(
-        tiny_dataset, book, model_kind="gcn", fused=True,
-        exchange_name=exchange_name, epochs=4, hidden_dim=hidden,
+    their trajectories must match the reference exactly too."""
+    matrix.check(
+        policy=exchange_name, model="gcn", hidden=hidden, parts=4, overlap=False
     )
-    legacy = _run_epochs(
-        tiny_dataset, book, model_kind="gcn", fused=False,
-        exchange_name=exchange_name, epochs=4, hidden_dim=hidden,
-    )
-    assert fused[0] == legacy[0]
-    for gf, gl in zip(fused[1], legacy[1]):
-        assert np.array_equal(gf, gl)
-    assert fused[2] == legacy[2]
-    assert fused[3] == legacy[3]
 
 
 @pytest.mark.parametrize("hidden", HIDDEN_SHAPES)
 def test_accuracy_curves_identical_via_trainer(tiny_dataset, tiny_book, hidden):
+    """``train()`` on the default transport/depth ≡ the plainest shape."""
     cfg = RunConfig(epochs=8, hidden_dim=hidden, eval_every=2, reassign_period=4)
-    fused = train("adaqp-fixed", tiny_dataset, tiny_book, "2M-2D", cfg)
-    legacy = train(
+    default = train("adaqp-fixed", tiny_dataset, tiny_book, "2M-2D", cfg)
+    plain = train(
         "adaqp-fixed",
         tiny_dataset,
         tiny_book,
         "2M-2D",
-        cfg.with_overrides(fused_compute=False),
+        cfg.with_overrides(overlap=False, transport="sync", pipeline_depth=1),
     )
-    assert fused.curve_loss == legacy.curve_loss
-    assert fused.curve_val == legacy.curve_val
-    assert fused.curve_test == legacy.curve_test
-    assert fused.wire_bytes_total == legacy.wire_bytes_total
-    assert fused.epoch_times == legacy.epoch_times  # identical records/schedule
+    assert default.curve_loss == plain.curve_loss
+    assert default.curve_val == plain.curve_val
+    assert default.curve_test == plain.curve_test
+    assert default.wire_bytes_total == plain.wire_bytes_total
+    assert default.epoch_times == plain.epoch_times  # identical records/schedule
 
 
 def test_replicas_stay_identical_under_fused_engine(tiny_dataset):
     from repro.nn.optim import Adam
 
-    book = _book(tiny_dataset, 3)
+    book = partition_graph(tiny_dataset.graph, 3, method="metis", seed=0)
     cluster = Cluster(
-        tiny_dataset, book, hidden_dim=8, num_layers=2, dropout=0.5, seed=0,
-        fused_compute=True,
+        tiny_dataset, book, hidden_dim=8, num_layers=2, dropout=0.5, seed=0
     )
     opts = [Adam(dev.model.parameters(), lr=0.01) for dev in cluster.devices]
     exchange = ExactHaloExchange()
@@ -167,31 +100,24 @@ def test_replicas_stay_identical_under_fused_engine(tiny_dataset):
 
 
 def test_fused_compute_is_default(tiny_dataset, tiny_book):
-    cluster = Cluster(tiny_dataset, tiny_book, hidden_dim=8, seed=0)
-    assert cluster.fused_compute
-    assert RunConfig().fused_compute
-    legacy = Cluster(
-        tiny_dataset, tiny_book, hidden_dim=8, seed=0, fused_compute=False
-    )
-    assert not legacy.fused_compute
-    # The engine is built lazily and only on the fused path.
-    cluster.train_epoch(ExactHaloExchange(), 0)
-    legacy.train_epoch(ExactHaloExchange(), 0)
-    assert cluster._engine is not None
-    assert legacy._engine is None
+    """The one engine, built lazily on the first epoch (its stacked
+    buffers are the bulk of a cluster's footprint)."""
+    with Cluster(tiny_dataset, tiny_book, hidden_dim=8, seed=0) as cluster:
+        assert cluster._engine is None
+        cluster.train_epoch(ExactHaloExchange(), 0)
+        assert isinstance(cluster._engine, FusedClusterCompute)
 
 
 @pytest.mark.parametrize("hidden", HIDDEN_SHAPES)
-def test_engine_buffers_do_not_leak_between_epochs(tiny_dataset, hidden):
+def test_engine_buffers_do_not_leak_between_epochs(tiny_dataset, tiny_book, hidden):
     """Eval passes share the engine's stacked buffers with training; the
     reuse must be invisible — training trajectories with and without
     interleaved evals are identical."""
-    book = _book(tiny_dataset, 4)
 
     def losses(with_eval):
         cluster = Cluster(
-            tiny_dataset, book, hidden_dim=hidden, num_layers=2, dropout=0.0,
-            seed=0, fused_compute=True,
+            tiny_dataset, tiny_book, hidden_dim=hidden, num_layers=2, dropout=0.0,
+            seed=0,
         )
         exchange = ExactHaloExchange()
         out = []
@@ -233,11 +159,12 @@ def sage_store(tmp_path_factory):
     ],
 )
 def test_spmv_count_follows_operand_order(
-    monkeypatch, tiny_dataset, huge_store, sage_store, model_kind, shape, hidden
+    monkeypatch, tiny_dataset, tiny_book, huge_store, sage_store, model_kind, shape,
+    hidden,
 ):
     """One training epoch's sparse multiply-adds, Σ nnz × n_vecs over every
     ``csr_matvecs`` call, equal the first-principles count in all three
-    fused shapes: ``2·Σ_l nnz·min(d_l, d_{l+1})`` for GCN (each layer
+    engine shapes: ``2·Σ_l nnz·min(d_l, d_{l+1})`` for GCN (each layer
     aggregates at the narrower of its two widths, forward and backward)
     and ``2·Σ_l nnz·d_l`` for SAGE (always the input width).  This is what
     keeps a later refactor from silently widening a product again."""
@@ -247,7 +174,7 @@ def test_spmv_count_follows_operand_order(
         store = huge_store if model_kind == "gcn" else sage_store
         dataset, book = store.dataset(), store.book()
     else:
-        dataset, book = tiny_dataset, _book(tiny_dataset, 4)
+        dataset, book = tiny_dataset, tiny_book
     cluster = Cluster(
         dataset, book, model_kind=model_kind, hidden_dim=hidden, num_layers=3,
         dropout=0.5, seed=0, overlap=(shape == "overlap"), transport="sync",
@@ -416,16 +343,16 @@ def test_loss_out_buffer_matches_fresh_allocation():
 
 
 def test_engine_exposes_global_scatter(tiny_dataset):
-    book = _book(tiny_dataset, 2)
-    cluster = Cluster(
-        tiny_dataset, book, hidden_dim=8, num_layers=2, dropout=0.0, seed=0,
-        fused_compute=True,
-    )
-    engine = cluster._compute_engine()
-    assert isinstance(engine, FusedClusterCompute)
-    logits_fused = cluster.full_logits()
-    legacy = Cluster(
-        tiny_dataset, book, hidden_dim=8, num_layers=2, dropout=0.0, seed=0,
-        fused_compute=False,
-    )
-    assert np.array_equal(logits_fused, legacy.full_logits())
+    """``full_logits`` scatters the stacked per-device logits into global
+    node order: row for row the reference's eval-mode forward."""
+    book = partition_graph(tiny_dataset.graph, 2, method="metis", seed=0)
+    shape = dict(hidden_dim=8, num_layers=2, dropout=0.0, seed=0)
+    cluster = Cluster(tiny_dataset, book, **shape)
+    assert isinstance(cluster._compute_engine(), FusedClusterCompute)
+    logits = cluster.full_logits()
+    reference = ReferenceTrainer(tiny_dataset, book, "exact", model_kind="gcn", **shape)
+    for dev in reference.devices:
+        dev.model.eval()
+    per_device, _ = reference.forward(ExactPolicy())
+    for dev in reference.devices:
+        assert np.array_equal(logits[dev.part.owned_global], per_device[dev.rank])

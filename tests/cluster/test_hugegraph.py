@@ -34,7 +34,6 @@ def _run_cfg(**overrides):
         dropout=0.5,
         seed=7,
         eval_every=1,
-        rng_mode="keyed",
         transport="sync",
     )
     base.update(overrides)

@@ -128,19 +128,6 @@ def test_streaming_estimate_follows_operand_order(huge_store, hidden):
         assert allocated == (scratch > 0)
 
 
-def test_legacy_executor_resident_falls_back(tiny_dataset):
-    book = partition_graph(tiny_dataset.graph, 2, method="metis", seed=0)
-    legacy = Cluster(tiny_dataset, book, model_kind="gcn", hidden_dim=8,
-                     num_layers=2, dropout=0.0, seed=0, fused_compute=False)
-    for fp in estimate_memory(legacy):
-        assert fp.stacked_buffer_bytes == 0
-        assert fp.resident_bytes == (
-            fp.model_param_bytes + fp.model_grad_bytes
-            + fp.decode_workspace_bytes + fp.shm_slab_bytes
-            + fp.feature_bytes + fp.activation_bytes + fp.halo_buffer_bytes
-        )
-
-
 def test_estimate_peak_resident_sums_devices(cluster):
     fps = estimate_memory(cluster)
     send_rows = sum(dev.part.n_halo for dev in cluster.devices)

@@ -1,259 +1,106 @@
-"""End-to-end equivalence: the split-phase pipelined executor is the fused
-engine with the paper's overlap executed for real.
+"""The split-phase pipelined executor: the paper's overlap, executed for real.
 
-The executor's contract (ISSUE 3): under the same seed, running each layer
-step as post → central sub-step → finalize → marginal sub-step must be
-**bit-identical** to the PR-2 fused path — same losses, reduced gradients,
-wire bytes and accuracy — across model kinds, partition counts and every
-exchange policy, because the central/marginal split is a row permutation
-of the same math.  On top of the numerics, each overlapped epoch must emit
-a measured per-stage timeline whose transport-recorded interleave shows
-the halo traffic really was in flight during the central windows.
+Running each layer step as post → central sub-step → finalize → marginal
+sub-step is a row permutation of the same math, so under the same seed it
+must equal the reference trainer (``tests/reference/oracle.py``) bitwise —
+losses, reduced gradients, wire bytes, bit-widths, accuracy — on every
+transport backend, at any worker count, under any job-retirement order and
+at both pipeline depths.  The pairwise cover of *all* axes is
+``test_oracle_matrix.py``; the grids here enumerate the transport × depth ×
+policy sub-matrix in full, each case one ``matrix.check`` call against the
+session's cached oracle runs.  On top of the numerics, each overlapped
+epoch must emit a measured per-stage timeline whose transport-recorded
+interleave shows the halo traffic really was in flight during the central
+windows.
 """
+
+import inspect
 
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.cluster.cluster import Cluster
 from repro.cluster.compute import restrict_rows
+from repro.cluster.exchange import ExactHaloExchange
 from repro.comm.transport import SyncTransport as Transport
-from repro.cluster.exchange import (
-    ExactHaloExchange,
-    FixedBitProvider,
-    FusedQuantizedHaloExchange,
-)
 from repro.core.config import RunConfig
 from repro.core.trainer import OVERLAP_SYSTEMS, train
 from repro.graph.partition.api import partition_graph
-from repro.graph.partition.book import PartitionBook
 
-
-#: The layer-shape axis (see tests/cluster/test_fused_compute.py): on the
-#: 48-feature / 24-class ``tiny_dataset`` hidden 8 makes GCN's first layer
-#: transform first, hidden 64 its output layer — every matrix below runs
-#: both operand orders at every position of the pipeline.
+#: The layer-shape axis: on the 48-feature / 24-class ``tiny_dataset``
+#: hidden 8 makes GCN's first layer transform first, hidden 64 its output
+#: layer — every grid below runs both operand orders at every position of
+#: the pipeline.
 HIDDEN_SHAPES = [8, 64]
+POLICIES = ["exact", "quantized", "stale", "broadcast"]
 
-
-def _book(dataset, parts):
-    if parts == 1:
-        return PartitionBook(
-            part_of=np.zeros(dataset.num_nodes, dtype=np.int32), num_parts=1
-        )
-    return partition_graph(dataset.graph, parts, method="metis", seed=0)
-
-
-def _make_exchange(name, rng_mode="stream"):
-    if name == "exact":
-        return ExactHaloExchange()
-    if name == "stale":
-        from repro.baselines.pipegcn import StaleHaloExchange
-
-        return StaleHaloExchange()
-    if name == "broadcast":
-        from repro.baselines.sancus import BroadcastSkipExchange
-
-        return BroadcastSkipExchange(2)
-    from repro.quant.stochastic import KeyedRounding
-
-    rng = KeyedRounding(123) if rng_mode == "keyed" else np.random.default_rng(123)
-    return FusedQuantizedHaloExchange(FixedBitProvider(4), rng)
-
-
-def _run_epochs(
-    dataset, book, *, model_kind, overlap, exchange_name, epochs=3,
-    transport="sync", pipeline_depth=2, timeline_keep=None,
-    rng_mode="stream", transport_cls=None, hidden_dim=8,
-):
-    cluster = Cluster(
-        dataset,
-        book,
-        model_kind=model_kind,
-        hidden_dim=hidden_dim,
-        num_layers=3,
-        dropout=0.5,
-        seed=7,
-        fused_compute=True,
-        overlap=overlap,
-        transport=transport,
-        pipeline_depth=pipeline_depth,
-        timeline_keep=timeline_keep,
-    )
-    if transport_cls is not None:
-        cluster.transport = transport_cls(cluster.num_devices)
-    exchange = _make_exchange(exchange_name, rng_mode)
-    losses, grads, wire = [], [], 0
-    record = None
-    for epoch in range(epochs):
-        record = cluster.train_epoch(exchange, epoch)
-        losses.append(record.loss)
-        grads.append(cluster.devices[0].model.grad_vector().copy())
-        wire += record.total_wire_bytes()
-    metrics = cluster.evaluate()
-    cluster.close()
-    return losses, grads, wire, metrics, record
+#: The shape most accounting tests run: GCN, 4 partitions, 4-bit messages.
+QUANTIZED = dict(policy="quantized", model="gcn", hidden=8, parts=4)
 
 
 @pytest.mark.parametrize("model_kind", ["gcn", "sage"])
 @pytest.mark.parametrize("parts", [1, 2, 4])
-@pytest.mark.parametrize(
-    "exchange_name", ["exact", "quantized", "stale", "broadcast"]
-)
+@pytest.mark.parametrize("exchange_name", POLICIES)
 @pytest.mark.parametrize("hidden", HIDDEN_SHAPES)
 def test_overlap_bitwise_identical_to_fused(
-    tiny_dataset, model_kind, parts, exchange_name, hidden
+    matrix, model_kind, parts, exchange_name, hidden
 ):
-    book = _book(tiny_dataset, parts)
-    pipe = _run_epochs(
-        tiny_dataset, book, model_kind=model_kind, overlap=True,
-        exchange_name=exchange_name, hidden_dim=hidden,
+    matrix.check(
+        policy=exchange_name, model=model_kind, hidden=hidden, parts=parts,
+        overlap=True, transport="sync",
     )
-    fused = _run_epochs(
-        tiny_dataset, book, model_kind=model_kind, overlap=False,
-        exchange_name=exchange_name, hidden_dim=hidden,
-    )
-    assert pipe[0] == fused[0], "losses diverged"
-    for gp, gf in zip(pipe[1], fused[1]):
-        assert np.array_equal(gp, gf), "reduced gradients diverged"
-    assert pipe[2] == fused[2], "wire bytes diverged"
-    assert pipe[3] == fused[3], "eval metrics diverged"
 
 
 @pytest.mark.parametrize("model_kind", ["gcn", "sage"])
 @pytest.mark.parametrize("parts", [1, 2, 4])
-@pytest.mark.parametrize(
-    "exchange_name", ["exact", "quantized", "stale", "broadcast"]
-)
+@pytest.mark.parametrize("exchange_name", POLICIES)
 @pytest.mark.parametrize("hidden", HIDDEN_SHAPES)
 def test_async_transport_bitwise_identical_to_sync(
-    tiny_dataset, model_kind, parts, exchange_name, hidden
+    matrix, model_kind, parts, exchange_name, hidden
 ):
-    """ISSUE 4's contract: the worker-backed transport is an execution
-    shape, not a numerics change — losses, reduced gradients, wire bytes
-    and eval metrics must match the synchronous pipeline bit for bit
-    (same reduction order: the worker produces, the main thread alone
-    collects and accumulates in device order)."""
-    book = _book(tiny_dataset, parts)
-    kwargs = dict(
-        model_kind=model_kind, overlap=True, exchange_name=exchange_name,
-        hidden_dim=hidden,
+    """The worker-backed transport is an execution shape, not a numerics
+    change (same reduction order: the workers produce, the main thread
+    alone collects and accumulates in device order)."""
+    matrix.check(
+        policy=exchange_name, model=model_kind, hidden=hidden, parts=parts,
+        overlap=True, transport="worker",
     )
-    asy = _run_epochs(tiny_dataset, book, transport="worker", **kwargs)
-    syn = _run_epochs(tiny_dataset, book, transport="sync", **kwargs)
-    assert asy[0] == syn[0], "losses diverged"
-    for ga, gs in zip(asy[1], syn[1]):
-        assert np.array_equal(ga, gs), "reduced gradients diverged"
-    assert asy[2] == syn[2], "wire bytes diverged"
-    assert asy[3] == syn[3], "eval metrics diverged"
 
 
-# ----------------------------------------------------------------------
-# ISSUE 5: keyed rounding RNG — determinism from data coordinates
-# ----------------------------------------------------------------------
-class _ShuffledTransport(Transport):
-    """A deterministic stand-in for adversarial job scheduling: deferred
-    jobs accumulate and run in *reverse submission order* at join time
-    (followups deferred by running jobs are picked up too).  Any
-    retirement order a real pool could produce is a prefix-respecting
-    interleaving of this and submission order, so equality across the two
-    extremes is the order-independence property."""
-
-    is_async = True  # engage the sharded encode + worker-decode paths
-    workers = 4
-
-    def __init__(self, num_devices):
-        super().__init__(num_devices)
-        self._queue: dict[str, list] = {}
-
-    def defer(self, tag, job):
-        self._queue.setdefault(tag, []).append(job)
-
-    def complete(self, tag):
-        while self._queue.get(tag):
-            jobs = self._queue.pop(tag)
-            for job in reversed(jobs):
-                job()
-        self._queue.pop(tag, None)
-        return 0.0
-
-    def collect(self, dst, tag):
-        self.complete(tag)
-        return super().collect(dst, tag)
-
-    def reset_accounting(self):
-        for tag in list(self._queue):
-            self.complete(tag)
-        super().reset_accounting()
-
-
-@pytest.mark.parametrize(
-    "exchange_name", ["exact", "quantized", "stale", "broadcast"]
-)
+@pytest.mark.parametrize("exchange_name", POLICIES)
 @pytest.mark.parametrize("workers", [1, 2, 4])
 @pytest.mark.parametrize("hidden", HIDDEN_SHAPES)
 def test_keyed_rng_order_independent_across_worker_counts(
-    tiny_dataset, exchange_name, workers, hidden
+    matrix, exchange_name, workers, hidden
 ):
-    """ISSUE 5's acceptance property: with rng_mode="keyed", losses,
-    reduced gradients, wire bytes and eval metrics are bitwise-identical
-    across worker counts in {sync, worker:1, worker:2, worker:4} for
-    every exchange policy — determinism is a property of data
-    coordinates, not of which thread encoded a block or when it retired.
-    (The synchronous transport is the baseline arm of every comparison.)"""
-    book = _book(tiny_dataset, 4)
-    kwargs = dict(
-        model_kind="gcn", overlap=True, exchange_name=exchange_name,
-        rng_mode="keyed", hidden_dim=hidden,
+    """Determinism is a property of data coordinates, not of which thread
+    encoded a block or when it retired: any worker count ≡ the oracle."""
+    matrix.check(
+        policy=exchange_name, model="gcn", hidden=hidden, parts=4,
+        overlap=True, transport=f"worker:{workers}",
     )
-    baseline = _run_epochs(tiny_dataset, book, transport="sync", **kwargs)
-    arm = _run_epochs(
-        tiny_dataset, book, transport=f"worker:{workers}", **kwargs,
-    )
-    assert arm[0] == baseline[0], "losses diverged"
-    for ga, gb in zip(arm[1], baseline[1]):
-        assert np.array_equal(ga, gb), "reduced gradients diverged"
-    assert arm[2] == baseline[2], "wire bytes diverged"
-    assert arm[3] == baseline[3], "eval metrics diverged"
 
 
-@pytest.mark.parametrize(
-    "exchange_name", ["exact", "quantized", "stale", "broadcast"]
-)
+@pytest.mark.parametrize("exchange_name", POLICIES)
 @pytest.mark.parametrize("spec", ["process:2", "process:4"])
 @pytest.mark.parametrize("hidden", HIDDEN_SHAPES)
-def test_keyed_rng_process_transport_matches_sync(
-    tiny_dataset, exchange_name, spec, hidden
-):
-    """ISSUE 6's acceptance property: the process-backed transport — encode
-    shards and per-receiver decodes in worker *processes*, payloads over
-    shared-memory rings — is bitwise-identical to the synchronous path for
-    every exchange policy under rng_mode="keyed", at any process count.
-    The keyed RNG is what makes this legal: a worker process reproduces
-    its shard from coordinates alone, and collect's sort-by-source anchor
+def test_keyed_rng_process_transport_matches_sync(matrix, exchange_name, spec, hidden):
+    """Encode shards and per-receiver decodes in worker *processes*,
+    payloads over shared-memory rings: a worker process reproduces its
+    shard from coordinates alone, and collect's sort-by-source anchor
     fixes the reduction order regardless of which process finished first."""
-    book = _book(tiny_dataset, 4)
-    kwargs = dict(
-        model_kind="gcn", overlap=True, exchange_name=exchange_name,
-        rng_mode="keyed", hidden_dim=hidden,
+    matrix.check(
+        policy=exchange_name, model="gcn", hidden=hidden, parts=4,
+        overlap=True, transport=spec,
     )
-    baseline = _run_epochs(tiny_dataset, book, transport="sync", **kwargs)
-    arm = _run_epochs(tiny_dataset, book, transport=spec, **kwargs)
-    assert arm[0] == baseline[0], "losses diverged"
-    for ga, gb in zip(arm[1], baseline[1]):
-        assert np.array_equal(ga, gb), "reduced gradients diverged"
-    assert arm[2] == baseline[2], "wire bytes diverged"
-    assert arm[3] == baseline[3], "eval metrics diverged"
 
 
-def test_process_transport_keeps_overlap_accounting(tiny_dataset):
+def test_process_transport_keeps_overlap_accounting(matrix):
     """The process path posts payload views from main-thread callbacks
     inside an open overlap window — every halo byte must still classify
     as hidden, exactly like the worker transport."""
-    book = _book(tiny_dataset, 4)
-    record = _run_epochs(
-        tiny_dataset, book, model_kind="gcn", overlap=True,
-        exchange_name="quantized", rng_mode="keyed", transport="process:3",
-    )[4]
+    _, record = matrix.production(**QUANTIZED, transport="process:3")
     assert record.hidden_byte_fraction() == 1.0
     assert all(t.overlapped_bytes == t.total_bytes for t in record.timelines)
 
@@ -269,7 +116,7 @@ def test_cluster_transport_spec_selection(tiny_dataset, tiny_book):
     ) as cluster:
         assert isinstance(cluster.transport, ProcessTransport)
         assert cluster.transport_spec == TransportSpec("process", 2)
-        # Derived mirrors stay coherent (perfbench reads them).
+        # Derived mirrors stay coherent.
         assert cluster.async_transport is True
         assert cluster.transport_workers == 2
     with Cluster(
@@ -290,106 +137,71 @@ def test_cluster_transport_spec_selection(tiny_dataset, tiny_book):
         Cluster(tiny_dataset, tiny_book, transport="bogus:2")
 
 
-def test_legacy_transport_knobs_are_gone():
-    """PR 8 removed the pre-PR-6 shims for good: the spec string is the
-    only spelling, and the legacy knob pair raises instead of warning."""
-    with pytest.raises(TypeError):
-        RunConfig(async_transport=True)
-    with pytest.raises(TypeError):
-        RunConfig(transport_workers=4)
+def test_legacy_transport_knobs_are_gone(tiny_dataset, tiny_book, capsys):
+    """Removed means rejected: the spec string is the only transport
+    spelling, and the execution-shape knobs that selected deleted paths
+    raise instead of being silently ignored."""
+    for knob in (
+        "async_transport", "transport_workers",
+        "fused_exchange", "fused_compute", "rng_mode", "timeline_history",
+    ):
+        with pytest.raises(TypeError):
+            RunConfig(**{knob: 1})
     with pytest.raises(ValueError, match="unknown transport backend"):
         RunConfig(transport="bogus")
+    for knob in ("fused_compute", "timeline_keep"):
+        with pytest.raises(TypeError):
+            Cluster(tiny_dataset, tiny_book, **{knob: 1})
+    # repartition() rebuilds from _ctor: it may carry only live arguments.
+    with Cluster(tiny_dataset, tiny_book, hidden_dim=8) as cluster:
+        assert set(cluster._ctor) <= set(inspect.signature(Cluster).parameters)
+    for argv in (
+        ["train", "--rng-mode", "keyed"], ["train", "--no-fused-compute"], ["bench"],
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+    capsys.readouterr()
+    assert main(["info"]) == 0
+    assert "rng_mode=" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("exchange_name", ["exact", "quantized"])
 @pytest.mark.parametrize("hidden", HIDDEN_SHAPES)
-def test_keyed_rng_survives_shuffled_job_retirement(
-    tiny_dataset, exchange_name, hidden
-):
-    """Shuffled job-retirement order: running every deferred job (encode
-    shards and decode followups) in reverse submission order must leave
-    the training trajectory bitwise-unchanged under keyed rounding."""
-    book = _book(tiny_dataset, 4)
-    kwargs = dict(
-        model_kind="gcn", overlap=True, exchange_name=exchange_name,
-        rng_mode="keyed", hidden_dim=hidden,
+def test_keyed_rng_survives_shuffled_job_retirement(matrix, exchange_name, hidden):
+    """Running every deferred job (encode shards and decode followups) in
+    reverse submission order must leave the training trajectory
+    bitwise-unchanged — and still record a fully hidden interleave."""
+    record = matrix.check(
+        policy=exchange_name, model="gcn", hidden=hidden, parts=4,
+        overlap=True, transport="shuffled",
     )
-    plain = _run_epochs(tiny_dataset, book, transport="sync", **kwargs)
-    shuffled = _run_epochs(
-        tiny_dataset, book, transport="sync",
-        transport_cls=_ShuffledTransport, **kwargs,
-    )
-    assert shuffled[0] == plain[0], "losses diverged"
-    for ga, gb in zip(shuffled[1], plain[1]):
-        assert np.array_equal(ga, gb), "reduced gradients diverged"
-    assert shuffled[2] == plain[2], "wire bytes diverged"
-    assert shuffled[3] == plain[3], "eval metrics diverged"
-    # The shuffled transport still records a fully hidden interleave.
-    assert shuffled[4].hidden_byte_fraction() == 1.0
+    assert record.hidden_byte_fraction() == 1.0
 
 
-# ----------------------------------------------------------------------
-# PR 8: two-deep cross-step pipelining
-# ----------------------------------------------------------------------
-_DEPTH_BASELINES: dict = {}
-
-
-def _depth_baseline(tiny_dataset, exchange_name, hidden):
-    """Depth-1 sync run — the anchor every (depth, backend) arm must hit."""
-    key = (exchange_name, hidden)
-    if key not in _DEPTH_BASELINES:
-        book = _book(tiny_dataset, 4)
-        _DEPTH_BASELINES[key] = _run_epochs(
-            tiny_dataset, book, model_kind="gcn", overlap=True,
-            exchange_name=exchange_name, rng_mode="keyed",
-            transport="sync", pipeline_depth=1, hidden_dim=hidden,
-        )
-    return _DEPTH_BASELINES[key]
-
-
-@pytest.mark.parametrize(
-    "exchange_name", ["exact", "quantized", "stale", "broadcast"]
-)
+@pytest.mark.parametrize("exchange_name", POLICIES)
 @pytest.mark.parametrize("spec", ["sync", "worker:4", "process:2"])
 @pytest.mark.parametrize("depth", [1, 2])
 @pytest.mark.parametrize("hidden", HIDDEN_SHAPES)
-def test_pipeline_depth_matrix_bitwise_identical(
-    tiny_dataset, exchange_name, spec, depth, hidden
-):
-    """PR 8's acceptance matrix: pipeline_depth in {1, 2} x {sync,
-    worker:4, process:2} x every exchange policy is bitwise-identical —
-    losses, reduced gradients, wire bytes, eval metrics — to the depth-1
-    synchronous pipeline, and the interleave stays fully hidden.  Depth 2
-    changes only *when* each step's post is dispatched (inside the
+def test_pipeline_depth_matrix_bitwise_identical(matrix, exchange_name, spec, depth, hidden):
+    """pipeline_depth {1, 2} x {sync, worker:4, process:2} x every policy.
+    Depth 2 changes only *when* each step's post is dispatched (inside the
     previous step's marginal window), never what is posted: posts stay
     strictly ordered, so keyed rounding and collect's sort-by-source
-    anchor pin the numerics."""
-    book = _book(tiny_dataset, 4)
-    baseline = _depth_baseline(tiny_dataset, exchange_name, hidden)
-    arm = _run_epochs(
-        tiny_dataset, book, model_kind="gcn", overlap=True,
-        exchange_name=exchange_name, rng_mode="keyed",
-        transport=spec, pipeline_depth=depth, hidden_dim=hidden,
+    anchor pin the numerics, and the interleave stays fully hidden."""
+    record = matrix.check(
+        policy=exchange_name, model="gcn", hidden=hidden, parts=4,
+        overlap=True, transport=spec, depth=depth,
     )
-    assert arm[0] == baseline[0], "losses diverged"
-    for ga, gb in zip(arm[1], baseline[1]):
-        assert np.array_equal(ga, gb), "reduced gradients diverged"
-    assert arm[2] == baseline[2], "wire bytes diverged"
-    assert arm[3] == baseline[3], "eval metrics diverged"
-    record = arm[4]
     if record.timeline_summary.total_bytes > 0:
         assert record.hidden_byte_fraction() == 1.0
 
 
-def test_depth2_timelines_report_lookahead(tiny_dataset):
+def test_depth2_timelines_report_lookahead(matrix):
     """Depth-2 epochs stamp every step timeline with the depth, and
     lookahead-posted forward steps carry the dispatch seconds that ran
     inside the previous marginal window (``quantize_s`` equals it)."""
-    book = _book(tiny_dataset, 4)
-    deep = _run_epochs(
-        tiny_dataset, book, model_kind="gcn", overlap=True,
-        exchange_name="quantized", rng_mode="keyed", pipeline_depth=2,
-    )[4]
+    _, deep = matrix.production(**QUANTIZED, depth=2)
     assert all(t.pipeline_depth == 2 for t in deep.timelines)
     for t in deep.timelines:
         if t.phase == "fwd" and t.layer > 0:
@@ -397,10 +209,7 @@ def test_depth2_timelines_report_lookahead(tiny_dataset):
             assert t.quantize_s == t.lookahead_post_s
         else:
             assert t.lookahead_post_s == 0.0
-    shallow = _run_epochs(
-        tiny_dataset, book, model_kind="gcn", overlap=True,
-        exchange_name="quantized", rng_mode="keyed", pipeline_depth=1,
-    )[4]
+    _, shallow = matrix.production(**QUANTIZED, depth=1)
     assert all(t.pipeline_depth == 1 for t in shallow.timelines)
     assert all(t.lookahead_post_s == 0.0 for t in shallow.timelines)
 
@@ -429,28 +238,24 @@ def test_shuffled_retirement_across_tags():
         t.close()
 
 
-def test_worker_decode_keeps_overlap_accounting_at_many_workers(tiny_dataset):
+def test_worker_decode_keeps_overlap_accounting_at_many_workers(matrix):
     """With worker-side decode the step's mailboxes are drained on the
     pool; the window opened before the post must still classify every
     byte as hidden."""
-    book = _book(tiny_dataset, 4)
-    record = _run_epochs(
-        tiny_dataset, book, model_kind="gcn", overlap=True,
-        exchange_name="quantized", rng_mode="keyed", transport="worker:4",
-    )[4]
+    _, record = matrix.production(**QUANTIZED, transport="worker:4")
     assert record.hidden_byte_fraction() == 1.0
     assert all(t.overlapped_bytes == t.total_bytes for t in record.timelines)
 
 
 def test_cluster_is_a_context_manager(tiny_dataset, tiny_book):
-    """Satellite: `with Cluster(...)` closes the transport on exit — even
-    when the body raises — and close stays idempotent afterwards."""
+    """`with Cluster(...)` closes the transport on exit — even when the
+    body raises — and close stays idempotent afterwards."""
     with Cluster(
         tiny_dataset, tiny_book, hidden_dim=8, seed=0, overlap=True,
         transport="worker:2",
     ) as cluster:
         assert cluster.transport_workers == 2
-        cluster.train_epoch(_make_exchange("quantized", "keyed"), 0)
+        cluster.train_epoch(ExactHaloExchange(), 0)
     # Exited: the worker pool is gone and further deferred work refuses.
     with pytest.raises(RuntimeError, match="closed"):
         cluster.transport.defer("t", lambda: None)
@@ -499,15 +304,11 @@ def test_transport_worker_resolution(tiny_dataset, tiny_book):
         c.close()
 
 
-def test_async_transport_keeps_overlap_accounting(tiny_dataset):
+def test_async_transport_keeps_overlap_accounting(matrix):
     """Worker posts land inside the open central windows, so the measured
     interleave still reports every halo byte as hidden, and the timelines
     carry the join-wait the worker exposed (>= 0)."""
-    book = _book(tiny_dataset, 4)
-    record = _run_epochs(
-        tiny_dataset, book, model_kind="gcn", overlap=True,
-        exchange_name="quantized", transport="worker",
-    )[4]
+    _, record = matrix.production(**QUANTIZED, transport="worker")
     assert record.hidden_byte_fraction() == 1.0
     assert all(t.overlapped_bytes == t.total_bytes for t in record.timelines)
     assert all(t.worker_wait_s >= 0.0 for t in record.timelines)
@@ -539,33 +340,9 @@ def test_async_transport_auto_defaults(tiny_dataset, tiny_book):
         c.close()
 
 
-def test_timeline_keep_caps_record_but_not_summary(tiny_dataset, tiny_book):
-    capped = _run_epochs(
-        tiny_dataset, tiny_book, model_kind="gcn", overlap=True,
-        exchange_name="exact", epochs=1, timeline_keep=2,
-    )[4]
-    full = _run_epochs(
-        tiny_dataset, tiny_book, model_kind="gcn", overlap=True,
-        exchange_name="exact", epochs=1,
-    )[4]
-    assert len(full.timelines) == 6  # 3 layers x fwd/bwd
-    assert len(capped.timelines) == 2  # last-N retained
-    assert [(t.layer, t.phase) for t in capped.timelines] == [
-        (1, "bwd"), (0, "bwd"),
-    ]
-    # The summary still covers every step, so the measured overlap
-    # accounting is identical to the uncapped record's.
-    assert capped.timeline_summary.steps == 6
-    assert capped.timeline_summary.total_bytes == full.timeline_summary.total_bytes
-    assert capped.hidden_byte_fraction() == full.hidden_byte_fraction()
-
-
 @pytest.mark.parametrize("parts", [1, 4])
-def test_overlap_emits_measured_timelines(tiny_dataset, parts):
-    book = _book(tiny_dataset, parts)
-    record = _run_epochs(
-        tiny_dataset, book, model_kind="gcn", overlap=True, exchange_name="exact"
-    )[4]
+def test_overlap_emits_measured_timelines(matrix, parts):
+    _, record = matrix.production(policy="exact", model="gcn", hidden=8, parts=parts)
     # One timeline per (layer, direction), in execution order.
     assert [(t.layer, t.phase) for t in record.timelines] == [
         (0, "fwd"), (1, "fwd"), (2, "fwd"), (2, "bwd"), (1, "bwd"), (0, "bwd"),
@@ -589,11 +366,10 @@ def test_overlap_emits_measured_timelines(tiny_dataset, parts):
         assert record.hidden_byte_fraction() == 1.0
 
 
-def test_non_overlap_record_has_no_timelines(tiny_dataset, tiny_book):
-    record = _run_epochs(
-        tiny_dataset, tiny_book, model_kind="gcn", overlap=False,
-        exchange_name="exact", epochs=1,
-    )[4]
+def test_non_overlap_record_has_no_timelines(matrix):
+    _, record = matrix.production(
+        policy="exact", model="gcn", hidden=8, parts=4, overlap=False
+    )
     assert record.timelines == []
     assert record.hidden_byte_fraction() == 0.0
 
@@ -611,24 +387,11 @@ def test_trainer_defaults_overlap_for_adaqp_variants(tiny_dataset, tiny_book, hi
     assert pipe.curve_test == plain.curve_test
     assert pipe.wire_bytes_total == plain.wire_bytes_total
     assert pipe.epoch_times == plain.epoch_times  # identical records/schedule
-
-
-def test_trainer_retains_capped_timelines(tiny_dataset, tiny_book):
-    """Multi-epoch runs keep bounded per-step state: the run-level summary
-    covers every executed step while only the last
-    ``RunConfig.timeline_history`` StepTimeline objects are retained."""
-    cfg = RunConfig(
-        epochs=6, hidden_dim=8, eval_every=2, reassign_period=4,
-        timeline_history=5,
-    )
-    result = train("adaqp-fixed", tiny_dataset, tiny_book, "2M-2D", cfg)
-    assert result.timeline_summary.steps == 6 * 6  # epochs x (layers x 2)
-    assert len(result.recent_timelines) == 5
-    assert result.timeline_summary.total_bytes > 0
-
-    plain = train("vanilla", tiny_dataset, tiny_book, "2M-2D", cfg)
-    assert plain.timeline_summary.steps == 0  # no pipeline, no timelines
-    assert plain.recent_timelines == []
+    # The run-level summary covers every executed step of the pipeline;
+    # a run that does not overlap has none.
+    assert pipe.timeline_summary.steps == 6 * 6  # epochs x (layers x 2)
+    assert pipe.timeline_summary.total_bytes > 0
+    assert plain.timeline_summary.steps == 0
 
 
 def test_overlap_system_set_matches_schedules():
@@ -639,28 +402,17 @@ def test_overlap_system_set_matches_schedules():
     }
 
 
-def test_overlap_requires_fused_compute(tiny_dataset, tiny_book):
-    cluster = Cluster(
-        tiny_dataset, tiny_book, hidden_dim=8, seed=0,
-        fused_compute=False, overlap=True,
-    )
-    assert not cluster.overlap  # degrades to the legacy loop, no pipeline
-    record = cluster.train_epoch(ExactHaloExchange(), 0)
-    assert record.timelines == []
-
-
 @pytest.mark.parametrize("hidden", HIDDEN_SHAPES)
-def test_overlap_buffers_survive_interleaved_evals(tiny_dataset, hidden):
+def test_overlap_buffers_survive_interleaved_evals(tiny_dataset, tiny_book, hidden):
     """Eval passes run the non-overlapped forward on the same engine
     buffers (a transform-first layer's ``T`` and its in-place ``P·T``
     output rows included); the sharing must be invisible to training
     trajectories."""
-    book = _book(tiny_dataset, 4)
 
     def losses(with_eval):
         cluster = Cluster(
-            tiny_dataset, book, hidden_dim=hidden, num_layers=2, dropout=0.5, seed=0,
-            fused_compute=True, overlap=True,
+            tiny_dataset, tiny_book, hidden_dim=hidden, num_layers=2, dropout=0.5,
+            seed=0, overlap=True,
         )
         exchange = ExactHaloExchange()
         out = []
@@ -676,10 +428,9 @@ def test_overlap_buffers_survive_interleaved_evals(tiny_dataset, hidden):
 # ----------------------------------------------------------------------
 # Split operators
 # ----------------------------------------------------------------------
-def test_restrict_rows_partitions_operator(tiny_dataset):
-    book = _book(tiny_dataset, 4)
+def test_restrict_rows_partitions_operator(tiny_dataset, tiny_book):
     cluster = Cluster(
-        tiny_dataset, book, hidden_dim=8, num_layers=2, seed=0, overlap=True
+        tiny_dataset, tiny_book, hidden_dim=8, num_layers=2, seed=0, overlap=True
     )
     engine = cluster._compute_engine()
     plan = engine.overlap_plan()
@@ -711,7 +462,7 @@ def test_restrict_rows_rejects_bad_mask():
 
 
 def test_split_spmv_accumulates_to_full_product(tiny_dataset):
-    book = _book(tiny_dataset, 3)
+    book = partition_graph(tiny_dataset.graph, 3, method="metis", seed=0)
     cluster = Cluster(tiny_dataset, book, hidden_dim=8, seed=0, overlap=True)
     engine = cluster._compute_engine()
     plan = engine.overlap_plan()

@@ -87,11 +87,11 @@ def test_timeline_summary_accumulates_and_merges():
     assert TimelineSummary().central_share == 0.0
 
 
-def test_add_timeline_caps_list_but_not_accounting():
+def test_add_timeline_feeds_list_and_summary():
     rec = EpochRecord(loss=0.0)
     for layer in range(5):
-        rec.add_timeline(_timeline(layer=layer), keep_last=2)
-    assert [t.layer for t in rec.timelines] == [3, 4]
+        rec.add_timeline(_timeline(layer=layer))
+    assert [t.layer for t in rec.timelines] == [0, 1, 2, 3, 4]
     assert rec.timeline_summary.steps == 5
     assert rec.timeline_summary.total_bytes == 500
     assert rec.hidden_byte_fraction() == 1.0

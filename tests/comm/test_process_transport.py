@@ -353,12 +353,11 @@ def test_shard_descriptor_cache_tracks_epoch_and_bits():
 
 
 def test_shard_descriptor_requires_keyed_rounding():
-    from repro.quant.fused import FusedStepEncoder, shard_descriptor
+    from repro.quant.fused import shard_descriptor
 
-    _, _, plan, _, _ = _tiny_step()
-    stream_encoder = FusedStepEncoder(np.random.default_rng(0))
-    (shard,) = stream_encoder.shards_for(plan, 4)  # stream pins 1 shard
-    with pytest.raises(ValueError, match="keyed"):
+    _, encoder, plan, _, _ = _tiny_step()
+    (shard,) = encoder.shards_for(plan, 1)
+    with pytest.raises(TypeError, match="KeyedRounding"):
         shard_descriptor(
-            plan, shard, rounding=stream_encoder.rounding, phase="fwd", layer=1
+            plan, shard, rounding=np.random.default_rng(0), phase="fwd", layer=1
         )

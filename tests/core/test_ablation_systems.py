@@ -55,16 +55,17 @@ def test_full_adaqp_at_least_as_fast_as_either_part(case):
 def test_no_overlap_schedule_stacks_quant_on_critical_path(case):
     """schedule_quantized_no_overlap = vanilla schedule + quant kernels."""
     from repro.cluster.cluster import Cluster
-    from repro.cluster.exchange import FixedBitProvider, QuantizedHaloExchange
+    from repro.cluster.exchange import FixedBitProvider, FusedQuantizedHaloExchange
     from repro.cluster.perfmodel import PerfModel
     from repro.comm.costmodel import LinkCostModel
     from repro.comm.topology import parse_topology
+    from repro.quant.stochastic import KeyedRounding
 
     ds, book, cfg = case
     cluster = Cluster(ds, book, model_kind="gcn", hidden_dim=16, num_layers=3,
                       dropout=0.0, seed=0)
     record = cluster.train_epoch(
-        QuantizedHaloExchange(FixedBitProvider(2), np.random.default_rng(0)), 0
+        FusedQuantizedHaloExchange(FixedBitProvider(2), KeyedRounding(0)), 0
     )
     cost = LinkCostModel.for_topology(parse_topology("2M-2D"))
     perf = PerfModel()

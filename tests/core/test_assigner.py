@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.exchange import QuantizedHaloExchange
+from repro.cluster.exchange import FusedQuantizedHaloExchange
 from repro.comm.costmodel import LinkCostModel
 from repro.comm.topology import parse_topology
 from repro.core import bilp
 from repro.core.assigner import AdaptiveBitWidthAssigner
 from repro.graph.partition.api import partition_graph
+from repro.quant.stochastic import KeyedRounding
 
 
 @pytest.fixture(scope="module")
@@ -34,9 +35,7 @@ def _traced(setup, **kwargs):
     """An assigner holding one epoch's traces (period 2: epoch 1 is read)."""
     cluster, _ = setup
     assigner = _assigner(setup, **kwargs)
-    exchange = QuantizedHaloExchange(
-        assigner, np.random.default_rng(0), tracer=assigner
-    )
+    exchange = FusedQuantizedHaloExchange(assigner, KeyedRounding(0), tracer=assigner)
     cluster.train_epoch(exchange, 1)
     return assigner
 
@@ -50,9 +49,7 @@ def test_default_bits_before_first_solve(setup):
 def test_reassign_after_training_epochs(setup):
     cluster, cost = setup
     assigner = _assigner(setup)
-    exchange = QuantizedHaloExchange(
-        assigner, np.random.default_rng(0), tracer=assigner
-    )
+    exchange = FusedQuantizedHaloExchange(assigner, KeyedRounding(0), tracer=assigner)
     for epoch in range(3):
         cluster.train_epoch(exchange, epoch)
     assert assigner.num_reassignments >= 1

@@ -1,10 +1,9 @@
 """Schedule simulators: overlap semantics per system."""
 
-import numpy as np
 import pytest
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.exchange import ExactHaloExchange, FixedBitProvider, QuantizedHaloExchange
+from repro.cluster.exchange import ExactHaloExchange, FixedBitProvider, FusedQuantizedHaloExchange
 from repro.cluster.perfmodel import PerfModel
 from repro.comm.costmodel import LinkCostModel
 from repro.comm.topology import parse_topology
@@ -18,6 +17,7 @@ from repro.core.scheduler import (
     schedule_vanilla,
 )
 from repro.graph.partition.api import partition_graph
+from repro.quant.stochastic import KeyedRounding
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +35,7 @@ def env(tiny_dataset):
         dropout=0.0, seed=0,
     )
     q_record = q_cluster.train_epoch(
-        QuantizedHaloExchange(FixedBitProvider(2), np.random.default_rng(0)), 0
+        FusedQuantizedHaloExchange(FixedBitProvider(2), KeyedRounding(0)), 0
     )
     return record, q_record, cost, perf
 

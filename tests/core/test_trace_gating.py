@@ -12,10 +12,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.exchange import (
-    FusedQuantizedHaloExchange,
-    QuantizedHaloExchange,
-)
+from repro.cluster.exchange import FusedQuantizedHaloExchange
 from repro.comm.costmodel import LinkCostModel
 from repro.comm.topology import parse_topology
 from repro.comm.transport import SyncTransport
@@ -59,9 +56,7 @@ def _run(monkeypatch, dataset, book, *, force, **overrides):
 
 
 @pytest.mark.parametrize(
-    "overrides",
-    [{}, {"fused_exchange": False}, {"transport": "process:2"}],
-    ids=["fused", "per-pair", "process"],
+    "overrides", [{}, {"transport": "process:2"}], ids=["fused", "process"]
 )
 def test_gated_run_equals_always_traced_run(
     monkeypatch, tiny_dataset, tiny_book, overrides
@@ -100,9 +95,7 @@ def test_wants_traces_is_a_function_of_the_epoch_alone(tiny_dataset, tiny_book):
     assert AdaptiveBitWidthAssigner(cluster, cost, period=1).wants_traces
 
 
-@pytest.mark.parametrize(
-    "exchange_cls", [QuantizedHaloExchange, FusedQuantizedHaloExchange]
-)
+@pytest.mark.parametrize("exchange_cls", [FusedQuantizedHaloExchange])
 def test_hand_driven_reassign_before_any_set_epoch_sees_traces(
     tiny_dataset, tiny_book, exchange_cls
 ):
@@ -116,7 +109,9 @@ def test_hand_driven_reassign_before_any_set_epoch_sees_traces(
     exchange = exchange_cls(assigner, KeyedRounding(0), tracer=assigner)
     transport = SyncTransport(cluster.num_devices)
     features = [dev.features for dev in cluster.devices]
-    exchange.exchange_embeddings(0, cluster.devices, transport, features)
+    exchange.finalize_step(
+        exchange.post_step(0, "fwd", cluster.devices, transport, features)
+    )
 
     expected = {
         ("fwd", 0, dev.rank, q)

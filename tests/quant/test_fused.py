@@ -1,10 +1,12 @@
-"""Encoder-level equivalence of the fused step engine vs. the legacy path."""
+"""Encoder-level equivalence: the step-fused encoder emits, pair for pair,
+the bytes of the per-message :class:`MixedPrecisionEncoder`."""
 
 import numpy as np
 import pytest
 
 from repro.quant.fused import FusedStepEncoder, decode_cluster_step, decode_step
 from repro.quant.mixed import MixedPrecisionEncoder
+from repro.quant.stochastic import KeyedRounding
 
 
 def _step(seed, n_pairs=5, rows=37, dim=9, bit_choices=(2, 4, 8)):
@@ -20,19 +22,19 @@ def _step(seed, n_pairs=5, rows=37, dim=9, bit_choices=(2, 4, 8)):
 
 def _encode_both(seed, **kw):
     values, pairs, counts, cat_idx, bits_cat, dim = _step(seed, **kw)
-    legacy_enc = MixedPrecisionEncoder(np.random.default_rng(seed + 99))
-    fused_enc = FusedStepEncoder(np.random.default_rng(seed + 99))
+    legacy_enc = MixedPrecisionEncoder(KeyedRounding(seed + 99))
+    fused_enc = FusedStepEncoder(KeyedRounding(seed + 99))
 
     n = int(counts.sum())
     plan = fused_enc.plan_for("k", pairs, counts, [(0, 0, n)], cat_idx, bits_cat, dim)
-    fused_payloads = fused_enc.encode_step(plan, {0: values})
+    fused_payloads = fused_enc.encode_step(plan, {0: values}, coords=("fwd", 0))
 
     bounds = np.concatenate([[0], np.cumsum(counts)])
     legacy_payloads = {}
     for i, pair in enumerate(pairs):
         sel = cat_idx[bounds[i] : bounds[i + 1]]
         legacy_payloads[pair] = legacy_enc.encode(
-            values[sel], bits_cat[bounds[i] : bounds[i + 1]]
+            values[sel], bits_cat[bounds[i] : bounds[i + 1]], block=("fwd", 0, *pair)
         )
     return legacy_payloads, fused_payloads
 
@@ -40,8 +42,8 @@ def _encode_both(seed, **kw):
 @pytest.mark.parametrize("chunk_rows", [4096, 40])
 @pytest.mark.parametrize("bit_choices", [(2, 4, 8), (8,), (2,), (1, 2, 4, 8)])
 def test_fused_encode_bitwise_identical_to_legacy(monkeypatch, bit_choices, chunk_rows):
-    # chunk_rows=40 walks the 37-row pairs one kernel chunk each: stream
-    # noise must be consumed exactly as by one whole-step fill.
+    # chunk_rows=40 walks the 37-row pairs one kernel chunk each: chunking
+    # must be invisible in the bytes.
     monkeypatch.setattr("repro.quant.fused._QUANT_CHUNK_ROWS", chunk_rows)
     legacy, fused = _encode_both(7, bit_choices=bit_choices)
     assert set(legacy) == set(fused)
@@ -68,22 +70,24 @@ def test_fused_encode_ragged_pair_sizes():
     cat_idx = gen.integers(0, values.shape[0], n)
     bits_cat = gen.choice([2, 4, 8], size=n)
 
-    legacy_enc = MixedPrecisionEncoder(np.random.default_rng(11))
-    fused_enc = FusedStepEncoder(np.random.default_rng(11))
+    legacy_enc = MixedPrecisionEncoder(KeyedRounding(11))
+    fused_enc = FusedStepEncoder(KeyedRounding(11))
     plan = fused_enc.plan_for("k", pairs, counts, [(0, 0, n)], cat_idx, bits_cat, dim)
-    fused = fused_enc.encode_step(plan, {0: values})
+    fused = fused_enc.encode_step(plan, {0: values}, coords=("bwd", 2))
 
     bounds = np.concatenate([[0], np.cumsum(counts)])
     for i, pair in enumerate(pairs):
         sel = cat_idx[bounds[i] : bounds[i + 1]]
-        pl = legacy_enc.encode(values[sel], bits_cat[bounds[i] : bounds[i + 1]])
+        pl = legacy_enc.encode(
+            values[sel], bits_cat[bounds[i] : bounds[i + 1]], block=("bwd", 2, *pair)
+        )
         assert pl.wire_bytes == fused[pair].wire_bytes
         assert np.array_equal(pl.decode(), fused[pair].decode())
 
 
 def test_plan_cache_revalidates_on_bit_change():
     values, pairs, counts, cat_idx, bits_cat, dim = _step(5)
-    enc = FusedStepEncoder(np.random.default_rng(0))
+    enc = FusedStepEncoder(KeyedRounding(0))
     n = int(counts.sum())
     plan1 = enc.plan_for("k", pairs, counts, [(0, 0, n)], cat_idx, bits_cat, dim)
     plan2 = enc.plan_for("k", pairs, counts, [(0, 0, n)], cat_idx, bits_cat, dim)
@@ -121,12 +125,12 @@ def test_decode_cluster_step_empty_mailboxes():
 
 
 def test_encoder_empty_step():
-    enc = FusedStepEncoder(np.random.default_rng(0))
+    enc = FusedStepEncoder(KeyedRounding(0))
     plan = enc.plan_for(
         "k", [], np.zeros(0, dtype=np.int64), [], np.zeros(0, dtype=np.int64),
         np.zeros(0, dtype=np.int64), 4,
     )
-    assert enc.encode_step(plan, {}) == {}
+    assert enc.encode_step(plan, {}, coords=("fwd", 0)) == {}
 
 
 def test_quantize_with_noise_matches_stochastic():

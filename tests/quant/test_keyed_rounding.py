@@ -21,7 +21,6 @@ from repro.quant.fused import FusedStepEncoder
 from repro.quant.mixed import MixedPrecisionEncoder
 from repro.quant.stochastic import (
     KeyedRounding,
-    StreamRounding,
     as_rounding,
     block_key,
     block_keys,
@@ -216,31 +215,21 @@ def test_keyed_rounding_variance_bounded_by_theorem1(bits):
 
 
 def test_as_rounding_coercion():
-    gen = np.random.default_rng(0)
-    stream = as_rounding(gen)
-    assert isinstance(stream, StreamRounding) and stream.rng is gen
+    """One noise policy: a KeyedRounding passes through, and the removed
+    sequential-stream source (a plain generator) is a typed error at every
+    constructor that takes a rounding."""
     keyed = KeyedRounding(3)
     assert as_rounding(keyed) is keyed
-    assert as_rounding(stream) is stream
-    with pytest.raises(TypeError):
-        as_rounding(42)
-    # set_epoch is part of both policies' surface (no-op for streams).
-    stream.set_epoch(9)
-    assert stream.rng is gen
-
-
-def test_encoders_expose_rng_only_in_stream_mode():
-    gen = np.random.default_rng(0)
-    assert MixedPrecisionEncoder(gen).rng is gen
-    assert MixedPrecisionEncoder(KeyedRounding(0)).rng is None
-    assert FusedStepEncoder(gen).rng is gen
-    assert FusedStepEncoder(KeyedRounding(0)).rng is None
+    for junk in (np.random.default_rng(0), 42):
+        for take in (as_rounding, MixedPrecisionEncoder, FusedStepEncoder):
+            with pytest.raises(TypeError, match="KeyedRounding"):
+                take(junk)
 
 
 def test_keyed_encode_requires_block_coordinates():
     enc = MixedPrecisionEncoder(KeyedRounding(0))
     h = np.zeros((4, 3), dtype=np.float32)
-    with pytest.raises(ValueError, match="coordinates"):
+    with pytest.raises(TypeError, match="block"):
         enc.encode(h, np.full(4, 2))
     fused = FusedStepEncoder(KeyedRounding(0))
     plan = fused.plan_for(
@@ -253,7 +242,7 @@ def test_keyed_encode_requires_block_coordinates():
         3,
     )
     fused.gather_step(plan, {0: h})
-    with pytest.raises(ValueError, match="coordinates"):
+    with pytest.raises(TypeError, match="coords"):
         fused.quantize_pack_step(plan)
 
 
@@ -396,13 +385,3 @@ def test_empty_pair_between_neighbours_is_invisible():
     }
     assert _pair_bytes(got) == _pair_bytes(reference)
     assert got[(0, 3)].num_rows == 0
-
-
-def test_stream_mode_pins_to_one_shard():
-    pairs, counts, _, cat_idx, bits_cat, values, blocks, dim = _synthetic_step(8)
-    enc = FusedStepEncoder(np.random.default_rng(0))
-    plan = enc.plan_for("k", pairs, counts, blocks, cat_idx, bits_cat, dim)
-    assert len(enc.shards_for(plan, 8)) == 1  # order-dependent stream
-    keyed = FusedStepEncoder(KeyedRounding(0))
-    plan_k = keyed.plan_for("k", pairs, counts, blocks, cat_idx, bits_cat, dim)
-    assert len(keyed.shards_for(plan_k, 8)) > 1

@@ -13,7 +13,7 @@ def test_info(capsys):
 
 def test_info_reports_host_and_transport_resolution(capsys):
     """Satellite (ISSUE 5): auto-selection decisions are debuggable from
-    the CLI — core count, spare-core verdict, resolved rng/transport."""
+    the CLI — core count, spare-core verdict, resolved transport."""
     from repro.comm.transport import detected_cores, host_has_spare_core
 
     assert main(["info"]) == 0
@@ -21,7 +21,7 @@ def test_info_reports_host_and_transport_resolution(capsys):
     assert f"{detected_cores()} core(s) detected" in out
     verdict = "yes" if host_has_spare_core() else "no"
     assert f"spare core for transport workers: {verdict}" in out
-    assert "rng_mode=keyed" in out
+    assert "transport=auto" in out
     if host_has_spare_core():
         assert "worker transport with" in out
     else:
@@ -33,16 +33,13 @@ def test_train_transport_and_rng_flags(capsys):
         [
             "train", "--system", "adaqp-fixed", "--dataset", "yelp",
             "--setting", "2M-2D", "--epochs", "2", "--hidden", "8",
-            "--transport", "worker:2", "--rng-mode", "keyed",
-            "--pipeline-depth", "2",
+            "--transport", "worker:2", "--pipeline-depth", "2",
         ]
     )
     assert code == 0
     out = capsys.readouterr().out
     assert "throughput" in out
     assert "pipeline depth 2" in out
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["train", "--rng-mode", "chaotic"])
     # The PR-6 legacy knobs are gone, not silently ignored.
     with pytest.raises(SystemExit):
         build_parser().parse_args(["train", "--transport-workers", "2"])

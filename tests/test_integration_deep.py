@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.exchange import ExactHaloExchange, FixedBitProvider, QuantizedHaloExchange
+from repro.cluster.exchange import ExactHaloExchange, FixedBitProvider, FusedQuantizedHaloExchange
 from repro.core.config import RunConfig
 from repro.core.trainer import train
 from repro.graph.graph import Graph
@@ -20,6 +20,7 @@ from repro.graph.partition.book import PartitionBook
 from repro.graph.partition.quality import balance
 from repro.graph.datasets import GraphDataset, DatasetSpec
 from repro.graph.partition.metis_like import metis_like_partition
+from repro.quant.stochastic import KeyedRounding
 
 
 def _tiny_case(n=30, seed=3, num_classes=3, num_feats=6):
@@ -90,7 +91,7 @@ def test_8bit_quantization_barely_perturbs_gradients():
     quant = Cluster(ds, book, model_kind="gcn", hidden_dim=4, num_layers=2,
                     dropout=0.0, seed=0)
     quant.train_epoch(
-        QuantizedHaloExchange(FixedBitProvider(8), np.random.default_rng(0)), 0
+        FusedQuantizedHaloExchange(FixedBitProvider(8), KeyedRounding(0)), 0
     )
     g_quant = quant.devices[0].model.grad_vector()
     rel = np.linalg.norm(g_exact - g_quant) / (np.linalg.norm(g_exact) + 1e-12)
@@ -112,8 +113,8 @@ def test_gradient_noise_decreases_with_bits():
             c = Cluster(ds, book, model_kind="gcn", hidden_dim=4, num_layers=2,
                         dropout=0.0, seed=0)
             c.train_epoch(
-                QuantizedHaloExchange(
-                    FixedBitProvider(bits), np.random.default_rng(trial)
+                FusedQuantizedHaloExchange(
+                    FixedBitProvider(bits), KeyedRounding(trial)
                 ),
                 0,
             )
