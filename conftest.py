@@ -9,6 +9,13 @@ CI ``huge-graph`` job uses ``-m perf``)::
 
 Also owns ``--update-results`` (pytest only accepts new options from the
 rootdir conftest); ``benchmarks/conftest.py`` is its one reader.
+
+``--quant-kernel {native,numpy}`` pins the quantization kernel tier for
+the session, so the equivalence suites can run under both (the CI
+``equivalence`` job does).  It is test tooling: the program itself has no
+such switch — :mod:`repro.quant.native` picks the tier from what it
+observes — and the pin is this process's loader state (forked workers
+inherit it).  Without the option the tests run on whatever tier loads.
 """
 
 import pytest
@@ -21,12 +28,29 @@ def pytest_addoption(parser):
         help="let the paper benchmarks rewrite the tracked benchmarks/results/ "
         "files (default: write to a temporary directory)",
     )
+    parser.addoption(
+        "--quant-kernel",
+        choices=("native", "numpy"),
+        default=None,
+        help="pin the quantization kernel tier for this session: 'native' "
+        "fails the session unless the compiled kernels load, 'numpy' runs the "
+        "NumPy reference kernels even where the compiled ones would load "
+        "(default: whatever loads)",
+    )
 
 
 def pytest_configure(config):
     config.addinivalue_line(
         "markers", "perf: resource measurement in subprocesses (excluded from tier-1)"
     )
+    tier = config.getoption("--quant-kernel")
+    if tier is not None:
+        from repro.quant import native
+
+        if tier == "numpy":
+            native._tier = (None, "numpy (pinned by pytest --quant-kernel numpy)")
+        elif native.load() is None:
+            raise pytest.UsageError(f"--quant-kernel native: got {native.status()}")
 
 
 def pytest_collection_modifyitems(config, items):

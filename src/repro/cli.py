@@ -40,6 +40,7 @@ from repro.graph.datasets import available_datasets, load_dataset
 from repro.graph.partition.api import partition_graph
 from repro.graph.partition.book import build_local_partitions
 from repro.graph.partition.quality import balance, edge_cut, remote_neighbor_ratio
+from repro.quant import native
 from repro.utils.format import format_seconds, render_table
 
 __all__ = ["main", "build_parser"]
@@ -255,6 +256,9 @@ def _cmd_info() -> int:
           f"overlapped runs resolve to '{resolved}', i.e. {async_default}")
     print("          (override: --transport sync|worker[:N]|process[:N], "
           "--no-overlap)")
+    # Which quantization kernels a run on this host uses, and why (the
+    # first call builds the compiled tier into the per-user cache).
+    print(f"quant kernel: {native.status()}")
 
     # Last-run transport health (written by `repro train`): worker exit
     # codes, pool respawns and fault-recovery counters.
@@ -423,6 +427,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     )
     if result.bit_histogram:
         print("bit-width histogram:", result.bit_histogram)
+    print(f"quant kernel: {native.status()}")
     health = result.transport_health
     faults = {k: v for k, v in (health.get("fault_stats") or {}).items() if v}
     abnormal = health.get("abnormal_exits") or []

@@ -40,9 +40,13 @@ from repro.graph.io import StoreDataset
 from repro.graph.partition.book import PartitionBook
 from repro.nn.losses import bce_with_logits_loss, softmax_cross_entropy
 from repro.nn.metrics import metric_counts, metric_from_counts, task_metric
+from repro.quant import native
+from repro.utils.logging import get_logger
 from repro.utils.validation import check_in_set
 
 __all__ = ["Cluster"]
+
+_log = get_logger(__name__)
 
 
 class Cluster:
@@ -203,6 +207,11 @@ class Cluster:
             self.transport.timeout_s = float(transport_timeout_s)
         if fault_plan is not None:
             self.transport.fault_plan = fault_plan
+        # Decide the quantization kernel tier now (a warm load is a few
+        # ms; the first run on a machine compiles), so the run says which
+        # one it uses and worker processes inherit — or find cached —
+        # this build instead of compiling on the hot path.
+        _log.info("quant kernel: %s", native.status())
         # Process pools spawn here, at cluster open, before any epoch
         # state exists to drag through a fork.
         start = getattr(self.transport, "start", None)

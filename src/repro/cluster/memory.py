@@ -28,7 +28,9 @@ Beyond the footnote-1 data counts, the footprint also models the
 * the memmap window a streaming device faults in (its operator blocks
   plus feature/label regions) — of which only the current device's is
   resident at once (plus the prefetched successor's on an async
-  transport).
+  transport);
+* the quantization kernel's per-chunk scratch — only where the NumPy
+  kernel runs; the compiled one (:mod:`repro.quant.native`) has none.
 
 :func:`estimate_peak_resident` folds these into one cluster-wide
 peak-RSS prediction, cross-checked against measured peak RSS by
@@ -42,6 +44,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.cluster.cluster import Cluster
+from repro.quant import fused, native
 
 __all__ = [
     "HostMemory",
@@ -191,14 +194,11 @@ def _quant_stage_bytes(cluster: Cluster) -> int:
     quantized codes (uint8, payload order) — 5 bytes per element for
     every send row of the cluster, whatever the bit-width mix (the
     kernel permutes only its uint8 output, so mixed-width plans stage no
-    second float32 copy).  The kernel's own intermediates (~16 bytes per
-    element: float32 noise drawn from uint16 lanes, normalized values,
-    floors, the round-up mask, cat-order codes) are bounded by one
-    ``_QUANT_CHUNK_ROWS`` chunk per encode worker and don't register at
-    peak.  Send rows total the halo rows (each halo row is sent
-    exactly once); forward steps carry every non-output width, backward
-    the same minus layer 0 when streaming (its gradient exchange is
-    skipped).
+    second float32 copy).  The kernel's own intermediates are
+    :func:`_quant_scratch_bytes`.  Send rows total the halo rows (each
+    halo row is sent exactly once); forward steps carry every non-output
+    width, backward the same minus layer 0 when streaming (its gradient
+    exchange is skipped).
     """
     dims = cluster.dims
     streaming = cluster._stream_ops is not None
@@ -206,6 +206,30 @@ def _quant_stage_bytes(cluster: Cluster) -> int:
     fwd = sum(dims[:-1])
     bwd = sum(dims[(1 if streaming else 0) : -1])
     return send * (fwd + bwd) * 5
+
+
+#: Bytes per element the NumPy quantization kernel holds for one chunk:
+#: float32 noise (4) drawn from uint16 lanes (2), normalized values (4),
+#: floors (4), the round-up mask (1) and cat-order uint8 codes (1).
+_NUMPY_KERNEL_SCRATCH = 16
+
+
+def _quant_scratch_bytes(cluster: Cluster) -> int:
+    """Transient scratch of the quantization kernel while a step encodes.
+
+    The NumPy kernel walks a shard in chunks of ``_QUANT_CHUNK_ROWS`` rows
+    (the longest pair, where that is longer; the whole step, where that is
+    shorter) and holds :data:`_NUMPY_KERNEL_SCRATCH` bytes per chunk element
+    at the widest exchanged width, once per encode worker.  The compiled
+    kernel works row by row on a few hundred bytes, so where it is loaded
+    this term is zero.
+    """
+    if native.load() is not None:
+        return 0
+    pairs = [len(r) for dev in cluster.devices for r in dev.part.send_map.values()]
+    chunk = min(max([fused._QUANT_CHUNK_ROWS, *pairs]), sum(pairs))
+    workers = max(1, cluster.transport_workers)
+    return chunk * max(cluster.dims[:-1]) * _NUMPY_KERNEL_SCRATCH * workers
 
 
 def estimate_memory(cluster: Cluster) -> list[MemoryFootprint]:
@@ -287,9 +311,10 @@ def estimate_peak_resident(cluster: Cluster) -> int:
     devices) exists only when layer 0 aggregates first — a transform-first
     layer 0 reads the feature map straight into ``T``, which
     :func:`_stacked_bytes` counts.  The quantized exchange's staging
-    buffers are added once — that assumes an adaqp-family system (the
-    common case); a vanilla run is overestimated by that term, which errs
-    on the safe side for the RAM-fit warning.
+    buffers and, on the NumPy kernel tier, its per-chunk scratch are added
+    once — that assumes an adaqp-family system (the common case); a
+    vanilla run is overestimated by those terms, which errs on the safe
+    side for the RAM-fit warning.
 
     This is the analytic half of ``bench_huge_graph``'s estimate-vs-
     measured check; it deliberately excludes the Python interpreter
@@ -298,7 +323,7 @@ def estimate_peak_resident(cluster: Cluster) -> int:
     """
     fps = estimate_memory(cluster)
     total = sum(fp.resident_bytes - fp.memmap_window_bytes for fp in fps)
-    total += _quant_stage_bytes(cluster)
+    total += _quant_stage_bytes(cluster) + _quant_scratch_bytes(cluster)
     if cluster._stream_ops is not None:
         windows = [fp.memmap_window_bytes for fp in fps]
         if cluster.transport.is_async and len(windows) > 1:

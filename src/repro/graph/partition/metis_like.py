@@ -169,8 +169,18 @@ def _contract(
 def _greedy_growing(
     adj: sp.csr_matrix, node_w: np.ndarray, k: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Grow ``k`` parts sequentially by strongest-connection absorption."""
+    """Grow ``k`` parts sequentially by strongest-connection absorption.
+
+    Absorbing a node costs its degree, not the graph: the frontier's
+    connection strengths are updated from that node's CSR row alone, which
+    equals adding the densified row because a canonical row names each
+    neighbor once and an assigned neighbor stays at ``-inf`` under ``+=``.
+    """
     n = adj.shape[0]
+    if not adj.has_canonical_format:
+        adj = adj.copy()
+        adj.sum_duplicates()
+    indptr, indices, data = adj.indptr, adj.indices, adj.data
     parts = np.full(n, -1, dtype=np.int64)
     target = node_w.sum() / k
     degrees = np.asarray(adj.sum(axis=1)).ravel()
@@ -185,7 +195,9 @@ def _greedy_growing(
         weight = node_w[seed]
         # Connection strength of every node to the growing part; assigned
         # nodes are masked out so argmax only sees candidates.
-        conn = np.asarray(adj[[seed]].todense()).ravel().astype(np.float64)
+        conn = np.zeros(n, dtype=np.float64)
+        lo, hi = indptr[seed], indptr[seed + 1]
+        conn[indices[lo:hi]] += data[lo:hi]
         conn[parts >= 0] = -np.inf
         while weight < target:
             cand = int(np.argmax(conn))
@@ -197,8 +209,9 @@ def _greedy_growing(
                 cand = int(np.flatnonzero(rest)[np.argmax(degrees[rest])])
             parts[cand] = p
             weight += node_w[cand]
-            conn += np.asarray(adj[[cand]].todense()).ravel()
-            conn[parts >= 0] = -np.inf
+            lo, hi = indptr[cand], indptr[cand + 1]
+            conn[indices[lo:hi]] += data[lo:hi]
+            conn[cand] = -np.inf
     parts[parts < 0] = k - 1
     return parts
 

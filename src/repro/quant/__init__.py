@@ -11,6 +11,10 @@ Pipeline:
 3. :class:`MixedPrecisionEncoder` groups rows by assigned bit-width,
    quantizes each group and concatenates the streams — the exact wire
    format the adaptive bit-width assigner feeds;
+   :mod:`repro.quant.fused` emits the same bytes for a whole exchange
+   step at once, from NumPy kernels or — where :mod:`repro.quant.native`
+   can build and load them — from one-pass compiled kernels that agree
+   with the NumPy ones bit for bit;
 4. :mod:`repro.quant.theory` evaluates the paper's variance formulas
    (Theorem 1's vector variance, Theorem 3's β values and layer bound
    ``Q_l``) used by the bi-objective assignment problem.

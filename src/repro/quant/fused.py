@@ -37,6 +37,16 @@ scratch — so a multi-worker transport runs shards concurrently.  Every
 pair's noise is its own keyed draw, so any shard count (and any retirement
 order) emits byte-identical payloads.
 
+**Two kernel tiers.**  The quantization kernel of
+:meth:`FusedStepEncoder.quantize_pack_shard` and the unpack + de-quantize
+of :func:`decode_cluster_step` each exist twice: as the NumPy kernels
+below, and as one-pass C loops (``_kernels.c``, built and loaded on first
+use by :mod:`repro.quant.native`) that perform the same float32 operations
+in the same order and so emit the same bytes.  The compiled tier runs
+wherever it loads; the NumPy tier is the reference it is tested against
+bitwise and the fallback everywhere else.  Nothing selects between them
+but what the loader observes.
+
 All index structures (gather orders, group slices, payload skeletons) are
 cached in a :class:`FusedStepPlan` and reused across epochs until the
 bit-width assignment for the step changes (i.e. at reassignment
@@ -55,9 +65,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.quant.mixed import MixedPrecisionPayload
+from repro.quant import native
+from repro.quant.mixed import MixedPrecisionEncoder, MixedPrecisionPayload
 from repro.quant.packing import pack_bits_batched, unpack_bits_batched
-from repro.quant.stochastic import as_rounding
+from repro.quant.stochastic import KeyedRounding, as_rounding
 
 __all__ = [
     "FusedStepPlan",
@@ -68,10 +79,12 @@ __all__ = [
     "DecodeWorkspace",
     "decode_step",
     "decode_cluster_step",
+    "kernels_agree",
 ]
 
 
-#: Row bound for one quantization-kernel chunk.  Scratch per chunk is
+#: Row bound for one chunk of the NumPy quantization kernel (the compiled
+#: kernel works row by row and has no chunk).  Scratch per chunk is
 #: ~16 bytes/element (float32 noise and its uint16 lanes, normalized
 #: values, floors, the round-up mask, cat-order uint8 codes), so 4096
 #: rows at a 256-wide layer-0 step is ~17 MB — a rounding error next to
@@ -136,14 +149,18 @@ class FusedStepPlan:
     dim: int
     perm_payload: np.ndarray  # cat index of each payload-order position
     identity: bool  # True when payload order == cat order
+    # The inverse of perm_payload — the payload-order position of each cat
+    # row, where the compiled kernel writes that row's outputs; None when
+    # the two orders coincide.
+    payload_pos: np.ndarray | None
     levels: np.ndarray  # (n_total, 1) float32, 2^bits - 1 per cat row
     pair_src: np.ndarray  # (n_pairs,) int64 — the pairs' key coordinates
     pair_dst: np.ndarray
     pair_groups: dict[tuple[int, int], list[_PairGroup]]
     # Staging buffers (reused every epoch while the plan is valid).  The
     # quantization intermediates (noise, normalized values, floors,
-    # round-up mask) are deliberately NOT plan-resident: the kernel
-    # allocates them per chunk in :meth:`FusedStepEncoder.quantize_pack_shard`.
+    # round-up mask) are deliberately NOT plan-resident: the NumPy kernel
+    # allocates them per chunk, the compiled one needs none.
     cat_buf: np.ndarray  # (n_total, dim) float32 staged rows, cat order
     codes_buf: np.ndarray  # (n_total, dim) uint8, payload order
     # Shard decompositions, cached per shard count (built on demand).
@@ -171,6 +188,10 @@ def _build_plan(
     # its np.flatnonzero group indices.
     perm_payload = np.argsort(pair_id * 16 + bits_cat, kind="stable")
     identity = bool((perm_payload == np.arange(n_total)).all())
+    payload_pos = None
+    if not identity:
+        payload_pos = np.empty(n_total, dtype=np.int64)
+        payload_pos[perm_payload] = np.arange(n_total, dtype=np.int64)
 
     bounds = np.zeros(len(pairs) + 1, dtype=np.int64)
     np.cumsum(pair_counts, out=bounds[1:])
@@ -201,6 +222,7 @@ def _build_plan(
         dim=dim,
         perm_payload=perm_payload,
         identity=identity,
+        payload_pos=payload_pos,
         levels=((1 << bits_cat.astype(np.int64)) - 1)[:, None].astype(np.float32),
         pair_src=pair_arr[:, 0],
         pair_dst=pair_arr[:, 1],
@@ -377,20 +399,13 @@ class FusedStepEncoder:
             payloads.update(self.quantize_pack_shard(plan, shard, coords=coords))
         return payloads
 
-    def quantize_pack_shard(
-        self, plan: FusedStepPlan, shard: _EncodeShard, *, coords
-    ) -> dict[tuple[int, int], MixedPrecisionPayload]:
-        """Quantize + pack one contiguous shard of the gathered step.
-
-        Reads and writes only the shard's ``[start, stop)`` row span of
-        the plan scratch, so a multi-worker transport may run disjoint
-        shards concurrently.  ``coords`` is the step's ``(phase, layer)``
-        (each pair's noise is one keyed Philox draw).
-        """
+    def _quantize_numpy(
+        self, plan: FusedStepPlan, shard: _EncodeShard, keys: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The NumPy quantization kernel: the reference, and the fallback
+        where the compiled tier is unavailable."""
         dim = plan.dim
         start, stop = shard.start, shard.stop
-        if stop == start:
-            return {}
         n_rows = stop - start
 
         # --- chunked stochastic-quantization kernel ----------------------
@@ -420,10 +435,6 @@ class FusedStepEncoder:
             z_cat = np.empty(scratch, dtype=np.float32)
             s_cat = np.empty(scratch, dtype=np.float32)
             codes_cat = np.empty((scratch, dim), dtype=np.uint8)
-        phase, layer = coords
-        keys = self.rounding.block_keys(
-            phase, layer, plan.pair_src[lo:hi], plan.pair_dst[lo:hi]
-        )
 
         i = lo
         while i < hi:
@@ -470,10 +481,66 @@ class FusedStepEncoder:
             else:
                 plan.codes_buf[a:b] = codes
             i = j
+        return z_all, s_all
 
+    def _quantize_native(
+        self, lib, plan: FusedStepPlan, shard: _EncodeShard, keys: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The compiled kernel (``_kernels.c``): the same float32 operations
+        in the same order in one pass per row — draw, range, normalize,
+        round — writing each row's outputs at its payload position, so
+        there is no per-chunk scratch and nothing to permute afterwards."""
+        n_rows = shard.stop - shard.start
+        z_all = np.empty(n_rows, dtype=np.float32)
+        s_all = np.empty(n_rows, dtype=np.float32)
+        keys = np.ascontiguousarray(keys, dtype=np.uint64)
+        lanes = np.empty(plan.dim + 16, dtype=np.uint16)  # the only scratch
+        dest = plan.payload_pos
+        lib.repro_quantize_pairs(
+            plan.cat_buf.ctypes.data,
+            plan.cat_bounds.ctypes.data,
+            shard.pair_lo,
+            shard.pair_hi,
+            keys.ctypes.data,
+            plan.levels.ctypes.data,
+            None if dest is None else dest.ctypes.data,
+            plan.dim,
+            plan.codes_buf.ctypes.data,
+            z_all.ctypes.data,
+            s_all.ctypes.data,
+            lanes.ctypes.data,
+        )
+        return z_all, s_all
+
+    def quantize_pack_shard(
+        self, plan: FusedStepPlan, shard: _EncodeShard, *, coords
+    ) -> dict[tuple[int, int], MixedPrecisionPayload]:
+        """Quantize + pack one contiguous shard of the gathered step.
+
+        Reads and writes only the shard's ``[start, stop)`` row span of
+        the plan scratch, so a multi-worker transport may run disjoint
+        shards concurrently.  ``coords`` is the step's ``(phase, layer)``
+        (each pair's noise is one keyed Philox draw).
+        """
+        dim = plan.dim
+        start, stop = shard.start, shard.stop
+        if stop == start:
+            return {}
+        phase, layer = coords
+        lo, hi = shard.pair_lo, shard.pair_hi
+        keys = self.rounding.block_keys(
+            phase, layer, plan.pair_src[lo:hi], plan.pair_dst[lo:hi]
+        )
+        # Two tiers, one contract: both fill the shard's span of
+        # plan.codes_buf and return its zero points and scales, all in
+        # payload order, and they agree bit for bit (the NumPy kernel is the
+        # reference the compiled one is tested against, and the fallback).
+        lib = native.load()
+        if lib is not None and dim > 0:
+            z32, s32 = self._quantize_native(lib, plan, shard, keys)
+        else:
+            z32, s32 = self._quantize_numpy(plan, shard, keys)
         codes_buf = plan.codes_buf[start:stop]
-        z32 = z_all
-        s32 = s_all
 
         # --- pack each distinct bit-width as one batch -------------------
         # Codes were clamped to range above, so the packers' O(n) range
@@ -684,6 +751,10 @@ def decode_cluster_step(
     ``workspace``, when given, supplies scratch reused across calls; the
     returned matrices then stay valid only until the next decode (the
     fused exchange consumes them within ``finalize_step``).
+
+    Where the compiled tier is loaded (:mod:`repro.quant.native`) the same
+    matrices come from one unpack + de-quantize pass that writes them
+    directly; the NumPy decode is the reference it is tested against.
     """
     flat: list[tuple[int, int, MixedPrecisionPayload]] = [
         (dst, src, payload)
@@ -696,7 +767,20 @@ def decode_cluster_step(
     if len(dims) != 1:
         raise ValueError("payloads of one step must share their dimension")
     dim = dims.pop()
+    lib = native.load()
+    if lib is not None and dim > 0:
+        return _decode_native(lib, collects, flat, dim, workspace)
+    return _decode_numpy(collects, flat, dim, workspace)
 
+
+def _decode_numpy(
+    collects: dict[int, dict[int, MixedPrecisionPayload]],
+    flat: list[tuple[int, int, MixedPrecisionPayload]],
+    dim: int,
+    workspace: DecodeWorkspace | None,
+) -> dict[int, dict[int, np.ndarray]]:
+    """The NumPy decode of :func:`decode_cluster_step`: the reference, and
+    the fallback where the compiled tier is unavailable."""
     # bits -> parallel lists over that width's groups
     targets: dict[int, list[tuple[int, int, np.ndarray]]] = {}
     streams: dict[int, list[np.ndarray]] = {}
@@ -786,6 +870,98 @@ def decode_cluster_step(
     return out
 
 
+def _cat(arrays: list[np.ndarray], dtype) -> np.ndarray:
+    """``arrays`` end to end as one C-contiguous ``dtype`` array."""
+    joined = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+    return np.ascontiguousarray(joined, dtype=dtype)
+
+
+def _decode_native(
+    lib,
+    collects: dict[int, dict[int, MixedPrecisionPayload]],
+    flat: list[tuple[int, int, MixedPrecisionPayload]],
+    dim: int,
+    workspace: DecodeWorkspace | None,
+) -> dict[int, dict[int, np.ndarray]]:
+    """The compiled decode (``_kernels.c``): one pass that unpacks every
+    group's stream and de-quantizes it straight into its rows of the
+    per-pair matrix — no bucketing by width, no unpacked-code or
+    de-quantize buffers — with the values ``codes * s + z`` of the NumPy
+    decode, bit for bit.
+
+    The step's matrices are consecutive row blocks of one buffer, so a
+    group row's destination is a row index into it.  The kernel trusts its
+    arguments, so they are checked here: every row index against its own
+    payload's block, every stream's length against its group.
+    """
+    total = sum(payload.num_rows for _, _, payload in flat)
+    buf = (
+        workspace.take(("native", "out"), (total, dim), np.float32)
+        if workspace is not None
+        else np.empty((total, dim), dtype=np.float32)
+    )
+    out: dict[int, dict[int, np.ndarray]] = {dst: {} for dst in collects}
+    # Parallel lists over the step's groups, in payload order.
+    streams: list[np.ndarray] = []
+    zero_points: list[np.ndarray] = []
+    scales: list[np.ndarray] = []
+    rows_in_block: list[np.ndarray] = []
+    # Per group: bit-width, rows, first row and row count of its payload's block.
+    shape: list[tuple[int, int, int, int]] = []
+    offset = 0
+    for dst, src, payload in flat:
+        covered = 0
+        for bits, rows, stream, z, s in zip(
+            payload.group_bits,
+            payload.group_rows,
+            payload.streams,
+            payload.zero_points,
+            payload.scales,
+        ):
+            if bits not in (1, 2, 4, 8):
+                raise ValueError(f"unsupported bit-width {bits}")
+            streams.append(stream)
+            zero_points.append(z)
+            scales.append(s)
+            rows_in_block.append(rows)
+            shape.append((bits, rows.size, offset, payload.num_rows))
+            covered += rows.size
+        if covered != payload.num_rows:
+            raise ValueError("payload groups do not cover all rows")
+        out[dst][src] = buf[offset : offset + payload.num_rows]
+        offset += payload.num_rows
+    if not streams:
+        return out
+    bits, counts, first, block = np.array(shape, dtype=np.int64).T.copy()
+    dest = _cat(rows_in_block, np.int64)
+    if ((dest < 0) | (dest >= np.repeat(block, counts))).any():
+        raise IndexError("group row index outside its payload")
+    dest += np.repeat(first, counts)
+    needed = -(-counts * dim * bits // 8)
+    sizes = np.fromiter((st.size for st in streams), np.int64, counts.size)
+    if (sizes < needed).any():
+        raise ValueError("stream too short")
+    if (sizes > needed).any():
+        streams = [st[:n] for st, n in zip(streams, needed)]
+    stream = _cat(streams, np.uint8)
+    z_all = _cat(zero_points, np.float32)
+    s_all = _cat(scales, np.float32)
+    if z_all.size != dest.size or s_all.size != dest.size:
+        raise ValueError("zero points and scales must be per-row vectors")
+    lib.repro_decode_groups(
+        stream.ctypes.data,
+        counts.size,
+        bits.ctypes.data,
+        counts.ctypes.data,
+        dim,
+        z_all.ctypes.data,
+        s_all.ctypes.data,
+        dest.ctypes.data,
+        buf.ctypes.data,
+    )
+    return out
+
+
 def decode_step(
     payloads: dict[int, MixedPrecisionPayload],
     *,
@@ -793,3 +969,53 @@ def decode_step(
 ) -> dict[int, np.ndarray]:
     """Decode one receiver's payloads; see :func:`decode_cluster_step`."""
     return decode_cluster_step({-1: payloads}, workspace=workspace)[-1]
+
+
+def kernels_agree(lib) -> bool:
+    """The loader's self-test: a small fixed step through both tiers.
+
+    Three pairs of a ragged width with mixed bit-widths (so payload order
+    is not cat order and payloads have several groups), a constant row and
+    a 1-bit group: the compiled quantizer must reproduce the NumPy kernel's
+    codes, zero points and scales, and the compiled decode the NumPy
+    decode's matrices.  Calls the kernels directly — never
+    :func:`repro.quant.native.load`, which is what is running this.
+    """
+    dim, counts = 19, np.array([5, 3, 4], dtype=np.int64)
+    bits = np.array([2, 8, 4, 2, 1, 4, 4, 4, 8, 2, 8, 2], dtype=np.int64)
+    n = int(counts.sum())
+    rows = np.random.default_rng(0).normal(size=(n, dim)).astype(np.float32)
+    rows[1] = 0.25
+    pairs = [(0, 1), (0, 2), (1, 0)]
+    rounding = KeyedRounding(0)
+    encoder = FusedStepEncoder(rounding)
+    plan = encoder.plan_for(
+        None, pairs, counts, [(0, 0, n)], np.arange(n, dtype=np.int64), bits, dim
+    )
+    encoder.gather_step(plan, {0: rows})
+    (shard,) = encoder.shards_for(plan, 1)
+    keys = rounding.block_keys("fwd", 0, plan.pair_src, plan.pair_dst)
+    z_ref, s_ref = encoder._quantize_numpy(plan, shard, keys)
+    codes_ref = plan.codes_buf.copy()
+    plan.codes_buf.fill(0xFF)
+    z, s = encoder._quantize_native(lib, plan, shard, keys)
+    if not (
+        np.array_equal(plan.codes_buf, codes_ref)
+        and np.array_equal(z, z_ref)
+        and np.array_equal(s, s_ref)
+    ):
+        return False
+    reference = MixedPrecisionEncoder(rounding)
+    bounds = plan.cat_bounds
+    mailbox = {
+        i: reference.encode(
+            rows[bounds[i] : bounds[i + 1]],
+            bits[bounds[i] : bounds[i + 1]],
+            ("fwd", 0, *pair),
+        )
+        for i, pair in enumerate(pairs)
+    }
+    flat = [(-1, i, payload) for i, payload in mailbox.items()]
+    want = _decode_numpy({-1: mailbox}, flat, dim, None)[-1]
+    got = _decode_native(lib, {-1: mailbox}, flat, dim, None)[-1]
+    return all(np.array_equal(got[i], want[i]) for i in mailbox)

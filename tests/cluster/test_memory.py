@@ -1,15 +1,31 @@
 """Memory/size estimator (the footnote-1 argument)."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.exchange import ExactHaloExchange
 from repro.cluster.memory import (
+    _quant_scratch_bytes,
     estimate_memory,
     estimate_peak_resident,
     host_memory,
 )
 from repro.graph.partition.api import partition_graph
+from repro.quant import fused, native
+from repro.quant.stochastic import KeyedRounding
+
+
+def _kernel_scratch(cluster):
+    """The quantization kernel's chunk scratch, counted independently of the
+    estimator: 16 bytes per element of one chunk on the NumPy tier, nothing
+    where the compiled kernels are loaded."""
+    if native.load() is not None:
+        return 0
+    send_rows = sum(dev.part.n_halo for dev in cluster.devices)
+    return min(fused._QUANT_CHUNK_ROWS, send_rows) * max(cluster.dims[:-1]) * 16
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +136,7 @@ def test_streaming_estimate_follows_operand_order(huge_store, hidden):
         assert estimate_peak_resident(c) == (
             sum(fp.resident_bytes - fp.memmap_window_bytes for fp in fps)
             + max(fp.memmap_window_bytes for fp in fps) + quant_stage + scratch
+            + _kernel_scratch(c)
         )
         assert (scratch == 0) == (hidden == 16)
         # ... and the engine really allocates it on that branch only.
@@ -133,8 +150,79 @@ def test_estimate_peak_resident_sums_devices(cluster):
     send_rows = sum(dev.part.n_halo for dev in cluster.devices)
     quant_stage = send_rows * 2 * sum(cluster.dims[:-1]) * 5
     assert estimate_peak_resident(cluster) == (
-        sum(fp.resident_bytes for fp in fps) + quant_stage
+        sum(fp.resident_bytes for fp in fps) + quant_stage + _kernel_scratch(cluster)
     )
+
+
+def _widest_step(cluster):
+    """The cluster's layer-0 forward step as the exchange plans it: every
+    (src, dst) pair's send rows at the feature width, mixed bit-widths."""
+    pairs, counts = [], []
+    for dev in cluster.devices:
+        for dst, rows in sorted(dev.part.send_map.items()):
+            pairs.append((dev.rank, dst))
+            counts.append(len(rows))
+    n, dim = sum(counts), cluster.dims[0]
+    gen = np.random.default_rng(0)
+    encoder = fused.FusedStepEncoder(KeyedRounding(0))
+    plan = encoder.plan_for(
+        "fwd0", pairs, np.array(counts), [(0, 0, n)], np.arange(n),
+        gen.choice([2, 4, 8], n), dim,
+    )
+    encoder.gather_step(plan, {0: gen.normal(size=(n, dim)).astype(np.float32)})
+    (shard,) = encoder.shards_for(plan, 1)
+    keys = encoder.rounding.block_keys("fwd", 0, plan.pair_src, plan.pair_dst)
+    return encoder, plan, shard, keys
+
+
+def _peak_allocated(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("chunk_rows", [4096, 64], ids=["one-chunk", "chunked"])
+def test_kernel_scratch_estimate_is_the_numpy_kernels_allocation(
+    cluster, monkeypatch, kernel_tier, chunk_rows
+):
+    """NumPy tier: the estimate is what the kernel allocates — the whole
+    step when it fits one chunk, one chunk (widened to the longest pair)
+    when it does not — plus only the per-row outputs."""
+    monkeypatch.setattr(fused, "_QUANT_CHUNK_ROWS", chunk_rows)
+    encoder, plan, shard, keys = _widest_step(cluster)
+    with kernel_tier(None):
+        estimate = _quant_scratch_bytes(cluster)
+        on_numpy = estimate_peak_resident(cluster)
+    with kernel_tier(object()):  # any library: the estimator only asks whether
+        assert estimate == on_numpy - estimate_peak_resident(cluster)
+    rows = min(max(chunk_rows, int(plan.pair_counts.max())), plan.n_total)
+    assert estimate == rows * max(cluster.dims[:-1]) * 16
+    peak = _peak_allocated(lambda: encoder._quantize_numpy(plan, shard, keys))
+    outputs = 2 * 4 * plan.n_total  # zero points + scales
+    # Never below, and within 30 % above: the raw Philox words of the pair
+    # being drawn (2 B per element of that pair), the buffered
+    # ``take(..., out=)`` of the codes (1 B) and the per-row vectors ride on
+    # top of the 16 B — bounded by the chunk, like the term itself.
+    assert estimate <= peak - outputs <= 1.3 * estimate
+
+
+def test_kernel_scratch_is_dropped_where_the_compiled_tier_is_loaded(
+    cluster, compiled_kernels, kernel_tier
+):
+    """Compiled tier: the estimate has no scratch term, and the kernel
+    allocates none — O(dim) lanes plus the per-row outputs."""
+    lib = compiled_kernels
+    encoder, plan, shard, keys = _widest_step(cluster)
+    with kernel_tier(lib):
+        assert _quant_scratch_bytes(cluster) == 0
+    peak = _peak_allocated(lambda: encoder._quantize_native(lib, plan, shard, keys))
+    outputs = 2 * 4 * plan.n_total
+    assert peak - outputs <= 2 * (plan.dim + 16) + 4096  # lanes + Python objects
+    numpy_peak = _peak_allocated(lambda: encoder._quantize_numpy(plan, shard, keys))
+    assert numpy_peak > 50 * peak
 
 
 def test_host_memory_parses_meminfo(tmp_path):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,41 @@ from repro.graph.partition.book import PartitionBook, build_local_partitions
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(scope="session")
+def compiled_kernels():
+    """The compiled quantization kernels (``repro.quant.native``), loaded
+    whatever tier ``--quant-kernel`` pins for the session; skips the test
+    where they are unavailable, with the loader's reason."""
+    from repro.quant import native
+
+    pinned, native._tier = native._tier, None
+    try:
+        lib, reason = native.load(), native.status()
+    finally:
+        native._tier = pinned
+    if lib is None:
+        pytest.skip(f"compiled kernel tier unavailable: {reason}")
+    return lib
+
+
+@pytest.fixture(scope="session")
+def kernel_tier():
+    """``with kernel_tier(lib):`` runs the program's own tier check as if the
+    loader had decided on ``lib`` (``None``: the NumPy kernels)."""
+    from repro.quant import native
+
+    @contextmanager
+    def pinned(lib):
+        saved = native._tier
+        native._tier = (lib, "numpy (test)" if lib is None else "native (test)")
+        try:
+            yield
+        finally:
+            native._tier = saved
+
+    return pinned
 
 
 @pytest.fixture(scope="session")

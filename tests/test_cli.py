@@ -28,6 +28,30 @@ def test_info_reports_host_and_transport_resolution(capsys):
         assert "synchronous transport (no spare core)" in out
 
 
+def test_a_run_says_which_quant_kernel_it_used(capsys, caplog, tiny_dataset, tiny_book):
+    """``repro info``, ``repro train``'s summary and the cluster's open-time
+    log line all carry the loader's one status line: the tier and why."""
+    import logging
+
+    from repro.cluster.cluster import Cluster
+    from repro.quant import native
+
+    line = f"quant kernel: {native.status()}"
+    assert native.status().startswith(("native (", "numpy ("))
+    assert main(["info"]) == 0
+    assert line in capsys.readouterr().out
+    code = main(
+        ["train", "--system", "adaqp-fixed", "--dataset", "yelp", "--setting", "2M-1D",
+         "--epochs", "1", "--hidden", "8"]
+    )
+    assert code == 0
+    assert line in capsys.readouterr().out
+    with caplog.at_level(logging.INFO, logger="repro"):
+        Cluster(tiny_dataset, tiny_book, hidden_dim=8, dropout=0.0).close()
+    records = [r for r in caplog.records if r.getMessage() == line]
+    assert len(records) == 1 and records[0].levelno == logging.INFO
+
+
 def test_train_transport_and_rng_flags(capsys):
     code = main(
         [
