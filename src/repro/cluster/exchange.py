@@ -47,16 +47,19 @@ lookahead post fires only after the previous step's finalize has joined
 its tag, so even with two tags alive on the transport at once, at most
 one tag ever has outstanding encode jobs.
 
-**Worker-side decode scatter.**  Forward callers that already know the
-destination halo buffers may pass them to ``post_step(..., out=...)``:
-on async thread-backed transports the quantized exchange's per-receiver
-decode jobs then scatter straight into them (each receiver's halo region
-is a disjoint, contiguous row range of the stacked buffer, so the writes
-are race-free shards), and ``finalize_step`` with the *same* ``out``
-object becomes join-only.  Backward steps never take this path (their
-accumulate is float-order-sensitive), nor does the process transport
-(the halo buffer is not in shared memory); both keep the main-thread
-scatter/accumulate.
+**Decode destinations.**  The quantized exchange decodes each receiver
+straight into where its rows are consumed, through a per-(plan,
+receiver) :class:`~repro.quant.fused.DecodeIndex`.  Forward callers that
+already know the destination halo buffers may pass them to
+``post_step(..., out=...)``: on async thread-backed transports the
+per-receiver decode jobs then write the halo rows directly (each
+receiver's halo region is a disjoint, contiguous row range of the stacked
+buffer, so the writes are race-free shards), and ``finalize_step`` with
+the *same* ``out`` object becomes join-only.  Backward decodes land in a
+contiguous per-receiver block; the order-sensitive accumulate into the
+owned rows stays on the main thread (one kernel call per receiver, in
+mailbox order).  The process transport decodes in its workers into
+shared memory; finalize copies those rows into the same destinations.
 """
 
 from __future__ import annotations
@@ -76,8 +79,10 @@ from repro.comm.transport import (
 from repro.quant.fused import (
     DecodeWorkspace,
     FusedStepEncoder,
+    accumulate_block,
     decode_cluster_step,
-    decode_step,
+    decode_index,
+    land_decoded,
     pair_shard,
     shard_descriptor,
 )
@@ -196,20 +201,21 @@ class InFlightStep:
     and ~0.0 under the async transport whenever the central window fully
     covered the deferred work (the exposed tail the timelines report).
 
-    ``decoded`` is the async fused engine's stash: per-receiver decoded
-    matrices produced by worker-side decode jobs, complete once
-    :meth:`mark_done` returns; ``None`` whenever decode happens in
-    ``finalize_step`` itself (synchronous transports, non-fused policies).
+    ``decoded`` and ``targets`` are the fused engine's decode state,
+    complete once :meth:`mark_done` returns (or set by ``finalize_step``
+    itself where it decodes): ``targets[rank]`` is the ``(DecodeIndex,
+    buffer)`` a receiver's rows land in and ``decoded[rank]`` the sources
+    that landed there.  The process transport's callbacks stash
+    per-source matrices in ``decoded`` instead, which finalize copies
+    into the targets.  Both stay ``None`` for non-fused policies.
 
-    ``scatter_out``/``scattered`` carry the worker-side scatter contract:
     ``scatter_out`` is the per-device halo-destination list the caller
-    supplied at post time (if any), and ``scattered`` is set by the fused
-    engine once its decode jobs have been queued to write those buffers
-    directly — ``finalize_step`` passed the *same* ``out`` object then
-    skips the scatter entirely.  ``ws_parity`` selects which of the A/B
-    :class:`~repro.quant.fused.DecodeWorkspace` pair this step's decodes
-    use, so a lookahead step's decode never reuses buffers whose views
-    the previous step's finalize has not yet consumed.
+    supplied at post time (if any): the fused engine's worker-side
+    decodes write those buffers directly, so ``finalize_step`` passed the
+    *same* ``out`` object finds the rows already in place.  ``ws_parity``
+    selects which of the A/B :class:`~repro.quant.fused.DecodeWorkspace`
+    pair this step's decodes use, so a lookahead step's decode never
+    reuses buffers the previous step's finalize has not yet consumed.
     """
 
     __slots__ = (
@@ -222,8 +228,8 @@ class InFlightStep:
         "done",
         "worker_wait_s",
         "decoded",
+        "targets",
         "scatter_out",
-        "scattered",
         "ws_parity",
         "plan",
         "replayable",
@@ -246,9 +252,9 @@ class InFlightStep:
         self.dim = dim
         self.done = False
         self.worker_wait_s = 0.0
-        self.decoded: dict[int, dict[int, np.ndarray]] | None = None
+        self.decoded: dict[int, dict] | None = None
+        self.targets: dict[int, tuple] | None = None
         self.scatter_out: list[np.ndarray] | None = None
-        self.scattered = False
         self.ws_parity = 0
         # Keyed-replay recovery handles: the fused engine stashes the
         # step's encode plan here and flags whether a dropped envelope can
@@ -566,16 +572,18 @@ class FusedQuantizedHaloExchange(HaloExchange):
 
     * the boundary rows of **every** (src, dst) pair of the step are
       gathered into one step-wide buffer (one ``take`` per source device);
-    * stochastic quantization for the whole step runs as one kernel per
-      encode shard, and packing as one batch per distinct bit-width
+    * stochastic quantization and packing for the whole step run as one
+      kernel per encode shard, into the plan's wire buffer
       (:class:`~repro.quant.fused.FusedStepEncoder`);
-    * each device's payloads enter the transport through one batched post;
-    * all receivers' payloads are decoded together, batched per bit-width
-      (:func:`~repro.quant.fused.decode_cluster_step`).
+    * each device's payloads — views of that buffer — enter the transport
+      through one batched post;
+    * each receiver's payloads are decoded straight into its halo rows
+      (forward) or into a block accumulated into its owned rows
+      (backward) (:func:`~repro.quant.fused.decode_cluster_step`).
 
-    Boundary index structures, permutation plans and scratch buffers are
-    cached across epochs and only rebuilt when the bit-width assignment of
-    a step changes (i.e. at reassignment boundaries).
+    Boundary index structures, wire layouts, decode indices and scratch
+    buffers are cached across epochs and only rebuilt when the bit-width
+    assignment of a step changes (i.e. at reassignment boundaries).
 
     Parameters
     ----------
@@ -700,83 +708,101 @@ class FusedQuantizedHaloExchange(HaloExchange):
         self, step: InFlightStep, out: list[np.ndarray] | None = None
     ) -> list[np.ndarray] | None:
         step.mark_done()
-        if step.scattered and out is not None and out is step.scatter_out:
-            # Worker-side scatter already landed every receiver's rows in
-            # the buffers named at post time (mark_done joined the jobs);
-            # finalize is join-only — plus the delivery audit, which
-            # re-scatters a receiver wholesale when a dropped envelope was
-            # replayed (halo assignments are idempotent).
-            for dev in step.devices:
-                decoded = step.decoded[dev.rank]
-                if len(decoded) == len(dev.part.recv_map):
-                    continue
-                repaired = self._ensure_complete(step, dev, decoded)
-                halo = out[dev.rank]
-                for p, mat in repaired.items():
-                    halo[dev.part.recv_map[p]] = mat
-            return [out[dev.rank] for dev in step.devices]
-        if step.decoded is not None:
-            # Async transport: worker jobs already collected and decoded
-            # every receiver's mailbox (mark_done joined them); only the
-            # scatter/accumulate below — the order-sensitive half — runs
-            # on this thread.
-            decoded = step.decoded
-        else:
-            collects = {
-                dev.rank: step.transport.collect(dev.rank, step.tag)
+        fwd = step.phase == "fwd"
+        if not fwd and out is None:
+            raise ValueError("backward finalize_step requires out= buffers")
+        if step.plan is None:  # a step without pairs: nothing was posted
+            if not fwd:
+                return None
+            return [
+                self._halo_out(out, dev.rank, dev.part.n_halo, step.dim)
+                for dev in step.devices
+            ]
+        if step.targets is None:
+            dests = out if out is not None else step.scatter_out
+            step.targets = {
+                dev.rank: self._target(step, dev, dests, self._decode_ws)
                 for dev in step.devices
             }
-            decoded = decode_cluster_step(collects, workspace=self._decode_ws)
+            if step.decoded is None:
+                # Decode here: the synchronous transport, or a forward step
+                # posted without its destinations (nothing to overlap with).
+                collects = {
+                    dev.rank: step.transport.collect(dev.rank, step.tag)
+                    for dev in step.devices
+                }
+                step.decoded = decode_cluster_step(
+                    collects, workspace=self._decode_ws, into=step.targets
+                )
+            else:
+                # The process transport's workers decoded into shared
+                # memory, one matrix per source: copy them into place.
+                step.decoded = {
+                    rank: land_decoded(*step.targets[rank], matrices)
+                    for rank, matrices in step.decoded.items()
+                }
+        # Every receiver's rows are in its decode buffer now (mark_done
+        # joined any worker-side decode); what is left is the delivery
+        # audit and, backward, the order-sensitive accumulate.
+        halo_by_dev: list[np.ndarray] = []
         for dev in step.devices:
-            decoded[dev.rank] = self._ensure_complete(
-                step, dev, decoded[dev.rank]
-            )
-        if step.phase == "fwd":
-            halo_by_dev: list[np.ndarray] = []
-            for dev in step.devices:
-                part = dev.part
-                if out is not None:
-                    halo = self._halo_out(out, dev.rank, part.n_halo, step.dim)
-                else:
-                    halo = self._halo_buffer(
-                        dev.rank, step.layer, part.n_halo, step.dim
-                    )
-                for p, mat in decoded[dev.rank].items():
-                    halo[part.recv_map[p]] = mat
+            index, buf = step.targets[dev.rank]
+            replayed = self._replay_missing(step, dev, step.decoded[dev.rank])
+            for p, mat in replayed.items():
+                buf[index.land[p]] = mat
+            if not fwd:
+                # One call per receiver, sources ascending — the float
+                # accumulation-order anchor.
+                accumulate_block(index, buf, out[dev.rank])
+            elif out is not None and out[dev.rank] is not buf:
+                halo = self._halo_out(out, dev.rank, dev.part.n_halo, step.dim)
+                halo[...] = buf
                 halo_by_dev.append(halo)
-            return halo_by_dev
-        if out is None:
-            raise ValueError("backward finalize_step requires out= buffers")
-        for dev in step.devices:
-            part = dev.part
-            # Mailbox iteration order is the transport's collection order
-            # (src ascending) — the float accumulation-order anchor.
-            for p, mat in decoded[dev.rank].items():
-                out[dev.rank][part.send_map[p]] += mat
-        return None
+            else:
+                halo_by_dev.append(buf)
+        return halo_by_dev if fwd else None
+
+    def _target(self, step: InFlightStep, dev, dests, workspace) -> tuple:
+        """Receiver ``dev``'s ``(DecodeIndex, buffer)``: its halo buffer
+        forward (``dests[rank]``, else the exchange's own), a block of
+        ``workspace`` backward."""
+        part = dev.part
+        if step.phase == "bwd":
+            index = decode_index(
+                step.plan, dev.rank, part.send_map, part.n_owned, accumulate=True
+            )
+            return index, workspace.take(("block", dev.rank), index.shape, np.float32)
+        index = decode_index(step.plan, dev.rank, part.recv_map, part.n_halo)
+        if dests is None:
+            return index, self._halo_buffer(dev.rank, step.layer, part.n_halo, step.dim)
+        buf = dests[dev.rank]
+        if buf.shape != index.shape:
+            raise ValueError(
+                f"out[{dev.rank}] has shape {buf.shape}, expected {index.shape}"
+            )
+        return index, buf
 
     # -- fault detection and keyed-replay recovery --------------------------
-    def _ensure_complete(
-        self, step: InFlightStep, dev, decoded: dict[int, np.ndarray]
+    def _replay_missing(
+        self, step: InFlightStep, dev, landed: dict
     ) -> dict[int, np.ndarray]:
-        """Audit one receiver's decoded set; keyed-replay any missing peer.
+        """Audit one receiver's landed sources; keyed-replay any missing peer.
 
         Every peer in the step plan posts exactly one envelope, so a
         shortfall means an envelope was dropped in transit.  When the
         step is replayable (plan scratch staged on this side of any
         process boundary) the missing pair's payload is regenerated
-        *bitwise* — noise is a pure function of coordinates,
-        and payload bytes are independent of the shard decomposition —
-        and the dict is re-sorted src-ascending so the backward float
-        accumulation order is unchanged.  Otherwise a typed
-        :class:`TransportError` escalates to the trainer's
-        checkpoint-restore path.
+        *bitwise* — noise is a pure function of coordinates, and payload
+        bytes are independent of the shard decomposition — and returned
+        decoded, ``{src: matrix}``, for the caller to land where that
+        source's rows go.  Otherwise a typed :class:`TransportError`
+        escalates to the trainer's checkpoint-restore path.
         """
         part = dev.part
         expected = part.recv_map if step.phase == "fwd" else part.send_map
-        if len(decoded) == len(expected):
-            return decoded
-        missing = sorted(set(expected) - set(decoded))
+        if len(landed) == len(expected):
+            return {}
+        missing = sorted(set(expected) - set(landed))
         plan = step.plan
         if not (step.replayable and plan is not None):
             raise TransportError(
@@ -786,6 +812,7 @@ class FusedQuantizedHaloExchange(HaloExchange):
             )
         pair_index = {pair: i for i, pair in enumerate(plan.pairs)}
         stats = getattr(step.transport, "fault_stats", None)
+        replayed: dict[int, np.ndarray] = {}
         for p in missing:
             i = pair_index.get((p, dev.rank))
             if i is None:
@@ -797,11 +824,11 @@ class FusedQuantizedHaloExchange(HaloExchange):
             payloads = self.fused_encoder.quantize_pack_shard(
                 plan, shard, coords=(step.phase, step.layer)
             )
-            decoded[p] = payloads[(p, dev.rank)].decode()
+            replayed[p] = payloads[(p, dev.rank)].decode()
             self.replayed_messages += 1
             if stats is not None:
                 stats["replays"] += 1
-        return {src: decoded[src] for src in sorted(decoded)}
+        return replayed
 
     # -- internals ----------------------------------------------------------
     def _encode_and_post(
@@ -860,12 +887,15 @@ class FusedQuantizedHaloExchange(HaloExchange):
         # concurrently and retire in any order.  On async transports the
         # last shard to finish defers one collect+decode job per receiver
         # under the same tag — decode overlaps the central window too, and
-        # finalize is left with only the order-sensitive
-        # scatter/accumulate.
+        # finalize is left with only the delivery audit and the backward
+        # accumulate.  A forward step posted without its destinations
+        # decodes in finalize instead: nothing runs between its halves.
         shards = encoder.shards_for(plan, max(transport.workers, 1))
-        eager_decode = transport.is_async
+        eager_decode = transport.is_async and (
+            phase == "bwd" or step.scatter_out is not None
+        )
         if eager_decode:
-            step.decoded = {}
+            step.decoded, step.targets = {}, {}
         remaining = [len(shards)]
         remaining_lock = threading.Lock()
 
@@ -898,38 +928,26 @@ class FusedQuantizedHaloExchange(HaloExchange):
         Called by the step's last encode shard, so every envelope is
         already posted; the jobs use the *base* ``TransportAccounting.collect``
         (which sorts by source) — the subclass safety-net would try to
-        join the very job set they run in.  Each receiver gets its own
-        :class:`DecodeWorkspace` from the ``(rank, parity)`` A/B pair; the
-        views stashed in ``step.decoded`` stay valid until that receiver's
-        next *same-parity* decode, two whole steps away, so they survive
-        even when a lookahead step's decode runs before this step's
-        finalize has consumed them.
-
-        When the step carries ``scatter_out`` (forward halo destinations
-        named at post time), each decode job also scatters its receiver's
-        rows straight into that buffer — receivers own disjoint buffers,
-        so the writes are race-free — and flags the step ``scattered`` so
-        finalize is join-only.  The zero-fill-then-assign matches
-        ``_halo_out``'s semantics exactly.
+        join the very job set they run in.  Forward, each job writes its
+        receiver's rows straight into the halo buffer named at post time
+        (receivers own disjoint buffers, so the writes are race-free);
+        backward, into a block of its receiver's ``(rank, parity)``
+        workspace — the A/B pair keeps a lookahead step's decode from
+        reusing a block this step's finalize has not yet accumulated.
         """
-        scatter = step.phase == "fwd" and step.scatter_out is not None
-        if scatter:
-            step.scattered = True
         for dev in step.devices:
+            key = (dev.rank, step.ws_parity)
+            workspace = self._decode_ws_by_rank.get(key)
+            if workspace is None:
+                workspace = self._decode_ws_by_rank[key] = DecodeWorkspace()
+            target = self._target(step, dev, step.scatter_out, workspace)
+            step.targets[dev.rank] = target
 
-            def decode_job(rank: int = dev.rank, part=dev.part) -> None:
+            def decode_job(rank: int = dev.rank, target=target, workspace=workspace):
                 mailbox = TransportAccounting.collect(transport, rank, step.tag)
-                key = (rank, step.ws_parity)
-                workspace = self._decode_ws_by_rank.get(key)
-                if workspace is None:
-                    workspace = self._decode_ws_by_rank[key] = DecodeWorkspace()
-                decoded = decode_step(mailbox, workspace=workspace)
-                step.decoded[rank] = decoded
-                if scatter:
-                    halo = step.scatter_out[rank]
-                    halo.fill(0.0)
-                    for p, mat in decoded.items():
-                        halo[part.recv_map[p]] = mat
+                step.decoded[rank] = decode_cluster_step(
+                    {rank: mailbox}, workspace=workspace, into={rank: target}
+                )[rank]
 
             transport.defer(step.tag, decode_job)
 
@@ -1251,10 +1269,10 @@ class FusedQuantizedHaloExchange(HaloExchange):
         return cached
 
     def _halo_buffer(self, rank: int, layer: int, n_halo: int, dim: int) -> np.ndarray:
+        """The exchange's own halo destination (the decode fills every row:
+        it zero-fills first when a source is missing)."""
         buf = self._halo_bufs.get((rank, layer))
         if buf is None or buf.shape != (n_halo, dim):
-            buf = np.zeros((n_halo, dim), dtype=np.float32)
+            buf = np.empty((n_halo, dim), dtype=np.float32)
             self._halo_bufs[(rank, layer)] = buf
-        else:
-            buf.fill(0.0)
         return buf

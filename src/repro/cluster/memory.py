@@ -29,8 +29,11 @@ Beyond the footnote-1 data counts, the footprint also models the
   plus feature/label regions) — of which only the current device's is
   resident at once (plus the prefetched successor's on an async
   transport);
-* the quantization kernel's per-chunk scratch — only where the NumPy
-  kernel runs; the compiled one (:mod:`repro.quant.native`) has none.
+* the quantized exchange's plan-resident staging — rows, and the packed
+  wire plus per-row metadata (compiled tier) or uint8 codes (NumPy
+  tier) — and the quantization kernel's per-chunk scratch, only where the
+  NumPy kernel runs; the compiled one (:mod:`repro.quant.native`) has
+  none.
 
 :func:`estimate_peak_resident` folds these into one cluster-wide
 peak-RSS prediction, cross-checked against measured peak RSS by
@@ -186,26 +189,38 @@ def _csr_bytes(m) -> int:
     return int(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
 
 
+def _stage_bytes(n_rows: int, dim: int, wire: int) -> int:
+    """One step's plan-resident staging on the kernel tier that is loaded.
+
+    Both tiers stage the source rows (float32, gather order, 4 B/element).
+    The compiled quantizer writes codes already packed into the plan's
+    wire buffer (``wire`` bytes — ≤ 1 B/element, the bits the plan
+    assigns) and per-row zero points and scales (8 B/row).  The NumPy
+    kernel stages uint8 codes in payload order (1 B/element) before
+    packing; its term stays the 5 B/element it has always been, which
+    leaves its wire and per-row metadata out.
+    """
+    if native.load() is None:
+        return 5 * n_rows * dim
+    return 4 * n_rows * dim + wire + 8 * n_rows
+
+
 def _quant_stage_bytes(cluster: Cluster) -> int:
     """Plan-resident staging of the fused quantized exchange.
 
-    Per (phase, layer) step the encoder keeps exactly two plan-wide
-    buffers: the staged source rows (float32, gather order) and their
-    quantized codes (uint8, payload order) — 5 bytes per element for
-    every send row of the cluster, whatever the bit-width mix (the
-    kernel permutes only its uint8 output, so mixed-width plans stage no
-    second float32 copy).  The kernel's own intermediates are
-    :func:`_quant_scratch_bytes`.  Send rows total the halo rows (each
-    halo row is sent exactly once); forward steps carry every non-output
-    width, backward the same minus layer 0 when streaming (its gradient
-    exchange is skipped).
+    :func:`_stage_bytes` for every (phase, layer) step, its wire at 8 bits
+    (one byte per element): before the assigner has run the widths are
+    not known, and the widest bounds them.  The kernel's own
+    intermediates are :func:`_quant_scratch_bytes`.  Send rows total the
+    halo rows (each halo row is sent exactly once); forward steps carry
+    every non-output width, backward the same minus layer 0 when
+    streaming (its gradient exchange is skipped).
     """
     dims = cluster.dims
     streaming = cluster._stream_ops is not None
     send = sum(dev.part.n_halo for dev in cluster.devices)
-    fwd = sum(dims[:-1])
-    bwd = sum(dims[(1 if streaming else 0) : -1])
-    return send * (fwd + bwd) * 5
+    widths = [*dims[:-1], *dims[(1 if streaming else 0) : -1]]
+    return sum(_stage_bytes(send, d, send * d) for d in widths)
 
 
 #: Bytes per element the NumPy quantization kernel holds for one chunk:

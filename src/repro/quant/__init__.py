@@ -17,7 +17,8 @@ Pipeline:
    with the NumPy ones bit for bit;
 4. :mod:`repro.quant.theory` evaluates the paper's variance formulas
    (Theorem 1's vector variance, Theorem 3's β values and layer bound
-   ``Q_l``) used by the bi-objective assignment problem.
+   ``Q_l``) used by the bi-objective assignment problem, and the wire
+   size of a quantized group (:func:`~repro.quant.theory.wire_bytes`).
 """
 
 from repro.quant.stochastic import (
@@ -48,6 +49,7 @@ from repro.quant.theory import (
     beta_values,
     quantization_variance,
     variance_objective,
+    wire_bytes,
 )
 
 __all__ = [
@@ -73,4 +75,5 @@ __all__ = [
     "quantization_variance",
     "beta_values",
     "variance_objective",
+    "wire_bytes",
 ]

@@ -1,14 +1,15 @@
 /* Compiled tier of the quantization kernels; built and loaded on first use
  * by repro/quant/native.py, which also states the build flags.
  *
- * Three entry points, each the one-pass form of a NumPy kernel that stays
- * in the package as the reference and the fallback:
+ * Four entry points, each the one-pass form of NumPy code that stays in the
+ * package as the reference and the fallback:
  *
- *   repro_philox_lanes    the keyed 16-bit noise lanes of
- *                         repro.quant.stochastic.KeyedRounding.fill_noise
- *   repro_quantize_pairs  the chunked quantization kernel of
- *                         FusedStepEncoder.quantize_pack_shard
- *   repro_decode_groups   unpack + de-quantize of decode_cluster_step
+ *   repro_philox_lanes         the keyed 16-bit noise lanes of
+ *                              repro.quant.stochastic.KeyedRounding.fill_noise
+ *   repro_quantize_pack_pairs  quantize + pack of
+ *                              FusedStepEncoder.quantize_pack_shard
+ *   repro_decode_rows          unpack + de-quantize of decode_cluster_step
+ *   repro_add_rows             the backward accumulate of a decoded block
  *
  * Bit-identity with NumPy is a matter of doing the same float32 operations
  * in the same order: this file must be built without -ffast-math and with
@@ -20,6 +21,9 @@
  * every code and every de-quantized value is the same either way, because
  * code * scale is never -0.)  Inputs are finite: on a NaN, or a range that
  * overflows float32, NumPy's float -> uint8 cast is undefined as well.
+ *
+ * Every offset and row index is trusted: the Python callers check them once
+ * against the buffers they address (see fused.py).
  */
 
 #include <float.h>
@@ -78,8 +82,8 @@ void repro_philox_lanes(const uint64_t *key, int64_t n, uint16_t *out)
 }
 
 /* Append whole blocks to lanes[0..have) until it holds `need` lanes.  Kept
- * out of line, like row_range: the three hot loops of the quantizer then
- * get their registers to themselves (~15 % on the whole kernel). */
+ * out of line, like row_range: the hot loops of the quantizer then get
+ * their registers to themselves (~15 % on the whole kernel). */
 __attribute__((noinline)) static int64_t draw_lanes(
     uint64_t k0, uint64_t k1, uint64_t *block, uint16_t *lanes, int64_t have,
     int64_t need)
@@ -139,56 +143,89 @@ __attribute__((noinline)) static void row_range(const float *x, int64_t dim,
     *hi_out = hi;
 }
 
-/* Quantize the rows of pairs [pair_lo, pair_hi) of one step.
+/* Pack one row's codes into its span of a group stream, starting at bit
+ * `bitpos`: code i of the stream is bits [(i % per) * bits, ...) of byte
+ * i / per.  A group's rows are written in ascending order, so a byte the
+ * row shares with the previous row keeps that row's (lower) bits and the
+ * bits above this row's last code are cleared — the group's padding ends
+ * up zero, whatever the buffer held before. */
+__attribute__((always_inline)) static inline void pack_row(
+    const int bits, const uint8_t *codes, int64_t dim, uint8_t *wire,
+    int64_t bitpos)
+{
+    const int per = 8 / bits;
+    uint8_t *out = wire + bitpos / 8;
+    int shift = (int)(bitpos % 8);
+    unsigned acc = shift ? *out & ((1u << shift) - 1u) : 0u;
+    int64_t j = 0;
+    for (; j < dim && shift; j++) {
+        acc |= (unsigned)codes[j] << shift;
+        if ((shift += bits) == 8) *out++ = (uint8_t)acc, acc = 0, shift = 0;
+    }
+    for (; j + per <= dim; j += per) {
+        unsigned byte = 0;
+        for (int t = 0; t < per; t++) byte |= (unsigned)codes[j + t] << (t * bits);
+        *out++ = (uint8_t)byte;
+    }
+    for (; j < dim; j++, shift += bits) acc |= (unsigned)codes[j] << shift;
+    if (shift) *out = (uint8_t)acc;
+}
+
+/* Quantize and pack the rows of pairs [pair_lo, pair_hi) of one step.
  *
- * h, levels, dest and codes are step-wide and indexed by absolute row; keys,
- * zero_points and scales cover only this pair range (they start at its
- * first pair / first row).
+ * h, bits, dest and row_bit are step-wide and indexed by cat row; keys
+ * covers only this pair range (it starts at its first pair).
  *
- * h       (rows, dim) float32 in cat order: pair p owns rows bounds[p] ..
- *         bounds[p + 1] and draws its noise from keys[2 (p - pair_lo) ..],
- *         one lane per element in row-major order from the stream's origin.
- * levels  per cat row, 2^bits - 1 as float32.
- * dest    per cat row, the row of `codes` it lands in (payload order, a
- *         permutation within each pair); NULL when that is the cat row.
- * lanes   scratch for dim + BLOCK_LANES lanes.
+ * h        (rows, dim) float32 in cat order: pair p owns rows bounds[p] ..
+ *          bounds[p + 1] and draws its noise from keys[2 (p - pair_lo) ..],
+ *          one lane per element in row-major order from the stream's origin.
+ * bits     per cat row, its width: 1, 2, 4 or 8.
+ * dest     per cat row, its payload position — where its zero point and
+ *          scale land; NULL when that is the cat row.
+ * row_bit  per cat row, the bit offset of its first code in `wire`.
+ * lanes    scratch for dim + BLOCK_LANES lanes; codes: scratch for dim.
  *
  * Per row, in float32 and in the NumPy kernel's order:
  *   scale = (max - z) / levels;  safe = scale > 0 ? scale : 1
  *   norm  = (h - z) / safe;      floor = trunc(norm)      (norm >= 0)
  *   frac  = norm - floor;        noise = k * 2^-16 + 2^-17
- *   code  = min(floor + (noise < frac), levels)
+ *   code  = min(floor + (noise < frac), levels)        levels = 2^bits - 1
  */
-void repro_quantize_pairs(const float *h, const int64_t *bounds,
-                          int64_t pair_lo, int64_t pair_hi,
-                          const uint64_t *keys, const float *levels,
-                          const int64_t *dest, int64_t dim, uint8_t *codes,
-                          float *zero_points, float *scales, uint16_t *lanes)
+void repro_quantize_pack_pairs(
+    const float *h, const int64_t *bounds, int64_t pair_lo, int64_t pair_hi,
+    const uint64_t *keys, const int64_t *bits, const int64_t *dest,
+    const int64_t *row_bit, int64_t dim, uint8_t *wire, float *zero_points,
+    float *scales, uint16_t *lanes, uint8_t *codes)
 {
-    int64_t first = bounds[pair_lo];
     for (int64_t p = pair_lo; p < pair_hi; p++, keys += 2) {
         uint64_t block = 0;
         int64_t have = 0; /* lanes drawn but not yet consumed */
         for (int64_t row = bounds[p]; row < bounds[p + 1]; row++) {
             const float *x = h + row * dim;
             int64_t d = dest ? dest[row] : row;
-            uint8_t *out = codes + d * dim;
-            float z, top_value;
+            const int b = (int)bits[row];
+            int32_t top = (1 << b) - 1;
+            float levels = (float)top, z, top_value;
             have = draw_lanes(keys[0], keys[1], &block, lanes, have, dim);
             row_range(x, dim, &z, &top_value);
-            float scale = (top_value - z) / levels[row];
+            float scale = (top_value - z) / levels;
             float safe = scale > 0.0f ? scale : 1.0f;
-            int32_t top = (int32_t)levels[row];
             for (int64_t j = 0; j < dim; j++) {
                 float norm = (x[j] - z) / safe;
                 int32_t floor = (int32_t)norm;
                 float frac = norm - (float)floor;
                 float noise = (float)lanes[j] * 0x1p-16f + 0x1p-17f;
                 int32_t code = floor + (noise < frac);
-                out[j] = (uint8_t)(code > top ? top : code);
+                codes[j] = (uint8_t)(code > top ? top : code);
             }
-            zero_points[d - first] = z;
-            scales[d - first] = scale;
+#define WIDTH(w)                                                             \
+    case w:                                                                  \
+        pack_row(w, codes, dim, wire, row_bit[row]);                         \
+        break;
+            switch (b) { WIDTH(1) WIDTH(2) WIDTH(4) WIDTH(8) }
+#undef WIDTH
+            zero_points[d] = z;
+            scales[d] = scale;
             have -= dim;
             memmove(lanes, lanes + dim, (size_t)have * sizeof(uint16_t));
         }
@@ -223,24 +260,36 @@ __attribute__((always_inline)) static inline void decode_group(
 
 /* Unpack and de-quantize n_groups bit-packed groups, code * s + z in float32
  * (multiply, then add: two roundings, as NumPy's), straight into their
- * destination rows.  Group g has group_rows[g] rows of width group_bits[g]
- * (1, 2, 4 or 8); the groups' streams are concatenated in `stream`, each
- * starting on a byte boundary; zero_points, scales and dest (the row of
- * `out` a group row lands in) are per row, concatenated in group order. */
-void repro_decode_groups(const uint8_t *stream, int64_t n_groups,
-                         const int64_t *group_bits, const int64_t *group_rows,
-                         int64_t dim, const float *zero_points,
-                         const float *scales, const int64_t *dest, float *out)
+ * destination rows.  groups[4 g ..] describes group g: its width (1, 2, 4
+ * or 8), its row count, the byte offset of its stream in `wire` and the
+ * index of its first row in zero_points / scales.  dest holds, per group
+ * row in group order, the row of `out` it lands in. */
+void repro_decode_rows(const uint8_t *wire, const float *zero_points,
+                       const float *scales, const int64_t *groups,
+                       int64_t n_groups, int64_t dim, const int64_t *dest,
+                       float *out)
 {
-    for (int64_t g = 0; g < n_groups; g++) {
-        int64_t rows = group_rows[g];
+    for (int64_t g = 0; g < n_groups; g++, groups += 4) {
+        int64_t rows = groups[1];
+        const uint8_t *stream = wire + groups[2];
+        const float *z = zero_points + groups[3], *s = scales + groups[3];
 #define WIDTH(b)                                                             \
     case b:                                                                  \
-        decode_group(b, stream, rows, dim, zero_points, scales, dest, out);  \
+        decode_group(b, stream, rows, dim, z, s, dest, out);                 \
         break;
-        switch (group_bits[g]) { WIDTH(1) WIDTH(2) WIDTH(4) WIDTH(8) }
+        switch (groups[0]) { WIDTH(1) WIDTH(2) WIDTH(4) WIDTH(8) }
 #undef WIDTH
-        stream += (rows * dim * group_bits[g] + 7) / 8;
-        zero_points += rows, scales += rows, dest += rows;
+        dest += rows;
+    }
+}
+
+/* out[rows[i]] += block[i] for i = 0 .. n_rows, in that order: a row that
+ * appears several times receives its addends in block order. */
+void repro_add_rows(const float *block, int64_t n_rows, int64_t dim,
+                    const int64_t *rows, float *out)
+{
+    for (int64_t i = 0; i < n_rows; i++, block += dim) {
+        float *o = out + rows[i] * dim;
+        for (int64_t j = 0; j < dim; j++) o[j] += block[j];
     }
 }

@@ -18,41 +18,53 @@ peer — into batched kernels that emit the same bytes:
 * stochastic quantization runs as **one** kernel per encode shard, in
   cat order: the only bit-width-dependent quantity is the level count
   ``2^b - 1``, which becomes a per-row vector instead of a per-group
-  scalar, and every pass is row-wise, so only the finished uint8 codes
-  and the per-row zero points/scales are permuted into *payload* order
-  (bit-widths ascending within each pair);
-* packing runs through :func:`~repro.quant.packing.pack_bits_batched`, one
-  batch per distinct bit-width, producing the per-(pair, group) byte
-  streams of the wire format — wire-byte accounting is the per-message
-  encoder's;
+  scalar, and every pass is row-wise, so only the outputs land in
+  *payload* order (bit-widths ascending within each pair);
+* the outputs land in the plan's **wire buffer**: one byte array holding,
+  per (pair, group) in payload order, the group's packed stream of
+  ⌈n·dim·bits/8⌉ bytes (:func:`~repro.quant.theory.packed_bytes`), plus
+  one zero point and one scale per payload row.  The step's payloads are
+  views into it, built once per plan;
 * on the receive side, :func:`decode_cluster_step` unpacks and
-  de-quantizes every payload of the step in one batch per bit-width
-  (de-quantization is row-elementwise, so it batches across pairs and
-  receivers without changing a single value).
+  de-quantizes every payload of the step — batched per bit-width on the
+  NumPy tier, one kernel call per receiver on the compiled tier — and can
+  land the rows straight in the receiver's destination (a
+  :class:`DecodeIndex` says where).
+
+**Payload lifetime.**  A payload returned by
+:meth:`FusedStepEncoder.quantize_pack_shard` is a view of plan-owned
+memory: its bytes stay valid until the *next encode of the same plan*
+(exchanges consume a step's payloads within its finalize, long before
+that).  Anyone holding payloads across encodes snapshots their bytes.
+Payload arrays are read-only views; nothing in a payload refers back to
+the plan, so a replaced plan is freed as soon as its last user drops it.
 
 **Encode shards.**  A step's pairs partition into contiguous row
 spans (:meth:`FusedStepEncoder.shards_for`); each shard's quantize/pack is
-self-contained — it reads and writes only its row span of the plan
-scratch — so a multi-worker transport runs shards concurrently.  Every
-pair's noise is its own keyed draw, so any shard count (and any retirement
+self-contained — it reads and writes only its rows of the plan buffers
+(the wire layout is pair-major, so a shard's streams are one byte range)
+— so a multi-worker transport runs shards concurrently.  Every pair's
+noise is its own keyed draw, so any shard count (and any retirement
 order) emits byte-identical payloads.
 
-**Two kernel tiers.**  The quantization kernel of
+**Two kernel tiers.**  The quantize + pack of
 :meth:`FusedStepEncoder.quantize_pack_shard` and the unpack + de-quantize
 of :func:`decode_cluster_step` each exist twice: as the NumPy kernels
 below, and as one-pass C loops (``_kernels.c``, built and loaded on first
 use by :mod:`repro.quant.native`) that perform the same float32 operations
-in the same order and so emit the same bytes.  The compiled tier runs
-wherever it loads; the NumPy tier is the reference it is tested against
-bitwise and the fallback everywhere else.  Nothing selects between them
-but what the loader observes.
+in the same order and so emit the same bytes.  The compiled quantizer
+writes codes already packed into the wire buffer (no step-wide code array
+exists); the NumPy one stages uint8 codes in ``codes_buf`` and packs them
+with :func:`~repro.quant.packing.pack_bits_batched`.  The compiled tier
+runs wherever it loads; the NumPy tier is the reference it is tested
+against bitwise and the fallback everywhere else.  Nothing selects
+between them but what the loader observes.
 
-All index structures (gather orders, group slices, payload skeletons) are
-cached in a :class:`FusedStepPlan` and reused across epochs until the
-bit-width assignment for the step changes (i.e. at reassignment
-boundaries).  The staged-value and code buffers (5 bytes per element)
-are preallocated alongside the plan; the quantization kernel itself runs
-over pair-aligned row *chunks* with scratch bounded by the chunk, so the
+All index structures (gather orders, group slices, wire layout, payload
+views, decode indices) are cached in a :class:`FusedStepPlan` and reused
+across epochs until the bit-width assignment for the step changes (i.e.
+at reassignment boundaries).  The NumPy quantization kernel runs over
+pair-aligned row *chunks* with scratch bounded by the chunk, so the
 noise/normalize/floor intermediates never materialize for the whole step
 at once — at huge-graph scale that keeps hundreds of MB of per-step
 scratch out of the resident set.  Chunking is invisible in the output:
@@ -61,6 +73,7 @@ keyed noise is one draw per pair and a chunk is a whole number of pairs.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,6 +82,7 @@ from repro.quant import native
 from repro.quant.mixed import MixedPrecisionEncoder, MixedPrecisionPayload
 from repro.quant.packing import pack_bits_batched, unpack_bits_batched
 from repro.quant.stochastic import KeyedRounding, as_rounding
+from repro.quant.theory import packed_bytes
 
 __all__ = [
     "FusedStepPlan",
@@ -76,9 +90,13 @@ __all__ = [
     "ShardDescriptor",
     "shard_descriptor",
     "pair_shard",
+    "DecodeIndex",
+    "decode_index",
     "DecodeWorkspace",
     "decode_step",
     "decode_cluster_step",
+    "land_decoded",
+    "accumulate_block",
     "kernels_agree",
 ]
 
@@ -97,12 +115,15 @@ _QUANT_CHUNK_ROWS = 4096
 
 @dataclass
 class _PairGroup:
-    """One (pair, bit-width) group: its slice of the step's payload order."""
+    """One (pair, bit-width) group: its slice of the step's payload order
+    and its stream's span of the plan's wire buffer."""
 
     bits: int
     start: int
     stop: int
     rows: np.ndarray  # local row indices within the pair message, ascending
+    offset: int  # first byte of the group's stream in the wire buffer
+    nbytes: int
 
 
 @dataclass
@@ -121,19 +142,19 @@ class _EncodeShard:
     stop: int
     single_bits: int | None  # set when the shard's rows share one width
     # Per distinct bit-width, in payload-emission order: the payload-order
-    # slices of its groups and their element counts (packing batches).
+    # slices of its groups and their element counts (NumPy packing batches).
     bit_slices: dict[int, list[slice]]
     bit_elems: dict[int, np.ndarray]
     # For widths whose groups are scattered across pairs: their rows in
-    # payload-emission order (one precomputed take instead of a per-group
-    # concatenate) plus the reusable gather destination.
-    bit_rows: dict[int, np.ndarray]
-    bit_gather: dict[int, np.ndarray]
+    # payload-emission order (one take instead of a per-group concatenate)
+    # and the reusable gather destination — built by the NumPy packer's
+    # first use, so the compiled tier never holds them.
+    bit_gather: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
 
 @dataclass
 class FusedStepPlan:
-    """Cached index structures for one (layer, phase) step of the cluster.
+    """Cached index structures and buffers for one (layer, phase) step.
 
     Valid as long as the step's per-row bit assignment (``bits_cat``) is
     unchanged; the encoder revalidates with ``np.array_equal`` each epoch
@@ -150,25 +171,40 @@ class FusedStepPlan:
     perm_payload: np.ndarray  # cat index of each payload-order position
     identity: bool  # True when payload order == cat order
     # The inverse of perm_payload — the payload-order position of each cat
-    # row, where the compiled kernel writes that row's outputs; None when
-    # the two orders coincide.
+    # row, where the compiled kernel writes that row's zero point and
+    # scale; None when the two orders coincide.
     payload_pos: np.ndarray | None
     levels: np.ndarray  # (n_total, 1) float32, 2^bits - 1 per cat row
     pair_src: np.ndarray  # (n_pairs,) int64 — the pairs' key coordinates
     pair_dst: np.ndarray
     pair_groups: dict[tuple[int, int], list[_PairGroup]]
-    # Staging buffers (reused every epoch while the plan is valid).  The
-    # quantization intermediates (noise, normalized values, floors,
-    # round-up mask) are deliberately NOT plan-resident: the NumPy kernel
-    # allocates them per chunk, the compiled one needs none.
+    # Per cat row, the bit offset of its first code in ``wire``.
+    row_bit: np.ndarray
+    # Buffers, reused every epoch while the plan is valid.  The NumPy
+    # kernel's intermediates (noise, normalized values, floors, round-up
+    # mask) are deliberately NOT plan-resident: it allocates them per
+    # chunk, the compiled one needs none.
     cat_buf: np.ndarray  # (n_total, dim) float32 staged rows, cat order
-    codes_buf: np.ndarray  # (n_total, dim) uint8, payload order
+    wire: np.ndarray  # uint8: every (pair, group) stream, payload order
+    zero_points: np.ndarray  # (n_total,) float32, payload order
+    scales: np.ndarray  # (n_total,) float32, payload order
+    payloads: list[MixedPrecisionPayload]  # per pair: views of the above
+    # (n_total, dim) uint8 codes in payload order — the NumPy kernel's
+    # staging, allocated by its first encode; never on the compiled tier.
+    codes_buf: np.ndarray | None = None
     # Shard decompositions, cached per shard count (built on demand).
     shard_cache: dict[int, list[_EncodeShard]] = field(default_factory=dict)
+    # Decode indices, cached per (receiver, accumulate) (built on demand).
+    decode_cache: dict[tuple[int, bool], DecodeIndex] = field(default_factory=dict)
 
     @property
     def n_total(self) -> int:
         return int(self.bits_cat.size)
+
+
+def _readonly(view: np.ndarray) -> np.ndarray:
+    view.flags.writeable = False
+    return view
 
 
 def _build_plan(
@@ -196,20 +232,48 @@ def _build_plan(
     bounds = np.zeros(len(pairs) + 1, dtype=np.int64)
     np.cumsum(pair_counts, out=bounds[1:])
 
+    # The wire layout: per (pair, group) in payload order, a byte-aligned
+    # stream of ⌈n·dim·bits/8⌉ bytes.
     pair_groups: dict[tuple[int, int], list[_PairGroup]] = {}
-    pos = 0
+    pos = offset = 0
     for i, pair in enumerate(pairs):
         pair_bits = bits_cat[bounds[i] : bounds[i + 1]]
         groups: list[_PairGroup] = []
         for b in np.unique(pair_bits):
             local_rows = np.flatnonzero(pair_bits == b)
-            groups.append(
-                _PairGroup(
-                    bits=int(b), start=pos, stop=pos + local_rows.size, rows=local_rows
-                )
-            )
-            pos += local_rows.size
+            n = local_rows.size
+            nbytes = int(packed_bytes(n, dim, int(b)))
+            groups.append(_PairGroup(int(b), pos, pos + n, local_rows, offset, nbytes))
+            pos += n
+            offset += nbytes
         pair_groups[pair] = groups
+
+    # Bit offset of every payload row's first code, then per cat row.
+    table = np.array(
+        [(g.start, g.offset, g.bits) for gs in pair_groups.values() for g in gs],
+        dtype=np.int64,
+    ).reshape(-1, 3)
+    counts = np.diff(np.append(table[:, 0], n_total))
+    start, first_byte, width = (np.repeat(col, counts) for col in table.T)
+    row_bit = first_byte * 8 + (np.arange(n_total) - start) * dim * width
+    if payload_pos is not None:
+        row_bit = row_bit[payload_pos]
+
+    wire = np.zeros(offset, dtype=np.uint8)
+    zero_points = np.zeros(n_total, dtype=np.float32)
+    scales = np.zeros(n_total, dtype=np.float32)
+    payloads = [
+        MixedPrecisionPayload(
+            num_rows=int(pair_counts[i]),
+            dim=dim,
+            group_bits=[g.bits for g in groups],
+            group_rows=[g.rows for g in groups],
+            streams=[_readonly(wire[g.offset : g.offset + g.nbytes]) for g in groups],
+            zero_points=[_readonly(zero_points[g.start : g.stop]) for g in groups],
+            scales=[_readonly(scales[g.start : g.stop]) for g in groups],
+        )
+        for i, groups in enumerate(pair_groups.values())
+    ]
 
     pair_arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     return FusedStepPlan(
@@ -227,8 +291,12 @@ def _build_plan(
         pair_src=pair_arr[:, 0],
         pair_dst=pair_arr[:, 1],
         pair_groups=pair_groups,
+        row_bit=np.ascontiguousarray(row_bit, dtype=np.int64),
         cat_buf=np.empty((n_total, dim), dtype=np.float32),
-        codes_buf=np.empty((n_total, dim), dtype=np.uint8),
+        wire=wire,
+        zero_points=zero_points,
+        scales=scales,
+        payloads=payloads,
     )
 
 
@@ -266,16 +334,6 @@ def _make_shard(plan: FusedStepPlan, lo: int, hi: int) -> _EncodeShard:
             bit_slices.setdefault(g.bits, []).append(slice(g.start, g.stop))
             bit_elems.setdefault(g.bits, []).append((g.stop - g.start) * plan.dim)
     distinct = sorted(bit_slices)
-    bit_rows: dict[int, np.ndarray] = {}
-    bit_gather: dict[int, np.ndarray] = {}
-    if len(distinct) > 1:
-        for b, slices in bit_slices.items():
-            if len(slices) > 1:
-                rows = np.concatenate(
-                    [np.arange(sl.start, sl.stop, dtype=np.int64) for sl in slices]
-                )
-                bit_rows[b] = rows
-                bit_gather[b] = np.empty((rows.size, plan.dim), dtype=np.uint8)
     return _EncodeShard(
         pair_lo=lo,
         pair_hi=hi,
@@ -284,8 +342,6 @@ def _make_shard(plan: FusedStepPlan, lo: int, hi: int) -> _EncodeShard:
         single_bits=distinct[0] if len(distinct) == 1 else None,
         bit_slices=bit_slices,
         bit_elems={b: np.asarray(e, dtype=np.int64) for b, e in bit_elems.items()},
-        bit_rows=bit_rows,
-        bit_gather=bit_gather,
     )
 
 
@@ -357,13 +413,14 @@ class FusedStepEncoder:
         indexed by rank works too.  ``observe``, when given, is called per
         pair with ``(src, dst, rows)`` where ``rows`` is the pair's block
         in original row order — the tracer hook.  ``coords`` is the step's
-        ``(phase, layer)``.
+        ``(phase, layer)``.  The payloads are views of the plan's buffers
+        (see the module docstring for their lifetime).
 
         The two halves are also exposed separately for the async transport:
         :meth:`gather_step` snapshots the source rows (and feeds the
         tracer) on the calling thread, after which
         :meth:`quantize_pack_step` is safe to run on a transport worker —
-        it touches only plan-owned scratch and the encoder's noise policy.
+        it touches only plan-owned buffers and the encoder's noise policy.
         """
         self.gather_step(plan, values_by_rank, observe)
         return self.quantize_pack_step(plan, coords=coords)
@@ -391,7 +448,7 @@ class FusedStepEncoder:
         """Quantize + pack the gathered step (worker-safe half).
 
         Reads ``plan.cat_buf`` (filled by :meth:`gather_step`) and
-        touches only plan-owned scratch: the one-shard composition of
+        touches only plan-owned buffers: the one-shard composition of
         :meth:`quantize_pack_shard`.
         """
         payloads: dict[tuple[int, int], MixedPrecisionPayload] = {}
@@ -401,12 +458,19 @@ class FusedStepEncoder:
 
     def _quantize_numpy(
         self, plan: FusedStepPlan, shard: _EncodeShard, keys: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    ) -> np.ndarray:
         """The NumPy quantization kernel: the reference, and the fallback
-        where the compiled tier is unavailable."""
+        where the compiled tier is unavailable.  Writes the shard's zero
+        points and scales into the plan and its uint8 codes into the
+        returned step-wide ``codes_buf``, all in payload order."""
         dim = plan.dim
         start, stop = shard.start, shard.stop
         n_rows = stop - start
+        codes_buf = plan.codes_buf
+        if codes_buf is None:
+            # The first NumPy-tier encode of this plan (a racing shard
+            # allocates its own, which is as good: each packs its own rows).
+            codes_buf = plan.codes_buf = np.empty((plan.n_total, dim), dtype=np.uint8)
 
         # --- chunked stochastic-quantization kernel ----------------------
         # Identical arithmetic to quantize_stochastic per group: the level
@@ -425,8 +489,8 @@ class FusedStepEncoder:
         chunk_rows = max(_QUANT_CHUNK_ROWS, int(plan.pair_counts[lo:hi].max()))
         scratch = min(chunk_rows, n_rows)
         permute = not plan.identity
-        z_all = np.empty(n_rows, dtype=np.float32)
-        s_all = np.empty(n_rows, dtype=np.float32)
+        z_all = plan.zero_points[start:stop]
+        s_all = plan.scales[start:stop]
         noise_buf = np.empty((scratch, dim), dtype=np.float32)
         norm_buf = np.empty((scratch, dim), dtype=np.float32)
         floor_buf = np.empty((scratch, dim), dtype=np.float32)
@@ -475,123 +539,111 @@ class FusedStepEncoder:
             # Codes are exact small integers, so the casts equal astype.
             if permute:
                 codes_cat[:m] = codes
-                np.take(codes_cat[:m], order, axis=0, out=plan.codes_buf[a:b])
+                np.take(codes_cat[:m], order, axis=0, out=codes_buf[a:b])
                 np.take(z32, order, out=z_all[span])
                 np.take(scale, order, out=s_all[span])
             else:
-                plan.codes_buf[a:b] = codes
+                codes_buf[a:b] = codes
             i = j
-        return z_all, s_all
+        return codes_buf
 
-    def _quantize_native(
-        self, lib, plan: FusedStepPlan, shard: _EncodeShard, keys: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    @staticmethod
+    def _pack_numpy(
+        plan: FusedStepPlan, shard: _EncodeShard, codes_buf: np.ndarray
+    ) -> None:
+        """Pack the shard's codes (payload order) into its streams of the
+        wire buffer: one :func:`pack_bits_batched` batch per distinct
+        width, each stream copied to its span."""
+        # Codes were clamped to range by the kernel, so the packers' O(n)
+        # range scan is skipped (validate=False — the trusted internal path).
+        streams_by_bits: dict[int, list[np.ndarray]] = {}
+        for bits, slices in shard.bit_slices.items():
+            if len(slices) == 1:
+                segment = codes_buf[slices[0]]
+            elif shard.single_bits is not None:
+                # Single distinct bit-width: the slices tile the span.
+                segment = codes_buf[shard.start : shard.stop]
+            else:
+                # Scattered groups: one take into shard scratch (no
+                # per-group Python loop on the hot path).
+                gather = shard.bit_gather.get(bits)
+                if gather is None:
+                    rows = np.concatenate(
+                        [np.arange(sl.start, sl.stop, dtype=np.int64) for sl in slices]
+                    )
+                    gather = shard.bit_gather[bits] = (
+                        rows,
+                        np.empty((rows.size, plan.dim), dtype=np.uint8),
+                    )
+                segment = np.take(codes_buf, gather[0], axis=0, out=gather[1])
+            streams_by_bits[bits] = pack_bits_batched(
+                segment, bits, shard.bit_elems[bits], validate=False
+            )
+        cursor = dict.fromkeys(streams_by_bits, 0)
+        for i in range(shard.pair_lo, shard.pair_hi):
+            for g in plan.pair_groups[plan.pairs[i]]:
+                stream = streams_by_bits[g.bits][cursor[g.bits]]
+                plan.wire[g.offset : g.offset + g.nbytes] = stream
+                cursor[g.bits] += 1
+
+    @staticmethod
+    def _quantize_pack_native(
+        lib, plan: FusedStepPlan, shard: _EncodeShard, keys: np.ndarray
+    ) -> None:
         """The compiled kernel (``_kernels.c``): the same float32 operations
         in the same order in one pass per row — draw, range, normalize,
-        round — writing each row's outputs at its payload position, so
-        there is no per-chunk scratch and nothing to permute afterwards."""
-        n_rows = shard.stop - shard.start
-        z_all = np.empty(n_rows, dtype=np.float32)
-        s_all = np.empty(n_rows, dtype=np.float32)
+        round, pack — writing each row's codes straight into its stream of
+        the wire buffer and its zero point and scale at its payload
+        position: no code buffer, no permutation, no packing pass."""
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
-        lanes = np.empty(plan.dim + 16, dtype=np.uint16)  # the only scratch
+        lanes = np.empty(plan.dim + 16, dtype=np.uint16)  # row scratch
+        codes = np.empty(plan.dim, dtype=np.uint8)
         dest = plan.payload_pos
-        lib.repro_quantize_pairs(
+        lib.repro_quantize_pack_pairs(
             plan.cat_buf.ctypes.data,
             plan.cat_bounds.ctypes.data,
             shard.pair_lo,
             shard.pair_hi,
             keys.ctypes.data,
-            plan.levels.ctypes.data,
+            plan.bits_cat.ctypes.data,
             None if dest is None else dest.ctypes.data,
+            plan.row_bit.ctypes.data,
             plan.dim,
-            plan.codes_buf.ctypes.data,
-            z_all.ctypes.data,
-            s_all.ctypes.data,
+            plan.wire.ctypes.data,
+            plan.zero_points.ctypes.data,
+            plan.scales.ctypes.data,
             lanes.ctypes.data,
+            codes.ctypes.data,
         )
-        return z_all, s_all
 
     def quantize_pack_shard(
         self, plan: FusedStepPlan, shard: _EncodeShard, *, coords
     ) -> dict[tuple[int, int], MixedPrecisionPayload]:
         """Quantize + pack one contiguous shard of the gathered step.
 
-        Reads and writes only the shard's ``[start, stop)`` row span of
-        the plan scratch, so a multi-worker transport may run disjoint
-        shards concurrently.  ``coords`` is the step's ``(phase, layer)``
-        (each pair's noise is one keyed Philox draw).
+        Reads and writes only the shard's rows (and streams) of the plan
+        buffers, so a multi-worker transport may run disjoint shards
+        concurrently.  ``coords`` is the step's ``(phase, layer)`` (each
+        pair's noise is one keyed Philox draw).  Returns the shard's pairs'
+        payloads — the plan's views, valid until its next encode.
         """
-        dim = plan.dim
-        start, stop = shard.start, shard.stop
-        if stop == start:
+        if shard.stop == shard.start:
             return {}
         phase, layer = coords
         lo, hi = shard.pair_lo, shard.pair_hi
         keys = self.rounding.block_keys(
             phase, layer, plan.pair_src[lo:hi], plan.pair_dst[lo:hi]
         )
-        # Two tiers, one contract: both fill the shard's span of
-        # plan.codes_buf and return its zero points and scales, all in
-        # payload order, and they agree bit for bit (the NumPy kernel is the
-        # reference the compiled one is tested against, and the fallback).
+        # Two tiers, one contract: both fill the shard's streams of the
+        # wire buffer and its zero points and scales, and they agree bit for
+        # bit (the NumPy kernel is the reference the compiled one is tested
+        # against, and the fallback).
         lib = native.load()
-        if lib is not None and dim > 0:
-            z32, s32 = self._quantize_native(lib, plan, shard, keys)
+        if lib is not None and plan.dim > 0:
+            self._quantize_pack_native(lib, plan, shard, keys)
         else:
-            z32, s32 = self._quantize_numpy(plan, shard, keys)
-        codes_buf = plan.codes_buf[start:stop]
-
-        # --- pack each distinct bit-width as one batch -------------------
-        # Codes were clamped to range above, so the packers' O(n) range
-        # scan is skipped (validate=False — the trusted internal path).
-        streams_by_bits: dict[int, list[np.ndarray]] = {}
-        for bits, slices in shard.bit_slices.items():
-            if len(slices) == 1:
-                segment = plan.codes_buf[slices[0]]
-            elif shard.single_bits is not None:
-                # Single distinct bit-width: the slices tile the span.
-                segment = codes_buf
-            else:
-                # Scattered groups: one precomputed take into shard scratch
-                # (no per-group Python loop on the hot path).
-                segment = np.take(
-                    plan.codes_buf,
-                    shard.bit_rows[bits],
-                    axis=0,
-                    out=shard.bit_gather[bits],
-                )
-            streams_by_bits[bits] = pack_bits_batched(
-                segment, bits, shard.bit_elems[bits], validate=False
-            )
-
-        # --- assemble per-pair payloads ----------------------------------
-        stream_cursor = dict.fromkeys(streams_by_bits, 0)
-        payloads: dict[tuple[int, int], MixedPrecisionPayload] = {}
-        for i in range(shard.pair_lo, shard.pair_hi):
-            pair = plan.pairs[i]
-            group_bits: list[int] = []
-            group_rows: list[np.ndarray] = []
-            streams: list[np.ndarray] = []
-            zero_points: list[np.ndarray] = []
-            scales: list[np.ndarray] = []
-            for g in plan.pair_groups[pair]:
-                group_bits.append(g.bits)
-                group_rows.append(g.rows)
-                streams.append(streams_by_bits[g.bits][stream_cursor[g.bits]])
-                stream_cursor[g.bits] += 1
-                zero_points.append(z32[g.start - start : g.stop - start])
-                scales.append(s32[g.start - start : g.stop - start])
-            payloads[pair] = MixedPrecisionPayload(
-                num_rows=int(plan.pair_counts[i]),
-                dim=dim,
-                group_bits=group_bits,
-                group_rows=group_rows,
-                streams=streams,
-                zero_points=zero_points,
-                scales=scales,
-            )
-        return payloads
+            self._pack_numpy(plan, shard, self._quantize_numpy(plan, shard, keys))
+        return dict(zip(plan.pairs[lo:hi], plan.payloads[lo:hi]))
 
 
 @dataclass(frozen=True)
@@ -634,8 +686,6 @@ class ShardDescriptor:
 
     def build(self) -> tuple["FusedStepEncoder", FusedStepPlan]:
         """A standalone (encoder, plan) reproducing this shard's payloads."""
-        from repro.quant.stochastic import KeyedRounding
-
         counts = np.asarray(self.pair_counts, dtype=np.int64)
         n = int(counts.sum())
         bits = np.frombuffer(self.bits_cat, dtype=np.int8).astype(np.int64)
@@ -658,7 +708,8 @@ class ShardDescriptor:
 
         ``cache``, when given, persists the rebuilt (encoder, plan) across
         steps keyed by the shard's pair span; a changed bit assignment
-        (different :meth:`signature`) rebuilds in place.
+        (different :meth:`signature`) rebuilds in place.  The payloads are
+        views of that plan's buffers, valid until it encodes again.
         """
         sig = self.signature()
         key = ("shard-plan", self.phase, self.layer, self.pairs)
@@ -702,6 +753,138 @@ def shard_descriptor(
     )
 
 
+# ----------------------------------------------------------------------
+# Decode
+# ----------------------------------------------------------------------
+@dataclass(frozen=True, eq=False)
+class DecodeIndex:
+    """Where one receiver's share of a plan's step lands — and the single
+    kernel call that lands it.
+
+    ``rows[src]`` maps each row of pair ``(src, receiver)`` to its row of
+    the destination (``n_out`` rows).  Without ``accumulate`` the decode
+    writes those rows directly (halo slots, each fed by one pair); with it
+    the decode fills a contiguous *block* — sources in mailbox order
+    (ascending), each pair's rows in order — and :func:`accumulate_block`
+    adds the block into the destination rows.  ``land[src]`` is where a
+    source's rows sit in the decode buffer (``shape``): its destination
+    rows, or its slice of the block.
+
+    Built once per (plan, receiver) by :func:`decode_index` and checked
+    once: every destination row against ``n_out``, every group width and
+    stream span against the plan's wire buffer.  A mailbox holding exactly
+    the plan's payloads (:meth:`matches`) then decodes without a further
+    check.
+    """
+
+    srcs: tuple[int, ...]  # ascending: the mailbox order
+    payloads: tuple[MixedPrecisionPayload, ...]  # the plan's, same order
+    rows: dict[int, np.ndarray]
+    land: dict[int, object]
+    shape: tuple[int, int]  # the decode buffer: destination or block
+    n_out: int
+    accumulate: bool
+    covers: bool  # the decode writes every buffer row exactly once
+    add_rows: np.ndarray | None  # accumulate: destination row per block row
+    groups: np.ndarray  # (n_groups, 4) int64: bits, rows, stream offset, first row
+    dest: np.ndarray  # int64, per group row: its row of the decode buffer
+    buffers: tuple[np.ndarray, np.ndarray, np.ndarray]  # the plan's wire, z, s
+
+    def matches(self, mailbox: dict) -> bool:
+        """Whether ``mailbox`` holds exactly this index's payloads, in order."""
+        return len(mailbox) == len(self.payloads) and all(
+            map(operator.is_, mailbox.values(), self.payloads)
+        )
+
+
+def decode_index(
+    plan: FusedStepPlan,
+    dst: int,
+    rows: dict[int, np.ndarray],
+    n_out: int,
+    *,
+    accumulate: bool = False,
+) -> DecodeIndex:
+    """The (cached) :class:`DecodeIndex` of receiver ``dst`` in ``plan``.
+
+    ``rows`` maps every source of a ``(src, dst)`` pair of the plan to the
+    destination rows of that pair's rows (a receiver's recv map for halo
+    rows, its send map for the owned rows gradients accumulate into).  The
+    cache is keyed on ``(dst, accumulate)``: the destination rows of a
+    (plan, receiver) are topology and never change.
+    """
+    key = (dst, accumulate)
+    index = plan.decode_cache.get(key)
+    if index is None:
+        index = _build_index(plan, dst, rows, n_out, accumulate)
+        plan.decode_cache[key] = index
+    return index
+
+
+def _build_index(
+    plan: FusedStepPlan,
+    dst: int,
+    rows: dict[int, np.ndarray],
+    n_out: int,
+    accumulate: bool,
+) -> DecodeIndex:
+    members = sorted((src, i) for i, (src, d) in enumerate(plan.pairs) if d == dst)
+    srcs = tuple(src for src, _ in members)
+    if sorted(rows) != list(srcs):
+        raise ValueError(
+            f"receiver {dst}: destination rows for sources {sorted(rows)}, "
+            f"but the step's pairs come from {list(srcs)}"
+        )
+    groups: list[tuple[int, int, int, int]] = []
+    dest: list[np.ndarray] = []
+    land: dict[int, object] = {}
+    targets: list[np.ndarray] = []
+    block = 0
+    for src, i in members:
+        n = int(plan.pair_counts[i])
+        target = np.asarray(rows[src], dtype=np.int64)
+        if target.shape != (n,):
+            raise ValueError(f"pair ({src}, {dst}) has {n} rows, not {target.shape}")
+        if n and (target.min() < 0 or target.max() >= n_out):
+            raise IndexError(
+                f"pair ({src}, {dst}): a destination row outside [0, {n_out})"
+            )
+        if accumulate and np.unique(target).size != n:
+            # The add would differ from the per-pair `out[rows] += mat`.
+            raise ValueError(f"pair ({src}, {dst}) repeats a destination row")
+        land[src] = slice(block, block + n) if accumulate else target
+        for g in plan.pair_groups[(src, dst)]:
+            groups.append((g.bits, g.stop - g.start, g.offset, g.start))
+            dest.append(block + g.rows if accumulate else target[g.rows])
+        targets.append(target)
+        block += n
+    table = np.array(groups, dtype=np.int64).reshape(-1, 4)
+    bits, counts, offsets, first = table.T
+    ends = offsets + packed_bytes(counts, plan.dim, bits)
+    if not (
+        np.isin(bits, (1, 2, 4, 8)).all()
+        and (ends <= plan.wire.size).all()
+        and (first + counts <= plan.n_total).all()
+    ):
+        raise ValueError(f"receiver {dst}: the plan's wire layout is inconsistent")
+    cat = np.concatenate(targets) if targets else np.zeros(0, dtype=np.int64)
+    covers = accumulate or np.array_equal(np.sort(cat), np.arange(n_out))
+    return DecodeIndex(
+        srcs=srcs,
+        payloads=tuple(plan.payloads[i] for _, i in members),
+        rows=dict(zip(srcs, targets)),
+        land=land,
+        shape=(block if accumulate else n_out, plan.dim),
+        n_out=n_out,
+        accumulate=accumulate,
+        covers=bool(covers),
+        add_rows=cat if accumulate else None,
+        groups=np.ascontiguousarray(table),
+        dest=np.concatenate(dest) if dest else np.zeros(0, dtype=np.int64),
+        buffers=(plan.wire, plan.zero_points, plan.scales),
+    )
+
+
 class DecodeWorkspace:
     """Reusable scratch buffers for :func:`decode_cluster_step`.
 
@@ -710,7 +893,8 @@ class DecodeWorkspace:
     reassignment boundaries.  Matrices returned by a workspace-backed
     decode are views into (or reuses of) these buffers — valid until the
     next decode call, which is exactly the finalize-half's
-    consume-immediately lifetime.
+    consume-immediately lifetime.  The fused exchange also takes its
+    backward decode blocks from here.
 
     At pipeline depth 2 the fused exchange keeps *two* workspaces per
     receiver, keyed on ``(receiver, parity)`` with the parity flipping
@@ -734,43 +918,157 @@ def decode_cluster_step(
     collects: dict[int, dict[int, MixedPrecisionPayload]],
     *,
     workspace: DecodeWorkspace | None = None,
-) -> dict[int, dict[int, np.ndarray]]:
+    into: dict[int, tuple[DecodeIndex, np.ndarray]] | None = None,
+) -> dict[int, dict[int, object]]:
     """Decode every payload of one step with batched kernels.
 
     ``collects`` maps each receiving rank to its ``{src: payload}`` mailbox
-    (the shape :meth:`Transport.collect` returns).  Every (receiver, pair,
-    group) stream of the step is bucketed by bit-width, unpacked through
-    one batched lookup-table kernel per width and de-quantized in one
-    elementwise kernel; per-pair matrices are then reassembled — payloads
-    whose single group covers every row are served as zero-copy views into
-    the de-quantize buffer.  Produces exactly the matrices
-    ``payload.decode()`` would — de-quantization is row-elementwise, so
-    batching cannot change any value — preserving each mailbox's iteration
-    order (gradient accumulation order stays src-ascending).
+    (the shape :meth:`Transport.collect` returns).  Produces exactly the
+    matrices ``payload.decode()`` would — de-quantization is
+    row-elementwise, so batching cannot change any value — preserving each
+    mailbox's iteration order (gradient accumulation order stays
+    src-ascending).  On the NumPy tier every (receiver, pair, group) stream
+    is bucketed by bit-width, unpacked through one batched lookup-table
+    kernel per width and de-quantized in one elementwise kernel; on the
+    compiled tier (:mod:`repro.quant.native`) one unpack + de-quantize pass
+    writes the values directly.
+
+    ``into`` names destinations: for a receiver listed there as
+    ``(index, buffer)`` (a :class:`DecodeIndex` and a float32 buffer of
+    ``index.shape``) the rows land in ``buffer`` — one kernel call when the
+    mailbox holds exactly the index's payloads on the compiled tier;
+    otherwise decoded as above and copied in, the buffer zero-filled first
+    when a source is missing — and the result maps each source to
+    ``index.land[src]``, where its rows now are.  Other receivers get
+    ``{src: matrix}``.
 
     ``workspace``, when given, supplies scratch reused across calls; the
     returned matrices then stay valid only until the next decode (the
     fused exchange consumes them within ``finalize_step``).
-
-    Where the compiled tier is loaded (:mod:`repro.quant.native`) the same
-    matrices come from one unpack + de-quantize pass that writes them
-    directly; the NumPy decode is the reference it is tested against.
     """
+    into = into or {}
+    lib = native.load()
+    out: dict[int, dict[int, object]] = {}
+    generic: dict[int, dict[int, MixedPrecisionPayload]] = {}
+    for dst, mailbox in collects.items():
+        target = into.get(dst)
+        if target is None:
+            generic[dst] = mailbox
+            continue
+        index, buf = target
+        if buf.shape != index.shape or buf.dtype != np.float32:
+            raise ValueError(
+                f"receiver {dst}: decode buffer {buf.shape} {buf.dtype}, "
+                f"expected {index.shape} float32"
+            )
+        if lib is not None and buf.flags.c_contiguous and index.matches(mailbox):
+            _decode_index_native(lib, index, buf)
+            out[dst] = dict(index.land)
+        else:
+            generic[dst] = mailbox
+    if generic:
+        landed = {dst: into[dst] for dst in generic if dst in into}
+        out.update(_decode_generic(lib, generic, workspace, landed))
+    return {dst: out[dst] for dst in collects}
+
+
+def _decode_index_native(lib, index: DecodeIndex, buf: np.ndarray) -> None:
+    """One receiver's payloads, straight into ``buf``: one kernel call."""
+    if not index.covers:
+        buf.fill(0.0)
+    if not index.dest.size:
+        return
+    wire, zero_points, scales = index.buffers
+    lib.repro_decode_rows(
+        wire.ctypes.data,
+        zero_points.ctypes.data,
+        scales.ctypes.data,
+        index.groups.ctypes.data,
+        len(index.groups),
+        index.shape[1],
+        index.dest.ctypes.data,
+        buf.ctypes.data,
+    )
+
+
+def _open_landing(index: DecodeIndex, buf: np.ndarray, sources) -> None:
+    """Check that ``sources`` send to ``index``'s receiver; zero-fill ``buf``
+    when their rows will not cover it (a missing source, unfed slots)."""
+    unknown = set(sources) - index.land.keys()
+    if unknown:
+        raise ValueError(f"sources {sorted(unknown)} are not in the decode index")
+    if not index.covers or len(sources) != len(index.srcs):
+        buf.fill(0.0)
+
+
+def land_decoded(
+    index: DecodeIndex, buf: np.ndarray, matrices: dict[int, np.ndarray]
+) -> dict[int, object]:
+    """Copy decoded per-source matrices to their rows of ``buf`` (zero-filled
+    first when a source is missing); returns ``{src: index.land[src]}``, as
+    :func:`decode_cluster_step` does for a receiver it lands."""
+    _open_landing(index, buf, matrices)
+    for src, mat in matrices.items():
+        buf[index.land[src]] = mat
+    return {src: index.land[src] for src in matrices}
+
+
+def accumulate_block(index: DecodeIndex, block: np.ndarray, out: np.ndarray) -> None:
+    """``out[rows[src]] += block[land[src]]`` for every source of an
+    accumulating ``index``, in mailbox order (src ascending).
+
+    Exactly the float32 additions of the per-pair ``out[send_map[p]] +=
+    mat``: a pair's rows are distinct (checked when the index was built),
+    so every destination element receives its addends source by source.
+    Compiled tier: one kernel call; NumPy tier: that per-pair loop.
+    """
+    if not index.accumulate:
+        raise ValueError("accumulate_block needs an accumulating decode index")
+    if block.shape != index.shape or out.shape != (index.n_out, index.shape[1]):
+        raise ValueError(
+            f"block {block.shape} / out {out.shape} do not fit the index "
+            f"({index.shape}, {index.n_out} destination rows)"
+        )
+    lib = native.load()
+    contiguous = block.flags.c_contiguous and out.flags.c_contiguous
+    if lib is not None and contiguous and block.dtype == out.dtype == np.float32:
+        if block.size:
+            lib.repro_add_rows(
+                block.ctypes.data,
+                block.shape[0],
+                block.shape[1],
+                index.add_rows.ctypes.data,
+                out.ctypes.data,
+            )
+        return
+    for src in index.srcs:
+        out[index.rows[src]] += block[index.land[src]]
+
+
+def _decode_generic(
+    lib,
+    collects: dict[int, dict[int, MixedPrecisionPayload]],
+    workspace: DecodeWorkspace | None,
+    landed: dict[int, tuple[DecodeIndex, np.ndarray]],
+) -> dict[int, dict[int, object]]:
+    """Any payloads, no index match: per-source matrices, or for the
+    receivers in ``landed`` their rows in place.  The NumPy decode, or the
+    compiled kernel through offsets computed for this call."""
     flat: list[tuple[int, int, MixedPrecisionPayload]] = [
         (dst, src, payload)
         for dst, mailbox in collects.items()
         for src, payload in mailbox.items()
     ]
-    if not flat:
-        return {dst: {} for dst in collects}
     dims = {p.dim for _, _, p in flat}
-    if len(dims) != 1:
+    if len(dims) > 1:
         raise ValueError("payloads of one step must share their dimension")
-    dim = dims.pop()
-    lib = native.load()
-    if lib is not None and dim > 0:
-        return _decode_native(lib, collects, flat, dim, workspace)
-    return _decode_numpy(collects, flat, dim, workspace)
+    dim = dims.pop() if dims else 0
+    if lib is None or dim == 0:
+        return _decode_numpy(collects, flat, dim, workspace, landed)
+    decoded = _decode_native(lib, collects, flat, dim, workspace)
+    for dst, target in landed.items():
+        decoded[dst] = land_decoded(*target, decoded[dst])
+    return decoded
 
 
 def _decode_numpy(
@@ -778,9 +1076,15 @@ def _decode_numpy(
     flat: list[tuple[int, int, MixedPrecisionPayload]],
     dim: int,
     workspace: DecodeWorkspace | None,
-) -> dict[int, dict[int, np.ndarray]]:
+    landed: dict[int, tuple[DecodeIndex, np.ndarray]] | None = None,
+) -> dict[int, dict[int, object]]:
     """The NumPy decode of :func:`decode_cluster_step`: the reference, and
-    the fallback where the compiled tier is unavailable."""
+    the fallback where the compiled tier is unavailable.  A receiver in
+    ``landed`` gets each de-quantized group written straight to its rows of
+    the receiver's buffer, instead of a per-source matrix."""
+    landed = landed or {}
+    for dst, (index, buf) in landed.items():
+        _open_landing(index, buf, collects[dst])
     # bits -> parallel lists over that width's groups
     targets: dict[int, list[tuple[int, int, np.ndarray]]] = {}
     streams: dict[int, list[np.ndarray]] = {}
@@ -812,6 +1116,8 @@ def _decode_numpy(
     # de-quantize buffer is the result (the None placeholder is replaced
     # by that view below).
     for dst, src, payload in flat:
+        if dst in landed:
+            continue
         if len(payload.group_bits) == 1:
             out[dst][src] = None  # type: ignore[assignment]
         elif payload.group_bits:
@@ -859,6 +1165,15 @@ def _decode_numpy(
         cursor = 0
         for dst, src, rows in targets[bits]:
             block = deq[cursor : cursor + rows.size]
+            cursor += rows.size
+            if dst in landed:
+                index, buf = landed[dst]
+                where = index.land[src]  # destination rows, or a block slice
+                if isinstance(where, slice):
+                    buf[where.start + rows] = block
+                else:
+                    buf[where[rows]] = block
+                continue
             mat = out[dst].get(src)
             if mat is None:
                 # Single full-coverage group: rows is exactly arange(n),
@@ -866,7 +1181,8 @@ def _decode_numpy(
                 out[dst][src] = block
             else:
                 mat[rows] = block
-            cursor += rows.size
+    for dst, (index, _) in landed.items():
+        out[dst] = {src: index.land[src] for src in collects[dst]}
     return out
 
 
@@ -883,10 +1199,11 @@ def _decode_native(
     dim: int,
     workspace: DecodeWorkspace | None,
 ) -> dict[int, dict[int, np.ndarray]]:
-    """The compiled decode (``_kernels.c``): one pass that unpacks every
-    group's stream and de-quantizes it straight into its rows of the
-    per-pair matrix — no bucketing by width, no unpacked-code or
-    de-quantize buffers — with the values ``codes * s + z`` of the NumPy
+    """The compiled decode (``_kernels.c``) of payloads that are not a
+    plan's own (a worker process's shared-memory views, tests): the
+    streams, zero points and scales are joined for this call and the
+    kernel addresses them by offset, writing every group's rows straight
+    into the per-pair matrix — the values ``codes * s + z`` of the NumPy
     decode, bit for bit.
 
     The step's matrices are consecutive row blocks of one buffer, so a
@@ -937,7 +1254,7 @@ def _decode_native(
     if ((dest < 0) | (dest >= np.repeat(block, counts))).any():
         raise IndexError("group row index outside its payload")
     dest += np.repeat(first, counts)
-    needed = -(-counts * dim * bits // 8)
+    needed = packed_bytes(counts, dim, bits)
     sizes = np.fromiter((st.size for st in streams), np.int64, counts.size)
     if (sizes < needed).any():
         raise ValueError("stream too short")
@@ -948,14 +1265,17 @@ def _decode_native(
     s_all = _cat(scales, np.float32)
     if z_all.size != dest.size or s_all.size != dest.size:
         raise ValueError("zero points and scales must be per-row vectors")
-    lib.repro_decode_groups(
+    groups = np.zeros((counts.size, 4), dtype=np.int64)
+    groups[:, 0], groups[:, 1] = bits, counts
+    np.cumsum(needed[:-1], out=groups[1:, 2])
+    np.cumsum(counts[:-1], out=groups[1:, 3])
+    lib.repro_decode_rows(
         stream.ctypes.data,
-        counts.size,
-        bits.ctypes.data,
-        counts.ctypes.data,
-        dim,
         z_all.ctypes.data,
         s_all.ctypes.data,
+        groups.ctypes.data,
+        counts.size,
+        dim,
         dest.ctypes.data,
         buf.ctypes.data,
     )
@@ -975,18 +1295,21 @@ def kernels_agree(lib) -> bool:
     """The loader's self-test: a small fixed step through both tiers.
 
     Three pairs of a ragged width with mixed bit-widths (so payload order
-    is not cat order and payloads have several groups), a constant row and
-    a 1-bit group: the compiled quantizer must reproduce the NumPy kernel's
-    codes, zero points and scales, and the compiled decode the NumPy
-    decode's matrices.  Calls the kernels directly — never
-    :func:`repro.quant.native.load`, which is what is running this.
+    is not cat order, payloads have several groups and rows share bytes),
+    a constant row and a 1-bit group: the compiled quantizer must
+    reproduce the NumPy kernel's wire bytes, zero points and scales (over
+    a wire buffer it finds full of ones); the compiled decode the NumPy
+    decode's matrices, from foreign payloads and from the plan's through a
+    :class:`DecodeIndex`; the compiled accumulate the per-pair adds.
+    Calls the kernels directly — never :func:`repro.quant.native.load`,
+    which is what is running this.
     """
     dim, counts = 19, np.array([5, 3, 4], dtype=np.int64)
     bits = np.array([2, 8, 4, 2, 1, 4, 4, 4, 8, 2, 8, 2], dtype=np.int64)
     n = int(counts.sum())
     rows = np.random.default_rng(0).normal(size=(n, dim)).astype(np.float32)
     rows[1] = 0.25
-    pairs = [(0, 1), (0, 2), (1, 0)]
+    pairs = [(0, 1), (0, 2), (1, 2)]
     rounding = KeyedRounding(0)
     encoder = FusedStepEncoder(rounding)
     plan = encoder.plan_for(
@@ -995,14 +1318,14 @@ def kernels_agree(lib) -> bool:
     encoder.gather_step(plan, {0: rows})
     (shard,) = encoder.shards_for(plan, 1)
     keys = rounding.block_keys("fwd", 0, plan.pair_src, plan.pair_dst)
-    z_ref, s_ref = encoder._quantize_numpy(plan, shard, keys)
-    codes_ref = plan.codes_buf.copy()
-    plan.codes_buf.fill(0xFF)
-    z, s = encoder._quantize_native(lib, plan, shard, keys)
+    encoder._pack_numpy(plan, shard, encoder._quantize_numpy(plan, shard, keys))
+    want = [plan.wire.copy(), plan.zero_points.copy(), plan.scales.copy()]
+    plan.wire.fill(0xFF)
+    encoder._quantize_pack_native(lib, plan, shard, keys)
     if not (
-        np.array_equal(plan.codes_buf, codes_ref)
-        and np.array_equal(z, z_ref)
-        and np.array_equal(s, s_ref)
+        plan.wire.tobytes() == want[0].tobytes()
+        and np.array_equal(plan.zero_points, want[1])
+        and np.array_equal(plan.scales, want[2])
     ):
         return False
     reference = MixedPrecisionEncoder(rounding)
@@ -1018,4 +1341,26 @@ def kernels_agree(lib) -> bool:
     flat = [(-1, i, payload) for i, payload in mailbox.items()]
     want = _decode_numpy({-1: mailbox}, flat, dim, None)[-1]
     got = _decode_native(lib, {-1: mailbox}, flat, dim, None)[-1]
-    return all(np.array_equal(got[i], want[i]) for i in mailbox)
+    if not all(got[i].tobytes() == want[i].tobytes() for i in mailbox):
+        return False
+    # Receiver 2's two pairs through an index: decode into a block, then
+    # accumulate it twice into rows where the two sources overlap.
+    index = decode_index(plan, 2, {0: [4, 0, 2], 1: [1, 2, 3, 4]}, 5, accumulate=True)
+    block = np.full(index.shape, np.nan, dtype=np.float32)
+    _decode_index_native(lib, index, block)
+    own = {src: plan.payloads[i] for i, (src, d) in enumerate(pairs) if d == 2}
+    decoded = _decode_numpy({2: own}, [(2, s, p) for s, p in own.items()], dim, None)
+    expect = np.concatenate([decoded[2][0], decoded[2][1]])
+    if block.tobytes() != expect.tobytes():
+        return False
+    got_sum, want_sum = np.ones((2, 5, dim), dtype=np.float32)
+    lib.repro_add_rows(
+        block.ctypes.data,
+        len(block),
+        dim,
+        index.add_rows.ctypes.data,
+        got_sum.ctypes.data,
+    )
+    for src in index.srcs:
+        want_sum[index.rows[src]] += block[index.land[src]]
+    return got_sum.tobytes() == want_sum.tobytes()

@@ -3,9 +3,9 @@
 :func:`load` returns the kernel library, or ``None`` where the NumPy
 kernels of :mod:`repro.quant.fused` run instead: no C compiler, a
 big-endian host, a failed build, an unloadable or unsafe cached file, or a
-self-test that disagrees with NumPy — each logged once, as one WARNING with
-the reason.  The tier is chosen by what this module observes; there is no
-option, flag or environment variable that selects it.
+self-test that disagrees with NumPy or calls back into :func:`load` —
+each logged once, as one WARNING with the reason.  The tier is chosen by
+what this module observes; no option, flag or environment variable does.
 
 The library is built once per (source, flags, compiler version) into a
 per-user cache outside the checkout — ``$XDG_CACHE_HOME`` or ``~/.cache``,
@@ -30,7 +30,7 @@ from pathlib import Path
 
 from repro.utils.logging import get_logger
 
-__all__ = ["FLAGS", "load", "status"]
+__all__ = ["FLAGS", "declare", "load", "status"]
 
 #: Bit-identity with NumPy rules out ``-ffast-math`` and FMA contraction; a
 #: cache shared between hosts (a network home) rules out ``-march=native``.
@@ -40,21 +40,29 @@ _log = get_logger(__name__)
 _lock = threading.Lock()
 #: ``(library or None, description)`` once decided; per process.
 _tier: tuple[ctypes.CDLL | None, str] | None = None
+_build_thread: int | None = None  # the thread inside _find_or_build, if any
 
 
 def load() -> ctypes.CDLL | None:
     """The compiled kernels, or ``None`` (the NumPy kernels run).  The first
-    call finds or builds the library; the outcome is kept for the process."""
-    global _tier
+    call finds or builds the library; the outcome is kept for the process.
+    A call from inside that build (its self-test) raises rather than wait on
+    the lock its own thread holds, so the build falls back to NumPy."""
+    global _tier, _build_thread
     if _tier is None:
+        if _build_thread == threading.get_ident():
+            raise RuntimeError("load() re-entered from its own self-test")
         with _lock:
             if _tier is None:
+                _build_thread = threading.get_ident()
                 try:
                     _tier = _find_or_build()
                 except Exception as exc:  # never fail a run over an optimisation
                     _log.warning("quant kernel: numpy (%s)", exc)
                     _log.debug("quant kernel: the loader's traceback", exc_info=True)
                     _tier = (None, f"numpy ({exc})")
+                finally:
+                    _build_thread = None
     return _tier[0]
 
 
@@ -85,22 +93,27 @@ def _find_or_build() -> tuple[ctypes.CDLL, str]:
     except OSError as exc:
         path.unlink(missing_ok=True)  # the next process rebuilds it
         raise RuntimeError(f"cannot load {path}: {exc}") from exc
-    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    signatures = {
-        "repro_philox_lanes": [ptr, i64, ptr],
-        "repro_quantize_pairs": [ptr, ptr, i64, i64, *[ptr] * 3, i64, *[ptr] * 4],
-        "repro_decode_groups": [ptr, i64, ptr, ptr, i64, *[ptr] * 4],
-    }
-    for name, argtypes in signatures.items():
-        fn = getattr(lib, name)
-        fn.argtypes, fn.restype = argtypes, None
-    # The load-time gate: a small fixed step through both tiers (imported
-    # here: fused imports this module).
+    declare(lib)
+    # The load-time gate (imported here: fused imports this module).
     from repro.quant.fused import kernels_agree
 
     if not kernels_agree(lib):
         raise RuntimeError("self-test disagrees with the NumPy kernels")
     return lib, f"native ({version}, {path})"
+
+
+def declare(lib: ctypes.CDLL) -> None:
+    """Argument types of every entry point (else ``ctypes`` passes C ints)."""
+    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+    signatures = {
+        "repro_philox_lanes": [ptr, i64, ptr],
+        "repro_quantize_pack_pairs": [ptr, ptr, i64, i64, *[ptr] * 4, i64, *[ptr] * 5],
+        "repro_decode_rows": [*[ptr] * 4, i64, i64, ptr, ptr],
+        "repro_add_rows": [ptr, i64, i64, ptr, ptr],
+    }
+    for name, argtypes in signatures.items():
+        fn = getattr(lib, name)
+        fn.argtypes, fn.restype = argtypes, None
 
 
 def _private(path: Path) -> bool:
@@ -110,8 +123,7 @@ def _private(path: Path) -> bool:
 
 
 def _cache_dir() -> Path:
-    """The per-user cache, else a ``0700`` per-uid directory under the
-    system temp dir; either way private to this user."""
+    """The per-user cache, else a private ``0700`` per-uid temp directory."""
     home = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
     fallback = Path(tempfile.gettempdir()) / f"repro-quant-kernels-{os.getuid()}"
     candidates = (Path(home) / "repro-quant-kernels", fallback)

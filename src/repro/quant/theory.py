@@ -8,7 +8,10 @@ These formulas are what the Adaptive Bit-width Assigner optimizes over:
   ``β_k = (Σ_{v ∈ N_T(k)} α²_{k,v}) · D_k · (max(h_k) - min(h_k))² / 6``,
   so a message quantized at ``b`` bits contributes ``β_k / (2^b - 1)²`` to
   the layer's gradient-variance bound (Eqn. 11);
-* Theorem 3 — the layer bound ``Q_l`` assembled from those ingredients.
+* Theorem 3 — the layer bound ``Q_l`` assembled from those ingredients;
+* Sec. 5 — the wire size of one bit-width group of a message,
+  ``⌈n·D·b/8⌉ + 8n + 8`` bytes (packed codes, a float32 zero point and
+  scale per row, a group header).
 """
 
 from __future__ import annotations
@@ -23,9 +26,32 @@ __all__ = [
     "beta_values",
     "variance_objective",
     "layer_variance_bound",
+    "packed_bytes",
+    "wire_bytes",
 ]
 
 SUPPORTED_BITS: tuple[int, ...] = (2, 4, 8)
+
+
+def packed_bytes(n_rows, dim, bits):
+    """``⌈n·D·b/8⌉``: one group's codes packed ``8 / b`` to a byte, the
+    stream starting on a byte boundary.  Works elementwise on arrays.
+
+    >>> packed_bytes(3, 5, 2)
+    4
+    """
+    return -(-n_rows * dim * bits // 8)
+
+
+def wire_bytes(n_rows, dim, bits):
+    """Bytes one ``b``-bit group of ``n`` rows × ``D`` occupies on the wire:
+    the packed codes, 8 B per row (float32 zero point and scale) and an 8 B
+    group header (width tag and row count).  Works elementwise on arrays.
+
+    >>> wire_bytes(3, 5, 2)
+    36
+    """
+    return packed_bytes(n_rows, dim, bits) + 8 * n_rows + 8
 
 
 def quantization_variance(h: np.ndarray, bits: int) -> np.ndarray:

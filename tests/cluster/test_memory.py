@@ -9,6 +9,8 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.exchange import ExactHaloExchange
 from repro.cluster.memory import (
     _quant_scratch_bytes,
+    _quant_stage_bytes,
+    _stage_bytes,
     estimate_memory,
     estimate_peak_resident,
     host_memory,
@@ -26,6 +28,16 @@ def _kernel_scratch(cluster):
         return 0
     send_rows = sum(dev.part.n_halo for dev in cluster.devices)
     return min(fused._QUANT_CHUNK_ROWS, send_rows) * max(cluster.dims[:-1]) * 16
+
+
+def _quant_stage(cluster, steps_widths):
+    """The exchange's plan staging, counted independently of the estimator
+    at the widest width (8 bits: the wire is one byte per element): 5 B
+    per element on the NumPy tier (rows + codes), plus 8 B per row of zero
+    point and scale on the compiled tier."""
+    send_rows = sum(dev.part.n_halo for dev in cluster.devices)
+    per_row = 0 if native.load() is None else 8 * len(steps_widths)
+    return send_rows * (5 * sum(steps_widths) + per_row)
 
 
 @pytest.fixture(scope="module")
@@ -127,8 +139,7 @@ def test_streaming_estimate_follows_operand_order(huge_store, hidden):
         fps = estimate_memory(c)
         engine = c._compute_engine()
         assert sum(fp.stacked_buffer_bytes for fp in fps) == _engine_buffer_bytes(engine)
-        send_rows = sum(dev.part.n_halo for dev in c.devices)
-        quant_stage = send_rows * (sum(c.dims[:-1]) + sum(c.dims[1:-1])) * 5
+        quant_stage = _quant_stage(c, [*c.dims[:-1], *c.dims[1:-1]])
         scratch = 0
         if not engine._transform_first[0]:
             scratch = max(dev.n_owned for dev in c.devices) * c.dims[0] * 4
@@ -147,8 +158,7 @@ def test_streaming_estimate_follows_operand_order(huge_store, hidden):
 
 def test_estimate_peak_resident_sums_devices(cluster):
     fps = estimate_memory(cluster)
-    send_rows = sum(dev.part.n_halo for dev in cluster.devices)
-    quant_stage = send_rows * 2 * sum(cluster.dims[:-1]) * 5
+    quant_stage = _quant_stage(cluster, 2 * cluster.dims[:-1])
     assert estimate_peak_resident(cluster) == (
         sum(fp.resident_bytes for fp in fps) + quant_stage + _kernel_scratch(cluster)
     )
@@ -190,39 +200,71 @@ def test_kernel_scratch_estimate_is_the_numpy_kernels_allocation(
 ):
     """NumPy tier: the estimate is what the kernel allocates — the whole
     step when it fits one chunk, one chunk (widened to the longest pair)
-    when it does not — plus only the per-row outputs."""
+    when it does not; its outputs land in the plan's buffers."""
     monkeypatch.setattr(fused, "_QUANT_CHUNK_ROWS", chunk_rows)
     encoder, plan, shard, keys = _widest_step(cluster)
+
+    def unstaged():
+        return estimate_peak_resident(cluster) - _quant_stage_bytes(cluster)
+
     with kernel_tier(None):
         estimate = _quant_scratch_bytes(cluster)
-        on_numpy = estimate_peak_resident(cluster)
+        on_numpy = unstaged()
     with kernel_tier(object()):  # any library: the estimator only asks whether
-        assert estimate == on_numpy - estimate_peak_resident(cluster)
+        assert estimate == on_numpy - unstaged()
     rows = min(max(chunk_rows, int(plan.pair_counts.max())), plan.n_total)
     assert estimate == rows * max(cluster.dims[:-1]) * 16
+    encoder._quantize_numpy(plan, shard, keys)  # allocates the plan's codes_buf
     peak = _peak_allocated(lambda: encoder._quantize_numpy(plan, shard, keys))
-    outputs = 2 * 4 * plan.n_total  # zero points + scales
     # Never below, and within 30 % above: the raw Philox words of the pair
     # being drawn (2 B per element of that pair), the buffered
     # ``take(..., out=)`` of the codes (1 B) and the per-row vectors ride on
     # top of the 16 B — bounded by the chunk, like the term itself.
-    assert estimate <= peak - outputs <= 1.3 * estimate
+    assert estimate <= peak <= 1.3 * estimate
 
 
 def test_kernel_scratch_is_dropped_where_the_compiled_tier_is_loaded(
     cluster, compiled_kernels, kernel_tier
 ):
     """Compiled tier: the estimate has no scratch term, and the kernel
-    allocates none — O(dim) lanes plus the per-row outputs."""
+    allocates none — O(dim) lanes and codes of one row; its outputs land in
+    the plan's buffers."""
     lib = compiled_kernels
     encoder, plan, shard, keys = _widest_step(cluster)
     with kernel_tier(lib):
         assert _quant_scratch_bytes(cluster) == 0
-    peak = _peak_allocated(lambda: encoder._quantize_native(lib, plan, shard, keys))
-    outputs = 2 * 4 * plan.n_total
-    assert peak - outputs <= 2 * (plan.dim + 16) + 4096  # lanes + Python objects
+    peak = _peak_allocated(
+        lambda: encoder._quantize_pack_native(lib, plan, shard, keys)
+    )
+    assert peak <= 3 * plan.dim + 32 + 4096  # lanes + codes + Python objects
     numpy_peak = _peak_allocated(lambda: encoder._quantize_numpy(plan, shard, keys))
     assert numpy_peak > 50 * peak
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
+def test_stage_estimate_is_what_a_plan_holds(cluster, compiled_kernels, kernel_tier,
+                                             compiled):  # fmt: skip
+    """Each tier against ``tracemalloc``: building and encoding the widest
+    step at mixed widths leaves the plan holding the staging term at the
+    plan's widths — plus only its int64 index arrays and payload views
+    (< 128 B per row, 2 KiB per pair), and on the NumPy tier the wire and
+    per-row metadata its 5 B/element term has never counted."""
+    with kernel_tier(compiled_kernels if compiled else None):
+        tracemalloc.start()
+        try:
+            encoder, plan, shard, keys = _widest_step(cluster)
+            encoder.quantize_pack_step(plan, coords=("fwd", 0))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        term = _stage_bytes(plan.n_total, plan.dim, plan.wire.nbytes)
+        # The cluster estimate is the same term at 8 bits, over every step.
+        assert _quant_stage_bytes(cluster) == _quant_stage(cluster, 2 * cluster.dims[:-1])
+    assert (plan.codes_buf is None) == compiled
+    uncounted = 0 if compiled else plan.wire.nbytes + 8 * plan.n_total
+    index = 128 * plan.n_total + 2048 * len(plan.pairs)
+    assert term + uncounted <= held <= term + uncounted + index
+    assert plan.wire.nbytes < plan.n_total * plan.dim  # mixed widths: < 1 B/element
 
 
 def test_host_memory_parses_meminfo(tmp_path):

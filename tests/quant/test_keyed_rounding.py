@@ -290,34 +290,47 @@ def test_fused_keyed_matches_per_pair_keyed_bitwise():
             assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("n_shards", [2, 3, 8])
-def test_sharded_encode_is_bitwise_shard_and_order_invariant(n_shards):
-    pairs, counts, _, cat_idx, bits_cat, values, blocks, dim = _synthetic_step(5)
-    whole = FusedStepEncoder(KeyedRounding(9))
-    plan_w = whole.plan_for("k", pairs, counts, blocks, cat_idx, bits_cat, dim)
-    reference = whole.encode_step(plan_w, values, coords=("bwd", 2))
-
-    sharded = FusedStepEncoder(KeyedRounding(9))
-    plan_s = sharded.plan_for("k", pairs, counts, blocks, cat_idx, bits_cat, dim)
-    sharded.gather_step(plan_s, values)
-    shards = sharded.shards_for(plan_s, n_shards)
-    assert 1 <= len(shards) <= min(n_shards, len(pairs))
+def _sharded_bytes(encoder, plan, values, n_shards):
+    """Encode ``values`` shard by shard in a shuffled order; every pair's
+    bytes, snapshotted as each shard's payloads come back."""
+    encoder.gather_step(plan, values)
+    shards = encoder.shards_for(plan, n_shards)
+    assert 1 <= len(shards) <= min(n_shards, len(plan.pairs))
     # Shards tile the pair list exactly once.
     spans = sorted((s.pair_lo, s.pair_hi) for s in shards)
-    assert spans[0][0] == 0 and spans[-1][1] == len(pairs)
+    assert spans[0][0] == 0 and spans[-1][1] == len(plan.pairs)
     assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
-
     shuffled = list(shards)
     random.Random(n_shards).shuffle(shuffled)
     got = {}
     for shard in shuffled:
-        got.update(sharded.quantize_pack_shard(plan_s, shard, coords=("bwd", 2)))
-    assert set(got) == set(reference)
-    for pair in reference:
-        for a, b in zip(reference[pair].streams, got[pair].streams):
-            assert np.array_equal(a, b)
-        for a, b in zip(reference[pair].zero_points, got[pair].zero_points):
-            assert np.array_equal(a, b)
+        got.update(
+            _pair_bytes(encoder.quantize_pack_shard(plan, shard, coords=("bwd", 2)))
+        )
+    return got
+
+
+@pytest.mark.parametrize("n_shards", [2, 3, 8])
+def test_sharded_encode_is_bitwise_shard_and_order_invariant(n_shards, monkeypatch):
+    pairs, counts, _, cat_idx, bits_cat, values, blocks, dim = _synthetic_step(5)
+    whole = FusedStepEncoder(KeyedRounding(9))
+    plan_w = whole.plan_for("k", pairs, counts, blocks, cat_idx, bits_cat, dim)
+    reference = _pair_bytes(whole.encode_step(plan_w, values, coords=("bwd", 2)))
+
+    sharded = FusedStepEncoder(KeyedRounding(9))
+    plan_s = sharded.plan_for("k", pairs, counts, blocks, cat_idx, bits_cat, dim)
+    assert _sharded_bytes(sharded, plan_s, values, n_shards) == reference
+
+    # Mutation check: flip one pair's key and the comparison must fail.
+    genuine = sharded.rounding.block_keys
+
+    def flipped(phase, layer, src, dst):
+        keys = genuine(phase, layer, src, dst).copy()
+        keys[np.asarray(src) == pairs[0][0], 0] ^= np.uint64(1)
+        return keys
+
+    monkeypatch.setattr(sharded.rounding, "block_keys", flipped)
+    assert _sharded_bytes(sharded, plan_s, values, n_shards) != reference
 
 
 def _pair_bytes(payloads):

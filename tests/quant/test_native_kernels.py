@@ -1,17 +1,20 @@
 """Compiled kernels ≡ NumPy kernels, bit for bit.
 
 The byte-equality gate at kernel level: Philox lanes against
-``numpy.random.Philox``, the compiled quantizer against the NumPy kernel
-through every shard decomposition and the ``pair_shard`` replay, the
-compiled decode against ``payload.decode()``.  Both tiers are driven
-explicitly here (whatever ``--quant-kernel`` pins for the session), so the
-NumPy reference kernel is exercised on every host that has a compiler too.
+``numpy.random.Philox``, the compiled quantize + pack against the NumPy
+kernel and packer through every shard decomposition and the ``pair_shard``
+replay, the compiled decode against ``payload.decode()`` — for foreign
+payloads and through a plan's :class:`DecodeIndex` straight into halo rows
+or an accumulated block.  Both tiers are driven explicitly here (whatever
+``--quant-kernel`` pins for the test run), so the NumPy reference kernel is
+exercised on every host that has a compiler too.
 
-Codes, packed streams and decoded matrices are compared as bytes; zero
-points and scales by value (``-0.0 == 0.0``): a row whose minimum is a zero
-may report either sign on either tier (NumPy's own SIMD reduction is free
-to), and no code or decoded value depends on it — which the byte comparison
-of the decoded matrices checks.
+Wire bytes and decoded matrices are compared as bytes; zero points and
+scales by value (``-0.0 == 0.0``): a row whose minimum is a zero may report
+either sign on either tier (NumPy's own SIMD reduction is free to), and no
+code or decoded value depends on it — which the byte comparison of the
+decoded matrices checks.  Payloads are views of their plan's buffers, so
+anything compared across two encodes is snapshotted first.
 """
 
 import ctypes
@@ -25,7 +28,9 @@ from repro.quant.fused import (
     DecodeWorkspace,
     FusedStepEncoder,
     _decode_native,
+    accumulate_block,
     decode_cluster_step,
+    decode_index,
     decode_step,
     pair_shard,
 )
@@ -127,20 +132,57 @@ def _assert_same_payload(got: MixedPrecisionPayload, want: MixedPrecisionPayload
 @settings(max_examples=60, deadline=None)
 @given(step=steps(min_rows=0), epoch=st.integers(0, 1000))
 def test_quantize_kernel_is_numpys(lib, step, epoch):
-    """Same ``codes_buf``, zero points and scales from both kernels — called
-    directly, on the whole step as one shard."""
+    """Same wire bytes, zero points and scales from both kernels — called
+    directly, on the whole step as one shard.  The compiled one starts from
+    a wire buffer full of stale bytes: rows sharing a byte and a group's
+    padding must come out exactly as the packer writes them."""
     encoder = FusedStepEncoder(KeyedRounding(5))
     encoder.rounding.set_epoch(epoch)
     plan = _plan(encoder, step)
     assert plan.identity == (plan.payload_pos is None)
     (shard,) = encoder.shards_for(plan, 1)
     keys = encoder.rounding.block_keys("bwd", 1, plan.pair_src, plan.pair_dst)
-    z_ref, s_ref = encoder._quantize_numpy(plan, shard, keys)
-    codes_ref = plan.codes_buf.copy()
-    plan.codes_buf.fill(0xEE)
-    z, s = encoder._quantize_native(lib, plan, shard, keys)
-    assert plan.codes_buf.tobytes() == codes_ref.tobytes()
-    assert np.array_equal(z, z_ref) and np.array_equal(s, s_ref)
+    encoder._pack_numpy(plan, shard, encoder._quantize_numpy(plan, shard, keys))
+    wire, z_ref, s_ref = plan.wire.tobytes(), plan.zero_points.copy(), plan.scales.copy()
+    plan.wire.fill(0xEE)
+    plan.zero_points.fill(np.nan)
+    plan.scales.fill(np.nan)
+    encoder._quantize_pack_native(lib, plan, shard, keys)
+    assert plan.wire.tobytes() == wire
+    assert np.array_equal(plan.zero_points, z_ref) and np.array_equal(plan.scales, s_ref)
+
+
+def _snapshot(payloads):
+    """Every byte of ``payloads``, copied out of the plan buffers they view."""
+    return {
+        pair: (
+            p.num_rows,
+            p.dim,
+            list(p.group_bits),
+            [r.tobytes() for r in p.group_rows],
+            [s.tobytes() for s in p.streams],
+            [z.tolist() for z in p.zero_points],  # by value: -0.0 == 0.0
+            [s.tolist() for s in p.scales],
+        )
+        for pair, p in payloads.items()
+    }
+
+
+def _check_shards_and_replay(encoder, plan, want):
+    """Payloads of the compiled tier under shard counts {1, 2, 3, 7} and the
+    single-pair replay, each snapshotted before the next encode, against
+    the snapshot ``want``."""
+    coords = ("fwd", 2)
+    for n_shards in (1, 2, 3, 7):
+        got = {}
+        for shard in encoder.shards_for(plan, n_shards):
+            got.update(encoder.quantize_pack_shard(plan, shard, coords=coords))
+        assert list(got) == list(want)
+        assert _snapshot(got) == want
+    for i in {0, len(plan.pairs) // 2, len(plan.pairs) - 1}:
+        replay = encoder.quantize_pack_shard(plan, pair_shard(plan, i), coords=coords)
+        pair = plan.pairs[i]
+        assert _snapshot({pair: replay[pair]})[pair] == want[pair]
 
 
 @settings(max_examples=40, deadline=None)
@@ -148,33 +190,49 @@ def test_quantize_kernel_is_numpys(lib, step, epoch):
 def test_every_shard_decomposition_and_replay_emit_the_reference_bytes(
     lib, tier, step
 ):
-    """Payloads of the compiled tier under shard counts {1, 2, 3, 7} and the
-    single-pair ``pair_shard`` replay equal the NumPy tier's one-shard
-    payloads, and both equal the per-message reference encoder's."""
+    """Payloads of the compiled tier under every shard count and the
+    ``pair_shard`` replay equal the NumPy tier's one-shard payloads, and
+    both equal the per-message reference encoder's."""
     encoder = FusedStepEncoder(KeyedRounding(9))
     plan = _plan(encoder, step)
-    coords = ("fwd", 2)
     with tier(None):
-        want = encoder.quantize_pack_step(plan, coords=coords)
+        want = _snapshot(encoder.quantize_pack_step(plan, coords=("fwd", 2)))
     with tier(lib):
-        for n_shards in (1, 2, 3, 7):
-            got = {}
-            for shard in encoder.shards_for(plan, n_shards):
-                got.update(encoder.quantize_pack_shard(plan, shard, coords=coords))
-            assert list(got) == list(want)
-            for pair in want:
-                _assert_same_payload(got[pair], want[pair])
-        for i in {0, len(plan.pairs) // 2, len(plan.pairs) - 1}:
-            replay = encoder.quantize_pack_shard(plan, pair_shard(plan, i), coords=coords)
-            _assert_same_payload(replay[plan.pairs[i]], want[plan.pairs[i]])
+        _check_shards_and_replay(encoder, plan, want)
     pairs, counts, bits, values, _ = step
     reference = MixedPrecisionEncoder(KeyedRounding(9))
     lo = 0
     for pair, count in zip(pairs, counts):
-        block = ("fwd", 2, *pair)
         span = slice(lo, lo + count)
-        _assert_same_payload(want[pair], reference.encode(values[span], bits[span], block))
+        payload = reference.encode(values[span], bits[span], ("fwd", 2, *pair))
+        assert want[pair] == _snapshot({pair: payload})[pair]
         lo += count
+
+
+def test_the_shard_comparison_sees_a_flipped_key(lib, tier, monkeypatch):
+    """Mutation check of the test above: with one pair's key flipped after
+    the reference encode, the comparison must fail — it compares bytes
+    snapshotted before the next encode, not the plan's views with
+    themselves."""
+    gen = np.random.default_rng(0)
+    counts = np.array([6, 9, 4], dtype=np.int64)
+    n = int(counts.sum())
+    step = ([(0, 1), (0, 2), (1, 2)], counts, gen.choice([2, 4, 8], n),
+            gen.normal(size=(n, 13)).astype(np.float32), 13)  # fmt: skip
+    encoder = FusedStepEncoder(KeyedRounding(9))
+    plan = _plan(encoder, step)
+    with tier(None):
+        want = _snapshot(encoder.quantize_pack_step(plan, coords=("fwd", 2)))
+    genuine = encoder.rounding.block_keys
+
+    def flipped(phase, layer, src, dst):
+        keys = genuine(phase, layer, src, dst).copy()
+        keys[np.asarray(src) == 1, 0] ^= np.uint64(1)
+        return keys
+
+    monkeypatch.setattr(encoder.rounding, "block_keys", flipped)
+    with tier(lib), pytest.raises(AssertionError):
+        _check_shards_and_replay(encoder, plan, want)
 
 
 # ----------------------------------------------------------------------
@@ -216,6 +274,109 @@ def test_decode_is_payload_decode(lib, tier, collects, use_workspace):
             assert got[dst][src].dtype == np.float32
             assert got[dst][src].tobytes() == payload.decode().tobytes()
             assert reference[dst][src].tobytes() == payload.decode().tobytes()
+
+
+@st.composite
+def exchange_steps(draw):
+    """One step of a small cluster, receiver side: every receiver has up to
+    four sources with ragged pair sizes (empty pairs too), every width incl.
+    1 bit and widths whose rows share bytes, mixed payload orders; per
+    receiver, each source's destination rows — a split of the halo rows
+    (sometimes with slots no source feeds) or, for accumulation, distinct
+    rows within a pair that overlap across pairs."""
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.sampled_from((1, 3, 7, 8, 19, 64)))
+    n_dev = draw(st.integers(2, 4))
+    pairs = [(s, d) for s in range(n_dev) for d in range(n_dev)
+             if s != d and gen.random() < 0.8]  # fmt: skip
+    pairs = pairs or [(0, 1)]
+    counts = gen.integers(0, 9, len(pairs)).astype(np.int64)
+    counts[gen.integers(len(pairs))] += 1  # never an empty step
+    n = int(counts.sum())
+    widths = draw(st.sampled_from([(2, 4, 8), (1, 2, 4, 8), (1,), (8,)]))
+    bits = gen.choice(widths, n).astype(np.int64)
+    values = gen.normal(size=(n, dim)).astype(np.float32)
+    halo, owned = {}, {}
+    for dst in range(n_dev):
+        srcs = [i for i, (_, d) in enumerate(pairs) if d == dst]
+        total = int(sum(counts[i] for i in srcs))
+        n_halo = total + int(gen.integers(0, 3))  # unfed slots: a zero-fill
+        order = gen.permutation(n_halo)
+        n_owned = int(gen.integers(1, 12))
+        cuts = np.cumsum([0, *(counts[i] for i in srcs)])
+        halo[dst] = (
+            {pairs[i][0]: order[a:b] for i, a, b in zip(srcs, cuts, cuts[1:])},
+            n_halo,
+        )
+        owned[dst] = (
+            {pairs[i][0]: gen.choice(max(n_owned, int(counts[i])), int(counts[i]),
+                                     replace=False) for i in srcs},  # fmt: skip
+            max([n_owned, *(int(counts[i]) for i in srcs)]),
+        )
+    return pairs, counts, bits, values, dim, halo, owned
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=exchange_steps(), accumulate=st.booleans(), drop=st.booleans())
+def test_decode_index_lands_every_row(lib, tier, case, accumulate, drop):
+    """Through a plan's :class:`DecodeIndex`, both tiers land each
+    receiver's rows where ``payload.decode()`` says — halo rows directly,
+    or a block whose accumulate is the per-pair ``out[rows] += mat`` — and
+    a receiver missing a source gets zeros there (the replay's job)."""
+    pairs, counts, bits, values, dim, halo, owned = case
+    encoder = FusedStepEncoder(KeyedRounding(3))
+    plan = _plan(encoder, (pairs, counts, bits, values, dim))
+    payloads = encoder.quantize_pack_step(plan, coords=("bwd", 0))
+    collects = {
+        dst: {s: payloads[(s, d)] for s, d in sorted(pairs) if d == dst}
+        for dst in sorted(halo)
+    }
+    if drop:
+        victim = next((d for d, box in collects.items() if box), None)
+        if victim is not None:
+            collects[victim].pop(next(iter(collects[victim])))
+    for lib_or_none in (lib, None):
+        into = {}
+        for dst in collects:
+            rows, n_out = (owned if accumulate else halo)[dst]
+            index = decode_index(plan, dst, rows, n_out, accumulate=accumulate)
+            into[dst] = (index, np.full(index.shape, np.nan, dtype=np.float32))
+        with tier(lib_or_none):
+            landed = decode_cluster_step(collects, into=into)
+        for dst, mailbox in collects.items():
+            index, buf = into[dst]
+            assert list(landed[dst]) == list(mailbox)
+            want = np.zeros(index.shape, dtype=np.float32)
+            for src, payload in mailbox.items():
+                want[index.land[src]] = payload.decode()
+            assert buf.tobytes() == want.tobytes()
+            if accumulate:
+                got = np.ones((index.n_out, dim), dtype=np.float32)
+                expect = got.copy()
+                with tier(lib_or_none):
+                    accumulate_block(index, buf, got)
+                for src in index.srcs:
+                    expect[index.rows[src]] += want[index.land[src]]
+                assert got.tobytes() == expect.tobytes()
+
+
+def test_decode_index_checks_what_the_kernel_trusts():
+    """Destination rows are checked once, when the index is built; a
+    buffer of the wrong shape is refused at every decode."""
+    counts = np.array([3, 2], dtype=np.int64)
+    step = ([(0, 2), (1, 2)], counts, np.array([2, 4, 2, 8, 1]),
+            np.ones((5, 3), dtype=np.float32), 3)  # fmt: skip
+    plan = _plan(FusedStepEncoder(KeyedRounding(0)), step)
+    with pytest.raises(IndexError, match="outside"):
+        decode_index(plan, 2, {0: [0, 1, 2], 1: [3, 4]}, 4)
+    with pytest.raises(ValueError, match="sources"):
+        decode_index(plan, 2, {0: [0, 1, 2]}, 4)
+    with pytest.raises(ValueError, match="repeats"):
+        decode_index(plan, 2, {0: [0, 0, 1], 1: [0, 1]}, 3, accumulate=True)
+    index = decode_index(plan, 2, {0: [0, 1, 2], 1: [3, 4]}, 5)
+    assert index.covers and index.shape == (5, 3)
+    with pytest.raises(ValueError, match="decode buffer"):
+        decode_cluster_step({2: {}}, into={2: (index, np.zeros((4, 3), np.float32))})
 
 
 def _payload(bits=4, n=5, dim=6):
@@ -276,6 +437,8 @@ def test_loader_declares_every_entry_point(lib):
     """``ctypes`` would otherwise guess ``int`` arguments and truncate
     64-bit pointers and sizes."""
     assert isinstance(lib, ctypes.CDLL)
-    for name in ("repro_philox_lanes", "repro_quantize_pairs", "repro_decode_groups"):
+    entries = ("repro_philox_lanes", "repro_quantize_pack_pairs", "repro_decode_rows",
+               "repro_add_rows")  # fmt: skip
+    for name in entries:
         entry = getattr(lib, name)
         assert entry.argtypes and entry.restype is None

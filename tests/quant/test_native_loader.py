@@ -14,6 +14,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 from importlib import resources
 from pathlib import Path
 
@@ -112,9 +113,9 @@ def test_self_test_mismatch(cache, caplog, monkeypatch):
     genuine = FusedStepEncoder._quantize_numpy
 
     def off_by_one(self, plan, shard, keys):
-        result = genuine(self, plan, shard, keys)
-        plan.codes_buf[shard.start, 0] ^= 1
-        return result
+        codes = genuine(self, plan, shard, keys)
+        codes[shard.start, 0] ^= 1
+        return codes
 
     monkeypatch.setattr(FusedStepEncoder, "_quantize_numpy", off_by_one)
     with caplog.at_level(logging.WARNING, logger="repro"):
@@ -124,6 +125,34 @@ def test_self_test_mismatch(cache, caplog, monkeypatch):
     assert "self-test disagrees" in record.getMessage()
     monkeypatch.setattr(FusedStepEncoder, "_quantize_numpy", genuine)
     _assert_working_run()  # on the NumPy tier the loader fell back to
+
+
+@needs_compiler
+def test_a_self_test_that_calls_the_loader_fails_over_instead_of_hanging(
+    cache, caplog, monkeypatch
+):
+    """A kernel call site reachable from the self-test calls ``load()``
+    while the build holds the loader's lock: it raises at once, so the
+    build ends on the NumPy tier with one WARNING rather than deadlocking."""
+    from repro.quant import fused
+
+    genuine = fused.kernels_agree
+
+    def calls_back(lib):
+        native.load()
+        return genuine(lib)
+
+    monkeypatch.setattr(fused, "kernels_agree", calls_back)
+    verdict = []
+    worker = threading.Thread(target=lambda: verdict.append(native.load()), daemon=True)
+    with caplog.at_level(logging.WARNING, logger="repro"):
+        worker.start()
+        worker.join(timeout=60)
+    assert not worker.is_alive(), "load() deadlocked on its own self-test"
+    assert verdict == [None]
+    (record,) = _warnings(caplog)
+    assert "re-entered" in record.getMessage() and "re-entered" in native.status()
+    assert native._build_thread is None  # the next build starts clean
 
 
 @needs_compiler
@@ -215,11 +244,15 @@ def test_a_later_process_loads_the_build_it_finds(cache):
 def test_the_c_source_ships_as_package_data():
     source = resources.files("repro.quant").joinpath("_kernels.c")
     text = source.read_text()
-    for entry in ("repro_philox_lanes", "repro_quantize_pairs", "repro_decode_groups"):
+    entries = ("repro_philox_lanes", "repro_quantize_pack_pairs", "repro_decode_rows",
+               "repro_add_rows")  # fmt: skip
+    for entry in entries:
         assert entry in text
-    assert len(text.splitlines()) <= 250
+    for gone in ("repro_quantize_pairs", "repro_decode_groups"):
+        assert gone not in text
+    assert len(text.splitlines()) <= 300
     loader = Path(native.__file__).read_text()
-    assert len(loader.splitlines()) <= 150
+    assert len(loader.splitlines()) <= 160
     assert "-ffast-math" not in native.FLAGS and "-march=native" not in native.FLAGS
     assert "-ffp-contract=off" in native.FLAGS
     pyproject = Path(__file__).parents[2] / "pyproject.toml"

@@ -10,6 +10,7 @@ from reference.oracle import FIXED_BITS, ReferenceTrainer
 
 from repro.graph.partition.api import partition_graph
 from repro.graph.partition.book import PartitionBook
+from repro.quant.theory import wire_bytes
 
 FENCED = (
     "repro.cluster.compute", "repro.cluster.exchange", "repro.quant.fused",
@@ -35,14 +36,15 @@ def test_partitioned_reference_equals_one_device(tiny_dataset, parts, hidden):
 
 
 def test_quantized_wire_bytes_equal_the_analytic_count(tiny_dataset):
-    """A b-bit message of n rows × dim is ⌈n·dim·b/8⌉ packed bytes + 8 B per
-    row (zero point, scale) + one 8 B group header; each pair carries one
-    per layer (at the layer's input width) and direction."""
+    """A b-bit message of n rows × dim is ``theory.wire_bytes``: ⌈n·dim·b/8⌉
+    packed bytes + 8 B per row (zero point, scale) + one 8 B group header;
+    each pair carries one per layer (at the layer's input width) and
+    direction."""
     trainer = _trainer(tiny_dataset, 4, "quantized", 8)
     _, wire = trainer.train_epoch(0)
     counts = [rows.size for dev in trainer.devices for rows in dev.part.send_map.values()]
     assert wire == sum(
-        2 * (-(-n * dim * FIXED_BITS // 8) + 8 * n + 8)
+        2 * wire_bytes(n, dim, FIXED_BITS)
         for dim in (tiny_dataset.num_features, 8, 8)
         for n in counts
     )
