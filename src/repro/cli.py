@@ -25,10 +25,7 @@ benchmark ``BENCHMARK.json`` declares), not by a subcommand here.
 from __future__ import annotations
 
 import argparse
-import getpass
-import json
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -111,10 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument(
         "--transport", default=None, metavar="SPEC",
         help="transport backend spec 'backend[:workers]': auto (default), "
-             "sync, worker[:N] (thread pool), process[:N] (worker "
-             "processes over shared memory — scales quantize-heavy steps "
-             "past the GIL); every backend is bit-identical to sync "
-             "under the same seed")
+             "sync, worker[:N] (thread pool); every backend is "
+             "bit-identical to sync under the same seed")
     p_train.add_argument(
         "--pipeline-depth", type=int, default=None, choices=(1, 2),
         metavar="D",
@@ -146,9 +141,10 @@ def build_parser() -> argparse.ArgumentParser:
         dest="inject_faults",
         help="inject a transport fault, repeatable; SPEC is "
              "'kind[:tag[@epoch]][:key=value,...]' with kinds "
-             "drop, duplicate, stall, error, kill_worker, poison — e.g. "
-             "'drop:fwd/L1@2:src=0,dst=1' or 'kill_worker:*@3' "
-             "(fault-tolerance testing; recovery is exercised live)")
+             "drop, duplicate, stall, error — e.g. "
+             "'drop:fwd/L1@2:src=0,dst=1' or 'stall:*@3:delay=5' "
+             "(fault-tolerance testing; recovery is exercised live; a "
+             "fault that never fires is reported after the run)")
 
     p_prep = sub.add_parser(
         "prepare",
@@ -190,32 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _health_file() -> Path:
-    """Where ``repro train`` drops its last-run transport-health report
-    (and ``repro info`` picks it up)."""
-    try:
-        user = getpass.getuser()
-    except (KeyError, OSError):
-        user = "user"
-    return Path(tempfile.gettempdir()) / f"repro-{user}-transport-health.json"
-
-
-def _write_health_report(result) -> None:
-    payload = {
-        "system": result.system,
-        "dataset": result.dataset,
-        "start_epoch": result.start_epoch,
-        "epochs_run": result.epochs,
-        "health": result.transport_health,
-    }
-    try:
-        _health_file().write_text(
-            json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8"
-        )
-    except OSError:
-        pass  # a read-only tempdir must not fail the run
-
-
 def _cmd_info() -> int:
     from repro.cluster.memory import host_memory
     from repro.comm.transport import (
@@ -223,7 +193,7 @@ def _cmd_info() -> int:
         host_has_spare_core,
         host_spare_cores,
     )
-    from repro.comm.transports import available_backends, resolve_spec
+    from repro.comm.transports import resolve_spec
 
     print(f"repro {__version__} — AdaQP reproduction (MLSys 2023)")
     print(f"systems:  {', '.join(SYSTEMS)}")
@@ -250,43 +220,13 @@ def _cmd_info() -> int:
               f"{hm.available_bytes / 2**30:.1f} GiB available "
               "(huge-graph runs warn when the estimated working set "
               "exceeds this)")
-    print(f"backends: {', '.join(available_backends())} "
-          "(select with --transport backend[:workers])")
+    print("backends: sync, worker (select with --transport backend[:workers])")
     print(f"defaults: transport={cfg.transport} — "
           f"overlapped runs resolve to '{resolved}', i.e. {async_default}")
-    print("          (override: --transport sync|worker[:N]|process[:N], "
-          "--no-overlap)")
+    print("          (override: --transport sync|worker[:N], --no-overlap)")
     # Which quantization kernels a run on this host uses, and why (the
     # first call builds the compiled tier into the per-user cache).
     print(f"quant kernel: {native.status()}")
-
-    # Last-run transport health (written by `repro train`): worker exit
-    # codes, pool respawns and fault-recovery counters.
-    health_path = _health_file()
-    if health_path.is_file():
-        try:
-            report = json.loads(health_path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            report = None
-        if report:
-            health = report.get("health", {}) or {}
-            abnormal = health.get("abnormal_exits", [])
-            respawns = health.get("respawns", 0)
-            faults = {
-                k: v for k, v in (health.get("fault_stats") or {}).items() if v
-            }
-            verdict = (
-                f"{len(abnormal)} abnormal worker exit(s)"
-                if abnormal
-                else "all workers exited cleanly"
-            )
-            print(
-                f"last run: {report.get('system')} on {report.get('dataset')} — "
-                f"transport {health.get('kind', '?')}; {verdict}"
-                + (f"; {respawns} pool respawn(s)" if respawns else "")
-            )
-            if faults:
-                print(f"          fault counters: {faults}")
     return 0
 
 
@@ -396,7 +336,19 @@ def _cmd_train(args: argparse.Namespace) -> int:
     except TransportError as exc:
         print(f"error: transport failure: {exc}", file=sys.stderr)
         return 1
-    _write_health_report(result)
+    if fault_plan is not None and fault_plan.armed():
+        # A fault that never fired proves nothing: a mistyped tag, or an
+        # epoch or layer the run never reached.
+        unfired = [
+            text
+            for text, spec in zip(args.inject_faults, fault_plan.specs)
+            if spec.count > 0
+        ]
+        print(
+            f"warning: {len(unfired)} injected fault(s) did not fire as "
+            f"specified: {', '.join(unfired)}",
+            file=sys.stderr,
+        )
     if result.start_epoch:
         print(f"resumed from checkpoint at epoch {result.start_epoch}")
         if result.start_epoch >= cfg.epochs:
@@ -428,15 +380,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if result.bit_histogram:
         print("bit-width histogram:", result.bit_histogram)
     print(f"quant kernel: {native.status()}")
-    health = result.transport_health
-    faults = {k: v for k, v in (health.get("fault_stats") or {}).items() if v}
-    abnormal = health.get("abnormal_exits") or []
-    if abnormal or faults or health.get("respawns"):
-        print(
-            f"transport health: {len(abnormal)} abnormal worker exit(s), "
-            f"{health.get('respawns', 0)} pool respawn(s); "
-            f"fault counters: {faults or '{}'}"
-        )
+    stats = result.transport_health.get("fault_stats") or {}
+    faults = {k: v for k, v in stats.items() if v}
+    if faults:
+        print(f"fault counters: {faults}")
     return 0
 
 

@@ -79,16 +79,15 @@ class Cluster:
         the materialized block-diagonal matrix).
     transport:
         Transport backend selection — a spec string (``"auto"``,
-        ``"sync"``, ``"worker:4"``, ``"process:2"``) or a parsed
+        ``"sync"``, ``"worker:4"``) or a parsed
         :class:`~repro.comm.transports.TransportSpec`.  ``"auto"`` (the
         default) resolves to the worker backend when the split-phase
         pipeline executes and the host has a spare core, sync otherwise;
-        the async backends degrade to sync for non-overlapped runs
+        the worker backend degrades to sync for non-overlapped runs
         (there is no central window to hide work under).  Resolution
         happens here, once: ``cluster.transport_spec`` is the concrete
-        spec, and a process pool spawns at construction (before epoch
-        state exists to drag through a fork) and drains + unlinks its
-        shared memory at :meth:`close`.  ``cluster.async_transport`` /
+        spec; the worker pool starts on first use and is shut down at
+        :meth:`close`.  ``cluster.async_transport`` /
         ``cluster.transport_workers`` are read-only mirrors derived from
         the resolved spec.
     pipeline_depth:
@@ -109,7 +108,7 @@ class Cluster:
         waits forever.
     fault_plan:
         A :class:`~repro.comm.faults.FaultPlan` of injected transport
-        faults (drops, duplicates, stalls, worker kills, slab poison) for
+        faults (drops, duplicates, stalls, job errors) for
         the fault-tolerance tests; ``None`` disables injection entirely.
     """
 
@@ -184,7 +183,7 @@ class Cluster:
         # Evaluation's exact exchange is stateless, so one instance serves
         # every evaluate() call; its Transport stays per-call (a cached one
         # would accumulate byte accounting and, after an interrupted eval,
-        # poison later calls with stale undelivered envelopes).
+        # taint later calls with stale undelivered envelopes).
         self._eval_exchange = ExactHaloExchange()
 
         # Streaming mode degrades the split-phase pipeline to off: its
@@ -209,14 +208,8 @@ class Cluster:
             self.transport.fault_plan = fault_plan
         # Decide the quantization kernel tier now (a warm load is a few
         # ms; the first run on a machine compiles), so the run says which
-        # one it uses and worker processes inherit — or find cached —
-        # this build instead of compiling on the hot path.
+        # one it uses instead of compiling on the hot path.
         _log.info("quant kernel: %s", native.status())
-        # Process pools spawn here, at cluster open, before any epoch
-        # state exists to drag through a fork.
-        start = getattr(self.transport, "start", None)
-        if start is not None:
-            start()
         # The engine's step plan (operators, stacked buffers, views) is
         # static across epochs, so it is built once and lazily; the
         # per-phase FLOP-accounting arrays are likewise cached.
@@ -372,14 +365,11 @@ class Cluster:
         return resized
 
     def close(self) -> None:
-        """Release background transport resources (worker threads or
-        processes, plus any shared-memory slabs).
+        """Release background transport resources (worker threads).
 
         Idempotent, and safe after a failed epoch: the transport joins
         outstanding worker jobs swallowing their exceptions (the caller
-        already saw them) before shutting the pool down; a process
-        transport additionally unlinks every shm segment (with a
-        finalizer backstop for the path where close never runs).
+        already saw them) before shutting the pool down.
         """
         self.transport.close()
 

@@ -58,14 +58,12 @@ buffer, so the writes are race-free shards), and ``finalize_step`` with
 the *same* ``out`` object becomes join-only.  Backward decodes land in a
 contiguous per-receiver block; the order-sensitive accumulate into the
 owned rows stays on the main thread (one kernel call per receiver, in
-mailbox order).  The process transport decodes in its workers into
-shared memory; finalize copies those rows into the same destinations.
+mailbox order).
 """
 
 from __future__ import annotations
 
 import threading
-import zlib
 from typing import Protocol
 
 import numpy as np
@@ -82,11 +80,8 @@ from repro.quant.fused import (
     accumulate_block,
     decode_cluster_step,
     decode_index,
-    land_decoded,
     pair_shard,
-    shard_descriptor,
 )
-from repro.quant.mixed import MixedPrecisionPayload
 from repro.quant.stochastic import as_rounding
 from repro.quant.theory import SUPPORTED_BITS
 from repro.utils.validation import check_in_set
@@ -205,9 +200,7 @@ class InFlightStep:
     complete once :meth:`mark_done` returns (or set by ``finalize_step``
     itself where it decodes): ``targets[rank]`` is the ``(DecodeIndex,
     buffer)`` a receiver's rows land in and ``decoded[rank]`` the sources
-    that landed there.  The process transport's callbacks stash
-    per-source matrices in ``decoded`` instead, which finalize copies
-    into the targets.  Both stay ``None`` for non-fused policies.
+    that landed there.  Both stay ``None`` for non-fused policies.
 
     ``scatter_out`` is the per-device halo-destination list the caller
     supplied at post time (if any): the fused engine's worker-side
@@ -232,7 +225,6 @@ class InFlightStep:
         "scatter_out",
         "ws_parity",
         "plan",
-        "replayable",
     )
 
     def __init__(
@@ -256,12 +248,10 @@ class InFlightStep:
         self.targets: dict[int, tuple] | None = None
         self.scatter_out: list[np.ndarray] | None = None
         self.ws_parity = 0
-        # Keyed-replay recovery handles: the fused engine stashes the
-        # step's encode plan here and flags whether a dropped envelope can
-        # be regenerated from it (keyed rounding + plan scratch staged on
-        # this side of the process boundary).
+        # The fused engine's encode plan for the step: what its decodes
+        # index into, and what keyed replay regenerates a dropped
+        # envelope from.
         self.plan = None
-        self.replayable = False
 
     def mark_done(self) -> None:
         if self.done:
@@ -628,12 +618,6 @@ class FusedQuantizedHaloExchange(HaloExchange):
         self._halo_bufs: dict[tuple[int, int], np.ndarray] = {}
         #: envelopes regenerated bitwise from plan scratch after a drop
         self.replayed_messages = 0
-        #: shm payload spans re-encoded in-parent after checksum mismatch
-        self.slab_repairs = 0
-        # In-parent segment/plan caches for slab repairs (the repair runs
-        # the same ShardEncodeJob code path the workers do).
-        self._repair_segments: dict = {}
-        self._repair_cache: dict = {}
 
     def on_epoch_start(self, epoch: int) -> None:
         set_epoch = getattr(self.bit_provider, "set_epoch", None)
@@ -719,28 +703,20 @@ class FusedQuantizedHaloExchange(HaloExchange):
                 for dev in step.devices
             ]
         if step.targets is None:
+            # Decode here: the synchronous transport, or a forward step
+            # posted without its destinations (nothing to overlap with).
             dests = out if out is not None else step.scatter_out
             step.targets = {
                 dev.rank: self._target(step, dev, dests, self._decode_ws)
                 for dev in step.devices
             }
-            if step.decoded is None:
-                # Decode here: the synchronous transport, or a forward step
-                # posted without its destinations (nothing to overlap with).
-                collects = {
-                    dev.rank: step.transport.collect(dev.rank, step.tag)
-                    for dev in step.devices
-                }
-                step.decoded = decode_cluster_step(
-                    collects, workspace=self._decode_ws, into=step.targets
-                )
-            else:
-                # The process transport's workers decoded into shared
-                # memory, one matrix per source: copy them into place.
-                step.decoded = {
-                    rank: land_decoded(*step.targets[rank], matrices)
-                    for rank, matrices in step.decoded.items()
-                }
+            collects = {
+                dev.rank: step.transport.collect(dev.rank, step.tag)
+                for dev in step.devices
+            }
+            step.decoded = decode_cluster_step(
+                collects, workspace=self._decode_ws, into=step.targets
+            )
         # Every receiver's rows are in its decode buffer now (mark_done
         # joined any worker-side decode); what is left is the delivery
         # audit and, backward, the order-sensitive accumulate.
@@ -789,13 +765,13 @@ class FusedQuantizedHaloExchange(HaloExchange):
         """Audit one receiver's landed sources; keyed-replay any missing peer.
 
         Every peer in the step plan posts exactly one envelope, so a
-        shortfall means an envelope was dropped in transit.  When the
-        step is replayable (plan scratch staged on this side of any
-        process boundary) the missing pair's payload is regenerated
-        *bitwise* — noise is a pure function of coordinates, and payload
-        bytes are independent of the shard decomposition — and returned
-        decoded, ``{src: matrix}``, for the caller to land where that
-        source's rows go.  Otherwise a typed :class:`TransportError`
+        shortfall means an envelope was dropped in transit.  The step's
+        source rows still sit in plan scratch, so the missing pair's
+        payload is regenerated *bitwise* — noise is a pure function of
+        coordinates, and payload bytes are independent of the shard
+        decomposition — and returned decoded, ``{src: matrix}``, for the
+        caller to land where that source's rows go.  A source the plan
+        does not know raises a typed :class:`TransportError`, which
         escalates to the trainer's checkpoint-restore path.
         """
         part = dev.part
@@ -804,12 +780,6 @@ class FusedQuantizedHaloExchange(HaloExchange):
             return {}
         missing = sorted(set(expected) - set(landed))
         plan = step.plan
-        if not (step.replayable and plan is not None):
-            raise TransportError(
-                f"device {dev.rank} is missing envelope(s) from source(s)"
-                f" {missing} under tag {step.tag!r} and the step is not"
-                " keyed-replayable"
-            )
         pair_index = {pair: i for i, pair in enumerate(plan.pairs)}
         stats = getattr(step.transport, "fault_stats", None)
         replayed: dict[int, np.ndarray] = {}
@@ -861,25 +831,14 @@ class FusedQuantizedHaloExchange(HaloExchange):
             def observe(src: int, dst: int, rows: np.ndarray) -> None:
                 tracer.observe(phase, layer, src, dst, rows)
 
-        if getattr(transport, "kind", None) == "process":
-            # Descriptor jobs over shared memory (closures cannot cross
-            # the process boundary).
-            self._post_step_process(
-                transport, plan, layer, phase, tag, step, values_by_rank, observe
-            )
-            return
-
         # Snapshot half (calling thread): gather the step's source rows
         # into plan scratch and feed the tracer (bit lookups above run
         # here too — providers and tracers never see worker threads).
+        # Keyed noise is a pure function of coordinates, so from here on a
+        # dropped envelope can be regenerated bitwise from that scratch
+        # (pair_shard + quantize_pack_shard; see _replay_missing).
         encoder = self.fused_encoder
         encoder.gather_step(plan, values_by_rank, observe)
-        # The step's source rows now sit in plan scratch on this side of
-        # any process boundary, and keyed noise is a pure function of
-        # coordinates: a dropped envelope can be regenerated bitwise via
-        # pair_shard + quantize_pack_shard.  (The process path never needs
-        # to — its data plane is the shm slab, not the mailbox.)
-        step.replayable = True
 
         # Quantize/pack/post half: one deferred job per encode shard.
         # Every pair has coordinate-determined noise, so the step splits
@@ -950,291 +909,6 @@ class FusedQuantizedHaloExchange(HaloExchange):
                 )[rank]
 
             transport.defer(step.tag, decode_job)
-
-    def _post_step_process(
-        self,
-        transport,
-        plan,
-        layer: int,
-        phase: str,
-        tag: str,
-        step: InFlightStep,
-        values_by_rank,
-        observe,
-    ) -> None:
-        """Post one step through a :class:`~repro.comm.process.
-        ProcessTransport`: shard descriptors out, shared memory back.
-
-        The slab layout is a pure function of the plan's group structure,
-        so it is computed here once and shipped to the workers as plain
-        offsets: input rows (cat order), then per (pair, group) the packed
-        stream + per-row zero/scale metadata, then per receiver the
-        decoded float32 output region.  Workers reproduce their shard's
-        bytes from the descriptor alone (keyed noise); the main thread's
-        ``on_done`` callbacks post shm-view payloads into the mailboxes
-        (wire accounting identical to the sync path — same streams, same
-        group structure) and, after the decode wave, stash ``step.decoded``
-        views exactly where the thread path does.
-        """
-        from repro.comm.process import ShardEncodeJob, StepDecodeJob
-
-        dim = plan.dim
-        n_total = plan.n_total
-        bounds = plan.cat_bounds
-
-        def align(offset: int) -> int:
-            return (offset + 7) & ~7
-
-        # ---- slab layout (group structure only; no payload data) --------
-        cursor = align(n_total * dim * 4)
-        pair_layouts: list[tuple] = []  # aligned with plan.pairs
-        for pair in plan.pairs:
-            groups = []
-            for g in plan.pair_groups[pair]:
-                n_g = g.stop - g.start
-                stream_nbytes = (n_g * dim * g.bits + 7) // 8
-                stream_off = cursor
-                z_off = align(stream_off + stream_nbytes)
-                s_off = z_off + n_g * 4
-                cursor = align(s_off + n_g * 4)
-                groups.append((g.bits, n_g, stream_off, stream_nbytes, z_off, s_off))
-            pair_layouts.append(tuple(groups))
-        # Decoded-output regions, grouped by receiver.  The topology walks
-        # devices (and each device's peers) in ascending order, so a fixed
-        # receiver's entries appear src-ascending — the same order
-        # ``collect`` anchors the sync path to.
-        out_layout: dict[int, list[tuple[int, int, int, int]]] = {}
-        for i, (src, dst) in enumerate(plan.pairs):
-            n_rows = int(plan.pair_counts[i])
-            out_off = cursor
-            cursor = align(out_off + n_rows * dim * 4)
-            out_layout.setdefault(dst, []).append((i, src, n_rows, out_off))
-
-        segment, base, view = transport.step_buffer(tag, cursor)
-
-        # ---- snapshot half (calling thread, directly into shm) ----------
-        in2d = view[: n_total * dim * 4].view(np.float32).reshape(n_total, dim)
-        for rank, start, stop in plan.device_blocks:
-            vals = values_by_rank[rank]
-            if vals.dtype != np.float32:
-                vals = np.asarray(vals, dtype=np.float32)
-            np.take(vals, plan.cat_idx[start:stop], axis=0, out=in2d[start:stop])
-        if observe is not None:
-            for i, pair in enumerate(plan.pairs):
-                observe(pair[0], pair[1], in2d[bounds[i] : bounds[i + 1]])
-
-        step.decoded = {dev.rank: {} for dev in step.devices}
-
-        def payload_for(i: int) -> MixedPrecisionPayload:
-            group_bits, group_rows, streams, zero_points, scales = [], [], [], [], []
-            for g, (_, n_g, so, sn, zo, sco) in zip(
-                plan.pair_groups[plan.pairs[i]], pair_layouts[i]
-            ):
-                group_bits.append(g.bits)
-                group_rows.append(g.rows)
-                streams.append(view[so : so + sn])
-                zero_points.append(view[zo : zo + n_g * 4].view(np.float32))
-                scales.append(view[sco : sco + n_g * 4].view(np.float32))
-            return MixedPrecisionPayload(
-                num_rows=int(plan.pair_counts[i]),
-                dim=dim,
-                group_bits=group_bits,
-                group_rows=group_rows,
-                streams=streams,
-                zero_points=zero_points,
-                scales=scales,
-            )
-
-        def make_posted(pair_lo: int, pair_hi: int):
-            def on_posted() -> None:
-                posts_by_rank: dict[int, list[tuple[int, object, int]]] = {}
-                for i in range(pair_lo, pair_hi):
-                    src, dst = plan.pairs[i]
-                    payload = payload_for(i)
-                    posts_by_rank.setdefault(src, []).append(
-                        (dst, payload, payload.wire_bytes)
-                    )
-                for rank, posts in posts_by_rank.items():
-                    transport.post_batch(rank, tag, posts)
-
-            return on_posted
-
-        # ---- encode wave: one descriptor job per shard ------------------
-        # Slab verification: workers return per-pair stream checksums and
-        # a main-side wave check re-reads the slab between the encode wave
-        # and the decode followups — the window where corruption (or a
-        # scripted poison fault) would otherwise flow silently into every
-        # receiver.  On by default in fault runs; opt-in elsewhere.
-        verify = transport.fault_plan is not None or bool(
-            getattr(transport, "verify_slabs", False)
-        )
-        for shard in self.fused_encoder.shards_for(plan, max(transport.workers, 1)):
-            descriptor = shard_descriptor(
-                plan, shard, rounding=self.rounding, phase=phase, layer=layer
-            )
-            job = ShardEncodeJob(
-                descriptor=descriptor,
-                segment=segment,
-                rows_offset=base + shard.start * dim * 4,
-                n_rows=shard.stop - shard.start,
-                pair_layouts=tuple(
-                    tuple(
-                        (b, n_g, base + so, sn, base + zo, base + sco)
-                        for (b, n_g, so, sn, zo, sco) in pair_layouts[i]
-                    )
-                    for i in range(shard.pair_lo, shard.pair_hi)
-                ),
-                checksum=verify,
-            )
-            transport.submit(
-                tag, job, on_done=make_posted(shard.pair_lo, shard.pair_hi)
-            )
-
-        if verify:
-
-            def slab_check(crcs: dict) -> None:
-                fplan = transport.fault_plan
-                spec = (
-                    fplan.take("poison", tag) if fplan is not None else None
-                )
-                if spec is not None:
-                    # Scripted slab corruption: scribble a stream span of
-                    # the (src, dst)-matching pair after the encode wave
-                    # landed, before any decode reads it.
-                    idx = 0
-                    for i, (s, d) in enumerate(plan.pairs):
-                        if (spec.src is None or spec.src == s) and (
-                            spec.dst is None or spec.dst == d
-                        ):
-                            idx = i
-                            break
-                    _, _, so, sn, _, _ = pair_layouts[idx][0]
-                    view[so : so + max(1, min(sn, 64))] ^= 0xFF
-                    transport.fault_stats["slabs_poisoned"] += 1
-                self._verify_slab(
-                    transport, plan, pair_layouts, view, base, segment,
-                    phase, layer, tag, crcs,
-                )
-
-            transport.submit_wave_check(tag, slab_check)
-
-        # ---- decode wave: one job per receiver, after encode drains -----
-        def make_decoded(rank: int, entries: list) -> object:
-            def on_decoded() -> None:
-                # Drain the mailbox (closing the books on the posted
-                # bytes); values are discarded — decode already ran in the
-                # worker against the same shm streams.
-                TransportAccounting.collect(transport, rank, tag)
-                decoded: dict[int, np.ndarray] = {}
-                for _, src, n_rows, out_off in entries:
-                    decoded[src] = (
-                        view[out_off : out_off + n_rows * dim * 4]
-                        .view(np.float32)
-                        .reshape(n_rows, dim)
-                    )
-                step.decoded[rank] = decoded
-
-            return on_decoded
-
-        for dev in step.devices:
-            entries = out_layout.get(dev.rank)
-            if not entries:
-                continue
-            sources = []
-            for i, src, n_rows, out_off in entries:
-                pair_groups = plan.pair_groups[plan.pairs[i]]
-                groups = tuple(
-                    (
-                        b,
-                        n_g,
-                        base + so,
-                        sn,
-                        base + zo,
-                        base + sco,
-                        None if len(pair_groups) == 1 else g.rows.tobytes(),
-                    )
-                    for g, (b, n_g, so, sn, zo, sco) in zip(
-                        pair_groups, pair_layouts[i]
-                    )
-                )
-                sources.append((src, n_rows, base + out_off, groups))
-            decode_job = StepDecodeJob(
-                segment=segment,
-                tag=tag,
-                rank=dev.rank,
-                dim=dim,
-                sources=tuple(sources),
-            )
-            transport.submit_followup(
-                tag, decode_job, on_done=make_decoded(dev.rank, entries)
-            )
-
-    def _verify_slab(
-        self,
-        transport,
-        plan,
-        pair_layouts,
-        view,
-        base,
-        segment,
-        phase,
-        layer,
-        tag,
-        crcs: dict,
-    ) -> None:
-        """CRC-verify every pair's stream bytes against the encode wave's
-        worker-computed checksums; re-encode mismatching pairs in-parent.
-
-        The repair runs the *same* :class:`ShardEncodeJob` code path the
-        worker did — a single-pair shard over the (uncorrupted) input
-        rows, keyed noise — so repaired bytes are bitwise the originals.
-        A pair that still mismatches after re-encoding means the
-        corruption reaches beyond the payload spans (or the reference
-        checksum itself is untrustworthy): fail fast.
-        """
-        from repro.comm.process import ShardEncodeJob
-
-        for i, pair in enumerate(plan.pairs):
-            expect = crcs.get(pair)
-            if expect is None:
-                continue
-            if self._pair_crc(view, pair_layouts[i]) == expect:
-                continue
-            shard = pair_shard(plan, i)
-            job = ShardEncodeJob(
-                descriptor=shard_descriptor(
-                    plan, shard, rounding=self.rounding, phase=phase, layer=layer
-                ),
-                segment=segment,
-                rows_offset=base + shard.start * plan.dim * 4,
-                n_rows=shard.stop - shard.start,
-                pair_layouts=(
-                    tuple(
-                        (b, n_g, base + so, sn, base + zo, base + sco)
-                        for (b, n_g, so, sn, zo, sco) in pair_layouts[i]
-                    ),
-                ),
-                checksum=True,
-            )
-            repaired = job.run(self._repair_segments, self._repair_cache)
-            if repaired[pair] != expect or self._pair_crc(
-                view, pair_layouts[i]
-            ) != expect:
-                raise TransportError(
-                    f"slab corruption on tag {tag!r} pair {pair} could not"
-                    " be repaired (re-encoded checksum still mismatches)"
-                )
-            self.slab_repairs += 1
-            transport.fault_stats["slab_repairs"] += 1
-
-    @staticmethod
-    def _pair_crc(view: np.ndarray, groups: tuple) -> int:
-        """CRC32 over one pair's stream spans, in group order (the same
-        accumulation :class:`ShardEncodeJob` computes worker-side)."""
-        crc = 0
-        for _, _, so, sn, _, _ in groups:
-            crc = zlib.crc32(view[so : so + sn], crc)
-        return crc
 
     def _topology_for(self, phase: str, devices: list) -> tuple:
         """Static step topology: pair order, row counts, gather indices."""

@@ -23,8 +23,6 @@ Beyond the footnote-1 data counts, the footprint also models the
 * the exchange's decode workspaces — an A/B pair per receiving rank
   since the two-deep pipeline (PR 8), so the halo-row scratch counts
   twice;
-* the process transport's shared-memory ring slabs (two step records per
-  in-flight tag, sized here at the full-precision upper bound);
 * the memmap window a streaming device faults in (its operator blocks
   plus feature/label regions) — of which only the current device's is
   resident at once (plus the prefetched successor's on an async
@@ -80,10 +78,6 @@ class MemoryFootprint:
     #: (two steps may be in flight since the two-deep pipeline), so the
     #: widest halo-row buffer counts twice.
     decode_workspace_bytes: int = 0
-    #: process-transport shared-memory rings: two step records per tag,
-    #: sized at the full-precision (32-bit) upper bound.  Zero for
-    #: thread/sync transports.
-    shm_slab_bytes: int = 0
     #: the fused engine's stacked buffers attributable to this device's
     #: rows (activations, aggregation outputs, gradients, logits, masks).
     stacked_buffer_bytes: int = 0
@@ -111,7 +105,6 @@ class MemoryFootprint:
             + self.model_param_bytes
             + self.model_grad_bytes
             + self.decode_workspace_bytes
-            + self.shm_slab_bytes
         )
 
     @property
@@ -128,7 +121,6 @@ class MemoryFootprint:
             self.model_param_bytes
             + self.model_grad_bytes
             + self.decode_workspace_bytes
-            + self.shm_slab_bytes
         )
         if self.streaming:
             return shared + self.stacked_buffer_bytes + self.memmap_window_bytes
@@ -263,7 +255,6 @@ def estimate_memory(cluster: Cluster) -> list[MemoryFootprint]:
     """
     dims = cluster.dims
     streaming = cluster._stream_ops is not None
-    is_process = getattr(cluster.transport, "kind", "") == "process"
     max_width = max(dims[:-1])
     transform_first = _transform_first(cluster)
     footprints = []
@@ -274,14 +265,6 @@ def estimate_memory(cluster: Cluster) -> list[MemoryFootprint]:
         activation_bytes = sum(n * d_out * _F32 for d_out in dims[1:])
         halo_buffer_bytes = sum(h * d_in * _F32 for d_in in dims[:-1])
         params = dev.model.num_parameters()
-        # Shm rings hold two records per (phase, layer) tag; forward
-        # steps carry every non-output width, backward the same minus
-        # layer 0 in streaming mode (its gradient exchange is skipped).
-        shm = 0
-        if is_process:
-            fwd = sum(h * d for d in dims[:-1])
-            bwd = sum(h * d for d in dims[(1 if streaming else 0) : -1])
-            shm = 2 * (fwd + bwd) * _F32
         window = 0
         if streaming:
             ops = cluster._stream_ops[k]
@@ -305,7 +288,6 @@ def estimate_memory(cluster: Cluster) -> list[MemoryFootprint]:
                 model_param_bytes=params * _F32,
                 model_grad_bytes=params * _F32,
                 decode_workspace_bytes=2 * h * max_width * _F32,
-                shm_slab_bytes=shm,
                 stacked_buffer_bytes=stacked,
                 memmap_window_bytes=window,
                 streaming=streaming,

@@ -15,15 +15,11 @@ Ethernet between machines — is modelled by:
   allreduce time model;
 * the **transport backends** — the in-memory mailbox that routes *real*
   message payloads between simulated devices and counts every byte, in
-  three config-selectable flavours behind one
+  two config-selectable flavours behind one
   :class:`~repro.comm.transport.TransportBackend` API:
-  :class:`SyncTransport` (inline), :class:`WorkerTransport` (thread
-  pool), and :class:`~repro.comm.process.ProcessTransport` (worker
-  processes over shared memory).  :mod:`repro.comm.transports` holds the
-  registry and the ``"worker:4"``-style selection specs.
-
-``ProcessTransport`` is re-exported lazily (importing it pulls in
-``multiprocessing``).
+  :class:`SyncTransport` (inline) and :class:`WorkerTransport` (thread
+  pool).  :mod:`repro.comm.transports` holds the ``"worker:4"``-style
+  selection specs.
 """
 
 from repro.comm.topology import ClusterTopology, parse_topology
@@ -40,10 +36,8 @@ from repro.comm.transport import (
 )
 from repro.comm.transports import (
     TransportSpec,
-    available_backends,
     create_transport,
     parse_transport_spec,
-    register,
     resolve_spec,
 )
 
@@ -61,20 +55,9 @@ __all__ = [
     "TransportAccounting",
     "SyncTransport",
     "WorkerTransport",
-    "ProcessTransport",
     "host_has_spare_core",
     "TransportSpec",
-    "available_backends",
     "create_transport",
     "parse_transport_spec",
-    "register",
     "resolve_spec",
 ]
-
-
-def __getattr__(name: str):
-    if name == "ProcessTransport":
-        from repro.comm.process import ProcessTransport
-
-        return ProcessTransport
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

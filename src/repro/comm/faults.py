@@ -1,17 +1,16 @@
 """Deterministic fault injection for transport backends.
 
 A :class:`FaultPlan` is a scripted set of failures — dropped or
-duplicated mailbox envelopes, stalled or erroring jobs, killed worker
-processes, poisoned shm slabs — that a transport consults at well-defined
-points of its wire path.  Plans are *deterministic*: a spec names the
-step tag (``"fwd/L1"``), optionally the epoch and the (src, dst) pair it
-fires on, plus a fire count; nothing is sampled.  That makes fault runs
-reproducible, which is what lets the test-suite assert the strong
-contract ROADMAP item 4 asks for: every injected fault either recovers
-to the **bitwise-identical** training result (keyed-replay regeneration,
-pool respawn, slab repair) or fails fast with a typed
-:class:`~repro.comm.transport.TransportError` — no hangs, no silent
-corruption.
+duplicated mailbox envelopes, stalled or erroring jobs — that a transport
+consults at well-defined points of its wire path.  Plans are
+*deterministic*: a spec names the step tag (``"fwd/L1"``), optionally the
+epoch and the (src, dst) pair it fires on, plus a fire count; nothing is
+sampled.  That makes fault runs reproducible, which is what lets the
+test-suite assert the strong contract: every injected fault either
+recovers to the **bitwise-identical** training result (keyed-replay
+regeneration of a dropped envelope, rejection of a duplicate) or fails
+fast with a typed :class:`~repro.comm.transport.TransportError` — no
+hangs, no silent corruption.
 
 Spec grammar (one string per fault, CLI ``--inject-fault``)::
 
@@ -22,8 +21,6 @@ Spec grammar (one string per fault, CLI ``--inject-fault``)::
     duplicate:bwd/L0           # deliver one bwd/L0 envelope twice (any epoch)
     stall:fwd/L0@1:delay=5.0   # first fwd/L0 job of epoch 1 sleeps 5 s
     error:bwd/L1@0             # first bwd/L1 job of epoch 0 raises
-    kill_worker:fwd/L1@1       # SIGKILL a transport worker process
-    poison:fwd/L0@1            # scribble over the step's shm payload slab
 
 ``tag`` defaults to ``"*"`` (any tag); ``count`` defaults to 1 (the
 fault fires once, then disarms).  Where each kind is honoured:
@@ -39,17 +36,10 @@ duplicate   :meth:`TransportAccounting.post` — the envelope is enqueued
             invariant rejects the second copy (counted in
             ``fault_stats["duplicates_rejected"]``), proving delivery
             is idempotent.
-stall       ``defer``/``submit`` — the job is wrapped in a sleep so the
-            tag blows its ``complete()`` deadline; the worker
-            transport's ``close()`` wakes the sleep and abandons the
-            job.
+stall       ``defer`` — the job is wrapped in a sleep so the tag
+            blows its ``complete()`` deadline; the worker transport's
+            ``close()`` wakes the sleep and abandons the job.
 error       ``defer`` — the job raises ``RuntimeError("injected fault")``.
-kill_worker ``ProcessTransport.submit`` — one live worker process gets
-            SIGKILL before the job is dispatched.
-poison      the fused exchange's slab-integrity check — payload stream
-            bytes are overwritten in shared memory after the encode
-            wave lands, then the checksum verifier must detect and
-            repair them.
 ========== ===========================================================
 """
 
@@ -60,14 +50,7 @@ from dataclasses import dataclass, field
 
 __all__ = ["FaultSpec", "FaultPlan", "FAULT_KINDS"]
 
-FAULT_KINDS = (
-    "drop",
-    "duplicate",
-    "stall",
-    "error",
-    "kill_worker",
-    "poison",
-)
+FAULT_KINDS = ("drop", "duplicate", "stall", "error")
 
 
 @dataclass
@@ -205,7 +188,7 @@ class FaultPlan:
         return None
 
     def on_job(self, tag: str) -> FaultSpec | None:
-        """A ``stall`` or ``error`` spec for a deferred/submitted job, or None."""
+        """A ``stall`` or ``error`` spec for a deferred job, or None."""
         spec = self.take("stall", tag)
         if spec is not None:
             return spec

@@ -11,13 +11,12 @@ The transport API splits in two:
 * :class:`TransportBackend` — the formal backend ABC.  Its wire ops
   (``post``/``post_batch``/``collect``/``defer``/``complete``/``close``)
   are everything an exchange touches, so a backend is swappable without
-  the exchanges noticing; backends self-register with
-  :func:`repro.comm.transports.register` and are selected by spec
-  (``"sync"``, ``"worker:4"``, ``"process:2"``).
+  the exchanges noticing; :mod:`repro.comm.transports` selects one by
+  spec (``"sync"``, ``"worker:4"``).
 * :class:`TransportAccounting` — the backend-agnostic mailbox +
   byte-accounting/overlap mixin (``pending_bytes``/``note_overlap``/
-  ``bytes_matrix``…).  Every in-process backend shares it, so the
-  simulated clock sees identical accounting whatever executes the jobs.
+  ``bytes_matrix``…).  Both backends share it, so the simulated clock
+  sees identical accounting whatever executes the jobs.
 
 Two backends live here:
 
@@ -31,9 +30,6 @@ Two backends live here:
   to the pool, ``complete`` joins everything registered under a tag
   (including jobs a running job deferred after it) — the split-phase
   executor's finalize half always joins before collecting.
-
-(:class:`~repro.comm.process.ProcessTransport`, the process-pool backend
-over shared memory, lives in :mod:`repro.comm.process`.)
 
 Worker counts are a *transport* property: exchanges consult
 ``transport.workers`` to decide how many encode shards to emit; keyed
@@ -52,8 +48,6 @@ from concurrent.futures import TimeoutError as _FuturesTimeout
 
 import numpy as np
 
-from repro.comm.transports import register
-
 __all__ = [
     "TransportBackend",
     "TransportAccounting",
@@ -70,9 +64,8 @@ class TransportError(RuntimeError):
     """A transport failure that was *detected* rather than silently absorbed.
 
     Raised for missed ``complete()`` deadlines (naming the tag and the
-    outstanding jobs), worker-process deaths past the respawn budget,
-    unrecoverable slab corruption, and missing envelopes no recovery path
-    can regenerate.  Subclasses :class:`RuntimeError` so pre-existing
+    outstanding jobs) and for missing envelopes no recovery path can
+    regenerate.  Subclasses :class:`RuntimeError` so pre-existing
     callers that catch broad runtime failures keep working; new callers
     (the trainer's escalate-to-checkpoint-restore path) catch this type
     specifically.
@@ -90,9 +83,9 @@ def detected_cores() -> int:
 def host_spare_cores() -> int:
     """Cores left over for transport workers once the main thread has one.
 
-    A spec with no explicit worker count (``"worker"``, ``"process"``)
-    resolves to this, so a K-core host runs the main thread plus K-1
-    workers — saturating the hardware without oversubscribing it.
+    A spec with no explicit worker count (``"worker"``) resolves to this,
+    so a K-core host runs the main thread plus K-1 workers — saturating
+    the hardware without oversubscribing it.
     """
     return max(0, detected_cores() - 1)
 
@@ -113,12 +106,12 @@ class TransportBackend(abc.ABC):
 
     Exchanges program against exactly these six operations (plus the
     ``defer_many`` convenience); anything else a concrete backend offers
-    — accounting, shm arenas, worker pools — is backend detail.  Class
+    — accounting, worker pools — is backend detail.  Class
     attributes ``kind``/``is_async``/``workers`` describe the execution
     shape so exchanges can pick a job decomposition.
     """
 
-    #: registry name of the backend ("sync", "worker", "process", …)
+    #: spec name of the backend ("sync" or "worker")
     kind = "?"
     #: whether deferred jobs really run on a background worker
     is_async = False
@@ -174,18 +167,12 @@ class TransportBackend(abc.ABC):
             self.defer(tag, job)
 
     def transport_health(self) -> dict:
-        """A JSON-able health summary of this transport's run.
-
-        Backends with real failure modes extend it — the process backend
-        adds worker exitcodes, respawn counts and abnormal deaths; the
-        CLI persists the summary so ``repro info`` can report the last
-        run's transport health.
-        """
+        """A JSON-able summary of this transport's run: which backend ran
+        with how many workers, and the injected-fault counters."""
         return {
             "kind": self.kind,
             "workers": int(self.workers),
             "is_async": bool(self.is_async),
-            "abnormal_exits": [],
             "fault_stats": dict(getattr(self, "fault_stats", {}) or {}),
         }
 
@@ -193,7 +180,7 @@ class TransportBackend(abc.ABC):
 class TransportAccounting:
     """Mailboxes plus byte/overlap accounting for ``num_devices`` devices.
 
-    Backend-agnostic: every in-process backend mixes this in, so the byte
+    Backend-agnostic: both backends mix this in, so the byte
     matrices and the progress model are identical whichever execution
     shape ran the jobs.
 
@@ -239,7 +226,7 @@ class TransportAccounting:
         self._window_open: set[str] = set()
         self._lock = threading.Lock()
         #: counters of injected faults observed/handled on this transport
-        #: ("dropped", "duplicates_rejected", "respawns", "slab_repairs", …)
+        #: ("dropped", "duplicates_rejected", "replays")
         self.fault_stats: dict[str, int] = defaultdict(int)
 
     # ------------------------------------------------------------------
@@ -450,7 +437,7 @@ def apply_job_faults(
     """Wrap ``job`` per the transport's fault plan (stall/error kinds).
 
     Returns ``job`` unchanged when no plan is armed for the tag.  Shared
-    by every in-process backend so the injection semantics are identical
+    by both backends so the injection semantics are identical
     whichever pool runs the job.  A stall sleeps on ``closing`` when the
     backend has one: ``close()`` sets it, which ends the stall at once and
     abandons the stalled job instead of holding pool shutdown for the
@@ -481,7 +468,6 @@ def apply_job_faults(
     return stalled
 
 
-@register("sync")
 class SyncTransport(TransportAccounting, TransportBackend):
     """Inline mailbox transport: everything runs on the calling thread.
 
@@ -507,7 +493,6 @@ class SyncTransport(TransportAccounting, TransportBackend):
         """Release background resources; idempotent (no-op here)."""
 
 
-@register("worker")
 class WorkerTransport(SyncTransport):
     """Thread-pool-backed transport: deferred encode/post (and decode)
     jobs run on background workers, concurrently with the main thread —

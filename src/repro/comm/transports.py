@@ -1,11 +1,10 @@
-"""Transport backend registry and selection specs.
+"""Transport selection specs.
 
 One training run picks its transport through a single spec — ``"auto"``,
-``"sync"``, ``"worker:4"``, ``"process:2"``.  The registry makes
-``SyncTransport``, ``WorkerTransport`` and ``ProcessTransport``
-config-selectable peers behind the :class:`~repro.comm.transport.
-TransportBackend` API; a future multi-host backend (sockets/MPI) plugs in
-through :func:`register` without touching cluster or config code.
+``"sync"``, ``"worker:4"``.  Two backends exist, both in
+:mod:`repro.comm.transport`: :class:`~repro.comm.transport.SyncTransport`
+(the reference) and :class:`~repro.comm.transport.WorkerTransport` (a
+thread pool); :func:`create_transport` maps a resolved spec to one.
 
 Spec grammar::
 
@@ -14,85 +13,31 @@ Spec grammar::
     auto:N          same, but pin the worker count if async is chosen
     sync            inline mailbox transport (no worker count)
     worker[:N]      thread-pool transport with N workers (default: spare cores)
-    process[:N]     process-pool transport over shared memory
 
-The async backends only pay off inside the split-phase pipeline's central
-window, so :func:`resolve_spec` degrades them to ``sync`` for
-non-overlapped runs.
+The worker backend only pays off inside the split-phase pipeline's central
+window, so :func:`resolve_spec` degrades it to ``sync`` for non-overlapped
+runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import import_module
+
+from repro.comm.transport import (
+    SyncTransport,
+    WorkerTransport,
+    host_has_spare_core,
+    host_spare_cores,
+)
 
 __all__ = [
     "TransportSpec",
-    "available_backends",
     "create_transport",
-    "get_backend",
     "parse_transport_spec",
-    "register",
     "resolve_spec",
 ]
 
-_REGISTRY: dict[str, type] = {}
-
-#: Built-in backends, imported on first lookup: the registry stays free of
-#: module-level imports of the backend modules (they import ``register``
-#: from here), so registration cannot cycle.
-_BUILTIN_MODULES = {
-    "sync": "repro.comm.transport",
-    "worker": "repro.comm.transport",
-    "process": "repro.comm.process",
-}
-
-
-def register(name: str):
-    """Class decorator: make a transport backend selectable as ``name``.
-
-    >>> from repro.comm.transports import register, get_backend
-    >>> from repro.comm.transport import SyncTransport
-    >>> get_backend("sync") is SyncTransport
-    True
-    """
-
-    def decorate(cls: type) -> type:
-        existing = _REGISTRY.get(name)
-        if existing is not None and existing is not cls:
-            raise ValueError(f"transport backend {name!r} already registered")
-        _REGISTRY[name] = cls
-        return cls
-
-    return decorate
-
-
-def get_backend(name: str) -> type:
-    """The backend class registered as ``name`` (builtins import lazily)."""
-    cls = _REGISTRY.get(name)
-    if cls is None and name in _BUILTIN_MODULES:
-        import_module(_BUILTIN_MODULES[name])
-        cls = _REGISTRY.get(name)
-    if cls is None:
-        raise ValueError(
-            f"unknown transport backend {name!r} "
-            f"(available: {', '.join(available_backends())})"
-        )
-    return cls
-
-
-def available_backends() -> list[str]:
-    """Every registered backend name, builtins included."""
-    for module in set(_BUILTIN_MODULES.values()):
-        import_module(module)
-    return sorted(_REGISTRY)
-
-
-def _known_backends() -> set[str]:
-    # Parse-time validation must not import the backend modules (config
-    # objects are built long before any transport), so junk is rejected
-    # against the name set rather than the loaded registry.
-    return {"auto"} | set(_BUILTIN_MODULES) | set(_REGISTRY)
+_BACKENDS: dict[str, type] = {"sync": SyncTransport, "worker": WorkerTransport}
 
 
 @dataclass(frozen=True)
@@ -100,17 +45,17 @@ class TransportSpec:
     """One parsed transport selection: ``backend[:workers]``.
 
     ``workers=None`` means "backend default" (resolved to the host's spare
-    cores for the async backends).  ``sync`` takes no worker count.
+    cores for the worker backend).  ``sync`` takes no worker count.
     """
 
     backend: str = "auto"
     workers: int | None = None
 
     def __post_init__(self) -> None:
-        if self.backend not in _known_backends():
+        if self.backend != "auto" and self.backend not in _BACKENDS:
             raise ValueError(
                 f"unknown transport backend {self.backend!r} "
-                f"(expected one of: {', '.join(sorted(_known_backends()))})"
+                f"(expected one of: auto, {', '.join(_BACKENDS)})"
             )
         if self.workers is not None:
             if self.backend == "sync":
@@ -154,11 +99,9 @@ def resolve_spec(spec: TransportSpec | str, *, overlap: bool = True) -> Transpor
     """Resolve ``auto`` and default worker counts into a concrete spec.
 
     ``overlap`` is whether the run executes the split-phase pipeline: the
-    async backends exist to hide encode/decode under its central window,
+    worker backend exists to hide encode/decode under its central window,
     so without it every spec resolves to ``sync``.
     """
-    from repro.comm.transport import host_has_spare_core, host_spare_cores
-
     spec = TransportSpec.parse(spec)
     backend = spec.backend
     if backend == "auto":
@@ -180,7 +123,7 @@ def create_transport(spec: TransportSpec | str, num_devices: int):
     spec = TransportSpec.parse(spec)
     if spec.backend == "auto":
         raise ValueError("resolve 'auto' with resolve_spec() before creating")
-    cls = get_backend(spec.backend)
+    cls = _BACKENDS[spec.backend]
     if spec.workers is None:
         return cls(num_devices)
     return cls(num_devices, workers=spec.workers)

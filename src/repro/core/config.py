@@ -56,11 +56,8 @@ class RunConfig:
     #   "auto"      (default) worker backend when the run overlaps and
     #               the host has a spare core, sync otherwise;
     #   "sync"      inline mailbox transport;
-    #   "worker:4"  thread pool — overlaps the central sub-step's
-    #               GIL-releasing BLAS/spmv;
-    #   "process:4" worker processes over shared memory — scales
-    #               quantize-heavy steps past the thread pool's GIL
-    #               ceiling.
+    #   "worker:4"  thread pool — its GIL-free quantize/decode kernels
+    #               overlap the central sub-step's GIL-releasing BLAS/spmv.
     # Stochastic-rounding noise is keyed on (run_seed, epoch, phase, layer,
     # src, dst), so the quantized exchange shards each step's encode
     # across the pool and decodes per receiver on it with results
@@ -116,8 +113,7 @@ class RunConfig:
         transport = self.transport
         if isinstance(transport, TransportSpec):
             transport = str(transport)
-        # Validates backend name and worker count (rejects junk early,
-        # without importing any backend module).
+        # Validates backend name and worker count (rejects junk early).
         TransportSpec.parse(transport)
         object.__setattr__(self, "transport", transport)
         if self.pipeline_depth not in (1, 2):

@@ -116,7 +116,7 @@ class TrainResult:
     timeline_summary: TimelineSummary = field(default_factory=TimelineSummary)
     # Fault tolerance: the first epoch this run actually executed (> 0
     # when resumed from a checkpoint) and the transport's post-close
-    # health report (worker exit codes, respawns, fault counters).
+    # summary (backend, worker count, fault counters).
     start_epoch: int = 0
     transport_health: dict = field(default_factory=dict)
 
@@ -398,8 +398,7 @@ def train(
         # Even a failed run must release the async transport's worker
         # thread (and whatever plan scratch its pending closure captured).
         cluster.close()
-        # Health is read after close so the report includes the final
-        # worker exit-code audit (abnormal deaths surface here).
+        # Read after close: the fault counters include the last epoch.
         result.transport_health = cluster.transport.transport_health()
     result.final_val = result.curve_val[-1] if result.curve_val else float("nan")
     result.final_test = result.curve_test[-1] if result.curve_test else float("nan")

@@ -87,8 +87,6 @@ from repro.quant.theory import packed_bytes
 __all__ = [
     "FusedStepPlan",
     "FusedStepEncoder",
-    "ShardDescriptor",
-    "shard_descriptor",
     "pair_shard",
     "DecodeIndex",
     "decode_index",
@@ -646,113 +644,6 @@ class FusedStepEncoder:
         return dict(zip(plan.pairs[lo:hi], plan.payloads[lo:hi]))
 
 
-@dataclass(frozen=True)
-class ShardDescriptor:
-    """Picklable coordinates of one encode shard: plain data, no closures.
-
-    Enough for a worker *process* to rebuild the shard's plan locally and
-    reproduce its payload bytes bitwise: noise is a pure function of
-    ``(run_seed, epoch, phase, layer, src, dst)``.
-    The shard is re-planned as a standalone mini-step whose input rows
-    arrive already in cat order (``cat_idx = arange``, one device block):
-    quantization is row-wise, each pair's noise is its own keyed draw and
-    packing is per-group deterministic, so the mini-plan emits exactly the
-    streams the full plan's :meth:`FusedStepEncoder.quantize_pack_shard`
-    emits for the same pair span (the shard-decomposition-independence
-    contract the equivalence suite pins down).
-    """
-
-    run_seed: int
-    epoch: int
-    phase: str
-    layer: int
-    pairs: tuple[tuple[int, int], ...]  # real (src, dst) — the noise keys
-    pair_counts: tuple[int, ...]
-    bits_cat: bytes  # int8 per cat row, pair-major (the shard's row span)
-    dim: int
-
-    def signature(self) -> tuple:
-        """Everything the rebuilt plan depends on (epoch excluded — the
-        plan survives epochs; only the noise coordinate changes)."""
-        return (
-            self.run_seed,
-            self.phase,
-            self.layer,
-            self.pairs,
-            self.pair_counts,
-            self.bits_cat,
-            self.dim,
-        )
-
-    def build(self) -> tuple["FusedStepEncoder", FusedStepPlan]:
-        """A standalone (encoder, plan) reproducing this shard's payloads."""
-        counts = np.asarray(self.pair_counts, dtype=np.int64)
-        n = int(counts.sum())
-        bits = np.frombuffer(self.bits_cat, dtype=np.int8).astype(np.int64)
-        encoder = FusedStepEncoder(KeyedRounding(self.run_seed))
-        plan = encoder.plan_for(
-            (self.phase, self.layer),
-            list(self.pairs),
-            counts,
-            [(0, 0, n)],
-            np.arange(n, dtype=np.int64),
-            bits,
-            self.dim,
-        )
-        return encoder, plan
-
-    def encode(
-        self, rows: np.ndarray, *, cache: dict | None = None
-    ) -> dict[tuple[int, int], MixedPrecisionPayload]:
-        """Quantize + pack ``rows`` (the shard's cat-order row span).
-
-        ``cache``, when given, persists the rebuilt (encoder, plan) across
-        steps keyed by the shard's pair span; a changed bit assignment
-        (different :meth:`signature`) rebuilds in place.  The payloads are
-        views of that plan's buffers, valid until it encodes again.
-        """
-        sig = self.signature()
-        key = ("shard-plan", self.phase, self.layer, self.pairs)
-        entry = cache.get(key) if cache is not None else None
-        if entry is None or entry[0] != sig:
-            entry = (sig, *self.build())
-            if cache is not None:
-                cache[key] = entry
-        _, encoder, plan = entry
-        encoder.rounding.set_epoch(self.epoch)
-        encoder.gather_step(plan, {0: np.asarray(rows, dtype=np.float32)})
-        return encoder.quantize_pack_step(plan, coords=(self.phase, self.layer))
-
-
-def shard_descriptor(
-    plan: FusedStepPlan,
-    shard: _EncodeShard,
-    *,
-    rounding,
-    phase: str,
-    layer: int,
-) -> ShardDescriptor:
-    """The picklable coordinates of ``shard`` within ``plan``.
-
-    ``rounding`` (a keyed policy) supplies ``run_seed`` and the current
-    ``epoch``.
-    """
-    rounding = as_rounding(rounding)
-    lo, hi = shard.pair_lo, shard.pair_hi
-    return ShardDescriptor(
-        run_seed=int(rounding.run_seed),
-        epoch=int(rounding.epoch),
-        phase=phase,
-        layer=int(layer),
-        pairs=tuple(plan.pairs[lo:hi]),
-        pair_counts=tuple(int(c) for c in plan.pair_counts[lo:hi]),
-        bits_cat=plan.bits_cat[shard.start : shard.stop]
-        .astype(np.int8)
-        .tobytes(),
-        dim=plan.dim,
-    )
-
-
 # ----------------------------------------------------------------------
 # Decode
 # ----------------------------------------------------------------------
@@ -1200,7 +1091,7 @@ def _decode_native(
     workspace: DecodeWorkspace | None,
 ) -> dict[int, dict[int, np.ndarray]]:
     """The compiled decode (``_kernels.c``) of payloads that are not a
-    plan's own (a worker process's shared-memory views, tests): the
+    plan's own (a mailbox missing a source, tests): the
     streams, zero points and scales are joined for this call and the
     kernel addresses them by offset, writing every group's rows straight
     into the per-pair matrix — the values ``codes * s + z`` of the NumPy

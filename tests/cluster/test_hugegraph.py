@@ -11,7 +11,7 @@ bitwise.  Three angles pin it down:
   reconstructed dataset (the store holds an isomorphic renumbering of
   the generated graph — boundary-first within each partition — so the
   reconstruction trains identically through the ordinary path);
-* worker/process transports vs. sync on the streaming arm (the existing
+* the worker transport vs. sync on the streaming arm (the existing
   transport contract must survive memmapped inputs).
 """
 
@@ -159,7 +159,7 @@ def test_stream_matches_standard_engine(huge_store, system, hidden):
     assert streamed.curve_test == standard.curve_test
 
 
-@pytest.mark.parametrize("spec", ["worker:2", "process:2"])
+@pytest.mark.parametrize("spec", ["worker:2"])
 def test_stream_transports_bitwise(huge_store, stream_run, spec, hidden):
     run = train(
         "adaqp",

@@ -75,7 +75,7 @@ def test_total_is_sum_of_components(cluster):
     assert fp.total_bytes == (
         fp.feature_bytes + fp.activation_bytes + fp.halo_buffer_bytes
         + fp.model_param_bytes + fp.model_grad_bytes
-        + fp.decode_workspace_bytes + fp.shm_slab_bytes
+        + fp.decode_workspace_bytes
     )
 
 
@@ -84,11 +84,6 @@ def test_decode_workspace_is_ab_pair(cluster):
     max_width = max(cluster.dims[:-1])
     for fp, dev in zip(estimate_memory(cluster), cluster.devices):
         assert fp.decode_workspace_bytes == 2 * dev.part.n_halo * max_width * 4
-
-
-def test_shm_slab_zero_without_process_transport(cluster):
-    for fp in estimate_memory(cluster):
-        assert fp.shm_slab_bytes == 0
 
 
 def test_stacked_buffers_counted_for_fused_engine(cluster):
@@ -100,7 +95,7 @@ def test_stacked_buffers_counted_for_fused_engine(cluster):
         # In-RAM fused mode: features alongside their stacked layer-0 copy.
         assert fp.resident_bytes == (
             fp.model_param_bytes + fp.model_grad_bytes
-            + fp.decode_workspace_bytes + fp.shm_slab_bytes
+            + fp.decode_workspace_bytes
             + fp.feature_bytes + fp.stacked_buffer_bytes
         )
 

@@ -27,7 +27,7 @@ from repro.quant.stochastic import KeyedRounding
 
 AXES = {
     "overlap": [False, True],
-    "transport": ["sync", "worker:1", "worker:4", "process:2", "shuffled"],
+    "transport": ["sync", "worker:1", "worker:4", "shuffled"],
     "depth": [1, 2],
     "residency": ["ram", "store-stream", "store-materialized"],
     "policy": ["exact", "quantized", "adaptive", "stale", "broadcast"],

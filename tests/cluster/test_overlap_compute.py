@@ -82,40 +82,17 @@ def test_keyed_rng_order_independent_across_worker_counts(
     )
 
 
-@pytest.mark.parametrize("exchange_name", POLICIES)
-@pytest.mark.parametrize("spec", ["process:2", "process:4"])
-@pytest.mark.parametrize("hidden", HIDDEN_SHAPES)
-def test_keyed_rng_process_transport_matches_sync(matrix, exchange_name, spec, hidden):
-    """Encode shards and per-receiver decodes in worker *processes*,
-    payloads over shared-memory rings: a worker process reproduces its
-    shard from coordinates alone, and collect's sort-by-source anchor
-    fixes the reduction order regardless of which process finished first."""
-    matrix.check(
-        policy=exchange_name, model="gcn", hidden=hidden, parts=4,
-        overlap=True, transport=spec,
-    )
-
-
-def test_process_transport_keeps_overlap_accounting(matrix):
-    """The process path posts payload views from main-thread callbacks
-    inside an open overlap window — every halo byte must still classify
-    as hidden, exactly like the worker transport."""
-    _, record = matrix.production(**QUANTIZED, transport="process:3")
-    assert record.hidden_byte_fraction() == 1.0
-    assert all(t.overlapped_bytes == t.total_bytes for t in record.timelines)
-
-
 def test_cluster_transport_spec_selection(tiny_dataset, tiny_book):
     """transport= accepts spec strings and TransportSpec objects and
     resolves "auto" at open."""
-    from repro.comm.process import ProcessTransport
+    from repro.comm.transport import WorkerTransport
     from repro.comm.transports import TransportSpec
 
     with Cluster(
-        tiny_dataset, tiny_book, overlap=True, transport="process:2"
+        tiny_dataset, tiny_book, overlap=True, transport="worker:2"
     ) as cluster:
-        assert isinstance(cluster.transport, ProcessTransport)
-        assert cluster.transport_spec == TransportSpec("process", 2)
+        assert isinstance(cluster.transport, WorkerTransport)
+        assert cluster.transport_spec == TransportSpec("worker", 2)
         # Derived mirrors stay coherent.
         assert cluster.async_transport is True
         assert cluster.transport_workers == 2
@@ -124,9 +101,9 @@ def test_cluster_transport_spec_selection(tiny_dataset, tiny_book):
     ) as cluster:
         assert type(cluster.transport) is Transport  # SyncTransport
         assert cluster.transport_workers == 0
-    # Async backends degrade to sync for non-overlapped runs (resolve_spec:
-    # there is no central window to hide work under).
-    with Cluster(tiny_dataset, tiny_book, transport="process:2") as cluster:
+    # The worker backend degrades to sync for non-overlapped runs
+    # (resolve_spec: there is no central window to hide work under).
+    with Cluster(tiny_dataset, tiny_book, transport="worker:2") as cluster:
         assert cluster.transport_spec == TransportSpec("sync")
     # "auto" resolves to a concrete backend at cluster open.
     with Cluster(
@@ -147,8 +124,9 @@ def test_legacy_transport_knobs_are_gone(tiny_dataset, tiny_book, capsys):
     ):
         with pytest.raises(TypeError):
             RunConfig(**{knob: 1})
-    with pytest.raises(ValueError, match="unknown transport backend"):
-        RunConfig(transport="bogus")
+    for removed in ("bogus", "process:2"):
+        with pytest.raises(ValueError, match="expected one of: auto, sync, worker"):
+            RunConfig(transport=removed)
     for knob in ("fused_compute", "timeline_keep"):
         with pytest.raises(TypeError):
             Cluster(tiny_dataset, tiny_book, **{knob: 1})
@@ -180,11 +158,11 @@ def test_keyed_rng_survives_shuffled_job_retirement(matrix, exchange_name, hidde
 
 
 @pytest.mark.parametrize("exchange_name", POLICIES)
-@pytest.mark.parametrize("spec", ["sync", "worker:4", "process:2"])
+@pytest.mark.parametrize("spec", ["sync", "worker:4"])
 @pytest.mark.parametrize("depth", [1, 2])
 @pytest.mark.parametrize("hidden", HIDDEN_SHAPES)
 def test_pipeline_depth_matrix_bitwise_identical(matrix, exchange_name, spec, depth, hidden):
-    """pipeline_depth {1, 2} x {sync, worker:4, process:2} x every policy.
+    """pipeline_depth {1, 2} x {sync, worker:4} x every policy.
     Depth 2 changes only *when* each step's post is dispatched (inside the
     previous step's marginal window), never what is posted: posts stay
     strictly ordered, so keyed rounding and collect's sort-by-source

@@ -1,9 +1,16 @@
-"""In-memory transport: routing and byte accounting."""
+"""In-memory transport: routing, byte accounting, and the selection specs."""
 
 import numpy as np
 import pytest
 
 from repro.comm.transport import SyncTransport as Transport
+from repro.comm.transport import WorkerTransport, host_has_spare_core
+from repro.comm.transports import (
+    TransportSpec,
+    create_transport,
+    parse_transport_spec,
+    resolve_spec,
+)
 
 
 def test_post_and_collect():
@@ -140,3 +147,76 @@ def test_reset_accounting_clears_progress_model():
     t.reset_accounting()
     assert t.pending_bytes("s") == 0
     assert t.overlapped_bytes("s") == 0
+
+
+# ---------------------------------------------------------------------------
+# Selection specs: auto[:N] | sync | worker[:N]
+# ---------------------------------------------------------------------------
+def test_spec_parse_and_str_round_trip():
+    assert parse_transport_spec("worker:4") == TransportSpec("worker", 4)
+    assert parse_transport_spec("worker") == TransportSpec("worker")
+    assert parse_transport_spec(" auto ") == TransportSpec("auto")
+    assert parse_transport_spec("auto:2") == TransportSpec("auto", 2)
+    spec = TransportSpec("worker", 2)
+    assert parse_transport_spec(spec) is spec
+    assert str(TransportSpec("worker", 4)) == "worker:4"
+    assert str(TransportSpec("sync")) == "sync"
+    assert parse_transport_spec(str(spec)) == spec
+
+
+def test_spec_validation_errors():
+    with pytest.raises(ValueError, match="unknown transport backend"):
+        parse_transport_spec("bogus:2")
+    with pytest.raises(ValueError, match="no worker count"):
+        parse_transport_spec("sync:3")
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        parse_transport_spec("worker:0")
+    with pytest.raises(ValueError, match="bad worker count"):
+        parse_transport_spec("worker:lots")
+    with pytest.raises(TypeError):
+        parse_transport_spec(4)
+    # The process backend is gone, and nothing stands in for it: naming it
+    # fails at parse with the backends that exist.
+    for removed in ("process", "process:2"):
+        with pytest.raises(ValueError, match="'process'") as err:
+            parse_transport_spec(removed)
+        assert "auto, sync, worker" in str(err.value)
+
+
+def test_resolve_spec_auto_and_degrade_semantics():
+    # auto: worker iff the run overlaps AND the host has a spare core.
+    expected = "worker" if host_has_spare_core() else "sync"
+    assert resolve_spec("auto").backend == expected
+    assert resolve_spec("auto", overlap=False) == TransportSpec("sync")
+    # The worker backend only pays off inside the overlap window:
+    # non-overlapped runs degrade to sync.
+    assert resolve_spec("worker:4", overlap=False) == TransportSpec("sync")
+    assert resolve_spec("worker:4") == TransportSpec("worker", 4)
+    # Pinned counts survive resolution; defaults come from spare cores.
+    assert resolve_spec("worker:3") == TransportSpec("worker", 3)
+    assert (resolve_spec("worker").workers or 0) >= 1
+
+
+def test_create_transport_refuses_unresolved_auto():
+    with pytest.raises(ValueError, match="resolve 'auto'"):
+        create_transport("auto", 2)
+    assert type(create_transport("sync", 3)) is Transport
+    t = create_transport("worker:2", 3)
+    try:
+        assert isinstance(t, WorkerTransport)
+        assert t.workers == 2 and t.num_devices == 3
+    finally:
+        t.close()
+
+
+def test_transport_alias_is_gone():
+    # The ``Transport`` alias was removed: the only spellings are
+    # SyncTransport / WorkerTransport.
+    import repro.comm
+    import repro.comm.transport as mod
+
+    for name in ("Transport", "ProcessTransport"):
+        with pytest.raises(AttributeError):
+            getattr(mod, name)
+        with pytest.raises(AttributeError):
+            getattr(repro.comm, name)

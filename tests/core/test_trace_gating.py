@@ -56,7 +56,7 @@ def _run(monkeypatch, dataset, book, *, force, **overrides):
 
 
 @pytest.mark.parametrize(
-    "overrides", [{}, {"transport": "process:2"}], ids=["fused", "process"]
+    "overrides", [{}, {"transport": "worker:2"}], ids=["fused", "worker"]
 )
 def test_gated_run_equals_always_traced_run(
     monkeypatch, tiny_dataset, tiny_book, overrides

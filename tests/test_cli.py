@@ -103,10 +103,9 @@ def test_train_adaqp_prints_bits(capsys):
 
 
 def test_train_checkpoint_kill_resume_smoke(capsys, tmp_path):
-    """ISSUE 9's CLI smoke: checkpoint a short run, 'kill' it (stop at an
-    epoch boundary), resume with a fault injected — final losses match a
-    clean uninterrupted run bitwise, and `repro info` reports the
-    transport health of the last run."""
+    """Checkpoint a short run, 'kill' it (stop at an epoch boundary),
+    resume with a fault injected — final losses match a clean
+    uninterrupted run bitwise, and the run prints its own fault counters."""
     base = [
         "train", "--system", "adaqp-fixed", "--dataset", "yelp",
         "--setting", "2M-2D", "--hidden", "8", "--transport", "sync",
@@ -134,15 +133,38 @@ def test_train_checkpoint_kill_resume_smoke(capsys, tmp_path):
     # The interrupted + resumed + faulted run ends where the clean one did.
     assert clean_final and all(line in out for line in clean_final)
 
-    assert main(["info"]) == 0
-    out = capsys.readouterr().out
-    assert "last run: adaqp-fixed on yelp" in out
-    assert "all workers exited cleanly" in out
+
+def test_train_warns_about_faults_that_never_fired(capsys):
+    """A fault plan whose faults never fire proves nothing: a tag no step
+    has (layer 9 of a 3-layer model) ends the run with a warning naming
+    the fault, not a clean, silent exit."""
+    code = main(
+        [
+            "train", "--system", "adaqp-fixed", "--dataset", "yelp",
+            "--setting", "2M-2D", "--epochs", "1", "--hidden", "8",
+            "--transport", "sync", "--inject-fault", "drop:fwd/L9@0",
+            "--inject-fault", "duplicate:fwd/L0@0",
+        ]
+    )
+    assert code == 0
+    captured = capsys.readouterr()
+    assert "fault counters" in captured.out  # the duplicate did fire
+    warnings = [line for line in captured.err.splitlines() if "warning" in line]
+    assert warnings == [
+        "warning: 1 injected fault(s) did not fire as specified: drop:fwd/L9@0"
+    ]
 
 
 def test_train_fault_flag_validation(capsys):
     assert main(["train", "--inject-fault", "meteor:x"]) == 2
     assert "unknown fault kind" in capsys.readouterr().err
+    # Removed names fail at parse, listing what exists.
+    for removed in ("kill_worker:*", "poison:fwd/L0"):
+        assert main(["train", "--inject-fault", removed]) == 2
+        assert "'drop', 'duplicate', 'stall', 'error'" in capsys.readouterr().err
+    for removed in ("process", "process:2"):
+        assert main(["train", "--transport", removed]) == 2
+        assert "expected one of: auto, sync, worker" in capsys.readouterr().err
     assert main(["train", "--resume"]) == 2
     assert "--resume requires --checkpoint-dir" in capsys.readouterr().err
 
