@@ -10,8 +10,9 @@ CI ``huge-graph`` job uses ``-m perf``)::
 Also owns ``--update-results`` (pytest only accepts new options from the
 rootdir conftest); ``benchmarks/conftest.py`` is its one reader.
 
-``--quant-kernel {native,numpy}`` pins the quantization kernel tier for
-the session, so the equivalence suites can run under both (the CI
+``--quant-kernel {native,numpy}`` pins the kernel tier for the session —
+the quantization kernels and the compute engine's CSR product, which load
+together — so the equivalence suites can run under both (the CI
 ``equivalence`` job does).  It is test tooling: the program itself has no
 such switch — :mod:`repro.quant.native` picks the tier from what it
 observes — and the pin is this process's loader state (forked workers
@@ -32,10 +33,10 @@ def pytest_addoption(parser):
         "--quant-kernel",
         choices=("native", "numpy"),
         default=None,
-        help="pin the quantization kernel tier for this session: 'native' "
-        "fails the session unless the compiled kernels load, 'numpy' runs the "
-        "NumPy reference kernels even where the compiled ones would load "
-        "(default: whatever loads)",
+        help="pin the kernel tier (quantization and the engine's CSR product) "
+        "for this session: 'native' fails the session unless the compiled "
+        "kernels load, 'numpy' runs the NumPy / scipy reference kernels even "
+        "where the compiled ones would load (default: whatever loads)",
     )
 
 

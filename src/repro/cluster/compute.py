@@ -46,8 +46,10 @@ same reduced model gradients, same wire bytes — for every exchange policy
 (exact, quantized, stale, broadcast-skip).  Everything per-row is
 trivially identical; the three non-obvious cases are (a) GEMMs, handled
 by ``row_matmul``'s row-determinism, (b) spmv's, where the block-diagonal
-remap preserves per-row column order so scipy's row-major accumulation is
-unchanged, and (c) reductions (loss sums, gradient sums, ``sum(axis=0)``
+remap preserves per-row column order and every product — on scipy's
+``csr_matvecs`` or the compiled kernel that repeats its operations
+(:func:`_spmv`) — sums each output row over its entries in stored order,
+and (c) reductions (loss sums, gradient sums, ``sum(axis=0)``
 of contiguous slices), which keep the per-device operation order exactly.
 
 **Split-phase pipelined execution** (paper Sec. 3.1 / Fig. 7): with
@@ -63,8 +65,9 @@ marginal sub-step (halo-gradient routing needs only marginal rows of the
 input-gradient GEMM) runs *before* the post, and parameter-gradient
 accumulation plus owned-row routing overlap the in-flight messages.  The
 central/marginal split is a row permutation of the same math: the
-operator is split row-wise into two complementary CSRs whose
-``csr_matvecs`` calls accumulate into the same output, and the dense
+operator is split row-wise into two complementary CSRs whose spmv's
+write the same output (the second accumulating), the transpose is
+applied as two row ranges of itself, and the dense
 sub-steps run on contiguous *gathered* row blocks (``row_matmul``'s
 row-determinism makes gathered sub-GEMMs equal the stacked GEMM bit for
 bit).  The persistent stacked buffers keep their original row order —
@@ -105,6 +108,7 @@ from repro.cluster.exchange import step_tag
 from repro.cluster.records import StepTimeline
 from repro.cluster.runtime import DeviceRuntime
 from repro.nn.blas import row_matmul
+from repro.quant import native
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.io import DeviceStreamOps
@@ -124,70 +128,77 @@ __all__ = [
 _PREFETCH_TAG = "stream/prefetch"
 
 try:  # pragma: no cover - import guard
-    from scipy.sparse import _sparsetools as _sptools
-
-    _csr_matvecs = getattr(_sptools, "csr_matvecs", None)
-except ImportError:  # pragma: no cover - scipy always present in this repo
+    from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
+except ImportError:  # pragma: no cover - a scipy without the private kernel
     _csr_matvecs = None
 
 
-def _spmv_into(matrix: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out[...] = matrix @ x`` without the per-call result allocation.
+def _spmv(
+    matrix: sp.csr_matrix,
+    x: np.ndarray,
+    out: np.ndarray,
+    rows: tuple[int, int] | None = None,
+    *,
+    accumulate: bool = False,
+) -> np.ndarray:
+    """``out = P[lo:hi] @ x``, or ``out += ...`` — the engine's one spmv.
 
-    Uses scipy's ``csr_matvecs`` kernel directly when available (it is what
-    ``matrix @ x`` calls after allocating a zeroed result, so results are
-    bit-identical); falls back to the public operator otherwise.
+    ``rows`` is a ``(lo, hi)`` row range of ``matrix`` (default: every row),
+    passed as the slice ``indptr[lo : hi + 1]`` — its offsets are absolute
+    into ``indices``/``data``, so a range copies nothing.  Each output row
+    is summed over its stored entries in stored order, from ``+0.0`` or,
+    accumulating, from ``out``'s row: scipy's ``csr_matvecs``, which the
+    compiled ``repro_csr_rows`` (loaded by :mod:`repro.quant.native`, if
+    at all) reproduces bit for bit.  Splitting a product into row ranges or
+    complementary row-restricted operators therefore changes no bit.
+    Operands the compiled kernel does not take — not float32 / int32 /
+    C-contiguous — run on scipy.  Shapes and the range are checked here;
+    the operator's own index arrays are trusted, as scipy's kernel trusts
+    them (the engine builds every operator it passes).
     """
+    lo, hi = (0, matrix.shape[0]) if rows is None else rows
+    fits = 0 <= lo <= hi <= matrix.shape[0] and x.shape[0] == matrix.shape[1]
+    if not fits or out.shape != (hi - lo, x.shape[1]):
+        raise ValueError(f"spmv {matrix.shape}[{lo}:{hi}] @ {x.shape} -> {out.shape}")
+    indptr = matrix.indptr[lo : hi + 1]
+    contiguous = x.flags.c_contiguous and out.flags.c_contiguous
+    same_dtype = x.dtype == matrix.dtype == out.dtype
+    lib = native.load()
     if (
-        _csr_matvecs is not None
-        and x.flags.c_contiguous
-        and out.flags.c_contiguous
-        and x.dtype == matrix.dtype == out.dtype
+        lib is not None
+        and contiguous
+        and same_dtype
+        and x.dtype == np.float32
+        and indptr.dtype == matrix.indices.dtype == np.int32
     ):
-        out.fill(0.0)
-        n_row, n_col = matrix.shape
-        _csr_matvecs(
-            n_row,
-            n_col,
+        lib.repro_csr_rows(
+            hi - lo,
+            indptr.ctypes.data,
+            matrix.indices.ctypes.data,
+            matrix.data.ctypes.data,
+            x.ctypes.data,
             x.shape[1],
-            matrix.indptr,
+            out.ctypes.data,
+            accumulate,
+        )
+    elif _csr_matvecs is not None and contiguous and same_dtype:
+        if not accumulate:
+            out.fill(0.0)
+        _csr_matvecs(
+            hi - lo,
+            matrix.shape[1],
+            x.shape[1],
+            indptr,
             matrix.indices,
             matrix.data,
             x.ravel(),
             out.ravel(),
         )
-        return out
-    out[...] = matrix @ x
+    elif accumulate:
+        out += matrix[lo:hi] @ x
+    else:
+        out[...] = matrix[lo:hi] @ x
     return out
-
-
-def _spmv_accumulate(matrix: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> None:
-    """``out += matrix @ x`` — the accumulate half of a row-split spmv.
-
-    ``csr_matvecs`` natively accumulates into its output, which is exactly
-    how the *full* operator's kernel builds each row (starting from the
-    zero fill), so running the two complementary row-restricted operators
-    through this produces bit-identical rows to one full-matrix call.
-    """
-    if (
-        _csr_matvecs is not None
-        and x.flags.c_contiguous
-        and out.flags.c_contiguous
-        and x.dtype == matrix.dtype == out.dtype
-    ):
-        n_row, n_col = matrix.shape
-        _csr_matvecs(
-            n_row,
-            n_col,
-            x.shape[1],
-            matrix.indptr,
-            matrix.indices,
-            matrix.data,
-            x.ravel(),
-            out.ravel(),
-        )
-        return
-    out += matrix @ x
 
 
 def restrict_rows(matrix: sp.csr_matrix, row_mask: np.ndarray) -> sp.csr_matrix:
@@ -217,18 +228,18 @@ class OverlapPlan:
     """Static structures of the split-phase pipeline (built once).
 
     ``rows_central``/``rows_marginal`` index the stacked owned region (its
-    original row order); the four operators are row-splits of the engine's
-    block-diagonal matrix and its transpose.  Central rows reference no
-    halo column by construction — that independence is what makes the
-    central sub-step legal before the halos arrive.
+    original row order); the two operators are complementary row
+    restrictions of the engine's block-diagonal matrix.  (The backward
+    needs no split copies: it passes the owned and halo row ranges of the
+    transpose itself to the spmv.)  Central rows reference no halo column
+    by construction — that independence is what makes the central sub-step
+    legal before the halos arrive.
     """
 
     rows_central: np.ndarray
     rows_marginal: np.ndarray
     matrix_central: sp.csr_matrix
     matrix_marginal: sp.csr_matrix
-    matrix_t_own: sp.csr_matrix  # routes gradients to owned rows
-    matrix_t_halo: sp.csr_matrix  # routes gradients to halo rows (messages)
 
 
 def build_block_diagonal(devices: list[DeviceRuntime]) -> sp.csr_matrix:
@@ -338,6 +349,9 @@ class FusedClusterCompute:
         self.total_halo = int(self.halo_off[-1])
         self._max_own = int(max(n_own)) if n_own else 0
         n_rows = self.total_own + self.total_halo
+        # Row ranges of ``matrix_t``: gradients routed to owned / halo rows.
+        self._own_rows = (0, self.total_own)
+        self._halo_rows = (self.total_own, n_rows)
 
         if self.stream is None:
             self.matrix = build_block_diagonal(devices)
@@ -540,19 +554,19 @@ class FusedClusterCompute:
 
         In RAM this is one block-diagonal spmv.  Streaming runs it device
         by device as a column-split spmv pair over the store's operators
-        (``own`` zero-fills, ``halo`` accumulates) — bit-identical, because
-        scipy accumulates each output row in stored column order and the
-        canonical local ordering puts every owned column before every halo
-        column — releasing each device's operator pages the moment its
+        (``own`` overwrites, ``halo`` accumulates) — bit-identical, because
+        :func:`_spmv` accumulates each output row in stored column order and
+        the canonical local ordering puts every owned column before every
+        halo column — releasing each device's operator pages the moment its
         rows are consumed.
         """
         if self.stream is None:
-            return _spmv_into(self.matrix, src, out)
+            return _spmv(self.matrix, src, out)
         for k, ops in enumerate(self.stream):
             self._stream_prefetch(transport, k, features=False)
             sl = self._own_slice(k)
-            _spmv_into(ops.own, src[sl], out[sl])
-            _spmv_accumulate(ops.halo, src[self._halo_slice(k)], out[sl])
+            _spmv(ops.own, src[sl], out[sl])
+            _spmv(ops.halo, src[self._halo_slice(k)], out[sl], accumulate=True)
             ops.release_op_pages()
         transport.complete(_PREFETCH_TAG)
         return out
@@ -643,8 +657,8 @@ class FusedClusterCompute:
         dev, ops = self.devices[k], self.stream[k]
         zbuf = self._scratch("stream_z0", self._max_own, self.dims[0])
         z = zbuf[: dev.part.n_owned]
-        _spmv_into(ops.own, dev.features, z)
-        _spmv_accumulate(ops.halo, self._halo_views[0][k], z)
+        _spmv(ops.own, dev.features, z)
+        _spmv(ops.halo, self._halo_views[0][k], z, accumulate=True)
         return z
 
     # ------------------------------------------------------------------
@@ -684,8 +698,6 @@ class FusedClusterCompute:
                 rows_marginal=rows_marginal,
                 matrix_central=matrix_central,
                 matrix_marginal=restrict_rows(self.matrix, ~central_mask),
-                matrix_t_own=self.matrix_t[: self.total_own],
-                matrix_t_halo=self.matrix_t[self.total_own :],
             )
         return self._overlap_plan
 
@@ -857,8 +869,7 @@ class FusedClusterCompute:
             row_matmul(x[: self.total_own], weight, out=src[: self.total_own])
         else:
             src, agg = x, self._z[layer]
-        agg.fill(0.0)
-        _spmv_accumulate(plan.matrix_central, src, agg)
+        _spmv(plan.matrix_central, src, agg)
         if mod.has_post_stage:
             self._sample_dropout(layer, mod, training)
         self._forward_substep(layer, plan.rows_central)
@@ -890,7 +901,7 @@ class FusedClusterCompute:
 
         if self._transform_first[layer]:
             row_matmul(x[self.total_own :], weight, out=src[self.total_own :])
-        _spmv_accumulate(plan.matrix_marginal, src, agg)
+        _spmv(plan.matrix_marginal, src, agg, accumulate=True)
         self._forward_substep(layer, plan.rows_marginal, after_out=after_out)
         t4 = time.perf_counter()
         # Overlapped bytes are read after finalize: under the async
@@ -986,12 +997,12 @@ class FusedClusterCompute:
             # No row gathers: the outgoing halo gradients are Pᵀ's halo
             # rows applied to dY, then one GEMM over just those rows.
             dt = self._dt[layer]
-            _spmv_into(plan.matrix_t_halo, d_out, dt[self.total_own :])
+            _spmv(self.matrix_t, d_out, dt[self.total_own :], self._halo_rows)
             row_matmul(dt[self.total_own :], weight_t, out=dx[self.total_own :])
         else:
             dz = self._dz[layer]
             self._input_grad_rows(d_out, plan.rows_marginal, weight_t, dz)
-            _spmv_into(plan.matrix_t_halo, dz, dx[self.total_own :])
+            _spmv(self.matrix_t, dz, dx[self.total_own :], self._halo_rows)
         d_halo_views = self._halo_blocks(dx)
         t1 = time.perf_counter()
         # Window first, then post — see forward_layer_overlap.
@@ -1012,7 +1023,7 @@ class FusedClusterCompute:
         # Central window: remaining input-grad rows, parameter partials,
         # owned-row gradient routing.
         if transform:
-            _spmv_into(plan.matrix_t_own, d_out, dt[: self.total_own])
+            _spmv(self.matrix_t, d_out, dt[: self.total_own], self._own_rows)
         else:
             self._input_grad_rows(d_out, plan.rows_central, weight_t, dz)
 
@@ -1035,10 +1046,10 @@ class FusedClusterCompute:
         if transform:
             d_next = row_matmul(dt[own], weight_t, out=dx[own])
         elif self.model_kind == "gcn":
-            d_next = _spmv_into(plan.matrix_t_own, dz, dx[own])
+            d_next = _spmv(self.matrix_t, dz, dx[own], self._own_rows)
         else:
             d_next = row_matmul(d_out, conv.root.weight.data.T, out=self._d_own[layer])
-            d_next += _spmv_into(plan.matrix_t_own, dz, dx[own])
+            d_next += _spmv(self.matrix_t, dz, dx[own], self._own_rows)
         t3 = time.perf_counter()
 
         d_own_views = [d_next[self._own_slice(k)] for k in range(len(self.devices))]
@@ -1185,12 +1196,12 @@ class FusedClusterCompute:
         bitwise — so it equals the single ``matrix_t`` spmv row for row.
         """
         if self.stream is None:
-            return _spmv_into(self.matrix_t, src, out)
+            return _spmv(self.matrix_t, src, out)
         for k, ops in enumerate(self.stream):
             self._stream_prefetch(transport, k, features=False)
             sl = self._own_slice(k)
-            _spmv_into(ops.own_t, src[sl], out[sl])
-            _spmv_into(ops.halo_t, src[sl], out[self._halo_slice(k)])
+            _spmv(ops.own_t, src[sl], out[sl])
+            _spmv(ops.halo_t, src[sl], out[self._halo_slice(k)])
             ops.release_op_pages()
         transport.complete(_PREFETCH_TAG)
         return out

@@ -27,6 +27,9 @@ Beyond the footnote-1 data counts, the footprint also models the
   plus feature/label regions) — of which only the current device's is
   resident at once (plus the prefetched successor's on an async
   transport);
+* the in-RAM engine's CSR operators — every device's aggregation matrix,
+  the block diagonal and its transpose, and the split-phase pipeline's
+  central/marginal row restrictions;
 * the quantized exchange's plan-resident staging — rows, and the packed
   wire plus per-row metadata (compiled tier) or uint8 codes (NumPy
   tier) — and the quantization kernel's per-chunk scratch, only where the
@@ -215,6 +218,33 @@ def _quant_stage_bytes(cluster: Cluster) -> int:
     return sum(_stage_bytes(send, d, send * d) for d in widths)
 
 
+def _operator_bytes(cluster: Cluster) -> int:
+    """The CSR operators the in-RAM engine holds (streaming: none — its
+    operator blocks are in the memmap windows).
+
+    Every device's ``agg.matrix``, counted off the object, plus the
+    engine's block diagonal and its transpose — and, where the split-phase
+    pipeline runs, its central and marginal row restrictions: ``nnz``
+    entries of data and indices each (the two restrictions split them), and
+    index pointers over their rows.  Counted from shapes the way scipy
+    stores them (int32 indices while they fit), because the RAM-fit warning
+    reads this before the engine is built; the backward's owned and halo
+    halves of the transpose are row ranges of it and cost nothing.
+    """
+    if cluster._stream_ops is not None:
+        return 0
+    devices = cluster.devices
+    nnz = sum(dev.agg.nnz for dev in devices)
+    own = sum(dev.n_owned for dev in devices)
+    cols = own + sum(dev.part.n_halo for dev in devices)
+    index = 4 if max(nnz, cols) < 2**31 else 8
+    entry = devices[0].agg.matrix.data.itemsize + index
+    split = 1 if cluster.overlap else 0
+    pointers = (1 + 2 * split) * (own + 1) + cols + 1
+    operators = (2 + split) * nnz * entry + pointers * index
+    return operators + sum(_csr_bytes(dev.agg.matrix) for dev in devices)
+
+
 #: Bytes per element the NumPy quantization kernel holds for one chunk:
 #: float32 noise (4) drawn from uint16 lanes (2), normalized values (4),
 #: floors (4), the round-up mask (1) and cat-order uint8 codes (1).
@@ -307,9 +337,10 @@ def estimate_peak_resident(cluster: Cluster) -> int:
     aggregation scratch (one ``(max_own, F)`` buffer reused across
     devices) exists only when layer 0 aggregates first — a transform-first
     layer 0 reads the feature map straight into ``T``, which
-    :func:`_stacked_bytes` counts.  The quantized exchange's staging
-    buffers and, on the NumPy kernel tier, its per-chunk scratch are added
-    once — that assumes an adaqp-family system (the common case); a
+    :func:`_stacked_bytes` counts.  The in-RAM engine's operators
+    (:func:`_operator_bytes`), the quantized exchange's staging buffers
+    and, on the NumPy kernel tier, its per-chunk scratch are added once —
+    the last two assume an adaqp-family system (the common case); a
     vanilla run is overestimated by those terms, which errs on the safe
     side for the RAM-fit warning.
 
@@ -321,6 +352,7 @@ def estimate_peak_resident(cluster: Cluster) -> int:
     fps = estimate_memory(cluster)
     total = sum(fp.resident_bytes - fp.memmap_window_bytes for fp in fps)
     total += _quant_stage_bytes(cluster) + _quant_scratch_bytes(cluster)
+    total += _operator_bytes(cluster)
     if cluster._stream_ops is not None:
         windows = [fp.memmap_window_bytes for fp in fps]
         if cluster.transport.is_async and len(windows) > 1:

@@ -210,8 +210,9 @@ class DeviceStreamOps:
     the device's own rows (a feature memmap at layer 0) and its halo buffer
     without gathering them into one contiguous input.  ``own_t``/``halo_t``
     row-split the transpose for the backward scatter.  Because the full
-    operator stores columns in ascending [owned..., halo...] order and
-    scipy's ``csr_matvecs`` accumulates each output row in stored order, the
+    operator stores columns in ascending [owned..., halo...] order and the
+    engine's spmv (scipy's ``csr_matvecs``, or the compiled kernel that
+    repeats its operations) accumulates each output row in stored order, the
     two-pass split spmv is bitwise-identical to the single full-operator
     spmv (same contract the row-split overlap engine relies on).
 

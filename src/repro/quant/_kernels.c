@@ -1,8 +1,9 @@
-/* Compiled tier of the quantization kernels; built and loaded on first use
- * by repro/quant/native.py, which also states the build flags.
+/* Compiled tier of the quantization kernels and of the engine's sparse
+ * aggregation; built and loaded on first use by repro/quant/native.py, which
+ * also states the build flags.
  *
- * Four entry points, each the one-pass form of NumPy code that stays in the
- * package as the reference and the fallback:
+ * Five entry points, each the one-pass form of NumPy or scipy code that
+ * stays in the package as the reference and the fallback:
  *
  *   repro_philox_lanes         the keyed 16-bit noise lanes of
  *                              repro.quant.stochastic.KeyedRounding.fill_noise
@@ -10,6 +11,7 @@
  *                              FusedStepEncoder.quantize_pack_shard
  *   repro_decode_rows          unpack + de-quantize of decode_cluster_step
  *   repro_add_rows             the backward accumulate of a decoded block
+ *   repro_csr_rows             scipy's csr_matvecs, for the engine's spmv
  *
  * Bit-identity with NumPy is a matter of doing the same float32 operations
  * in the same order: this file must be built without -ffast-math and with
@@ -292,4 +294,123 @@ void repro_add_rows(const float *block, int64_t n_rows, int64_t dim,
         float *o = out + rows[i] * dim;
         for (int64_t j = 0; j < dim; j++) o[j] += block[j];
     }
+}
+
+/* The CSR kernel, built twice: for the baseline instruction set and, on
+ * x86-64, for AVX2 — run wherever the CPU reports AVX2 (checked per call),
+ * so a library in a cache shared between hosts stays safe on each of them.
+ * Two builds of two bodies: eight-lane vector accumulators run at 0.3-0.5x
+ * of scipy when lowered to SSE2, and four-lane ones leave half of an AVX2
+ * register idle.  A compiler that cannot build the AVX2 one gets the
+ * baseline only: the loader retries with REPRO_BASELINE_ONLY rather than
+ * lose the whole library. */
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(REPRO_BASELINE_ONLY)
+#define CSR_AVX2
+#endif
+
+typedef float v8f __attribute__((vector_size(32)));
+#define BLOCKS_MAX 8 /* vector accumulators held across a row's entries */
+
+/* Columns [0, w) of rows of `width` floats, w < 8 a constant after inlining:
+ * each row's sums stay in registers across its entries. */
+__attribute__((always_inline)) static inline void csr_rows_narrow(
+    const int w, int64_t n_rows, const int32_t *indptr,
+    const int32_t *restrict indices, const float *restrict data,
+    const float *restrict x, int64_t width, float *restrict y,
+    int64_t accumulate)
+{
+    for (int64_t i = 0; i < n_rows; i++, y += width) {
+        float acc[8];
+        for (int j = 0; j < w; j++) acc[j] = accumulate ? y[j] : 0.0f;
+        for (int32_t e = indptr[i]; e < indptr[i + 1]; e++) {
+            const float a = data[e], *xr = x + (int64_t)indices[e] * width;
+            for (int j = 0; j < w; j++) acc[j] = acc[j] + a * xr[j];
+        }
+        for (int j = 0; j < w; j++) y[j] = acc[j];
+    }
+}
+
+/* One build of the kernel, `name`, over vectors V of L floats: the columns
+ * in passes of up to BLOCKS_MAX vectors — c, a constant per case — each
+ * summing every row over its entries in registers, then the fewer than L
+ * columns left over. */
+#define CSR_ROWS(name, V, L, attrs)                                          \
+    attrs __attribute__((always_inline)) static inline void name##_pass(     \
+        const int c, int64_t n_rows, const int32_t *indptr,                  \
+        const int32_t *restrict indices, const float *restrict data,         \
+        const float *restrict x, int64_t width, float *restrict y,           \
+        int64_t accumulate)                                                  \
+    {                                                                        \
+        for (int64_t i = 0; i < n_rows; i++, y += width) {                   \
+            V acc[BLOCKS_MAX], xv;                                           \
+            for (int k = 0; k < c; k++) {                                    \
+                acc[k] = (V){0};                                             \
+                if (accumulate) memcpy(&acc[k], y + k * L, sizeof xv);       \
+            }                                                                \
+            for (int32_t e = indptr[i]; e < indptr[i + 1]; e++) {            \
+                const float a = data[e], *xr = x + (int64_t)indices[e] * width; \
+                for (int k = 0; k < c; k++) {                                \
+                    memcpy(&xv, xr + k * L, sizeof xv);                      \
+                    acc[k] = acc[k] + a * xv;                                \
+                }                                                            \
+            }                                                                \
+            for (int k = 0; k < c; k++) memcpy(y + k * L, &acc[k], sizeof xv); \
+        }                                                                    \
+    }                                                                        \
+    attrs static void name(int64_t n_rows, const int32_t *indptr,            \
+                           const int32_t *indices, const float *data,        \
+                           const float *x, int64_t width, float *y,          \
+                           int64_t accumulate)                               \
+    {                                                                        \
+        int64_t j0 = 0, c;                                                   \
+        for (; (c = (width - j0) / L) > 0; j0 += c * L) {                    \
+            c = c < BLOCKS_MAX ? c : BLOCKS_MAX;                             \
+            switch (c) {                                                     \
+                PASS(name, 1) PASS(name, 2) PASS(name, 3) PASS(name, 4)      \
+                PASS(name, 5) PASS(name, 6) PASS(name, 7) PASS(name, 8)      \
+            }                                                                \
+        }                                                                    \
+        switch (width - j0) {                                                \
+            NARROW(1) NARROW(2) NARROW(3) NARROW(4) NARROW(5) NARROW(6)      \
+            NARROW(7)                                                        \
+        }                                                                    \
+    }
+#define ARGS n_rows, indptr, indices, data, x + j0, width, y + j0, accumulate
+#define PASS(name, c)                                                        \
+    case c:                                                                  \
+        name##_pass(c, ARGS);                                                \
+        break;
+#define NARROW(w)                                                            \
+    case w:                                                                  \
+        csr_rows_narrow(w, ARGS);                                            \
+        break;
+CSR_ROWS(csr_rows_baseline, v4f, 4, )
+#ifdef CSR_AVX2
+CSR_ROWS(csr_rows_avx2, v8f, 8, __attribute__((target("avx2"))))
+#endif
+#undef ARGS
+#undef PASS
+#undef NARROW
+
+/* y[i] (+)= sum over the stored entries e of row i, in stored order, of
+ * data[e] * x[indices[e]] — for i = 0 .. n_rows, each a `width`-wide row of
+ * the row-major blocks x and y, which do not overlap.  Without `accumulate`
+ * y starts from +0.0.
+ *
+ * This is scipy's csr_matvecs (its axpy y[j] += a * x[j], entry after entry)
+ * operation for operation: per output element the same float32 multiplies
+ * and adds in the same order, so the result is bitwise scipy's.  indptr may
+ * be a slice of a larger matrix's row pointers — offsets are absolute into
+ * indices and data — which is how a row range of an operator is passed. */
+void repro_csr_rows(int64_t n_rows, const int32_t *indptr,
+                    const int32_t *indices, const float *data, const float *x,
+                    int64_t width, float *y, int64_t accumulate)
+{
+#ifdef CSR_AVX2
+    if (__builtin_cpu_supports("avx2")) {
+        csr_rows_avx2(n_rows, indptr, indices, data, x, width, y, accumulate);
+        return;
+    }
+#endif
+    csr_rows_baseline(n_rows, indptr, indices, data, x, width, y, accumulate);
 }

@@ -1191,7 +1191,8 @@ def kernels_agree(lib) -> bool:
     reproduce the NumPy kernel's wire bytes, zero points and scales (over
     a wire buffer it finds full of ones); the compiled decode the NumPy
     decode's matrices, from foreign payloads and from the plan's through a
-    :class:`DecodeIndex`; the compiled accumulate the per-pair adds.
+    :class:`DecodeIndex`; the compiled accumulate the per-pair adds; the
+    CSR kernel scipy's ``csr_matvecs`` (:func:`_csr_agrees`).
     Calls the kernels directly — never :func:`repro.quant.native.load`,
     which is what is running this.
     """
@@ -1254,4 +1255,38 @@ def kernels_agree(lib) -> bool:
     )
     for src in index.srcs:
         want_sum[index.rows[src]] += block[index.land[src]]
-    return got_sum.tobytes() == want_sum.tobytes()
+    return got_sum.tobytes() == want_sum.tobytes() and _csr_agrees(lib)
+
+
+def _csr_agrees(lib) -> bool:
+    """The self-test's CSR case: ``repro_csr_rows`` against scipy's
+    ``csr_matvecs`` on a small operator with an empty row and unsorted,
+    repeated columns, at a narrow and a wide width, overwriting and
+    accumulating, over every row and over row ranges passed as ``indptr``
+    slices."""
+    from scipy.sparse._sparsetools import csr_matvecs
+
+    gen = np.random.default_rng(1)
+    indptr = np.array([0, 3, 3, 4, 8, 10], dtype=np.int32)
+    indices = np.array([2, 0, 2, 1, 6, 3, 0, 3, 5, 4], dtype=np.int32)
+    data = gen.normal(size=10).astype(np.float32)
+    for width in (5, 19):
+        x = gen.normal(size=(7, width)).astype(np.float32)
+        for lo, hi, accumulate in ((0, 5, 0), (0, 5, 1), (2, 5, 1), (1, 4, 0)):
+            got = gen.normal(size=(hi - lo, width)).astype(np.float32)
+            want = got.copy() if accumulate else np.zeros_like(got)
+            rows = indptr[lo : hi + 1]
+            lib.repro_csr_rows(
+                hi - lo,
+                rows.ctypes.data,
+                indices.ctypes.data,
+                data.ctypes.data,
+                x.ctypes.data,
+                width,
+                got.ctypes.data,
+                accumulate,
+            )
+            csr_matvecs(hi - lo, 7, width, rows, indices, data, x.ravel(), want.ravel())
+            if got.tobytes() != want.tobytes():
+                return False
+    return True

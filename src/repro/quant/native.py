@@ -1,11 +1,13 @@
-"""Loader of the compiled quantization kernels (``_kernels.c``).
+"""Loader of the compiled kernels (``_kernels.c``).
 
 :func:`load` returns the kernel library, or ``None`` where the NumPy
-kernels of :mod:`repro.quant.fused` run instead: no C compiler, a
+kernels of :mod:`repro.quant.fused` and scipy's ``csr_matvecs`` (the
+engine's spmv, :mod:`repro.cluster.compute`) run instead: no C compiler, a
 big-endian host, a failed build, an unloadable or unsafe cached file, or a
-self-test that disagrees with NumPy or calls back into :func:`load` —
-each logged once, as one WARNING with the reason.  The tier is chosen by
-what this module observes; no option, flag or environment variable does.
+self-test that disagrees with NumPy or scipy or calls back into
+:func:`load` — each logged once, as one WARNING with the reason.  The tier
+is chosen by what this module observes; no option, flag or environment
+variable does.
 
 The library is built once per (source, flags, compiler version) into a
 per-user cache outside the checkout — ``$XDG_CACHE_HOME`` or ``~/.cache``,
@@ -33,7 +35,8 @@ from repro.utils.logging import get_logger
 __all__ = ["FLAGS", "declare", "load", "status"]
 
 #: Bit-identity with NumPy rules out ``-ffast-math`` and FMA contraction; a
-#: cache shared between hosts (a network home) rules out ``-march=native``.
+#: cache shared between hosts (a network home) rules out ``-march=native``
+#: (the CSR kernel's AVX2 / AVX-512 clones are picked at load time instead).
 FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 _BIG_ENDIAN = sys.byteorder == "big"
 _log = get_logger(__name__)
@@ -98,7 +101,7 @@ def _find_or_build() -> tuple[ctypes.CDLL, str]:
     from repro.quant.fused import kernels_agree
 
     if not kernels_agree(lib):
-        raise RuntimeError("self-test disagrees with the NumPy kernels")
+        raise RuntimeError("self-test disagrees with the NumPy / scipy kernels")
     return lib, f"native ({version}, {path})"
 
 
@@ -110,6 +113,7 @@ def declare(lib: ctypes.CDLL) -> None:
         "repro_quantize_pack_pairs": [ptr, ptr, i64, i64, *[ptr] * 4, i64, *[ptr] * 5],
         "repro_decode_rows": [*[ptr] * 4, i64, i64, ptr, ptr],
         "repro_add_rows": [ptr, i64, i64, ptr, ptr],
+        "repro_csr_rows": [i64, *[ptr] * 4, i64, ptr, i64],
     }
     for name, argtypes in signatures.items():
         fn = getattr(lib, name)
@@ -148,9 +152,14 @@ def _build(cc: str, source: bytes, path: Path) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
     os.close(fd)
     try:
-        cmd = [cc, *FLAGS, "-x", "c", "-", "-o", tmp]
-        done = subprocess.run(cmd, input=source, capture_output=True, timeout=600)
-        if done.returncode != 0:
+        # Without ifunc support (compiler or libc) the CSR kernel is built
+        # for the baseline instruction set only, rather than not at all.
+        for extra in ((), ("-DREPRO_BASELINE_ONLY",)):
+            cmd = [cc, *FLAGS, *extra, "-x", "c", "-", "-o", tmp]
+            done = subprocess.run(cmd, input=source, capture_output=True, timeout=600)
+            if done.returncode == 0:
+                break
+        else:
             tail = done.stderr.decode(errors="replace").strip()[-300:]
             raise RuntimeError(f"{cc} exited with {done.returncode}: {tail}")
         os.chmod(tmp, 0o700)

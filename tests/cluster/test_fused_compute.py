@@ -162,8 +162,9 @@ def test_spmv_count_follows_operand_order(
     monkeypatch, tiny_dataset, tiny_book, huge_store, sage_store, model_kind, shape,
     hidden,
 ):
-    """One training epoch's sparse multiply-adds, Σ nnz × n_vecs over every
-    ``csr_matvecs`` call, equal the first-principles count in all three
+    """One training epoch's sparse multiply-adds, Σ nnz × width over every
+    call of the engine's one spmv dispatch (``compute._spmv``, whichever
+    kernel tier runs under it), equal the first-principles count in all three
     engine shapes: ``2·Σ_l nnz·min(d_l, d_{l+1})`` for GCN (each layer
     aggregates at the narrower of its two widths, forward and backward)
     and ``2·Σ_l nnz·d_l`` for SAGE (always the input width).  This is what
@@ -186,13 +187,14 @@ def test_spmv_count_follows_operand_order(
     nnz = sum(dev.agg.nnz for dev in cluster.devices)
 
     counted = []
-    kernel = compute._csr_matvecs
+    dispatch = compute._spmv
 
-    def spy(n_row, n_col, n_vecs, indptr, indices, data, x, y):
-        counted.append(data.shape[0] * n_vecs)
-        return kernel(n_row, n_col, n_vecs, indptr, indices, data, x, y)
+    def spy(matrix, x, out, rows=None, **kwargs):
+        lo, hi = (0, matrix.shape[0]) if rows is None else rows
+        counted.append(int(matrix.indptr[hi] - matrix.indptr[lo]) * x.shape[1])
+        return dispatch(matrix, x, out, rows, **kwargs)
 
-    monkeypatch.setattr(compute, "_csr_matvecs", spy)
+    monkeypatch.setattr(compute, "_spmv", spy)
     cluster.train_epoch(ExactHaloExchange(), 0)
     cluster.close()
 
@@ -202,6 +204,39 @@ def test_spmv_count_follows_operand_order(
     else:
         widths = dims[:-1]
     assert sum(counted) == 2 * nnz * sum(widths)
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
+def test_spmv_dispatch_takes_every_operand(compiled, compiled_kernels, kernel_tier):
+    """What the compiled kernel does not take — float64, int64 indices,
+    strided blocks — runs on scipy or the public operator, with the same
+    overwrite / accumulate / row-range meaning on every branch; a shape that
+    does not fit is refused before any kernel sees it."""
+    import scipy.sparse as sp
+
+    from repro.cluster.compute import _spmv
+
+    gen = np.random.default_rng(0)
+    m = sp.random(9, 6, density=0.4, format="csr", dtype=np.float32, random_state=1)
+    wide = m.copy()  # scipy's constructors would narrow the indices again
+    wide.indices, wide.indptr = m.indices.astype(np.int64), m.indptr.astype(np.int64)
+    x = gen.normal(size=(6, 10)).astype(np.float32)
+    cases = [(m, x), (m.astype(np.float64), x.astype(np.float64)), (wide, x),
+             (m, np.asfortranarray(x))]  # fmt: skip
+    with kernel_tier(compiled_kernels if compiled else None):
+        for matrix, xs in cases:
+            start = gen.normal(size=(5, 10)).astype(xs.dtype)
+            want = start + np.asarray(matrix[2:7] @ xs)
+            got = start.copy()
+            assert _spmv(matrix, xs, got, (2, 7), accumulate=True) is got
+            np.testing.assert_allclose(got, want, rtol=1e-6)
+            strided = np.zeros((9, 20), dtype=xs.dtype)[:, ::2]
+            _spmv(matrix, xs, strided)
+            np.testing.assert_allclose(strided, matrix @ xs, rtol=1e-6)
+        with pytest.raises(ValueError, match="spmv"):
+            _spmv(m, x, np.zeros((8, 10), dtype=np.float32))
+        with pytest.raises(ValueError, match="spmv"):  # a range past the last row
+            _spmv(m, x, np.zeros((3, 10), dtype=np.float32), (7, 10))
 
 
 # ----------------------------------------------------------------------

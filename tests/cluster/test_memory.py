@@ -4,10 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.exchange import ExactHaloExchange
 from repro.cluster.memory import (
+    _csr_bytes,
+    _operator_bytes,
     _quant_scratch_bytes,
     _quant_stage_bytes,
     _stage_bytes,
@@ -144,6 +147,7 @@ def test_streaming_estimate_follows_operand_order(huge_store, hidden):
             + max(fp.memmap_window_bytes for fp in fps) + quant_stage + scratch
             + _kernel_scratch(c)
         )
+        assert _operator_bytes(c) == 0  # the operator blocks are in the windows
         assert (scratch == 0) == (hidden == 16)
         # ... and the engine really allocates it on that branch only.
         c.train_epoch(ExactHaloExchange(), 0)
@@ -156,7 +160,30 @@ def test_estimate_peak_resident_sums_devices(cluster):
     quant_stage = _quant_stage(cluster, 2 * cluster.dims[:-1])
     assert estimate_peak_resident(cluster) == (
         sum(fp.resident_bytes for fp in fps) + quant_stage + _kernel_scratch(cluster)
+        + _operator_bytes(cluster)
     )
+
+
+@pytest.mark.parametrize("overlap", [False, True], ids=["serial", "split-phase"])
+def test_operator_estimate_is_what_the_engine_holds(tiny_dataset, overlap):
+    """The in-RAM operator term, counted before the engine exists, equals
+    ``_csr_bytes`` summed over the operators it then holds: every device's
+    aggregation matrix, the block diagonal, its transpose and — split-phase
+    — the central/marginal restrictions.  The backward's owned and halo
+    halves of the transpose are row ranges of it, not two more copies."""
+    book = partition_graph(tiny_dataset.graph, 4, method="metis", seed=0)
+    with Cluster(tiny_dataset, book, hidden_dim=16, num_layers=3, dropout=0.0,
+                 seed=0, overlap=overlap) as c:  # fmt: skip
+        estimate = _operator_bytes(c)
+        engine = c._compute_engine()
+        held = [dev.agg.matrix for dev in c.devices] + [engine.matrix, engine.matrix_t]
+        if overlap:
+            plan = engine.overlap_plan()
+            operators = [v for v in vars(plan).values() if sp.issparse(v)]
+            assert operators == [plan.matrix_central, plan.matrix_marginal]
+            held += operators
+        assert estimate == sum(_csr_bytes(m) for m in held)
+        assert estimate_peak_resident(c) >= estimate
 
 
 def _widest_step(cluster):

@@ -424,11 +424,9 @@ def test_restrict_rows_partitions_operator(tiny_dataset, tiny_book):
     # Central rows never touch halo columns (what makes the overlap legal).
     if plan.matrix_central.nnz:
         assert int(plan.matrix_central.indices.max()) < engine.total_own
-    # The transpose row blocks partition P^T.
-    assert (
-        plan.matrix_t_own.shape[0] + plan.matrix_t_halo.shape[0]
-        == engine.matrix_t.shape[0]
-    )
+    # The transpose's owned and halo row ranges partition P^T.
+    (a, b), (c, d) = engine._own_rows, engine._halo_rows
+    assert (a, b, d) == (0, c, engine.matrix_t.shape[0])
 
 
 def test_restrict_rows_rejects_bad_mask():
@@ -445,11 +443,20 @@ def test_split_spmv_accumulates_to_full_product(tiny_dataset):
     engine = cluster._compute_engine()
     plan = engine.overlap_plan()
     gen = np.random.default_rng(0)
-    x = gen.normal(size=(engine.matrix.shape[1], 6)).astype(np.float32)
-    full = np.asarray(engine.matrix @ x)
-    split = np.zeros_like(full)
-    from repro.cluster.compute import _spmv_accumulate
+    from repro.cluster.compute import _spmv
 
-    _spmv_accumulate(plan.matrix_central, x, split)
-    _spmv_accumulate(plan.matrix_marginal, x, split)
-    assert np.array_equal(full, split)
+    for width in (6, 40):  # both accumulator forms of the compiled kernel
+        x = gen.normal(size=(engine.matrix.shape[1], width)).astype(np.float32)
+        full = np.asarray(engine.matrix @ x)
+        split = np.full_like(full, np.nan)
+        _spmv(plan.matrix_central, x, split)
+        _spmv(plan.matrix_marginal, x, split, accumulate=True)
+        assert full.tobytes() == split.tobytes()
+        # The backward's transpose, applied as its owned and halo row ranges.
+        d = gen.normal(size=(engine.total_own, width)).astype(np.float32)
+        full_t = np.asarray(engine.matrix_t @ d)
+        routed = np.full_like(full_t, np.nan)
+        own = engine.total_own
+        _spmv(engine.matrix_t, d, routed[:own], engine._own_rows)
+        _spmv(engine.matrix_t, d, routed[own:], engine._halo_rows)
+        assert full_t.tobytes() == routed.tobytes()

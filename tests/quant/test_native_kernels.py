@@ -1,11 +1,12 @@
-"""Compiled kernels ≡ NumPy kernels, bit for bit.
+"""Compiled kernels ≡ NumPy / scipy kernels, bit for bit.
 
 The byte-equality gate at kernel level: Philox lanes against
 ``numpy.random.Philox``, the compiled quantize + pack against the NumPy
 kernel and packer through every shard decomposition and the ``pair_shard``
 replay, the compiled decode against ``payload.decode()`` — for foreign
 payloads and through a plan's :class:`DecodeIndex` straight into halo rows
-or an accumulated block.  Both tiers are driven explicitly here (whatever
+or an accumulated block — and the compiled CSR product against scipy's
+``csr_matvecs``.  Both tiers are driven explicitly here (whatever
 ``--quant-kernel`` pins for the test run), so the NumPy reference kernel is
 exercised on every host that has a compiler too.
 
@@ -23,6 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse._sparsetools import csr_matvecs
 
 from repro.quant.fused import (
     DecodeWorkspace,
@@ -433,12 +435,56 @@ def test_native_decode_accepts_views_and_other_integer_indices(lib, tier):
         assert decode_step({0: payload})[0].tobytes() == want.tobytes()
 
 
+# ----------------------------------------------------------------------
+# CSR aggregation
+# ----------------------------------------------------------------------
+@st.composite
+def csr_products(draw):
+    """A float32 / int32 CSR — possibly empty, with empty and single-entry
+    rows, unsorted and repeated columns — a block of width 1-80 (both
+    accumulator forms, widths off every vector multiple) holding ±0.0 and
+    ±inf, and a row range ``[lo, hi)`` of the matrix."""
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_rows, n_cols = draw(st.integers(0, 12)), draw(st.integers(1, 10))
+    counts = gen.choice([0, 1, 2, 7], n_rows)
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+    indices = gen.integers(0, n_cols, indptr[-1]).astype(np.int32)
+    data = gen.normal(size=indptr[-1]).astype(np.float32)
+    width = draw(st.integers(1, 80))
+    x = gen.normal(size=(n_cols, width)).astype(np.float32)
+    special = gen.random(x.shape) < 0.1
+    x[special] = gen.choice([0.0, -0.0, np.inf, -np.inf], int(special.sum()))
+    lo = draw(st.integers(0, n_rows))
+    return indptr, indices, data, x, lo, draw(st.integers(lo, n_rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=csr_products(), accumulate=st.booleans())
+def test_csr_kernel_is_scipys(lib, case, accumulate):
+    """``repro_csr_rows`` over the rows of an ``indptr`` slice (absolute
+    offsets) writes scipy's ``csr_matvecs`` bytes — overwriting from +0.0,
+    or accumulating onto rows that hold -0.0 too — and nothing past them."""
+    indptr, indices, data, x, lo, hi = case
+    rows, (n_cols, width) = indptr[lo : hi + 1], x.shape
+    start = np.random.default_rng(hi).normal(size=(hi - lo, width)).astype(np.float32)
+    start[::3] = -0.0
+    want = start.copy() if accumulate else np.zeros_like(start)
+    csr_matvecs(hi - lo, n_cols, width, rows, indices, data, x.ravel(), want.ravel())
+    buf = np.full((hi - lo + 1, width), 7.0, dtype=np.float32)  # one guard row
+    buf[:-1] = start
+    lib.repro_csr_rows(hi - lo, rows.ctypes.data, indices.ctypes.data,
+                       data.ctypes.data, x.ctypes.data, width, buf.ctypes.data,
+                       accumulate)  # fmt: skip
+    assert buf[:-1].tobytes() == want.tobytes()
+    assert (buf[-1] == 7.0).all()
+
+
 def test_loader_declares_every_entry_point(lib):
     """``ctypes`` would otherwise guess ``int`` arguments and truncate
     64-bit pointers and sizes."""
     assert isinstance(lib, ctypes.CDLL)
     entries = ("repro_philox_lanes", "repro_quantize_pack_pairs", "repro_decode_rows",
-               "repro_add_rows")  # fmt: skip
+               "repro_add_rows", "repro_csr_rows")  # fmt: skip
     for name in entries:
         entry = getattr(lib, name)
         assert entry.argtypes and entry.restype is None

@@ -8,7 +8,8 @@ loader's self-test and the hypothesis properties of
 ``test_native_kernels.py``: ragged groups, rows that share a byte
 (dim·bits % 8 ≠ 0), 1-bit groups, permuted payload orders, empty pairs, a
 receiver whose mailbox is missing a source, decode straight into halo rows
-and into accumulated blocks.  An out-of-bounds read or write, or undefined
+and into accumulated blocks, and the CSR product over empty rows, repeated
+columns, row ranges and widths of both accumulator forms.  An out-of-bounds read or write, or undefined
 behaviour, aborts the subprocess: a failure here rather than a corrupted
 digest somewhere else.  Skipped, with the reason, where the compiler or
 its sanitizer runtime is missing.
@@ -39,6 +40,7 @@ PROPERTIES = (
     "test_decode_index_lands_every_row",
     "test_native_decode_checks_what_the_kernel_trusts",
     "test_native_decode_accepts_views_and_other_integer_indices",
+    "test_csr_kernel_is_scipys",
 )
 
 _DRIVER = r"""
