@@ -111,13 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
              "sync, worker[:N] (thread pool); every backend is "
              "bit-identical to sync under the same seed")
     p_train.add_argument(
-        "--pipeline-depth", type=int, default=None, choices=(1, 2),
-        metavar="D",
-        help="split-phase pipeline depth: 2 (default) keeps two exchange "
-             "steps in flight via cross-step lookahead; 1 runs the "
-             "one-tag-deep Fig. 7 pipeline (bit-identical, exposes the "
-             "encode tail on multi-core hosts)")
-    p_train.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",
         help="save an epoch-boundary checkpoint under DIR (model, "
              "optimizer, RNG positions, exchange carry-over); a "
@@ -230,10 +223,9 @@ def _cmd_info() -> int:
     return 0
 
 
-def _overlap_rows(result, depth: int) -> list[list[str]]:
+def _overlap_rows(result) -> list[list[str]]:
     """Measured-overlap table rows, derived from the full-run summary
-    (which covers every executed step); ``depth`` is the configured
-    pipeline depth."""
+    (which covers every executed step)."""
     summary = result.timeline_summary
     if not summary.steps:
         return []
@@ -246,7 +238,7 @@ def _overlap_rows(result, depth: int) -> list[list[str]]:
         [
             "measured overlap",
             f"{100 * summary.hidden_byte_fraction:.0f}% of halo bytes in "
-            f"flight during central windows (pipeline depth {depth})",
+            "flight during central windows",
         ],
         [
             "worker wait",
@@ -325,8 +317,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         checkpoint_every=max(1, args.checkpoint_every),
         resume=args.resume,
     )
-    if args.pipeline_depth is not None:
-        cfg = cfg.with_overrides(pipeline_depth=args.pipeline_depth)
     if args.transport_timeout is not None:
         cfg = cfg.with_overrides(transport_timeout_s=args.transport_timeout)
     print(f"training {args.system} / {args.model} on {dataset_label} "
@@ -374,7 +364,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
                 ["wire bytes / epoch",
                  f"{result.wire_bytes_total / max(result.epochs, 1) / 1e6:.2f} MB"],
             ]
-            + _overlap_rows(result, cfg.pipeline_depth),
+            + _overlap_rows(result),
         )
     )
     if result.bit_histogram:

@@ -90,16 +90,6 @@ class Cluster:
         :meth:`close`.  ``cluster.async_transport`` /
         ``cluster.transport_workers`` are read-only mirrors derived from
         the resolved spec.
-    pipeline_depth:
-        How many (layer, phase) exchange steps the split-phase executor
-        keeps in flight (1 or 2; default 2).  Depth 2 adds cross-step
-        lookahead: forward layers post layer L+1's boundary rows from
-        inside layer L's marginal sub-step (the moment its owned outputs
-        land), and backward layers defer their parameter-partial GEMMs to
-        run inside the next step's in-flight window.  Bitwise-identical
-        to depth 1 — posts stay strictly ordered (each lookahead fires
-        after the previous finalize) and deferred partials touch only
-        per-layer accumulators.  Degrades to 1 when ``overlap`` is off.
     transport_timeout_s:
         Per-tag completion deadline applied to async transports: a tag
         whose jobs have not finished within this many seconds raises a
@@ -124,7 +114,6 @@ class Cluster:
         seed: int = 0,
         overlap: bool = False,
         transport: str | TransportSpec | None = None,
-        pipeline_depth: int = 2,
         transport_timeout_s: float | None = None,
         fault_plan=None,
     ) -> None:
@@ -152,7 +141,6 @@ class Cluster:
             seed=seed,
             overlap=overlap,
             transport=transport,
-            pipeline_depth=pipeline_depth,
             transport_timeout_s=transport_timeout_s,
             fault_plan=fault_plan,
         )
@@ -190,11 +178,6 @@ class Cluster:
         # row-split operators presuppose the materialized block-diagonal
         # matrix.
         self.overlap = bool(overlap) and store_ds is None
-        if pipeline_depth not in (1, 2):
-            raise ValueError("pipeline_depth must be 1 or 2")
-        # Cross-step lookahead is an execution shape of the split-phase
-        # pipeline; without overlap there is no step to look ahead from.
-        self.pipeline_depth = int(pipeline_depth) if self.overlap else 1
         if transport is None:
             transport = TransportSpec("auto")
         spec = resolve_spec(transport, overlap=self.overlap)
@@ -249,19 +232,11 @@ class Cluster:
         num_layers = devices[0].model.num_layers
         engine = self._compute_engine()
         engine.begin_epoch()
-        depth2 = self.overlap and self.pipeline_depth >= 2
         for layer in range(num_layers):
             if self.overlap:
-                # Depth 2: every layer but the last posts its successor's
-                # boundary rows from inside its marginal sub-step, so the
-                # next step's encode overlaps this step's epilogue.
                 record.add_timeline(
                     engine.forward_layer_overlap(
-                        layer,
-                        exchange,
-                        self.transport,
-                        training=True,
-                        lookahead=depth2 and layer + 1 < num_layers,
+                        layer, exchange, self.transport, training=True
                     )
                 )
             else:
@@ -272,17 +247,8 @@ class Cluster:
         record.loss = engine.epoch_loss(self._loss)
         for layer in reversed(range(num_layers)):
             if self.overlap:
-                # Depth 2 (backward mirror): defer this layer's
-                # parameter-partial GEMMs into the next step's central
-                # window, after its post dispatch — layer 0 has no next
-                # step, so its partials stay inline.
                 record.add_timeline(
-                    engine.backward_layer_overlap(
-                        layer,
-                        exchange,
-                        self.transport,
-                        defer_partials=depth2 and layer > 0,
-                    )
+                    engine.backward_layer_overlap(layer, exchange, self.transport)
                 )
             else:
                 engine.backward_layer(layer, exchange, self.transport)

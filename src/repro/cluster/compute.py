@@ -74,25 +74,6 @@ bit).  The persistent stacked buffers keep their original row order —
 permuting them would reorder reductions (loss sums, ``xᵀ·d`` weight
 gradients) and break the bitwise contract.  Each overlapped step emits a
 measured :class:`~repro.cluster.records.StepTimeline`.
-
-**Two-deep cross-step lookahead** (``pipeline_depth=2``): the forward
-pass posts layer L+1's marginal messages from *inside* layer L's
-marginal sub-step — the moment its owned outputs land, before the
-backward-cache scatters — so L+1's step begins with its messages
-already in flight and its post stage collapses to a pending-step pop.
-The backward pass mirrors it on the dependency axis (L-1's post needs
-L's finalized gradient, so it cannot move earlier): each layer's
-parameter-partial GEMMs are deferred into a closure flushed at the
-start of the *next* step's central window, right after that step's
-post, so the post dispatches sooner and the partials fill its in-flight
-window.  A lookahead post fires only after the previous step's finalize
-has joined its tag, so posts stay strictly ordered and at most one tag
-ever has outstanding encode jobs.  Deferred partials read only per-layer
-buffers (``_z`` or ``_dt``, ``_x``, ``_x_hat``, LayerNorm's
-freshly-allocated input gradient, and the *previous* frontier buffer),
-none of which the interposed step touches, and per-accumulator addend
-order is unchanged because each closure owns its layer's parameters
-exclusively.
 """
 
 from __future__ import annotations
@@ -119,13 +100,6 @@ __all__ = [
     "restrict_rows",
     "OverlapPlan",
 ]
-
-#: Transport tag for streaming-mode page prefetch jobs.  On async backends
-#: the next device's operator/feature pages fault in on a worker while the
-#: main thread runs the current device's spmv/GEMM; synchronous backends
-#: skip it — inline, the touch is a second walk over pages the very next
-#: kernel faults in anyway, and it keeps two device windows resident.
-_PREFETCH_TAG = "stream/prefetch"
 
 try:  # pragma: no cover - import guard
     from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
@@ -318,9 +292,8 @@ class FusedClusterCompute:
         trainable, so the input-gradient GEMM and the layer-0 gradient
         exchange are skipped (the only wire-byte difference from the
         standard engine; losses are unchanged).  Each device's pages are
-        released after use (and, on an async transport, the next
-        device's are prefetched under the current kernels), bounding the
-        resident window to roughly one partition.  Everything else —
+        released after use, bounding the resident window to roughly one
+        partition.  Everything else —
         layer steps, operand order, parameter partials — is the in-RAM
         engine's code.  ``None`` (default) selects the in-RAM engine.
     """
@@ -456,13 +429,6 @@ class FusedClusterCompute:
         # Gradient of the current backward frontier (set by epoch_loss).
         self._d: np.ndarray | None = None
 
-        # Cross-step lookahead state (pipeline_depth=2): the forward
-        # pass's posted-but-not-yet-consumed next step as
-        # ``(layer, InFlightStep, dispatch_seconds)``, and the backward
-        # pass's deferred parameter-partial closure.
-        self._pending_fwd: tuple[int, object, float] | None = None
-        self._deferred_partials = None
-
     # ------------------------------------------------------------------
     def _own_slice(self, k: int) -> slice:
         return slice(int(self.own_off[k]), int(self.own_off[k + 1]))
@@ -493,12 +459,6 @@ class FusedClusterCompute:
         for acc in self._acc:
             acc.fill(0.0)
         self._d = None
-        # A completed epoch always consumes both (the last forward layer
-        # never posts ahead; backward layer 0 flushes layer 1's partials
-        # and runs its own inline) — clearing here only matters after an
-        # aborted epoch.
-        self._pending_fwd = None
-        self._deferred_partials = None
 
     def forward_layer(self, layer, exchange, transport, *, training: bool) -> None:
         """Exchange halos, aggregate, and run layer ``layer``'s dense step.
@@ -515,14 +475,14 @@ class FusedClusterCompute:
         out_own = self._layer_output(layer)
         x = self._x[layer]
         if x is None:
-            self._forward_layer0_stream(mod.conv, out_own, transport)
+            self._forward_layer0_stream(mod.conv, out_own)
         elif self._transform_first[layer]:
             linear = mod.conv.linear
             t = row_matmul(x, linear.weight.data, out=self._t[layer])
-            self._aggregate(t, out_own, transport)
+            self._aggregate(t, out_own)
             out_own += linear.bias.data
         else:
-            z = self._aggregate(x, self._z[layer], transport)
+            z = self._aggregate(x, self._z[layer])
             self._dense_update(
                 layer, x[: self.total_own], z, out_own, self._neigh_out_rows(layer)
             )
@@ -549,7 +509,7 @@ class FusedClusterCompute:
             out += conv.root.bias.data
             out += row_matmul(z, conv.neigh.weight.data, out=neigh_out)
 
-    def _aggregate(self, src: np.ndarray, out: np.ndarray, transport) -> np.ndarray:
+    def _aggregate(self, src: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``out = P @ src`` for a stacked ``[owned; halo]`` source.
 
         In RAM this is one block-diagonal spmv.  Streaming runs it device
@@ -563,12 +523,10 @@ class FusedClusterCompute:
         if self.stream is None:
             return _spmv(self.matrix, src, out)
         for k, ops in enumerate(self.stream):
-            self._stream_prefetch(transport, k, features=False)
             sl = self._own_slice(k)
             _spmv(ops.own, src[sl], out[sl])
             _spmv(ops.halo, src[self._halo_slice(k)], out[sl], accumulate=True)
             ops.release_op_pages()
-        transport.complete(_PREFETCH_TAG)
         return out
 
     def _forward_post(self, layer: int, mod, h: np.ndarray, training: bool) -> None:
@@ -594,23 +552,9 @@ class FusedClusterCompute:
             h *= self._drop_mask[layer]
 
     # ------------------------------------------------------------------
-    # Streaming (out-of-core) execution: paging, and layer 0's feature rows
+    # Streaming (out-of-core) execution: layer 0's feature rows
     # ------------------------------------------------------------------
-    def _stream_prefetch(self, transport, k: int, *, features: bool) -> None:
-        """Queue a page-fault pass for device ``k+1`` under the current
-        device's kernels (no-op past the last device, and on synchronous
-        transports — there is nothing to run it under).
-
-        ``features`` must be True only on loops that read the feature
-        regions *and* release them after: faulting features under any
-        other step would leave them resident with no release to reclaim
-        them.
-        """
-        if transport.is_async and k + 1 < len(self.devices):
-            nxt = self.stream[k + 1]
-            transport.defer(_PREFETCH_TAG, nxt.touch if features else nxt.touch_ops)
-
-    def _forward_layer0_stream(self, conv, out_own: np.ndarray, transport) -> None:
+    def _forward_layer0_stream(self, conv, out_own: np.ndarray) -> None:
         """Layer 0 against the store: owned rows come off the feature maps.
 
         Features are read straight from the (typically memmapped) device
@@ -633,11 +577,10 @@ class FusedClusterCompute:
                 row_matmul(dev.features, weight, out=t[self._own_slice(k)])
                 self.stream[k].release_feature_pages()
             row_matmul(self._x0_halo, weight, out=t[self.total_own :])
-            self._aggregate(t, out_own, transport)
+            self._aggregate(t, out_own)
             out_own += conv.linear.bias.data
             return
         for k, dev in enumerate(self.devices):
-            self._stream_prefetch(transport, k, features=True)
             sl = self._own_slice(k)
             z = self._aggregate_layer0_stream(k)
             self._dense_update(
@@ -645,7 +588,6 @@ class FusedClusterCompute:
             )
             self.stream[k].release_op_pages()
             self.stream[k].release_feature_pages()
-        transport.complete(_PREFETCH_TAG)
 
     def _aggregate_layer0_stream(self, k: int) -> np.ndarray:
         """Device ``k``'s ``z = P·X₀`` into the shared feature-width scratch.
@@ -729,9 +671,7 @@ class FusedClusterCompute:
         else:
             self._drop_active[layer] = False
 
-    def _forward_substep(
-        self, layer: int, rows: np.ndarray, after_out=None
-    ) -> None:
+    def _forward_substep(self, layer: int, rows: np.ndarray) -> None:
         """Dense half of layer ``layer`` for one row set (central or marginal).
 
         Gathers the rows into a contiguous block, runs the same dense
@@ -739,17 +679,8 @@ class FusedClusterCompute:
         scatters results (plus the backward caches) into the persistent
         buffers.  Every operation is row-local or row-deterministic, so
         the scattered rows are bit-identical to the full-step values.
-
-        ``after_out`` (if given) fires the moment ``out_own[rows]`` has
-        been written — before the backward-cache scatters — on every
-        path, including empty row sets.  The cross-step lookahead hooks
-        its next-layer post here: the next layer's input is complete at
-        that point, and the cache scatters are pure writes the callback
-        cannot observe, so firing early is free latency.
         """
         if rows.size == 0:
-            if after_out is not None:
-                after_out()
             return
         mod = self.devices[0].model.layers[layer]
         d_in, d_out = self.dims[layer], self.dims[layer + 1]
@@ -772,8 +703,6 @@ class FusedClusterCompute:
             self._dense_update(layer, xc, zc, h, neigh)
         if not mod.has_post_stage:
             out_own[rows] = h
-            if after_out is not None:
-                after_out()
             return
 
         x_hat = self._scratch("fwd_xhat", n, d_out)
@@ -788,11 +717,8 @@ class FusedClusterCompute:
             np.take(self._drop_mask[layer], rows, axis=0, out=dm)
             h *= dm
         out_own[rows] = h
-        if after_out is not None:
-            after_out()
 
-        # Backward caches; pure scatters of already-final values, so they
-        # can land after the callback has posted the next layer.
+        # Backward caches.
         self._x_hat[layer][rows] = x_hat
         buf = self._inv_std_buf[layer]
         if buf is None or buf.dtype != inv_std.dtype:
@@ -803,7 +729,7 @@ class FusedClusterCompute:
         self._relu_mask[layer][rows] = relu_mask
 
     def forward_layer_overlap(
-        self, layer, exchange, transport, *, training: bool, lookahead: bool = False
+        self, layer, exchange, transport, *, training: bool
     ) -> StepTimeline:
         """One forward layer as the paper's pipeline; returns its timeline.
 
@@ -811,52 +737,29 @@ class FusedClusterCompute:
         central sub-step runs while those messages are in flight; stage 3
         finalizes the halos (collect + de-quantize + scatter in place)
         and runs the marginal sub-step.
-
-        With ``lookahead=True`` (pipeline_depth=2) the marginal sub-step
-        additionally posts layer ``layer + 1``'s messages the moment its
-        owned outputs land — before the backward-cache scatters — and the
-        next call finds that step pending and skips its own post stage;
-        its ``quantize_s``/``lookahead_post_s`` then report the dispatch
-        seconds paid inside this step's marginal window.
         """
         plan = self.overlap_plan()
         mod = self.devices[0].model.layers[layer]
         t0 = time.perf_counter()
-        pending = self._pending_fwd
-        was_pending = pending is not None and pending[0] == layer
-        if was_pending:
-            # Posted by the previous layer's marginal sub-step; its tag's
-            # overlap window has been open since then, so every byte of
-            # this step was in flight before the central window below.
-            self._pending_fwd = None
-            step = pending[1]
-            lookahead_post_s = float(pending[2])
-            post_s = lookahead_post_s
-        else:
-            # Open the overlap window *before* posting: async workers may
-            # post (and, with worker-side decode, even collect) the step's
-            # traffic before this thread runs again, and bytes only count
-            # as hidden if the window is already open when they land.  For
-            # the synchronous transport the accounting is unchanged —
-            # everything posts into the open window instead of being
-            # pending at note_overlap time.
-            transport.note_overlap(step_tag("fwd", layer))
-            # Naming the halo destinations at post time lets async fused
-            # exchanges scatter on their workers; finalize below passes
-            # the same list and becomes join-only on that path.
-            step = exchange.post_step(
-                layer,
-                "fwd",
-                self.devices,
-                transport,
-                self._own_views[layer],
-                out=self._halo_views[layer],
-            )
-            lookahead_post_s = 0.0
-            post_s = None
+        # Open the overlap window *before* posting: async workers may post
+        # (and, with worker-side decode, even collect) the step's traffic
+        # before this thread runs again, and bytes only count as hidden if
+        # the window is already open when they land.  For the synchronous
+        # transport the accounting is unchanged — everything posts into
+        # the open window instead of being pending at note_overlap time.
+        transport.note_overlap(step_tag("fwd", layer))
+        # Naming the halo destinations at post time lets async fused
+        # exchanges scatter on their workers; finalize below passes the
+        # same list and becomes join-only on that path.
+        step = exchange.post_step(
+            layer,
+            "fwd",
+            self.devices,
+            transport,
+            self._own_views[layer],
+            out=self._halo_views[layer],
+        )
         t1 = time.perf_counter()
-        if post_s is None:
-            post_s = t1 - t0
 
         # Central window: aggregation + dense update of central rows only.
         # Transform-first, the window opens with T's owned rows — one
@@ -878,31 +781,10 @@ class FusedClusterCompute:
         exchange.finalize_step(step, out=self._halo_views[layer])
         t3 = time.perf_counter()
 
-        nxt = layer + 1
-        after_out = None
-        if lookahead and nxt < self.num_layers:
-            # Fires inside the marginal sub-step, right after the next
-            # layer's owned input rows are complete.  This step's finalize
-            # (above) joined every job of tag L, so the next tag's encode
-            # jobs are the only ones outstanding and posts stay strictly
-            # ordered.
-            def after_out() -> None:
-                tp = time.perf_counter()
-                transport.note_overlap(step_tag("fwd", nxt))
-                step_next = exchange.post_step(
-                    nxt,
-                    "fwd",
-                    self.devices,
-                    transport,
-                    self._own_views[nxt],
-                    out=self._halo_views[nxt],
-                )
-                self._pending_fwd = (nxt, step_next, time.perf_counter() - tp)
-
         if self._transform_first[layer]:
             row_matmul(x[self.total_own :], weight, out=src[self.total_own :])
         _spmv(plan.matrix_marginal, src, agg, accumulate=True)
-        self._forward_substep(layer, plan.rows_marginal, after_out=after_out)
+        self._forward_substep(layer, plan.rows_marginal)
         t4 = time.perf_counter()
         # Overlapped bytes are read after finalize: under the async
         # transport the worker's posts land mid-window, and they count as
@@ -910,7 +792,7 @@ class FusedClusterCompute:
         return StepTimeline(
             layer=layer,
             phase="fwd",
-            quantize_s=post_s,
+            quantize_s=t1 - t0,
             comm_s=0.0,
             central_s=t2 - t1,
             dequantize_s=t3 - t2,
@@ -920,8 +802,6 @@ class FusedClusterCompute:
             total_bytes=int(transport.bytes_matrix(step.tag).sum()),
             measured=True,
             worker_wait_s=step.worker_wait_s,
-            pipeline_depth=2 if (was_pending or after_out is not None) else 1,
-            lookahead_post_s=lookahead_post_s,
         )
 
     def _input_grad_rows(
@@ -941,9 +821,7 @@ class FusedClusterCompute:
         row_matmul(a, weight_t, out=o)
         target[rows] = o
 
-    def backward_layer_overlap(
-        self, layer, exchange, transport, *, defer_partials: bool = False
-    ) -> StepTimeline:
+    def backward_layer_overlap(self, layer, exchange, transport) -> StepTimeline:
         """One backward layer as the pipeline, dependency-first.
 
         The marginal sub-step runs *before* the post: outgoing halo
@@ -956,16 +834,6 @@ class FusedClusterCompute:
         layer has the two products the other way round — ``Pᵀ``'s halo
         rows of ``dY``, one GEMM over them, post; ``Pᵀ``'s owned rows, the
         partials and the owned-row GEMM in the window — and gathers nothing.
-
-        With ``defer_partials=True`` (pipeline_depth=2) this layer's
-        parameter-partial GEMMs are captured in a closure instead of
-        running here; the *next* (shallower) step flushes it at the start
-        of its central window, right after its own post — so each post
-        dispatches as early as its data dependencies allow and the
-        deferred GEMMs land inside the in-flight window they help hide.
-        The closure reads only per-layer buffers the interposed step never
-        touches, and each parameter's addend order is unchanged, so
-        gradients stay bitwise-identical.
         """
         d_out = self._d
         if d_out is None:
@@ -1012,36 +880,20 @@ class FusedClusterCompute:
         )
         t2 = time.perf_counter()
 
-        # Flush the previous (deeper) layer's deferred partials now that
-        # this step's messages are dispatched: the GEMMs land inside this
-        # step's in-flight window instead of delaying the post above.
-        flush = self._deferred_partials
-        if flush is not None:
-            self._deferred_partials = None
-            flush()
-
         # Central window: remaining input-grad rows, parameter partials,
         # owned-row gradient routing.
         if transform:
             _spmv(self.matrix_t, d_out, dt[: self.total_own], self._own_rows)
         else:
             self._input_grad_rows(d_out, plan.rows_central, weight_t, dz)
-
-        def partials(d_out=d_out, d_out_pre=d_out_pre) -> None:
-            if mod.has_post_stage:
-                assert d_out_pre is not None
-                prod = d_out_pre * self._x_hat[layer]
-                for k in range(len(self.devices)):
-                    sl = self._own_slice(k)
-                    self._acc_add(mod.norm.gamma, prod[sl].sum(axis=0))
-                    self._acc_add(mod.norm.beta, d_out_pre[sl].sum(axis=0))
+        if d_out_pre is not None:
+            prod = d_out_pre * self._x_hat[layer]
             for k in range(len(self.devices)):
-                self._conv_partials(layer, k, d_out)
-
-        if defer_partials:
-            self._deferred_partials = partials
-        else:
-            partials()
+                sl = self._own_slice(k)
+                self._acc_add(mod.norm.gamma, prod[sl].sum(axis=0))
+                self._acc_add(mod.norm.beta, d_out_pre[sl].sum(axis=0))
+        for k in range(len(self.devices)):
+            self._conv_partials(layer, k, d_out)
         own = slice(0, self.total_own)
         if transform:
             d_next = row_matmul(dt[own], weight_t, out=dx[own])
@@ -1069,7 +921,6 @@ class FusedClusterCompute:
             total_bytes=int(transport.bytes_matrix(step.tag).sum()),
             measured=True,
             worker_wait_s=step.worker_wait_s,
-            pipeline_depth=2 if (defer_partials or flush is not None) else 1,
         )
 
     # ------------------------------------------------------------------
@@ -1122,14 +973,14 @@ class FusedClusterCompute:
 
         dx = self._dx[layer]
         if dx is None:
-            self._backward_layer0_stream(d_out, transport)
+            self._backward_layer0_stream(d_out)
             self._d = None
             return
         conv = mod.conv
         own = slice(0, self.total_own)
         transform = self._transform_first[layer]
         if transform:
-            dt = self._route_gradients(d_out, self._dt[layer], transport)
+            dt = self._route_gradients(d_out, self._dt[layer])
         for k in range(len(self.devices)):
             self._conv_partials(layer, k, d_out)
         if transform:
@@ -1137,11 +988,11 @@ class FusedClusterCompute:
             d_next = dx[own]
         elif self.model_kind == "gcn":
             d_z = row_matmul(d_out, conv.linear.weight.data.T, out=self._dz[layer])
-            d_next = self._route_gradients(d_z, dx, transport)[own]
+            d_next = self._route_gradients(d_z, dx)[own]
         else:
             d_next = row_matmul(d_out, conv.root.weight.data.T, out=self._d_own[layer])
             d_z = row_matmul(d_out, conv.neigh.weight.data.T, out=self._dz[layer])
-            d_next += self._route_gradients(d_z, dx, transport)[own]
+            d_next += self._route_gradients(d_z, dx)[own]
 
         d_own_views = [d_next[self._own_slice(k)] for k in range(len(self.devices))]
         step = exchange.post_step(
@@ -1184,9 +1035,7 @@ class FusedClusterCompute:
             self._acc_add(conv.root.bias, d_k.sum(axis=0))
             self._acc_add(conv.neigh.weight, z.T @ d_k)
 
-    def _route_gradients(
-        self, src: np.ndarray, out: np.ndarray, transport
-    ) -> np.ndarray:
+    def _route_gradients(self, src: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``out = Pᵀ @ src`` onto a stacked ``[owned; halo]`` buffer.
 
         One spmv in RAM.  Streaming applies the store's per-device
@@ -1198,15 +1047,13 @@ class FusedClusterCompute:
         if self.stream is None:
             return _spmv(self.matrix_t, src, out)
         for k, ops in enumerate(self.stream):
-            self._stream_prefetch(transport, k, features=False)
             sl = self._own_slice(k)
             _spmv(ops.own_t, src[sl], out[sl])
             _spmv(ops.halo_t, src[sl], out[self._halo_slice(k)])
             ops.release_op_pages()
-        transport.complete(_PREFETCH_TAG)
         return out
 
-    def _backward_layer0_stream(self, d_out: np.ndarray, transport) -> None:
+    def _backward_layer0_stream(self, d_out: np.ndarray) -> None:
         """Layer 0's backward against the store: parameter partials only.
 
         Input features are not trainable, so the input-gradient GEMM and
@@ -1219,17 +1066,15 @@ class FusedClusterCompute:
         per device (:meth:`_aggregate_layer0_stream`).
         """
         if self._transform_first[0]:
-            self._route_gradients(d_out, self._dt[0], transport)
+            self._route_gradients(d_out, self._dt[0])
             for k, ops in enumerate(self.stream):
                 self._conv_partials(0, k, d_out)
                 ops.release_feature_pages()
             return
         for k, ops in enumerate(self.stream):
-            self._stream_prefetch(transport, k, features=True)
             self._conv_partials(0, k, d_out, z=self._aggregate_layer0_stream(k))
             ops.release_op_pages()
             ops.release_feature_pages()
-        transport.complete(_PREFETCH_TAG)
 
     # ------------------------------------------------------------------
     # Gradient reduction

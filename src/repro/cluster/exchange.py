@@ -42,10 +42,8 @@ so the quantized exchange shards one step's encode across all
 per-receiver collect/decode jobs, all free to retire in any order; the
 exact exchange (no noise at all) shards its batched posts per source
 device.  Bit lookups and tracer ``observe`` calls stay on the calling
-thread (the snapshot half).  With the two-deep pipeline a cross-step
-lookahead post fires only after the previous step's finalize has joined
-its tag, so even with two tags alive on the transport at once, at most
-one tag ever has outstanding encode jobs.
+thread (the snapshot half).  The pipelined executor finalizes each step
+before posting the next, so at most one tag is ever in flight.
 
 **Decode destinations.**  The quantized exchange decodes each receiver
 straight into where its rows are consumed, through a per-(plan,
@@ -205,10 +203,7 @@ class InFlightStep:
     ``scatter_out`` is the per-device halo-destination list the caller
     supplied at post time (if any): the fused engine's worker-side
     decodes write those buffers directly, so ``finalize_step`` passed the
-    *same* ``out`` object finds the rows already in place.  ``ws_parity``
-    selects which of the A/B :class:`~repro.quant.fused.DecodeWorkspace`
-    pair this step's decodes use, so a lookahead step's decode never
-    reuses buffers the previous step's finalize has not yet consumed.
+    *same* ``out`` object finds the rows already in place.
     """
 
     __slots__ = (
@@ -223,7 +218,6 @@ class InFlightStep:
         "decoded",
         "targets",
         "scatter_out",
-        "ws_parity",
         "plan",
     )
 
@@ -247,7 +241,6 @@ class InFlightStep:
         self.decoded: dict[int, dict] | None = None
         self.targets: dict[int, tuple] | None = None
         self.scatter_out: list[np.ndarray] | None = None
-        self.ws_parity = 0
         # The fused engine's encode plan for the step: what its decodes
         # index into, and what keyed replay regenerates a dropped
         # envelope from.
@@ -605,15 +598,11 @@ class FusedQuantizedHaloExchange(HaloExchange):
         self.tracer = tracer
         self.fused_encoder = FusedStepEncoder(self.rounding)
         self._decode_ws = DecodeWorkspace()
-        # Worker-side decode scratch, an A/B workspace pair per receiving
-        # rank, keyed ``(rank, parity)``: per-receiver decode jobs run
-        # concurrently on the pool, so ranks must never share buffers —
-        # and with cross-step lookahead two *steps* can be alive at once,
-        # so consecutive steps alternate parity (``_ws_parity``) to keep a
-        # pending step's decode from recycling buffers whose views the
-        # previous step's finalize has not yet consumed.
-        self._decode_ws_by_rank: dict[tuple[int, int], DecodeWorkspace] = {}
-        self._ws_parity = 0
+        # Worker-side decode scratch, one workspace per receiving rank:
+        # per-receiver decode jobs run concurrently on the pool, so ranks
+        # must never share buffers.  One step is in flight at a time, so a
+        # rank's workspace is free again once its step is finalized.
+        self._decode_ws_by_rank: dict[int, DecodeWorkspace] = {}
         self._topologies: dict[str, tuple] = {}
         self._halo_bufs: dict[tuple[int, int], np.ndarray] = {}
         #: envelopes regenerated bitwise from plan scratch after a drop
@@ -668,11 +657,6 @@ class FusedQuantizedHaloExchange(HaloExchange):
         tag = step_tag(phase, layer)
         dim = int(values_by_dev[devices[0].rank].shape[1])
         step = InFlightStep(layer, phase, tag, devices, transport, dim)
-        # Alternate the decode-workspace parity per posted step; with two
-        # steps in flight the lookahead one lands on the other half of the
-        # A/B pair (see _defer_decodes).
-        self._ws_parity ^= 1
-        step.ws_parity = self._ws_parity
         if out is not None and phase == "fwd":
             # Validate destination shapes on the calling thread, so the
             # worker-side scatter can assume them.
@@ -890,15 +874,12 @@ class FusedQuantizedHaloExchange(HaloExchange):
         join the very job set they run in.  Forward, each job writes its
         receiver's rows straight into the halo buffer named at post time
         (receivers own disjoint buffers, so the writes are race-free);
-        backward, into a block of its receiver's ``(rank, parity)``
-        workspace — the A/B pair keeps a lookahead step's decode from
-        reusing a block this step's finalize has not yet accumulated.
+        backward, into a block of its receiver's workspace.
         """
         for dev in step.devices:
-            key = (dev.rank, step.ws_parity)
-            workspace = self._decode_ws_by_rank.get(key)
+            workspace = self._decode_ws_by_rank.get(dev.rank)
             if workspace is None:
-                workspace = self._decode_ws_by_rank[key] = DecodeWorkspace()
+                workspace = self._decode_ws_by_rank[dev.rank] = DecodeWorkspace()
             target = self._target(step, dev, step.scatter_out, workspace)
             step.targets[dev.rank] = target
 

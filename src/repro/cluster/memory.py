@@ -20,13 +20,11 @@ Beyond the footnote-1 data counts, the footprint also models the
   order — a transform-first GCN layer keeps ``T``/``dT`` over owned and
   halo rows at its output width where an aggregate-first one keeps
   ``z``/``dz`` over owned rows at its input width;
-* the exchange's decode workspaces — an A/B pair per receiving rank
-  since the two-deep pipeline (PR 8), so the halo-row scratch counts
-  twice;
+* the exchange's decode workspace — one per receiving rank, holding
+  its widest halo-row block;
 * the memmap window a streaming device faults in (its operator blocks
   plus feature/label regions) — of which only the current device's is
-  resident at once (plus the prefetched successor's on an async
-  transport);
+  resident at once;
 * the in-RAM engine's CSR operators — every device's aggregation matrix,
   the block diagonal and its transpose, and the split-phase pipeline's
   central/marginal row restrictions;
@@ -77,9 +75,8 @@ class MemoryFootprint:
     halo_buffer_bytes: int  # receive buffers across layers
     model_param_bytes: int
     model_grad_bytes: int
-    #: exchange decode scratch: an A/B workspace pair per receiving rank
-    #: (two steps may be in flight since the two-deep pipeline), so the
-    #: widest halo-row buffer counts twice.
+    #: exchange decode scratch: one workspace per receiving rank (one
+    #: step is in flight at a time), sized by the widest halo-row block.
     decode_workspace_bytes: int = 0
     #: the fused engine's stacked buffers attributable to this device's
     #: rows (activations, aggregation outputs, gradients, logits, masks).
@@ -87,7 +84,7 @@ class MemoryFootprint:
     #: bytes of store-backed memmap regions this device faults in while
     #: its kernels run (CSR operator blocks + features + labels).  Only
     #: meaningful in streaming mode; pages are released after use, so one
-    #: device's window is resident (two where the successor's is prefetched).
+    #: device's window is resident at a time.
     memmap_window_bytes: int = 0
     #: True when the device reads a memmapped partition store (huge-graph
     #: mode): features/activations at layer 0 are not resident copies.
@@ -317,7 +314,7 @@ def estimate_memory(cluster: Cluster) -> list[MemoryFootprint]:
                 halo_buffer_bytes=halo_buffer_bytes,
                 model_param_bytes=params * _F32,
                 model_grad_bytes=params * _F32,
-                decode_workspace_bytes=2 * h * max_width * _F32,
+                decode_workspace_bytes=h * max_width * _F32,
                 stacked_buffer_bytes=stacked,
                 memmap_window_bytes=window,
                 streaming=streaming,
@@ -332,8 +329,7 @@ def estimate_peak_resident(cluster: Cluster) -> int:
     Sums every device's :attr:`MemoryFootprint.resident_bytes` — except
     the streaming memmap windows, of which only the running device's is
     resident at once thanks to the engine's page release, so the widest
-    window stands in for the sum (the widest adjacent pair on an async
-    transport, which prefetches the successor's).  The streaming layer-0
+    window stands in for the sum.  The streaming layer-0
     aggregation scratch (one ``(max_own, F)`` buffer reused across
     devices) exists only when layer 0 aggregates first — a transform-first
     layer 0 reads the feature map straight into ``T``, which
@@ -354,11 +350,7 @@ def estimate_peak_resident(cluster: Cluster) -> int:
     total += _quant_stage_bytes(cluster) + _quant_scratch_bytes(cluster)
     total += _operator_bytes(cluster)
     if cluster._stream_ops is not None:
-        windows = [fp.memmap_window_bytes for fp in fps]
-        if cluster.transport.is_async and len(windows) > 1:
-            total += max(a + b for a, b in zip(windows, windows[1:]))
-        else:
-            total += max(windows)
+        total += max(fp.memmap_window_bytes for fp in fps)
         if not _transform_first(cluster)[0]:
             max_own = max(dev.n_owned for dev in cluster.devices)
             total += max_own * cluster.dims[0] * _F32  # stream_z0 scratch

@@ -122,16 +122,6 @@ class StepTimeline:
     total_bytes: int = 0
     measured: bool = False
     worker_wait_s: float = 0.0  # exposed join wait on the async transport
-    # Cross-step pipelining (PR 8): how many (layer, phase) tags the
-    # executor kept in flight around this step (1 = classic Fig. 7), and
-    # — when this step's post was issued by the *previous* step's
-    # marginal window (forward lookahead) — the dispatch seconds paid
-    # there.  For such steps ``quantize_s == lookahead_post_s``: the cost
-    # was real but it ran inside the previous step's marginal stage, so
-    # depth-aware schedules (``schedule_adaqp(pipeline_depth=2)``) may
-    # hide it under that stage.
-    pipeline_depth: int = 1
-    lookahead_post_s: float = 0.0
 
     # -- modelled construction (the schedule simulators' accounting) -------
     @staticmethod
@@ -246,7 +236,6 @@ class TimelineSummary:
     dequantize_s: float = 0.0
     marginal_s: float = 0.0
     worker_wait_s: float = 0.0
-    lookahead_post_s: float = 0.0
     overlapped_bytes: int = 0
     total_bytes: int = 0
 
@@ -257,7 +246,6 @@ class TimelineSummary:
         self.dequantize_s += t.dequantize_s
         self.marginal_s += t.marginal_s
         self.worker_wait_s += t.worker_wait_s
-        self.lookahead_post_s += t.lookahead_post_s
         self.overlapped_bytes += t.overlapped_bytes
         self.total_bytes += t.total_bytes
 
@@ -268,7 +256,6 @@ class TimelineSummary:
         self.dequantize_s += other.dequantize_s
         self.marginal_s += other.marginal_s
         self.worker_wait_s += other.worker_wait_s
-        self.lookahead_post_s += other.lookahead_post_s
         self.overlapped_bytes += other.overlapped_bytes
         self.total_bytes += other.total_bytes
 

@@ -41,7 +41,7 @@ class RunConfig:
     fixed_bits: int = 2  # for the fixed-bit-width systems
     uniform_period: int = 20  # resampling cadence of the uniform baseline
 
-    # Execution shape.  These three swap how an epoch is executed, never
+    # Execution shape.  These two swap how an epoch is executed, never
     # what it computes — every combination is bitwise-identical under the
     # same seed (tests/cluster/test_oracle_matrix.py compares them all with
     # the reference trainer).
@@ -63,17 +63,6 @@ class RunConfig:
     # across the pool and decodes per receiver on it with results
     # identical at ANY worker count.
     transport: str = "auto"
-    # pipeline_depth: how many (layer, phase) exchange steps the split-
-    # phase executor keeps in flight.  1 is the classic Fig. 7 pipeline
-    # (post -> central -> finalize -> marginal, one tag at a time); 2 (the
-    # default) adds cross-step lookahead: the forward pass posts layer
-    # L+1's marginal messages from inside layer L's marginal sub-step (the
-    # moment its owned outputs land, before the backward-cache scatters),
-    # and the backward pass defers each layer's parameter-partial GEMMs to
-    # run after the next step's post is dispatched.  Posts stay strictly
-    # ordered and every deferred block reads only per-layer buffers.
-    # Ignored (treated as 1) when overlap is off.
-    pipeline_depth: int = 2
 
     # Fault tolerance
     # checkpoint_dir: where epoch-boundary checkpoints land (and, with
@@ -116,8 +105,6 @@ class RunConfig:
         # Validates backend name and worker count (rejects junk early).
         TransportSpec.parse(transport)
         object.__setattr__(self, "transport", transport)
-        if self.pipeline_depth not in (1, 2):
-            raise ValueError("pipeline_depth must be 1 or 2")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
         if self.transport_timeout_s is not None and self.transport_timeout_s <= 0:

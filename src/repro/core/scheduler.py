@@ -46,7 +46,6 @@ __all__ = [
     "ScheduleResult",
     "schedule_vanilla",
     "schedule_adaqp",
-    "schedule_adaqp_pipelined",
     "schedule_pipegcn",
     "schedule_sancus",
     "SCHEDULES",
@@ -112,58 +111,24 @@ def schedule_vanilla(
 
 
 def schedule_adaqp(
-    record: EpochRecord,
-    cost: LinkCostModel,
-    perf: PerfModel,
-    *,
-    pipeline_depth: int = 1,
+    record: EpochRecord, cost: LinkCostModel, perf: PerfModel
 ) -> ScheduleResult:
-    """AdaQP's three-stage overlap (paper Figs. 4b and 7).
-
-    ``pipeline_depth=2`` models the executor's two-deep cross-step
-    interleave: step ``i``'s quantize+post runs inside step ``i-1``'s
-    marginal window (forward lookahead; dependency-mirrored backward), so
-    for each consecutive same-phase pair the schedule hides
-    ``min(quantize_s[i], marginal_s[i-1])`` — the dispatch cost survives
-    only where the previous marginal window is too short to cover it.
-    Phase-boundary steps (the first forward and first backward layer)
-    have no prior window and keep their full quantize stage.
-    """
-    if pipeline_depth not in (1, 2):
-        raise ValueError(f"pipeline_depth must be 1 or 2, got {pipeline_depth}")
+    """AdaQP's three-stage overlap (paper Figs. 4b and 7)."""
     timelines = _modeled_timelines(record, cost, perf)
     quant_bucket = sum(t.quantize_s + t.dequantize_s for t in timelines)
     # Central compute hides inside the overlap stage's comm bucket.
     comm_bucket = sum(t.overlap_stage_s for t in timelines)
     comp_bucket = sum(t.marginal_s for t in timelines)
     epoch = sum(t.pipelined_s for t in timelines)
-    hidden_lookahead = 0.0
-    if pipeline_depth == 2:
-        for prev, cur in zip(timelines, timelines[1:]):
-            if prev.phase == cur.phase:
-                hidden_lookahead += min(cur.quantize_s, prev.marginal_s)
-        epoch -= hidden_lookahead
     allreduce = ring_allreduce_time(record.grad_allreduce_bytes, cost)
     comm_bucket += allreduce
     epoch += allreduce
-    detail = (
-        {"hidden_lookahead": hidden_lookahead} if pipeline_depth == 2 else {}
-    )
     return ScheduleResult(
         epoch_time=epoch,
         comm_time=comm_bucket,
         comp_time=comp_bucket,
         quant_time=quant_bucket,
-        detail=detail,
     )
-
-
-def schedule_adaqp_pipelined(
-    record: EpochRecord, cost: LinkCostModel, perf: PerfModel
-) -> ScheduleResult:
-    """:func:`schedule_adaqp` at ``pipeline_depth=2`` (Fig. 10 extension:
-    the two-deep cross-step interleave the PR-8 executor runs)."""
-    return schedule_adaqp(record, cost, perf, pipeline_depth=2)
 
 
 def schedule_pipegcn(
@@ -225,7 +190,6 @@ def schedule_quantized_no_overlap(
 SCHEDULES = {
     "vanilla": schedule_vanilla,
     "adaqp": schedule_adaqp,
-    "adaqp-pipelined": schedule_adaqp_pipelined,
     "pipegcn": schedule_pipegcn,
     "sancus": schedule_sancus,
     "quantized-no-overlap": schedule_quantized_no_overlap,

@@ -324,7 +324,6 @@ def train(
         seed=config.seed,
         overlap=config.overlap and system in OVERLAP_SYSTEMS,
         transport=config.transport,
-        pipeline_depth=config.pipeline_depth,
         transport_timeout_s=config.transport_timeout_s,
         fault_plan=fault_plan,
     )

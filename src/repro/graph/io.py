@@ -190,17 +190,6 @@ def release_memmap_pages(*arrays: np.ndarray) -> None:
             pass  # advisory only; never fail compute over it
 
 
-def _touch_pages(*arrays: np.ndarray) -> None:
-    """Fault in one element per OS page so reads later hit resident memory."""
-    checksum = 0.0
-    for arr in arrays:
-        if getattr(arr, "_mmap", None) is None or arr.size == 0:
-            continue
-        stride = max(1, 4096 // arr.itemsize)
-        checksum += float(np.add.reduce(arr.reshape(-1)[::stride], dtype=np.float64))
-    del checksum
-
-
 @dataclass
 class DeviceStreamOps:
     """Per-device column/row-split aggregation operators for streaming mode.
@@ -233,20 +222,6 @@ class DeviceStreamOps:
 
     def release_feature_pages(self) -> None:
         release_memmap_pages(*self.feature_pages)
-
-    def touch(self) -> None:
-        """Prefetch: fault in the operator + feature pages for this device."""
-        _touch_pages(*self.pages, *self.feature_pages)
-
-    def touch_ops(self) -> None:
-        """Prefetch the operator pages only.
-
-        Hidden-layer steps never read the feature regions; touching them
-        there would accumulate the whole feature file in the resident set
-        (layers ≥ 1 release only operator pages), defeating the layer-0
-        window release.
-        """
-        _touch_pages(*self.pages)
 
 
 @dataclass

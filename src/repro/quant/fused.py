@@ -785,13 +785,10 @@ class DecodeWorkspace:
     decode are views into (or reuses of) these buffers — valid until the
     next decode call, which is exactly the finalize-half's
     consume-immediately lifetime.  The fused exchange also takes its
-    backward decode blocks from here.
-
-    At pipeline depth 2 the fused exchange keeps *two* workspaces per
-    receiver, keyed on ``(receiver, parity)`` with the parity flipping
-    at every posted step — a tag-L+1 decode then never reuses scratch a
-    not-yet-consumed tag-L view still aliases, and each view's lifetime
-    extends to the next *same-parity* decode, two steps away.
+    backward decode blocks from here, one workspace per receiver for its
+    worker-side decodes; with one step in flight at a time, a receiver's
+    block is consumed by that step's finalize before the next step's
+    decode reuses it.
     """
 
     def __init__(self) -> None:

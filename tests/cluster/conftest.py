@@ -2,10 +2,11 @@
 
 ``matrix.check(...)`` trains one production configuration — a real
 :class:`~repro.cluster.cluster.Cluster` under some overlap / transport /
-depth / residency — and requires it to equal the reference trainer
+residency — and requires it to equal the reference trainer
 (``tests/reference/oracle.py``) bitwise on everything a run is compared on.
-Oracle runs depend only on (residency, policy, model, hidden, parts), so
-one session computes each once however many shapes are compared with it.
+Oracle runs depend only on (residency, policy, model, hidden, hidden
+layers, parts), so one session computes each once however many shapes are
+compared with it.
 """
 
 import numpy as np
@@ -116,26 +117,30 @@ class Matrix:
             )
         return dataset, self._books[parts]
 
-    def oracle(self, *, policy, model, hidden, parts, residency="ram") -> Run:
-        key = (residency != "ram", policy, model, hidden, parts)
+    def oracle(
+        self, *, policy, model, hidden, parts, residency="ram", hidden_layers=2
+    ) -> Run:
+        key = (residency != "ram", policy, model, hidden, hidden_layers, parts)
         if key not in self._oracles:
             trainer = ReferenceTrainer(
-                *self.inputs(residency, parts), policy, model_kind=model, hidden_dim=hidden
+                *self.inputs(residency, parts), policy, model_kind=model,
+                hidden_dim=hidden, num_layers=hidden_layers + 1,
             )
             self._oracles[key] = trainer.run()
         return self._oracles[key]
 
     def production(
-        self, *, policy, model, hidden, parts, residency="ram", overlap=True,
-        transport="sync", depth=2,
+        self, *, policy, model, hidden, parts, residency="ram", hidden_layers=2,
+        overlap=True, transport="sync",
     ):
         """``(Run, last epoch's record)`` of one production configuration;
-        ``transport`` is a spec string or ``"shuffled"``."""
+        ``transport`` is a spec string or ``"shuffled"``, and the model is
+        ``hidden_layers + 1`` layers deep."""
         dataset, book = self.inputs(residency, parts)
         shuffled = transport == "shuffled"
         with Cluster(
-            dataset, book, model_kind=model, hidden_dim=hidden, num_layers=3,
-            dropout=0.5, seed=7, overlap=overlap, pipeline_depth=depth,
+            dataset, book, model_kind=model, hidden_dim=hidden,
+            num_layers=hidden_layers + 1, dropout=0.5, seed=7, overlap=overlap,
             transport="sync" if shuffled else transport,
         ) as cluster:
             if shuffled:
@@ -153,10 +158,14 @@ class Matrix:
             out.metrics = cluster.evaluate()
         return out, record
 
-    def check(self, *, policy, model, hidden, parts, residency="ram", **shape):
+    def check(
+        self, *, policy, model, hidden, parts, residency="ram", hidden_layers=2,
+        **shape,
+    ):
         """Production under ``shape`` ≡ the oracle; returns the last record."""
         what = dict(
-            policy=policy, model=model, hidden=hidden, parts=parts, residency=residency
+            policy=policy, model=model, hidden=hidden, parts=parts,
+            residency=residency, hidden_layers=hidden_layers,
         )
         run, record = self.production(**what, **shape)
         assert run.mismatches(self.oracle(**what)) == [], (what, shape)

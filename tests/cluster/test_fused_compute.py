@@ -62,7 +62,7 @@ def test_baseline_exchanges_identical(matrix, exchange_name, hidden):
 
 @pytest.mark.parametrize("hidden", HIDDEN_SHAPES)
 def test_accuracy_curves_identical_via_trainer(tiny_dataset, tiny_book, hidden):
-    """``train()`` on the default transport/depth ≡ the plainest shape."""
+    """``train()`` on the default transport ≡ the plainest shape."""
     cfg = RunConfig(epochs=8, hidden_dim=hidden, eval_every=2, reassign_period=4)
     default = train("adaqp-fixed", tiny_dataset, tiny_book, "2M-2D", cfg)
     plain = train(
@@ -70,7 +70,7 @@ def test_accuracy_curves_identical_via_trainer(tiny_dataset, tiny_book, hidden):
         tiny_dataset,
         tiny_book,
         "2M-2D",
-        cfg.with_overrides(overlap=False, transport="sync", pipeline_depth=1),
+        cfg.with_overrides(overlap=False, transport="sync"),
     )
     assert default.curve_loss == plain.curve_loss
     assert default.curve_val == plain.curve_val

@@ -172,45 +172,6 @@ def test_stream_transports_bitwise(huge_store, stream_run, spec, hidden):
     assert run.wire_bytes_total == stream_run.wire_bytes_total
 
 
-def test_page_prefetch_runs_only_under_an_async_transport(
-    huge_store, hidden, monkeypatch
-):
-    """On a synchronous transport the next device's pages are not
-    pre-touched — inline, that is a second walk over pages the next kernel
-    faults in anyway, and two resident windows instead of one.  An async
-    transport still gets the jobs, and either way the losses are the same."""
-    from repro.cluster.cluster import Cluster
-    from repro.cluster.exchange import ExactHaloExchange
-    from repro.comm.transport import SyncTransport
-    from repro.graph.io import DeviceStreamOps
-
-    touched = []
-    for name in ("touch", "touch_ops"):
-        monkeypatch.setattr(
-            DeviceStreamOps, name, lambda self, name=name: touched.append(name)
-        )
-
-    class AsyncFlagged(SyncTransport):
-        is_async = True  # defer() still runs the job inline
-
-    def losses(transport_cls):
-        with Cluster(
-            huge_store.dataset(), huge_store.book(), hidden_dim=hidden,
-            num_layers=2, dropout=0.0, seed=0,
-        ) as cluster:
-            cluster.transport = transport_cls(cluster.num_devices)
-            exchange = ExactHaloExchange()
-            return [cluster.train_epoch(exchange, e).loss for e in range(2)]
-
-    plain = losses(SyncTransport)
-    assert touched == []
-    assert losses(AsyncFlagged) == plain
-    # Feature pages are pre-touched only where a loop reads *and* releases
-    # them: aggregate-first layer 0 (hidden 32 on this 24-feature store).
-    assert "touch_ops" in touched
-    assert ("touch" in touched) == (hidden == 32)
-
-
 def test_streaming_estimate_below_materialized(huge_store):
     """The analytic model must predict streaming's headroom: a streaming
     cluster's estimated peak stays below the store's materialized bytes

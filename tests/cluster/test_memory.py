@@ -82,11 +82,11 @@ def test_total_is_sum_of_components(cluster):
     )
 
 
-def test_decode_workspace_is_ab_pair(cluster):
-    """Two halo-row workspaces per device since the two-deep pipeline."""
+def test_decode_workspace_is_one_per_receiver(cluster):
+    """One halo-row workspace per device: one exchange step is in flight."""
     max_width = max(cluster.dims[:-1])
     for fp, dev in zip(estimate_memory(cluster), cluster.devices):
-        assert fp.decode_workspace_bytes == 2 * dev.part.n_halo * max_width * 4
+        assert fp.decode_workspace_bytes == dev.part.n_halo * max_width * 4
 
 
 def test_stacked_buffers_counted_for_fused_engine(cluster):

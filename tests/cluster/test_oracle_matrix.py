@@ -8,8 +8,8 @@ equal per-epoch wire bytes, equal eval metrics and equal assigner
 bit-widths at each re-assignment (``Run.mismatches``).  The cases are a
 pairwise cover of the axes: every legal pair of values of two different
 axes occurs in at least one case.  Combinations the cluster degrades
-(``overlap`` off, or a store, makes the transport sync and the depth 1)
-are legal inputs and stay in.
+(``overlap`` off, or a store, makes the transport sync) are legal inputs
+and stay in.
 """
 
 import itertools
@@ -28,7 +28,10 @@ from repro.quant.stochastic import KeyedRounding
 AXES = {
     "overlap": [False, True],
     "transport": ["sync", "worker:1", "worker:4", "shuffled"],
-    "depth": [1, 2],
+    # The stack is hidden_layers + 1 deep: with one hidden layer the first
+    # layer feeds the output layer directly, with two a hidden layer sits
+    # between them.
+    "hidden_layers": [1, 2],
     "residency": ["ram", "store-stream", "store-materialized"],
     "policy": ["exact", "quantized", "adaptive", "stale", "broadcast"],
     "model": ["gcn", "sage"],

@@ -5,10 +5,10 @@ sub-step is a row permutation of the same math, so under the same seed it
 must equal the reference trainer (``tests/reference/oracle.py``) bitwise —
 losses, reduced gradients, wire bytes, bit-widths, accuracy — on every
 transport backend, at any worker count, under any job-retirement order and
-at both pipeline depths.  The pairwise cover of *all* axes is
-``test_oracle_matrix.py``; the grids here enumerate the transport × depth ×
-policy sub-matrix in full, each case one ``matrix.check`` call against the
-session's cached oracle runs.  On top of the numerics, each overlapped
+at any stack depth.  The pairwise cover of *all* axes is
+``test_oracle_matrix.py``; the grids here enumerate the transport × stack
+depth × policy sub-matrix in full, each case one ``matrix.check`` call
+against the session's cached oracle runs.  On top of the numerics, each overlapped
 epoch must emit a measured per-stage timeline whose transport-recorded
 interleave shows the halo traffic really was in flight during the central
 windows.
@@ -127,7 +127,9 @@ def test_legacy_transport_knobs_are_gone(tiny_dataset, tiny_book, capsys):
     for removed in ("bogus", "process:2"):
         with pytest.raises(ValueError, match="expected one of: auto, sync, worker"):
             RunConfig(transport=removed)
-    for knob in ("fused_compute", "timeline_keep"):
+    with pytest.raises(TypeError):
+        RunConfig(pipeline_depth=2)
+    for knob in ("fused_compute", "timeline_keep", "pipeline_depth"):
         with pytest.raises(TypeError):
             Cluster(tiny_dataset, tiny_book, **{knob: 1})
     # repartition() rebuilds from _ctor: it may carry only live arguments.
@@ -135,6 +137,7 @@ def test_legacy_transport_knobs_are_gone(tiny_dataset, tiny_book, capsys):
         assert set(cluster._ctor) <= set(inspect.signature(Cluster).parameters)
     for argv in (
         ["train", "--rng-mode", "keyed"], ["train", "--no-fused-compute"], ["bench"],
+        ["train", "--pipeline-depth", "2"],
     ):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
@@ -159,37 +162,22 @@ def test_keyed_rng_survives_shuffled_job_retirement(matrix, exchange_name, hidde
 
 @pytest.mark.parametrize("exchange_name", POLICIES)
 @pytest.mark.parametrize("spec", ["sync", "worker:4"])
-@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("hidden_layers", [1, 2])
 @pytest.mark.parametrize("hidden", HIDDEN_SHAPES)
-def test_pipeline_depth_matrix_bitwise_identical(matrix, exchange_name, spec, depth, hidden):
-    """pipeline_depth {1, 2} x {sync, worker:4} x every policy.
-    Depth 2 changes only *when* each step's post is dispatched (inside the
-    previous step's marginal window), never what is posted: posts stay
-    strictly ordered, so keyed rounding and collect's sort-by-source
-    anchor pin the numerics, and the interleave stays fully hidden."""
+def test_pipeline_depth_matrix_bitwise_identical(
+    matrix, exchange_name, spec, hidden_layers, hidden
+):
+    """The pipeline one or two hidden layers deep x {sync, worker:4} x
+    every policy.  With one hidden layer the first layer's marginal
+    sub-step feeds the output layer's post directly; with two, a hidden
+    layer's full post -> central -> finalize -> marginal sits between
+    them.  Either way the interleave stays fully hidden."""
     record = matrix.check(
         policy=exchange_name, model="gcn", hidden=hidden, parts=4,
-        overlap=True, transport=spec, depth=depth,
+        hidden_layers=hidden_layers, overlap=True, transport=spec,
     )
     if record.timeline_summary.total_bytes > 0:
         assert record.hidden_byte_fraction() == 1.0
-
-
-def test_depth2_timelines_report_lookahead(matrix):
-    """Depth-2 epochs stamp every step timeline with the depth, and
-    lookahead-posted forward steps carry the dispatch seconds that ran
-    inside the previous marginal window (``quantize_s`` equals it)."""
-    _, deep = matrix.production(**QUANTIZED, depth=2)
-    assert all(t.pipeline_depth == 2 for t in deep.timelines)
-    for t in deep.timelines:
-        if t.phase == "fwd" and t.layer > 0:
-            # Posted by the previous layer's marginal window.
-            assert t.quantize_s == t.lookahead_post_s
-        else:
-            assert t.lookahead_post_s == 0.0
-    _, shallow = matrix.production(**QUANTIZED, depth=1)
-    assert all(t.pipeline_depth == 1 for t in shallow.timelines)
-    assert all(t.lookahead_post_s == 0.0 for t in shallow.timelines)
 
 
 def test_shuffled_retirement_across_tags():

@@ -177,20 +177,22 @@ def _run(tiny_dataset, tiny_book, *, faults=None, system="adaqp-fixed", **overri
     return result, plan
 
 
-#: Both backends at both pipeline depths: on ``worker:2`` the dropped or
-#: duplicated envelope is posted by an encode shard on the pool, and the
-#: receiver's decode runs there too, before finalize's replay audit.
+#: Both backends at both stack depths (one or two hidden layers; the
+#: scripted faults hit layers 0 and 1, which both stacks have): on
+#: ``worker:2`` the dropped or duplicated envelope is posted by an encode
+#: shard on the pool, and the receiver's decode runs there too, before
+#: finalize's replay audit.
 RECOVERY_SHAPES = pytest.mark.parametrize(
-    "transport,depth",
-    [(t, d) for t in ("sync", "worker:2") for d in (1, 2)],
+    "transport,hidden_layers",
+    [(t, h) for t in ("sync", "worker:2") for h in (1, 2)],
 )
 
 
 @RECOVERY_SHAPES
 def test_drop_recovers_bitwise_via_keyed_replay(
-    tiny_dataset, tiny_book, transport, depth
+    tiny_dataset, tiny_book, transport, hidden_layers
 ):
-    shape = dict(transport=transport, pipeline_depth=depth)
+    shape = dict(transport=transport, num_layers=hidden_layers + 1)
     clean, _ = _run(tiny_dataset, tiny_book, **shape)
     faulted, plan = _run(
         tiny_dataset,
@@ -206,8 +208,10 @@ def test_drop_recovers_bitwise_via_keyed_replay(
 
 
 @RECOVERY_SHAPES
-def test_duplicate_is_a_bitwise_noop(tiny_dataset, tiny_book, transport, depth):
-    shape = dict(transport=transport, pipeline_depth=depth)
+def test_duplicate_is_a_bitwise_noop(
+    tiny_dataset, tiny_book, transport, hidden_layers
+):
+    shape = dict(transport=transport, num_layers=hidden_layers + 1)
     clean, _ = _run(tiny_dataset, tiny_book, **shape)
     faulted, plan = _run(
         tiny_dataset, tiny_book, faults=["duplicate:fwd/L0@1"], **shape

@@ -97,28 +97,12 @@ def test_sancus_sequential_slower_than_ring(env):
 def test_schedule_registry(env):
     record, _, cost, perf = env
     assert set(SCHEDULES) == {
-        "vanilla", "adaqp", "adaqp-pipelined", "pipegcn", "sancus",
+        "vanilla", "adaqp", "pipegcn", "sancus",
         "quantized-no-overlap",
     }
     for fn in SCHEDULES.values():
         res = fn(record, cost, perf)
         assert res.epoch_time > 0
-
-
-def test_adaqp_pipelined_hides_lookahead(env):
-    """Depth 2 models the cross-step interleave: the epoch shrinks by
-    exactly the per-pair hidden lookahead, which is bounded by the total
-    quantize time (only quantize dispatch moves under a prior window)."""
-    _, q_record, cost, perf = env
-    shallow = schedule_adaqp(q_record, cost, perf, pipeline_depth=1)
-    deep = schedule_adaqp(q_record, cost, perf, pipeline_depth=2)
-    hidden = deep.detail["hidden_lookahead"]
-    assert hidden > 0
-    assert deep.epoch_time == pytest.approx(shallow.epoch_time - hidden)
-    assert hidden <= shallow.quant_time
-    assert shallow.detail == {}
-    with pytest.raises(ValueError, match="pipeline_depth"):
-        schedule_adaqp(q_record, cost, perf, pipeline_depth=3)
 
 
 def test_device_comm_times_shape_and_positivity(env):

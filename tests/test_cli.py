@@ -57,13 +57,13 @@ def test_train_transport_and_rng_flags(capsys):
         [
             "train", "--system", "adaqp-fixed", "--dataset", "yelp",
             "--setting", "2M-2D", "--epochs", "2", "--hidden", "8",
-            "--transport", "worker:2", "--pipeline-depth", "2",
+            "--transport", "worker:2",
         ]
     )
     assert code == 0
     out = capsys.readouterr().out
     assert "throughput" in out
-    assert "pipeline depth 2" in out
+    assert "halo bytes in flight during central windows" in out
     # The PR-6 legacy knobs are gone, not silently ignored.
     with pytest.raises(SystemExit):
         build_parser().parse_args(["train", "--transport-workers", "2"])
