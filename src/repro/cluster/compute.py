@@ -175,6 +175,122 @@ def _spmv(
     return out
 
 
+def _post_operands(
+    norm,
+    h: np.ndarray,
+    x_hat: np.ndarray,
+    inv_std: np.ndarray,
+    relu_mask: np.ndarray,
+    drop: np.ndarray | None,
+    *more: np.ndarray,
+) -> bool:
+    """Check a post-stage block's caches against it (the compiled kernels
+    trust them); return whether those kernels take the operands: a loaded
+    library, float32 rows and parameters (``more`` too), C-contiguous."""
+    n, dim = h.shape
+    gamma, beta = norm.gamma.data, norm.beta.data
+    masks = {x_hat.shape, relu_mask.shape, h.shape if drop is None else drop.shape}
+    fits = masks == {(n, dim)} and inv_std.shape == (n, 1) and relu_mask.dtype == bool
+    if not fits or gamma.shape != (dim,) or beta.shape != (dim,):
+        raise ValueError(f"post stage of {h.shape}: caches or parameters do not match")
+    if native.load() is None or not relu_mask.flags.c_contiguous:
+        return False
+    floats = (h, x_hat, inv_std, drop, gamma, beta, *more)
+    return all(
+        a is None or (a.dtype == np.float32 and a.flags.c_contiguous) for a in floats
+    )
+
+
+def _post_forward(
+    norm,
+    h: np.ndarray,
+    x_hat: np.ndarray,
+    inv_std: np.ndarray,
+    relu_mask: np.ndarray,
+    drop: np.ndarray | None,
+) -> None:
+    """LayerNorm → ReLU → dropout over the row block ``h``, in place — the
+    engine's one post-stage forward.
+
+    Caches each row's ``x_hat``, ``inv_std`` (``(n, 1)``) and ReLU mask for
+    :func:`_post_backward`; ``drop`` is the block's dropout mask, ``None``
+    when dropout is off.  The compiled ``repro_post_forward`` (loaded by
+    :mod:`repro.quant.native`, if at all) does NumPy's float32 operations in
+    NumPy's order, so both tiers write the same bytes:
+    :meth:`~repro.nn.layers.LayerNorm.forward_into`, ``h *= h > 0``,
+    ``h *= drop``.
+    """
+    if _post_operands(norm, h, x_hat, inv_std, relu_mask, drop):
+        native.load().repro_post_forward(
+            *h.shape,
+            h.ctypes.data,
+            norm.gamma.data.ctypes.data,
+            norm.beta.data.ctypes.data,
+            norm.eps,
+            None if drop is None else drop.ctypes.data,
+            x_hat.ctypes.data,
+            inv_std.ctypes.data,
+            relu_mask.ctypes.data,
+        )
+        return
+    inv_std[...] = norm.forward_into(h, x_hat)
+    np.greater(h, 0, out=relu_mask)
+    h *= relu_mask
+    if drop is not None:
+        h *= drop
+
+
+def _post_backward(
+    norm,
+    d: np.ndarray,
+    x_hat: np.ndarray,
+    inv_std: np.ndarray,
+    relu_mask: np.ndarray,
+    drop: np.ndarray | None,
+    bounds: np.ndarray,
+    partials: np.ndarray,
+) -> None:
+    """The backward of :func:`_post_forward`, in place over ``d``.
+
+    Masks ``d`` by the dropout and ReLU masks, writes per block ``k`` of
+    rows ``bounds[k]:bounds[k + 1]`` (a device's rows; ``bounds`` runs
+    from 0 to ``len(d)``) LayerNorm's parameter partials ``partials[k] =
+    (Σ d·x_hat, Σ d)`` — column sums, ``block.sum(axis=0)`` — and then
+    overwrites ``d`` with :meth:`~repro.nn.layers.LayerNorm.input_grad`.
+    The compiled ``repro_post_backward`` repeats NumPy's operations in
+    NumPy's order, like :func:`_post_forward`.
+    """
+    bounds = np.asarray(bounds, dtype=np.int64)
+    n_blocks = len(bounds) - 1
+    covers = n_blocks >= 0 and bounds[0] == 0 and bounds[-1] == len(d)
+    if not covers or (np.diff(bounds) < 0).any():
+        raise ValueError(f"post stage of {d.shape}: blocks {bounds} do not cover it")
+    if partials.shape != (n_blocks, 2, d.shape[1]):
+        raise ValueError(f"partials {partials.shape}: {n_blocks} blocks of {d.shape}")
+    if _post_operands(norm, d, x_hat, inv_std, relu_mask, drop, partials):
+        native.load().repro_post_backward(
+            d.shape[1],
+            d.ctypes.data,
+            x_hat.ctypes.data,
+            inv_std.ctypes.data,
+            relu_mask.ctypes.data,
+            None if drop is None else drop.ctypes.data,
+            norm.gamma.data.ctypes.data,
+            bounds.ctypes.data,
+            n_blocks,
+            partials.ctypes.data,
+        )
+        return
+    if drop is not None:
+        d *= drop
+    d *= relu_mask
+    prod = d * x_hat
+    for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        partials[k, 0] = prod[lo:hi].sum(axis=0)
+        partials[k, 1] = d[lo:hi].sum(axis=0)
+    d[...] = norm.input_grad(d, x_hat, inv_std)
+
+
 def restrict_rows(matrix: sp.csr_matrix, row_mask: np.ndarray) -> sp.csr_matrix:
     """Same-shape copy of ``matrix`` keeping only the masked rows' entries.
 
@@ -386,7 +502,7 @@ class FusedClusterCompute:
             ]
         # Post-processing caches (all but the output layer).
         self._x_hat = [rows(self.total_own, dims[l + 1]) for l in range(L - 1)]
-        self._inv_std: list[np.ndarray | None] = [None] * (L - 1)
+        self._inv_std = [rows(self.total_own, 1) for _ in range(L - 1)]
         self._relu_mask = [
             np.zeros((self.total_own, dims[l + 1]), dtype=bool) for l in range(L - 1)
         ]
@@ -412,11 +528,9 @@ class FusedClusterCompute:
         ]
 
         # Split-phase pipeline state, built lazily on first overlapped step
-        # (plus gather scratch and a persistent inv-std buffer per layer —
-        # the split sub-steps scatter their halves into it).
+        # (plus gather scratch).
         self._overlap_plan: OverlapPlan | None = None
         self._scratch_bufs: dict[tuple, np.ndarray] = {}
-        self._inv_std_buf: list[np.ndarray | None] = [None] * (L - 1)
 
         # Reduced-form gradient accumulators: one float64 buffer per
         # parameter of the (shared) replica structure, summed over devices
@@ -536,20 +650,24 @@ class FusedClusterCompute:
         rank order via the single ``_sample_dropout`` site), so stacked
         rows match per-device rows bit for bit.
         """
-        # LayerNorm — the formula lives in LayerNorm.forward_into (single
-        # source of truth with the per-device forward).
-        self._inv_std[layer] = mod.norm.forward_into(h, self._x_hat[layer])
-
-        # ReLU.
-        relu_mask = self._relu_mask[layer]
-        np.greater(h, 0, out=relu_mask)
-        h *= relu_mask
-
-        # Dropout: masks are drawn per device from that device's stream in
-        # rank order, then the multiply runs once on the stacked buffer.
         self._sample_dropout(layer, mod, training)
-        if self._drop_active[layer]:
-            h *= self._drop_mask[layer]
+        _post_forward(
+            mod.norm,
+            h,
+            self._x_hat[layer],
+            self._inv_std[layer],
+            self._relu_mask[layer],
+            self._drop_rows(layer),
+        )
+
+    def _drop_rows(self, layer: int, rows: np.ndarray | None = None):
+        """The step's dropout mask (gathered at ``rows``), ``None`` if off."""
+        if not self._drop_active[layer]:
+            return None
+        if rows is None:
+            return self._drop_mask[layer]
+        dm = self._scratch("fwd_dm", int(rows.size), self.dims[layer + 1])
+        return np.take(self._drop_mask[layer], rows, axis=0, out=dm)
 
     # ------------------------------------------------------------------
     # Streaming (out-of-core) execution: layer 0's feature rows
@@ -666,7 +784,7 @@ class FusedClusterCompute:
             drop_mask = self._drop_mask[layer]
             for k, dev in enumerate(self.devices):
                 sl = drop_mask[self._own_slice(k)]
-                sl[...] = dev.model.layers[layer].drop.sample_mask(sl.shape)
+                dev.model.layers[layer].drop.sample_mask(sl.shape, out=sl)
             self._drop_active[layer] = True
         else:
             self._drop_active[layer] = False
@@ -706,26 +824,15 @@ class FusedClusterCompute:
             return
 
         x_hat = self._scratch("fwd_xhat", n, d_out)
-        inv_std = mod.norm.forward_into(h, x_hat)
-
+        inv_std = self._scratch("fwd_inv", n, 1)
         relu_mask = self._scratch("fwd_relu", n, d_out, dtype=bool)
-        np.greater(h, 0, out=relu_mask)
-        h *= relu_mask
-
-        if self._drop_active[layer]:
-            dm = self._scratch("fwd_dm", n, d_out)
-            np.take(self._drop_mask[layer], rows, axis=0, out=dm)
-            h *= dm
+        drop = self._drop_rows(layer, rows)
+        _post_forward(mod.norm, h, x_hat, inv_std, relu_mask, drop)
         out_own[rows] = h
 
         # Backward caches.
         self._x_hat[layer][rows] = x_hat
-        buf = self._inv_std_buf[layer]
-        if buf is None or buf.dtype != inv_std.dtype:
-            buf = np.empty((self.total_own, 1), dtype=inv_std.dtype)
-            self._inv_std_buf[layer] = buf
-        buf[rows] = inv_std
-        self._inv_std[layer] = buf
+        self._inv_std[layer][rows] = inv_std
         self._relu_mask[layer][rows] = relu_mask
 
     def forward_layer_overlap(
@@ -845,15 +952,8 @@ class FusedClusterCompute:
 
         # Marginal-first: post-ops backward, then the marginal input-grad
         # rows and the halo routing they feed.
-        d_out_pre: np.ndarray | None = None
         if mod.has_post_stage:
-            if self._drop_active[layer]:
-                d_out *= self._drop_mask[layer]
-            d_out *= self._relu_mask[layer]
-            d_out_pre = d_out  # post-multiplied, pre-norm (partials read it)
-            d_out = mod.norm.input_grad(
-                d_out, self._x_hat[layer], self._inv_std[layer]
-            )
+            norm_partials = self._backward_post(layer, mod, d_out)
         transform = self._transform_first[layer]
         weight_t = (
             conv.linear.weight.data.T
@@ -886,12 +986,8 @@ class FusedClusterCompute:
             _spmv(self.matrix_t, d_out, dt[: self.total_own], self._own_rows)
         else:
             self._input_grad_rows(d_out, plan.rows_central, weight_t, dz)
-        if d_out_pre is not None:
-            prod = d_out_pre * self._x_hat[layer]
-            for k in range(len(self.devices)):
-                sl = self._own_slice(k)
-                self._acc_add(mod.norm.gamma, prod[sl].sum(axis=0))
-                self._acc_add(mod.norm.beta, d_out_pre[sl].sum(axis=0))
+        if mod.has_post_stage:
+            self._add_norm_partials(mod.norm, norm_partials)
         for k in range(len(self.devices)):
             self._conv_partials(layer, k, d_out)
         own = slice(0, self.total_own)
@@ -958,18 +1054,7 @@ class FusedClusterCompute:
         mod = self.devices[0].model.layers[layer]
 
         if mod.has_post_stage:
-            if self._drop_active[layer]:
-                d_out *= self._drop_mask[layer]
-            d_out *= self._relu_mask[layer]
-            # LayerNorm: per-device parameter partials, stacked d_input
-            # (the input-gradient formula is LayerNorm.input_grad).
-            x_hat = self._x_hat[layer]
-            prod = d_out * x_hat
-            for k in range(len(self.devices)):
-                sl = self._own_slice(k)
-                self._acc_add(mod.norm.gamma, prod[sl].sum(axis=0))
-                self._acc_add(mod.norm.beta, d_out[sl].sum(axis=0))
-            d_out = mod.norm.input_grad(d_out, x_hat, self._inv_std[layer])
+            self._add_norm_partials(mod.norm, self._backward_post(layer, mod, d_out))
 
         dx = self._dx[layer]
         if dx is None:
@@ -1000,6 +1085,31 @@ class FusedClusterCompute:
         )
         exchange.finalize_step(step, out=d_own_views)
         self._d = d_next
+
+    def _backward_post(self, layer: int, mod, d_out: np.ndarray) -> np.ndarray:
+        """Post-stage backward over the stacked owned rows: ``d_out`` becomes
+        LayerNorm's input gradient in place.  Returns the per-device
+        ``(γ, β)`` partials, ``(K, 2, d)``, for :meth:`_add_norm_partials`."""
+        width = d_out.shape[1]
+        partials = self._scratch("norm_partials", len(self.devices), 2 * width)
+        partials = partials.reshape(len(self.devices), 2, width)
+        _post_backward(
+            mod.norm,
+            d_out,
+            self._x_hat[layer],
+            self._inv_std[layer],
+            self._relu_mask[layer],
+            self._drop_rows(layer),
+            self.own_off,
+            partials,
+        )
+        return partials
+
+    def _add_norm_partials(self, norm, partials: np.ndarray) -> None:
+        """Add each device's LayerNorm partials, in rank order."""
+        for gamma, beta in partials:
+            self._acc_add(norm.gamma, gamma)
+            self._acc_add(norm.beta, beta)
 
     def _conv_partials(
         self, layer: int, k: int, d_out: np.ndarray, z: np.ndarray | None = None

@@ -167,6 +167,7 @@ def _stacked_bytes(
     post = sum(n * dims[l + 1] for l in range(L - 1))
     bytes_ = elems * _F32
     bytes_ += post * _F32  # _x_hat
+    bytes_ += n * (L - 1) * _F32  # _inv_std, one float per row
     bytes_ += post  # _relu_mask (bool)
     bytes_ += post * _F32  # _drop_mask
     return bytes_

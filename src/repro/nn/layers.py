@@ -153,15 +153,25 @@ class Dropout(Module):
         self.rng = rng
         self._mask: np.ndarray | None = None
 
-    def sample_mask(self, shape: tuple[int, ...], dtype=np.float32) -> np.ndarray:
+    def sample_mask(
+        self, shape: tuple[int, ...], dtype=np.float32, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Draw one inverted-dropout mask from this layer's stream.
 
         The single source of truth for the mask arithmetic: the fused
-        compute engine draws per-device masks through this method so its
-        stream consumption and scaling match :meth:`forward` bit for bit.
+        compute engine draws per-device masks through this method — straight
+        into its own buffer, ``out`` (whose dtype then wins over ``dtype``)
+        — so its stream consumption and scaling match :meth:`forward` bit
+        for bit.
         """
         keep = 1.0 - self.p
-        return (self.rng.random(shape) < keep).astype(dtype) / keep
+        if out is None:
+            out = np.empty(shape, dtype=dtype)
+        elif out.shape != tuple(shape):
+            raise ValueError(f"mask of shape {shape} into {out.shape}")
+        np.less(self.rng.random(shape), keep, out=out)
+        out /= keep
+        return out
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if not self.training or self.p == 0.0:

@@ -1,8 +1,8 @@
-/* Compiled tier of the quantization kernels and of the engine's sparse
- * aggregation; built and loaded on first use by repro/quant/native.py, which
- * also states the build flags.
+/* Compiled tier of the quantization kernels, of the engine's sparse
+ * aggregation and of its per-row post stage; built and loaded on first use
+ * by repro/quant/native.py, which also states the build flags.
  *
- * Five entry points, each the one-pass form of NumPy or scipy code that
+ * Seven entry points, each the one-pass form of NumPy or scipy code that
  * stays in the package as the reference and the fallback:
  *
  *   repro_philox_lanes         the keyed 16-bit noise lanes of
@@ -12,6 +12,8 @@
  *   repro_decode_rows          unpack + de-quantize of decode_cluster_step
  *   repro_add_rows             the backward accumulate of a decoded block
  *   repro_csr_rows             scipy's csr_matvecs, for the engine's spmv
+ *   repro_post_forward         LayerNorm -> ReLU -> dropout of the engine's
+ *   repro_post_backward        post stage (repro.nn.layers), both ways
  *
  * Bit-identity with NumPy is a matter of doing the same float32 operations
  * in the same order: this file must be built without -ffast-math and with
@@ -413,4 +415,186 @@ void repro_csr_rows(int64_t n_rows, const int32_t *indptr,
     }
 #endif
     csr_rows_baseline(n_rows, indptr, indices, data, x, width, y, accumulate);
+}
+
+/* The post stage: LayerNorm -> ReLU -> dropout over a row-major block of
+ * `dim`-wide rows, as repro.nn.layers computes it with NumPy, operation for
+ * operation in float32:
+ *
+ *   row mean      0 + pairwise_sum(x), divided by dim in double, to float
+ *   variance      the same of (x - mean) * (x - mean)
+ *   inv_std       1 / sqrt(var + eps)
+ *   ReLU          y * (y > 0 ? 1 : 0) - a multiply, so -0.0 and NaN pass
+ *                 as through NumPy's `h *= mask`
+ *
+ * pairwise_sum is NumPy's (loops_utils.h): under 8 values a running sum
+ * from 0; up to PW_BLOCK eight accumulators seeded with the first eight
+ * values, combined ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the tail; above
+ * that the two halves (the first a multiple of 8 long) summed recursively.
+ * A column sum over a block's rows (`block.sum(axis=0)`) is a running sum
+ * from 0 down the rows - except at width 1, where NumPy's iterator turns the
+ * column into one contiguous reduction and sums it pairwise. */
+#define PW_BLOCK 128
+
+/* NumPy's pairwise sum of the n values ELEM(i), over vectors of 4 lanes:
+ * lane t of v0 / v1 is accumulator t / t + 4.  A row of up to PW_BLOCK
+ * values is summed inline; name##_tree splits longer ones.  CALL(f, len)
+ * sums the first len values with f; SHIFT(k) drops the first k. */
+#define PAIRWISE(name, PARAMS, CALL, SHIFT, ELEM, ELEMV)                     \
+    static float name##_tree PARAMS;                                         \
+    __attribute__((always_inline)) static inline float name PARAMS           \
+    {                                                                        \
+        if (n < 8) {                                                         \
+            float res = 0.0f;                                                \
+            for (int64_t i = 0; i < n; i++) res += ELEM(i);                  \
+            return res;                                                      \
+        }                                                                    \
+        if (n > PW_BLOCK) return CALL(name##_tree, n);                       \
+        v4f v0 = ELEMV(0), v1 = ELEMV(4);                                    \
+        int64_t i = 8;                                                       \
+        for (; i < n - n % 8; i += 8) {                                      \
+            v0 = v0 + ELEMV(i);                                              \
+            v1 = v1 + ELEMV(i + 4);                                          \
+        }                                                                    \
+        float res = ((v0[0] + v0[1]) + (v0[2] + v0[3])) +                    \
+                    ((v1[0] + v1[1]) + (v1[2] + v1[3]));                     \
+        for (; i < n; i++) res += ELEM(i);                                   \
+        return res;                                                          \
+    }                                                                        \
+    __attribute__((noinline)) static float name##_tree PARAMS                \
+    {                                                                        \
+        int64_t half = n / 2 - n / 2 % 8;                                    \
+        float first = CALL(name, half);                                      \
+        SHIFT(half);                                                         \
+        return first + CALL(name, n - half);                                 \
+    }
+
+static inline v4f load4(const float *p)
+{
+    v4f v;
+    memcpy(&v, p, sizeof v);
+    return v;
+}
+
+#define SUM_CALL(f, len) f(a, len)
+#define SUM_SHIFT(k) (a += (k))
+#define SUM_ELEM(i) a[i]
+#define SUM_ELEMV(i) load4(a + (i))
+#define DOT_CALL(f, len) f(a, b, len)
+#define DOT_SHIFT(k) (a += (k), b += (k))
+#define DOT_ELEM(i) (a[i] * b[i])
+#define DOT_ELEMV(i) (load4(a + (i)) * load4(b + (i)))
+/* pairwise_sum(a[0..n)) and pairwise_sum(a[i] * b[i]), products rounded. */
+PAIRWISE(pw_sum, (const float *a, int64_t n), SUM_CALL, SUM_SHIFT, SUM_ELEM,
+         SUM_ELEMV)
+PAIRWISE(pw_dot, (const float *a, const float *b, int64_t n), DOT_CALL,
+         DOT_SHIFT, DOT_ELEM, DOT_ELEMV)
+
+/* NumPy's float32 mean of a row: the sum, then the division in double. */
+static inline float row_mean(float sum, int64_t dim)
+{
+    return (float)((double)(0.0f + sum) / (double)dim);
+}
+
+static inline float sqrt_f32(float v)
+{
+#if defined(__SSE2__)
+    return _mm_cvtss_f32(_mm_sqrt_ss(_mm_set_ss(v)));
+#else
+    return __builtin_sqrtf(v);
+#endif
+}
+
+/* In place over n_rows rows of h: h = dropout(relu(LayerNorm(h))), where
+ * LayerNorm is (h - mean) * inv_std * gamma + beta.  Writes each row's
+ * x_hat = (h - mean) * inv_std, its inv_std (one float per row) and its
+ * ReLU mask (0 / 1 bytes).  drop holds the dropout mask's rows (0 or
+ * 1 / keep), or is NULL when dropout is off. */
+void repro_post_forward(int64_t n_rows, int64_t dim, float *restrict h,
+                        const float *restrict gamma, const float *restrict beta,
+                        float eps, const float *restrict drop,
+                        float *restrict x_hat, float *restrict inv_std,
+                        uint8_t *restrict relu)
+{
+    for (int64_t i = 0; i < n_rows; i++, h += dim, x_hat += dim, relu += dim) {
+        const float mean = row_mean(pw_sum(h, dim), dim);
+        for (int64_t j = 0; j < dim; j++) x_hat[j] = h[j] - mean;
+        const float var = row_mean(pw_dot(x_hat, x_hat, dim), dim);
+        const float inv = inv_std[i] = 1.0f / sqrt_f32(var + eps);
+        for (int64_t j = 0; j < dim; j++) {
+            x_hat[j] = x_hat[j] * inv;
+            h[j] = x_hat[j] * gamma[j] + beta[j];
+        }
+        /* Three loops, not one: each vectorizes, the fused one would not. */
+        for (int64_t j = 0; j < dim; j++) relu[j] = h[j] > 0.0f;
+        for (int64_t j = 0; j < dim; j++) h[j] = h[j] * (float)relu[j];
+        for (int64_t j = 0; drop && j < dim; j++) h[j] = h[j] * drop[i * dim + j];
+    }
+}
+
+/* One row's LayerNorm input gradient, in place over g, which already holds
+ * the masked output gradient times gamma:  g = ((g - mean(g)) - x_hat *
+ * mean(g * x_hat)) * inv, in LayerNorm.input_grad's order. */
+static inline void input_grad_row(float *restrict g, const float *restrict xh,
+                                  float inv, int64_t dim)
+{
+    const float m1 = row_mean(pw_sum(g, dim), dim);
+    const float m2 = row_mean(pw_dot(g, xh, dim), dim);
+    for (int64_t j = 0; j < dim; j++) g[j] = ((g[j] - m1) - xh[j] * m2) * inv;
+}
+
+/* The backward of repro_post_forward, in place over the output gradient g:
+ * the dropout mask (when drop is not NULL), then the ReLU mask, multiply
+ * g; then, per block k of rows [bounds[k], bounds[k + 1]), partials holds
+ * at [2k dim ..) the column sums of g * x_hat (gamma's partial) and at
+ * [(2k + 1) dim ..) those of g (beta's); then g becomes LayerNorm's input
+ * gradient.  The blocks are consecutive from row bounds[0].  One loop per
+ * row does the masks, partials and gamma: each element's operations and
+ * their order are those of the separate NumPy passes. */
+void repro_post_backward(int64_t dim, float *restrict g,
+                         const float *restrict x_hat,
+                         const float *restrict inv_std,
+                         const uint8_t *restrict relu,
+                         const float *restrict drop,
+                         const float *restrict gamma, const int64_t *bounds,
+                         int64_t n_blocks, float *restrict partials)
+{
+    for (int64_t k = 0; k < n_blocks; k++) {
+        float *pg = partials + 2 * k * dim, *pb = pg + dim;
+        const int64_t lo = bounds[k], hi = bounds[k + 1];
+        memset(pg, 0, 2 * (size_t)dim * sizeof(float));
+        if (dim == 1) { /* a column NumPy sums pairwise, not row by row */
+            for (int64_t i = lo; i < hi; i++)
+                g[i] = (drop ? g[i] * drop[i] : g[i]) * (float)relu[i];
+            pg[0] = 0.0f + pw_dot(g + lo, x_hat + lo, hi - lo);
+            pb[0] = 0.0f + pw_sum(g + lo, hi - lo);
+            for (int64_t i = lo; i < hi; i++) {
+                g[i] = g[i] * gamma[0];
+                input_grad_row(g + i, x_hat + i, inv_std[i], 1);
+            }
+            continue;
+        }
+        for (int64_t i = lo; i < hi; i++) {
+            float *gi = g + i * dim;
+            const float *xh = x_hat + i * dim;
+            const uint8_t *m = relu + i * dim;
+            if (drop) { /* two loops: each vectorizes, one with a branch not */
+                const float *dr = drop + i * dim;
+                for (int64_t j = 0; j < dim; j++) {
+                    const float v = (gi[j] * dr[j]) * (float)m[j];
+                    pg[j] = pg[j] + v * xh[j];
+                    pb[j] = pb[j] + v;
+                    gi[j] = v * gamma[j];
+                }
+            } else {
+                for (int64_t j = 0; j < dim; j++) {
+                    const float v = gi[j] * (float)m[j];
+                    pg[j] = pg[j] + v * xh[j];
+                    pb[j] = pb[j] + v;
+                    gi[j] = v * gamma[j];
+                }
+            }
+            input_grad_row(gi, xh, inv_std[i], dim);
+        }
+    }
 }

@@ -1189,7 +1189,8 @@ def kernels_agree(lib) -> bool:
     a wire buffer it finds full of ones); the compiled decode the NumPy
     decode's matrices, from foreign payloads and from the plan's through a
     :class:`DecodeIndex`; the compiled accumulate the per-pair adds; the
-    CSR kernel scipy's ``csr_matvecs`` (:func:`_csr_agrees`).
+    CSR kernel scipy's ``csr_matvecs`` (:func:`_csr_agrees`); the post
+    stage :class:`~repro.nn.layers.LayerNorm` (:func:`_post_agrees`).
     Calls the kernels directly — never :func:`repro.quant.native.load`,
     which is what is running this.
     """
@@ -1252,7 +1253,11 @@ def kernels_agree(lib) -> bool:
     )
     for src in index.srcs:
         want_sum[index.rows[src]] += block[index.land[src]]
-    return got_sum.tobytes() == want_sum.tobytes() and _csr_agrees(lib)
+    return (
+        got_sum.tobytes() == want_sum.tobytes()
+        and _csr_agrees(lib)
+        and _post_agrees(lib)
+    )
 
 
 def _csr_agrees(lib) -> bool:
@@ -1286,4 +1291,74 @@ def _csr_agrees(lib) -> bool:
             csr_matvecs(hi - lo, 7, width, rows, indices, data, x.ravel(), want.ravel())
             if got.tobytes() != want.tobytes():
                 return False
+    return True
+
+
+def _post_agrees(lib) -> bool:
+    """The self-test's post-stage case: ``repro_post_forward`` /
+    ``repro_post_backward`` against :class:`~repro.nn.layers.LayerNorm`'s
+    ``forward_into`` and ``input_grad``, the ReLU and dropout multiplies and
+    per-block ``sum(axis=0)`` partials — at a ragged width, with a
+    zero-variance row and an empty block, dropout off and on."""
+    from repro.nn.layers import LayerNorm
+
+    gen = np.random.default_rng(2)
+    n, dim = 7, 19
+    norm = LayerNorm(dim)
+    norm.gamma.data[...] = gen.normal(size=dim)
+    norm.beta.data[...] = gen.normal(size=dim)
+    bounds = np.array([0, 3, 3, n], dtype=np.int64)
+    halved = (gen.random((n, dim)) < 0.5).astype(np.float32) / np.float32(0.5)
+    for drop in (None, halved):
+        x = gen.normal(size=(n, dim)).astype(np.float32)
+        x[2] = 1.5
+        h, x_hat, want_hat = x.copy(), np.empty_like(x), np.empty_like(x)
+        inv_std, mask = np.empty((n, 1), np.float32), np.empty((n, dim), bool)
+        want_inv = norm.forward_into(x, want_hat)
+        want_mask = x > 0
+        x *= want_mask
+        if drop is not None:
+            x *= drop
+        drop_ptr = None if drop is None else drop.ctypes.data
+        lib.repro_post_forward(
+            n,
+            dim,
+            h.ctypes.data,
+            norm.gamma.data.ctypes.data,
+            norm.beta.data.ctypes.data,
+            norm.eps,
+            drop_ptr,
+            x_hat.ctypes.data,
+            inv_std.ctypes.data,
+            mask.ctypes.data,
+        )
+        got, want = (h, x_hat, inv_std, mask), (x, want_hat, want_inv, want_mask)
+        if [a.tobytes() for a in got] != [b.tobytes() for b in want]:
+            return False
+        d = gen.normal(size=(n, dim)).astype(np.float32)
+        g, partials = d.copy(), np.full((3, 2, dim), np.nan, np.float32)
+        if drop is not None:
+            d *= drop
+        d *= want_mask
+        want = [
+            [(d * want_hat)[lo:hi].sum(axis=0), d[lo:hi].sum(axis=0)]
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+        want_grad = norm.input_grad(d, want_hat, want_inv)
+        lib.repro_post_backward(
+            dim,
+            g.ctypes.data,
+            x_hat.ctypes.data,
+            inv_std.ctypes.data,
+            mask.ctypes.data,
+            drop_ptr,
+            norm.gamma.data.ctypes.data,
+            bounds.ctypes.data,
+            3,
+            partials.ctypes.data,
+        )
+        if g.tobytes() != want_grad.tobytes():
+            return False
+        if partials.tobytes() != np.array(want, dtype=np.float32).tobytes():
+            return False
     return True

@@ -1,13 +1,13 @@
 """Loader of the compiled kernels (``_kernels.c``).
 
-:func:`load` returns the kernel library, or ``None`` where the NumPy
-kernels of :mod:`repro.quant.fused` and scipy's ``csr_matvecs`` (the
-engine's spmv, :mod:`repro.cluster.compute`) run instead: no C compiler, a
-big-endian host, a failed build, an unloadable or unsafe cached file, or a
-self-test that disagrees with NumPy or scipy or calls back into
-:func:`load` — each logged once, as one WARNING with the reason.  The tier
-is chosen by what this module observes; no option, flag or environment
-variable does.
+:func:`load` returns the kernel library, or ``None`` where the reference
+code runs instead — :mod:`repro.quant.fused`'s NumPy quantizer, the
+engine's scipy ``csr_matvecs`` and NumPy post stage (``LayerNorm`` → ReLU →
+dropout, :mod:`repro.cluster.compute`): no C compiler, a big-endian host,
+a failed build, an unloadable or unsafe cached file, or a self-test that
+disagrees with that reference or calls back into :func:`load` — each logged
+once, as one WARNING with the reason.  The tier is chosen by what this
+module observes; no option, flag or environment variable does.
 
 The library is built once per (source, flags, compiler version) into a
 per-user cache outside the checkout — ``$XDG_CACHE_HOME`` or ``~/.cache``,
@@ -97,23 +97,24 @@ def _find_or_build() -> tuple[ctypes.CDLL, str]:
         path.unlink(missing_ok=True)  # the next process rebuilds it
         raise RuntimeError(f"cannot load {path}: {exc}") from exc
     declare(lib)
-    # The load-time gate (imported here: fused imports this module).
-    from repro.quant.fused import kernels_agree
+    from repro.quant.fused import kernels_agree  # the gate; fused imports this module
 
     if not kernels_agree(lib):
-        raise RuntimeError("self-test disagrees with the NumPy / scipy kernels")
+        raise RuntimeError("self-test disagrees with the reference kernels")
     return lib, f"native ({version}, {path})"
 
 
 def declare(lib: ctypes.CDLL) -> None:
     """Argument types of every entry point (else ``ctypes`` passes C ints)."""
-    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+    ptr, i64, f32 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_float
     signatures = {
         "repro_philox_lanes": [ptr, i64, ptr],
         "repro_quantize_pack_pairs": [ptr, ptr, i64, i64, *[ptr] * 4, i64, *[ptr] * 5],
         "repro_decode_rows": [*[ptr] * 4, i64, i64, ptr, ptr],
         "repro_add_rows": [ptr, i64, i64, ptr, ptr],
         "repro_csr_rows": [i64, *[ptr] * 4, i64, ptr, i64],
+        "repro_post_forward": [i64, i64, *[ptr] * 3, f32, *[ptr] * 4],
+        "repro_post_backward": [i64, *[ptr] * 7, i64, ptr],
     }
     for name, argtypes in signatures.items():
         fn = getattr(lib, name)

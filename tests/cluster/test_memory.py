@@ -107,7 +107,7 @@ def _engine_buffer_bytes(engine):
     """Bytes of every stacked buffer ``FusedClusterCompute.__init__`` holds."""
     lists = [
         engine._x, engine._dx, engine._z, engine._dz, engine._t, engine._dt,
-        engine._x_hat, engine._relu_mask, engine._drop_mask,
+        engine._x_hat, engine._inv_std, engine._relu_mask, engine._drop_mask,
         [engine.logits, engine._d_logits, engine._x0_halo],
         getattr(engine, "_neigh_out", []), getattr(engine, "_d_own", []),
     ]

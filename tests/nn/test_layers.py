@@ -148,3 +148,69 @@ def test_dropout_backward_uses_same_mask():
 def test_dropout_invalid_p():
     with pytest.raises(ValueError):
         Dropout(1.5, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("p", [0.1, 0.5, 1 / 3])
+def test_sample_mask_into_a_buffer_keeps_the_bits_and_the_stream(p):
+    """Drawing into a caller's buffer (the fused engine's mask rows) writes
+    the inverted-dropout mask ``(u < keep) / keep`` of the same uniforms and
+    leaves the generator where a plain draw leaves it."""
+    keep = 1.0 - p
+    reference = np.random.default_rng(3)
+    want = (reference.random((33, 7)) < keep).astype(np.float32) / keep
+    drop = Dropout(p, np.random.default_rng(3))
+    buf = np.full((40, 7), np.nan, dtype=np.float32)
+    got = drop.sample_mask((33, 7), out=buf[:33])
+    assert np.shares_memory(got, buf)
+    assert buf[:33].tobytes() == want.tobytes()
+    assert np.isnan(buf[33:]).all()
+    assert drop.rng.bit_generator.state == reference.bit_generator.state
+    assert Dropout(p, np.random.default_rng(3)).sample_mask((33, 7)).tobytes() == (
+        want.tobytes()
+    )
+    with pytest.raises(ValueError, match="shape"):
+        drop.sample_mask((33, 7), out=buf)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.4])
+@pytest.mark.parametrize("dim", [1, 9, 64, 200])
+def test_engine_post_stage_is_the_modules(dim, p):
+    """The fused engine's post stage — on whichever kernel tier runs — is
+    LayerNorm → ReLU → Dropout per device, bit for bit: outputs and input
+    gradients; its per-device partials are the modules' γ/β gradients.  An
+    empty device and a zero-variance row ride along."""
+    from repro.cluster.compute import _post_backward, _post_forward
+
+    gen = np.random.default_rng(dim)
+    bounds = np.array([0, 5, 5, 40, 41], dtype=np.int64)
+    n = int(bounds[-1])
+    x = gen.normal(size=(n, dim)).astype(np.float32)
+    x[7] = 2.0
+    d = gen.normal(size=(n, dim)).astype(np.float32)
+    norm = LayerNorm(dim)
+    norm.gamma.data[...] = gen.normal(1.0, 0.3, dim)
+    norm.beta.data[...] = gen.normal(0.0, 0.3, dim)
+    blocks = list(zip(bounds[:-1], bounds[1:]))
+    drop = np.empty_like(x) if p else None
+    for k, (lo, hi) in enumerate(blocks):
+        if drop is not None:
+            Dropout(p, np.random.default_rng(k)).sample_mask(
+                (hi - lo, dim), out=drop[lo:hi]
+            )
+    h, g, x_hat = x.copy(), d.copy(), np.empty_like(x)
+    inv_std, mask = np.empty((n, 1), np.float32), np.empty((n, dim), bool)
+    partials = np.empty((len(blocks), 2, dim), np.float32)
+    _post_forward(norm, h, x_hat, inv_std, mask, drop)
+    _post_backward(norm, g, x_hat, inv_std, mask, drop, bounds, partials)
+    for k, (lo, hi) in enumerate(blocks):
+        if hi == lo:
+            assert not partials[k].any()
+            continue
+        ln, relu, dr = LayerNorm(dim), ReLU(), Dropout(p, np.random.default_rng(k))
+        ln.gamma.data[...], ln.beta.data[...] = norm.gamma.data, norm.beta.data
+        out = dr.forward(relu.forward(ln.forward(x[lo:hi])))
+        assert out.tobytes() == h[lo:hi].tobytes()
+        grad = ln.backward(relu.backward(dr.backward(d[lo:hi])))
+        assert grad.tobytes() == g[lo:hi].tobytes()
+        assert np.array_equal(ln.gamma.grad, partials[k, 0])
+        assert np.array_equal(ln.beta.grad, partials[k, 1])

@@ -5,10 +5,11 @@ The byte-equality gate at kernel level: Philox lanes against
 kernel and packer through every shard decomposition and the ``pair_shard``
 replay, the compiled decode against ``payload.decode()`` — for foreign
 payloads and through a plan's :class:`DecodeIndex` straight into halo rows
-or an accumulated block — and the compiled CSR product against scipy's
-``csr_matvecs``.  Both tiers are driven explicitly here (whatever
-``--quant-kernel`` pins for the test run), so the NumPy reference kernel is
-exercised on every host that has a compiler too.
+or an accumulated block — the compiled CSR product against scipy's
+``csr_matvecs``, and the compiled post stage (LayerNorm → ReLU → dropout,
+both ways) against the engine's NumPy sequence.  Both tiers are driven
+explicitly here (whatever ``--quant-kernel`` pins for the test run), so the
+NumPy reference kernel is exercised on every host that has a compiler too.
 
 Wire bytes and decoded matrices are compared as bytes; zero points and
 scales by value (``-0.0 == 0.0``): a row whose minimum is a zero may report
@@ -479,12 +480,107 @@ def test_csr_kernel_is_scipys(lib, case, accumulate):
     assert (buf[-1] == 7.0).all()
 
 
+# ----------------------------------------------------------------------
+# Post stage: LayerNorm -> ReLU -> dropout
+# ----------------------------------------------------------------------
+@st.composite
+def post_blocks(draw):
+    """A row block for the post stage — a width on and off every vector and
+    pairwise-block boundary, 0 to 4,097 rows holding zero-variance, all-±0.0
+    and large-magnitude rows (squares that overflow, too) — its output
+    gradient, LayerNorm parameters, device blocks cut at random (empty ones
+    included) and, with dropout on, an inverted-dropout mask."""
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.sampled_from([1, 7, 8, 9, 64, 96, 128, 129, 200]))
+    n = draw(st.sampled_from([0, 1, 33, 4097]))
+    scale = gen.choice([1e-3, 1.0, 1e3, 1e18], size=(n, 1))
+    x = gen.normal(size=(n, dim)) * scale + gen.normal(size=(n, 1)) * scale
+    kinds = ["normal", "constant", "zeros", "large"]
+    kind = gen.choice(kinds, n, p=[0.7, 0.1, 0.1, 0.1])
+    x[kind == "constant"] = gen.normal(size=((kind == "constant").sum(), 1))
+    zeros = kind == "zeros"
+    x[zeros] = np.where(gen.random((zeros.sum(), dim)) < 0.5, 0.0, -0.0)
+    x[kind == "large"] *= 1e4
+    d = gen.normal(size=(n, dim))
+    d[gen.random(d.shape) < 0.05] = -0.0
+    params = gen.normal(size=(2, dim))
+    cuts = draw(st.lists(st.integers(0, n), max_size=6))
+    bounds = np.array([0, *sorted(cuts), n], dtype=np.int64)
+    drop = None
+    if draw(st.booleans()):
+        keep = np.float32(draw(st.sampled_from([0.9, 0.5, 0.3])))
+        drop = (gen.random((n, dim)) < keep).astype(np.float32) / keep
+    f32 = np.float32
+    return x.astype(f32), d.astype(f32), params.astype(f32), bounds, drop
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=post_blocks())
+def test_post_stage_kernel_is_numpys(lib, tier, case):
+    """``repro_post_forward`` / ``repro_post_backward`` through the engine's
+    dispatch pair write the NumPy tier's bytes — output, ``x_hat``,
+    ``inv_std``, ReLU mask, input gradient and every block's γ/β partials —
+    and nothing past the block."""
+    from repro.cluster.compute import _post_backward, _post_forward
+    from repro.nn.layers import LayerNorm
+
+    x, d, params, bounds, drop = case
+    (n, dim), blocks = x.shape, len(bounds) - 1
+    norm = LayerNorm(dim)
+    norm.gamma.data[...], norm.beta.data[...] = params
+    results = []
+    for chosen in (lib, None):
+        h = np.full((n + 1, dim), 7.0, dtype=np.float32)  # one guard row
+        g = h.copy()
+        h[:n], g[:n] = x, d
+        x_hat = np.full((n, dim), np.nan, dtype=np.float32)
+        inv_std = np.full((n, 1), np.nan, dtype=np.float32)
+        mask = np.ones((n, dim), dtype=bool)
+        partials = np.full((blocks, 2, dim), np.nan, dtype=np.float32)
+        with tier(chosen), np.errstate(over="ignore"):  # the large rows' squares
+            _post_forward(norm, h[:n], x_hat, inv_std, mask, drop)
+            _post_backward(norm, g[:n], x_hat, inv_std, mask, drop, bounds, partials)
+        assert (h[n] == 7.0).all() and (g[n] == 7.0).all()
+        results.append((h, x_hat, inv_std, mask, g, partials))
+    for got, want in zip(*results):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_post_stage_checks_what_the_kernel_trusts():
+    """Caches, parameters and blocks that do not fit the row block are
+    refused before any pointer reaches the compiled kernel."""
+    from repro.cluster.compute import _post_backward, _post_forward
+    from repro.nn.layers import LayerNorm
+
+    n, dim = 6, 5
+    h, x_hat = np.ones((n, dim), np.float32), np.ones((n, dim), np.float32)
+    inv_std, mask = np.ones((n, 1), np.float32), np.ones((n, dim), bool)
+    partials = np.ones((2, 2, dim), np.float32)
+    norm, bounds = LayerNorm(dim), np.array([0, 2, n])
+    bad_forward = [
+        (LayerNorm(dim + 1), h, x_hat, inv_std, mask, None),
+        (norm, h, x_hat[:-1], inv_std, mask, None),
+        (norm, h, x_hat, inv_std[:-1], mask, None),
+        (norm, h, x_hat, inv_std, mask.astype(np.uint8), None),
+        (norm, h, x_hat, inv_std, mask, x_hat[:, :-1]),
+    ]
+    for args in bad_forward:
+        with pytest.raises(ValueError, match="do not match"):
+            _post_forward(*args)
+    for blocks in ([0, 2, n + 1], [1, 2, n], [0, 4, 2, n], []):
+        with pytest.raises(ValueError, match="do not cover"):
+            _post_backward(norm, h, x_hat, inv_std, mask, None, blocks, partials)
+    with pytest.raises(ValueError, match="partials"):
+        _post_backward(norm, h, x_hat, inv_std, mask, None, bounds, partials[:1])
+
+
 def test_loader_declares_every_entry_point(lib):
     """``ctypes`` would otherwise guess ``int`` arguments and truncate
     64-bit pointers and sizes."""
     assert isinstance(lib, ctypes.CDLL)
     entries = ("repro_philox_lanes", "repro_quantize_pack_pairs", "repro_decode_rows",
-               "repro_add_rows", "repro_csr_rows")  # fmt: skip
+               "repro_add_rows", "repro_csr_rows", "repro_post_forward",
+               "repro_post_backward")  # fmt: skip
     for name in entries:
         entry = getattr(lib, name)
         assert entry.argtypes and entry.restype is None

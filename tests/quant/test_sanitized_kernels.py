@@ -8,10 +8,12 @@ loader's self-test and the hypothesis properties of
 ``test_native_kernels.py``: ragged groups, rows that share a byte
 (dim·bits % 8 ≠ 0), 1-bit groups, permuted payload orders, empty pairs, a
 receiver whose mailbox is missing a source, decode straight into halo rows
-and into accumulated blocks, and the CSR product over empty rows, repeated
-columns, row ranges and widths of both accumulator forms.  An out-of-bounds read or write, or undefined
-behaviour, aborts the subprocess: a failure here rather than a corrupted
-digest somewhere else.  Skipped, with the reason, where the compiler or
+and into accumulated blocks, the CSR product over empty rows, repeated
+columns, row ranges and widths of both accumulator forms, and the post
+stage over empty blocks and rows, widths on and off every vector and
+pairwise-block boundary, with dropout on and off.  An out-of-bounds read or
+write, or undefined behaviour, aborts the subprocess: a failure here rather
+than a corrupted digest somewhere else.  Skipped, with the reason, where the compiler or
 its sanitizer runtime is missing.
 """
 
@@ -41,6 +43,7 @@ PROPERTIES = (
     "test_native_decode_checks_what_the_kernel_trusts",
     "test_native_decode_accepts_views_and_other_integer_indices",
     "test_csr_kernel_is_scipys",
+    "test_post_stage_kernel_is_numpys",
 )
 
 _DRIVER = r"""
