@@ -1,9 +1,10 @@
 """Comparator systems (paper Sec. 5.1).
 
-* **Vanilla** — synchronous full-precision training (exact exchange + the
-  no-overlap schedule); implemented by composing
-  :class:`~repro.cluster.exchange.ExactHaloExchange` with
-  :func:`~repro.core.scheduler.schedule_vanilla`.
+* **Vanilla** — synchronous full-precision training: AdaQP's own fused
+  exchange with quantization switched off
+  (:class:`~repro.cluster.exchange.ExactHaloExchange`, whose wire is the
+  gathered float32 rows) under
+  :func:`~repro.core.scheduler.schedule_vanilla`'s no-overlap schedule.
 * **PipeGCN** (Wan et al. 2022) — cross-iteration pipelining with
   epoch-stale boundary embeddings and gradients.
 * **SANCUS** (Peng et al. 2022) — staleness-triggered broadcast skipping

@@ -31,7 +31,8 @@ class StaleHaloExchange(HaloExchange):
     Split-phase like every exchange: ``post_step`` ships this epoch's
     payloads (snapshot copies), ``finalize_step`` collects them into the
     cache and serves the *previous* epoch's payloads — the warm-up epoch
-    consumes its own messages synchronously.
+    consumes its own messages synchronously.  A step missing an envelope
+    fails fast with a :class:`~repro.comm.transport.TransportError`.
     """
 
     quantizes = False
@@ -122,10 +123,12 @@ class StaleHaloExchange(HaloExchange):
         self, step: InFlightStep, out: list[np.ndarray] | None = None
     ) -> list[np.ndarray] | None:
         step.mark_done()
-        fresh: dict[int, dict[int, np.ndarray]] = {
-            dev.rank: step.transport.collect(dev.rank, step.tag)
-            for dev in step.devices
-        }
+        fresh: dict[int, dict[int, np.ndarray]] = {}
+        for dev in step.devices:
+            fresh[dev.rank] = step.transport.collect(dev.rank, step.tag)
+            # No replay path: a dropped envelope would otherwise enter the
+            # cache and be served, one epoch late, as missing halo rows.
+            self._check_delivery(dev, step.phase, step.tag, fresh[dev.rank])
         cache = self._fwd_cache if step.phase == "fwd" else self._bwd_cache
         cached = cache.get(step.layer)
         source = cached if cached is not None else fresh  # warm-up epoch: sync

@@ -1,4 +1,4 @@
-"""Halo exchange strategies: exact (Vanilla) and quantized (AdaQP).
+"""Halo exchange: one fused pipeline, quantized (AdaQP) or exact (Vanilla).
 
 An exchange implements the two message movements of distributed full-graph
 training:
@@ -9,9 +9,14 @@ training:
   accumulated embedding gradients of that owner's nodes, which the owner
   adds into its own backward signal.
 
-The quantized exchange additionally consults a :class:`BitProvider` for the
-per-message bit-widths and (optionally) feeds an input tracer — the hook
-the Adaptive Bit-width Assigner hangs off.
+:class:`FusedQuantizedHaloExchange` runs both as the paper's one message
+pipeline — gather, quantize, transfer, de-quantize, land.  Given a
+:class:`BitProvider` it quantizes each message at the provider's
+bit-widths and (optionally) feeds an input tracer — the hook the Adaptive
+Bit-width Assigner hangs off; without one (:class:`ExactHaloExchange`) the
+quantize step is switched off and the wire carries the gathered float32
+rows.  The stale and broadcast baselines (:mod:`repro.baselines`) are the
+other :class:`HaloExchange` policies.
 
 **Split-phase API.**  Every exchange executes one step as two halves:
 :meth:`HaloExchange.post_step` snapshots, encodes and posts all outgoing
@@ -37,26 +42,28 @@ never observe a half-posted step.
 
 **Worker fan-out.**  Every quantized message block's noise is a pure
 function of its coordinates (:class:`~repro.quant.stochastic.KeyedRounding`),
-so the quantized exchange shards one step's encode across all
-``transport.workers`` and — on async transports — chases it with
-per-receiver collect/decode jobs, all free to retire in any order; the
-exact exchange (no noise at all) shards its batched posts per source
-device.  Bit lookups and tracer ``observe`` calls stay on the calling
-thread (the snapshot half).  The pipelined executor finalizes each step
-before posting the next, so at most one tag is ever in flight.
+so a quantized step's encode shards across all ``transport.workers``; a
+full-precision step posts its row views in one job.  On async transports
+the last post job chases them with per-receiver collect/decode jobs, all
+free to retire in any order.  Bit lookups and tracer ``observe`` calls
+stay on the calling thread (the snapshot half).  The pipelined executor
+finalizes each step before posting the next, so at most one tag is ever
+in flight.
 
-**Decode destinations.**  The quantized exchange decodes each receiver
-straight into where its rows are consumed, through a per-(plan,
-receiver) :class:`~repro.quant.fused.DecodeIndex`.  Forward callers that
-already know the destination halo buffers may pass them to
-``post_step(..., out=...)``: on async thread-backed transports the
-per-receiver decode jobs then write the halo rows directly (each
-receiver's halo region is a disjoint, contiguous row range of the stacked
-buffer, so the writes are race-free shards), and ``finalize_step`` with
-the *same* ``out`` object becomes join-only.  Backward decodes land in a
-contiguous per-receiver block; the order-sensitive accumulate into the
-owned rows stays on the main thread (one kernel call per receiver, in
-mailbox order).
+**Decode destinations.**  The exchange lands each receiver straight into
+where its rows are consumed, through a per-(plan, receiver)
+:class:`~repro.quant.fused.DecodeIndex` — de-quantized, or at full
+precision copied.  Forward callers that already know the destination
+halo buffers may pass them to ``post_step(..., out=...)``: on async
+thread-backed transports the per-receiver decode jobs then write the halo
+rows directly (each receiver's halo region is a disjoint, contiguous row
+range of the stacked buffer, so the writes are race-free shards), and
+``finalize_step`` with the *same* ``out`` object becomes join-only.
+Quantized backward decodes land in a contiguous per-receiver block, added
+by one kernel call per receiver; full-precision backward payloads are
+added as they are, one call per source.  Either way the order-sensitive
+accumulate into the owned rows stays on the main thread, source by source
+in mailbox order.
 """
 
 from __future__ import annotations
@@ -65,7 +72,6 @@ import threading
 from typing import Protocol
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.comm.transport import (
     TransportAccounting,
@@ -74,10 +80,13 @@ from repro.comm.transport import (
 )
 from repro.quant.fused import (
     DecodeWorkspace,
+    Float32StepPlan,
     FusedStepEncoder,
     accumulate_block,
+    accumulate_rows,
     decode_cluster_step,
     decode_index,
+    land_decoded,
     pair_shard,
 )
 from repro.quant.stochastic import as_rounding
@@ -198,7 +207,10 @@ class InFlightStep:
     complete once :meth:`mark_done` returns (or set by ``finalize_step``
     itself where it decodes): ``targets[rank]`` is the ``(DecodeIndex,
     buffer)`` a receiver's rows land in and ``decoded[rank]`` the sources
-    that landed there.  Both stay ``None`` for non-fused policies.
+    that landed there — except a full-precision backward step, whose
+    buffer is ``None`` and whose ``decoded[rank]`` is the mailbox itself
+    (its float32 payloads are added as they are).  Both stay ``None`` for
+    non-fused policies.
 
     ``scatter_out`` is the per-device halo-destination list the caller
     supplied at post time (if any): the fused engine's worker-side
@@ -241,9 +253,8 @@ class InFlightStep:
         self.decoded: dict[int, dict] | None = None
         self.targets: dict[int, tuple] | None = None
         self.scatter_out: list[np.ndarray] | None = None
-        # The fused engine's encode plan for the step: what its decodes
-        # index into, and what keyed replay regenerates a dropped
-        # envelope from.
+        # The fused engine's step plan: what its decodes index into, and
+        # what replay regenerates a dropped envelope from.
         self.plan = None
 
     def mark_done(self) -> None:
@@ -292,7 +303,7 @@ class HaloExchange:
         Every peer in the partition's recv map (forward) / send map
         (backward) posts exactly one envelope per step, so a shortfall
         means an envelope was lost in transit.  Policies with a recovery
-        path (the quantized exchange's keyed replay) handle the shortfall
+        path (the fused exchange's replay) handle the shortfall
         before scattering; everyone else must raise — zero-filled halo
         rows or missing gradient contributions are silent corruption.
         """
@@ -362,195 +373,15 @@ class HaloExchange:
         return buf
 
 
-class ExactHaloExchange(HaloExchange):
-    """Full-precision float32 transfers (Vanilla and evaluation passes).
-
-    Executed step-fused like the quantized exchange: per device, one gather
-    over all outgoing boundary rows and one batched transport post; on the
-    receive side, one permutation scatter per device instead of one
-    assignment per peer.  Payloads are row slices of that gather, so the
-    wire carries exactly ``rows × dim × 4`` bytes per (src, dst) pair.
-
-    Step plans (gather indices, scatter permutations) are cached per
-    cluster: the cache key is the identity of device 0's ``owned_global``
-    array, so an instance reused across *different* clusters rebuilds
-    automatically.
-    """
-
-    quantizes = False
-
-    def __init__(self) -> None:
-        # phase -> (identity key, per-device plan list); see class docstring.
-        self._plans: dict[str, tuple[object, list]] = {}
-
-    def _plan_for(self, phase: str, devices: list) -> list:
-        key = devices[0].part.owned_global
-        cached = self._plans.get(phase)
-        if cached is not None and cached[0] is key:
-            return cached[1]
-        plans = []
-        for dev in devices:
-            part = dev.part
-            send = part.send_map if phase == "fwd" else part.recv_map
-            peers = sorted(send.keys())
-            counts = [int(send[q].size) for q in peers]
-            bounds = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-            gather = (
-                np.concatenate([send[q] for q in peers])
-                if peers
-                else np.zeros(0, dtype=np.int64)
-            )
-            # Receive side.  "fwd" scatters into halo slots — each fed by
-            # exactly one peer, so one permuted assignment covers the
-            # whole region.  "bwd" accumulates into owned rows, which may
-            # repeat across peers; a 0/1 selection operator reduces all
-            # incoming rows per owner in one spmv (summation over peers in
-            # ascending-peer order — the accumulation-order anchor).
-            recv = part.recv_map if phase == "fwd" else part.send_map
-            recv_peers = sorted(recv.keys())
-            scatter = (
-                np.concatenate([recv[p] for p in recv_peers])
-                if recv_peers
-                else np.zeros(0, dtype=np.int64)
-            )
-            if phase == "fwd" and scatter.size != part.n_halo:
-                # The zero-fill-free scatter below relies on full halo
-                # coverage; LocalPartition.validate() guarantees it, so a
-                # violation means a hand-built partition broke the maps.
-                raise ValueError(
-                    f"partition {part.part_id}: recv maps cover "
-                    f"{scatter.size} of {part.n_halo} halo slots"
-                )
-            reduce_op = None
-            if phase == "bwd" and scatter.size:
-                reduce_op = sp.csr_matrix(
-                    (
-                        np.ones(scatter.size, dtype=np.float32),
-                        (scatter, np.arange(scatter.size, dtype=np.int64)),
-                    ),
-                    shape=(part.n_owned, scatter.size),
-                )
-            plans.append((peers, bounds, gather, recv_peers, scatter, reduce_op))
-        self._plans[phase] = (key, plans)
-        return plans
-
-    @staticmethod
-    def _batch_posts(plan: tuple, block: np.ndarray) -> list[tuple[int, object, int]]:
-        """One device's ``post_batch`` entries from its gathered block.
-
-        Payloads are row slices of a single fresh gather.
-        """
-        peers, bounds = plan[:2]
-        row_bytes = block.shape[1] * 4
-        return [
-            (
-                q,
-                block[bounds[i] : bounds[i + 1]],
-                int(bounds[i + 1] - bounds[i]) * row_bytes,
-            )
-            for i, q in enumerate(peers)
-        ]
-
-    def post_step(
-        self,
-        layer: int,
-        phase: str,
-        devices: list,
-        transport: TransportBackend,
-        values_by_dev: list[np.ndarray],
-        out: list[np.ndarray] | None = None,
-    ) -> InFlightStep:
-        check_in_set(phase, ("fwd", "bwd"), name="phase")
-        tag = step_tag(phase, layer)
-        plans = self._plan_for(phase, devices)
-        # Snapshot half: one gather per device, fresh memory; the float32
-        # coercion keeps the byte accounting honest for non-float32 inputs.
-        staged: list[tuple[int, tuple, np.ndarray]] = []
-        for dev in devices:
-            plan = plans[dev.rank]
-            if not plan[0]:  # no peers
-                continue
-            block = np.ascontiguousarray(
-                values_by_dev[dev.rank][plan[2]], dtype=np.float32
-            )
-            staged.append((dev.rank, plan, block))
-        if staged:
-            # Exact payloads carry no rounding noise, so per-device post
-            # jobs are order-free: a multi-worker pool runs them
-            # concurrently (receivers sort mailboxes by source, so the
-            # arrival order is invisible).
-            if transport.workers > 1:
-
-                def make_job(rank: int, plan: tuple, block: np.ndarray):
-                    def job() -> None:
-                        transport.post_batch(rank, tag, self._batch_posts(plan, block))
-
-                    return job
-
-                transport.defer_many(tag, [make_job(*entry) for entry in staged])
-            else:
-
-                def job() -> None:
-                    for rank, plan, block in staged:
-                        transport.post_batch(rank, tag, self._batch_posts(plan, block))
-
-                transport.defer(tag, job)
-        dim = int(values_by_dev[devices[0].rank].shape[1])
-        step = InFlightStep(layer, phase, tag, devices, transport, dim)
-        step.scatter_out = out if phase == "fwd" else None
-        return step
-
-    def finalize_step(
-        self, step: InFlightStep, out: list[np.ndarray] | None = None
-    ) -> list[np.ndarray] | None:
-        step.mark_done()
-        plans = self._plan_for(step.phase, step.devices)
-        if step.phase == "fwd":
-            halo_by_dev: list[np.ndarray] = []
-            for dev in step.devices:
-                part = dev.part
-                received = step.transport.collect(dev.rank, step.tag)
-                self._check_delivery(dev, step.phase, step.tag, received)
-                if received:
-                    # The scatter permutation covers every halo slot (each
-                    # is fed by exactly one peer and all peers posted), so
-                    # the destination needs no zero-fill before assignment.
-                    if out is not None:
-                        halo = out[dev.rank]
-                        if halo.shape != (part.n_halo, step.dim):
-                            raise ValueError(
-                                f"out[{dev.rank}] has shape {halo.shape}, "
-                                f"expected {(part.n_halo, step.dim)}"
-                            )
-                    else:
-                        halo = np.empty((part.n_halo, step.dim), dtype=np.float32)
-                    recv_peers, scatter = plans[dev.rank][3:5]
-                    halo[scatter] = np.concatenate([received[p] for p in recv_peers])
-                else:
-                    halo = self._halo_out(out, dev.rank, part.n_halo, step.dim)
-                halo_by_dev.append(halo)
-            return halo_by_dev
-        if out is None:
-            raise ValueError("backward finalize_step requires out= buffers")
-        for dev in step.devices:
-            received = step.transport.collect(dev.rank, step.tag)
-            self._check_delivery(dev, step.phase, step.tag, received)
-            if not received:
-                continue
-            recv_peers, _, reduce_op = plans[dev.rank][3:6]
-            cat = np.concatenate([received[p] for p in recv_peers])
-            out[dev.rank] += np.asarray(reduce_op @ cat)
-        return None
-
-
 class FusedQuantizedHaloExchange(HaloExchange):
-    """AdaQP's transfers: per-message stochastic quantization + packing,
-    executed as batched kernels over whole cluster steps.
+    """The halo exchange of every system but the stale and broadcast
+    baselines: whole cluster steps in batched kernels, quantized or at full
+    precision.
 
-    Every (src, dst) message is quantized row by row at its assigned
-    bit-widths and bit-packed — the wire format
-    :class:`~repro.quant.mixed.MixedPrecisionEncoder` states one message
-    at a time — but a (layer, phase) step runs as a few large NumPy
+    With a bit provider (AdaQP's transfers), every (src, dst) message is
+    quantized row by row at its assigned bit-widths and bit-packed — the
+    wire format :class:`~repro.quant.mixed.MixedPrecisionEncoder` states
+    one message at a time — but a (layer, phase) step runs as a few large
     kernels instead of thousands of per-pair, per-group dispatches:
 
     * the boundary rows of **every** (src, dst) pair of the step are
@@ -564,19 +395,34 @@ class FusedQuantizedHaloExchange(HaloExchange):
       (forward) or into a block accumulated into its owned rows
       (backward) (:func:`~repro.quant.fused.decode_cluster_step`).
 
-    Boundary index structures, wire layouts, decode indices and scratch
-    buffers are cached across epochs and only rebuilt when the bit-width
-    assignment of a step changes (i.e. at reassignment boundaries).
+    Without one (Vanilla and every evaluation pass; see
+    :class:`ExactHaloExchange`) the step plan is a
+    :class:`~repro.quant.fused.Float32StepPlan`: the same gather, and its
+    wire *is* the gathered float32 rows — ``rows × dim × 4`` bytes per pair,
+    read-only views of each source's staged rows.  Forward landing is an
+    index copy into the halo rows; backward adds the payloads into the
+    owned rows source by source (:func:`~repro.quant.fused.accumulate_rows`,
+    the additions :func:`~repro.quant.fused.accumulate_block` makes from a
+    block, without copying one).  Everything else — topology, decode
+    targets, worker-side decodes, the delivery audit and replay — is one
+    code path for both wires.
+
+    Topology, plans, decode indices and scratch buffers are cached across
+    epochs for one cluster (the identity of device 0's ``owned_global``:
+    an instance run on another cluster rebuilds them); a quantized plan
+    rebuilds when the bit-width assignment of its step changes (i.e. at
+    reassignment boundaries).
 
     Parameters
     ----------
     bit_provider:
         Source of per-message bit-widths (fixed, uniform-random or the
-        adaptive assigner).
+        adaptive assigner); ``None`` for full precision.
     rounding:
         The :class:`~repro.quant.stochastic.KeyedRounding` noise policy:
         each message's stochastic-rounding noise is a pure function of its
-        (epoch, phase, layer, src, dst) coordinates.
+        (epoch, phase, layer, src, dst) coordinates.  Required with a bit
+        provider; full precision has no noise and takes ``None``.
     tracer:
         Optional object with ``observe(phase, layer, src, dst, rows)``;
         the adaptive assigner registers one to see transfers' input
@@ -585,27 +431,31 @@ class FusedQuantizedHaloExchange(HaloExchange):
         re-assignment will read) is skipped for that epoch.
     """
 
-    quantizes = True
-
     def __init__(
         self,
-        bit_provider: BitProvider,
+        bit_provider: BitProvider | None,
         rounding,
         tracer: object | None = None,
     ) -> None:
         self.bit_provider = bit_provider
-        self.rounding = as_rounding(rounding)
+        #: whether payloads pass through quantize/de-quantize kernels
+        self.quantizes = bit_provider is not None
+        self.rounding = as_rounding(rounding) if self.quantizes else None
         self.tracer = tracer
-        self.fused_encoder = FusedStepEncoder(self.rounding)
         self._decode_ws = DecodeWorkspace()
         # Worker-side decode scratch, one workspace per receiving rank:
         # per-receiver decode jobs run concurrently on the pool, so ranks
         # must never share buffers.  One step is in flight at a time, so a
         # rank's workspace is free again once its step is finalized.
         self._decode_ws_by_rank: dict[int, DecodeWorkspace] = {}
-        self._topologies: dict[str, tuple] = {}
         self._halo_bufs: dict[tuple[int, int], np.ndarray] = {}
-        #: envelopes regenerated bitwise from plan scratch after a drop
+        # Per-cluster caches (see _topology_for): the cluster they were
+        # built for, step topologies per phase, step plans.
+        self._cluster: object = None
+        self._topologies: dict[str, tuple] = {}
+        self._float32_plans: dict[tuple[str, int], Float32StepPlan] = {}
+        self.fused_encoder = FusedStepEncoder(self.rounding) if self.quantizes else None
+        #: envelopes regenerated bitwise from the staged rows after a drop
         self.replayed_messages = 0
 
     def on_epoch_start(self, epoch: int) -> None:
@@ -613,7 +463,8 @@ class FusedQuantizedHaloExchange(HaloExchange):
         if set_epoch is not None:
             set_epoch(epoch)
         # The epoch is a coordinate of every block's noise key.
-        self.rounding.set_epoch(epoch)
+        if self.rounding is not None:
+            self.rounding.set_epoch(epoch)
 
     def _live_tracer(self) -> object | None:
         """The tracer, when it will read this epoch's observations."""
@@ -624,12 +475,14 @@ class FusedQuantizedHaloExchange(HaloExchange):
 
     def state_dict(self) -> dict:
         """Rounding state (empty: keyed noise is stateless) plus any
-        stateful bit provider.
+        stateful bit provider; nothing at full precision.
 
         The adaptive assigner is checkpointed separately by the trainer
         (it is shared infrastructure, not exchange-owned); only providers
         reachable solely through the exchange land here.
         """
+        if not self.quantizes:
+            return {}
         state: dict = {"rounding": self.rounding.state_dict()}
         provider_state = getattr(self.bit_provider, "state_dict", None)
         if provider_state is not None and not hasattr(
@@ -639,6 +492,9 @@ class FusedQuantizedHaloExchange(HaloExchange):
         return state
 
     def load_state_dict(self, state: dict) -> None:
+        if not self.quantizes:
+            super().load_state_dict(state)
+            return
         self.rounding.load_state_dict(state["rounding"])
         if "bit_provider" in state:
             self.bit_provider.load_state_dict(state["bit_provider"])
@@ -698,16 +554,20 @@ class FusedQuantizedHaloExchange(HaloExchange):
                 dev.rank: step.transport.collect(dev.rank, step.tag)
                 for dev in step.devices
             }
-            step.decoded = decode_cluster_step(
-                collects, workspace=self._decode_ws, into=step.targets
-            )
+            step.decoded = self._land(collects, self._decode_ws, step.targets)
         # Every receiver's rows are in its decode buffer now (mark_done
         # joined any worker-side decode); what is left is the delivery
         # audit and, backward, the order-sensitive accumulate.
         halo_by_dev: list[np.ndarray] = []
         for dev in step.devices:
             index, buf = step.targets[dev.rank]
-            replayed = self._replay_missing(step, dev, step.decoded[dev.rank])
+            landed = step.decoded[dev.rank]
+            replayed = self._replay_missing(step, dev, landed)
+            if buf is None:
+                # Full-precision backward: the landed payloads are the rows,
+                # added source by source (ascending) — no block copy.
+                accumulate_rows(index, {**landed, **replayed}, out[dev.rank])
+                continue
             for p, mat in replayed.items():
                 buf[index.land[p]] = mat
             if not fwd:
@@ -720,7 +580,22 @@ class FusedQuantizedHaloExchange(HaloExchange):
                 halo_by_dev.append(halo)
             else:
                 halo_by_dev.append(buf)
+        if not self.quantizes:
+            step.plan.staged = None  # the staging lives from post to finalize
         return halo_by_dev if fwd else None
+
+    def _land(self, collects: dict, workspace: DecodeWorkspace, targets: dict) -> dict:
+        """Each receiver's mailbox into its ``(DecodeIndex, buffer)`` target,
+        ``{rank: {src: where}}``: de-quantized, or at full precision copied —
+        except backward, where the float32 payloads themselves are what
+        finalize adds (no buffer; ``where`` is the payload)."""
+        if self.quantizes:
+            return decode_cluster_step(collects, workspace=workspace, into=targets)
+        landed = {}
+        for rank, mailbox in collects.items():
+            index, buf = targets[rank]
+            landed[rank] = mailbox if buf is None else land_decoded(index, buf, mailbox)
+        return landed
 
     def _target(self, step: InFlightStep, dev, dests, workspace) -> tuple:
         """Receiver ``dev``'s ``(DecodeIndex, buffer)``: its halo buffer
@@ -731,6 +606,8 @@ class FusedQuantizedHaloExchange(HaloExchange):
             index = decode_index(
                 step.plan, dev.rank, part.send_map, part.n_owned, accumulate=True
             )
+            if not self.quantizes:
+                return index, None  # the payloads are the rows to add
             return index, workspace.take(("block", dev.rank), index.shape, np.float32)
         index = decode_index(step.plan, dev.rank, part.recv_map, part.n_halo)
         if dests is None:
@@ -750,13 +627,14 @@ class FusedQuantizedHaloExchange(HaloExchange):
 
         Every peer in the step plan posts exactly one envelope, so a
         shortfall means an envelope was dropped in transit.  The step's
-        source rows still sit in plan scratch, so the missing pair's
-        payload is regenerated *bitwise* — noise is a pure function of
-        coordinates, and payload bytes are independent of the shard
-        decomposition — and returned decoded, ``{src: matrix}``, for the
-        caller to land where that source's rows go.  A source the plan
-        does not know raises a typed :class:`TransportError`, which
-        escalates to the trainer's checkpoint-restore path.
+        source rows still sit in the plan's staging, so the missing pair's
+        payload is regenerated *bitwise* — at full precision it is those
+        rows; quantized, noise is a pure function of coordinates and payload
+        bytes are independent of the shard decomposition — and returned
+        decoded, ``{src: matrix}``, for the caller to land where that
+        source's rows go.  A source the plan does not know raises a typed
+        :class:`TransportError`, which escalates to the trainer's
+        checkpoint-restore path.
         """
         part = dev.part
         expected = part.recv_map if step.phase == "fwd" else part.send_map
@@ -774,11 +652,13 @@ class FusedQuantizedHaloExchange(HaloExchange):
                     f"pair ({p}, {dev.rank}) of tag {step.tag!r} is not in"
                     " the step plan; cannot replay the dropped envelope"
                 )
-            shard = pair_shard(plan, i)
-            payloads = self.fused_encoder.quantize_pack_shard(
-                plan, shard, coords=(step.phase, step.layer)
-            )
-            replayed[p] = payloads[(p, dev.rank)].decode()
+            if self.quantizes:
+                payloads = self.fused_encoder.quantize_pack_shard(
+                    plan, pair_shard(plan, i), coords=(step.phase, step.layer)
+                )
+                replayed[p] = payloads[(p, dev.rank)].decode()
+            else:
+                replayed[p] = plan.staged[(p, dev.rank)]
             self.replayed_messages += 1
             if stats is not None:
                 stats["replays"] += 1
@@ -792,22 +672,10 @@ class FusedQuantizedHaloExchange(HaloExchange):
         values_by_rank: list[np.ndarray],
     ) -> None:
         layer, phase, tag, dim = step.layer, step.phase, step.tag, step.dim
-        pairs, pair_counts, device_blocks, cat_idx = self._topology_for(
-            phase, step.devices
-        )
+        topology = self._topology_for(phase, step.devices)
+        pairs, pair_counts = topology[:2]
         if not pairs:
             return
-
-        bits_cat = np.concatenate(
-            [
-                self.bit_provider.bits_for(layer, phase, src, dst, int(n))
-                for (src, dst), n in zip(pairs, pair_counts)
-            ]
-        )
-        plan = self.fused_encoder.plan_for(
-            (phase, layer), pairs, pair_counts, device_blocks, cat_idx, bits_cat, dim
-        )
-        step.plan = plan
         observe = None
         tracer = self._live_tracer()
         if tracer is not None:
@@ -816,24 +684,48 @@ class FusedQuantizedHaloExchange(HaloExchange):
                 tracer.observe(phase, layer, src, dst, rows)
 
         # Snapshot half (calling thread): gather the step's source rows
-        # into plan scratch and feed the tracer (bit lookups above run
+        # into the plan's staging and feed the tracer (bit lookups run
         # here too — providers and tracers never see worker threads).
-        # Keyed noise is a pure function of coordinates, so from here on a
-        # dropped envelope can be regenerated bitwise from that scratch
-        # (pair_shard + quantize_pack_shard; see _replay_missing).
+        # From here on a dropped envelope can be regenerated bitwise from
+        # that staging (see _replay_missing).
         encoder = self.fused_encoder
-        encoder.gather_step(plan, values_by_rank, observe)
+        if self.quantizes:
+            bits_cat = np.concatenate(
+                [
+                    self.bit_provider.bits_for(layer, phase, src, dst, int(n))
+                    for (src, dst), n in zip(pairs, pair_counts)
+                ]
+            )
+            plan = encoder.plan_for((phase, layer), *topology, bits_cat, dim)
+            encoder.gather_step(plan, values_by_rank, observe)
+            # Quantize/pack/post: one deferred job per encode shard.  Every
+            # pair has coordinate-determined noise, so the step splits into
+            # transport.workers contiguous shards that may run concurrently
+            # and retire in any order.
+            shards = encoder.shards_for(plan, max(transport.workers, 1))
 
-        # Quantize/pack/post half: one deferred job per encode shard.
-        # Every pair has coordinate-determined noise, so the step splits
-        # into transport.workers contiguous shards that may run
-        # concurrently and retire in any order.  On async transports the
-        # last shard to finish defers one collect+decode job per receiver
-        # under the same tag — decode overlaps the central window too, and
-        # finalize is left with only the delivery audit and the backward
-        # accumulate.  A forward step posted without its destinations
-        # decodes in finalize instead: nothing runs between its halves.
-        shards = encoder.shards_for(plan, max(transport.workers, 1))
+            def payloads_of(shard) -> dict:
+                return encoder.quantize_pack_shard(plan, shard, coords=(phase, layer))
+
+        else:
+            plan = self._float32_plans.get((phase, layer))
+            if plan is None or plan.dim != dim:
+                plan = Float32StepPlan.build(*topology, dim)
+                self._float32_plans[(phase, layer)] = plan
+            staged = plan.stage(values_by_rank, observe)
+            shards = [None]  # posting row views is one cheap job
+
+            def payloads_of(shard) -> dict:
+                return staged
+
+        step.plan = plan
+
+        # On async transports the last job to finish defers one
+        # collect+decode job per receiver under the same tag — decode
+        # overlaps the central window too, and finalize is left with only
+        # the delivery audit and the backward accumulate.  A forward step
+        # posted without its destinations decodes in finalize instead:
+        # nothing runs between its halves.
         eager_decode = transport.is_async and (
             phase == "bwd" or step.scatter_out is not None
         )
@@ -844,14 +736,10 @@ class FusedQuantizedHaloExchange(HaloExchange):
 
         def make_job(shard):
             def job() -> None:
-                payloads = encoder.quantize_pack_shard(
-                    plan, shard, coords=(phase, layer)
-                )
                 posts_by_rank: dict[int, list[tuple[int, object, int]]] = {}
-                for (src, dst), payload in payloads.items():
-                    posts_by_rank.setdefault(src, []).append(
-                        (dst, payload, payload.wire_bytes)
-                    )
+                for (src, dst), payload in payloads_of(shard).items():
+                    nbytes = payload.wire_bytes if self.quantizes else payload.nbytes
+                    posts_by_rank.setdefault(src, []).append((dst, payload, nbytes))
                 for rank, posts in posts_by_rank.items():
                     transport.post_batch(rank, tag, posts)
                 if eager_decode:
@@ -868,13 +756,14 @@ class FusedQuantizedHaloExchange(HaloExchange):
     def _defer_decodes(self, transport: TransportBackend, step: InFlightStep) -> None:
         """Queue one collect+decode job per receiver (worker side).
 
-        Called by the step's last encode shard, so every envelope is
-        already posted; the jobs use the *base* ``TransportAccounting.collect``
+        Called by the step's last post job, so every envelope is already
+        posted; the jobs use the *base* ``TransportAccounting.collect``
         (which sorts by source) — the subclass safety-net would try to
         join the very job set they run in.  Forward, each job writes its
         receiver's rows straight into the halo buffer named at post time
         (receivers own disjoint buffers, so the writes are race-free);
-        backward, into a block of its receiver's workspace.
+        backward, a quantized step into a block of its receiver's workspace
+        (a full-precision one only collects: finalize adds the payloads).
         """
         for dev in step.devices:
             workspace = self._decode_ws_by_rank.get(dev.rank)
@@ -885,14 +774,27 @@ class FusedQuantizedHaloExchange(HaloExchange):
 
             def decode_job(rank: int = dev.rank, target=target, workspace=workspace):
                 mailbox = TransportAccounting.collect(transport, rank, step.tag)
-                step.decoded[rank] = decode_cluster_step(
-                    {rank: mailbox}, workspace=workspace, into={rank: target}
+                step.decoded[rank] = self._land(
+                    {rank: mailbox}, workspace, {rank: target}
                 )[rank]
 
             transport.defer(step.tag, decode_job)
 
     def _topology_for(self, phase: str, devices: list) -> tuple:
-        """Static step topology: pair order, row counts, gather indices."""
+        """Static step topology: pair order, row counts, device blocks,
+        gather indices.
+
+        Cached per phase for one cluster, keyed on the identity of device
+        0's ``owned_global``: a different cluster drops every topology and
+        plan (and with them the decode indices) before anything is built.
+        """
+        cluster = devices[0].part.owned_global
+        if cluster is not self._cluster:
+            self._cluster = cluster
+            self._topologies.clear()
+            self._float32_plans.clear()
+            if self.quantizes:
+                self.fused_encoder = FusedStepEncoder(self.rounding)
         cached = self._topologies.get(phase)
         if cached is None:
             pairs: list[tuple[int, int]] = []
@@ -931,3 +833,12 @@ class FusedQuantizedHaloExchange(HaloExchange):
             buf = np.empty((n_halo, dim), dtype=np.float32)
             self._halo_bufs[(rank, layer)] = buf
         return buf
+
+
+class ExactHaloExchange(FusedQuantizedHaloExchange):
+    """Full-precision float32 transfers (Vanilla and evaluation passes): the
+    fused exchange with no bit provider, whose step plans' wire is the
+    gathered float32 rows, ``rows × dim × 4`` bytes per (src, dst) pair."""
+
+    def __init__(self) -> None:
+        super().__init__(None, None)

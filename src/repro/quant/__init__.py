@@ -42,7 +42,6 @@ from repro.quant.fused import (
     DecodeWorkspace,
     FusedStepEncoder,
     FusedStepPlan,
-    decode_step,
 )
 from repro.quant.theory import (
     SUPPORTED_BITS,
@@ -70,7 +69,6 @@ __all__ = [
     "FusedStepEncoder",
     "FusedStepPlan",
     "DecodeWorkspace",
-    "decode_step",
     "SUPPORTED_BITS",
     "quantization_variance",
     "beta_values",

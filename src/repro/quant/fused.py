@@ -26,10 +26,17 @@ peer — into batched kernels that emit the same bytes:
   one zero point and one scale per payload row.  The step's payloads are
   views into it, built once per plan;
 * on the receive side, :func:`decode_cluster_step` unpacks and
-  de-quantizes every payload of the step — batched per bit-width on the
-  NumPy tier, one kernel call per receiver on the compiled tier — and can
+  de-quantizes every payload of the step — one kernel call per receiver
+  on the compiled tier, batched per bit-width on the NumPy tier — and can
   land the rows straight in the receiver's destination (a
   :class:`DecodeIndex` says where).
+
+Full precision is the same step without bit-widths: a
+:class:`Float32StepPlan` has the pair geometry and the gather, and its wire
+*is* the gathered float32 rows — a pair's payload is a read-only row view
+of its source's staged rows, landed through the same :class:`DecodeIndex`
+(:func:`land_decoded` into halo rows, :func:`accumulate_rows` into owned
+rows).
 
 **Payload lifetime.**  A payload returned by
 :meth:`FusedStepEncoder.quantize_pack_shard` is a view of plan-owned
@@ -55,10 +62,13 @@ use by :mod:`repro.quant.native`) that perform the same float32 operations
 in the same order and so emit the same bytes.  The compiled quantizer
 writes codes already packed into the wire buffer (no step-wide code array
 exists); the NumPy one stages uint8 codes in ``codes_buf`` and packs them
-with :func:`~repro.quant.packing.pack_bits_batched`.  The compiled tier
-runs wherever it loads; the NumPy tier is the reference it is tested
-against bitwise and the fallback everywhere else.  Nothing selects
-between them but what the loader observes.
+with :func:`~repro.quant.packing.pack_bits_batched`.  The compiled decode
+takes exactly one input, a mailbox holding a plan's own payloads for a
+receiver's :class:`DecodeIndex`; anything else (a mailbox missing a
+dropped source, payloads built outside a plan) takes the NumPy decode.
+The compiled tier runs wherever it loads; the NumPy tier is the reference
+it is tested against bitwise and the fallback everywhere else.  Nothing
+selects between them but what the loader observes.
 
 All index structures (gather orders, group slices, wire layout, payload
 views, decode indices) are cached in a :class:`FusedStepPlan` and reused
@@ -79,22 +89,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.quant import native
-from repro.quant.mixed import MixedPrecisionEncoder, MixedPrecisionPayload
+from repro.quant.mixed import MixedPrecisionPayload
 from repro.quant.packing import pack_bits_batched, unpack_bits_batched
 from repro.quant.stochastic import KeyedRounding, as_rounding
 from repro.quant.theory import packed_bytes
 
 __all__ = [
     "FusedStepPlan",
+    "Float32StepPlan",
     "FusedStepEncoder",
     "pair_shard",
     "DecodeIndex",
     "decode_index",
     "DecodeWorkspace",
-    "decode_step",
     "decode_cluster_step",
     "land_decoded",
     "accumulate_block",
+    "accumulate_rows",
     "kernels_agree",
 ]
 
@@ -355,6 +366,60 @@ def pair_shard(plan: FusedStepPlan, i: int) -> _EncodeShard:
     if not 0 <= i < len(plan.pairs):
         raise IndexError(f"pair index {i} outside [0, {len(plan.pairs)})")
     return _make_shard(plan, i, i + 1)
+
+
+@dataclass(eq=False)
+class Float32StepPlan:
+    """One (layer, phase) step at full precision: the wire *is* the
+    gathered float32 rows.
+
+    The pair geometry of a :class:`FusedStepPlan` and nothing of
+    quantization.  :meth:`stage` gathers each source device's outgoing rows
+    into a fresh array and hands out each pair's payload as a read-only row
+    view of it, ``rows·dim·4`` bytes with no zero points, scales or headers;
+    receivers land payloads through a :class:`DecodeIndex` of this plan
+    (:func:`land_decoded`, :func:`accumulate_rows`).  ``staged`` holds the
+    payloads from :meth:`stage` until the step's finalize drops them (a
+    dropped envelope is replayed from there), so no float32 copy of the
+    halo traffic stays resident between steps.  The staging is one array
+    per source device, not one step-wide buffer: freeing a buffer that
+    large raises the allocator's mmap threshold and leaves later
+    allocations resident.
+    """
+
+    pairs: list[tuple[int, int]]  # (src, dst): sources, then peers, ascending
+    pair_counts: np.ndarray
+    cat_bounds: np.ndarray  # (n_pairs + 1,) row offsets per pair
+    device_blocks: list[tuple[int, int, int]]  # (rank, start, stop) cat slices
+    cat_idx: np.ndarray  # (n_total,) local source row per cat position
+    dim: int
+    staged: dict[tuple[int, int], np.ndarray] | None = None  # payloads, if staged
+    # Decode indices, cached per (receiver, accumulate) (built on demand).
+    decode_cache: dict[tuple[int, bool], DecodeIndex] = field(default_factory=dict)
+
+    @classmethod
+    def build(cls, pairs, pair_counts, device_blocks, cat_idx, dim: int):
+        bounds = np.zeros(len(pairs) + 1, dtype=np.int64)
+        np.cumsum(pair_counts, out=bounds[1:])
+        return cls(pairs, pair_counts, bounds, device_blocks, cat_idx, dim)
+
+    def stage(self, values_by_rank, observe=None) -> dict[tuple[int, int], np.ndarray]:
+        """Gather the step's source rows (a snapshot); returns every pair's
+        payload, ``{(src, dst): rows}``, and feeds ``observe(src, dst,
+        rows)`` when given."""
+        bounds, staged, i = self.cat_bounds, {}, 0
+        for rank, start, stop in self.device_blocks:
+            rows = np.take(values_by_rank[rank], self.cat_idx[start:stop], axis=0)
+            rows = rows.astype(np.float32, copy=False)
+            while i < len(self.pairs) and self.pairs[i][0] == rank:
+                lo, hi = bounds[i] - start, bounds[i + 1] - start
+                staged[self.pairs[i]] = _readonly(rows[lo:hi])
+                i += 1
+        if observe is not None:
+            for (src, dst), rows in staged.items():
+                observe(src, dst, rows)
+        self.staged = staged
+        return staged
 
 
 class FusedStepEncoder:
@@ -649,8 +714,8 @@ class FusedStepEncoder:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True, eq=False)
 class DecodeIndex:
-    """Where one receiver's share of a plan's step lands — and the single
-    kernel call that lands it.
+    """Where one receiver's share of a plan's step lands — and, for a
+    quantized plan, the single kernel call that lands it.
 
     ``rows[src]`` maps each row of pair ``(src, receiver)`` to its row of
     the destination (``n_out`` rows).  Without ``accumulate`` the decode
@@ -662,14 +727,14 @@ class DecodeIndex:
     rows, or its slice of the block.
 
     Built once per (plan, receiver) by :func:`decode_index` and checked
-    once: every destination row against ``n_out``, every group width and
-    stream span against the plan's wire buffer.  A mailbox holding exactly
-    the plan's payloads (:meth:`matches`) then decodes without a further
-    check.
+    once: every destination row against ``n_out`` and, for a
+    :class:`FusedStepPlan`, every group width and stream span against the
+    plan's wire buffer.  A mailbox holding exactly that plan's payloads
+    (:meth:`matches`) then decodes without a further check.  The
+    compiled-decode fields stay empty for a :class:`Float32StepPlan`.
     """
 
     srcs: tuple[int, ...]  # ascending: the mailbox order
-    payloads: tuple[MixedPrecisionPayload, ...]  # the plan's, same order
     rows: dict[int, np.ndarray]
     land: dict[int, object]
     shape: tuple[int, int]  # the decode buffer: destination or block
@@ -677,9 +742,13 @@ class DecodeIndex:
     accumulate: bool
     covers: bool  # the decode writes every buffer row exactly once
     add_rows: np.ndarray | None  # accumulate: destination row per block row
-    groups: np.ndarray  # (n_groups, 4) int64: bits, rows, stream offset, first row
-    dest: np.ndarray  # int64, per group row: its row of the decode buffer
-    buffers: tuple[np.ndarray, np.ndarray, np.ndarray]  # the plan's wire, z, s
+    # The compiled decode's input (quantized plans only).
+    payloads: tuple[MixedPrecisionPayload, ...] = ()  # the plan's, srcs order
+    # (n_groups, 4) int64: bits, rows, stream offset, first row
+    groups: np.ndarray = field(default_factory=lambda: np.zeros((0, 4), np.int64))
+    # int64, per group row: its row of the decode buffer
+    dest: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
+    buffers: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None  # wire, z, s
 
     def matches(self, mailbox: dict) -> bool:
         """Whether ``mailbox`` holds exactly this index's payloads, in order."""
@@ -689,7 +758,7 @@ class DecodeIndex:
 
 
 def decode_index(
-    plan: FusedStepPlan,
+    plan: FusedStepPlan | Float32StepPlan,
     dst: int,
     rows: dict[int, np.ndarray],
     n_out: int,
@@ -713,7 +782,7 @@ def decode_index(
 
 
 def _build_index(
-    plan: FusedStepPlan,
+    plan: FusedStepPlan | Float32StepPlan,
     dst: int,
     rows: dict[int, np.ndarray],
     n_out: int,
@@ -726,14 +795,12 @@ def _build_index(
             f"receiver {dst}: destination rows for sources {sorted(rows)}, "
             f"but the step's pairs come from {list(srcs)}"
         )
-    groups: list[tuple[int, int, int, int]] = []
-    dest: list[np.ndarray] = []
     land: dict[int, object] = {}
     targets: list[np.ndarray] = []
     block = 0
     for src, i in members:
         n = int(plan.pair_counts[i])
-        target = np.asarray(rows[src], dtype=np.int64)
+        target = np.ascontiguousarray(rows[src], dtype=np.int64)
         if target.shape != (n,):
             raise ValueError(f"pair ({src}, {dst}) has {n} rows, not {target.shape}")
         if n and (target.min() < 0 or target.max() >= n_out):
@@ -744,11 +811,39 @@ def _build_index(
             # The add would differ from the per-pair `out[rows] += mat`.
             raise ValueError(f"pair ({src}, {dst}) repeats a destination row")
         land[src] = slice(block, block + n) if accumulate else target
-        for g in plan.pair_groups[(src, dst)]:
-            groups.append((g.bits, g.stop - g.start, g.offset, g.start))
-            dest.append(block + g.rows if accumulate else target[g.rows])
         targets.append(target)
         block += n
+    cat = np.concatenate(targets) if targets else np.zeros(0, dtype=np.int64)
+    covers = accumulate or np.array_equal(np.sort(cat), np.arange(n_out))
+    quantized = isinstance(plan, FusedStepPlan)
+    return DecodeIndex(
+        srcs=srcs,
+        rows=dict(zip(srcs, targets)),
+        land=land,
+        shape=(block if accumulate else n_out, plan.dim),
+        n_out=n_out,
+        accumulate=accumulate,
+        covers=bool(covers),
+        add_rows=cat if accumulate else None,
+        **(_wire_index(plan, dst, members, land) if quantized else {}),
+    )
+
+
+def _wire_index(
+    plan: FusedStepPlan, dst: int, members: list[tuple[int, int]], land: dict
+) -> dict:
+    """The compiled decode's fields of a receiver's index: per group its
+    width, row count, stream offset and first payload row, and each group
+    row's row of the decode buffer — checked against the wire buffer."""
+    groups: list[tuple[int, int, int, int]] = []
+    dest: list[np.ndarray] = []
+    for src, _ in members:
+        where = land[src]
+        for g in plan.pair_groups[(src, dst)]:
+            groups.append((g.bits, g.stop - g.start, g.offset, g.start))
+            dest.append(
+                where.start + g.rows if isinstance(where, slice) else where[g.rows]
+            )
     table = np.array(groups, dtype=np.int64).reshape(-1, 4)
     bits, counts, offsets, first = table.T
     ends = offsets + packed_bytes(counts, plan.dim, bits)
@@ -758,18 +853,8 @@ def _build_index(
         and (first + counts <= plan.n_total).all()
     ):
         raise ValueError(f"receiver {dst}: the plan's wire layout is inconsistent")
-    cat = np.concatenate(targets) if targets else np.zeros(0, dtype=np.int64)
-    covers = accumulate or np.array_equal(np.sort(cat), np.arange(n_out))
-    return DecodeIndex(
-        srcs=srcs,
+    return dict(
         payloads=tuple(plan.payloads[i] for _, i in members),
-        rows=dict(zip(srcs, targets)),
-        land=land,
-        shape=(block if accumulate else n_out, plan.dim),
-        n_out=n_out,
-        accumulate=accumulate,
-        covers=bool(covers),
-        add_rows=cat if accumulate else None,
         groups=np.ascontiguousarray(table),
         dest=np.concatenate(dest) if dest else np.zeros(0, dtype=np.int64),
         buffers=(plan.wire, plan.zero_points, plan.scales),
@@ -815,20 +900,19 @@ def decode_cluster_step(
     matrices ``payload.decode()`` would — de-quantization is
     row-elementwise, so batching cannot change any value — preserving each
     mailbox's iteration order (gradient accumulation order stays
-    src-ascending).  On the NumPy tier every (receiver, pair, group) stream
-    is bucketed by bit-width, unpacked through one batched lookup-table
-    kernel per width and de-quantized in one elementwise kernel; on the
-    compiled tier (:mod:`repro.quant.native`) one unpack + de-quantize pass
-    writes the values directly.
+    src-ascending).
 
     ``into`` names destinations: for a receiver listed there as
     ``(index, buffer)`` (a :class:`DecodeIndex` and a float32 buffer of
-    ``index.shape``) the rows land in ``buffer`` — one kernel call when the
-    mailbox holds exactly the index's payloads on the compiled tier;
-    otherwise decoded as above and copied in, the buffer zero-filled first
-    when a source is missing — and the result maps each source to
-    ``index.land[src]``, where its rows now are.  Other receivers get
-    ``{src: matrix}``.
+    ``index.shape``) the rows land in ``buffer`` and the result maps each
+    source to ``index.land[src]``, where its rows now are.  Other receivers
+    get ``{src: matrix}``.  A landed mailbox holding exactly the index's
+    payloads decodes in one compiled kernel call where the compiled tier
+    loads; every other mailbox takes the NumPy decode — every
+    (receiver, pair, group) stream bucketed by bit-width, unpacked through
+    one batched lookup-table kernel per width, de-quantized in one
+    elementwise kernel, and landed with the buffer zero-filled first when a
+    source is missing.
 
     ``workspace``, when given, supplies scratch reused across calls; the
     returned matrices then stay valid only until the next decode (the
@@ -837,26 +921,24 @@ def decode_cluster_step(
     into = into or {}
     lib = native.load()
     out: dict[int, dict[int, object]] = {}
-    generic: dict[int, dict[int, MixedPrecisionPayload]] = {}
+    rest: dict[int, dict[int, MixedPrecisionPayload]] = {}
     for dst, mailbox in collects.items():
         target = into.get(dst)
-        if target is None:
-            generic[dst] = mailbox
-            continue
-        index, buf = target
-        if buf.shape != index.shape or buf.dtype != np.float32:
-            raise ValueError(
-                f"receiver {dst}: decode buffer {buf.shape} {buf.dtype}, "
-                f"expected {index.shape} float32"
-            )
-        if lib is not None and buf.flags.c_contiguous and index.matches(mailbox):
-            _decode_index_native(lib, index, buf)
-            out[dst] = dict(index.land)
-        else:
-            generic[dst] = mailbox
-    if generic:
-        landed = {dst: into[dst] for dst in generic if dst in into}
-        out.update(_decode_generic(lib, generic, workspace, landed))
+        if target is not None:
+            index, buf = target
+            if buf.shape != index.shape or buf.dtype != np.float32:
+                raise ValueError(
+                    f"receiver {dst}: decode buffer {buf.shape} {buf.dtype}, "
+                    f"expected {index.shape} float32"
+                )
+            if lib is not None and buf.flags.c_contiguous and index.matches(mailbox):
+                _decode_index_native(lib, index, buf)
+                out[dst] = dict(index.land)
+                continue
+        rest[dst] = mailbox
+    if rest:
+        landed = {dst: into[dst] for dst in rest if dst in into}
+        out.update(_decode_numpy(rest, workspace, landed))
     return {dst: out[dst] for dst in collects}
 
 
@@ -933,15 +1015,51 @@ def accumulate_block(index: DecodeIndex, block: np.ndarray, out: np.ndarray) -> 
         out[index.rows[src]] += block[index.land[src]]
 
 
-def _decode_generic(
-    lib,
+def accumulate_rows(
+    index: DecodeIndex, rows_by_src: dict[int, np.ndarray], out: np.ndarray
+) -> None:
+    """:func:`accumulate_block` without the block: ``out[rows[src]] +=
+    rows_by_src[src]`` for every source of an accumulating ``index``, src
+    ascending — for full-precision payloads, which already are the float32
+    rows, so nothing is copied into a block first.  The same additions in
+    the same order; compiled tier: one kernel call per source.
+    """
+    if not index.accumulate or sorted(rows_by_src) != list(index.srcs):
+        raise ValueError(
+            f"sources {sorted(rows_by_src)} do not fit the accumulating index "
+            f"of sources {list(index.srcs)}"
+        )
+    if out.shape != (index.n_out, index.shape[1]):
+        raise ValueError(f"out {out.shape} does not fit the index")
+    lib = native.load()
+    for src in index.srcs:
+        mat, rows = rows_by_src[src], index.rows[src]
+        if mat.shape != (rows.size, index.shape[1]):
+            raise ValueError(f"source {src}: {mat.shape} rows for {rows.size}")
+        contiguous = mat.flags.c_contiguous and out.flags.c_contiguous
+        if lib is not None and contiguous and mat.dtype == out.dtype == np.float32:
+            if mat.size:
+                lib.repro_add_rows(
+                    mat.ctypes.data,
+                    mat.shape[0],
+                    mat.shape[1],
+                    rows.ctypes.data,
+                    out.ctypes.data,
+                )
+        else:
+            out[rows] += mat
+
+
+def _decode_numpy(
     collects: dict[int, dict[int, MixedPrecisionPayload]],
     workspace: DecodeWorkspace | None,
     landed: dict[int, tuple[DecodeIndex, np.ndarray]],
 ) -> dict[int, dict[int, object]]:
-    """Any payloads, no index match: per-source matrices, or for the
-    receivers in ``landed`` their rows in place.  The NumPy decode, or the
-    compiled kernel through offsets computed for this call."""
+    """The NumPy decode of :func:`decode_cluster_step`: the reference, the
+    decode of any mailbox that is not a plan's own, and the fallback where
+    the compiled tier is unavailable.  A receiver in ``landed`` gets each
+    de-quantized group written straight to its rows of the receiver's
+    buffer, instead of a per-source matrix."""
     flat: list[tuple[int, int, MixedPrecisionPayload]] = [
         (dst, src, payload)
         for dst, mailbox in collects.items()
@@ -951,26 +1069,6 @@ def _decode_generic(
     if len(dims) > 1:
         raise ValueError("payloads of one step must share their dimension")
     dim = dims.pop() if dims else 0
-    if lib is None or dim == 0:
-        return _decode_numpy(collects, flat, dim, workspace, landed)
-    decoded = _decode_native(lib, collects, flat, dim, workspace)
-    for dst, target in landed.items():
-        decoded[dst] = land_decoded(*target, decoded[dst])
-    return decoded
-
-
-def _decode_numpy(
-    collects: dict[int, dict[int, MixedPrecisionPayload]],
-    flat: list[tuple[int, int, MixedPrecisionPayload]],
-    dim: int,
-    workspace: DecodeWorkspace | None,
-    landed: dict[int, tuple[DecodeIndex, np.ndarray]] | None = None,
-) -> dict[int, dict[int, object]]:
-    """The NumPy decode of :func:`decode_cluster_step`: the reference, and
-    the fallback where the compiled tier is unavailable.  A receiver in
-    ``landed`` gets each de-quantized group written straight to its rows of
-    the receiver's buffer, instead of a per-source matrix."""
-    landed = landed or {}
     for dst, (index, buf) in landed.items():
         _open_landing(index, buf, collects[dst])
     # bits -> parallel lists over that width's groups
@@ -1074,111 +1172,6 @@ def _decode_numpy(
     return out
 
 
-def _cat(arrays: list[np.ndarray], dtype) -> np.ndarray:
-    """``arrays`` end to end as one C-contiguous ``dtype`` array."""
-    joined = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-    return np.ascontiguousarray(joined, dtype=dtype)
-
-
-def _decode_native(
-    lib,
-    collects: dict[int, dict[int, MixedPrecisionPayload]],
-    flat: list[tuple[int, int, MixedPrecisionPayload]],
-    dim: int,
-    workspace: DecodeWorkspace | None,
-) -> dict[int, dict[int, np.ndarray]]:
-    """The compiled decode (``_kernels.c``) of payloads that are not a
-    plan's own (a mailbox missing a source, tests): the
-    streams, zero points and scales are joined for this call and the
-    kernel addresses them by offset, writing every group's rows straight
-    into the per-pair matrix — the values ``codes * s + z`` of the NumPy
-    decode, bit for bit.
-
-    The step's matrices are consecutive row blocks of one buffer, so a
-    group row's destination is a row index into it.  The kernel trusts its
-    arguments, so they are checked here: every row index against its own
-    payload's block, every stream's length against its group.
-    """
-    total = sum(payload.num_rows for _, _, payload in flat)
-    buf = (
-        workspace.take(("native", "out"), (total, dim), np.float32)
-        if workspace is not None
-        else np.empty((total, dim), dtype=np.float32)
-    )
-    out: dict[int, dict[int, np.ndarray]] = {dst: {} for dst in collects}
-    # Parallel lists over the step's groups, in payload order.
-    streams: list[np.ndarray] = []
-    zero_points: list[np.ndarray] = []
-    scales: list[np.ndarray] = []
-    rows_in_block: list[np.ndarray] = []
-    # Per group: bit-width, rows, first row and row count of its payload's block.
-    shape: list[tuple[int, int, int, int]] = []
-    offset = 0
-    for dst, src, payload in flat:
-        covered = 0
-        for bits, rows, stream, z, s in zip(
-            payload.group_bits,
-            payload.group_rows,
-            payload.streams,
-            payload.zero_points,
-            payload.scales,
-        ):
-            if bits not in (1, 2, 4, 8):
-                raise ValueError(f"unsupported bit-width {bits}")
-            streams.append(stream)
-            zero_points.append(z)
-            scales.append(s)
-            rows_in_block.append(rows)
-            shape.append((bits, rows.size, offset, payload.num_rows))
-            covered += rows.size
-        if covered != payload.num_rows:
-            raise ValueError("payload groups do not cover all rows")
-        out[dst][src] = buf[offset : offset + payload.num_rows]
-        offset += payload.num_rows
-    if not streams:
-        return out
-    bits, counts, first, block = np.array(shape, dtype=np.int64).T.copy()
-    dest = _cat(rows_in_block, np.int64)
-    if ((dest < 0) | (dest >= np.repeat(block, counts))).any():
-        raise IndexError("group row index outside its payload")
-    dest += np.repeat(first, counts)
-    needed = packed_bytes(counts, dim, bits)
-    sizes = np.fromiter((st.size for st in streams), np.int64, counts.size)
-    if (sizes < needed).any():
-        raise ValueError("stream too short")
-    if (sizes > needed).any():
-        streams = [st[:n] for st, n in zip(streams, needed)]
-    stream = _cat(streams, np.uint8)
-    z_all = _cat(zero_points, np.float32)
-    s_all = _cat(scales, np.float32)
-    if z_all.size != dest.size or s_all.size != dest.size:
-        raise ValueError("zero points and scales must be per-row vectors")
-    groups = np.zeros((counts.size, 4), dtype=np.int64)
-    groups[:, 0], groups[:, 1] = bits, counts
-    np.cumsum(needed[:-1], out=groups[1:, 2])
-    np.cumsum(counts[:-1], out=groups[1:, 3])
-    lib.repro_decode_rows(
-        stream.ctypes.data,
-        z_all.ctypes.data,
-        s_all.ctypes.data,
-        groups.ctypes.data,
-        counts.size,
-        dim,
-        dest.ctypes.data,
-        buf.ctypes.data,
-    )
-    return out
-
-
-def decode_step(
-    payloads: dict[int, MixedPrecisionPayload],
-    *,
-    workspace: DecodeWorkspace | None = None,
-) -> dict[int, np.ndarray]:
-    """Decode one receiver's payloads; see :func:`decode_cluster_step`."""
-    return decode_cluster_step({-1: payloads}, workspace=workspace)[-1]
-
-
 def kernels_agree(lib) -> bool:
     """The loader's self-test: a small fixed step through both tiers.
 
@@ -1187,8 +1180,8 @@ def kernels_agree(lib) -> bool:
     a constant row and a 1-bit group: the compiled quantizer must
     reproduce the NumPy kernel's wire bytes, zero points and scales (over
     a wire buffer it finds full of ones); the compiled decode the NumPy
-    decode's matrices, from foreign payloads and from the plan's through a
-    :class:`DecodeIndex`; the compiled accumulate the per-pair adds; the
+    decode's rows through each receiver's :class:`DecodeIndex` (halo rows,
+    an accumulation block); the compiled accumulate the per-pair adds; the
     CSR kernel scipy's ``csr_matvecs`` (:func:`_csr_agrees`); the post
     stage :class:`~repro.nn.layers.LayerNorm` (:func:`_post_agrees`).
     Calls the kernels directly — never :func:`repro.quant.native.load`,
@@ -1218,31 +1211,24 @@ def kernels_agree(lib) -> bool:
         and np.array_equal(plan.scales, want[2])
     ):
         return False
-    reference = MixedPrecisionEncoder(rounding)
-    bounds = plan.cat_bounds
-    mailbox = {
-        i: reference.encode(
-            rows[bounds[i] : bounds[i + 1]],
-            bits[bounds[i] : bounds[i + 1]],
-            ("fwd", 0, *pair),
-        )
-        for i, pair in enumerate(pairs)
+    # Both receivers through their indices — receiver 1's halo rows
+    # directly, receiver 2's two pairs into a block — against the NumPy
+    # decode; then receiver 2's block accumulated twice into rows where its
+    # two sources overlap.
+    indices = {
+        1: decode_index(plan, 1, {0: [3, 0, 4, 1, 2]}, 5),
+        2: decode_index(plan, 2, {0: [4, 0, 2], 1: [1, 2, 3, 4]}, 5, accumulate=True),
     }
-    flat = [(-1, i, payload) for i, payload in mailbox.items()]
-    want = _decode_numpy({-1: mailbox}, flat, dim, None)[-1]
-    got = _decode_native(lib, {-1: mailbox}, flat, dim, None)[-1]
-    if not all(got[i].tobytes() == want[i].tobytes() for i in mailbox):
+    got, want = {}, {}
+    for d, index in indices.items():
+        got[d] = index, np.full(index.shape, np.nan, dtype=np.float32)
+        want[d] = index, got[d][1].copy()
+        _decode_index_native(lib, *got[d])
+    own = {d: dict(zip(index.srcs, index.payloads)) for d, index in indices.items()}
+    _decode_numpy(own, None, want)
+    if any(got[d][1].tobytes() != want[d][1].tobytes() for d in indices):
         return False
-    # Receiver 2's two pairs through an index: decode into a block, then
-    # accumulate it twice into rows where the two sources overlap.
-    index = decode_index(plan, 2, {0: [4, 0, 2], 1: [1, 2, 3, 4]}, 5, accumulate=True)
-    block = np.full(index.shape, np.nan, dtype=np.float32)
-    _decode_index_native(lib, index, block)
-    own = {src: plan.payloads[i] for i, (src, d) in enumerate(pairs) if d == 2}
-    decoded = _decode_numpy({2: own}, [(2, s, p) for s, p in own.items()], dim, None)
-    expect = np.concatenate([decoded[2][0], decoded[2][1]])
-    if block.tobytes() != expect.tobytes():
-        return False
+    index, block = got[2]
     got_sum, want_sum = np.ones((2, 5, dim), dtype=np.float32)
     lib.repro_add_rows(
         block.ctypes.data,

@@ -89,6 +89,48 @@ def test_quantized_exchange_wire_bytes_smaller(cluster):
     assert t_quant.total_bytes() < 0.3 * t_exact.total_bytes()
 
 
+def _one_step_each_way(exchange, cluster):
+    """Wire bytes, halo rows and accumulated gradients of one forward and
+    one backward step (copied: the exchange may own the halo buffers)."""
+    transport = Transport(cluster.num_devices)
+    halos = [h.copy() for h in _fetch_halos(exchange, cluster, transport, _features(cluster))]
+    gen = np.random.default_rng(0)
+    d_halo = [
+        gen.normal(size=(dev.part.n_halo, 5)).astype(np.float32)
+        for dev in cluster.devices
+    ]
+    d_own = [np.ones((dev.part.n_owned, 5), dtype=np.float32) for dev in cluster.devices]
+    step = exchange.post_step(0, "bwd", cluster.devices, transport, d_halo)
+    exchange.finalize_step(step, out=d_own)
+    return transport.total_bytes(), halos, d_own
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        ExactHaloExchange,
+        lambda: FusedQuantizedHaloExchange(FixedBitProvider(4), KeyedRounding(0)),
+    ],
+    ids=["float32", "quantized"],
+)
+def test_one_instance_serves_two_clusters(cluster, tiny_dataset, make):
+    """Topology, plans and decode indices belong to one cluster: an instance
+    moved to a differently partitioned cluster rebuilds them and delivers
+    what a fresh instance delivers there (and back)."""
+    book = partition_graph(tiny_dataset.graph, 3, method="random", seed=0)
+    other = Cluster(
+        tiny_dataset, book, model_kind="gcn", hidden_dim=8, num_layers=2,
+        dropout=0.0, seed=0,
+    )
+    reused = make()
+    for target in (cluster, other, cluster):
+        got = _one_step_each_way(reused, target)
+        want = _one_step_each_way(make(), target)
+        assert got[0] == want[0]
+        for a, b in zip(got[1] + got[2], want[1] + want[2]):
+            assert a.tobytes() == b.tobytes()
+
+
 def test_tracer_sees_every_transfer(cluster):
     class Recorder:
         def __init__(self):

@@ -92,8 +92,7 @@ def test_split_equals_monolithic_backward(devices, name):
     transport = Transport(len(devices))
 
     mail, wire = policy.exchange("bwd", 0, devices, d_halo)
-    # Into zeroed rows, summing the sources first or adding them one by
-    # one is the same arithmetic: no policy's grouping shows here.
+    # Every policy adds its sources into the owned rows one by one, ascending.
     expected = [np.zeros((d.part.n_owned, dim), dtype=np.float32) for d in devices]
     for dev in devices:
         for src in sorted(mail[dev.rank]):

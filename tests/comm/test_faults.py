@@ -188,23 +188,40 @@ RECOVERY_SHAPES = pytest.mark.parametrize(
 )
 
 
-@RECOVERY_SHAPES
+#: The quantized recovery shapes, plus full precision (its wire is the
+#: staged float32 rows, replayed the same way) without and with overlap.
+DROP_CASES = pytest.mark.parametrize(
+    "system,transport,hidden_layers,faults",
+    [
+        pytest.param(
+            "adaqp-fixed",
+            t,
+            h,
+            ["drop:fwd/L1@1:src=0,dst=1", "drop:bwd/L0@2"],
+            id=f"{t}-{h}",
+        )
+        for t in ("sync", "worker:2")
+        for h in (1, 2)
+    ]
+    + [
+        pytest.param(system, t, 1, ["drop:fwd/L1@1"], id=f"{system}-{t}-1")
+        for system, t in (("vanilla", "sync"), ("vanilla-overlap", "worker:2"))
+    ],
+)
+
+
+@DROP_CASES
 def test_drop_recovers_bitwise_via_keyed_replay(
-    tiny_dataset, tiny_book, transport, hidden_layers
+    tiny_dataset, tiny_book, system, transport, hidden_layers, faults
 ):
-    shape = dict(transport=transport, num_layers=hidden_layers + 1)
+    shape = dict(system=system, transport=transport, num_layers=hidden_layers + 1)
     clean, _ = _run(tiny_dataset, tiny_book, **shape)
-    faulted, plan = _run(
-        tiny_dataset,
-        tiny_book,
-        faults=["drop:fwd/L1@1:src=0,dst=1", "drop:bwd/L0@2"],
-        **shape,
-    )
-    assert len(plan.log) == 2  # the scripted faults actually fired
+    faulted, plan = _run(tiny_dataset, tiny_book, faults=faults, **shape)
+    assert len(plan.log) == len(faults)  # the scripted faults actually fired
     assert faulted.curve_loss == clean.curve_loss
     assert faulted.wire_bytes_total == clean.wire_bytes_total
     stats = faulted.transport_health["fault_stats"]
-    assert stats["replays"] == 2 and stats["dropped"] == 2
+    assert stats["replays"] == stats["dropped"] == len(faults)
 
 
 @RECOVERY_SHAPES
@@ -223,13 +240,14 @@ def test_duplicate_is_a_bitwise_noop(
 
 
 def test_drop_fails_fast_on_non_replayable_exchange(tiny_dataset, tiny_book):
-    """The exact exchange has no replay path: a dropped envelope must be a
-    typed error naming the missing sources, not a silently-wrong epoch."""
+    """PipeGCN's stale exchange has no replay path: a dropped envelope must
+    be a typed error naming the missing sources, not a silently-wrong
+    epoch."""
     with pytest.raises(TransportError, match="missing envelope"):
         _run(
             tiny_dataset,
             tiny_book,
-            system="vanilla",
+            system="pipegcn",
             transport="sync",
             faults=["drop:fwd/L1@1"],
         )

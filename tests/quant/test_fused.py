@@ -15,11 +15,15 @@ from repro.quant.fused import (
     FusedStepEncoder,
     decode_cluster_step,
     decode_index,
-    decode_step,
 )
 from repro.quant.mixed import MixedPrecisionEncoder
 from repro.quant.stochastic import KeyedRounding
 from repro.quant.theory import packed_bytes, wire_bytes
+
+
+def decode_step(payloads):
+    """One receiver's ``{src: payload}`` mailbox, decoded to matrices."""
+    return decode_cluster_step({-1: payloads})[-1]
 
 
 def _step(seed, n_pairs=5, rows=37, dim=9, bit_choices=(2, 4, 8)):

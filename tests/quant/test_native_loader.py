@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.quant import native
-from repro.quant.fused import FusedStepEncoder, decode_step
+from repro.quant.fused import FusedStepEncoder, decode_cluster_step, decode_index
 from repro.quant.mixed import MixedPrecisionEncoder
 from repro.quant.stochastic import KeyedRounding
 
@@ -67,7 +67,10 @@ def _assert_working_run():
     want = reference.encode(values, bits, ("fwd", 0, 0, 1))
     for got_stream, want_stream in zip(payload.streams, want.streams):
         assert got_stream.tobytes() == want_stream.tobytes()
-    assert decode_step({0: payload})[0].tobytes() == want.decode().tobytes()
+    index = decode_index(plan, 1, {0: np.arange(11)}, 11)
+    halo = np.full(index.shape, np.nan, dtype=np.float32)
+    decode_cluster_step({1: {0: payload}}, into={1: (index, halo)})
+    assert halo.tobytes() == want.decode().tobytes()
 
 
 def _assert_numpy_fallback(caplog, reason):

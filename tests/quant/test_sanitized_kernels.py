@@ -40,8 +40,7 @@ PROPERTIES = (
     "test_every_shard_decomposition_and_replay_emit_the_reference_bytes",
     "test_decode_is_payload_decode",
     "test_decode_index_lands_every_row",
-    "test_native_decode_checks_what_the_kernel_trusts",
-    "test_native_decode_accepts_views_and_other_integer_indices",
+    "test_only_the_plans_own_mailbox_reaches_the_compiled_decode",
     "test_csr_kernel_is_scipys",
     "test_post_stage_kernel_is_numpys",
 )

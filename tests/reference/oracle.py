@@ -90,10 +90,6 @@ class PairwisePolicy:
     """One full-precision message per (src, dst) pair; received gradients
     are added into the owner's rows one source at a time."""
 
-    #: whether a receiver sums the gradients of all sources first and adds
-    #: the total to its own — ``own + (a + b)`` instead of ``(own + a) + b``
-    sums_sources_first = False
-
     def start_epoch(self, epoch: int) -> None:
         pass
 
@@ -121,11 +117,7 @@ class PairwisePolicy:
 
 
 class ExactPolicy(PairwisePolicy):
-    """Vanilla's messages.  Production's exact exchange reduces a device's
-    incoming gradient rows in one product before adding them, and float
-    addition does not regroup for free — the reference states that here."""
-
-    sums_sources_first = True
+    """Vanilla's messages: the float32 rows themselves."""
 
 
 class QuantizedPolicy(PairwisePolicy):
@@ -290,12 +282,8 @@ class ReferenceTrainer:
             )
             wire += nbytes
             for dev in devices:
-                own = d[dev.rank]
-                into = np.zeros_like(own) if self.policy.sums_sources_first else own
                 for src in self.arrival_order(mail[dev.rank]):
-                    into[dev.part.send_map[src]] += mail[dev.rank][src]
-                if into is not own:
-                    own += into
+                    d[dev.rank][dev.part.send_map[src]] += mail[dev.rank][src]
 
         total = np.zeros(devices[0].model.grad_vector().size, dtype=np.float64)
         for dev in devices:
