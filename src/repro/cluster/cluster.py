@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster.compute import FusedClusterCompute
-from repro.cluster.exchange import ExactHaloExchange, HaloExchange
+from repro.cluster.exchange import ExactHaloExchange, HaloExchange, step_tag
 from repro.cluster.records import EpochRecord, PhaseRecord
 from repro.cluster.runtime import DeviceRuntime, build_devices
 from repro.comm.transport import SyncTransport, TransportBackend
@@ -67,16 +67,17 @@ class Cluster:
         Root seed for weights (shared across replicas) and dropout (per
         device).
     overlap:
-        Execute training steps as the split-phase central/marginal
-        pipeline (paper Fig. 7): post marginal messages, run the central
-        sub-step while they are in flight, finalize, run the marginal
-        sub-step — and emit measured per-stage
-        :class:`~repro.cluster.records.StepTimeline` entries into each
-        epoch record.  A row permutation of the same math: bit-identical
-        to the non-overlapped execution under the same seed.  The trainer
-        turns it on for the adaqp-variant systems; store-backed datasets
-        run non-overlapped (the pipeline's row-split operators presuppose
-        the materialized block-diagonal matrix).
+        Which row sets the engine's one layer step runs (paper Fig. 7:
+        post the marginal messages, compute the central rows while they
+        are in flight, finalize, compute the marginal rows).  On, the
+        central window holds the central rows, and each epoch record gets
+        the measured per-stage :class:`~repro.cluster.records.StepTimeline`
+        entries; off, the window is empty and every owned row is marginal,
+        computed in place.  A row split of the same math: bit-identical
+        either way under the same seed.  The trainer turns it on for the
+        adaqp-variant systems; store-backed datasets run with it off (the
+        row-split operators presuppose the materialized block-diagonal
+        matrix).
     transport:
         Transport backend selection — a spec string (``"auto"``,
         ``"sync"``, ``"worker:4"``) or a parsed
@@ -174,9 +175,8 @@ class Cluster:
         # taint later calls with stale undelivered envelopes).
         self._eval_exchange = ExactHaloExchange()
 
-        # Streaming mode degrades the split-phase pipeline to off: its
-        # row-split operators presuppose the materialized block-diagonal
-        # matrix.
+        # Streaming mode runs with overlap off: the row-split operators
+        # presuppose the materialized block-diagonal matrix.
         self.overlap = bool(overlap) and store_ds is None
         if transport is None:
             transport = TransportSpec("auto")
@@ -233,30 +233,25 @@ class Cluster:
         engine = self._compute_engine()
         engine.begin_epoch()
         for layer in range(num_layers):
-            if self.overlap:
-                record.add_timeline(
-                    engine.forward_layer_overlap(
-                        layer, exchange, self.transport, training=True
-                    )
-                )
-            else:
-                engine.forward_layer(layer, exchange, self.transport, training=True)
-            record.phases.append(
-                self._phase_record(layer, "fwd", exchange, f"fwd/L{layer}")
+            timeline = engine.forward_layer(
+                layer, exchange, self.transport, training=True, overlap=self.overlap
             )
+            self._record_step(record, exchange, timeline)
         record.loss = engine.epoch_loss(self._loss)
         for layer in reversed(range(num_layers)):
-            if self.overlap:
-                record.add_timeline(
-                    engine.backward_layer_overlap(layer, exchange, self.transport)
-                )
-            else:
-                engine.backward_layer(layer, exchange, self.transport)
-            record.phases.append(
-                self._phase_record(layer, "bwd", exchange, f"bwd/L{layer}")
+            timeline = engine.backward_layer(
+                layer, exchange, self.transport, overlap=self.overlap
             )
+            self._record_step(record, exchange, timeline)
         record.grad_allreduce_bytes = engine.reduce_gradients()
         return record
+
+    def _record_step(self, record: EpochRecord, exchange, timeline) -> None:
+        """Add one step's phase record, and its timeline on overlapped runs."""
+        if self.overlap:
+            record.add_timeline(timeline)
+        phase = self._phase_record(timeline.layer, timeline.phase, exchange)
+        record.phases.append(phase)
 
     def _loss(
         self,
@@ -278,23 +273,22 @@ class Cluster:
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
+    def _eval_forward(self) -> FusedClusterCompute:
+        """Exact (un-quantized) eval-mode forward; the engine holds the logits."""
+        transport = SyncTransport(self.num_devices)
+        for dev in self.devices:
+            dev.model.eval()
+        engine = self._compute_engine()
+        for layer in range(self.devices[0].model.num_layers):
+            engine.forward_layer(layer, self._eval_exchange, transport, training=False)
+        for dev in self.devices:
+            dev.model.train()
+        return engine
+
     def full_logits(self) -> np.ndarray:
         """Exact (un-quantized) eval-mode forward; global logits matrix."""
-        devices = self.devices
-        exchange = self._eval_exchange
-        transport = SyncTransport(self.num_devices)
-        for dev in devices:
-            dev.model.eval()
-        logits = np.zeros(
-            (self.dataset.num_nodes, self.dims[-1]), dtype=np.float32
-        )
-        engine = self._compute_engine()
-        for layer in range(devices[0].model.num_layers):
-            engine.forward_layer(layer, exchange, transport, training=False)
-        engine.scatter_logits(logits)
-        for dev in devices:
-            dev.model.train()
-        return logits
+        logits = np.zeros((self.dataset.num_nodes, self.dims[-1]), dtype=np.float32)
+        return self._eval_forward().scatter_logits(logits)
 
     # ------------------------------------------------------------------
     # Elastic repartition
@@ -371,16 +365,7 @@ class Cluster:
         logits matrix.
         """
         devices = self.devices
-        transport = SyncTransport(self.num_devices)
-        for dev in devices:
-            dev.model.eval()
-        engine = self._compute_engine()
-        for layer in range(devices[0].model.num_layers):
-            engine.forward_layer(
-                layer, self._eval_exchange, transport, training=False
-            )
-        for dev in devices:
-            dev.model.train()
+        engine = self._eval_forward()
         multilabel = self.dataset.multilabel
         out: dict[str, float] = {}
         for split in ("train", "val", "test"):
@@ -401,7 +386,7 @@ class Cluster:
     # Accounting
     # ------------------------------------------------------------------
     def _phase_record(
-        self, layer: int, phase: str, exchange: HaloExchange, tag: str
+        self, layer: int, phase: str, exchange: HaloExchange
     ) -> PhaseRecord:
         # Everything but the byte matrix is static across epochs (FLOP
         # counts depend only on partition shape and layer dims), so the
@@ -416,7 +401,7 @@ class Cluster:
         return PhaseRecord(
             layer=layer,
             phase=phase,
-            bytes_matrix=self.transport.bytes_matrix(tag),
+            bytes_matrix=self.transport.bytes_matrix(step_tag(phase, layer)),
             quant_send_bytes=quant_send.copy(),
             quant_recv_bytes=quant_recv.copy(),
             agg_flops=agg_flops.copy(),

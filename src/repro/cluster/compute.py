@@ -52,28 +52,24 @@ remap preserves per-row column order and every product — on scipy's
 and (c) reductions (loss sums, gradient sums, ``sum(axis=0)``
 of contiguous slices), which keep the per-device operation order exactly.
 
-**Split-phase pipelined execution** (paper Sec. 3.1 / Fig. 7): with
-``overlap`` enabled the engine runs each layer step as the paper's
-three-stage pipeline instead of "exchange everything, then compute
-everything".  Forward: post the boundary messages
-(:meth:`~repro.cluster.exchange.HaloExchange.post_step`), run the
-**central** sub-step while they are in flight (central rows of the
-block-diagonal operator touch no halo column, so their aggregation and
-dense update need no messages), then finalize the halos and run the
-**marginal** sub-step.  Backward mirrors it dependency-first: the
-marginal sub-step (halo-gradient routing needs only marginal rows of the
-input-gradient GEMM) runs *before* the post, and parameter-gradient
-accumulation plus owned-row routing overlap the in-flight messages.  The
-central/marginal split is a row permutation of the same math: the
-operator is split row-wise into two complementary CSRs whose spmv's
-write the same output (the second accumulating), the transpose is
-applied as two row ranges of itself, and the dense
-sub-steps run on contiguous *gathered* row blocks (``row_matmul``'s
-row-determinism makes gathered sub-GEMMs equal the stacked GEMM bit for
-bit).  The persistent stacked buffers keep their original row order —
-permuting them would reorder reductions (loss sums, ``xᵀ·d`` weight
-gradients) and break the bitwise contract.  Each overlapped step emits a
-measured :class:`~repro.cluster.records.StepTimeline`.
+**One layer step, the paper's pipeline** (Sec. 3.1 / Fig. 7).  Forward:
+post the boundary messages, run the **central** rows while they are in
+flight (they touch no halo column, so their aggregation and dense update
+need no messages), finalize the halos, run the **marginal** rows.
+Backward mirrors it dependency-first: the marginal input-gradient rows and
+the halo routing they feed run *before* the post; the central rows, every
+parameter partial and owned-row routing fill the window.  With
+``overlap`` the row sets are :meth:`FusedClusterCompute.overlap_plan`'s:
+two complementary row restrictions of the operator whose spmv's write the
+same output (the second accumulating), the transpose's owned and halo row
+ranges, and dense work on *gathered* row blocks (``row_matmul``'s
+row-determinism makes them equal the stacked GEMM bit for bit).  With
+overlap off — ``--no-overlap``, every store run, every evaluation — the
+central window is empty and the marginal set is every owned row as a
+slice: the step works in place and gathers nothing.  Persistent buffers
+keep their original row order (permuting them would reorder the loss and
+``xᵀ·d`` reductions).  Every step returns a measured
+:class:`~repro.cluster.records.StepTimeline`.
 """
 
 from __future__ import annotations
@@ -322,7 +318,7 @@ class OverlapPlan:
     restrictions of the engine's block-diagonal matrix.  (The backward
     needs no split copies: it passes the owned and halo row ranges of the
     transpose itself to the spmv.)  Central rows reference no halo column
-    by construction — that independence is what makes the central sub-step
+    by construction — that independence is what makes the central window
     legal before the halos arrive.
     """
 
@@ -384,8 +380,9 @@ class FusedClusterCompute:
 
     Built once per :class:`~repro.cluster.cluster.Cluster` (the step plan —
     operators, offsets, views, scratch — is static across epochs, like the
-    exchange's ``FusedStepPlan``); the cluster drives it layer by layer,
-    one phase record per (layer, direction).
+    exchange's ``FusedStepPlan``); the cluster drives it with one step
+    method per direction, :meth:`forward_layer` and :meth:`backward_layer`,
+    passing ``overlap`` to choose the row sets.
 
     Parameters
     ----------
@@ -409,9 +406,9 @@ class FusedClusterCompute:
         exchange are skipped (the only wire-byte difference from the
         standard engine; losses are unchanged).  Each device's pages are
         released after use, bounding the resident window to roughly one
-        partition.  Everything else —
-        layer steps, operand order, parameter partials — is the in-RAM
-        engine's code.  ``None`` (default) selects the in-RAM engine.
+        partition.  Everything else — the layer step, with overlap off,
+        operand order, parameter partials — is the in-RAM engine's code.
+        ``None`` (default) selects the in-RAM engine.
     """
 
     def __init__(
@@ -453,9 +450,7 @@ class FusedClusterCompute:
             self.matrix = None
             self.matrix_t = None
 
-        self._owned_global = np.concatenate(
-            [d.part.owned_global for d in devices]
-        )
+        self._owned_global = np.concatenate([d.part.owned_global for d in devices])
 
         L = self.num_layers
         self._transform_first = [
@@ -527,8 +522,8 @@ class FusedClusterCompute:
             for x in self._x
         ]
 
-        # Split-phase pipeline state, built lazily on first overlapped step
-        # (plus gather scratch).
+        # The overlapped row sets, built lazily on the first overlapped
+        # step, and the gather scratch of their row blocks.
         self._overlap_plan: OverlapPlan | None = None
         self._scratch_bufs: dict[tuple, np.ndarray] = {}
 
@@ -537,9 +532,7 @@ class FusedClusterCompute:
         # in rank order — allreduce_sum's exact operation order.
         self._params_by_dev = [dev.model.parameters() for dev in devices]
         self._acc = [np.zeros(p.shape, dtype=np.float64) for p in self._params_by_dev[0]]
-        self._acc_by_id = {
-            id(p): a for p, a in zip(self._params_by_dev[0], self._acc)
-        }
+        self._acc_by_id = {id(p): a for p, a in zip(self._params_by_dev[0], self._acc)}
         # Gradient of the current backward frontier (set by epoch_loss).
         self._d: np.ndarray | None = None
 
@@ -574,38 +567,121 @@ class FusedClusterCompute:
             acc.fill(0.0)
         self._d = None
 
-    def forward_layer(self, layer, exchange, transport, *, training: bool) -> None:
-        """Exchange halos, aggregate, and run layer ``layer``'s dense step.
+    def forward_layer(
+        self, layer, exchange, transport, *, training: bool, overlap: bool = False
+    ) -> StepTimeline:
+        """Layer ``layer``'s forward step; returns its measured timeline.
 
-        The same code serves the in-RAM and the streaming engine: they
-        differ in how ``P`` is applied (:meth:`_aggregate`) and, at layer
-        0, in where the owned input rows live (:meth:`_forward_layer0_stream`).
+        One schedule (paper Fig. 7): post the boundary rows, run the
+        central window while they are in flight, finalize the halos, run
+        the marginal rows.  With ``overlap`` the row sets are
+        :meth:`overlap_plan`'s; without it the central window holds no
+        rows and the marginal set is every owned row — a slice, worked on
+        in place.  The in-RAM and the streaming engine differ only in how
+        ``P`` is applied (:meth:`_aggregate`) and, at layer 0, in where the
+        owned input rows live (:meth:`_forward_layer0_stream`).
         """
-        step = exchange.post_step(
-            layer, "fwd", self.devices, transport, self._own_views[layer]
-        )
-        exchange.finalize_step(step, out=self._halo_views[layer])
+        plan = self.overlap_plan() if overlap else None
         mod = self.devices[0].model.layers[layer]
         out_own = self._layer_output(layer)
-        x = self._x[layer]
+        t0 = time.perf_counter()
+        if plan is not None:
+            # Open the overlap window *before* posting: async workers may
+            # post (and, with worker-side decode, even collect) the step's
+            # traffic before this thread runs again, and bytes only count
+            # as hidden if the window is already open when they land.
+            transport.note_overlap(step_tag("fwd", layer))
+        # Naming the halo destinations at post time lets async fused
+        # exchanges scatter on their workers; finalize below passes the
+        # same list and becomes join-only on that path.
+        halos = self._halo_views[layer]
+        step = exchange.post_step(
+            layer, "fwd", self.devices, transport, self._own_views[layer], out=halos
+        )
+        t1 = time.perf_counter()
+
+        # Central window.  Transform-first, it opens with T's owned rows —
+        # one stacked GEMM that needs no halo — and P·T accumulates
+        # straight into the output rows (the row steps finish them).
+        x, transform = self._x[layer], self._transform_first[layer]
+        if transform:
+            weight = mod.conv.linear.weight.data
+            src, agg = self._t[layer], out_own
+            if x is not None:
+                row_matmul(x[: self.total_own], weight, out=src[: self.total_own])
+        else:
+            src, agg = x, self._z[layer]
+        if plan is not None:
+            _spmv(plan.matrix_central, src, agg)
+        if mod.has_post_stage:
+            self._sample_dropout(layer, mod, training)
+        if plan is not None:
+            self._forward_rows(layer, mod, plan.rows_central)
+        t2 = time.perf_counter()
+
+        exchange.finalize_step(step, out=halos)
+        t3 = time.perf_counter()
+
         if x is None:
             self._forward_layer0_stream(mod.conv, out_own)
-        elif self._transform_first[layer]:
-            linear = mod.conv.linear
-            t = row_matmul(x, linear.weight.data, out=self._t[layer])
-            self._aggregate(t, out_own)
-            out_own += linear.bias.data
         else:
-            z = self._aggregate(x, self._z[layer])
-            self._dense_update(
-                layer, x[: self.total_own], z, out_own, self._neigh_out_rows(layer)
-            )
-        if mod.has_post_stage:
-            self._forward_post(layer, mod, out_own, training)
+            if transform:
+                row_matmul(x[self.total_own :], weight, out=src[self.total_own :])
+            if plan is None:
+                self._aggregate(src, agg)
+            else:
+                _spmv(plan.matrix_marginal, src, agg, accumulate=True)
+        rows = slice(0, self.total_own) if plan is None else plan.rows_marginal
+        self._forward_rows(layer, mod, rows)
+        t4 = time.perf_counter()
+        return self._timeline(
+            layer, "fwd", transport, step, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)
+        )
 
-    def _neigh_out_rows(self, layer: int, rows: slice = slice(None)):
-        """SAGE's neighbour-term output buffer (``None`` for GCN)."""
-        return self._neigh_out[layer][rows] if self.model_kind == "sage" else None
+    def _forward_rows(self, layer: int, mod, rows: slice | np.ndarray) -> None:
+        """Dense update and post stage of layer ``layer``'s owned ``rows``.
+
+        A slice works in place on the persistent buffers.  An index array
+        (a central or marginal row set) gathers the inputs — the ``P·T``
+        rows, ``z``, SAGE's ``x``, the dropout mask — into contiguous
+        scratch and scatters the outputs — the rows and the backward
+        caches — back.  Every operation is row-local or row-deterministic,
+        so a gathered block holds the bits the whole slice would.
+        """
+        in_place = isinstance(rows, slice)
+        if not in_place and rows.size == 0:
+            return
+        out_own = self._layer_output(layer)
+        x = self._x[layer]
+        if self._transform_first[layer]:
+            # ``out_own`` holds these rows of P·T already; the bias is left.
+            h = self._rows("fwd_h", out_own, rows)
+            h += mod.conv.linear.bias.data
+        elif x is None:
+            h = out_own[rows]  # streaming layer 0 ran its dense step per device
+        else:
+            h = self._rows("fwd_h", out_own, rows, gather=False)
+            x_own = neigh = None
+            if self.model_kind == "sage":
+                x_own = self._rows("fwd_xin", x[: self.total_own], rows)
+                neigh = self._rows("fwd_nh", self._neigh_out[layer], rows, gather=False)
+            z = self._rows("fwd_zin", self._z[layer], rows)
+            self._dense_update(layer, x_own, z, h, neigh)
+        caches, blocks = (), []
+        if mod.has_post_stage:
+            caches = (self._x_hat[layer], self._inv_std[layer], self._relu_mask[layer])
+            blocks = [
+                self._rows(f"fwd_cache{i}", c, rows, gather=False)
+                for i, c in enumerate(caches)
+            ]
+            drop = self._drop_rows(layer)
+            if drop is not None:
+                drop = self._rows("fwd_dm", drop, rows)
+            _post_forward(mod.norm, h, *blocks, drop)
+        if not in_place:
+            out_own[rows] = h
+            for cache, blk in zip(caches, blocks):
+                cache[rows] = blk
 
     def _dense_update(self, layer, x_own, z, out, neigh_out) -> None:
         """Aggregate-first dense step: ``out = z·W + b`` (GCN) or
@@ -643,31 +719,27 @@ class FusedClusterCompute:
             ops.release_op_pages()
         return out
 
-    def _forward_post(self, layer: int, mod, h: np.ndarray, training: bool) -> None:
-        """LayerNorm → ReLU → dropout on the stacked owned rows.
+    def _drop_rows(self, layer: int) -> np.ndarray | None:
+        """The step's dropout mask, ``None`` when dropout is off."""
+        return self._drop_mask[layer] if self._drop_active[layer] else None
 
-        Every operation is row-local (or, for dropout, drawn per device in
-        rank order via the single ``_sample_dropout`` site), so stacked
-        rows match per-device rows bit for bit.
+    def _sample_dropout(self, layer: int, mod, training: bool) -> None:
+        """Draw the step's dropout masks (all devices, rank order).
+
+        The single sampling site, in every step's central window: one
+        ``sample_mask`` call per device of the full owned-slice shape, in
+        rank order.  Masks never depend on activations, so drawing them
+        before the rows exist consumes the streams exactly as the
+        per-device reference does drawing them after ReLU.
         """
-        self._sample_dropout(layer, mod, training)
-        _post_forward(
-            mod.norm,
-            h,
-            self._x_hat[layer],
-            self._inv_std[layer],
-            self._relu_mask[layer],
-            self._drop_rows(layer),
-        )
-
-    def _drop_rows(self, layer: int, rows: np.ndarray | None = None):
-        """The step's dropout mask (gathered at ``rows``), ``None`` if off."""
-        if not self._drop_active[layer]:
-            return None
-        if rows is None:
-            return self._drop_mask[layer]
-        dm = self._scratch("fwd_dm", int(rows.size), self.dims[layer + 1])
-        return np.take(self._drop_mask[layer], rows, axis=0, out=dm)
+        if training and mod.drop.p > 0.0:
+            drop_mask = self._drop_mask[layer]
+            for k, dev in enumerate(self.devices):
+                sl = drop_mask[self._own_slice(k)]
+                dev.model.layers[layer].drop.sample_mask(sl.shape, out=sl)
+            self._drop_active[layer] = True
+        else:
+            self._drop_active[layer] = False
 
     # ------------------------------------------------------------------
     # Streaming (out-of-core) execution: layer 0's feature rows
@@ -680,9 +752,10 @@ class FusedClusterCompute:
         the moment its rows are consumed, so the resident window stays near
         one partition's working set.  Transform-first, that read is the
         per-device ``T = features_k·W`` (the halo block transforms in one
-        stacked call) and the aggregation is the ordinary streamed
-        ``P·T``; aggregate-first, each device's ``z = P·X₀`` lands in a
-        reused feature-width scratch that the dense step consumes at once.
+        stacked call) and the aggregation is the ordinary streamed ``P·T``
+        (the row step adds the bias); aggregate-first, each device's
+        ``z = P·X₀`` lands in a reused feature-width scratch that the dense
+        step consumes at once.
         """
         # The exchange's boundary-row gather faulted scattered feature
         # pages across every device; drop them all before the loop
@@ -696,14 +769,13 @@ class FusedClusterCompute:
                 self.stream[k].release_feature_pages()
             row_matmul(self._x0_halo, weight, out=t[self.total_own :])
             self._aggregate(t, out_own)
-            out_own += conv.linear.bias.data
             return
+        sage = self.model_kind == "sage"
         for k, dev in enumerate(self.devices):
             sl = self._own_slice(k)
             z = self._aggregate_layer0_stream(k)
-            self._dense_update(
-                0, dev.features, z, out_own[sl], self._neigh_out_rows(0, sl)
-            )
+            neigh = self._neigh_out[0][sl] if sage else None
+            self._dense_update(0, dev.features, z, out_own[sl], neigh)
             self.stream[k].release_op_pages()
             self.stream[k].release_feature_pages()
 
@@ -722,7 +794,7 @@ class FusedClusterCompute:
         return z
 
     # ------------------------------------------------------------------
-    # Split-phase pipelined execution
+    # Row sets, scratch and timelines
     # ------------------------------------------------------------------
     def overlap_plan(self) -> OverlapPlan:
         """The split-phase operators and row sets (built once, cached)."""
@@ -761,6 +833,14 @@ class FusedClusterCompute:
             )
         return self._overlap_plan
 
+    def _rows(self, name: str, buf: np.ndarray, rows, gather: bool = True):
+        """``buf``'s ``rows``: a view for a slice; for an index array, the
+        scratch block ``name`` — holding those rows when ``gather``."""
+        if isinstance(rows, slice):
+            return buf[rows]
+        out = self._scratch(name, rows.size, buf.shape[1], buf.dtype)
+        return np.take(buf, rows, axis=0, out=out) if gather else out
+
     def _scratch(self, name: str, rows: int, cols: int, dtype=np.float32) -> np.ndarray:
         """Reusable gather block; keyed by use-site so lifetimes never clash."""
         key = (name, rows, cols, np.dtype(dtype).str)
@@ -770,253 +850,30 @@ class FusedClusterCompute:
             self._scratch_bufs[key] = buf
         return buf
 
-    def _sample_dropout(self, layer: int, mod, training: bool) -> None:
-        """Draw the step's dropout masks (all devices, rank order).
+    @staticmethod
+    def _timeline(layer, phase, transport, step, stages) -> StepTimeline:
+        """A step's timeline from its ``(quantize, central, dequantize,
+        marginal)`` seconds; ``step`` is ``None`` where nothing was posted.
 
-        The single sampling site for both engine shapes: one
-        ``sample_mask`` call per device of the full owned-slice shape, in
-        rank order.  Masks never depend on activations, so the pipelined
-        path drawing them at the start of the central window (before the
-        marginal rows exist) consumes the streams identically to the
-        non-overlapped path drawing them after ReLU.
+        Overlapped bytes are read after finalize: under the async transport
+        the worker's posts land mid-window, and they count as hidden only
+        because the window was still open when they arrived.
         """
-        if training and mod.drop.p > 0.0:
-            drop_mask = self._drop_mask[layer]
-            for k, dev in enumerate(self.devices):
-                sl = drop_mask[self._own_slice(k)]
-                dev.model.layers[layer].drop.sample_mask(sl.shape, out=sl)
-            self._drop_active[layer] = True
-        else:
-            self._drop_active[layer] = False
-
-    def _forward_substep(self, layer: int, rows: np.ndarray) -> None:
-        """Dense half of layer ``layer`` for one row set (central or marginal).
-
-        Gathers the rows into a contiguous block, runs the same dense
-        update / LayerNorm / ReLU / dropout pipeline as :meth:`forward_layer`, and
-        scatters results (plus the backward caches) into the persistent
-        buffers.  Every operation is row-local or row-deterministic, so
-        the scattered rows are bit-identical to the full-step values.
-        """
-        if rows.size == 0:
-            return
-        mod = self.devices[0].model.layers[layer]
-        d_in, d_out = self.dims[layer], self.dims[layer + 1]
-        out_own = self._layer_output(layer)
-        n = int(rows.size)
-        h = self._scratch("fwd_h", n, d_out)
-        if self._transform_first[layer]:
-            # ``out_own`` holds these rows of P·T already (the caller
-            # aggregates straight into it); only the bias is left.
-            np.take(out_own, rows, axis=0, out=h)
-            h += mod.conv.linear.bias.data
-        else:
-            zc = self._scratch("fwd_zin", n, d_in)
-            np.take(self._z[layer], rows, axis=0, out=zc)
-            xc = neigh = None
-            if self.model_kind == "sage":
-                xc = self._scratch("fwd_xin", n, d_in)
-                np.take(self._x[layer][: self.total_own], rows, axis=0, out=xc)
-                neigh = self._scratch("fwd_nh", n, d_out)
-            self._dense_update(layer, xc, zc, h, neigh)
-        if not mod.has_post_stage:
-            out_own[rows] = h
-            return
-
-        x_hat = self._scratch("fwd_xhat", n, d_out)
-        inv_std = self._scratch("fwd_inv", n, 1)
-        relu_mask = self._scratch("fwd_relu", n, d_out, dtype=bool)
-        drop = self._drop_rows(layer, rows)
-        _post_forward(mod.norm, h, x_hat, inv_std, relu_mask, drop)
-        out_own[rows] = h
-
-        # Backward caches.
-        self._x_hat[layer][rows] = x_hat
-        self._inv_std[layer][rows] = inv_std
-        self._relu_mask[layer][rows] = relu_mask
-
-    def forward_layer_overlap(
-        self, layer, exchange, transport, *, training: bool
-    ) -> StepTimeline:
-        """One forward layer as the paper's pipeline; returns its timeline.
-
-        Stage 1 posts the boundary rows (gather + quantize + post); the
-        central sub-step runs while those messages are in flight; stage 3
-        finalizes the halos (collect + de-quantize + scatter in place)
-        and runs the marginal sub-step.
-        """
-        plan = self.overlap_plan()
-        mod = self.devices[0].model.layers[layer]
-        t0 = time.perf_counter()
-        # Open the overlap window *before* posting: async workers may post
-        # (and, with worker-side decode, even collect) the step's traffic
-        # before this thread runs again, and bytes only count as hidden if
-        # the window is already open when they land.  For the synchronous
-        # transport the accounting is unchanged — everything posts into
-        # the open window instead of being pending at note_overlap time.
-        transport.note_overlap(step_tag("fwd", layer))
-        # Naming the halo destinations at post time lets async fused
-        # exchanges scatter on their workers; finalize below passes the
-        # same list and becomes join-only on that path.
-        step = exchange.post_step(
-            layer,
-            "fwd",
-            self.devices,
-            transport,
-            self._own_views[layer],
-            out=self._halo_views[layer],
-        )
-        t1 = time.perf_counter()
-
-        # Central window: aggregation + dense update of central rows only.
-        # Transform-first, the window opens with T's owned rows — one
-        # stacked GEMM that needs no halo — and P·T accumulates straight
-        # into the output rows (the sub-steps finish them in place).
-        x = self._x[layer]
-        if self._transform_first[layer]:
-            weight = mod.conv.linear.weight.data
-            src, agg = self._t[layer], self._layer_output(layer)
-            row_matmul(x[: self.total_own], weight, out=src[: self.total_own])
-        else:
-            src, agg = x, self._z[layer]
-        _spmv(plan.matrix_central, src, agg)
-        if mod.has_post_stage:
-            self._sample_dropout(layer, mod, training)
-        self._forward_substep(layer, plan.rows_central)
-        t2 = time.perf_counter()
-
-        exchange.finalize_step(step, out=self._halo_views[layer])
-        t3 = time.perf_counter()
-
-        if self._transform_first[layer]:
-            row_matmul(x[self.total_own :], weight, out=src[self.total_own :])
-        _spmv(plan.matrix_marginal, src, agg, accumulate=True)
-        self._forward_substep(layer, plan.rows_marginal)
-        t4 = time.perf_counter()
-        # Overlapped bytes are read after finalize: under the async
-        # transport the worker's posts land mid-window, and they count as
-        # hidden only because the window was still open when they arrived.
+        quantize_s, central_s, dequantize_s, marginal_s = stages
+        tag = step_tag(phase, layer)
         return StepTimeline(
             layer=layer,
-            phase="fwd",
-            quantize_s=t1 - t0,
+            phase=phase,
+            quantize_s=quantize_s,
             comm_s=0.0,
-            central_s=t2 - t1,
-            dequantize_s=t3 - t2,
-            marginal_s=t4 - t3,
-            comp_full_s=(t2 - t1) + (t4 - t3),
-            overlapped_bytes=transport.overlapped_bytes(step.tag),
-            total_bytes=int(transport.bytes_matrix(step.tag).sum()),
+            central_s=central_s,
+            dequantize_s=dequantize_s,
+            marginal_s=marginal_s,
+            comp_full_s=central_s + marginal_s,
+            overlapped_bytes=transport.overlapped_bytes(tag),
+            total_bytes=int(transport.bytes_matrix(tag).sum()),
             measured=True,
-            worker_wait_s=step.worker_wait_s,
-        )
-
-    def _input_grad_rows(
-        self,
-        d_out: np.ndarray,
-        rows: np.ndarray,
-        weight_t: np.ndarray,
-        target: np.ndarray,
-    ) -> None:
-        """``target[rows] = d_out[rows] @ weight_t`` via a contiguous gather."""
-        if rows.size == 0:
-            return
-        n = int(rows.size)
-        a = self._scratch("bwd_din", n, d_out.shape[1])
-        np.take(d_out, rows, axis=0, out=a)
-        o = self._scratch("bwd_dz", n, weight_t.shape[1])
-        row_matmul(a, weight_t, out=o)
-        target[rows] = o
-
-    def backward_layer_overlap(self, layer, exchange, transport) -> StepTimeline:
-        """One backward layer as the pipeline, dependency-first.
-
-        The marginal sub-step runs *before* the post: outgoing halo
-        gradients are ``Pᵀ``'s halo rows, which read only marginal rows of
-        the input-gradient GEMM.  While the messages fly, the central
-        window finishes the GEMM's central rows, accumulates every
-        parameter partial (same per-accumulator order as the
-        non-overlapped engine) and routes owned-row gradients; finalize
-        then adds the received gradients in place.  A transform-first
-        layer has the two products the other way round — ``Pᵀ``'s halo
-        rows of ``dY``, one GEMM over them, post; ``Pᵀ``'s owned rows, the
-        partials and the owned-row GEMM in the window — and gathers nothing.
-        """
-        d_out = self._d
-        if d_out is None:
-            raise RuntimeError("backward_layer_overlap called before epoch_loss")
-        plan = self.overlap_plan()
-        mod = self.devices[0].model.layers[layer]
-        conv = mod.conv
-        t0 = time.perf_counter()
-
-        # Marginal-first: post-ops backward, then the marginal input-grad
-        # rows and the halo routing they feed.
-        if mod.has_post_stage:
-            norm_partials = self._backward_post(layer, mod, d_out)
-        transform = self._transform_first[layer]
-        weight_t = (
-            conv.linear.weight.data.T
-            if self.model_kind == "gcn"
-            else conv.neigh.weight.data.T
-        )
-        dx = self._dx[layer]
-        if transform:
-            # No row gathers: the outgoing halo gradients are Pᵀ's halo
-            # rows applied to dY, then one GEMM over just those rows.
-            dt = self._dt[layer]
-            _spmv(self.matrix_t, d_out, dt[self.total_own :], self._halo_rows)
-            row_matmul(dt[self.total_own :], weight_t, out=dx[self.total_own :])
-        else:
-            dz = self._dz[layer]
-            self._input_grad_rows(d_out, plan.rows_marginal, weight_t, dz)
-            _spmv(self.matrix_t, dz, dx[self.total_own :], self._halo_rows)
-        d_halo_views = self._halo_blocks(dx)
-        t1 = time.perf_counter()
-        # Window first, then post — see forward_layer_overlap.
-        transport.note_overlap(step_tag("bwd", layer))
-        step = exchange.post_step(
-            layer, "bwd", self.devices, transport, d_halo_views
-        )
-        t2 = time.perf_counter()
-
-        # Central window: remaining input-grad rows, parameter partials,
-        # owned-row gradient routing.
-        if transform:
-            _spmv(self.matrix_t, d_out, dt[: self.total_own], self._own_rows)
-        else:
-            self._input_grad_rows(d_out, plan.rows_central, weight_t, dz)
-        if mod.has_post_stage:
-            self._add_norm_partials(mod.norm, norm_partials)
-        for k in range(len(self.devices)):
-            self._conv_partials(layer, k, d_out)
-        own = slice(0, self.total_own)
-        if transform:
-            d_next = row_matmul(dt[own], weight_t, out=dx[own])
-        elif self.model_kind == "gcn":
-            d_next = _spmv(self.matrix_t, dz, dx[own], self._own_rows)
-        else:
-            d_next = row_matmul(d_out, conv.root.weight.data.T, out=self._d_own[layer])
-            d_next += _spmv(self.matrix_t, dz, dx[own], self._own_rows)
-        t3 = time.perf_counter()
-
-        d_own_views = [d_next[self._own_slice(k)] for k in range(len(self.devices))]
-        exchange.finalize_step(step, out=d_own_views)
-        t4 = time.perf_counter()
-        self._d = d_next
-        return StepTimeline(
-            layer=layer,
-            phase="bwd",
-            quantize_s=t2 - t1,
-            comm_s=0.0,
-            central_s=t3 - t2,
-            dequantize_s=t4 - t3,
-            marginal_s=t1 - t0,
-            comp_full_s=(t1 - t0) + (t3 - t2),
-            overlapped_bytes=transport.overlapped_bytes(step.tag),
-            total_bytes=int(transport.bytes_matrix(step.tag).sum()),
-            measured=True,
-            worker_wait_s=step.worker_wait_s,
+            worker_wait_s=0.0 if step is None else step.worker_wait_s,
         )
 
     # ------------------------------------------------------------------
@@ -1041,50 +898,97 @@ class FusedClusterCompute:
     # ------------------------------------------------------------------
     # Backward
     # ------------------------------------------------------------------
-    def backward_layer(self, layer, exchange, transport) -> None:
-        """Backprop through layer ``layer`` and route halo gradients.
+    def backward_layer(
+        self, layer, exchange, transport, *, overlap: bool = False
+    ) -> StepTimeline:
+        """Layer ``layer``'s backward step, dependency-first; returns its timeline.
 
-        Shared by the in-RAM and the streaming engine, which differ in how
-        ``Pᵀ`` is applied (:meth:`_route_gradients`) and in layer 0
-        (:meth:`_backward_layer0_stream`).
+        The marginal rows run *before* the post: outgoing halo gradients
+        are ``Pᵀ``'s halo rows, which read only marginal rows of the
+        input-gradient GEMM.  While the messages fly, the central window
+        finishes the GEMM's central rows, accumulates every parameter
+        partial in rank order and routes owned-row gradients; finalize
+        then adds the received gradients in place.  Transform-first, the
+        two products swap — ``Pᵀ``'s halo rows of ``dY`` and one GEMM over
+        them before the post, ``Pᵀ``'s owned rows and their GEMM in the
+        window — and nothing is gathered.  Row sets are chosen as in
+        :meth:`forward_layer`; streaming differs in how ``Pᵀ`` is applied
+        (:meth:`_route`) and at layer 0 (:meth:`_backward_layer0_stream`).
         """
         d_out = self._d
         if d_out is None:
             raise RuntimeError("backward_layer called before epoch_loss")
+        plan = self.overlap_plan() if overlap else None
         mod = self.devices[0].model.layers[layer]
-
+        conv = mod.conv
+        t0 = time.perf_counter()
+        norm_partials = ()
         if mod.has_post_stage:
-            self._add_norm_partials(mod.norm, self._backward_post(layer, mod, d_out))
-
+            norm_partials = self._backward_post(layer, mod, d_out)
         dx = self._dx[layer]
         if dx is None:
+            self._add_norm_partials(mod, norm_partials)
             self._backward_layer0_stream(d_out)
             self._d = None
-            return
-        conv = mod.conv
-        own = slice(0, self.total_own)
-        transform = self._transform_first[layer]
-        if transform:
-            dt = self._route_gradients(d_out, self._dt[layer])
-        for k in range(len(self.devices)):
-            self._conv_partials(layer, k, d_out)
-        if transform:
-            row_matmul(dt, conv.linear.weight.data.T, out=dx)
-            d_next = dx[own]
-        elif self.model_kind == "gcn":
-            d_z = row_matmul(d_out, conv.linear.weight.data.T, out=self._dz[layer])
-            d_next = self._route_gradients(d_z, dx)[own]
-        else:
-            d_next = row_matmul(d_out, conv.root.weight.data.T, out=self._d_own[layer])
-            d_z = row_matmul(d_out, conv.neigh.weight.data.T, out=self._dz[layer])
-            d_next += self._route_gradients(d_z, dx)[own]
+            stages = (0.0, 0.0, 0.0, time.perf_counter() - t0)
+            return self._timeline(layer, "bwd", transport, None, stages)
 
-        d_own_views = [d_next[self._own_slice(k)] for k in range(len(self.devices))]
+        # Marginal rows: the input-gradient rows the halo routing reads.
+        transform = self._transform_first[layer]
+        linear = conv.linear if self.model_kind == "gcn" else conv.neigh
+        weight_t = linear.weight.data.T
+        own, halo = slice(0, self.total_own), slice(self.total_own, None)
+        if transform:
+            dt = self._route(d_out, self._dt[layer], halo=True)
+            row_matmul(dt, weight_t, out=dx[halo])
+        else:
+            dz = self._dz[layer]
+            marginal = own if plan is None else plan.rows_marginal
+            self._input_grad_rows(d_out, marginal, weight_t, dz)
+            self._route(dz, dx, halo=True)
+        t1 = time.perf_counter()
+        if plan is not None:
+            transport.note_overlap(step_tag("bwd", layer))
         step = exchange.post_step(
             layer, "bwd", self.devices, transport, self._halo_blocks(dx)
         )
+        t2 = time.perf_counter()
+
+        # Central window: the remaining input-gradient rows, parameter
+        # partials, owned-row gradient routing.
+        if transform:
+            dt = self._route(d_out, self._dt[layer], halo=False)
+        elif plan is not None:
+            self._input_grad_rows(d_out, plan.rows_central, weight_t, dz)
+        self._add_norm_partials(mod, norm_partials)
+        for k in range(len(self.devices)):
+            self._conv_partials(layer, k, d_out)
+        if transform:
+            d_next = row_matmul(dt, weight_t, out=dx[own])
+        elif self.model_kind == "gcn":
+            d_next = self._route(dz, dx, halo=False)
+        else:
+            d_next = row_matmul(d_out, conv.root.weight.data.T, out=self._d_own[layer])
+            d_next += self._route(dz, dx, halo=False)
+        t3 = time.perf_counter()
+
+        d_own_views = [d_next[self._own_slice(k)] for k in range(len(self.devices))]
         exchange.finalize_step(step, out=d_own_views)
+        t4 = time.perf_counter()
         self._d = d_next
+        return self._timeline(
+            layer, "bwd", transport, step, (t2 - t1, t3 - t2, t4 - t3, t1 - t0)
+        )
+
+    def _input_grad_rows(self, d_out, rows, weight_t, target) -> None:
+        """``target[rows] = d_out[rows] @ weight_t``: in place for a slice,
+        through a contiguous gather and scatter for an index array."""
+        if isinstance(rows, slice):
+            row_matmul(d_out[rows], weight_t, out=target[rows])
+        elif rows.size:
+            o = self._scratch("bwd_dz", rows.size, weight_t.shape[1])
+            a = self._rows("bwd_din", d_out, rows)
+            target[rows] = row_matmul(a, weight_t, out=o)
 
     def _backward_post(self, layer: int, mod, d_out: np.ndarray) -> np.ndarray:
         """Post-stage backward over the stacked owned rows: ``d_out`` becomes
@@ -1105,11 +1009,12 @@ class FusedClusterCompute:
         )
         return partials
 
-    def _add_norm_partials(self, norm, partials: np.ndarray) -> None:
-        """Add each device's LayerNorm partials, in rank order."""
+    def _add_norm_partials(self, mod, partials) -> None:
+        """Add each device's LayerNorm partials, in rank order (none for a
+        layer without a post stage)."""
         for gamma, beta in partials:
-            self._acc_add(norm.gamma, gamma)
-            self._acc_add(norm.beta, beta)
+            self._acc_add(mod.norm.gamma, gamma)
+            self._acc_add(mod.norm.beta, beta)
 
     def _conv_partials(
         self, layer: int, k: int, d_out: np.ndarray, z: np.ndarray | None = None
@@ -1145,23 +1050,25 @@ class FusedClusterCompute:
             self._acc_add(conv.root.bias, d_k.sum(axis=0))
             self._acc_add(conv.neigh.weight, z.T @ d_k)
 
-    def _route_gradients(self, src: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``out = Pᵀ @ src`` onto a stacked ``[owned; halo]`` buffer.
+    def _route(self, src: np.ndarray, out: np.ndarray, *, halo: bool) -> np.ndarray:
+        """``Pᵀ @ src`` onto the halo or the owned rows of a stacked
+        ``[owned; halo]`` buffer ``out``; returns that region of ``out``.
 
-        One spmv in RAM.  Streaming applies the store's per-device
-        row-split transposes: each output row of the block transpose reads
-        only its own device's ``src`` slice (the operator is
-        block-diagonal), and row splits of a CSR spmv are trivially
-        bitwise — so it equals the single ``matrix_t`` spmv row for row.
+        In RAM this is that row range of ``matrix_t``.  Streaming applies
+        each device's ``halo_t`` or ``own_t``, the row split of its
+        transpose: each output row of the block transpose reads only its
+        own device's ``src`` slice, and row splits of a CSR spmv are
+        bitwise, so either way the rows equal the single ``matrix_t`` spmv.
         """
+        lo, hi = self._halo_rows if halo else self._own_rows
         if self.stream is None:
-            return _spmv(self.matrix_t, src, out)
+            return _spmv(self.matrix_t, src, out[lo:hi], (lo, hi))
         for k, ops in enumerate(self.stream):
             sl = self._own_slice(k)
-            _spmv(ops.own_t, src[sl], out[sl])
-            _spmv(ops.halo_t, src[sl], out[self._halo_slice(k)])
+            op, rows = (ops.halo_t, self._halo_slice(k)) if halo else (ops.own_t, sl)
+            _spmv(op, src[sl], out[rows])
             ops.release_op_pages()
-        return out
+        return out[lo:hi]
 
     def _backward_layer0_stream(self, d_out: np.ndarray) -> None:
         """Layer 0's backward against the store: parameter partials only.
@@ -1176,7 +1083,8 @@ class FusedClusterCompute:
         per device (:meth:`_aggregate_layer0_stream`).
         """
         if self._transform_first[0]:
-            self._route_gradients(d_out, self._dt[0])
+            self._route(d_out, self._dt[0], halo=False)
+            self._route(d_out, self._dt[0], halo=True)
             for k, ops in enumerate(self.stream):
                 self._conv_partials(0, k, d_out)
                 ops.release_feature_pages()

@@ -23,9 +23,9 @@ other :class:`HaloExchange` policies.
 messages and returns an :class:`InFlightStep` handle; the messages then
 stay pending in the transport until :meth:`HaloExchange.finalize_step`
 collects, decodes and scatters (forward) or accumulates (backward) them.
-The pipelined executor runs the central-graph sub-step between the two
-halves — the paper's Fig. 7 overlap — and the non-overlapped engine calls
-them back to back.  Payload values are frozen at post time (every policy's
+The compute engine's layer step runs its central window between the two
+halves — the paper's Fig. 7 overlap; with overlap off that window holds
+no rows.  Payload values are frozen at post time (every policy's
 gather or encode copies), so callers may mutate the source buffers while
 a step is in flight.
 

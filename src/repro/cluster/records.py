@@ -280,8 +280,8 @@ class EpochRecord:
 
     loss: float
     phases: list[PhaseRecord] = field(default_factory=list)
-    # Measured per-step stage timelines, emitted only by the split-phase
-    # pipelined executor (empty on non-overlapped runs): one entry per
+    # Measured per-step stage timelines, kept only on overlapped runs
+    # (empty otherwise): one entry per
     # layer per direction.  Feed entries through :meth:`add_timeline` so
     # ``timeline_summary`` — what a run keeps across epochs — absorbs them.
     timelines: list[StepTimeline] = field(default_factory=list)

@@ -300,20 +300,24 @@ def solve_milp(problem: BitWidthProblem, *, time_limit: float = 10.0) -> np.ndar
     n_x = n_g * n_b
 
     # Objective: λ/v_ref · Σ c_gb x_gb + (1-λ)/t_ref · Z (+ the tie-break).
-    cost = np.append(problem.choice_costs().ravel(), problem.time_weight())
+    # Z is carried in units of t_ref: in seconds the time rows' coefficients
+    # can sit near HiGHS's absolute feasibility tolerance, which then lets
+    # the solver under-state Z and return a worse assignment as optimal.
+    t_ref = problem.time_reference()
+    cost = np.append(problem.choice_costs().ravel(), problem.time_weight() * t_ref)
 
     # Σ_b x_gb = 1
     a_onehot = np.zeros((n_g, n_x + 1))
     a_onehot[np.repeat(np.arange(n_g), n_b), np.arange(n_x)] = 1.0
-    # θ_i Σ bytes·x + γ_i ≤ Z  →  θ_i Σ bytes·x − Z ≤ −γ_i
+    # θ_i Σ bytes·x + γ_i ≤ Z  →  (θ_i Σ bytes·x − Z) / t_ref ≤ −γ_i / t_ref
     a_time = np.zeros((len(problem.pairs), n_x + 1))
     a_time[np.repeat(problem.group_pair, n_b), np.arange(n_x)] = (
-        problem.theta[problem.group_pair, None] * problem.group_bytes
+        problem.theta[problem.group_pair, None] * problem.group_bytes / t_ref
     ).ravel()
     a_time[:, -1] = -1.0
     constraints = [
         LinearConstraint(a_onehot, lb=1.0, ub=1.0),
-        LinearConstraint(a_time, lb=-np.inf, ub=-problem.gamma),
+        LinearConstraint(a_time, lb=-np.inf, ub=-problem.gamma / t_ref),
     ]
 
     integrality = np.concatenate([np.ones(n_x), [0]])

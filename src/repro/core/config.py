@@ -45,11 +45,11 @@ class RunConfig:
     # what it computes — every combination is bitwise-identical under the
     # same seed (tests/cluster/test_oracle_matrix.py compares them all with
     # the reference trainer).
-    # overlap: split-phase central/marginal pipelined execution (post
-    # marginal messages -> central sub-step while they fly -> finalize ->
-    # marginal sub-step), with measured per-stage timelines.  Applied to
-    # the systems whose schedule overlaps (the adaqp variants and
-    # vanilla-overlap).
+    # overlap: which rows the layer step's central window holds (post
+    # marginal messages -> central rows while they fly -> finalize ->
+    # marginal rows), with measured per-stage timelines; off, the window
+    # is empty and every owned row is marginal.  Applied to the systems
+    # whose schedule overlaps (the adaqp variants and vanilla-overlap).
     overlap: bool = True
     # transport: which transport backend runs each step's quantize/pack/
     # post (and decode) jobs, as a spec string "backend[:workers]":

@@ -11,7 +11,8 @@ Each device's partition splits into:
 The split is what the AdaQP schedule overlaps; this module quantifies it
 (row counts, aggregation nonzeros, FLOP shares) for the scheduler and for
 the Fig. 3 / Table 2 benchmarks — and hands the pipelined executor the
-row permutation (:func:`split_rows`) it splits its operators with.
+central and marginal row sets (:func:`split_rows`) it splits its operators
+with.
 """
 
 from __future__ import annotations
@@ -69,13 +70,11 @@ class RowSplit:
     """Central/marginal row split of one device's owned block.
 
     Both index arrays are ascending local owned-row ids; together they
-    partition ``0..n_owned-1``.  ``permutation`` is the row order the
-    pipelined executor gathers by — central block first, marginal block
-    after — so each sub-step's dense work runs on one contiguous block.
-    The executor's *persistent* buffers stay in original row order (row
-    permutations change the accumulation order of reductions — loss sums,
-    ``xᵀ·d`` weight gradients — and would break the engines' bitwise
-    contract); the permutation lives only in gathers and operators.
+    partition ``0..n_owned-1``.  The pipelined executor gathers each set
+    into its own contiguous block for the dense work of that window; its
+    *persistent* buffers stay in original row order (row permutations
+    change the accumulation order of reductions — loss sums, ``xᵀ·d``
+    weight gradients — and would break the engines' bitwise contract).
     """
 
     central_rows: np.ndarray  # (n_central,) int64, ascending
@@ -88,11 +87,6 @@ class RowSplit:
     @property
     def n_marginal(self) -> int:
         return int(self.marginal_rows.size)
-
-    @property
-    def permutation(self) -> np.ndarray:
-        """All owned rows, central block first then marginal block."""
-        return np.concatenate([self.central_rows, self.marginal_rows])
 
 
 def split_rows(part: LocalPartition) -> RowSplit:

@@ -5,8 +5,9 @@ losses, model gradients, accuracy and wire bytes to the per-device
 reference trainer (``tests/reference/oracle.py``) — across model kinds,
 partition counts and exchange policies.  The engine changes execution
 shape (block-diagonal aggregation, stacked GEMMs, in-place halo writes),
-never values.  The grids here run the non-overlapped engine; the
-split-phase pipeline's are in ``test_overlap_compute.py``.
+never values.  The grids here run with overlap off (the step's central
+window empty); the overlapped row splits' are in
+``test_overlap_compute.py``.
 """
 
 import numpy as np
@@ -147,17 +148,33 @@ def sage_store(tmp_path_factory):
     return build_partition_store(cfg, 4, path, seed=11, agg_kind="sage")
 
 
+#: The three engine shapes, each with both operand orders at layer 0 and at
+#: the output layer: tiny_dataset is 48 → h → h → 24, the stores are
+#: 24 → h → h → 7.
+ENGINE_SHAPES = [
+    ("standard", 8), ("standard", 64),
+    ("overlap", 8), ("overlap", 64),
+    ("stream", 16), ("stream", 32),
+]
+
+
+def _shape_cluster(shape, model_kind, hidden, tiny_dataset, tiny_book, stores):
+    """A 3-layer cluster of one engine shape on the sync transport."""
+    if shape == "stream":
+        store = stores[model_kind]
+        dataset, book = store.dataset(), store.book()
+    else:
+        dataset, book = tiny_dataset, tiny_book
+    cluster = Cluster(
+        dataset, book, model_kind=model_kind, hidden_dim=hidden, num_layers=3,
+        dropout=0.5, seed=0, overlap=(shape == "overlap"), transport="sync",
+    )
+    assert cluster.overlap == (shape == "overlap")
+    return cluster
+
+
 @pytest.mark.parametrize("model_kind", ["gcn", "sage"])
-@pytest.mark.parametrize(
-    "shape,hidden",
-    # Both operand orders at layer 0 and at the output layer, per shape:
-    # tiny_dataset is 48 → h → h → 24, the stores are 24 → h → h → 7.
-    [
-        ("standard", 8), ("standard", 64),
-        ("overlap", 8), ("overlap", 64),
-        ("stream", 16), ("stream", 32),
-    ],
-)
+@pytest.mark.parametrize("shape,hidden", ENGINE_SHAPES)
 def test_spmv_count_follows_operand_order(
     monkeypatch, tiny_dataset, tiny_book, huge_store, sage_store, model_kind, shape,
     hidden,
@@ -171,16 +188,8 @@ def test_spmv_count_follows_operand_order(
     keeps a later refactor from silently widening a product again."""
     from repro.cluster import compute
 
-    if shape == "stream":
-        store = huge_store if model_kind == "gcn" else sage_store
-        dataset, book = store.dataset(), store.book()
-    else:
-        dataset, book = tiny_dataset, tiny_book
-    cluster = Cluster(
-        dataset, book, model_kind=model_kind, hidden_dim=hidden, num_layers=3,
-        dropout=0.5, seed=0, overlap=(shape == "overlap"), transport="sync",
-    )
-    assert cluster.overlap == (shape == "overlap")
+    stores = {"gcn": huge_store, "sage": sage_store}
+    cluster = _shape_cluster(shape, model_kind, hidden, tiny_dataset, tiny_book, stores)
     engine = cluster._compute_engine()
     if shape == "overlap":
         engine.overlap_plan()
@@ -204,6 +213,37 @@ def test_spmv_count_follows_operand_order(
     else:
         widths = dims[:-1]
     assert sum(counted) == 2 * nnz * sum(widths)
+
+
+@pytest.mark.parametrize("model_kind", ["gcn", "sage"])
+@pytest.mark.parametrize("shape,hidden", ENGINE_SHAPES)
+def test_overlap_off_gathers_nothing(
+    monkeypatch, tiny_dataset, tiny_book, huge_store, sage_store, model_kind, shape,
+    hidden,
+):
+    """Overlap off is the split-phase step with an empty central window and
+    every owned row as one slice, so a training epoch and an evaluation
+    work in place on the persistent buffers: the only scratch they ask for
+    is the per-device LayerNorm partials and streaming layer 0's
+    aggregation block.  An overlapped epoch gathers its row sets into
+    scratch blocks."""
+    stores = {"gcn": huge_store, "sage": sage_store}
+    cluster = _shape_cluster(shape, model_kind, hidden, tiny_dataset, tiny_book, stores)
+    requested = set()
+    scratch = FusedClusterCompute._scratch
+
+    def spy(self, name, *args, **kwargs):
+        requested.add(name)
+        return scratch(self, name, *args, **kwargs)
+
+    monkeypatch.setattr(FusedClusterCompute, "_scratch", spy)
+    with cluster:
+        cluster.train_epoch(ExactHaloExchange(), 0)
+        cluster.evaluate()
+    if shape == "overlap":
+        assert "fwd_h" in requested
+    else:
+        assert requested <= {"norm_partials", "stream_z0"}
 
 
 @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])

@@ -259,6 +259,26 @@ def test_exact_never_loses_on_its_own_objective(problem, data):
     )
 
 
+def test_milp_keeps_tiny_link_times_feasible():
+    """θ = 4e-8 s/B puts every time row near HiGHS's absolute feasibility
+    tolerance when the straggler time is in seconds; the MILP then found
+    a worse assignment "optimal" (8 bits on group 4: 0.4665964 against the
+    sweep's 0.4665752).  In units of the reference time it does not."""
+    pairs = [(0, 1), (0, 1), (0, 1), (1, 2), (1, 2), (1, 2)]
+    shapes = [(0.0, 249, 16), (2.0, 171, 8), (3.0, 32, 64),
+              (1.0, 40, 16), (1.0, 167, 16), (0.0, 57, 64)]
+    problem = BitWidthProblem(
+        groups=[GroupSpec(*pair, *shape) for pair, shape in zip(pairs, shapes)],
+        pair_theta={(0, 1): 4e-8, (1, 2): 4e-8},
+        pair_gamma={(0, 1): 0.0, (1, 2): 0.0},
+        lam=0.2,
+    )
+    best = _solver_objective(problem, solve_exact(problem))
+    milp_value = _solver_objective(problem, solve_milp(problem))
+    assert milp_value <= best + 1e-6 * abs(best) + 1e-9
+    assert list(solve_milp(problem)) == list(solve_exact(problem)) == [2, 4, 4, 8, 4, 2]
+
+
 def _chunked_problem(rows_per_pair, seed=0, group_size=100, dim=64):
     """Shaped like the assigner's: each pair's messages in chunks of
     ``group_size`` with a ragged last group, inter-machine pairs 10× slower."""

@@ -60,7 +60,7 @@ def test_dense_factor_scales_gemm(stats_and_parts):
 
 
 # ---------------------------------------------------------------------------
-# Row splits (the pipelined executor's permutation) and degenerate cases
+# Row splits (the pipelined executor's row sets) and degenerate cases
 # ---------------------------------------------------------------------------
 def test_split_rows_partitions_owned_rows(stats_and_parts):
     from repro.core.decompose import split_rows
@@ -69,7 +69,7 @@ def test_split_rows_partitions_owned_rows(stats_and_parts):
         split = split_rows(part)
         assert split.n_central == stats.n_central
         assert split.n_marginal == stats.n_marginal
-        merged = np.sort(split.permutation)
+        merged = np.sort(np.concatenate([split.central_rows, split.marginal_rows]))
         assert np.array_equal(merged, np.arange(part.n_owned))
         # Central rows truly have no remote neighbor, marginal rows do.
         assert not part.marginal_mask[split.central_rows].any()
@@ -118,7 +118,7 @@ def test_all_marginal_partition():
         assert stats.marginal_row_fraction == 1.0
         split = split_rows(part)
         assert split.n_central == 0
-        assert np.array_equal(split.permutation, split.marginal_rows)
+        assert np.array_equal(split.marginal_rows, np.arange(part.n_owned))
 
 
 def test_degenerate_splits_still_train_bitwise(tiny_dataset):
