@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster.exchange import HaloExchange, InFlightStep
-from repro.comm.transport import SyncTransport as Transport
+from repro.comm.transport import Transport
 
 __all__ = ["StaleHaloExchange"]
 
@@ -109,8 +109,9 @@ class StaleHaloExchange(HaloExchange):
                 )
                 staged.append((dev.rank, q, rows))
         if staged:
-            # Posting is the deferred half (async transports run it on the
-            # worker); the snapshot above already happened on this thread.
+            # Posting is the deferred half (run on the pool when the
+            # transport has workers); the snapshot above already happened
+            # on this thread.
             def job() -> None:
                 for src, q, rows in staged:
                     transport.post(src, q, tag, rows, rows.nbytes)

@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster.exchange import HaloExchange, InFlightStep
-from repro.comm.transport import SyncTransport as Transport
+from repro.comm.transport import Transport
 
 __all__ = ["BroadcastSkipExchange"]
 
@@ -123,8 +123,8 @@ class BroadcastSkipExchange(HaloExchange):
                 else:
                     self.broadcasts_skipped += 1
             if staged:
-                # Deferred half: async transports run the posting loop on
-                # the worker; the blocks above are frozen snapshots.
+                # Deferred half: a transport with workers runs the posting
+                # loop on its pool; the blocks above are frozen snapshots.
                 def job() -> None:
                     for src, peers, block in staged:
                         for q in peers:

@@ -107,8 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
              "records then carry no measured stage timelines)")
     p_train.add_argument(
         "--transport", default=None, metavar="SPEC",
-        help="transport backend spec 'backend[:workers]': auto (default), "
-             "sync, worker[:N] (thread pool); every backend is "
+        help="transport spec: auto (default), sync (jobs inline) or "
+             "worker[:N] (a pool of N threads); every worker count is "
              "bit-identical to sync under the same seed")
     p_train.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",
@@ -126,9 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
              "always saves)")
     p_train.add_argument(
         "--transport-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-tag completion deadline for async transports — a "
-             "stalled tag raises TransportError naming its outstanding "
-             "shards instead of hanging (default: RunConfig's 120s)")
+        help="per-tag completion deadline — a stalled tag (on the worker "
+             "pool or inline) raises TransportError naming its outstanding "
+             "jobs instead of hanging (default: RunConfig's 120s)")
     p_train.add_argument(
         "--inject-fault", action="append", default=None, metavar="SPEC",
         dest="inject_faults",
@@ -183,10 +183,9 @@ def _cmd_info() -> int:
     from repro.cluster.memory import host_memory
     from repro.comm.transport import (
         detected_cores,
-        host_has_spare_core,
         host_spare_cores,
+        transport_workers,
     )
-    from repro.comm.transports import resolve_spec
 
     print(f"repro {__version__} — AdaQP reproduction (MLSys 2023)")
     print(f"systems:  {', '.join(SYSTEMS)}")
@@ -197,12 +196,13 @@ def _cmd_info() -> int:
     # transport?" is answerable from the CLI.
     cores = detected_cores()
     spare = host_spare_cores()
-    verdict = "yes" if host_has_spare_core() else "no"
+    verdict = "yes" if spare else "no"
     cfg = RunConfig()
-    resolved = resolve_spec(cfg.transport, overlap=True)
+    workers = transport_workers(cfg.transport, overlap=True)
+    resolved = f"worker:{workers}" if workers else "sync"
     async_default = (
-        f"worker transport with {max(1, spare)} worker(s)"
-        if host_has_spare_core()
+        f"worker transport with {workers} worker(s)"
+        if workers
         else "synchronous transport (no spare core)"
     )
     print(f"host:     {cores} core(s) detected; spare core for transport "
@@ -213,7 +213,8 @@ def _cmd_info() -> int:
               f"{hm.available_bytes / 2**30:.1f} GiB available "
               "(huge-graph runs warn when the estimated working set "
               "exceeds this)")
-    print("backends: sync, worker (select with --transport backend[:workers])")
+    print("backends: one transport; jobs inline (sync) or on N worker threads "
+          "(worker[:N]) — select with --transport")
     print(f"defaults: transport={cfg.transport} — "
           f"overlapped runs resolve to '{resolved}', i.e. {async_default}")
     print("          (override: --transport sync|worker[:N], --no-overlap)")
@@ -251,12 +252,11 @@ def _overlap_rows(result) -> list[list[str]]:
 def _cmd_train(args: argparse.Namespace) -> int:
     from repro.comm.faults import FaultPlan
     from repro.comm.topology import parse_topology
-    from repro.comm.transport import TransportError
-    from repro.comm.transports import parse_transport_spec
+    from repro.comm.transport import TransportError, transport_workers
 
     if args.transport is not None:
         try:
-            parse_transport_spec(args.transport)
+            transport_workers(args.transport, overlap=False)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -3,11 +3,12 @@
 One :class:`DeviceRuntime` per simulated GPU holds that device's graph
 partition, aggregation operator, model replica and RNG streams.  The
 :class:`Cluster` drives all devices in lock-step through real forward and
-backward passes, routing *real* halo payloads through the
-:class:`~repro.comm.transport.TransportBackend` (so every byte on the simulated
-wire is a byte that was actually produced, quantized and packed), and
-records the per-layer byte matrices and FLOP counts that the schedule
-simulators turn into epoch times.
+backward passes, routing *real* halo payloads through one
+:class:`~repro.comm.transport.Transport` — jobs inline, or on its pool of
+worker threads — so every byte on the simulated wire is a byte that was
+actually produced, quantized and packed, and records the per-layer byte
+matrices and FLOP counts that the schedule simulators turn into epoch
+times.
 """
 
 from repro.cluster.compute import FusedClusterCompute, build_block_diagonal

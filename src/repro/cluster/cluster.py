@@ -32,8 +32,7 @@ from repro.cluster.compute import FusedClusterCompute
 from repro.cluster.exchange import ExactHaloExchange, HaloExchange, step_tag
 from repro.cluster.records import EpochRecord, PhaseRecord
 from repro.cluster.runtime import DeviceRuntime, build_devices
-from repro.comm.transport import SyncTransport, TransportBackend
-from repro.comm.transports import TransportSpec, create_transport, resolve_spec
+from repro.comm.transport import Transport, transport_workers
 from repro.gnn.model import MODEL_KINDS
 from repro.graph.datasets import GraphDataset
 from repro.graph.io import StoreDataset
@@ -79,24 +78,20 @@ class Cluster:
         row-split operators presuppose the materialized block-diagonal
         matrix).
     transport:
-        Transport backend selection — a spec string (``"auto"``,
-        ``"sync"``, ``"worker:4"``) or a parsed
-        :class:`~repro.comm.transports.TransportSpec`.  ``"auto"`` (the
-        default) resolves to the worker backend when the split-phase
-        pipeline executes and the host has a spare core, sync otherwise;
-        the worker backend degrades to sync for non-overlapped runs
-        (there is no central window to hide work under).  Resolution
-        happens here, once: ``cluster.transport_spec`` is the concrete
-        spec; the worker pool starts on first use and is shut down at
-        :meth:`close`.  ``cluster.async_transport`` /
-        ``cluster.transport_workers`` are read-only mirrors derived from
-        the resolved spec.
+        Transport spec: ``"auto"`` (the default), ``"sync"`` or
+        ``"worker[:N]"``, resolved here, once, by
+        :func:`~repro.comm.transport.transport_workers` into the worker
+        count of ``cluster.transport``.  ``"auto"`` picks workers when the
+        split-phase pipeline executes and the host has a spare core;
+        non-overlapped runs always get 0 (inline: there is no central
+        window to hide work under).  The worker pool starts on first use
+        and is shut down at :meth:`close`.
     transport_timeout_s:
-        Per-tag completion deadline applied to async transports: a tag
-        whose jobs have not finished within this many seconds raises a
-        :class:`~repro.comm.transport.TransportError` naming the tag and
-        its outstanding shards instead of hanging.  ``None`` (default)
-        waits forever.
+        Per-tag completion deadline: a tag whose jobs have not finished
+        within this many seconds — or an inline job stalled past it —
+        raises a :class:`~repro.comm.transport.TransportError` naming the
+        tag and its outstanding jobs instead of hanging.  ``None``
+        (default) waits forever.
     fault_plan:
         A :class:`~repro.comm.faults.FaultPlan` of injected transport
         faults (drops, duplicates, stalls, job errors) for
@@ -114,7 +109,7 @@ class Cluster:
         dropout: float = 0.5,
         seed: int = 0,
         overlap: bool = False,
-        transport: str | TransportSpec | None = None,
+        transport: str = "auto",
         transport_timeout_s: float | None = None,
         fault_plan=None,
     ) -> None:
@@ -178,13 +173,9 @@ class Cluster:
         # Streaming mode runs with overlap off: the row-split operators
         # presuppose the materialized block-diagonal matrix.
         self.overlap = bool(overlap) and store_ds is None
-        if transport is None:
-            transport = TransportSpec("auto")
-        spec = resolve_spec(transport, overlap=self.overlap)
-        self.transport_spec = spec
-        self.async_transport = spec.backend != "sync"
-        self.transport_workers = spec.workers or 0
-        self.transport: TransportBackend = create_transport(spec, self.num_devices)
+        self.transport = Transport(
+            self.num_devices, workers=transport_workers(transport, overlap=self.overlap)
+        )
         if transport_timeout_s is not None:
             self.transport.timeout_s = float(transport_timeout_s)
         if fault_plan is not None:
@@ -217,7 +208,7 @@ class Cluster:
         """
         devices = self.devices
         exchange.on_epoch_start(epoch)
-        plan = getattr(self.transport, "fault_plan", None)
+        plan = self.transport.fault_plan
         if plan is not None:
             # Epoch-scoped fault specs (``kind:tag@epoch``) arm here.
             plan.set_epoch(epoch)
@@ -275,7 +266,7 @@ class Cluster:
     # ------------------------------------------------------------------
     def _eval_forward(self) -> FusedClusterCompute:
         """Exact (un-quantized) eval-mode forward; the engine holds the logits."""
-        transport = SyncTransport(self.num_devices)
+        transport = Transport(self.num_devices)
         for dev in self.devices:
             dev.model.eval()
         engine = self._compute_engine()

@@ -31,20 +31,20 @@ a step is in flight.
 
 **Async post paths.**  Each ``post_step`` splits into a *snapshot* half
 (gathers the outgoing rows on the calling thread) and one or more
-*encode-and-post* jobs handed to :meth:`TransportBackend.defer` /
-:meth:`TransportBackend.defer_many`.  On the synchronous transport the jobs
-run inline; on a :class:`~repro.comm.transport.WorkerTransport` they run
-on the worker pool, overlapping the caller's subsequent compute.  Because
-the snapshot happens before ``post_step`` returns, the frozen-at-post
-contract holds under both transports; ``finalize_step`` joins the jobs (via
+*encode-and-post* jobs handed to :meth:`Transport.defer
+<repro.comm.transport.Transport.defer>`.  A transport with no workers runs
+the jobs inline; one with workers runs them on its pool, overlapping the
+caller's subsequent compute.  Because the snapshot happens before
+``post_step`` returns, the frozen-at-post contract holds at any worker
+count; ``finalize_step`` joins the jobs (via
 :meth:`InFlightStep.mark_done`) before reading results, so receivers
 never observe a half-posted step.
 
 **Worker fan-out.**  Every quantized message block's noise is a pure
 function of its coordinates (:class:`~repro.quant.stochastic.KeyedRounding`),
 so a quantized step's encode shards across all ``transport.workers``; a
-full-precision step posts its row views in one job.  On async transports
-the last post job chases them with per-receiver collect/decode jobs, all
+full-precision step posts its row views in one job.  With workers, the
+last post job chases them with per-receiver collect/decode jobs, all
 free to retire in any order.  Bit lookups and tracer ``observe`` calls
 stay on the calling thread (the snapshot half).  The pipelined executor
 finalizes each step before posting the next, so at most one tag is ever
@@ -73,11 +73,7 @@ from typing import Protocol
 
 import numpy as np
 
-from repro.comm.transport import (
-    TransportAccounting,
-    TransportBackend,
-    TransportError,
-)
+from repro.comm.transport import Transport, TransportError
 from repro.quant.fused import (
     DecodeWorkspace,
     Float32StepPlan,
@@ -195,13 +191,13 @@ class InFlightStep:
     Returned by :meth:`HaloExchange.post_step`; every field the receive
     half needs is captured here so ``finalize_step`` takes only the handle
     (plus destination buffers).  ``tag`` doubles as the transport key the
-    pipelined executor passes to :meth:`TransportAccounting.note_overlap`.
+    pipelined executor passes to :meth:`Transport.note_overlap`.
 
     ``worker_wait_s`` is filled by :meth:`mark_done`: the seconds the
     finalize half spent blocked joining the step's deferred encode (and,
-    on async transports, decode) jobs — 0.0 on the synchronous transport,
-    and ~0.0 under the async transport whenever the central window fully
-    covered the deferred work (the exposed tail the timelines report).
+    with workers, decode) jobs — 0.0 on an inline transport, and ~0.0
+    with workers whenever the central window fully covered the deferred
+    work (the exposed tail the timelines report).
 
     ``decoded`` and ``targets`` are the fused engine's decode state,
     complete once :meth:`mark_done` returns (or set by ``finalize_step``
@@ -239,7 +235,7 @@ class InFlightStep:
         phase: str,
         tag: str,
         devices: list,
-        transport: TransportBackend,
+        transport: Transport,
         dim: int,
     ) -> None:
         self.layer = layer
@@ -323,7 +319,7 @@ class HaloExchange:
         layer: int,
         phase: str,
         devices: list,  # list[DeviceRuntime]; untyped to avoid cycle
-        transport: TransportBackend,
+        transport: Transport,
         values_by_dev: list[np.ndarray],
         out: list[np.ndarray] | None = None,
     ) -> InFlightStep:
@@ -505,7 +501,7 @@ class FusedQuantizedHaloExchange(HaloExchange):
         layer: int,
         phase: str,
         devices: list,
-        transport: TransportBackend,
+        transport: Transport,
         values_by_dev: list[np.ndarray],
         out: list[np.ndarray] | None = None,
     ) -> InFlightStep:
@@ -543,7 +539,7 @@ class FusedQuantizedHaloExchange(HaloExchange):
                 for dev in step.devices
             ]
         if step.targets is None:
-            # Decode here: the synchronous transport, or a forward step
+            # Decode here: an inline transport, or a forward step
             # posted without its destinations (nothing to overlap with).
             dests = out if out is not None else step.scatter_out
             step.targets = {
@@ -667,7 +663,7 @@ class FusedQuantizedHaloExchange(HaloExchange):
     # -- internals ----------------------------------------------------------
     def _encode_and_post(
         self,
-        transport: TransportBackend,
+        transport: Transport,
         step: InFlightStep,
         values_by_rank: list[np.ndarray],
     ) -> None:
@@ -720,7 +716,7 @@ class FusedQuantizedHaloExchange(HaloExchange):
 
         step.plan = plan
 
-        # On async transports the last job to finish defers one
+        # With workers, the last job to finish defers one
         # collect+decode job per receiver under the same tag — decode
         # overlaps the central window too, and finalize is left with only
         # the delivery audit and the backward accumulate.  A forward step
@@ -751,16 +747,17 @@ class FusedQuantizedHaloExchange(HaloExchange):
 
             return job
 
-        transport.defer_many(tag, [make_job(shard) for shard in shards])
+        for shard in shards:
+            transport.defer(tag, make_job(shard))
 
-    def _defer_decodes(self, transport: TransportBackend, step: InFlightStep) -> None:
+    def _defer_decodes(self, transport: Transport, step: InFlightStep) -> None:
         """Queue one collect+decode job per receiver (worker side).
 
         Called by the step's last post job, so every envelope is already
-        posted; the jobs use the *base* ``TransportAccounting.collect``
-        (which sorts by source) — the subclass safety-net would try to
-        join the very job set they run in.  Forward, each job writes its
-        receiver's rows straight into the halo buffer named at post time
+        posted; the jobs collect with ``join=False`` (still sorted by
+        source) — a joining collect would wait on the very job set they
+        run in.  Forward, each job writes its receiver's rows straight
+        into the halo buffer named at post time
         (receivers own disjoint buffers, so the writes are race-free);
         backward, a quantized step into a block of its receiver's workspace
         (a full-precision one only collects: finalize adds the payloads).
@@ -773,7 +770,7 @@ class FusedQuantizedHaloExchange(HaloExchange):
             step.targets[dev.rank] = target
 
             def decode_job(rank: int = dev.rank, target=target, workspace=workspace):
-                mailbox = TransportAccounting.collect(transport, rank, step.tag)
+                mailbox = transport.collect(rank, step.tag, join=False)
                 step.decoded[rank] = self._land(
                     {rank: mailbox}, workspace, {rank: target}
                 )[rank]

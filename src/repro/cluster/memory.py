@@ -263,7 +263,7 @@ def _quant_scratch_bytes(cluster: Cluster) -> int:
         return 0
     pairs = [len(r) for dev in cluster.devices for r in dev.part.send_map.values()]
     chunk = min(max([fused._QUANT_CHUNK_ROWS, *pairs]), sum(pairs))
-    workers = max(1, cluster.transport_workers)
+    workers = max(1, cluster.transport.workers)
     return chunk * max(cluster.dims[:-1]) * _NUMPY_KERNEL_SCRATCH * workers
 
 

@@ -13,13 +13,11 @@ Ethernet between machines — is modelled by:
   uses (slower than ring all2all, as the paper observes);
 * :mod:`repro.comm.allreduce` — exact gradient averaging plus the ring
   allreduce time model;
-* the **transport backends** — the in-memory mailbox that routes *real*
-  message payloads between simulated devices and counts every byte, in
-  two config-selectable flavours behind one
-  :class:`~repro.comm.transport.TransportBackend` API:
-  :class:`SyncTransport` (inline) and :class:`WorkerTransport` (thread
-  pool).  :mod:`repro.comm.transports` holds the ``"worker:4"``-style
-  selection specs.
+* :class:`Transport` — the in-memory mailbox that routes *real* message
+  payloads between simulated devices and counts every byte; its deferred
+  jobs run inline (``workers=0``) or on a pool of worker threads.
+  :func:`transport_workers` resolves the ``auto | sync | worker[:N]``
+  spec to that worker count.
 """
 
 from repro.comm.topology import ClusterTopology, parse_topology
@@ -27,19 +25,7 @@ from repro.comm.costmodel import LinkCostModel, fit_linear_cost
 from repro.comm.ring import ring_all2all_time, ring_rounds
 from repro.comm.broadcast import sequential_broadcast_time
 from repro.comm.allreduce import allreduce_mean, ring_allreduce_time
-from repro.comm.transport import (
-    SyncTransport,
-    TransportAccounting,
-    TransportBackend,
-    WorkerTransport,
-    host_has_spare_core,
-)
-from repro.comm.transports import (
-    TransportSpec,
-    create_transport,
-    parse_transport_spec,
-    resolve_spec,
-)
+from repro.comm.transport import Transport, transport_workers
 
 __all__ = [
     "ClusterTopology",
@@ -51,13 +37,6 @@ __all__ = [
     "sequential_broadcast_time",
     "allreduce_mean",
     "ring_allreduce_time",
-    "TransportBackend",
-    "TransportAccounting",
-    "SyncTransport",
-    "WorkerTransport",
-    "host_has_spare_core",
-    "TransportSpec",
-    "create_transport",
-    "parse_transport_spec",
-    "resolve_spec",
+    "Transport",
+    "transport_workers",
 ]

@@ -1,4 +1,4 @@
-"""Deterministic fault injection for transport backends.
+"""Deterministic fault injection for the transport.
 
 A :class:`FaultPlan` is a scripted set of failures — dropped or
 duplicated mailbox envelopes, stalled or erroring jobs — that a transport
@@ -28,17 +28,19 @@ fault fires once, then disarms).  Where each kind is honoured:
 ========== ===========================================================
 kind        injection point
 ========== ===========================================================
-drop        :meth:`TransportAccounting.post` — bytes are accounted (the
+drop        :meth:`Transport.post` — bytes are accounted (the
             envelope *left* the sender) but the payload never lands in
             the destination mailbox.
-duplicate   :meth:`TransportAccounting.post` — the envelope is enqueued
+duplicate   :meth:`Transport.post` — the envelope is enqueued
             and then posted *again*; the mailbox's one-envelope-per-pair
             invariant rejects the second copy (counted in
             ``fault_stats["duplicates_rejected"]``), proving delivery
             is idempotent.
 stall       ``defer`` — the job is wrapped in a sleep so the tag
-            blows its ``complete()`` deadline; the worker transport's
-            ``close()`` wakes the sleep and abandons the job.
+            blows its ``complete()`` deadline; ``close()`` wakes the
+            sleep and abandons the job.  Inline (no workers), a stall
+            longer than the deadline waits it out and raises the same
+            :class:`~repro.comm.transport.TransportError` from ``defer``.
 error       ``defer`` — the job raises ``RuntimeError("injected fault")``.
 ========== ===========================================================
 """

@@ -6,39 +6,29 @@ a per-tag byte matrix.  Those matrices are exactly what the schedule
 simulators consume — the simulated clock is driven by *measured* byte
 counts, not estimates.
 
-The transport API splits in two:
+One class, :class:`Transport`, holds the whole mechanism: the mailboxes,
+the byte and overlap accounting, the fault hooks, the ``complete()``
+deadline and ``close()``.  What differs between execution shapes is one
+number, ``workers``:
 
-* :class:`TransportBackend` — the formal backend ABC.  Its wire ops
-  (``post``/``post_batch``/``collect``/``defer``/``complete``/``close``)
-  are everything an exchange touches, so a backend is swappable without
-  the exchanges noticing; :mod:`repro.comm.transports` selects one by
-  spec (``"sync"``, ``"worker:4"``).
-* :class:`TransportAccounting` — the backend-agnostic mailbox +
-  byte-accounting/overlap mixin (``pending_bytes``/``note_overlap``/
-  ``bytes_matrix``…).  Both backends share it, so the simulated clock
-  sees identical accounting whatever executes the jobs.
+* ``workers == 0`` runs *deferred jobs* (the exchanges' quantize/pack/post
+  closures) inline on the caller, so posts are visible the moment
+  ``defer`` returns — the reference shape;
+* ``workers >= 1`` submits them to a lazily created pool of that many
+  threads, so the posters' heavy kernels overlap the main thread's
+  GIL-releasing compute — and, with several workers, each other.
+  ``complete`` joins everything registered under a tag (including jobs a
+  running job deferred after it); the split-phase executor's finalize
+  half always joins before collecting.
 
-Two backends live here:
-
-* :class:`SyncTransport` executes everything on the calling thread —
-  posts are visible the moment ``post``/``post_batch`` returns;
-* :class:`WorkerTransport` additionally runs *deferred jobs* (the
-  exchanges' quantize/pack/post closures, and their collect/decode
-  followups) on a pool of background worker threads, so the posters'
-  heavy kernels overlap the main thread's GIL-releasing compute — and,
-  with several workers, each other.  ``defer``/``defer_many`` hand jobs
-  to the pool, ``complete`` joins everything registered under a tag
-  (including jobs a running job deferred after it) — the split-phase
-  executor's finalize half always joins before collecting.
-
-Worker counts are a *transport* property: exchanges consult
-``transport.workers`` to decide how many encode shards to emit; keyed
-rounding makes shards order-independent, so any count is safe.
+:func:`transport_workers` turns the user spelling ``auto | sync |
+worker[:N]`` into that number.  Exchanges consult ``transport.workers``
+to decide how many encode shards to emit; keyed rounding makes shards
+order-independent, so any count is safe.
 """
 
 from __future__ import annotations
 
-import abc
 import os
 import threading
 import time
@@ -49,15 +39,14 @@ from concurrent.futures import TimeoutError as _FuturesTimeout
 import numpy as np
 
 __all__ = [
-    "TransportBackend",
-    "TransportAccounting",
+    "Transport",
     "TransportError",
-    "SyncTransport",
-    "WorkerTransport",
     "detected_cores",
     "host_spare_cores",
-    "host_has_spare_core",
+    "transport_workers",
 ]
+
+_GRAMMAR = "expected one of: auto, sync, worker[:N]"
 
 
 class TransportError(RuntimeError):
@@ -90,99 +79,50 @@ def host_spare_cores() -> int:
     return max(0, detected_cores() - 1)
 
 
-def host_has_spare_core() -> bool:
-    """Whether a transport worker thread can run on its own core.
+def transport_workers(spec: str, *, overlap: bool) -> int:
+    """Parse a transport spec and resolve it to a worker count.
 
-    On a single-CPU host the worker and the main thread timeshare one
-    core, so deferring encode work buys nothing and pays context-switch
-    tax — callers that auto-select the transport (``transport="auto"``)
-    use this to fall back to the synchronous one there.
+    Grammar::
+
+        auto        workers when the run overlaps and the host has a
+                    spare core (one per spare core), inline otherwise
+        sync        inline (0 workers)
+        worker[:N]  N pool threads (default: the host's spare cores, >= 1)
+
+    The whole spec is validated first, so a bad spelling raises
+    :class:`ValueError` whatever ``overlap`` is.  ``overlap`` is whether
+    the run executes the split-phase pipeline: workers exist to hide
+    encode/decode under its central window, so without one every spec
+    resolves to 0.
+
+    >>> transport_workers("worker:4", overlap=True)
+    4
+    >>> transport_workers("worker:4", overlap=False)
+    0
     """
-    return host_spare_cores() >= 1
+    if not isinstance(spec, str):
+        raise TypeError(f"transport spec must be a str: {spec!r}")
+    name, sep, count = spec.strip().partition(":")
+    if name not in ("auto", "sync", "worker"):
+        raise ValueError(f"unknown transport backend {name!r} ({_GRAMMAR})")
+    workers = None
+    if sep:
+        if name != "worker":
+            raise ValueError(f"the {name} transport takes no worker count ({_GRAMMAR})")
+        try:
+            workers = int(count)
+        except ValueError:
+            raise ValueError(f"bad worker count in transport spec {spec!r}") from None
+        if workers < 1:
+            raise ValueError("transport workers must be >= 1")
+    spare = host_spare_cores()
+    if name == "sync" or not overlap or (name == "auto" and not spare):
+        return 0
+    return workers if workers is not None else max(1, spare)
 
 
-class TransportBackend(abc.ABC):
-    """The wire-operation API every transport backend implements.
-
-    Exchanges program against exactly these six operations (plus the
-    ``defer_many`` convenience); anything else a concrete backend offers
-    — accounting, worker pools — is backend detail.  Class
-    attributes ``kind``/``is_async``/``workers`` describe the execution
-    shape so exchanges can pick a job decomposition.
-    """
-
-    #: spec name of the backend ("sync" or "worker")
-    kind = "?"
-    #: whether deferred jobs really run on a background worker
-    is_async = False
-    #: background workers available for deferred jobs (0 = inline only)
-    workers = 0
-    #: deadline (seconds) for :meth:`complete` joins; None waits forever.
-    #: Set per-instance (the cluster threads ``RunConfig.transport_timeout_s``
-    #: through); a missed deadline raises :class:`TransportError`.
-    timeout_s: float | None = None
-    #: optional :class:`~repro.comm.faults.FaultPlan` consulted on the wire
-    #: path (fault-injection tests and chaos runs); None injects nothing.
-    fault_plan = None
-
-    @abc.abstractmethod
-    def post(self, src: int, dst: int, tag: str, payload: object, nbytes: int) -> None:
-        """Queue ``payload`` from ``src`` to ``dst`` under ``tag``."""
-
-    @abc.abstractmethod
-    def post_batch(
-        self, src: int, tag: str, posts: list[tuple[int, object, int]]
-    ) -> None:
-        """Post one envelope per ``(dst, payload, nbytes)`` in a single call."""
-
-    @abc.abstractmethod
-    def collect(self, dst: int, tag: str) -> dict[int, object]:
-        """Drain ``dst``'s mailbox for ``tag``; ``{src: payload}``, src ascending."""
-
-    @abc.abstractmethod
-    def defer(self, tag: str, job) -> None:
-        """Run ``job`` (an encode-and-post closure) for ``tag``.
-
-        Synchronous backends execute it inline, so ``post_step`` behaves
-        exactly as before; async backends hand the job to their worker
-        pool.  A tag may carry several jobs (encode shards plus their
-        decode followups); :meth:`complete` joins them all.
-        """
-
-    @abc.abstractmethod
-    def complete(self, tag: str) -> float:
-        """Join ``tag``'s deferred jobs; returns seconds spent waiting.
-
-        No-op (0.0) on synchronous backends — everything already ran
-        inside :meth:`defer`.  Worker exceptions re-raise here.
-        """
-
-    @abc.abstractmethod
-    def close(self) -> None:
-        """Release background resources; idempotent, never raises job errors."""
-
-    def defer_many(self, tag: str, jobs) -> None:
-        """Defer every job in ``jobs`` under ``tag`` (in order)."""
-        for job in jobs:
-            self.defer(tag, job)
-
-    def transport_health(self) -> dict:
-        """A JSON-able summary of this transport's run: which backend ran
-        with how many workers, and the injected-fault counters."""
-        return {
-            "kind": self.kind,
-            "workers": int(self.workers),
-            "is_async": bool(self.is_async),
-            "fault_stats": dict(getattr(self, "fault_stats", {}) or {}),
-        }
-
-
-class TransportAccounting:
-    """Mailboxes plus byte/overlap accounting for ``num_devices`` devices.
-
-    Backend-agnostic: both backends mix this in, so the byte
-    matrices and the progress model are identical whichever execution
-    shape ran the jobs.
+class Transport:
+    """Mailboxes, byte/overlap accounting and a pool of ``workers`` threads.
 
     Tags namespace independent exchanges (e.g. ``"fwd/layer0"`` vs
     ``"bwd/layer2"``); within a tag each (src, dst) pair may post at most
@@ -201,23 +141,57 @@ class TransportAccounting:
     :meth:`note_overlap` marks all bytes currently pending under a tag as
     having been in flight during an overlapped compute window — the
     pipelined executor calls it right before running the central sub-step
-    — and *opens* that window: bytes posted while it is open (an async
-    backend's worker posts land mid-window) count as overlapped too.
-    The window closes at the first :meth:`collect` under the tag, so
+    — and *opens* that window: bytes posted while it is open (a pool
+    worker's posts land mid-window) count as overlapped too.  The window
+    closes at the first :meth:`collect` under the tag, so
     :meth:`overlapped_bytes` measures how much of a step's traffic was in
     flight before any receiver drained it (not how much a cost model
-    predicts could be hidden).
+    predicts could be hidden).  The accounting is identical whatever ran
+    the jobs; its mutations take a lock so a worker can post while the
+    main thread reads progress counters.
 
-    All accounting mutations take a lock so an async backend's worker can
-    post while the main thread reads progress counters; on the
-    synchronous transport the uncontended acquisition is noise next to a
-    single envelope's dict traffic.
+    **Threading model** (``workers >= 1``; see README "The worker
+    transport"):
+
+    * ``defer`` submits the exchange's quantize/pack/post closures to the
+      pool and returns at once; the main thread goes on to run the central
+      sub-step, whose BLAS/spmv kernels release the GIL — so the workers'
+      kernels genuinely execute in parallel on spare cores;
+    * a running job may itself :meth:`defer` followup work under its tag
+      (the fused exchange's last encode shard defers per-receiver decode
+      jobs); ``complete(tag)`` joins everything registered under the tag,
+      including followups that appear while it waits, re-raises worker
+      exceptions, and returns the seconds the caller was blocked — the
+      *exposed* tail the central window failed to cover, recorded per step
+      as :class:`~repro.cluster.records.StepTimeline` ``worker_wait_s``;
+    * :meth:`collect` joins the tag first, so a collector can never
+      observe a half-posted step — except with ``join=False``, which the
+      worker-side decode jobs use: they run *inside* the tag's job set,
+      after every post of the step, and must not join themselves;
+    * workers produce (encode + post) and pre-decode; the main thread
+      alone scatters and accumulates, in fixed device order over
+      source-sorted mailboxes — which is what keeps every worker count
+      bitwise-reproducible.
     """
 
-    def __init__(self, num_devices: int) -> None:
+    def __init__(self, num_devices: int, *, workers: int = 0) -> None:
         if num_devices < 1:
             raise ValueError("num_devices must be >= 1")
+        if workers < 0:
+            raise ValueError("workers must be >= 0")
         self.num_devices = num_devices
+        #: pool threads for deferred jobs; 0 runs them inline on the caller
+        self.workers = int(workers)
+        #: deadline (seconds) for :meth:`complete` joins; None waits forever.
+        #: The cluster threads ``RunConfig.transport_timeout_s`` through; a
+        #: missed deadline raises :class:`TransportError`.
+        self.timeout_s: float | None = None
+        #: optional :class:`~repro.comm.faults.FaultPlan` consulted on the
+        #: wire path (fault-injection tests and chaos runs)
+        self.fault_plan = None
+        #: counters of injected faults observed/handled on this transport
+        #: ("dropped", "duplicates_rejected", "replays")
+        self.fault_stats: dict[str, int] = defaultdict(int)
         self._boxes: dict[tuple[str, int], dict[int, object]] = defaultdict(dict)
         self._bytes: dict[str, np.ndarray] = {}
         self._pending: dict[str, int] = defaultdict(int)
@@ -225,10 +199,29 @@ class TransportAccounting:
         self._overlapped: dict[str, int] = defaultdict(int)
         self._window_open: set[str] = set()
         self._lock = threading.Lock()
-        #: counters of injected faults observed/handled on this transport
-        #: ("dropped", "duplicates_rejected", "replays")
-        self.fault_stats: dict[str, int] = defaultdict(int)
+        self._pool: ThreadPoolExecutor | None = None
+        self._jobs: dict[str, list[Future]] = {}
+        self._jobs_lock = threading.Lock()
+        self._closed = False
+        self._closing = threading.Event()  # wakes injected stalls at close()
 
+    @property
+    def is_async(self) -> bool:
+        """Whether deferred jobs run on pool threads (``workers > 0``)."""
+        return self.workers > 0
+
+    def transport_health(self) -> dict:
+        """A JSON-able summary of this transport's run: inline or worker
+        pool, with how many workers, and the injected-fault counters."""
+        return {
+            "kind": "worker" if self.workers else "sync",
+            "workers": self.workers,
+            "is_async": self.is_async,
+            "fault_stats": dict(self.fault_stats),
+        }
+
+    # ------------------------------------------------------------------
+    # Mailboxes
     # ------------------------------------------------------------------
     def _matrix(self, tag: str) -> np.ndarray:
         """The cumulative byte matrix for ``tag`` (created on first use)."""
@@ -351,8 +344,11 @@ class TransportAccounting:
             if tag in self._window_open:
                 self._overlapped[tag] += pending
 
-    def collect(self, dst: int, tag: str) -> dict[int, object]:
+    def collect(self, dst: int, tag: str, *, join: bool = True) -> dict[int, object]:
         """Drain ``dst``'s mailbox for ``tag``; returns ``{src: payload}``.
+
+        With ``join`` (the default) the tag's outstanding jobs are joined
+        first; ``join=False`` is for jobs running inside that job set.
 
         Iteration order is **source-ascending**, whatever order the posts
         arrived in: concurrent transport workers retire envelopes in
@@ -360,6 +356,8 @@ class TransportAccounting:
         iteration order — sorting here is what keeps accumulation (and so
         training results) bitwise-reproducible at any worker count.
         """
+        if join and self._jobs.get(tag):
+            self.complete(tag)
         self._check_device(dst)
         with self._lock:
             self._window_open.discard(tag)
@@ -368,6 +366,141 @@ class TransportAccounting:
                 self._pending[tag] -= drained
             box = self._boxes.pop((tag, dst), {})
         return {src: box[src] for src in sorted(box)} if len(box) > 1 else box
+
+    # ------------------------------------------------------------------
+    # Deferred jobs
+    # ------------------------------------------------------------------
+    def defer(self, tag: str, job) -> None:
+        """Run ``job`` (an encode-and-post closure) for ``tag``.
+
+        Inline at ``workers == 0``; otherwise submitted to the pool
+        (started on first use).  A tag may carry several jobs (encode
+        shards plus their decode followups); :meth:`complete` joins them
+        all.  After :meth:`close` the transport refuses new work.
+        """
+        if self.fault_plan is not None:
+            job = self._with_faults(tag, job)
+        with self._jobs_lock:
+            if self._closed:
+                raise RuntimeError("transport is closed")
+            if self.workers:
+                if self._pool is None:
+                    self._pool = ThreadPoolExecutor(
+                        max_workers=self.workers,
+                        thread_name_prefix="repro-transport",
+                    )
+                self._jobs.setdefault(tag, []).append(self._pool.submit(job))
+                return
+        job()
+
+    def _with_faults(self, tag: str, job):
+        """Wrap ``job`` per the fault plan (stall/error kinds).
+
+        A stall sleeps on the closing event: ``close()`` sets it, which
+        ends the stall at once and abandons the stalled job instead of
+        holding pool shutdown for the rest of the delay.  Inline, a stall
+        longer than ``timeout_s`` waits out the deadline and raises the
+        same :class:`TransportError` a pool's :meth:`complete` would.
+        """
+        spec = self.fault_plan.on_job(tag)
+        if spec is None:
+            return job
+        if spec.kind == "error":
+
+            def failing() -> None:
+                raise RuntimeError(f"injected transport job fault on tag {tag!r}")
+
+            return failing
+        delay = float(spec.delay_s)
+        timeout = self.timeout_s
+        if not self.workers and timeout is not None and delay > timeout:
+
+            def missed() -> None:
+                self._closing.wait(timeout)
+                raise self._missed_deadline(tag, outstanding=1, joined=0)
+
+            return missed
+
+        def stalled() -> None:
+            if not self._closing.wait(delay):
+                job()
+
+        return stalled
+
+    def _missed_deadline(self, tag: str, *, outstanding: int, joined: int):
+        return TransportError(
+            f"tag {tag!r} missed its {self.timeout_s}s completion deadline"
+            f" with {outstanding} outstanding job(s) ({joined} joined)"
+        )
+
+    def complete(self, tag: str) -> float:
+        """Join ``tag``'s deferred jobs; returns seconds spent waiting.
+
+        0.0 when nothing is outstanding (always, inline: every job already
+        ran inside :meth:`defer`).  Worker exceptions re-raise here; a
+        join past ``timeout_s`` raises :class:`TransportError`.
+        """
+        t0 = time.perf_counter()
+        deadline = None if self.timeout_s is None else t0 + float(self.timeout_s)
+        joined = 0
+        while True:
+            with self._jobs_lock:
+                futures = self._jobs.get(tag, [])
+                batch = futures[joined:]
+                if not batch:
+                    self._jobs.pop(tag, None)
+                    break
+            # Join outside the lock (jobs may defer followups under this
+            # tag, which needs the lock); loop to pick up anything that
+            # was registered while we waited.
+            for future in batch:
+                if deadline is None:
+                    future.result()
+                    continue
+                try:
+                    future.result(timeout=max(0.0, deadline - time.perf_counter()))
+                except _FuturesTimeout:
+                    with self._jobs_lock:
+                        outstanding = sum(
+                            1 for f in self._jobs.get(tag, []) if not f.done()
+                        )
+                    raise self._missed_deadline(
+                        tag, outstanding=outstanding, joined=joined
+                    ) from None
+            joined += len(batch)
+        return time.perf_counter() - t0 if joined else 0.0
+
+    def complete_all(self) -> None:
+        """Join every outstanding job (used at epoch boundaries/shutdown)."""
+        while True:
+            with self._jobs_lock:
+                tags = [t for t, futures in self._jobs.items() if futures]
+            if not tags:
+                return
+            for tag in tags:
+                self.complete(tag)
+
+    def close(self) -> None:
+        """Shut the pool down; idempotent, and never raises job errors.
+
+        The exception paths are exactly where close matters most (a failed
+        epoch must not leak the worker threads), so outstanding jobs are
+        joined with their exceptions swallowed — anyone who cared already
+        saw them re-raised from :meth:`complete`.  After close the
+        transport refuses new deferred work.
+        """
+        with self._jobs_lock:
+            self._closed = True
+            pool, self._pool = self._pool, None
+        self._closing.set()
+        if pool is not None:
+            pool.shutdown(wait=True)
+        with self._jobs_lock:
+            orphans = [f for futures in self._jobs.values() for f in futures]
+            self._jobs.clear()
+        for future in orphans:
+            if future.done():
+                future.exception()  # retrieve, so nothing warns at gc time
 
     # ------------------------------------------------------------------
     # Progress model
@@ -408,7 +541,8 @@ class TransportAccounting:
             return int(sum(m.sum() for m in self._bytes.values()))
 
     def reset_accounting(self) -> None:
-        """Clear byte counters (mailboxes must already be drained)."""
+        """Clear byte counters (joins jobs; mailboxes must be drained)."""
+        self.complete_all()
         with self._lock:
             if any(self._boxes.values()):
                 pending = [key for key, box in self._boxes.items() if box]
@@ -420,6 +554,7 @@ class TransportAccounting:
             self._window_open.clear()
 
     def pending_tags(self) -> list[str]:
+        self.complete_all()
         with self._lock:
             return sorted({tag for (tag, _), box in self._boxes.items() if box})
 
@@ -428,211 +563,8 @@ class TransportAccounting:
             raise ValueError(f"device {device} out of range [0, {self.num_devices})")
 
 
-def apply_job_faults(
-    transport: TransportBackend,
-    tag: str,
-    job,
-    closing: threading.Event | None = None,
-):
-    """Wrap ``job`` per the transport's fault plan (stall/error kinds).
-
-    Returns ``job`` unchanged when no plan is armed for the tag.  Shared
-    by both backends so the injection semantics are identical
-    whichever pool runs the job.  A stall sleeps on ``closing`` when the
-    backend has one: ``close()`` sets it, which ends the stall at once and
-    abandons the stalled job instead of holding pool shutdown for the
-    rest of the delay.
-    """
-    plan = transport.fault_plan
-    if plan is None:
-        return job
-    spec = plan.on_job(tag)
-    if spec is None:
-        return job
-    if spec.kind == "error":
-
-        def failing() -> None:
-            raise RuntimeError(f"injected transport job fault on tag {tag!r}")
-
-        return failing
-
-    delay = float(spec.delay_s)
-
-    def stalled() -> None:
-        if closing is None:
-            time.sleep(delay)
-        elif closing.wait(delay):
-            return
-        job()
-
-    return stalled
-
-
-class SyncTransport(TransportAccounting, TransportBackend):
-    """Inline mailbox transport: everything runs on the calling thread.
-
-    Deferred jobs execute immediately inside :meth:`defer`, so posts are
-    visible the moment ``post_step`` returns — the reference execution
-    shape every async backend must match bitwise.
-    """
-
-    kind = "sync"
-
-    # ------------------------------------------------------------------
-    # Deferred posting (async hooks; the synchronous transport runs inline)
-    # ------------------------------------------------------------------
-    def defer(self, tag: str, job) -> None:
-        if self.fault_plan is not None:
-            job = apply_job_faults(self, tag, job)
-        job()
-
-    def complete(self, tag: str) -> float:
-        return 0.0
-
-    def close(self) -> None:
-        """Release background resources; idempotent (no-op here)."""
-
-
-class WorkerTransport(SyncTransport):
-    """Thread-pool-backed transport: deferred encode/post (and decode)
-    jobs run on background workers, concurrently with the main thread —
-    and, at ``workers > 1``, with each other.
-
-    Threading model (see README "transport backends"):
-
-    * ``defer``/``defer_many`` submit the exchange's quantize/pack/post
-      closures to the pool and return immediately; the main thread goes on
-      to run the central sub-step, whose BLAS/spmv kernels release the GIL
-      — so the workers' NumPy quantize/pack kernels genuinely execute in
-      parallel on spare cores;
-    * the pool size is the caller's choice.  Keyed rounding makes payload
-      bytes a pure function of block coordinates, so the quantized
-      exchange shards one step across every worker and lets shards retire
-      in any order;
-    * a running job may itself :meth:`defer` followup work under its tag
-      (the fused exchange's last encode shard defers per-receiver decode
-      jobs); ``complete(tag)`` joins everything registered under the tag,
-      including followups that appear while it waits, re-raises worker
-      exceptions, and returns the seconds the caller was blocked — the
-      *exposed* tail the central window failed to cover, recorded per step
-      as :class:`~repro.cluster.records.StepTimeline` ``worker_wait_s``;
-    * :meth:`collect` auto-joins as a safety net, so a collector can never
-      observe a half-posted step.  (Worker-side decode jobs use the base
-      :meth:`TransportAccounting.collect` directly — they run *inside* the
-      tag's job set, after every post of the step, and must not join
-      themselves.)
-    * workers produce (encode + post) and pre-decode; the main thread
-      alone scatters and accumulates, in fixed device order over
-      source-sorted mailboxes — which is what keeps the async path
-      bitwise-reproducible at any worker count.
-    """
-
-    kind = "worker"
-    is_async = True
-
-    def __init__(self, num_devices: int, *, workers: int = 1) -> None:
-        super().__init__(num_devices)
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.workers = int(workers)
-        self._pool: ThreadPoolExecutor | None = None
-        self._jobs: dict[str, list[Future]] = {}
-        self._jobs_lock = threading.Lock()
-        self._closed = False
-        self._closing = threading.Event()  # wakes injected stalls at close()
-
-    # ------------------------------------------------------------------
-    def defer(self, tag: str, job) -> None:
-        if self.fault_plan is not None:
-            job = apply_job_faults(self, tag, job, self._closing)
-        with self._jobs_lock:
-            if self._closed:
-                raise RuntimeError("transport is closed")
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.workers,
-                    thread_name_prefix="repro-transport",
-                )
-            self._jobs.setdefault(tag, []).append(self._pool.submit(job))
-
-    def complete(self, tag: str) -> float:
-        t0 = time.perf_counter()
-        deadline = None if self.timeout_s is None else t0 + float(self.timeout_s)
-        joined = 0
-        while True:
-            with self._jobs_lock:
-                futures = self._jobs.get(tag, [])
-                batch = futures[joined:]
-                if not batch:
-                    self._jobs.pop(tag, None)
-                    break
-            # Join outside the lock (jobs may defer followups under this
-            # tag, which needs the lock); loop to pick up anything that
-            # was registered while we waited.
-            for future in batch:
-                if deadline is None:
-                    future.result()
-                    continue
-                try:
-                    future.result(timeout=max(0.0, deadline - time.perf_counter()))
-                except _FuturesTimeout:
-                    with self._jobs_lock:
-                        outstanding = sum(
-                            1 for f in self._jobs.get(tag, []) if not f.done()
-                        )
-                    raise TransportError(
-                        f"tag {tag!r} missed its {self.timeout_s}s completion"
-                        f" deadline with {outstanding} outstanding job(s)"
-                        f" ({joined} joined)"
-                    ) from None
-            joined += len(batch)
-        return time.perf_counter() - t0 if joined else 0.0
-
-    def complete_all(self) -> None:
-        """Join every outstanding job (used at epoch boundaries/shutdown)."""
-        while True:
-            with self._jobs_lock:
-                tags = [t for t, futures in self._jobs.items() if futures]
-            if not tags:
-                return
-            for tag in tags:
-                self.complete(tag)
-
-    def collect(self, dst: int, tag: str) -> dict[int, object]:
-        # Safety net: finalize_step joins via InFlightStep.mark_done, but a
-        # direct collector must never see a half-posted step either.
-        with self._jobs_lock:
-            outstanding = bool(self._jobs.get(tag))
-        if outstanding:
-            self.complete(tag)
-        return super().collect(dst, tag)
-
-    def reset_accounting(self) -> None:
-        self.complete_all()
-        super().reset_accounting()
-
-    def pending_tags(self) -> list[str]:
-        self.complete_all()
-        return super().pending_tags()
-
-    def close(self) -> None:
-        """Shut the pool down; idempotent, and never raises job errors.
-
-        The exception paths are exactly where close matters most (a failed
-        epoch must not leak the worker threads), so outstanding jobs are
-        joined with their exceptions swallowed — anyone who cared already
-        saw them re-raised from :meth:`complete`.  After close the
-        transport refuses new deferred work.
-        """
-        with self._jobs_lock:
-            self._closed = True
-            pool, self._pool = self._pool, None
-        self._closing.set()
-        if pool is not None:
-            pool.shutdown(wait=True)
-        with self._jobs_lock:
-            orphans = [f for futures in self._jobs.values() for f in futures]
-            self._jobs.clear()
-        for future in orphans:
-            if future.done():
-                future.exception()  # retrieve, so nothing warns at gc time
+# Trace-target aliases: the benchmark's span tracer resolves
+# ``TransportAccounting.post_batch`` / ``.collect``, ``SyncTransport.complete``
+# and ``WorkerTransport.collect`` / ``.complete`` by dotted path.  Not part
+# of the API; they go once the tracer targets ``Transport.*``.
+SyncTransport = WorkerTransport = TransportAccounting = Transport

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.comm.transports import TransportSpec
+from repro.comm.transport import transport_workers
 from repro.gnn.model import MODEL_KINDS
 from repro.quant.theory import SUPPORTED_BITS
 from repro.utils.validation import check_in_set, check_probability
@@ -51,13 +51,13 @@ class RunConfig:
     # is empty and every owned row is marginal.  Applied to the systems
     # whose schedule overlaps (the adaqp variants and vanilla-overlap).
     overlap: bool = True
-    # transport: which transport backend runs each step's quantize/pack/
-    # post (and decode) jobs, as a spec string "backend[:workers]":
-    #   "auto"      (default) worker backend when the run overlaps and
-    #               the host has a spare core, sync otherwise;
-    #   "sync"      inline mailbox transport;
-    #   "worker:4"  thread pool — its GIL-free quantize/decode kernels
-    #               overlap the central sub-step's GIL-releasing BLAS/spmv.
+    # transport: how many worker threads run each step's quantize/pack/
+    # post (and decode) jobs, as a spec string:
+    #   "auto"      (default) workers when the run overlaps and the host
+    #               has a spare core, inline otherwise;
+    #   "sync"      inline, on the calling thread;
+    #   "worker:4"  a pool of 4 threads — its GIL-free quantize/decode
+    #               kernels overlap the central sub-step's BLAS/spmv.
     # Stochastic-rounding noise is keyed on (run_seed, epoch, phase, layer,
     # src, dst), so the quantized exchange shards each step's encode
     # across the pool and decodes per receiver on it with results
@@ -78,9 +78,9 @@ class RunConfig:
     # uninterrupted one; an empty/missing directory falls through to a
     # fresh start.
     resume: bool = False
-    # transport_timeout_s: per-tag completion deadline for async
-    # transports — a stalled tag raises TransportError naming its
-    # outstanding shards instead of hanging the run.  None waits forever.
+    # transport_timeout_s: per-tag completion deadline — a stalled tag
+    # (on the worker pool, or inline) raises TransportError naming its
+    # outstanding jobs instead of hanging the run.  None waits forever.
     transport_timeout_s: float | None = 120.0
 
     # Baselines
@@ -99,12 +99,8 @@ class RunConfig:
         for b in self.bit_choices:
             check_in_set(b, SUPPORTED_BITS, name="bit_choices entry")
         check_in_set(self.fixed_bits, SUPPORTED_BITS, name="fixed_bits")
-        transport = self.transport
-        if isinstance(transport, TransportSpec):
-            transport = str(transport)
         # Validates backend name and worker count (rejects junk early).
-        TransportSpec.parse(transport)
-        object.__setattr__(self, "transport", transport)
+        transport_workers(self.transport, overlap=False)
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
         if self.transport_timeout_s is not None and self.transport_timeout_s <= 0:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.baselines.sancus import BroadcastSkipExchange
 from repro.cluster.cluster import Cluster
-from repro.comm.transport import SyncTransport as Transport
+from repro.comm.transport import Transport
 from repro.graph.partition.api import partition_graph
 
 

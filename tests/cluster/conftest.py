@@ -31,7 +31,7 @@ from repro.cluster.exchange import (
     FixedBitProvider,
     FusedQuantizedHaloExchange,
 )
-from repro.comm.transport import SyncTransport
+from repro.comm.transport import Transport
 from repro.core.assigner import AdaptiveBitWidthAssigner
 from repro.graph.partition.api import partition_graph
 from repro.graph.partition.book import PartitionBook
@@ -39,19 +39,17 @@ from repro.nn.optim import Adam
 from repro.quant.stochastic import KeyedRounding
 
 
-class ShuffledTransport(SyncTransport):
+class ShuffledTransport(Transport):
     """A deterministic stand-in for adversarial job scheduling: deferred
     jobs accumulate and run in *reverse submission order* at join time
     (followups deferred by running jobs are picked up too).  Any
     retirement order a real pool could produce is a prefix-respecting
     interleaving of this and submission order, so equality across the two
-    extremes is the order-independence property."""
-
-    is_async = True  # engage the sharded encode + worker-decode paths
-    workers = 4
+    extremes is the order-independence property.  Four workers engage the
+    sharded encode and worker-decode paths; no pool is ever started."""
 
     def __init__(self, num_devices):
-        super().__init__(num_devices)
+        super().__init__(num_devices, workers=4)
         self._queue: dict[str, list] = {}
 
     def defer(self, tag, job):
@@ -63,14 +61,14 @@ class ShuffledTransport(SyncTransport):
                 job()
         return 0.0
 
-    def collect(self, dst, tag):
-        self.complete(tag)
-        return super().collect(dst, tag)
-
-    def reset_accounting(self):
+    def complete_all(self):
         for tag in list(self._queue):
             self.complete(tag)
-        super().reset_accounting()
+
+    def collect(self, dst, tag, *, join=True):
+        if join:
+            self.complete(tag)
+        return super().collect(dst, tag, join=False)
 
 
 def make_exchange(policy: str, cluster: Cluster):

@@ -10,7 +10,7 @@ from repro.cluster.exchange import (
     FusedQuantizedHaloExchange,
     UniformRandomBitProvider,
 )
-from repro.comm.transport import SyncTransport as Transport
+from repro.comm.transport import Transport
 from repro.graph.partition.api import partition_graph
 from repro.quant.stochastic import KeyedRounding
 

@@ -18,7 +18,7 @@ from repro.cluster.exchange import (
     FusedQuantizedHaloExchange,
 )
 from repro.cluster.runtime import build_devices
-from repro.comm.transport import SyncTransport as Transport
+from repro.comm.transport import Transport
 from repro.quant.stochastic import KeyedRounding
 
 

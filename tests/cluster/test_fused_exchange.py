@@ -19,7 +19,7 @@ from repro.cluster.exchange import (
 )
 from repro.comm.costmodel import LinkCostModel
 from repro.comm.topology import parse_topology
-from repro.comm.transport import SyncTransport
+from repro.comm.transport import Transport
 from repro.core.assigner import AdaptiveBitWidthAssigner
 from repro.core.config import RunConfig
 from repro.core.trainer import build_system, train
@@ -94,7 +94,7 @@ def test_exchange_tensors_identical_per_epoch(tiny_dataset, tiny_book):
     for epoch in range(3):
         exchange.on_epoch_start(epoch)
         policy.start_epoch(epoch)
-        transport = SyncTransport(cluster.num_devices)
+        transport = Transport(cluster.num_devices)
         halos = exchange.finalize_step(
             exchange.post_step(0, "fwd", cluster.devices, transport, h)
         )

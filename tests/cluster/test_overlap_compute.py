@@ -23,7 +23,7 @@ from repro.cli import main
 from repro.cluster.cluster import Cluster
 from repro.cluster.compute import restrict_rows
 from repro.cluster.exchange import ExactHaloExchange
-from repro.comm.transport import SyncTransport as Transport
+from repro.comm.transport import Transport, host_spare_cores
 from repro.core.config import RunConfig
 from repro.core.trainer import OVERLAP_SYSTEMS, train
 from repro.graph.partition.api import partition_graph
@@ -83,33 +83,32 @@ def test_keyed_rng_order_independent_across_worker_counts(
 
 
 def test_cluster_transport_spec_selection(tiny_dataset, tiny_book):
-    """transport= accepts spec strings and TransportSpec objects and
-    resolves "auto" at open."""
-    from repro.comm.transport import WorkerTransport
-    from repro.comm.transports import TransportSpec
-
+    """transport= takes a spec string, resolved to the transport's worker
+    count once, at open."""
     with Cluster(
         tiny_dataset, tiny_book, overlap=True, transport="worker:2"
     ) as cluster:
-        assert isinstance(cluster.transport, WorkerTransport)
-        assert cluster.transport_spec == TransportSpec("worker", 2)
-        # Derived mirrors stay coherent.
-        assert cluster.async_transport is True
-        assert cluster.transport_workers == 2
-    with Cluster(
-        tiny_dataset, tiny_book, transport=TransportSpec("sync")
-    ) as cluster:
-        assert type(cluster.transport) is Transport  # SyncTransport
-        assert cluster.transport_workers == 0
-    # The worker backend degrades to sync for non-overlapped runs
-    # (resolve_spec: there is no central window to hide work under).
+        assert type(cluster.transport) is Transport
+        assert cluster.transport.workers == 2
+        assert cluster.transport.is_async is True
+        assert cluster.transport.transport_health()["kind"] == "worker"
+    with Cluster(tiny_dataset, tiny_book, transport="sync") as cluster:
+        assert type(cluster.transport) is Transport
+        assert cluster.transport.workers == 0
+        assert cluster.transport.is_async is False
+        assert cluster.transport.transport_health()["kind"] == "sync"
+    # Workers degrade to inline for non-overlapped runs (there is no
+    # central window to hide work under).
     with Cluster(tiny_dataset, tiny_book, transport="worker:2") as cluster:
-        assert cluster.transport_spec == TransportSpec("sync")
-    # "auto" resolves to a concrete backend at cluster open.
+        assert cluster.transport.workers == 0
+    # "auto" resolves to a concrete worker count at cluster open.
     with Cluster(
         tiny_dataset, tiny_book, overlap=True, transport="auto"
     ) as cluster:
-        assert cluster.transport_spec.backend in ("sync", "worker")
+        assert cluster.transport.workers == host_spare_cores()
+    # The three read-only mirrors are gone: read cluster.transport.
+    for mirror in ("transport_spec", "async_transport", "transport_workers"):
+        assert not hasattr(cluster, mirror)
     with pytest.raises(ValueError, match="unknown transport backend"):
         Cluster(tiny_dataset, tiny_book, transport="bogus:2")
 
@@ -124,7 +123,7 @@ def test_legacy_transport_knobs_are_gone(tiny_dataset, tiny_book, capsys):
     ):
         with pytest.raises(TypeError):
             RunConfig(**{knob: 1})
-    for removed in ("bogus", "process:2"):
+    for removed in ("bogus", "process:2", "auto:2"):
         with pytest.raises(ValueError, match="expected one of: auto, sync, worker"):
             RunConfig(transport=removed)
     with pytest.raises(TypeError):
@@ -184,9 +183,7 @@ def test_shuffled_retirement_across_tags():
     """Two tags in flight, the later tag retiring first: joining and
     collecting ``fwd/L1`` before ``fwd/L0`` must leave both tags' mailbox
     contents and byte accounting intact (per-tag state is independent)."""
-    from repro.comm.transport import WorkerTransport
-
-    t = WorkerTransport(2, workers=2)
+    t = Transport(2, workers=2)
     try:
         for layer in (0, 1):
             tag = f"fwd/L{layer}"
@@ -220,7 +217,7 @@ def test_cluster_is_a_context_manager(tiny_dataset, tiny_book):
         tiny_dataset, tiny_book, hidden_dim=8, seed=0, overlap=True,
         transport="worker:2",
     ) as cluster:
-        assert cluster.transport_workers == 2
+        assert cluster.transport.workers == 2
         cluster.train_epoch(ExactHaloExchange(), 0)
     # Exited: the worker pool is gone and further deferred work refuses.
     with pytest.raises(RuntimeError, match="closed"):
@@ -243,14 +240,11 @@ def test_cluster_is_a_context_manager(tiny_dataset, tiny_book):
 
 
 def test_transport_worker_resolution(tiny_dataset, tiny_book):
-    from repro.comm.transport import host_spare_cores
-
     auto = Cluster(
         tiny_dataset, tiny_book, hidden_dim=8, seed=0, overlap=True,
         transport="worker",
     )
-    assert auto.transport_workers == max(1, host_spare_cores())
-    assert auto.transport.workers == auto.transport_workers
+    assert auto.transport.workers == max(1, host_spare_cores())
     pinned = Cluster(
         tiny_dataset, tiny_book, hidden_dim=8, seed=0, overlap=True,
         transport="worker:3",
@@ -260,7 +254,7 @@ def test_transport_worker_resolution(tiny_dataset, tiny_book):
         tiny_dataset, tiny_book, hidden_dim=8, seed=0, overlap=True,
         transport="sync",
     )
-    assert sync.transport_workers == 0 and sync.transport.workers == 0
+    assert sync.transport.workers == 0
     with pytest.raises(ValueError, match="workers must be >= 1"):
         Cluster(
             tiny_dataset, tiny_book, hidden_dim=8, seed=0, overlap=True,
@@ -284,24 +278,21 @@ def test_async_transport_keeps_overlap_accounting(matrix):
 
 
 def test_async_transport_auto_defaults(tiny_dataset, tiny_book):
-    from repro.comm.transport import WorkerTransport, host_has_spare_core
-
     auto = Cluster(
         tiny_dataset, tiny_book, hidden_dim=8, seed=0, overlap=True,
     )
-    assert auto.async_transport == host_has_spare_core()
+    assert auto.transport.is_async == (host_spare_cores() >= 1)
     forced = Cluster(
         tiny_dataset, tiny_book, hidden_dim=8, seed=0, overlap=True,
         transport="worker",
     )
-    assert forced.async_transport
-    assert isinstance(forced.transport, WorkerTransport)
-    # No pipeline -> no window to hide under -> always synchronous.
+    assert forced.transport.is_async
+    # No pipeline -> no window to hide under -> always inline.
     off = Cluster(
         tiny_dataset, tiny_book, hidden_dim=8, seed=0, overlap=False,
         transport="worker",
     )
-    assert not off.async_transport
+    assert not off.transport.is_async
     for c in (auto, forced, off):
         c.close()
 

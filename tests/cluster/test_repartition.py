@@ -66,7 +66,7 @@ def test_repartition_keeps_ctor_shape_and_transport_override(
         with c4.repartition(two_part_book, transport="worker:1") as c2:
             assert c2.dims == c4.dims
             assert c2.model_kind == c4.model_kind
-            assert c2.transport_spec.backend == "worker"
+            assert c2.transport.workers == 1
 
 
 # ----------------------------------------------------------------------

@@ -7,8 +7,8 @@ dropped envelope, rejection of a duplicate) or fails fast with a typed
 
 Layout: unit tests for the grammar and each transport-level injection
 point first, then the training-level recovery matrix (each faulted run
-compared against its clean twin, on both backends and both pipeline
-depths).
+compared against its clean twin, inline and on a worker pool, at two
+stack depths, and over the streamed partition store).
 """
 
 import time
@@ -17,11 +17,7 @@ import numpy as np
 import pytest
 
 from repro.comm.faults import FAULT_KINDS, FaultPlan, FaultSpec
-from repro.comm.transport import (
-    SyncTransport,
-    TransportError,
-    WorkerTransport,
-)
+from repro.comm.transport import Transport, TransportError
 from repro.core.config import RunConfig
 from repro.core.trainer import train
 
@@ -85,7 +81,7 @@ def test_fault_plan_take_is_epoch_scoped_and_counted():
 # Transport-level injection points
 # ----------------------------------------------------------------------
 def test_drop_accounts_bytes_but_never_delivers():
-    t = SyncTransport(2)
+    t = Transport(2)
     t.fault_plan = FaultPlan.parse(["drop:s:src=0,dst=1"])
     t.post(0, 1, "s", "lost", 100)
     t.post(1, 0, "s", "kept", 100)
@@ -101,7 +97,7 @@ def test_drop_accounts_bytes_but_never_delivers():
 
 
 def test_duplicate_is_rejected_by_mailbox_idempotency():
-    t = SyncTransport(2)
+    t = Transport(2)
     t.fault_plan = FaultPlan.parse(["duplicate:s"])
     t.post(0, 1, "s", "once", 10)
     assert t.collect(1, "s") == {0: "once"}  # delivered exactly once
@@ -109,7 +105,7 @@ def test_duplicate_is_rejected_by_mailbox_idempotency():
 
 
 def test_sync_error_fault_raises_typed():
-    t = SyncTransport(2)
+    t = Transport(2)
     t.fault_plan = FaultPlan.parse(["error:s"])
     with pytest.raises(RuntimeError, match="injected transport job fault"):
         t.defer("s", lambda: None)
@@ -120,7 +116,7 @@ def test_sync_error_fault_raises_typed():
 
 
 def test_worker_stall_blows_completion_deadline():
-    t = WorkerTransport(2, workers=1)
+    t = Transport(2, workers=1)
     t.timeout_s = 0.2
     t.fault_plan = FaultPlan.parse(["stall:s:delay=30"])
     ran = []
@@ -139,7 +135,7 @@ def test_worker_stall_blows_completion_deadline():
 def test_worker_complete_timeout_names_tag_and_outstanding():
     """Satellite (a): the deadline error is actionable — it names the tag
     and how many jobs were still outstanding."""
-    t = WorkerTransport(2, workers=1)
+    t = Transport(2, workers=1)
     t.timeout_s = 0.1
     t.fault_plan = FaultPlan.parse(["stall:fwd/L1:delay=5"])
     try:
@@ -154,7 +150,7 @@ def test_worker_complete_timeout_names_tag_and_outstanding():
 
 
 def test_worker_no_timeout_waits_for_slow_jobs():
-    t = WorkerTransport(2, workers=1)  # timeout_s defaults to None
+    t = Transport(2, workers=1)  # timeout_s defaults to None
     try:
         done = []
         t.defer("s", lambda: (time.sleep(0.3), done.append(True)))
@@ -253,12 +249,82 @@ def test_drop_fails_fast_on_non_replayable_exchange(tiny_dataset, tiny_book):
         )
 
 
-def test_stall_fails_fast_with_typed_error(tiny_dataset, tiny_book):
-    with pytest.raises(TransportError, match="missed its"):
+@pytest.mark.parametrize("transport", ["sync", "worker:1", "worker:2"])
+def test_stall_fails_fast_with_typed_error(tiny_dataset, tiny_book, transport):
+    """Inline or on the pool, a stall past the deadline is a typed error
+    raised within about ``transport_timeout_s`` — not after the delay."""
+    start = time.perf_counter()
+    with pytest.raises(TransportError, match="missed its 0.3s completion deadline"):
         _run(
             tiny_dataset,
             tiny_book,
-            transport="worker:1",
+            transport=transport,
             transport_timeout_s=0.3,
             faults=["stall:fwd/L1@1:delay=30"],
         )
+    assert time.perf_counter() - start < 10.0
+
+
+def test_inline_stall_within_deadline_runs_the_job():
+    """A stall shorter than the deadline only delays the inline job."""
+    t = Transport(2)
+    t.timeout_s = 5.0
+    t.fault_plan = FaultPlan.parse(["stall:s:delay=0.05"])
+    ran = []
+    t.defer("s", lambda: ran.append(True))
+    assert ran == [True]
+    assert t.complete("s") == 0.0
+
+
+# ----------------------------------------------------------------------
+# Faults over the streamed partition store (always inline: a store run
+# has no central window for workers to hide under)
+# ----------------------------------------------------------------------
+def _store_run(huge_store, faults=None, **overrides):
+    cfg = RunConfig(
+        epochs=3, hidden_dim=16, eval_every=3, reassign_period=2, **overrides
+    )
+    plan = None if faults is None else FaultPlan.parse(faults)
+    result = train(
+        "adaqp", huge_store.dataset(), huge_store.book(), "2M-2D", cfg,
+        fault_plan=plan,
+    )
+    return result, plan
+
+
+@pytest.fixture(scope="module")
+def clean_store_run(huge_store):
+    return _store_run(huge_store)[0]
+
+
+@pytest.mark.parametrize(
+    "fault,counter",
+    [
+        ("drop:fwd/L1@1:src=0,dst=1", "dropped"),
+        ("drop:bwd/L1@2", "dropped"),
+        ("duplicate:fwd/L0@1", "duplicates_rejected"),
+    ],
+    ids=["drop-fwd", "drop-bwd", "duplicate"],
+)
+def test_store_fault_recovers_bitwise(huge_store, clean_store_run, fault, counter):
+    faulted, plan = _store_run(huge_store, [fault])
+    assert len(plan.log) == 1
+    assert faulted.transport_health["kind"] == "sync"
+    assert faulted.curve_loss == clean_store_run.curve_loss
+    assert faulted.wire_bytes_total == clean_store_run.wire_bytes_total
+    stats = faulted.transport_health["fault_stats"]
+    assert stats[counter] == 1
+    if counter == "dropped":
+        assert stats["replays"] == 1
+
+
+def test_store_stall_fails_fast_with_typed_error(huge_store):
+    # The delay dwarfs the bound so that build and epoch-0 time inside
+    # the timed window cannot blur "raised at the deadline" with "sat out
+    # the stall".
+    start = time.perf_counter()
+    with pytest.raises(TransportError, match="missed its 0.3s completion deadline"):
+        _store_run(
+            huge_store, ["stall:fwd/L1@1:delay=30"], transport_timeout_s=0.3
+        )
+    assert time.perf_counter() - start < 10.0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.comm.transport import SyncTransport as Transport
+from repro.comm.transport import Transport
 
 
 def test_post_batch_matches_sequential_posts():

@@ -15,7 +15,7 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.exchange import FusedQuantizedHaloExchange
 from repro.comm.costmodel import LinkCostModel
 from repro.comm.topology import parse_topology
-from repro.comm.transport import SyncTransport
+from repro.comm.transport import Transport
 from repro.core.assigner import AdaptiveBitWidthAssigner
 from repro.core.config import RunConfig
 from repro.core.trainer import train
@@ -107,7 +107,7 @@ def test_hand_driven_reassign_before_any_set_epoch_sees_traces(
     cost = LinkCostModel.for_topology(parse_topology("2M-2D"))
     assigner = AdaptiveBitWidthAssigner(cluster, cost, period=50, group_size=20)
     exchange = exchange_cls(assigner, KeyedRounding(0), tracer=assigner)
-    transport = SyncTransport(cluster.num_devices)
+    transport = Transport(cluster.num_devices)
     features = [dev.features for dev in cluster.devices]
     exchange.finalize_step(
         exchange.post_step(0, "fwd", cluster.devices, transport, features)

@@ -14,7 +14,7 @@ from repro.quant.theory import wire_bytes
 
 FENCED = (
     "repro.cluster.compute", "repro.cluster.exchange", "repro.quant.fused",
-    "repro.comm.transport", "repro.comm.transports",
+    "repro.comm.transport",
 )  # fmt: skip
 
 

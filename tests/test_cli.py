@@ -14,16 +14,18 @@ def test_info(capsys):
 def test_info_reports_host_and_transport_resolution(capsys):
     """Satellite (ISSUE 5): auto-selection decisions are debuggable from
     the CLI — core count, spare-core verdict, resolved transport."""
-    from repro.comm.transport import detected_cores, host_has_spare_core
+    from repro.comm.transport import detected_cores, host_spare_cores
 
     assert main(["info"]) == 0
     out = capsys.readouterr().out
     assert f"{detected_cores()} core(s) detected" in out
-    verdict = "yes" if host_has_spare_core() else "no"
+    spare = host_spare_cores()
+    verdict = "yes" if spare else "no"
     assert f"spare core for transport workers: {verdict}" in out
     assert "transport=auto" in out
-    if host_has_spare_core():
-        assert "worker transport with" in out
+    if spare:
+        assert f"resolve to 'worker:{spare}'" in out
+        assert f"worker transport with {spare} worker(s)" in out
     else:
         assert "synchronous transport (no spare core)" in out
 
@@ -162,7 +164,7 @@ def test_train_fault_flag_validation(capsys):
     for removed in ("kill_worker:*", "poison:fwd/L0"):
         assert main(["train", "--inject-fault", removed]) == 2
         assert "'drop', 'duplicate', 'stall', 'error'" in capsys.readouterr().err
-    for removed in ("process", "process:2"):
+    for removed in ("process", "process:2", "auto:2"):
         assert main(["train", "--transport", removed]) == 2
         assert "expected one of: auto, sync, worker" in capsys.readouterr().err
     assert main(["train", "--resume"]) == 2
