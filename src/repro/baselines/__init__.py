@@ -6,11 +6,19 @@
   gathered float32 rows) under
   :func:`~repro.core.scheduler.schedule_vanilla`'s no-overlap schedule.
 * **PipeGCN** (Wan et al. 2022) — cross-iteration pipelining with
-  epoch-stale boundary embeddings and gradients.
+  epoch-stale boundary embeddings and gradients
+  (:class:`StaleHaloExchange`).
 * **SANCUS** (Peng et al. 2022) — staleness-triggered broadcast skipping
-  with historical embeddings and sequential broadcast communication.
+  with historical embeddings and sequential broadcast communication
+  (:class:`BroadcastSkipExchange`).
 * **Uniform** — AdaQP's quantized transport but with uniformly random
   bit-width sampling (the Table 6 ablation).
+
+Both are full-precision configurations of the one exchange,
+:class:`~repro.cluster.exchange.FusedQuantizedHaloExchange`, that differ
+from Vanilla only in its staleness rule (send every ``period`` epochs,
+serve a step ``lag`` steps old) and, for SANCUS, its broadcast geometry;
+they post, land, audit and replay through Vanilla's code path.
 
 Each baseline reproduces the *mechanism* the paper credits for that
 system's behaviour (staleness → slower convergence; broadcast

@@ -20,7 +20,6 @@ from repro.cluster.exchange import (
     ExactHaloExchange,
     FixedBitProvider,
     FusedQuantizedHaloExchange,
-    HaloExchange,
     UniformRandomBitProvider,
 )
 from repro.cluster.runtime import DeviceRuntime
@@ -36,7 +35,6 @@ __all__ = [
     "PhaseRecord",
     "StepTimeline",
     "TimelineSummary",
-    "HaloExchange",
     "ExactHaloExchange",
     "FusedQuantizedHaloExchange",
     "BitProvider",

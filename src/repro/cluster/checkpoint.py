@@ -80,7 +80,7 @@ class ClusterState:
     optimizer: dict
     #: per-device dropout ``bit_generator.state`` dicts (partition-bound)
     dropout_rng: list[object] = field(default_factory=list)
-    #: opaque exchange carry-over (``HaloExchange.state_dict``)
+    #: opaque exchange carry-over (``FusedQuantizedHaloExchange.state_dict``)
     exchange: dict = field(default_factory=dict)
     #: adaptive assigner traces/assignments, when the system has one
     assigner: dict | None = None

@@ -29,7 +29,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster.compute import FusedClusterCompute
-from repro.cluster.exchange import ExactHaloExchange, HaloExchange, step_tag
+from repro.cluster.exchange import (
+    ExactHaloExchange,
+    FusedQuantizedHaloExchange,
+    step_tag,
+)
 from repro.cluster.records import EpochRecord, PhaseRecord
 from repro.cluster.runtime import DeviceRuntime, build_devices
 from repro.comm.transport import Transport, transport_workers
@@ -200,7 +204,9 @@ class Cluster:
     # ------------------------------------------------------------------
     # Training
     # ------------------------------------------------------------------
-    def train_epoch(self, exchange: HaloExchange, epoch: int) -> EpochRecord:
+    def train_epoch(
+        self, exchange: FusedQuantizedHaloExchange, epoch: int
+    ) -> EpochRecord:
         """Run one full forward/backward pass and gradient allreduce.
 
         Does *not* step optimizers — the trainer owns those (it may need to
@@ -377,7 +383,7 @@ class Cluster:
     # Accounting
     # ------------------------------------------------------------------
     def _phase_record(
-        self, layer: int, phase: str, exchange: HaloExchange
+        self, layer: int, phase: str, exchange: FusedQuantizedHaloExchange
     ) -> PhaseRecord:
         # Everything but the byte matrix is static across epochs (FLOP
         # counts depend only on partition shape and layer dims), so the

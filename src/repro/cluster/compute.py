@@ -17,8 +17,8 @@ with cluster-wide operators instead:
 * **stacked activations** live in preallocated ``(ΣN_own + ΣN_halo, d)``
   buffers; the halo exchange writes decoded rows straight into the halo
   region (the ``out=`` contract of
-  :meth:`~repro.cluster.exchange.HaloExchange.finalize_step`), so no
-  per-layer ``np.vstack`` copy is made;
+  :meth:`~repro.cluster.exchange.FusedQuantizedHaloExchange.finalize_step`),
+  so no per-layer ``np.vstack`` copy is made;
 * **one stacked GEMM** per layer runs every device's dense transform using
   the shared replica weights (via :func:`repro.nn.blas.row_matmul`, which
   keeps per-row results identical to per-device GEMMs);

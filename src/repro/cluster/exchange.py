@@ -1,4 +1,4 @@
-"""Halo exchange: one fused pipeline, quantized (AdaQP) or exact (Vanilla).
+"""Halo exchange: one fused pipeline, quantized or at full precision.
 
 An exchange implements the two message movements of distributed full-graph
 training:
@@ -13,21 +13,23 @@ training:
 pipeline — gather, quantize, transfer, de-quantize, land.  Given a
 :class:`BitProvider` it quantizes each message at the provider's
 bit-widths and (optionally) feeds an input tracer — the hook the Adaptive
-Bit-width Assigner hangs off; without one (:class:`ExactHaloExchange`) the
-quantize step is switched off and the wire carries the gathered float32
-rows.  The stale and broadcast baselines (:mod:`repro.baselines`) are the
-other :class:`HaloExchange` policies.
+Bit-width Assigner hangs off; without one the quantize step is switched
+off and the wire carries the gathered float32 rows.  Every system runs
+it: Vanilla as :class:`ExactHaloExchange`, and the PipeGCN and SANCUS
+baselines (:mod:`repro.baselines`) as full-precision configurations that
+differ from Vanilla only in a staleness rule and, for SANCUS, the pair
+geometry (see the class).
 
-**Split-phase API.**  Every exchange executes one step as two halves:
-:meth:`HaloExchange.post_step` snapshots, encodes and posts all outgoing
-messages and returns an :class:`InFlightStep` handle; the messages then
-stay pending in the transport until :meth:`HaloExchange.finalize_step`
-collects, decodes and scatters (forward) or accumulates (backward) them.
-The compute engine's layer step runs its central window between the two
-halves — the paper's Fig. 7 overlap; with overlap off that window holds
-no rows.  Payload values are frozen at post time (every policy's
-gather or encode copies), so callers may mutate the source buffers while
-a step is in flight.
+**Split-phase API.**  The exchange executes one step as two halves:
+:meth:`~FusedQuantizedHaloExchange.post_step` snapshots, encodes and posts
+all outgoing messages and returns an :class:`InFlightStep` handle; the
+messages then stay pending in the transport until
+:meth:`~FusedQuantizedHaloExchange.finalize_step` collects, decodes and
+scatters (forward) or accumulates (backward) them.  The compute engine's
+layer step runs its central window between the two halves — the paper's
+Fig. 7 overlap; with overlap off that window holds no rows.  Payload
+values are frozen at post time (the gather or encode copies), so callers
+may mutate the source buffers while a step is in flight.
 
 **Async post paths.**  Each ``post_step`` splits into a *snapshot* half
 (gathers the outgoing rows on the calling thread) and one or more
@@ -94,7 +96,6 @@ __all__ = [
     "FixedBitProvider",
     "UniformRandomBitProvider",
     "InFlightStep",
-    "HaloExchange",
     "ExactHaloExchange",
     "FusedQuantizedHaloExchange",
     "step_tag",
@@ -188,10 +189,11 @@ class UniformRandomBitProvider:
 class InFlightStep:
     """Handle for one posted-but-not-finalized exchange step.
 
-    Returned by :meth:`HaloExchange.post_step`; every field the receive
-    half needs is captured here so ``finalize_step`` takes only the handle
-    (plus destination buffers).  ``tag`` doubles as the transport key the
-    pipelined executor passes to :meth:`Transport.note_overlap`.
+    Returned by :meth:`FusedQuantizedHaloExchange.post_step`; every field
+    the receive half needs is captured here so ``finalize_step`` takes only
+    the handle (plus destination buffers).  ``tag`` doubles as the
+    transport key the pipelined executor passes to
+    :meth:`Transport.note_overlap`.
 
     ``worker_wait_s`` is filled by :meth:`mark_done`: the seconds the
     finalize half spent blocked joining the step's deferred encode (and,
@@ -199,14 +201,14 @@ class InFlightStep:
     with workers whenever the central window fully covered the deferred
     work (the exposed tail the timelines report).
 
-    ``decoded`` and ``targets`` are the fused engine's decode state,
-    complete once :meth:`mark_done` returns (or set by ``finalize_step``
-    itself where it decodes): ``targets[rank]`` is the ``(DecodeIndex,
-    buffer)`` a receiver's rows land in and ``decoded[rank]`` the sources
-    that landed there — except a full-precision backward step, whose
-    buffer is ``None`` and whose ``decoded[rank]`` is the mailbox itself
-    (its float32 payloads are added as they are).  Both stay ``None`` for
-    non-fused policies.
+    ``decoded`` and ``targets`` are the decode state, complete once
+    :meth:`mark_done` returns (or set by ``finalize_step`` itself where it
+    decodes): ``targets[rank]`` is the ``(DecodeIndex, buffer)`` a
+    receiver's rows land in and ``decoded[rank]`` the sources that landed
+    there — except a full-precision backward step, whose buffer is ``None``
+    and whose ``decoded[rank]`` is the mailbox itself (its float32 payloads
+    are added as they are).  ``sent`` is false for a step a staleness rule
+    keeps off the wire (see ``_replay_missing``).
 
     ``scatter_out`` is the per-device halo-destination list the caller
     supplied at post time (if any): the fused engine's worker-side
@@ -227,6 +229,7 @@ class InFlightStep:
         "targets",
         "scatter_out",
         "plan",
+        "sent",
     )
 
     def __init__(
@@ -249,9 +252,10 @@ class InFlightStep:
         self.decoded: dict[int, dict] | None = None
         self.targets: dict[int, tuple] | None = None
         self.scatter_out: list[np.ndarray] | None = None
-        # The fused engine's step plan: what its decodes index into, and
-        # what replay regenerates a dropped envelope from.
+        # The step plan: what its decodes index into, and what replay
+        # regenerates a dropped envelope from.
         self.plan = None
+        self.sent = True
 
     def mark_done(self) -> None:
         if self.done:
@@ -260,119 +264,14 @@ class InFlightStep:
             )
         self.done = True
         # Join the step's deferred encode/post/decode jobs (no-op when the
-        # transport is synchronous); every finalize half calls mark_done
-        # first, so no policy can collect a half-posted step.
+        # transport is synchronous); finalize calls mark_done first, so it
+        # never collects a half-posted step.
         self.worker_wait_s = self.transport.complete(self.tag)
 
 
-class HaloExchange:
-    """Base class of every exchange policy: the split-phase contract,
-    the delivery audit and checkpointing hooks.  Subclasses implement the
-    two step halves."""
-
-    #: whether payloads pass through quantize/de-quantize kernels
-    quantizes: bool = False
-
-    def on_epoch_start(self, epoch: int) -> None:
-        """Hook for per-epoch state (bit re-sampling, staleness caches)."""
-
-    # -- checkpointing -------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Cross-epoch state a bitwise resume must restore.
-
-        The base policies are stateless across epochs (plans and scratch
-        are caches, rebuilt identically); policies with numeric carry-over
-        — adaptive traces, sampled bit-widths, staleness caches — override
-        both hooks.
-        """
-        return {}
-
-    def load_state_dict(self, state: dict) -> None:
-        if state:
-            raise ValueError(f"unexpected exchange state keys: {sorted(state)}")
-
-    # -- delivery audit ------------------------------------------------------
-    @staticmethod
-    def _check_delivery(dev, phase: str, tag: str, received) -> None:
-        """Fail fast when a step's mailbox is missing expected envelopes.
-
-        Every peer in the partition's recv map (forward) / send map
-        (backward) posts exactly one envelope per step, so a shortfall
-        means an envelope was lost in transit.  Policies with a recovery
-        path (the fused exchange's replay) handle the shortfall
-        before scattering; everyone else must raise — zero-filled halo
-        rows or missing gradient contributions are silent corruption.
-        """
-        part = dev.part
-        expected = part.recv_map if phase == "fwd" else part.send_map
-        if len(received) != len(expected):
-            missing = sorted(set(expected) - set(received))
-            raise TransportError(
-                f"device {dev.rank} is missing envelope(s) from source(s)"
-                f" {missing} under tag {tag!r} — dropped in transit, and this"
-                " exchange has no replay path"
-            )
-
-    # -- split-phase halves --------------------------------------------------
-    def post_step(
-        self,
-        layer: int,
-        phase: str,
-        devices: list,  # list[DeviceRuntime]; untyped to avoid cycle
-        transport: Transport,
-        values_by_dev: list[np.ndarray],
-        out: list[np.ndarray] | None = None,
-    ) -> InFlightStep:
-        """Stage 1: snapshot, encode and post this step's outgoing rows.
-
-        ``phase`` is ``"fwd"`` (boundary embeddings to halo holders) or
-        ``"bwd"`` (halo gradients back to owners).  Returns the in-flight
-        handle for :meth:`finalize_step`; payload values are copied out of
-        ``values_by_dev`` before returning, while encode and post may run
-        as deferred transport jobs.
-
-        ``out`` (forward only) optionally names the per-device halo
-        destinations up front so a policy that can scatter on its workers
-        does (see the module docstring); policies without that fast path
-        simply record it on the handle.  Finalize's own ``out`` argument
-        stays authoritative either way.
-        """
-        raise NotImplementedError
-
-    def finalize_step(
-        self, step: InFlightStep, out: list[np.ndarray] | None = None
-    ) -> list[np.ndarray] | None:
-        """Stage 2: collect, decode and land this step's messages.
-
-        Forward steps scatter into per-device ``(n_halo, d)`` buffers
-        (``out`` views — the compute engine passes halo-region views of
-        its stacked layer buffer, so decoded rows land in place — or
-        fresh arrays) and return them; backward steps *accumulate* into
-        the per-device ``out`` gradient buffers and return ``None``.
-        """
-        raise NotImplementedError
-
-    @staticmethod
-    def _halo_out(
-        out: list[np.ndarray] | None, rank: int, n_halo: int, dim: int
-    ) -> np.ndarray:
-        """Zeroed halo destination: caller-provided view or fresh array
-        (a reused buffer must be indistinguishable from a fresh one)."""
-        if out is None:
-            return np.zeros((n_halo, dim), dtype=np.float32)
-        buf = out[rank]
-        if buf.shape != (n_halo, dim):
-            raise ValueError(
-                f"out[{rank}] has shape {buf.shape}, expected {(n_halo, dim)}"
-            )
-        buf.fill(0.0)
-        return buf
-
-
-class FusedQuantizedHaloExchange(HaloExchange):
-    """The halo exchange of every system but the stale and broadcast
-    baselines: whole cluster steps in batched kernels, quantized or at full
-    precision.
+class FusedQuantizedHaloExchange:
+    """The halo exchange of every system: whole cluster steps in batched
+    kernels, quantized or at full precision.
 
     With a bit provider (AdaQP's transfers), every (src, dst) message is
     quantized row by row at its assigned bit-widths and bit-packed — the
@@ -391,17 +290,35 @@ class FusedQuantizedHaloExchange(HaloExchange):
       (forward) or into a block accumulated into its owned rows
       (backward) (:func:`~repro.quant.fused.decode_cluster_step`).
 
-    Without one (Vanilla and every evaluation pass; see
-    :class:`ExactHaloExchange`) the step plan is a
-    :class:`~repro.quant.fused.Float32StepPlan`: the same gather, and its
-    wire *is* the gathered float32 rows — ``rows × dim × 4`` bytes per pair,
-    read-only views of each source's staged rows.  Forward landing is an
-    index copy into the halo rows; backward adds the payloads into the
-    owned rows source by source (:func:`~repro.quant.fused.accumulate_rows`,
-    the additions :func:`~repro.quant.fused.accumulate_block` makes from a
-    block, without copying one).  Everything else — topology, decode
-    targets, worker-side decodes, the delivery audit and replay — is one
-    code path for both wires.
+    Without one (Vanilla, PipeGCN, SANCUS and every evaluation pass) the
+    step plan is a :class:`~repro.quant.fused.Float32StepPlan`: the same
+    gather, and its wire *is* the gathered float32 rows — ``rows × dim ×
+    4`` bytes per pair, read-only views of each source's staged rows.
+    Forward landing is an index copy into the halo rows; backward adds the
+    payloads into the owned rows source by source
+    (:func:`~repro.quant.fused.accumulate_rows`, the additions
+    :func:`~repro.quant.fused.accumulate_block` makes from a block, without
+    copying one).  Everything else — topology, decode targets, worker-side
+    decodes, the delivery audit and replay — is one code path for both
+    wires.
+
+    **Staleness.**  The full-precision systems differ only in a rule over
+    a per-(phase, layer) cache of staged steps (each step's
+    :meth:`~repro.quant.fused.Float32StepPlan.stage` arrays are fresh):
+
+    * *send cadence* — a step stages and sends on every ``period``-th
+      epoch, and whenever nothing is cached; otherwise nothing goes on the
+      wire and its receivers land the cached step again;
+    * *serve lag* — a step posts, and so lands, the newest cached step at
+      least ``lag`` steps of its (phase, layer) old (training runs one per
+      epoch), or the oldest one while fewer are cached.
+
+    Vanilla is ``period=1, lag=0`` and keeps no cache; PipeGCN is
+    ``lag=1``; SANCUS is ``period=k`` with ``broadcast`` geometry: each
+    source sends its whole owned block to every peer in its send map, each
+    receiver lands its send-map rows of that block (a row pick of its
+    :class:`~repro.quant.fused.DecodeIndex`), and no gradients travel.
+    What lands is what was posted, so drops replay under every rule.
 
     Topology, plans, decode indices and scratch buffers are cached across
     epochs for one cluster (the identity of device 0's ``owned_global``:
@@ -425,6 +342,8 @@ class FusedQuantizedHaloExchange(HaloExchange):
         statistics (paper Fig. 6, step 1).  A tracer exposing a false
         ``wants_traces`` (the assigner, on epochs whose traces no
         re-assignment will read) is skipped for that epoch.
+    period, lag, broadcast:
+        The staleness rule and the broadcast geometry; full precision only.
     """
 
     def __init__(
@@ -432,12 +351,27 @@ class FusedQuantizedHaloExchange(HaloExchange):
         bit_provider: BitProvider | None,
         rounding,
         tracer: object | None = None,
+        *,
+        period: int = 1,
+        lag: int = 0,
+        broadcast: bool = False,
     ) -> None:
+        if period < 1 or lag < 0:
+            raise ValueError(f"need period >= 1 and lag >= 0, not {period}, {lag}")
+        if bit_provider is not None and (period > 1 or lag or broadcast):
+            raise ValueError("staleness and broadcast apply to full precision only")
         self.bit_provider = bit_provider
         #: whether payloads pass through quantize/de-quantize kernels
         self.quantizes = bit_provider is not None
         self.rounding = as_rounding(rounding) if self.quantizes else None
         self.tracer = tracer
+        self.period, self.lag, self.broadcast = int(period), int(lag), bool(broadcast)
+        self._epoch = 0
+        # (phase, layer) -> the staged steps a later step may serve, newest
+        # last; None when every step serves its own (Vanilla).
+        self._cache: dict[tuple[str, int], list[dict]] | None = (
+            {} if self.period > 1 or self.lag else None
+        )
         self._decode_ws = DecodeWorkspace()
         # Worker-side decode scratch, one workspace per receiving rank:
         # per-receiver decode jobs run concurrently on the pool, so ranks
@@ -451,10 +385,10 @@ class FusedQuantizedHaloExchange(HaloExchange):
         self._topologies: dict[str, tuple] = {}
         self._float32_plans: dict[tuple[str, int], Float32StepPlan] = {}
         self.fused_encoder = FusedStepEncoder(self.rounding) if self.quantizes else None
-        #: envelopes regenerated bitwise from the staged rows after a drop
-        self.replayed_messages = 0
 
     def on_epoch_start(self, epoch: int) -> None:
+        """Per-epoch state: bit re-sampling, the noise key, the cadence."""
+        self._epoch = epoch
         set_epoch = getattr(self.bit_provider, "set_epoch", None)
         if set_epoch is not None:
             set_epoch(epoch)
@@ -470,30 +404,66 @@ class FusedQuantizedHaloExchange(HaloExchange):
         return None
 
     def state_dict(self) -> dict:
-        """Rounding state (empty: keyed noise is stateless) plus any
-        stateful bit provider; nothing at full precision.
+        """Cross-epoch state a bitwise resume must restore: the rounding
+        state (empty: keyed noise is stateless) plus any stateful bit
+        provider; at full precision, the cached steps.
 
         The adaptive assigner is checkpointed separately by the trainer
         (it is shared infrastructure, not exchange-owned); only providers
-        reachable solely through the exchange land here.
+        reachable solely through the exchange land here.  Cached steps keep
+        the layout of checkpoint format 1: ``historical`` ((layer, dst) →
+        src → block) under broadcast, ``fwd_cache`` / ``bwd_cache`` (layer →
+        dst → src → rows) with a lag, nothing for Vanilla.
         """
-        if not self.quantizes:
+        if self.quantizes:
+            state: dict = {"rounding": self.rounding.state_dict()}
+            provider_state = getattr(self.bit_provider, "state_dict", None)
+            if provider_state is not None and not hasattr(
+                self.bit_provider, "reassign"
+            ):
+                state["bit_provider"] = provider_state()
+            return state
+        if self._cache is None:
             return {}
-        state: dict = {"rounding": self.rounding.state_dict()}
-        provider_state = getattr(self.bit_provider, "state_dict", None)
-        if provider_state is not None and not hasattr(
-            self.bit_provider, "reassign"
-        ):
-            state["bit_provider"] = provider_state()
+        keys = ["historical"] if self.broadcast else ["fwd_cache", "bwd_cache"]
+        state = {key: {} for key in keys}
+        for (phase, layer), history in self._cache.items():
+            for (src, dst), rows in history[-1].items():
+                if self.broadcast:
+                    box = state["historical"].setdefault((layer, dst), {})
+                else:
+                    by_dst = state[f"{phase}_cache"].setdefault(layer, {})
+                    box = by_dst.setdefault(dst, {})
+                box[src] = rows.copy()
         return state
 
     def load_state_dict(self, state: dict) -> None:
-        if not self.quantizes:
-            super().load_state_dict(state)
+        if self.quantizes:
+            self.rounding.load_state_dict(state["rounding"])
+            if "bit_provider" in state:
+                self.bit_provider.load_state_dict(state["bit_provider"])
             return
-        self.rounding.load_state_dict(state["rounding"])
-        if "bit_provider" in state:
-            self.bit_provider.load_state_dict(state["bit_provider"])
+        if self._cache is None:
+            if state:
+                raise ValueError(f"unexpected exchange state keys: {sorted(state)}")
+            return
+        if self.broadcast:
+            boxes = {("fwd", *key): box for key, box in state["historical"].items()}
+        else:
+            boxes = {
+                (phase, layer, dst): box
+                for phase in ("fwd", "bwd")
+                for layer, by_dst in state[f"{phase}_cache"].items()
+                for dst, box in by_dst.items()
+            }
+        flat = {
+            (phase, int(layer), int(src), int(dst)): np.asarray(rows, np.float32)
+            for (phase, layer, dst), box in boxes.items()
+            for src, rows in box.items()
+        }
+        self._cache = {}
+        for (phase, layer, src, dst), rows in sorted(flat.items()):
+            self._cache.setdefault((phase, layer), [{}])[0][src, dst] = rows
 
     # -- step halves --------------------------------------------------------
     def post_step(
@@ -505,6 +475,10 @@ class FusedQuantizedHaloExchange(HaloExchange):
         values_by_dev: list[np.ndarray],
         out: list[np.ndarray] | None = None,
     ) -> InFlightStep:
+        """Stage 1: snapshot, encode and post the step's outgoing rows —
+        ``"fwd"`` embeddings to halo holders, ``"bwd"`` halo gradients to
+        owners.  Forward ``out`` names the halo destinations up front, so
+        worker-side decodes land in them."""
         check_in_set(phase, ("fwd", "bwd"), name="phase")
         tag = step_tag(phase, layer)
         dim = int(values_by_dev[devices[0].rank].shape[1])
@@ -527,6 +501,9 @@ class FusedQuantizedHaloExchange(HaloExchange):
     def finalize_step(
         self, step: InFlightStep, out: list[np.ndarray] | None = None
     ) -> list[np.ndarray] | None:
+        """Stage 2: collect, decode and land the step.  Forward lands in the
+        per-device halo buffers (``out``, else the exchange's own) and
+        returns them; backward adds into the ``out`` gradient buffers."""
         step.mark_done()
         fwd = step.phase == "fwd"
         if not fwd and out is None:
@@ -565,7 +542,7 @@ class FusedQuantizedHaloExchange(HaloExchange):
                 accumulate_rows(index, {**landed, **replayed}, out[dev.rank])
                 continue
             for p, mat in replayed.items():
-                buf[index.land[p]] = mat
+                buf[index.land[p]] = mat[index.pick[p]]
             if not fwd:
                 # One call per receiver, sources ascending — the float
                 # accumulation-order anchor.
@@ -630,7 +607,9 @@ class FusedQuantizedHaloExchange(HaloExchange):
         decoded, ``{src: matrix}``, for the caller to land where that
         source's rows go.  A source the plan does not know raises a typed
         :class:`TransportError`, which escalates to the trainer's
-        checkpoint-restore path.
+        checkpoint-restore path.  A step a staleness rule kept off the wire
+        lands this way too: its mailboxes are empty, every payload comes
+        from the cached step in the plan's staging, and none is a replay.
         """
         part = dev.part
         expected = part.recv_map if step.phase == "fwd" else part.send_map
@@ -639,7 +618,6 @@ class FusedQuantizedHaloExchange(HaloExchange):
         missing = sorted(set(expected) - set(landed))
         plan = step.plan
         pair_index = {pair: i for i, pair in enumerate(plan.pairs)}
-        stats = getattr(step.transport, "fault_stats", None)
         replayed: dict[int, np.ndarray] = {}
         for p in missing:
             i = pair_index.get((p, dev.rank))
@@ -655,9 +633,8 @@ class FusedQuantizedHaloExchange(HaloExchange):
                 replayed[p] = payloads[(p, dev.rank)].decode()
             else:
                 replayed[p] = plan.staged[(p, dev.rank)]
-            self.replayed_messages += 1
-            if stats is not None:
-                stats["replays"] += 1
+            if step.sent:
+                step.transport.fault_stats["replays"] += 1
         return replayed
 
     # -- internals ----------------------------------------------------------
@@ -692,7 +669,7 @@ class FusedQuantizedHaloExchange(HaloExchange):
                     for (src, dst), n in zip(pairs, pair_counts)
                 ]
             )
-            plan = encoder.plan_for((phase, layer), *topology, bits_cat, dim)
+            plan = encoder.plan_for((phase, layer), *topology[:4], bits_cat, dim)
             encoder.gather_step(plan, values_by_rank, observe)
             # Quantize/pack/post: one deferred job per encode shard.  Every
             # pair has coordinate-determined noise, so the step splits into
@@ -706,15 +683,18 @@ class FusedQuantizedHaloExchange(HaloExchange):
         else:
             plan = self._float32_plans.get((phase, layer))
             if plan is None or plan.dim != dim:
-                plan = Float32StepPlan.build(*topology, dim)
+                plan = Float32StepPlan(*topology, dim)
                 self._float32_plans[(phase, layer)] = plan
-            staged = plan.stage(values_by_rank, observe)
+            step.sent = self._stage((phase, layer), plan, values_by_rank, observe)
+            staged = plan.staged
             shards = [None]  # posting row views is one cheap job
 
             def payloads_of(shard) -> dict:
                 return staged
 
         step.plan = plan
+        if not step.sent:
+            return  # nothing on the wire: finalize lands the cached step
 
         # With workers, the last job to finish defers one
         # collect+decode job per receiver under the same tag — decode
@@ -750,6 +730,19 @@ class FusedQuantizedHaloExchange(HaloExchange):
         for shard in shards:
             transport.defer(tag, make_job(shard))
 
+    def _stage(
+        self, key: tuple, plan: Float32StepPlan, values_by_rank, observe
+    ) -> bool:
+        """Put the payloads a full-precision step posts in ``plan.staged``,
+        by the staleness rule (see the class); returns whether it sends."""
+        cached = [] if self._cache is None else self._cache.get(key, [])
+        sent = not cached or self._epoch % self.period == 0
+        history = [*cached, plan.stage(values_by_rank, observe)] if sent else cached
+        plan.staged = history[max(len(history) - 1 - self.lag, 0)]
+        if self._cache is not None:
+            self._cache[key] = history[-max(self.lag, 1) :]
+        return sent
+
     def _defer_decodes(self, transport: Transport, step: InFlightStep) -> None:
         """Queue one collect+decode job per receiver (worker side).
 
@@ -778,8 +771,10 @@ class FusedQuantizedHaloExchange(HaloExchange):
             transport.defer(step.tag, decode_job)
 
     def _topology_for(self, phase: str, devices: list) -> tuple:
-        """Static step topology: pair order, row counts, device blocks,
-        gather indices.
+        """Static step topology: pair order, payload row counts, device
+        blocks, gather indices, each pair's span of its device block, and
+        the broadcast geometry's row picks (``{pair index: rows its
+        receiver lands}``; empty otherwise).
 
         Cached per phase for one cluster, keyed on the identity of device
         0's ``owned_global``: a different cluster drops every topology and
@@ -798,17 +793,31 @@ class FusedQuantizedHaloExchange(HaloExchange):
             pair_counts: list[int] = []
             device_blocks: list[tuple[int, int, int]] = []
             chunks: list[np.ndarray] = []
+            spans: list[tuple[int, int]] = []
+            picks: dict[int, np.ndarray] = {}
             pos = 0
             for dev in devices:
                 part = dev.part
                 maps = part.send_map if phase == "fwd" else part.recv_map
                 start = pos
-                for q in sorted(maps.keys()):
-                    rows = np.asarray(maps[q], dtype=np.int64)
-                    pairs.append((dev.rank, q))
-                    pair_counts.append(rows.size)
-                    chunks.append(rows)
-                    pos += rows.size
+                if self.broadcast:
+                    # The whole owned block to every peer, forward only.
+                    peers = sorted(maps) if phase == "fwd" else []
+                    for q in peers:
+                        picks[len(pairs)] = np.asarray(maps[q], dtype=np.int64)
+                        pairs.append((dev.rank, q))
+                        pair_counts.append(part.n_owned)
+                        spans.append((0, part.n_owned))
+                    chunks.append(np.arange(part.n_owned if peers else 0))
+                    pos += chunks[-1].size
+                else:
+                    for q in sorted(maps):
+                        rows = np.asarray(maps[q], dtype=np.int64)
+                        pairs.append((dev.rank, q))
+                        pair_counts.append(rows.size)
+                        spans.append((pos - start, pos - start + rows.size))
+                        chunks.append(rows)
+                        pos += rows.size
                 device_blocks.append((dev.rank, start, pos))
             cat_idx = (
                 np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
@@ -818,9 +827,27 @@ class FusedQuantizedHaloExchange(HaloExchange):
                 np.asarray(pair_counts, dtype=np.int64),
                 device_blocks,
                 cat_idx,
+                spans,
+                picks,
             )
             self._topologies[phase] = cached
         return cached
+
+    @staticmethod
+    def _halo_out(
+        out: list[np.ndarray] | None, rank: int, n_halo: int, dim: int
+    ) -> np.ndarray:
+        """Zeroed halo destination: caller-provided view or fresh array
+        (a reused buffer must be indistinguishable from a fresh one)."""
+        if out is None:
+            return np.zeros((n_halo, dim), dtype=np.float32)
+        buf = out[rank]
+        if buf.shape != (n_halo, dim):
+            raise ValueError(
+                f"out[{rank}] has shape {buf.shape}, expected {(n_halo, dim)}"
+            )
+        buf.fill(0.0)
+        return buf
 
     def _halo_buffer(self, rank: int, layer: int, n_halo: int, dim: int) -> np.ndarray:
         """The exchange's own halo destination (the decode fills every row:
@@ -834,8 +861,9 @@ class FusedQuantizedHaloExchange(HaloExchange):
 
 class ExactHaloExchange(FusedQuantizedHaloExchange):
     """Full-precision float32 transfers (Vanilla and evaluation passes): the
-    fused exchange with no bit provider, whose step plans' wire is the
-    gathered float32 rows, ``rows × dim × 4`` bytes per (src, dst) pair."""
+    fused exchange with no bit provider and no staleness, whose step plans'
+    wire is the gathered float32 rows, ``rows × dim × 4`` bytes per (src,
+    dst) pair."""
 
     def __init__(self) -> None:
         super().__init__(None, None)

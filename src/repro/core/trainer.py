@@ -36,7 +36,6 @@ from repro.cluster.exchange import (
     ExactHaloExchange,
     FixedBitProvider,
     FusedQuantizedHaloExchange,
-    HaloExchange,
     UniformRandomBitProvider,
 )
 from repro.cluster.perfmodel import PerfModel
@@ -156,7 +155,7 @@ class TrainResult:
 
 @dataclass
 class _SystemSetup:
-    exchange: HaloExchange
+    exchange: FusedQuantizedHaloExchange
     schedule: object  # Callable[[EpochRecord, LinkCostModel, PerfModel], ScheduleResult]
     assigner: AdaptiveBitWidthAssigner | None = None
 

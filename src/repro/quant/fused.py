@@ -379,42 +379,41 @@ class Float32StepPlan:
     view of it, ``rows·dim·4`` bytes with no zero points, scales or headers;
     receivers land payloads through a :class:`DecodeIndex` of this plan
     (:func:`land_decoded`, :func:`accumulate_rows`).  ``staged`` holds the
-    payloads from :meth:`stage` until the step's finalize drops them (a
-    dropped envelope is replayed from there), so no float32 copy of the
-    halo traffic stays resident between steps.  The staging is one array
-    per source device, not one step-wide buffer: freeing a buffer that
-    large raises the allocator's mmap threshold and leaves later
-    allocations resident.
+    payloads a step posts until the step's finalize drops them (a dropped
+    envelope is replayed from there), so no float32 copy of the halo
+    traffic stays resident between steps unless an exchange keeps one.
+    The staging is one array per source device, not one step-wide buffer:
+    freeing a buffer that large raises the allocator's mmap threshold and
+    leaves later allocations resident.
+
+    ``spans[i]`` are pair ``i``'s rows of its source's staged block.  A
+    plan with ``picks`` has broadcast geometry: each pair's payload is its
+    source's whole block, and its receiver lands rows ``picks[i]`` of it.
     """
 
     pairs: list[tuple[int, int]]  # (src, dst): sources, then peers, ascending
-    pair_counts: np.ndarray
-    cat_bounds: np.ndarray  # (n_pairs + 1,) row offsets per pair
+    pair_counts: np.ndarray  # rows per payload
     device_blocks: list[tuple[int, int, int]]  # (rank, start, stop) cat slices
     cat_idx: np.ndarray  # (n_total,) local source row per cat position
+    spans: list[tuple[int, int]]
+    picks: dict[int, np.ndarray]  # pair index -> the payload rows that land
     dim: int
     staged: dict[tuple[int, int], np.ndarray] | None = None  # payloads, if staged
     # Decode indices, cached per (receiver, accumulate) (built on demand).
     decode_cache: dict[tuple[int, bool], DecodeIndex] = field(default_factory=dict)
 
-    @classmethod
-    def build(cls, pairs, pair_counts, device_blocks, cat_idx, dim: int):
-        bounds = np.zeros(len(pairs) + 1, dtype=np.int64)
-        np.cumsum(pair_counts, out=bounds[1:])
-        return cls(pairs, pair_counts, bounds, device_blocks, cat_idx, dim)
-
     def stage(self, values_by_rank, observe=None) -> dict[tuple[int, int], np.ndarray]:
         """Gather the step's source rows (a snapshot); returns every pair's
         payload, ``{(src, dst): rows}``, and feeds ``observe(src, dst,
         rows)`` when given."""
-        bounds, staged, i = self.cat_bounds, {}, 0
+        blocks = {}
         for rank, start, stop in self.device_blocks:
             rows = np.take(values_by_rank[rank], self.cat_idx[start:stop], axis=0)
-            rows = rows.astype(np.float32, copy=False)
-            while i < len(self.pairs) and self.pairs[i][0] == rank:
-                lo, hi = bounds[i] - start, bounds[i + 1] - start
-                staged[self.pairs[i]] = _readonly(rows[lo:hi])
-                i += 1
+            blocks[rank] = rows.astype(np.float32, copy=False)
+        staged = {
+            pair: _readonly(blocks[pair[0]][lo:hi])
+            for pair, (lo, hi) in zip(self.pairs, self.spans)
+        }
         if observe is not None:
             for (src, dst), rows in staged.items():
                 observe(src, dst, rows)
@@ -724,7 +723,8 @@ class DecodeIndex:
     (ascending), each pair's rows in order — and :func:`accumulate_block`
     adds the block into the destination rows.  ``land[src]`` is where a
     source's rows sit in the decode buffer (``shape``): its destination
-    rows, or its slice of the block.
+    rows, or its slice of the block.  ``pick[src]`` selects the payload rows
+    that land: all of them, except under a broadcast plan's picks.
 
     Built once per (plan, receiver) by :func:`decode_index` and checked
     once: every destination row against ``n_out`` and, for a
@@ -737,6 +737,7 @@ class DecodeIndex:
     srcs: tuple[int, ...]  # ascending: the mailbox order
     rows: dict[int, np.ndarray]
     land: dict[int, object]
+    pick: dict[int, object]  # the landing payload rows: a slice or an index
     shape: tuple[int, int]  # the decode buffer: destination or block
     n_out: int
     accumulate: bool
@@ -795,11 +796,17 @@ def _build_index(
             f"receiver {dst}: destination rows for sources {sorted(rows)}, "
             f"but the step's pairs come from {list(srcs)}"
         )
+    quantized = isinstance(plan, FusedStepPlan)
+    picks = {} if quantized else plan.picks
     land: dict[int, object] = {}
+    pick: dict[int, object] = {}
     targets: list[np.ndarray] = []
     block = 0
     for src, i in members:
         n = int(plan.pair_counts[i])
+        pick[src] = picks.get(i, slice(None))
+        if i in picks:  # the receiver lands only these rows of the payload
+            n = picks[i].size
         target = np.ascontiguousarray(rows[src], dtype=np.int64)
         if target.shape != (n,):
             raise ValueError(f"pair ({src}, {dst}) has {n} rows, not {target.shape}")
@@ -815,11 +822,11 @@ def _build_index(
         block += n
     cat = np.concatenate(targets) if targets else np.zeros(0, dtype=np.int64)
     covers = accumulate or np.array_equal(np.sort(cat), np.arange(n_out))
-    quantized = isinstance(plan, FusedStepPlan)
     return DecodeIndex(
         srcs=srcs,
         rows=dict(zip(srcs, targets)),
         land=land,
+        pick=pick,
         shape=(block if accumulate else n_out, plan.dim),
         n_out=n_out,
         accumulate=accumulate,
@@ -974,12 +981,13 @@ def _open_landing(index: DecodeIndex, buf: np.ndarray, sources) -> None:
 def land_decoded(
     index: DecodeIndex, buf: np.ndarray, matrices: dict[int, np.ndarray]
 ) -> dict[int, object]:
-    """Copy decoded per-source matrices to their rows of ``buf`` (zero-filled
-    first when a source is missing); returns ``{src: index.land[src]}``, as
-    :func:`decode_cluster_step` does for a receiver it lands."""
+    """Copy decoded per-source matrices (their picked rows) to their rows of
+    ``buf`` (zero-filled first when a source is missing); returns ``{src:
+    index.land[src]}``, as :func:`decode_cluster_step` does for a receiver
+    it lands."""
     _open_landing(index, buf, matrices)
     for src, mat in matrices.items():
-        buf[index.land[src]] = mat
+        buf[index.land[src]] = mat[index.pick[src]]
     return {src: index.land[src] for src in matrices}
 
 

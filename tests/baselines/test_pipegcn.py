@@ -99,3 +99,34 @@ def test_training_with_staleness_converges(tiny_single_label_dataset):
     stale = train("pipegcn", ds, book, "2M-2D", cfg)
     exact = train("vanilla", ds, book, "2M-2D", cfg)
     assert stale.final_val > 0.5 * exact.final_val  # converges, maybe slower
+
+
+def test_state_dict_keeps_the_v1_layout_and_resumes(cluster):
+    """The cache checkpoints as ``fwd_cache`` / ``bwd_cache``: layer → dst
+    → src → rows (checkpoint format 1), and a restored exchange serves
+    exactly what the original serves next."""
+    h0 = [dev.features for dev in cluster.devices]
+    h1 = [f + 1.0 for f in h0]
+    exchange = StaleHaloExchange()
+    transport = Transport(cluster.num_devices)
+    _embeddings(exchange, cluster, transport, h0)
+    state = exchange.state_dict()
+    assert sorted(state) == ["bwd_cache", "fwd_cache"] and state["bwd_cache"] == {}
+    for dev in cluster.devices:
+        for src, rows in state["fwd_cache"][0][dev.rank].items():
+            sent = cluster.devices[src].part.send_map[dev.rank]
+            np.testing.assert_array_equal(rows, h0[src][sent])
+    restored = StaleHaloExchange()
+    restored.load_state_dict(state)
+    got = _embeddings(restored, cluster, Transport(cluster.num_devices), h1)
+    want = _embeddings(exchange, cluster, transport, h1)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_staleness_is_full_precision_only():
+    from repro.cluster.exchange import FixedBitProvider, FusedQuantizedHaloExchange
+    from repro.quant.stochastic import KeyedRounding
+
+    with pytest.raises(ValueError, match="full precision only"):
+        FusedQuantizedHaloExchange(FixedBitProvider(4), KeyedRounding(0), lag=1)

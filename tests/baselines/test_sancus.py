@@ -81,15 +81,30 @@ def test_gradients_dropped(cluster):
     assert all(np.all(d == 0) for d in d_own)
 
 
-def test_skip_counters(cluster):
-    exchange = BroadcastSkipExchange(staleness_bound=2)
+def test_state_dict_keeps_the_v1_layout_and_resumes(cluster):
+    """Historical blocks checkpoint as ``historical``: (layer, dst) → src →
+    block (checkpoint format 1).  A state that still carries the retired
+    skip counters loads, and serves what the original serves next."""
+    h0 = [dev.features for dev in cluster.devices]
+    exchange = BroadcastSkipExchange(staleness_bound=4)
     transport = Transport(cluster.num_devices)
-    h = [dev.features for dev in cluster.devices]
-    for epoch in range(4):
-        exchange.on_epoch_start(epoch)
-        _embeddings(exchange, cluster, transport, h)
-    assert exchange.broadcasts_sent == 2 * cluster.num_devices
-    assert exchange.broadcasts_skipped == 2 * cluster.num_devices
+    exchange.on_epoch_start(0)
+    _embeddings(exchange, cluster, transport, h0)
+    state = exchange.state_dict()
+    assert list(state) == ["historical"]
+    for (layer, dst), hist in state["historical"].items():
+        assert layer == 0 and sorted(hist) == sorted(cluster.devices[dst].part.recv_map)
+        for src, block in hist.items():
+            np.testing.assert_array_equal(block, h0[src])
+    restored = BroadcastSkipExchange(staleness_bound=4)
+    restored.load_state_dict({**state, "broadcasts_sent": 3, "broadcasts_skipped": 0})
+    h1 = [f + 5.0 for f in h0]
+    for ex in (exchange, restored):
+        ex.on_epoch_start(1)
+    got = _embeddings(restored, cluster, Transport(cluster.num_devices), h1)
+    want = _embeddings(exchange, cluster, transport, h1)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_invalid_bound_rejected():

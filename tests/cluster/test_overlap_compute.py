@@ -43,9 +43,7 @@ QUANTIZED = dict(policy="quantized", model="gcn", hidden=8, parts=4)
 @pytest.mark.parametrize("parts", [1, 2, 4])
 @pytest.mark.parametrize("exchange_name", POLICIES)
 @pytest.mark.parametrize("hidden", HIDDEN_SHAPES)
-def test_overlap_bitwise_identical_to_fused(
-    matrix, model_kind, parts, exchange_name, hidden
-):
+def test_overlap_matches_oracle(matrix, model_kind, parts, exchange_name, hidden):
     matrix.check(
         policy=exchange_name, model=model_kind, hidden=hidden, parts=parts,
         overlap=True, transport="sync",
@@ -163,7 +161,7 @@ def test_keyed_rng_survives_shuffled_job_retirement(matrix, exchange_name, hidde
 @pytest.mark.parametrize("spec", ["sync", "worker:4"])
 @pytest.mark.parametrize("hidden_layers", [1, 2])
 @pytest.mark.parametrize("hidden", HIDDEN_SHAPES)
-def test_pipeline_depth_matrix_bitwise_identical(
+def test_stack_depth_matrix_matches_oracle(
     matrix, exchange_name, spec, hidden_layers, hidden
 ):
     """The pipeline one or two hidden layers deep x {sync, worker:4} x

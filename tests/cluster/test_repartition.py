@@ -69,6 +69,14 @@ def test_repartition_keeps_ctor_shape_and_transport_override(
             assert c2.transport.workers == 1
 
 
+def test_repartition_refuses_a_store_backed_cluster(huge_store):
+    """A store's partition layout is baked into its files: a resize is
+    refused with an error that names the on-disk store."""
+    with Cluster(huge_store.dataset(), huge_store.book(), hidden_dim=8) as cluster:
+        with pytest.raises(RuntimeError, match="baked into the on-disk store"):
+            cluster.repartition(huge_store.book())
+
+
 # ----------------------------------------------------------------------
 # N→M equivalence: resized-from-live == fresh-M-from-checkpoint
 # ----------------------------------------------------------------------
