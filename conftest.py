@@ -10,13 +10,13 @@ CI ``huge-graph`` job uses ``-m perf``)::
 Also owns ``--update-results`` (pytest only accepts new options from the
 rootdir conftest); ``benchmarks/conftest.py`` is its one reader.
 
-``--quant-kernel {native,numpy}`` pins the kernel tier for the session —
-the quantization kernels and the compute engine's CSR product, which load
-together — so the equivalence suites can run under both (the CI
-``equivalence`` job does).  It is test tooling: the program itself has no
-such switch — :mod:`repro.quant.native` picks the tier from what it
-observes — and the pin is this process's loader state (forked workers
-inherit it).  Without the option the tests run on whatever tier loads.
+``--quant-kernel {native,numpy}`` pins the tier of :mod:`repro.kernels`
+for the session — the quantization kernels, the compute engine's CSR
+product and its post stage, which load together — so the equivalence
+suites can run under both (the CI ``equivalence`` job does).  It is test
+tooling: the program itself has no such switch — :mod:`repro.kernels`
+picks the tier from what it observes — and the pin is this process's
+loader state (forked workers inherit it).  Without the option the tests run on whatever tier loads.
 """
 
 import pytest
@@ -33,10 +33,11 @@ def pytest_addoption(parser):
         "--quant-kernel",
         choices=("native", "numpy"),
         default=None,
-        help="pin the kernel tier (quantization and the engine's CSR product) "
-        "for this session: 'native' fails the session unless the compiled "
-        "kernels load, 'numpy' runs the NumPy / scipy reference kernels even "
-        "where the compiled ones would load (default: whatever loads)",
+        help="pin the tier of repro.kernels (quantization, the engine's CSR "
+        "product and post stage) for this session: 'native' fails the session "
+        "unless the compiled kernels load, 'numpy' runs the NumPy / scipy "
+        "reference kernels even where the compiled ones would load (default: "
+        "whatever loads)",
     )
 
 
@@ -46,12 +47,12 @@ def pytest_configure(config):
     )
     tier = config.getoption("--quant-kernel")
     if tier is not None:
-        from repro.quant import native
+        from repro import kernels
 
         if tier == "numpy":
-            native._tier = (None, "numpy (pinned by pytest --quant-kernel numpy)")
-        elif native.load() is None:
-            raise pytest.UsageError(f"--quant-kernel native: got {native.status()}")
+            kernels._tier = (None, "numpy (pinned by pytest --quant-kernel numpy)")
+        elif kernels.load() is None:
+            raise pytest.UsageError(f"--quant-kernel native: got {kernels.status()}")
 
 
 def pytest_collection_modifyitems(config, items):

@@ -30,14 +30,13 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import __version__
+from repro import __version__, kernels
 from repro.core.config import RunConfig
 from repro.core.trainer import SYSTEMS, train
 from repro.graph.datasets import available_datasets, load_dataset
 from repro.graph.partition.api import partition_graph
 from repro.graph.partition.book import build_local_partitions
 from repro.graph.partition.quality import balance, edge_cut, remote_neighbor_ratio
-from repro.quant import native
 from repro.utils.format import format_seconds, render_table
 
 __all__ = ["main", "build_parser"]
@@ -218,9 +217,9 @@ def _cmd_info() -> int:
     print(f"defaults: transport={cfg.transport} — "
           f"overlapped runs resolve to '{resolved}', i.e. {async_default}")
     print("          (override: --transport sync|worker[:N], --no-overlap)")
-    # Which quantization kernels a run on this host uses, and why (the
-    # first call builds the compiled tier into the per-user cache).
-    print(f"quant kernel: {native.status()}")
+    # Which kernels a run on this host uses, and why (the first call
+    # builds the compiled tier into the per-user cache).
+    print(f"kernels: {kernels.status()}")
     return 0
 
 
@@ -369,7 +368,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     )
     if result.bit_histogram:
         print("bit-width histogram:", result.bit_histogram)
-    print(f"quant kernel: {native.status()}")
+    print(f"kernels: {kernels.status()}")
     stats = result.transport_health.get("fault_stats") or {}
     faults = {k: v for k, v in stats.items() if v}
     if faults:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import kernels
 from repro.cluster.compute import FusedClusterCompute
 from repro.cluster.exchange import (
     ExactHaloExchange,
@@ -42,8 +43,7 @@ from repro.graph.datasets import GraphDataset
 from repro.graph.io import StoreDataset
 from repro.graph.partition.book import PartitionBook
 from repro.nn.losses import bce_with_logits_loss, softmax_cross_entropy
-from repro.nn.metrics import metric_counts, metric_from_counts, task_metric
-from repro.quant import native
+from repro.nn.metrics import metric_counts, metric_from_counts
 from repro.utils.logging import get_logger
 from repro.utils.validation import check_in_set
 
@@ -184,10 +184,10 @@ class Cluster:
             self.transport.timeout_s = float(transport_timeout_s)
         if fault_plan is not None:
             self.transport.fault_plan = fault_plan
-        # Decide the quantization kernel tier now (a warm load is a few
-        # ms; the first run on a machine compiles), so the run says which
-        # one it uses instead of compiling on the hot path.
-        _log.info("quant kernel: %s", native.status())
+        # Decide the kernel tier now (a warm load is a few ms; the first
+        # run on a machine compiles), so the run says which one it uses
+        # instead of compiling on the hot path.
+        _log.info("kernels: %s", kernels.status())
         # The engine's step plan (operators, stacked buffers, views) is
         # static across epochs, so it is built once and lazily; the
         # per-phase FLOP-accounting arrays are likewise cached.
@@ -282,11 +282,6 @@ class Cluster:
             dev.model.train()
         return engine
 
-    def full_logits(self) -> np.ndarray:
-        """Exact (un-quantized) eval-mode forward; global logits matrix."""
-        logits = np.zeros((self.dataset.num_nodes, self.dims[-1]), dtype=np.float32)
-        return self._eval_forward().scatter_logits(logits)
-
     # ------------------------------------------------------------------
     # Elastic repartition
     # ------------------------------------------------------------------
@@ -339,27 +334,13 @@ class Cluster:
         self.close()
 
     def evaluate(self) -> dict[str, float]:
-        """Global metrics on train/val/test splits (paper's 'accuracy')."""
-        if self._store_dataset is not None:
-            return self._evaluate_store()
-        logits = self.full_logits()
-        ds = self.dataset
-        return {
-            split: task_metric(
-                logits, ds.labels, getattr(ds, f"{split}_mask"), multilabel=ds.multilabel
-            )
-            for split in ("train", "val", "test")
-        }
+        """Global metrics on train/val/test splits (paper's 'accuracy').
 
-    def _evaluate_store(self) -> dict[str, float]:
-        """Split metrics accumulated shard-by-shard (huge-graph path).
-
-        Runs the exact eval-mode forward on the streaming engine and folds
-        each device's logit slice into integer count accumulators
-        (:func:`~repro.nn.metrics.metric_counts`) — both metrics are
-        ratios of summed integer counts, so this equals the global
-        ``task_metric`` value without ever materializing a global label or
-        logits matrix.
+        Runs the exact eval-mode forward and folds each device's logit slice
+        into integer count accumulators
+        (:func:`~repro.nn.metrics.metric_counts`) — both metrics are ratios
+        of summed integer counts, so this equals the global ``task_metric``
+        value without ever materializing a global label or logits matrix.
         """
         devices = self.devices
         engine = self._eval_forward()

@@ -81,11 +81,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 import scipy.sparse as sp
 
+from repro import kernels
 from repro.cluster.exchange import step_tag
 from repro.cluster.records import StepTimeline
 from repro.cluster.runtime import DeviceRuntime
 from repro.nn.blas import row_matmul
-from repro.quant import native
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.io import DeviceStreamOps
@@ -118,7 +118,7 @@ def _spmv(
     into ``indices``/``data``, so a range copies nothing.  Each output row
     is summed over its stored entries in stored order, from ``+0.0`` or,
     accumulating, from ``out``'s row: scipy's ``csr_matvecs``, which the
-    compiled ``repro_csr_rows`` (loaded by :mod:`repro.quant.native`, if
+    compiled ``repro_csr_rows`` (loaded by :mod:`repro.kernels`, if
     at all) reproduces bit for bit.  Splitting a product into row ranges or
     complementary row-restricted operators therefore changes no bit.
     Operands the compiled kernel does not take — not float32 / int32 /
@@ -133,7 +133,7 @@ def _spmv(
     indptr = matrix.indptr[lo : hi + 1]
     contiguous = x.flags.c_contiguous and out.flags.c_contiguous
     same_dtype = x.dtype == matrix.dtype == out.dtype
-    lib = native.load()
+    lib = kernels.load()
     if (
         lib is not None
         and contiguous
@@ -189,7 +189,7 @@ def _post_operands(
     fits = masks == {(n, dim)} and inv_std.shape == (n, 1) and relu_mask.dtype == bool
     if not fits or gamma.shape != (dim,) or beta.shape != (dim,):
         raise ValueError(f"post stage of {h.shape}: caches or parameters do not match")
-    if native.load() is None or not relu_mask.flags.c_contiguous:
+    if kernels.load() is None or not relu_mask.flags.c_contiguous:
         return False
     floats = (h, x_hat, inv_std, drop, gamma, beta, *more)
     return all(
@@ -211,13 +211,13 @@ def _post_forward(
     Caches each row's ``x_hat``, ``inv_std`` (``(n, 1)``) and ReLU mask for
     :func:`_post_backward`; ``drop`` is the block's dropout mask, ``None``
     when dropout is off.  The compiled ``repro_post_forward`` (loaded by
-    :mod:`repro.quant.native`, if at all) does NumPy's float32 operations in
+    :mod:`repro.kernels`, if at all) does NumPy's float32 operations in
     NumPy's order, so both tiers write the same bytes:
     :meth:`~repro.nn.layers.LayerNorm.forward_into`, ``h *= h > 0``,
     ``h *= drop``.
     """
     if _post_operands(norm, h, x_hat, inv_std, relu_mask, drop):
-        native.load().repro_post_forward(
+        kernels.load().repro_post_forward(
             *h.shape,
             h.ctypes.data,
             norm.gamma.data.ctypes.data,
@@ -264,7 +264,7 @@ def _post_backward(
     if partials.shape != (n_blocks, 2, d.shape[1]):
         raise ValueError(f"partials {partials.shape}: {n_blocks} blocks of {d.shape}")
     if _post_operands(norm, d, x_hat, inv_std, relu_mask, drop, partials):
-        native.load().repro_post_backward(
+        kernels.load().repro_post_backward(
             d.shape[1],
             d.ctypes.data,
             x_hat.ctypes.data,
@@ -449,8 +449,6 @@ class FusedClusterCompute:
             # the store's column/row splits are used in place.
             self.matrix = None
             self.matrix_t = None
-
-        self._owned_global = np.concatenate([d.part.owned_global for d in devices])
 
         L = self.num_layers
         self._transform_first = [
@@ -1110,11 +1108,3 @@ class FusedClusterCompute:
             for p, r in zip(params, reduced):
                 p.grad[...] = r
         return int(sum(r.nbytes for r in reduced))
-
-    # ------------------------------------------------------------------
-    # Evaluation helpers
-    # ------------------------------------------------------------------
-    def scatter_logits(self, out: np.ndarray) -> np.ndarray:
-        """Write stacked per-device logits into a global (num_nodes, C) array."""
-        out[self._owned_global] = self.logits
-        return out

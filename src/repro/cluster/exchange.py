@@ -275,9 +275,9 @@ class FusedQuantizedHaloExchange:
 
     With a bit provider (AdaQP's transfers), every (src, dst) message is
     quantized row by row at its assigned bit-widths and bit-packed — the
-    wire format :class:`~repro.quant.mixed.MixedPrecisionEncoder` states
-    one message at a time — but a (layer, phase) step runs as a few large
-    kernels instead of thousands of per-pair, per-group dispatches:
+    wire format ``tests/reference/wire.py`` states one message at a time —
+    but a (layer, phase) step runs as a few large kernels instead of
+    thousands of per-pair, per-group dispatches:
 
     * the boundary rows of **every** (src, dst) pair of the step are
       gathered into one step-wide buffer (one ``take`` per source device);
@@ -630,7 +630,8 @@ class FusedQuantizedHaloExchange:
                 payloads = self.fused_encoder.quantize_pack_shard(
                     plan, pair_shard(plan, i), coords=(step.phase, step.layer)
                 )
-                replayed[p] = payloads[(p, dev.rank)].decode()
+                mailbox = {p: payloads[(p, dev.rank)]}
+                replayed[p] = decode_cluster_step({dev.rank: mailbox})[dev.rank][p]
             else:
                 replayed[p] = plan.staged[(p, dev.rank)]
             if step.sent:

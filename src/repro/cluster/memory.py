@@ -31,7 +31,7 @@ Beyond the footnote-1 data counts, the footprint also models the
 * the quantized exchange's plan-resident staging — rows, and the packed
   wire plus per-row metadata (compiled tier) or uint8 codes (NumPy
   tier) — and the quantization kernel's per-chunk scratch, only where the
-  NumPy kernel runs; the compiled one (:mod:`repro.quant.native`) has
+  NumPy kernel runs; the compiled one (:mod:`repro.kernels`) has
   none.
 
 :func:`estimate_peak_resident` folds these into one cluster-wide
@@ -45,8 +45,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro import kernels
 from repro.cluster.cluster import Cluster
-from repro.quant import fused, native
+from repro.quant import fused
 
 __all__ = [
     "HostMemory",
@@ -193,7 +194,7 @@ def _stage_bytes(n_rows: int, dim: int, wire: int) -> int:
     packing; its term stays the 5 B/element it has always been, which
     leaves its wire and per-row metadata out.
     """
-    if native.load() is None:
+    if kernels.load() is None:
         return 5 * n_rows * dim
     return 4 * n_rows * dim + wire + 8 * n_rows
 
@@ -259,7 +260,7 @@ def _quant_scratch_bytes(cluster: Cluster) -> int:
     kernel works row by row on a few hundred bytes, so where it is loaded
     this term is zero.
     """
-    if native.load() is not None:
+    if kernels.load() is not None:
         return 0
     pairs = [len(r) for dev in cluster.devices for r in dev.part.send_map.values()]
     chunk = min(max([fused._QUANT_CHUNK_ROWS, *pairs]), sum(pairs))

@@ -1,13 +1,13 @@
-"""Loader of the compiled kernels (``_kernels.c``).
+"""The compiled kernels (``_kernels.c``) and their loader.
 
-:func:`load` returns the kernel library, or ``None`` where the reference
-code runs instead — :mod:`repro.quant.fused`'s NumPy quantizer, the
-engine's scipy ``csr_matvecs`` and NumPy post stage (``LayerNorm`` → ReLU →
-dropout, :mod:`repro.cluster.compute`): no C compiler, a big-endian host,
-a failed build, an unloadable or unsafe cached file, or a self-test that
-disagrees with that reference or calls back into :func:`load` — each logged
-once, as one WARNING with the reason.  The tier is chosen by what this
-module observes; no option, flag or environment variable does.
+:func:`load` returns the library, or ``None`` where the reference code
+runs instead — :mod:`repro.quant.fused`'s NumPy quantizer, the engine's
+scipy ``csr_matvecs`` and NumPy post stage (:mod:`repro.cluster.compute`):
+no C compiler, a big-endian host, a failed build, an unloadable or unsafe
+cached file, or a self-test (:mod:`repro.kernels.selftest`) that disagrees
+with that reference or calls back into :func:`load` — each logged once, as
+one WARNING with the reason.  The tier is chosen by what this module
+observes; no option, flag or environment variable does.
 
 The library is built once per (source, flags, compiler version) into a
 per-user cache outside the checkout — ``$XDG_CACHE_HOME`` or ``~/.cache``,
@@ -61,8 +61,8 @@ def load() -> ctypes.CDLL | None:
                 try:
                     _tier = _find_or_build()
                 except Exception as exc:  # never fail a run over an optimisation
-                    _log.warning("quant kernel: numpy (%s)", exc)
-                    _log.debug("quant kernel: the loader's traceback", exc_info=True)
+                    _log.warning("kernels: numpy (%s)", exc)
+                    _log.debug("kernels: the loader's traceback", exc_info=True)
                     _tier = (None, f"numpy ({exc})")
                 finally:
                     _build_thread = None
@@ -81,7 +81,7 @@ def _find_or_build() -> tuple[ctypes.CDLL, str]:
     cc = next(filter(None, map(shutil.which, ("cc", "gcc", "clang"))), None)
     if cc is None:
         raise RuntimeError("no C compiler on PATH")
-    source = resources.files("repro.quant").joinpath("_kernels.c").read_bytes()
+    source = resources.files("repro.kernels").joinpath("_kernels.c").read_bytes()
     version = subprocess.run(
         [cc, "--version"], capture_output=True, text=True, timeout=60, check=True
     ).stdout.splitlines()[0]
@@ -97,10 +97,10 @@ def _find_or_build() -> tuple[ctypes.CDLL, str]:
         path.unlink(missing_ok=True)  # the next process rebuilds it
         raise RuntimeError(f"cannot load {path}: {exc}") from exc
     declare(lib)
-    from repro.quant.fused import kernels_agree  # the gate; fused imports this module
+    from repro.kernels.selftest import FAMILIES  # the gate; imports the callers
 
-    if not kernels_agree(lib):
-        raise RuntimeError("self-test disagrees with the reference kernels")
+    if disagree := [agrees.__name__ for agrees in FAMILIES if not agrees(lib)]:
+        raise RuntimeError(f"self-test disagrees with the reference: {disagree}")
     return lib, f"native ({version}, {path})"
 
 
@@ -142,7 +142,7 @@ def _cache_dir() -> Path:
             usable = False
         if usable:
             if directory is fallback:
-                _log.warning("quant kernel: %s unusable, caching in %s", *candidates)
+                _log.warning("kernels: %s unusable, caching in %s", *candidates)
             return directory
     raise RuntimeError(f"no private writable cache directory among {candidates}")
 

@@ -1,11 +1,11 @@
 """Fused mixed-precision encoding for one whole exchange step.
 
-:class:`~repro.quant.mixed.MixedPrecisionEncoder` states the wire format
-one (src, dst) message at a time: per bit-width group, one quantize
-kernel and one pack call.  Run that way a 16-device, 3-layer epoch issues
-thousands of tiny NumPy calls, so this module fuses **all** boundary
-messages of one (layer, phase) step — across every source device and every
-peer — into batched kernels that emit the same bytes:
+The wire format is stated one (src, dst) message at a time by the
+reference encoder in ``tests/reference/wire.py``: per bit-width group,
+one quantize kernel and one pack call.  Run that way a 16-device, 3-layer
+epoch issues thousands of tiny NumPy calls, so this module fuses **all**
+boundary messages of one (layer, phase) step — across every source device
+and every peer — into batched kernels that emit the same bytes:
 
 * each device's outgoing rows are gathered with one fancy-index ``take``
   into a contiguous segment of a step-wide buffer in *cat* (gather)
@@ -58,7 +58,7 @@ order) emits byte-identical payloads.
 :meth:`FusedStepEncoder.quantize_pack_shard` and the unpack + de-quantize
 of :func:`decode_cluster_step` each exist twice: as the NumPy kernels
 below, and as one-pass C loops (``_kernels.c``, built and loaded on first
-use by :mod:`repro.quant.native`) that perform the same float32 operations
+use by :mod:`repro.kernels`) that perform the same float32 operations
 in the same order and so emit the same bytes.  The compiled quantizer
 writes codes already packed into the wire buffer (no step-wide code array
 exists); the NumPy one stages uint8 codes in ``codes_buf`` and packs them
@@ -88,10 +88,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.quant import native
+from repro import kernels
 from repro.quant.mixed import MixedPrecisionPayload
 from repro.quant.packing import pack_bits_batched, unpack_bits_batched
-from repro.quant.stochastic import KeyedRounding, as_rounding
+from repro.quant.stochastic import as_rounding
 from repro.quant.theory import packed_bytes
 
 __all__ = [
@@ -106,7 +106,6 @@ __all__ = [
     "land_decoded",
     "accumulate_block",
     "accumulate_rows",
-    "kernels_agree",
 ]
 
 
@@ -228,7 +227,7 @@ def _build_plan(
     pair_id = np.repeat(np.arange(len(pairs), dtype=np.int64), pair_counts)
 
     # Payload order: pairs in iteration order, bits ascending within each
-    # pair (MixedPrecisionEncoder iterates sorted unique bits); the stable
+    # pair (the reference encoder iterates sorted unique bits); the stable
     # sort keeps each group's rows in ascending pair-row order, matching
     # its np.flatnonzero group indices.
     perm_payload = np.argsort(pair_id * 16 + bits_cat, kind="stable")
@@ -535,7 +534,7 @@ class FusedStepEncoder:
             codes_buf = plan.codes_buf = np.empty((plan.n_total, dim), dtype=np.uint8)
 
         # --- chunked stochastic-quantization kernel ----------------------
-        # Identical arithmetic to quantize_stochastic per group: the level
+        # Identical arithmetic to the reference quantizer per group: the level
         # count is the only group-dependent quantity and enters as a
         # per-row vector.  The kernel walks the shard in pair-aligned row
         # chunks, in cat order — every pass is row-wise, so the row order
@@ -592,8 +591,8 @@ class FusedStepEncoder:
             np.subtract(norm, floor, out=norm)  # fractional parts
             round_up = np.less(noise, norm, out=round_buf[:m])
             codes = np.add(floor, round_up, out=floor)
-            # Codes are >= 0 (normalized values are), so
-            # quantize_with_noise's clip(0, top) reduces to an upper bound.
+            # Codes are >= 0 (normalized values are), so the reference
+            # quantizer's clip(0, top) reduces to an upper bound.
             if shard.single_bits is not None:
                 np.minimum(codes, np.float32((1 << shard.single_bits) - 1), out=codes)
             else:
@@ -700,7 +699,7 @@ class FusedStepEncoder:
         # wire buffer and its zero points and scales, and they agree bit for
         # bit (the NumPy kernel is the reference the compiled one is tested
         # against, and the fallback).
-        lib = native.load()
+        lib = kernels.load()
         if lib is not None and plan.dim > 0:
             self._quantize_pack_native(lib, plan, shard, keys)
         else:
@@ -904,10 +903,11 @@ def decode_cluster_step(
 
     ``collects`` maps each receiving rank to its ``{src: payload}`` mailbox
     (the shape :meth:`Transport.collect` returns).  Produces exactly the
-    matrices ``payload.decode()`` would — de-quantization is
+    matrices the per-message reference decode would — de-quantization is
     row-elementwise, so batching cannot change any value — preserving each
     mailbox's iteration order (gradient accumulation order stays
-    src-ascending).
+    src-ascending).  It is the one decode: a replayed payload takes it too,
+    as a one-payload mailbox.
 
     ``into`` names destinations: for a receiver listed there as
     ``(index, buffer)`` (a :class:`DecodeIndex` and a float32 buffer of
@@ -926,7 +926,7 @@ def decode_cluster_step(
     fused exchange consumes them within ``finalize_step``).
     """
     into = into or {}
-    lib = native.load()
+    lib = kernels.load()
     out: dict[int, dict[int, object]] = {}
     rest: dict[int, dict[int, MixedPrecisionPayload]] = {}
     for dst, mailbox in collects.items():
@@ -1007,7 +1007,7 @@ def accumulate_block(index: DecodeIndex, block: np.ndarray, out: np.ndarray) -> 
             f"block {block.shape} / out {out.shape} do not fit the index "
             f"({index.shape}, {index.n_out} destination rows)"
         )
-    lib = native.load()
+    lib = kernels.load()
     contiguous = block.flags.c_contiguous and out.flags.c_contiguous
     if lib is not None and contiguous and block.dtype == out.dtype == np.float32:
         if block.size:
@@ -1039,7 +1039,7 @@ def accumulate_rows(
         )
     if out.shape != (index.n_out, index.shape[1]):
         raise ValueError(f"out {out.shape} does not fit the index")
-    lib = native.load()
+    lib = kernels.load()
     for src in index.srcs:
         mat, rows = rows_by_src[src], index.rows[src]
         if mat.shape != (rows.size, index.shape[1]):
@@ -1178,181 +1178,3 @@ def _decode_numpy(
     for dst, (index, _) in landed.items():
         out[dst] = {src: index.land[src] for src in collects[dst]}
     return out
-
-
-def kernels_agree(lib) -> bool:
-    """The loader's self-test: a small fixed step through both tiers.
-
-    Three pairs of a ragged width with mixed bit-widths (so payload order
-    is not cat order, payloads have several groups and rows share bytes),
-    a constant row and a 1-bit group: the compiled quantizer must
-    reproduce the NumPy kernel's wire bytes, zero points and scales (over
-    a wire buffer it finds full of ones); the compiled decode the NumPy
-    decode's rows through each receiver's :class:`DecodeIndex` (halo rows,
-    an accumulation block); the compiled accumulate the per-pair adds; the
-    CSR kernel scipy's ``csr_matvecs`` (:func:`_csr_agrees`); the post
-    stage :class:`~repro.nn.layers.LayerNorm` (:func:`_post_agrees`).
-    Calls the kernels directly — never :func:`repro.quant.native.load`,
-    which is what is running this.
-    """
-    dim, counts = 19, np.array([5, 3, 4], dtype=np.int64)
-    bits = np.array([2, 8, 4, 2, 1, 4, 4, 4, 8, 2, 8, 2], dtype=np.int64)
-    n = int(counts.sum())
-    rows = np.random.default_rng(0).normal(size=(n, dim)).astype(np.float32)
-    rows[1] = 0.25
-    pairs = [(0, 1), (0, 2), (1, 2)]
-    rounding = KeyedRounding(0)
-    encoder = FusedStepEncoder(rounding)
-    plan = encoder.plan_for(
-        None, pairs, counts, [(0, 0, n)], np.arange(n, dtype=np.int64), bits, dim
-    )
-    encoder.gather_step(plan, {0: rows})
-    (shard,) = encoder.shards_for(plan, 1)
-    keys = rounding.block_keys("fwd", 0, plan.pair_src, plan.pair_dst)
-    encoder._pack_numpy(plan, shard, encoder._quantize_numpy(plan, shard, keys))
-    want = [plan.wire.copy(), plan.zero_points.copy(), plan.scales.copy()]
-    plan.wire.fill(0xFF)
-    encoder._quantize_pack_native(lib, plan, shard, keys)
-    if not (
-        plan.wire.tobytes() == want[0].tobytes()
-        and np.array_equal(plan.zero_points, want[1])
-        and np.array_equal(plan.scales, want[2])
-    ):
-        return False
-    # Both receivers through their indices — receiver 1's halo rows
-    # directly, receiver 2's two pairs into a block — against the NumPy
-    # decode; then receiver 2's block accumulated twice into rows where its
-    # two sources overlap.
-    indices = {
-        1: decode_index(plan, 1, {0: [3, 0, 4, 1, 2]}, 5),
-        2: decode_index(plan, 2, {0: [4, 0, 2], 1: [1, 2, 3, 4]}, 5, accumulate=True),
-    }
-    got, want = {}, {}
-    for d, index in indices.items():
-        got[d] = index, np.full(index.shape, np.nan, dtype=np.float32)
-        want[d] = index, got[d][1].copy()
-        _decode_index_native(lib, *got[d])
-    own = {d: dict(zip(index.srcs, index.payloads)) for d, index in indices.items()}
-    _decode_numpy(own, None, want)
-    if any(got[d][1].tobytes() != want[d][1].tobytes() for d in indices):
-        return False
-    index, block = got[2]
-    got_sum, want_sum = np.ones((2, 5, dim), dtype=np.float32)
-    lib.repro_add_rows(
-        block.ctypes.data,
-        len(block),
-        dim,
-        index.add_rows.ctypes.data,
-        got_sum.ctypes.data,
-    )
-    for src in index.srcs:
-        want_sum[index.rows[src]] += block[index.land[src]]
-    return (
-        got_sum.tobytes() == want_sum.tobytes()
-        and _csr_agrees(lib)
-        and _post_agrees(lib)
-    )
-
-
-def _csr_agrees(lib) -> bool:
-    """The self-test's CSR case: ``repro_csr_rows`` against scipy's
-    ``csr_matvecs`` on a small operator with an empty row and unsorted,
-    repeated columns, at a narrow and a wide width, overwriting and
-    accumulating, over every row and over row ranges passed as ``indptr``
-    slices."""
-    from scipy.sparse._sparsetools import csr_matvecs
-
-    gen = np.random.default_rng(1)
-    indptr = np.array([0, 3, 3, 4, 8, 10], dtype=np.int32)
-    indices = np.array([2, 0, 2, 1, 6, 3, 0, 3, 5, 4], dtype=np.int32)
-    data = gen.normal(size=10).astype(np.float32)
-    for width in (5, 19):
-        x = gen.normal(size=(7, width)).astype(np.float32)
-        for lo, hi, accumulate in ((0, 5, 0), (0, 5, 1), (2, 5, 1), (1, 4, 0)):
-            got = gen.normal(size=(hi - lo, width)).astype(np.float32)
-            want = got.copy() if accumulate else np.zeros_like(got)
-            rows = indptr[lo : hi + 1]
-            lib.repro_csr_rows(
-                hi - lo,
-                rows.ctypes.data,
-                indices.ctypes.data,
-                data.ctypes.data,
-                x.ctypes.data,
-                width,
-                got.ctypes.data,
-                accumulate,
-            )
-            csr_matvecs(hi - lo, 7, width, rows, indices, data, x.ravel(), want.ravel())
-            if got.tobytes() != want.tobytes():
-                return False
-    return True
-
-
-def _post_agrees(lib) -> bool:
-    """The self-test's post-stage case: ``repro_post_forward`` /
-    ``repro_post_backward`` against :class:`~repro.nn.layers.LayerNorm`'s
-    ``forward_into`` and ``input_grad``, the ReLU and dropout multiplies and
-    per-block ``sum(axis=0)`` partials — at a ragged width, with a
-    zero-variance row and an empty block, dropout off and on."""
-    from repro.nn.layers import LayerNorm
-
-    gen = np.random.default_rng(2)
-    n, dim = 7, 19
-    norm = LayerNorm(dim)
-    norm.gamma.data[...] = gen.normal(size=dim)
-    norm.beta.data[...] = gen.normal(size=dim)
-    bounds = np.array([0, 3, 3, n], dtype=np.int64)
-    halved = (gen.random((n, dim)) < 0.5).astype(np.float32) / np.float32(0.5)
-    for drop in (None, halved):
-        x = gen.normal(size=(n, dim)).astype(np.float32)
-        x[2] = 1.5
-        h, x_hat, want_hat = x.copy(), np.empty_like(x), np.empty_like(x)
-        inv_std, mask = np.empty((n, 1), np.float32), np.empty((n, dim), bool)
-        want_inv = norm.forward_into(x, want_hat)
-        want_mask = x > 0
-        x *= want_mask
-        if drop is not None:
-            x *= drop
-        drop_ptr = None if drop is None else drop.ctypes.data
-        lib.repro_post_forward(
-            n,
-            dim,
-            h.ctypes.data,
-            norm.gamma.data.ctypes.data,
-            norm.beta.data.ctypes.data,
-            norm.eps,
-            drop_ptr,
-            x_hat.ctypes.data,
-            inv_std.ctypes.data,
-            mask.ctypes.data,
-        )
-        got, want = (h, x_hat, inv_std, mask), (x, want_hat, want_inv, want_mask)
-        if [a.tobytes() for a in got] != [b.tobytes() for b in want]:
-            return False
-        d = gen.normal(size=(n, dim)).astype(np.float32)
-        g, partials = d.copy(), np.full((3, 2, dim), np.nan, np.float32)
-        if drop is not None:
-            d *= drop
-        d *= want_mask
-        want = [
-            [(d * want_hat)[lo:hi].sum(axis=0), d[lo:hi].sum(axis=0)]
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
-        want_grad = norm.input_grad(d, want_hat, want_inv)
-        lib.repro_post_backward(
-            dim,
-            g.ctypes.data,
-            x_hat.ctypes.data,
-            inv_std.ctypes.data,
-            mask.ctypes.data,
-            drop_ptr,
-            norm.gamma.data.ctypes.data,
-            bounds.ctypes.data,
-            3,
-            partials.ctypes.data,
-        )
-        if g.tobytes() != want_grad.tobytes():
-            return False
-        if partials.tobytes() != np.array(want, dtype=np.float32).tobytes():
-            return False
-    return True

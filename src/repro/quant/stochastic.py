@@ -1,4 +1,4 @@
-"""Stochastic integer quantization (paper Eqns. 4–5, Theorem 1).
+"""Stochastic integer quantization (paper Eqns. 4–5, Theorem 1): its noise.
 
 For a message vector ``h`` and bit-width ``b``:
 
@@ -10,11 +10,11 @@ For a message vector ``h`` and bit-width ``b``:
 
 Stochastic rounding makes ``E[ĥ] = h`` (unbiased) with per-element variance
 at most ``S²/6`` under the uniform-fraction assumption, giving Theorem 1's
-vector variance ``D · S² / 6``.
+vector variance ``D · S² / 6``.  :mod:`repro.quant.fused` runs this
+arithmetic for a whole exchange step; ``tests/reference/wire.py`` states it
+one message at a time.
 
-**Rounding noise.**  :func:`quantize_stochastic` takes any
-:class:`numpy.random.Generator` — the function-level statement of
-Eqns. 4–5.  The encoders take their noise from :class:`KeyedRounding`,
+**Rounding noise.**  The encoder takes its noise from :class:`KeyedRounding`,
 which makes the noise of each quantized message block a *pure function of
 its coordinates*: a counter-based Philox generator keyed on ``(run_seed,
 epoch, phase, layer, src, dst)``.  Encode jobs then produce
@@ -39,150 +39,13 @@ from __future__ import annotations
 
 import sys
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
-from repro.utils.validation import check_array, check_in_set
-
-__all__ = [
-    "QuantizedTensor",
-    "stochastic_round",
-    "quantize_stochastic",
-    "quantize_with_noise",
-    "dequantize",
-    "block_key",
-    "block_keys",
-    "KeyedRounding",
-    "as_rounding",
-]
-
-_ALLOWED_BITS = (1, 2, 4, 8)
+__all__ = ["block_keys", "KeyedRounding", "as_rounding"]
 
 # Wire overhead per message vector: zero-point + scale, both float32.
 METADATA_BYTES_PER_ROW = 8
-
-
-@dataclass
-class QuantizedTensor:
-    """A batch of quantized message vectors sharing one bit-width.
-
-    ``codes`` stores the integer codes *unpacked* (one ``uint8`` per
-    element) for computational convenience; :attr:`wire_bytes` reports the
-    size the payload occupies on the wire after bit-packing (the quantity
-    the communication model charges for).
-    """
-
-    codes: np.ndarray  # (n, D) uint8
-    zero_point: np.ndarray  # (n,) float32
-    scale: np.ndarray  # (n,) float32
-    bits: int
-
-    def __post_init__(self) -> None:
-        check_array(self.codes, name="codes", ndim=2, dtype_kind="u")
-        check_in_set(self.bits, _ALLOWED_BITS, name="bits")
-        n = self.codes.shape[0]
-        if self.zero_point.shape != (n,) or self.scale.shape != (n,):
-            raise ValueError("zero_point and scale must be per-row vectors")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.codes.shape  # type: ignore[return-value]
-
-    @property
-    def wire_bytes(self) -> int:
-        """Bytes on the wire: packed payload + per-row (Z, S) metadata."""
-        n, d = self.codes.shape
-        payload = (n * d * self.bits + 7) // 8
-        return payload + n * METADATA_BYTES_PER_ROW
-
-    def dequantize(self) -> np.ndarray:
-        return dequantize(self)
-
-
-def stochastic_round(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Round each element up with probability equal to its fractional part.
-
-    >>> import numpy as np
-    >>> rng = np.random.default_rng(0)
-    >>> vals = stochastic_round(np.full(10000, 0.25), rng)
-    >>> 0.2 < vals.mean() < 0.3
-    True
-    """
-    floor = np.floor(x)
-    frac = x - floor
-    return floor + (rng.random(x.shape) < frac)
-
-
-def quantize_stochastic(
-    h: np.ndarray, bits: int, rng: np.random.Generator
-) -> QuantizedTensor:
-    """Quantize a batch of message vectors to ``bits``-bit integers.
-
-    Parameters
-    ----------
-    h:
-        ``(n, D)`` float array; each *row* is one node's message vector and
-        gets its own zero-point/scale (as in the paper, where Z and S are
-        per-message).
-    bits:
-        One of ``{1, 2, 4, 8}`` (the paper's B = {2, 4, 8}; 1 is supported
-        for stress tests).
-    rng:
-        Source of the stochastic-rounding randomness.
-
-    Notes
-    -----
-    Constant rows (``max == min``) quantize exactly: scale 0 is kept and
-    de-quantization returns the zero-point, so no special casing leaks into
-    the variance accounting (a constant vector has zero variance).
-    """
-    check_array(np.asarray(h), name="h", ndim=2)
-    check_in_set(bits, _ALLOWED_BITS, name="bits")
-    h = np.asarray(h, dtype=np.float32)
-    return quantize_with_noise(h, bits, rng.random(h.shape))
-
-
-def quantize_with_noise(h: np.ndarray, bits: int, noise: np.ndarray) -> QuantizedTensor:
-    """Quantize with pre-drawn uniform rounding noise (the batched kernel).
-
-    Identical arithmetic to :func:`quantize_stochastic`; the per-message
-    encoder draws one keyed noise block per message and slices it per
-    bit-width group.
-    """
-    h = np.asarray(h, dtype=np.float32)
-
-    levels = float(2**bits - 1)
-    z = h.min(axis=1)
-    h_max = h.max(axis=1)
-    scale = (h_max - z) / levels  # 0 for constant rows
-
-    safe_scale = np.where(scale > 0, scale, 1.0)
-    normalized = (h - z[:, None]) / safe_scale[:, None]
-    floor = np.floor(normalized)
-    codes = floor + (noise < normalized - floor)
-    # Stochastic rounding can emit ``levels + 1`` on the max element when
-    # the fractional part is exactly 0 at the top of the range; clip keeps
-    # codes within b bits without biasing interior values.
-    np.clip(codes, 0, levels, out=codes)
-    return QuantizedTensor(
-        codes=codes.astype(np.uint8),
-        zero_point=z.astype(np.float32),
-        scale=scale.astype(np.float32),
-        bits=int(bits),
-    )
-
-
-def dequantize(q: QuantizedTensor) -> np.ndarray:
-    """Recover float32 message vectors (Eqn. 5): ``ĥ = codes * S + Z``."""
-    return (
-        q.codes.astype(np.float32) * q.scale[:, None] + q.zero_point[:, None]
-    ).astype(np.float32)
-
-
-# ---------------------------------------------------------------------------
-# Rounding-noise policies
-# ---------------------------------------------------------------------------
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15  # 2^64 / phi, the usual odd sequencing constant
@@ -201,28 +64,6 @@ def _mix64(z: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-def block_key(
-    run_seed: int, epoch: int, phase: str, layer: int, src: int, dst: int
-) -> tuple[int, int]:
-    """Philox key words for one message block's rounding noise.
-
-    The coordinates are absorbed one by one through SplitMix64 mixing
-    (plain Python integer arithmetic — platform- and order-stable), then
-    finalized into the two 64-bit words Philox4x64 takes as its key.  Two
-    blocks differing in *any* coordinate get statistically independent
-    streams; the same coordinates always reproduce the same stream.
-
-    >>> block_key(0, 0, "fwd", 0, 0, 1) == block_key(0, 0, "fwd", 0, 0, 1)
-    True
-    >>> block_key(0, 0, "fwd", 0, 0, 1) != block_key(0, 0, "bwd", 0, 0, 1)
-    True
-    """
-    h = _mix64(int(run_seed) ^ _GOLDEN)
-    for coord in (epoch, _PHASE_IDS[phase], layer, src, dst):
-        h = _mix64(h ^ _mix64((int(coord) + _GOLDEN) & _MASK64))
-    return _mix64(h ^ _KEY_WORD_0), _mix64(h ^ _KEY_WORD_1)
-
-
 def _mix64_vec(z: np.ndarray) -> np.ndarray:
     """:func:`_mix64` over a uint64 array (array arithmetic wraps mod 2^64)."""
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
@@ -233,19 +74,23 @@ def _mix64_vec(z: np.ndarray) -> np.ndarray:
 def block_keys(
     run_seed: int, epoch: int, phase: str, layer: int, src, dst
 ) -> np.ndarray:
-    """:func:`block_key` for arrays of ``src``/``dst``: ``(n, 2)`` uint64.
+    """Philox key words of the message blocks ``(src[i], dst[i])`` of one
+    (phase, layer) step: ``(n, 2)`` uint64.
 
-    The ``(run_seed, epoch, phase, layer)`` prefix is absorbed once in
-    Python integers, ``src`` and ``dst`` in one vectorised pass; row ``i``
-    equals ``block_key(run_seed, epoch, phase, layer, src[i], dst[i])``
-    word for word.
+    The coordinates are absorbed one by one through SplitMix64 mixing, then
+    finalized into the two 64-bit words Philox4x64 takes as its key.  Two
+    blocks differing in *any* coordinate get statistically independent
+    streams; the same coordinates always reproduce the same stream.  The
+    ``(run_seed, epoch, phase, layer)`` prefix is absorbed once in Python
+    integers (platform- and order-stable), ``src`` and ``dst`` in one
+    vectorised pass.
     """
     h = _mix64(int(run_seed) ^ _GOLDEN)
     for coord in (epoch, _PHASE_IDS[phase], layer):
         h = _mix64(h ^ _mix64((int(coord) + _GOLDEN) & _MASK64))
     hv = np.uint64(h)
     for coords in (src, dst):
-        # int64 -> uint64 wraps like the scalar path's ``& _MASK64``.
+        # int64 -> uint64 wraps like the prefix's ``& _MASK64``.
         c = np.atleast_1d(np.asarray(coords, dtype=np.int64)).astype(np.uint64)
         hv = _mix64_vec(hv ^ _mix64_vec(c + np.uint64(_GOLDEN)))
     return np.stack(
@@ -344,27 +189,6 @@ class KeyedRounding:
         np.multiply(lanes.reshape(out.shape), _LANE_SCALE, out=out)
         out += _LANE_HALF  # (k + 1/2) * 2^-16, exact in float32
         return out
-
-    def block_noise(
-        self,
-        phase: str,
-        layer: int,
-        src: int,
-        dst: int,
-        shape: tuple[int, ...] | None = None,
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Rounding noise in (0, 1) for one block, row-major.
-
-        ``out`` (a C-contiguous float32 buffer) receives the draw in
-        place; otherwise a fresh ``shape`` array is returned.  The same
-        coordinates always produce the same values, whichever form is
-        used — both consume the keyed stream from its origin.
-        """
-        if out is None:
-            out = np.empty(shape, dtype=np.float32)
-        key = block_key(self.run_seed, self.epoch, phase, layer, src, dst)
-        return self.fill_noise([np.asarray(key, dtype=np.uint64)], [out.size], out)
 
 
 def as_rounding(source) -> KeyedRounding:

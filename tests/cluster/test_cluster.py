@@ -11,6 +11,7 @@ from repro.cluster.exchange import (
 )
 from repro.graph.partition.api import partition_graph
 from repro.graph.partition.book import PartitionBook
+from repro.nn.metrics import task_metric
 from repro.nn.optim import Adam
 from repro.quant.stochastic import KeyedRounding
 
@@ -127,19 +128,20 @@ def test_quantized_wire_bytes_much_smaller(tiny_dataset):
     assert q2 < 0.25 * exact
 
 
-def test_evaluate_returns_all_splits(tiny_dataset):
-    c = _cluster(tiny_dataset, 2)
-    metrics = c.evaluate()
-    assert set(metrics) == {"train", "val", "test"}
-    for v in metrics.values():
-        assert 0.0 <= v <= 1.0
-
-
-def test_full_logits_scatter(tiny_dataset):
-    c = _cluster(tiny_dataset, 3)
-    logits = c.full_logits()
-    assert logits.shape == (tiny_dataset.num_nodes, tiny_dataset.num_classes)
-    assert np.isfinite(logits).all()
+def test_evaluate_returns_all_splits(tiny_dataset, tiny_single_label_dataset):
+    """Metrics summed from per-device counts are, bit for bit, the global
+    metric of the logits in node order — micro-F1 and accuracy alike."""
+    for ds in (tiny_dataset, tiny_single_label_dataset):
+        c = _cluster(ds, 3)
+        metrics = c.evaluate()
+        assert set(metrics) == {"train", "val", "test"}
+        stacked = c._eval_forward().logits
+        logits = np.empty((ds.num_nodes, stacked.shape[1]), dtype=np.float32)
+        logits[np.concatenate([d.part.owned_global for d in c.devices])] = stacked
+        for split, value in metrics.items():
+            mask = getattr(ds, f"{split}_mask")
+            assert value == task_metric(logits, ds.labels, mask, multilabel=ds.multilabel)
+            assert 0.0 <= value <= 1.0
 
 
 def test_invalid_model_kind(tiny_dataset, tiny_book):

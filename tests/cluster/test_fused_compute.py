@@ -417,17 +417,19 @@ def test_loss_out_buffer_matches_fresh_allocation():
     assert np.array_equal(grad_a, grad_b)
 
 
-def test_engine_exposes_global_scatter(tiny_dataset):
-    """``full_logits`` scatters the stacked per-device logits into global
-    node order: row for row the reference's eval-mode forward."""
+def test_eval_forward_logits_equal_the_reference_per_device(tiny_dataset):
+    """The exact eval-mode forward ``Cluster.evaluate`` counts its metrics
+    from: device ``k``'s block of the stacked logits is, row for row, the
+    reference's eval-mode forward on that device."""
     book = partition_graph(tiny_dataset.graph, 2, method="metis", seed=0)
     shape = dict(hidden_dim=8, num_layers=2, dropout=0.0, seed=0)
     cluster = Cluster(tiny_dataset, book, **shape)
     assert isinstance(cluster._compute_engine(), FusedClusterCompute)
-    logits = cluster.full_logits()
+    engine = cluster._eval_forward()
     reference = ReferenceTrainer(tiny_dataset, book, "exact", model_kind="gcn", **shape)
     for dev in reference.devices:
         dev.model.eval()
     per_device, _ = reference.forward(ExactPolicy())
-    for dev in reference.devices:
-        assert np.array_equal(logits[dev.part.owned_global], per_device[dev.rank])
+    for k, dev in enumerate(reference.devices):
+        rows = engine.logits[engine.own_off[k] : engine.own_off[k + 1]]
+        assert np.array_equal(rows, per_device[dev.rank])

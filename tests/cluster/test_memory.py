@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro import kernels
 from repro.cluster.cluster import Cluster
 from repro.cluster.exchange import ExactHaloExchange
 from repro.cluster.memory import (
@@ -19,7 +20,7 @@ from repro.cluster.memory import (
     host_memory,
 )
 from repro.graph.partition.api import partition_graph
-from repro.quant import fused, native
+from repro.quant import fused
 from repro.quant.stochastic import KeyedRounding
 
 
@@ -27,7 +28,7 @@ def _kernel_scratch(cluster):
     """The quantization kernel's chunk scratch, counted independently of the
     estimator: 16 bytes per element of one chunk on the NumPy tier, nothing
     where the compiled kernels are loaded."""
-    if native.load() is not None:
+    if kernels.load() is not None:
         return 0
     send_rows = sum(dev.part.n_halo for dev in cluster.devices)
     return min(fused._QUANT_CHUNK_ROWS, send_rows) * max(cluster.dims[:-1]) * 16
@@ -39,7 +40,7 @@ def _quant_stage(cluster, steps_widths):
     per element on the NumPy tier (rows + codes), plus 8 B per row of zero
     point and scale on the compiled tier."""
     send_rows = sum(dev.part.n_halo for dev in cluster.devices)
-    per_row = 0 if native.load() is None else 8 * len(steps_widths)
+    per_row = 0 if kernels.load() is None else 8 * len(steps_widths)
     return send_rows * (5 * sum(steps_widths) + per_row)
 
 

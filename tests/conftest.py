@@ -20,16 +20,16 @@ def rng():
 
 @pytest.fixture(scope="session")
 def compiled_kernels():
-    """The compiled quantization kernels (``repro.quant.native``), loaded
-    whatever tier ``--quant-kernel`` pins for the session; skips the test
-    where they are unavailable, with the loader's reason."""
-    from repro.quant import native
+    """The compiled kernels (``repro.kernels``), loaded whatever tier
+    ``--quant-kernel`` pins for the session; skips the test where they are
+    unavailable, with the loader's reason."""
+    from repro import kernels
 
-    pinned, native._tier = native._tier, None
+    pinned, kernels._tier = kernels._tier, None
     try:
-        lib, reason = native.load(), native.status()
+        lib, reason = kernels.load(), kernels.status()
     finally:
-        native._tier = pinned
+        kernels._tier = pinned
     if lib is None:
         pytest.skip(f"compiled kernel tier unavailable: {reason}")
     return lib
@@ -39,16 +39,16 @@ def compiled_kernels():
 def kernel_tier():
     """``with kernel_tier(lib):`` runs the program's own tier check as if the
     loader had decided on ``lib`` (``None``: the NumPy kernels)."""
-    from repro.quant import native
+    from repro import kernels
 
     @contextmanager
     def pinned(lib):
-        saved = native._tier
-        native._tier = (lib, "numpy (test)" if lib is None else "native (test)")
+        saved = kernels._tier
+        kernels._tier = (lib, "numpy (test)" if lib is None else "native (test)")
         try:
             yield
         finally:
-            native._tier = saved
+            kernels._tier = saved
 
     return pinned
 

@@ -1,7 +1,7 @@
 """Encoder-level equivalence: the step-fused encoder emits, pair for pair,
-the bytes of the per-message :class:`MixedPrecisionEncoder` — laid out in
-the plan's wire buffer as the byte formula says, and held there until the
-plan's next encode."""
+the bytes of the per-message reference encoder (``reference/wire.py``) —
+laid out in the plan's wire buffer as the byte formula says, and held
+there until the plan's next encode."""
 
 import gc
 import weakref
@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference.wire import MixedPrecisionEncoder, decode
 
 from repro.quant.fused import (
     FusedStepEncoder,
     decode_cluster_step,
     decode_index,
 )
-from repro.quant.mixed import MixedPrecisionEncoder
 from repro.quant.stochastic import KeyedRounding
 from repro.quant.theory import packed_bytes, wire_bytes
 
@@ -74,7 +74,7 @@ def test_fused_encode_bitwise_identical_to_legacy(monkeypatch, bit_choices, chun
             np.array_equal(a, b) for a, b in zip(pl.zero_points, pf.zero_points)
         )
         assert all(np.array_equal(a, b) for a, b in zip(pl.scales, pf.scales))
-        assert np.array_equal(pl.decode(), pf.decode())
+        assert np.array_equal(decode(pl), decode(pf))
 
 
 def test_fused_encode_ragged_pair_sizes():
@@ -99,7 +99,7 @@ def test_fused_encode_ragged_pair_sizes():
             values[sel], bits_cat[bounds[i] : bounds[i + 1]], block=("bwd", 2, *pair)
         )
         assert pl.wire_bytes == fused[pair].wire_bytes
-        assert np.array_equal(pl.decode(), fused[pair].decode())
+        assert np.array_equal(decode(pl), decode(fused[pair]))
 
 
 def test_plan_cache_revalidates_on_bit_change():
@@ -120,7 +120,7 @@ def test_decode_step_matches_payload_decode():
     mailbox = {dst: p for (_, dst), p in fused.items()}
     decoded = decode_step(mailbox)
     for src, payload in mailbox.items():
-        assert np.array_equal(decoded[src], payload.decode())
+        assert np.array_equal(decoded[src], decode(payload))
 
 
 def test_decode_cluster_step_groups_by_receiver():
@@ -134,7 +134,7 @@ def test_decode_cluster_step_groups_by_receiver():
     assert set(decoded) == {10, 11}
     for dst, mailbox in collects.items():
         for src, payload in mailbox.items():
-            assert np.array_equal(decoded[dst][src], payload.decode())
+            assert np.array_equal(decoded[dst][src], decode(payload))
 
 
 def test_decode_cluster_step_empty_mailboxes():
@@ -148,18 +148,6 @@ def test_encoder_empty_step():
         np.zeros(0, dtype=np.int64), 4,
     )
     assert enc.encode_step(plan, {}, coords=("fwd", 0)) == {}
-
-
-def test_quantize_with_noise_matches_stochastic():
-    from repro.quant.stochastic import quantize_stochastic, quantize_with_noise
-
-    h = np.random.default_rng(1).normal(size=(50, 8)).astype(np.float32)
-    r1, r2 = np.random.default_rng(5), np.random.default_rng(5)
-    q1 = quantize_stochastic(h, 4, r1)
-    q2 = quantize_with_noise(h, 4, r2.random(h.shape))
-    assert np.array_equal(q1.codes, q2.codes)
-    assert np.array_equal(q1.zero_point, q2.zero_point)
-    assert np.array_equal(q1.scale, q2.scale)
 
 
 @settings(max_examples=60, deadline=None)
@@ -257,6 +245,6 @@ def test_a_rebuilt_plan_frees_the_old_one_without_the_collector():
         new_bits[0] = 2 if bits_cat[0] != 2 else 4
         enc.plan_for("k", pairs, counts, [(0, 0, n)], cat_idx, new_bits, dim)
         assert old() is None
-        assert payloads[(0, 1)].decode().shape == (int(counts[0]), dim)
+        assert decode(payloads[(0, 1)]).shape == (int(counts[0]), dim)
     finally:
         gc.enable()

@@ -15,16 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference.wire import MixedPrecisionEncoder, block_key, block_noise, decode
 
 from repro.quant import fused as fused_module
 from repro.quant.fused import FusedStepEncoder
-from repro.quant.mixed import MixedPrecisionEncoder
-from repro.quant.stochastic import (
-    KeyedRounding,
-    as_rounding,
-    block_key,
-    block_keys,
-)
+from repro.quant.stochastic import KeyedRounding, as_rounding, block_keys
 from repro.quant.theory import quantization_variance
 
 
@@ -101,16 +96,16 @@ def test_rekeyed_generator_equals_freshly_constructed(keys, n):
 def test_keyed_noise_is_order_and_form_independent():
     rounding = KeyedRounding(11)
     rounding.set_epoch(5)
-    a = rounding.block_noise("fwd", 0, 1, 2, shape=(6, 4))
+    a = block_noise(rounding, "fwd", 0, 1, 2, shape=(6, 4))
     out = np.empty((6, 4), dtype=np.float32)
-    rounding.block_noise("fwd", 0, 1, 2, out=out)
+    block_noise(rounding, "fwd", 0, 1, 2, out=out)
     assert a.dtype == np.float32 and np.array_equal(a, out)
     # Drawing other blocks in between must not perturb a block's stream.
-    rounding.block_noise("bwd", 2, 0, 1, shape=(3, 3))
-    assert np.array_equal(a, rounding.block_noise("fwd", 0, 1, 2, shape=(6, 4)))
+    block_noise(rounding, "bwd", 2, 0, 1, shape=(3, 3))
+    assert np.array_equal(a, block_noise(rounding, "fwd", 0, 1, 2, shape=(6, 4)))
     # The epoch is a coordinate.
     rounding.set_epoch(6)
-    assert not np.array_equal(a, rounding.block_noise("fwd", 0, 1, 2, shape=(6, 4)))
+    assert not np.array_equal(a, block_noise(rounding, "fwd", 0, 1, 2, shape=(6, 4)))
 
 
 def test_block_noise_is_the_leading_16_bit_lanes_of_the_keyed_stream():
@@ -121,7 +116,7 @@ def test_block_noise_is_the_leading_16_bit_lanes_of_the_keyed_stream():
     key = np.asarray(block_key(3, 2, "bwd", 1, 4, 0), dtype=np.uint64)
     words = [int(w) for w in np.random.Philox(key=key).random_raw(3)]
     lanes = [(w >> (16 * j)) & 0xFFFF for w in words for j in range(4)]
-    noise = rounding.block_noise("bwd", 1, 4, 0, shape=(11,))
+    noise = block_noise(rounding, "bwd", 1, 4, 0, shape=(11,))
     assert noise.tolist() == [(k + 0.5) / 65536.0 for k in lanes[:11]]
 
 
@@ -131,15 +126,15 @@ def test_block_noise_forms_agree_and_odd_blocks_leak_no_lanes(n):
     any longer draw under the same key — it consumes whole words and
     drops the spare lanes rather than handing them to a neighbour."""
     rounding = KeyedRounding(5)
-    by_shape = rounding.block_noise("fwd", 0, 2, 1, shape=(n,))
+    by_shape = block_noise(rounding, "fwd", 0, 2, 1, shape=(n,))
     neighbours = np.full(n + 8, -1.0, dtype=np.float32)
-    rounding.block_noise("fwd", 0, 2, 1, out=neighbours[4 : 4 + n])
+    block_noise(rounding, "fwd", 0, 2, 1, out=neighbours[4 : 4 + n])
     assert np.array_equal(by_shape, neighbours[4 : 4 + n])
     assert (neighbours[:4] == -1).all() and (neighbours[4 + n :] == -1).all()
-    longer = rounding.block_noise("fwd", 0, 2, 1, shape=(n + 5,))
+    longer = block_noise(rounding, "fwd", 0, 2, 1, shape=(n + 5,))
     assert np.array_equal(longer[:n], by_shape)
     # A different pair under the same step starts its own stream.
-    other = rounding.block_noise("fwd", 0, 2, 3, shape=(n + 5,))
+    other = block_noise(rounding, "fwd", 0, 2, 3, shape=(n + 5,))
     assert not np.array_equal(other, longer)
 
 
@@ -152,9 +147,9 @@ def test_big_endian_lane_extraction_matches_little_endian_view(monkeypatch, n):
     import repro.quant.stochastic as stochastic
 
     rounding = KeyedRounding(8)
-    view = rounding.block_noise("fwd", 1, 0, 1, shape=(n,))
+    view = block_noise(rounding, "fwd", 1, 0, 1, shape=(n,))
     monkeypatch.setattr(stochastic, "_LITTLE_ENDIAN", False)
-    shifts = rounding.block_noise("fwd", 1, 0, 1, shape=(n,))
+    shifts = block_noise(rounding, "fwd", 1, 0, 1, shape=(n,))
     assert np.array_equal(view, shifts)
 
 
@@ -166,7 +161,7 @@ _ALL_U = ((np.arange(65536, dtype=np.float64) + 0.5) / 65536.0).astype(np.float3
 
 def test_noise_lies_strictly_inside_the_unit_interval():
     assert _ALL_U[0] > 0.0 and _ALL_U[-1] < 1.0
-    noise = KeyedRounding(1).block_noise("fwd", 0, 0, 1, shape=(4096, 16))
+    noise = block_noise(KeyedRounding(1), "fwd", 0, 0, 1, shape=(4096, 16))
     assert (noise > 0.0).all() and (noise < 1.0).all()
     assert np.isin(noise, _ALL_U).all()
 
@@ -189,7 +184,7 @@ def _decoded_samples(h, bits, reps):
     out = np.empty((reps, *h.shape), dtype=np.float32)
     for epoch in range(reps):
         rounding.set_epoch(epoch)
-        out[epoch] = encoder.encode(h, bits_per_row, block=("fwd", 0, 0, 1)).decode()
+        out[epoch] = decode(encoder.encode(h, bits_per_row, block=("fwd", 0, 0, 1)))
     return out
 
 

@@ -1,9 +1,11 @@
-"""Mixed-precision encoder: the wire format of adaptive quantization."""
+"""The per-message reference encoder (``reference/wire.py``): the wire
+format of adaptive quantization."""
 
 import numpy as np
 import pytest
+from reference.wire import MixedPrecisionEncoder, decode
 
-from repro.quant.mixed import GROUP_HEADER_BYTES, MixedPrecisionEncoder
+from repro.quant.mixed import GROUP_HEADER_BYTES
 from repro.quant.stochastic import METADATA_BYTES_PER_ROW, KeyedRounding
 
 BLOCK = ("fwd", 0, 0, 1)  # the message's noise coordinates
@@ -17,7 +19,7 @@ def test_encode_decode_shape():
     h = np.random.default_rng(1).normal(size=(12, 6)).astype(np.float32)
     bits = np.array([2, 8, 2, 4, 8, 2, 4, 4, 8, 2, 2, 8])
     payload = _encoder().encode(h, bits, BLOCK)
-    out = payload.decode()
+    out = decode(payload)
     assert out.shape == h.shape
     assert out.dtype == np.float32
 
@@ -38,7 +40,7 @@ def test_higher_bits_rows_more_accurate():
     h = rng.normal(size=(400, 16)).astype(np.float32)
     bits = np.array([2] * 200 + [8] * 200)
     payload = _encoder().encode(h, bits, BLOCK)
-    out = payload.decode()
+    out = decode(payload)
     err2 = np.abs(out[:200] - h[:200]).mean()
     err8 = np.abs(out[200:] - h[200:]).mean()
     assert err8 < err2
@@ -79,7 +81,7 @@ def test_unbiasedness_of_mixed_encoding():
     reps = []
     for epoch in range(2000):  # the epoch is a noise coordinate: fresh draws
         enc.rounding.set_epoch(epoch)
-        reps.append(enc.encode(h, bits, BLOCK).decode())
+        reps.append(decode(enc.encode(h, bits, BLOCK)))
     reps = np.stack(reps)
     scale = (h.max(axis=1) - h.min(axis=1)) / 3.0  # worst (2-bit) scale
     tol = 5 * scale[:, None] / np.sqrt(6 * 2000)

@@ -3,9 +3,10 @@
 The byte-equality gate at kernel level: Philox lanes against
 ``numpy.random.Philox``, the compiled quantize + pack against the NumPy
 kernel and packer through every shard decomposition and the ``pair_shard``
-replay, the compiled decode against ``payload.decode()`` through a plan's
-:class:`DecodeIndex` straight into halo rows or an accumulated block (any
-other mailbox takes the NumPy decode), the compiled CSR product against
+replay, the compiled decode against the reference ``decode(payload)``
+(``reference/wire.py``) through a plan's :class:`DecodeIndex` straight
+into halo rows or an accumulated block (any other mailbox takes the NumPy
+decode), the compiled CSR product against
 scipy's ``csr_matvecs``, and the compiled post stage (LayerNorm → ReLU → dropout,
 both ways) against the engine's NumPy sequence.  Both tiers are driven
 explicitly here (whatever ``--quant-kernel`` pins for the test run), so the
@@ -25,6 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference.wire import MixedPrecisionEncoder, decode
 from scipy.sparse._sparsetools import csr_matvecs
 
 from repro.quant import fused
@@ -37,7 +39,7 @@ from repro.quant.fused import (
     decode_index,
     pair_shard,
 )
-from repro.quant.mixed import MixedPrecisionEncoder, MixedPrecisionPayload
+from repro.quant.mixed import MixedPrecisionPayload
 from repro.quant.stochastic import KeyedRounding
 
 DIMS = (1, 7, 8, 64, 100, 128, 256)
@@ -275,8 +277,8 @@ def test_decode_is_payload_decode(lib, tier, collects, use_workspace):
         assert list(got[dst]) == list(mailbox)  # collection order survives
         for src, payload in mailbox.items():
             assert got[dst][src].dtype == np.float32
-            assert got[dst][src].tobytes() == payload.decode().tobytes()
-            assert reference[dst][src].tobytes() == payload.decode().tobytes()
+            assert got[dst][src].tobytes() == decode(payload).tobytes()
+            assert reference[dst][src].tobytes() == decode(payload).tobytes()
 
 
 @st.composite
@@ -323,7 +325,7 @@ def exchange_steps(draw):
 @given(case=exchange_steps(), accumulate=st.booleans(), drop=st.booleans())
 def test_decode_index_lands_every_row(lib, tier, case, accumulate, drop):
     """Through a plan's :class:`DecodeIndex`, both tiers land each
-    receiver's rows where ``payload.decode()`` says — halo rows directly,
+    receiver's rows where ``decode(payload)`` says — halo rows directly,
     or a block whose accumulate (from the block, or source by source) is
     the per-pair ``out[rows] += mat`` — and a receiver missing a source
     gets zeros there (the replay's job)."""
@@ -352,7 +354,7 @@ def test_decode_index_lands_every_row(lib, tier, case, accumulate, drop):
             assert list(landed[dst]) == list(mailbox)
             want = np.zeros(index.shape, dtype=np.float32)
             for src, payload in mailbox.items():
-                want[index.land[src]] = payload.decode()
+                want[index.land[src]] = decode(payload)
             assert buf.tobytes() == want.tobytes()
             if accumulate:
                 got = np.ones((index.n_out, dim), dtype=np.float32)
@@ -455,7 +457,7 @@ def test_only_the_plans_own_mailbox_reaches_the_compiled_decode(lib, tier):
     assert calls == [1]
     want = np.zeros(index.shape, dtype=np.float32)
     for src, payload in own.items():
-        want[index.land[src]] = payload.decode()
+        want[index.land[src]] = decode(payload)
     assert landed == [want.tobytes()] * 2
 
 

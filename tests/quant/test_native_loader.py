@@ -2,7 +2,7 @@
 and exactly one WARNING that names the reason.
 
 Each case starts from an empty cache in a temporary ``XDG_CACHE_HOME`` and
-an undecided loader (``native._tier`` reset; ``monkeypatch`` restores the
+an undecided loader (``kernels._tier`` reset; ``monkeypatch`` restores the
 session's tier afterwards).  Also here: what a safe cache looks like, that
 concurrent builders and later processes share one complete build, and that
 the C source ships as package data.
@@ -20,10 +20,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from reference.wire import MixedPrecisionEncoder, decode
 
-from repro.quant import native
+from repro import kernels
+from repro.kernels import selftest
 from repro.quant.fused import FusedStepEncoder, decode_cluster_step, decode_index
-from repro.quant.mixed import MixedPrecisionEncoder
 from repro.quant.stochastic import KeyedRounding
 
 needs_compiler = pytest.mark.skipif(
@@ -35,12 +36,12 @@ needs_compiler = pytest.mark.skipif(
 def cache(monkeypatch, tmp_path):
     """An empty per-user cache and a loader that has not decided yet."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
-    monkeypatch.setattr(native, "_tier", None)
+    monkeypatch.setattr(kernels, "_tier", None)
     return tmp_path / "xdg" / "repro-quant-kernels"
 
 
-_LOAD = "import sys; from repro.quant import native; sys.exit(native.load() is None)"
-_STATUS = "from repro.quant import native; print(native.status())"
+_LOAD = "import sys; from repro import kernels; sys.exit(kernels.load() is None)"
+_STATUS = "from repro import kernels; print(kernels.status())"
 
 
 def _python(code, **popen):
@@ -70,15 +71,15 @@ def _assert_working_run():
     index = decode_index(plan, 1, {0: np.arange(11)}, 11)
     halo = np.full(index.shape, np.nan, dtype=np.float32)
     decode_cluster_step({1: {0: payload}}, into={1: (index, halo)})
-    assert halo.tobytes() == want.decode().tobytes()
+    assert halo.tobytes() == decode(want).tobytes()
 
 
 def _assert_numpy_fallback(caplog, reason):
     with caplog.at_level(logging.WARNING, logger="repro"):
-        assert native.load() is None
-        assert native.load() is None  # decided once: no retry, no second warning
+        assert kernels.load() is None
+        assert kernels.load() is None  # decided once: no retry, no second warning
         _assert_working_run()
-    status = native.status()
+    status = kernels.status()
     assert status.startswith("numpy (") and reason in status
     (record,) = _warnings(caplog)
     assert reason in record.getMessage()
@@ -91,7 +92,7 @@ def test_no_compiler_on_path(cache, caplog, monkeypatch):
 
 
 def test_big_endian_host(cache, caplog, monkeypatch):
-    monkeypatch.setattr(native, "_BIG_ENDIAN", True)
+    monkeypatch.setattr(kernels, "_BIG_ENDIAN", True)
     _assert_numpy_fallback(caplog, "big-endian host")
 
 
@@ -105,7 +106,7 @@ def test_compiler_cannot_even_report_its_version(cache, caplog, monkeypatch, tmp
 
 @needs_compiler
 def test_compiler_exits_non_zero(cache, caplog, monkeypatch):
-    monkeypatch.setattr(native, "FLAGS", (*native.FLAGS, "--no-such-flag-for-sure"))
+    monkeypatch.setattr(kernels, "FLAGS", (*kernels.FLAGS, "--no-such-flag-for-sure"))
     _assert_numpy_fallback(caplog, "exited with")
     assert list(cache.iterdir()) == []  # no partial output left behind
 
@@ -128,7 +129,7 @@ def test_a_compiler_without_the_avx2_build_still_gets_the_library(
 
     monkeypatch.setattr(subprocess, "run", run)
     with caplog.at_level(logging.WARNING, logger="repro"):
-        assert native.load() is not None
+        assert kernels.load() is not None
         _assert_working_run()
     assert builds == [False, True] and not _warnings(caplog)
 
@@ -145,8 +146,8 @@ def test_self_test_mismatch(cache, caplog, monkeypatch):
 
     monkeypatch.setattr(FusedStepEncoder, "_quantize_numpy", off_by_one)
     with caplog.at_level(logging.WARNING, logger="repro"):
-        assert native.load() is None
-    assert "self-test disagrees" in native.status()
+        assert kernels.load() is None
+    assert "self-test disagrees" in kernels.status()
     (record,) = _warnings(caplog)
     assert "self-test disagrees" in record.getMessage()
     monkeypatch.setattr(FusedStepEncoder, "_quantize_numpy", genuine)
@@ -160,25 +161,23 @@ def test_a_self_test_that_calls_the_loader_fails_over_instead_of_hanging(
     """A kernel call site reachable from the self-test calls ``load()``
     while the build holds the loader's lock: it raises at once, so the
     build ends on the NumPy tier with one WARNING rather than deadlocking."""
-    from repro.quant import fused
-
-    genuine = fused.kernels_agree
+    genuine = selftest.quantize_agrees
 
     def calls_back(lib):
-        native.load()
+        kernels.load()
         return genuine(lib)
 
-    monkeypatch.setattr(fused, "kernels_agree", calls_back)
+    monkeypatch.setattr(selftest, "FAMILIES", (calls_back, *selftest.FAMILIES[1:]))
     verdict = []
-    worker = threading.Thread(target=lambda: verdict.append(native.load()), daemon=True)
+    worker = threading.Thread(target=lambda: verdict.append(kernels.load()), daemon=True)
     with caplog.at_level(logging.WARNING, logger="repro"):
         worker.start()
         worker.join(timeout=60)
     assert not worker.is_alive(), "load() deadlocked on its own self-test"
     assert verdict == [None]
     (record,) = _warnings(caplog)
-    assert "re-entered" in record.getMessage() and "re-entered" in native.status()
-    assert native._build_thread is None  # the next build starts clean
+    assert "re-entered" in record.getMessage() and "re-entered" in kernels.status()
+    assert kernels._build_thread is None  # the next build starts clean
 
 
 @needs_compiler
@@ -190,8 +189,8 @@ def test_truncated_cached_library(cache, caplog, monkeypatch):
     built.write_bytes(built.read_bytes()[:200])
     _assert_numpy_fallback(caplog, "cannot load")
     assert not built.exists()  # removed, so the next process rebuilds it
-    monkeypatch.setattr(native, "_tier", None)
-    assert native.load() is not None and built.exists()
+    monkeypatch.setattr(kernels, "_tier", None)
+    assert kernels.load() is not None and built.exists()
 
 
 @needs_compiler
@@ -201,10 +200,10 @@ def test_unwritable_cache_falls_to_a_private_temp_dir(
     (tmp_path / "xdg").write_text("a file where the cache directory should be")
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     with caplog.at_level(logging.WARNING, logger="repro"):
-        assert native.load() is not None
+        assert kernels.load() is not None
         _assert_working_run()
     fallback = tmp_path / f"repro-quant-kernels-{os.getuid()}"
-    assert str(fallback) in native.status()
+    assert str(fallback) in kernels.status()
     assert fallback.stat().st_mode & 0o777 == 0o700
     (record,) = _warnings(caplog)
     assert str(fallback) in record.getMessage()
@@ -220,27 +219,27 @@ def test_no_usable_cache_directory_at_all(cache, caplog, monkeypatch, tmp_path):
 
 @needs_compiler
 def test_cached_library_must_be_private_to_this_user(cache, caplog, monkeypatch):
-    assert native.load() is not None
+    assert kernels.load() is not None
     (built,) = cache.iterdir()
     assert built.stat().st_uid == os.getuid() and not built.stat().st_mode & 0o022
     built.chmod(0o777)  # anyone could have replaced it
-    monkeypatch.setattr(native, "_tier", None)
+    monkeypatch.setattr(kernels, "_tier", None)
     _assert_numpy_fallback(caplog, "not a private file")
 
 
 @needs_compiler
 def test_someone_elses_cache_directory_is_not_used(cache, monkeypatch):
-    assert native.load() is not None
+    assert kernels.load() is not None
     monkeypatch.setattr(os, "getuid", lambda uid=os.getuid(): uid + 1)
-    assert not native._private(cache)
+    assert not kernels._private(cache)
 
 
 @needs_compiler
 def test_the_key_covers_source_flags_and_compiler(cache, monkeypatch):
-    assert native.load() is not None
-    monkeypatch.setattr(native, "_tier", None)
-    monkeypatch.setattr(native, "FLAGS", (*native.FLAGS, "-DREPRO_OTHER_BUILD"))
-    assert native.load() is not None
+    assert kernels.load() is not None
+    monkeypatch.setattr(kernels, "_tier", None)
+    monkeypatch.setattr(kernels, "FLAGS", (*kernels.FLAGS, "-DREPRO_OTHER_BUILD"))
+    assert kernels.load() is not None
     assert len(list(cache.glob("kernels-*.so"))) == 2
 
 
@@ -258,17 +257,17 @@ def test_concurrent_builders_both_load_a_complete_file(cache):
 def test_a_later_process_loads_the_build_it_finds(cache):
     """What a transport worker started by ``spawn`` does (a forked one
     inherits the loaded library): no compile, the parent's file."""
-    assert native.load() is not None
+    assert kernels.load() is not None
     (built,) = cache.iterdir()
     stamp = built.stat().st_mtime_ns
     child = _python(_STATUS, stdout=subprocess.PIPE, text=True)
     out, _ = child.communicate(timeout=300)
-    assert out.strip() == native.status() and str(built) in out
+    assert out.strip() == kernels.status() and str(built) in out
     assert built.stat().st_mtime_ns == stamp and len(list(cache.iterdir())) == 1
 
 
 def test_the_c_source_ships_as_package_data():
-    source = resources.files("repro.quant").joinpath("_kernels.c")
+    source = resources.files("repro.kernels").joinpath("_kernels.c")
     text = source.read_text()
     entries = ("repro_philox_lanes", "repro_quantize_pack_pairs", "repro_decode_rows",
                "repro_add_rows", "repro_csr_rows", "repro_post_forward",
@@ -278,9 +277,9 @@ def test_the_c_source_ships_as_package_data():
     for gone in ("repro_quantize_pairs", "repro_decode_groups"):
         assert gone not in text
     assert len(text.splitlines()) <= 600
-    loader = Path(native.__file__).read_text()
+    loader = Path(kernels.__file__).read_text()
     assert len(loader.splitlines()) <= 170
-    assert "-ffast-math" not in native.FLAGS and "-march=native" not in native.FLAGS
-    assert "-ffp-contract=off" in native.FLAGS
+    assert "-ffast-math" not in kernels.FLAGS and "-march=native" not in kernels.FLAGS
+    assert "-ffp-contract=off" in kernels.FLAGS
     pyproject = Path(__file__).parents[2] / "pyproject.toml"
-    assert 'repro = ["quant/*.c"]' in pyproject.read_text()
+    assert 'repro = ["kernels/*.c"]' in pyproject.read_text()

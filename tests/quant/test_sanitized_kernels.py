@@ -4,7 +4,7 @@ The production build is ``-O3`` and trusts every offset and row index its
 Python callers checked.  Here the same ``_kernels.c`` is built with
 ``-fsanitize=address,undefined -O1`` and driven, in a subprocess (the
 sanitizer runtime must be preloaded into the interpreter), through the
-loader's self-test and the hypothesis properties of
+loader's self-tests (one per kernel family) and the hypothesis properties of
 ``test_native_kernels.py``: ragged groups, rows that share a byte
 (dim·bits % 8 ≠ 0), 1-bit groups, permuted payload orders, empty pairs, a
 receiver whose mailbox is missing a source, decode straight into halo rows
@@ -26,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.quant import native
+from repro import kernels
 
 SANITIZE = ("-fsanitize=address,undefined", "-fno-sanitize-recover=all",
             "-fno-omit-frame-pointer", "-O1", "-g", "-fPIC", "-shared",
@@ -49,10 +49,11 @@ _DRIVER = r"""
 import ctypes, importlib.util, inspect, sys
 from contextlib import contextmanager
 
-from repro.quant import fused, native
+from repro import kernels
+from repro.kernels import selftest
 
 lib = ctypes.CDLL(sys.argv[1])
-native.declare(lib)
+kernels.declare(lib)
 spec = importlib.util.spec_from_file_location("kernel_properties", sys.argv[2])
 suite = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(suite)
@@ -60,16 +61,17 @@ spec.loader.exec_module(suite)
 
 @contextmanager
 def tier(chosen):
-    saved = native._tier
-    native._tier = (chosen, "sanitized (test)")
+    saved = kernels._tier
+    kernels._tier = (chosen, "sanitized (test)")
     try:
         yield
     finally:
-        native._tier = saved
+        kernels._tier = saved
 
 
 with tier(lib):
-    assert fused.kernels_agree(lib), "self-test disagrees"
+    for agrees in selftest.FAMILIES:
+        assert agrees(lib), f"self-test disagrees: {agrees.__name__}"
     for name in sys.argv[3:]:
         prop = getattr(suite, name)
         wanted = inspect.signature(prop).parameters
@@ -92,7 +94,7 @@ def _build(cc: str, out: Path) -> str:
     ).stdout.strip()
     if not os.path.isabs(runtime) or not os.path.exists(runtime):
         pytest.skip(f"{cc} has no AddressSanitizer runtime (libasan.so)")
-    source = resources.files("repro.quant").joinpath("_kernels.c").read_bytes()
+    source = resources.files("repro.kernels").joinpath("_kernels.c").read_bytes()
     done = subprocess.run(
         [cc, *SANITIZE, "-x", "c", "-", "-o", str(out)],
         input=source,
@@ -129,4 +131,4 @@ def test_kernels_run_clean_under_address_and_undefined_sanitizers(tmp_path):
     report = (done.stdout + done.stderr)[-4000:]
     assert done.returncode == 0, report
     assert done.stdout.count("ok ") == len(PROPERTIES), report
-    assert native.FLAGS[0] not in SANITIZE  # never the production build
+    assert kernels.FLAGS[0] not in SANITIZE  # never the production build

@@ -1,115 +1,74 @@
-"""Stochastic quantization: Theorem 1's unbiasedness and variance bound."""
+"""Stochastic quantization (Eqns. 4–5) as the reference states it,
+``reference/wire.py``'s ``quantize_with_noise``: code range, exact rows and
+endpoints, error against bit-width, wire size, argument checks.  Its
+unbiasedness and Theorem 1's variance bound under keyed noise are tested
+in ``test_keyed_rounding.py``."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from reference.wire import block_noise, dequantize, quantize_with_noise
 
-from repro.quant.stochastic import (
-    METADATA_BYTES_PER_ROW,
-    dequantize,
-    quantize_stochastic,
-    stochastic_round,
-)
+from repro.quant.stochastic import METADATA_BYTES_PER_ROW, KeyedRounding
 
 
-def test_stochastic_round_integers_fixed():
-    rng = np.random.default_rng(0)
-    x = np.array([1.0, 2.0, -3.0])
-    assert np.array_equal(stochastic_round(x, rng), x)
-
-
-def test_stochastic_round_expectation():
-    rng = np.random.default_rng(0)
-    x = np.full(200_000, 0.3)
-    mean = stochastic_round(x, rng).mean()
-    assert abs(mean - 0.3) < 0.01
+def quantize(h, bits, epoch=0):
+    """``h`` quantized at ``bits`` under keyed noise; the epoch is the key."""
+    rounding = KeyedRounding(0)
+    rounding.set_epoch(epoch)
+    noise = block_noise(rounding, "fwd", 0, 0, 1, shape=np.shape(h))
+    return quantize_with_noise(h, bits, noise)
 
 
 @pytest.mark.parametrize("bits", [1, 2, 4, 8])
 def test_codes_within_range(bits):
-    rng = np.random.default_rng(0)
-    h = rng.normal(size=(40, 16)).astype(np.float32)
-    q = quantize_stochastic(h, bits, rng)
+    h = np.random.default_rng(0).normal(size=(40, 16)).astype(np.float32)
+    q = quantize(h, bits)
     assert q.codes.dtype == np.uint8
     assert q.codes.max() <= 2**bits - 1
 
 
 def test_constant_rows_exact():
-    rng = np.random.default_rng(0)
     h = np.full((3, 8), 2.5, dtype=np.float32)
-    q = quantize_stochastic(h, 2, rng)
+    q = quantize(h, 2)
     assert np.array_equal(dequantize(q), h)
     assert np.all(q.scale == 0)
 
 
 def test_endpoints_exact():
     """Min and max of each row are representable exactly at any bit-width."""
-    rng = np.random.default_rng(0)
     h = np.array([[0.0, 1.0, 0.25, 0.75]], dtype=np.float32)
-    for _ in range(20):
-        deq = dequantize(quantize_stochastic(h, 2, rng))
+    for epoch in range(20):
+        deq = dequantize(quantize(h, 2, epoch))
         assert deq[0, 0] == 0.0
         assert abs(deq[0, 1] - 1.0) < 1e-6
 
 
-def test_unbiasedness_statistical():
-    rng = np.random.default_rng(42)
-    h = rng.normal(size=(4, 8)).astype(np.float32)
-    reps = np.stack([dequantize(quantize_stochastic(h, 2, rng)) for _ in range(3000)])
-    bias = np.abs(reps.mean(axis=0) - h)
-    # Standard error of the mean at 2 bits is scale/sqrt(6*3000); the row
-    # scale is ~(range/3); allow 5 sigma.
-    scale = (h.max(axis=1) - h.min(axis=1)) / 3.0
-    tol = 5 * scale[:, None] / np.sqrt(6 * 3000)
-    assert (bias < tol + 1e-7).all()
-
-
-@pytest.mark.parametrize("bits", [2, 4, 8])
-def test_variance_bounded_by_theorem1(bits):
-    rng = np.random.default_rng(7)
-    h = rng.normal(size=(3, 32)).astype(np.float32)
-    reps = np.stack(
-        [dequantize(quantize_stochastic(h, bits, rng)) for _ in range(2000)]
-    )
-    # Vector variance = sum over elements of per-element variance.
-    emp_var = reps.var(axis=0).sum(axis=1)
-    scale = (h.max(axis=1) - h.min(axis=1)) / (2**bits - 1)
-    bound = 32 * scale**2 / 6.0
-    assert (emp_var <= bound * 1.2).all()  # 20% slack for sampling noise
-
-
 def test_higher_bits_lower_error():
-    rng = np.random.default_rng(1)
-    h = rng.normal(size=(100, 32)).astype(np.float32)
-    errs = {
-        bits: np.abs(dequantize(quantize_stochastic(h, bits, rng)) - h).mean()
-        for bits in (2, 4, 8)
-    }
+    h = np.random.default_rng(1).normal(size=(100, 32)).astype(np.float32)
+    errs = {bits: np.abs(dequantize(quantize(h, bits)) - h).mean() for bits in (2, 4, 8)}
     assert errs[8] < errs[4] < errs[2]
 
 
 def test_wire_bytes_formula():
-    rng = np.random.default_rng(0)
-    h = rng.normal(size=(10, 16)).astype(np.float32)
-    q2 = quantize_stochastic(h, 2, rng)
+    h = np.random.default_rng(0).normal(size=(10, 16)).astype(np.float32)
+    q2 = quantize(h, 2)
     assert q2.wire_bytes == (10 * 16 * 2 + 7) // 8 + 10 * METADATA_BYTES_PER_ROW
-    q8 = quantize_stochastic(h, 8, rng)
+    q8 = quantize(h, 8)
     assert q8.wire_bytes == 10 * 16 + 10 * METADATA_BYTES_PER_ROW
     assert q2.wire_bytes < q8.wire_bytes < h.nbytes
 
 
 def test_invalid_bits_rejected():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        quantize_stochastic(np.zeros((2, 2), dtype=np.float32), 3, rng)
+    with pytest.raises(ValueError, match="bits"):
+        quantize(np.zeros((2, 2), dtype=np.float32), 3)
 
 
 def test_non_2d_rejected():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        quantize_stochastic(np.zeros(4, dtype=np.float32), 2, rng)
+    with pytest.raises(ValueError, match="h"):
+        quantize(np.zeros(4, dtype=np.float32), 2)
 
 
 @given(
@@ -123,8 +82,7 @@ def test_non_2d_rejected():
 @settings(max_examples=80, deadline=None)
 def test_property_dequantized_within_row_range(h, bits):
     """De-quantized values never leave the [row min, row max] envelope."""
-    rng = np.random.default_rng(0)
-    q = quantize_stochastic(h, bits, rng)
+    q = quantize(h, bits)
     deq = dequantize(q)
     lo = h.min(axis=1, keepdims=True)
     hi = h.max(axis=1, keepdims=True)
@@ -141,7 +99,6 @@ def test_property_dequantized_within_row_range(h, bits):
 )
 @settings(max_examples=50, deadline=None)
 def test_property_8bit_error_bounded_by_scale(h):
-    rng = np.random.default_rng(0)
-    q = quantize_stochastic(h, 8, rng)
+    q = quantize(h, 8)
     err = np.abs(dequantize(q) - h)
     assert (err <= q.scale[:, None] + 1e-5).all()

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from reference.wire import block_noise, dequantize, quantize_with_noise
 
-from repro.quant.stochastic import dequantize, quantize_stochastic
+from repro.quant.stochastic import KeyedRounding
 from repro.quant.theory import (
     SUPPORTED_BITS,
     beta_values,
@@ -20,10 +21,15 @@ def test_theorem1_formula_manual():
 
 
 def test_theorem1_matches_empirical_variance():
-    rng = np.random.default_rng(0)
-    h = rng.normal(size=(2, 64)).astype(np.float32)
+    h = np.random.default_rng(0).normal(size=(2, 64)).astype(np.float32)
     predicted = quantization_variance(h, 2)
-    reps = np.stack([dequantize(quantize_stochastic(h, 2, rng)) for _ in range(4000)])
+    rounding = KeyedRounding(0)
+    reps = []
+    for epoch in range(4000):  # the epoch is a noise coordinate: fresh draws
+        rounding.set_epoch(epoch)
+        noise = block_noise(rounding, "fwd", 0, 0, 1, shape=h.shape)
+        reps.append(dequantize(quantize_with_noise(h, 2, noise)))
+    reps = np.stack(reps)
     empirical = reps.var(axis=0).sum(axis=1)
     # Uniform-fraction assumption gives an upper bound; empirical should be
     # within it and of the same order.

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from reference.wire import MixedPrecisionEncoder, decode
 
 from repro.cluster.runtime import build_devices
 from repro.comm.costmodel import LinkCostModel
@@ -34,7 +35,6 @@ from repro.graph.io import StoreDataset
 from repro.nn.losses import bce_with_logits_loss, softmax_cross_entropy
 from repro.nn.metrics import metric_counts, metric_from_counts
 from repro.nn.optim import Adam
-from repro.quant.mixed import MixedPrecisionEncoder
 from repro.quant.stochastic import KeyedRounding
 
 #: The matrix's run recipe, shared with the production arm.
@@ -145,7 +145,7 @@ class QuantizedPolicy(PairwisePolicy):
         payload = self.encoder.encode(
             rows, bits, block=self.noise_key(phase, layer, src, dst)
         )
-        return payload.decode(), payload.wire_bytes
+        return decode(payload), payload.wire_bytes
 
 
 class FixedBits:

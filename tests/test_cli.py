@@ -35,11 +35,11 @@ def test_a_run_says_which_quant_kernel_it_used(capsys, caplog, tiny_dataset, tin
     log line all carry the loader's one status line: the tier and why."""
     import logging
 
+    from repro import kernels
     from repro.cluster.cluster import Cluster
-    from repro.quant import native
 
-    line = f"quant kernel: {native.status()}"
-    assert native.status().startswith(("native (", "numpy ("))
+    line = f"kernels: {kernels.status()}"
+    assert kernels.status().startswith(("native (", "numpy ("))
     assert main(["info"]) == 0
     assert line in capsys.readouterr().out
     code = main(

@@ -1,6 +1,9 @@
 """Public API surface and integration sanity."""
 
+import importlib
+
 import numpy as np
+import pytest
 
 import repro
 
@@ -33,3 +36,29 @@ def test_systems_tuple():
 
 def test_available_datasets():
     assert len(repro.available_datasets("tiny")) == 4
+
+
+def test_quant_holds_only_what_runs():
+    """The per-message reference moved to ``tests/reference/wire.py``, the
+    Generator rounding is deleted, and the compiled library is
+    ``repro.kernels``: none of them is left in ``repro.quant``."""
+    import repro.quant
+    from repro.quant import mixed, stochastic
+
+    for name in (
+        "QuantizedTensor",
+        "quantize_stochastic",
+        "quantize_with_noise",
+        "dequantize",
+        "stochastic_round",
+        "block_key",
+        "MixedPrecisionEncoder",
+    ):
+        assert name not in repro.quant.__all__
+        for module in (repro.quant, stochastic, mixed):
+            with pytest.raises(AttributeError):
+                getattr(module, name)
+    assert not hasattr(repro.quant.MixedPrecisionPayload, "decode")
+    assert not hasattr(repro.quant.KeyedRounding, "block_noise")
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.quant.native")
