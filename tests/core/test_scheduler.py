@@ -128,3 +128,92 @@ def test_empty_record_rejected(env):
         device_comm_times(EpochRecord(loss=0.0), cost)
     with pytest.raises(ValueError):
         device_compute_times(EpochRecord(loss=0.0), perf)
+
+
+# Captured from the schedules' own output; every value is compared with
+# ``==``, so any change to the float operations or their order shows here.
+# (epoch_time, comm_time, comp_time, quant_time) per schedule.
+_PINNED_SCHEDULES = {
+    "exact": {
+        "vanilla": (
+            "0x1.1887f6aef372fp-2", "0x1.cd58e3c6e4556p-3",
+            "0x1.8edc265c0a420p-5", "0x0.0p+0",
+        ),
+        "adaqp": (
+            "0x1.0613719387ce6p-2", "0x1.cd58e3c6e4556p-3",
+            "0x1.f66ffb015a39dp-6", "0x0.0p+0",
+        ),
+        "pipegcn": (
+            "0x1.cd58e3c6e4556p-3", "0x1.cd58e3c6e4556p-3",
+            "0x1.8edc265c0a420p-5", "0x0.0p+0",
+        ),
+        "sancus": (
+            "0x1.bdda968ef82b0p-2", "0x1.8bff11c376e2cp-2",
+            "0x1.8edc265c0a420p-5", "0x0.0p+0",
+        ),
+        "quantized-no-overlap": (
+            "0x1.1887f6aef372fp-2", "0x1.cd58e3c6e4556p-3",
+            "0x1.8edc265c0a420p-5", "0x0.0p+0",
+        ),
+    },
+    "2bit": {
+        "vanilla": (
+            "0x1.d2ac34d1c3d79p-4", "0x1.0b3e21a3beb69p-4",
+            "0x1.8edc265c0a420p-5", "0x0.0p+0",
+        ),
+        "adaqp": (
+            "0x1.a33ed091eff3bp-4", "0x1.102d49ba33422p-4",
+            "0x1.f66ffb015a39dp-6", "0x1.5758817662320p-8",
+        ),
+        "pipegcn": (
+            "0x1.0b3e21a3beb69p-4", "0x1.0b3e21a3beb69p-4",
+            "0x1.8edc265c0a420p-5", "0x0.0p+0",
+        ),
+        "sancus": (
+            "0x1.733dfab76bbc9p-3", "0x1.0f86f120692c1p-3",
+            "0x1.8edc265c0a420p-5", "0x0.0p+0",
+        ),
+        "quantized-no-overlap": (
+            "0x1.e821bce929fabp-4", "0x1.0b3e21a3beb69p-4",
+            "0x1.8edc265c0a420p-5", "0x1.5758817662320p-8",
+        ),
+    },
+}
+_PINNED_COMM = {
+    "exact": [
+        "0x1.fdf7e80389f84p-4", "0x1.bd512ec6bce84p-5",
+        "0x1.0f49491f2dc2ap-4", "0x1.0817fc7607c41p-3",
+    ],
+    "2bit": [
+        "0x1.187e7c06e19b8p-5", "0x1.92f7bee8de7b4p-6",
+        "0x1.adb687102a19cp-6", "0x1.1d811a46d3233p-5",
+    ],
+}
+# Compute depends on FLOPs only, so both records price identically.
+_PINNED_COMPUTE = [
+    "0x1.8edc265c0a420p-5", "0x1.68dfda0c6d126p-5",
+    "0x1.6b33c74971d59p-5", "0x1.3dc524289af08p-5",
+]
+_PINNED_CENTRAL = [
+    "0x1.4e9aa61764aeep-6", "0x1.2485706ccf8c2p-5",
+    "0x1.dcb2c8ea9509cp-6", "0x1.17f9295a7aae3p-6",
+]
+
+
+def test_simulated_clock_is_bit_pinned(env):
+    record, q_record, cost, perf = env
+    for label, rec in (("exact", record), ("2bit", q_record)):
+        got = {
+            name: tuple(
+                float(v).hex()
+                for v in (res.epoch_time, res.comm_time, res.comp_time, res.quant_time)
+            )
+            for name, res in ((n, fn(rec, cost, perf)) for n, fn in SCHEDULES.items())
+        }
+        assert got == _PINNED_SCHEDULES[label], label
+        comm = [float(v).hex() for v in device_comm_times(rec, cost)]
+        assert comm == _PINNED_COMM[label], label
+        comp = [float(v).hex() for v in device_compute_times(rec, perf)]
+        assert comp == _PINNED_COMPUTE, label
+        central = device_compute_times(rec, perf, central_only=True)
+        assert [float(v).hex() for v in central] == _PINNED_CENTRAL, label
