@@ -73,11 +73,12 @@ class Cluster:
         Which row sets the engine's one layer step runs (paper Fig. 7:
         post the marginal messages, compute the central rows while they
         are in flight, finalize, compute the marginal rows).  On, the
-        central window holds the central rows, and each epoch record gets
-        the measured per-stage :class:`~repro.cluster.records.StepTimeline`
-        entries; off, the window is empty and every owned row is marginal,
-        computed in place.  A row split of the same math: bit-identical
-        either way under the same seed.  The trainer turns it on for the
+        central window holds the central rows, and each epoch record's
+        summary sums the measured per-stage
+        :class:`~repro.cluster.records.StepTimeline` of every step; off,
+        the window is empty and every owned row is marginal, computed in
+        place.  A row split of the same math: bit-identical either way
+        under the same seed.  The trainer turns it on for the
         adaqp-variant systems; store-backed datasets run with it off (the
         row-split operators presuppose the materialized block-diagonal
         matrix).
@@ -244,9 +245,10 @@ class Cluster:
         return record
 
     def _record_step(self, record: EpochRecord, exchange, timeline) -> None:
-        """Add one step's phase record, and its timeline on overlapped runs."""
+        """Add one step's phase record, and on overlapped runs its timeline
+        to the epoch's summary."""
         if self.overlap:
-            record.add_timeline(timeline)
+            record.timeline_summary.add(timeline)
         phase = self._phase_record(timeline.layer, timeline.phase, exchange)
         record.phases.append(phase)
 

@@ -16,8 +16,8 @@ with cluster-wide operators instead:
   transpose makes the backward routing one spmv too;
 * **stacked activations** live in preallocated ``(ΣN_own + ΣN_halo, d)``
   buffers; the halo exchange writes decoded rows straight into the halo
-  region (the ``out=`` contract of
-  :meth:`~repro.cluster.exchange.FusedQuantizedHaloExchange.finalize_step`),
+  region (the ``out`` a step names at
+  :meth:`~repro.cluster.exchange.FusedQuantizedHaloExchange.post_step`),
   so no per-layer ``np.vstack`` copy is made;
 * **one stacked GEMM** per layer runs every device's dense transform using
   the shared replica weights (via :func:`repro.nn.blas.row_matmul`, which
@@ -589,12 +589,15 @@ class FusedClusterCompute:
             # traffic before this thread runs again, and bytes only count
             # as hidden if the window is already open when they land.
             transport.note_overlap(step_tag("fwd", layer))
-        # Naming the halo destinations at post time lets async fused
-        # exchanges scatter on their workers; finalize below passes the
-        # same list and becomes join-only on that path.
-        halos = self._halo_views[layer]
+        # Naming the halo destinations at post time lets async exchanges
+        # scatter on their workers.
         step = exchange.post_step(
-            layer, "fwd", self.devices, transport, self._own_views[layer], out=halos
+            layer,
+            "fwd",
+            self.devices,
+            transport,
+            self._own_views[layer],
+            out=self._halo_views[layer],
         )
         t1 = time.perf_counter()
 
@@ -617,7 +620,7 @@ class FusedClusterCompute:
             self._forward_rows(layer, mod, plan.rows_central)
         t2 = time.perf_counter()
 
-        exchange.finalize_step(step, out=halos)
+        exchange.finalize_step(step)
         t3 = time.perf_counter()
 
         if x is None:
@@ -857,20 +860,13 @@ class FusedClusterCompute:
         the worker's posts land mid-window, and they count as hidden only
         because the window was still open when they arrived.
         """
-        quantize_s, central_s, dequantize_s, marginal_s = stages
         tag = step_tag(phase, layer)
         return StepTimeline(
-            layer=layer,
-            phase=phase,
-            quantize_s=quantize_s,
-            comm_s=0.0,
-            central_s=central_s,
-            dequantize_s=dequantize_s,
-            marginal_s=marginal_s,
-            comp_full_s=central_s + marginal_s,
+            layer,
+            phase,
+            *stages,
             overlapped_bytes=transport.overlapped_bytes(tag),
             total_bytes=int(transport.bytes_matrix(tag).sum()),
-            measured=True,
             worker_wait_s=0.0 if step is None else step.worker_wait_s,
         )
 
@@ -947,8 +943,15 @@ class FusedClusterCompute:
         t1 = time.perf_counter()
         if plan is not None:
             transport.note_overlap(step_tag("bwd", layer))
+        # The owned-row gradients the window writes and finalize adds into.
+        d_next = self._d_own[layer] if self.model_kind == "sage" else dx[own]
         step = exchange.post_step(
-            layer, "bwd", self.devices, transport, self._halo_blocks(dx)
+            layer,
+            "bwd",
+            self.devices,
+            transport,
+            self._halo_blocks(dx),
+            out=[d_next[self._own_slice(k)] for k in range(len(self.devices))],
         )
         t2 = time.perf_counter()
 
@@ -962,16 +965,15 @@ class FusedClusterCompute:
         for k in range(len(self.devices)):
             self._conv_partials(layer, k, d_out)
         if transform:
-            d_next = row_matmul(dt, weight_t, out=dx[own])
+            row_matmul(dt, weight_t, out=d_next)
         elif self.model_kind == "gcn":
-            d_next = self._route(dz, dx, halo=False)
+            self._route(dz, dx, halo=False)
         else:
-            d_next = row_matmul(d_out, conv.root.weight.data.T, out=self._d_own[layer])
+            row_matmul(d_out, conv.root.weight.data.T, out=d_next)
             d_next += self._route(dz, dx, halo=False)
         t3 = time.perf_counter()
 
-        d_own_views = [d_next[self._own_slice(k)] for k in range(len(self.devices))]
-        exchange.finalize_step(step, out=d_own_views)
+        exchange.finalize_step(step)
         t4 = time.perf_counter()
         self._d = d_next
         return self._timeline(

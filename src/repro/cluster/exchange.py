@@ -52,20 +52,20 @@ stay on the calling thread (the snapshot half).  The pipelined executor
 finalizes each step before posting the next, so at most one tag is ever
 in flight.
 
-**Decode destinations.**  The exchange lands each receiver straight into
-where its rows are consumed, through a per-(plan, receiver)
+**Decode destinations.**  ``post_step(..., out)`` names the step's
+destinations once: the per-device halo buffers forward, the owned-row
+gradient buffers backward.  The exchange lands each receiver straight
+into them through a per-(plan, receiver)
 :class:`~repro.quant.fused.DecodeIndex` — de-quantized, or at full
-precision copied.  Forward callers that already know the destination
-halo buffers may pass them to ``post_step(..., out=...)``: on async
-thread-backed transports the per-receiver decode jobs then write the halo
-rows directly (each receiver's halo region is a disjoint, contiguous row
-range of the stacked buffer, so the writes are race-free shards), and
-``finalize_step`` with the *same* ``out`` object becomes join-only.
-Quantized backward decodes land in a contiguous per-receiver block, added
-by one kernel call per receiver; full-precision backward payloads are
-added as they are, one call per source.  Either way the order-sensitive
-accumulate into the owned rows stays on the main thread, source by source
-in mailbox order.
+precision copied.  Forward, on async thread-backed transports the
+per-receiver decode jobs write the halo rows directly (each receiver's
+halo region is a disjoint, contiguous row range of the stacked buffer,
+so the writes are race-free shards), and ``finalize_step`` is left with
+the delivery audit.  Quantized backward decodes land in a contiguous
+per-receiver block, added by one kernel call per receiver; full-precision
+backward payloads are added as they are, one call per source.  Either
+way the order-sensitive accumulate into the owned rows stays on the main
+thread, source by source in mailbox order.
 """
 
 from __future__ import annotations
@@ -190,8 +190,9 @@ class InFlightStep:
     """Handle for one posted-but-not-finalized exchange step.
 
     Returned by :meth:`FusedQuantizedHaloExchange.post_step`; every field
-    the receive half needs is captured here so ``finalize_step`` takes only
-    the handle (plus destination buffers).  ``tag`` doubles as the
+    the receive half needs is captured here — ``out`` is the per-device
+    destination list named at post time — so ``finalize_step`` takes only
+    the handle.  ``tag`` doubles as the
     transport key the pipelined executor passes to
     :meth:`Transport.note_overlap`.
 
@@ -209,11 +210,6 @@ class InFlightStep:
     and whose ``decoded[rank]`` is the mailbox itself (its float32 payloads
     are added as they are).  ``sent`` is false for a step a staleness rule
     keeps off the wire (see ``_replay_missing``).
-
-    ``scatter_out`` is the per-device halo-destination list the caller
-    supplied at post time (if any): the fused engine's worker-side
-    decodes write those buffers directly, so ``finalize_step`` passed the
-    *same* ``out`` object finds the rows already in place.
     """
 
     __slots__ = (
@@ -227,7 +223,7 @@ class InFlightStep:
         "worker_wait_s",
         "decoded",
         "targets",
-        "scatter_out",
+        "out",
         "plan",
         "sent",
     )
@@ -240,6 +236,7 @@ class InFlightStep:
         devices: list,
         transport: Transport,
         dim: int,
+        out: list[np.ndarray],
     ) -> None:
         self.layer = layer
         self.phase = phase
@@ -251,7 +248,7 @@ class InFlightStep:
         self.worker_wait_s = 0.0
         self.decoded: dict[int, dict] | None = None
         self.targets: dict[int, tuple] | None = None
-        self.scatter_out: list[np.ndarray] | None = None
+        self.out = out
         # The step plan: what its decodes index into, and what replay
         # regenerates a dropped envelope from.
         self.plan = None
@@ -378,7 +375,6 @@ class FusedQuantizedHaloExchange:
         # must never share buffers.  One step is in flight at a time, so a
         # rank's workspace is free again once its step is finalized.
         self._decode_ws_by_rank: dict[int, DecodeWorkspace] = {}
-        self._halo_bufs: dict[tuple[int, int], np.ndarray] = {}
         # Per-cluster caches (see _topology_for): the cluster they were
         # built for, step topologies per phase, step plans.
         self._cluster: object = None
@@ -473,17 +469,17 @@ class FusedQuantizedHaloExchange:
         devices: list,
         transport: Transport,
         values_by_dev: list[np.ndarray],
-        out: list[np.ndarray] | None = None,
+        out: list[np.ndarray],
     ) -> InFlightStep:
         """Stage 1: snapshot, encode and post the step's outgoing rows —
         ``"fwd"`` embeddings to halo holders, ``"bwd"`` halo gradients to
-        owners.  Forward ``out`` names the halo destinations up front, so
-        worker-side decodes land in them."""
+        owners.  ``out`` names the step's destinations, per device: the
+        halo buffers forward (worker-side decodes land in them), the
+        owned-row gradient buffers backward (finalize adds into them)."""
         check_in_set(phase, ("fwd", "bwd"), name="phase")
         tag = step_tag(phase, layer)
         dim = int(values_by_dev[devices[0].rank].shape[1])
-        step = InFlightStep(layer, phase, tag, devices, transport, dim)
-        if out is not None and phase == "fwd":
+        if phase == "fwd":
             # Validate destination shapes on the calling thread, so the
             # worker-side scatter can assume them.
             for dev in devices:
@@ -494,33 +490,21 @@ class FusedQuantizedHaloExchange:
                         f"out[{dev.rank}] has shape {buf.shape}, "
                         f"expected {expected}"
                     )
-            step.scatter_out = out
+        step = InFlightStep(layer, phase, tag, devices, transport, dim, out)
         self._encode_and_post(transport, step, values_by_dev)
         return step
 
-    def finalize_step(
-        self, step: InFlightStep, out: list[np.ndarray] | None = None
-    ) -> list[np.ndarray] | None:
-        """Stage 2: collect, decode and land the step.  Forward lands in the
-        per-device halo buffers (``out``, else the exchange's own) and
-        returns them; backward adds into the ``out`` gradient buffers."""
+    def finalize_step(self, step: InFlightStep) -> None:
+        """Stage 2: collect, decode and land the step in the ``out`` named
+        at post time — the halo rows forward; backward, added into the
+        owned-row gradients."""
         step.mark_done()
-        fwd = step.phase == "fwd"
-        if not fwd and out is None:
-            raise ValueError("backward finalize_step requires out= buffers")
         if step.plan is None:  # a step without pairs: nothing was posted
-            if not fwd:
-                return None
-            return [
-                self._halo_out(out, dev.rank, dev.part.n_halo, step.dim)
-                for dev in step.devices
-            ]
+            return
         if step.targets is None:
-            # Decode here: an inline transport, or a forward step
-            # posted without its destinations (nothing to overlap with).
-            dests = out if out is not None else step.scatter_out
+            # Decode here: an inline transport (nothing to overlap with).
             step.targets = {
-                dev.rank: self._target(step, dev, dests, self._decode_ws)
+                dev.rank: self._target(step, dev, self._decode_ws)
                 for dev in step.devices
             }
             collects = {
@@ -531,7 +515,6 @@ class FusedQuantizedHaloExchange:
         # Every receiver's rows are in its decode buffer now (mark_done
         # joined any worker-side decode); what is left is the delivery
         # audit and, backward, the order-sensitive accumulate.
-        halo_by_dev: list[np.ndarray] = []
         for dev in step.devices:
             index, buf = step.targets[dev.rank]
             landed = step.decoded[dev.rank]
@@ -539,23 +522,16 @@ class FusedQuantizedHaloExchange:
             if buf is None:
                 # Full-precision backward: the landed payloads are the rows,
                 # added source by source (ascending) — no block copy.
-                accumulate_rows(index, {**landed, **replayed}, out[dev.rank])
+                accumulate_rows(index, {**landed, **replayed}, step.out[dev.rank])
                 continue
             for p, mat in replayed.items():
                 buf[index.land[p]] = mat[index.pick[p]]
-            if not fwd:
+            if step.phase == "bwd":
                 # One call per receiver, sources ascending — the float
                 # accumulation-order anchor.
-                accumulate_block(index, buf, out[dev.rank])
-            elif out is not None and out[dev.rank] is not buf:
-                halo = self._halo_out(out, dev.rank, dev.part.n_halo, step.dim)
-                halo[...] = buf
-                halo_by_dev.append(halo)
-            else:
-                halo_by_dev.append(buf)
+                accumulate_block(index, buf, step.out[dev.rank])
         if not self.quantizes:
             step.plan.staged = None  # the staging lives from post to finalize
-        return halo_by_dev if fwd else None
 
     def _land(self, collects: dict, workspace: DecodeWorkspace, targets: dict) -> dict:
         """Each receiver's mailbox into its ``(DecodeIndex, buffer)`` target,
@@ -570,10 +546,9 @@ class FusedQuantizedHaloExchange:
             landed[rank] = mailbox if buf is None else land_decoded(index, buf, mailbox)
         return landed
 
-    def _target(self, step: InFlightStep, dev, dests, workspace) -> tuple:
+    def _target(self, step: InFlightStep, dev, workspace) -> tuple:
         """Receiver ``dev``'s ``(DecodeIndex, buffer)``: its halo buffer
-        forward (``dests[rank]``, else the exchange's own), a block of
-        ``workspace`` backward."""
+        forward (``step.out[rank]``), a block of ``workspace`` backward."""
         part = dev.part
         if step.phase == "bwd":
             index = decode_index(
@@ -583,14 +558,7 @@ class FusedQuantizedHaloExchange:
                 return index, None  # the payloads are the rows to add
             return index, workspace.take(("block", dev.rank), index.shape, np.float32)
         index = decode_index(step.plan, dev.rank, part.recv_map, part.n_halo)
-        if dests is None:
-            return index, self._halo_buffer(dev.rank, step.layer, part.n_halo, step.dim)
-        buf = dests[dev.rank]
-        if buf.shape != index.shape:
-            raise ValueError(
-                f"out[{dev.rank}] has shape {buf.shape}, expected {index.shape}"
-            )
-        return index, buf
+        return index, step.out[dev.rank]
 
     # -- fault detection and keyed-replay recovery --------------------------
     def _replay_missing(
@@ -700,12 +668,8 @@ class FusedQuantizedHaloExchange:
         # With workers, the last job to finish defers one
         # collect+decode job per receiver under the same tag — decode
         # overlaps the central window too, and finalize is left with only
-        # the delivery audit and the backward accumulate.  A forward step
-        # posted without its destinations decodes in finalize instead:
-        # nothing runs between its halves.
-        eager_decode = transport.is_async and (
-            phase == "bwd" or step.scatter_out is not None
-        )
+        # the delivery audit and the backward accumulate.
+        eager_decode = transport.is_async
         if eager_decode:
             step.decoded, step.targets = {}, {}
         remaining = [len(shards)]
@@ -760,7 +724,7 @@ class FusedQuantizedHaloExchange:
             workspace = self._decode_ws_by_rank.get(dev.rank)
             if workspace is None:
                 workspace = self._decode_ws_by_rank[dev.rank] = DecodeWorkspace()
-            target = self._target(step, dev, step.scatter_out, workspace)
+            target = self._target(step, dev, workspace)
             step.targets[dev.rank] = target
 
             def decode_job(rank: int = dev.rank, target=target, workspace=workspace):
@@ -833,31 +797,6 @@ class FusedQuantizedHaloExchange:
             )
             self._topologies[phase] = cached
         return cached
-
-    @staticmethod
-    def _halo_out(
-        out: list[np.ndarray] | None, rank: int, n_halo: int, dim: int
-    ) -> np.ndarray:
-        """Zeroed halo destination: caller-provided view or fresh array
-        (a reused buffer must be indistinguishable from a fresh one)."""
-        if out is None:
-            return np.zeros((n_halo, dim), dtype=np.float32)
-        buf = out[rank]
-        if buf.shape != (n_halo, dim):
-            raise ValueError(
-                f"out[{rank}] has shape {buf.shape}, expected {(n_halo, dim)}"
-            )
-        buf.fill(0.0)
-        return buf
-
-    def _halo_buffer(self, rank: int, layer: int, n_halo: int, dim: int) -> np.ndarray:
-        """The exchange's own halo destination (the decode fills every row:
-        it zero-fills first when a source is missing)."""
-        buf = self._halo_bufs.get((rank, layer))
-        if buf is None or buf.shape != (n_halo, dim):
-            buf = np.empty((n_halo, dim), dtype=np.float32)
-            self._halo_bufs[(rank, layer)] = buf
-        return buf
 
 
 class ExactHaloExchange(FusedQuantizedHaloExchange):

@@ -7,11 +7,11 @@ a comm/comp/quant breakdown.  Keeping the schedule separate from execution
 lets one training run be re-timed under several policies (used by the
 overlap-ablation benchmark).
 
-Stage accounting is shared with the executor: every schedule builds
-modelled :class:`~repro.cluster.records.StepTimeline` instances via
-``StepTimeline.from_record`` — the same step-DAG type the split-phase
-pipelined executor emits in *measured* form — instead of keeping its own
-per-device comm/comp helpers.
+The pricing is modelled only: each step's stages come from its
+:class:`~repro.cluster.records.PhaseRecord` through the private helpers
+below, the slowest device per stage.  What the executor measures of the
+same steps is a separate record
+(:class:`~repro.cluster.records.StepTimeline`); no schedule reads it.
 
 Policies (paper Fig. 4):
 
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cluster.perfmodel import PerfModel
-from repro.cluster.records import EpochRecord, StepTimeline
+from repro.cluster.records import EpochRecord, PhaseRecord
 from repro.comm.allreduce import ring_allreduce_time
 from repro.comm.costmodel import LinkCostModel
 from repro.comm.ring import ring_all2all_time
@@ -76,25 +76,60 @@ class ScheduleResult:
         return 1.0 / self.epoch_time if self.epoch_time > 0 else float("inf")
 
 
-def _modeled_timelines(
-    record: EpochRecord, cost: LinkCostModel, perf: PerfModel
-) -> list[StepTimeline]:
-    return [StepTimeline.from_record(p, cost, perf) for p in record.phases]
+def _device_compute(perf: PerfModel, agg, dense) -> np.ndarray:
+    """Per-device compute duration for per-device aggregation and dense
+    FLOP counts."""
+    return np.array([perf.compute_time(a, f) for a, f in zip(agg, dense)])
+
+
+def _full_compute(phase: PhaseRecord, perf: PerfModel) -> float:
+    """A step's un-split compute, slowest device."""
+    return float(_device_compute(perf, phase.agg_flops, phase.dense_flops).max())
+
+
+def _comm_occupancy(phase: PhaseRecord, cost: LinkCostModel) -> np.ndarray:
+    """Per-device send occupancy of one step (Table 2's 'comm.' column)."""
+    bm = phase.bytes_matrix
+    n = phase.num_devices
+    busy = np.zeros(n)
+    for s in range(n):
+        for d in range(n):
+            if s != d:
+                busy[s] += cost.time(s, d, bm[s, d])
+    return busy
+
+
+def _quant_stages(phase: PhaseRecord, perf: PerfModel) -> tuple[float, float]:
+    """A step's quantize and de-quantize stages, slowest device each."""
+    n = phase.num_devices
+    return (
+        max(perf.quant_time(phase.quant_send_bytes[d]) for d in range(n)),
+        max(perf.quant_time(phase.quant_recv_bytes[d]) for d in range(n)),
+    )
+
+
+def _pipeline_stages(
+    phase: PhaseRecord, cost: LinkCostModel, perf: PerfModel
+) -> tuple[float, float, float, float]:
+    """A step's stages under AdaQP's pipeline, slowest device each:
+    quantize, the ring all2all in parallel with central compute,
+    de-quantize, marginal compute."""
+    quantize, dequantize = _quant_stages(phase, perf)
+    comm, _ = ring_all2all_time(phase.bytes_matrix, cost)
+    central = _device_compute(perf, phase.agg_flops_central, phase.dense_flops_central)
+    marginal = _device_compute(
+        perf, phase.agg_flops_marginal, phase.dense_flops_marginal
+    )
+    overlap = max(comm, float(central.max()))
+    return quantize, overlap, dequantize, float(marginal.max())
 
 
 def _serial_comm_comp(
     record: EpochRecord, cost: LinkCostModel, perf: PerfModel
 ) -> tuple[float, float]:
-    """Ring-comm and full-compute totals for the non-splitting schedules.
-
-    Uses the timeline type's per-device accounting directly — building a
-    full :class:`StepTimeline` per phase would model the central/marginal
-    and quant stages these schedules never read.
-    """
+    """Ring-comm and full-compute totals for the non-splitting schedules."""
     comm = sum(ring_all2all_time(p.bytes_matrix, cost)[0] for p in record.phases)
-    comp = sum(
-        float(StepTimeline.device_compute(p, perf).max()) for p in record.phases
-    )
+    comp = sum(_full_compute(p, perf) for p in record.phases)
     return comm, comp
 
 
@@ -114,12 +149,12 @@ def schedule_adaqp(
     record: EpochRecord, cost: LinkCostModel, perf: PerfModel
 ) -> ScheduleResult:
     """AdaQP's three-stage overlap (paper Figs. 4b and 7)."""
-    timelines = _modeled_timelines(record, cost, perf)
-    quant_bucket = sum(t.quantize_s + t.dequantize_s for t in timelines)
+    stages = [_pipeline_stages(p, cost, perf) for p in record.phases]
+    quant_bucket = sum(q + dq for q, _, dq, _ in stages)
     # Central compute hides inside the overlap stage's comm bucket.
-    comm_bucket = sum(t.overlap_stage_s for t in timelines)
-    comp_bucket = sum(t.marginal_s for t in timelines)
-    epoch = sum(t.pipelined_s for t in timelines)
+    comm_bucket = sum(overlap for _, overlap, _, _ in stages)
+    comp_bucket = sum(marginal for *_, marginal in stages)
+    epoch = sum(q + overlap + dq + marginal for q, overlap, dq, marginal in stages)
     allreduce = ring_allreduce_time(record.grad_allreduce_bytes, cost)
     comm_bucket += allreduce
     epoch += allreduce
@@ -152,12 +187,8 @@ def schedule_sancus(
 ) -> ScheduleResult:
     """Sequential unicast broadcasts (no overlap), as the paper describes."""
     # Serialized pairwise unicasts: every device's send occupancy stacks.
-    comm = sum(
-        StepTimeline.device_comm_occupancy(p, cost).sum() for p in record.phases
-    )
-    comp = sum(
-        float(StepTimeline.device_compute(p, perf).max()) for p in record.phases
-    )
+    comm = sum(_comm_occupancy(p, cost).sum() for p in record.phases)
+    comp = sum(_full_compute(p, perf) for p in record.phases)
     allreduce = ring_allreduce_time(record.grad_allreduce_bytes, cost)
     comm += allreduce
     epoch = comm + comp
@@ -173,10 +204,9 @@ def schedule_quantized_no_overlap(
     comm → comp layout, plus the quant/de-quant kernels on the critical
     path.  Isolates how much of AdaQP's win comes from traffic reduction
     alone."""
-    timelines = _modeled_timelines(record, cost, perf)
-    comm_bucket = sum(t.comm_s for t in timelines)
-    comp_bucket = sum(t.comp_full_s for t in timelines)
-    quant_bucket = sum(t.quantize_s + t.dequantize_s for t in timelines)
+    comm_bucket, comp_bucket = _serial_comm_comp(record, cost, perf)
+    quant = (_quant_stages(p, perf) for p in record.phases)
+    quant_bucket = sum(q + dq for q, dq in quant)
     comm_bucket += ring_allreduce_time(record.grad_allreduce_bytes, cost)
     epoch = comm_bucket + comp_bucket + quant_bucket
     return ScheduleResult(
@@ -210,7 +240,7 @@ def device_comm_times(
         raise ValueError("record has no phases")
     busy = np.zeros(record.phases[0].num_devices)
     for phase in record.phases:
-        busy += StepTimeline.device_comm_occupancy(phase, cost)
+        busy += _comm_occupancy(phase, cost)
     return busy
 
 
@@ -221,6 +251,9 @@ def device_compute_times(
     if not record.phases:
         raise ValueError("record has no phases")
     total = np.zeros(record.phases[0].num_devices)
-    for phase in record.phases:
-        total += StepTimeline.device_compute(phase, perf, central_only=central_only)
+    for p in record.phases:
+        if central_only:
+            total += _device_compute(perf, p.agg_flops_central, p.dense_flops_central)
+        else:
+            total += _device_compute(perf, p.agg_flops, p.dense_flops)
     return total

@@ -147,20 +147,19 @@ def run_fig02_pair_imbalance(*, seed: int = 0) -> ExperimentResult:
 # Table 2 — 2-bit marginal comm time vs central comp time per device
 # ---------------------------------------------------------------------------
 def _measured_overlap_notes(record) -> dict | None:
-    """Cross-check payload from the executor's measured timelines.
+    """Cross-check payload from the executor's measured timeline summary.
 
     ``None`` when the epoch ran without the pipelined executor (the
     analytic per-device accounting is then the only source).
     """
-    if not record.timelines:
+    summary = record.timeline_summary
+    if not summary.steps:
         return None
-    central = sum(t.central_s for t in record.timelines)
-    marginal = sum(t.marginal_s for t in record.timelines)
     return {
-        "hidden_byte_fraction": record.hidden_byte_fraction(),
-        "central_share": central / max(central + marginal, 1e-12),
-        "central_ms": central * 1e3,
-        "marginal_ms": marginal * 1e3,
+        "hidden_byte_fraction": summary.hidden_byte_fraction,
+        "central_share": summary.central_share,
+        "central_ms": summary.central_s * 1e3,
+        "marginal_ms": summary.marginal_s * 1e3,
     }
 
 

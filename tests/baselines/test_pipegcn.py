@@ -19,15 +19,21 @@ def cluster(tiny_dataset):
 
 
 def _embeddings(exchange, cluster, transport, h):
-    """One forward exchange step, both halves back to back."""
-    step = exchange.post_step(0, "fwd", cluster.devices, transport, h)
-    return exchange.finalize_step(step)
+    """One forward exchange step, both halves back to back; returns the
+    halo buffers it landed in."""
+    halos = [
+        np.zeros((dev.part.n_halo, h[dev.rank].shape[1]), dtype=np.float32)
+        for dev in cluster.devices
+    ]
+    step = exchange.post_step(0, "fwd", cluster.devices, transport, h, out=halos)
+    exchange.finalize_step(step)
+    return halos
 
 
 def _gradients(exchange, cluster, transport, d_halo, d_own):
     """One backward exchange step, accumulating into ``d_own``."""
-    step = exchange.post_step(0, "bwd", cluster.devices, transport, d_halo)
-    exchange.finalize_step(step, out=d_own)
+    step = exchange.post_step(0, "bwd", cluster.devices, transport, d_halo, out=d_own)
+    exchange.finalize_step(step)
 
 
 def test_warmup_epoch_is_synchronous(cluster):

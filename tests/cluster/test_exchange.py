@@ -29,9 +29,15 @@ def _features(cluster):
 
 
 def _fetch_halos(exchange, cluster, transport, values):
-    """One forward step, both halves back to back."""
-    step = exchange.post_step(0, "fwd", cluster.devices, transport, values)
-    return exchange.finalize_step(step)
+    """One forward step, both halves back to back; returns the halo buffers
+    it landed in."""
+    halos = [
+        np.zeros((dev.part.n_halo, values[dev.rank].shape[1]), dtype=np.float32)
+        for dev in cluster.devices
+    ]
+    step = exchange.post_step(0, "fwd", cluster.devices, transport, values, out=halos)
+    exchange.finalize_step(step)
+    return halos
 
 
 def test_exact_exchange_delivers_true_values(cluster):
@@ -52,8 +58,8 @@ def test_exact_gradient_routing_accumulates(cluster):
     ]
     d_own = [np.zeros((dev.part.n_owned, 4), dtype=np.float32) for dev in cluster.devices]
     exchange = ExactHaloExchange()
-    step = exchange.post_step(0, "bwd", cluster.devices, transport, d_halo)
-    exchange.finalize_step(step, out=d_own)
+    step = exchange.post_step(0, "bwd", cluster.devices, transport, d_halo, out=d_own)
+    exchange.finalize_step(step)
     for dev in cluster.devices:
         # Every boundary row got contributions from each peer whose halo
         # contains it: value = sum of (peer_rank + 1).
@@ -91,17 +97,17 @@ def test_quantized_exchange_wire_bytes_smaller(cluster):
 
 def _one_step_each_way(exchange, cluster):
     """Wire bytes, halo rows and accumulated gradients of one forward and
-    one backward step (copied: the exchange may own the halo buffers)."""
+    one backward step."""
     transport = Transport(cluster.num_devices)
-    halos = [h.copy() for h in _fetch_halos(exchange, cluster, transport, _features(cluster))]
+    halos = _fetch_halos(exchange, cluster, transport, _features(cluster))
     gen = np.random.default_rng(0)
     d_halo = [
         gen.normal(size=(dev.part.n_halo, 5)).astype(np.float32)
         for dev in cluster.devices
     ]
     d_own = [np.ones((dev.part.n_owned, 5), dtype=np.float32) for dev in cluster.devices]
-    step = exchange.post_step(0, "bwd", cluster.devices, transport, d_halo)
-    exchange.finalize_step(step, out=d_own)
+    step = exchange.post_step(0, "bwd", cluster.devices, transport, d_halo, out=d_own)
+    exchange.finalize_step(step)
     return transport.total_bytes(), halos, d_own
 
 

@@ -40,6 +40,11 @@ def _values(devices, dim, seed=0, halo=False):
     ]
 
 
+def _halos(devices, dim):
+    """Forward destinations: one halo buffer per device."""
+    return [np.zeros((d.part.n_halo, dim), dtype=np.float32) for d in devices]
+
+
 class _MixedBits:
     """Row ``i`` of every message at ``(2, 4, 8)[i % 3]`` bits: payloads
     with three bit-width groups, the permuted (non-identity) plan layout."""
@@ -72,11 +77,12 @@ def test_split_equals_monolithic_forward(devices, name):
     transport = Transport(len(devices))
 
     mail, wire = policy.exchange("fwd", 0, devices, h)
-    step = exchange.post_step(0, "fwd", devices, transport, h)
+    got = _halos(devices, dim)
+    step = exchange.post_step(0, "fwd", devices, transport, h, out=got)
     # Mutating the source after post must not change what was shipped.
     for arr in h:
         arr += 100.0
-    got = exchange.finalize_step(step)
+    exchange.finalize_step(step)
     for dev, halo in zip(devices, got):
         assert sum(len(dev.part.recv_map[src]) for src in mail[dev.rank]) == len(halo)
         for src, rows in mail[dev.rank].items():
@@ -98,10 +104,10 @@ def test_split_equals_monolithic_backward(devices, name):
         for src in sorted(mail[dev.rank]):
             expected[dev.rank][dev.part.send_map[src]] += mail[dev.rank][src]
     d_own = [np.zeros_like(v) for v in expected]
-    step = exchange.post_step(0, "bwd", devices, transport, d_halo)
+    step = exchange.post_step(0, "bwd", devices, transport, d_halo, out=d_own)
     for arr in d_halo:
         arr += 100.0
-    exchange.finalize_step(step, out=d_own)
+    exchange.finalize_step(step)
     for e, g in zip(expected, d_own):
         assert np.array_equal(e, g)
     assert transport.total_bytes() == wire
@@ -115,36 +121,50 @@ def test_forward_finalize_fills_out_buffers(devices):
     out = [
         np.full((d.part.n_halo, dim), 7.0, dtype=np.float32) for d in devices
     ]
-    step = exchange.post_step(0, "fwd", devices, transport, h)
-    got = exchange.finalize_step(step, out=out)
-    for buf, res in zip(out, got):
-        assert res is buf
+    step = exchange.post_step(0, "fwd", devices, transport, h, out=out)
+    assert exchange.finalize_step(step) is None
+    for dev, buf in zip(devices, out):
+        for src, rows in dev.part.recv_map.items():
+            sent = h[src][devices[src].part.send_map[dev.rank]]
+            assert np.array_equal(buf[rows], sent)
+        assert not (buf == 7.0).any()
 
 
 def test_handle_finalizes_exactly_once(devices):
     h = _values(devices, 4)
     exchange = ExactHaloExchange()
     transport = Transport(len(devices))
-    step = exchange.post_step(0, "fwd", devices, transport, h)
+    step = exchange.post_step(0, "fwd", devices, transport, h, out=_halos(devices, 4))
     exchange.finalize_step(step)
     with pytest.raises(RuntimeError, match="finalized twice"):
         exchange.finalize_step(step)
 
 
-def test_backward_finalize_requires_out(devices):
-    d_halo = _values(devices, 4, halo=True)
+def test_post_step_requires_out(devices):
     exchange = ExactHaloExchange()
     transport = Transport(len(devices))
-    step = exchange.post_step(0, "bwd", devices, transport, d_halo)
-    with pytest.raises(ValueError, match="out="):
-        exchange.finalize_step(step)
+    with pytest.raises(TypeError, match="out"):
+        exchange.post_step(0, "bwd", devices, transport, _values(devices, 4, halo=True))
+    with pytest.raises(TypeError, match="out"):
+        exchange.post_step(0, "fwd", devices, transport, _values(devices, 4))
+
+
+def test_post_step_rejects_misshapen_destinations(devices):
+    exchange = ExactHaloExchange()
+    transport = Transport(len(devices))
+    with pytest.raises(ValueError, match="expected"):
+        exchange.post_step(
+            0, "fwd", devices, transport, _values(devices, 4), out=_halos(devices, 5)
+        )
 
 
 def test_post_step_rejects_unknown_phase(devices):
     exchange = ExactHaloExchange()
     transport = Transport(len(devices))
     with pytest.raises(ValueError):
-        exchange.post_step(0, "sideways", devices, transport, _values(devices, 4))
+        exchange.post_step(
+            0, "sideways", devices, transport, _values(devices, 4), out=_halos(devices, 4)
+        )
 
 
 def test_in_flight_bytes_visible_between_halves(devices):
@@ -152,7 +172,7 @@ def test_in_flight_bytes_visible_between_halves(devices):
     exchange = ExactHaloExchange()
     transport = Transport(len(devices))
     assert transport.pending_bytes("fwd/L0") == 0
-    step = exchange.post_step(0, "fwd", devices, transport, h)
+    step = exchange.post_step(0, "fwd", devices, transport, h, out=_halos(devices, 4))
     pending = transport.pending_bytes(step.tag)
     assert pending == transport.bytes_matrix(step.tag).sum() > 0
     exchange.finalize_step(step)

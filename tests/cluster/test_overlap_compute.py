@@ -205,7 +205,8 @@ def test_worker_decode_keeps_overlap_accounting_at_many_workers(matrix):
     byte as hidden."""
     _, record = matrix.production(**QUANTIZED, transport="worker:4")
     assert record.hidden_byte_fraction() == 1.0
-    assert all(t.overlapped_bytes == t.total_bytes for t in record.timelines)
+    summary = record.timeline_summary
+    assert summary.overlapped_bytes == summary.total_bytes > 0
 
 
 def test_cluster_is_a_context_manager(tiny_dataset, tiny_book):
@@ -264,15 +265,14 @@ def test_transport_worker_resolution(tiny_dataset, tiny_book):
 
 def test_async_transport_keeps_overlap_accounting(matrix):
     """Worker posts land inside the open central windows, so the measured
-    interleave still reports every halo byte as hidden, and the timelines
-    carry the join-wait the worker exposed (>= 0)."""
+    interleave still reports every halo byte as hidden, and the summary
+    carries the join-wait the worker exposed (>= 0)."""
     _, record = matrix.production(**QUANTIZED, transport="worker")
     assert record.hidden_byte_fraction() == 1.0
-    assert all(t.overlapped_bytes == t.total_bytes for t in record.timelines)
-    assert all(t.worker_wait_s >= 0.0 for t in record.timelines)
     summary = record.timeline_summary
-    assert summary.steps == len(record.timelines)
-    assert summary.total_bytes == sum(t.total_bytes for t in record.timelines)
+    assert summary.steps == 2 * 3
+    assert summary.overlapped_bytes == summary.total_bytes > 0
+    assert summary.worker_wait_s >= 0.0
 
 
 def test_async_transport_auto_defaults(tiny_dataset, tiny_book):
@@ -296,28 +296,38 @@ def test_async_transport_auto_defaults(tiny_dataset, tiny_book):
 
 
 @pytest.mark.parametrize("parts", [1, 4])
-def test_overlap_emits_measured_timelines(matrix, parts):
+def test_overlap_emits_measured_timelines(matrix, parts, monkeypatch):
+    """Every training step's ``forward_layer`` / ``backward_layer`` returns
+    its measured timeline; the epoch record keeps only their sum."""
+    steps = []
+    record_step = Cluster._record_step
+
+    def spy(self, record, exchange, timeline):
+        steps.append(timeline)
+        record_step(self, record, exchange, timeline)
+
+    monkeypatch.setattr(Cluster, "_record_step", spy)
     _, record = matrix.production(policy="exact", model="gcn", hidden=8, parts=parts)
     # One timeline per (layer, direction), in execution order.
-    assert [(t.layer, t.phase) for t in record.timelines] == [
+    last = steps[-6:]
+    assert [(t.layer, t.phase) for t in last] == [
         (0, "fwd"), (1, "fwd"), (2, "fwd"), (2, "bwd"), (1, "bwd"), (0, "bwd"),
     ]
-    for t in record.timelines:
-        assert t.measured
-        assert t.comm_s == 0.0  # in-memory transport: interleave, not wire time
+    for t in last:
         for stage in (t.quantize_s, t.central_s, t.dequantize_s, t.marginal_s):
             assert stage >= 0.0
-        assert t.comp_full_s == pytest.approx(t.central_s + t.marginal_s)
         assert t.overlapped_bytes <= t.total_bytes
+    summary = record.timeline_summary
+    assert summary.steps == 2 * 3
+    assert summary.central_s == sum(t.central_s for t in last)
+    assert summary.total_bytes == sum(t.total_bytes for t in last)
     if parts == 1:
         # Empty marginal graph: the comm stage is a no-op.
-        assert all(t.total_bytes == 0 for t in record.timelines)
+        assert all(t.total_bytes == 0 for t in last)
         assert record.hidden_byte_fraction() == 0.0
     else:
         # Every halo byte was posted before its central window began.
-        assert all(
-            t.overlapped_bytes == t.total_bytes for t in record.timelines
-        )
+        assert all(t.overlapped_bytes == t.total_bytes for t in last)
         assert record.hidden_byte_fraction() == 1.0
 
 
@@ -325,7 +335,7 @@ def test_non_overlap_record_has_no_timelines(matrix):
     _, record = matrix.production(
         policy="exact", model="gcn", hidden=8, parts=4, overlap=False
     )
-    assert record.timelines == []
+    assert record.timeline_summary.steps == 0
     assert record.hidden_byte_fraction() == 0.0
 
 

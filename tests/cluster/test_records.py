@@ -25,7 +25,6 @@ def _phase(layer=0, phase="fwd", n=3):
 def test_phase_derived_quantities():
     p = _phase()
     assert p.num_devices == 3
-    assert np.array_equal(p.quant_float_bytes, np.full(3, 16.0))
     assert np.array_equal(p.agg_flops_marginal, np.full(3, 60.0))
     assert np.array_equal(p.dense_flops_marginal, np.full(3, 120.0))
 
@@ -34,13 +33,6 @@ def test_epoch_totals():
     rec = EpochRecord(loss=1.5, phases=[_phase(0, "fwd"), _phase(0, "bwd")])
     per_phase = int(_phase().bytes_matrix.sum())
     assert rec.total_wire_bytes() == 2 * per_phase
-    assert rec.bytes_by_pair().sum() == 2 * per_phase
-    assert rec.bytes_by_pair()[1, 2] == 2 * 5
-
-
-def test_bytes_by_pair_requires_phases():
-    with pytest.raises(ValueError):
-        EpochRecord(loss=0.0).bytes_by_pair()
 
 
 def test_empty_epoch_zero_bytes():
@@ -48,7 +40,7 @@ def test_empty_epoch_zero_bytes():
 
 
 # ---------------------------------------------------------------------------
-# Timeline summaries and capped retention
+# Timeline summaries
 # ---------------------------------------------------------------------------
 def _timeline(layer=0, phase="fwd", total=100, overlapped=100, wait=0.0):
     from repro.cluster.records import StepTimeline
@@ -57,14 +49,11 @@ def _timeline(layer=0, phase="fwd", total=100, overlapped=100, wait=0.0):
         layer=layer,
         phase=phase,
         quantize_s=0.1,
-        comm_s=0.0,
         central_s=0.3,
         dequantize_s=0.2,
         marginal_s=0.4,
-        comp_full_s=0.7,
         overlapped_bytes=overlapped,
         total_bytes=total,
-        measured=True,
         worker_wait_s=wait,
     )
 
@@ -87,18 +76,11 @@ def test_timeline_summary_accumulates_and_merges():
     assert TimelineSummary().central_share == 0.0
 
 
-def test_add_timeline_feeds_list_and_summary():
+def test_epoch_summary_feeds_hidden_byte_fraction():
     rec = EpochRecord(loss=0.0)
+    assert rec.hidden_byte_fraction() == 0.0
     for layer in range(5):
-        rec.add_timeline(_timeline(layer=layer))
-    assert [t.layer for t in rec.timelines] == [0, 1, 2, 3, 4]
+        rec.timeline_summary.add(_timeline(layer=layer, total=100, overlapped=50))
     assert rec.timeline_summary.steps == 5
     assert rec.timeline_summary.total_bytes == 500
-    assert rec.hidden_byte_fraction() == 1.0
-
-
-def test_hidden_byte_fraction_falls_back_to_raw_timelines():
-    # Timelines appended directly (not via add_timeline) still count.
-    rec = EpochRecord(loss=0.0)
-    rec.timelines.append(_timeline(total=80, overlapped=40))
     assert rec.hidden_byte_fraction() == 0.5

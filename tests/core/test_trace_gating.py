@@ -109,8 +109,12 @@ def test_hand_driven_reassign_before_any_set_epoch_sees_traces(
     exchange = exchange_cls(assigner, KeyedRounding(0), tracer=assigner)
     transport = Transport(cluster.num_devices)
     features = [dev.features for dev in cluster.devices]
+    halos = [
+        np.zeros((dev.part.n_halo, features[0].shape[1]), dtype=np.float32)
+        for dev in cluster.devices
+    ]
     exchange.finalize_step(
-        exchange.post_step(0, "fwd", cluster.devices, transport, features)
+        exchange.post_step(0, "fwd", cluster.devices, transport, features, out=halos)
     )
 
     expected = {
