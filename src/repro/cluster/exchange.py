@@ -192,9 +192,8 @@ class InFlightStep:
     Returned by :meth:`FusedQuantizedHaloExchange.post_step`; every field
     the receive half needs is captured here — ``out`` is the per-device
     destination list named at post time — so ``finalize_step`` takes only
-    the handle.  ``tag`` doubles as the
-    transport key the pipelined executor passes to
-    :meth:`Transport.note_overlap`.
+    the handle.  ``tag`` doubles as the transport key the pipelined
+    executor passes to :meth:`Transport.note_overlap`.
 
     ``worker_wait_s`` is filled by :meth:`mark_done`: the seconds the
     finalize half spent blocked joining the step's deferred encode (and,
@@ -669,8 +668,7 @@ class FusedQuantizedHaloExchange:
         # collect+decode job per receiver under the same tag — decode
         # overlaps the central window too, and finalize is left with only
         # the delivery audit and the backward accumulate.
-        eager_decode = transport.is_async
-        if eager_decode:
+        if transport.is_async:
             step.decoded, step.targets = {}, {}
         remaining = [len(shards)]
         remaining_lock = threading.Lock()
@@ -683,7 +681,7 @@ class FusedQuantizedHaloExchange:
                     posts_by_rank.setdefault(src, []).append((dst, payload, nbytes))
                 for rank, posts in posts_by_rank.items():
                     transport.post_batch(rank, tag, posts)
-                if eager_decode:
+                if transport.is_async:
                     with remaining_lock:
                         remaining[0] -= 1
                         last = remaining[0] == 0
