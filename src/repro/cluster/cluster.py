@@ -70,18 +70,18 @@ class Cluster:
         Root seed for weights (shared across replicas) and dropout (per
         device).
     overlap:
-        Which row sets the engine's one layer step runs (paper Fig. 7:
-        post the marginal messages, compute the central rows while they
-        are in flight, finalize, compute the marginal rows).  On, the
-        central window holds the central rows, and each epoch record's
-        summary sums the measured per-stage
-        :class:`~repro.cluster.records.StepTimeline` of every step; off,
-        the window is empty and every owned row is marginal, computed in
-        place.  A row split of the same math: bit-identical either way
-        under the same seed.  The trainer turns it on for the
-        adaqp-variant systems; store-backed datasets run with it off (the
-        row-split operators presuppose the materialized block-diagonal
-        matrix).
+        Whether the engine's one layer step splits its aggregation
+        around the exchange (paper Fig. 7: post the marginal messages,
+        aggregate the central rows while they are in flight, finalize,
+        aggregate the marginal rows; the dense pass then runs once over
+        every owned row).  On, the central window holds the central
+        rows' spmv, and each epoch record's summary sums the measured
+        per-stage :class:`~repro.cluster.records.StepTimeline` of every
+        step; off, the window holds no spmv.  A row split of the same
+        math: bit-identical either way under the same seed.  The trainer
+        turns it on for the adaqp-variant systems; store-backed datasets
+        run with it off (the row-split operators presuppose the
+        materialized block-diagonal matrix).
     transport:
         Transport spec: ``"auto"`` (the default), ``"sync"`` or
         ``"worker[:N]"``, resolved here, once, by

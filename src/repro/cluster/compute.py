@@ -52,23 +52,23 @@ remap preserves per-row column order and every product — on scipy's
 and (c) reductions (loss sums, gradient sums, ``sum(axis=0)``
 of contiguous slices), which keep the per-device operation order exactly.
 
-**One layer step, the paper's pipeline** (Sec. 3.1 / Fig. 7).  Forward:
-post the boundary messages, run the **central** rows while they are in
-flight (they touch no halo column, so their aggregation and dense update
-need no messages), finalize the halos, run the **marginal** rows.
-Backward mirrors it dependency-first: the marginal input-gradient rows and
-the halo routing they feed run *before* the post; the central rows, every
-parameter partial and owned-row routing fill the window.  With
-``overlap`` the row sets are :meth:`FusedClusterCompute.overlap_plan`'s:
-two complementary row restrictions of the operator whose spmv's write the
-same output (the second accumulating), the transpose's owned and halo row
-ranges, and dense work on *gathered* row blocks (``row_matmul``'s
-row-determinism makes them equal the stacked GEMM bit for bit).  With
-overlap off — ``--no-overlap``, every store run, every evaluation — the
-central window is empty and the marginal set is every owned row as a
-slice: the step works in place and gathers nothing.  Persistent buffers
-keep their original row order (permuting them would reorder the loss and
-``xᵀ·d`` reductions).  Every step returns a measured
+**One layer step, the paper's pipeline** (Sec. 3.1 / Fig. 7).  Only the
+aggregation is split.  Forward: post the boundary messages, run the
+**central** window while they are in flight — the transform-first
+``T_own`` GEMM, the spmv of the central rows (they touch no halo column)
+and the dropout draws — finalize the halos, run the **marginal** spmv,
+then the dense update and post stage once over every owned row, in
+place.  Backward mirrors it dependency-first: the input-gradient GEMM and
+the halo routing it feeds run *before* the post; every parameter partial
+and the owned-row routing fill the window.  With ``overlap`` the split is
+:meth:`FusedClusterCompute.overlap_plan`'s two complementary row
+restrictions of the operator, whose spmv's write the same output (the
+second accumulating); the backward uses the transpose's owned and halo
+row ranges either way.  With overlap off — ``--no-overlap``, every store
+run, every evaluation — the central window holds no spmv and the
+aggregation is one product.  Every shape works in place on persistent
+buffers in their original row order (permuting them would reorder the
+loss and ``xᵀ·d`` reductions), and every step returns a measured
 :class:`~repro.cluster.records.StepTimeline`.
 """
 
@@ -313,17 +313,17 @@ def restrict_rows(matrix: sp.csr_matrix, row_mask: np.ndarray) -> sp.csr_matrix:
 class OverlapPlan:
     """Static structures of the split-phase pipeline (built once).
 
-    ``rows_central``/``rows_marginal`` index the stacked owned region (its
-    original row order); the two operators are complementary row
-    restrictions of the engine's block-diagonal matrix.  (The backward
-    needs no split copies: it passes the owned and halo row ranges of the
-    transpose itself to the spmv.)  Central rows reference no halo column
-    by construction — that independence is what makes the central window
-    legal before the halos arrive.
+    The two operators are complementary row restrictions of the engine's
+    block-diagonal matrix, split by the partitions' ``central_mask``: the
+    central one in the window, the marginal one accumulating into the same
+    output after finalize.  Only the aggregation is split — the dense work
+    runs once over every owned row — and the backward needs no split
+    copies: it passes the owned and halo row ranges of the transpose itself
+    to the spmv.  Central rows reference no halo column by construction —
+    that independence is what makes the central window legal before the
+    halos arrive.
     """
 
-    rows_central: np.ndarray
-    rows_marginal: np.ndarray
     matrix_central: sp.csr_matrix
     matrix_marginal: sp.csr_matrix
 
@@ -382,7 +382,7 @@ class FusedClusterCompute:
     operators, offsets, views, scratch — is static across epochs, like the
     exchange's ``FusedStepPlan``); the cluster drives it with one step
     method per direction, :meth:`forward_layer` and :meth:`backward_layer`,
-    passing ``overlap`` to choose the row sets.
+    passing ``overlap`` to split the aggregation around the exchange.
 
     Parameters
     ----------
@@ -520,8 +520,8 @@ class FusedClusterCompute:
             for x in self._x
         ]
 
-        # The overlapped row sets, built lazily on the first overlapped
-        # step, and the gather scratch of their row blocks.
+        # The split operators, built lazily on the first overlapped step,
+        # and the reused scratch blocks (LayerNorm partials, ``stream_z0``).
         self._overlap_plan: OverlapPlan | None = None
         self._scratch_bufs: dict[tuple, np.ndarray] = {}
 
@@ -572,12 +572,13 @@ class FusedClusterCompute:
 
         One schedule (paper Fig. 7): post the boundary rows, run the
         central window while they are in flight, finalize the halos, run
-        the marginal rows.  With ``overlap`` the row sets are
-        :meth:`overlap_plan`'s; without it the central window holds no
-        rows and the marginal set is every owned row — a slice, worked on
-        in place.  The in-RAM and the streaming engine differ only in how
-        ``P`` is applied (:meth:`_aggregate`) and, at layer 0, in where the
-        owned input rows live (:meth:`_forward_layer0_stream`).
+        the marginal aggregation, then the dense update and post stage
+        over every owned row (:meth:`_forward_dense`).  With ``overlap``
+        the aggregation splits into :meth:`overlap_plan`'s central and
+        marginal operators; without it the window holds no spmv.  The
+        in-RAM and the streaming engine differ only in how ``P`` is applied
+        (:meth:`_aggregate`) and, at layer 0, in where the owned input rows
+        live (:meth:`_forward_layer0_stream`).
         """
         plan = self.overlap_plan() if overlap else None
         mod = self.devices[0].model.layers[layer]
@@ -601,9 +602,10 @@ class FusedClusterCompute:
         )
         t1 = time.perf_counter()
 
-        # Central window.  Transform-first, it opens with T's owned rows —
-        # one stacked GEMM that needs no halo — and P·T accumulates
-        # straight into the output rows (the row steps finish them).
+        # Central window: only the work that needs no halo.  Transform-
+        # first, it opens with T's owned rows — one stacked GEMM — and P·T
+        # accumulates straight into the output rows (the dense pass
+        # finishes them).
         x, transform = self._x[layer], self._transform_first[layer]
         if transform:
             weight = mod.conv.linear.weight.data
@@ -616,8 +618,6 @@ class FusedClusterCompute:
             _spmv(plan.matrix_central, src, agg)
         if mod.has_post_stage:
             self._sample_dropout(layer, mod, training)
-        if plan is not None:
-            self._forward_rows(layer, mod, plan.rows_central)
         t2 = time.perf_counter()
 
         exchange.finalize_step(step)
@@ -632,64 +632,36 @@ class FusedClusterCompute:
                 self._aggregate(src, agg)
             else:
                 _spmv(plan.matrix_marginal, src, agg, accumulate=True)
-        rows = slice(0, self.total_own) if plan is None else plan.rows_marginal
-        self._forward_rows(layer, mod, rows)
+        self._forward_dense(layer, mod)
         t4 = time.perf_counter()
         return self._timeline(
             layer, "fwd", transport, step, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)
         )
 
-    def _forward_rows(self, layer: int, mod, rows: slice | np.ndarray) -> None:
-        """Dense update and post stage of layer ``layer``'s owned ``rows``.
-
-        A slice works in place on the persistent buffers.  An index array
-        (a central or marginal row set) gathers the inputs — the ``P·T``
-        rows, ``z``, SAGE's ``x``, the dropout mask — into contiguous
-        scratch and scatters the outputs — the rows and the backward
-        caches — back.  Every operation is row-local or row-deterministic,
-        so a gathered block holds the bits the whole slice would.
-        """
-        in_place = isinstance(rows, slice)
-        if not in_place and rows.size == 0:
-            return
+    def _forward_dense(self, layer: int, mod) -> None:
+        """Dense update and post stage of layer ``layer``'s owned rows, in
+        place on the persistent buffers (the aggregation has run; streaming
+        layer 0 ran an aggregate-first dense step per device already)."""
         out_own = self._layer_output(layer)
         x = self._x[layer]
         if self._transform_first[layer]:
-            # ``out_own`` holds these rows of P·T already; the bias is left.
-            h = self._rows("fwd_h", out_own, rows)
-            h += mod.conv.linear.bias.data
-        elif x is None:
-            h = out_own[rows]  # streaming layer 0 ran its dense step per device
-        else:
-            h = self._rows("fwd_h", out_own, rows, gather=False)
+            out_own += mod.conv.linear.bias.data  # ``out_own`` holds P·T
+        elif x is not None:
             x_own = neigh = None
             if self.model_kind == "sage":
-                x_own = self._rows("fwd_xin", x[: self.total_own], rows)
-                neigh = self._rows("fwd_nh", self._neigh_out[layer], rows, gather=False)
-            z = self._rows("fwd_zin", self._z[layer], rows)
-            self._dense_update(layer, x_own, z, h, neigh)
-        caches, blocks = (), []
+                x_own, neigh = x[: self.total_own], self._neigh_out[layer]
+            self._dense_update(layer, x_own, self._z[layer], out_own, neigh)
         if mod.has_post_stage:
             caches = (self._x_hat[layer], self._inv_std[layer], self._relu_mask[layer])
-            blocks = [
-                self._rows(f"fwd_cache{i}", c, rows, gather=False)
-                for i, c in enumerate(caches)
-            ]
-            drop = self._drop_rows(layer)
-            if drop is not None:
-                drop = self._rows("fwd_dm", drop, rows)
-            _post_forward(mod.norm, h, *blocks, drop)
-        if not in_place:
-            out_own[rows] = h
-            for cache, blk in zip(caches, blocks):
-                cache[rows] = blk
+            _post_forward(mod.norm, out_own, *caches, self._drop_rows(layer))
 
     def _dense_update(self, layer, x_own, z, out, neigh_out) -> None:
         """Aggregate-first dense step: ``out = z·W + b`` (GCN) or
         ``x_own·W_root + b + z·W_neigh`` (SAGE) for any contiguous row block.
 
         ``row_matmul``'s row-determinism and the elementwise bias add make
-        per-device and gathered blocks bitwise equal to the stacked call.
+        per-device blocks (streaming layer 0) bitwise equal to the stacked
+        call.
         """
         conv = self.devices[0].model.layers[layer].conv
         if self.model_kind == "gcn":
@@ -795,30 +767,18 @@ class FusedClusterCompute:
         return z
 
     # ------------------------------------------------------------------
-    # Row sets, scratch and timelines
+    # Split operators, scratch and timelines
     # ------------------------------------------------------------------
     def overlap_plan(self) -> OverlapPlan:
-        """The split-phase operators and row sets (built once, cached)."""
+        """The split-phase operators (built once, cached)."""
         if self.stream is not None:
             raise RuntimeError(
                 "the split-phase pipeline needs the block-diagonal operator;"
                 " streaming mode runs non-overlapped"
             )
         if self._overlap_plan is None:
-            # Deferred import: repro.core's package __init__ pulls in the
-            # trainer, which imports this module right back.
-            from repro.core.decompose import split_rows
-
-            splits = [split_rows(dev.part) for dev in self.devices]
-            rows_central = np.concatenate(
-                [self.own_off[k] + s.central_rows for k, s in enumerate(splits)]
-            ).astype(np.int64)
-            rows_marginal = np.concatenate(
-                [self.own_off[k] + s.marginal_rows for k, s in enumerate(splits)]
-            ).astype(np.int64)
-            central_mask = np.zeros(self.total_own, dtype=bool)
-            central_mask[rows_central] = True
-            matrix_central = restrict_rows(self.matrix, central_mask)
+            central = np.concatenate([dev.part.central_mask for dev in self.devices])
+            matrix_central = restrict_rows(self.matrix, central)
             has_halo_cols = matrix_central.nnz and (
                 int(matrix_central.indices.max()) >= self.total_own
             )
@@ -827,23 +787,13 @@ class FusedClusterCompute:
                     "central rows reference halo columns — marginal masks broken"
                 )
             self._overlap_plan = OverlapPlan(
-                rows_central=rows_central,
-                rows_marginal=rows_marginal,
                 matrix_central=matrix_central,
-                matrix_marginal=restrict_rows(self.matrix, ~central_mask),
+                matrix_marginal=restrict_rows(self.matrix, ~central),
             )
         return self._overlap_plan
 
-    def _rows(self, name: str, buf: np.ndarray, rows, gather: bool = True):
-        """``buf``'s ``rows``: a view for a slice; for an index array, the
-        scratch block ``name`` — holding those rows when ``gather``."""
-        if isinstance(rows, slice):
-            return buf[rows]
-        out = self._scratch(name, rows.size, buf.shape[1], buf.dtype)
-        return np.take(buf, rows, axis=0, out=out) if gather else out
-
     def _scratch(self, name: str, rows: int, cols: int, dtype=np.float32) -> np.ndarray:
-        """Reusable gather block; keyed by use-site so lifetimes never clash."""
+        """Reusable scratch block; keyed by use-site so lifetimes never clash."""
         key = (name, rows, cols, np.dtype(dtype).str)
         buf = self._scratch_bufs.get(key)
         if buf is None:
@@ -897,22 +847,21 @@ class FusedClusterCompute:
     ) -> StepTimeline:
         """Layer ``layer``'s backward step, dependency-first; returns its timeline.
 
-        The marginal rows run *before* the post: outgoing halo gradients
-        are ``Pᵀ``'s halo rows, which read only marginal rows of the
-        input-gradient GEMM.  While the messages fly, the central window
-        finishes the GEMM's central rows, accumulates every parameter
-        partial in rank order and routes owned-row gradients; finalize
-        then adds the received gradients in place.  Transform-first, the
-        two products swap — ``Pᵀ``'s halo rows of ``dY`` and one GEMM over
-        them before the post, ``Pᵀ``'s owned rows and their GEMM in the
-        window — and nothing is gathered.  Row sets are chosen as in
-        :meth:`forward_layer`; streaming differs in how ``Pᵀ`` is applied
-        (:meth:`_route`) and at layer 0 (:meth:`_backward_layer0_stream`).
+        The outgoing halo gradients run *before* the post: the post stage's
+        backward, the input-gradient GEMM over every owned row and ``Pᵀ``'s
+        halo rows of it.  While the messages fly, the central window
+        accumulates every parameter partial in rank order and routes the
+        owned-row gradients; finalize then adds the received gradients in
+        place.  Transform-first, the two products swap — ``Pᵀ``'s halo rows
+        of ``dY`` and one GEMM over them before the post, ``Pᵀ``'s owned
+        rows and their GEMM in the window.  ``overlap`` only opens the
+        window (the backward splits ``Pᵀ`` by row ranges either way);
+        streaming differs in how ``Pᵀ`` is applied (:meth:`_route`) and at
+        layer 0 (:meth:`_backward_layer0_stream`).
         """
         d_out = self._d
         if d_out is None:
             raise RuntimeError("backward_layer called before epoch_loss")
-        plan = self.overlap_plan() if overlap else None
         mod = self.devices[0].model.layers[layer]
         conv = mod.conv
         t0 = time.perf_counter()
@@ -927,7 +876,7 @@ class FusedClusterCompute:
             stages = (0.0, 0.0, 0.0, time.perf_counter() - t0)
             return self._timeline(layer, "bwd", transport, None, stages)
 
-        # Marginal rows: the input-gradient rows the halo routing reads.
+        # The outgoing halo gradients.
         transform = self._transform_first[layer]
         linear = conv.linear if self.model_kind == "gcn" else conv.neigh
         weight_t = linear.weight.data.T
@@ -936,12 +885,10 @@ class FusedClusterCompute:
             dt = self._route(d_out, self._dt[layer], halo=True)
             row_matmul(dt, weight_t, out=dx[halo])
         else:
-            dz = self._dz[layer]
-            marginal = own if plan is None else plan.rows_marginal
-            self._input_grad_rows(d_out, marginal, weight_t, dz)
+            dz = row_matmul(d_out, weight_t, out=self._dz[layer])
             self._route(dz, dx, halo=True)
         t1 = time.perf_counter()
-        if plan is not None:
+        if overlap:
             transport.note_overlap(step_tag("bwd", layer))
         # The owned-row gradients the window writes and finalize adds into.
         d_next = self._d_own[layer] if self.model_kind == "sage" else dx[own]
@@ -955,12 +902,9 @@ class FusedClusterCompute:
         )
         t2 = time.perf_counter()
 
-        # Central window: the remaining input-gradient rows, parameter
-        # partials, owned-row gradient routing.
+        # Central window: parameter partials, owned-row gradient routing.
         if transform:
             dt = self._route(d_out, self._dt[layer], halo=False)
-        elif plan is not None:
-            self._input_grad_rows(d_out, plan.rows_central, weight_t, dz)
         self._add_norm_partials(mod, norm_partials)
         for k in range(len(self.devices)):
             self._conv_partials(layer, k, d_out)
@@ -979,16 +923,6 @@ class FusedClusterCompute:
         return self._timeline(
             layer, "bwd", transport, step, (t2 - t1, t3 - t2, t4 - t3, t1 - t0)
         )
-
-    def _input_grad_rows(self, d_out, rows, weight_t, target) -> None:
-        """``target[rows] = d_out[rows] @ weight_t``: in place for a slice,
-        through a contiguous gather and scatter for an index array."""
-        if isinstance(rows, slice):
-            row_matmul(d_out[rows], weight_t, out=target[rows])
-        elif rows.size:
-            o = self._scratch("bwd_dz", rows.size, weight_t.shape[1])
-            a = self._rows("bwd_din", d_out, rows)
-            target[rows] = row_matmul(a, weight_t, out=o)
 
     def _backward_post(self, layer: int, mod, d_out: np.ndarray) -> np.ndarray:
         """Post-stage backward over the stacked owned rows: ``d_out`` becomes

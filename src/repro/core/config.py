@@ -45,11 +45,12 @@ class RunConfig:
     # what it computes — every combination is bitwise-identical under the
     # same seed (tests/cluster/test_oracle_matrix.py compares them all with
     # the reference trainer).
-    # overlap: which rows the layer step's central window holds (post
-    # marginal messages -> central rows while they fly -> finalize ->
-    # marginal rows), with measured per-stage timelines; off, the window
-    # is empty and every owned row is marginal.  Applied to the systems
-    # whose schedule overlaps (the adaqp variants and vanilla-overlap).
+    # overlap: whether the layer step splits its aggregation around the
+    # exchange (post marginal messages -> central rows' spmv while they
+    # fly -> finalize -> marginal rows' spmv, then one dense pass), with
+    # measured per-stage timelines; off, the window holds no spmv.
+    # Applied to the systems whose schedule overlaps (the adaqp variants
+    # and vanilla-overlap).
     overlap: bool = True
     # transport: how many worker threads run each step's quantize/pack/
     # post (and decode) jobs, as a spec string:

@@ -10,22 +10,23 @@ Each device's partition splits into:
 
 The split is what the AdaQP schedule overlaps; this module quantifies it
 (row counts, aggregation nonzeros, FLOP shares) for the scheduler and for
-the Fig. 3 / Table 2 benchmarks — and hands the pipelined executor the
-central and marginal row sets (:func:`split_rows`) it splits its operators
-with.
+the Fig. 3 / Table 2 benchmarks.  The modelled central time prices the
+central rows' aggregation *and* dense update, the paper's schedule; the
+executor splits only the aggregation, restricting its operator by each
+partition's ``central_mask``
+(:meth:`~repro.cluster.compute.FusedClusterCompute.overlap_plan`), and
+runs the dense update once over every owned row after the halos land.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.cluster.perfmodel import PerfModel
 from repro.gnn.coefficients import AggregationContext
 from repro.graph.partition.book import LocalPartition
 
-__all__ = ["DecompositionStats", "RowSplit", "decompose_partition", "split_rows"]
+__all__ = ["DecompositionStats", "decompose_partition"]
 
 
 @dataclass(frozen=True)
@@ -63,43 +64,6 @@ class DecompositionStats:
         spmm = PerfModel.spmm_flops(self.agg_nnz_marginal, d_in)
         gemm = dense_factor * PerfModel.gemm_flops(self.n_marginal, d_in, d_out)
         return perf.compute_time(spmm, gemm)
-
-
-@dataclass(frozen=True)
-class RowSplit:
-    """Central/marginal row split of one device's owned block.
-
-    Both index arrays are ascending local owned-row ids; together they
-    partition ``0..n_owned-1``.  The pipelined executor gathers each set
-    into its own contiguous block for the dense work of that window; its
-    *persistent* buffers stay in original row order (row permutations
-    change the accumulation order of reductions — loss sums, ``xᵀ·d``
-    weight gradients — and would break the engines' bitwise contract).
-    """
-
-    central_rows: np.ndarray  # (n_central,) int64, ascending
-    marginal_rows: np.ndarray  # (n_marginal,) int64, ascending
-
-    @property
-    def n_central(self) -> int:
-        return int(self.central_rows.size)
-
-    @property
-    def n_marginal(self) -> int:
-        return int(self.marginal_rows.size)
-
-
-def split_rows(part: LocalPartition) -> RowSplit:
-    """Split one partition's owned rows into central and marginal ids.
-
-    A partition with no remote neighbors (e.g. the single device of a
-    1-partition cluster) yields an empty marginal block — its comm stage
-    is a no-op and every row computes in the central window.
-    """
-    return RowSplit(
-        central_rows=np.flatnonzero(part.central_mask).astype(np.int64),
-        marginal_rows=np.flatnonzero(part.marginal_mask).astype(np.int64),
-    )
 
 
 def decompose_partition(

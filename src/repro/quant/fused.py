@@ -174,6 +174,9 @@ class FusedStepPlan:
     cat_bounds: np.ndarray  # (n_pairs + 1,) row offsets per pair
     device_blocks: list[tuple[int, int, int]]  # (rank, start, stop) cat slices
     cat_idx: np.ndarray  # (n_total,) local source row per cat position
+    # Per device block, the source rows its indices span, ``(min, max + 1)``
+    # (``(0, 0)`` when empty): what a gather checks its source against.
+    block_ranges: list[tuple[int, int]]
     bits_cat: np.ndarray  # (n_total,) per-row bits, cat order
     dim: int
     perm_payload: np.ndarray  # cat index of each payload-order position
@@ -290,6 +293,10 @@ def _build_plan(
         cat_bounds=bounds,
         device_blocks=device_blocks,
         cat_idx=cat_idx,
+        block_ranges=[
+            (int(cat_idx[a:b].min()), int(cat_idx[a:b].max()) + 1) if b > a else (0, 0)
+            for _, a, b in device_blocks
+        ],
         bits_cat=bits_cat.copy(),
         dim=dim,
         perm_payload=perm_payload,
@@ -487,15 +494,31 @@ class FusedStepEncoder:
         return self.quantize_pack_step(plan, coords=coords)
 
     def gather_step(self, plan: FusedStepPlan, values_by_rank, observe=None) -> None:
-        """Stage the step's source rows into ``plan.cat_buf`` (a snapshot)."""
+        """Stage the step's source rows into ``plan.cat_buf`` (a snapshot).
+
+        Each device block is checked against its source's row count once
+        (an out-of-range block raises ``IndexError``), so the gather runs
+        in ``mode="wrap"``, straight into ``cat_buf``: NumPy's default
+        ``mode="raise"`` stages an ``out=`` gather in a hidden temporary and
+        copies it over.
+        """
         if plan.n_total == 0:
             return
-        for rank, start, stop in plan.device_blocks:
+        for (rank, start, stop), (lo, hi) in zip(plan.device_blocks, plan.block_ranges):
             vals = values_by_rank[rank]
             if vals.dtype != np.float32:
                 vals = np.asarray(vals, dtype=np.float32)
+            if lo < 0 or hi > vals.shape[0]:
+                raise IndexError(
+                    f"device {rank} sends rows {lo}..{hi - 1} of a"
+                    f" {vals.shape[0]}-row source"
+                )
             np.take(
-                vals, plan.cat_idx[start:stop], axis=0, out=plan.cat_buf[start:stop]
+                vals,
+                plan.cat_idx[start:stop],
+                axis=0,
+                out=plan.cat_buf[start:stop],
+                mode="wrap",
             )
         if observe is not None:
             # Cat order is each pair's original row order — what tracers read.

@@ -399,9 +399,14 @@ def test_restrict_rows_partitions_operator(tiny_dataset, tiny_book):
     )
     engine = cluster._compute_engine()
     plan = engine.overlap_plan()
-    # Central and marginal rows partition the owned region.
-    merged = np.sort(np.concatenate([plan.rows_central, plan.rows_marginal]))
-    assert np.array_equal(merged, np.arange(engine.total_own))
+    # The halves are the restrictions to the partitions' central and
+    # marginal rows, which partition the owned region.
+    central = np.concatenate([dev.part.central_mask for dev in cluster.devices])
+    marginal = np.concatenate([dev.part.marginal_mask for dev in cluster.devices])
+    assert central.size == engine.total_own and not (central & marginal).any()
+    assert (central | marginal).all()
+    assert not np.diff(plan.matrix_central.indptr)[marginal].any()
+    assert not np.diff(plan.matrix_marginal.indptr)[central].any()
     # The two halves partition the operator's nonzeros exactly.
     assert (
         plan.matrix_central.nnz + plan.matrix_marginal.nnz == engine.matrix.nnz

@@ -60,26 +60,34 @@ def test_dense_factor_scales_gemm(stats_and_parts):
 
 
 # ---------------------------------------------------------------------------
-# Row splits (the pipelined executor's row sets) and degenerate cases
+# Central masks (what the pipelined executor splits its operator by) and
+# degenerate cases
 # ---------------------------------------------------------------------------
-def test_split_rows_partitions_owned_rows(stats_and_parts):
-    from repro.core.decompose import split_rows
+def _halo_entries(part, agg):
+    """Per owned row, how many of its aggregation entries read a halo column."""
+    m = agg.matrix
+    rows = np.repeat(np.arange(part.n_owned), np.diff(m.indptr))
+    return np.bincount(rows[m.indices >= part.n_owned], minlength=part.n_owned)
 
-    for stats, part, _ in stats_and_parts:
-        split = split_rows(part)
-        assert split.n_central == stats.n_central
-        assert split.n_marginal == stats.n_marginal
-        merged = np.sort(np.concatenate([split.central_rows, split.marginal_rows]))
-        assert np.array_equal(merged, np.arange(part.n_owned))
-        # Central rows truly have no remote neighbor, marginal rows do.
-        assert not part.marginal_mask[split.central_rows].any()
-        assert part.marginal_mask[split.marginal_rows].all()
+
+def test_split_rows_partitions_owned_rows(stats_and_parts):
+    """The central and marginal masks partition the owned rows with the
+    stats' counts; central rows touch no halo column of the aggregation
+    (what makes the central window legal), marginal rows each touch one."""
+    for stats, part, agg in stats_and_parts:
+        central, marginal = part.central_mask, part.marginal_mask
+        assert central.shape == marginal.shape == (part.n_owned,)
+        assert not (central & marginal).any() and (central | marginal).all()
+        assert int(central.sum()) == stats.n_central
+        assert int(marginal.sum()) == stats.n_marginal
+        halo = _halo_entries(part, agg)
+        assert not halo[central].any()
+        assert (halo[marginal] > 0).all()
 
 
 def test_single_partition_has_zero_marginal_nodes(tiny_dataset, single_part_book):
     """A 1-partition cluster has no remote edges: everything is central and
     the marginal comm stage must be a no-op."""
-    from repro.core.decompose import split_rows
     from repro.graph.partition.book import build_local_partitions
 
     (part,) = build_local_partitions(tiny_dataset.graph, single_part_book)
@@ -90,9 +98,7 @@ def test_single_partition_has_zero_marginal_nodes(tiny_dataset, single_part_book
     assert stats.agg_nnz_marginal == 0
     assert stats.agg_nnz_central == stats.agg_nnz_total == agg.nnz
     assert stats.central_row_fraction == 1.0
-    split = split_rows(part)
-    assert split.n_marginal == 0
-    assert split.marginal_rows.size == 0
+    assert part.central_mask.all() and not part.marginal_mask.any()
     # No marginal rows -> no boundary rows to exchange.
     assert part.send_map == {} and part.recv_map == {}
 
@@ -100,7 +106,6 @@ def test_single_partition_has_zero_marginal_nodes(tiny_dataset, single_part_book
 def test_all_marginal_partition():
     """Alternating ownership on a path graph makes every node marginal:
     the central sub-step is empty and all compute waits on messages."""
-    from repro.core.decompose import split_rows
     from repro.graph.graph import Graph
     from repro.graph.partition.book import PartitionBook, build_local_partitions
 
@@ -116,9 +121,8 @@ def test_all_marginal_partition():
         assert stats.n_central == 0
         assert stats.n_marginal == stats.n_owned
         assert stats.marginal_row_fraction == 1.0
-        split = split_rows(part)
-        assert split.n_central == 0
-        assert np.array_equal(split.marginal_rows, np.arange(part.n_owned))
+        assert part.marginal_mask.all() and not part.central_mask.any()
+        assert (_halo_entries(part, agg) > 0).all()
 
 
 def test_degenerate_splits_still_train_bitwise(tiny_dataset):

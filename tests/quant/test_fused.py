@@ -221,6 +221,24 @@ def test_payload_bytes_hold_until_the_plans_next_encode():
     assert _snapshot(payloads) != before
 
 
+def test_gather_refuses_a_source_shorter_than_its_block():
+    """The gather checks each device block's recorded row range against its
+    source before it takes rows without a per-index check: a source one row
+    short of the block's highest send row raises ``IndexError`` instead of
+    wrapping around; a long enough one stages exactly ``take``'s rows."""
+    values, _, counts, cat_idx, bits_cat, dim = _step(32)
+    pairs = [(0, 1), (0, 2), (1, 0), (1, 2), (1, 3)]
+    enc = FusedStepEncoder(KeyedRounding(1))
+    n, half = int(counts.sum()), int(counts[:2].sum())
+    blocks = [(0, 0, half), (1, half, n)]
+    plan = enc.plan_for("k", pairs, counts, blocks, cat_idx, bits_cat, dim)
+    top = int(cat_idx[half:].max())
+    with pytest.raises(IndexError, match="device 1"):
+        enc.gather_step(plan, {0: values, 1: values[:top]})
+    enc.gather_step(plan, {0: values, 1: values[: top + 1]})
+    assert np.array_equal(plan.cat_buf, values[cat_idx])
+
+
 def test_a_rebuilt_plan_frees_the_old_one_without_the_collector():
     """Nothing a plan hands out — payloads, shards, decode indices — refers
     back to it, so replacing it frees it by reference counting alone, even
