@@ -792,12 +792,13 @@ class FusedClusterCompute:
             )
         return self._overlap_plan
 
-    def _scratch(self, name: str, rows: int, cols: int, dtype=np.float32) -> np.ndarray:
-        """Reusable scratch block; keyed by use-site so lifetimes never clash."""
-        key = (name, rows, cols, np.dtype(dtype).str)
+    def _scratch(self, name: str, rows: int, cols: int) -> np.ndarray:
+        """Reusable float32 scratch block; keyed by use-site so lifetimes
+        never clash."""
+        key = (name, rows, cols)
         buf = self._scratch_bufs.get(key)
         if buf is None:
-            buf = np.empty((rows, cols), dtype=dtype)
+            buf = np.empty((rows, cols), dtype=np.float32)
             self._scratch_bufs[key] = buf
         return buf
 
