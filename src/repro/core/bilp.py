@@ -303,8 +303,12 @@ def solve_milp(problem: BitWidthProblem, *, time_limit: float = 10.0) -> np.ndar
     # Z is carried in units of t_ref: in seconds the time rows' coefficients
     # can sit near HiGHS's absolute feasibility tolerance, which then lets
     # the solver under-state Z and return a worse assignment as optimal.
+    # The whole objective is then scaled by 1e6: HiGHS also stops once the
+    # absolute gap is under 1e-6 (scipy exposes no option for it), which on
+    # an objective of order 1 is wider than the tie-break and than the
+    # relative gap, and returned assignments up to 1e-6 worse as optimal.
     t_ref = problem.time_reference()
-    cost = np.append(problem.choice_costs().ravel(), problem.time_weight() * t_ref)
+    cost = 1e6 * np.append(problem.choice_costs().ravel(), problem.time_weight() * t_ref)
 
     # Σ_b x_gb = 1
     a_onehot = np.zeros((n_g, n_x + 1))
