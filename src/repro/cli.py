@@ -100,11 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--period", type=int, default=16)
     p_train.add_argument("--seed", type=int, default=0)
     p_train.add_argument(
-        "--no-overlap", action="store_true",
-        help="disable the split-phase central/marginal pipelined executor "
-             "(adaqp variants overlap by default; bit-identical, but epoch "
-             "records then carry no measured stage timelines)")
-    p_train.add_argument(
         "--transport", default=None, metavar="SPEC",
         help="transport spec: auto (default), sync (jobs inline) or "
              "worker[:N] (a pool of N threads); every worker count is "
@@ -216,7 +211,7 @@ def _cmd_info() -> int:
           "(worker[:N]) — select with --transport")
     print(f"defaults: transport={cfg.transport} — "
           f"overlapped runs resolve to '{resolved}', i.e. {async_default}")
-    print("          (override: --transport sync|worker[:N], --no-overlap)")
+    print("          (override: --transport sync|worker[:N])")
     # Which kernels a run on this host uses, and why (the first call
     # builds the compiled tier into the per-user cache).
     print(f"kernels: {kernels.status()}")
@@ -310,7 +305,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
         reassign_period=args.period,
         seed=args.seed,
         eval_every=max(1, args.epochs // 8),
-        overlap=not args.no_overlap,
         transport=args.transport if args.transport is not None else "auto",
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_every=max(1, args.checkpoint_every),

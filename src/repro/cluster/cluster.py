@@ -79,9 +79,11 @@ class Cluster:
         per-stage :class:`~repro.cluster.records.StepTimeline` of every
         step; off, the window holds no spmv.  A row split of the same
         math: bit-identical either way under the same seed.  The trainer
-        turns it on for the adaqp-variant systems; store-backed datasets
-        run with it off (the row-split operators presuppose the
-        materialized block-diagonal matrix).
+        turns it on for the systems whose schedule overlaps
+        (:data:`~repro.core.trainer.OVERLAP_SYSTEMS`, its only setter);
+        the oracle matrix sets it directly.  Store-backed datasets run
+        with it off (the row-split operators presuppose the materialized
+        block-diagonal matrix).
     transport:
         Transport spec: ``"auto"`` (the default), ``"sync"`` or
         ``"worker[:N]"``, resolved here, once, by

@@ -23,9 +23,9 @@ with cluster-wide operators instead:
   the shared replica weights (via :func:`repro.nn.blas.row_matmul`, which
   keeps per-row results identical to per-device GEMMs);
 * **weight gradients accumulate directly in reduced form**: per-device
-  partial gradients are summed into float64 accumulators in rank order —
-  exactly :func:`repro.comm.allreduce.allreduce_sum`'s reduction — so K
-  flat gradient vectors are never built.
+  partial gradients are summed into float64 accumulators in rank order
+  and rounded to float32 once, so K flat gradient vectors are never
+  built.
 
 **Operand order** is the conv's, not the engine's: a GCN layer whose
 output is narrower than its input (:func:`repro.gnn.conv.transform_first`)
@@ -64,12 +64,12 @@ and the owned-row routing fill the window.  With ``overlap`` the split is
 :meth:`FusedClusterCompute.overlap_plan`'s two complementary row
 restrictions of the operator, whose spmv's write the same output (the
 second accumulating); the backward uses the transpose's owned and halo
-row ranges either way.  With overlap off — ``--no-overlap``, every store
-run, every evaluation — the central window holds no spmv and the
-aggregation is one product.  Every shape works in place on persistent
-buffers in their original row order (permuting them would reorder the
-loss and ``xᵀ·d`` reductions), and every step returns a measured
-:class:`~repro.cluster.records.StepTimeline`.
+row ranges either way.  With overlap off — the systems that do not
+overlap, every store run, every evaluation — the central window holds no
+spmv and the aggregation is one product.  Every shape works in place on
+persistent buffers in their original row order (permuting them would
+reorder the loss and ``xᵀ·d`` reductions), and every step returns a
+measured :class:`~repro.cluster.records.StepTimeline`.
 """
 
 from __future__ import annotations
@@ -527,7 +527,7 @@ class FusedClusterCompute:
 
         # Reduced-form gradient accumulators: one float64 buffer per
         # parameter of the (shared) replica structure, summed over devices
-        # in rank order — allreduce_sum's exact operation order.
+        # in rank order, so every replica gets the same float32 total.
         self._params_by_dev = [dev.model.parameters() for dev in devices]
         self._acc = [np.zeros(p.shape, dtype=np.float64) for p in self._params_by_dev[0]]
         self._acc_by_id = {id(p): a for p, a in zip(self._params_by_dev[0], self._acc)}
@@ -1035,9 +1035,9 @@ class FusedClusterCompute:
     def reduce_gradients(self) -> int:
         """Distribute the reduced gradients to every replica.
 
-        The accumulators already hold allreduce_sum's float64 totals (same
-        addend order); each is rounded to float32 once and written into
-        every device's ``Parameter.grad``.  Returns the reduced payload
+        The accumulators already hold the float64 totals, added in rank
+        order; each is rounded to float32 once and written into every
+        device's ``Parameter.grad``.  Returns the reduced payload
         size in bytes (what one allreduce would move per device).
         """
         reduced = [acc.astype(np.float32) for acc in self._acc]

@@ -8,11 +8,11 @@ Ethernet between machines — is modelled by:
   (Sarvotham et al., the cost model the paper's Eqn. 10 uses), with
   distinct intra-/inter-machine tiers and least-squares calibration;
 * :mod:`repro.comm.ring` — the ring all2all schedule (paper Fig. 8) with
-  per-round straggler barriers;
-* :mod:`repro.comm.broadcast` — the sequential broadcast pattern SANCUS
-  uses (slower than ring all2all, as the paper observes);
-* :mod:`repro.comm.allreduce` — exact gradient averaging plus the ring
-  allreduce time model;
+  per-round straggler barriers (SANCUS's sequential broadcast is priced
+  in :func:`~repro.core.scheduler.schedule_sancus`);
+* :mod:`repro.comm.allreduce` — the ring-allreduce time model of the
+  model-gradient reduction (the engine reduces exactly, in float64 rank
+  order);
 * :class:`Transport` — the in-memory mailbox that routes *real* message
   payloads between simulated devices and counts every byte; its deferred
   jobs run inline (``workers=0``) or on a pool of worker threads.
@@ -23,8 +23,7 @@ Ethernet between machines — is modelled by:
 from repro.comm.topology import ClusterTopology, parse_topology
 from repro.comm.costmodel import LinkCostModel, fit_linear_cost
 from repro.comm.ring import ring_all2all_time, ring_rounds
-from repro.comm.broadcast import sequential_broadcast_time
-from repro.comm.allreduce import allreduce_mean, ring_allreduce_time
+from repro.comm.allreduce import ring_allreduce_time
 from repro.comm.transport import Transport, transport_workers
 
 __all__ = [
@@ -34,8 +33,6 @@ __all__ = [
     "fit_linear_cost",
     "ring_rounds",
     "ring_all2all_time",
-    "sequential_broadcast_time",
-    "allreduce_mean",
     "ring_allreduce_time",
     "Transport",
     "transport_workers",

@@ -1,10 +1,11 @@
-"""Model-gradient allreduce: exact numerics plus a ring-allreduce time model.
+"""Ring-allreduce time model for the model-gradient reduction.
 
 The paper deliberately does *not* compress model gradients (they are tiny
-next to messages — its footnote 1 quantifies this), so the reproduction
-averages them exactly.  Timing uses the standard ring-allreduce cost:
-``2 (N-1)/N · bytes`` cross the slowest link, plus ``2 (N-1)`` latency
-terms.
+next to messages — its footnote 1 quantifies this), so the engine reduces
+them exactly (float64, rank order; see
+:meth:`~repro.cluster.compute.FusedClusterCompute.reduce_gradients`).
+Timing uses the standard ring-allreduce cost: ``2 (N-1)/N · bytes`` cross
+the slowest link, plus ``2 (N-1)`` latency terms.
 """
 
 from __future__ import annotations
@@ -13,34 +14,7 @@ import numpy as np
 
 from repro.comm.costmodel import LinkCostModel
 
-__all__ = ["allreduce_sum", "allreduce_mean", "ring_allreduce_time"]
-
-
-def allreduce_sum(vectors: list[np.ndarray]) -> np.ndarray:
-    """Exact sum of per-device gradient vectors (all devices get the same).
-
-    This is the correct reduction here: each device's loss is normalized by
-    the *global* training-node count, so device gradients are partial sums
-    of the full-graph gradient.  Summation order is fixed (device order) and
-    accumulation is float64, so every caller observes a bit-identical
-    result — required for replicas to stay in sync.
-    """
-    if not vectors:
-        raise ValueError("allreduce needs at least one vector")
-    first = vectors[0]
-    for v in vectors[1:]:
-        if v.shape != first.shape:
-            raise ValueError("all gradient vectors must have the same shape")
-    total = np.zeros_like(first, dtype=np.float64)
-    for v in vectors:
-        total += v
-    return total.astype(first.dtype)
-
-
-def allreduce_mean(vectors: list[np.ndarray]) -> np.ndarray:
-    """Exact mean of per-device vectors (for locally-normalized losses)."""
-    mean = allreduce_sum(vectors).astype(np.float64) / len(vectors)
-    return mean.astype(vectors[0].dtype)
+__all__ = ["ring_allreduce_time"]
 
 
 def ring_allreduce_time(nbytes: int, cost: LinkCostModel) -> float:

@@ -133,7 +133,7 @@ class Transport:
     engines post ~K² envelopes per step, so per-envelope overhead (object
     construction, duplicate scans) is the transport's hot path — one dict
     op gives enqueue + O(1) duplicate detection + collection order in one.
-    Per-tag byte matrices are resolved once per post/batch through a plain
+    Per-tag byte matrices are resolved once per batch through a plain
     dict lookup (:meth:`_matrix`), never rebuilt per envelope.
 
     **Progress model** (the split-phase pipeline's interleave record):
@@ -234,60 +234,7 @@ class Transport:
 
     def post(self, src: int, dst: int, tag: str, payload: object, nbytes: int) -> None:
         """Queue ``payload`` from ``src`` to ``dst`` under ``tag``."""
-        plan = self.fault_plan
-        if plan is not None:
-            action = plan.on_post(tag, src, dst)
-            if action == "drop":
-                # The envelope left the sender (bytes hit the wire and are
-                # accounted) but never lands in the destination mailbox.
-                self._post_one(src, dst, tag, payload, nbytes, deliver=False)
-                self.fault_stats["dropped"] += 1
-                return
-            if action == "duplicate":
-                self._post_one(src, dst, tag, payload, nbytes)
-                try:
-                    # Second arrival of the same envelope: the mailbox's
-                    # one-envelope-per-pair invariant must reject it.
-                    self._post_one(src, dst, tag, payload, nbytes)
-                except RuntimeError:
-                    self.fault_stats["duplicates_rejected"] += 1
-                    return
-                raise TransportError(
-                    f"duplicate envelope on tag {tag!r} for pair {src}->{dst}"
-                    " was accepted instead of rejected"
-                )
-        self._post_one(src, dst, tag, payload, nbytes)
-
-    def _post_one(
-        self,
-        src: int,
-        dst: int,
-        tag: str,
-        payload: object,
-        nbytes: int,
-        *,
-        deliver: bool = True,
-    ) -> None:
-        self._check_device(src)
-        self._check_device(dst)
-        if src == dst:
-            raise ValueError("devices do not message themselves")
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        nb = int(nbytes)
-        with self._lock:
-            box = self._boxes[(tag, dst)]
-            if src in box:
-                raise RuntimeError(
-                    f"duplicate post on tag {tag!r} for pair {src}->{dst}"
-                )
-            if deliver:
-                box[src] = payload
-            self._matrix(tag)[src, dst] += nb
-            self._pending[tag] += nb
-            self._pending_by_box[(tag, dst)] += nb
-            if tag in self._window_open:
-                self._overlapped[tag] += nb
+        self.post_batch(src, tag, [(dst, payload, nbytes)])
 
     def post_batch(
         self, src: int, tag: str, posts: list[tuple[int, object, int]]
@@ -296,23 +243,21 @@ class Transport:
 
         The fused engines emit all of one device's outgoing messages for a
         step at once; a single pass validates, enqueues and accounts each
-        one.  Semantics are identical to repeated :meth:`post`, with the
-        per-envelope device checks collapsed into one source check plus a
-        range test folded into the validation scan.
+        one.  The whole batch is validated before anything is enqueued, so
+        a bad entry leaves no phantom envelope or byte count behind.
+
+        With a fault plan armed, each envelope's action comes from
+        ``plan.on_post`` in list order: a dropped envelope left the sender
+        (its bytes are accounted) but never lands; a duplicated one lands
+        once, and its second arrival meets the mailbox's one-envelope-per-
+        pair check and is rejected.
         """
         self._check_device(src)
         if not posts:
             return
         plan = self.fault_plan
-        if plan is not None and plan.armed():
-            # Fault path: fall back to per-envelope posting so each entry
-            # passes through the injection hooks.  Cold by construction —
-            # plans only exist in fault-injection runs.
-            for dst, payload, nb in posts:
-                self.post(src, dst, tag, payload, nb)
-            return
-        # Validate the whole batch before enqueuing anything, so a bad
-        # entry cannot leave phantom envelopes or byte accounting behind.
+        if plan is not None and not plan.armed():
+            plan = None
         # ``boxes.get`` (not ``boxes[...]``) keeps the duplicate scan from
         # materializing empty defaultdict mailboxes.
         boxes = self._boxes
@@ -335,7 +280,15 @@ class Transport:
             row = self._matrix(tag)[src]
             pending = 0
             for dst, payload, nb in posts:
-                boxes[(tag, dst)][src] = payload
+                action = plan.on_post(tag, src, dst) if plan is not None else None
+                if action == "drop":
+                    self.fault_stats["dropped"] += 1
+                else:
+                    boxes[(tag, dst)][src] = payload
+                    if action == "duplicate":
+                        # The second arrival finds the pair's envelope
+                        # queued: the one-envelope-per-pair check rejects it.
+                        self.fault_stats["duplicates_rejected"] += 1
                 nb = int(nb)
                 row[dst] += nb
                 pending += nb

@@ -1,7 +1,5 @@
 """AdaQP core: the paper's contribution.
 
-* :mod:`repro.core.decompose` — central/marginal graph decomposition
-  (Sec. 3.1);
 * :mod:`repro.core.bilp` — the variance–time bi-objective bit-width
   assignment problem (Eqns. 10–12) with the exact time-sweep solver, the
   MILP oracle and a greedy solver;
@@ -10,13 +8,13 @@
   assignments;
 * :mod:`repro.core.scheduler` — epoch-time schedule simulators for
   Vanilla, AdaQP (three-stage resource isolation, Fig. 7), PipeGCN and
-  SANCUS;
+  SANCUS, pricing each step's measured wire bytes and its central/marginal
+  FLOP split (Sec. 3.1) as the cluster records them;
 * :mod:`repro.core.trainer` — the end-to-end training loop producing
   accuracy curves, simulated throughput and time breakdowns.
 """
 
 from repro.core.config import RunConfig
-from repro.core.decompose import DecompositionStats, decompose_partition
 from repro.core.bilp import (
     BitWidthProblem,
     GroupSpec,
@@ -39,8 +37,6 @@ from repro.core.trainer import SYSTEMS, TrainResult, train
 
 __all__ = [
     "RunConfig",
-    "DecompositionStats",
-    "decompose_partition",
     "BitWidthProblem",
     "GroupSpec",
     "solve_exact",

@@ -41,17 +41,12 @@ class RunConfig:
     fixed_bits: int = 2  # for the fixed-bit-width systems
     uniform_period: int = 20  # resampling cadence of the uniform baseline
 
-    # Execution shape.  These two swap how an epoch is executed, never
-    # what it computes — every combination is bitwise-identical under the
-    # same seed (tests/cluster/test_oracle_matrix.py compares them all with
-    # the reference trainer).
-    # overlap: whether the layer step splits its aggregation around the
-    # exchange (post marginal messages -> central rows' spmv while they
-    # fly -> finalize -> marginal rows' spmv, then one dense pass), with
-    # measured per-stage timelines; off, the window holds no spmv.
-    # Applied to the systems whose schedule overlaps (the adaqp variants
-    # and vanilla-overlap).
-    overlap: bool = True
+    # Execution shape.  The transport swaps how an epoch is executed,
+    # never what it computes — every worker count is bitwise-identical
+    # under the same seed (tests/cluster/test_oracle_matrix.py compares
+    # them with the reference trainer).  Whether the layer step splits
+    # its aggregation around the exchange is the system's to decide
+    # (repro.core.trainer.OVERLAP_SYSTEMS), not a run setting.
     # transport: how many worker threads run each step's quantize/pack/
     # post (and decode) jobs, as a spec string:
     #   "auto"      (default) workers when the run overlaps and the host

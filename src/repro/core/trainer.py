@@ -76,9 +76,10 @@ SYSTEMS = (
 )
 
 #: Systems whose schedule overlaps central compute with marginal comm —
-#: for these the cluster *executes* the split-phase pipeline (when
-#: ``RunConfig.overlap`` allows), so the simulated overlap is backed by a
-#: really-executed, measured interleave.
+#: for these the cluster *executes* the split-phase pipeline, so the
+#: simulated overlap is backed by a really-executed, measured interleave.
+#: The only statement of which runs overlap: results are bit-identical
+#: either way, only the measured timelines differ.
 OVERLAP_SYSTEMS = frozenset(
     {"adaqp", "adaqp-uniform", "adaqp-fixed", "vanilla-overlap"}
 )
@@ -321,7 +322,7 @@ def train(
         num_layers=config.num_layers,
         dropout=config.dropout,
         seed=config.seed,
-        overlap=config.overlap and system in OVERLAP_SYSTEMS,
+        overlap=system in OVERLAP_SYSTEMS,
         transport=config.transport,
         transport_timeout_s=config.transport_timeout_s,
         fault_plan=fault_plan,

@@ -1,13 +1,10 @@
-"""Persistence: save/load graphs, datasets and partition books as ``.npz``,
-plus the out-of-core binary :class:`PartitionStore` for huge graphs.
+"""Persistence: the out-of-core binary :class:`PartitionStore` for huge graphs.
 
-Full-graph training jobs partition once and train many times (the paper's
-"fixed-partition" splits); persisting the dataset and the partition book
-makes runs exactly repeatable across processes without regenerating.
-
-The ``.npz`` formats materialize everything in RAM and top out around the
-"small" dataset scale.  The :class:`PartitionStore` is the huge-graph
-(1M–10M-node) path: one binary file per partition holding CSR blocks,
+In-RAM runs persist nothing: a dataset is regenerated from its name, scale
+and seed, and partitioning is seeded too, so a run is repeatable across
+processes without files.  (Training state persists through
+:mod:`repro.cluster.checkpoint`.)  The :class:`PartitionStore` is the
+huge-graph (1M–10M-node) path: one binary file per partition holding CSR blocks,
 features, labels and halo index tables as 64-byte-aligned regions described
 by a versioned JSON header, so training opens every array as a read-only
 ``np.memmap`` and the OS pages data in on demand.  The store is written once
@@ -27,8 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 import scipy.sparse as sp
 
-from repro.graph.datasets import DatasetSpec, GraphDataset
-from repro.graph.graph import Graph
+from repro.graph.datasets import DatasetSpec
 from repro.graph.partition.book import LocalPartition, PartitionBook
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a package cycle
@@ -36,12 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a package cycle
     from repro.graph.generators import HugeGraphConfig
 
 __all__ = [
-    "save_graph",
-    "load_graph",
-    "save_dataset",
-    "load_dataset_file",
-    "save_partition_book",
-    "load_partition_book",
     "PartitionStore",
     "PartitionStoreWriter",
     "StorePartition",
@@ -50,116 +40,6 @@ __all__ = [
     "build_partition_store",
     "release_memmap_pages",
 ]
-
-_FORMAT_VERSION = 1
-
-
-def save_graph(graph: Graph, path: str | Path) -> Path:
-    """Serialize a graph's CSR arrays to ``.npz``."""
-    path = Path(path)
-    np.savez_compressed(
-        path, format_version=_FORMAT_VERSION, indptr=graph.indptr, indices=graph.indices
-    )
-    return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
-
-
-def load_graph(path: str | Path) -> Graph:
-    with np.load(path) as data:
-        _check_version(data)
-        return Graph(indptr=data["indptr"], indices=data["indices"])
-
-
-def save_dataset(dataset: GraphDataset, path: str | Path) -> Path:
-    """Serialize a full dataset (graph + features + labels + splits + spec)."""
-    path = Path(path)
-    spec = dataset.spec
-    np.savez_compressed(
-        path,
-        format_version=_FORMAT_VERSION,
-        indptr=dataset.graph.indptr,
-        indices=dataset.graph.indices,
-        features=dataset.features,
-        labels=dataset.labels,
-        train_mask=dataset.train_mask,
-        val_mask=dataset.val_mask,
-        test_mask=dataset.test_mask,
-        spec_name=spec.name,
-        spec_paper_name=spec.paper_name,
-        spec_num_nodes=spec.num_nodes,
-        spec_avg_degree=spec.avg_degree,
-        spec_num_features=spec.num_features,
-        spec_num_classes=spec.num_classes,
-        spec_multilabel=spec.multilabel,
-        spec_homophily=spec.homophily,
-        spec_degree_exponent=spec.degree_exponent,
-        spec_feature_noise=spec.feature_noise,
-        spec_label_noise=spec.label_noise,
-        spec_fine_scale=spec.fine_scale,
-        spec_fine_group=spec.fine_group,
-        spec_neighbor_locality=spec.neighbor_locality,
-        spec_locality_width=spec.locality_width,
-    )
-    return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
-
-
-def load_dataset_file(path: str | Path) -> GraphDataset:
-    """Inverse of :func:`save_dataset`."""
-    with np.load(path) as data:
-        _check_version(data)
-        spec = DatasetSpec(
-            name=str(data["spec_name"]),
-            paper_name=str(data["spec_paper_name"]),
-            num_nodes=int(data["spec_num_nodes"]),
-            avg_degree=float(data["spec_avg_degree"]),
-            num_features=int(data["spec_num_features"]),
-            num_classes=int(data["spec_num_classes"]),
-            multilabel=bool(data["spec_multilabel"]),
-            homophily=float(data["spec_homophily"]),
-            degree_exponent=float(data["spec_degree_exponent"]),
-            feature_noise=float(data["spec_feature_noise"]),
-            label_noise=float(data["spec_label_noise"]),
-            fine_scale=float(data["spec_fine_scale"]),
-            fine_group=int(data["spec_fine_group"]),
-            neighbor_locality=float(data["spec_neighbor_locality"]),
-            locality_width=int(data["spec_locality_width"]),
-        )
-        return GraphDataset(
-            spec=spec,
-            graph=Graph(indptr=data["indptr"], indices=data["indices"]),
-            features=data["features"],
-            labels=data["labels"],
-            train_mask=data["train_mask"],
-            val_mask=data["val_mask"],
-            test_mask=data["test_mask"],
-        )
-
-
-def save_partition_book(book: PartitionBook, path: str | Path) -> Path:
-    path = Path(path)
-    np.savez_compressed(
-        path,
-        format_version=_FORMAT_VERSION,
-        part_of=book.part_of,
-        num_parts=book.num_parts,
-    )
-    return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
-
-
-def load_partition_book(path: str | Path) -> PartitionBook:
-    with np.load(path) as data:
-        _check_version(data)
-        return PartitionBook(
-            part_of=data["part_of"], num_parts=int(data["num_parts"])
-        )
-
-
-def _check_version(data) -> None:
-    version = int(data["format_version"]) if "format_version" in data else -1
-    if version != _FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported file format version {version} (expected {_FORMAT_VERSION})"
-        )
-
 
 # --------------------------------------------------------------------------
 # Out-of-core partition store (huge-graph mode)

@@ -28,7 +28,6 @@ from repro.cluster.exchange import (
 )
 from repro.cluster.perfmodel import PerfModel
 from repro.comm.costmodel import LinkCostModel
-from repro.core.decompose import decompose_partition
 from repro.core.scheduler import device_comm_times, device_compute_times
 from repro.core.trainer import TrainResult, train
 from repro.graph.datasets import DATASET_CATALOG, load_dataset
@@ -226,13 +225,13 @@ def run_fig03_central_compute_share(
     marginal = all_nodes - central
     rows = []
     for d in range(book.num_parts):
-        stats = decompose_partition(cluster.devices[d].part, cluster.devices[d].agg)
+        part = cluster.devices[d].part
         rows.append(
             [
                 f"device{d}",
                 f"{100.0 * marginal[d] / all_nodes[d]:.1f}%",
                 f"{100.0 * central[d] / all_nodes[d]:.1f}%",
-                f"{100.0 * stats.marginal_row_fraction:.1f}%",
+                f"{100.0 * part.n_marginal / part.n_owned:.1f}%",
             ]
         )
     return ExperimentResult(

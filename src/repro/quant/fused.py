@@ -435,6 +435,11 @@ class FusedStepEncoder:
     is a :class:`~repro.quant.stochastic.KeyedRounding`; every encode
     needs the step's ``(phase, layer)`` coordinates (the ``coords``
     arguments below), which with each pair's ``(src, dst)`` key its noise.
+
+    A step encodes in two halves: :meth:`gather_step` snapshots the source
+    rows on the calling thread, then :meth:`quantize_pack_shard` runs once
+    per shard of :meth:`shards_for` — worker-safe, as it touches only the
+    shard's rows of the plan-owned buffers.
     """
 
     def __init__(self, rounding) -> None:
@@ -471,28 +476,6 @@ class FusedStepEncoder:
             self._plans[key] = plan
         return plan
 
-    def encode_step(
-        self, plan: FusedStepPlan, values_by_rank, observe=None, *, coords
-    ) -> dict[tuple[int, int], MixedPrecisionPayload]:
-        """Quantize + pack the step's messages; returns per-pair payloads.
-
-        ``values_by_rank`` maps a device rank to the float32 matrix its
-        messages are gathered from (activations or halo gradients); a list
-        indexed by rank works too.  ``observe``, when given, is called per
-        pair with ``(src, dst, rows)`` where ``rows`` is the pair's block
-        in original row order — the tracer hook.  ``coords`` is the step's
-        ``(phase, layer)``.  The payloads are views of the plan's buffers
-        (see the module docstring for their lifetime).
-
-        The two halves are also exposed separately for the async transport:
-        :meth:`gather_step` snapshots the source rows (and feeds the
-        tracer) on the calling thread, after which
-        :meth:`quantize_pack_step` is safe to run on a transport worker —
-        it touches only plan-owned buffers and the encoder's noise policy.
-        """
-        self.gather_step(plan, values_by_rank, observe)
-        return self.quantize_pack_step(plan, coords=coords)
-
     def gather_step(self, plan: FusedStepPlan, values_by_rank, observe=None) -> None:
         """Stage the step's source rows into ``plan.cat_buf`` (a snapshot).
 
@@ -525,20 +508,6 @@ class FusedStepEncoder:
             bounds = plan.cat_bounds
             for i, (src, dst) in enumerate(plan.pairs):
                 observe(src, dst, plan.cat_buf[bounds[i] : bounds[i + 1]])
-
-    def quantize_pack_step(
-        self, plan: FusedStepPlan, *, coords
-    ) -> dict[tuple[int, int], MixedPrecisionPayload]:
-        """Quantize + pack the gathered step (worker-safe half).
-
-        Reads ``plan.cat_buf`` (filled by :meth:`gather_step`) and
-        touches only plan-owned buffers: the one-shard composition of
-        :meth:`quantize_pack_shard`.
-        """
-        payloads: dict[tuple[int, int], MixedPrecisionPayload] = {}
-        for shard in self.shards_for(plan, 1):
-            payloads.update(self.quantize_pack_shard(plan, shard, coords=coords))
-        return payloads
 
     def _quantize_numpy(
         self, plan: FusedStepPlan, shard: _EncodeShard, keys: np.ndarray

@@ -9,6 +9,8 @@ layers, parts), so one session computes each once however many shapes are
 compared with it.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from reference.oracle import (
@@ -155,6 +157,16 @@ class Matrix:
                     opt.step()
             out.metrics = cluster.evaluate()
         return out, record
+
+    @staticmethod
+    def same_records(a, b) -> bool:
+        """Whether two epoch records hold bit-equal phase records: the wire
+        bytes and FLOPs every schedule prices."""
+        return len(a.phases) == len(b.phases) and all(
+            np.array_equal(getattr(p, f.name), getattr(q, f.name))
+            for p, q in zip(a.phases, b.phases)
+            for f in fields(p)
+        )
 
     def check(
         self, *, policy, model, hidden, parts, residency="ram", hidden_layers=2,

@@ -19,8 +19,6 @@ from reference.oracle import ExactPolicy, ReferenceTrainer
 from repro.cluster.cluster import Cluster
 from repro.cluster.compute import FusedClusterCompute, build_block_diagonal
 from repro.cluster.exchange import ExactHaloExchange
-from repro.core.config import RunConfig
-from repro.core.trainer import train
 from repro.gnn.coefficients import build_aggregation
 from repro.gnn.conv import stack_conv_inputs
 from repro.graph.graph import Graph
@@ -62,22 +60,14 @@ def test_baseline_exchanges_identical(matrix, exchange_name, hidden):
 
 
 @pytest.mark.parametrize("hidden", HIDDEN_SHAPES)
-def test_accuracy_curves_identical_via_trainer(tiny_dataset, tiny_book, hidden):
-    """``train()`` on the default transport ≡ the plainest shape."""
-    cfg = RunConfig(epochs=8, hidden_dim=hidden, eval_every=2, reassign_period=4)
-    default = train("adaqp-fixed", tiny_dataset, tiny_book, "2M-2D", cfg)
-    plain = train(
-        "adaqp-fixed",
-        tiny_dataset,
-        tiny_book,
-        "2M-2D",
-        cfg.with_overrides(overlap=False, transport="sync"),
-    )
-    assert default.curve_loss == plain.curve_loss
-    assert default.curve_val == plain.curve_val
-    assert default.curve_test == plain.curve_test
-    assert default.wire_bytes_total == plain.wire_bytes_total
-    assert default.epoch_times == plain.epoch_times  # identical records/schedule
+def test_default_shape_identical_to_plainest(matrix, hidden):
+    """An overlapping system's default shape (split step, ``auto``
+    transport) ≡ the plainest one (no split, inline), records included."""
+    what = dict(policy="quantized", model="gcn", hidden=hidden, parts=4)
+    default, record = matrix.production(**what, overlap=True, transport="auto")
+    plain, plain_record = matrix.production(**what, overlap=False, transport="sync")
+    assert default.mismatches(plain) == []
+    assert matrix.same_records(record, plain_record)  # identical schedules
 
 
 def test_replicas_stay_identical_under_fused_engine(tiny_dataset):

@@ -142,13 +142,14 @@ def _reconstruct_global_dataset(store):
 def test_stream_matches_standard_engine(huge_store, system, hidden):
     """The streaming engine vs. the ordinary in-RAM path on the same graph.
 
-    ``overlap=False`` pins both runs to the plain schedule; the streaming
-    engine's only structural wire delta (it skips the layer-0 backward
+    The store run executes the plain step and the in-RAM adaqp-fixed run
+    the split one, which computes the same bits; the streaming engine's
+    only structural wire delta (it skips the layer-0 backward
     gradient exchange — input features are not trainable) affects neither
     system here: vanilla sends exact payloads both ways and adaqp-fixed's
     layer-0 gradients never feed a parameter update.
     """
-    cfg = _run_cfg(overlap=False, hidden_dim=hidden)
+    cfg = _run_cfg(hidden_dim=hidden)
     streamed = train(
         system, huge_store.dataset(), huge_store.book(), "2M-2D", cfg
     )

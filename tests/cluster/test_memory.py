@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from step_encoding import quantize_pack
 
 from repro import kernels
 from repro.cluster.cluster import Cluster
@@ -276,7 +277,7 @@ def test_stage_estimate_is_what_a_plan_holds(cluster, compiled_kernels, kernel_t
         tracemalloc.start()
         try:
             encoder, plan, shard, keys = _widest_step(cluster)
-            encoder.quantize_pack_step(plan, coords=("fwd", 0))
+            quantize_pack(encoder, plan, coords=("fwd", 0))
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()

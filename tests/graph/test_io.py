@@ -1,70 +1,8 @@
-"""Persistence round trips for graphs, datasets and partition books."""
+"""Partition-store error paths (huge-graph mode)."""
 
-import numpy as np
 import pytest
 
-from repro.graph.io import (
-    load_dataset_file,
-    load_graph,
-    load_partition_book,
-    save_dataset,
-    save_graph,
-    save_partition_book,
-)
 
-
-def test_graph_roundtrip(tmp_path, path_graph):
-    p = tmp_path / "g.npz"
-    save_graph(path_graph, p)
-    g2 = load_graph(p)
-    assert np.array_equal(g2.indptr, path_graph.indptr)
-    assert np.array_equal(g2.indices, path_graph.indices)
-
-
-def test_dataset_roundtrip(tmp_path, tiny_dataset):
-    p = tmp_path / "ds.npz"
-    save_dataset(tiny_dataset, p)
-    ds2 = load_dataset_file(p)
-    assert ds2.spec == tiny_dataset.spec
-    assert np.array_equal(ds2.features, tiny_dataset.features)
-    assert np.array_equal(ds2.labels, tiny_dataset.labels)
-    assert np.array_equal(ds2.train_mask, tiny_dataset.train_mask)
-    assert ds2.graph.num_edges == tiny_dataset.graph.num_edges
-
-
-def test_partition_book_roundtrip(tmp_path, tiny_book):
-    p = tmp_path / "book.npz"
-    save_partition_book(tiny_book, p)
-    book2 = load_partition_book(p)
-    assert book2.num_parts == tiny_book.num_parts
-    assert np.array_equal(book2.part_of, tiny_book.part_of)
-
-
-def test_loaded_dataset_trains(tmp_path, tiny_dataset):
-    """A persisted dataset is fully usable for training."""
-    from repro.core.config import RunConfig
-    from repro.core.trainer import train
-    from repro.graph.partition.api import partition_graph
-
-    p = tmp_path / "ds.npz"
-    save_dataset(tiny_dataset, p)
-    ds2 = load_dataset_file(p)
-    book = partition_graph(ds2.graph, 2, method="metis", seed=0)
-    result = train("vanilla", ds2, book, "2M-1D",
-                   RunConfig(epochs=2, hidden_dim=8, eval_every=1))
-    assert np.isfinite(result.final_val)
-
-
-def test_version_check(tmp_path):
-    bad = tmp_path / "bad.npz"
-    np.savez(bad, format_version=99, indptr=np.array([0]), indices=np.array([], dtype=np.int64))
-    with pytest.raises(ValueError, match="format version"):
-        load_graph(bad)
-
-
-# ----------------------------------------------------------------------
-# Partition-store error paths (huge-graph mode)
-# ----------------------------------------------------------------------
 def _store_copy(store, tmp_path):
     import shutil
 
@@ -110,21 +48,3 @@ def test_store_open_rejects_missing_and_corrupt_header(huge_store, tmp_path):
 def test_store_region_unknown_name_raises(huge_store):
     with pytest.raises(KeyError, match="no region"):
         huge_store.region(0, "no-such-region")
-
-
-def test_partition_book_roundtrip_non_contiguous(tmp_path):
-    """A book whose parts own interleaved (non-contiguous) node ids must
-    survive the save/load round trip exactly — the store's contiguous
-    numbering is a property of the store, not of the book format."""
-    from repro.graph.partition.book import PartitionBook
-
-    gen = np.random.default_rng(3)
-    part_of = gen.integers(0, 3, 101).astype(np.int64)
-    book = PartitionBook(part_of=part_of, num_parts=3)
-    p = tmp_path / "scattered.npz"
-    save_partition_book(book, p)
-    book2 = load_partition_book(p)
-    assert book2.num_parts == 3
-    assert np.array_equal(book2.part_of, part_of)
-    for part in range(3):
-        assert np.array_equal(book2.owned(part), np.flatnonzero(part_of == part))

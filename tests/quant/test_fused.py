@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference.wire import MixedPrecisionEncoder, decode
+from step_encoding import encode_step, quantize_pack
 
 from repro.quant.fused import (
     FusedStepEncoder,
@@ -44,7 +45,7 @@ def _encode_both(seed, **kw):
 
     n = int(counts.sum())
     plan = fused_enc.plan_for("k", pairs, counts, [(0, 0, n)], cat_idx, bits_cat, dim)
-    fused_payloads = fused_enc.encode_step(plan, {0: values}, coords=("fwd", 0))
+    fused_payloads = encode_step(fused_enc, plan, {0: values}, coords=("fwd", 0))
 
     bounds = np.concatenate([[0], np.cumsum(counts)])
     legacy_payloads = {}
@@ -90,7 +91,7 @@ def test_fused_encode_ragged_pair_sizes():
     legacy_enc = MixedPrecisionEncoder(KeyedRounding(11))
     fused_enc = FusedStepEncoder(KeyedRounding(11))
     plan = fused_enc.plan_for("k", pairs, counts, [(0, 0, n)], cat_idx, bits_cat, dim)
-    fused = fused_enc.encode_step(plan, {0: values}, coords=("bwd", 2))
+    fused = encode_step(fused_enc, plan, {0: values}, coords=("bwd", 2))
 
     bounds = np.concatenate([[0], np.cumsum(counts)])
     for i, pair in enumerate(pairs):
@@ -147,7 +148,7 @@ def test_encoder_empty_step():
         "k", [], np.zeros(0, dtype=np.int64), [], np.zeros(0, dtype=np.int64),
         np.zeros(0, dtype=np.int64), 4,
     )
-    assert enc.encode_step(plan, {}, coords=("fwd", 0)) == {}
+    assert encode_step(enc, plan, {}, coords=("fwd", 0)) == {}
 
 
 @settings(max_examples=60, deadline=None)
@@ -172,7 +173,7 @@ def test_wire_bytes_are_the_formula(counts, dim, widths, seed):
     values = gen.normal(size=(n, dim)).astype(np.float32)
     enc = FusedStepEncoder(KeyedRounding(2))
     plan = enc.plan_for("k", pairs, counts, [(0, 0, n)], np.arange(n), bits, dim)
-    payloads = enc.encode_step(plan, {0: values}, coords=("fwd", 1))
+    payloads = encode_step(enc, plan, {0: values}, coords=("fwd", 1))
     reference = MixedPrecisionEncoder(KeyedRounding(2))
     cursor, lo = 0, 0
     base = plan.wire.ctypes.data
@@ -206,17 +207,17 @@ def test_payload_bytes_hold_until_the_plans_next_encode():
     enc = FusedStepEncoder(KeyedRounding(1))
     n = int(counts.sum())
     plan = enc.plan_for("k", pairs, counts, [(0, 0, n)], cat_idx, bits_cat, dim)
-    payloads = enc.encode_step(plan, {0: values}, coords=("fwd", 0))
+    payloads = encode_step(enc, plan, {0: values}, coords=("fwd", 0))
     before = _snapshot(payloads)
     other = enc.plan_for("other", pairs, counts, [(0, 0, n)], cat_idx, bits_cat, dim)
-    decode_step({dst: p for (_, dst), p in enc.encode_step(
-        other, {0: values + 1}, coords=("fwd", 0)).items()})  # fmt: skip
+    other_payloads = encode_step(enc, other, {0: values + 1}, coords=("fwd", 0))
+    decode_step({dst: p for (_, dst), p in other_payloads.items()})
     decode_step({dst: p for (_, dst), p in payloads.items()})
     enc.gather_step(plan, {0: values * 2})
     assert _snapshot(payloads) == before
     with pytest.raises(ValueError, match="read-only"):
         payloads[pairs[0]].streams[0][0] = 0
-    again = enc.quantize_pack_step(plan, coords=("fwd", 0))
+    again = quantize_pack(enc, plan, coords=("fwd", 0))
     assert all(again[pair] is payloads[pair] for pair in pairs)
     assert _snapshot(payloads) != before
 
@@ -252,7 +253,7 @@ def test_a_rebuilt_plan_frees_the_old_one_without_the_collector():
         enc.gather_step(plan, {0: values})
         for shard in enc.shards_for(plan, 3):
             enc.quantize_pack_shard(plan, shard, coords=("bwd", 1))
-        payloads = enc.quantize_pack_step(plan, coords=("bwd", 1))
+        payloads = quantize_pack(enc, plan, coords=("bwd", 1))
         rows = {0: np.arange(int(counts[0]))}
         index = decode_index(plan, 1, rows, int(counts[0]))
         decode_cluster_step({1: {0: payloads[(0, 1)]}}, into={

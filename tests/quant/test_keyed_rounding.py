@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference.wire import MixedPrecisionEncoder, block_key, block_noise, decode
+from step_encoding import encode_step
 
 from repro.quant import fused as fused_module
 from repro.quant.fused import FusedStepEncoder
@@ -238,7 +239,7 @@ def test_keyed_encode_requires_block_coordinates():
     )
     fused.gather_step(plan, {0: h})
     with pytest.raises(TypeError, match="coords"):
-        fused.quantize_pack_step(plan)
+        fused.quantize_pack_shard(plan, fused.shards_for(plan, 1)[0])
 
 
 # ----------------------------------------------------------------------
@@ -267,7 +268,7 @@ def test_fused_keyed_matches_per_pair_keyed_bitwise():
     pairs, counts, bounds, cat_idx, bits_cat, values, blocks, dim = _synthetic_step(3)
     fused = FusedStepEncoder(KeyedRounding(17))
     plan = fused.plan_for("k", pairs, counts, blocks, cat_idx, bits_cat, dim)
-    payloads = fused.encode_step(plan, values, coords=("fwd", 1))
+    payloads = encode_step(fused, plan, values, coords=("fwd", 1))
 
     per_pair = MixedPrecisionEncoder(KeyedRounding(17))
     for i, (src, dst) in enumerate(pairs):
@@ -310,7 +311,7 @@ def test_sharded_encode_is_bitwise_shard_and_order_invariant(n_shards, monkeypat
     pairs, counts, _, cat_idx, bits_cat, values, blocks, dim = _synthetic_step(5)
     whole = FusedStepEncoder(KeyedRounding(9))
     plan_w = whole.plan_for("k", pairs, counts, blocks, cat_idx, bits_cat, dim)
-    reference = _pair_bytes(whole.encode_step(plan_w, values, coords=("bwd", 2)))
+    reference = _pair_bytes(encode_step(whole, plan_w, values, coords=("bwd", 2)))
 
     sharded = FusedStepEncoder(KeyedRounding(9))
     plan_s = sharded.plan_for("k", pairs, counts, blocks, cat_idx, bits_cat, dim)
@@ -379,7 +380,7 @@ def test_empty_pair_between_neighbours_is_invisible():
     bits_cat = gen.choice([2, 4, 8], size=n)
     fused = FusedStepEncoder(KeyedRounding(1))
     plan = fused.plan_for("k", pairs, counts, [(0, 0, n)], cat_idx, bits_cat, dim)
-    got = fused.encode_step(plan, {0: values}, coords=("fwd", 0))
+    got = encode_step(fused, plan, {0: values}, coords=("fwd", 0))
 
     per_pair = MixedPrecisionEncoder(KeyedRounding(1))
     bounds = np.concatenate([[0], np.cumsum(counts)])

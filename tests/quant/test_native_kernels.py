@@ -28,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference.wire import MixedPrecisionEncoder, decode
 from scipy.sparse._sparsetools import csr_matvecs
+from step_encoding import quantize_pack
 
 from repro.quant import fused
 from repro.quant.fused import (
@@ -201,7 +202,7 @@ def test_every_shard_decomposition_and_replay_emit_the_reference_bytes(
     encoder = FusedStepEncoder(KeyedRounding(9))
     plan = _plan(encoder, step)
     with tier(None):
-        want = _snapshot(encoder.quantize_pack_step(plan, coords=("fwd", 2)))
+        want = _snapshot(quantize_pack(encoder, plan, coords=("fwd", 2)))
     with tier(lib):
         _check_shards_and_replay(encoder, plan, want)
     pairs, counts, bits, values, _ = step
@@ -227,7 +228,7 @@ def test_the_shard_comparison_sees_a_flipped_key(lib, tier, monkeypatch):
     encoder = FusedStepEncoder(KeyedRounding(9))
     plan = _plan(encoder, step)
     with tier(None):
-        want = _snapshot(encoder.quantize_pack_step(plan, coords=("fwd", 2)))
+        want = _snapshot(quantize_pack(encoder, plan, coords=("fwd", 2)))
     genuine = encoder.rounding.block_keys
 
     def flipped(phase, layer, src, dst):
@@ -332,7 +333,7 @@ def test_decode_index_lands_every_row(lib, tier, case, accumulate, drop):
     pairs, counts, bits, values, dim, halo, owned = case
     encoder = FusedStepEncoder(KeyedRounding(3))
     plan = _plan(encoder, (pairs, counts, bits, values, dim))
-    payloads = encoder.quantize_pack_step(plan, coords=("bwd", 0))
+    payloads = quantize_pack(encoder, plan, coords=("bwd", 0))
     collects = {
         dst: {s: payloads[(s, d)] for s, d in sorted(pairs) if d == dst}
         for dst in sorted(halo)
@@ -438,7 +439,7 @@ def test_only_the_plans_own_mailbox_reaches_the_compiled_decode(lib, tier):
             np.random.default_rng(0).normal(size=(5, 7)).astype(np.float32), 7)  # fmt: skip
     encoder = FusedStepEncoder(KeyedRounding(0))
     plan = _plan(encoder, step)
-    payloads = encoder.quantize_pack_step(plan, coords=("fwd", 0))
+    payloads = quantize_pack(encoder, plan, coords=("fwd", 0))
     index = decode_index(plan, 2, {0: [4, 0, 2], 1: [1, 3]}, 5)
     own = {src: payloads[(src, 2)] for src in index.srcs}
     calls, genuine = [], fused._decode_index_native

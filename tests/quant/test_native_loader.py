@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from reference.wire import MixedPrecisionEncoder, decode
+from step_encoding import encode_step
 
 from repro import kernels
 from repro.kernels import selftest
@@ -63,7 +64,7 @@ def _assert_working_run():
     plan = encoder.plan_for(
         "k", [(0, 1)], np.array([11]), [(0, 0, 11)], np.arange(11), bits, 9
     )
-    payload = encoder.encode_step(plan, {0: values}, coords=("fwd", 0))[(0, 1)]
+    payload = encode_step(encoder, plan, {0: values}, coords=("fwd", 0))[(0, 1)]
     reference = MixedPrecisionEncoder(KeyedRounding(4))
     want = reference.encode(values, bits, ("fwd", 0, 0, 1))
     for got_stream, want_stream in zip(payload.streams, want.streams):

@@ -71,6 +71,10 @@ def test_train_transport_and_rng_flags(capsys):
         build_parser().parse_args(["train", "--transport-workers", "2"])
     with pytest.raises(SystemExit):
         build_parser().parse_args(["train", "--no-async-transport"])
+    # Which systems overlap is OVERLAP_SYSTEMS's to say, not a flag's.
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(["train", "--no-overlap"])
+    assert exit_info.value.code == 2
 
 
 def test_partition_command(capsys):

@@ -62,3 +62,44 @@ def test_quant_holds_only_what_runs():
     assert not hasattr(repro.quant.KeyedRounding, "block_noise")
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("repro.quant.native")
+
+
+def test_second_statements_are_gone():
+    """Each concern is stated once: the central/marginal split by
+    ``LocalPartition`` and the cluster's phase records, SANCUS's broadcast
+    by ``schedule_sancus``, the gradient reduction by the engine, a step's
+    encode by ``gather_step`` → ``quantize_pack_shard``, and which runs
+    overlap by ``OVERLAP_SYSTEMS``.  The ``.npz`` formats nothing read or
+    wrote are gone too."""
+    import dataclasses
+
+    import repro.comm
+    import repro.core
+    from repro.comm import allreduce
+    from repro.core.config import RunConfig
+    from repro.graph import io
+    from repro.quant.fused import FusedStepEncoder
+
+    for module in ("repro.core.decompose", "repro.comm.broadcast"):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+    gone = {
+        repro.core: ("DecompositionStats", "decompose_partition"),
+        repro.comm: ("sequential_broadcast_time", "allreduce_mean"),
+        allreduce: ("allreduce_sum", "allreduce_mean"),
+        io: (
+            "save_graph",
+            "load_graph",
+            "save_dataset",
+            "load_dataset_file",
+            "save_partition_book",
+            "load_partition_book",
+        ),
+    }
+    for module, names in gone.items():
+        for name in names:
+            assert name not in module.__all__
+            assert not hasattr(module, name), (module.__name__, name)
+    assert not hasattr(FusedStepEncoder, "encode_step")
+    assert not hasattr(FusedStepEncoder, "quantize_pack_step")
+    assert "overlap" not in {f.name for f in dataclasses.fields(RunConfig)}
