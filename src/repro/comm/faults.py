@@ -28,13 +28,13 @@ fault fires once, then disarms).  Where each kind is honoured:
 ========== ===========================================================
 kind        injection point
 ========== ===========================================================
-drop        :meth:`Transport.post` — bytes are accounted (the
+drop        :meth:`Transport.post_batch` — bytes are accounted (the
             envelope *left* the sender) but the payload never lands in
             the destination mailbox.
-duplicate   :meth:`Transport.post` — the envelope is enqueued
-            and then posted *again*; the mailbox's one-envelope-per-pair
-            invariant rejects the second copy (counted in
-            ``fault_stats["duplicates_rejected"]``), proving delivery
+duplicate   :meth:`Transport.post_batch` — the envelope lands once; its
+            second arrival finds the pair's envelope already queued,
+            so the mailbox's one-envelope-per-pair invariant rejects it
+            (counted in ``fault_stats["duplicates_rejected"]``): delivery
             is idempotent.
 stall       ``defer`` — the job is wrapped in a sleep so the tag
             blows its ``complete()`` deadline; ``close()`` wakes the

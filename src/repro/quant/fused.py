@@ -479,6 +479,12 @@ class FusedStepEncoder:
     def gather_step(self, plan: FusedStepPlan, values_by_rank, observe=None) -> None:
         """Stage the step's source rows into ``plan.cat_buf`` (a snapshot).
 
+        ``values_by_rank`` maps a device rank to the float32 matrix its
+        messages are gathered from (activations or halo gradients); a list
+        indexed by rank works too.  ``observe``, when given, is called per
+        pair with ``(src, dst, rows)``, ``rows`` being the pair's block in
+        original row order — the tracer hook.
+
         Each device block is checked against its source's row count once
         (an out-of-range block raises ``IndexError``), so the gather runs
         in ``mode="wrap"``, straight into ``cat_buf``: NumPy's default

@@ -7,17 +7,16 @@ whole step's payloads run that same composition through these helpers.
 """
 
 
-def quantize_pack(encoder, plan, *, coords, shards=1):
-    """Quantize + pack the gathered step, shard by shard; returns every
-    pair's payload (views of the plan's buffers, valid until its next
-    encode)."""
+def quantize_pack(encoder, plan, *, coords):
+    """Quantize + pack the gathered step as one shard; returns every pair's
+    payload (views of the plan's buffers, valid until its next encode)."""
     payloads = {}
-    for shard in encoder.shards_for(plan, shards):
+    for shard in encoder.shards_for(plan, 1):
         payloads.update(encoder.quantize_pack_shard(plan, shard, coords=coords))
     return payloads
 
 
-def encode_step(encoder, plan, values_by_rank, observe=None, *, coords):
+def encode_step(encoder, plan, values_by_rank, *, coords):
     """Gather then quantize + pack one step; ``{(src, dst): payload}``."""
-    encoder.gather_step(plan, values_by_rank, observe)
+    encoder.gather_step(plan, values_by_rank)
     return quantize_pack(encoder, plan, coords=coords)
