@@ -8,11 +8,11 @@ gradients exactly.
 
 Layer compute runs on the cluster-fused engine
 (:class:`~repro.cluster.compute.FusedClusterCompute`): one block-diagonal
-spmv and one stacked GEMM per layer step for all devices together, with
-halo rows exchanged straight into the stacked buffers.  What it must
-compute is stated independently by the per-device reference trainer under
-``tests/reference/``, which every execution shape is compared with
-bitwise.
+spmv per column half and one stacked GEMM per layer step for all devices
+together, with halo rows exchanged straight into the stacked buffers.
+What it must compute is stated independently by the per-device reference
+trainer under ``tests/reference/``, which every execution shape is
+compared with bitwise.
 
 It simultaneously fills an :class:`EpochRecord` with the measured wire
 bytes and the analytic FLOP counts of every (layer, direction) step; the
@@ -70,20 +70,20 @@ class Cluster:
         Root seed for weights (shared across replicas) and dropout (per
         device).
     overlap:
-        Whether the engine's one layer step splits its aggregation
-        around the exchange (paper Fig. 7: post the marginal messages,
-        aggregate the central rows while they are in flight, finalize,
-        aggregate the marginal rows; the dense pass then runs once over
-        every owned row).  On, the central window holds the central
-        rows' spmv, and each epoch record's summary sums the measured
-        per-stage :class:`~repro.cluster.records.StepTimeline` of every
-        step; off, the window holds no spmv.  A row split of the same
-        math: bit-identical either way under the same seed.  The trainer
-        turns it on for the systems whose schedule overlaps
+        Whether the engine's central windows count as hiding the exchange
+        (paper Fig. 7: post the messages, run the own-column half of the
+        aggregation while they are in flight, finalize, accumulate the
+        halo-column half).  Every run executes that one step; on, the
+        transport's accounting window opens around each central window,
+        async workers may be picked, and each epoch record's summary sums
+        the measured per-stage
+        :class:`~repro.cluster.records.StepTimeline` of every step.
+        Bit-identical either way under the same seed.  The trainer turns
+        it on for the systems whose schedule overlaps
         (:data:`~repro.core.trainer.OVERLAP_SYSTEMS`, its only setter);
         the oracle matrix sets it directly.  Store-backed datasets run
-        with it off (the row-split operators presuppose the materialized
-        block-diagonal matrix).
+        with it off: on, the RSS-bounded store would get a worker thread
+        and per-rank decode workspaces, a cost not yet measured.
     transport:
         Transport spec: ``"auto"`` (the default), ``"sync"`` or
         ``"worker[:N]"``, resolved here, once, by
@@ -177,8 +177,9 @@ class Cluster:
         # taint later calls with stale undelivered envelopes).
         self._eval_exchange = ExactHaloExchange()
 
-        # Streaming mode runs with overlap off: the row-split operators
-        # presuppose the materialized block-diagonal matrix.
+        # Streaming mode runs with overlap off: overlap would give the
+        # RSS-bounded store a worker thread and per-rank decode workspaces,
+        # whose resident cost is not measured yet.
         self.overlap = bool(overlap) and store_ds is None
         self.transport = Transport(
             self.num_devices, workers=transport_workers(transport, overlap=self.overlap)

@@ -10,10 +10,11 @@ dispatches dominate the epoch.
 :class:`FusedClusterCompute` executes the whole cluster's forward/backward
 with cluster-wide operators instead:
 
-* **one block-diagonal CSR** stacks every device's aggregation operator
-  into a single global column space (owned columns first, halo columns
-  after), so each layer's aggregation is one spmv — and its cached CSR
-  transpose makes the backward routing one spmv too;
+* **one block-diagonal operator** stacks every device's aggregation
+  operator into a single global column space (owned columns first, halo
+  columns after), held as its own- and halo-column halves, so each half of
+  a layer's aggregation is one spmv — and the halves' CSR transposes make
+  each half of the backward routing one spmv too;
 * **stacked activations** live in preallocated ``(ΣN_own + ΣN_halo, d)``
   buffers; the halo exchange writes decoded rows straight into the halo
   region (the ``out`` a step names at
@@ -52,31 +53,30 @@ remap preserves per-row column order and every product — on scipy's
 and (c) reductions (loss sums, gradient sums, ``sum(axis=0)``
 of contiguous slices), which keep the per-device operation order exactly.
 
-**One layer step, the paper's pipeline** (Sec. 3.1 / Fig. 7).  Only the
-aggregation is split.  Forward: post the boundary messages, run the
-**central** window while they are in flight — the transform-first
-``T_own`` GEMM, the spmv of the central rows (they touch no halo column)
-and the dropout draws — finalize the halos, run the **marginal** spmv,
-then the dense update and post stage once over every owned row, in
-place.  Backward mirrors it dependency-first: the input-gradient GEMM and
-the halo routing it feeds run *before* the post; every parameter partial
-and the owned-row routing fill the window.  With ``overlap`` the split is
-:meth:`FusedClusterCompute.overlap_plan`'s two complementary row
-restrictions of the operator, whose spmv's write the same output (the
-second accumulating); the backward uses the transpose's owned and halo
-row ranges either way.  With overlap off — the systems that do not
-overlap, every store run, every evaluation — the central window holds no
-spmv and the aggregation is one product.  Every shape works in place on
-persistent buffers in their original row order (permuting them would
-reorder the loss and ``xᵀ·d`` reductions), and every step returns a
-measured :class:`~repro.cluster.records.StepTimeline`.
+**One layer step, the paper's pipeline** (Sec. 3.1 / Fig. 7).  Every
+aggregation is split by column, ``P = [P_own | P_halo]``, in every run.
+Forward: post the boundary messages, run the **central** window while they
+are in flight — the transform-first ``T_own`` GEMM, the own-column half of
+the aggregation (it reads no halo row) and the dropout draws — finalize
+the halos, accumulate the **halo-column** half, then run the dense update
+and post stage once over every owned row, in place.  Each row adds its
+own-column entries and then its halo-column entries, in stored order, from
+``+0.0``: the same sum as the one-pass product.  Backward mirrors it
+dependency-first: the input-gradient GEMM and ``Pᵀ``'s halo rows it feeds
+run *before* the post; every parameter partial and ``Pᵀ``'s owned rows fill
+the window.  The operators are :class:`~repro.graph.io.SplitOperators`
+quartets — one block-wide in RAM, one per device from a store — and every
+product is one loop over them.  ``overlap`` changes no operation: it opens
+the transport's accounting window (bytes that land while it is open count
+as hidden).  Every shape works in place on persistent buffers in their
+original row order (permuting them would reorder the loss and ``xᵀ·d``
+reductions), and every step returns a measured
+:class:`~repro.cluster.records.StepTimeline`.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
@@ -85,17 +85,10 @@ from repro import kernels
 from repro.cluster.exchange import step_tag
 from repro.cluster.records import StepTimeline
 from repro.cluster.runtime import DeviceRuntime
+from repro.graph.io import SplitOperators
 from repro.nn.blas import row_matmul
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.graph.io import DeviceStreamOps
-
-__all__ = [
-    "FusedClusterCompute",
-    "build_block_diagonal",
-    "restrict_rows",
-    "OverlapPlan",
-]
+__all__ = ["FusedClusterCompute", "build_block_diagonal"]
 
 try:  # pragma: no cover - import guard
     from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
@@ -104,33 +97,23 @@ except ImportError:  # pragma: no cover - a scipy without the private kernel
 
 
 def _spmv(
-    matrix: sp.csr_matrix,
-    x: np.ndarray,
-    out: np.ndarray,
-    rows: tuple[int, int] | None = None,
-    *,
-    accumulate: bool = False,
+    matrix: sp.csr_matrix, x: np.ndarray, out: np.ndarray, *, accumulate: bool = False
 ) -> np.ndarray:
-    """``out = P[lo:hi] @ x``, or ``out += ...`` — the engine's one spmv.
+    """``out = P @ x``, or ``out += ...`` — the engine's one spmv.
 
-    ``rows`` is a ``(lo, hi)`` row range of ``matrix`` (default: every row),
-    passed as the slice ``indptr[lo : hi + 1]`` — its offsets are absolute
-    into ``indices``/``data``, so a range copies nothing.  Each output row
-    is summed over its stored entries in stored order, from ``+0.0`` or,
-    accumulating, from ``out``'s row: scipy's ``csr_matvecs``, which the
-    compiled ``repro_csr_rows`` (loaded by :mod:`repro.kernels`, if
-    at all) reproduces bit for bit.  Splitting a product into row ranges or
-    complementary row-restricted operators therefore changes no bit.
+    Each output row is summed over its stored entries in stored order, from
+    ``+0.0`` or, accumulating, from ``out``'s row: scipy's ``csr_matvecs``,
+    which the compiled ``repro_csr_rows`` (loaded by :mod:`repro.kernels`,
+    if at all) reproduces bit for bit.  Splitting a product into column
+    halves whose entries keep that order therefore changes no bit.
     Operands the compiled kernel does not take — not float32 / int32 /
-    C-contiguous — run on scipy.  Shapes and the range are checked here;
-    the operator's own index arrays are trusted, as scipy's kernel trusts
-    them (the engine builds every operator it passes).
+    C-contiguous — run on scipy.  Shapes are checked here; the operator's
+    own index arrays are trusted, as scipy's kernel trusts them (the engine
+    builds every operator it passes).
     """
-    lo, hi = (0, matrix.shape[0]) if rows is None else rows
-    fits = 0 <= lo <= hi <= matrix.shape[0] and x.shape[0] == matrix.shape[1]
-    if not fits or out.shape != (hi - lo, x.shape[1]):
-        raise ValueError(f"spmv {matrix.shape}[{lo}:{hi}] @ {x.shape} -> {out.shape}")
-    indptr = matrix.indptr[lo : hi + 1]
+    rows, cols = matrix.shape
+    if x.shape[0] != cols or out.shape != (rows, x.shape[1]):
+        raise ValueError(f"spmv {matrix.shape} @ {x.shape} -> {out.shape}")
     contiguous = x.flags.c_contiguous and out.flags.c_contiguous
     same_dtype = x.dtype == matrix.dtype == out.dtype
     lib = kernels.load()
@@ -139,11 +122,11 @@ def _spmv(
         and contiguous
         and same_dtype
         and x.dtype == np.float32
-        and indptr.dtype == matrix.indices.dtype == np.int32
+        and matrix.indptr.dtype == matrix.indices.dtype == np.int32
     ):
         lib.repro_csr_rows(
-            hi - lo,
-            indptr.ctypes.data,
+            rows,
+            matrix.indptr.ctypes.data,
             matrix.indices.ctypes.data,
             matrix.data.ctypes.data,
             x.ctypes.data,
@@ -155,19 +138,19 @@ def _spmv(
         if not accumulate:
             out.fill(0.0)
         _csr_matvecs(
-            hi - lo,
-            matrix.shape[1],
+            rows,
+            cols,
             x.shape[1],
-            indptr,
+            matrix.indptr,
             matrix.indices,
             matrix.data,
             x.ravel(),
             out.ravel(),
         )
     elif accumulate:
-        out += matrix[lo:hi] @ x
+        out += matrix @ x
     else:
-        out[...] = matrix[lo:hi] @ x
+        out[...] = matrix @ x
     return out
 
 
@@ -287,92 +270,57 @@ def _post_backward(
     d[...] = norm.input_grad(d, x_hat, inv_std)
 
 
-def restrict_rows(matrix: sp.csr_matrix, row_mask: np.ndarray) -> sp.csr_matrix:
-    """Same-shape copy of ``matrix`` keeping only the masked rows' entries.
+def build_block_diagonal(devices: list[DeviceRuntime]) -> SplitOperators:
+    """Stack per-device aggregation operators into one cluster operator,
+    held as its column halves and their transposes.
 
-    Unmasked rows become empty; kept rows carry their exact data/index
-    spans, so per-row spmv accumulation order is untouched.  The two
-    complements of a mask split one operator into the central and marginal
-    halves the pipelined executor runs separately.
+    Row ``own_off[k] + i`` is device ``k``'s owned row ``i``.  Device
+    ``k``'s owned column ``j`` becomes column ``own_off[k] + j`` of
+    ``own``, and its halo column ``j`` becomes column ``halo_off[k] + j``
+    of ``halo`` — the stacked buffer's row ``N_own + halo_off[k] + j``.
+    Every row stores its owned columns before its halo columns, so each
+    half keeps the per-device operator's entries in stored order, and
+    ``own`` then ``halo`` sums every row of ``P_global @ X`` exactly as the
+    K separate ``P_k @ x_k`` products they fuse.  The halves are split off
+    the per-device operators directly; the whole block diagonal is never
+    held.
     """
-    if row_mask.shape != (matrix.shape[0],):
-        raise ValueError("row_mask must have one entry per matrix row")
-    counts = np.diff(matrix.indptr)
-    kept = np.where(row_mask, counts, 0)
-    indptr = np.concatenate([[0], np.cumsum(kept)]).astype(matrix.indptr.dtype)
-    sel = np.repeat(row_mask, counts)
-    out = sp.csr_matrix(
-        (matrix.data[sel], matrix.indices[sel], indptr), shape=matrix.shape
-    )
-    out.has_sorted_indices = matrix.has_sorted_indices
-    out.has_canonical_format = matrix.has_canonical_format
-    return out
-
-
-@dataclass
-class OverlapPlan:
-    """Static structures of the split-phase pipeline (built once).
-
-    The two operators are complementary row restrictions of the engine's
-    block-diagonal matrix, split by the partitions' ``central_mask``: the
-    central one in the window, the marginal one accumulating into the same
-    output after finalize.  Only the aggregation is split — the dense work
-    runs once over every owned row — and the backward needs no split
-    copies: it passes the owned and halo row ranges of the transpose itself
-    to the spmv.  Central rows reference no halo column by construction —
-    that independence is what makes the central window legal before the
-    halos arrive.
-    """
-
-    matrix_central: sp.csr_matrix
-    matrix_marginal: sp.csr_matrix
-
-
-def build_block_diagonal(devices: list[DeviceRuntime]) -> sp.csr_matrix:
-    """Stack per-device aggregation operators into one cluster operator.
-
-    Row ``own_off[k] + i`` is device ``k``'s owned row ``i``; columns are
-    remapped into the stacked buffer's global space — owned column ``j``
-    of device ``k`` becomes ``own_off[k] + j`` and halo column ``j``
-    becomes ``N_own + halo_off[k] + j``.  Both remaps are strictly
-    monotone and all owned columns precede all halo columns, so every
-    row's column order (hence scipy's accumulation order) is exactly the
-    per-device operator's: ``(P_global @ X)`` rows are bit-identical to
-    the K separate ``P_k @ x_k`` products they fuse.
-    """
-    n_own = np.array([d.part.n_owned for d in devices], dtype=np.int64)
-    n_halo = np.array([d.part.n_halo for d in devices], dtype=np.int64)
-    own_off = np.concatenate([[0], np.cumsum(n_own)])
-    halo_off = np.concatenate([[0], np.cumsum(n_halo)])
-    total_own, total_halo = int(own_off[-1]), int(halo_off[-1])
-
-    data: list[np.ndarray] = []
-    indices: list[np.ndarray] = []
-    indptr: list[np.ndarray] = [np.zeros(1, dtype=np.int64)]
-    nnz = 0
+    n_own = [d.part.n_owned for d in devices]
+    n_halo = [d.part.n_halo for d in devices]
+    own_off = np.concatenate([[0], np.cumsum(n_own)]).astype(np.int64)
+    halo_off = np.concatenate([[0], np.cumsum(n_halo)]).astype(np.int64)
+    nnz = sum(d.agg.matrix.nnz for d in devices)
+    index = np.int32 if max(nnz, own_off[-1] + halo_off[-1]) < 2**31 else np.int64
+    own_parts, halo_parts = [], []  # (data, columns, row counts) per device
     for k, dev in enumerate(devices):
         m = dev.agg.matrix
-        idx = m.indices.astype(np.int64, copy=True)
-        own_cols = idx < n_own[k]
-        idx[own_cols] += own_off[k]
-        idx[~own_cols] += total_own + halo_off[k] - n_own[k]
-        data.append(m.data)
-        indices.append(idx)
-        indptr.append(m.indptr[1:].astype(np.int64) + nnz)
-        nnz += m.nnz
-    fused = sp.csr_matrix(
-        (
-            np.concatenate(data),
-            np.concatenate(indices),
-            np.concatenate(indptr),
-        ),
-        shape=(total_own, total_own + total_halo),
-    )
-    # Per-device operators are canonical (sorted, deduplicated) and the
-    # remap is order-preserving, so the stacked matrix already is too.
-    fused.has_sorted_indices = True
-    fused.has_canonical_format = True
-    return fused
+        owned = m.indices < n_own[k]
+        own_counts = np.diff(np.concatenate([[0], np.cumsum(owned)])[m.indptr])
+        own_cols = (m.indices[owned] + own_off[k]).astype(index)
+        halo_cols = (m.indices[~owned] + (halo_off[k] - n_own[k])).astype(index)
+        own_parts.append((m.data[owned], own_cols, own_counts))
+        halo_parts.append((m.data[~owned], halo_cols, np.diff(m.indptr) - own_counts))
+
+    def stack(parts: list, n_cols: int) -> sp.csr_matrix:
+        data, cols, counts = zip(*parts)
+        indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+        matrix = sp.csr_matrix(
+            (np.concatenate(data), np.concatenate(cols), indptr.astype(index)),
+            shape=(int(own_off[-1]), n_cols),
+        )
+        # Canonical per-device operators and order-preserving remaps.
+        matrix.has_sorted_indices = True
+        matrix.has_canonical_format = True
+        return matrix
+
+    def transpose(matrix: sp.csr_matrix) -> sp.csr_matrix:
+        t = matrix.T.tocsr()
+        t.sort_indices()
+        return t
+
+    own = stack(own_parts, int(own_off[-1]))
+    halo = stack(halo_parts, int(halo_off[-1]))
+    return SplitOperators(own, halo, transpose(own), transpose(halo))
 
 
 class FusedClusterCompute:
@@ -382,7 +330,7 @@ class FusedClusterCompute:
     operators, offsets, views, scratch — is static across epochs, like the
     exchange's ``FusedStepPlan``); the cluster drives it with one step
     method per direction, :meth:`forward_layer` and :meth:`backward_layer`,
-    passing ``overlap`` to split the aggregation around the exchange.
+    passing ``overlap`` to open the transport's accounting window.
 
     Parameters
     ----------
@@ -394,21 +342,19 @@ class FusedClusterCompute:
     model_kind:
         ``"gcn"`` or ``"sage"``.
     stream:
-        Per-device :class:`~repro.graph.io.DeviceStreamOps` (one per
-        device, rank order) to run in **streaming mode** — the huge-graph
-        execution shape.  The block-diagonal operator is never
-        materialized: aggregation runs device by device as column-split
-        spmv pairs over the store's (typically memmapped) operators, the
-        layer-0 input buffer shrinks to its halo block (owned features
-        are read straight off the device's feature array), and layer 0's
-        backward stops at the parameter partials — input features are not
-        trainable, so the input-gradient GEMM and the layer-0 gradient
-        exchange are skipped (the only wire-byte difference from the
-        standard engine; losses are unchanged).  Each device's pages are
-        released after use, bounding the resident window to roughly one
-        partition.  Everything else — the layer step, with overlap off,
-        operand order, parameter partials — is the in-RAM engine's code.
-        ``None`` (default) selects the in-RAM engine.
+        A store's per-device :class:`~repro.graph.io.SplitOperators` (rank
+        order) to run in **streaming mode** — the huge-graph residency.
+        Every product loops over these quartets instead of the block-wide
+        one and releases each device's pages once its rows are consumed,
+        bounding the resident window to roughly one partition.  The
+        layer-0 input buffer shrinks to its halo block (owned features are
+        read straight off the device's feature array); an aggregate-first
+        layer 0 aggregates device by device into a feature-width scratch
+        after finalize; and layer 0's backward stops at the parameter
+        partials — input features are not trainable, so the input-gradient
+        GEMM and the layer-0 gradient exchange are skipped (the only
+        wire-byte difference from the in-RAM engine; losses are
+        unchanged).  ``None`` (default) holds everything in RAM.
     """
 
     def __init__(
@@ -417,7 +363,7 @@ class FusedClusterCompute:
         dims: list[int],
         model_kind: str,
         *,
-        stream: "list[DeviceStreamOps] | None" = None,
+        stream: list[SplitOperators] | None = None,
     ) -> None:
         self.devices = devices
         self.dims = list(dims)
@@ -425,7 +371,6 @@ class FusedClusterCompute:
         self.num_layers = len(dims) - 1
         if stream is not None and len(stream) != len(devices):
             raise ValueError("stream ops must match devices one-to-one")
-        self.stream = list(stream) if stream is not None else None
 
         n_own = [d.part.n_owned for d in devices]
         n_halo = [d.part.n_halo for d in devices]
@@ -435,20 +380,17 @@ class FusedClusterCompute:
         self.total_halo = int(self.halo_off[-1])
         self._max_own = int(max(n_own)) if n_own else 0
         n_rows = self.total_own + self.total_halo
-        # Row ranges of ``matrix_t``: gradients routed to owned / halo rows.
-        self._own_rows = (0, self.total_own)
-        self._halo_rows = (self.total_own, n_rows)
 
-        if self.stream is None:
-            self.matrix = build_block_diagonal(devices)
-            matrix_t = self.matrix.T.tocsr()
-            matrix_t.sort_indices()
-            self.matrix_t = matrix_t
+        # The split operators, each with the stacked rows it covers: its
+        # owned rows (and owned columns) and its halo columns.
+        K = range(len(devices))
+        if stream is None:
+            self._ops = [build_block_diagonal(devices)]
+            spans = [(slice(0, self.total_own), slice(self.total_own, n_rows))]
         else:
-            # Streaming mode never concatenates the per-device operators:
-            # the store's column/row splits are used in place.
-            self.matrix = None
-            self.matrix_t = None
+            self._ops = list(stream)
+            spans = [(self._own_slice(k), self._halo_slice(k)) for k in K]
+        self._blocks = [(ops, own, halo) for ops, (own, halo) in zip(self._ops, spans)]
 
         L = self.num_layers
         self._transform_first = [
@@ -466,7 +408,7 @@ class FusedClusterCompute:
         # allocations at huge-graph scale — are never duplicated in RAM,
         # and layer 0's input gradient is never needed at all (features
         # are not trainable).
-        lo = 0 if self.stream is None else 1
+        lo = int(stream is not None)
         self._x0_halo = rows(self.total_halo, dims[0]) if lo else None
         self._x = [None] * lo + [rows(n_rows, dims[l]) for l in range(lo, L)]
         self._dx = [None] * lo + [rows(n_rows, dims[l]) for l in range(lo, L)]
@@ -506,7 +448,6 @@ class FusedClusterCompute:
         # Streaming layer 0: own views alias the device feature arrays
         # (the exchange gathers send rows from them directly) and halo
         # views slice the dedicated halo block.
-        K = range(len(devices))
         self._own_views = [
             [dev.features for dev in devices]
             if x is None
@@ -519,10 +460,16 @@ class FusedClusterCompute:
             else self._halo_blocks(x)
             for x in self._x
         ]
+        # Per layer, each block's owned input rows and the stacked halo rows.
+        self._own_inputs = [
+            views if x is None else [x[own] for _, own, _ in self._blocks]
+            for x, views in zip(self._x, self._own_views)
+        ]
+        self._halo_inputs = [
+            self._x0_halo if x is None else x[self.total_own :] for x in self._x
+        ]
 
-        # The split operators, built lazily on the first overlapped step,
-        # and the reused scratch blocks (LayerNorm partials, ``stream_z0``).
-        self._overlap_plan: OverlapPlan | None = None
+        # Reused scratch blocks (LayerNorm partials, ``stream_z0``).
         self._scratch_bufs: dict[tuple, np.ndarray] = {}
 
         # Reduced-form gradient accumulators: one float64 buffer per
@@ -571,20 +518,18 @@ class FusedClusterCompute:
         """Layer ``layer``'s forward step; returns its measured timeline.
 
         One schedule (paper Fig. 7): post the boundary rows, run the
-        central window while they are in flight, finalize the halos, run
-        the marginal aggregation, then the dense update and post stage
-        over every owned row (:meth:`_forward_dense`).  With ``overlap``
-        the aggregation splits into :meth:`overlap_plan`'s central and
-        marginal operators; without it the window holds no spmv.  The
-        in-RAM and the streaming engine differ only in how ``P`` is applied
-        (:meth:`_aggregate`) and, at layer 0, in where the owned input rows
-        live (:meth:`_forward_layer0_stream`).
+        central window while they are in flight — the own-column half of
+        the aggregation (:meth:`_aggregate`) — finalize the halos,
+        accumulate the halo-column half, then the dense update and post
+        stage over every owned row (:meth:`_forward_dense`).  ``overlap``
+        only opens the transport's accounting window.  A store's
+        aggregate-first layer 0 is the one exception: it aggregates after
+        finalize, device by device (:meth:`_forward_layer0_stream`).
         """
-        plan = self.overlap_plan() if overlap else None
         mod = self.devices[0].model.layers[layer]
         out_own = self._layer_output(layer)
         t0 = time.perf_counter()
-        if plan is not None:
+        if overlap:
             # Open the overlap window *before* posting: async workers may
             # post (and, with worker-side decode, even collect) the step's
             # traffic before this thread runs again, and bytes only count
@@ -600,22 +545,28 @@ class FusedClusterCompute:
             self._own_views[layer],
             out=self._halo_views[layer],
         )
+        # A store's boundary-row gather faulted scattered feature pages of
+        # every device; drop them before the window faults one device's map
+        # at a time (a no-op in RAM).
+        for ops in self._ops:
+            ops.release_feature_pages()
         t1 = time.perf_counter()
 
         # Central window: only the work that needs no halo.  Transform-
-        # first, it opens with T's owned rows — one stacked GEMM — and P·T
-        # accumulates straight into the output rows (the dense pass
+        # first, it opens with T's owned rows — one GEMM per block — and
+        # P_own·T lands straight in the output rows (the dense pass
         # finishes them).
-        x, transform = self._x[layer], self._transform_first[layer]
+        transform = self._transform_first[layer]
         if transform:
             weight = mod.conv.linear.weight.data
             src, agg = self._t[layer], out_own
-            if x is not None:
-                row_matmul(x[: self.total_own], weight, out=src[: self.total_own])
+            for (ops, own, _), x_own in zip(self._blocks, self._own_inputs[layer]):
+                row_matmul(x_own, weight, out=src[own])
+                ops.release_feature_pages()
         else:
-            src, agg = x, self._z[layer]
-        if plan is not None:
-            _spmv(plan.matrix_central, src, agg)
+            src, agg = self._x[layer], self._z[layer]
+        if src is not None:
+            self._aggregate(src, agg)
         if mod.has_post_stage:
             self._sample_dropout(layer, mod, training)
         t2 = time.perf_counter()
@@ -623,15 +574,13 @@ class FusedClusterCompute:
         exchange.finalize_step(step)
         t3 = time.perf_counter()
 
-        if x is None:
-            self._forward_layer0_stream(mod.conv, out_own)
+        if src is None:
+            self._forward_layer0_stream(out_own)
         else:
             if transform:
-                row_matmul(x[self.total_own :], weight, out=src[self.total_own :])
-            if plan is None:
-                self._aggregate(src, agg)
-            else:
-                _spmv(plan.matrix_marginal, src, agg, accumulate=True)
+                halo = slice(self.total_own, None)
+                row_matmul(self._halo_inputs[layer], weight, out=src[halo])
+            self._aggregate(src, agg, halo=True)
         self._forward_dense(layer, mod)
         t4 = time.perf_counter()
         return self._timeline(
@@ -672,23 +621,22 @@ class FusedClusterCompute:
             out += conv.root.bias.data
             out += row_matmul(z, conv.neigh.weight.data, out=neigh_out)
 
-    def _aggregate(self, src: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``out = P @ src`` for a stacked ``[owned; halo]`` source.
+    def _aggregate(
+        self, src: np.ndarray, out: np.ndarray, *, halo: bool = False
+    ) -> np.ndarray:
+        """``out = P_own @ src``, or with ``halo`` ``out += P_halo @ src``,
+        for a stacked ``[owned; halo]`` source; returns ``out``.
 
-        In RAM this is one block-diagonal spmv.  Streaming runs it device
-        by device as a column-split spmv pair over the store's operators
-        (``own`` overwrites, ``halo`` accumulates) — bit-identical, because
-        :func:`_spmv` accumulates each output row in stored column order and
-        the canonical local ordering puts every owned column before every
-        halo column — releasing each device's operator pages the moment its
-        rows are consumed.
+        One loop over the split operators, releasing each block's operator
+        pages the moment its rows are consumed.  Own-then-halo is bitwise
+        the one-pass ``P @ src``: :func:`_spmv` sums each output row in
+        stored order and every row stores its owned columns first.
         """
-        if self.stream is None:
-            return _spmv(self.matrix, src, out)
-        for k, ops in enumerate(self.stream):
-            sl = self._own_slice(k)
-            _spmv(ops.own, src[sl], out[sl])
-            _spmv(ops.halo, src[self._halo_slice(k)], out[sl], accumulate=True)
+        for ops, own, halo_rows in self._blocks:
+            if halo:
+                _spmv(ops.halo, src[halo_rows], out[own], accumulate=True)
+            else:
+                _spmv(ops.own, src[own], out[own])
             ops.release_op_pages()
         return out
 
@@ -715,42 +663,21 @@ class FusedClusterCompute:
             self._drop_active[layer] = False
 
     # ------------------------------------------------------------------
-    # Streaming (out-of-core) execution: layer 0's feature rows
+    # A store's aggregate-first layer 0, scratch and timelines
     # ------------------------------------------------------------------
-    def _forward_layer0_stream(self, conv, out_own: np.ndarray) -> None:
-        """Layer 0 against the store: owned rows come off the feature maps.
-
-        Features are read straight from the (typically memmapped) device
-        arrays, one device at a time, and each device's pages are released
-        the moment its rows are consumed, so the resident window stays near
-        one partition's working set.  Transform-first, that read is the
-        per-device ``T = features_k·W`` (the halo block transforms in one
-        stacked call) and the aggregation is the ordinary streamed ``P·T``
-        (the row step adds the bias); aggregate-first, each device's
-        ``z = P·X₀`` lands in a reused feature-width scratch that the dense
-        step consumes at once.
-        """
-        # The exchange's boundary-row gather faulted scattered feature
-        # pages across every device; drop them all before the loop
-        # re-faults one device window at a time.
-        for ops in self.stream:
-            ops.release_feature_pages()
-        if self._transform_first[0]:
-            weight, t = conv.linear.weight.data, self._t[0]
-            for k, dev in enumerate(self.devices):
-                row_matmul(dev.features, weight, out=t[self._own_slice(k)])
-                self.stream[k].release_feature_pages()
-            row_matmul(self._x0_halo, weight, out=t[self.total_own :])
-            self._aggregate(t, out_own)
-            return
+    def _forward_layer0_stream(self, out_own: np.ndarray) -> None:
+        """A store's aggregate-first layer 0, after finalize: device by
+        device, ``z = P·X₀`` into the feature-width scratch and the dense
+        step at once, each device's pages released as soon as its rows are
+        consumed, so the resident window stays near one partition's."""
         sage = self.model_kind == "sage"
-        for k, dev in enumerate(self.devices):
+        for k, (dev, ops) in enumerate(zip(self.devices, self._ops)):
             sl = self._own_slice(k)
             z = self._aggregate_layer0_stream(k)
             neigh = self._neigh_out[0][sl] if sage else None
             self._dense_update(0, dev.features, z, out_own[sl], neigh)
-            self.stream[k].release_op_pages()
-            self.stream[k].release_feature_pages()
+            ops.release_op_pages()
+            ops.release_feature_pages()
 
     def _aggregate_layer0_stream(self, k: int) -> np.ndarray:
         """Device ``k``'s ``z = P·X₀`` into the shared feature-width scratch.
@@ -759,38 +686,12 @@ class FusedClusterCompute:
         the same split spmv on unchanged inputs — instead of keeping an
         (N, F) buffer resident.  Only aggregate-first layers come here.
         """
-        dev, ops = self.devices[k], self.stream[k]
+        dev, ops = self.devices[k], self._ops[k]
         zbuf = self._scratch("stream_z0", self._max_own, self.dims[0])
         z = zbuf[: dev.part.n_owned]
         _spmv(ops.own, dev.features, z)
         _spmv(ops.halo, self._halo_views[0][k], z, accumulate=True)
         return z
-
-    # ------------------------------------------------------------------
-    # Split operators, scratch and timelines
-    # ------------------------------------------------------------------
-    def overlap_plan(self) -> OverlapPlan:
-        """The split-phase operators (built once, cached)."""
-        if self.stream is not None:
-            raise RuntimeError(
-                "the split-phase pipeline needs the block-diagonal operator;"
-                " streaming mode runs non-overlapped"
-            )
-        if self._overlap_plan is None:
-            central = np.concatenate([dev.part.central_mask for dev in self.devices])
-            matrix_central = restrict_rows(self.matrix, central)
-            has_halo_cols = matrix_central.nnz and (
-                int(matrix_central.indices.max()) >= self.total_own
-            )
-            if has_halo_cols:
-                raise AssertionError(
-                    "central rows reference halo columns — marginal masks broken"
-                )
-            self._overlap_plan = OverlapPlan(
-                matrix_central=matrix_central,
-                matrix_marginal=restrict_rows(self.matrix, ~central),
-            )
-        return self._overlap_plan
 
     def _scratch(self, name: str, rows: int, cols: int) -> np.ndarray:
         """Reusable float32 scratch block; keyed by use-site so lifetimes
@@ -856,9 +757,8 @@ class FusedClusterCompute:
         place.  Transform-first, the two products swap — ``Pᵀ``'s halo rows
         of ``dY`` and one GEMM over them before the post, ``Pᵀ``'s owned
         rows and their GEMM in the window.  ``overlap`` only opens the
-        window (the backward splits ``Pᵀ`` by row ranges either way);
-        streaming differs in how ``Pᵀ`` is applied (:meth:`_route`) and at
-        layer 0 (:meth:`_backward_layer0_stream`).
+        transport's accounting window; a store differs only at layer 0
+        (:meth:`_backward_layer0_stream`).
         """
         d_out = self._d
         if d_out is None:
@@ -989,21 +889,16 @@ class FusedClusterCompute:
         """``Pᵀ @ src`` onto the halo or the owned rows of a stacked
         ``[owned; halo]`` buffer ``out``; returns that region of ``out``.
 
-        In RAM this is that row range of ``matrix_t``.  Streaming applies
-        each device's ``halo_t`` or ``own_t``, the row split of its
-        transpose: each output row of the block transpose reads only its
-        own device's ``src`` slice, and row splits of a CSR spmv are
-        bitwise, so either way the rows equal the single ``matrix_t`` spmv.
+        One loop over the split operators' ``halo_t`` or ``own_t`` — the
+        halo or owned row range of each block's transpose, which reads
+        only that block's ``src`` rows — releasing each block's operator
+        pages as it goes.
         """
-        lo, hi = self._halo_rows if halo else self._own_rows
-        if self.stream is None:
-            return _spmv(self.matrix_t, src, out[lo:hi], (lo, hi))
-        for k, ops in enumerate(self.stream):
-            sl = self._own_slice(k)
-            op, rows = (ops.halo_t, self._halo_slice(k)) if halo else (ops.own_t, sl)
-            _spmv(op, src[sl], out[rows])
+        for ops, own, halo_rows in self._blocks:
+            op, rows = (ops.halo_t, halo_rows) if halo else (ops.own_t, own)
+            _spmv(op, src[own], out[rows])
             ops.release_op_pages()
-        return out[lo:hi]
+        return out[self.total_own :] if halo else out[: self.total_own]
 
     def _backward_layer0_stream(self, d_out: np.ndarray) -> None:
         """Layer 0's backward against the store: parameter partials only.
@@ -1020,11 +915,11 @@ class FusedClusterCompute:
         if self._transform_first[0]:
             self._route(d_out, self._dt[0], halo=False)
             self._route(d_out, self._dt[0], halo=True)
-            for k, ops in enumerate(self.stream):
+            for k, ops in enumerate(self._ops):
                 self._conv_partials(0, k, d_out)
                 ops.release_feature_pages()
             return
-        for k, ops in enumerate(self.stream):
+        for k, ops in enumerate(self._ops):
             self._conv_partials(0, k, d_out, z=self._aggregate_layer0_stream(k))
             ops.release_op_pages()
             ops.release_feature_pages()

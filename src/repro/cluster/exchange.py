@@ -27,7 +27,7 @@ messages then stay pending in the transport until
 :meth:`~FusedQuantizedHaloExchange.finalize_step` collects, decodes and
 scatters (forward) or accumulates (backward) them.  The compute engine's
 layer step runs its central window between the two halves — the paper's
-Fig. 7 overlap; with overlap off that window holds no rows.  Payload
+Fig. 7 overlap, in every run.  Payload
 values are frozen at post time (the gather or encode copies), so callers
 may mutate the source buffers while a step is in flight.
 

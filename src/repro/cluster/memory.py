@@ -25,9 +25,9 @@ Beyond the footnote-1 data counts, the footprint also models the
 * the memmap window a streaming device faults in (its operator blocks
   plus feature/label regions) — of which only the current device's is
   resident at once;
-* the in-RAM engine's CSR operators — every device's aggregation matrix,
-  the block diagonal and its transpose, and the split-phase pipeline's
-  central/marginal row restrictions;
+* the in-RAM engine's CSR operators — every device's aggregation matrix
+  and the block diagonal's own- and halo-column halves with their
+  transposes;
 * the quantized exchange's plan-resident staging — rows, and the packed
   wire plus per-row metadata (compiled tier) or uint8 codes (NumPy
   tier) — and the quantization kernel's per-chunk scratch, only where the
@@ -222,25 +222,23 @@ def _operator_bytes(cluster: Cluster) -> int:
     operator blocks are in the memmap windows).
 
     Every device's ``agg.matrix``, counted off the object, plus the
-    engine's block diagonal and its transpose — and, where the split-phase
-    pipeline runs, its central and marginal row restrictions: ``nnz``
-    entries of data and indices each (the two restrictions split them), and
-    index pointers over their rows.  Counted from shapes the way scipy
-    stores them (int32 indices while they fit), because the RAM-fit warning
-    reads this before the engine is built; the backward's owned and halo
-    halves of the transpose are row ranges of it and cost nothing.
+    engine's block-wide :class:`~repro.graph.io.SplitOperators`: the own-
+    and halo-column halves and their transposes hold ``nnz`` entries of
+    data and indices twice over, and index pointers over the owned rows
+    three times and the halo rows once.  Counted from shapes the way scipy
+    stores them (int32 indices while they fit), because the RAM-fit
+    warning reads this before the engine is built.
     """
     if cluster._stream_ops is not None:
         return 0
     devices = cluster.devices
     nnz = sum(dev.agg.nnz for dev in devices)
     own = sum(dev.n_owned for dev in devices)
-    cols = own + sum(dev.part.n_halo for dev in devices)
-    index = 4 if max(nnz, cols) < 2**31 else 8
+    halo = sum(dev.part.n_halo for dev in devices)
+    index = 4 if max(nnz, own + halo) < 2**31 else 8
     entry = devices[0].agg.matrix.data.itemsize + index
-    split = 1 if cluster.overlap else 0
-    pointers = (1 + 2 * split) * (own + 1) + cols + 1
-    operators = (2 + split) * nnz * entry + pointers * index
+    pointers = 3 * (own + 1) + halo + 1
+    operators = 2 * nnz * entry + pointers * index
     return operators + sum(_csr_bytes(dev.agg.matrix) for dev in devices)
 
 

@@ -63,9 +63,6 @@ class DeviceRuntime:
     def n_train(self) -> int:
         return int(self.train_mask.sum())
 
-    def central_row_mask(self) -> np.ndarray:
-        return self.part.central_mask
-
 
 def build_devices(
     dataset,
@@ -79,7 +76,7 @@ def build_devices(
     """One :class:`DeviceRuntime` per partition of ``book``, rank order.
 
     Returns the devices and, for a store-backed dataset, each device's
-    :class:`~repro.graph.io.DeviceStreamOps` (``None`` for an in-RAM
+    :class:`~repro.graph.io.SplitOperators` (``None`` for an in-RAM
     dataset).  Store datasets carry no global arrays — partitions,
     operators and attribute slices come pre-built from the on-disk
     :class:`~repro.graph.io.PartitionStore` as (typically memmapped)

@@ -160,10 +160,6 @@ class BitWidthProblem:
         return float(self._at(self.group_cost, bits).sum())
 
     # -- normalizers (worst cases) -------------------------------------------
-    def variance_reference(self) -> float:
-        """Variance with everything at the *lowest* bit-width (max variance)."""
-        return self._v_ref
-
     def time_reference(self) -> float:
         """Straggler time with everything at the *highest* bit-width."""
         return self._t_ref

@@ -36,7 +36,7 @@ __all__ = [
     "PartitionStoreWriter",
     "StorePartition",
     "StoreDataset",
-    "DeviceStreamOps",
+    "SplitOperators",
     "build_partition_store",
     "release_memmap_pages",
 ]
@@ -71,23 +71,23 @@ def release_memmap_pages(*arrays: np.ndarray) -> None:
 
 
 @dataclass
-class DeviceStreamOps:
-    """Per-device column/row-split aggregation operators for streaming mode.
+class SplitOperators:
+    """An aggregation operator held as its column halves and their transposes.
 
-    ``own``/``halo`` column-split the partition's weighted operator
-    ``A = [A_own | A_halo]`` so the fused engine can aggregate directly from
-    the device's own rows (a feature memmap at layer 0) and its halo buffer
-    without gathering them into one contiguous input.  ``own_t``/``halo_t``
-    row-split the transpose for the backward scatter.  Because the full
-    operator stores columns in ascending [owned..., halo...] order and the
-    engine's spmv (scipy's ``csr_matvecs``, or the compiled kernel that
-    repeats its operations) accumulates each output row in stored order, the
-    two-pass split spmv is bitwise-identical to the single full-operator
-    spmv (same contract the row-split overlap engine relies on).
+    ``own``/``halo`` column-split ``P = [P_own | P_halo]``: the engine
+    applies ``own`` in the central window (it reads no halo row) and
+    accumulates ``halo`` after finalize.  ``own_t``/``halo_t`` are the
+    owned and halo row ranges of ``Pᵀ`` for the backward routing.  Every
+    row stores its owned columns before its halo columns and the engine's
+    spmv sums each output row in stored order, so own-then-halo is
+    bitwise the one-pass product.  The in-RAM engine holds one block-wide
+    quartet (:func:`~repro.cluster.compute.build_block_diagonal`), a store
+    one per device.
 
-    ``pages`` holds the raw memmap objects backing the four matrices (the
-    scipy wrappers only keep views, which cannot be madvised); empty for
-    materialized (in-RAM) stores.
+    ``pages`` holds the raw memmap objects backing a store's matrices (the
+    scipy wrappers only keep views, which cannot be madvised) and
+    ``feature_pages`` the device's feature map; both are empty in RAM, where
+    the releases are no-ops.
     """
 
     own: sp.csr_matrix
@@ -115,7 +115,7 @@ class StorePartition:
 
     part: LocalPartition
     agg: "AggregationContext"
-    ops: DeviceStreamOps
+    ops: SplitOperators
     features: np.ndarray
     labels: np.ndarray
     train_mask: np.ndarray
@@ -457,7 +457,7 @@ class PartitionStore:
             part, "agg_halo_t", (n_halo, n_own), materialize=materialize
         )
         features = get("features")
-        ops = DeviceStreamOps(
+        ops = SplitOperators(
             own=own,
             halo=halo,
             own_t=own_t,
@@ -524,7 +524,7 @@ def build_partition_store(
     4. *Operators*: per partition, build halo tables and the weighted
        aggregation operator via the same :func:`build_aggregation` the
        in-RAM path uses (global degrees are known by now), plus its
-       column/row splits for the streaming engine.
+       column halves and their transposes (:class:`SplitOperators`).
     5. *Send maps*: resolved from every receiver's halo table.
     """
     import shutil

@@ -115,10 +115,6 @@ class LocalPartition:
         """Peers this partition receives halo data from."""
         return sorted(self.recv_map.keys())
 
-    def halo_slots_from(self, peer: int) -> np.ndarray:
-        """Halo array positions (0-based, pre column offset) fed by ``peer``."""
-        return self.recv_map.get(peer, np.zeros(0, dtype=np.int64))
-
     def validate(self) -> None:
         """Check internal invariants; raises ``AssertionError`` on violation."""
         assert self.adj.shape == (self.n_owned, self.n_owned + self.n_halo)

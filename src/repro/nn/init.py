@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["xavier_uniform", "xavier_normal", "zeros", "ones"]
+__all__ = ["xavier_uniform", "zeros", "ones"]
 
 
 def xavier_uniform(
@@ -14,15 +14,6 @@ def xavier_uniform(
     fan_in, fan_out = _fans(shape)
     bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-
-
-def xavier_normal(
-    shape: tuple[int, ...], rng: np.random.Generator, gain: float = 1.0
-) -> np.ndarray:
-    """Glorot normal: N(0, gain^2 * 2 / (fan_in + fan_out))."""
-    fan_in, fan_out = _fans(shape)
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape).astype(np.float32)
 
 
 def zeros(shape: tuple[int, ...]) -> np.ndarray:

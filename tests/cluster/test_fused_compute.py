@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from reference.oracle import ExactPolicy, ReferenceTrainer
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.compute import FusedClusterCompute, build_block_diagonal
+from repro.cluster.compute import FusedClusterCompute, _spmv, build_block_diagonal
 from repro.cluster.exchange import ExactHaloExchange
 from repro.gnn.coefficients import build_aggregation
 from repro.gnn.conv import stack_conv_inputs
@@ -180,18 +180,14 @@ def test_spmv_count_follows_operand_order(
 
     stores = {"gcn": huge_store, "sage": sage_store}
     cluster = _shape_cluster(shape, model_kind, hidden, tiny_dataset, tiny_book, stores)
-    engine = cluster._compute_engine()
-    if shape == "overlap":
-        engine.overlap_plan()
     nnz = sum(dev.agg.nnz for dev in cluster.devices)
 
     counted = []
     dispatch = compute._spmv
 
-    def spy(matrix, x, out, rows=None, **kwargs):
-        lo, hi = (0, matrix.shape[0]) if rows is None else rows
-        counted.append(int(matrix.indptr[hi] - matrix.indptr[lo]) * x.shape[1])
-        return dispatch(matrix, x, out, rows, **kwargs)
+    def spy(matrix, x, out, **kwargs):
+        counted.append(matrix.nnz * x.shape[1])
+        return dispatch(matrix, x, out, **kwargs)
 
     monkeypatch.setattr(compute, "_spmv", spy)
     cluster.train_epoch(ExactHaloExchange(), 0)
@@ -206,17 +202,55 @@ def test_spmv_count_follows_operand_order(
 
 
 @pytest.mark.parametrize("model_kind", ["gcn", "sage"])
+@pytest.mark.parametrize("residency,hidden", [
+    ("ram", 8), ("ram", 64), ("store", 16), ("store", 32),
+])  # fmt: skip
+def test_overlap_executes_the_same_products(
+    monkeypatch, tiny_dataset, tiny_book, huge_store, sage_store, model_kind,
+    residency, hidden,
+):
+    """``overlap`` opens the accounting window and changes no operation:
+    one training epoch calls the engine's spmv with the same operators
+    (shape, nnz) in the same order, overwriting or accumulating alike, with
+    the window open and shut, in RAM and from a store."""
+    from repro.cluster import compute
+
+    inputs = (tiny_dataset, tiny_book, {"gcn": huge_store, "sage": sage_store})
+    shape = "standard" if residency == "ram" else "stream"
+    dispatch = compute._spmv
+
+    def products(overlap):
+        calls = []
+
+        def spy(matrix, x, out, *, accumulate=False):
+            calls.append((matrix.shape, matrix.nnz, accumulate))
+            return dispatch(matrix, x, out, accumulate=accumulate)
+
+        cluster = _shape_cluster(shape, model_kind, hidden, *inputs)
+        # Set after open: a store cluster refuses overlap for its transport
+        # and RSS, but the engine's step must not depend on the flag.
+        cluster.overlap = overlap
+        monkeypatch.setattr(compute, "_spmv", spy)
+        with cluster:
+            cluster.train_epoch(ExactHaloExchange(), 0)
+        monkeypatch.setattr(compute, "_spmv", dispatch)
+        return calls
+
+    serial = products(False)
+    assert serial and products(True) == serial
+
+
+@pytest.mark.parametrize("model_kind", ["gcn", "sage"])
 @pytest.mark.parametrize("shape,hidden", ENGINE_SHAPES)
 def test_overlap_off_gathers_nothing(
     monkeypatch, tiny_dataset, tiny_book, huge_store, sage_store, model_kind, shape,
     hidden,
 ):
-    """No shape gathers row sets: overlap off has an empty central window,
-    and the split-phase step splits only its aggregation, so in every shape
-    — overlapped included — a training epoch and an evaluation work in
-    place on the persistent buffers.  The only scratch they ask for is the
-    per-device LayerNorm partials and streaming layer 0's aggregation
-    block."""
+    """No shape gathers row sets: the split-phase step splits only its
+    aggregation, and by column, so in every shape — overlapped included —
+    a training epoch and an evaluation work in place on the persistent
+    buffers.  The only scratch they ask for is the per-device LayerNorm
+    partials and streaming layer 0's aggregation block."""
     stores = {"gcn": huge_store, "sage": sage_store}
     cluster = _shape_cluster(shape, model_kind, hidden, tiny_dataset, tiny_book, stores)
     requested = set()
@@ -237,11 +271,9 @@ def test_overlap_off_gathers_nothing(
 def test_spmv_dispatch_takes_every_operand(compiled, compiled_kernels, kernel_tier):
     """What the compiled kernel does not take — float64, int64 indices,
     strided blocks — runs on scipy or the public operator, with the same
-    overwrite / accumulate / row-range meaning on every branch; a shape that
-    does not fit is refused before any kernel sees it."""
+    overwrite / accumulate meaning on every branch; a shape that does not
+    fit is refused before any kernel sees it."""
     import scipy.sparse as sp
-
-    from repro.cluster.compute import _spmv
 
     gen = np.random.default_rng(0)
     m = sp.random(9, 6, density=0.4, format="csr", dtype=np.float32, random_state=1)
@@ -252,18 +284,18 @@ def test_spmv_dispatch_takes_every_operand(compiled, compiled_kernels, kernel_ti
              (m, np.asfortranarray(x))]  # fmt: skip
     with kernel_tier(compiled_kernels if compiled else None):
         for matrix, xs in cases:
-            start = gen.normal(size=(5, 10)).astype(xs.dtype)
-            want = start + np.asarray(matrix[2:7] @ xs)
+            start = gen.normal(size=(9, 10)).astype(xs.dtype)
+            want = start + np.asarray(matrix @ xs)
             got = start.copy()
-            assert _spmv(matrix, xs, got, (2, 7), accumulate=True) is got
+            assert _spmv(matrix, xs, got, accumulate=True) is got
             np.testing.assert_allclose(got, want, rtol=1e-6)
             strided = np.zeros((9, 20), dtype=xs.dtype)[:, ::2]
             _spmv(matrix, xs, strided)
             np.testing.assert_allclose(strided, matrix @ xs, rtol=1e-6)
         with pytest.raises(ValueError, match="spmv"):
             _spmv(m, x, np.zeros((8, 10), dtype=np.float32))
-        with pytest.raises(ValueError, match="spmv"):  # a range past the last row
-            _spmv(m, x, np.zeros((3, 10), dtype=np.float32), (7, 10))
+        with pytest.raises(ValueError, match="spmv"):  # x does not fit the columns
+            _spmv(m, x[:5], np.zeros((9, 10), dtype=np.float32))
 
 
 # ----------------------------------------------------------------------
@@ -305,7 +337,7 @@ def test_block_diagonal_equals_per_device_aggregation(case):
     devices = [
         _DeviceStub(part, build_aggregation(part, degrees, kind)) for part in local
     ]
-    fused = build_block_diagonal(devices)
+    ops = build_block_diagonal(devices)
 
     gen = np.random.default_rng(0)
     dim = 5
@@ -313,8 +345,11 @@ def test_block_diagonal_equals_per_device_aggregation(case):
     n_halo = [d.part.n_halo for d in devices]
     x_own = [gen.normal(size=(m, dim)).astype(np.float32) for m in n_own]
     x_halo = [gen.normal(size=(h, dim)).astype(np.float32) for h in n_halo]
-    x_global = np.vstack(x_own + x_halo)
-    z_global = np.asarray(fused @ x_global)
+    # The engine's order: the own-column half, then the halo-column half
+    # accumulating into the same rows.
+    z_global = np.full((sum(n_own), dim), np.nan, dtype=np.float32)
+    _spmv(ops.own, np.vstack(x_own), z_global)
+    _spmv(ops.halo, np.vstack(x_halo), z_global, accumulate=True)
 
     offset = 0
     for k, dev in enumerate(devices):
@@ -323,22 +358,16 @@ def test_block_diagonal_equals_per_device_aggregation(case):
         assert np.array_equal(z_global[offset : offset + n_own[k]], z_dev)
         offset += n_own[k]
 
-    # And the cached transpose routes gradients identically per device.
-    fused_t = fused.T.tocsr()
-    fused_t.sort_indices()
-    d_z = [gen.normal(size=(m, dim)).astype(np.float32) for m in n_own]
-    d_global = np.asarray(fused_t @ np.vstack(d_z))
-    own_total = sum(n_own)
+    # And the halves' transposes route gradients identically per device.
+    d_z = np.vstack([gen.normal(size=(m, dim)).astype(np.float32) for m in n_own])
+    d_own, d_halo = np.asarray(ops.own_t @ d_z), np.asarray(ops.halo_t @ d_z)
     own_off = np.concatenate([[0], np.cumsum(n_own)])
     halo_off = np.concatenate([[0], np.cumsum(n_halo)])
     for k, dev in enumerate(devices):
-        d_dev = dev.agg.aggregate_transpose(d_z[k])
+        d_dev = dev.agg.aggregate_transpose(d_z[own_off[k] : own_off[k + 1]])
+        assert np.array_equal(d_own[own_off[k] : own_off[k + 1]], d_dev[: n_own[k]])
         assert np.array_equal(
-            d_global[own_off[k] : own_off[k + 1]], d_dev[: n_own[k]]
-        )
-        assert np.array_equal(
-            d_global[own_total + halo_off[k] : own_total + halo_off[k + 1]],
-            d_dev[n_own[k] :],
+            d_halo[halo_off[k] : halo_off[k + 1]], d_dev[n_own[k] :]
         )
 
 

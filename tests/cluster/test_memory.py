@@ -170,20 +170,17 @@ def test_estimate_peak_resident_sums_devices(cluster):
 def test_operator_estimate_is_what_the_engine_holds(tiny_dataset, overlap):
     """The in-RAM operator term, counted before the engine exists, equals
     ``_csr_bytes`` summed over the operators it then holds: every device's
-    aggregation matrix, the block diagonal, its transpose and — split-phase
-    — the central/marginal restrictions.  The backward's owned and halo
-    halves of the transpose are row ranges of it, not two more copies."""
+    aggregation matrix and the block-wide quartet — the own- and
+    halo-column halves and their transposes — whether or not the run
+    overlaps."""
     book = partition_graph(tiny_dataset.graph, 4, method="metis", seed=0)
     with Cluster(tiny_dataset, book, hidden_dim=16, num_layers=3, dropout=0.0,
                  seed=0, overlap=overlap) as c:  # fmt: skip
         estimate = _operator_bytes(c)
-        engine = c._compute_engine()
-        held = [dev.agg.matrix for dev in c.devices] + [engine.matrix, engine.matrix_t]
-        if overlap:
-            plan = engine.overlap_plan()
-            operators = [v for v in vars(plan).values() if sp.issparse(v)]
-            assert operators == [plan.matrix_central, plan.matrix_marginal]
-            held += operators
+        (ops,) = c._compute_engine()._ops
+        quartet = [ops.own, ops.halo, ops.own_t, ops.halo_t]
+        assert [v for v in vars(ops).values() if sp.issparse(v)] == quartet
+        held = [dev.agg.matrix for dev in c.devices] + quartet
         assert estimate == sum(_csr_bytes(m) for m in held)
         assert estimate_peak_resident(c) >= estimate
 

@@ -1,8 +1,8 @@
 """The split-phase pipelined executor: the paper's overlap, executed for real.
 
-Running each layer step as post → central sub-step → finalize → marginal
-sub-step is a row permutation of the same math, so under the same seed it
-must equal the reference trainer (``tests/reference/oracle.py``) bitwise —
+Running each layer step as post → own-column half → finalize → halo-column
+half is a column split of the same math, so under the same seed it must
+equal the reference trainer (``tests/reference/oracle.py``) bitwise —
 losses, reduced gradients, wire bytes, bit-widths, accuracy — on every
 transport backend, at any worker count, under any job-retirement order and
 at any stack depth.  The pairwise cover of *all* axes is
@@ -21,7 +21,6 @@ import pytest
 
 from repro.cli import main
 from repro.cluster.cluster import Cluster
-from repro.cluster.compute import restrict_rows
 from repro.cluster.exchange import ExactHaloExchange
 from repro.comm.transport import Transport, host_spare_cores
 from repro.core.config import RunConfig
@@ -394,64 +393,96 @@ def test_overlap_buffers_survive_interleaved_evals(tiny_dataset, tiny_book, hidd
 
 
 # ----------------------------------------------------------------------
-# Split operators
+# Split operators: P = [P_own | P_halo] and its transpose's row ranges
 # ----------------------------------------------------------------------
-def test_restrict_rows_partitions_operator(tiny_dataset, tiny_book):
-    cluster = Cluster(
-        tiny_dataset, tiny_book, hidden_dim=8, num_layers=2, seed=0, overlap=True
-    )
-    engine = cluster._compute_engine()
-    plan = engine.overlap_plan()
-    # The halves are the restrictions to the partitions' central and
-    # marginal rows, which partition the owned region.
-    central = np.concatenate([dev.part.central_mask for dev in cluster.devices])
-    marginal = np.concatenate([dev.part.marginal_mask for dev in cluster.devices])
-    assert central.size == engine.total_own and not (central & marginal).any()
-    assert (central | marginal).all()
-    assert not np.diff(plan.matrix_central.indptr)[marginal].any()
-    assert not np.diff(plan.matrix_marginal.indptr)[central].any()
-    # The two halves partition the operator's nonzeros exactly.
-    assert (
-        plan.matrix_central.nnz + plan.matrix_marginal.nnz == engine.matrix.nnz
-    )
-    recombined = plan.matrix_central + plan.matrix_marginal
-    assert (recombined != engine.matrix).nnz == 0
-    # Central rows never touch halo columns (what makes the overlap legal).
-    if plan.matrix_central.nnz:
-        assert int(plan.matrix_central.indices.max()) < engine.total_own
-    # The transpose's owned and halo row ranges partition P^T.
-    (a, b), (c, d) = engine._own_rows, engine._halo_rows
-    assert (a, b, d) == (0, c, engine.matrix_t.shape[0])
+def _split_engine(residency, tiny_dataset, huge_store):
+    """The devices and engine of a 3-layer cluster: in RAM (one block-wide
+    quartet) or from the store (one quartet per device)."""
+    if residency == "ram":
+        book = partition_graph(tiny_dataset.graph, 3, method="metis", seed=0)
+        cluster = Cluster(tiny_dataset, book, hidden_dim=8, seed=0)
+    else:
+        cluster = Cluster(huge_store.dataset(), huge_store.book(), hidden_dim=8)
+    with cluster:
+        return cluster.devices, cluster._compute_engine()
 
 
-def test_restrict_rows_rejects_bad_mask():
+def _row_halves(devices):
+    """Per stacked row: its per-device operator entries split at the owned
+    columns, as ``(own columns, halo columns, own data, halo data)`` in the
+    stacked own / halo column spaces of ``devices``."""
+    own_off = halo_off = 0
+    for dev in devices:
+        m, n_own = dev.agg.matrix, dev.part.n_owned
+        for i in range(n_own):
+            cols = m.indices[m.indptr[i] : m.indptr[i + 1]]
+            data = m.data[m.indptr[i] : m.indptr[i + 1]]
+            owned = cols < n_own
+            yield (
+                cols[owned] + own_off,
+                cols[~owned] - n_own + halo_off,
+                data[owned],
+                data[~owned],
+            )
+        own_off += n_own
+        halo_off += dev.part.n_halo
+
+
+@pytest.mark.parametrize("residency", ["ram", "store"])
+def test_split_operators_partition_every_row(residency, tiny_dataset, huge_store):
+    """``own`` and ``halo`` partition every row's entries, each half in
+    stored order, and central rows have empty halo halves — what makes the
+    central window legal before the halos arrive."""
+    devices, engine = _split_engine(residency, tiny_dataset, huge_store)
+    groups = [devices] if residency == "ram" else [[dev] for dev in devices]
+    assert len(engine._blocks) == len(groups)
+    for (ops, own, halo), group in zip(engine._blocks, groups):
+        assert ops.own.shape[0] == ops.halo.shape[0] == own.stop - own.start
+        assert ops.halo.shape[1] == halo.stop - halo.start
+        for row, want in enumerate(_row_halves(group)):
+            got = []
+            for half in (ops.own, ops.halo):
+                lo, hi = half.indptr[row], half.indptr[row + 1]
+                got.append((half.indices[lo:hi], half.data[lo:hi]))
+            (own_cols, own_data), (halo_cols, halo_data) = got
+            assert own_cols.tolist() == want[0].tolist()
+            assert halo_cols.tolist() == want[1].tolist()
+            assert own_data.tobytes() == want[2].tobytes()
+            assert halo_data.tobytes() == want[3].tobytes()
+        central = np.concatenate([dev.part.central_mask for dev in group])
+        assert not np.diff(ops.halo.indptr)[central].any()
+        assert ops.own.nnz + ops.halo.nnz == sum(dev.agg.nnz for dev in group)
+
+
+@pytest.mark.parametrize("residency", ["ram", "store"])
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
+def test_own_then_halo_is_the_one_pass_product(
+    residency, compiled, tiny_dataset, huge_store, compiled_kernels, kernel_tier
+):
+    """``own`` overwriting then ``halo`` accumulating equals the one-pass
+    product of ``[own | halo]`` bitwise on both kernel tiers, and ``own_t``
+    / ``halo_t`` are the owned and halo row ranges of its transpose."""
     import scipy.sparse as sp
 
-    m = sp.csr_matrix(np.eye(3, dtype=np.float32))
-    with pytest.raises(ValueError):
-        restrict_rows(m, np.ones(2, dtype=bool))
-
-
-def test_split_spmv_accumulates_to_full_product(tiny_dataset):
-    book = partition_graph(tiny_dataset.graph, 3, method="metis", seed=0)
-    cluster = Cluster(tiny_dataset, book, hidden_dim=8, seed=0, overlap=True)
-    engine = cluster._compute_engine()
-    plan = engine.overlap_plan()
-    gen = np.random.default_rng(0)
     from repro.cluster.compute import _spmv
 
-    for width in (6, 40):  # both accumulator forms of the compiled kernel
-        x = gen.normal(size=(engine.matrix.shape[1], width)).astype(np.float32)
-        full = np.asarray(engine.matrix @ x)
-        split = np.full_like(full, np.nan)
-        _spmv(plan.matrix_central, x, split)
-        _spmv(plan.matrix_marginal, x, split, accumulate=True)
-        assert full.tobytes() == split.tobytes()
-        # The backward's transpose, applied as its owned and halo row ranges.
-        d = gen.normal(size=(engine.total_own, width)).astype(np.float32)
-        full_t = np.asarray(engine.matrix_t @ d)
-        routed = np.full_like(full_t, np.nan)
-        own = engine.total_own
-        _spmv(engine.matrix_t, d, routed[:own], engine._own_rows)
-        _spmv(engine.matrix_t, d, routed[own:], engine._halo_rows)
-        assert full_t.tobytes() == routed.tobytes()
+    _, engine = _split_engine(residency, tiny_dataset, huge_store)
+    gen = np.random.default_rng(0)
+    with kernel_tier(compiled_kernels if compiled else None):
+        for ops, _, _ in engine._blocks:
+            full = sp.hstack([ops.own, ops.halo], format="csr")
+            full_t = full.T.tocsr()
+            full_t.sort_indices()
+            n_own = ops.own.shape[1]
+            for got, want in ((ops.own_t, full_t[:n_own]), (ops.halo_t, full_t[n_own:])):
+                assert np.array_equal(got.indptr, want.indptr)
+                assert np.array_equal(got.indices, want.indices)
+                assert got.data.tobytes() == want.data.tobytes()
+            for width in (6, 40):  # both accumulator forms of the compiled kernel
+                x = gen.normal(size=(full.shape[1], width)).astype(np.float32)
+                one_pass = np.full((full.shape[0], width), np.nan, dtype=np.float32)
+                _spmv(full, x, one_pass)
+                split = np.full_like(one_pass, np.nan)
+                _spmv(ops.own, x[:n_own], split)
+                _spmv(ops.halo, x[n_own:], split, accumulate=True)
+                assert split.tobytes() == one_pass.tobytes()

@@ -64,14 +64,17 @@ def test_quant_holds_only_what_runs():
         importlib.import_module("repro.quant.native")
 
 
-def test_second_statements_are_gone():
+def test_second_statements_are_gone(tiny_dataset, tiny_book):
     """Each concern is stated once: the central/marginal split by
     ``LocalPartition`` and the cluster's phase records, SANCUS's broadcast
     by ``schedule_sancus``, the gradient reduction by the engine, a step's
-    encode by ``gather_step`` → ``quantize_pack_shard``, and which runs
-    overlap by ``OVERLAP_SYSTEMS``.  The ``.npz`` formats nothing read or
-    wrote are gone too."""
+    encode by ``gather_step`` → ``quantize_pack_shard``, which runs
+    overlap by ``OVERLAP_SYSTEMS``, and the split-phase step by the
+    engine's column halves.  The ``.npz`` formats nothing read or wrote are
+    gone too."""
     import dataclasses
+
+    from repro.cluster import Cluster
 
     import repro.comm
     import repro.core
@@ -103,3 +106,14 @@ def test_second_statements_are_gone():
     assert not hasattr(FusedStepEncoder, "encode_step")
     assert not hasattr(FusedStepEncoder, "quantize_pack_step")
     assert "overlap" not in {f.name for f in dataclasses.fields(RunConfig)}
+    # The split-phase step splits every aggregation by column: no
+    # row-restricted copies of the block diagonal, no materialized one.
+    from repro.cluster import compute
+
+    for name in ("restrict_rows", "OverlapPlan"):
+        assert name not in compute.__all__
+        assert not hasattr(compute, name), name
+    with Cluster(tiny_dataset, tiny_book, hidden_dim=8, overlap=True) as cluster:
+        engine = cluster._compute_engine()
+    for attr in ("overlap_plan", "matrix", "matrix_t"):
+        assert not hasattr(engine, attr), attr
