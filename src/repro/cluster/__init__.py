@@ -1,9 +1,10 @@
 """Simulated multi-GPU cluster runtime.
 
 One :class:`DeviceRuntime` per simulated GPU holds that device's graph
-partition, aggregation operator, model replica and RNG streams.  The
-:class:`Cluster` drives all devices in lock-step through real forward and
-backward passes, routing *real* halo payloads through one
+partition, aggregation operator, data and dropout stream; the
+:class:`Cluster` holds the one parameter set every device computes with,
+and drives all devices in lock-step through real forward and backward
+passes, routing *real* halo payloads through one
 :class:`~repro.comm.transport.Transport` — jobs inline, or on its pool of
 worker threads — so every byte on the simulated wire is a byte that was
 actually produced, quantized and packed, and records the per-layer byte

@@ -9,15 +9,15 @@ and so has no position to save: a run killed mid-training and resumed from
 its last checkpoint produces the *same* losses, gradients and wire bytes
 as the uninterrupted run — the equivalence tests assert it byte for byte.
 
-Device-replica symmetry keeps checkpoints small and **elastic**: model
-replicas are bit-identical across devices (same weight stream, allreduced
-gradients, identical Adam updates), so one replica's parameters and one
-optimizer's slots restore any number of devices.  Partition-*dependent*
-state — per-device dropout streams, exchange caches, assigner traces — is
-restored only when the checkpoint's partition count matches the restoring
-cluster's; on an elastic N→M resize it is skipped, so a resumed M-way run
-and a fresh M-way run started from the same checkpoint take identical
-paths (the repartition equivalence test pins this).
+The cluster holds one parameter set and one optimizer steps it — what
+AdaQP's per-GPU replicas would each be a copy of — so a checkpoint is
+small and **elastic**: its parameters and optimizer slots restore any
+number of devices.  Partition-*dependent* state — per-device dropout
+streams, exchange caches, assigner traces — is restored only when the
+checkpoint's partition count matches the restoring cluster's; on an
+elastic N→M resize it is skipped, so a resize *is* a new M-way cluster
+plus :func:`restore_state`, and an in-memory snapshot and one saved to
+disk resume identically (the elastic equivalence test pins this).
 
 On-disk layout (one directory per checkpoint, atomically renamed into
 place so a crash mid-save can never corrupt an existing checkpoint)::
@@ -74,9 +74,9 @@ class ClusterState:
     model_kind: str
     dims: list[int]
     seed: int
-    #: one replica's parameters (replicas are bit-identical)
+    #: the cluster's parameters (``Cluster.model.state_dict()``)
     model: dict[str, np.ndarray]
-    #: one replica's optimizer slots (identical across devices)
+    #: the optimizer's slots
     optimizer: dict
     #: per-device dropout ``bit_generator.state`` dicts (partition-bound)
     dropout_rng: list[object] = field(default_factory=list)
@@ -92,16 +92,6 @@ class ClusterState:
 # ---------------------------------------------------------------------------
 # Capture / restore
 # ---------------------------------------------------------------------------
-
-
-def _device_dropout_rng(dev):
-    """The device's shared dropout generator (all non-output layers of one
-    replica share a single stream), or None for dropout-free models."""
-    for layer in dev.model.layers:
-        drop = getattr(layer, "drop", None)
-        if drop is not None:
-            return drop.rng
-    return None
 
 
 def _strip_memmaps(obj, dropped: list | None = None, path: str = ""):
@@ -139,24 +129,20 @@ def _strip_memmaps(obj, dropped: list | None = None, path: str = ""):
 
 def capture_state(
     cluster,
-    optimizers: list,
+    optimizer,
     exchange,
     *,
     epoch: int,
     assigner=None,
     meta: dict | None = None,
 ) -> ClusterState:
-    """Snapshot ``cluster`` (+ optimizers, exchange, assigner) at an epoch
+    """Snapshot ``cluster`` (+ optimizer, exchange, assigner) at an epoch
     boundary.  Copies everything — the caller may keep training.
 
     Memmap-backed arrays (store-backed feature/label/operator regions) are
     skipped rather than serialized — see :func:`_strip_memmaps` — and the
     owning store's path is recorded in ``meta["store_path"]`` so a resume
     can reopen the same store."""
-    dropout_states = []
-    for dev in cluster.devices:
-        rng = _device_dropout_rng(dev)
-        dropout_states.append(None if rng is None else rng.bit_generator.state)
     meta = dict(meta or {})
     store_ds = getattr(cluster, "_store_dataset", None)
     if store_ds is not None:
@@ -168,9 +154,9 @@ def capture_state(
         model_kind=cluster.model_kind,
         dims=list(cluster.dims),
         seed=int(cluster.seed),
-        model=_strip_memmaps(cluster.devices[0].model.state_dict(), dropped, "model"),
-        optimizer=_strip_memmaps(optimizers[0].state_dict(), dropped, "optimizer"),
-        dropout_rng=dropout_states,
+        model=_strip_memmaps(cluster.model.state_dict(), dropped, "model"),
+        optimizer=_strip_memmaps(optimizer.state_dict(), dropped, "optimizer"),
+        dropout_rng=[d.dropout_rng.bit_generator.state for d in cluster.devices],
         exchange=_strip_memmaps(exchange.state_dict(), dropped, "exchange"),
         assigner=(
             None
@@ -191,17 +177,17 @@ def capture_state(
 def restore_state(
     state: ClusterState,
     cluster,
-    optimizers: list,
+    optimizer,
     exchange,
     *,
     assigner=None,
 ) -> int:
     """Load ``state`` into a live cluster; returns the epoch to resume at.
 
-    Model and optimizer state restore at any partition count (replica
-    symmetry).  Partition-bound state — dropout streams, exchange caches,
-    assigner traces — restores only when the partition counts match; an
-    elastic resize starts those fresh, exactly like a new run would.
+    Model and optimizer state restore at any partition count.
+    Partition-bound state — dropout streams, exchange caches, assigner
+    traces — restores only when the partition counts match; an elastic
+    resize starts those fresh, exactly like a new run would.
     """
     if state.model_kind != cluster.model_kind or list(state.dims) != list(
         cluster.dims
@@ -210,11 +196,9 @@ def restore_state(
             f"checkpoint is for a {state.model_kind} model with dims"
             f" {state.dims}; cluster has {cluster.model_kind}/{cluster.dims}"
         )
-    for dev in cluster.devices:
-        # In-place parameter writes keep the fused engine's views valid.
-        dev.model.load_state_dict(state.model)
-    for opt in optimizers:
-        opt.load_state_dict(state.optimizer)
+    # In-place parameter writes keep the fused engine's views valid.
+    cluster.model.load_state_dict(state.model)
+    optimizer.load_state_dict(state.optimizer)
     elastic = int(state.num_parts) != int(cluster.num_devices)
     if elastic:
         logger.info(
@@ -225,9 +209,9 @@ def restore_state(
         )
     else:
         for dev, rng_state in zip(cluster.devices, state.dropout_rng):
-            rng = _device_dropout_rng(dev)
-            if rng is not None and rng_state is not None:
-                rng.bit_generator.state = rng_state
+            # ``None``: a checkpoint of a model with no dropout layer.
+            if rng_state is not None:
+                dev.dropout_rng.bit_generator.state = rng_state
         exchange.load_state_dict(state.exchange)
         if assigner is not None and state.assigner is not None:
             assigner.load_state_dict(state.assigner)

@@ -1,10 +1,13 @@
 """The lock-step distributed training executor.
 
-``Cluster`` owns the simulated devices and drives one *real* training epoch
-at a time: per GNN layer, it exchanges halo messages through the transport
-(under whatever exchange policy the caller supplies — exact, quantized,
-stale), runs the layer's forward/backward, and finally allreduces model
-gradients exactly.
+``Cluster`` owns the simulated devices and the model's one parameter set,
+and drives one *real* training epoch at a time: per GNN layer, it
+exchanges halo messages through the transport (under whatever exchange
+policy the caller supplies — exact, quantized, stale), runs the layer's
+forward/backward for every device, and finally reduces the devices'
+gradient partials exactly into the parameters' ``grad``.  AdaQP keeps a
+model replica per GPU, kept equal by the gradient allreduce; all devices
+here run in one process, so the one parameter set stands for them all.
 
 Layer compute runs on the cluster-fused engine
 (:class:`~repro.cluster.compute.FusedClusterCompute`): one block-diagonal
@@ -38,13 +41,14 @@ from repro.cluster.exchange import (
 from repro.cluster.records import EpochRecord, PhaseRecord
 from repro.cluster.runtime import DeviceRuntime, build_devices
 from repro.comm.transport import Transport, transport_workers
-from repro.gnn.model import MODEL_KINDS
+from repro.gnn.model import MODEL_KINDS, DistGNN
 from repro.graph.datasets import GraphDataset
 from repro.graph.io import StoreDataset
 from repro.graph.partition.book import PartitionBook
 from repro.nn.losses import bce_with_logits_loss, softmax_cross_entropy
 from repro.nn.metrics import metric_counts, metric_from_counts
 from repro.utils.logging import get_logger
+from repro.utils.seed import RngPool
 from repro.utils.validation import check_in_set
 
 __all__ = ["Cluster"]
@@ -53,7 +57,11 @@ _log = get_logger(__name__)
 
 
 class Cluster:
-    """All simulated devices for one training job.
+    """All simulated devices for one training job, and its one parameter
+    set, ``model`` (a :class:`~repro.gnn.model.DistGNN`): the engine
+    computes every device's rows with it, one optimizer steps it, and an
+    elastic resize is a new cluster plus
+    :func:`~repro.cluster.checkpoint.restore_state`.
 
     Parameters
     ----------
@@ -67,8 +75,8 @@ class Cluster:
         Model shape (paper defaults: 256 / 3 / 0.5 — scaled down in the
         benchmark configs).
     seed:
-        Root seed for weights (shared across replicas) and dropout (per
-        device).
+        Root seed for the weights (one parameter set) and dropout (one
+        stream per device).
     overlap:
         Whether the engine's central windows count as hiding the exchange
         (paper Fig. 7: post the messages, run the own-column half of the
@@ -134,34 +142,19 @@ class Cluster:
             self.global_train_count = int(store_ds.global_train_count)
         else:
             self.global_train_count = int(dataset.train_mask.sum())
-        # Everything repartition() needs to rebuild this cluster around a
-        # new PartitionBook (the dataset and book are passed fresh).
-        self._ctor = dict(
-            model_kind=model_kind,
-            hidden_dim=hidden_dim,
-            num_layers=num_layers,
-            dropout=dropout,
-            seed=seed,
-            overlap=overlap,
-            transport=transport,
-            transport_timeout_s=transport_timeout_s,
-            fault_plan=fault_plan,
-        )
-
         dims = [dataset.num_features] + [hidden_dim] * (num_layers - 1) + [
             dataset.num_classes
         ]
         self.dims = dims
+        weights = RngPool(seed).fork("cluster").fork("weights").fork("shared")
+        self.model = DistGNN(
+            model_kind, dims, dropout=dropout, weight_rng=weights.get("init")
+        )
 
         # Store datasets stream each device's operators (``_stream_ops``)
         # through the engine instead of a materialized block diagonal.
         self.devices, self._stream_ops = build_devices(
-            dataset,
-            book,
-            model_kind=model_kind,
-            dims=dims,
-            dropout=dropout,
-            seed=seed,
+            dataset, book, model_kind=model_kind, seed=seed
         )
 
         # Static per-device message-row counts (drive quant-time modelling).
@@ -201,7 +194,7 @@ class Cluster:
     def _compute_engine(self) -> FusedClusterCompute:
         if self._engine is None:
             self._engine = FusedClusterCompute(
-                self.devices, self.dims, self.model_kind, stream=self._stream_ops
+                self.devices, self.model, stream=self._stream_ops
             )
         return self._engine
 
@@ -213,24 +206,20 @@ class Cluster:
     ) -> EpochRecord:
         """Run one full forward/backward pass and gradient allreduce.
 
-        Does *not* step optimizers — the trainer owns those (it may need to
+        Does *not* step the optimizer — the trainer owns it (it may need to
         interleave assigner work between gradient computation and update).
         """
-        devices = self.devices
         exchange.on_epoch_start(epoch)
         plan = self.transport.fault_plan
         if plan is not None:
             # Epoch-scoped fault specs (``kind:tag@epoch``) arm here.
             plan.set_epoch(epoch)
-        for dev in devices:
-            # Replica grads need no zeroing: the engine never reads them
-            # mid-epoch and overwrites them wholesale at reduce time.
-            if not dev.model.training:
-                dev.model.train()
+        # The parameters' grads need no zeroing: the engine never reads
+        # them mid-epoch and overwrites them wholesale at reduce time.
         self.transport.reset_accounting()
 
         record = EpochRecord(loss=0.0)
-        num_layers = devices[0].model.num_layers
+        num_layers = self.model.num_layers
         engine = self._compute_engine()
         engine.begin_epoch()
         for layer in range(num_layers):
@@ -278,49 +267,14 @@ class Cluster:
     def _eval_forward(self) -> FusedClusterCompute:
         """Exact (un-quantized) eval-mode forward; the engine holds the logits."""
         transport = Transport(self.num_devices)
-        for dev in self.devices:
-            dev.model.eval()
         engine = self._compute_engine()
-        for layer in range(self.devices[0].model.num_layers):
+        for layer in range(self.model.num_layers):
             engine.forward_layer(layer, self._eval_exchange, transport, training=False)
-        for dev in self.devices:
-            dev.model.train()
         return engine
 
     # ------------------------------------------------------------------
-    # Elastic repartition
+    # Lifecycle
     # ------------------------------------------------------------------
-    def repartition(self, book: PartitionBook, *, transport=None) -> "Cluster":
-        """Rebuild this cluster around a new partition assignment.
-
-        Returns a *new* cluster with ``book.num_parts`` devices, each
-        replica carrying this cluster's trained parameters (replicas are
-        bit-identical, so device 0's state seeds every new device).  Only
-        valid at an epoch boundary — mid-epoch transport state does not
-        carry across.  This cluster stays open; the caller closes it once
-        the handover is complete (typically via separate ``with`` blocks
-        or an explicit :meth:`close`).
-
-        Optimizer slots, exchange caches and RNG positions live outside
-        the cluster; the trainer re-attaches them through
-        :func:`repro.cluster.checkpoint.restore_state`, whose elastic rule
-        starts partition-bound state fresh when the device count changed.
-        """
-        if self._store_dataset is not None:
-            raise RuntimeError(
-                "store-backed clusters cannot repartition — the partition"
-                " layout is baked into the on-disk store; rebuild it with"
-                " a different part count instead"
-            )
-        kwargs = dict(self._ctor)
-        if transport is not None:
-            kwargs["transport"] = transport
-        resized = Cluster(self.dataset, book, **kwargs)
-        state = self.devices[0].model.state_dict()
-        for dev in resized.devices:
-            dev.model.load_state_dict(state)
-        return resized
-
     def close(self) -> None:
         """Release background transport resources (worker threads).
 

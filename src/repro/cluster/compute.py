@@ -3,9 +3,9 @@
 Dispatching K per-device Python loops per layer — K small spmv's, K
 ``np.vstack`` copies, K small GEMMs, K losses — is the plain statement of
 the math (the reference trainer under ``tests/reference/`` runs exactly
-that), but every replica holds bit-identical weights, and in the
-many-partition regime the paper's wall-clock results live in those tiny
-dispatches dominate the epoch.
+that), but every device computes with the same weights — the cluster's one
+parameter set — and in the many-partition regime the paper's wall-clock
+results live in those tiny dispatches dominate the epoch.
 
 :class:`FusedClusterCompute` executes the whole cluster's forward/backward
 with cluster-wide operators instead:
@@ -20,13 +20,13 @@ with cluster-wide operators instead:
   region (the ``out`` a step names at
   :meth:`~repro.cluster.exchange.FusedQuantizedHaloExchange.post_step`),
   so no per-layer ``np.vstack`` copy is made;
-* **one stacked GEMM** per layer runs every device's dense transform using
-  the shared replica weights (via :func:`repro.nn.blas.row_matmul`, which
+* **one stacked GEMM** per layer runs every device's dense transform with
+  the one parameter set (via :func:`repro.nn.blas.row_matmul`, which
   keeps per-row results identical to per-device GEMMs);
 * **weight gradients accumulate directly in reduced form**: per-device
   partial gradients are summed into float64 accumulators in rank order
-  and rounded to float32 once, so K flat gradient vectors are never
-  built.
+  and rounded to float32 once, into the parameters' ``grad``, so K flat
+  gradient vectors are never built.
 
 **Operand order** is the conv's, not the engine's: a GCN layer whose
 output is narrower than its input (:func:`repro.gnn.conv.transform_first`)
@@ -85,6 +85,7 @@ from repro import kernels
 from repro.cluster.exchange import step_tag
 from repro.cluster.records import StepTimeline
 from repro.cluster.runtime import DeviceRuntime
+from repro.gnn.model import DistGNN
 from repro.graph.io import SplitOperators
 from repro.nn.blas import row_matmul
 
@@ -335,12 +336,11 @@ class FusedClusterCompute:
     Parameters
     ----------
     devices:
-        The cluster's device runtimes (replicas must be bit-identical —
-        the engine computes with device 0's weights on every row).
-    dims:
-        Layer widths ``[in, hidden, ..., out]``.
-    model_kind:
-        ``"gcn"`` or ``"sage"``.
+        The cluster's device runtimes: partitions, operators, data and
+        dropout streams, in rank order.
+    model:
+        The cluster's one parameter set; every device's rows are computed
+        with it, and :meth:`reduce_gradients` writes its ``grad``.
     stream:
         A store's per-device :class:`~repro.graph.io.SplitOperators` (rank
         order) to run in **streaming mode** — the huge-graph residency.
@@ -360,15 +360,15 @@ class FusedClusterCompute:
     def __init__(
         self,
         devices: list[DeviceRuntime],
-        dims: list[int],
-        model_kind: str,
+        model: DistGNN,
         *,
         stream: list[SplitOperators] | None = None,
     ) -> None:
         self.devices = devices
-        self.dims = list(dims)
-        self.model_kind = model_kind
-        self.num_layers = len(dims) - 1
+        self.model = model
+        self.dims = dims = list(model.dims)
+        self.model_kind = model_kind = model.kind
+        self.num_layers = model.num_layers
         if stream is not None and len(stream) != len(devices):
             raise ValueError("stream ops must match devices one-to-one")
 
@@ -393,9 +393,7 @@ class FusedClusterCompute:
         self._blocks = [(ops, own, halo) for ops, (own, halo) in zip(self._ops, spans)]
 
         L = self.num_layers
-        self._transform_first = [
-            mod.conv.transform_first for mod in devices[0].model.layers
-        ]
+        self._transform_first = [mod.conv.transform_first for mod in model.layers]
 
         def rows(n: int, width: int) -> np.ndarray:
             return np.zeros((n, width), dtype=np.float32)
@@ -473,11 +471,10 @@ class FusedClusterCompute:
         self._scratch_bufs: dict[tuple, np.ndarray] = {}
 
         # Reduced-form gradient accumulators: one float64 buffer per
-        # parameter of the (shared) replica structure, summed over devices
-        # in rank order, so every replica gets the same float32 total.
-        self._params_by_dev = [dev.model.parameters() for dev in devices]
-        self._acc = [np.zeros(p.shape, dtype=np.float64) for p in self._params_by_dev[0]]
-        self._acc_by_id = {id(p): a for p, a in zip(self._params_by_dev[0], self._acc)}
+        # parameter, summed over devices in rank order.
+        self._params = model.parameters()
+        self._acc = [np.zeros(p.shape, dtype=np.float64) for p in self._params]
+        self._acc_by_id = {id(p): a for p, a in zip(self._params, self._acc)}
         # Gradient of the current backward frontier (set by epoch_loss).
         self._d: np.ndarray | None = None
 
@@ -526,7 +523,7 @@ class FusedClusterCompute:
         aggregate-first layer 0 is the one exception: it aggregates after
         finalize, device by device (:meth:`_forward_layer0_stream`).
         """
-        mod = self.devices[0].model.layers[layer]
+        mod = self.model.layers[layer]
         out_own = self._layer_output(layer)
         t0 = time.perf_counter()
         if overlap:
@@ -612,7 +609,7 @@ class FusedClusterCompute:
         per-device blocks (streaming layer 0) bitwise equal to the stacked
         call.
         """
-        conv = self.devices[0].model.layers[layer].conv
+        conv = self.model.layers[layer].conv
         if self.model_kind == "gcn":
             row_matmul(z, conv.linear.weight.data, out=out)
             out += conv.linear.bias.data
@@ -648,16 +645,17 @@ class FusedClusterCompute:
         """Draw the step's dropout masks (all devices, rank order).
 
         The single sampling site, in every step's central window: one
-        ``sample_mask`` call per device of the full owned-slice shape, in
-        rank order.  Masks never depend on activations, so drawing them
-        before the rows exist consumes the streams exactly as the
-        per-device reference does drawing them after ReLU.
+        ``sample_mask`` call per device, from its ``dropout_rng``, of the
+        full owned-slice shape, in rank order.  Masks never depend on
+        activations, so drawing them before the rows exist consumes the
+        streams exactly as the per-device reference does drawing them
+        after ReLU.
         """
         if training and mod.drop.p > 0.0:
             drop_mask = self._drop_mask[layer]
             for k, dev in enumerate(self.devices):
                 sl = drop_mask[self._own_slice(k)]
-                dev.model.layers[layer].drop.sample_mask(sl.shape, out=sl)
+                mod.drop.sample_mask(dev.dropout_rng, sl.shape, out=sl)
             self._drop_active[layer] = True
         else:
             self._drop_active[layer] = False
@@ -763,7 +761,7 @@ class FusedClusterCompute:
         d_out = self._d
         if d_out is None:
             raise RuntimeError("backward_layer called before epoch_loss")
-        mod = self.devices[0].model.layers[layer]
+        mod = self.model.layers[layer]
         conv = mod.conv
         t0 = time.perf_counter()
         norm_partials = ()
@@ -864,7 +862,7 @@ class FusedClusterCompute:
         the halo landing zone).  ``z`` overrides the persistent aggregated
         input (streaming layer 0's recomputed scratch).
         """
-        conv = self.devices[0].model.layers[layer].conv
+        conv = self.model.layers[layer].conv
         sl = self._own_slice(k)
         d_k = d_out[sl]
         x_own = self._own_views[layer][k]
@@ -928,15 +926,12 @@ class FusedClusterCompute:
     # Gradient reduction
     # ------------------------------------------------------------------
     def reduce_gradients(self) -> int:
-        """Distribute the reduced gradients to every replica.
+        """Write the reduced gradients into the parameters' ``grad``.
 
         The accumulators already hold the float64 totals, added in rank
-        order; each is rounded to float32 once and written into every
-        device's ``Parameter.grad``.  Returns the reduced payload
-        size in bytes (what one allreduce would move per device).
+        order; each is rounded to float32 once.  Returns the reduced
+        payload size in bytes (what one allreduce would move per device).
         """
-        reduced = [acc.astype(np.float32) for acc in self._acc]
-        for params in self._params_by_dev:
-            for p, r in zip(params, reduced):
-                p.grad[...] = r
-        return int(sum(r.nbytes for r in reduced))
+        for p, acc in zip(self._params, self._acc):
+            p.grad[...] = acc
+        return int(sum(p.grad.nbytes for p in self._params))

@@ -65,9 +65,10 @@ class MemoryFootprint:
     """Analytic per-device byte counts for one training job.
 
     The first five fields are the paper's footnote-1 data counts (what
-    the device's share of the graph *is*); the remaining fields model
-    what the process actually keeps resident to train on it, which
-    differs per execution mode — see :attr:`resident_bytes`.
+    the device's share of the graph *is*, with the per-GPU model replica
+    the paper's devices each hold); the remaining fields model what the
+    process actually keeps resident to train on it, which differs per
+    execution mode — see :attr:`resident_bytes`.
     """
 
     device: int
@@ -117,15 +118,13 @@ class MemoryFootprint:
         :attr:`memmap_window_bytes`); the in-RAM engine holds the device
         features *and* their copy inside the stacked layer-0 buffer
         (stacked buffers already include activations and halo regions).
+        The model is not a device's: the process holds one parameter set
+        for all of them (:func:`estimate_peak_resident` counts it once).
         """
-        shared = (
-            self.model_param_bytes
-            + self.model_grad_bytes
-            + self.decode_workspace_bytes
-        )
+        buffers = self.decode_workspace_bytes + self.stacked_buffer_bytes
         if self.streaming:
-            return shared + self.stacked_buffer_bytes + self.memmap_window_bytes
-        return shared + self.feature_bytes + self.stacked_buffer_bytes
+            return buffers + self.memmap_window_bytes
+        return buffers + self.feature_bytes
 
 
 def _stacked_bytes(
@@ -175,8 +174,14 @@ def _stacked_bytes(
 
 
 def _transform_first(cluster: Cluster) -> list[bool]:
-    """Each layer's operand order, read off the (shared) replica's convs."""
-    return [mod.conv.transform_first for mod in cluster.devices[0].model.layers]
+    """Each layer's operand order, read off the cluster's model."""
+    return [mod.conv.transform_first for mod in cluster.model.layers]
+
+
+def _model_bytes(cluster: Cluster) -> int:
+    """The one parameter set the process holds: the parameters, their
+    ``grad`` and Adam's ``m`` and ``v`` — four float32 arrays."""
+    return 4 * cluster.model.num_parameters() * _F32
 
 
 def _csr_bytes(m) -> int:
@@ -284,6 +289,7 @@ def estimate_memory(cluster: Cluster) -> list[MemoryFootprint]:
     streaming = cluster._stream_ops is not None
     max_width = max(dims[:-1])
     transform_first = _transform_first(cluster)
+    params = cluster.model.num_parameters()
     footprints = []
     for k, dev in enumerate(cluster.devices):
         n = dev.n_owned
@@ -291,7 +297,6 @@ def estimate_memory(cluster: Cluster) -> list[MemoryFootprint]:
         feature_bytes = n * dims[0] * _F32
         activation_bytes = sum(n * d_out * _F32 for d_out in dims[1:])
         halo_buffer_bytes = sum(h * d_in * _F32 for d_in in dims[:-1])
-        params = dev.model.num_parameters()
         window = 0
         if streaming:
             ops = cluster._stream_ops[k]
@@ -329,11 +334,12 @@ def estimate_peak_resident(cluster: Cluster) -> int:
     Sums every device's :attr:`MemoryFootprint.resident_bytes` — except
     the streaming memmap windows, of which only the running device's is
     resident at once thanks to the engine's page release, so the widest
-    window stands in for the sum.  The streaming layer-0
-    aggregation scratch (one ``(max_own, F)`` buffer reused across
-    devices) exists only when layer 0 aggregates first — a transform-first
-    layer 0 reads the feature map straight into ``T``, which
-    :func:`_stacked_bytes` counts.  The in-RAM engine's operators
+    window stands in for the sum.  The streaming layer-0 aggregation
+    scratch (one ``(max_own, F)`` buffer reused across devices) exists
+    only when layer 0 aggregates first — a transform-first layer 0 reads
+    the feature map straight into ``T``, which :func:`_stacked_bytes`
+    counts.  The one parameter set with its gradient and Adam slots
+    (:func:`_model_bytes`), the in-RAM engine's operators
     (:func:`_operator_bytes`), the quantized exchange's staging buffers
     and, on the NumPy kernel tier, its per-chunk scratch are added once —
     the last two assume an adaqp-family system (the common case); a
@@ -348,7 +354,7 @@ def estimate_peak_resident(cluster: Cluster) -> int:
     fps = estimate_memory(cluster)
     total = sum(fp.resident_bytes - fp.memmap_window_bytes for fp in fps)
     total += _quant_stage_bytes(cluster) + _quant_scratch_bytes(cluster)
-    total += _operator_bytes(cluster)
+    total += _operator_bytes(cluster) + _model_bytes(cluster)
     if cluster._stream_ops is not None:
         total += max(fp.memmap_window_bytes for fp in fps)
         if not _transform_first(cluster)[0]:

@@ -1,4 +1,4 @@
-"""Per-device state: partition, model replica, local data and RNG streams."""
+"""Per-device state: partition, operator, local data and dropout stream."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.gnn.coefficients import AggregationContext, build_aggregation
-from repro.gnn.model import DistGNN
 from repro.graph.io import StoreDataset
 from repro.graph.partition.book import (
     LocalPartition,
@@ -23,22 +22,23 @@ __all__ = ["DeviceRuntime", "build_devices"]
 class DeviceRuntime:
     """One simulated GPU worker.
 
-    Holds everything rank-local: the graph partition, the weighted
-    aggregation operator, the model replica (identically initialized across
-    ranks), this rank's slice of features/labels/masks, and the local
-    training-node count (the global count normalizes the loss so that
-    summing device losses reproduces the single-machine loss exactly).
+    Holds only what the device's partition binds: the graph partition, the
+    weighted aggregation operator, this rank's slice of features/labels/
+    masks, and its dropout stream.  It holds no model: the cluster's one
+    parameter set (:attr:`~repro.cluster.cluster.Cluster.model`) is what
+    every device's replica would be a copy of.
     """
 
     rank: int
     part: LocalPartition
     agg: AggregationContext
-    model: DistGNN
     features: np.ndarray  # (n_owned, F) float32
     labels: np.ndarray  # (n_owned,) int64 or (n_owned, C) float32
     train_mask: np.ndarray
     val_mask: np.ndarray
     test_mask: np.ndarray
+    #: this device's dropout masks, drawn in every non-output layer
+    dropout_rng: np.random.Generator
 
     def __post_init__(self) -> None:
         n = self.part.n_owned
@@ -69,8 +69,6 @@ def build_devices(
     book: PartitionBook,
     *,
     model_kind: str,
-    dims: list[int],
-    dropout: float,
     seed: int,
 ) -> tuple[list[DeviceRuntime], list | None]:
     """One :class:`DeviceRuntime` per partition of ``book``, rank order.
@@ -80,9 +78,8 @@ def build_devices(
     dataset).  Store datasets carry no global arrays — partitions,
     operators and attribute slices come pre-built from the on-disk
     :class:`~repro.graph.io.PartitionStore` as (typically memmapped)
-    regions.  Every replica draws the *same* weight stream, so replicas
-    start bit-identical without any broadcast; dropout streams are per
-    device.
+    regions.  ``model_kind`` picks the aggregation operator; ``seed``
+    roots each device's dropout stream.
     """
     agg_kind = "gcn" if model_kind == "gcn" else "sage"
     stream_ops = None
@@ -126,28 +123,18 @@ def build_devices(
             )
 
     pool = RngPool(seed).fork("cluster")
-    weight_seed_pool = pool.fork("weights")
-    devices = []
-    for part, agg, features, labels, train_m, val_m, test_m in device_data:
-        model = DistGNN(
-            model_kind,
-            dims,
-            agg,
-            dropout=dropout,
-            weight_rng=weight_seed_pool.fork("shared").get("init"),
+    devices = [
+        DeviceRuntime(
+            rank=part.part_id,
+            part=part,
+            agg=agg,
+            features=features,
+            labels=labels,
+            train_mask=train_m,
+            val_mask=val_m,
+            test_mask=test_m,
             dropout_rng=pool.device(part.part_id, "dropout"),
         )
-        devices.append(
-            DeviceRuntime(
-                rank=part.part_id,
-                part=part,
-                agg=agg,
-                model=model,
-                features=features,
-                labels=labels,
-                train_mask=train_m,
-                val_mask=val_m,
-                test_mask=test_m,
-            )
-        )
+        for part, agg, features, labels, train_m, val_m, test_m in device_data
+    ]
     return devices, stream_ops

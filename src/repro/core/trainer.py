@@ -329,7 +329,7 @@ def train(
     )
     _warn_if_ram_tight(cluster)
     setup = build_system(system, cluster, cost_model, config)
-    optimizers = [Adam(dev.model.parameters(), lr=config.lr) for dev in cluster.devices]
+    optimizer = Adam(cluster.model.parameters(), lr=config.lr)
 
     result = TrainResult(
         system=system,
@@ -343,7 +343,7 @@ def train(
         state = load_checkpoint(config.checkpoint_dir)
         if state is not None:
             start_epoch = restore_state(
-                state, cluster, optimizers, setup.exchange, assigner=setup.assigner
+                state, cluster, optimizer, setup.exchange, assigner=setup.assigner
             )
             logger.info(
                 "%s resumed from %s at epoch %d",
@@ -354,8 +354,7 @@ def train(
     try:
         for epoch in range(start_epoch, config.epochs):
             record = cluster.train_epoch(setup.exchange, epoch)
-            for opt in optimizers:
-                opt.step()
+            optimizer.step()
 
             if config.checkpoint_dir is not None and (
                 (epoch + 1) % config.checkpoint_every == 0
@@ -367,7 +366,7 @@ def train(
                     config.checkpoint_dir,
                     capture_state(
                         cluster,
-                        optimizers,
+                        optimizer,
                         setup.exchange,
                         epoch=epoch + 1,
                         assigner=setup.assigner,

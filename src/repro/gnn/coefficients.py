@@ -19,7 +19,7 @@ property the integration tests assert exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,29 +41,10 @@ class AggregationContext:
     halo_alpha_sq: np.ndarray  # (n_halo,) Σ_v α²_{k,v} per halo column
     n_owned: int
     n_halo: int
-    _matrix_t: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
 
     @property
     def nnz(self) -> int:
         return int(self.matrix.nnz)
-
-    @property
-    def matrix_t(self) -> sp.csr_matrix:
-        """``P^T`` as CSR, built once and cached.
-
-        ``matrix.T`` alone yields a CSC *view*, so every backward spmv used
-        to pay a column-major traversal (and scipy's implicit conversion
-        work) per layer per epoch.  The cached CSR transpose is traversed
-        row-major like the forward operator; per-output-row accumulation
-        order (ascending source row) is identical to the CSC path, so
-        results are bit-identical.  Shared by the per-device layers and
-        the fused engine's block-diagonal builder.
-        """
-        if self._matrix_t is None:
-            t = self.matrix.T.tocsr()
-            t.sort_indices()
-            self._matrix_t = t
-        return self._matrix_t
 
     def nnz_for_rows(self, row_mask: np.ndarray) -> int:
         """Aggregation nonzeros attributable to the masked rows (for FLOPs)."""
@@ -71,21 +52,6 @@ class AggregationContext:
             raise ValueError("row_mask must cover owned rows")
         row_nnz = np.diff(self.matrix.indptr)
         return int(row_nnz[row_mask].sum())
-
-    def aggregate(self, x_full: np.ndarray) -> np.ndarray:
-        """``Z = P @ x_full`` where ``x_full`` stacks owned then halo rows."""
-        if x_full.shape[0] != self.n_owned + self.n_halo:
-            raise ValueError(
-                f"x_full has {x_full.shape[0]} rows, expected "
-                f"{self.n_owned + self.n_halo}"
-            )
-        return np.asarray(self.matrix @ x_full)
-
-    def aggregate_transpose(self, d_z: np.ndarray) -> np.ndarray:
-        """``P^T @ d_z``: routes embedding gradients back to input rows."""
-        if d_z.shape[0] != self.n_owned:
-            raise ValueError("d_z must have one row per owned node")
-        return np.asarray(self.matrix_t @ d_z)
 
 
 def build_aggregation(

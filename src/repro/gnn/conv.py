@@ -1,34 +1,30 @@
-"""Graph convolution layers with explicit distributed backward passes.
+"""Graph convolution layers: the parameters of Eqn. 3 and its operand order.
 
-Both convolutions share the same contract:
-
-* ``forward(x_own, x_halo)`` consumes the device's own node inputs plus the
-  halo inputs *fetched from peers* (possibly de-quantized), and returns the
-  new embeddings of owned nodes;
-* ``backward(d_out)`` accumulates weight gradients and returns
-  ``(d_x_own, d_x_halo)`` — the halo part is exactly the "embedding
-  gradients (errors)" the paper quantizes and routes back to owners during
-  the backward pass.
+A conv holds its ``Linear``s and nothing per device: the cluster's fused
+compute engine (:mod:`repro.cluster.compute`) aggregates every device's
+rows with one operator and transforms them with these weights.  Its
+per-device forward/backward — the halo part of the input gradient is
+exactly the "embedding gradients (errors)" the paper quantizes and routes
+back to owners — is stated by the reference model under
+``tests/reference/``.
 
 **Operand order.**  Eqn. 3 is ``σ(P·H·W)`` and matrix products associate:
 ``(P·H̃)·W`` runs the sparse product at the layer's *input* width,
 ``P·(H̃·W)`` at its *output* width — ``nnz·d_in`` multiply-adds against
 ``nnz·d_out``.  :func:`transform_first` is the one rule that picks the
-order, from the layer's shape and nothing else; :class:`GCNConv` and every
-shape of the cluster compute engine read it from the conv, so they all
-switch together (which is what keeps them bitwise-comparable).
+order, from the layer's shape and nothing else; :class:`GCNConv` records
+it and the engine and the reference model both read it from the conv, so
+they switch together (which is what keeps them bitwise-comparable).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.gnn.coefficients import AggregationContext
-from repro.nn.blas import row_matmul
 from repro.nn.layers import Linear
 from repro.nn.module import Module
 
-__all__ = ["GCNConv", "SAGEConv", "stack_conv_inputs", "transform_first"]
+__all__ = ["GCNConv", "SAGEConv", "transform_first"]
 
 
 def transform_first(in_features: int, out_features: int) -> bool:
@@ -40,26 +36,6 @@ def transform_first(in_features: int, out_features: int) -> bool:
     when the layer narrows (DGL's ``GraphConv`` applies the same test).
     """
     return out_features < in_features
-
-
-def stack_conv_inputs(x_own: np.ndarray, x_halo: np.ndarray) -> np.ndarray:
-    """``[x_own; x_halo]`` with as few copies as possible.
-
-    With an empty halo, ``x_own`` passes through untouched (contiguity is
-    restored only if a caller handed us a strided view — the old
-    unconditional path silently re-copied inside scipy on every spmv);
-    otherwise one ``np.vstack`` copy.  The fused compute engine never
-    stacks at all — its aggregation reads the stacked layer buffer
-    directly.
-
-    Dtypes pass through untouched: the training path is float32 end to end
-    (:class:`~repro.cluster.runtime.DeviceRuntime` normalizes features,
-    exchanges decode to float32, and the operator data is float32 by
-    construction), while gradcheck tests deliberately run in float64.
-    """
-    if not x_halo.size:
-        return x_own if x_own.flags.c_contiguous else np.ascontiguousarray(x_own)
-    return np.vstack([x_own, x_halo])
 
 
 class GCNConv(Module):
@@ -75,50 +51,11 @@ class GCNConv(Module):
     """
 
     def __init__(
-        self,
-        in_features: int,
-        out_features: int,
-        agg: AggregationContext,
-        rng: np.random.Generator,
+        self, in_features: int, out_features: int, rng: np.random.Generator
     ) -> None:
         super().__init__()
-        self.agg = agg
         self.linear = Linear(in_features, out_features, rng)
         self.transform_first = transform_first(in_features, out_features)
-        self._cache_shapes: tuple[int, int] | None = None
-        self._cache_x: tuple[np.ndarray, np.ndarray] | None = None
-
-    def forward(self, x_own: np.ndarray, x_halo: np.ndarray) -> np.ndarray:
-        x_full = stack_conv_inputs(x_own, x_halo)
-        self._cache_shapes = (x_own.shape[0], x_halo.shape[0])
-        if not self.transform_first:
-            return self.linear.forward(self.agg.aggregate(x_full))
-        self._cache_x = (x_own, x_halo)
-        out = self.agg.aggregate(row_matmul(x_full, self.linear.weight.data))
-        out += self.linear.bias.data
-        return out
-
-    def backward(self, d_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if self._cache_shapes is None:
-            raise RuntimeError("backward called before forward")
-        n_own, n_halo = self._cache_shapes
-        self._cache_shapes = None
-        if not self.transform_first:
-            d_z = self.linear.backward(d_out)
-            d_full = self.agg.aggregate_transpose(d_z)
-        else:
-            x_own, x_halo = self._cache_x
-            self._cache_x = None
-            weight, bias = self.linear.weight, self.linear.bias
-            d_t = self.agg.aggregate_transpose(d_out)
-            # Own-rows term, then halo-rows term: the order every engine
-            # forms a device's weight partial in (the two blocks live in
-            # different buffers there, so they are never one GEMM).
-            weight.grad += x_own.T @ d_t[:n_own]
-            weight.grad += x_halo.T @ d_t[n_own:]
-            bias.grad += d_out.sum(axis=0)
-            d_full = row_matmul(d_t, weight.data.T)
-        return d_full[:n_own], d_full[n_own : n_own + n_halo]
 
 
 class SAGEConv(Module):
@@ -132,31 +69,8 @@ class SAGEConv(Module):
     transform_first = False
 
     def __init__(
-        self,
-        in_features: int,
-        out_features: int,
-        agg: AggregationContext,
-        rng: np.random.Generator,
+        self, in_features: int, out_features: int, rng: np.random.Generator
     ) -> None:
         super().__init__()
-        self.agg = agg
         self.root = Linear(in_features, out_features, rng, bias=True)
         self.neigh = Linear(in_features, out_features, rng, bias=False)
-        self._cache_shapes: tuple[int, int] | None = None
-
-    def forward(self, x_own: np.ndarray, x_halo: np.ndarray) -> np.ndarray:
-        x_full = stack_conv_inputs(x_own, x_halo)
-        z = self.agg.aggregate(x_full)
-        self._cache_shapes = (x_own.shape[0], x_halo.shape[0])
-        return self.root.forward(x_own) + self.neigh.forward(z)
-
-    def backward(self, d_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if self._cache_shapes is None:
-            raise RuntimeError("backward called before forward")
-        n_own, n_halo = self._cache_shapes
-        self._cache_shapes = None
-        d_x_own = self.root.backward(d_out)
-        d_z = self.neigh.backward(d_out)
-        d_full = self.agg.aggregate_transpose(d_z)
-        d_x_own = d_x_own + d_full[:n_own]
-        return d_x_own, d_full[n_own : n_own + n_halo]

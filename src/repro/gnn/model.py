@@ -1,20 +1,22 @@
-"""The full GNN model: stacked conv layers with LayerNorm/ReLU/Dropout.
+"""The GNN model: one parameter set of stacked conv layers.
 
 Mirrors the paper's configuration (Table 8): 3 layers, hidden width 256,
 LayerNorm between layers, dropout, Adam at lr 0.01 (optimizer lives with
-the trainer).  The model is *layer-driven*: the cluster orchestrator calls
-one layer at a time, exchanging halo messages before each layer's forward
-and after each layer's backward — the model never talks to the network
-itself.
+the trainer).  AdaQP keeps a replica of this model on every GPU and the
+gradient allreduce keeps the replicas equal; the simulated cluster runs all
+its devices in one process, so it holds the one parameter set those
+replicas would be copies of.  The model holds parameters only: the
+cluster's compute engine runs each layer over every device's rows,
+exchanging halo messages before each layer's forward and after each
+layer's backward.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.gnn.coefficients import AggregationContext
 from repro.gnn.conv import GCNConv, SAGEConv
-from repro.nn.layers import Dropout, LayerNorm, ReLU
+from repro.nn.layers import Dropout, LayerNorm
 from repro.nn.module import Module
 from repro.utils.validation import check_in_set
 
@@ -34,22 +36,19 @@ class GNNLayer(Module):
         kind: str,
         in_features: int,
         out_features: int,
-        agg: AggregationContext,
         rng: np.random.Generator,
         *,
         dropout: float,
         is_output: bool,
-        dropout_rng: np.random.Generator,
     ) -> None:
         super().__init__()
         check_in_set(kind, MODEL_KINDS, name="kind")
         conv_cls = GCNConv if kind == "gcn" else SAGEConv
-        self.conv = conv_cls(in_features, out_features, agg, rng)
+        self.conv = conv_cls(in_features, out_features, rng)
         self.is_output = bool(is_output)
         if not self.is_output:
             self.norm = LayerNorm(out_features)
-            self.act = ReLU()
-            self.drop = Dropout(dropout, dropout_rng)
+            self.drop = Dropout(dropout)
 
     @property
     def has_post_stage(self) -> bool:
@@ -58,24 +57,9 @@ class GNNLayer(Module):
         of poking ``is_output`` so the stage contract lives in one place."""
         return not self.is_output
 
-    def forward(self, x_own: np.ndarray, x_halo: np.ndarray) -> np.ndarray:
-        h = self.conv.forward(x_own, x_halo)
-        if self.is_output:
-            return h
-        h = self.norm.forward(h)
-        h = self.act.forward(h)
-        return self.drop.forward(h)
-
-    def backward(self, d_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if not self.is_output:
-            d_out = self.drop.backward(d_out)
-            d_out = self.act.backward(d_out)
-            d_out = self.norm.backward(d_out)
-        return self.conv.backward(d_out)
-
 
 class DistGNN(Module):
-    """A stack of :class:`GNNLayer` blocks sharing one aggregation context.
+    """A stack of :class:`GNNLayer` blocks: the cluster's one parameter set.
 
     Parameters
     ----------
@@ -83,25 +67,17 @@ class DistGNN(Module):
         ``"gcn"`` or ``"sage"``.
     dims:
         Layer widths ``[in, hidden, ..., out]``; ``len(dims) - 1`` layers.
-    agg:
-        This device's aggregation operator (shape fixed across layers,
-        because full-graph training touches all 1-hop halos every layer).
     weight_rng:
-        Stream for weight init — all replicas must share this stream's
-        sequence so they start identical (the trainer arranges that).
-    dropout_rng:
-        Per-device stream for dropout masks.
+        Stream for weight init, drawn layer by layer.
     """
 
     def __init__(
         self,
         kind: str,
         dims: list[int],
-        agg: AggregationContext,
         *,
         dropout: float,
         weight_rng: np.random.Generator,
-        dropout_rng: np.random.Generator,
     ) -> None:
         super().__init__()
         check_in_set(kind, MODEL_KINDS, name="kind")
@@ -114,11 +90,9 @@ class DistGNN(Module):
                 kind,
                 dims[i],
                 dims[i + 1],
-                agg,
                 weight_rng,
                 dropout=dropout,
                 is_output=(i == len(dims) - 2),
-                dropout_rng=dropout_rng,
             )
             for i in range(len(dims) - 1)
         ]

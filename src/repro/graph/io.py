@@ -751,7 +751,7 @@ def build_partition_store(
             ctx = build_aggregation(local, degrees, agg_kind)
             mat = ctx.matrix
             mat.sort_indices()
-            mat_t = ctx.matrix_t
+            mat_t = mat.T.tocsr()
             mat_t.sort_indices()
             for prefix, m in (
                 ("adj", adj),

@@ -2,8 +2,8 @@
 
 A :class:`Parameter` is a dense float32 array with an accumulated gradient.
 A :class:`Module` is a named tree of parameters and sub-modules with
-state-dict support, so model replicas on different simulated devices can be
-initialized identically and compared exactly.
+state-dict support, so a model can be checkpointed, restored and compared
+exactly.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ class Module:
     Subclasses assign :class:`Parameter` and :class:`Module` instances as
     attributes; :meth:`parameters` and :meth:`named_parameters` walk the
     attribute tree in deterministic (insertion) order — crucial for
-    gradient allreduce, where every device must flatten parameters in the
-    same order.
+    gradient reduction and state dicts, whose keys and order must not
+    depend on how the model was built.
     """
 
     def __init__(self) -> None:

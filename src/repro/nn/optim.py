@@ -1,9 +1,10 @@
 """Optimizers: SGD and Adam.
 
-Determinism matters more than usual here: every simulated device runs its
-own optimizer over its own (allreduced, hence identical) gradients, and the
-replicas must stay bit-identical across devices.  Both optimizers are pure
-elementwise NumPy, so identical inputs produce identical updates.
+One optimizer steps the cluster's one parameter set with the reduced
+gradient: AdaQP's per-GPU replicas would each run this same step on the
+same allreduced gradient.  Both optimizers are pure elementwise NumPy, so
+identical inputs produce identical updates — the per-device reference
+trainer's K optimizers stay bit-identical to the one.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ class Optimizer:
     def state_dict(self) -> dict:
         """Copies of the optimizer's slot state (checkpointing).
 
-        Device replicas run identical updates over identical gradients, so
-        one replica's state restores every other — which is what makes a
-        checkpoint partition-count-independent (elastic restore).
+        The slots belong to the one parameter set, not to any device,
+        which is what makes a checkpoint partition-count-independent
+        (elastic restore).
         """
         return {}
 

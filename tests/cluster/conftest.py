@@ -146,15 +146,14 @@ class Matrix:
             if shuffled:
                 cluster.transport = ShuffledTransport(cluster.num_devices)
             exchange, assigner = make_exchange(policy, cluster)
-            optimizers = [Adam(dev.model.parameters(), lr=0.01) for dev in cluster.devices]
+            optimizer = Adam(cluster.model.parameters(), lr=0.01)
             out = Run()
             for epoch in range(EPOCHS):
                 record = cluster.train_epoch(exchange, epoch)
                 out.record(
-                    record.loss, record.total_wire_bytes(), cluster.devices[0].model, assigner
+                    record.loss, record.total_wire_bytes(), cluster.model, assigner
                 )
-                for opt in optimizers:
-                    opt.step()
+                optimizer.step()
             out.metrics = cluster.evaluate()
         return out, record
 

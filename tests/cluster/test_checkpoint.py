@@ -8,6 +8,7 @@ restore-time validation, and the double-restore idempotency the
 fault-tolerance story leans on (a crashed resume must be re-resumable).
 """
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -248,11 +249,45 @@ def test_restore_rejects_mismatched_model(tmp_path, tiny_dataset, tiny_book):
     )
     state = _final_state(tmp_path)
     with Cluster(tiny_dataset, tiny_book, hidden_dim=16) as cluster:
-        opts = [Adam(d.model.parameters()) for d in cluster.devices]
+        opt = Adam(cluster.model.parameters())
         from repro.cluster.exchange import ExactHaloExchange
 
         with pytest.raises(ValueError, match="dims"):
-            restore_state(state, cluster, opts, ExactHaloExchange())
+            restore_state(state, cluster, opt, ExactHaloExchange())
+
+
+#: A 3-layer model's ``state_dict`` keys, in order, as checkpoints have
+#: always stored them: a checkpoint written before the cluster held one
+#: parameter set loads into it only while these stay put.
+STATE_DICT_KEYS = {
+    "gcn": [
+        *(f"layers.{i}.{n}" for i in (0, 1) for n in (
+            "conv.linear.weight", "conv.linear.bias", "norm.gamma", "norm.beta"
+        )),
+        "layers.2.conv.linear.weight", "layers.2.conv.linear.bias",
+    ],
+    "sage": [
+        *(f"layers.{i}.{n}" for i in (0, 1) for n in (
+            "conv.root.weight", "conv.root.bias", "conv.neigh.weight",
+            "norm.gamma", "norm.beta",
+        )),
+        "layers.2.conv.root.weight", "layers.2.conv.root.bias",
+        "layers.2.conv.neigh.weight",
+    ],
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("kind", ["gcn", "sage"])
+def test_state_dict_keys_are_the_checkpoint_format(tiny_dataset, tiny_book, kind):
+    from repro.cluster.cluster import Cluster
+
+    with Cluster(tiny_dataset, tiny_book, model_kind=kind, hidden_dim=8) as cluster:
+        assert list(cluster.model.state_dict()) == STATE_DICT_KEYS[kind]
+    assert [f.name for f in dataclasses.fields(ClusterState)] == [
+        "epoch", "num_parts", "model_kind", "dims", "seed", "model", "optimizer",
+        "dropout_rng", "exchange", "assigner", "meta", "version",
+    ]  # fmt: skip
+    assert ClusterState.version == 1
 
 
 def test_resume_rejects_a_stream_mode_checkpoint(tmp_path, tiny_dataset, tiny_book):
@@ -280,13 +315,12 @@ def test_capture_does_not_alias_live_state(tiny_dataset, tiny_book):
     from repro.nn.optim import Adam
 
     with Cluster(tiny_dataset, tiny_book, hidden_dim=8) as cluster:
-        opts = [Adam(d.model.parameters()) for d in cluster.devices]
+        opt = Adam(cluster.model.parameters())
         exchange = ExactHaloExchange()
-        state = capture_state(cluster, opts, exchange, epoch=1)
+        state = capture_state(cluster, opt, exchange, epoch=1)
         before = {k: v.copy() for k, v in state.model.items()}
         cluster.train_epoch(exchange, 0)
-        for opt in opts:
-            opt.step()
+        opt.step()
         for name in before:
             np.testing.assert_array_equal(state.model[name], before[name])
 

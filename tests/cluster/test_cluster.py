@@ -36,41 +36,44 @@ def test_distributed_equals_single_machine(tiny_dataset, kind):
     r1 = c1.train_epoch(ExactHaloExchange(), 0)
     r4 = c4.train_epoch(ExactHaloExchange(), 0)
     assert abs(r1.loss - r4.loss) < 1e-5
-    g1 = c1.devices[0].model.grad_vector()
-    g4 = c4.devices[0].model.grad_vector()
+    g1 = c1.model.grad_vector()
+    g4 = c4.model.grad_vector()
     rel = np.abs(g1 - g4).max() / (np.abs(g1).max() + 1e-12)
     assert rel < 1e-4
 
 
 def test_replicas_start_identical(tiny_dataset):
+    """What the paper's K replicas share, the cluster holds once: no device
+    carries a model, and the weights are the shared init stream's draws
+    whatever the partition count."""
     c = _cluster(tiny_dataset, 4)
-    states = [dev.model.state_dict() for dev in c.devices]
-    for s in states[1:]:
-        for k, v in s.items():
-            assert np.array_equal(v, states[0][k])
+    assert not any(hasattr(dev, "model") for dev in c.devices)
+    one = _cluster(tiny_dataset, 1).model.state_dict()
+    for k, v in c.model.state_dict().items():
+        assert np.array_equal(v, one[k])
 
 
 def test_replicas_stay_identical_after_step(tiny_dataset):
+    """Every device computes with the one parameter set the one optimizer
+    steps: the engine reads ``cluster.model`` and writes its ``grad``."""
     c = _cluster(tiny_dataset, 3, dropout=0.5)
-    opts = [Adam(dev.model.parameters(), lr=0.01) for dev in c.devices]
+    opt = Adam(c.model.parameters(), lr=0.01)
     for epoch in range(3):
         c.train_epoch(ExactHaloExchange(), epoch)
-        for opt in opts:
-            opt.step()
-    s0 = c.devices[0].model.state_dict()
-    s2 = c.devices[2].model.state_dict()
-    for k in s0:
-        assert np.array_equal(s0[k], s2[k])
+        opt.step()
+    engine = c._compute_engine()
+    assert engine.model is c.model
+    assert [id(p) for p in engine._params] == [id(p) for p in opt.params]
+    assert not any(hasattr(dev, "model") for dev in c.devices)
 
 
 def test_loss_decreases_with_training(tiny_single_label_dataset):
     c = _cluster(tiny_single_label_dataset, 2, hidden=16)
-    opts = [Adam(dev.model.parameters(), lr=0.01) for dev in c.devices]
+    opt = Adam(c.model.parameters(), lr=0.01)
     losses = []
     for epoch in range(15):
         rec = c.train_epoch(ExactHaloExchange(), epoch)
-        for opt in opts:
-            opt.step()
+        opt.step()
         losses.append(rec.loss)
     assert losses[-1] < 0.8 * losses[0]
     # And the trajectory is (weakly) monotone after warm-up.
@@ -80,11 +83,10 @@ def test_loss_decreases_with_training(tiny_single_label_dataset):
 def test_quantized_training_converges_close_to_exact(tiny_single_label_dataset):
     def run(exchange_factory):
         c = _cluster(tiny_single_label_dataset, 4, hidden=16)
-        opts = [Adam(dev.model.parameters(), lr=0.01) for dev in c.devices]
+        opt = Adam(c.model.parameters(), lr=0.01)
         for epoch in range(12):
             c.train_epoch(exchange_factory(), epoch)
-            for opt in opts:
-                opt.step()
+            opt.step()
         return c.evaluate()["val"]
 
     exact = run(ExactHaloExchange)
@@ -105,7 +107,7 @@ def test_record_structure(tiny_dataset):
         assert p.bytes_matrix.sum() > 0
         assert (p.agg_flops >= p.agg_flops_central).all()
         assert (p.dense_flops > 0).all()
-    assert rec.grad_allreduce_bytes == c.devices[0].model.grad_vector().nbytes
+    assert rec.grad_allreduce_bytes == c.model.grad_vector().nbytes
     assert rec.total_wire_bytes() == sum(p.bytes_matrix.sum() for p in rec.phases)
 
 

@@ -14,13 +14,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference.model import aggregate, aggregate_transpose, matrix_t, stack_conv_inputs
 from reference.oracle import ExactPolicy, ReferenceTrainer
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.compute import FusedClusterCompute, _spmv, build_block_diagonal
 from repro.cluster.exchange import ExactHaloExchange
 from repro.gnn.coefficients import build_aggregation
-from repro.gnn.conv import stack_conv_inputs
 from repro.graph.graph import Graph
 from repro.graph.partition.api import partition_graph
 from repro.graph.partition.book import PartitionBook, build_local_partitions
@@ -71,23 +71,26 @@ def test_default_shape_identical_to_plainest(matrix, hidden):
 
 
 def test_replicas_stay_identical_under_fused_engine(tiny_dataset):
+    """The engine holds no replica: it computes with the cluster's one
+    parameter set, which the optimizer's steps move in place, and it writes
+    the reduced gradient into that set's ``grad`` once."""
     from repro.nn.optim import Adam
 
     book = partition_graph(tiny_dataset.graph, 3, method="metis", seed=0)
     cluster = Cluster(
         tiny_dataset, book, hidden_dim=8, num_layers=2, dropout=0.5, seed=0
     )
-    opts = [Adam(dev.model.parameters(), lr=0.01) for dev in cluster.devices]
+    opt = Adam(cluster.model.parameters(), lr=0.01)
     exchange = ExactHaloExchange()
+    data = [p.data for p in cluster.model.parameters()]
     for epoch in range(3):
         cluster.train_epoch(exchange, epoch)
-        for opt in opts:
-            opt.step()
-    s0 = cluster.devices[0].model.state_dict()
-    for dev in cluster.devices[1:]:
-        s = dev.model.state_dict()
-        for key in s0:
-            assert np.array_equal(s0[key], s[key])
+        opt.step()
+    engine = cluster._engine
+    assert engine.model is cluster.model
+    assert all(p.data is d for p, d in zip(cluster.model.parameters(), data))
+    reduced = [acc.astype(np.float32) for acc in engine._acc]
+    assert all(np.array_equal(p.grad, r) for p, r in zip(engine._params, reduced))
 
 
 def test_fused_compute_is_default(tiny_dataset, tiny_book):
@@ -354,7 +357,7 @@ def test_block_diagonal_equals_per_device_aggregation(case):
     offset = 0
     for k, dev in enumerate(devices):
         x_full = np.vstack([x_own[k], x_halo[k]]) if n_halo[k] else x_own[k]
-        z_dev = dev.agg.aggregate(x_full)
+        z_dev = aggregate(dev.agg, x_full)
         assert np.array_equal(z_global[offset : offset + n_own[k]], z_dev)
         offset += n_own[k]
 
@@ -364,7 +367,7 @@ def test_block_diagonal_equals_per_device_aggregation(case):
     own_off = np.concatenate([[0], np.cumsum(n_own)])
     halo_off = np.concatenate([[0], np.cumsum(n_halo)])
     for k, dev in enumerate(devices):
-        d_dev = dev.agg.aggregate_transpose(d_z[own_off[k] : own_off[k + 1]])
+        d_dev = aggregate_transpose(dev.agg, d_z[own_off[k] : own_off[k + 1]])
         assert np.array_equal(d_own[own_off[k] : own_off[k + 1]], d_dev[: n_own[k]])
         assert np.array_equal(
             d_halo[halo_off[k] : halo_off[k + 1]], d_dev[n_own[k] :]
@@ -381,10 +384,10 @@ def test_cached_transpose_matches_csc_path(tiny_parts, tiny_dataset):
         d_z = np.random.default_rng(0).normal(
             size=(agg.n_owned, 6)
         ).astype(np.float32)
-        via_cache = agg.aggregate_transpose(d_z)
+        via_csr = aggregate_transpose(agg, d_z)
         via_csc = np.asarray(agg.matrix.T @ d_z)
-        assert np.array_equal(via_cache, via_csc)
-        assert agg.matrix_t is agg.matrix_t  # built once, cached
+        assert np.array_equal(via_csr, via_csc)
+        assert matrix_t(agg).format == "csr"
 
 
 def test_stack_conv_inputs_paths():
@@ -411,11 +414,11 @@ def test_aggregation_stays_float32(tiny_parts, tiny_dataset):
     for kind in ("gcn", "sage", "sum"):
         agg = build_aggregation(tiny_parts[0], degrees, kind)
         assert agg.matrix.dtype == np.float32
-        assert agg.matrix_t.dtype == np.float32
+        assert matrix_t(agg).dtype == np.float32
         x = np.ones((agg.n_owned + agg.n_halo, 4), dtype=np.float32)
-        assert agg.aggregate(x).dtype == np.float32
+        assert aggregate(agg, x).dtype == np.float32
         d = np.ones((agg.n_owned, 4), dtype=np.float32)
-        assert agg.aggregate_transpose(d).dtype == np.float32
+        assert aggregate_transpose(agg, d).dtype == np.float32
 
 
 def test_loss_out_buffer_matches_fresh_allocation():
@@ -443,8 +446,8 @@ def test_eval_forward_logits_equal_the_reference_per_device(tiny_dataset):
     assert isinstance(cluster._compute_engine(), FusedClusterCompute)
     engine = cluster._eval_forward()
     reference = ReferenceTrainer(tiny_dataset, book, "exact", model_kind="gcn", **shape)
-    for dev in reference.devices:
-        dev.model.eval()
+    for model in reference.models:
+        model.eval()
     per_device, _ = reference.forward(ExactPolicy())
     for k, dev in enumerate(reference.devices):
         rows = engine.logits[engine.own_off[k] : engine.own_off[k + 1]]

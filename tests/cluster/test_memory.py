@@ -21,6 +21,7 @@ from repro.cluster.memory import (
     host_memory,
 )
 from repro.graph.partition.api import partition_graph
+from repro.nn.optim import Adam
 from repro.quant import fused
 from repro.quant.stochastic import KeyedRounding
 
@@ -45,6 +46,14 @@ def _quant_stage(cluster, steps_widths):
     return send_rows * (5 * sum(steps_widths) + per_row)
 
 
+def _model_resident(cluster):
+    """The process's one parameter set, counted off the objects: the
+    parameters, their ``grad`` and an Adam's ``m`` and ``v`` slots."""
+    opt = Adam(cluster.model.parameters())
+    params = sum(p.data.nbytes + p.grad.nbytes for p in opt.params)
+    return params + sum(m.nbytes + v.nbytes for m, v in zip(opt._m, opt._v))
+
+
 @pytest.fixture(scope="module")
 def cluster(tiny_dataset):
     book = partition_graph(tiny_dataset.graph, 4, method="metis", seed=0)
@@ -64,8 +73,10 @@ def test_feature_bytes_exact(cluster):
 
 
 def test_param_and_grad_bytes_match_model(cluster):
-    for fp, dev in zip(estimate_memory(cluster), cluster.devices):
-        assert fp.model_param_bytes == dev.model.num_parameters() * 4
+    """Per device, the paper's per-GPU replica: a full parameter set and
+    its gradient."""
+    for fp in estimate_memory(cluster):
+        assert fp.model_param_bytes == cluster.model.num_parameters() * 4
         assert fp.model_grad_bytes == fp.model_param_bytes
 
 
@@ -97,11 +108,10 @@ def test_stacked_buffers_counted_for_fused_engine(cluster):
         assert fp.stacked_buffer_bytes > 0
         assert not fp.streaming
         assert fp.memmap_window_bytes == 0
-        # In-RAM fused mode: features alongside their stacked layer-0 copy.
+        # In-RAM fused mode: features alongside their stacked layer-0 copy;
+        # the one parameter set is the process's, not a device's.
         assert fp.resident_bytes == (
-            fp.model_param_bytes + fp.model_grad_bytes
-            + fp.decode_workspace_bytes
-            + fp.feature_bytes + fp.stacked_buffer_bytes
+            fp.decode_workspace_bytes + fp.feature_bytes + fp.stacked_buffer_bytes
         )
 
 
@@ -147,7 +157,7 @@ def test_streaming_estimate_follows_operand_order(huge_store, hidden):
         assert estimate_peak_resident(c) == (
             sum(fp.resident_bytes - fp.memmap_window_bytes for fp in fps)
             + max(fp.memmap_window_bytes for fp in fps) + quant_stage + scratch
-            + _kernel_scratch(c)
+            + _kernel_scratch(c) + _model_resident(c)
         )
         assert _operator_bytes(c) == 0  # the operator blocks are in the windows
         assert (scratch == 0) == (hidden == 16)
@@ -158,11 +168,13 @@ def test_streaming_estimate_follows_operand_order(huge_store, hidden):
 
 
 def test_estimate_peak_resident_sums_devices(cluster):
+    """Every device's buffers, and the one parameter set once — not once
+    per device, as when every device held a replica."""
     fps = estimate_memory(cluster)
     quant_stage = _quant_stage(cluster, 2 * cluster.dims[:-1])
     assert estimate_peak_resident(cluster) == (
         sum(fp.resident_bytes for fp in fps) + quant_stage + _kernel_scratch(cluster)
-        + _operator_bytes(cluster)
+        + _operator_bytes(cluster) + _model_resident(cluster)
     )
 
 

@@ -1,14 +1,21 @@
-"""Graph convolutions: gradients including the halo path."""
+"""Graph convolutions: gradients including the halo path.
+
+The per-device forward/backward is the reference model's
+(``tests/reference/model.py``); production's parameter-only model and its
+operand-order rule are checked directly.
+"""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference.model import GCNConv, GNNLayer, SAGEConv
 
+from repro.gnn import conv as conv_params
 from repro.gnn.coefficients import AggregationContext, build_aggregation
-from repro.gnn.conv import GCNConv, SAGEConv, transform_first
-from repro.gnn.model import DistGNN, GNNLayer
+from repro.gnn.conv import transform_first
+from repro.gnn.model import DistGNN
 from repro.graph.graph import Graph
 from repro.graph.partition.book import PartitionBook, build_local_partitions
 from repro.nn.gradcheck import numerical_gradient, relative_error
@@ -93,9 +100,13 @@ def test_operand_order_is_a_function_of_shape():
     assert not transform_first(8, 24)
     _, agg = _two_part_case("gcn")
     for d_in, d_out in [(6, 4), (4, 4), (4, 6)]:
-        conv = GCNConv(d_in, d_out, agg, np.random.default_rng(0))
-        assert conv.transform_first == (d_out < d_in)
-        assert not SAGEConv(d_in, d_out, agg, np.random.default_rng(0)).transform_first
+        rng = np.random.default_rng(0)
+        for conv in (
+            conv_params.GCNConv(d_in, d_out, rng), GCNConv(d_in, d_out, agg, rng)
+        ):
+            assert conv.transform_first == (d_out < d_in)
+        assert not conv_params.SAGEConv(d_in, d_out, rng).transform_first
+        assert not SAGEConv(d_in, d_out, agg, rng).transform_first
 
 
 def _float64_gcn(n_own, n_halo, d_in, d_out, seed, *, order):
@@ -218,17 +229,10 @@ def test_sage_root_path_separate_from_neighbors():
 
 
 def test_gnn_layer_output_flag():
-    part, agg = _two_part_case("gcn")
-    pool = np.random.default_rng(0)
-    hidden = GNNLayer(
-        "gcn", 4, 4, agg, pool, dropout=0.0, is_output=False,
-        dropout_rng=np.random.default_rng(1),
-    )
-    output = GNNLayer(
-        "gcn", 4, 4, agg, pool, dropout=0.0, is_output=True,
-        dropout_rng=np.random.default_rng(1),
-    )
+    model = DistGNN("gcn", [4, 4, 4], dropout=0.0, weight_rng=np.random.default_rng(0))
+    hidden, output = model.layers
     assert hasattr(hidden, "norm") and not hasattr(output, "norm")
+    assert hidden.has_post_stage and not output.has_post_stage
 
 
 def test_gnn_layer_gradcheck_through_post_processing():
@@ -252,29 +256,28 @@ def test_gnn_layer_gradcheck_through_post_processing():
 
 
 def test_distgnn_construction_and_dims():
+    """Production's model holds parameters only — no operator, no dropout
+    stream, no per-call forward/backward — drawn from the init stream in
+    the reference replica's order."""
     part, agg = _two_part_case("gcn")
-    model = DistGNN(
-        "gcn", [8, 16, 4], agg, dropout=0.5,
-        weight_rng=np.random.default_rng(0),
-        dropout_rng=np.random.default_rng(1),
-    )
+    model = DistGNN("gcn", [8, 16, 4], dropout=0.5, weight_rng=np.random.default_rng(0))
     assert model.num_layers == 2
     assert model.layer_dims(0) == (8, 16)
     assert model.layer_dims(1) == (16, 4)
     assert model.layers[-1].is_output
+    assert model.layers[0].drop.p == 0.5
+    for layer in model.layers:
+        assert not hasattr(layer, "forward") and not hasattr(layer.conv, "agg")
+    replica = GNNLayer(
+        "gcn", 8, 16, agg, np.random.default_rng(0), dropout=0.5, is_output=False,
+        dropout_rng=np.random.default_rng(1),
+    )
+    for name, param in model.layers[0].named_parameters():
+        assert np.array_equal(dict(replica.named_parameters())[name].data, param.data)
 
 
 def test_distgnn_validation():
-    part, agg = _two_part_case("gcn")
     with pytest.raises(ValueError):
-        DistGNN(
-            "gcn", [8], agg, dropout=0.0,
-            weight_rng=np.random.default_rng(0),
-            dropout_rng=np.random.default_rng(0),
-        )
+        DistGNN("gcn", [8], dropout=0.0, weight_rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
-        DistGNN(
-            "gat", [8, 4], agg, dropout=0.0,
-            weight_rng=np.random.default_rng(0),
-            dropout_rng=np.random.default_rng(0),
-        )
+        DistGNN("gat", [8, 4], dropout=0.0, weight_rng=np.random.default_rng(0))

@@ -1,10 +1,16 @@
-"""Layer forward/backward correctness against numerical gradients."""
+"""Layer forward/backward correctness against numerical gradients.
+
+The per-device forward/backward is the reference model's
+(``tests/reference/model.py``), over production's parameter-holding
+layers; the engine's post stage is checked against it bit for bit.
+"""
 
 import numpy as np
 import pytest
+from reference.model import Dropout, LayerNorm, Linear, ReLU
 
+from repro.nn import layers
 from repro.nn.gradcheck import numerical_gradient, relative_error
-from repro.nn.layers import Dropout, LayerNorm, Linear, ReLU
 
 RNG = np.random.default_rng(0)
 
@@ -158,18 +164,17 @@ def test_sample_mask_into_a_buffer_keeps_the_bits_and_the_stream(p):
     keep = 1.0 - p
     reference = np.random.default_rng(3)
     want = (reference.random((33, 7)) < keep).astype(np.float32) / keep
-    drop = Dropout(p, np.random.default_rng(3))
+    drop, stream = layers.Dropout(p), np.random.default_rng(3)
     buf = np.full((40, 7), np.nan, dtype=np.float32)
-    got = drop.sample_mask((33, 7), out=buf[:33])
+    got = drop.sample_mask(stream, (33, 7), out=buf[:33])
     assert np.shares_memory(got, buf)
     assert buf[:33].tobytes() == want.tobytes()
     assert np.isnan(buf[33:]).all()
-    assert drop.rng.bit_generator.state == reference.bit_generator.state
-    assert Dropout(p, np.random.default_rng(3)).sample_mask((33, 7)).tobytes() == (
-        want.tobytes()
-    )
+    assert stream.bit_generator.state == reference.bit_generator.state
+    fresh = drop.sample_mask(np.random.default_rng(3), (33, 7))
+    assert fresh.tobytes() == want.tobytes()
     with pytest.raises(ValueError, match="shape"):
-        drop.sample_mask((33, 7), out=buf)
+        drop.sample_mask(stream, (33, 7), out=buf)
 
 
 @pytest.mark.parametrize("p", [0.0, 0.4])
@@ -194,8 +199,8 @@ def test_engine_post_stage_is_the_modules(dim, p):
     drop = np.empty_like(x) if p else None
     for k, (lo, hi) in enumerate(blocks):
         if drop is not None:
-            Dropout(p, np.random.default_rng(k)).sample_mask(
-                (hi - lo, dim), out=drop[lo:hi]
+            layers.Dropout(p).sample_mask(
+                np.random.default_rng(k), (hi - lo, dim), out=drop[lo:hi]
             )
     h, g, x_hat = x.copy(), d.copy(), np.empty_like(x)
     inv_std, mask = np.empty((n, 1), np.float32), np.empty((n, dim), bool)

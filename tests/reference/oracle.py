@@ -17,7 +17,9 @@ in source-then-destination ascending order and are consumed in ascending
 source order; a quantized message's noise is keyed on ``(epoch, phase,
 layer, src, dst)``; each layer picks aggregate-or-transform from its conv's
 ``transform_first``; parameter gradients are summed over devices in rank
-order in float64.
+order in float64.  Every device holds its own model replica
+(``model.py``) and its own optimizer, as AdaQP's GPUs do; the replicas
+start from one weight stream and step on the same reduced gradient.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from reference.model import Replica
 from reference.wire import MixedPrecisionEncoder, decode
 
 from repro.cluster.runtime import build_devices
@@ -36,6 +39,7 @@ from repro.nn.losses import bce_with_logits_loss, softmax_cross_entropy
 from repro.nn.metrics import metric_counts, metric_from_counts
 from repro.nn.optim import Adam
 from repro.quant.stochastic import KeyedRounding
+from repro.utils.seed import RngPool
 
 #: The matrix's run recipe, shared with the production arm.
 EPOCHS = 4
@@ -224,9 +228,16 @@ class ReferenceTrainer:
         dropout=0.5, seed=7,
     ) -> None:
         dims = [dataset.num_features, *[hidden_dim] * (num_layers - 1), dataset.num_classes]
-        self.devices, _ = build_devices(
-            dataset, book, model_kind=model_kind, dims=dims, dropout=dropout, seed=seed
-        )
+        self.devices, _ = build_devices(dataset, book, model_kind=model_kind, seed=seed)
+        weights = RngPool(seed).fork("cluster").fork("weights")
+        self.models = [
+            Replica(
+                model_kind, dims, dev.agg, dropout=dropout,
+                weight_rng=weights.fork("shared").get("init"),
+                dropout_rng=dev.dropout_rng,
+            )
+            for dev in self.devices
+        ]  # fmt: skip
         self.policy = make_policy(policy, self) if isinstance(policy, str) else policy
         self.multilabel = dataset.multilabel
         self.n_train = sum(int(dev.train_mask.sum()) for dev in self.devices)
@@ -241,7 +252,7 @@ class ReferenceTrainer:
         """Per-device outputs of the last layer, and the wire bytes moved."""
         devices, wire = self.devices, 0
         h = [dev.features for dev in devices]
-        for layer in range(devices[0].model.num_layers):
+        for layer in range(len(self.models[0].layers)):
             mail, nbytes = policy.exchange("fwd", layer, devices, h)
             wire += nbytes
             nxt = []
@@ -249,18 +260,18 @@ class ReferenceTrainer:
                 halo = np.zeros((dev.part.n_halo, h[dev.rank].shape[1]), np.float32)
                 for src in self.arrival_order(mail[dev.rank]):
                     halo[dev.part.recv_map[src]] = mail[dev.rank][src]
-                nxt.append(dev.model.layers[layer].forward(h[dev.rank], halo))
+                nxt.append(self.models[dev.rank].layers[layer].forward(h[dev.rank], halo))
             h = nxt
         return h, wire
 
     def train_epoch(self, epoch: int) -> tuple[float, int]:
         """One forward/backward pass; leaves the reduced gradient in every
         replica.  Returns ``(loss, wire bytes)``."""
-        devices = self.devices
+        devices, models = self.devices, self.models
         self.policy.start_epoch(epoch)
-        for dev in devices:
-            dev.model.train()
-            dev.model.zero_grad()
+        for model in models:
+            model.train()
+            model.zero_grad()
         logits, wire = self.forward(self.policy)
 
         loss_fn = bce_with_logits_loss if self.multilabel else softmax_cross_entropy
@@ -272,8 +283,8 @@ class ReferenceTrainer:
             loss += dev_loss
             d.append(d_logits)
 
-        for layer in reversed(range(devices[0].model.num_layers)):
-            back = [dev.model.layers[layer].backward(d[dev.rank]) for dev in devices]
+        for layer in reversed(range(len(models[0].layers))):
+            back = [model.layers[layer].backward(d[k]) for k, model in enumerate(models)]
             d = [d_own for d_own, _ in back]
             if layer == 0 and not self.routes_input_grads:
                 continue
@@ -285,17 +296,17 @@ class ReferenceTrainer:
                 for src in self.arrival_order(mail[dev.rank]):
                     d[dev.rank][dev.part.send_map[src]] += mail[dev.rank][src]
 
-        total = np.zeros(devices[0].model.grad_vector().size, dtype=np.float64)
-        for dev in devices:
-            total += dev.model.grad_vector()
-        for dev in devices:
-            dev.model.set_grad_vector(total.astype(np.float32))
+        total = np.zeros(models[0].grad_vector().size, dtype=np.float64)
+        for model in models:
+            total += model.grad_vector()
+        for model in models:
+            model.set_grad_vector(total.astype(np.float32))
         return float(loss), wire
 
     def evaluate(self) -> dict[str, float]:
         """Exact eval-mode forward; split metrics from per-device counts."""
-        for dev in self.devices:
-            dev.model.eval()
+        for model in self.models:
+            model.eval()
         logits, _ = self.forward(ExactPolicy())
         metrics = {}
         for split in ("train", "val", "test"):
@@ -310,12 +321,12 @@ class ReferenceTrainer:
         return metrics
 
     def run(self, epochs: int = EPOCHS, lr: float = 0.01) -> Run:
-        optimizers = [Adam(dev.model.parameters(), lr=lr) for dev in self.devices]
+        optimizers = [Adam(model.parameters(), lr=lr) for model in self.models]
         out = Run()
         for epoch in range(epochs):
             loss, wire = self.train_epoch(epoch)
             tracer = getattr(self.policy, "tracer", None)
-            out.record(loss, wire, self.devices[0].model, tracer)
+            out.record(loss, wire, self.models[0], tracer)
             for opt in optimizers:
                 opt.step()
         out.metrics = self.evaluate()

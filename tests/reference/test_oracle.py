@@ -16,9 +16,13 @@ FENCED = (
     "repro.cluster.compute", "repro.cluster.exchange", "repro.quant.fused",
     "repro.comm.transport",
 )  # fmt: skip
-#: The wire reference states bytes with no part of the engine or the
-#: compiled tier, on top of the fence every reference module keeps.
-FENCED_FOR = {"wire.py": ("repro.cluster", "repro.kernels")}
+#: The wire reference states bytes, and the reference model a replica's
+#: forward/backward, with no part of the cluster or the compiled tier, on
+#: top of the fence every reference module keeps.
+FENCED_FOR = {
+    "wire.py": ("repro.cluster", "repro.kernels"),
+    "model.py": ("repro.cluster", "repro.kernels"),
+}
 
 
 def _trainer(dataset, parts, policy, hidden, **kwargs):

@@ -61,8 +61,8 @@ def test_full_stack_weight_gradient_numerical():
 
     base = Cluster(ds, book, model_kind="gcn", hidden_dim=4, num_layers=2,
                    dropout=0.0, seed=0)
-    loss_for(base)  # populates gradients on every replica
-    analytic = base.devices[0].model.layers[0].conv.linear.weight.grad.copy()
+    loss_for(base)  # populates the reduced gradients
+    analytic = base.model.layers[0].conv.linear.weight.grad.copy()
 
     eps = 1e-3
     w_shape = analytic.shape
@@ -71,12 +71,10 @@ def test_full_stack_weight_gradient_numerical():
         i, j = gen.integers(0, w_shape[0]), gen.integers(0, w_shape[1])
         plus = Cluster(ds, book, model_kind="gcn", hidden_dim=4, num_layers=2,
                        dropout=0.0, seed=0)
-        for dev in plus.devices:  # perturb every replica identically
-            dev.model.layers[0].conv.linear.weight.data[i, j] += eps
+        plus.model.layers[0].conv.linear.weight.data[i, j] += eps
         minus = Cluster(ds, book, model_kind="gcn", hidden_dim=4, num_layers=2,
                         dropout=0.0, seed=0)
-        for dev in minus.devices:
-            dev.model.layers[0].conv.linear.weight.data[i, j] -= eps
+        minus.model.layers[0].conv.linear.weight.data[i, j] -= eps
         numeric = (loss_for(plus) - loss_for(minus)) / (2 * eps)
         assert abs(numeric - analytic[i, j]) < 5e-3 * max(1.0, abs(numeric)) + 1e-4
 
@@ -86,14 +84,14 @@ def test_8bit_quantization_barely_perturbs_gradients():
     exact = Cluster(ds, book, model_kind="gcn", hidden_dim=4, num_layers=2,
                     dropout=0.0, seed=0)
     exact.train_epoch(ExactHaloExchange(), 0)
-    g_exact = exact.devices[0].model.grad_vector()
+    g_exact = exact.model.grad_vector()
 
     quant = Cluster(ds, book, model_kind="gcn", hidden_dim=4, num_layers=2,
                     dropout=0.0, seed=0)
     quant.train_epoch(
         FusedQuantizedHaloExchange(FixedBitProvider(8), KeyedRounding(0)), 0
     )
-    g_quant = quant.devices[0].model.grad_vector()
+    g_quant = quant.model.grad_vector()
     rel = np.linalg.norm(g_exact - g_quant) / (np.linalg.norm(g_exact) + 1e-12)
     assert rel < 0.05
 
@@ -105,7 +103,7 @@ def test_gradient_noise_decreases_with_bits():
     exact = Cluster(ds, book, model_kind="gcn", hidden_dim=4, num_layers=2,
                     dropout=0.0, seed=0)
     exact.train_epoch(ExactHaloExchange(), 0)
-    g_exact = exact.devices[0].model.grad_vector()
+    g_exact = exact.model.grad_vector()
 
     def deviation(bits):
         devs = []
@@ -119,7 +117,7 @@ def test_gradient_noise_decreases_with_bits():
                 0,
             )
             devs.append(
-                np.linalg.norm(c.devices[0].model.grad_vector() - g_exact)
+                np.linalg.norm(c.model.grad_vector() - g_exact)
             )
         return float(np.mean(devs))
 

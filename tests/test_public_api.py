@@ -69,9 +69,12 @@ def test_second_statements_are_gone(tiny_dataset, tiny_book):
     ``LocalPartition`` and the cluster's phase records, SANCUS's broadcast
     by ``schedule_sancus``, the gradient reduction by the engine, a step's
     encode by ``gather_step`` → ``quantize_pack_shard``, which runs
-    overlap by ``OVERLAP_SYSTEMS``, and the split-phase step by the
-    engine's column halves.  The ``.npz`` formats nothing read or wrote are
-    gone too."""
+    overlap by ``OVERLAP_SYSTEMS``, the split-phase step by the engine's
+    column halves, and the model's forward/backward by the engine over the
+    cluster's one parameter set (the per-device statement is the reference
+    model under ``tests/reference/``; an elastic resize is a new cluster
+    plus ``restore_state``).  The ``.npz`` formats nothing read or wrote
+    are gone too."""
     import dataclasses
 
     from repro.cluster import Cluster
@@ -117,3 +120,27 @@ def test_second_statements_are_gone(tiny_dataset, tiny_book):
         engine = cluster._compute_engine()
     for attr in ("overlap_plan", "matrix", "matrix_t"):
         assert not hasattr(engine, attr), attr
+    # One parameter set: no replica per device, no resize that copies one.
+    from repro.cluster.runtime import DeviceRuntime
+    from repro.gnn import coefficients, conv, model
+    from repro.nn import layers
+
+    assert "model" not in {f.name for f in dataclasses.fields(DeviceRuntime)}
+    assert not any(hasattr(dev, "model") for dev in cluster.devices)
+    for owner, names in {
+        Cluster: ("repartition", "_ctor"),
+        cluster: ("repartition", "_ctor"),
+        model.GNNLayer: ("forward", "backward"),
+        model.DistGNN: ("forward", "backward"),
+        conv.GCNConv: ("forward", "backward"),
+        conv.SAGEConv: ("forward", "backward"),
+        conv: ("stack_conv_inputs",),
+        coefficients.AggregationContext: ("aggregate", "aggregate_transpose", "matrix_t"),
+        layers: ("ReLU",),
+        layers.Linear: ("forward", "backward"),
+        layers.LayerNorm: ("forward", "backward"),
+        layers.Dropout: ("forward", "backward"),
+    }.items():
+        for name in names:
+            assert not hasattr(owner, name), (owner, name)
+    assert "stack_conv_inputs" not in conv.__all__
