@@ -12,7 +12,7 @@ matrices and FLOP counts that the schedule simulators turn into epoch
 times.
 """
 
-from repro.cluster.compute import FusedClusterCompute, build_block_diagonal
+from repro.cluster.compute import FusedClusterCompute
 from repro.cluster.memory import MemoryFootprint, estimate_memory
 from repro.cluster.perfmodel import PerfModel
 from repro.cluster.records import EpochRecord, PhaseRecord, StepTimeline, TimelineSummary
@@ -28,7 +28,6 @@ from repro.cluster.cluster import Cluster
 
 __all__ = [
     "FusedClusterCompute",
-    "build_block_diagonal",
     "MemoryFootprint",
     "estimate_memory",
     "PerfModel",

@@ -10,9 +10,10 @@ model replica per GPU, kept equal by the gradient allreduce; all devices
 here run in one process, so the one parameter set stands for them all.
 
 Layer compute runs on the cluster-fused engine
-(:class:`~repro.cluster.compute.FusedClusterCompute`): one block-diagonal
-spmv per column half and one stacked GEMM per layer step for all devices
-together, with halo rows exchanged straight into the stacked buffers.
+(:class:`~repro.cluster.compute.FusedClusterCompute`): one spmv per device
+and column half over each device's operator quartet, and one stacked GEMM
+per layer step for all devices together, with halo rows exchanged straight
+into the stacked buffers.
 What it must compute is stated independently by the per-device reference
 trainer under ``tests/reference/``, which every execution shape is
 compared with bitwise.
@@ -151,11 +152,7 @@ class Cluster:
             model_kind, dims, dropout=dropout, weight_rng=weights.get("init")
         )
 
-        # Store datasets stream each device's operators (``_stream_ops``)
-        # through the engine instead of a materialized block diagonal.
-        self.devices, self._stream_ops = build_devices(
-            dataset, book, model_kind=model_kind, seed=seed
-        )
+        self.devices = build_devices(dataset, book, model_kind=model_kind, seed=seed)
 
         # Static per-device message-row counts (drive quant-time modelling).
         self._rows_out = np.array(
@@ -193,8 +190,9 @@ class Cluster:
 
     def _compute_engine(self) -> FusedClusterCompute:
         if self._engine is None:
+            # Store datasets stream each device's pages through the engine.
             self._engine = FusedClusterCompute(
-                self.devices, self.model, stream=self._stream_ops
+                self.devices, self.model, stream=self._store_dataset is not None
             )
         return self._engine
 
@@ -363,8 +361,8 @@ class Cluster:
         quant_send = np.zeros(n)
         quant_recv = np.zeros(n)
         for dev in self.devices:
-            nnz = dev.agg.nnz
-            nnz_central = dev.agg.nnz_for_rows(dev.part.central_mask)
+            nnz = dev.ops.nnz
+            nnz_central = dev.ops.nnz_for_rows(dev.part.central_mask)
             agg_flops[dev.rank] = 2.0 * nnz * d_in
             agg_central[dev.rank] = 2.0 * nnz_central * d_in
             dense = dense_factor * 2.0 * dev.n_owned * d_in * d_out

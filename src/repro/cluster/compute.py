@@ -8,13 +8,14 @@ parameter set — and in the many-partition regime the paper's wall-clock
 results live in those tiny dispatches dominate the epoch.
 
 :class:`FusedClusterCompute` executes the whole cluster's forward/backward
-with cluster-wide operators instead:
+on cluster-wide buffers instead:
 
-* **one block-diagonal operator** stacks every device's aggregation
-  operator into a single global column space (owned columns first, halo
-  columns after), held as its own- and halo-column halves, so each half of
-  a layer's aggregation is one spmv — and the halves' CSR transposes make
-  each half of the backward routing one spmv too;
+* **one operator quartet per device**: each device's aggregation operator
+  is held as its own- and halo-column halves and their CSR transposes
+  (:class:`~repro.graph.io.SplitOperators`), in RAM and from a store
+  alike; each half of a layer's aggregation, and of the backward routing,
+  is one spmv per device, reading and writing that device's blocks of the
+  stacked buffers in place;
 * **stacked activations** live in preallocated ``(ΣN_own + ΣN_halo, d)``
   buffers; the halo exchange writes decoded rows straight into the halo
   region (the ``out`` a step names at
@@ -22,7 +23,8 @@ with cluster-wide operators instead:
   so no per-layer ``np.vstack`` copy is made;
 * **one stacked GEMM** per layer runs every device's dense transform with
   the one parameter set (via :func:`repro.nn.blas.row_matmul`, which
-  keeps per-row results identical to per-device GEMMs);
+  keeps per-row results identical to per-device GEMMs; a transform-first
+  layer's owned rows run one GEMM per device in the central window);
 * **weight gradients accumulate directly in reduced form**: per-device
   partial gradients are summed into float64 accumulators in rank order
   and rounded to float32 once, into the parameters' ``grad``, so K flat
@@ -46,9 +48,9 @@ is **bit-identical** to the per-device reference trainer — same losses,
 same reduced model gradients, same wire bytes — for every exchange policy
 (exact, quantized, stale, broadcast-skip).  Everything per-row is
 trivially identical; the three non-obvious cases are (a) GEMMs, handled
-by ``row_matmul``'s row-determinism, (b) spmv's, where the block-diagonal
-remap preserves per-row column order and every product — on scipy's
-``csr_matvecs`` or the compiled kernel that repeats its operations
+by ``row_matmul``'s row-determinism, (b) spmv's, where each device's
+quartet keeps every row's entries in stored order and every product — on
+scipy's ``csr_matvecs`` or the compiled kernel that repeats its operations
 (:func:`_spmv`) — sums each output row over its entries in stored order,
 and (c) reductions (loss sums, gradient sums, ``sum(axis=0)``
 of contiguous slices), which keep the per-device operation order exactly.
@@ -64,11 +66,10 @@ own-column entries and then its halo-column entries, in stored order, from
 ``+0.0``: the same sum as the one-pass product.  Backward mirrors it
 dependency-first: the input-gradient GEMM and ``Pᵀ``'s halo rows it feeds
 run *before* the post; every parameter partial and ``Pᵀ``'s owned rows fill
-the window.  The operators are :class:`~repro.graph.io.SplitOperators`
-quartets — one block-wide in RAM, one per device from a store — and every
-product is one loop over them.  ``overlap`` changes no operation: it opens
-the transport's accounting window (bytes that land while it is open count
-as hidden).  Every shape works in place on persistent buffers in their
+the window.  The operators are one :class:`~repro.graph.io.SplitOperators`
+quartet per device, in every run, and every product is one loop over them.
+``overlap`` changes no operation: it opens the transport's accounting
+window (bytes that land while it is open count as hidden).  Every shape works in place on persistent buffers in their
 original row order (permuting them would reorder the loss and ``xᵀ·d``
 reductions), and every step returns a measured
 :class:`~repro.cluster.records.StepTimeline`.
@@ -86,10 +87,9 @@ from repro.cluster.exchange import step_tag
 from repro.cluster.records import StepTimeline
 from repro.cluster.runtime import DeviceRuntime
 from repro.gnn.model import DistGNN
-from repro.graph.io import SplitOperators
 from repro.nn.blas import row_matmul
 
-__all__ = ["FusedClusterCompute", "build_block_diagonal"]
+__all__ = ["FusedClusterCompute"]
 
 try:  # pragma: no cover - import guard
     from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
@@ -271,59 +271,6 @@ def _post_backward(
     d[...] = norm.input_grad(d, x_hat, inv_std)
 
 
-def build_block_diagonal(devices: list[DeviceRuntime]) -> SplitOperators:
-    """Stack per-device aggregation operators into one cluster operator,
-    held as its column halves and their transposes.
-
-    Row ``own_off[k] + i`` is device ``k``'s owned row ``i``.  Device
-    ``k``'s owned column ``j`` becomes column ``own_off[k] + j`` of
-    ``own``, and its halo column ``j`` becomes column ``halo_off[k] + j``
-    of ``halo`` — the stacked buffer's row ``N_own + halo_off[k] + j``.
-    Every row stores its owned columns before its halo columns, so each
-    half keeps the per-device operator's entries in stored order, and
-    ``own`` then ``halo`` sums every row of ``P_global @ X`` exactly as the
-    K separate ``P_k @ x_k`` products they fuse.  The halves are split off
-    the per-device operators directly; the whole block diagonal is never
-    held.
-    """
-    n_own = [d.part.n_owned for d in devices]
-    n_halo = [d.part.n_halo for d in devices]
-    own_off = np.concatenate([[0], np.cumsum(n_own)]).astype(np.int64)
-    halo_off = np.concatenate([[0], np.cumsum(n_halo)]).astype(np.int64)
-    nnz = sum(d.agg.matrix.nnz for d in devices)
-    index = np.int32 if max(nnz, own_off[-1] + halo_off[-1]) < 2**31 else np.int64
-    own_parts, halo_parts = [], []  # (data, columns, row counts) per device
-    for k, dev in enumerate(devices):
-        m = dev.agg.matrix
-        owned = m.indices < n_own[k]
-        own_counts = np.diff(np.concatenate([[0], np.cumsum(owned)])[m.indptr])
-        own_cols = (m.indices[owned] + own_off[k]).astype(index)
-        halo_cols = (m.indices[~owned] + (halo_off[k] - n_own[k])).astype(index)
-        own_parts.append((m.data[owned], own_cols, own_counts))
-        halo_parts.append((m.data[~owned], halo_cols, np.diff(m.indptr) - own_counts))
-
-    def stack(parts: list, n_cols: int) -> sp.csr_matrix:
-        data, cols, counts = zip(*parts)
-        indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
-        matrix = sp.csr_matrix(
-            (np.concatenate(data), np.concatenate(cols), indptr.astype(index)),
-            shape=(int(own_off[-1]), n_cols),
-        )
-        # Canonical per-device operators and order-preserving remaps.
-        matrix.has_sorted_indices = True
-        matrix.has_canonical_format = True
-        return matrix
-
-    def transpose(matrix: sp.csr_matrix) -> sp.csr_matrix:
-        t = matrix.T.tocsr()
-        t.sort_indices()
-        return t
-
-    own = stack(own_parts, int(own_off[-1]))
-    halo = stack(halo_parts, int(halo_off[-1]))
-    return SplitOperators(own, halo, transpose(own), transpose(halo))
-
-
 class FusedClusterCompute:
     """Whole-cluster forward/backward on stacked buffers.
 
@@ -336,25 +283,27 @@ class FusedClusterCompute:
     Parameters
     ----------
     devices:
-        The cluster's device runtimes: partitions, operators, data and
-        dropout streams, in rank order.
+        The cluster's device runtimes: partitions, operator quartets, data
+        and dropout streams, in rank order.  Every product loops over the
+        devices' :class:`~repro.graph.io.SplitOperators`, one per device,
+        in RAM and from a store alike.
     model:
         The cluster's one parameter set; every device's rows are computed
         with it, and :meth:`reduce_gradients` writes its ``grad``.
     stream:
-        A store's per-device :class:`~repro.graph.io.SplitOperators` (rank
-        order) to run in **streaming mode** — the huge-graph residency.
-        Every product loops over these quartets instead of the block-wide
-        one and releases each device's pages once its rows are consumed,
-        bounding the resident window to roughly one partition.  The
-        layer-0 input buffer shrinks to its halo block (owned features are
-        read straight off the device's feature array); an aggregate-first
-        layer 0 aggregates device by device into a feature-width scratch
-        after finalize; and layer 0's backward stops at the parameter
-        partials — input features are not trainable, so the input-gradient
-        GEMM and the layer-0 gradient exchange are skipped (the only
-        wire-byte difference from the in-RAM engine; losses are
-        unchanged).  ``None`` (default) holds everything in RAM.
+        Run in **streaming mode** — the huge-graph residency, for devices
+        read off a store.  Each device's operator pages are released once
+        its rows are consumed, bounding the resident window to roughly one
+        partition.  The layer-0 input buffer shrinks to its halo block
+        (owned features are read straight off the device's feature array);
+        an aggregate-first layer 0 aggregates device by device into a
+        feature-width scratch after finalize; and layer 0's backward stops
+        at the parameter partials — input features are not trainable, so
+        the input-gradient GEMM and the layer-0 gradient exchange are
+        skipped (the only wire-byte difference from the in-RAM engine;
+        losses are unchanged).  Off (default), the layer-0 input buffer
+        holds the features, and each device's ``features`` becomes a view
+        of its owned block.
     """
 
     def __init__(
@@ -362,15 +311,13 @@ class FusedClusterCompute:
         devices: list[DeviceRuntime],
         model: DistGNN,
         *,
-        stream: list[SplitOperators] | None = None,
+        stream: bool = False,
     ) -> None:
         self.devices = devices
         self.model = model
         self.dims = dims = list(model.dims)
         self.model_kind = model_kind = model.kind
         self.num_layers = model.num_layers
-        if stream is not None and len(stream) != len(devices):
-            raise ValueError("stream ops must match devices one-to-one")
 
         n_own = [d.part.n_owned for d in devices]
         n_halo = [d.part.n_halo for d in devices]
@@ -381,16 +328,14 @@ class FusedClusterCompute:
         self._max_own = int(max(n_own)) if n_own else 0
         n_rows = self.total_own + self.total_halo
 
-        # The split operators, each with the stacked rows it covers: its
-        # owned rows (and owned columns) and its halo columns.
+        # Each device's split operators with the stacked rows they cover:
+        # its owned rows (and owned columns) and its halo columns.
         K = range(len(devices))
-        if stream is None:
-            self._ops = [build_block_diagonal(devices)]
-            spans = [(slice(0, self.total_own), slice(self.total_own, n_rows))]
-        else:
-            self._ops = list(stream)
-            spans = [(self._own_slice(k), self._halo_slice(k)) for k in K]
-        self._blocks = [(ops, own, halo) for ops, (own, halo) in zip(self._ops, spans)]
+        self._ops = [dev.ops for dev in devices]
+        self._blocks = [
+            (dev.ops, self._own_slice(k), self._halo_slice(k))
+            for k, dev in enumerate(devices)
+        ]
 
         L = self.num_layers
         self._transform_first = [mod.conv.transform_first for mod in model.layers]
@@ -398,21 +343,24 @@ class FusedClusterCompute:
         def rows(n: int, width: int) -> np.ndarray:
             return np.zeros((n, width), dtype=np.float32)
 
-        # Layer inputs: [all owned rows][all halo rows] per the operator's
-        # column space.  X[0]'s owned region holds the (static) features.
+        # Layer inputs: [all owned rows][all halo rows], device by device.
+        # X[0]'s owned region holds the (static) features, and each
+        # device's ``features`` becomes a view of its block: the one copy.
         # Streaming mode keeps only X[0]'s halo block resident (the
         # exchange's landing zone); owned features are read off the
         # device arrays, so the feature-width buffers — the dominant
         # allocations at huge-graph scale — are never duplicated in RAM,
         # and layer 0's input gradient is never needed at all (features
         # are not trainable).
-        lo = int(stream is not None)
+        lo = int(stream)
         self._x0_halo = rows(self.total_halo, dims[0]) if lo else None
         self._x = [None] * lo + [rows(n_rows, dims[l]) for l in range(lo, L)]
         self._dx = [None] * lo + [rows(n_rows, dims[l]) for l in range(lo, L)]
         if not lo:
             for k, dev in enumerate(devices):
-                self._x[0][self.own_off[k] : self.own_off[k + 1]] = dev.features
+                own = self._x[0][self._own_slice(k)]
+                own[...] = dev.features
+                dev.features = own
         # Aggregate-first layers keep the aggregated input ``z = P·X̃`` and
         # its gradient over owned rows; transform-first layers keep
         # ``T = X̃·W`` and ``dT = Pᵀ·dY`` over owned *and* halo rows, at
@@ -458,11 +406,7 @@ class FusedClusterCompute:
             else self._halo_blocks(x)
             for x in self._x
         ]
-        # Per layer, each block's owned input rows and the stacked halo rows.
-        self._own_inputs = [
-            views if x is None else [x[own] for _, own, _ in self._blocks]
-            for x, views in zip(self._x, self._own_views)
-        ]
+        # Per layer, the stacked halo rows (one GEMM's operand).
         self._halo_inputs = [
             self._x0_halo if x is None else x[self.total_own :] for x in self._x
         ]
@@ -550,14 +494,14 @@ class FusedClusterCompute:
         t1 = time.perf_counter()
 
         # Central window: only the work that needs no halo.  Transform-
-        # first, it opens with T's owned rows — one GEMM per block — and
+        # first, it opens with T's owned rows — one GEMM per device — and
         # P_own·T lands straight in the output rows (the dense pass
         # finishes them).
         transform = self._transform_first[layer]
         if transform:
             weight = mod.conv.linear.weight.data
             src, agg = self._t[layer], out_own
-            for (ops, own, _), x_own in zip(self._blocks, self._own_inputs[layer]):
+            for (ops, own, _), x_own in zip(self._blocks, self._own_views[layer]):
                 row_matmul(x_own, weight, out=src[own])
                 ops.release_feature_pages()
         else:

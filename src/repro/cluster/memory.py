@@ -25,9 +25,9 @@ Beyond the footnote-1 data counts, the footprint also models the
 * the memmap window a streaming device faults in (its operator blocks
   plus feature/label regions) — of which only the current device's is
   resident at once;
-* the in-RAM engine's CSR operators — every device's aggregation matrix
-  and the block diagonal's own- and halo-column halves with their
-  transposes;
+* the in-RAM engine's CSR operators — every device's
+  :class:`~repro.graph.io.SplitOperators` quartet, the own- and
+  halo-column halves with their transposes;
 * the quantized exchange's plan-resident staging — rows, and the packed
   wire plus per-row metadata (compiled tier) or uint8 codes (NumPy
   tier) — and the quantization kernel's per-chunk scratch, only where the
@@ -116,15 +116,13 @@ class MemoryFootprint:
         Streaming mode never materializes features or layer-0 buffers
         (they stay on the mapped store, counted by
         :attr:`memmap_window_bytes`); the in-RAM engine holds the device
-        features *and* their copy inside the stacked layer-0 buffer
-        (stacked buffers already include activations and halo regions).
-        The model is not a device's: the process holds one parameter set
-        for all of them (:func:`estimate_peak_resident` counts it once).
+        features once, as its block of the stacked layer-0 buffer (stacked
+        buffers include activations and halo regions).  The model is not
+        a device's: the process holds one parameter set for all of them
+        (:func:`estimate_peak_resident` counts it once).
         """
         buffers = self.decode_workspace_bytes + self.stacked_buffer_bytes
-        if self.streaming:
-            return buffers + self.memmap_window_bytes
-        return buffers + self.feature_bytes
+        return buffers + self.memmap_window_bytes
 
 
 def _stacked_bytes(
@@ -180,12 +178,20 @@ def _transform_first(cluster: Cluster) -> list[bool]:
 
 def _model_bytes(cluster: Cluster) -> int:
     """The one parameter set the process holds: the parameters, their
-    ``grad`` and Adam's ``m`` and ``v`` — four float32 arrays."""
-    return 4 * cluster.model.num_parameters() * _F32
+    ``grad`` and Adam's ``m`` and ``v`` — four float32 arrays — and the
+    engine's reduced-form gradient accumulators, one float64 array per
+    parameter (``FusedClusterCompute._acc``)."""
+    return (4 + 2) * cluster.model.num_parameters() * _F32
 
 
 def _csr_bytes(m) -> int:
     return int(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
+
+
+def _quartet_bytes(ops) -> int:
+    """A device's :class:`~repro.graph.io.SplitOperators`, counted off the
+    matrices (memmapped or in RAM)."""
+    return sum(_csr_bytes(m) for m in (ops.own, ops.halo, ops.own_t, ops.halo_t))
 
 
 def _stage_bytes(n_rows: int, dim: int, wire: int) -> int:
@@ -216,35 +222,19 @@ def _quant_stage_bytes(cluster: Cluster) -> int:
     streaming (its gradient exchange is skipped).
     """
     dims = cluster.dims
-    streaming = cluster._stream_ops is not None
+    streaming = cluster._store_dataset is not None
     send = sum(dev.part.n_halo for dev in cluster.devices)
     widths = [*dims[:-1], *dims[(1 if streaming else 0) : -1]]
     return sum(_stage_bytes(send, d, send * d) for d in widths)
 
 
 def _operator_bytes(cluster: Cluster) -> int:
-    """The CSR operators the in-RAM engine holds (streaming: none — its
-    operator blocks are in the memmap windows).
-
-    Every device's ``agg.matrix``, counted off the object, plus the
-    engine's block-wide :class:`~repro.graph.io.SplitOperators`: the own-
-    and halo-column halves and their transposes hold ``nnz`` entries of
-    data and indices twice over, and index pointers over the owned rows
-    three times and the halo rows once.  Counted from shapes the way scipy
-    stores them (int32 indices while they fit), because the RAM-fit
-    warning reads this before the engine is built.
-    """
-    if cluster._stream_ops is not None:
+    """The CSR operators the in-RAM engine holds: every device's quartet
+    (:func:`_quartet_bytes`, the formula a streaming device's memmap window
+    uses).  Streaming: none — its operator blocks are in the windows."""
+    if cluster._store_dataset is not None:
         return 0
-    devices = cluster.devices
-    nnz = sum(dev.agg.nnz for dev in devices)
-    own = sum(dev.n_owned for dev in devices)
-    halo = sum(dev.part.n_halo for dev in devices)
-    index = 4 if max(nnz, own + halo) < 2**31 else 8
-    entry = devices[0].agg.matrix.data.itemsize + index
-    pointers = 3 * (own + 1) + halo + 1
-    operators = 2 * nnz * entry + pointers * index
-    return operators + sum(_csr_bytes(dev.agg.matrix) for dev in devices)
+    return sum(_quartet_bytes(dev.ops) for dev in cluster.devices)
 
 
 #: Bytes per element the NumPy quantization kernel holds for one chunk:
@@ -286,12 +276,12 @@ def estimate_memory(cluster: Cluster) -> list[MemoryFootprint]:
     True
     """
     dims = cluster.dims
-    streaming = cluster._stream_ops is not None
+    streaming = cluster._store_dataset is not None
     max_width = max(dims[:-1])
     transform_first = _transform_first(cluster)
     params = cluster.model.num_parameters()
     footprints = []
-    for k, dev in enumerate(cluster.devices):
+    for dev in cluster.devices:
         n = dev.n_owned
         h = dev.part.n_halo
         feature_bytes = n * dims[0] * _F32
@@ -299,15 +289,7 @@ def estimate_memory(cluster: Cluster) -> list[MemoryFootprint]:
         halo_buffer_bytes = sum(h * d_in * _F32 for d_in in dims[:-1])
         window = 0
         if streaming:
-            ops = cluster._stream_ops[k]
-            window = (
-                _csr_bytes(ops.own)
-                + _csr_bytes(ops.halo)
-                + _csr_bytes(ops.own_t)
-                + _csr_bytes(ops.halo_t)
-                + int(dev.features.nbytes)
-                + int(dev.labels.nbytes)
-            )
+            window = _quartet_bytes(dev.ops) + dev.features.nbytes + dev.labels.nbytes
         stacked = _stacked_bytes(
             n, h, dims, cluster.model_kind, transform_first, streaming=streaming
         )
@@ -338,13 +320,13 @@ def estimate_peak_resident(cluster: Cluster) -> int:
     scratch (one ``(max_own, F)`` buffer reused across devices) exists
     only when layer 0 aggregates first — a transform-first layer 0 reads
     the feature map straight into ``T``, which :func:`_stacked_bytes`
-    counts.  The one parameter set with its gradient and Adam slots
-    (:func:`_model_bytes`), the in-RAM engine's operators
-    (:func:`_operator_bytes`), the quantized exchange's staging buffers
-    and, on the NumPy kernel tier, its per-chunk scratch are added once —
-    the last two assume an adaqp-family system (the common case); a
-    vanilla run is overestimated by those terms, which errs on the safe
-    side for the RAM-fit warning.
+    counts.  The one parameter set with its gradient, its Adam slots and
+    the engine's float64 accumulators (:func:`_model_bytes`), the in-RAM
+    engine's operators (:func:`_operator_bytes`), the quantized exchange's
+    staging buffers and, on the NumPy kernel tier, its per-chunk scratch
+    are added once — the last two assume an adaqp-family system (the
+    common case); a vanilla run is overestimated by those terms, which
+    errs on the safe side for the RAM-fit warning.
 
     This is the analytic half of ``bench_huge_graph``'s estimate-vs-
     measured check; it deliberately excludes the Python interpreter
@@ -355,7 +337,7 @@ def estimate_peak_resident(cluster: Cluster) -> int:
     total = sum(fp.resident_bytes - fp.memmap_window_bytes for fp in fps)
     total += _quant_stage_bytes(cluster) + _quant_scratch_bytes(cluster)
     total += _operator_bytes(cluster) + _model_bytes(cluster)
-    if cluster._stream_ops is not None:
+    if cluster._store_dataset is not None:
         total += max(fp.memmap_window_bytes for fp in fps)
         if not _transform_first(cluster)[0]:
             max_own = max(dev.n_owned for dev in cluster.devices)

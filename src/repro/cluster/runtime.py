@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.gnn.coefficients import AggregationContext, build_aggregation
-from repro.graph.io import StoreDataset
+from repro.gnn.coefficients import build_aggregation
+from repro.graph.io import SplitOperators, StoreDataset
 from repro.graph.partition.book import (
     LocalPartition,
     PartitionBook,
@@ -23,15 +23,19 @@ class DeviceRuntime:
     """One simulated GPU worker.
 
     Holds only what the device's partition binds: the graph partition, the
-    weighted aggregation operator, this rank's slice of features/labels/
-    masks, and its dropout stream.  It holds no model: the cluster's one
-    parameter set (:attr:`~repro.cluster.cluster.Cluster.model`) is what
-    every device's replica would be a copy of.
+    weighted aggregation operator as its :class:`~repro.graph.io.SplitOperators`
+    quartet, each halo column's ``Σ α²`` (the assigner's message weights),
+    this rank's slice of features/labels/masks, and its dropout stream.  It
+    holds no model: the cluster's one parameter set
+    (:attr:`~repro.cluster.cluster.Cluster.model`) is what every device's
+    replica would be a copy of.  In RAM the engine makes ``features`` a
+    view of its layer-0 input buffer, the one copy of the features.
     """
 
     rank: int
     part: LocalPartition
-    agg: AggregationContext
+    ops: SplitOperators
+    halo_alpha_sq: np.ndarray  # (n_halo,) float64
     features: np.ndarray  # (n_owned, F) float32
     labels: np.ndarray  # (n_owned,) int64 or (n_owned, C) float32
     train_mask: np.ndarray
@@ -70,19 +74,19 @@ def build_devices(
     *,
     model_kind: str,
     seed: int,
-) -> tuple[list[DeviceRuntime], list | None]:
+) -> list[DeviceRuntime]:
     """One :class:`DeviceRuntime` per partition of ``book``, rank order.
 
-    Returns the devices and, for a store-backed dataset, each device's
-    :class:`~repro.graph.io.SplitOperators` (``None`` for an in-RAM
-    dataset).  Store datasets carry no global arrays — partitions,
-    operators and attribute slices come pre-built from the on-disk
+    In RAM each device's aggregation operator is built and split into its
+    quartet (:meth:`~repro.graph.io.SplitOperators.split`, the constructor
+    the store builder uses too), and the full matrix is dropped as soon as
+    it is split.  Store datasets carry no global arrays — partitions,
+    quartets and attribute slices come pre-built from the on-disk
     :class:`~repro.graph.io.PartitionStore` as (typically memmapped)
     regions.  ``model_kind`` picks the aggregation operator; ``seed``
     roots each device's dropout stream.
     """
     agg_kind = "gcn" if model_kind == "gcn" else "sage"
-    stream_ops = None
     if isinstance(dataset, StoreDataset):
         store = dataset.store
         if book.num_parts != store.num_parts:
@@ -100,20 +104,24 @@ def build_devices(
             for p in range(store.num_parts)
         ]
         device_data = [
-            (sp.part, sp.agg, sp.features, sp.labels,
+            (sp.part, sp.ops, sp.halo_alpha_sq, sp.features, sp.labels,
              sp.train_mask, sp.val_mask, sp.test_mask)
             for sp in store_parts
         ]
-        stream_ops = [sp.ops for sp in store_parts]
     else:
         degrees = dataset.graph.degrees.astype(np.float64)
+        adjacency = dataset.graph.to_scipy(dtype=np.float32)
         device_data = []
         for part in build_local_partitions(dataset.graph, book):
             owned = part.owned_global
+            matrix, halo_alpha_sq = build_aggregation(
+                part, adjacency[owned], degrees, agg_kind
+            )
             device_data.append(
                 (
                     part,
-                    build_aggregation(part, degrees, agg_kind),
+                    SplitOperators.split(matrix, part.n_owned),
+                    halo_alpha_sq,
                     dataset.features[owned],
                     dataset.labels[owned],
                     dataset.train_mask[owned],
@@ -123,18 +131,9 @@ def build_devices(
             )
 
     pool = RngPool(seed).fork("cluster")
-    devices = [
+    return [
         DeviceRuntime(
-            rank=part.part_id,
-            part=part,
-            agg=agg,
-            features=features,
-            labels=labels,
-            train_mask=train_m,
-            val_mask=val_m,
-            test_mask=test_m,
-            dropout_rng=pool.device(part.part_id, "dropout"),
+            part.part_id, part, *data, dropout_rng=pool.device(part.part_id, "dropout")
         )
-        for part, agg, features, labels, train_m, val_m, test_m in device_data
+        for part, *data in device_data
     ]
-    return devices, stream_ops

@@ -115,7 +115,7 @@ class AdaptiveBitWidthAssigner:
         for dev in cluster.devices:
             for p, slots in dev.part.recv_map.items():
                 # dev aggregates these halo messages with these α² sums.
-                self._alpha_sq[(p, dev.rank)] = dev.agg.halo_alpha_sq[slots]
+                self._alpha_sq[(p, dev.rank)] = dev.halo_alpha_sq[slots]
 
     # ------------------------------------------------------------------
     # Tracer protocol (Fig. 6 step 1)

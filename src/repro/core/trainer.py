@@ -179,7 +179,7 @@ def _warn_if_ram_tight(cluster: Cluster) -> None:
     if estimate > host.available_bytes:
         hint = (
             "streaming mode pages device windows in and out on demand"
-            if cluster._stream_ops is not None
+            if cluster._store_dataset is not None
             else "consider `repro prepare` + `repro train --store` "
             "(out-of-core huge-graph mode)"
         )

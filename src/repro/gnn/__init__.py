@@ -14,12 +14,11 @@ backward emits halo *embedding gradients* — the two message classes AdaQP
 quantizes.
 """
 
-from repro.gnn.coefficients import AggregationContext, build_aggregation
+from repro.gnn.coefficients import build_aggregation
 from repro.gnn.conv import GCNConv, SAGEConv
 from repro.gnn.model import MODEL_KINDS, DistGNN, GNNLayer
 
 __all__ = [
-    "AggregationContext",
     "build_aggregation",
     "GCNConv",
     "SAGEConv",

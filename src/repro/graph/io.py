@@ -4,12 +4,15 @@ In-RAM runs persist nothing: a dataset is regenerated from its name, scale
 and seed, and partitioning is seeded too, so a run is repeatable across
 processes without files.  (Training state persists through
 :mod:`repro.cluster.checkpoint`.)  The :class:`PartitionStore` is the
-huge-graph (1M–10M-node) path: one binary file per partition holding CSR blocks,
-features, labels and halo index tables as 64-byte-aligned regions described
-by a versioned JSON header, so training opens every array as a read-only
-``np.memmap`` and the OS pages data in on demand.  The store is written once
-by a streaming pass (``repro prepare``) that never holds the full graph in
-memory — see :func:`build_partition_store`.
+huge-graph (1M–10M-node) path: one binary file per partition holding the
+device's aggregation operator as a :class:`SplitOperators` quartet of CSR
+blocks, its features, labels and split masks, its halo and peer tables and
+``halo_alpha_sq`` — exactly what :meth:`PartitionStore.partition` reads —
+as 64-byte-aligned regions described by a versioned JSON header, so
+training opens every array as a read-only ``np.memmap`` and the OS pages
+data in on demand.  The store is written once by a streaming pass (``repro
+prepare``) that never holds the full graph in memory — see
+:func:`build_partition_store`.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from repro.graph.datasets import DatasetSpec
 from repro.graph.partition.book import LocalPartition, PartitionBook
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a package cycle
-    from repro.gnn.coefficients import AggregationContext
     from repro.graph.generators import HugeGraphConfig
 
 __all__ = [
@@ -49,6 +51,17 @@ _STORE_MAGIC = "repro-partition-store"
 _STORE_VERSION = 1
 _STORE_HEADER = "header.json"
 _STORE_ALIGN = 64
+
+
+def _quartet_regions(n_own: int, n_halo: int) -> tuple:
+    """The store's region prefix and shape of each :class:`SplitOperators`
+    matrix, in field order."""
+    return (
+        ("agg_own", (n_own, n_own)),
+        ("agg_halo", (n_own, n_halo)),
+        ("agg_own_t", (n_own, n_own)),
+        ("agg_halo_t", (n_halo, n_own)),
+    )
 
 
 def release_memmap_pages(*arrays: np.ndarray) -> None:
@@ -80,9 +93,10 @@ class SplitOperators:
     owned and halo row ranges of ``Pᵀ`` for the backward routing.  Every
     row stores its owned columns before its halo columns and the engine's
     spmv sums each output row in stored order, so own-then-halo is
-    bitwise the one-pass product.  The in-RAM engine holds one block-wide
-    quartet (:func:`~repro.cluster.compute.build_block_diagonal`), a store
-    one per device.
+    bitwise the one-pass product.  After set-up this quartet is the only
+    form a device's operator takes, in RAM and in a store alike: both
+    build it with :meth:`split`, and a store holds its four matrices as
+    regions.
 
     ``pages`` holds the raw memmap objects backing a store's matrices (the
     scipy wrappers only keep views, which cannot be madvised) and
@@ -97,11 +111,50 @@ class SplitOperators:
     pages: tuple[np.ndarray, ...] = ()
     feature_pages: tuple[np.ndarray, ...] = ()
 
+    @classmethod
+    def split(cls, matrix: sp.csr_matrix, n_owned: int) -> "SplitOperators":
+        """Split a canonical ``(n_owned, n_owned + n_halo)`` operator at its
+        owned columns, and its CSR transpose at its owned rows.
+
+        Every matrix comes out float32 with int32 ``indptr``/``indices``
+        and each row's columns ascending — the operands the compiled spmv
+        takes.  Column and row slices keep every row's entries in stored
+        order.
+        """
+        t = matrix.T.tocsr()
+        t.sort_indices()
+        halves = (matrix[:, :n_owned], matrix[:, n_owned:], t[:n_owned], t[n_owned:])
+        return cls(*(_compact(half) for half in halves))
+
+    @property
+    def nnz(self) -> int:
+        return int(self.own.indptr[-1]) + int(self.halo.indptr[-1])
+
+    def nnz_for_rows(self, row_mask: np.ndarray) -> int:
+        """Operator nonzeros attributable to the masked owned rows (FLOPs)."""
+        if row_mask.shape != (self.own.shape[0],):
+            raise ValueError("row_mask must cover owned rows")
+        row_nnz = np.diff(self.own.indptr) + np.diff(self.halo.indptr)
+        return int(row_nnz[row_mask].sum())
+
     def release_op_pages(self) -> None:
         release_memmap_pages(*self.pages)
 
     def release_feature_pages(self) -> None:
         release_memmap_pages(*self.feature_pages)
+
+
+def _compact(m: sp.csr_matrix) -> sp.csr_matrix:
+    """``m`` as float32 CSR with int32 index arrays, order unchanged."""
+    m = m.tocsr()
+    return sp.csr_matrix(
+        (
+            m.data.astype(np.float32, copy=False),
+            m.indices.astype(np.int32, copy=False),
+            m.indptr.astype(np.int32, copy=False),
+        ),
+        shape=m.shape,
+    )
 
 
 @dataclass
@@ -114,8 +167,8 @@ class StorePartition:
     """
 
     part: LocalPartition
-    agg: "AggregationContext"
     ops: SplitOperators
+    halo_alpha_sq: np.ndarray
     features: np.ndarray
     labels: np.ndarray
     train_mask: np.ndarray
@@ -268,8 +321,8 @@ class PartitionStore:
     long enough for its region table (a truncated copy fails fast instead
     of producing garbage memmaps).  All reads are lazy: ``region`` returns a
     read-only ``np.memmap`` and :meth:`partition` assembles the runtime
-    objects (:class:`LocalPartition`, aggregation operators, split
-    operators, feature/label arrays) without copying anything —
+    objects (:class:`LocalPartition`, the :class:`SplitOperators` quartet,
+    feature/label arrays) without copying anything —
     ``materialize=True`` copies every array into RAM instead, which is the
     reference arm of the bitwise-equivalence contract.
     """
@@ -407,68 +460,37 @@ class PartitionStore:
         return matrix, pages
 
     def partition(self, part: int, *, materialize: bool = False) -> StorePartition:
-        from repro.gnn.coefficients import AggregationContext
-
         get = lambda name: self.region(part, name, materialize=materialize)  # noqa: E731
         bounds = self.part_bounds
         start, end = int(bounds[part]), int(bounds[part + 1])
         n_own = end - start
-        owned_global = np.arange(start, end, dtype=np.int64)
         halo_global = np.asarray(get("halo_global"))
         n_halo = halo_global.shape[0]
-        n_cols = n_own + n_halo
-
-        adj, _ = self._csr(part, "adj", (n_own, n_cols), materialize=materialize)
-        recv_map = self._unpack_map(part, "recv")
-        send_map = self._unpack_map(part, "send")
         local = LocalPartition(
             part_id=part,
             num_parts=self.num_parts,
-            owned_global=owned_global,
+            owned_global=np.arange(start, end, dtype=np.int64),
             halo_global=halo_global,
             halo_owner=np.asarray(get("halo_owner")),
-            adj=adj,
-            send_map=send_map,
-            recv_map=recv_map,
+            send_map=self._unpack_map(part, "send"),
+            recv_map=self._unpack_map(part, "recv"),
             marginal_mask=np.asarray(get("marginal_mask")),
         )
-
-        agg_matrix, agg_pages = self._csr(
-            part, "agg", (n_own, n_cols), materialize=materialize
-        )
-        agg = AggregationContext(
-            kind=self.agg_kind,
-            matrix=agg_matrix,
-            halo_alpha_sq=np.array(get("halo_alpha_sq")),
-            n_owned=n_own,
-            n_halo=n_halo,
-        )
-
-        own, own_pages = self._csr(
-            part, "agg_own", (n_own, n_own), materialize=materialize
-        )
-        halo, halo_pages = self._csr(
-            part, "agg_halo", (n_own, n_halo), materialize=materialize
-        )
-        own_t, own_t_pages = self._csr(
-            part, "agg_own_t", (n_own, n_own), materialize=materialize
-        )
-        halo_t, halo_t_pages = self._csr(
-            part, "agg_halo_t", (n_halo, n_own), materialize=materialize
-        )
+        matrices, pages = [], ()
+        for prefix, shape in _quartet_regions(n_own, n_halo):
+            matrix, held = self._csr(part, prefix, shape, materialize=materialize)
+            matrices.append(matrix)
+            pages += held
         features = get("features")
         ops = SplitOperators(
-            own=own,
-            halo=halo,
-            own_t=own_t,
-            halo_t=halo_t,
-            pages=own_pages + halo_pages + own_t_pages + halo_t_pages + agg_pages,
+            *matrices,
+            pages=pages,
             feature_pages=() if materialize else (features,),
         )
         return StorePartition(
             part=local,
-            agg=agg,
             ops=ops,
+            halo_alpha_sq=np.array(get("halo_alpha_sq")),
             features=features,
             labels=get("labels"),
             train_mask=get("train_mask"),
@@ -523,8 +545,9 @@ def build_partition_store(
        positions), released to disk as they complete.
     4. *Operators*: per partition, build halo tables and the weighted
        aggregation operator via the same :func:`build_aggregation` the
-       in-RAM path uses (global degrees are known by now), plus its
-       column halves and their transposes (:class:`SplitOperators`).
+       in-RAM path uses (global degrees are known by now), split into its
+       column halves and their transposes by the same
+       :meth:`SplitOperators.split`; only the quartet is written.
     5. *Send maps*: resolved from every receiver's halo table.
     """
     import shutil
@@ -692,8 +715,8 @@ def build_partition_store(
             n_own = end - start
             # Spooled CSR blocks are in original-id order; relabel the
             # columns and permute the rows into boundary-first order (the
-            # per-row within-order stays unsorted here — ``sort_indices``
-            # below canonicalizes).
+            # per-row within-order stays unsorted here — the aggregation
+            # builder canonicalizes).
             cols = relabel[np.load(tmp / f"cols{p}.npy")]
             old_indptr = np.load(tmp / f"indptr{p}.npy")
             old2new = old2new_by_part[p]
@@ -708,13 +731,6 @@ def build_partition_store(
             del old_indptr, new2old, lengths, within
             remote = (cols < start) | (cols >= end)
             halo_global = np.unique(cols[remote])
-            n_halo = int(halo_global.size)
-            n_cols = n_own + n_halo
-            col_local = np.where(
-                remote,
-                n_own + np.searchsorted(halo_global, cols),
-                cols - start,
-            ).astype(np.int32)
             marginal = np.zeros(n_own, dtype=bool)
             marginal[
                 np.searchsorted(indptr64, np.flatnonzero(remote), side="right") - 1
@@ -722,15 +738,6 @@ def build_partition_store(
             halo_owner = (
                 np.searchsorted(pbounds, halo_global, side="right") - 1
             ).astype(np.int32)
-            adj = sp.csr_matrix(
-                (
-                    np.ones(cols.size, dtype=np.float32),
-                    col_local,
-                    indptr64.astype(np.int32),
-                ),
-                shape=(n_own, n_cols),
-            )
-            adj.sort_indices()
             recv_map = {
                 int(q): np.flatnonzero(halo_owner == q).astype(np.int64)
                 for q in np.unique(halo_owner)
@@ -743,34 +750,31 @@ def build_partition_store(
                 owned_global=np.arange(start, end, dtype=np.int64),
                 halo_global=halo_global,
                 halo_owner=halo_owner,
-                adj=adj,
                 send_map={},
                 recv_map=recv_map,
                 marginal_mask=marginal,
             )
-            ctx = build_aggregation(local, degrees, agg_kind)
-            mat = ctx.matrix
-            mat.sort_indices()
-            mat_t = mat.T.tocsr()
-            mat_t.sort_indices()
-            for prefix, m in (
-                ("adj", adj),
-                ("agg", mat),
-                ("agg_own", mat[:, :n_own].tocsr()),
-                ("agg_halo", mat[:, n_own:].tocsr()),
-                ("agg_own_t", mat_t[:n_own].tocsr()),
-                ("agg_halo_t", mat_t[n_own:].tocsr()),
+            neighbors = sp.csr_matrix(
+                (np.ones(cols.size, dtype=np.float32), cols, indptr64), shape=(n_own, n)
+            )
+            matrix, halo_alpha_sq = build_aggregation(
+                local, neighbors, degrees, agg_kind
+            )
+            ops = SplitOperators.split(matrix, n_own)
+            del cols, indptr64, remote, neighbors, matrix
+            for (prefix, _), m in zip(
+                _quartet_regions(n_own, local.n_halo),
+                (ops.own, ops.halo, ops.own_t, ops.halo_t),
             ):
-                writer.write_region(p, f"{prefix}_data", m.data.astype(np.float32))
-                writer.write_region(p, f"{prefix}_indices", m.indices.astype(np.int32))
-                writer.write_region(p, f"{prefix}_indptr", m.indptr.astype(np.int32))
-            writer.write_region(p, "halo_alpha_sq", ctx.halo_alpha_sq)
-            writer.write_region(p, "degrees", degrees[start:end])
+                writer.write_region(p, f"{prefix}_data", m.data)
+                writer.write_region(p, f"{prefix}_indices", m.indices)
+                writer.write_region(p, f"{prefix}_indptr", m.indptr)
+            writer.write_region(p, "halo_alpha_sq", halo_alpha_sq)
             writer.write_region(p, "halo_global", halo_global)
             writer.write_region(p, "halo_owner", halo_owner)
             writer.write_region(p, "marginal_mask", marginal)
             _write_packed_map(writer, p, "recv", recv_map)
-            del cols, indptr64, col_local, adj, mat, mat_t, ctx, local
+            del ops, local
             (tmp / f"cols{p}.npy").unlink()
             (tmp / f"indptr{p}.npy").unlink()
 

@@ -8,7 +8,7 @@ Terminology (paper Sec. 3.1):
 * **marginal** nodes — owned nodes with at least one remote neighbor;
 * **central** nodes — owned nodes whose entire neighborhood is local.
 
-Local column convention: the local adjacency of partition ``p`` has shape
+Local column convention: partition ``p``'s aggregation operator has shape
 ``(n_owned, n_owned + n_halo)``; columns ``0..n_owned-1`` are owned nodes
 (in ascending global-id order) and columns ``n_owned..`` are halo nodes
 (ascending global-id order).  Send/receive maps are *aligned*: peer ``q``'s
@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.graph.graph import Graph
 from repro.utils.validation import check_array
@@ -82,7 +81,6 @@ class LocalPartition:
     owned_global: np.ndarray  # (n_owned,) int64, ascending
     halo_global: np.ndarray  # (n_halo,) int64, ascending
     halo_owner: np.ndarray  # (n_halo,) int32
-    adj: sp.csr_matrix  # (n_owned, n_owned + n_halo), data == 1.0
     send_map: dict[int, np.ndarray] = field(default_factory=dict)
     recv_map: dict[int, np.ndarray] = field(default_factory=dict)
     marginal_mask: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
@@ -117,7 +115,6 @@ class LocalPartition:
 
     def validate(self) -> None:
         """Check internal invariants; raises ``AssertionError`` on violation."""
-        assert self.adj.shape == (self.n_owned, self.n_owned + self.n_halo)
         assert np.all(np.diff(self.owned_global) > 0), "owned ids must be strictly sorted"
         if self.n_halo:
             assert np.all(np.diff(self.halo_global) > 0), "halo ids must be strictly sorted"
@@ -151,25 +148,10 @@ def build_local_partitions(graph: Graph, book: PartitionBook) -> list[LocalParti
         owned = book.owned(p)
         n_owned = owned.size
         rows = adj_global[owned]  # (n_owned, n) CSR slice
-        cols_global = rows.indices.astype(np.int64)
-        col_owner = part_of[cols_global]
-        remote_mask = col_owner != p
+        remote_mask = part_of[rows.indices] != p
 
-        halo_global = np.unique(cols_global[remote_mask])
+        halo_global = np.unique(rows.indices[remote_mask].astype(np.int64))
         halo_owner = part_of[halo_global].astype(np.int32)
-
-        # Column remap: owned -> 0..n_owned-1, halo -> n_owned..
-        g2l_owned = np.full(graph.num_nodes, -1, dtype=np.int64)
-        g2l_owned[owned] = np.arange(n_owned)
-        new_cols = np.empty_like(cols_global)
-        new_cols[~remote_mask] = g2l_owned[cols_global[~remote_mask]]
-        new_cols[remote_mask] = n_owned + np.searchsorted(
-            halo_global, cols_global[remote_mask]
-        )
-        adj_local = sp.csr_matrix(
-            (np.ones(new_cols.size, dtype=np.float32), new_cols, rows.indptr),
-            shape=(n_owned, n_owned + halo_global.size),
-        )
 
         # Marginal nodes: rows with >= 1 remote neighbor.  ``reduceat`` is
         # unusable with empty trailing rows (offsets == nnz are rejected),
@@ -192,7 +174,6 @@ def build_local_partitions(graph: Graph, book: PartitionBook) -> list[LocalParti
                 owned_global=owned,
                 halo_global=halo_global,
                 halo_owner=halo_owner,
-                adj=adj_local,
                 recv_map=recv_map,
                 marginal_mask=marginal_mask,
             )

@@ -49,9 +49,6 @@ class Module:
     depend on how the model was built.
     """
 
-    def __init__(self) -> None:
-        self.training = True
-
     # -- tree walking -----------------------------------------------------
     def named_parameters(self, prefix: str = "") -> list[tuple[str, Parameter]]:
         found: list[tuple[str, Parameter]] = []
@@ -71,28 +68,6 @@ class Module:
 
     def parameters(self) -> list[Parameter]:
         return [p for _, p in self.named_parameters()]
-
-    def modules(self) -> list["Module"]:
-        mods: list[Module] = [self]
-        for value in vars(self).values():
-            if isinstance(value, Module):
-                mods.extend(value.modules())
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Module):
-                        mods.extend(item.modules())
-        return mods
-
-    # -- train/eval mode ---------------------------------------------------
-    def train(self) -> "Module":
-        for m in self.modules():
-            m.training = True
-        return self
-
-    def eval(self) -> "Module":
-        for m in self.modules():
-            m.training = False
-        return self
 
     # -- gradient helpers ---------------------------------------------------
     def zero_grad(self) -> None:

@@ -24,7 +24,7 @@ from repro.quant.stochastic import KeyedRounding
 
 @pytest.fixture(scope="module")
 def devices(tiny_dataset, tiny_book):
-    return build_devices(tiny_dataset, tiny_book, model_kind="gcn", seed=0)[0]
+    return build_devices(tiny_dataset, tiny_book, model_kind="gcn", seed=0)
 
 
 def _values(devices, dim, seed=0, halo=False):

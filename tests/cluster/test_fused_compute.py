@@ -4,7 +4,7 @@ Under the same seed :class:`FusedClusterCompute` must produce *identical*
 losses, model gradients, accuracy and wire bytes to the per-device
 reference trainer (``tests/reference/oracle.py``) — across model kinds,
 partition counts and exchange policies.  The engine changes execution
-shape (block-diagonal aggregation, stacked GEMMs, in-place halo writes),
+shape (per-device split operators, stacked GEMMs, in-place halo writes),
 never values.  The grids here run with overlap off (the step's central
 window empty); the overlapped row splits' are in
 ``test_overlap_compute.py``.
@@ -18,10 +18,11 @@ from reference.model import aggregate, aggregate_transpose, matrix_t, stack_conv
 from reference.oracle import ExactPolicy, ReferenceTrainer
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.compute import FusedClusterCompute, _spmv, build_block_diagonal
+from repro.cluster.compute import FusedClusterCompute, _spmv
 from repro.cluster.exchange import ExactHaloExchange
 from repro.gnn.coefficients import build_aggregation
 from repro.graph.graph import Graph
+from repro.graph.io import SplitOperators
 from repro.graph.partition.api import partition_graph
 from repro.graph.partition.book import PartitionBook, build_local_partitions
 from repro.nn.losses import softmax_cross_entropy
@@ -183,7 +184,7 @@ def test_spmv_count_follows_operand_order(
 
     stores = {"gcn": huge_store, "sage": sage_store}
     cluster = _shape_cluster(shape, model_kind, hidden, tiny_dataset, tiny_book, stores)
-    nnz = sum(dev.agg.nnz for dev in cluster.devices)
+    nnz = sum(dev.ops.nnz for dev in cluster.devices)
 
     counted = []
     dispatch = compute._spmv
@@ -302,12 +303,12 @@ def test_spmv_dispatch_takes_every_operand(compiled, compiled_kernels, kernel_ti
 
 
 # ----------------------------------------------------------------------
-# Block-diagonal operator property (hypothesis)
+# Split operator property (hypothesis)
 # ----------------------------------------------------------------------
-class _DeviceStub:
-    def __init__(self, part, agg):
-        self.part = part
-        self.agg = agg
+def _aggregation(graph, part, kind):
+    """``part``'s whole operator ``P`` over ``graph``'s global degrees."""
+    rows = graph.to_scipy()[part.owned_global]
+    return build_aggregation(part, rows, graph.degrees.astype(np.float64), kind)[0]
 
 
 @st.composite
@@ -331,61 +332,46 @@ def _ragged_partition(draw):
 
 @given(_ragged_partition())
 @settings(max_examples=40, deadline=None)
-def test_block_diagonal_equals_per_device_aggregation(case):
+def test_split_operators_equal_per_device_aggregation(case):
+    """Every device's quartet, as the engine applies it — the own-column
+    half overwriting, the halo-column half accumulating; ``own_t`` /
+    ``halo_t`` routing — equals that device's whole operator bitwise."""
     n, parts, src, dst, assignment, kind = case
     graph = Graph.from_edges(src, dst, n)
     book = PartitionBook(part_of=assignment.astype(np.int32), num_parts=parts)
-    local = build_local_partitions(graph, book)
-    degrees = graph.degrees.astype(np.float64)
-    devices = [
-        _DeviceStub(part, build_aggregation(part, degrees, kind)) for part in local
-    ]
-    ops = build_block_diagonal(devices)
-
     gen = np.random.default_rng(0)
     dim = 5
-    n_own = [d.part.n_owned for d in devices]
-    n_halo = [d.part.n_halo for d in devices]
-    x_own = [gen.normal(size=(m, dim)).astype(np.float32) for m in n_own]
-    x_halo = [gen.normal(size=(h, dim)).astype(np.float32) for h in n_halo]
-    # The engine's order: the own-column half, then the halo-column half
-    # accumulating into the same rows.
-    z_global = np.full((sum(n_own), dim), np.nan, dtype=np.float32)
-    _spmv(ops.own, np.vstack(x_own), z_global)
-    _spmv(ops.halo, np.vstack(x_halo), z_global, accumulate=True)
+    for part in build_local_partitions(graph, book):
+        agg = _aggregation(graph, part, kind)
+        ops = SplitOperators.split(agg, part.n_owned)
+        x_own = gen.normal(size=(part.n_owned, dim)).astype(np.float32)
+        x_halo = gen.normal(size=(part.n_halo, dim)).astype(np.float32)
+        z = np.full((part.n_owned, dim), np.nan, dtype=np.float32)
+        _spmv(ops.own, x_own, z)
+        _spmv(ops.halo, x_halo, z, accumulate=True)
+        assert np.array_equal(z, aggregate(agg, np.vstack([x_own, x_halo])))
 
-    offset = 0
-    for k, dev in enumerate(devices):
-        x_full = np.vstack([x_own[k], x_halo[k]]) if n_halo[k] else x_own[k]
-        z_dev = aggregate(dev.agg, x_full)
-        assert np.array_equal(z_global[offset : offset + n_own[k]], z_dev)
-        offset += n_own[k]
-
-    # And the halves' transposes route gradients identically per device.
-    d_z = np.vstack([gen.normal(size=(m, dim)).astype(np.float32) for m in n_own])
-    d_own, d_halo = np.asarray(ops.own_t @ d_z), np.asarray(ops.halo_t @ d_z)
-    own_off = np.concatenate([[0], np.cumsum(n_own)])
-    halo_off = np.concatenate([[0], np.cumsum(n_halo)])
-    for k, dev in enumerate(devices):
-        d_dev = aggregate_transpose(dev.agg, d_z[own_off[k] : own_off[k + 1]])
-        assert np.array_equal(d_own[own_off[k] : own_off[k + 1]], d_dev[: n_own[k]])
-        assert np.array_equal(
-            d_halo[halo_off[k] : halo_off[k + 1]], d_dev[n_own[k] :]
-        )
+        d_z = gen.normal(size=(part.n_owned, dim)).astype(np.float32)
+        d_full = aggregate_transpose(agg, d_z)
+        d_own = np.zeros((part.n_owned, dim), dtype=np.float32)
+        d_halo = np.zeros((part.n_halo, dim), dtype=np.float32)
+        _spmv(ops.own_t, d_z, d_own)
+        _spmv(ops.halo_t, d_z, d_halo)
+        assert np.array_equal(d_own, d_full[: part.n_owned])
+        assert np.array_equal(d_halo, d_full[part.n_owned :])
 
 
 # ----------------------------------------------------------------------
 # Satellite regressions
 # ----------------------------------------------------------------------
 def test_cached_transpose_matches_csc_path(tiny_parts, tiny_dataset):
-    degrees = tiny_dataset.graph.degrees.astype(np.float64)
     for part in tiny_parts:
-        agg = build_aggregation(part, degrees, "gcn")
+        agg = _aggregation(tiny_dataset.graph, part, "gcn")
         d_z = np.random.default_rng(0).normal(
-            size=(agg.n_owned, 6)
+            size=(part.n_owned, 6)
         ).astype(np.float32)
         via_csr = aggregate_transpose(agg, d_z)
-        via_csc = np.asarray(agg.matrix.T @ d_z)
+        via_csc = np.asarray(agg.T @ d_z)
         assert np.array_equal(via_csr, via_csc)
         assert matrix_t(agg).format == "csr"
 
@@ -410,14 +396,14 @@ def test_stack_conv_inputs_paths():
 
 
 def test_aggregation_stays_float32(tiny_parts, tiny_dataset):
-    degrees = tiny_dataset.graph.degrees.astype(np.float64)
+    part = tiny_parts[0]
     for kind in ("gcn", "sage", "sum"):
-        agg = build_aggregation(tiny_parts[0], degrees, kind)
-        assert agg.matrix.dtype == np.float32
+        agg = _aggregation(tiny_dataset.graph, part, kind)
+        assert agg.dtype == np.float32
         assert matrix_t(agg).dtype == np.float32
-        x = np.ones((agg.n_owned + agg.n_halo, 4), dtype=np.float32)
+        x = np.ones((part.n_owned + part.n_halo, 4), dtype=np.float32)
         assert aggregate(agg, x).dtype == np.float32
-        d = np.ones((agg.n_owned, 4), dtype=np.float32)
+        d = np.ones((part.n_owned, 4), dtype=np.float32)
         assert aggregate_transpose(agg, d).dtype == np.float32
 
 

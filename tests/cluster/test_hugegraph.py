@@ -81,8 +81,10 @@ def _reconstruct_global_dataset(store):
 
     The store's global numbering (contiguous partition ranges,
     boundary-first within each) *is* the graph — reading every
-    partition's adjacency back out and re-gluing it yields the exact
-    dataset the standard in-RAM path would train on.
+    partition's edges back off its operator quartet's pattern (the GCN
+    own block minus its diagonal, which is the folded-in self term, and
+    the halo block; the graph has no self-loops) and re-gluing them
+    yields the exact dataset the standard in-RAM path would train on.
     """
     n = store.num_nodes
     bounds = store.part_bounds
@@ -94,10 +96,10 @@ def _reconstruct_global_dataset(store):
     for p in range(store.num_parts):
         spart = store.partition(p, materialize=True)
         part = spart.part
-        coo = part.adj.tocoo()
-        glob = np.concatenate([part.owned_global, part.halo_global])
-        rows_all.append(part.owned_global[coo.row])
-        cols_all.append(glob[coo.col])
+        own, halo = spart.ops.own.tocoo(), spart.ops.halo.tocoo()
+        edge = own.row != own.col
+        rows_all += [part.owned_global[own.row[edge]], part.owned_global[halo.row]]
+        cols_all += [part.owned_global[own.col[edge]], part.halo_global[halo.col]]
         s, e = int(bounds[p]), int(bounds[p + 1])
         feats[s:e] = spart.features
         labels[s:e] = spart.labels

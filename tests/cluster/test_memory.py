@@ -12,6 +12,7 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.exchange import ExactHaloExchange
 from repro.cluster.memory import (
     _csr_bytes,
+    _model_bytes,
     _operator_bytes,
     _quant_scratch_bytes,
     _quant_stage_bytes,
@@ -48,10 +49,17 @@ def _quant_stage(cluster, steps_widths):
 
 def _model_resident(cluster):
     """The process's one parameter set, counted off the objects: the
-    parameters, their ``grad`` and an Adam's ``m`` and ``v`` slots."""
+    parameters, their ``grad``, an Adam's ``m`` and ``v`` slots and the
+    engine's float64 gradient accumulators."""
     opt = Adam(cluster.model.parameters())
     params = sum(p.data.nbytes + p.grad.nbytes for p in opt.params)
-    return params + sum(m.nbytes + v.nbytes for m, v in zip(opt._m, opt._v))
+    slots = sum(m.nbytes + v.nbytes for m, v in zip(opt._m, opt._v))
+    return params + slots + _accumulator_bytes(cluster._compute_engine())
+
+
+def _accumulator_bytes(engine):
+    """The engine's reduced-form gradient accumulators (``_acc``)."""
+    return sum(acc.nbytes for acc in engine._acc)
 
 
 @pytest.fixture(scope="module")
@@ -108,11 +116,10 @@ def test_stacked_buffers_counted_for_fused_engine(cluster):
         assert fp.stacked_buffer_bytes > 0
         assert not fp.streaming
         assert fp.memmap_window_bytes == 0
-        # In-RAM fused mode: features alongside their stacked layer-0 copy;
-        # the one parameter set is the process's, not a device's.
-        assert fp.resident_bytes == (
-            fp.decode_workspace_bytes + fp.feature_bytes + fp.stacked_buffer_bytes
-        )
+        # In-RAM fused mode: the features are held once, in the stacked
+        # layer-0 buffer; the one parameter set is the process's, not a
+        # device's.
+        assert fp.resident_bytes == fp.decode_workspace_bytes + fp.stacked_buffer_bytes
 
 
 def _engine_buffer_bytes(engine):
@@ -181,20 +188,32 @@ def test_estimate_peak_resident_sums_devices(cluster):
 @pytest.mark.parametrize("overlap", [False, True], ids=["serial", "split-phase"])
 def test_operator_estimate_is_what_the_engine_holds(tiny_dataset, overlap):
     """The in-RAM operator term, counted before the engine exists, equals
-    ``_csr_bytes`` summed over the operators it then holds: every device's
-    aggregation matrix and the block-wide quartet — the own- and
-    halo-column halves and their transposes — whether or not the run
-    overlaps."""
+    ``_csr_bytes`` summed over the operators it then holds: one quartet
+    per device — the own- and halo-column halves and their transposes —
+    and no other matrix, whether or not the run overlaps."""
     book = partition_graph(tiny_dataset.graph, 4, method="metis", seed=0)
     with Cluster(tiny_dataset, book, hidden_dim=16, num_layers=3, dropout=0.0,
                  seed=0, overlap=overlap) as c:  # fmt: skip
         estimate = _operator_bytes(c)
-        (ops,) = c._compute_engine()._ops
-        quartet = [ops.own, ops.halo, ops.own_t, ops.halo_t]
-        assert [v for v in vars(ops).values() if sp.issparse(v)] == quartet
-        held = [dev.agg.matrix for dev in c.devices] + quartet
+        engine = c._compute_engine()
+        held = []
+        for dev, ops in zip(c.devices, engine._ops, strict=True):
+            assert ops is dev.ops
+            quartet = [ops.own, ops.halo, ops.own_t, ops.halo_t]
+            assert [v for v in vars(ops).values() if sp.issparse(v)] == quartet
+            assert not any(sp.issparse(v) for v in vars(dev).values())
+            held += quartet
         assert estimate == sum(_csr_bytes(m) for m in held)
         assert estimate_peak_resident(c) >= estimate
+
+
+def test_estimate_counts_the_engines_gradient_accumulators(cluster):
+    """The one parameter set's term includes the engine's float64
+    accumulators, one per parameter (2·P·4 B), counted off the engine."""
+    engine = cluster._compute_engine()
+    assert all(acc.dtype == np.float64 for acc in engine._acc)
+    assert _accumulator_bytes(engine) == 2 * cluster.model.num_parameters() * 4
+    assert _model_bytes(cluster) == _model_resident(cluster)
 
 
 def _widest_step(cluster):

@@ -16,6 +16,7 @@ windows.
 
 import numpy as np
 import pytest
+from reference.oracle import operators
 
 from repro.cli import main
 from repro.cluster.cluster import Cluster
@@ -391,50 +392,42 @@ def test_overlap_buffers_survive_interleaved_evals(tiny_dataset, tiny_book, hidd
 # Split operators: P = [P_own | P_halo] and its transpose's row ranges
 # ----------------------------------------------------------------------
 def _split_engine(residency, tiny_dataset, huge_store):
-    """The devices and engine of a 3-layer cluster: in RAM (one block-wide
-    quartet) or from the store (one quartet per device)."""
+    """The devices and engine of a 3-layer cluster, in RAM or from the
+    store (one quartet per device either way), and each device's whole
+    operator as the reference trainer builds it."""
     if residency == "ram":
         book = partition_graph(tiny_dataset.graph, 3, method="metis", seed=0)
-        cluster = Cluster(tiny_dataset, book, hidden_dim=8, seed=0)
+        dataset = tiny_dataset
     else:
-        cluster = Cluster(huge_store.dataset(), huge_store.book(), hidden_dim=8)
-    with cluster:
-        return cluster.devices, cluster._compute_engine()
+        dataset, book = huge_store.dataset(), huge_store.book()
+    with Cluster(dataset, book, hidden_dim=8, seed=0) as cluster:
+        return cluster.devices, cluster._compute_engine(), operators(dataset, book, "gcn")
 
 
-def _row_halves(devices):
-    """Per stacked row: its per-device operator entries split at the owned
-    columns, as ``(own columns, halo columns, own data, halo data)`` in the
-    stacked own / halo column spaces of ``devices``."""
-    own_off = halo_off = 0
-    for dev in devices:
-        m, n_own = dev.agg.matrix, dev.part.n_owned
-        for i in range(n_own):
-            cols = m.indices[m.indptr[i] : m.indptr[i + 1]]
-            data = m.data[m.indptr[i] : m.indptr[i + 1]]
-            owned = cols < n_own
-            yield (
-                cols[owned] + own_off,
-                cols[~owned] - n_own + halo_off,
-                data[owned],
-                data[~owned],
-            )
-        own_off += n_own
-        halo_off += dev.part.n_halo
+def _row_halves(m, n_own):
+    """Per row of one device's whole operator ``m``: its entries split at
+    the owned columns, as ``(own columns, halo columns, own data, halo
+    data)`` in the halves' column spaces."""
+    for i in range(n_own):
+        cols = m.indices[m.indptr[i] : m.indptr[i + 1]]
+        data = m.data[m.indptr[i] : m.indptr[i + 1]]
+        owned = cols < n_own
+        yield cols[owned], cols[~owned] - n_own, data[owned], data[~owned]
 
 
 @pytest.mark.parametrize("residency", ["ram", "store"])
 def test_split_operators_partition_every_row(residency, tiny_dataset, huge_store):
     """``own`` and ``halo`` partition every row's entries, each half in
     stored order, and central rows have empty halo halves — what makes the
-    central window legal before the halos arrive."""
-    devices, engine = _split_engine(residency, tiny_dataset, huge_store)
-    groups = [devices] if residency == "ram" else [[dev] for dev in devices]
-    assert len(engine._blocks) == len(groups)
-    for (ops, own, halo), group in zip(engine._blocks, groups):
+    central window legal before the halos arrive.  The engine loops over
+    the devices' own quartets, one per device."""
+    devices, engine, whole = _split_engine(residency, tiny_dataset, huge_store)
+    assert len(engine._blocks) == len(devices)
+    for (ops, own, halo), dev, m in zip(engine._blocks, devices, whole):
+        assert ops is dev.ops
         assert ops.own.shape[0] == ops.halo.shape[0] == own.stop - own.start
         assert ops.halo.shape[1] == halo.stop - halo.start
-        for row, want in enumerate(_row_halves(group)):
+        for row, want in enumerate(_row_halves(m, dev.part.n_owned)):
             got = []
             for half in (ops.own, ops.halo):
                 lo, hi = half.indptr[row], half.indptr[row + 1]
@@ -444,9 +437,64 @@ def test_split_operators_partition_every_row(residency, tiny_dataset, huge_store
             assert halo_cols.tolist() == want[1].tolist()
             assert own_data.tobytes() == want[2].tobytes()
             assert halo_data.tobytes() == want[3].tobytes()
-        central = np.concatenate([dev.part.central_mask for dev in group])
-        assert not np.diff(ops.halo.indptr)[central].any()
-        assert ops.own.nnz + ops.halo.nnz == sum(dev.agg.nnz for dev in group)
+        assert not np.diff(ops.halo.indptr)[dev.part.central_mask].any()
+        assert ops.own.nnz + ops.halo.nnz == ops.nnz == m.nnz
+
+
+@pytest.mark.parametrize("residency", ["ram", "store"])
+def test_every_operator_fits_the_compiled_spmv(residency, tiny_dataset, huge_store):
+    """Every matrix the engine holds is float32 with int32 ``indptr`` /
+    ``indices`` and each row's columns ascending — the operands
+    ``repro_csr_rows`` takes.  A split that widened the indices would pass
+    every bitwise test (scipy sums in the same order) and show only as a
+    slowdown."""
+    _, engine, _ = _split_engine(residency, tiny_dataset, huge_store)
+    for ops in engine._ops:
+        for m in (ops.own, ops.halo, ops.own_t, ops.halo_t):
+            assert m.dtype == np.float32
+            assert m.indptr.dtype == m.indices.dtype == np.int32
+            assert m.has_sorted_indices
+
+
+class _CountingLibrary:
+    """The compiled library with its CSR product counted."""
+
+    def __init__(self, lib) -> None:
+        self.lib, self.csr_rows = lib, 0
+
+    def __getattr__(self, name):
+        return getattr(self.lib, name)
+
+    def repro_csr_rows(self, *args):
+        self.csr_rows += 1
+        return self.lib.repro_csr_rows(*args)
+
+
+@pytest.mark.parametrize("residency", ["ram", "store"])
+def test_every_engine_spmv_runs_the_compiled_kernel(
+    residency, tiny_dataset, huge_store, compiled_kernels, kernel_tier, monkeypatch
+):
+    """Where the compiled tier is loaded, every ``_spmv`` call of a
+    training epoch and an evaluation runs ``repro_csr_rows``."""
+    from repro.cluster import compute
+
+    if residency == "ram":
+        dataset, book = tiny_dataset, partition_graph(tiny_dataset.graph, 3, seed=0)
+    else:
+        dataset, book = huge_store.dataset(), huge_store.book()
+    calls = []
+    dispatch = compute._spmv
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return dispatch(*args, **kwargs)
+
+    monkeypatch.setattr(compute, "_spmv", spy)
+    lib = _CountingLibrary(compiled_kernels)
+    with kernel_tier(lib), Cluster(dataset, book, hidden_dim=8, seed=0) as cluster:
+        cluster.train_epoch(ExactHaloExchange(), 0)
+        cluster.evaluate()
+    assert lib.csr_rows == len(calls) > 0
 
 
 @pytest.mark.parametrize("residency", ["ram", "store"])
@@ -461,7 +509,7 @@ def test_own_then_halo_is_the_one_pass_product(
 
     from repro.cluster.compute import _spmv
 
-    _, engine = _split_engine(residency, tiny_dataset, huge_store)
+    _, engine, _ = _split_engine(residency, tiny_dataset, huge_store)
     gen = np.random.default_rng(0)
     with kernel_tier(compiled_kernels if compiled else None):
         for ops, _, _ in engine._blocks:

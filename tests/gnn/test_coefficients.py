@@ -6,7 +6,14 @@ from reference.model import aggregate, aggregate_transpose
 
 from repro.gnn.coefficients import build_aggregation
 from repro.graph.graph import Graph
+from repro.graph.io import SplitOperators
 from repro.graph.partition.book import PartitionBook, build_local_partitions
+
+
+def _aggregation(graph, part, kind):
+    """``(P, halo_alpha_sq)`` of ``part`` over ``graph``'s global degrees."""
+    deg = graph.degrees.astype(np.float64)
+    return build_aggregation(part, graph.to_scipy()[part.owned_global], deg, kind)
 
 
 def _path_setup():
@@ -20,9 +27,8 @@ def _path_setup():
 
 def test_gcn_coefficients_manual():
     graph, parts = _path_setup()
-    deg = graph.degrees.astype(np.float64)
-    agg = build_aggregation(parts[0], deg, "gcn")
-    dense = agg.matrix.toarray()
+    matrix, _ = _aggregation(graph, parts[0], "gcn")
+    dense = matrix.toarray()
     # Partition 0 owns {0,1,2}; halo {3}. d_hat = deg + 1 = [2,3,3,3,2].
     # Row for node 0: self 1/2, neighbor 1: 1/sqrt(2*3).
     assert abs(dense[0, 0] - 0.5) < 1e-6
@@ -44,14 +50,14 @@ def test_gcn_matches_full_normalized_adjacency(tiny_dataset, tiny_parts):
     a_hat = a_hat.tocsr()
 
     part = tiny_parts[1]
-    agg = build_aggregation(part, deg, "gcn")
+    matrix, _ = _aggregation(graph, part, "gcn")
     col_ids = np.concatenate([part.owned_global, part.halo_global])
     # Compare 10 random rows.
     rng = np.random.default_rng(0)
     for li in rng.choice(part.n_owned, 10, replace=False):
         gid = part.owned_global[li]
         local_row = np.zeros(graph.num_nodes)
-        dense_row = agg.matrix[li].toarray().ravel()
+        dense_row = matrix[li].toarray().ravel()
         local_row[col_ids] = dense_row
         global_row = a_hat[gid].toarray().ravel()
         assert np.allclose(local_row, global_row, atol=1e-6)
@@ -62,34 +68,33 @@ def test_sage_rows_sum_to_one(tiny_dataset, tiny_parts):
     coefficients sum to 1 (all 1-hop neighbors appear locally or as halo)."""
     deg = tiny_dataset.graph.degrees.astype(np.float64)
     part = tiny_parts[0]
-    agg = build_aggregation(part, deg, "sage")
-    sums = np.asarray(agg.matrix.sum(axis=1)).ravel()
+    matrix, _ = _aggregation(tiny_dataset.graph, part, "sage")
+    sums = np.asarray(matrix.sum(axis=1)).ravel()
     nonzero_deg = deg[part.owned_global] > 0
     assert np.allclose(sums[nonzero_deg], 1.0, atol=1e-5)
 
 
 def test_sum_kind_binary(tiny_parts, tiny_dataset):
-    deg = tiny_dataset.graph.degrees.astype(np.float64)
-    agg = build_aggregation(tiny_parts[0], deg, "sum")
-    assert set(np.unique(agg.matrix.data)) == {1.0}
+    matrix, _ = _aggregation(tiny_dataset.graph, tiny_parts[0], "sum")
+    assert set(np.unique(matrix.data)) == {1.0}
 
 
 def test_halo_alpha_sq_matches_direct(tiny_dataset, tiny_parts):
-    deg = tiny_dataset.graph.degrees.astype(np.float64)
     part = tiny_parts[2]
-    agg = build_aggregation(part, deg, "gcn")
-    squared = agg.matrix.copy()
+    matrix, halo_alpha_sq = _aggregation(tiny_dataset.graph, part, "gcn")
+    squared = matrix.copy()
     squared.data = squared.data**2
     direct = np.asarray(squared.sum(axis=0)).ravel()[part.n_owned :]
-    assert np.allclose(agg.halo_alpha_sq, direct)
-    assert agg.halo_alpha_sq.shape == (part.n_halo,)
-    assert (agg.halo_alpha_sq > 0).all()  # every halo column is referenced
+    assert np.allclose(halo_alpha_sq, direct)
+    assert halo_alpha_sq.shape == (part.n_halo,)
+    assert (halo_alpha_sq > 0).all()  # every halo column is referenced
 
 
 def test_nnz_for_rows(tiny_dataset, tiny_parts):
-    deg = tiny_dataset.graph.degrees.astype(np.float64)
     part = tiny_parts[0]
-    agg = build_aggregation(part, deg, "gcn")
+    matrix, _ = _aggregation(tiny_dataset.graph, part, "gcn")
+    agg = SplitOperators.split(matrix, part.n_owned)
+    assert agg.nnz == matrix.nnz
     full = agg.nnz_for_rows(np.ones(part.n_owned, dtype=bool))
     none = agg.nnz_for_rows(np.zeros(part.n_owned, dtype=bool))
     central = agg.nnz_for_rows(part.central_mask)
@@ -98,15 +103,14 @@ def test_nnz_for_rows(tiny_dataset, tiny_parts):
 
 
 def test_invalid_kind_rejected(tiny_dataset, tiny_parts):
-    deg = tiny_dataset.graph.degrees.astype(np.float64)
     with pytest.raises(ValueError):
-        build_aggregation(tiny_parts[0], deg, "max")
+        _aggregation(tiny_dataset.graph, tiny_parts[0], "max")
 
 
 def test_aggregate_shape_checks(tiny_dataset, tiny_parts):
-    deg = tiny_dataset.graph.degrees.astype(np.float64)
-    agg = build_aggregation(tiny_parts[0], deg, "gcn")
+    part = tiny_parts[0]
+    matrix, _ = _aggregation(tiny_dataset.graph, part, "gcn")
     with pytest.raises(ValueError):
-        aggregate(agg, np.zeros((3, 4), dtype=np.float32))
+        aggregate(matrix, np.zeros((3, 4), dtype=np.float32))
     with pytest.raises(ValueError):
-        aggregate_transpose(agg, np.zeros((agg.n_owned + 1, 4), dtype=np.float32))
+        aggregate_transpose(matrix, np.zeros((part.n_owned + 1, 4), dtype=np.float32))

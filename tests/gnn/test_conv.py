@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from reference.model import GCNConv, GNNLayer, SAGEConv
 
 from repro.gnn import conv as conv_params
-from repro.gnn.coefficients import AggregationContext, build_aggregation
+from repro.gnn.coefficients import build_aggregation
 from repro.gnn.conv import transform_first
 from repro.gnn.model import DistGNN
 from repro.graph.graph import Graph
@@ -34,7 +34,8 @@ def _two_part_case(kind):
     )
     parts = build_local_partitions(graph, book)
     deg = graph.degrees.astype(np.float64)
-    agg = build_aggregation(parts[0], deg, kind if kind != "sage" else "sage")
+    rows = graph.to_scipy()[parts[0].owned_global]
+    agg, _ = build_aggregation(parts[0], rows, deg, kind)
     return parts[0], agg
 
 
@@ -116,10 +117,7 @@ def _float64_gcn(n_own, n_halo, d_in, d_out, seed, *, order):
     gen = np.random.default_rng(seed)
     shape = (n_own, n_own + n_halo)
     dense = gen.normal(size=shape) * (gen.random(shape) < 0.4)
-    agg = AggregationContext(
-        "gcn", sp.csr_matrix(dense), np.zeros(n_halo), n_own, n_halo
-    )
-    conv = GCNConv(d_in, d_out, agg, np.random.default_rng(seed))
+    conv = GCNConv(d_in, d_out, sp.csr_matrix(dense), np.random.default_rng(seed))
     for p in conv.parameters():
         p.data = gen.normal(size=p.shape)
         p.grad = np.zeros(p.shape)

@@ -1,27 +1,27 @@
 """The central/marginal split of a partition (paper Sec. 3.1), as the
 running code states it: ``LocalPartition``'s masks and counts, and the
-aggregation nonzeros ``AggregationContext.nnz_for_rows`` attributes to
-them (what the cluster's FLOP records and the split-phase executor use)."""
+aggregation nonzeros ``SplitOperators.nnz_for_rows`` attributes to them
+(what the cluster's FLOP records and the split-phase executor use)."""
 
 import numpy as np
 import pytest
 
+from repro.cluster.runtime import build_devices
 from repro.gnn.coefficients import build_aggregation
 from repro.graph.graph import Graph
+from repro.graph.io import SplitOperators
 from repro.graph.partition.book import PartitionBook, build_local_partitions
 
 
 @pytest.fixture(scope="module")
-def parts_and_aggs(tiny_dataset, tiny_parts):
-    deg = tiny_dataset.graph.degrees.astype(np.float64)
-    return [(part, build_aggregation(part, deg, "gcn")) for part in tiny_parts]
+def parts_and_aggs(tiny_dataset, tiny_book):
+    devices = build_devices(tiny_dataset, tiny_book, model_kind="gcn", seed=0)
+    return [(dev.part, dev.ops) for dev in devices]
 
 
 def _halo_entries(part, agg):
     """Per owned row, how many of its aggregation entries read a halo column."""
-    m = agg.matrix
-    rows = np.repeat(np.arange(part.n_owned), np.diff(m.indptr))
-    return np.bincount(rows[m.indices >= part.n_owned], minlength=part.n_owned)
+    return np.diff(agg.halo.indptr)
 
 
 def test_counts_partition_rows(parts_and_aggs):
@@ -56,8 +56,8 @@ def test_masks_partition_owned_rows(parts_and_aggs):
 def test_single_partition_has_zero_marginal_nodes(tiny_dataset, single_part_book):
     """A 1-partition cluster has no remote edges: everything is central and
     the marginal comm stage must be a no-op."""
-    (part,) = build_local_partitions(tiny_dataset.graph, single_part_book)
-    agg = build_aggregation(part, tiny_dataset.graph.degrees.astype(np.float64), "gcn")
+    (dev,) = build_devices(tiny_dataset, single_part_book, model_kind="gcn", seed=0)
+    part, agg = dev.part, dev.ops
     assert part.n_marginal == 0
     assert part.n_central == part.n_owned == tiny_dataset.num_nodes
     assert agg.nnz_for_rows(part.marginal_mask) == 0
@@ -75,7 +75,9 @@ def test_all_marginal_partition():
         part_of=np.array([0, 1, 0, 1, 0], dtype=np.int32), num_parts=2
     )
     for part in build_local_partitions(graph, book):
-        agg = build_aggregation(part, graph.degrees.astype(np.float64), "gcn")
+        rows = graph.to_scipy()[part.owned_global]
+        matrix, _ = build_aggregation(part, rows, graph.degrees, "gcn")
+        agg = SplitOperators.split(matrix, part.n_owned)
         assert part.n_central == 0
         assert part.n_marginal == part.n_owned
         assert agg.nnz_for_rows(part.central_mask) == 0

@@ -48,3 +48,29 @@ def test_store_open_rejects_missing_and_corrupt_header(huge_store, tmp_path):
 def test_store_region_unknown_name_raises(huge_store):
     with pytest.raises(KeyError, match="no region"):
         huge_store.region(0, "no-such-region")
+
+
+def test_store_writes_exactly_the_regions_it_reads(huge_store, monkeypatch):
+    """Every region the builder writes is read back by ``partition()`` and
+    every region read was written — so a region nothing reads (like the
+    old whole-operator, adjacency and degree regions) cannot come back."""
+    from repro.graph.io import PartitionStore
+
+    read = set()
+    region = PartitionStore.region
+
+    def spy(self, part, name, **kwargs):
+        read.add((part, name))
+        return region(self, part, name, **kwargs)
+
+    monkeypatch.setattr(PartitionStore, "region", spy)
+    huge_store.dataset()
+    huge_store.book()
+    for part in range(huge_store.num_parts):
+        huge_store.partition(part)
+    written = {
+        (part, name)
+        for part, entry in enumerate(huge_store.header["partitions"])
+        for name in entry["regions"]
+    }
+    assert read == written

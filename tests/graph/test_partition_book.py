@@ -11,6 +11,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.gnn.coefficients import build_aggregation
 from repro.graph.graph import Graph
 from repro.graph.partition.book import PartitionBook, build_local_partitions
 
@@ -113,22 +114,17 @@ def graph_and_parts(draw):
 @given(graph_and_parts())
 @settings(max_examples=40, deadline=None)
 def test_property_local_parts_reconstruct_global_adjacency(case):
-    """Sum of per-partition adjacencies (mapped back to global ids) equals
-    the full adjacency restricted to each partition's rows."""
+    """Sum of per-partition operators in local columns (the ``"sum"``
+    aggregation: the 0/1 adjacency), mapped back to global ids through
+    ``[owned_global, halo_global]``, equals the full adjacency."""
     graph, book = case
     parts = build_local_partitions(graph, book)
     full = graph.to_scipy()
     recon = sp.lil_matrix((graph.num_nodes, graph.num_nodes))
     for part in parts:
-        coo = part.adj.tocoo()
-        rows_g = part.owned_global[coo.row]
-        col_ids = np.where(
-            coo.col < part.n_owned,
-            part.owned_global[np.minimum(coo.col, max(part.n_owned - 1, 0))],
-            part.halo_global[np.maximum(coo.col - part.n_owned, 0)]
-            if part.n_halo
-            else 0,
-        )
-        for r, c in zip(rows_g, col_ids):
+        rows = full[part.owned_global]
+        coo = build_aggregation(part, rows, graph.degrees, "sum")[0].tocoo()
+        col_ids = np.concatenate([part.owned_global, part.halo_global])[coo.col]
+        for r, c in zip(part.owned_global[coo.row], col_ids):
             recon[r, c] = 1.0
     assert (recon.tocsr() != full).nnz == 0

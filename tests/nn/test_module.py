@@ -1,13 +1,16 @@
-"""Module tree: parameter discovery, state dicts, gradient vectors."""
+"""Module tree: parameter discovery, state dicts, gradient vectors — and
+the train/eval mode of the reference model's tree (``tests/reference/``),
+which only its dropout reads."""
 
 import numpy as np
 import pytest
+from reference import model as reference
 
 from repro.nn.layers import LayerNorm, Linear
 from repro.nn.module import Module, Parameter
 
 
-class _Net(Module):
+class _Net(reference.Module):
     def __init__(self):
         super().__init__()
         self.fc1 = Linear(3, 4, np.random.default_rng(0))
@@ -40,6 +43,8 @@ def test_train_eval_propagates():
     assert not net.norm.training
     net.train()
     assert net.blocks[0].training
+    for name in ("training", "train", "eval", "modules"):
+        assert not hasattr(Module, name), name
 
 
 def test_state_dict_roundtrip():

@@ -20,38 +20,62 @@ given ``d_out = dL/d_output`` a layer accumulates parameter gradients into
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.gnn import conv as conv_params
-from repro.gnn.coefficients import AggregationContext
 from repro.gnn.model import MODEL_KINDS
-from repro.nn import layers
+from repro.nn import layers, module
 from repro.nn.blas import row_matmul
-from repro.nn.module import Module
 from repro.utils.validation import check_in_set
 
 
+# -- the module tree's train/eval mode --------------------------------------
+class Module(module.Module):
+    """Production's module tree plus a train/eval mode: only the reference's
+    :class:`Dropout` reads it (the engine takes ``training=`` per call)."""
+
+    training = True
+
+    def modules(self) -> list[module.Module]:
+        mods: list[module.Module] = [self]
+        for value in vars(self).values():
+            for item in value if isinstance(value, (list, tuple)) else [value]:
+                if isinstance(item, module.Module):
+                    mods.extend(Module.modules(item))
+        return mods
+
+    def train(self) -> "Module":
+        for m in self.modules():
+            m.training = True
+        return self
+
+    def eval(self) -> "Module":
+        for m in self.modules():
+            m.training = False
+        return self
+
+
 # -- the aggregation operator ------------------------------------------------
-def matrix_t(agg: AggregationContext):
+# ``agg`` is one device's operator ``P``: CSR, ``(n_owned, n_owned + n_halo)``.
+def matrix_t(agg: sp.csr_matrix) -> sp.csr_matrix:
     """``P^T`` as CSR, traversed row-major like the forward operator; each
     output row sums its entries in ascending source row, as the CSC view
-    ``agg.matrix.T`` does."""
-    t = agg.matrix.T.tocsr()
+    ``agg.T`` does."""
+    t = agg.T.tocsr()
     t.sort_indices()
     return t
 
 
-def aggregate(agg: AggregationContext, x_full: np.ndarray) -> np.ndarray:
+def aggregate(agg: sp.csr_matrix, x_full: np.ndarray) -> np.ndarray:
     """``Z = P @ x_full`` where ``x_full`` stacks owned then halo rows."""
-    if x_full.shape[0] != agg.n_owned + agg.n_halo:
-        raise ValueError(
-            f"x_full has {x_full.shape[0]} rows, expected {agg.n_owned + agg.n_halo}"
-        )
-    return np.asarray(agg.matrix @ x_full)
+    if x_full.shape[0] != agg.shape[1]:
+        raise ValueError(f"x_full has {x_full.shape[0]} rows, expected {agg.shape[1]}")
+    return np.asarray(agg @ x_full)
 
 
-def aggregate_transpose(agg: AggregationContext, d_z: np.ndarray) -> np.ndarray:
+def aggregate_transpose(agg: sp.csr_matrix, d_z: np.ndarray) -> np.ndarray:
     """``P^T @ d_z``: routes embedding gradients back to input rows."""
-    if d_z.shape[0] != agg.n_owned:
+    if d_z.shape[0] != agg.shape[0]:
         raise ValueError("d_z must have one row per owned node")
     return np.asarray(matrix_t(agg) @ d_z)
 
@@ -129,7 +153,7 @@ class ReLU(Module):
         return d_out * mask
 
 
-class Dropout(layers.Dropout):
+class Dropout(Module, layers.Dropout):
     """Inverted dropout drawing from one device's stream, ``rng``; the
     identity in eval mode (``training`` off) or at ``p == 0``."""
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from reference.model import Replica
 from reference.wire import MixedPrecisionEncoder, decode
 
@@ -34,7 +35,9 @@ from repro.cluster.runtime import build_devices
 from repro.comm.costmodel import LinkCostModel
 from repro.comm.topology import parse_topology
 from repro.core.assigner import AdaptiveBitWidthAssigner
+from repro.gnn.coefficients import build_aggregation
 from repro.graph.io import StoreDataset
+from repro.graph.partition.book import build_local_partitions
 from repro.nn.losses import bce_with_logits_loss, softmax_cross_entropy
 from repro.nn.metrics import metric_counts, metric_from_counts
 from repro.nn.optim import Adam
@@ -220,6 +223,21 @@ def make_policy(name: str, trainer: "ReferenceTrainer"):
 
 
 # -- the trainer -------------------------------------------------------------
+def operators(dataset, book, model_kind) -> list:
+    """Each device's whole aggregation operator ``P``: built from the
+    partitions and the global adjacency in RAM, or glued back together
+    from a store's column halves, ``[agg_own | agg_halo]``."""
+    kind = "gcn" if model_kind == "gcn" else "sage"
+    if isinstance(dataset, StoreDataset):
+        stored = (dataset.store.partition(p) for p in range(book.num_parts))
+        return [sp.hstack([s.ops.own, s.ops.halo], format="csr") for s in stored]
+    adjacency, degrees = dataset.graph.to_scipy(), dataset.graph.degrees
+    return [
+        build_aggregation(part, adjacency[part.owned_global], degrees, kind)[0]
+        for part in build_local_partitions(dataset.graph, book)
+    ]
+
+
 class ReferenceTrainer:
     """Lock-step training over per-device model replicas."""
 
@@ -228,15 +246,15 @@ class ReferenceTrainer:
         dropout=0.5, seed=7,
     ) -> None:
         dims = [dataset.num_features, *[hidden_dim] * (num_layers - 1), dataset.num_classes]
-        self.devices, _ = build_devices(dataset, book, model_kind=model_kind, seed=seed)
+        self.devices = build_devices(dataset, book, model_kind=model_kind, seed=seed)
         weights = RngPool(seed).fork("cluster").fork("weights")
         self.models = [
             Replica(
-                model_kind, dims, dev.agg, dropout=dropout,
+                model_kind, dims, agg, dropout=dropout,
                 weight_rng=weights.fork("shared").get("init"),
                 dropout_rng=dev.dropout_rng,
             )
-            for dev in self.devices
+            for dev, agg in zip(self.devices, operators(dataset, book, model_kind))
         ]  # fmt: skip
         self.policy = make_policy(policy, self) if isinstance(policy, str) else policy
         self.multilabel = dataset.multilabel

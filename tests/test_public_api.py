@@ -4,6 +4,7 @@ import importlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import repro
 
@@ -64,7 +65,7 @@ def test_quant_holds_only_what_runs():
         importlib.import_module("repro.quant.native")
 
 
-def test_second_statements_are_gone(tiny_dataset, tiny_book):
+def test_second_statements_are_gone(tiny_dataset, tiny_book, huge_store):
     """Each concern is stated once: the central/marginal split by
     ``LocalPartition`` and the cluster's phase records, SANCUS's broadcast
     by ``schedule_sancus``, the gradient reduction by the engine, a step's
@@ -73,8 +74,10 @@ def test_second_statements_are_gone(tiny_dataset, tiny_book):
     column halves, and the model's forward/backward by the engine over the
     cluster's one parameter set (the per-device statement is the reference
     model under ``tests/reference/``; an elastic resize is a new cluster
-    plus ``restore_state``).  The ``.npz`` formats nothing read or wrote
-    are gone too."""
+    plus ``restore_state``).  An aggregation operator is one
+    ``SplitOperators`` quartet per device after set-up, in RAM and in a
+    store; RAM holds the features once, in the engine's layer-0 buffer.
+    The ``.npz`` formats and the store regions nothing read are gone too."""
     import dataclasses
 
     from repro.cluster import Cluster
@@ -135,7 +138,9 @@ def test_second_statements_are_gone(tiny_dataset, tiny_book):
         conv.GCNConv: ("forward", "backward"),
         conv.SAGEConv: ("forward", "backward"),
         conv: ("stack_conv_inputs",),
-        coefficients.AggregationContext: ("aggregate", "aggregate_transpose", "matrix_t"),
+        coefficients: ("AggregationContext",),
+        compute: ("build_block_diagonal",),
+        repro.cluster: ("build_block_diagonal",),
         layers: ("ReLU",),
         layers.Linear: ("forward", "backward"),
         layers.LayerNorm: ("forward", "backward"),
@@ -144,3 +149,16 @@ def test_second_statements_are_gone(tiny_dataset, tiny_book):
         for name in names:
             assert not hasattr(owner, name), (owner, name)
     assert "stack_conv_inputs" not in conv.__all__
+    # One operator form, the features once: no per-device full matrix, no
+    # adjacency, and in RAM every device's features are X[0]'s owned block.
+    from repro.graph.partition.book import LocalPartition
+
+    assert "adj" not in {f.name for f in dataclasses.fields(LocalPartition)}
+    assert "agg" not in {f.name for f in dataclasses.fields(DeviceRuntime)}
+    for dev in cluster.devices:
+        assert not any(sp.issparse(v) for v in vars(dev).values())
+        assert np.shares_memory(dev.features, engine._x[0])
+        assert np.array_equal(dev.features, tiny_dataset.features[dev.part.owned_global])
+    regions = {n for part in huge_store.header["partitions"] for n in part["regions"]}
+    assert "degrees" not in regions
+    assert not any(n.startswith(("agg_data", "agg_ind", "adj_")) for n in regions)
