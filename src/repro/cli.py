@@ -246,14 +246,7 @@ def _overlap_rows(result) -> list[list[str]]:
 def _cmd_train(args: argparse.Namespace) -> int:
     from repro.comm.faults import FaultPlan
     from repro.comm.topology import parse_topology
-    from repro.comm.transport import TransportError, transport_workers
-
-    if args.transport is not None:
-        try:
-            transport_workers(args.transport, overlap=False)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    from repro.comm.transport import TransportError
 
     fault_plan = None
     if args.inject_faults:
@@ -265,6 +258,31 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
     if args.resume and args.checkpoint_dir is None:
         print("error: --resume requires --checkpoint-dir", file=sys.stderr)
+        return 2
+
+    timeout = {}
+    if args.transport_timeout is not None:
+        timeout = {"transport_timeout_s": args.transport_timeout}
+    try:
+        cfg = RunConfig(
+            model_kind=args.model,
+            hidden_dim=args.hidden,
+            epochs=args.epochs,
+            lr=args.lr,
+            dropout=args.dropout,
+            lam=args.lam,
+            group_size=args.group_size,
+            reassign_period=args.period,
+            seed=args.seed,
+            eval_every=max(1, args.epochs // 8),
+            transport=args.transport if args.transport is not None else "auto",
+            checkpoint_dir=args.checkpoint_dir,
+            checkpoint_every=args.checkpoint_every,
+            resume=args.resume,
+            **timeout,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
     if args.store is not None:
@@ -294,24 +312,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
             ds.graph, topology.num_devices, method="metis", seed=args.seed
         )
         dataset_label = f"{args.dataset}-{args.scale}"
-    cfg = RunConfig(
-        model_kind=args.model,
-        hidden_dim=args.hidden,
-        epochs=args.epochs,
-        lr=args.lr,
-        dropout=args.dropout,
-        lam=args.lam,
-        group_size=args.group_size,
-        reassign_period=args.period,
-        seed=args.seed,
-        eval_every=max(1, args.epochs // 8),
-        transport=args.transport if args.transport is not None else "auto",
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_every=max(1, args.checkpoint_every),
-        resume=args.resume,
-    )
-    if args.transport_timeout is not None:
-        cfg = cfg.with_overrides(transport_timeout_s=args.transport_timeout)
     print(f"training {args.system} / {args.model} on {dataset_label} "
           f"({topology.name}, {args.epochs} epochs)...")
     try:

@@ -59,9 +59,10 @@ _log = get_logger(__name__)
 
 class Cluster:
     """All simulated devices for one training job, and its one parameter
-    set, ``model`` (a :class:`~repro.gnn.model.DistGNN`): the engine
-    computes every device's rows with it, one optimizer steps it, and an
-    elastic resize is a new cluster plus
+    set, ``model`` (a :class:`~repro.gnn.model.DistGNN`): the engine,
+    ``engine`` (a :class:`~repro.cluster.compute.FusedClusterCompute`, built
+    with the cluster), computes every device's rows with it, one optimizer
+    steps it, and an elastic resize is a new cluster plus
     :func:`~repro.cluster.checkpoint.restore_state`.
 
     Parameters
@@ -182,19 +183,14 @@ class Cluster:
         # run on a machine compiles), so the run says which one it uses
         # instead of compiling on the hot path.
         _log.info("kernels: %s", kernels.status())
-        # The engine's step plan (operators, stacked buffers, views) is
-        # static across epochs, so it is built once and lazily; the
-        # per-phase FLOP-accounting arrays are likewise cached.
-        self._engine: FusedClusterCompute | None = None
+        # The engine's step plan (operators, stacked buffers, views, scratch)
+        # is static across epochs and independent of ``overlap``, so it is
+        # built here, once; store datasets stream each device's pages
+        # through it.  The per-phase FLOP-accounting arrays are cached too.
+        self.engine = FusedClusterCompute(
+            self.devices, self.model, stream=store_ds is not None
+        )
         self._phase_static: dict[tuple[int, str, bool], tuple[np.ndarray, ...]] = {}
-
-    def _compute_engine(self) -> FusedClusterCompute:
-        if self._engine is None:
-            # Store datasets stream each device's pages through the engine.
-            self._engine = FusedClusterCompute(
-                self.devices, self.model, stream=self._store_dataset is not None
-            )
-        return self._engine
 
     # ------------------------------------------------------------------
     # Training
@@ -218,7 +214,7 @@ class Cluster:
 
         record = EpochRecord(loss=0.0)
         num_layers = self.model.num_layers
-        engine = self._compute_engine()
+        engine = self.engine
         engine.begin_epoch()
         for layer in range(num_layers):
             timeline = engine.forward_layer(
@@ -265,7 +261,7 @@ class Cluster:
     def _eval_forward(self) -> FusedClusterCompute:
         """Exact (un-quantized) eval-mode forward; the engine holds the logits."""
         transport = Transport(self.num_devices)
-        engine = self._compute_engine()
+        engine = self.engine
         for layer in range(self.model.num_layers):
             engine.forward_layer(layer, self._eval_exchange, transport, training=False)
         return engine

@@ -274,9 +274,11 @@ def _post_backward(
 class FusedClusterCompute:
     """Whole-cluster forward/backward on stacked buffers.
 
-    Built once per :class:`~repro.cluster.cluster.Cluster` (the step plan —
-    operators, offsets, views, scratch — is static across epochs, like the
-    exchange's ``FusedStepPlan``); the cluster drives it with one step
+    Built once, by its :class:`~repro.cluster.cluster.Cluster` (the step
+    plan — operators, offsets, views, scratch — is static across epochs, like
+    the exchange's ``FusedStepPlan``, and every buffer a step uses is
+    allocated here, so :attr:`nbytes` is what the engine holds from
+    construction on); the cluster drives it with one step
     method per direction, :meth:`forward_layer` and :meth:`backward_layer`,
     passing ``overlap`` to open the transport's accounting window.
 
@@ -325,7 +327,6 @@ class FusedClusterCompute:
         self.halo_off = np.concatenate([[0], np.cumsum(n_halo)]).astype(np.int64)
         self.total_own = int(self.own_off[-1])
         self.total_halo = int(self.halo_off[-1])
-        self._max_own = int(max(n_own)) if n_own else 0
         n_rows = self.total_own + self.total_halo
 
         # Each device's split operators with the stacked rows they cover:
@@ -389,6 +390,15 @@ class FusedClusterCompute:
         ]
         self._drop_mask = [rows(self.total_own, dims[l + 1]) for l in range(L - 1)]
         self._drop_active = [False] * (L - 1)
+        # Per-device LayerNorm (γ, β) partials, one block per post width.
+        self._norm_partials = {
+            dims[l + 1]: np.zeros((len(devices), 2, dims[l + 1]), dtype=np.float32)
+            for l, mod in enumerate(model.layers)
+            if mod.has_post_stage
+        }
+        self._stream_z0 = None
+        if lo and not self._transform_first[0]:
+            self._stream_z0 = rows(max(n_own, default=0), dims[0])
 
         # Per-layer, per-device views into the stacked buffers (static).
         # Streaming layer 0: own views alias the device feature arrays
@@ -411,9 +421,6 @@ class FusedClusterCompute:
             self._x0_halo if x is None else x[self.total_own :] for x in self._x
         ]
 
-        # Reused scratch blocks (LayerNorm partials, ``stream_z0``).
-        self._scratch_bufs: dict[tuple, np.ndarray] = {}
-
         # Reduced-form gradient accumulators: one float64 buffer per
         # parameter, summed over devices in rank order.
         self._params = model.parameters()
@@ -421,6 +428,27 @@ class FusedClusterCompute:
         self._acc_by_id = {id(p): a for p, a in zip(self._params, self._acc)}
         # Gradient of the current backward frontier (set by epoch_loss).
         self._d: np.ndarray | None = None
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of every array the engine allocated and holds: the stacked
+        buffers, the scratch blocks, the row offsets and the float64
+        accumulators, each counted once.  Views (the devices' feature blocks
+        in RAM) count with their base; the devices', the operators' and the
+        model's own arrays are theirs, not the engine's."""
+        theirs = {id(a) for dev in self.devices for a in vars(dev).values()}
+        held: dict[int, int] = {}
+        stack = list(vars(self).values())
+        while stack:
+            value = stack.pop()
+            if isinstance(value, np.ndarray):
+                if value.base is None and id(value) not in theirs:
+                    held[id(value)] = value.nbytes
+            elif isinstance(value, (list, tuple)):
+                stack.extend(value)
+            elif isinstance(value, dict):
+                stack.extend(value.values())
+        return sum(held.values())
 
     # ------------------------------------------------------------------
     def _own_slice(self, k: int) -> slice:
@@ -605,7 +633,7 @@ class FusedClusterCompute:
             self._drop_active[layer] = False
 
     # ------------------------------------------------------------------
-    # A store's aggregate-first layer 0, scratch and timelines
+    # A store's aggregate-first layer 0 and timelines
     # ------------------------------------------------------------------
     def _forward_layer0_stream(self, out_own: np.ndarray) -> None:
         """A store's aggregate-first layer 0, after finalize: device by
@@ -629,21 +657,10 @@ class FusedClusterCompute:
         (N, F) buffer resident.  Only aggregate-first layers come here.
         """
         dev, ops = self.devices[k], self._ops[k]
-        zbuf = self._scratch("stream_z0", self._max_own, self.dims[0])
-        z = zbuf[: dev.part.n_owned]
+        z = self._stream_z0[: dev.part.n_owned]
         _spmv(ops.own, dev.features, z)
         _spmv(ops.halo, self._halo_views[0][k], z, accumulate=True)
         return z
-
-    def _scratch(self, name: str, rows: int, cols: int) -> np.ndarray:
-        """Reusable float32 scratch block; keyed by use-site so lifetimes
-        never clash."""
-        key = (name, rows, cols)
-        buf = self._scratch_bufs.get(key)
-        if buf is None:
-            buf = np.empty((rows, cols), dtype=np.float32)
-            self._scratch_bufs[key] = buf
-        return buf
 
     @staticmethod
     def _timeline(layer, phase, transport, step, stages) -> StepTimeline:
@@ -771,9 +788,7 @@ class FusedClusterCompute:
         """Post-stage backward over the stacked owned rows: ``d_out`` becomes
         LayerNorm's input gradient in place.  Returns the per-device
         ``(γ, β)`` partials, ``(K, 2, d)``, for :meth:`_add_norm_partials`."""
-        width = d_out.shape[1]
-        partials = self._scratch("norm_partials", len(self.devices), 2 * width)
-        partials = partials.reshape(len(self.devices), 2, width)
+        partials = self._norm_partials[d_out.shape[1]]
         _post_backward(
             mod.norm,
             d_out,

@@ -36,9 +36,6 @@ class ClusterTopology:
             raise ValueError(f"device {device} out of range")
         return device // self.devices_per_machine
 
-    def same_machine(self, a: int, b: int) -> bool:
-        return self.machine_of(a) == self.machine_of(b)
-
     @property
     def name(self) -> str:
         return f"{self.num_machines}M-{self.devices_per_machine}D"

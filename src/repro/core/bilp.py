@@ -150,9 +150,6 @@ class BitWidthProblem:
         )
         return self.theta * pair_bytes + self.gamma
 
-    def pair_time(self, pair: tuple[int, int], bits: np.ndarray) -> float:
-        return float(self.pair_times(bits)[self.pairs.index(pair)])
-
     def worst_time(self, bits: np.ndarray) -> float:
         return float(self.pair_times(bits).max())
 

@@ -37,7 +37,6 @@ class RunConfig:
     reassign_period: int = 20
     bit_choices: tuple[int, ...] = SUPPORTED_BITS
     solver: str = "exact"  # or "milp" (the HiGHS oracle) / "greedy"
-    default_bits: int = 8
     fixed_bits: int = 2  # for the fixed-bit-width systems
     uniform_period: int = 20  # resampling cadence of the uniform baseline
 
@@ -78,9 +77,6 @@ class RunConfig:
     # (on the worker pool, or inline) raises TransportError naming its
     # outstanding jobs instead of hanging the run.  None waits forever.
     transport_timeout_s: float | None = 120.0
-
-    # Baselines
-    sancus_staleness: int = 4
 
     def __post_init__(self) -> None:
         check_in_set(self.model_kind, MODEL_KINDS, name="model_kind")

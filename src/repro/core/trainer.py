@@ -167,8 +167,11 @@ def _warn_if_ram_tight(cluster: Cluster) -> None:
     Advisory only — a streaming (huge-graph) run whose estimate is close
     to the limit may still complete, just with the page cache thrashing;
     an in-RAM run that exceeds it is headed for the OOM killer.  The
-    estimate is :func:`estimate_peak_resident`, the same model the
-    huge-graph benchmark cross-checks against measured peak RSS.
+    estimate is :func:`estimate_peak_resident`, which counts the cluster's
+    engine, operators and parameters as built and models only what the run
+    has not allocated yet (Adam's slots, the exchange's staging and decode
+    workspaces); the huge-graph benchmark cross-checks it against measured
+    peak RSS.
     """
     from repro.cluster.memory import estimate_peak_resident, host_memory
 
@@ -217,7 +220,6 @@ def build_system(
             period=config.reassign_period,
             bit_choices=config.bit_choices,
             solver=config.solver,
-            default_bits=config.default_bits,
         )
         exchange = FusedQuantizedHaloExchange(assigner, rounding(), tracer=assigner)
         return _SystemSetup(exchange=exchange, schedule=schedule_adaqp, assigner=assigner)
@@ -243,7 +245,6 @@ def build_system(
             period=config.reassign_period,
             bit_choices=config.bit_choices,
             solver=config.solver,
-            default_bits=config.default_bits,
         )
         exchange = FusedQuantizedHaloExchange(assigner, rounding(), tracer=assigner)
         return _SystemSetup(
@@ -259,10 +260,7 @@ def build_system(
     if name == "pipegcn":
         return _SystemSetup(exchange=StaleHaloExchange(), schedule=schedule_pipegcn)
     if name == "sancus":
-        return _SystemSetup(
-            exchange=BroadcastSkipExchange(config.sancus_staleness),
-            schedule=schedule_sancus,
-        )
+        return _SystemSetup(exchange=BroadcastSkipExchange(), schedule=schedule_sancus)
     raise ValueError(f"unknown system {name!r}; choose from {SYSTEMS}")
 
 

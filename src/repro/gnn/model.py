@@ -100,7 +100,3 @@ class DistGNN(Module):
     @property
     def num_layers(self) -> int:
         return len(self.layers)
-
-    def layer_dims(self, layer: int) -> tuple[int, int]:
-        """(input width, output width) of ``layer``."""
-        return self.dims[layer], self.dims[layer + 1]

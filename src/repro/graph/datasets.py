@@ -98,17 +98,6 @@ class GraphDataset:
     def multilabel(self) -> bool:
         return self.spec.multilabel
 
-    def summary_row(self) -> tuple[str, int, int, int, int, str]:
-        """One catalog row: (name, nodes, edges, feats, classes, task)."""
-        return (
-            self.spec.name,
-            self.graph.num_nodes,
-            self.graph.num_edges,
-            self.num_features,
-            self.num_classes,
-            self.spec.task,
-        )
-
 
 def _catalog() -> dict[str, dict[str, DatasetSpec]]:
     """Build the two-scale catalog; density ordering follows Table 3."""

@@ -17,7 +17,9 @@ behind itself.  The claims this bench pins (gated by
   the materialized arm (the cost of faulting the window under the
   kernels, which nothing hides on a synchronous transport);
 * **estimate accuracy**: :func:`~repro.cluster.memory.estimate_peak_resident`
-  vs. the measured streaming delta, reported as a signed relative error.
+  — the engine's arrays, the widest memmap window and the parameters as
+  built, plus the modelled optimizer and exchange buffers — vs. the
+  measured streaming delta, reported as a signed relative error.
 
 ``ru_maxrss`` is a process-wide monotone high-water mark, so the two
 arms *cannot* share a process — each runs in a fresh subprocess (this

@@ -61,7 +61,7 @@ def test_replicas_stay_identical_after_step(tiny_dataset):
     for epoch in range(3):
         c.train_epoch(ExactHaloExchange(), epoch)
         opt.step()
-    engine = c._compute_engine()
+    engine = c.engine
     assert engine.model is c.model
     assert [id(p) for p in engine._params] == [id(p) for p in opt.params]
     assert not any(hasattr(dev, "model") for dev in c.devices)

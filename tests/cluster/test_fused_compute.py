@@ -87,7 +87,7 @@ def test_replicas_stay_identical_under_fused_engine(tiny_dataset):
     for epoch in range(3):
         cluster.train_epoch(exchange, epoch)
         opt.step()
-    engine = cluster._engine
+    engine = cluster.engine
     assert engine.model is cluster.model
     assert all(p.data is d for p, d in zip(cluster.model.parameters(), data))
     reduced = [acc.astype(np.float32) for acc in engine._acc]
@@ -95,12 +95,15 @@ def test_replicas_stay_identical_under_fused_engine(tiny_dataset):
 
 
 def test_fused_compute_is_default(tiny_dataset, tiny_book):
-    """The one engine, built lazily on the first epoch (its stacked
-    buffers are the bulk of a cluster's footprint)."""
+    """The one engine, built with its cluster (so the memory estimate can
+    count its stacked buffers, the bulk of a cluster's footprint), and the
+    one every epoch runs on."""
     with Cluster(tiny_dataset, tiny_book, hidden_dim=8, seed=0) as cluster:
-        assert cluster._engine is None
+        engine = cluster.engine
+        assert isinstance(engine, FusedClusterCompute)
         cluster.train_epoch(ExactHaloExchange(), 0)
-        assert isinstance(cluster._engine, FusedClusterCompute)
+        cluster.evaluate()
+        assert cluster.engine is engine
 
 
 @pytest.mark.parametrize("hidden", HIDDEN_SHAPES)
@@ -247,28 +250,25 @@ def test_overlap_executes_the_same_products(
 @pytest.mark.parametrize("model_kind", ["gcn", "sage"])
 @pytest.mark.parametrize("shape,hidden", ENGINE_SHAPES)
 def test_overlap_off_gathers_nothing(
-    monkeypatch, tiny_dataset, tiny_book, huge_store, sage_store, model_kind, shape,
-    hidden,
+    tiny_dataset, tiny_book, huge_store, sage_store, model_kind, shape, hidden
 ):
     """No shape gathers row sets: the split-phase step splits only its
     aggregation, and by column, so in every shape — overlapped included —
     a training epoch and an evaluation work in place on the persistent
-    buffers.  The only scratch they ask for is the per-device LayerNorm
-    partials and streaming layer 0's aggregation block."""
+    buffers.  Its only scratch blocks, the per-device LayerNorm partials
+    and streaming layer 0's aggregation block, are allocated with the
+    engine: the arrays it holds do not change."""
     stores = {"gcn": huge_store, "sage": sage_store}
     cluster = _shape_cluster(shape, model_kind, hidden, tiny_dataset, tiny_book, stores)
-    requested = set()
-    scratch = FusedClusterCompute._scratch
-
-    def spy(self, name, *args, **kwargs):
-        requested.add(name)
-        return scratch(self, name, *args, **kwargs)
-
-    monkeypatch.setattr(FusedClusterCompute, "_scratch", spy)
+    engine = cluster.engine
+    before = dict(vars(engine))
+    held = engine.nbytes
     with cluster:
         cluster.train_epoch(ExactHaloExchange(), 0)
         cluster.evaluate()
-    assert requested <= {"norm_partials", "stream_z0"}
+    assert engine.nbytes == held
+    assert set(vars(engine)) == set(before)
+    assert {n for n, v in vars(engine).items() if v is not before[n]} <= {"_d"}
 
 
 @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
@@ -429,7 +429,7 @@ def test_eval_forward_logits_equal_the_reference_per_device(tiny_dataset):
     book = partition_graph(tiny_dataset.graph, 2, method="metis", seed=0)
     shape = dict(hidden_dim=8, num_layers=2, dropout=0.0, seed=0)
     cluster = Cluster(tiny_dataset, book, **shape)
-    assert isinstance(cluster._compute_engine(), FusedClusterCompute)
+    assert isinstance(cluster.engine, FusedClusterCompute)
     engine = cluster._eval_forward()
     reference = ReferenceTrainer(tiny_dataset, book, "exact", model_kind="gcn", **shape)
     for model in reference.models:

@@ -46,7 +46,7 @@ def _train_and_reference(system, dataset, book, **overrides):
         provider = tracer = AdaptiveBitWidthAssigner(
             reference, LinkCostModel.for_topology(parse_topology("2M-2D")),
             lam=cfg.lam, group_size=cfg.group_size, period=cfg.reassign_period,
-            bit_choices=cfg.bit_choices, solver=cfg.solver, default_bits=cfg.default_bits,
+            bit_choices=cfg.bit_choices, solver=cfg.solver,
         )
     elif system == "adaqp-fixed":
         provider = FixedBits(cfg.fixed_bits)

@@ -180,7 +180,7 @@ def test_streaming_estimate_below_materialized(huge_store):
     cluster's estimated peak stays below the store's materialized bytes
     plus the shared scratch — the inequality the benchmark measures."""
     from repro.cluster.cluster import Cluster
-    from repro.cluster.memory import estimate_memory, estimate_peak_resident
+    from repro.cluster.memory import _quartet_bytes, estimate_peak_resident
 
     cluster = Cluster(
         huge_store.dataset(),
@@ -192,12 +192,20 @@ def test_streaming_estimate_below_materialized(huge_store):
         seed=0,
     )
     try:
-        fps = estimate_memory(cluster)
-        assert all(fp.streaming for fp in fps)
-        assert all(fp.memmap_window_bytes > 0 for fp in fps)
+        # The streaming engine: no feature-width layer-0 buffer, each
+        # device's operators and features read off its memmap window.
+        assert cluster.engine._x[0] is None
+        windows = [
+            _quartet_bytes(dev.ops) + dev.features.nbytes + dev.labels.nbytes
+            for dev in cluster.devices
+        ]
+        assert all(w > 0 for w in windows)
+        assert all(isinstance(dev.features, np.memmap) for dev in cluster.devices)
         # Only one window is resident at once: the peak estimate must
         # undercut the naive all-windows sum whenever there are > 1 parts.
-        naive = sum(fp.resident_bytes for fp in fps)
-        assert estimate_peak_resident(cluster) < naive + huge_store.materialized_bytes()
+        estimate = estimate_peak_resident(cluster)
+        naive = estimate - max(windows) + sum(windows)
+        assert estimate < naive + huge_store.materialized_bytes()
+        assert estimate < naive
     finally:
         cluster.close()

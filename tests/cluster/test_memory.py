@@ -9,9 +9,11 @@ from step_encoding import quantize_pack
 
 from repro import kernels
 from repro.cluster.cluster import Cluster
+from repro.cluster.compute import FusedClusterCompute
 from repro.cluster.exchange import ExactHaloExchange
 from repro.cluster.memory import (
     _csr_bytes,
+    _decode_workspace_bytes,
     _model_bytes,
     _operator_bytes,
     _quant_scratch_bytes,
@@ -49,12 +51,22 @@ def _quant_stage(cluster, steps_widths):
 
 def _model_resident(cluster):
     """The process's one parameter set, counted off the objects: the
-    parameters, their ``grad``, an Adam's ``m`` and ``v`` slots and the
-    engine's float64 gradient accumulators."""
+    parameters, their ``grad`` and an Adam's ``m`` and ``v`` slots."""
     opt = Adam(cluster.model.parameters())
     params = sum(p.data.nbytes + p.grad.nbytes for p in opt.params)
     slots = sum(m.nbytes + v.nbytes for m, v in zip(opt._m, opt._v))
-    return params + slots + _accumulator_bytes(cluster._compute_engine())
+    return params + slots
+
+
+def _quartet(ops):
+    """A device's four operators, counted off the matrices."""
+    return sum(_csr_bytes(m) for m in (ops.own, ops.halo, ops.own_t, ops.halo_t))
+
+
+def _decode_workspaces(cluster):
+    """One halo-row workspace per receiving device at the widest width."""
+    max_width = max(cluster.dims[:-1])
+    return sum(dev.part.n_halo * max_width * 4 for dev in cluster.devices)
 
 
 def _accumulator_bytes(engine):
@@ -94,41 +106,47 @@ def test_messages_dwarf_gradients(cluster):
         assert fp.message_bytes > 2 * fp.model_grad_bytes
 
 
-def test_total_is_sum_of_components(cluster):
-    fp = estimate_memory(cluster)[0]
-    assert fp.total_bytes == (
-        fp.feature_bytes + fp.activation_bytes + fp.halo_buffer_bytes
-        + fp.model_param_bytes + fp.model_grad_bytes
-        + fp.decode_workspace_bytes
-    )
+def test_footprint_is_the_devices_rows(cluster):
+    """Footnote 1's counts: a device's owned rows at the feature width, at
+    every layer's output width, and its halo rows at every input width."""
+    dims = cluster.dims
+    for fp, dev in zip(estimate_memory(cluster), cluster.devices, strict=True):
+        assert fp.activation_bytes == dev.n_owned * sum(dims[1:]) * 4
+        assert fp.halo_buffer_bytes == dev.part.n_halo * sum(dims[:-1]) * 4
+        assert fp.message_bytes == fp.halo_buffer_bytes
 
 
 def test_decode_workspace_is_one_per_receiver(cluster):
     """One halo-row workspace per device: one exchange step is in flight."""
-    max_width = max(cluster.dims[:-1])
-    for fp, dev in zip(estimate_memory(cluster), cluster.devices):
-        assert fp.decode_workspace_bytes == dev.part.n_halo * max_width * 4
+    assert _decode_workspace_bytes(cluster) == _decode_workspaces(cluster)
 
 
 def test_stacked_buffers_counted_for_fused_engine(cluster):
-    """The fused engine preallocates; resident counts its stacked rows."""
-    for fp in estimate_memory(cluster):
-        assert fp.stacked_buffer_bytes > 0
-        assert not fp.streaming
-        assert fp.memmap_window_bytes == 0
-        # In-RAM fused mode: the features are held once, in the stacked
-        # layer-0 buffer; the one parameter set is the process's, not a
-        # device's.
-        assert fp.resident_bytes == fp.decode_workspace_bytes + fp.stacked_buffer_bytes
+    """The engine exists with its cluster and preallocates; the estimate
+    counts what it holds, the features once: in RAM every device's features
+    are a view of the engine's layer-0 buffer, not a second array."""
+    engine = cluster.engine
+    assert engine.nbytes >= engine._x[0].nbytes > 0
+    for dev in cluster.devices:
+        assert dev.features.base is engine._x[0]
+    rest = estimate_peak_resident(cluster) - engine.nbytes
+    assert rest == (
+        _operator_bytes(cluster) + _model_bytes(cluster)
+        + _decode_workspace_bytes(cluster) + _quant_stage_bytes(cluster)
+        + _quant_scratch_bytes(cluster)
+    )
 
 
 def _engine_buffer_bytes(engine):
-    """Bytes of every stacked buffer ``FusedClusterCompute.__init__`` holds."""
+    """Bytes of every array ``FusedClusterCompute.__init__`` allocates,
+    listed by name."""
     lists = [
         engine._x, engine._dx, engine._z, engine._dz, engine._t, engine._dt,
         engine._x_hat, engine._inv_std, engine._relu_mask, engine._drop_mask,
-        [engine.logits, engine._d_logits, engine._x0_halo],
+        [engine.logits, engine._d_logits, engine._x0_halo, engine._stream_z0],
         getattr(engine, "_neigh_out", []), getattr(engine, "_d_own", []),
+        engine._norm_partials.values(), engine._acc,
+        [engine.own_off, engine.halo_off],
     ]
     return sum(buf.nbytes for bufs in lists for buf in bufs if buf is not None)
 
@@ -138,82 +156,130 @@ def _engine_buffer_bytes(engine):
 def test_stacked_estimate_is_the_engines_allocation(tiny_dataset, model_kind, hidden):
     """Both operand orders: a transform-first layer holds T/dT over owned +
     halo rows at its output width, an aggregate-first one z/dz over owned
-    rows at its input width — the estimate follows the engine exactly."""
+    rows at its input width — ``nbytes`` is every array the engine holds,
+    by name, and the estimate reads it."""
     book = partition_graph(tiny_dataset.graph, 4, method="metis", seed=0)
     with Cluster(tiny_dataset, book, model_kind=model_kind, hidden_dim=hidden,
                  num_layers=3, dropout=0.0, seed=0) as c:
-        estimated = sum(fp.stacked_buffer_bytes for fp in estimate_memory(c))
-        assert estimated == _engine_buffer_bytes(c._compute_engine())
+        engine = c.engine
+        assert engine.nbytes == _engine_buffer_bytes(engine)
+        widths = {c.dims[1], c.dims[2]}
+        assert set(engine._norm_partials) == widths
+        assert engine._stream_z0 is None
+        assert estimate_peak_resident(c) - engine.nbytes == (
+            _operator_bytes(c) + _model_resident(c) + _decode_workspaces(c)
+            + _quant_stage(c, 2 * c.dims[:-1]) + _kernel_scratch(c)
+        )
 
 
 @pytest.mark.parametrize("hidden", [16, 32], ids=["transform-l0", "aggregate-l0"])
 def test_streaming_estimate_follows_operand_order(huge_store, hidden):
-    """Streaming: same identity, and the feature-width ``stream_z0``
-    scratch is charged only when layer 0 still aggregates first; on the
-    synchronous transport one memmap window is resident, not a pair."""
+    """Streaming: the engine allocates the feature-width ``stream_z0``
+    block only when layer 0 still aggregates first, at construction; the
+    estimate counts it through ``nbytes`` and, on the synchronous
+    transport, one memmap window — the widest — not a pair."""
     with Cluster(huge_store.dataset(), huge_store.book(), model_kind="gcn",
                  hidden_dim=hidden, num_layers=2, dropout=0.0, seed=0) as c:
-        fps = estimate_memory(c)
-        engine = c._compute_engine()
-        assert sum(fp.stacked_buffer_bytes for fp in fps) == _engine_buffer_bytes(engine)
+        engine = c.engine
+        held = engine.nbytes
+        assert held == _engine_buffer_bytes(engine)
+        z0 = engine._stream_z0
+        assert (z0 is None) == (hidden == 16) == engine._transform_first[0]
+        if z0 is not None:
+            assert z0.shape == (max(dev.n_owned for dev in c.devices), c.dims[0])
+        windows = [
+            _quartet(d.ops) + d.features.nbytes + d.labels.nbytes for d in c.devices
+        ]
+        assert _operator_bytes(c) == max(windows)
         quant_stage = _quant_stage(c, [*c.dims[:-1], *c.dims[1:-1]])
-        scratch = 0
-        if not engine._transform_first[0]:
-            scratch = max(dev.n_owned for dev in c.devices) * c.dims[0] * 4
         assert not c.transport.is_async
         assert estimate_peak_resident(c) == (
-            sum(fp.resident_bytes - fp.memmap_window_bytes for fp in fps)
-            + max(fp.memmap_window_bytes for fp in fps) + quant_stage + scratch
+            held + max(windows) + quant_stage + _decode_workspaces(c)
             + _kernel_scratch(c) + _model_resident(c)
         )
-        assert _operator_bytes(c) == 0  # the operator blocks are in the windows
-        assert (scratch == 0) == (hidden == 16)
-        # ... and the engine really allocates it on that branch only.
+        # ... and an epoch and an evaluation allocate no engine buffer.
         c.train_epoch(ExactHaloExchange(), 0)
-        allocated = any(key[0] == "stream_z0" for key in engine._scratch_bufs)
-        assert allocated == (scratch > 0)
+        c.evaluate()
+        assert engine.nbytes == held
+
+
+def test_a_materialized_stores_features_are_not_the_engines(huge_store):
+    """A materialized store streams through the same engine over RAM copies:
+    layer 0 reads each device's own feature array, which ``nbytes`` leaves
+    to the device (the store's window term counts it)."""
+    with Cluster(huge_store.dataset(materialize=True), huge_store.book(),
+                 hidden_dim=32, num_layers=2, dropout=0.0, seed=0) as c:  # fmt: skip
+        engine = c.engine
+        assert all(f.base is None for f in engine._own_views[0])
+        assert engine.nbytes == _engine_buffer_bytes(engine)
 
 
 def test_estimate_peak_resident_sums_devices(cluster):
     """Every device's buffers, and the one parameter set once — not once
     per device, as when every device held a replica."""
-    fps = estimate_memory(cluster)
     quant_stage = _quant_stage(cluster, 2 * cluster.dims[:-1])
+    quartets = sum(_quartet(dev.ops) for dev in cluster.devices)
     assert estimate_peak_resident(cluster) == (
-        sum(fp.resident_bytes for fp in fps) + quant_stage + _kernel_scratch(cluster)
-        + _operator_bytes(cluster) + _model_resident(cluster)
+        _engine_buffer_bytes(cluster.engine) + quartets + _decode_workspaces(cluster)
+        + quant_stage + _kernel_scratch(cluster) + _model_resident(cluster)
     )
 
 
 @pytest.mark.parametrize("overlap", [False, True], ids=["serial", "split-phase"])
 def test_operator_estimate_is_what_the_engine_holds(tiny_dataset, overlap):
-    """The in-RAM operator term, counted before the engine exists, equals
-    ``_csr_bytes`` summed over the operators it then holds: one quartet
-    per device — the own- and halo-column halves and their transposes —
-    and no other matrix, whether or not the run overlaps."""
+    """The in-RAM operator term equals ``_csr_bytes`` summed over the
+    operators the engine holds: one quartet per device — the own- and
+    halo-column halves and their transposes — and no other matrix, whether
+    or not the run overlaps."""
     book = partition_graph(tiny_dataset.graph, 4, method="metis", seed=0)
     with Cluster(tiny_dataset, book, hidden_dim=16, num_layers=3, dropout=0.0,
                  seed=0, overlap=overlap) as c:  # fmt: skip
-        estimate = _operator_bytes(c)
-        engine = c._compute_engine()
         held = []
-        for dev, ops in zip(c.devices, engine._ops, strict=True):
+        for dev, ops in zip(c.devices, c.engine._ops, strict=True):
             assert ops is dev.ops
             quartet = [ops.own, ops.halo, ops.own_t, ops.halo_t]
             assert [v for v in vars(ops).values() if sp.issparse(v)] == quartet
             assert not any(sp.issparse(v) for v in vars(dev).values())
             held += quartet
-        assert estimate == sum(_csr_bytes(m) for m in held)
-        assert estimate_peak_resident(c) >= estimate
+        assert _operator_bytes(c) == sum(_csr_bytes(m) for m in held)
+        assert estimate_peak_resident(c) >= _operator_bytes(c) + c.engine.nbytes
 
 
 def test_estimate_counts_the_engines_gradient_accumulators(cluster):
-    """The one parameter set's term includes the engine's float64
-    accumulators, one per parameter (2·P·4 B), counted off the engine."""
-    engine = cluster._compute_engine()
+    """The engine's float64 accumulators, one per parameter (2·P·4 B), are
+    counted in its ``nbytes``; the parameter-set term holds the float32
+    arrays only."""
+    engine = cluster.engine
     assert all(acc.dtype == np.float64 for acc in engine._acc)
     assert _accumulator_bytes(engine) == 2 * cluster.model.num_parameters() * 4
+    without = _engine_buffer_bytes(engine) - _accumulator_bytes(engine)
+    assert engine.nbytes - without == _accumulator_bytes(engine)
     assert _model_bytes(cluster) == _model_resident(cluster)
+
+
+@pytest.mark.parametrize("shape", ["array", "per-layer"])
+def test_a_new_engine_buffer_raises_the_estimate_by_its_bytes(
+    tiny_dataset, monkeypatch, shape
+):
+    """A buffer the engine adds is counted with no edit here: the estimate
+    reads the engine's arrays, it does not restate them."""
+    book = partition_graph(tiny_dataset.graph, 4, method="metis", seed=0)
+
+    def estimate():
+        with Cluster(tiny_dataset, book, hidden_dim=16, num_layers=3, seed=0) as c:
+            return estimate_peak_resident(c)
+
+    before = estimate()
+    extra = np.zeros((7, 5), dtype=np.float32)
+    init = FusedClusterCompute.__init__
+
+    def with_buffer(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        buf = extra.copy()
+        self._added = buf if shape == "array" else [None, buf, buf[1:]]
+
+    monkeypatch.setattr(FusedClusterCompute, "__init__", with_buffer)
+    assert estimate() == before + extra.nbytes
 
 
 def _widest_step(cluster):

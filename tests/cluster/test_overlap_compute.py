@@ -401,7 +401,7 @@ def _split_engine(residency, tiny_dataset, huge_store):
     else:
         dataset, book = huge_store.dataset(), huge_store.book()
     with Cluster(dataset, book, hidden_dim=8, seed=0) as cluster:
-        return cluster.devices, cluster._compute_engine(), operators(dataset, book, "gcn")
+        return cluster.devices, cluster.engine, operators(dataset, book, "gcn")
 
 
 def _row_halves(m, n_own):

@@ -186,7 +186,7 @@ RECOVERY_SHAPES = pytest.mark.parametrize(
 #: The quantized recovery shapes, plus full precision (its wire is the
 #: staged float32 rows, replayed the same way) without and with overlap,
 #: and the two baselines: PipeGCN forward and backward, and a SANCUS drop
-#: on a broadcast epoch (``sancus_staleness=4`` broadcasts at epoch 0 only).
+#: on a broadcast epoch (its staleness bound of 4 broadcasts at epoch 0 only).
 DROP_CASES = pytest.mark.parametrize(
     "system,transport,hidden_layers,faults",
     [

@@ -17,12 +17,6 @@ def test_machine_of():
     assert [topo.machine_of(d) for d in range(8)] == [0, 0, 0, 0, 1, 1, 1, 1]
 
 
-def test_same_machine():
-    topo = ClusterTopology(2, 2)
-    assert topo.same_machine(0, 1)
-    assert not topo.same_machine(1, 2)
-
-
 def test_machine_of_out_of_range():
     with pytest.raises(ValueError):
         ClusterTopology(2, 2).machine_of(4)

@@ -126,10 +126,19 @@ def test_evaluate_assignment_consistency():
 
 
 def test_worst_time_is_max_over_pairs():
+    """Eqn. 10 per pair, θ·Σ payload bytes + γ over the pair's groups,
+    counted off each ``GroupSpec``; the straggler is the slowest pair."""
     problem = _problem(n_groups=4)
-    bits = np.full(4, 8)
-    per_pair = [problem.pair_time(p, bits) for p in problem.pairs]
-    assert problem.worst_time(bits) == max(per_pair)
+    bits = np.array([2, 8, 4, 8])
+    per_pair = []
+    for pair in problem.pairs:
+        sent = sum(
+            g.payload_bytes(b) for g, b in zip(problem.groups, bits)
+            if (g.src, g.dst) == pair
+        )
+        per_pair.append(problem.pair_theta[pair] * sent + problem.pair_gamma[pair])
+    assert problem.pair_times(bits) == pytest.approx(per_pair, rel=1e-12)
+    assert problem.worst_time(bits) == pytest.approx(max(per_pair), rel=1e-12)
 
 
 def test_problem_validation():

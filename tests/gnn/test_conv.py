@@ -260,8 +260,6 @@ def test_distgnn_construction_and_dims():
     part, agg = _two_part_case("gcn")
     model = DistGNN("gcn", [8, 16, 4], dropout=0.5, weight_rng=np.random.default_rng(0))
     assert model.num_layers == 2
-    assert model.layer_dims(0) == (8, 16)
-    assert model.layer_dims(1) == (16, 4)
     assert model.layers[-1].is_output
     assert model.layers[0].drop.p == 0.5
     for layer in model.layers:

@@ -81,7 +81,3 @@ def test_unknown_name_and_scale_rejected():
         load_dataset("reddit", scale="huge")
 
 
-def test_summary_row(tiny_dataset):
-    row = tiny_dataset.summary_row()
-    assert row[0] == "yelp-tiny"
-    assert row[5] == "multi-label"

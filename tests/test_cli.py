@@ -173,6 +173,17 @@ def test_train_fault_flag_validation(capsys):
         assert "expected one of: auto, sync, worker" in capsys.readouterr().err
     assert main(["train", "--resume"]) == 2
     assert "--resume requires --checkpoint-dir" in capsys.readouterr().err
+    # Values the run configuration refuses: an error line, not a traceback,
+    # and no silent clamping.
+    for flag, value, says in (
+        ("--epochs", "0", "epochs must be >= 1"),
+        ("--transport-timeout", "0", "transport_timeout_s must be positive"),
+        ("--checkpoint-every", "0", "checkpoint_every must be >= 1"),
+    ):
+        assert main(["train", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and says in err
+        assert "Traceback" not in err
 
 
 def test_experiment_command(capsys):

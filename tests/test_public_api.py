@@ -77,7 +77,11 @@ def test_second_statements_are_gone(tiny_dataset, tiny_book, huge_store):
     plus ``restore_state``).  An aggregation operator is one
     ``SplitOperators`` quartet per device after set-up, in RAM and in a
     store; RAM holds the features once, in the engine's layer-0 buffer.
-    The ``.npz`` formats and the store regions nothing read are gone too."""
+    The ``.npz`` formats and the store regions nothing read are gone too.
+    The memory estimate reads the engine's arrays (``nbytes``) instead of
+    restating them, so the engine is built with its cluster and allocates
+    its scratch there; ``MemoryFootprint`` holds footnote 1's counts only;
+    and ``RunConfig`` has no knob a run never turns."""
     import dataclasses
 
     from repro.cluster import Cluster
@@ -111,17 +115,31 @@ def test_second_statements_are_gone(tiny_dataset, tiny_book, huge_store):
             assert not hasattr(module, name), (module.__name__, name)
     assert not hasattr(FusedStepEncoder, "encode_step")
     assert not hasattr(FusedStepEncoder, "quantize_pack_step")
-    assert "overlap" not in {f.name for f in dataclasses.fields(RunConfig)}
+    config_fields = {f.name for f in dataclasses.fields(RunConfig)}
+    assert not config_fields & {"overlap", "default_bits", "sancus_staleness"}
+    from repro.cluster import compute, memory
+
+    for name in ("_stacked_bytes", "_transform_first"):
+        assert not hasattr(memory, name), name
+    footprint = {f.name for f in dataclasses.fields(memory.MemoryFootprint)}
+    assert not footprint & {
+        "decode_workspace_bytes",
+        "stacked_buffer_bytes",
+        "memmap_window_bytes",
+        "streaming",
+    }
+    for name in ("resident_bytes", "total_bytes"):
+        assert not hasattr(memory.MemoryFootprint, name), name
+    assert not hasattr(Cluster, "_compute_engine")
+    assert not hasattr(compute.FusedClusterCompute, "_scratch")
     # The split-phase step splits every aggregation by column: no
     # row-restricted copies of the block diagonal, no materialized one.
-    from repro.cluster import compute
-
     for name in ("restrict_rows", "OverlapPlan"):
         assert name not in compute.__all__
         assert not hasattr(compute, name), name
     with Cluster(tiny_dataset, tiny_book, hidden_dim=8, overlap=True) as cluster:
-        engine = cluster._compute_engine()
-    for attr in ("overlap_plan", "matrix", "matrix_t"):
+        engine = cluster.engine
+    for attr in ("overlap_plan", "matrix", "matrix_t", "_scratch_bufs"):
         assert not hasattr(engine, attr), attr
     # One parameter set: no replica per device, no resize that copies one.
     from repro.cluster.runtime import DeviceRuntime
@@ -132,7 +150,7 @@ def test_second_statements_are_gone(tiny_dataset, tiny_book, huge_store):
     assert not any(hasattr(dev, "model") for dev in cluster.devices)
     for owner, names in {
         Cluster: ("repartition", "_ctor"),
-        cluster: ("repartition", "_ctor"),
+        cluster: ("repartition", "_ctor", "_engine", "_compute_engine"),
         model.GNNLayer: ("forward", "backward"),
         model.DistGNN: ("forward", "backward"),
         conv.GCNConv: ("forward", "backward"),
