@@ -433,16 +433,19 @@ class FusedClusterCompute:
     def nbytes(self) -> int:
         """Bytes of every array the engine allocated and holds: the stacked
         buffers, the scratch blocks, the row offsets and the float64
-        accumulators, each counted once.  Views (the devices' feature blocks
-        in RAM) count with their base; the devices', the operators' and the
-        model's own arrays are theirs, not the engine's."""
+        accumulators, each counted once.  A view (the devices' feature
+        blocks in RAM, a reshaped block) counts as the array that owns its
+        memory; memmapped pages and the arrays a device holds itself (a
+        materialized store's features) are not the engine's."""
         theirs = {id(a) for dev in self.devices for a in vars(dev).values()}
         held: dict[int, int] = {}
         stack = list(vars(self).values())
         while stack:
             value = stack.pop()
             if isinstance(value, np.ndarray):
-                if value.base is None and id(value) not in theirs:
+                while isinstance(value.base, np.ndarray):
+                    value = value.base
+                if value.flags.owndata and id(value) not in theirs:
                     held[id(value)] = value.nbytes
             elif isinstance(value, (list, tuple)):
                 stack.extend(value)

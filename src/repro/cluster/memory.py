@@ -17,7 +17,8 @@ What already exists when it runs is counted off the objects:
 * the operators it reads: in RAM every device's
   :class:`~repro.graph.io.SplitOperators` quartet; from a store the widest
   memmap window (a device's quartet plus its feature and label regions),
-  as the engine releases each device's pages before the next faults in;
+  as the engine releases each device's pages before the next faults in,
+  or every window where the store is materialized;
 * the one parameter set and its ``grad``.
 
 What does not exist yet is modelled: Adam's ``m`` and ``v``; the quantized
@@ -91,15 +92,18 @@ def _quartet_bytes(ops) -> int:
 
 def _operator_bytes(cluster: Cluster) -> int:
     """The operators the engine reads.  In RAM: every device's quartet.
-    From a store: the widest memmap window — a device's quartet plus its
-    feature and label regions — since the engine releases each device's
-    pages before the next device's fault in."""
-    if cluster._store_dataset is None:
+    From a store, each device's window — its quartet plus its feature and
+    label regions: the widest one when streaming, since the engine releases
+    each device's pages before the next device's fault in; all of them when
+    the store is materialized, as every window is then a RAM copy."""
+    store = cluster._store_dataset
+    if store is None:
         return sum(_quartet_bytes(dev.ops) for dev in cluster.devices)
-    return max(
+    windows = [
         _quartet_bytes(dev.ops) + dev.features.nbytes + dev.labels.nbytes
         for dev in cluster.devices
-    )
+    ]
+    return sum(windows) if store.materialize else max(windows)
 
 
 def _stage_bytes(n_rows: int, dim: int, wire: int) -> int:

@@ -206,12 +206,26 @@ def test_streaming_estimate_follows_operand_order(huge_store, hidden):
 def test_a_materialized_stores_features_are_not_the_engines(huge_store):
     """A materialized store streams through the same engine over RAM copies:
     layer 0 reads each device's own feature array, which ``nbytes`` leaves
-    to the device (the store's window term counts it)."""
-    with Cluster(huge_store.dataset(materialize=True), huge_store.book(),
-                 hidden_dim=32, num_layers=2, dropout=0.0, seed=0) as c:  # fmt: skip
+    to the device, and the window term counts every device's window — all
+    are in RAM — where streaming counts the widest one."""
+
+    def build(materialize):
+        return Cluster(huge_store.dataset(materialize=materialize),
+                       huge_store.book(), hidden_dim=32, num_layers=2,
+                       dropout=0.0, seed=0)  # fmt: skip
+
+    with build(False) as stream:
+        streamed = estimate_peak_resident(stream)
+    with build(True) as c:
         engine = c.engine
         assert all(f.base is None for f in engine._own_views[0])
         assert engine.nbytes == _engine_buffer_bytes(engine)
+        windows = [
+            _quartet(d.ops) + d.features.nbytes + d.labels.nbytes for d in c.devices
+        ]
+        assert len(windows) > 1
+        assert _operator_bytes(c) == sum(windows)
+        assert estimate_peak_resident(c) == streamed - max(windows) + sum(windows)
 
 
 def test_estimate_peak_resident_sums_devices(cluster):
@@ -257,12 +271,13 @@ def test_estimate_counts_the_engines_gradient_accumulators(cluster):
     assert _model_bytes(cluster) == _model_resident(cluster)
 
 
-@pytest.mark.parametrize("shape", ["array", "per-layer"])
+@pytest.mark.parametrize("shape", ["array", "per-layer", "view"])
 def test_a_new_engine_buffer_raises_the_estimate_by_its_bytes(
     tiny_dataset, monkeypatch, shape
 ):
     """A buffer the engine adds is counted with no edit here: the estimate
-    reads the engine's arrays, it does not restate them."""
+    reads the engine's arrays, it does not restate them — also when the
+    engine holds it only as views (a reshaped block)."""
     book = partition_graph(tiny_dataset.graph, 4, method="metis", seed=0)
 
     def estimate():
@@ -276,7 +291,11 @@ def test_a_new_engine_buffer_raises_the_estimate_by_its_bytes(
     def with_buffer(self, *args, **kwargs):
         init(self, *args, **kwargs)
         buf = extra.copy()
-        self._added = buf if shape == "array" else [None, buf, buf[1:]]
+        self._added = {
+            "array": buf,
+            "per-layer": [None, buf, buf[1:]],
+            "view": [buf.reshape(5, 7), buf.reshape(35)[3:]],
+        }[shape]
 
     monkeypatch.setattr(FusedClusterCompute, "__init__", with_buffer)
     assert estimate() == before + extra.nbytes
