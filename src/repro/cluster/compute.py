@@ -97,8 +97,36 @@ except ImportError:  # pragma: no cover - a scipy without the private kernel
     _csr_matvecs = None
 
 
+class _CsrOperand:
+    """An operator as :func:`_spmv` reads it, resolved once: its shape and
+    ``nnz`` and, where the compiled kernel takes it (float32 values with
+    int32 ``indptr`` / ``indices``), the addresses of those three arrays.
+    It holds the matrix, so the addresses stay valid while it lives."""
+
+    __slots__ = ("matrix", "shape", "nnz", "dtype", "pointers")
+
+    def __init__(self, matrix: sp.csr_matrix) -> None:
+        self.matrix = matrix
+        self.shape = matrix.shape
+        self.nnz = matrix.nnz
+        self.dtype = matrix.dtype
+        native = (
+            matrix.dtype == np.float32
+            and matrix.indptr.dtype == matrix.indices.dtype == np.int32
+        )
+        self.pointers = (
+            tuple(a.ctypes.data for a in (matrix.indptr, matrix.indices, matrix.data))
+            if native
+            else None
+        )
+
+
 def _spmv(
-    matrix: sp.csr_matrix, x: np.ndarray, out: np.ndarray, *, accumulate: bool = False
+    matrix: sp.csr_matrix | _CsrOperand,
+    x: np.ndarray,
+    out: np.ndarray,
+    *,
+    accumulate: bool = False,
 ) -> np.ndarray:
     """``out = P @ x``, or ``out += ...`` — the engine's one spmv.
 
@@ -108,28 +136,23 @@ def _spmv(
     if at all) reproduces bit for bit.  Splitting a product into column
     halves whose entries keep that order therefore changes no bit.
     Operands the compiled kernel does not take — not float32 / int32 /
-    C-contiguous — run on scipy.  Shapes are checked here; the operator's
-    own index arrays are trusted, as scipy's kernel trusts them (the engine
-    builds every operator it passes).
+    C-contiguous — run on scipy.  ``x`` and ``out`` are checked on every
+    call; the operator is checked once, when it is resolved (the engine
+    resolves each of its operators when it is built, a bare matrix is
+    resolved here), and its index arrays are trusted, as scipy's kernel
+    trusts them (the engine builds every operator it passes).
     """
-    rows, cols = matrix.shape
+    op = matrix if isinstance(matrix, _CsrOperand) else _CsrOperand(matrix)
+    rows, cols = op.shape
     if x.shape[0] != cols or out.shape != (rows, x.shape[1]):
-        raise ValueError(f"spmv {matrix.shape} @ {x.shape} -> {out.shape}")
+        raise ValueError(f"spmv {op.shape} @ {x.shape} -> {out.shape}")
     contiguous = x.flags.c_contiguous and out.flags.c_contiguous
-    same_dtype = x.dtype == matrix.dtype == out.dtype
+    same_dtype = x.dtype == op.dtype == out.dtype
     lib = kernels.load()
-    if (
-        lib is not None
-        and contiguous
-        and same_dtype
-        and x.dtype == np.float32
-        and matrix.indptr.dtype == matrix.indices.dtype == np.int32
-    ):
+    if lib is not None and contiguous and same_dtype and op.pointers is not None:
         lib.repro_csr_rows(
             rows,
-            matrix.indptr.ctypes.data,
-            matrix.indices.ctypes.data,
-            matrix.data.ctypes.data,
+            *op.pointers,
             x.ctypes.data,
             x.shape[1],
             out.ctypes.data,
@@ -138,20 +161,14 @@ def _spmv(
     elif _csr_matvecs is not None and contiguous and same_dtype:
         if not accumulate:
             out.fill(0.0)
+        m = op.matrix
         _csr_matvecs(
-            rows,
-            cols,
-            x.shape[1],
-            matrix.indptr,
-            matrix.indices,
-            matrix.data,
-            x.ravel(),
-            out.ravel(),
+            rows, cols, x.shape[1], m.indptr, m.indices, m.data, x.ravel(), out.ravel()
         )
     elif accumulate:
-        out += matrix @ x
+        out += op.matrix @ x
     else:
-        out[...] = matrix @ x
+        out[...] = op.matrix @ x
     return out
 
 
@@ -336,6 +353,14 @@ class FusedClusterCompute:
         self._blocks = [
             (dev.ops, self._own_slice(k), self._halo_slice(k))
             for k, dev in enumerate(devices)
+        ]
+        # The same quartets resolved for _spmv once, per device by name.
+        self._csr = [
+            {
+                name: _CsrOperand(getattr(ops, name))
+                for name in ("own", "halo", "own_t", "halo_t")
+            }
+            for ops in self._ops
         ]
 
         L = self.num_layers
@@ -604,11 +629,11 @@ class FusedClusterCompute:
         the one-pass ``P @ src``: :func:`_spmv` sums each output row in
         stored order and every row stores its owned columns first.
         """
-        for ops, own, halo_rows in self._blocks:
+        for (ops, own, halo_rows), csr in zip(self._blocks, self._csr):
             if halo:
-                _spmv(ops.halo, src[halo_rows], out[own], accumulate=True)
+                _spmv(csr["halo"], src[halo_rows], out[own], accumulate=True)
             else:
-                _spmv(ops.own, src[own], out[own])
+                _spmv(csr["own"], src[own], out[own])
             ops.release_op_pages()
         return out
 
@@ -659,10 +684,10 @@ class FusedClusterCompute:
         the same split spmv on unchanged inputs — instead of keeping an
         (N, F) buffer resident.  Only aggregate-first layers come here.
         """
-        dev, ops = self.devices[k], self._ops[k]
+        dev, csr = self.devices[k], self._csr[k]
         z = self._stream_z0[: dev.part.n_owned]
-        _spmv(ops.own, dev.features, z)
-        _spmv(ops.halo, self._halo_views[0][k], z, accumulate=True)
+        _spmv(csr["own"], dev.features, z)
+        _spmv(csr["halo"], self._halo_views[0][k], z, accumulate=True)
         return z
 
     @staticmethod
@@ -854,8 +879,8 @@ class FusedClusterCompute:
         only that block's ``src`` rows — releasing each block's operator
         pages as it goes.
         """
-        for ops, own, halo_rows in self._blocks:
-            op, rows = (ops.halo_t, halo_rows) if halo else (ops.own_t, own)
+        for (ops, own, halo_rows), csr in zip(self._blocks, self._csr):
+            op, rows = (csr["halo_t"], halo_rows) if halo else (csr["own_t"], own)
             _spmv(op, src[own], out[rows])
             ops.release_op_pages()
         return out[self.total_own :] if halo else out[: self.total_own]

@@ -50,7 +50,9 @@ last post job chases them with per-receiver collect/decode jobs, all
 free to retire in any order.  Bit lookups and tracer ``observe`` calls
 stay on the calling thread (the snapshot half).  The pipelined executor
 finalizes each step before posting the next, so at most one tag is ever
-in flight.
+in flight — and ``post_step`` refuses a second one
+(:class:`StepInFlightError`): every quantized step's plan stages its rows
+in the encoder's one block, which a second post would overwrite.
 
 **Decode destinations.**  ``post_step(..., out)`` names the step's
 destinations once: the per-device halo buffers forward, the owned-row
@@ -96,6 +98,7 @@ __all__ = [
     "FixedBitProvider",
     "UniformRandomBitProvider",
     "InFlightStep",
+    "StepInFlightError",
     "ExactHaloExchange",
     "FusedQuantizedHaloExchange",
     "step_tag",
@@ -184,6 +187,13 @@ class UniformRandomBitProvider:
             tuple(key): np.asarray(arr, dtype=np.int64)
             for key, arr in state["cache"].items()
         }
+
+
+class StepInFlightError(RuntimeError):
+    """A step was posted while the exchange's previous step had not yet
+    entered ``finalize_step``.  One step is in flight at a time: the
+    quantized step plans stage their rows in one shared block, which a
+    second post would overwrite under the first."""
 
 
 class InFlightStep:
@@ -380,6 +390,8 @@ class FusedQuantizedHaloExchange:
         self._topologies: dict[str, tuple] = {}
         self._float32_plans: dict[tuple[str, int], Float32StepPlan] = {}
         self.fused_encoder = FusedStepEncoder(self.rounding) if self.quantizes else None
+        # The tag of the step posted and not yet handed to finalize_step.
+        self._in_flight: str | None = None
 
     def on_epoch_start(self, epoch: int) -> None:
         """Per-epoch state: bit re-sampling, the noise key, the cadence."""
@@ -474,9 +486,19 @@ class FusedQuantizedHaloExchange:
         ``"fwd"`` embeddings to halo holders, ``"bwd"`` halo gradients to
         owners.  ``out`` names the step's destinations, per device: the
         halo buffers forward (worker-side decodes land in them), the
-        owned-row gradient buffers backward (finalize adds into them)."""
+        owned-row gradient buffers backward (finalize adds into them).
+
+        One step is in flight at a time: posting while the previous step
+        has not entered ``finalize_step`` raises :class:`StepInFlightError`
+        (the step plans share one staging block, which this post would
+        overwrite)."""
         check_in_set(phase, ("fwd", "bwd"), name="phase")
         tag = step_tag(phase, layer)
+        if self._in_flight is not None:
+            raise StepInFlightError(
+                f"cannot post {tag!r}: step {self._in_flight!r} was posted and"
+                " has not entered finalize_step (one step is in flight at a time)"
+            )
         dim = int(values_by_dev[devices[0].rank].shape[1])
         if phase == "fwd":
             # Validate destination shapes on the calling thread, so the
@@ -491,12 +513,14 @@ class FusedQuantizedHaloExchange:
                     )
         step = InFlightStep(layer, phase, tag, devices, transport, dim, out)
         self._encode_and_post(transport, step, values_by_dev)
+        self._in_flight = tag
         return step
 
     def finalize_step(self, step: InFlightStep) -> None:
         """Stage 2: collect, decode and land the step in the ``out`` named
         at post time — the halo rows forward; backward, added into the
         owned-row gradients."""
+        self._in_flight = None
         step.mark_done()
         if step.plan is None:  # a step without pairs: nothing was posted
             return

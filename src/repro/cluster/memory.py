@@ -22,10 +22,11 @@ What already exists when it runs is counted off the objects:
 * the one parameter set and its ``grad``.
 
 What does not exist yet is modelled: Adam's ``m`` and ``v``; the quantized
-exchange's plan-resident staging — rows, and the packed wire plus per-row
-metadata (compiled tier) or uint8 codes (NumPy tier); one decode
-workspace per receiving rank; and the quantization kernel's per-chunk
-scratch, only where the NumPy kernel runs (the compiled one,
+exchange's staging — one block of rows (plus, on the NumPy tier, one of
+uint8 codes) at the widest step, as the encoder shares it between every
+step's plan — and every plan's packed wire and per-row metadata; one
+decode workspace per receiving rank; and the quantization kernel's
+per-chunk scratch, only where the NumPy kernel runs (the compiled one,
 :mod:`repro.kernels`, has none).  ``repro.harness.hugebench.bench_huge_graph``
 cross-checks the prediction against measured peak RSS;
 :func:`host_memory` reads the host's total/available RAM so the CLI can
@@ -106,28 +107,29 @@ def _operator_bytes(cluster: Cluster) -> int:
     return sum(windows) if store.materialize else max(windows)
 
 
-def _stage_bytes(n_rows: int, dim: int, wire: int) -> int:
-    """One step's plan-resident staging on the kernel tier that is loaded.
+def _staging_block_bytes(n_rows: int, dim: int) -> int:
+    """The encoder's staging for its widest step, on the kernel tier that is
+    loaded: the gathered rows (float32, 4 B/element), and on the NumPy tier
+    also the uint8 codes it stages before packing (1 B/element).  The
+    compiled quantizer writes codes already packed into the wire."""
+    return (4 if kernels.load() is not None else 5) * n_rows * dim
 
-    Both tiers stage the source rows (float32, gather order, 4 B/element).
-    The compiled quantizer writes codes already packed into the plan's
-    wire buffer (``wire`` bytes — ≤ 1 B/element, the bits the plan
-    assigns) and per-row zero points and scales (8 B/row).  The NumPy
-    kernel stages uint8 codes in payload order (1 B/element) before
-    packing; its term stays the 5 B/element it has always been, which
-    leaves its wire and per-row metadata out.
-    """
-    if kernels.load() is None:
-        return 5 * n_rows * dim
-    return 4 * n_rows * dim + wire + 8 * n_rows
+
+def _plan_bytes(n_rows: int, wire: int) -> int:
+    """What one step's plan holds itself: its packed wire (``wire`` bytes —
+    ≤ 1 B/element, the bits the plan assigns) and a zero point and a scale
+    per row (8 B/row)."""
+    return wire + 8 * n_rows
 
 
 def _quant_stage_bytes(cluster: Cluster) -> int:
-    """Plan-resident staging of the fused quantized exchange.
+    """Staging of the fused quantized exchange.
 
-    :func:`_stage_bytes` for every (phase, layer) step, its wire at 8 bits
-    (one byte per element): before the assigner has run the widths are
-    not known, and the widest bounds them.  The kernel's own
+    One :func:`_staging_block_bytes` at the widest (phase, layer) step —
+    the encoder's block, which every step's plan views, as one step is in
+    flight at a time — plus :func:`_plan_bytes` for every step, its wire at
+    8 bits (one byte per element): before the assigner has run the widths
+    are not known, and the widest bounds them.  The kernel's own
     intermediates are :func:`_quant_scratch_bytes`.  Send rows total the
     halo rows (each halo row is sent exactly once); forward steps carry
     every non-output width, backward the same minus layer 0 when
@@ -137,7 +139,8 @@ def _quant_stage_bytes(cluster: Cluster) -> int:
     streaming = cluster._store_dataset is not None
     send = sum(dev.part.n_halo for dev in cluster.devices)
     widths = [*dims[:-1], *dims[(1 if streaming else 0) : -1]]
-    return sum(_stage_bytes(send, d, send * d) for d in widths)
+    block = _staging_block_bytes(send, max(widths))
+    return block + sum(_plan_bytes(send, send * d) for d in widths)
 
 
 def _decode_workspace_bytes(cluster: Cluster) -> int:
@@ -207,8 +210,8 @@ def estimate_peak_resident(cluster: Cluster) -> int:
     The engine's arrays (``cluster.engine.nbytes``), the operators it reads
     (:func:`_operator_bytes`) and the parameter set with its gradient and
     Adam slots (:func:`_model_bytes`), plus what the exchange allocates once
-    it runs: its decode workspaces, its plan staging and, on the NumPy
-    kernel tier, its per-chunk scratch.  The last three assume an
+    it runs: its decode workspaces, its staging and step plans and, on the
+    NumPy kernel tier, its per-chunk scratch.  The last three assume an
     adaqp-family system (the common case); a vanilla run is overestimated
     by them, which errs on the safe side for the RAM-fit warning.
 

@@ -48,7 +48,7 @@ the plan, so a replaced plan is freed as soon as its last user drops it.
 
 **Encode shards.**  A step's pairs partition into contiguous row
 spans (:meth:`FusedStepEncoder.shards_for`); each shard's quantize/pack is
-self-contained — it reads and writes only its rows of the plan buffers
+self-contained — it reads and writes only its rows of the step's buffers
 (the wire layout is pair-major, so a shard's streams are one byte range)
 — so a multi-worker transport runs shards concurrently.  Every pair's
 noise is its own keyed draw, so any shard count (and any retirement
@@ -73,17 +73,26 @@ selects between them but what the loader observes.
 All index structures (gather orders, group slices, wire layout, payload
 views, decode indices) are cached in a :class:`FusedStepPlan` and reused
 across epochs until the bit-width assignment for the step changes (i.e.
-at reassignment boundaries).  The NumPy quantization kernel runs over
-pair-aligned row *chunks* with scratch bounded by the chunk, so the
-noise/normalize/floor intermediates never materialize for the whole step
-at once — at huge-graph scale that keeps hundreds of MB of per-step
-scratch out of the resident set.  Chunking is invisible in the output:
+at reassignment boundaries).  A plan's staging is not its own: the
+gathered float32 rows (``cat_buf``) and the NumPy tier's uint8 codes
+(``codes_buf``) are views of one block each, held by the
+:class:`FusedStepEncoder` and sized by the widest step it has handed out.
+One exchange step is in flight at a time (an exchange finalizes a step
+before it posts the next), so a step's staged rows need to hold only
+from its post to its finalize — the window a keyed replay reads them in.
+
+The NumPy quantization kernel runs over pair-aligned row *chunks* with
+scratch bounded by the chunk, so the noise/normalize/floor intermediates
+never materialize for the whole step at once — at huge-graph scale that
+keeps hundreds of MB of per-step scratch out of the resident set.  Chunking is invisible in the output:
 keyed noise is one draw per pair and a chunk is a whole number of pairs.
 """
 
 from __future__ import annotations
 
+import math
 import operator
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,17 +200,22 @@ class FusedStepPlan:
     pair_groups: dict[tuple[int, int], list[_PairGroup]]
     # Per cat row, the bit offset of its first code in ``wire``.
     row_bit: np.ndarray
-    # Buffers, reused every epoch while the plan is valid.  The NumPy
-    # kernel's intermediates (noise, normalized values, floors, round-up
-    # mask) are deliberately NOT plan-resident: it allocates them per
-    # chunk, the compiled one needs none.
-    cat_buf: np.ndarray  # (n_total, dim) float32 staged rows, cat order
+    # Buffers the plan owns, reused every epoch while it is valid: what
+    # its payloads view.  The NumPy kernel's intermediates (noise,
+    # normalized values, floors, round-up mask) are NOT plan-resident: it
+    # allocates them per chunk, the compiled one needs none.
     wire: np.ndarray  # uint8: every (pair, group) stream, payload order
     zero_points: np.ndarray  # (n_total,) float32, payload order
     scales: np.ndarray  # (n_total,) float32, payload order
     payloads: list[MixedPrecisionPayload]  # per pair: views of the above
-    # (n_total, dim) uint8 codes in payload order — the NumPy kernel's
-    # staging, allocated by its first encode; never on the compiled tier.
+    # Staging the plan does not own: views of its encoder's one block of
+    # each, bound by ``FusedStepEncoder.plan_for`` and valid from the
+    # step's post to its finalize (the next step's gather overwrites
+    # them).  ``cat_buf`` holds the (n_total, dim) float32 rows in cat
+    # order; ``codes_buf`` the (n_total, dim) uint8 codes in payload
+    # order, the NumPy kernel's — None until that kernel first runs in
+    # the encoder, so never on the compiled tier.
+    cat_buf: np.ndarray | None = None
     codes_buf: np.ndarray | None = None
     # Shard decompositions, cached per shard count (built on demand).
     shard_cache: dict[int, list[_EncodeShard]] = field(default_factory=dict)
@@ -307,7 +321,6 @@ def _build_plan(
         pair_dst=pair_arr[:, 1],
         pair_groups=pair_groups,
         row_bit=np.ascontiguousarray(row_bit, dtype=np.int64),
-        cat_buf=np.empty((n_total, dim), dtype=np.float32),
         wire=wire,
         zero_points=zero_points,
         scales=scales,
@@ -439,12 +452,24 @@ class FusedStepEncoder:
     A step encodes in two halves: :meth:`gather_step` snapshots the source
     rows on the calling thread, then :meth:`quantize_pack_shard` runs once
     per shard of :meth:`shards_for` — worker-safe, as it touches only the
-    shard's rows of the plan-owned buffers.
+    shard's rows of the plan's buffers.
+
+    The encoder owns the staging: one float32 block of gathered rows and,
+    once the NumPy kernel runs, one uint8 block of codes.  Every plan's
+    ``cat_buf`` / ``codes_buf`` is a view of their front, bound by
+    :meth:`plan_for`; a block grows only when a wider step first appears,
+    and then every cached plan moves to the new one, so a run holds the
+    staging of its widest step, not of every step.  That rests on one
+    step being in flight at a time: a step's rows must be encoded (and any
+    replay done) before the next step is gathered.
     """
 
     def __init__(self, rounding) -> None:
         self.rounding = as_rounding(rounding)
         self._plans: dict[object, FusedStepPlan] = {}
+        self._rows = np.empty(0, dtype=np.float32)  # every plan's cat_buf
+        self._codes: np.ndarray | None = None  # every codes_buf, same size
+        self._codes_lock = threading.Lock()  # shards may race to allocate it
 
     def shards_for(self, plan: FusedStepPlan, n_shards: int) -> list[_EncodeShard]:
         """The plan's shard decomposition for ``n_shards`` workers (cached)."""
@@ -463,7 +488,8 @@ class FusedStepEncoder:
         bits_cat: np.ndarray,
         dim: int,
     ) -> FusedStepPlan:
-        """Fetch (or rebuild) the cached plan for one step."""
+        """Fetch (or rebuild) the cached plan for one step, its staging
+        bound to the encoder's blocks."""
         plan = self._plans.get(key)
         if (
             plan is None
@@ -474,10 +500,33 @@ class FusedStepEncoder:
                 pairs, pair_counts, device_blocks, cat_idx, bits_cat, dim
             )
             self._plans[key] = plan
+        self._bind(plan, codes=False)
         return plan
 
+    def _bind(self, plan: FusedStepPlan, *, codes: bool) -> None:
+        """View the front of the encoder's blocks as ``plan``'s staging,
+        allocating the code block when ``codes`` asks for it.  A block too
+        small for the plan is replaced by one that fits, and every cached
+        plan moves to it, so the old block is freed."""
+        size = plan.n_total * plan.dim
+        rebind = [plan]
+        if size > self._rows.size:
+            self._rows = np.empty(size, dtype=np.float32)
+            if self._codes is not None:
+                self._codes = np.empty(size, dtype=np.uint8)
+            rebind += self._plans.values()
+        elif codes and self._codes is None:
+            self._codes = np.empty(self._rows.size, dtype=np.uint8)
+            rebind += self._plans.values()
+        for p in rebind:
+            n, shape = p.n_total * p.dim, (p.n_total, p.dim)
+            p.cat_buf = self._rows[:n].reshape(shape)
+            if self._codes is not None:
+                p.codes_buf = self._codes[:n].reshape(shape)
+
     def gather_step(self, plan: FusedStepPlan, values_by_rank, observe=None) -> None:
-        """Stage the step's source rows into ``plan.cat_buf`` (a snapshot).
+        """Stage the step's source rows into ``plan.cat_buf`` (a snapshot,
+        in the encoder's staging block: valid until the next gather).
 
         ``values_by_rank`` maps a device rank to the float32 matrix its
         messages are gathered from (activations or halo gradients); a list
@@ -521,15 +570,18 @@ class FusedStepEncoder:
         """The NumPy quantization kernel: the reference, and the fallback
         where the compiled tier is unavailable.  Writes the shard's zero
         points and scales into the plan and its uint8 codes into the
-        returned step-wide ``codes_buf``, all in payload order."""
+        returned ``codes_buf`` (the encoder's code block), all in payload
+        order."""
         dim = plan.dim
         start, stop = shard.start, shard.stop
         n_rows = stop - start
+        if plan.codes_buf is None:
+            # The encoder's first NumPy-tier encode allocates its code
+            # block, once, whichever of a step's shards gets here first.
+            with self._codes_lock:
+                if plan.codes_buf is None:
+                    self._bind(plan, codes=True)
         codes_buf = plan.codes_buf
-        if codes_buf is None:
-            # The first NumPy-tier encode of this plan (a racing shard
-            # allocates its own, which is as good: each packs its own rows).
-            codes_buf = plan.codes_buf = np.empty((plan.n_total, dim), dtype=np.uint8)
 
         # --- chunked stochastic-quantization kernel ----------------------
         # Identical arithmetic to the reference quantizer per group: the level
@@ -868,27 +920,33 @@ def _wire_index(
 class DecodeWorkspace:
     """Reusable scratch buffers for :func:`decode_cluster_step`.
 
-    One instance per exchange; buffers are keyed by role and revalidated
-    by shape, so they persist across epochs and resize only at
-    reassignment boundaries.  Matrices returned by a workspace-backed
-    decode are views into (or reuses of) these buffers — valid until the
-    next decode call, which is exactly the finalize-half's
+    One instance per exchange; one flat buffer per role (the key: the NumPy
+    decode's de-quantized rows and codes, a multi-group payload's matrix, a
+    receiver's backward block), which grows only when a larger request
+    first appears, so it persists across epochs and across the steps of
+    one: :meth:`take` hands out a C-contiguous view of its front, whatever
+    the shape.  Matrices returned
+    by a workspace-backed decode are views into these buffers — valid
+    until the next decode call, which is exactly the finalize-half's
     consume-immediately lifetime.  The fused exchange also takes its
     backward decode blocks from here, one workspace per receiver for its
     worker-side decodes; with one step in flight at a time, a receiver's
     block is consumed by that step's finalize before the next step's
-    decode reuses it.
+    decode reuses it, so it is allocated once, at the widest step.
     """
 
     def __init__(self) -> None:
         self._bufs: dict[object, np.ndarray] = {}
 
     def take(self, key: object, shape: tuple[int, ...], dtype) -> np.ndarray:
+        """A C-contiguous ``shape`` array of ``dtype``: the front of
+        ``key``'s buffer, replaced by a fitting one when it is too small or
+        of another dtype."""
+        size = math.prod(shape)
         buf = self._bufs.get(key)
-        if buf is None or buf.shape != shape or buf.dtype != np.dtype(dtype):
-            buf = np.empty(shape, dtype=dtype)
-            self._bufs[key] = buf
-        return buf
+        if buf is None or buf.size < size or buf.dtype != np.dtype(dtype):
+            buf = self._bufs[key] = np.empty(size, dtype=dtype)
+        return buf[:size].reshape(shape)
 
 
 def decode_cluster_step(
@@ -1121,6 +1179,15 @@ def _decode_numpy(
             )
         else:  # zero groups: the coverage check above forced num_rows == 0
             out[dst][src] = np.empty((0, payload.dim), dtype=np.float32)
+    # One de-quantize buffer for every width's rows, one code buffer reused
+    # width by width (each width's codes are consumed before the next
+    # width's unpack): a workspace then holds the widest call's rows, not
+    # every width's widest.
+    deq_all = None
+    if workspace is not None:
+        n_all = sum(rows.size for group in targets.values() for _, _, rows in group)
+        deq_all = workspace.take("deq", (n_all, dim), np.float32)
+    first_row = 0
     for bits in sorted(targets):
         counts = np.asarray(
             [rows.size * dim for _, _, rows in targets[bits]], dtype=np.int64
@@ -1130,7 +1197,7 @@ def _decode_numpy(
         if workspace is not None:
             per_byte = 8 // bits
             padded = -(-total // per_byte) * per_byte
-            codes_out = workspace.take(("codes", bits), (padded,), np.uint8)
+            codes_out = workspace.take("codes", (padded,), np.uint8)
         codes = unpack_bits_batched(
             streams[bits], bits, counts, out=codes_out
         ).reshape(-1, dim)
@@ -1144,10 +1211,11 @@ def _decode_numpy(
         )
         n_rows = total // dim
         deq = (
-            workspace.take(("deq", bits), (n_rows, dim), np.float32)
-            if workspace is not None
+            deq_all[first_row : first_row + n_rows]
+            if deq_all is not None
             else np.empty((n_rows, dim), dtype=np.float32)
         )
+        first_row += n_rows
         # Same elementwise chain as codes.astype(f32) * s + z, minus the
         # intermediate allocations (and the redundant trailing astype copy
         # the old formulation paid).

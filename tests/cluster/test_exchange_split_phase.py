@@ -16,6 +16,7 @@ from repro.cluster.exchange import (
     ExactHaloExchange,
     FixedBitProvider,
     FusedQuantizedHaloExchange,
+    StepInFlightError,
 )
 from repro.cluster.runtime import build_devices
 from repro.comm.transport import Transport
@@ -135,6 +136,32 @@ def test_handle_finalizes_exactly_once(devices):
     exchange.finalize_step(step)
     with pytest.raises(RuntimeError, match="finalized twice"):
         exchange.finalize_step(step)
+
+
+@pytest.mark.parametrize("name", sorted(EXCHANGES))
+def test_one_step_is_in_flight_at_a_time(devices, name):
+    """Posting while the previous step has not entered ``finalize_step``
+    raises a typed error naming both tags and posts nothing; the first step
+    then lands as usual, and a post that fails its checks leaves the
+    exchange free for the next one."""
+    h = _values(devices, 4)
+    exchange = EXCHANGES[name][0]()
+    transport = Transport(len(devices))
+    got = _halos(devices, 4)
+    step = exchange.post_step(0, "fwd", devices, transport, h, out=got)
+    with pytest.raises(StepInFlightError, match=r"'fwd/L1'.*'fwd/L0'"):
+        exchange.post_step(1, "fwd", devices, transport, h, out=_halos(devices, 4))
+    assert transport.pending_bytes("fwd/L1") == 0
+    exchange.finalize_step(step)
+    mail, _ = EXCHANGES[name][1]().exchange("fwd", 0, devices, h)
+    for dev, buf in zip(devices, got):
+        for src, rows in mail[dev.rank].items():
+            assert np.array_equal(buf[dev.part.recv_map[src]], rows)
+    with pytest.raises(ValueError, match="expected"):
+        exchange.post_step(1, "fwd", devices, transport, h, out=_halos(devices, 5))
+    exchange.finalize_step(
+        exchange.post_step(1, "fwd", devices, transport, h, out=_halos(devices, 4))
+    )
 
 
 def test_post_step_requires_out(devices):

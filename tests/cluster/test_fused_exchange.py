@@ -118,6 +118,29 @@ def test_fused_is_default_for_adaqp_systems(tiny_dataset, tiny_book):
         assert isinstance(setup.exchange.rounding, KeyedRounding)
 
 
+def test_one_epoch_stages_every_step_in_one_block(tiny_dataset, tiny_book, either_tier):
+    """After one adaqp epoch whose steps have mixed widths, every step
+    plan's staged rows are a view of the encoder's one block, sized by the
+    widest step — 4·max(n_total·dim) bytes, not the sum over steps — and
+    on the NumPy tier its codes a view of one code block of that size."""
+    cost = LinkCostModel.for_topology(parse_topology("2M-2D"))
+    with Cluster(tiny_dataset, tiny_book, hidden_dim=8, num_layers=3, seed=0) as c:
+        exchange = build_system("adaqp", c, cost, RunConfig()).exchange
+        c.train_epoch(exchange, 0)
+    encoder = exchange.fused_encoder
+    plans = list(encoder._plans.values())
+    assert len(plans) == 6 and len({plan.dim for plan in plans}) > 1
+    sizes = [plan.n_total * plan.dim for plan in plans]
+    assert encoder._rows.nbytes == 4 * max(sizes) < 4 * sum(sizes)
+    for plan in plans:
+        assert plan.cat_buf.base is encoder._rows
+        assert (plan.codes_buf is None) == (either_tier == "compiled")
+        if plan.codes_buf is not None:
+            assert plan.codes_buf.base is encoder._codes
+    if either_tier == "numpy":
+        assert encoder._codes.nbytes == max(sizes)
+
+
 def test_halo_buffer_reuse_does_not_leak_between_epochs(tiny_dataset, tiny_book):
     """Reused halo buffers must be indistinguishable from fresh ones."""
 

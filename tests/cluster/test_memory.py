@@ -17,8 +17,9 @@ from repro.cluster.memory import (
     _model_bytes,
     _operator_bytes,
     _quant_scratch_bytes,
+    _plan_bytes,
     _quant_stage_bytes,
-    _stage_bytes,
+    _staging_block_bytes,
     estimate_memory,
     estimate_peak_resident,
     host_memory,
@@ -40,13 +41,14 @@ def _kernel_scratch(cluster):
 
 
 def _quant_stage(cluster, steps_widths):
-    """The exchange's plan staging, counted independently of the estimator
-    at the widest width (8 bits: the wire is one byte per element): 5 B
-    per element on the NumPy tier (rows + codes), plus 8 B per row of zero
-    point and scale on the compiled tier."""
+    """The exchange's staging, counted independently of the estimator at
+    the widest width (8 bits: the wire is one byte per element): one block
+    at the widest step — 4 B per element of rows, plus 1 B of codes on the
+    NumPy tier — and per step its wire and 8 B per row of zero point and
+    scale."""
     send_rows = sum(dev.part.n_halo for dev in cluster.devices)
-    per_row = 0 if kernels.load() is None else 8 * len(steps_widths)
-    return send_rows * (5 * sum(steps_widths) + per_row)
+    block = (5 if kernels.load() is None else 4) * max(steps_widths)
+    return send_rows * (block + sum(steps_widths) + 8 * len(steps_widths))
 
 
 def _model_resident(cluster):
@@ -351,7 +353,7 @@ def test_kernel_scratch_estimate_is_the_numpy_kernels_allocation(
         assert estimate == on_numpy - unstaged()
     rows = min(max(chunk_rows, int(plan.pair_counts.max())), plan.n_total)
     assert estimate == rows * max(cluster.dims[:-1]) * 16
-    encoder._quantize_numpy(plan, shard, keys)  # allocates the plan's codes_buf
+    encoder._quantize_numpy(plan, shard, keys)  # allocates the encoder's code block
     peak = _peak_allocated(lambda: encoder._quantize_numpy(plan, shard, keys))
     # Never below, and within 30 % above: the raw Philox words of the pair
     # being drawn (2 B per element of that pair), the buffered
@@ -382,10 +384,10 @@ def test_kernel_scratch_is_dropped_where_the_compiled_tier_is_loaded(
 def test_stage_estimate_is_what_a_plan_holds(cluster, compiled_kernels, kernel_tier,
                                              compiled):  # fmt: skip
     """Each tier against ``tracemalloc``: building and encoding the widest
-    step at mixed widths leaves the plan holding the staging term at the
-    plan's widths — plus only its int64 index arrays and payload views
-    (< 128 B per row, 2 KiB per pair), and on the NumPy tier the wire and
-    per-row metadata its 5 B/element term has never counted."""
+    step at mixed widths leaves the encoder holding one staging block at
+    that step's size — rows, and on the NumPy tier codes — and the plan
+    its wire and per-row metadata, plus only its int64 index arrays and
+    payload views (< 128 B per row, 2 KiB per pair)."""
     with kernel_tier(compiled_kernels if compiled else None):
         tracemalloc.start()
         try:
@@ -394,13 +396,18 @@ def test_stage_estimate_is_what_a_plan_holds(cluster, compiled_kernels, kernel_t
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        term = _stage_bytes(plan.n_total, plan.dim, plan.wire.nbytes)
-        # The cluster estimate is the same term at 8 bits, over every step.
+        block = _staging_block_bytes(plan.n_total, plan.dim)
+        term = block + _plan_bytes(plan.n_total, plan.wire.nbytes)
+        # The cluster estimate: one block at the widest step, and every
+        # step's plan at 8 bits.
         assert _quant_stage_bytes(cluster) == _quant_stage(cluster, 2 * cluster.dims[:-1])
     assert (plan.codes_buf is None) == compiled
-    uncounted = 0 if compiled else plan.wire.nbytes + 8 * plan.n_total
+    blocks = [encoder._rows] if compiled else [encoder._rows, encoder._codes]
+    assert sum(b.nbytes for b in blocks) == block
+    assert block == (4 if compiled else 5) * plan.n_total * plan.dim
+    assert np.shares_memory(plan.cat_buf, encoder._rows)
     index = 128 * plan.n_total + 2048 * len(plan.pairs)
-    assert term + uncounted <= held <= term + uncounted + index
+    assert term <= held <= term + index
     assert plan.wire.nbytes < plan.n_total * plan.dim  # mixed widths: < 1 B/element
 
 

@@ -447,13 +447,19 @@ def test_every_operator_fits_the_compiled_spmv(residency, tiny_dataset, huge_sto
     ``indices`` and each row's columns ascending — the operands
     ``repro_csr_rows`` takes.  A split that widened the indices would pass
     every bitwise test (scipy sums in the same order) and show only as a
-    slowdown."""
+    slowdown.  The engine resolves each of them for ``_spmv`` once, at
+    construction: the same matrix, with the compiled kernel's addresses."""
     _, engine, _ = _split_engine(residency, tiny_dataset, huge_store)
-    for ops in engine._ops:
-        for m in (ops.own, ops.halo, ops.own_t, ops.halo_t):
+    for ops, csr in zip(engine._ops, engine._csr, strict=True):
+        for name in ("own", "halo", "own_t", "halo_t"):
+            m = getattr(ops, name)
             assert m.dtype == np.float32
             assert m.indptr.dtype == m.indices.dtype == np.int32
             assert m.has_sorted_indices
+            assert csr[name].matrix is m
+            assert csr[name].pointers == tuple(
+                a.ctypes.data for a in (m.indptr, m.indices, m.data)
+            )
 
 
 class _CountingLibrary:

@@ -53,6 +53,18 @@ def kernel_tier():
     return pinned
 
 
+@pytest.fixture(params=["compiled", "numpy"])
+def either_tier(request, kernel_tier):
+    """Runs the test once per kernel tier, pinned for its whole body: the
+    compiled kernels (skipped where they do not load) and the NumPy ones.
+    The value is the tier's name."""
+    lib = None
+    if request.param == "compiled":
+        lib = request.getfixturevalue("compiled_kernels")
+    with kernel_tier(lib):
+        yield request.param
+
+
 @pytest.fixture(scope="session")
 def path_graph():
     """0-1-2-3-4 path."""

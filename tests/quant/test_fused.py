@@ -4,7 +4,9 @@ laid out in the plan's wire buffer as the byte formula says, and held
 there until the plan's next encode."""
 
 import gc
+import sys
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,9 +16,11 @@ from reference.wire import MixedPrecisionEncoder, decode
 from step_encoding import encode_step, quantize_pack
 
 from repro.quant.fused import (
+    DecodeWorkspace,
     FusedStepEncoder,
     decode_cluster_step,
     decode_index,
+    pair_shard,
 )
 from repro.quant.stochastic import KeyedRounding
 from repro.quant.theory import packed_bytes, wire_bytes
@@ -267,3 +271,145 @@ def test_a_rebuilt_plan_frees_the_old_one_without_the_collector():
         assert decode(payloads[(0, 1)]).shape == (int(counts[0]), dim)
     finally:
         gc.enable()
+
+
+def _plan_state(plan):
+    """A step's encoded bytes: its wire, zero points and scales."""
+    return plan.wire.tobytes(), plan.zero_points.tobytes(), plan.scales.tobytes()
+
+
+def test_steps_sharing_the_staging_encode_as_fresh_encoders(either_tier):
+    """One encoder stages every step in one block: a 128-wide step, a
+    64-wide step, then the 128-wide step again each emit the wire, zero
+    points and scales a fresh encoder emits for that step alone.  A keyed
+    replay of a pair inside the 64-wide step — where a dropped envelope is
+    regenerated, between the step's encode and the next gather — emits
+    that pair's bytes again."""
+    steps = {dim: _step(40 + dim, n_pairs=4, rows=23, dim=dim) for dim in (128, 64)}
+
+    def encoded(enc, dim):
+        values, pairs, counts, cat_idx, bits_cat, _ = steps[dim]
+        n = int(counts.sum())
+        plan = enc.plan_for(dim, pairs, counts, [(0, 0, n)], cat_idx, bits_cat, dim)
+        encode_step(enc, plan, {0: values}, coords=("fwd", 1))
+        return plan
+
+    fresh = {dim: _plan_state(encoded(FusedStepEncoder(KeyedRounding(7)), dim))
+             for dim in steps}  # fmt: skip
+    shared = FusedStepEncoder(KeyedRounding(7))
+    wide = encoded(shared, 128)
+    assert _plan_state(wide) == fresh[128]
+    narrow = encoded(shared, 64)
+    assert _plan_state(narrow) == fresh[64]
+    assert np.shares_memory(narrow.cat_buf, wide.cat_buf)
+    for i, pair in enumerate(narrow.pairs):
+        payload = shared.quantize_pack_shard(
+            narrow, pair_shard(narrow, i), coords=("fwd", 1)
+        )[pair]
+        assert _snapshot({pair: payload}) == _snapshot({pair: narrow.payloads[i]})
+        assert _plan_state(narrow) == fresh[64]
+    assert _plan_state(encoded(shared, 128)) == fresh[128]
+
+
+def test_a_wider_step_moves_every_plan_to_one_larger_block(either_tier):
+    """The staging grows only when a wider step first appears, and every
+    cached plan then views the new block, so the old one is freed: the
+    encoder holds one block (and, on the NumPy tier, one code block) at
+    the widest step's size."""
+    enc = FusedStepEncoder(KeyedRounding(3))
+    plans = []
+    for dim in (16, 48, 32):
+        values, pairs, counts, cat_idx, bits_cat, _ = _step(50 + dim, dim=dim)
+        n = int(counts.sum())
+        plan = enc.plan_for(dim, pairs, counts, [(0, 0, n)], cat_idx, bits_cat, dim)
+        encode_step(enc, plan, {0: values}, coords=("bwd", 0))
+        plans.append(plan)
+    widest = max(plan.n_total * plan.dim for plan in plans)
+    assert enc._rows.nbytes == 4 * widest
+    for plan in plans:
+        assert plan.cat_buf.base is enc._rows
+        assert plan.cat_buf.shape == (plan.n_total, plan.dim)
+        assert plan.cat_buf.flags.c_contiguous
+        if either_tier == "numpy":
+            assert plan.codes_buf.base is enc._codes
+        else:
+            assert plan.codes_buf is None
+    assert (enc._codes is None) == (either_tier == "compiled")
+    if enc._codes is not None:
+        assert enc._codes.nbytes == widest
+
+
+def test_a_smaller_take_views_the_larger_takes_block():
+    """``DecodeWorkspace.take`` hands out C-contiguous views of one buffer
+    per key that grows only: a smaller request after a larger one is the
+    front of the same block; another dtype gets a buffer of its own."""
+    ws = DecodeWorkspace()
+    wide = ws.take(("block", 0), (10, 128), np.float32)
+    narrow = ws.take(("block", 0), (10, 64), np.float32)
+    assert narrow.shape == (10, 64) and narrow.dtype == np.float32
+    assert narrow.flags.c_contiguous
+    assert narrow.ctypes.data == wide.ctypes.data
+    assert narrow.base is wide.base
+    again = ws.take(("block", 0), (10, 128), np.float32)
+    assert again.ctypes.data == wide.ctypes.data
+    assert not np.shares_memory(ws.take(("block", 1), (10, 64), np.float32), wide)
+    codes = ws.take(("block", 0), (4,), np.uint8)
+    assert codes.dtype == np.uint8 and not np.shares_memory(codes, wide)
+
+
+def test_racing_shards_allocate_one_code_block(kernel_tier):
+    """NumPy tier: a step's first encode allocates the encoder's code block
+    from whichever worker's shard gets there first.  Eight shards on eight
+    threads, switching as often as the interpreter allows, leave one code
+    block that the plan views and emit a single-shard encode's bytes."""
+    values, pairs, counts, cat_idx, bits_cat, dim = _step(60, n_pairs=16, rows=29)
+    n = int(counts.sum())
+
+    def fresh():
+        enc = FusedStepEncoder(KeyedRounding(5))
+        plan = enc.plan_for("k", pairs, counts, [(0, 0, n)], cat_idx, bits_cat, dim)
+        enc.gather_step(plan, {0: values})
+        return enc, plan
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with kernel_tier(None):
+            enc, plan = fresh()
+            want = _snapshot(quantize_pack(enc, plan, coords=("fwd", 2)))
+            for _ in range(10):
+                enc, plan = fresh()
+                shards = enc.shards_for(plan, 8)
+                with ThreadPoolExecutor(8) as pool:
+                    jobs = [
+                        pool.submit(enc.quantize_pack_shard, plan, s, coords=("fwd", 2))
+                        for s in shards
+                    ]
+                    got = {}
+                    for job in jobs:
+                        got.update(job.result(timeout=30))
+                assert len(shards) == 8 and _snapshot(got) == want
+                assert plan.codes_buf.base is enc._codes
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_the_numpy_decode_holds_one_buffer_per_role(kernel_tier):
+    """Through a workspace, the NumPy decode de-quantizes every width's rows
+    into one buffer and unpacks each width's codes into one shared buffer,
+    so a workspace holds the largest call's rows, not each width's largest;
+    the matrices are the reference decode's."""
+    values, pairs, counts, cat_idx, bits_cat, dim = _step(70)
+    enc = FusedStepEncoder(KeyedRounding(4))
+    n = int(counts.sum())
+    plan = enc.plan_for("k", pairs, counts, [(0, 0, n)], cat_idx, bits_cat, dim)
+    payloads = encode_step(enc, plan, {0: values}, coords=("fwd", 0))
+    mailbox = {dst: p for (_, dst), p in payloads.items()}
+    ws = DecodeWorkspace()
+    with kernel_tier(None):
+        got = decode_cluster_step({-1: mailbox}, workspace=ws)[-1]
+    mats = {("mat", -1, src) for src, p in mailbox.items() if len(p.group_bits) > 1}
+    assert set(ws._bufs) == {"deq", "codes"} | mats
+    assert ws._bufs["deq"].shape == (n * dim,)
+    for src, payload in mailbox.items():
+        assert np.array_equal(got[src], decode(payload))
