@@ -94,39 +94,6 @@ class ClusterState:
 # ---------------------------------------------------------------------------
 
 
-def _strip_memmaps(obj, dropped: list | None = None, path: str = ""):
-    """Recursively drop memmap-backed arrays from a state container.
-
-    Huge-graph runs back features/labels/operators with ``np.memmap``
-    regions of the partition store; pickling one would serialize the full
-    on-disk region into the checkpoint.  They are reconstructable from the
-    store path (recorded in ``ClusterState.meta``), so a memmap value is
-    *skipped* — dict entries disappear, list/tuple slots become ``None`` —
-    and its key path is collected in ``dropped`` for logging.  Plain
-    arrays (model weights, optimizer slots, RNG states) pass through
-    untouched, so non-store checkpoints are byte-identical to before.
-    """
-    if isinstance(obj, np.memmap):
-        if dropped is not None:
-            dropped.append(path or "<root>")
-        return None
-    if isinstance(obj, dict):
-        out = {}
-        for key, value in obj.items():
-            if isinstance(value, np.memmap):
-                if dropped is not None:
-                    dropped.append(f"{path}.{key}" if path else str(key))
-                continue
-            out[key] = _strip_memmaps(value, dropped, f"{path}.{key}" if path else str(key))
-        return out
-    if isinstance(obj, (list, tuple)):
-        items = [
-            _strip_memmaps(v, dropped, f"{path}[{i}]") for i, v in enumerate(obj)
-        ]
-        return type(obj)(items) if isinstance(obj, tuple) else items
-    return obj
-
-
 def capture_state(
     cluster,
     optimizer,
@@ -139,39 +106,27 @@ def capture_state(
     """Snapshot ``cluster`` (+ optimizer, exchange, assigner) at an epoch
     boundary.  Copies everything — the caller may keep training.
 
-    Memmap-backed arrays (store-backed feature/label/operator regions) are
-    skipped rather than serialized — see :func:`_strip_memmaps` — and the
-    owning store's path is recorded in ``meta["store_path"]`` so a resume
-    can reopen the same store."""
+    Every state is made of copies or computed arrays, never of a partition
+    store's memmapped regions, so a store run's checkpoint stays
+    model-sized; the owning store's path is recorded in
+    ``meta["store_path"]`` so a resume can reopen the same store."""
     meta = dict(meta or {})
     store_ds = getattr(cluster, "_store_dataset", None)
     if store_ds is not None:
         meta.setdefault("store_path", str(store_ds.store.path))
-    dropped: list[str] = []
-    state = ClusterState(
+    return ClusterState(
         epoch=int(epoch),
         num_parts=int(cluster.num_devices),
         model_kind=cluster.model_kind,
         dims=list(cluster.dims),
         seed=int(cluster.seed),
-        model=_strip_memmaps(cluster.model.state_dict(), dropped, "model"),
-        optimizer=_strip_memmaps(optimizer.state_dict(), dropped, "optimizer"),
+        model=cluster.model.state_dict(),
+        optimizer=optimizer.state_dict(),
         dropout_rng=[d.dropout_rng.bit_generator.state for d in cluster.devices],
-        exchange=_strip_memmaps(exchange.state_dict(), dropped, "exchange"),
-        assigner=(
-            None
-            if assigner is None
-            else _strip_memmaps(assigner.state_dict(), dropped, "assigner")
-        ),
+        exchange=exchange.state_dict(),
+        assigner=None if assigner is None else assigner.state_dict(),
         meta=meta,
     )
-    if dropped:
-        logger.info(
-            "checkpoint skipped %d memmap-backed array(s): %s",
-            len(dropped),
-            ", ".join(dropped[:8]),
-        )
-    return state
 
 
 def restore_state(

@@ -24,8 +24,9 @@ geometry (see the class).
 :meth:`~FusedQuantizedHaloExchange.post_step` snapshots, encodes and posts
 all outgoing messages and returns an :class:`InFlightStep` handle; the
 messages then stay pending in the transport until
-:meth:`~FusedQuantizedHaloExchange.finalize_step` collects, decodes and
-scatters (forward) or accumulates (backward) them.  The compute engine's
+:meth:`~FusedQuantizedHaloExchange.finalize_step` lands them from the step
+plan (forward), or accumulates them (backward), and audits what the
+transport delivered.  The compute engine's
 layer step runs its central window between the two halves — the paper's
 Fig. 7 overlap, in every run.  Payload
 values are frozen at post time (the gather or encode copies), so callers
@@ -46,7 +47,7 @@ never observe a half-posted step.
 function of its coordinates (:class:`~repro.quant.stochastic.KeyedRounding`),
 so a quantized step's encode shards across all ``transport.workers``; a
 full-precision step posts its row views in one job.  With workers, the
-last post job chases them with per-receiver collect/decode jobs, all
+last post job chases them with per-receiver collect/land jobs, all
 free to retire in any order.  Bit lookups and tracer ``observe`` calls
 stay on the calling thread (the snapshot half).  The pipelined executor
 finalizes each step before posting the next, so at most one tag is ever
@@ -58,16 +59,20 @@ in the encoder's one block, which a second post would overwrite.
 destinations once: the per-device halo buffers forward, the owned-row
 gradient buffers backward.  The exchange lands each receiver straight
 into them through a per-(plan, receiver)
-:class:`~repro.quant.fused.DecodeIndex` — de-quantized, or at full
-precision copied.  Forward, on async thread-backed transports the
-per-receiver decode jobs write the halo rows directly (each receiver's
-halo region is a disjoint, contiguous row range of the stacked buffer,
-so the writes are race-free shards), and ``finalize_step`` is left with
-the delivery audit.  Quantized backward decodes land in a contiguous
-per-receiver block, added by one kernel call per receiver; full-precision
-backward payloads are added as they are, one call per source.  Either
-way the order-sensitive accumulate into the owned rows stays on the main
-thread, source by source in mailbox order.
+:class:`~repro.quant.fused.DecodeIndex`, reading the step plan alone —
+de-quantized from the plan's wire, or at full precision copied from its
+staged rows.  The collected mailbox only audits delivery: every pair must
+have delivered the plan's own payload, a dropped one is re-encoded into
+the plan and its receiver landed again, and anything else raises a typed
+:class:`~repro.comm.transport.TransportError`.  Forward, on async
+thread-backed transports the per-receiver landing jobs write the halo
+rows directly (each receiver's halo region is a disjoint, contiguous row
+range of the stacked buffer, so the writes are race-free shards), and
+``finalize_step`` is left with the delivery audit.  Quantized backward
+landings fill a contiguous per-receiver block, added by one kernel call
+per receiver; full-precision backward rows are added as they are, one
+call per source.  Either way the order-sensitive accumulate into the
+owned rows stays on the main thread, sources ascending.
 """
 
 from __future__ import annotations
@@ -86,7 +91,7 @@ from repro.quant.fused import (
     accumulate_rows,
     decode_cluster_step,
     decode_index,
-    land_decoded,
+    land_rows,
     pair_shard,
 )
 from repro.quant.stochastic import as_rounding
@@ -211,14 +216,14 @@ class InFlightStep:
     with workers whenever the central window fully covered the deferred
     work (the exposed tail the timelines report).
 
-    ``decoded`` and ``targets`` are the decode state, complete once
+    ``targets`` and ``mailboxes`` are the landing state, complete once
     :meth:`mark_done` returns (or set by ``finalize_step`` itself where it
-    decodes): ``targets[rank]`` is the ``(DecodeIndex, buffer)`` a
-    receiver's rows land in and ``decoded[rank]`` the sources that landed
-    there — except a full-precision backward step, whose buffer is ``None``
-    and whose ``decoded[rank]`` is the mailbox itself (its float32 payloads
-    are added as they are).  ``sent`` is false for a step a staleness rule
-    keeps off the wire (see ``_replay_missing``).
+    lands): ``targets[rank]`` is the ``(DecodeIndex, buffer)`` a receiver's
+    rows land in — the buffer is ``None`` for a full-precision backward
+    step, whose staged rows are added as they are — and
+    ``mailboxes[rank]`` what its transport delivered, kept for the
+    delivery audit.  ``sent`` is false for a step a staleness rule keeps
+    off the wire (see ``_replay_missing``).
     """
 
     __slots__ = (
@@ -230,8 +235,8 @@ class InFlightStep:
         "dim",
         "done",
         "worker_wait_s",
-        "decoded",
         "targets",
+        "mailboxes",
         "out",
         "plan",
         "sent",
@@ -255,8 +260,8 @@ class InFlightStep:
         self.dim = dim
         self.done = False
         self.worker_wait_s = 0.0
-        self.decoded: dict[int, dict] | None = None
         self.targets: dict[int, tuple] | None = None
+        self.mailboxes: dict[int, dict] | None = None
         self.out = out
         # The step plan: what its decodes index into, and what replay
         # regenerates a dropped envelope from.
@@ -292,21 +297,22 @@ class FusedQuantizedHaloExchange:
       (:class:`~repro.quant.fused.FusedStepEncoder`);
     * each device's payloads — views of that buffer — enter the transport
       through one batched post;
-    * each receiver's payloads are decoded straight into its halo rows
-      (forward) or into a block accumulated into its owned rows
-      (backward) (:func:`~repro.quant.fused.decode_cluster_step`).
+    * each receiver's rows of the plan's wire are decoded straight into
+      its halo rows (forward) or into a block accumulated into its owned
+      rows (backward) (:func:`~repro.quant.fused.decode_cluster_step`);
+      its mailbox only audits the delivery.
 
     Without one (Vanilla, PipeGCN, SANCUS and every evaluation pass) the
     step plan is a :class:`~repro.quant.fused.Float32StepPlan`: the same
     gather, and its wire *is* the gathered float32 rows — ``rows × dim ×
     4`` bytes per pair, read-only views of each source's staged rows.
-    Forward landing is an index copy into the halo rows; backward adds the
-    payloads into the owned rows source by source
+    Forward landing is an index copy of the staged rows into the halo
+    rows; backward adds them into the owned rows source by source
     (:func:`~repro.quant.fused.accumulate_rows`, the additions
     :func:`~repro.quant.fused.accumulate_block` makes from a block, without
-    copying one).  Everything else — topology, decode targets, worker-side
-    decodes, the delivery audit and replay — is one code path for both
-    wires.
+    copying one).  Everything else — topology, landing targets,
+    worker-side landings, the delivery audit and replay — is one code path
+    for both wires.
 
     **Staleness.**  The full-precision systems differ only in a rule over
     a per-(phase, layer) cache of staged steps (each step's
@@ -378,12 +384,10 @@ class FusedQuantizedHaloExchange:
         self._cache: dict[tuple[str, int], list[dict]] | None = (
             {} if self.period > 1 or self.lag else None
         )
+        # The backward landing blocks, one per receiving rank (one step is
+        # in flight at a time, so a rank's block is free again once its step
+        # is finalized).
         self._decode_ws = DecodeWorkspace()
-        # Worker-side decode scratch, one workspace per receiving rank:
-        # per-receiver decode jobs run concurrently on the pool, so ranks
-        # must never share buffers.  One step is in flight at a time, so a
-        # rank's workspace is free again once its step is finalized.
-        self._decode_ws_by_rank: dict[int, DecodeWorkspace] = {}
         # Per-cluster caches (see _topology_for): the cluster they were
         # built for, step topologies per phase, step plans.
         self._cluster: object = None
@@ -517,117 +521,112 @@ class FusedQuantizedHaloExchange:
         return step
 
     def finalize_step(self, step: InFlightStep) -> None:
-        """Stage 2: collect, decode and land the step in the ``out`` named
-        at post time — the halo rows forward; backward, added into the
-        owned-row gradients."""
+        """Stage 2: land the step in the ``out`` named at post time — the
+        halo rows forward; backward, added into the owned-row gradients —
+        and audit its delivery (see :meth:`_replay_missing`)."""
         self._in_flight = None
         step.mark_done()
         if step.plan is None:  # a step without pairs: nothing was posted
             return
         if step.targets is None:
-            # Decode here: an inline transport (nothing to overlap with).
-            step.targets = {
-                dev.rank: self._target(step, dev, self._decode_ws)
-                for dev in step.devices
-            }
-            collects = {
-                dev.rank: step.transport.collect(dev.rank, step.tag)
-                for dev in step.devices
-            }
-            step.decoded = self._land(collects, self._decode_ws, step.targets)
-        # Every receiver's rows are in its decode buffer now (mark_done
-        # joined any worker-side decode); what is left is the delivery
-        # audit and, backward, the order-sensitive accumulate.
+            # Land here: an inline transport (nothing to overlap with).
+            step.targets, step.mailboxes = {}, {}
+            for dev in step.devices:
+                target = step.targets[dev.rank] = self._target(step, dev)
+                step.mailboxes[dev.rank] = step.transport.collect(dev.rank, step.tag)
+                self._land(step, dev.rank, target)
+        # Every receiver is landed now (mark_done joined any worker-side
+        # landing); what is left is the delivery audit and, backward, the
+        # order-sensitive accumulate.
         for dev in step.devices:
-            index, buf = step.targets[dev.rank]
-            landed = step.decoded[dev.rank]
-            replayed = self._replay_missing(step, dev, landed)
-            if buf is None:
-                # Full-precision backward: the landed payloads are the rows,
-                # added source by source (ascending) — no block copy.
-                accumulate_rows(index, {**landed, **replayed}, step.out[dev.rank])
+            index, buf = target = step.targets[dev.rank]
+            if self._replay_missing(step, dev.rank, index):
+                self._land(step, dev.rank, target)
+            if step.phase == "fwd":
                 continue
-            for p, mat in replayed.items():
-                buf[index.land[p]] = mat[index.pick[p]]
-            if step.phase == "bwd":
+            if buf is None:
+                # Full-precision backward: the staged rows are added as
+                # they are, source by source (ascending) — no block copy.
+                rows = self._staged_rows(step, dev.rank, index)
+                accumulate_rows(index, rows, step.out[dev.rank])
+            else:
                 # One call per receiver, sources ascending — the float
                 # accumulation-order anchor.
                 accumulate_block(index, buf, step.out[dev.rank])
         if not self.quantizes:
             step.plan.staged = None  # the staging lives from post to finalize
 
-    def _land(self, collects: dict, workspace: DecodeWorkspace, targets: dict) -> dict:
-        """Each receiver's mailbox into its ``(DecodeIndex, buffer)`` target,
-        ``{rank: {src: where}}``: de-quantized, or at full precision copied —
-        except backward, where the float32 payloads themselves are what
-        finalize adds (no buffer; ``where`` is the payload)."""
+    def _land(self, step: InFlightStep, rank: int, target: tuple) -> None:
+        """Receiver ``rank``'s rows into its ``(DecodeIndex, buffer)``
+        target, from the step plan alone: de-quantized from its wire, or at
+        full precision copied from its staged rows — except backward, where
+        the staged rows are what finalize adds (no buffer)."""
+        index, buf = target
         if self.quantizes:
-            return decode_cluster_step(collects, workspace=workspace, into=targets)
-        landed = {}
-        for rank, mailbox in collects.items():
-            index, buf = targets[rank]
-            landed[rank] = mailbox if buf is None else land_decoded(index, buf, mailbox)
-        return landed
+            decode_cluster_step(index, buf)
+        elif buf is not None:
+            land_rows(index, buf, self._staged_rows(step, rank, index))
 
-    def _target(self, step: InFlightStep, dev, workspace) -> tuple:
+    @staticmethod
+    def _staged_rows(step: InFlightStep, rank: int, index) -> dict:
+        """A full-precision receiver's staged payloads, ``{src: rows}``."""
+        return {src: step.plan.staged[(src, rank)] for src in index.srcs}
+
+    def _target(self, step: InFlightStep, dev) -> tuple:
         """Receiver ``dev``'s ``(DecodeIndex, buffer)``: its halo buffer
-        forward (``step.out[rank]``), a block of ``workspace`` backward."""
+        forward (``step.out[rank]``), its block of the decode workspace
+        backward."""
         part = dev.part
         if step.phase == "bwd":
             index = decode_index(
                 step.plan, dev.rank, part.send_map, part.n_owned, accumulate=True
             )
             if not self.quantizes:
-                return index, None  # the payloads are the rows to add
-            return index, workspace.take(("block", dev.rank), index.shape, np.float32)
+                return index, None  # the staged rows are the rows to add
+            return index, self._decode_ws.take(("block", dev.rank), index.shape)
         index = decode_index(step.plan, dev.rank, part.recv_map, part.n_halo)
         return index, step.out[dev.rank]
 
     # -- fault detection and keyed-replay recovery --------------------------
-    def _replay_missing(
-        self, step: InFlightStep, dev, landed: dict
-    ) -> dict[int, np.ndarray]:
-        """Audit one receiver's landed sources; keyed-replay any missing peer.
+    def _replay_missing(self, step: InFlightStep, rank: int, index) -> bool:
+        """Audit receiver ``rank``'s mailbox; keyed-replay any dropped pair.
 
-        Every peer in the step plan posts exactly one envelope, so a
-        shortfall means an envelope was dropped in transit.  The step's
-        source rows still sit in the plan's staging, so the missing pair's
-        payload is regenerated *bitwise* — at full precision it is those
-        rows; quantized, noise is a pure function of coordinates and payload
-        bytes are independent of the shard decomposition — and returned
-        decoded, ``{src: matrix}``, for the caller to land where that
-        source's rows go.  A source the plan does not know raises a typed
-        :class:`TransportError`, which escalates to the trainer's
-        checkpoint-restore path.  A step a staleness rule kept off the wire
-        lands this way too: its mailboxes are empty, every payload comes
-        from the cached step in the plan's staging, and none is a replay.
+        Every pair of the step plan posts exactly one envelope, the plan's
+        own payload, and the receiver has landed from the plan, not from
+        the mailbox.  So the mailbox only audits delivery: a payload the
+        plan did not emit for that pair (or a source the plan does not pair
+        with ``rank``) raises a typed :class:`TransportError` naming the
+        pair, which escalates to the trainer's checkpoint-restore path.  A
+        missing source means its envelope was dropped in transit: the pair
+        is re-encoded into the plan from its staging — bitwise, as noise is
+        a pure function of coordinates and payload bytes are independent of
+        the shard decomposition; at full precision the staged rows are the
+        payload — and the return value asks the caller to land the receiver
+        again.  A step a staleness rule kept off the wire has nothing to
+        audit: its receivers land the cached step in the plan's staging.
         """
-        part = dev.part
-        expected = part.recv_map if step.phase == "fwd" else part.send_map
-        if len(landed) == len(expected):
-            return {}
-        missing = sorted(set(expected) - set(landed))
-        plan = step.plan
-        pair_index = {pair: i for i, pair in enumerate(plan.pairs)}
-        replayed: dict[int, np.ndarray] = {}
-        for p in missing:
-            i = pair_index.get((p, dev.rank))
-            if i is None:
+        if not step.sent:
+            return False
+        plan, mailbox = step.plan, step.mailboxes[rank]
+        if self.quantizes:
+            own = dict(zip(index.srcs, index.payloads))
+        else:
+            own = self._staged_rows(step, rank, index)
+        for src, payload in mailbox.items():
+            if own.get(src) is not payload:
                 raise TransportError(
-                    f"pair ({p}, {dev.rank}) of tag {step.tag!r} is not in"
-                    " the step plan; cannot replay the dropped envelope"
+                    f"pair ({src}, {rank}) of tag {step.tag!r} delivered a"
+                    " payload the step plan did not emit"
                 )
+        missing = [src for src in index.srcs if src not in mailbox]
+        for src in missing:
             if self.quantizes:
-                payloads = self.fused_encoder.quantize_pack_shard(
-                    plan, pair_shard(plan, i), coords=(step.phase, step.layer)
+                shard = pair_shard(plan, plan.pairs.index((src, rank)))
+                self.fused_encoder.quantize_pack_shard(
+                    plan, shard, coords=(step.phase, step.layer)
                 )
-                mailbox = {p: payloads[(p, dev.rank)]}
-                replayed[p] = decode_cluster_step({dev.rank: mailbox})[dev.rank][p]
-            else:
-                replayed[p] = plan.staged[(p, dev.rank)]
-            if step.sent:
-                step.transport.fault_stats["replays"] += 1
-        return replayed
+            step.transport.fault_stats["replays"] += 1
+        return bool(missing)
 
     # -- internals ----------------------------------------------------------
     def _encode_and_post(
@@ -689,11 +688,11 @@ class FusedQuantizedHaloExchange:
             return  # nothing on the wire: finalize lands the cached step
 
         # With workers, the last job to finish defers one
-        # collect+decode job per receiver under the same tag — decode
+        # collect+land job per receiver under the same tag — landing
         # overlaps the central window too, and finalize is left with only
         # the delivery audit and the backward accumulate.
         if transport.is_async:
-            step.decoded, step.targets = {}, {}
+            step.mailboxes, step.targets = {}, {}
         remaining = [len(shards)]
         remaining_lock = threading.Lock()
 
@@ -731,31 +730,26 @@ class FusedQuantizedHaloExchange:
         return sent
 
     def _defer_decodes(self, transport: Transport, step: InFlightStep) -> None:
-        """Queue one collect+decode job per receiver (worker side).
+        """Queue one collect+land job per receiver (worker side).
 
-        Called by the step's last post job, so every envelope is already
-        posted; the jobs collect with ``join=False`` (still sorted by
-        source) — a joining collect would wait on the very job set they
-        run in.  Forward, each job writes its receiver's rows straight
-        into the halo buffer named at post time
-        (receivers own disjoint buffers, so the writes are race-free);
-        backward, a quantized step into a block of its receiver's workspace
-        (a full-precision one only collects: finalize adds the payloads).
+        Called by the step's last post job, so every envelope is posted and
+        the plan's wire is complete; the jobs collect with ``join=False``
+        (still sorted by source) — a joining collect would wait on the
+        very job set they run in — for finalize's delivery audit.
+        Forward, each job lands its receiver's rows straight into the halo
+        buffer named at post time (receivers own disjoint buffers, so the
+        writes are race-free); backward, a quantized step into its
+        receiver's block (a full-precision one only collects: finalize
+        adds the staged rows).
         """
         for dev in step.devices:
-            workspace = self._decode_ws_by_rank.get(dev.rank)
-            if workspace is None:
-                workspace = self._decode_ws_by_rank[dev.rank] = DecodeWorkspace()
-            target = self._target(step, dev, workspace)
-            step.targets[dev.rank] = target
+            target = step.targets[dev.rank] = self._target(step, dev)
 
-            def decode_job(rank: int = dev.rank, target=target, workspace=workspace):
-                mailbox = transport.collect(rank, step.tag, join=False)
-                step.decoded[rank] = self._land(
-                    {rank: mailbox}, workspace, {rank: target}
-                )[rank]
+            def land_job(rank: int = dev.rank, target=target) -> None:
+                step.mailboxes[rank] = transport.collect(rank, step.tag, join=False)
+                self._land(step, rank, target)
 
-            transport.defer(step.tag, decode_job)
+            transport.defer(step.tag, land_job)
 
     def _topology_for(self, phase: str, devices: list) -> tuple:
         """Static step topology: pair order, payload row counts, device

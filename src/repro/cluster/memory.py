@@ -25,10 +25,13 @@ What does not exist yet is modelled: Adam's ``m`` and ``v``; the quantized
 exchange's staging — one block of rows (plus, on the NumPy tier, one of
 uint8 codes) at the widest step, as the encoder shares it between every
 step's plan — and every plan's packed wire and per-row metadata; one
-decode workspace per receiving rank; and the quantization kernel's
+backward landing block per receiving rank; and the quantization kernel's
 per-chunk scratch, only where the NumPy kernel runs (the compiled one,
-:mod:`repro.kernels`, has none).  ``repro.harness.hugebench.bench_huge_graph``
-cross-checks the prediction against measured peak RSS;
+:mod:`repro.kernels`, has none).  The NumPy tier's other scratch — a
+shard's pack, a receiver's decode — lives for one call and is not
+counted (see :func:`_quant_scratch_bytes`).
+``repro.harness.hugebench.bench_huge_graph`` cross-checks the prediction
+against measured peak RSS;
 :func:`host_memory` reads the host's total/available RAM so the CLI can
 warn before a job that cannot fit.
 """
@@ -144,9 +147,10 @@ def _quant_stage_bytes(cluster: Cluster) -> int:
 
 
 def _decode_workspace_bytes(cluster: Cluster) -> int:
-    """The exchange's decode scratch: one workspace per receiving rank (one
-    step is in flight at a time), sized by its halo rows at the widest
-    exchanged width."""
+    """The exchange's decode workspace: one backward landing block per
+    receiving rank (one step is in flight at a time), sized by the rows it
+    receives — over every rank, the halo rows — at the widest exchanged
+    width.  The decode itself keeps no scratch on either tier."""
     halo_rows = sum(dev.part.n_halo for dev in cluster.devices)
     return halo_rows * max(cluster.dims[:-1]) * _F32
 
@@ -163,9 +167,12 @@ def _quant_scratch_bytes(cluster: Cluster) -> int:
     The NumPy kernel walks a shard in chunks of ``_QUANT_CHUNK_ROWS`` rows
     (the longest pair, where that is longer; the whole step, where that is
     shorter) and holds :data:`_NUMPY_KERNEL_SCRATCH` bytes per chunk element
-    at the widest exchanged width, once per encode worker.  The compiled
-    kernel works row by row on a few hundred bytes, so where it is loaded
-    this term is zero.
+    at the widest exchanged width, once per encode worker.  The NumPy
+    tier's scratch outside the kernel is not counted; it is freed when its
+    call returns: a shard's pack holds about 1 B per element of the shard,
+    a receiver's decode at most about 5 B per element of its rows (codes
+    and de-quantized rows of one width).  The compiled kernels work row by
+    row on a few hundred bytes, so where they are loaded this term is zero.
     """
     if kernels.load() is not None:
         return 0

@@ -19,7 +19,7 @@ from repro.nn.layers import LayerNorm
 from repro.quant.fused import (
     FusedStepEncoder,
     _decode_index_native,
-    _decode_numpy,
+    _decode_index_numpy,
     decode_index,
 )
 from repro.quant.stochastic import KeyedRounding
@@ -34,8 +34,8 @@ def quantize_agrees(lib) -> bool:
     is not cat order, payloads have several groups and rows share bytes),
     a constant row and a 1-bit group: the compiled quantizer must
     reproduce the NumPy kernel's wire bytes, zero points and scales (over
-    a wire buffer it finds full of ones); the compiled decode the NumPy
-    decode's rows through each receiver's
+    a wire buffer it finds full of ones); the compiled decode its NumPy
+    mirror's rows through each receiver's
     :class:`~repro.quant.fused.DecodeIndex` (halo rows, an accumulation
     block); the compiled accumulate the per-pair adds.
     """
@@ -65,21 +65,20 @@ def quantize_agrees(lib) -> bool:
         return False
     # Both receivers through their indices — receiver 1's halo rows
     # directly, receiver 2's two pairs into a block — against the NumPy
-    # decode; then receiver 2's block accumulated twice into rows where its
+    # mirror; then receiver 2's block accumulated twice into rows where its
     # two sources overlap.
     indices = {
         1: decode_index(plan, 1, {0: [3, 0, 4, 1, 2]}, 5),
         2: decode_index(plan, 2, {0: [4, 0, 2], 1: [1, 2, 3, 4]}, 5, accumulate=True),
     }
-    got, want = {}, {}
+    got = {}
     for d, index in indices.items():
         got[d] = index, np.full(index.shape, np.nan, dtype=np.float32)
-        want[d] = index, got[d][1].copy()
+        want = got[d][1].copy()
         _decode_index_native(lib, *got[d])
-    own = {d: dict(zip(index.srcs, index.payloads)) for d, index in indices.items()}
-    _decode_numpy(own, None, want)
-    if any(got[d][1].tobytes() != want[d][1].tobytes() for d in indices):
-        return False
+        _decode_index_numpy(index, want)
+        if got[d][1].tobytes() != want.tobytes():
+            return False
     index, block = got[2]
     got_sum, want_sum = np.ones((2, 5, dim), dtype=np.float32)
     lib.repro_add_rows(

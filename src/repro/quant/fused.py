@@ -25,17 +25,18 @@ and every peer — into batched kernels that emit the same bytes:
   ⌈n·dim·bits/8⌉ bytes (:func:`~repro.quant.theory.packed_bytes`), plus
   one zero point and one scale per payload row.  The step's payloads are
   views into it, built once per plan;
-* on the receive side, :func:`decode_cluster_step` unpacks and
-  de-quantizes every payload of the step — one kernel call per receiver
-  on the compiled tier, batched per bit-width on the NumPy tier — and can
-  land the rows straight in the receiver's destination (a
-  :class:`DecodeIndex` says where).
+* on the receive side, :func:`decode_cluster_step` lands one receiver:
+  it unpacks and de-quantizes the receiver's groups of the plan's wire
+  straight into its destination, where its :class:`DecodeIndex` says —
+  one kernel call on the compiled tier, one batch per bit-width on the
+  NumPy tier.  A landing reads the plan, never a mailbox: the exchange
+  checks the mailbox apart, as the delivery audit.
 
 Full precision is the same step without bit-widths: a
 :class:`Float32StepPlan` has the pair geometry and the gather, and its wire
 *is* the gathered float32 rows — a pair's payload is a read-only row view
 of its source's staged rows, landed through the same :class:`DecodeIndex`
-(:func:`land_decoded` into halo rows, :func:`accumulate_rows` into owned
+(:func:`land_rows` into halo rows, :func:`accumulate_rows` into owned
 rows).
 
 **Payload lifetime.**  A payload returned by
@@ -62,13 +63,13 @@ use by :mod:`repro.kernels`) that perform the same float32 operations
 in the same order and so emit the same bytes.  The compiled quantizer
 writes codes already packed into the wire buffer (no step-wide code array
 exists); the NumPy one stages uint8 codes in ``codes_buf`` and packs them
-with :func:`~repro.quant.packing.pack_bits_batched`.  The compiled decode
-takes exactly one input, a mailbox holding a plan's own payloads for a
-receiver's :class:`DecodeIndex`; anything else (a mailbox missing a
-dropped source, payloads built outside a plan) takes the NumPy decode.
-The compiled tier runs wherever it loads; the NumPy tier is the reference
-it is tested against bitwise and the fallback everywhere else.  Nothing
-selects between them but what the loader observes.
+with :func:`~repro.quant.packing.pack_bits_batched`.  Both decodes read
+one input, a receiver's :class:`DecodeIndex` — its group table of
+``(bits, rows, offset, first)`` and its destination rows — over the
+plan's wire, so a receiver lands the same way whatever its mailbox holds.
+The compiled tier runs wherever it loads; the NumPy tier is the fallback
+everywhere else, and both are tested against the per-message reference
+decode.  Nothing selects between them but what the loader observes.
 
 All index structures (gather orders, group slices, wire layout, payload
 views, decode indices) are cached in a :class:`FusedStepPlan` and reused
@@ -91,7 +92,6 @@ keyed noise is one draw per pair and a chunk is a whole number of pairs.
 from __future__ import annotations
 
 import math
-import operator
 import threading
 from dataclasses import dataclass, field
 
@@ -112,7 +112,7 @@ __all__ = [
     "decode_index",
     "DecodeWorkspace",
     "decode_cluster_step",
-    "land_decoded",
+    "land_rows",
     "accumulate_block",
     "accumulate_rows",
 ]
@@ -162,11 +162,6 @@ class _EncodeShard:
     # slices of its groups and their element counts (NumPy packing batches).
     bit_slices: dict[int, list[slice]]
     bit_elems: dict[int, np.ndarray]
-    # For widths whose groups are scattered across pairs: their rows in
-    # payload-emission order (one take instead of a per-group concatenate)
-    # and the reusable gather destination — built by the NumPy packer's
-    # first use, so the compiled tier never holds them.
-    bit_gather: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
 
 @dataclass
@@ -396,10 +391,10 @@ class Float32StepPlan:
     quantization.  :meth:`stage` gathers each source device's outgoing rows
     into a fresh array and hands out each pair's payload as a read-only row
     view of it, ``rows·dim·4`` bytes with no zero points, scales or headers;
-    receivers land payloads through a :class:`DecodeIndex` of this plan
-    (:func:`land_decoded`, :func:`accumulate_rows`).  ``staged`` holds the
-    payloads a step posts until the step's finalize drops them (a dropped
-    envelope is replayed from there), so no float32 copy of the halo
+    receivers land the staged rows through a :class:`DecodeIndex` of this
+    plan (:func:`land_rows`, :func:`accumulate_rows`).  ``staged`` holds the
+    payloads a step posts until the step's finalize drops them (what lands,
+    and what a delivery audit expects), so no float32 copy of the halo
     traffic stays resident between steps unless an exchange keeps one.
     The staging is one array per source device, not one step-wide buffer:
     freeing a buffer that large raises the allocator's mmap threshold and
@@ -675,18 +670,9 @@ class FusedStepEncoder:
                 # Single distinct bit-width: the slices tile the span.
                 segment = codes_buf[shard.start : shard.stop]
             else:
-                # Scattered groups: one take into shard scratch (no
-                # per-group Python loop on the hot path).
-                gather = shard.bit_gather.get(bits)
-                if gather is None:
-                    rows = np.concatenate(
-                        [np.arange(sl.start, sl.stop, dtype=np.int64) for sl in slices]
-                    )
-                    gather = shard.bit_gather[bits] = (
-                        rows,
-                        np.empty((rows.size, plan.dim), dtype=np.uint8),
-                    )
-                segment = np.take(codes_buf, gather[0], axis=0, out=gather[1])
+                # Scattered groups: copied together for the call (scratch
+                # of one width's codes, freed when the pack returns).
+                segment = np.concatenate([codes_buf[sl] for sl in slices])
             streams_by_bits[bits] = pack_bits_batched(
                 segment, bits, shard.bit_elems[bits], validate=False
             )
@@ -763,48 +749,47 @@ class FusedStepEncoder:
 @dataclass(frozen=True, eq=False)
 class DecodeIndex:
     """Where one receiver's share of a plan's step lands — and, for a
-    quantized plan, the single kernel call that lands it.
+    quantized plan, what lands there: the receiver's groups of the plan's
+    wire buffer, read through one group table.
 
     ``rows[src]`` maps each row of pair ``(src, receiver)`` to its row of
-    the destination (``n_out`` rows).  Without ``accumulate`` the decode
+    the destination (``n_out`` rows).  Without ``accumulate`` a landing
     writes those rows directly (halo slots, each fed by one pair); with it
-    the decode fills a contiguous *block* — sources in mailbox order
-    (ascending), each pair's rows in order — and :func:`accumulate_block`
-    adds the block into the destination rows.  ``land[src]`` is where a
-    source's rows sit in the decode buffer (``shape``): its destination
-    rows, or its slice of the block.  ``pick[src]`` selects the payload rows
-    that land: all of them, except under a broadcast plan's picks.
+    the landing fills a contiguous *block* — sources ascending, each
+    pair's rows in order — and :func:`accumulate_block` adds the block into
+    the destination rows.  ``land[src]`` is where a source's rows sit in
+    the landing buffer (``shape``): its destination rows, or its slice of
+    the block.  ``pick[src]`` selects the payload rows that land: all of
+    them, except under a broadcast plan's picks.
 
     Built once per (plan, receiver) by :func:`decode_index` and checked
     once: every destination row against ``n_out`` and, for a
     :class:`FusedStepPlan`, every group width and stream span against the
-    plan's wire buffer.  A mailbox holding exactly that plan's payloads
-    (:meth:`matches`) then decodes without a further check.  The
-    compiled-decode fields stay empty for a :class:`Float32StepPlan`.
+    plan's wire buffer, so :func:`decode_cluster_step` lands it without a
+    further check.  A landing reads the plan, never a mailbox; ``payloads``
+    are what a delivery audit expects each source to have sent.  The wire
+    fields stay empty for a :class:`Float32StepPlan`, whose receivers land
+    its staged rows (:func:`land_rows`, :func:`accumulate_rows`).
     """
 
-    srcs: tuple[int, ...]  # ascending: the mailbox order
+    srcs: tuple[int, ...]  # ascending
     rows: dict[int, np.ndarray]
     land: dict[int, object]
     pick: dict[int, object]  # the landing payload rows: a slice or an index
-    shape: tuple[int, int]  # the decode buffer: destination or block
+    shape: tuple[int, int]  # the landing buffer: destination or block
     n_out: int
     accumulate: bool
-    covers: bool  # the decode writes every buffer row exactly once
+    covers: bool  # the landing writes every buffer row exactly once
     add_rows: np.ndarray | None  # accumulate: destination row per block row
-    # The compiled decode's input (quantized plans only).
-    payloads: tuple[MixedPrecisionPayload, ...] = ()  # the plan's, srcs order
+    # Quantized plans only.  What a delivery audit expects each source to
+    # have sent: the plan's payloads, srcs order.
+    payloads: tuple[MixedPrecisionPayload, ...] = ()
+    # The plan's wire as the decode reads it.
     # (n_groups, 4) int64: bits, rows, stream offset, first row
     groups: np.ndarray = field(default_factory=lambda: np.zeros((0, 4), np.int64))
-    # int64, per group row: its row of the decode buffer
+    # int64, per group row: its row of the landing buffer
     dest: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
     buffers: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None  # wire, z, s
-
-    def matches(self, mailbox: dict) -> bool:
-        """Whether ``mailbox`` holds exactly this index's payloads, in order."""
-        return len(mailbox) == len(self.payloads) and all(
-            map(operator.is_, mailbox.values(), self.payloads)
-        )
 
 
 def decode_index(
@@ -888,9 +873,9 @@ def _build_index(
 def _wire_index(
     plan: FusedStepPlan, dst: int, members: list[tuple[int, int]], land: dict
 ) -> dict:
-    """The compiled decode's fields of a receiver's index: per group its
-    width, row count, stream offset and first payload row, and each group
-    row's row of the decode buffer — checked against the wire buffer."""
+    """The decode's fields of a receiver's index: per group its width, row
+    count, stream offset and first payload row, and each group row's row
+    of the landing buffer — checked against the wire buffer."""
     groups: list[tuple[int, int, int, int]] = []
     dest: list[np.ndarray] = []
     for src, _ in members:
@@ -918,99 +903,62 @@ def _wire_index(
 
 
 class DecodeWorkspace:
-    """Reusable scratch buffers for :func:`decode_cluster_step`.
+    """Reusable landing blocks: the fused exchange's backward decode blocks.
 
-    One instance per exchange; one flat buffer per role (the key: the NumPy
-    decode's de-quantized rows and codes, a multi-group payload's matrix, a
-    receiver's backward block), which grows only when a larger request
-    first appears, so it persists across epochs and across the steps of
-    one: :meth:`take` hands out a C-contiguous view of its front, whatever
-    the shape.  Matrices returned
-    by a workspace-backed decode are views into these buffers — valid
-    until the next decode call, which is exactly the finalize-half's
-    consume-immediately lifetime.  The fused exchange also takes its
-    backward decode blocks from here, one workspace per receiver for its
-    worker-side decodes; with one step in flight at a time, a receiver's
-    block is consumed by that step's finalize before the next step's
-    decode reuses it, so it is allocated once, at the widest step.
+    One instance per exchange; one flat buffer per key (a receiver's
+    backward block), which grows only when a larger request first appears,
+    so it persists across epochs and across the steps of one: :meth:`take`
+    hands out a C-contiguous view of its front, whatever the shape.  With
+    one step in flight at a time, a receiver's block is consumed by that
+    step's finalize before the next step's landing reuses it, so it is
+    allocated once, at the widest step.  The decode itself keeps nothing:
+    its NumPy tier's scratch lives for one call.
     """
 
     def __init__(self) -> None:
         self._bufs: dict[object, np.ndarray] = {}
 
-    def take(self, key: object, shape: tuple[int, ...], dtype) -> np.ndarray:
-        """A C-contiguous ``shape`` array of ``dtype``: the front of
-        ``key``'s buffer, replaced by a fitting one when it is too small or
-        of another dtype."""
+    def take(self, key: object, shape: tuple[int, ...]) -> np.ndarray:
+        """A C-contiguous float32 ``shape`` array: the front of ``key``'s
+        buffer, replaced by a fitting one when it is too small."""
         size = math.prod(shape)
         buf = self._bufs.get(key)
-        if buf is None or buf.size < size or buf.dtype != np.dtype(dtype):
-            buf = self._bufs[key] = np.empty(size, dtype=dtype)
+        if buf is None or buf.size < size:
+            buf = self._bufs[key] = np.empty(size, dtype=np.float32)
         return buf[:size].reshape(shape)
 
 
-def decode_cluster_step(
-    collects: dict[int, dict[int, MixedPrecisionPayload]],
-    *,
-    workspace: DecodeWorkspace | None = None,
-    into: dict[int, tuple[DecodeIndex, np.ndarray]] | None = None,
-) -> dict[int, dict[int, object]]:
-    """Decode every payload of one step with batched kernels.
+def decode_cluster_step(index: DecodeIndex, buf: np.ndarray) -> None:
+    """Land one receiver of a quantized step: unpack and de-quantize its
+    rows of the plan's wire into ``buf`` (a float32 array of
+    ``index.shape``), where ``index`` says — zero-filled first when the
+    rows leave slots unfed.
 
-    ``collects`` maps each receiving rank to its ``{src: payload}`` mailbox
-    (the shape :meth:`Transport.collect` returns).  Produces exactly the
-    matrices the per-message reference decode would — de-quantization is
-    row-elementwise, so batching cannot change any value — preserving each
-    mailbox's iteration order (gradient accumulation order stays
-    src-ascending).  It is the one decode: a replayed payload takes it too,
-    as a one-payload mailbox.
-
-    ``into`` names destinations: for a receiver listed there as
-    ``(index, buffer)`` (a :class:`DecodeIndex` and a float32 buffer of
-    ``index.shape``) the rows land in ``buffer`` and the result maps each
-    source to ``index.land[src]``, where its rows now are.  Other receivers
-    get ``{src: matrix}``.  A landed mailbox holding exactly the index's
-    payloads decodes in one compiled kernel call where the compiled tier
-    loads; every other mailbox takes the NumPy decode — every
-    (receiver, pair, group) stream bucketed by bit-width, unpacked through
-    one batched lookup-table kernel per width, de-quantized in one
-    elementwise kernel, and landed with the buffer zero-filled first when a
-    source is missing.
-
-    ``workspace``, when given, supplies scratch reused across calls; the
-    returned matrices then stay valid only until the next decode (the
-    fused exchange consumes them within ``finalize_step``).
+    The landing reads the plan only, so it yields exactly the rows the
+    per-message reference decode yields for the plan's payloads, whatever
+    reached the receiver's mailbox (the exchange audits delivery apart).
+    Compiled tier: one ``repro_decode_rows`` call.  NumPy tier: its mirror,
+    :func:`_decode_index_numpy`.
     """
-    into = into or {}
-    lib = kernels.load()
-    out: dict[int, dict[int, object]] = {}
-    rest: dict[int, dict[int, MixedPrecisionPayload]] = {}
-    for dst, mailbox in collects.items():
-        target = into.get(dst)
-        if target is not None:
-            index, buf = target
-            if buf.shape != index.shape or buf.dtype != np.float32:
-                raise ValueError(
-                    f"receiver {dst}: decode buffer {buf.shape} {buf.dtype}, "
-                    f"expected {index.shape} float32"
-                )
-            if lib is not None and buf.flags.c_contiguous and index.matches(mailbox):
-                _decode_index_native(lib, index, buf)
-                out[dst] = dict(index.land)
-                continue
-        rest[dst] = mailbox
-    if rest:
-        landed = {dst: into[dst] for dst in rest if dst in into}
-        out.update(_decode_numpy(rest, workspace, landed))
-    return {dst: out[dst] for dst in collects}
-
-
-def _decode_index_native(lib, index: DecodeIndex, buf: np.ndarray) -> None:
-    """One receiver's payloads, straight into ``buf``: one kernel call."""
+    if buf.shape != index.shape or buf.dtype != np.float32:
+        raise ValueError(
+            f"landing buffer {buf.shape} {buf.dtype}, expected {index.shape} float32"
+        )
+    if index.buffers is None:
+        raise ValueError("a full-precision index has no wire to decode")
     if not index.covers:
         buf.fill(0.0)
     if not index.dest.size:
         return
+    lib = kernels.load()
+    if lib is not None and buf.flags.c_contiguous:
+        _decode_index_native(lib, index, buf)
+    else:
+        _decode_index_numpy(index, buf)
+
+
+def _decode_index_native(lib, index: DecodeIndex, buf: np.ndarray) -> None:
+    """One receiver's groups, straight into ``buf``: one kernel call."""
     wire, zero_points, scales = index.buffers
     lib.repro_decode_rows(
         wire.ctypes.data,
@@ -1024,32 +972,49 @@ def _decode_index_native(lib, index: DecodeIndex, buf: np.ndarray) -> None:
     )
 
 
-def _open_landing(index: DecodeIndex, buf: np.ndarray, sources) -> None:
-    """Check that ``sources`` send to ``index``'s receiver; zero-fill ``buf``
-    when their rows will not cover it (a missing source, unfed slots)."""
-    unknown = set(sources) - index.land.keys()
-    if unknown:
-        raise ValueError(f"sources {sorted(unknown)} are not in the decode index")
-    if not index.covers or len(sources) != len(index.srcs):
+def _decode_index_numpy(index: DecodeIndex, buf: np.ndarray) -> None:
+    """The NumPy mirror of ``repro_decode_rows``: the same group table and
+    destination rows, the same float32 operations (code, times scale, plus
+    zero point), batched per width — one unpack and one de-quantize over
+    that width's groups.  Its scratch lives for the call and holds one
+    receiver's rows."""
+    wire, zero_points, scales = index.buffers
+    dim = index.shape[1]
+    bits, counts, offsets, first = index.groups.T
+    starts = np.cumsum(counts) - counts  # each group's first entry of dest
+    for b in np.unique(bits).tolist():
+        sel = np.flatnonzero(bits == b)
+        spans = list(zip(offsets[sel], first[sel], starts[sel], counts[sel]))
+        streams = [wire[o : o + packed_bytes(n, dim, b)] for o, _, _, n in spans]
+        rows = np.concatenate([np.arange(f, f + n) for _, f, _, n in spans])
+        dest = np.concatenate([index.dest[a : a + n] for _, _, a, n in spans])
+        codes = unpack_bits_batched(streams, b, counts[sel] * dim)
+        deq = codes.reshape(rows.size, dim).astype(np.float32)
+        deq *= scales[rows][:, None]
+        deq += zero_points[rows][:, None]
+        buf[dest] = deq
+
+
+def land_rows(
+    index: DecodeIndex, buf: np.ndarray, rows_by_src: dict[int, np.ndarray]
+) -> None:
+    """Copy every source's float32 rows (their picked rows) to its rows of
+    ``buf``, zero-filled first when the rows leave slots unfed — a
+    full-precision step's landing, from its staged rows."""
+    if sorted(rows_by_src) != list(index.srcs):
+        raise ValueError(
+            f"sources {sorted(rows_by_src)} do not fit the index of sources "
+            f"{list(index.srcs)}"
+        )
+    if not index.covers:
         buf.fill(0.0)
-
-
-def land_decoded(
-    index: DecodeIndex, buf: np.ndarray, matrices: dict[int, np.ndarray]
-) -> dict[int, object]:
-    """Copy decoded per-source matrices (their picked rows) to their rows of
-    ``buf`` (zero-filled first when a source is missing); returns ``{src:
-    index.land[src]}``, as :func:`decode_cluster_step` does for a receiver
-    it lands."""
-    _open_landing(index, buf, matrices)
-    for src, mat in matrices.items():
-        buf[index.land[src]] = mat[index.pick[src]]
-    return {src: index.land[src] for src in matrices}
+    for src in index.srcs:
+        buf[index.land[src]] = rows_by_src[src][index.pick[src]]
 
 
 def accumulate_block(index: DecodeIndex, block: np.ndarray, out: np.ndarray) -> None:
     """``out[rows[src]] += block[land[src]]`` for every source of an
-    accumulating ``index``, in mailbox order (src ascending).
+    accumulating ``index``, sources ascending.
 
     Exactly the float32 additions of the per-pair ``out[send_map[p]] +=
     mat``: a pair's rows are distinct (checked when the index was built),
@@ -1112,135 +1077,3 @@ def accumulate_rows(
                 )
         else:
             out[rows] += mat
-
-
-def _decode_numpy(
-    collects: dict[int, dict[int, MixedPrecisionPayload]],
-    workspace: DecodeWorkspace | None,
-    landed: dict[int, tuple[DecodeIndex, np.ndarray]],
-) -> dict[int, dict[int, object]]:
-    """The NumPy decode of :func:`decode_cluster_step`: the reference, the
-    decode of any mailbox that is not a plan's own, and the fallback where
-    the compiled tier is unavailable.  A receiver in ``landed`` gets each
-    de-quantized group written straight to its rows of the receiver's
-    buffer, instead of a per-source matrix."""
-    flat: list[tuple[int, int, MixedPrecisionPayload]] = [
-        (dst, src, payload)
-        for dst, mailbox in collects.items()
-        for src, payload in mailbox.items()
-    ]
-    dims = {p.dim for _, _, p in flat}
-    if len(dims) > 1:
-        raise ValueError("payloads of one step must share their dimension")
-    dim = dims.pop() if dims else 0
-    for dst, (index, buf) in landed.items():
-        _open_landing(index, buf, collects[dst])
-    # bits -> parallel lists over that width's groups
-    targets: dict[int, list[tuple[int, int, np.ndarray]]] = {}
-    streams: dict[int, list[np.ndarray]] = {}
-    zero_points: dict[int, list[np.ndarray]] = {}
-    scales: dict[int, list[np.ndarray]] = {}
-    for dst, src, payload in flat:
-        covered = 0
-        for bits, rows, stream, z, s in zip(
-            payload.group_bits,
-            payload.group_rows,
-            payload.streams,
-            payload.zero_points,
-            payload.scales,
-        ):
-            targets.setdefault(bits, []).append((dst, src, rows))
-            streams.setdefault(bits, []).append(stream)
-            zero_points.setdefault(bits, []).append(z)
-            scales.setdefault(bits, []).append(s)
-            covered += rows.size
-        if covered != payload.num_rows:
-            raise ValueError("payload groups do not cover all rows")
-
-    out: dict[int, dict[int, np.ndarray]] = {dst: {} for dst in collects}
-    # Seed every result slot up front so each mailbox's iteration order is
-    # its collection order (receivers accumulate in that order — the
-    # bitwise contract).  Only payloads split across several groups need a
-    # persistent matrix (their widths fill disjoint row sets);
-    # single-group payloads cover every row, so their block of the
-    # de-quantize buffer is the result (the None placeholder is replaced
-    # by that view below).
-    for dst, src, payload in flat:
-        if dst in landed:
-            continue
-        if len(payload.group_bits) == 1:
-            out[dst][src] = None  # type: ignore[assignment]
-        elif payload.group_bits:
-            shape = (payload.num_rows, payload.dim)
-            out[dst][src] = (
-                workspace.take(("mat", dst, src), shape, np.float32)
-                if workspace is not None
-                else np.empty(shape, dtype=np.float32)
-            )
-        else:  # zero groups: the coverage check above forced num_rows == 0
-            out[dst][src] = np.empty((0, payload.dim), dtype=np.float32)
-    # One de-quantize buffer for every width's rows, one code buffer reused
-    # width by width (each width's codes are consumed before the next
-    # width's unpack): a workspace then holds the widest call's rows, not
-    # every width's widest.
-    deq_all = None
-    if workspace is not None:
-        n_all = sum(rows.size for group in targets.values() for _, _, rows in group)
-        deq_all = workspace.take("deq", (n_all, dim), np.float32)
-    first_row = 0
-    for bits in sorted(targets):
-        counts = np.asarray(
-            [rows.size * dim for _, _, rows in targets[bits]], dtype=np.int64
-        )
-        total = int(counts.sum())
-        codes_out = None
-        if workspace is not None:
-            per_byte = 8 // bits
-            padded = -(-total // per_byte) * per_byte
-            codes_out = workspace.take("codes", (padded,), np.uint8)
-        codes = unpack_bits_batched(
-            streams[bits], bits, counts, out=codes_out
-        ).reshape(-1, dim)
-        z_all = (
-            zero_points[bits][0]
-            if len(zero_points[bits]) == 1
-            else np.concatenate(zero_points[bits])
-        )
-        s_all = (
-            scales[bits][0] if len(scales[bits]) == 1 else np.concatenate(scales[bits])
-        )
-        n_rows = total // dim
-        deq = (
-            deq_all[first_row : first_row + n_rows]
-            if deq_all is not None
-            else np.empty((n_rows, dim), dtype=np.float32)
-        )
-        first_row += n_rows
-        # Same elementwise chain as codes.astype(f32) * s + z, minus the
-        # intermediate allocations (and the redundant trailing astype copy
-        # the old formulation paid).
-        deq[...] = codes
-        deq *= s_all[:, None]
-        deq += z_all[:, None]
-        cursor = 0
-        for dst, src, rows in targets[bits]:
-            block = deq[cursor : cursor + rows.size]
-            cursor += rows.size
-            if dst in landed:
-                index, buf = landed[dst]
-                where = index.land[src]  # destination rows, or a block slice
-                if isinstance(where, slice):
-                    buf[where.start + rows] = block
-                else:
-                    buf[where[rows]] = block
-                continue
-            mat = out[dst].get(src)
-            if mat is None:
-                # Single full-coverage group: rows is exactly arange(n),
-                # so the dequantized block *is* the matrix.
-                out[dst][src] = block
-            else:
-                mat[rows] = block
-    for dst, (index, _) in landed.items():
-        out[dst] = {src: index.land[src] for src in collects[dst]}
-    return out

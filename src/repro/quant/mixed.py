@@ -5,8 +5,10 @@ B = {2, 4, 8}.  Following the paper: rows are *grouped by bit-width*, each
 group is quantized at its single bit-width, groups are bit-packed and
 concatenated into one byte array for transmission, and the receiver
 restores full-precision rows using a bit-retrieval index (here: the row
-indices of each group).  :mod:`repro.quant.fused` builds these payloads
-and decodes them (:func:`~repro.quant.fused.decode_cluster_step`).
+indices of each group).  :mod:`repro.quant.fused` builds these payloads as
+views of a step plan's wire, and its receivers decode that wire
+(:func:`~repro.quant.fused.decode_cluster_step`); the payload objects are
+what the transport carries and what an exchange audits on delivery.
 """
 
 from __future__ import annotations

@@ -339,35 +339,66 @@ def _walk_arrays(obj):
             yield from _walk_arrays(v)
 
 
+def _cached_rows_bytes(system, cluster):
+    """The bytes a staleness rule's cached steps hold, counted from the
+    partitions: PipeGCN one step per (phase, layer) — every halo row at the
+    layer's input width, forward, and backward but for layer 0, whose
+    gradient a store run does not exchange; SANCUS one forward broadcast
+    per layer — each source's owned rows once per peer; nothing for
+    AdaQP, whose exchange is stateless."""
+    dims, parts = cluster.dims, [dev.part for dev in cluster.devices]
+    if system == "pipegcn":
+        halo = sum(part.n_halo for part in parts)
+        return 4 * halo * (sum(dims[:-1]) + sum(dims[1:-1]))
+    if system == "sancus":
+        sent = sum(part.n_owned * len(part.send_map) for part in parts)
+        return 4 * sent * sum(dims[:-1])
+    return 0
+
+
 def test_store_checkpoint_skips_memmaps_and_resumes_bitwise(
     tmp_path, huge_store
 ):
-    """A streaming (memmap-backed) run's checkpoint must not serialize
-    store regions — they are reconstructable from ``meta["store_path"]``
-    — and resuming from it must continue bitwise."""
+    """A streaming (memmap-backed) run's checkpoint serializes no store
+    region — the regions are reconstructable from ``meta["store_path"]`` —
+    and resuming from it continues bitwise.  Besides AdaQP, PipeGCN and
+    SANCUS at a width that aggregates layer 0 first: their exchange state
+    caches layer-0 rows gathered from the memmapped features, as copies.
+    No state holds a memmap, and the checkpoint is model-sized plus exactly
+    the rows the staleness rule caches."""
+    from repro.cluster.cluster import Cluster
+
     ds, book = huge_store.dataset(), huge_store.book()
     setting = f"{huge_store.num_parts}M-1D"
-    d_full, d_split = tmp_path / "full", tmp_path / "split"
-    full = train("adaqp", ds, book, setting, _cfg(checkpoint_dir=str(d_full)))
-    part1 = train(
-        "adaqp", ds, book, setting, _cfg(epochs=3, checkpoint_dir=str(d_split))
-    )
-    part2 = train(
-        "adaqp", ds, book, setting, _cfg(checkpoint_dir=str(d_split), resume=True)
-    )
-    assert part2.start_epoch == 3
-    assert part1.curve_loss + part2.curve_loss == full.curve_loss
-    assert part1.wire_bytes_total + part2.wire_bytes_total == full.wire_bytes_total
-    _assert_states_bitwise_equal(_final_state(d_full), _final_state(d_split))
+    for system, hidden in (("adaqp", 8), ("pipegcn", 32), ("sancus", 32)):
+        d_full, d_split = tmp_path / system / "full", tmp_path / system / "split"
+        cfg = dict(hidden_dim=hidden)
+        full = train(system, ds, book, setting, _cfg(checkpoint_dir=str(d_full), **cfg))
+        part1 = train(
+            system, ds, book, setting,
+            _cfg(epochs=3, checkpoint_dir=str(d_split), **cfg),
+        )  # fmt: skip
+        part2 = train(
+            system, ds, book, setting,
+            _cfg(checkpoint_dir=str(d_split), resume=True, **cfg),
+        )  # fmt: skip
+        assert part2.start_epoch == 3
+        assert part1.curve_loss + part2.curve_loss == full.curve_loss
+        total = part1.wire_bytes_total + part2.wire_bytes_total
+        assert total == full.wire_bytes_total
+        _assert_states_bitwise_equal(_final_state(d_full), _final_state(d_split))
 
-    state = _final_state(d_split)
-    assert state.meta.get("store_path") == str(huge_store.path)
-    for arr in _walk_arrays(
-        {"model": state.model, "optimizer": state.optimizer,
-         "exchange": state.exchange, "assigner": state.assigner}
-    ):
-        assert not isinstance(arr, np.memmap)
-    # The checkpoint must stay model-sized: serializing even one
-    # device's store regions would dwarf the store-free state.
-    ckpt_bytes = max(p.stat().st_size for p in d_split.glob("epoch-*/state.pkl"))
-    assert ckpt_bytes < huge_store.materialized_bytes() // huge_store.num_parts
+        state = _final_state(d_split)
+        assert state.meta.get("store_path") == str(huge_store.path)
+        for arr in _walk_arrays(
+            {"model": state.model, "optimizer": state.optimizer,
+             "exchange": state.exchange, "assigner": state.assigner}
+        ):  # fmt: skip
+            assert not isinstance(arr, np.memmap)
+        with Cluster(ds, book, hidden_dim=hidden, num_layers=3, seed=0) as cluster:
+            cached = _cached_rows_bytes(system, cluster)
+        assert sum(a.nbytes for a in _walk_arrays(state.exchange)) == cached
+        # The checkpoint must stay model-sized beside those rows:
+        # serializing even one device's store regions would dwarf it.
+        ckpt = max(p.stat().st_size for p in d_split.glob("epoch-*/state.pkl"))
+        assert ckpt - cached < huge_store.materialized_bytes() // huge_store.num_parts

@@ -10,7 +10,11 @@ from step_encoding import quantize_pack
 from repro import kernels
 from repro.cluster.cluster import Cluster
 from repro.cluster.compute import FusedClusterCompute
-from repro.cluster.exchange import ExactHaloExchange
+from repro.cluster.exchange import (
+    ExactHaloExchange,
+    FusedQuantizedHaloExchange,
+    UniformRandomBitProvider,
+)
 from repro.cluster.memory import (
     _csr_bytes,
     _decode_workspace_bytes,
@@ -409,6 +413,38 @@ def test_stage_estimate_is_what_a_plan_holds(cluster, compiled_kernels, kernel_t
     index = 128 * plan.n_total + 2048 * len(plan.pairs)
     assert term <= held <= term + index
     assert plan.wire.nbytes < plan.n_total * plan.dim  # mixed widths: < 1 B/element
+
+
+def test_what_the_exchange_holds_stays_within_its_terms(tiny_dataset, either_tier):
+    """Each tier against ``tracemalloc``: after two epochs of the adaqp
+    exchange (the fused quantized exchange at mixed widths), what is still
+    allocated under the exchange's calls — any frame — is within the
+    estimate's exchange terms, the decode workspace and the staging and
+    step plans, plus only the plans' int64 index arrays and payload views
+    (the slack above: < 128 B per row, 2 KiB per pair, per step).  The
+    scratch term is left out: scratch is not held between steps.  The
+    workspace holds only the backward landing blocks."""
+    book = partition_graph(tiny_dataset.graph, 4, method="metis", seed=0)
+    with Cluster(tiny_dataset, book, model_kind="gcn", hidden_dim=32, num_layers=3,
+                 dropout=0.0, seed=0) as c:  # fmt: skip
+        provider = UniformRandomBitProvider(np.random.default_rng(0))
+        exchange = FusedQuantizedHaloExchange(provider, KeyedRounding(0))
+        tracemalloc.start(32)
+        try:
+            for epoch in range(2):
+                c.train_epoch(exchange, epoch)
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        under = tracemalloc.Filter(True, "*/repro/cluster/exchange.py", all_frames=True)
+        held = sum(trace.size for trace in snapshot.filter_traces([under]).traces)
+        steps = 2 * len(c.dims[:-1])
+        rows = sum(dev.part.n_halo for dev in c.devices)
+        pairs = sum(len(dev.part.send_map) for dev in c.devices)
+        terms = _decode_workspace_bytes(c) + _quant_stage_bytes(c)
+        assert held <= terms + steps * (128 * rows + 2048 * pairs)
+        blocks = {("block", dev.rank) for dev in c.devices}
+        assert set(exchange._decode_ws._bufs) == blocks
 
 
 def test_host_memory_parses_meminfo(tmp_path):

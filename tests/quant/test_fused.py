@@ -5,6 +5,7 @@ there until the plan's next encode."""
 
 import gc
 import sys
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -26,9 +27,20 @@ from repro.quant.stochastic import KeyedRounding
 from repro.quant.theory import packed_bytes, wire_bytes
 
 
-def decode_step(payloads):
-    """One receiver's ``{src: payload}`` mailbox, decoded to matrices."""
-    return decode_cluster_step({-1: payloads})[-1]
+def decode_step(plan):
+    """Every receiver of ``plan`` landed through its :class:`DecodeIndex`,
+    its sources' rows in order in one halo buffer: ``{(src, dst): rows}``."""
+    landed = {}
+    for dst in sorted({d for _, d in plan.pairs}):
+        srcs = sorted(s for s, d in plan.pairs if d == dst)
+        counts = [int(plan.pair_counts[plan.pairs.index((s, dst))]) for s in srcs]
+        cuts = np.cumsum([0, *counts])
+        rows = {s: np.arange(a, b) for s, a, b in zip(srcs, cuts, cuts[1:])}
+        index = decode_index(plan, dst, rows, int(cuts[-1]))
+        buf = np.full(index.shape, np.nan, dtype=np.float32)
+        decode_cluster_step(index, buf)
+        landed.update({(s, dst): buf[index.land[s]] for s in srcs})
+    return landed
 
 
 def _step(seed, n_pairs=5, rows=37, dim=9, bit_choices=(2, 4, 8)):
@@ -42,8 +54,11 @@ def _step(seed, n_pairs=5, rows=37, dim=9, bit_choices=(2, 4, 8)):
     return values, pairs, counts, cat_idx, bits_cat, dim
 
 
-def _encode_both(seed, **kw):
-    values, pairs, counts, cat_idx, bits_cat, dim = _step(seed, **kw)
+def _encode_both(seed, *, pairs=None, **kw):
+    """The step's payloads from the per-message reference encoder and from
+    the fused one, and the fused one's plan."""
+    values, default_pairs, counts, cat_idx, bits_cat, dim = _step(seed, **kw)
+    pairs = pairs or default_pairs
     legacy_enc = MixedPrecisionEncoder(KeyedRounding(seed + 99))
     fused_enc = FusedStepEncoder(KeyedRounding(seed + 99))
 
@@ -58,7 +73,7 @@ def _encode_both(seed, **kw):
         legacy_payloads[pair] = legacy_enc.encode(
             values[sel], bits_cat[bounds[i] : bounds[i + 1]], block=("fwd", 0, *pair)
         )
-    return legacy_payloads, fused_payloads
+    return legacy_payloads, fused_payloads, plan
 
 
 @pytest.mark.parametrize("chunk_rows", [4096, 40])
@@ -67,7 +82,7 @@ def test_fused_encode_bitwise_identical_to_legacy(monkeypatch, bit_choices, chun
     # chunk_rows=40 walks the 37-row pairs one kernel chunk each: chunking
     # must be invisible in the bytes.
     monkeypatch.setattr("repro.quant.fused._QUANT_CHUNK_ROWS", chunk_rows)
-    legacy, fused = _encode_both(7, bit_choices=bit_choices)
+    legacy, fused, _ = _encode_both(7, bit_choices=bit_choices)
     assert set(legacy) == set(fused)
     for pair in legacy:
         pl, pf = legacy[pair], fused[pair]
@@ -121,29 +136,35 @@ def test_plan_cache_revalidates_on_bit_change():
 
 
 def test_decode_step_matches_payload_decode():
-    _, fused = _encode_both(21)
-    mailbox = {dst: p for (_, dst), p in fused.items()}
-    decoded = decode_step(mailbox)
-    for src, payload in mailbox.items():
-        assert np.array_equal(decoded[src], decode(payload))
+    """Every receiver lands, through its index, the rows the reference
+    decode makes of the reference encoder's payload."""
+    legacy, _, plan = _encode_both(21)
+    landed = decode_step(plan)
+    assert set(landed) == set(legacy)
+    for pair, payload in legacy.items():
+        assert landed[pair].tobytes() == decode(payload).tobytes()
 
 
 def test_decode_cluster_step_groups_by_receiver():
-    _, fused = _encode_both(22, n_pairs=4)
-    items = list(fused.items())
-    collects = {
-        10: {src: p for (src, _), p in items[:2]},
-        11: {src: p for (src, _), p in items[2:]},
-    }
-    decoded = decode_cluster_step(collects)
-    assert set(decoded) == {10, 11}
-    for dst, mailbox in collects.items():
-        for src, payload in mailbox.items():
-            assert np.array_equal(decoded[dst][src], decode(payload))
+    """Two receivers of one step, two sources each: each lands its own
+    sources' rows, sources ascending, and nothing of the other's."""
+    pairs = [(0, 10), (1, 10), (2, 11), (3, 11)]
+    legacy, fused, plan = _encode_both(22, n_pairs=4, pairs=pairs)
+    landed = decode_step(plan)
+    assert set(landed) == set(pairs)
+    for pair in pairs:
+        assert landed[pair].tobytes() == decode(legacy[pair]).tobytes()
+        assert landed[pair].tobytes() == decode(fused[pair]).tobytes()
 
 
 def test_decode_cluster_step_empty_mailboxes():
-    assert decode_cluster_step({0: {}, 1: {}}) == {0: {}, 1: {}}
+    """A receiver no pair of the step feeds lands zeros in every slot."""
+    _, _, plan = _encode_both(23, n_pairs=2)
+    index = decode_index(plan, 99, {}, 3)
+    assert index.srcs == () and not index.covers
+    buf = np.full(index.shape, np.nan, dtype=np.float32)
+    decode_cluster_step(index, buf)
+    assert not buf.any()
 
 
 def test_encoder_empty_step():
@@ -214,9 +235,9 @@ def test_payload_bytes_hold_until_the_plans_next_encode():
     payloads = encode_step(enc, plan, {0: values}, coords=("fwd", 0))
     before = _snapshot(payloads)
     other = enc.plan_for("other", pairs, counts, [(0, 0, n)], cat_idx, bits_cat, dim)
-    other_payloads = encode_step(enc, other, {0: values + 1}, coords=("fwd", 0))
-    decode_step({dst: p for (_, dst), p in other_payloads.items()})
-    decode_step({dst: p for (_, dst), p in payloads.items()})
+    encode_step(enc, other, {0: values + 1}, coords=("fwd", 0))
+    decode_step(other)
+    decode_step(plan)
     enc.gather_step(plan, {0: values * 2})
     assert _snapshot(payloads) == before
     with pytest.raises(ValueError, match="read-only"):
@@ -260,8 +281,7 @@ def test_a_rebuilt_plan_frees_the_old_one_without_the_collector():
         payloads = quantize_pack(enc, plan, coords=("bwd", 1))
         rows = {0: np.arange(int(counts[0]))}
         index = decode_index(plan, 1, rows, int(counts[0]))
-        decode_cluster_step({1: {0: payloads[(0, 1)]}}, into={
-            1: (index, np.empty(index.shape, np.float32))})  # fmt: skip
+        decode_cluster_step(index, np.empty(index.shape, np.float32))
         old = weakref.ref(plan)
         del plan, index
         new_bits = bits_cat.copy()
@@ -340,21 +360,19 @@ def test_a_wider_step_moves_every_plan_to_one_larger_block(either_tier):
 
 
 def test_a_smaller_take_views_the_larger_takes_block():
-    """``DecodeWorkspace.take`` hands out C-contiguous views of one buffer
-    per key that grows only: a smaller request after a larger one is the
-    front of the same block; another dtype gets a buffer of its own."""
+    """``DecodeWorkspace.take`` hands out C-contiguous float32 views of one
+    buffer per key that grows only: a smaller request after a larger one is
+    the front of the same block; another key gets a buffer of its own."""
     ws = DecodeWorkspace()
-    wide = ws.take(("block", 0), (10, 128), np.float32)
-    narrow = ws.take(("block", 0), (10, 64), np.float32)
+    wide = ws.take(("block", 0), (10, 128))
+    narrow = ws.take(("block", 0), (10, 64))
     assert narrow.shape == (10, 64) and narrow.dtype == np.float32
     assert narrow.flags.c_contiguous
     assert narrow.ctypes.data == wide.ctypes.data
     assert narrow.base is wide.base
-    again = ws.take(("block", 0), (10, 128), np.float32)
+    again = ws.take(("block", 0), (10, 128))
     assert again.ctypes.data == wide.ctypes.data
-    assert not np.shares_memory(ws.take(("block", 1), (10, 64), np.float32), wide)
-    codes = ws.take(("block", 0), (4,), np.uint8)
-    assert codes.dtype == np.uint8 and not np.shares_memory(codes, wide)
+    assert not np.shares_memory(ws.take(("block", 1), (10, 64)), wide)
 
 
 def test_racing_shards_allocate_one_code_block(kernel_tier):
@@ -394,22 +412,22 @@ def test_racing_shards_allocate_one_code_block(kernel_tier):
         sys.setswitchinterval(interval)
 
 
-def test_the_numpy_decode_holds_one_buffer_per_role(kernel_tier):
-    """Through a workspace, the NumPy decode de-quantizes every width's rows
-    into one buffer and unpacks each width's codes into one shared buffer,
-    so a workspace holds the largest call's rows, not each width's largest;
-    the matrices are the reference decode's."""
-    values, pairs, counts, cat_idx, bits_cat, dim = _step(70)
-    enc = FusedStepEncoder(KeyedRounding(4))
-    n = int(counts.sum())
-    plan = enc.plan_for("k", pairs, counts, [(0, 0, n)], cat_idx, bits_cat, dim)
-    payloads = encode_step(enc, plan, {0: values}, coords=("fwd", 0))
-    mailbox = {dst: p for (_, dst), p in payloads.items()}
-    ws = DecodeWorkspace()
+def test_the_numpy_decode_keeps_no_scratch(kernel_tier):
+    """NumPy tier: a landing's scratch lives for the call — nothing stays
+    allocated after it, and its peak is bounded by the receiver's rows
+    (codes, de-quantized rows, per-row index and metadata gathers), not by
+    the step's.  The landed rows are the reference decode's."""
+    legacy, _, plan = _encode_both(70, n_pairs=6, rows=40, dim=16)
+    index = decode_index(plan, 3, {0: np.arange(40)}, 40)
+    buf = np.empty(index.shape, dtype=np.float32)
     with kernel_tier(None):
-        got = decode_cluster_step({-1: mailbox}, workspace=ws)[-1]
-    mats = {("mat", -1, src) for src, p in mailbox.items() if len(p.group_bits) > 1}
-    assert set(ws._bufs) == {"deq", "codes"} | mats
-    assert ws._bufs["deq"].shape == (n * dim,)
-    for src, payload in mailbox.items():
-        assert np.array_equal(got[src], decode(payload))
+        decode_step(plan)  # warm caches: the plan's indices, the packer's tables
+        tracemalloc.start()
+        try:
+            decode_cluster_step(index, buf)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert held < 1024  # NumPy's small-buffer cache, not a receiver's rows
+    assert peak <= 40 * 16 * (4 + 1) + 40 * 8 * 4 + 8192
+    assert buf.tobytes() == decode(legacy[(0, 3)]).tobytes()

@@ -3,10 +3,11 @@
 The byte-equality gate at kernel level: Philox lanes against
 ``numpy.random.Philox``, the compiled quantize + pack against the NumPy
 kernel and packer through every shard decomposition and the ``pair_shard``
-replay, the compiled decode against the reference ``decode(payload)``
+replay, both decodes against the reference ``decode(payload)``
 (``reference/wire.py``) through a plan's :class:`DecodeIndex` straight
-into halo rows or an accumulated block (any other mailbox takes the NumPy
-decode), the compiled CSR product against
+into halo rows or an accumulated block, an exchange's delivery audit (a
+foreign payload raises, a dropped envelope is replayed and landed by the
+compiled decode alone), the compiled CSR product against
 scipy's ``csr_matvecs``, and the compiled post stage (LayerNorm → ReLU → dropout,
 both ways) against the engine's NumPy sequence.  Both tiers are driven
 explicitly here (whatever ``--quant-kernel`` pins for the test run), so the
@@ -21,6 +22,7 @@ anything compared across two encodes is snapshotted first.
 """
 
 import ctypes
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,9 +32,11 @@ from reference.wire import MixedPrecisionEncoder, decode
 from scipy.sparse._sparsetools import csr_matvecs
 from step_encoding import quantize_pack
 
+from repro.cluster.exchange import FusedQuantizedHaloExchange
+from repro.comm.faults import FaultPlan
+from repro.comm.transport import Transport, TransportError
 from repro.quant import fused
 from repro.quant.fused import (
-    DecodeWorkspace,
     FusedStepEncoder,
     accumulate_block,
     accumulate_rows,
@@ -245,44 +249,6 @@ def test_the_shard_comparison_sees_a_flipped_key(lib, tier, monkeypatch):
 # Decode
 # ----------------------------------------------------------------------
 @st.composite
-def mailboxes(draw):
-    """Receivers' mailboxes of per-message payloads: every width, ragged
-    (non-byte-aligned) groups, single- and multi-group payloads."""
-    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    dim = draw(st.sampled_from((1, 3, 7, 8, 19, 64)))
-    encoder = MixedPrecisionEncoder(KeyedRounding(1))
-    collects = {}
-    for dst in range(draw(st.integers(1, 3))):
-        collects[dst] = {}
-        for src in range(draw(st.integers(0, 4))):
-            n = int(gen.integers(1, 12))
-            widths = (1, 2, 4, 8)
-            if gen.random() < 0.4:  # a single-group payload
-                widths = (int(gen.choice(widths)),)
-            values = gen.normal(size=(n, dim)).astype(np.float32)
-            block = ("fwd", 0, src, dst)
-            collects[dst][src] = encoder.encode(values, gen.choice(widths, n), block)
-    return collects
-
-
-@settings(max_examples=60, deadline=None)
-@given(collects=mailboxes(), use_workspace=st.booleans())
-def test_decode_is_payload_decode(lib, tier, collects, use_workspace):
-    workspace = DecodeWorkspace() if use_workspace else None
-    with tier(lib):
-        got = decode_cluster_step(collects, workspace=workspace)
-    with tier(None):
-        reference = decode_cluster_step(collects)
-    assert list(got) == list(collects)
-    for dst, mailbox in collects.items():
-        assert list(got[dst]) == list(mailbox)  # collection order survives
-        for src, payload in mailbox.items():
-            assert got[dst][src].dtype == np.float32
-            assert got[dst][src].tobytes() == decode(payload).tobytes()
-            assert reference[dst][src].tobytes() == decode(payload).tobytes()
-
-
-@st.composite
 def exchange_steps(draw):
     """One step of a small cluster, receiver side: every receiver has up to
     four sources with ragged pair sizes (empty pairs too), every width incl.
@@ -322,40 +288,53 @@ def exchange_steps(draw):
     return pairs, counts, bits, values, dim, halo, owned
 
 
+def _wipe(plan, i):
+    """Overwrite pair ``i``'s streams, zero points and scales in the plan's
+    buffers: only a re-encode of the pair restores them."""
+    for g in plan.pair_groups[plan.pairs[i]]:
+        plan.wire[g.offset : g.offset + g.nbytes] = 0xA5
+        plan.zero_points[g.start : g.stop] = np.nan
+        plan.scales[g.start : g.stop] = np.nan
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=exchange_steps(), accumulate=st.booleans(), drop=st.booleans())
 def test_decode_index_lands_every_row(lib, tier, case, accumulate, drop):
-    """Through a plan's :class:`DecodeIndex`, both tiers land each
-    receiver's rows where ``decode(payload)`` says — halo rows directly,
-    or a block whose accumulate (from the block, or source by source) is
-    the per-pair ``out[rows] += mat`` — and a receiver missing a source
-    gets zeros there (the replay's job)."""
+    """Through a plan's :class:`DecodeIndex`, both tiers land every
+    receiver's rows where the reference says — ``decode`` of the
+    per-message reference encoder's payload (``reference/wire.py``) — halo
+    rows directly with zeros in the slots no source feeds, or a block whose
+    accumulate (from the block, or source by source) is the per-pair
+    ``out[rows] += mat``.  With ``drop``, one pair's bytes are wiped after
+    the encode and the pair is replayed — re-encoded into the plan through
+    ``pair_shard``, as the exchange regenerates a dropped envelope —
+    before the receivers land."""
     pairs, counts, bits, values, dim, halo, owned = case
     encoder = FusedStepEncoder(KeyedRounding(3))
     plan = _plan(encoder, (pairs, counts, bits, values, dim))
-    payloads = quantize_pack(encoder, plan, coords=("bwd", 0))
-    collects = {
-        dst: {s: payloads[(s, d)] for s, d in sorted(pairs) if d == dst}
-        for dst in sorted(halo)
+    reference = MixedPrecisionEncoder(KeyedRounding(3))
+    bounds = np.concatenate([[0], np.cumsum(counts)])
+    want_rows = {
+        pair: decode(reference.encode(values[a:b], bits[a:b], ("bwd", 0, *pair)))
+        for pair, a, b in zip(pairs, bounds, bounds[1:])
     }
-    if drop:
-        victim = next((d for d, box in collects.items() if box), None)
-        if victim is not None:
-            collects[victim].pop(next(iter(collects[victim])))
+    victim = int(np.flatnonzero(counts)[0])
     for lib_or_none in (lib, None):
-        into = {}
-        for dst in collects:
+        with tier(lib_or_none):
+            quantize_pack(encoder, plan, coords=("bwd", 0))
+            if drop:
+                _wipe(plan, victim)
+                shard = pair_shard(plan, victim)
+                encoder.quantize_pack_shard(plan, shard, coords=("bwd", 0))
+        for dst in sorted(halo):
             rows, n_out = (owned if accumulate else halo)[dst]
             index = decode_index(plan, dst, rows, n_out, accumulate=accumulate)
-            into[dst] = (index, np.full(index.shape, np.nan, dtype=np.float32))
-        with tier(lib_or_none):
-            landed = decode_cluster_step(collects, into=into)
-        for dst, mailbox in collects.items():
-            index, buf = into[dst]
-            assert list(landed[dst]) == list(mailbox)
+            buf = np.full(index.shape, np.nan, dtype=np.float32)
+            with tier(lib_or_none):
+                decode_cluster_step(index, buf)
             want = np.zeros(index.shape, dtype=np.float32)
-            for src, payload in mailbox.items():
-                want[index.land[src]] = decode(payload)
+            for src in index.srcs:
+                want[index.land[src]] = want_rows[(src, dst)]
             assert buf.tobytes() == want.tobytes()
             if accumulate:
                 got = np.ones((index.n_out, dim), dtype=np.float32)
@@ -376,7 +355,7 @@ def test_decode_index_lands_every_row(lib, tier, case, accumulate, drop):
 
 def test_decode_index_checks_what_the_kernel_trusts():
     """Destination rows are checked once, when the index is built; a
-    buffer of the wrong shape is refused at every decode."""
+    buffer of the wrong shape is refused at every landing."""
     counts = np.array([3, 2], dtype=np.int64)
     step = ([(0, 2), (1, 2)], counts, np.array([2, 4, 2, 8, 1]),
             np.ones((5, 3), dtype=np.float32), 3)  # fmt: skip
@@ -389,8 +368,8 @@ def test_decode_index_checks_what_the_kernel_trusts():
         decode_index(plan, 2, {0: [0, 0, 1], 1: [0, 1]}, 3, accumulate=True)
     index = decode_index(plan, 2, {0: [0, 1, 2], 1: [3, 4]}, 5)
     assert index.covers and index.shape == (5, 3)
-    with pytest.raises(ValueError, match="decode buffer"):
-        decode_cluster_step({2: {}}, into={2: (index, np.zeros((4, 3), np.float32))})
+    with pytest.raises(ValueError, match="landing buffer"):
+        decode_cluster_step(index, np.zeros((4, 3), np.float32))
 
 
 def test_native_decode_checks_what_the_kernel_trusts():
@@ -431,35 +410,136 @@ def _foreign(payload: MixedPrecisionPayload) -> MixedPrecisionPayload:
     )
 
 
-def test_only_the_plans_own_mailbox_reaches_the_compiled_decode(lib, tier):
-    """A mailbox of the plan's own payloads decodes in one compiled call;
-    equal payloads built elsewhere take the NumPy decode and land the same
+# ----------------------------------------------------------------------
+# Delivery audit: an exchange lands from its plan, the mailbox only audits
+# ----------------------------------------------------------------------
+def _devices(n_dev=3, seed=5):
+    """A small cluster's devices as the exchange reads them: a rank, and a
+    partition's owned and halo row counts, send and recv maps — every
+    ordered pair exchanges rows, and each receiver has two halo slots no
+    pair feeds."""
+    gen = np.random.default_rng(seed)
+    n_owned = gen.integers(4, 9, n_dev)
+    send = {s: {d: np.sort(gen.choice(n_owned[s], int(gen.integers(1, n_owned[s])),
+                                      replace=False))
+                for d in range(n_dev) if d != s}
+            for s in range(n_dev)}  # fmt: skip
+    devices = []
+    for d in range(n_dev):
+        srcs = [s for s in range(n_dev) if s != d]
+        cuts = np.cumsum([0, *(send[s][d].size for s in srcs)])
+        slots = gen.permutation(int(cuts[-1]) + 2)
+        part = SimpleNamespace(
+            owned_global=None,
+            n_owned=int(n_owned[d]),
+            n_halo=slots.size,
+            send_map=send[d],
+            recv_map={s: slots[a:b] for s, a, b in zip(srcs, cuts, cuts[1:])},
+        )
+        devices.append(SimpleNamespace(rank=d, part=part))
+    devices[0].part.owned_global = devices  # the exchange's cluster identity
+    return devices
+
+
+class _EveryWidth:
+    """Per-row bit-widths of every width, 1 bit included, fixed per pair."""
+
+    def bits_for(self, layer, phase, src, dst, n_rows):
+        return np.random.default_rng([src, dst]).choice((1, 2, 4, 8), n_rows)
+
+
+def _exchange_step(phase, transport, dim=11):
+    """One quantized ``phase`` step of layer 0 over :func:`_devices`, both
+    halves; returns its destinations, the exchange and its plan."""
+    devices = _devices()
+    gen = np.random.default_rng(6)
+    exchange = FusedQuantizedHaloExchange(_EveryWidth(), KeyedRounding(8))
+    rows = [dev.part.n_owned if phase == "fwd" else dev.part.n_halo for dev in devices]
+    values = [gen.normal(size=(n, dim)).astype(np.float32) for n in rows]
+    out = [
+        np.full((dev.part.n_halo if phase == "fwd" else dev.part.n_owned, dim),
+                0.5, dtype=np.float32)
+        for dev in devices
+    ]  # fmt: skip
+    step = exchange.post_step(0, phase, devices, transport, values, out)
+    exchange.finalize_step(step)
+    return out, exchange, step.plan
+
+
+def _landed(phase, plan, dim=11):
+    """What a step of :func:`_exchange_step` must land, from the reference
+    decode of the plan's payloads: every halo slot forward (zeros where no
+    pair feeds), the owned-row gradients backward."""
+    devices = _devices()
+    want = []
+    for dev in devices:
+        part = dev.part
+        if phase == "fwd":
+            rows, buf = part.recv_map, np.zeros((part.n_halo, dim), np.float32)
+        else:
+            rows, buf = part.send_map, np.full((part.n_owned, dim), 0.5, np.float32)
+        for src in sorted(rows):
+            mat = decode(plan.payloads[plan.pairs.index((src, dev.rank))])
+            if phase == "fwd":
+                buf[rows[src]] = mat
+            else:
+                buf[rows[src]] += mat
+        want.append(buf)
+    return want
+
+
+def test_a_payload_the_plan_did_not_emit_raises_a_transport_error(lib, tier):
+    """A mailbox whose payload is not the plan's own for its pair — equal
+    bytes built outside the plan (``_foreign``) — fails the step with a
+    :class:`TransportError` naming the pair, forward and backward, on both
+    tiers and with workers; the plan's own mailboxes land the reference
     rows."""
-    step = ([(0, 2), (1, 2)], np.array([3, 2]), np.array([2, 4, 2, 8, 1]),
-            np.random.default_rng(0).normal(size=(5, 7)).astype(np.float32), 7)  # fmt: skip
-    encoder = FusedStepEncoder(KeyedRounding(0))
-    plan = _plan(encoder, step)
-    payloads = quantize_pack(encoder, plan, coords=("fwd", 0))
-    index = decode_index(plan, 2, {0: [4, 0, 2], 1: [1, 3]}, 5)
-    own = {src: payloads[(src, 2)] for src in index.srcs}
-    calls, genuine = [], fused._decode_index_native
+    for chosen in (lib, None):
+        for phase in ("fwd", "bwd"):
+            for workers in (0, 2):
+                transport = Transport(3, workers=workers)
+                try:
+                    with tier(chosen):
+                        out, _, plan = _exchange_step(phase, transport)
+                        post = transport.post_batch
+
+                        def foreign(src, tag, posts):
+                            post(src, tag, [(d, _foreign(p) if (src, d) == (1, 0)
+                                             else p, n) for d, p, n in posts])  # fmt: skip
+
+                        transport.post_batch = foreign
+                        with pytest.raises(TransportError, match=r"pair \(1, 0\)"):
+                            _exchange_step(phase, transport)
+                finally:
+                    transport.close()
+                for got, want in zip(out, _landed(phase, plan)):
+                    assert got.tobytes() == want.tobytes()
+
+
+def test_a_dropped_envelope_lands_through_the_compiled_decode_alone(lib, tier):
+    """On the compiled tier a step with a dropped envelope is replayed into
+    the plan and landed by ``repro_decode_rows`` alone — it never enters
+    the NumPy decode — and lands the reference rows, as the NumPy tier
+    does."""
+    calls, genuine = [], fused._decode_index_numpy
     # Patched by hand, not with monkeypatch: the sanitized build's driver
     # calls this property with ``lib`` and ``tier`` only.
-    fused._decode_index_native = lambda *a: calls.append(1) or genuine(*a)
-    landed = []
+    fused._decode_index_numpy = lambda *a: calls.append(1) or genuine(*a)
     try:
-        for mailbox in (own, {src: _foreign(p) for src, p in own.items()}):
-            buf = np.full(index.shape, np.nan, dtype=np.float32)
-            with tier(lib):
-                decode_cluster_step({2: mailbox}, into={2: (index, buf)})
-            landed.append(buf.tobytes())
+        for chosen in (lib, None):
+            for phase in ("fwd", "bwd"):
+                transport = Transport(3)
+                transport.fault_plan = FaultPlan.parse([f"drop:{phase}/L0:src=2,dst=1"])
+                with tier(chosen):
+                    out, _, plan = _exchange_step(phase, transport)
+                assert transport.fault_stats["replays"] == 1
+                for got, want in zip(out, _landed(phase, plan)):
+                    assert got.tobytes() == want.tobytes()
+            if chosen is lib:
+                assert calls == []
+        assert calls
     finally:
-        fused._decode_index_native = genuine
-    assert calls == [1]
-    want = np.zeros(index.shape, dtype=np.float32)
-    for src, payload in own.items():
-        want[index.land[src]] = decode(payload)
-    assert landed == [want.tobytes()] * 2
+        fused._decode_index_numpy = genuine
 
 
 # ----------------------------------------------------------------------

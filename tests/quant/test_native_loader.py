@@ -71,7 +71,7 @@ def _assert_working_run():
         assert got_stream.tobytes() == want_stream.tobytes()
     index = decode_index(plan, 1, {0: np.arange(11)}, 11)
     halo = np.full(index.shape, np.nan, dtype=np.float32)
-    decode_cluster_step({1: {0: payload}}, into={1: (index, halo)})
+    decode_cluster_step(index, halo)
     assert halo.tobytes() == decode(want).tobytes()
 
 

@@ -7,8 +7,9 @@ sanitizer runtime must be preloaded into the interpreter), through the
 loader's self-tests (one per kernel family) and the hypothesis properties of
 ``test_native_kernels.py``: ragged groups, rows that share a byte
 (dim·bits % 8 ≠ 0), 1-bit groups, permuted payload orders, empty pairs, a
-receiver whose mailbox is missing a source, decode straight into halo rows
-and into accumulated blocks, the CSR product over empty rows, repeated
+dropped pair replayed into its plan, decode straight into halo rows and
+into accumulated blocks, exchange steps whose mailboxes are audited (a
+foreign payload, a dropped envelope), the CSR product over empty rows, repeated
 columns, row ranges and widths of both accumulator forms, and the post
 stage over empty blocks and rows, widths on and off every vector and
 pairwise-block boundary, with dropout on and off.  An out-of-bounds read or
@@ -38,9 +39,9 @@ PROPERTIES = (
     "test_philox_lanes_are_numpys",
     "test_quantize_kernel_is_numpys",
     "test_every_shard_decomposition_and_replay_emit_the_reference_bytes",
-    "test_decode_is_payload_decode",
     "test_decode_index_lands_every_row",
-    "test_only_the_plans_own_mailbox_reaches_the_compiled_decode",
+    "test_a_payload_the_plan_did_not_emit_raises_a_transport_error",
+    "test_a_dropped_envelope_lands_through_the_compiled_decode_alone",
     "test_csr_kernel_is_scipys",
     "test_post_stage_kernel_is_numpys",
 )
