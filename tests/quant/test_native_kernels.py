@@ -353,6 +353,31 @@ def test_decode_index_lands_every_row(lib, tier, case, accumulate, drop):
                 assert per_source.tobytes() == expect.tobytes()
 
 
+@settings(max_examples=30, deadline=None)
+@given(case=exchange_steps())
+def test_decode_is_payload_decode(lib, tier, case):
+    """What a receiver lands from the plan's wire is, pair by pair, the
+    reference ``decode`` of the payload the plan hands the mailbox for that
+    pair: the landing reads the group table, the audit reads the payload,
+    and both describe the same bytes — on both tiers, every width."""
+    pairs, counts, bits, values, dim, halo, _ = case
+    encoder = FusedStepEncoder(KeyedRounding(4))
+    plan = _plan(encoder, (pairs, counts, bits, values, dim))
+    for lib_or_none in (lib, None):
+        with tier(lib_or_none):
+            payloads = quantize_pack(encoder, plan, coords=("fwd", 1))
+        for dst in sorted(halo):
+            rows, n_halo = halo[dst]
+            index = decode_index(plan, dst, rows, n_halo)
+            buf = np.full(index.shape, np.nan, dtype=np.float32)
+            with tier(lib_or_none):
+                decode_cluster_step(index, buf)
+            for src in index.srcs:
+                mat = decode(payloads[(src, dst)])
+                assert mat.dtype == np.float32
+                assert buf[index.land[src]].tobytes() == mat.tobytes()
+
+
 def test_decode_index_checks_what_the_kernel_trusts():
     """Destination rows are checked once, when the index is built; a
     buffer of the wrong shape is refused at every landing."""
